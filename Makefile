@@ -2,7 +2,8 @@
 #
 #   make build       compile everything
 #   make test        tier-1 gate: go build ./... && go test ./...
-#   make verify      vet + race-test the concurrent code paths
+#   make verify      vet + race-test the concurrent code paths, then soak the
+#                    engine and the sharded pipeline under -race -count=20
 #   make chaos       race-enabled fault-injection suite (chaos + drain tests)
 #   make obs-smoke   end-to-end observability check: rsrd /metrics scrape +
 #                    rsr -metrics-out/-trace-out artifacts
@@ -19,6 +20,8 @@
 #   make recovery-smoke  crash-recovery check: SIGKILL the coordinator
 #                    mid-sweep, restart it on the same journal, diff the
 #                    sweep against a single-node run
+#   make bench-smoke the frozen benchmark (bench/, BENCHMARK.json) still builds
+#                    and its sharded == sequential gate holds
 #   make bench       machine-readable benchmark snapshot (BENCH_$(LABEL).json)
 #   make bench-sweep sequential-vs-parallel sweep benchmark at small scale
 #   make all         everything above
@@ -29,9 +32,9 @@
 GO ?= go
 LABEL ?= dev
 
-.PHONY: all build test verify chaos obs-smoke cluster-smoke trace-smoke shard-smoke recovery-smoke regimen-smoke bench bench-sweep
+.PHONY: all build test verify chaos obs-smoke cluster-smoke trace-smoke shard-smoke recovery-smoke regimen-smoke bench-smoke bench bench-sweep
 
-all: build test verify chaos obs-smoke cluster-smoke trace-smoke shard-smoke recovery-smoke regimen-smoke
+all: build test verify chaos obs-smoke cluster-smoke trace-smoke shard-smoke recovery-smoke regimen-smoke bench-smoke
 
 build:
 	$(GO) build ./...
@@ -49,10 +52,16 @@ test: build
 # both all-mutex-and-goroutine code. The regimen package's strategies drive
 # the sharded pipeline and cancellation channel, so its byte-identity and
 # cancellation tests run under -race too.
+#
+# The second test line is ROADMAP's "green means green" gate: the engine's
+# ticket/stats ordering and the pipeline's buffer recycling (a capture or
+# product reused while something still reads it) are schedule-dependent, so
+# one clean pass proves little; twenty under the race detector do.
 verify:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/obs/... ./internal/engine/... ./internal/sampling/... \
 		./internal/regimen/... ./internal/cluster/... ./internal/cas/... ./cmd/rsrd/...
+	$(GO) test -race -count=20 ./internal/engine ./internal/warmup ./internal/sampling
 
 # chaos drives the deterministic fault injector through the engine's real
 # cache and run paths under the race detector: injected disk errors, torn
@@ -106,6 +115,13 @@ shard-smoke:
 # listed by `rsr regimens` must complete a run under the race detector.
 regimen-smoke:
 	./scripts/regimen-smoke.sh
+
+# bench-smoke runs the frozen benchmark's sharded workload for three seconds,
+# traced: a change under internal/ that breaks bench/'s compile or its
+# correctness gate (sharded == sequential, replay == RunSampled) fails here,
+# before the pipeline's paired parent/change runs. The numbers are ignored.
+bench-smoke:
+	bash bench/run.sh --workload skip-heavy-sharded --seed 1 --seconds 3 --trace 1
 
 bench:
 	$(GO) run ./cmd/rsrbench -label $(LABEL)

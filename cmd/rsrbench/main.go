@@ -18,9 +18,6 @@
 //	                   the <n>/1 ratio is the intra-run speedup
 //	shard_sweep_funcwarm_<n>  the same sweep for functional warming (S$BP),
 //	                   which shards through speculative region captures
-//	recon_shardside_<on|off>  reverse reconstruction planned on the shard
-//	                   producers (on, the default) vs scanned on the
-//	                   consumer (off): the serial-fraction ablation
 //	figure7            one end-to-end figure regeneration (runs/s)
 //
 // With -compare, the deltas against a previous snapshot are printed and the
@@ -243,28 +240,6 @@ func measure() []Metric {
 			}
 		})
 		out = append(out, throughput(fmt.Sprintf("shard_sweep_funcwarm_%d", shards), "runs/s", 1, r))
-	}
-
-	// Reconstruction placement ablation: identical sharded runs with the
-	// reverse scans planned on the producers (on — the default) vs executed
-	// on the consumer at EndSkip (off — the pre-shard-side placement).
-	// Results are byte-identical; on/off is the serial fraction the tentpole
-	// moved off the critical path.
-	abSpec := warmup.Spec{Kind: warmup.KindReverse, Percent: 100, Cache: true, BPred: true}
-	for _, arm := range []struct {
-		name     string
-		consumer bool
-	}{{"on", false}, {"off", true}} {
-		arm := arm
-		opts := sampling.Options{Shards: 2, ConsumerRecon: arm.consumer}
-		r = testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := sampling.RunSampledOpts(gcc, sampling.DefaultMachine(), reg, 2_000_000, 1, abSpec, opts); err != nil {
-					fail(err)
-				}
-			}
-		})
-		out = append(out, throughput("recon_shardside_"+arm.name, "runs/s", 1, r))
 	}
 
 	// Sampling-strategy arms: one end-to-end run per registered regimen on

@@ -26,9 +26,17 @@ type PredReconStats struct {
 type ReconPredictor struct {
 	unit *bpred.Unit
 
+	// log and ghrAt alias their caller's storage — after BeginRegion the
+	// region's branch log, after BeginRegionPlan the plan's suffix and history
+	// arrays — until the next BeginRegion, BeginRegionPlan or ReleaseRegion:
+	// on-demand scanning reads them throughout the hot window, so that storage
+	// must not be reused before then.
 	log   []trace.BranchRecord // selected suffix, oldest first
 	ghrAt []uint64             // GHR before each suffix record (conditionals)
 	pos   int                  // next reverse index to scan; -1 when exhausted
+
+	ghrBuf   []uint64 // BeginRegion's own ghrAt storage, kept across regions
+	rasFills []uint64 // BeginRegion's RAS scratch
 
 	dirMap   []StateMap
 	dirDone  []bool
@@ -65,6 +73,31 @@ func (p *ReconPredictor) Unit() *bpred.Unit { return p.unit }
 // Stats returns the current region's reconstruction counters.
 func (p *ReconPredictor) Stats() PredReconStats { return p.stats }
 
+// resetEntries returns the per-entry possible-state tracking to "nothing
+// known" at memory bandwidth: the identity fill doubles a seeded prefix with
+// copy instead of storing one entry per iteration.
+func (p *ReconPredictor) resetEntries() {
+	if len(p.dirMap) > 0 {
+		p.dirMap[0] = IdentityMap
+		for n := 1; n < len(p.dirMap); n *= 2 {
+			copy(p.dirMap[n:], p.dirMap[:n])
+		}
+	}
+	clear(p.dirDone)
+	clear(p.btbDone)
+	p.touched = p.touched[:0]
+}
+
+// ReleaseRegion ends the current region's on-demand reconstruction and drops
+// the predictor's references to the region's log, so the caller may reuse
+// that storage. Entries the scan had not reached stay stale, exactly as if
+// they were never probed; Stats keeps the region's counters.
+func (p *ReconPredictor) ReleaseRegion() {
+	p.log, p.ghrAt = nil, nil
+	p.pos = -1
+	p.finished = true
+}
+
 // BeginRegion installs the skip-region branch log and performs the eager
 // steps of §3.2: the global history register is rebuilt from the last n
 // outcomes of the region, the RAS is rebuilt by the reverse push/pop counter
@@ -83,23 +116,16 @@ func (p *ReconPredictor) BeginRegion(fullLog []trace.BranchRecord, percent int) 
 	p.pos = len(p.log) - 1
 	p.finished = len(p.log) == 0
 
-	for i := range p.dirMap {
-		p.dirMap[i] = IdentityMap
-		p.dirDone[i] = false
-	}
-	for i := range p.btbDone {
-		p.btbDone[i] = false
-	}
-	p.touched = p.touched[:0]
+	p.resetEntries()
 	p.stats = PredReconStats{LoggedBranches: uint64(n)}
 
 	// Forward pass over the full log: compute the GHR before every suffix
 	// conditional (their table indices depend on it) and the region-final
 	// GHR. Only conditional branches shift history, matching Unit.Update.
-	if cap(p.ghrAt) < len(p.log) {
-		p.ghrAt = make([]uint64, len(p.log))
+	if cap(p.ghrBuf) < len(p.log) {
+		p.ghrBuf = make([]uint64, len(p.log))
 	}
-	p.ghrAt = p.ghrAt[:len(p.log)]
+	p.ghrAt = p.ghrBuf[:len(p.log)]
 	ghr := p.unit.Dir.GHR() // stale = value at region start
 	mask := uint64(1)<<uint(p.unit.Dir.HistoryBits()) - 1
 	for i := 0; i < n; i++ {
@@ -120,23 +146,17 @@ func (p *ReconPredictor) BeginRegion(fullLog []trace.BranchRecord, percent int) 
 	}
 	p.unit.Dir.SetGHR(ghr)
 
-	p.reconstructRAS()
+	// RAS: the reverse counter algorithm over the suffix.
+	p.rasFills = planRASFills(p.log, p.unit.RAS.Depth(), p.rasFills[:0])
+	p.installRAS(p.rasFills)
 }
 
-// reconstructRAS implements the reverse counter algorithm: scanning the
-// suffix newest-to-oldest, a pop increments the counter; a push with counter
-// zero lands at the end (bottom) of the stack; otherwise a push cancels a
-// pop. Reconstruction stops when the stack is full.
-func (p *ReconPredictor) reconstructRAS() {
-	fills := planRASFills(p.log, p.unit.RAS.Depth())
-	p.installRAS(fills)
-}
-
-// planRASFills computes the RAS contents (youngest first) the reverse counter
-// algorithm reconstructs from the suffix: a pure function of the log, safe to
-// run shard-side.
-func planRASFills(log []trace.BranchRecord, depth int) []uint64 {
-	fills := make([]uint64, 0, depth) // youngest first
+// planRASFills appends to fills the RAS contents (youngest first) the reverse
+// counter algorithm reconstructs from the suffix: scanning newest-to-oldest,
+// a pop increments the counter; a push with counter zero lands at the end
+// (bottom) of the stack; otherwise a push cancels a pop. Reconstruction stops
+// when the stack is full. A pure function of the log, safe to run shard-side.
+func planRASFills(log []trace.BranchRecord, depth int, fills []uint64) []uint64 {
 	counter := 0
 	for i := len(log) - 1; i >= 0 && len(fills) < depth; i-- {
 		r := &log[i]
@@ -196,9 +216,10 @@ type GHRFixup struct {
 // with the shift-and-or recurrence — so the planner records the pure values
 // plus the (at most HistoryBits) fixups whose stale contribution has not yet
 // shifted out, and the consumer ORs the real stale prefix in at adopt time.
-// The per-entry reset arrays are pre-allocated and pre-filled by the
-// producer, so installing a plan swaps slices instead of clearing
-// O(dir+btb entries) state on the critical path.
+// The plan is self-contained: it carries its own copy of the log's selected
+// suffix, so the log itself is dead once the plan exists. PlanPredRecon
+// overwrites a plan in place and keeps its array storage, so a recycled plan
+// is rebuilt without allocating.
 type PredReconPlan struct {
 	Logged uint64               // full region log length
 	Suffix []trace.BranchRecord // percent-selected suffix, oldest first
@@ -209,16 +230,13 @@ type PredReconPlan struct {
 	FinalShift uint   // min(total conditionals, HistoryBits)
 
 	RASFills []uint64 // reconstructed RAS contents, youngest first
-
-	DirMap  []StateMap // identity-filled, one per direction-table entry
-	DirDone []bool
-	BTBDone []bool
 }
 
 // PlanPredRecon runs BeginRegion's forward pass and RAS reconstruction over
-// the log without a predictor, materializing the plan. Safe for producer
-// goroutines: it reads only the log and the geometry snapshot.
-func PlanPredRecon(geom PredGeom, fullLog []trace.BranchRecord, percent int) *PredReconPlan {
+// the log without a predictor, materializing the plan into plan, which keeps
+// no reference to the log. Safe for producer goroutines: it reads only the
+// log and the geometry snapshot.
+func PlanPredRecon(geom PredGeom, fullLog []trace.BranchRecord, percent int, plan *PredReconPlan) {
 	if percent < 0 {
 		percent = 0
 	}
@@ -227,8 +245,12 @@ func PlanPredRecon(geom PredGeom, fullLog []trace.BranchRecord, percent int) *Pr
 	}
 	n := len(fullLog)
 	start := n - n*percent/100
-	plan := &PredReconPlan{Logged: uint64(n), Suffix: fullLog[start:]}
-	plan.GHRAt = make([]uint64, n-start)
+	ghrAt := plan.GHRAt
+	if cap(ghrAt) < n-start {
+		ghrAt = make([]uint64, n-start)
+	}
+	ghrAt = ghrAt[:n-start]
+	fixups := plan.Fixups[:0]
 
 	mask := uint64(1)<<uint(geom.HistoryBits) - 1
 	ghr := uint64(0) // pure evolution: stale prefix contributes via fixups
@@ -236,12 +258,15 @@ func PlanPredRecon(geom PredGeom, fullLog []trace.BranchRecord, percent int) *Pr
 	for i := 0; i < n; i++ {
 		r := &fullLog[i]
 		if r.Class != isa.ClassBranch {
-			continue // GHRAt stays 0, matching BeginRegion
+			if i >= start {
+				ghrAt[i-start] = 0 // matching BeginRegion
+			}
+			continue
 		}
 		if i >= start {
-			plan.GHRAt[i-start] = ghr
+			ghrAt[i-start] = ghr
 			if conds < geom.HistoryBits {
-				plan.Fixups = append(plan.Fixups, GHRFixup{Index: i - start, Shift: uint(conds)})
+				fixups = append(fixups, GHRFixup{Index: i - start, Shift: uint(conds)})
 			}
 		}
 		ghr = (ghr << 1) & mask
@@ -254,24 +279,19 @@ func PlanPredRecon(geom PredGeom, fullLog []trace.BranchRecord, percent int) *Pr
 	if shift > geom.HistoryBits {
 		shift = geom.HistoryBits
 	}
-	plan.FinalGHR, plan.FinalShift = ghr, uint(shift)
-
-	plan.RASFills = planRASFills(plan.Suffix, geom.RASDepth)
-
-	plan.DirMap = make([]StateMap, geom.DirEntries)
-	for i := range plan.DirMap {
-		plan.DirMap[i] = IdentityMap
+	*plan = PredReconPlan{
+		Logged: uint64(n), Suffix: append(plan.Suffix[:0], fullLog[start:]...),
+		GHRAt: ghrAt, Fixups: fixups, FinalGHR: ghr, FinalShift: uint(shift),
+		RASFills: planRASFills(fullLog[start:], geom.RASDepth, plan.RASFills[:0]),
 	}
-	plan.DirDone = make([]bool, geom.DirEntries)
-	plan.BTBDone = make([]bool, geom.BTBEntries)
-	return plan
 }
 
 // BeginRegionPlan is BeginRegion with the eager work already materialized by
 // a shard-side PlanPredRecon over the same log and geometry: it patches the
 // stale GHR prefix into the planned histories, installs the final GHR and
-// reconstructed RAS, and adopts the pre-built reset arrays. The predictor is
-// left in exactly the state BeginRegion would produce.
+// reconstructed RAS, and resets the per-entry tracking. The predictor is
+// left in exactly the state BeginRegion would produce, reading plan.Suffix
+// and plan.GHRAt in place until the region is released.
 func (p *ReconPredictor) BeginRegionPlan(plan *PredReconPlan) {
 	stale := p.unit.Dir.GHR()
 	mask := uint64(1)<<uint(p.unit.Dir.HistoryBits()) - 1
@@ -283,10 +303,7 @@ func (p *ReconPredictor) BeginRegionPlan(plan *PredReconPlan) {
 	p.pos = len(p.log) - 1
 	p.finished = len(p.log) == 0
 
-	p.dirMap = plan.DirMap
-	p.dirDone = plan.DirDone
-	p.btbDone = plan.BTBDone
-	p.touched = p.touched[:0]
+	p.resetEntries()
 	p.stats = PredReconStats{LoggedBranches: plan.Logged}
 
 	p.unit.Dir.SetGHR((plan.FinalGHR | stale<<plan.FinalShift) & mask)

@@ -70,7 +70,8 @@ type CacheReconRef struct {
 // each flagged with the cache levels it applies to. Applying the plan to the
 // shared hierarchy reproduces ReconstructCaches byte for byte while the
 // consumer touches only O(applied) ≤ O(total cache ways) references instead
-// of rescanning the whole log.
+// of rescanning the whole log. PlanCacheRecon overwrites a plan in place and
+// keeps its Refs storage, so a recycled plan is rebuilt without allocating.
 type CacheReconPlan struct {
 	Refs        []CacheReconRef
 	LoggedRefs  uint64
@@ -94,6 +95,15 @@ func geomOf(cfg mem.CacheConfig) cacheGeom {
 	return cacheGeom{lineShift: shift, setMask: uint64(sets - 1), assoc: int32(cfg.Assoc)}
 }
 
+// plannerSet is one set's pass state: how many blocks the current pass has
+// applied to it. It is current exactly when epoch equals the planner's, the
+// mem.Cache.reconEpoch device, so starting a pass costs an epoch bump instead
+// of a sweep over the sets.
+type plannerSet struct {
+	epoch uint32
+	used  int32
+}
+
 // cachePlanner replays one cache's ReconstructRef decision procedure against
 // log-derived state only. The decision never reads the cache's stale
 // contents: a reference applies exactly when its set still has stale ways
@@ -101,72 +111,102 @@ func geomOf(cfg mem.CacheConfig) cacheGeom {
 // reconstructed" in the real cache implies an earlier applied reference to
 // the same block, and both the present-stale and absent cases mutate state
 // and consume one way. TestPlanCacheReconMatchesDirect pins the equivalence.
+// The blocks applied to a set are its first `used` slots of blocks, so a set
+// holds at most assoc of them and membership is a scan of one short row.
 type cachePlanner struct {
-	geom cacheGeom
-	left []int32
-	seen map[uint64]struct{} // applied blocks; bounded by total ways
+	geom   cacheGeom
+	epoch  uint32
+	sets   []plannerSet
+	blocks []uint64 // sets × assoc, set-major
 }
 
-func newCachePlanner(cfg mem.CacheConfig) *cachePlanner {
-	sets := cfg.SizeBytes / (cfg.Assoc * cfg.LineBytes)
+func newCachePlanner(cfg mem.CacheConfig) cachePlanner {
 	g := geomOf(cfg)
-	p := &cachePlanner{geom: g, left: make([]int32, sets), seen: make(map[uint64]struct{})}
-	for i := range p.left {
-		p.left[i] = g.assoc
+	sets := int(g.setMask) + 1
+	return cachePlanner{geom: g, sets: make([]plannerSet, sets), blocks: make([]uint64, sets*cfg.Assoc)}
+}
+
+// begin starts a pass. Epoch zero is never live, so fresh sets read as stale;
+// on wrap-around the stamps are cleared once.
+func (p *cachePlanner) begin() {
+	p.epoch++
+	if p.epoch == 0 {
+		clear(p.sets)
+		p.epoch = 1
 	}
-	return p
 }
 
 // offer reports whether the reference would mutate this cache's state.
 func (p *cachePlanner) offer(addr uint64) bool {
 	block := addr >> p.geom.lineShift
-	set := block & p.geom.setMask
-	if p.left[set] == 0 {
+	si := block & p.geom.setMask
+	set := &p.sets[si]
+	if set.epoch != p.epoch {
+		set.epoch, set.used = p.epoch, 0
+	}
+	if set.used == p.geom.assoc {
 		return false // set fully reconstructed
 	}
-	if _, ok := p.seen[block]; ok {
-		return false // redundant: effect already processed
+	row := p.blocks[int(si)*int(p.geom.assoc):][:set.used]
+	for _, b := range row {
+		if b == block {
+			return false // redundant: effect already processed
+		}
 	}
-	p.seen[block] = struct{}{}
-	p.left[set]--
+	row = row[:set.used+1]
+	row[set.used] = block
+	set.used++
 	return true
 }
 
+// CachePlanner is PlanCacheRecon's reusable scratch: one decision replayer
+// per cache of the hierarchy. It is not safe for concurrent use; each
+// planning goroutine holds its own.
+type CachePlanner struct {
+	l1i, l1d, l2 cachePlanner
+}
+
+// NewCachePlanner builds planning scratch for hierarchies of geometry cfg.
+func NewCachePlanner(cfg mem.HierarchyConfig) *CachePlanner {
+	return &CachePlanner{l1i: newCachePlanner(cfg.L1I), l1d: newCachePlanner(cfg.L1D), l2: newCachePlanner(cfg.L2)}
+}
+
 // PlanCacheRecon runs the reverse pass of ReconstructCaches over the log
-// without a hierarchy, materializing the warm-apply plan. It is safe to call
-// from producer goroutines: it reads only the log and the (immutable)
-// hierarchy configuration.
-func PlanCacheRecon(cfg mem.HierarchyConfig, log []trace.MemRecord, percent int) *CacheReconPlan {
+// without a hierarchy, materializing the warm-apply plan into plan. It is
+// safe to call from producer goroutines: it reads only the log and touches
+// only pl and plan, and with a reused planner and plan it does not allocate
+// once plan.Refs has reached the pass's size.
+func PlanCacheRecon(pl *CachePlanner, log []trace.MemRecord, percent int, plan *CacheReconPlan) {
 	if percent < 0 {
 		percent = 0
 	}
 	if percent > 100 {
 		percent = 100
 	}
-	l1i := newCachePlanner(cfg.L1I)
-	l1d := newCachePlanner(cfg.L1D)
-	l2 := newCachePlanner(cfg.L2)
+	pl.l1i.begin()
+	pl.l1d.begin()
+	pl.l2.begin()
 
 	n := len(log)
 	start := n - n*percent/100
-	plan := &CacheReconPlan{LoggedRefs: uint64(n), ScannedRefs: uint64(n - start)}
+	refs := plan.Refs[:0]
 	for i := n - 1; i >= start; i-- {
 		r := &log[i]
 		var applyL1 bool
 		if r.IsInstr {
-			applyL1 = l1i.offer(r.Addr)
+			applyL1 = pl.l1i.offer(r.Addr)
 		} else {
-			applyL1 = l1d.offer(r.Addr)
+			applyL1 = pl.l1d.offer(r.Addr)
 		}
-		applyL2 := l2.offer(r.Addr)
+		applyL2 := pl.l2.offer(r.Addr)
 		if applyL1 || applyL2 {
-			plan.Refs = append(plan.Refs, CacheReconRef{
+			refs = append(refs, CacheReconRef{
 				Addr: r.Addr, IsStore: r.IsStore, IsInstr: r.IsInstr,
 				L1: applyL1, L2: applyL2,
 			})
 		}
 	}
-	return plan
+	*plan = CacheReconPlan{Refs: refs, LoggedRefs: uint64(n), ScannedRefs: uint64(n - start)}
 }
 
 // ApplyCacheRecon applies a materialized plan to the shared hierarchy: the

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rsr/internal/bpred"
+	"rsr/internal/isa"
 	"rsr/internal/mem"
 	"rsr/internal/trace"
 )
@@ -45,7 +46,9 @@ func staleWarm(rng *rand.Rand, h *mem.Hierarchy) {
 // counters, and returned stats — at every warm-up percentage.
 func TestPlanCacheReconMatchesDirect(t *testing.T) {
 	cfg := mem.DefaultHierarchyConfig()
-	for _, percent := range []int{0, 20, 55, 100} {
+	planner := NewCachePlanner(cfg)
+	var plan CacheReconPlan
+	for _, percent := range []int{0, 20, 55, 100, 20} {
 		rng := rand.New(rand.NewSource(int64(100 + percent)))
 		log := randomMemLog(rng, 50000)
 
@@ -56,9 +59,11 @@ func TestPlanCacheReconMatchesDirect(t *testing.T) {
 		seed = rand.New(rand.NewSource(77))
 		staleWarm(seed, planned)
 
+		// The planner and the plan are reused across percentages, as a shard
+		// reuses them across regions: no state may leak between passes.
 		want := ReconstructCaches(direct, log, percent)
-		plan := PlanCacheRecon(cfg, log, percent)
-		got := ApplyCacheRecon(planned, plan)
+		PlanCacheRecon(planner, log, percent, &plan)
+		got := ApplyCacheRecon(planned, &plan)
 
 		if got != want {
 			t.Fatalf("percent %d: stats diverged: plan %+v direct %+v", percent, got, want)
@@ -96,6 +101,7 @@ func trainStale(rng *rand.Rand, u *bpred.Unit) {
 // installing a shard-built plan must leave the ReconPredictor — eager state
 // and the lazily scanned remainder — exactly where BeginRegion leaves it.
 func TestBeginRegionPlanMatchesDirect(t *testing.T) {
+	var plan PredReconPlan // reused across trials, as a shard reuses it across regions
 	for _, percent := range []int{20, 100} {
 		for trial := 0; trial < 10; trial++ {
 			rng := rand.New(rand.NewSource(int64(1000*percent + trial)))
@@ -108,7 +114,8 @@ func TestBeginRegionPlanMatchesDirect(t *testing.T) {
 
 			direct.BeginRegion(log, percent)
 			geom := PredGeomOf(planned.Unit())
-			planned.BeginRegionPlan(PlanPredRecon(geom, log, percent))
+			PlanPredRecon(geom, log, percent, &plan)
+			planned.BeginRegionPlan(&plan)
 
 			if got, want := planned.Unit().Dir.GHR(), direct.Unit().Dir.GHR(); got != want {
 				t.Fatalf("percent %d trial %d: GHR %#x != %#x", percent, trial, got, want)
@@ -147,5 +154,54 @@ func TestBeginRegionPlanMatchesDirect(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPlanReconZeroAllocs pins the producers' Seal as allocation-free once
+// its scratch exists: the planner's per-set state restarts by epoch and both
+// plans are rebuilt inside their previous storage.
+func TestPlanReconZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	memLog := randomMemLog(rng, 50000)
+	brLog := randomBranchLog(rng, 20000)
+	planner := NewCachePlanner(mem.DefaultHierarchyConfig())
+	geom := PredGeomOf(smallUnit())
+	var cachePlan CacheReconPlan
+	var predPlan PredReconPlan
+	plan := func() {
+		PlanCacheRecon(planner, memLog, 100, &cachePlan)
+		PlanPredRecon(geom, brLog, 100, &predPlan)
+	}
+	plan()
+	if avg := testing.AllocsPerRun(20, plan); avg != 0 {
+		t.Fatalf("planning with reused scratch allocates %.2f per region", avg)
+	}
+}
+
+// TestReleaseRegionDropsLog pins the lifetime rule's enforcement point: once
+// released, the predictor no longer reads the region's log or history array,
+// so overwriting them — as a recycled buffer would be — changes nothing.
+func TestReleaseRegionDropsLog(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	log := randomBranchLog(rng, 3000)
+	var plan PredReconPlan
+	p := NewReconPredictor(smallUnit())
+	PlanPredRecon(PredGeomOf(p.Unit()), log, 100, &plan)
+	p.BeginRegionPlan(&plan)
+	p.Predict(log[len(log)-1].PC, log[len(log)-1].Class)
+	p.ReleaseRegion()
+	before := p.Stats()
+	for i := range log {
+		log[i] = trace.BranchRecord{}
+	}
+	clear(plan.GHRAt)
+	for _, pc := range []uint64{0x400000, 0x400040, 0x401000} {
+		want := p.Unit().Predict(pc, isa.ClassBranch)
+		if got := p.Predict(pc, isa.ClassBranch); got != want {
+			t.Fatalf("released predictor at %#x: %+v, wrapped unit %+v", pc, got, want)
+		}
+	}
+	if p.Stats() != before {
+		t.Fatalf("released predictor kept scanning: %+v -> %+v", before, p.Stats())
 	}
 }

@@ -447,21 +447,26 @@ func (e *Engine) finish(t *task, res *Result, err error, wall time.Duration, cac
 }
 
 // complete publishes the ticket outcome and emits the terminal
-// event; the in-flight table must already be updated.
+// event; the in-flight table must already be updated. Counters, the latency
+// observation and the event (whose drops Stats counts too) are all published
+// before the ticket is closed, so a caller woken by Done reads Stats that
+// already include its job.
 func (e *Engine) complete(t *task, res *Result, err error, wall time.Duration, cached bool) {
-	t.res, t.err = res, err
-	close(t.done)
+	ev := Event{JobHash: t.hash, Label: t.job.Label(), RequestID: t.reqID}
 	switch {
 	case err != nil:
 		e.stats.failed.Add(1)
 		e.obs.observeJob("failed", wall)
-		e.bcast.emit(Event{JobHash: t.hash, Label: t.job.Label(), State: StateFailed, Err: err.Error(), Wall: wall, RequestID: t.reqID})
+		ev.State, ev.Err, ev.Wall = StateFailed, err.Error(), wall
 	case cached:
-		e.bcast.emit(Event{JobHash: t.hash, Label: t.job.Label(), State: StateCached, RequestID: t.reqID})
+		ev.State = StateCached
 	default:
 		e.stats.done.Add(1)
 		e.stats.wallNanos.Add(int64(wall))
 		e.obs.observeJob("done", wall)
-		e.bcast.emit(Event{JobHash: t.hash, Label: t.job.Label(), State: StateDone, Wall: wall, RequestID: t.reqID})
+		ev.State, ev.Wall = StateDone, wall
 	}
+	e.bcast.emit(ev)
+	t.res, t.err = res, err
+	close(t.done)
 }

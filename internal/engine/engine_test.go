@@ -180,6 +180,34 @@ func TestCancellationMidSweep(t *testing.T) {
 	}
 }
 
+// TestStatsPublishedBeforeDone pins the ordering inside complete: a caller
+// woken by a ticket's Done channel must read Stats that already count the
+// job. Closing the ticket first let the waiter race the counter bump — the
+// TestCancellationMidSweep flake. Every job here fails at once (an injected
+// error, no retry budget) and succeeds-or-fails is checked the instant its
+// ticket wakes, so the window is probed a few hundred times per run.
+func TestStatsPublishedBeforeDone(t *testing.T) {
+	plan := fault.New(3, fault.Rule{Point: fault.JobRun, Kind: fault.KindError, Prob: 1})
+	e := New(Options{Workers: 2, Fault: plan})
+	defer e.Close()
+	ctx := context.Background()
+	for i := 0; i < 300; i++ {
+		j := sampledJob("twolf", warmup.Spec{Kind: warmup.KindNone})
+		j.Seed = int64(i) // a distinct hash, so nothing coalesces
+		tk, err := e.Submit(ctx, j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-tk.Done()
+		if _, err, _ := tk.Result(); !errors.Is(err, fault.ErrInjected) {
+			t.Fatalf("job %d: err = %v, want the injected error", i, err)
+		}
+		if got := e.Stats().Failed; got != int64(i+1) {
+			t.Fatalf("job %d: ticket woke with Stats().Failed = %d, want %d", i, got, i+1)
+		}
+	}
+}
+
 // TestJobTimeout gives a long full-detail job a tiny per-job timeout.
 func TestJobTimeout(t *testing.T) {
 	e := New(Options{Workers: 1})

@@ -50,6 +50,16 @@ func shardCount(requested, clusters int) int {
 // O(clusters).
 const shardWindow = 8
 
+// inFlight bounds how many region products, and how many of the method's
+// region captures, exist at once. Per shard: the window and the one its
+// producer is filling. On the consumer side: the product the prefetcher
+// holds, the one it has staged, the one being simulated — and one capture
+// more than products, the reverse method's previous region, whose log the
+// predictor reads until the next BeginSkip. That is shards×(window+1)+4,
+// which shards×(window+3) covers from two shards up. The product free list
+// is this long, so it never turns a product away.
+func inFlight(shards int) int { return shards * (shardWindow + 3) }
+
 // prepassChunk is the cancellation-poll granularity of the checkpoint
 // pre-pass (pure functional skipping at full interpreter speed).
 const prepassChunk = 1 << 16
@@ -58,6 +68,12 @@ const prepassChunk = 1 << 16
 // the cold-phase observation capture, the region's actual geometry, and the
 // materialized instruction records the consumer replays through the timing
 // model for the detailed-warm-up and hot phases.
+//
+// Products are recycled through a per-run free list with their records slab.
+// The consumer returns one once the region's hot phase has retired — the
+// timing model holds no reference to a source's records after SimulateSource
+// returns. The capture is not the product's to recycle: AdoptRegion hands it
+// to the method, which knows when its log is dead.
 type regionProduct struct {
 	cold    uint64 // cold-phase length from the region's actual geometry
 	dw      uint64 // detailed-warm-up length (min(opts.DetailedWarmup, skip))
@@ -70,6 +86,10 @@ type regionProduct struct {
 	records []trace.DynInst // committed dw+hot stream, in order
 	recErr  error           // execution fault hit while materializing records
 }
+
+// failed reports that the run stops at this region: the pipeline's goroutines
+// wind down after handing such a product on.
+func (p *regionProduct) failed() bool { return p.err != nil || p.recErr != nil }
 
 // replaySource feeds the timing model the records a shard materialized,
 // chunked at the sequential path's batch size so cancellation polls keep
@@ -150,7 +170,7 @@ func (s *shardTrace) span(name string, t0 time.Time, args ...obs.SpanArg) {
 // adopts each capture into the shared method, applies its plan, and replays
 // the materialized records through the shared timing model.
 func runParallel(p *prog.Program, reg Regimen, starts []uint64, hier *mem.Hierarchy, unit *bpred.Unit, method warmup.Method, sim *ooo.Sim, shards int, opts Options) (*RunResult, error) {
-	res := &RunResult{Method: method.Name()}
+	res := &RunResult{Method: method.Name(), Clusters: make([]ClusterStat, 0, len(starts))}
 	ro := newRunObs(opts.Instr, opts.Tracer, method.Name(), method.Name())
 	ro.setParallel()
 	begin := time.Now()
@@ -186,6 +206,9 @@ func runParallel(p *prog.Program, reg Regimen, starts []uint64, hier *mem.Hierar
 		seeds[s] = make(chan []*funcsim.Delta, 1)
 		outs[s] = make(chan *regionProduct, shardWindow)
 	}
+	// The product free list: every product in flight fits, so a put never
+	// blocks and a get falls back to allocation only while the pipeline fills.
+	free := make(chan *regionProduct, inFlight(shards))
 
 	var ckptDur *obs.Histogram
 	if opts.Instr != nil {
@@ -285,8 +308,13 @@ func runParallel(p *prog.Program, reg Regimen, starts []uint64, hier *mem.Hierar
 			}
 			buf := make([]trace.DynInst, funcsim.BatchSize)
 			for i := first; i < last; i++ {
-				prod := produceRegion(fs, buf, i, starts[i], reg.ClusterSize, method, &opts, stopped)
-				if prod == nil {
+				var prod *regionProduct
+				select {
+				case prod = <-free:
+				default:
+					prod = new(regionProduct)
+				}
+				if !produceRegion(prod, fs, buf, i, starts[i], reg.ClusterSize, opts.DetailedWarmup, method, stopped) {
 					return // canceled
 				}
 				str.span(PhaseColdSkip, time.Now().Add(-prod.coldDur-prod.sealDur),
@@ -298,12 +326,15 @@ func runParallel(p *prog.Program, reg Regimen, starts []uint64, hier *mem.Hierar
 						obs.SpanArg{Key: "cluster", Val: int64(i)},
 						obs.SpanArg{Key: "shard", Val: int64(s)})
 				}
+				// Once sent, the product is the consumer's, which recycles it:
+				// read nothing from it afterwards.
+				failed := prod.failed()
 				select {
 				case outs[s] <- prod:
 				case <-done:
 					return
 				}
-				if prod.err != nil || prod.recErr != nil {
+				if failed {
 					return // the consumer stops at this region
 				}
 			}
@@ -327,12 +358,13 @@ func runParallel(p *prog.Program, reg Regimen, starts []uint64, hier *mem.Hierar
 				case <-done:
 					return
 				}
+				failed := prod.failed() // read before the hand-off, as above
 				select {
 				case ready <- prod:
 				case <-done:
 					return
 				}
-				if prod.err != nil || prod.recErr != nil {
+				if failed {
 					return
 				}
 			}
@@ -346,6 +378,7 @@ func runParallel(p *prog.Program, reg Regimen, starts []uint64, hier *mem.Hierar
 	// records. The receive from the prefetcher is the only place the
 	// consumer can idle, so its blocking time is the pipeline's measured
 	// starvation.
+	rp := &replaySource{opts: &opts}
 	for ci := 0; ci < len(starts); ci++ {
 		if opts.canceled() {
 			return nil, ErrCanceled
@@ -382,7 +415,7 @@ func runParallel(p *prog.Program, reg Regimen, starts []uint64, hier *mem.Hierar
 		method.EndSkip()
 		ro.reconDone(t0, ci, method.Work())
 
-		rp := &replaySource{records: prod.records, final: prod.recErr, opts: &opts}
+		rp.records, rp.next, rp.final = prod.records, 0, prod.recErr
 		if prod.dw > 0 {
 			t0 = ro.begin()
 			w := sim.SimulateSource(prod.dw, rp)
@@ -402,6 +435,11 @@ func runParallel(p *prog.Program, reg Regimen, starts []uint64, hier *mem.Hierar
 		res.HotInstructions += r.Instructions
 		res.Clusters = append(res.Clusters, ClusterStat{Start: starts[ci], Result: r})
 		ro.hotDone(t0, ci, r.Instructions, method.Work())
+		rp.records = nil
+		select {
+		case free <- prod:
+		default: // cannot happen while inFlight holds; dropping is harmless
+		}
 	}
 	res.Elapsed = time.Since(begin)
 	res.Work = method.Work()
@@ -410,22 +448,24 @@ func runParallel(p *prog.Program, reg Regimen, starts []uint64, hier *mem.Hierar
 }
 
 // produceRegion runs one region's shard-side work on a private functional
-// simulator: cold-skip the region with observation into a fresh capture,
-// seal the capture (running the reverse scan and planning reconstruction on
-// this shard, off the consumer's critical path), then materialize the
-// committed records of the detailed-warm-up and hot phases. It mirrors the
-// sequential controller's cold loop exactly — including its failure modes —
-// and returns nil only when canceled.
-func produceRegion(fs *funcsim.Sim, buf []trace.DynInst, region int, start, clusterSize uint64, method warmup.Method, opts *Options, stopped func() bool) *regionProduct {
+// simulator, filling prod (recycled or new): cold-skip the region with
+// observation into a capture drawn from the method's free list, seal the
+// capture (running the reverse scan and planning reconstruction on this
+// shard, off the consumer's critical path), then materialize the committed
+// records of the detailed-warm-up and hot phases straight into prod's slab.
+// It mirrors the sequential controller's cold loop exactly — including its
+// failure modes — and reports false only when canceled. In steady state —
+// captures and products coming back from the consumer — it allocates nothing.
+func produceRegion(prod *regionProduct, fs *funcsim.Sim, buf []trace.DynInst, region int, start, clusterSize, detailedWarmup uint64, method warmup.Method, stopped func() bool) bool {
 	pos := fs.Seq()
 	skip := start - pos
-	dw := opts.DetailedWarmup
+	dw := detailedWarmup
 	if dw > skip {
 		dw = skip
 	}
 	cold := skip - dw
 
-	prod := &regionProduct{cold: cold, dw: dw}
+	*prod = regionProduct{cold: cold, dw: dw, records: prod.records[:0]}
 	capture := method.NewRegionCapture(region, cold)
 	t0 := time.Now()
 	var ran uint64
@@ -438,7 +478,7 @@ func produceRegion(fs *funcsim.Sim, buf []trace.DynInst, region int, start, clus
 		if err != nil {
 			prod.coldRan, prod.coldDur = ran, time.Since(t0)
 			prod.err = fmt.Errorf("sampling: cold phase: %w", err)
-			return prod
+			return true
 		}
 		if k > 0 {
 			capture.ObserveSkipBatch(b[:k])
@@ -448,35 +488,37 @@ func produceRegion(fs *funcsim.Sim, buf []trace.DynInst, region int, start, clus
 			break // halted
 		}
 		if stopped() {
-			return nil
+			return false
 		}
 	}
 	prod.coldRan, prod.coldDur = ran, time.Since(t0)
 	if ran != cold {
 		prod.err = fmt.Errorf("sampling: workload halted after %d skipped instructions", ran)
-		return prod
+		return true
 	}
 	prod.capture = capture
-	if !opts.ConsumerRecon {
-		t0 = time.Now()
-		capture.Seal()
-		prod.sealDur = time.Since(t0)
-	}
+	t0 = time.Now()
+	capture.Seal()
+	prod.sealDur = time.Since(t0)
 
 	// Materialize the committed dw+hot stream. The timing model's result
 	// depends only on the record sequence, never on Fill chunk sizes, so
 	// replaying this slice is equivalent to live functional feeding. On a
 	// fault the records committed before it are kept, exactly as the live
 	// stream would have delivered them.
-	need := dw + clusterSize
-	records := make([]trace.DynInst, 0, need)
-	for uint64(len(records)) < need {
-		b := buf
-		if rem := need - uint64(len(records)); rem < uint64(len(b)) {
-			b = b[:rem]
+	need := int(dw + clusterSize)
+	if cap(prod.records) < need {
+		prod.records = make([]trace.DynInst, need)
+	}
+	records := prod.records[:need]
+	n := 0
+	for n < need {
+		b := records[n:]
+		if len(b) > funcsim.BatchSize {
+			b = b[:funcsim.BatchSize] // the cold loop's cancellation cadence
 		}
 		k, err := fs.RunBatch(b)
-		records = append(records, b[:k]...)
+		n += k
 		if err != nil {
 			prod.recErr = err
 			break
@@ -485,9 +527,9 @@ func produceRegion(fs *funcsim.Sim, buf []trace.DynInst, region int, start, clus
 			break // halted: the consumer sees a short (or empty) stream
 		}
 		if stopped() {
-			return nil
+			return false
 		}
 	}
-	prod.records = records
-	return prod
+	prod.records = records[:n]
+	return true
 }

@@ -3,6 +3,7 @@ package sampling
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -131,10 +132,28 @@ func TestParallelWindowedIdentical(t *testing.T) {
 	}
 }
 
-// TestParallelConsumerReconIdentical pins the recon-placement ablation:
-// sealing captures on the producers (the default) and deferring the reverse
-// scan to the consumer (Options.ConsumerRecon) are the same computation in
-// different places, so both must match the sequential run exactly.
+// unsealedMethod wraps a method so that its captures' Seal does nothing: the
+// RegionCapture contract makes Seal optional, and an unsealed capture leaves
+// the reverse scans to the consumer's EndSkip.
+type unsealedMethod struct{ warmup.Method }
+
+type unsealedCapture struct{ warmup.RegionCapture }
+
+func (unsealedCapture) Seal() {}
+
+func (m unsealedMethod) NewRegionCapture(region int, expectedLen uint64) warmup.RegionCapture {
+	return unsealedCapture{m.Method.NewRegionCapture(region, expectedLen)}
+}
+
+func (m unsealedMethod) AdoptRegion(c warmup.RegionCapture) {
+	m.Method.AdoptRegion(c.(unsealedCapture).RegionCapture)
+}
+
+// TestParallelConsumerReconIdentical pins the unsealed-capture fallback
+// through the whole pipeline: planning the reverse scans on the producers
+// (Seal, what the pipeline does) and running them on the consumer at EndSkip
+// (a capture nobody sealed) are the same computation in different places, so
+// both must match the sequential run exactly.
 func TestParallelConsumerReconIdentical(t *testing.T) {
 	w, err := workload.ByName("twolf")
 	if err != nil {
@@ -152,17 +171,77 @@ func TestParallelConsumerReconIdentical(t *testing.T) {
 			t.Fatalf("%s seq: %v", label, err)
 		}
 		for _, shards := range []int{2, 4} {
-			for _, consumer := range []bool{false, true} {
-				par, err := RunSampledParallel(p, DefaultMachine(), reg, 400_000, 2007, spec,
-					Options{Shards: shards, ConsumerRecon: consumer})
+			for _, sealed := range []bool{true, false} {
+				mk := func(h *mem.Hierarchy, u *bpred.Unit) warmup.Method {
+					if sealed {
+						return spec.New(h, u)
+					}
+					return unsealedMethod{spec.New(h, u)}
+				}
+				par, err := runSampled(p, DefaultMachine(), reg, 400_000, 2007, mk, Options{Shards: shards})
 				if err != nil {
-					t.Fatalf("%s shards=%d consumerRecon=%v: %v", label, shards, consumer, err)
+					t.Fatalf("%s shards=%d sealed=%v: %v", label, shards, sealed, err)
 				}
 				if !reflect.DeepEqual(normalize(seq), normalize(par)) {
-					t.Errorf("%s shards=%d consumerRecon=%v: result differs from sequential",
-						label, shards, consumer)
+					t.Errorf("%s shards=%d sealed=%v: result differs from sequential", label, shards, sealed)
 				}
 			}
+		}
+	}
+}
+
+// allocatedBy reports the bytes f allocates (TotalAlloc delta).
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestParallelAllocationBudget is the timing-free guard on the pipeline's
+// hand-off cost. Skip logs, plans and record slabs are written into recycled
+// storage sized once per region, so a sharded run allocates its standing
+// population of region buffers (at most inFlight(shards) of them) plus the
+// extra functional simulators — not a fresh, regrown log per region.
+//
+// Two properties follow. A run three times as long, over regions of the same
+// length, allocates barely more: the steady-state producer loop allocates
+// nothing. And for R$BP (20%), whose sealed captures hand over plans instead
+// of logs, two shards stay within four times the sequential run's bytes (22x
+// before buffers were recycled). S$BP has no such multiple to offer: its
+// sequential run never logs and allocates only the machine itself (1.1 MB),
+// less than the pipeline's record slabs alone, so its ratio (92x before, the
+// standing population now) is logged, not bounded.
+func TestParallelAllocationBudget(t *testing.T) {
+	w, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := w.Build()
+	const stratum = 50_000
+	for _, label := range []string{"S$BP", "R$BP (20%)"} {
+		spec, err := warmup.SpecByLabel(label)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(clusters, shards int) uint64 {
+			reg := Regimen{ClusterSize: 2000, NumClusters: clusters}
+			return allocatedBy(func() {
+				if _, err := RunSampledOpts(p, DefaultMachine(), reg, uint64(clusters)*stratum, 2007, spec, Options{Shards: shards}); err != nil {
+					t.Fatalf("%s clusters=%d shards=%d: %v", label, clusters, shards, err)
+				}
+			})
+		}
+		seq, par, long := run(50, 1), run(50, 2), run(150, 2)
+		t.Logf("%s: sequential %.1f MB, two shards %.1f MB (%.1fx), two shards over 3x the regions %.1f MB",
+			label, float64(seq)/1e6, float64(par)/1e6, float64(par)/float64(seq), float64(long)/1e6)
+		if long > 2*par {
+			t.Errorf("%s: 150 regions allocate %d bytes against %d for 50: the producer loop allocates per region", label, long, par)
+		}
+		if spec.Kind == warmup.KindReverse && par > 4*seq {
+			t.Errorf("%s: two shards allocate %d bytes, over four times the sequential run's %d", label, par, seq)
 		}
 	}
 }

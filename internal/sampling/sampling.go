@@ -199,12 +199,6 @@ type Options struct {
 	// adoption. 0 or 1 selects the sequential path. Shards is an execution
 	// policy, not part of a run's identity.
 	Shards int
-	// ConsumerRecon, when set alongside Shards > 1, skips producer-side
-	// capture sealing so the reverse scans run on the consumer at EndSkip
-	// (the pre-shard-side placement). Results are byte-identical either way
-	// (TestParallelConsumerReconIdentical); the flag exists for the rsrbench
-	// recon_shardside ablation and costs nothing when unset.
-	ConsumerRecon bool
 	// Checkpoints, when non-nil alongside a non-empty CheckpointKey, lets
 	// the parallel pipeline load its pre-pass checkpoint chain from a
 	// shared store (skipping the pre-pass functional run) and persist a
@@ -319,7 +313,7 @@ func runSampled(p *prog.Program, m MachineConfig, reg Regimen, total uint64, see
 
 	fs := funcsim.New(p)
 
-	res := &RunResult{Method: method.Name()}
+	res := &RunResult{Method: method.Name(), Clusters: make([]ClusterStat, 0, len(starts))}
 	ro := newRunObs(opts.Instr, opts.Tracer, method.Name(), method.Name())
 	begin := time.Now()
 	buf := make([]trace.DynInst, funcsim.BatchSize)

@@ -31,13 +31,13 @@ func (d *DynInst) IsBranch() bool { return d.Op.IsControl() }
 // IsMem reports whether the instruction touches data memory.
 func (d *DynInst) IsMem() bool { return d.Op.IsMem() }
 
-// MemRecord is the information logged for one memory reference during cold
-// simulation, exactly the fields §3.1 of the paper enumerates: current PC,
-// next PC, the data/instruction address, an entry-type flag and a
-// reference-type flag.
+// MemRecord is what the skip log keeps of one memory reference during cold
+// simulation: the referenced address, an entry-type flag and a reference-type
+// flag. §3.1 of the paper also enumerates the current and next PC; no
+// reconstruction pass reads them (a fetch record's address is its PC, and
+// branch outcomes travel in BranchRecord), so they are not logged. The record
+// is 16 bytes and keeps every bit of a 64-bit address.
 type MemRecord struct {
-	PC      uint64
-	NextPC  uint64
 	Addr    uint64
 	IsInstr bool // instruction fetch (true) vs data access (false)
 	IsStore bool // store (true) vs load (false); meaningless for fetches

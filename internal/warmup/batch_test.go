@@ -1,9 +1,12 @@
 package warmup
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
+	"rsr/internal/bpred"
 	"rsr/internal/funcsim"
 	"rsr/internal/isa"
 	"rsr/internal/prog"
@@ -123,7 +126,7 @@ func TestBatchScalarEquivalence(t *testing.T) {
 				}
 				compareMethods(t, ms, mb, hs.State(), hb.State(), us.State(), ub.State())
 				if spec.Kind == KindReverse {
-					ls, lb := ms.(*reverse).log, mb.(*reverse).log
+					ls, lb := ms.(*reverse).cur.log, mb.(*reverse).cur.log
 					if !reflect.DeepEqual(ls, lb) {
 						t.Fatalf("chunk %d: skip logs diverged", chunk)
 					}
@@ -168,64 +171,257 @@ func TestObserveSkipScalarAdapter(t *testing.T) {
 	}
 }
 
-// resetCaptureLog returns a capture's log and counters to their post-creation
-// state while retaining slice storage, modelling a steady-state producer.
-func resetCaptureLog(log *trace.SkipLog, lines *lineTracker) {
-	log.Reset()
-	*lines = lineTracker{lineMask: lines.lineMask}
+// feedCapture is the producer's half of a region: a capture drawn from m,
+// fed ds in controller-sized batches and optionally sealed.
+func feedCapture(m Method, region int, ds []trace.DynInst, seal bool) RegionCapture {
+	c := m.NewRegionCapture(region, uint64(len(ds)))
+	for o := 0; o < len(ds); o += funcsim.BatchSize {
+		c.ObserveSkipBatch(ds[o:min(o+funcsim.BatchSize, len(ds))])
+	}
+	if seal {
+		c.Seal()
+	}
+	return c
 }
 
-// TestFuncWarmCaptureZeroAllocs pins the sharded producer's hot path for the
-// functional-warming family: once a region capture's log has grown to
-// capacity, batched observation into it allocates nothing.
+// captureCycle drives m through one region the way the sharded pipeline and
+// the benchmark's capture replay do: observe into a capture, seal it, then
+// BeginSkip, AdoptRegion, EndSkip on the method.
+func captureCycle(m Method, region int, ds []trace.DynInst, seal bool) {
+	c := feedCapture(m, region, ds, seal)
+	m.BeginSkip(uint64(len(ds)))
+	m.AdoptRegion(c)
+	m.EndSkip()
+}
+
+// zeroAllocCycle pins a whole steady-state capture cycle as allocation-free:
+// the capture, its log and its plans all come back from the method's free
+// list, sized for the region before the first record lands.
+func zeroAllocCycle(t *testing.T, spec Spec) {
+	t.Helper()
+	recs := genRecords(t, 3*funcsim.BatchSize+100)
+	h, u := testEnv()
+	m := spec.New(h, u)
+	// Two cycles reach the steady state: the reverse method still holds the
+	// previous region's capture when the next one is drawn.
+	captureCycle(m, 0, recs, true)
+	captureCycle(m, 1, recs, true)
+	avg := testing.AllocsPerRun(20, func() { captureCycle(m, 2, recs, true) })
+	if avg != 0 {
+		t.Fatalf("%s: a steady-state capture cycle allocates %.2f times", spec.Label(), avg)
+	}
+}
+
+// TestFuncWarmCaptureZeroAllocs covers the functional-warming family: SMARTS
+// captures whole regions, fixed-period the trailing percentage.
 func TestFuncWarmCaptureZeroAllocs(t *testing.T) {
-	recs := genRecords(t, 4096)
-	h, u := testEnv()
-	m := Spec{Kind: KindSMARTS, Cache: true, BPred: true}.New(h, u)
-	c := m.NewRegionCapture(0, uint64(len(recs))).(*funcWarmCapture)
-	c.ObserveSkipBatch(recs) // grow the log to steady-state capacity
-	avg := testing.AllocsPerRun(20, func() {
-		resetCaptureLog(&c.log, &c.lines)
-		c.seen, c.logged = 0, 0
-		c.ObserveSkipBatch(recs)
-	})
-	if avg != 0 {
-		t.Fatalf("funcWarm capture logging allocates %.2f per region in steady state", avg)
-	}
+	zeroAllocCycle(t, Spec{Kind: KindSMARTS, Cache: true, BPred: true})
+	zeroAllocCycle(t, Spec{Kind: KindFixed, Percent: 40, Cache: true, BPred: true})
 }
 
-// TestReverseCaptureZeroAllocs pins the same property for reverse captures,
-// which share the appendSkipRecords kernel with the method's own logging.
+// TestReverseCaptureZeroAllocs covers reverse captures, whose cycle includes
+// producer-side planning in Seal and plan application in EndSkip.
 func TestReverseCaptureZeroAllocs(t *testing.T) {
-	recs := genRecords(t, 4096)
-	h, u := testEnv()
-	m := Spec{Kind: KindReverse, Percent: 100, Cache: true, BPred: true}.New(h, u)
-	c := m.NewRegionCapture(0, uint64(len(recs))).(*reverseCapture)
-	c.ObserveSkipBatch(recs)
-	avg := testing.AllocsPerRun(20, func() {
-		resetCaptureLog(&c.log, &c.lines)
-		c.logged = 0
-		c.ObserveSkipBatch(recs)
-	})
-	if avg != 0 {
-		t.Fatalf("reverse capture logging allocates %.2f per region in steady state", avg)
-	}
+	zeroAllocCycle(t, Spec{Kind: KindReverse, Percent: 100, Cache: true, BPred: true})
+	zeroAllocCycle(t, Spec{Kind: KindReverse, Percent: 20, Cache: true, BPred: true})
 }
 
-// TestReverseObserveSkipBatchZeroAllocs pins the reverse method's batched
-// logging as allocation-free once the region log has reached steady-state
-// capacity (Reset retains storage between regions).
+// TestReverseObserveSkipBatchZeroAllocs pins the in-place path: BeginSkip
+// empties the method's own capture and sizes it for the region, so batched
+// logging and the reverse scans at EndSkip allocate nothing.
 func TestReverseObserveSkipBatchZeroAllocs(t *testing.T) {
 	recs := genRecords(t, 4096)
 	h, u := testEnv()
 	m := Spec{Kind: KindReverse, Percent: 100, Cache: true, BPred: true}.New(h, u)
-	m.BeginSkip(uint64(len(recs)))
-	m.ObserveSkipBatch(recs)
-	avg := testing.AllocsPerRun(20, func() {
-		m.BeginSkip(uint64(len(recs)))
-		m.ObserveSkipBatch(recs)
-	})
+	feedBatched(m, recs, funcsim.BatchSize)
+	avg := testing.AllocsPerRun(20, func() { feedBatched(m, recs, funcsim.BatchSize) })
 	if avg != 0 {
-		t.Fatalf("batched logging allocates %.2f per region in steady state", avg)
+		t.Fatalf("in-place observation allocates %.2f per region in steady state", avg)
+	}
+}
+
+// TestReserveFromExpectedLen pins what expectedLen buys: after one measured
+// region, a log is sized once, before its first record — for a region twice
+// as long, twice the capacity — and never grows while it fills.
+func TestReserveFromExpectedLen(t *testing.T) {
+	recs := genRecords(t, 16_000)
+	h, u := testEnv()
+	m := Spec{Kind: KindReverse, Percent: 100, Cache: true, BPred: true}.New(h, u)
+	feedBatched(m, recs[:4000], 1000)
+	for _, n := range []int{4000, 8000, 16_000} {
+		m.BeginSkip(uint64(n))
+		m.ObserveSkipBatch(recs[:1000]) // the log is fitted as its first records arrive
+		log := &m.(*reverse).cur.log
+		memCap, brCap := cap(log.Mem), cap(log.Branches)
+		for o := 1000; o < n; o += 1000 {
+			m.ObserveSkipBatch(recs[o : o+1000])
+		}
+		m.EndSkip()
+		if cap(log.Mem) != memCap || cap(log.Branches) != brCap {
+			t.Fatalf("region of %d: log grew while filling (%d->%d mem, %d->%d branch records)",
+				n, memCap, cap(log.Mem), brCap, cap(log.Branches))
+		}
+		if memCap > 2*len(log.Mem) || brCap > 2*len(log.Branches) {
+			t.Fatalf("region of %d: reserved %d/%d for %d/%d records", n, memCap, brCap, len(log.Mem), len(log.Branches))
+		}
+	}
+}
+
+// machineState is everything a warm-up method leaves behind.
+type machineState struct {
+	work   Work
+	hier   interface{}
+	pred   interface{}
+	probes []bpred.Prediction
+}
+
+// probePCs are the control-transfer PCs of ds, newest first and deduplicated:
+// what a hot window's fetch would ask the predictor about.
+func probePCs(ds []trace.DynInst, max int) (pcs []uint64, classes []isa.Class) {
+	seen := make(map[uint64]bool)
+	for i := len(ds) - 1; i >= 0 && len(pcs) < max; i-- {
+		if d := &ds[i]; d.IsBranch() && !seen[d.PC] {
+			seen[d.PC] = true
+			pcs = append(pcs, d.PC)
+			classes = append(classes, d.Op.Class())
+		}
+	}
+	return pcs, classes
+}
+
+// TestCaptureMatchesDirectObservation pins the RegionCapture contract for
+// every spec in the matrix, sealed and unsealed: captures fed, (optionally)
+// sealed and adopted region by region leave exactly the state — hierarchy,
+// predictor, work counters, and every hot-window probe — that observing the
+// regions in place does. Seal is optional by contract; the unsealed arm keeps
+// the consumer-side scan fallback in AdoptRegion/EndSkip covered.
+//
+// With runAhead, the captures of the two following regions are fed and sealed
+// before a region's hot-window probes run, as a producer running ahead of the
+// consumer does. That is the aliasing regression: ReconPredictor still reads
+// the adopted capture's branch log during those probes, so the arm fails if
+// any capture is recycled before the method's next BeginSkip.
+func TestCaptureMatchesDirectObservation(t *testing.T) {
+	recs := genRecords(t, 30_000)
+	var regions [][]trace.DynInst
+	for o := 0; o < len(recs); o += 6000 {
+		regions = append(regions, recs[o:o+6000])
+	}
+
+	direct := func(spec Spec) machineState {
+		h, u := testEnv()
+		m := spec.New(h, u)
+		var st machineState
+		for _, reg := range regions {
+			feedBatched(m, reg, funcsim.BatchSize)
+			pcs, classes := probePCs(reg, 40)
+			for i, pc := range pcs {
+				st.probes = append(st.probes, m.Predictor().Predict(pc, classes[i]))
+			}
+		}
+		st.work, st.hier, st.pred = m.Work(), h.State(), u.State()
+		return st
+	}
+
+	captured := func(spec Spec, seal bool, runAhead int) machineState {
+		h, u := testEnv()
+		m := spec.New(h, u)
+		var st machineState
+		var ready []RegionCapture
+		produce := func(i int) { ready = append(ready, feedCapture(m, i, regions[i], seal)) }
+		for i, reg := range regions {
+			if len(ready) == 0 {
+				produce(i)
+			}
+			m.BeginSkip(uint64(len(reg)))
+			m.AdoptRegion(ready[0])
+			ready = ready[1:]
+			m.EndSkip()
+			// The producer gets ahead while this region's hot window runs.
+			for next := i + 1 + len(ready); next < len(regions) && len(ready) < runAhead; next++ {
+				produce(next)
+			}
+			pcs, classes := probePCs(reg, 40)
+			for k, pc := range pcs {
+				st.probes = append(st.probes, m.Predictor().Predict(pc, classes[k]))
+			}
+		}
+		st.work, st.hier, st.pred = m.Work(), h.State(), u.State()
+		return st
+	}
+
+	for _, spec := range Matrix() {
+		want := direct(spec)
+		for _, arm := range []struct {
+			name     string
+			seal     bool
+			runAhead int
+		}{{"sealed", true, 0}, {"unsealed", false, 0}, {"sealed run-ahead", true, 2}, {"unsealed run-ahead", false, 2}} {
+			if got := captured(spec, arm.seal, arm.runAhead); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, %s captures: state differs from direct observation", spec.Label(), arm.name)
+			}
+		}
+	}
+}
+
+// TestMemRecordRoundTrip is the record-format property: every (address,
+// instruction/data, load/store) combination over random full-width 64-bit
+// addresses survives the 16-byte record bit for bit, and the batched kernel
+// logs exactly what the scalar ObserveSkip reference logs.
+func TestMemRecordRoundTrip(t *testing.T) {
+	if size := unsafe.Sizeof(trace.MemRecord{}); size > 16 {
+		t.Fatalf("MemRecord is %d bytes, want at most 16", size)
+	}
+	rng := rand.New(rand.NewSource(2007))
+	ds := make([]trace.DynInst, 5000)
+	var want []trace.MemRecord
+	var lastLine uint64
+	for i := range ds {
+		pc := rng.Uint64() &^ 3
+		if i > 0 && rng.Intn(3) > 0 {
+			pc = ds[i-1].PC + 4 // mostly sequential fetch, so lines collapse
+		}
+		d := trace.DynInst{Seq: uint64(i), PC: pc, NextPC: pc + 4, Op: isa.OpAdd}
+		switch rng.Intn(3) {
+		case 0:
+			d.Op, d.EffAddr = isa.OpLd, rng.Uint64()
+		case 1:
+			d.Op, d.EffAddr = isa.OpSt, rng.Uint64()
+		}
+		ds[i] = d
+		if line := pc &^ 63; i == 0 || line != lastLine {
+			want = append(want, trace.MemRecord{Addr: pc, IsInstr: true})
+			lastLine = line
+		}
+		if d.IsMem() {
+			want = append(want, trace.MemRecord{Addr: d.EffAddr, IsStore: d.Op == isa.OpSt})
+		}
+	}
+	if ds[0].PC>>32 == 0 || want[1].Addr>>32 == 0 {
+		t.Fatal("generator produced no full-width addresses")
+	}
+
+	spec := Spec{Kind: KindReverse, Percent: 100, Cache: true}
+	h, u := testEnv()
+	scalar := spec.New(h, u).(*reverse)
+	scalar.BeginSkip(uint64(len(ds)))
+	for i := range ds {
+		scalar.ObserveSkip(&ds[i])
+	}
+	if !reflect.DeepEqual(scalar.cur.log.Mem, want) {
+		t.Fatal("scalar ObserveSkip did not log the references as given")
+	}
+	batched := spec.New(h, u).(*reverse)
+	for _, chunk := range []int{1, 7, 1024} {
+		batched.BeginSkip(uint64(len(ds)))
+		for o := 0; o < len(ds); o += chunk {
+			batched.ObserveSkipBatch(ds[o:min(o+chunk, len(ds))])
+		}
+		if !reflect.DeepEqual(batched.cur.log.Mem, want) {
+			t.Fatalf("chunk %d: appendSkipRecords diverged from scalar ObserveSkip", chunk)
+		}
+		if batched.Work().LoggedRecords-scalar.Work().LoggedRecords != 0 && chunk == 1 {
+			t.Fatalf("logged %d records, scalar %d", batched.Work().LoggedRecords, scalar.Work().LoggedRecords)
+		}
 	}
 }

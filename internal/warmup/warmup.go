@@ -9,6 +9,7 @@ package warmup
 
 import (
 	"fmt"
+	"sync"
 
 	"rsr/internal/bpred"
 	"rsr/internal/core"
@@ -39,6 +40,12 @@ import (
 // state (SMARTS, fixed-period, windowed) capture the would-be warming
 // references and AdoptRegion replays them in order, so no method ever falls
 // back to sequential execution under sharding.
+//
+// Captures are recycled: a method keeps a free list for the run, and
+// NewRegionCapture draws from it. AdoptRegion hands the capture back to the
+// method, which alone decides when its storage is dead — the caller must not
+// touch a capture after adopting it, and a capture that is never adopted is
+// simply garbage.
 type Method interface {
 	Name() string
 	BeginSkip(expectedLen uint64)
@@ -282,12 +289,12 @@ type funcWarm struct {
 	cache bool
 	bp    bool
 	label string
-	// lineMask is the immutable L1I line mask; NewRegionCapture reads it from
-	// concurrent producer goroutines while the mutable lines tracker advances
-	// on the consumer, so the two must be separate fields.
-	lineMask uint64
-	lines    lineTracker
-	work     Work
+	lines lineTracker
+	work  Work
+	// pool is the run's capture free list. NewRegionCapture reads only it
+	// from concurrent producer goroutines — never the mutable lines tracker,
+	// which advances on the consumer.
+	pool *capturePool
 }
 
 // newFuncWarm builds the shared functional-warming state with the line
@@ -296,7 +303,7 @@ type funcWarm struct {
 func newFuncWarm(h *mem.Hierarchy, u *bpred.Unit, s Spec) funcWarm {
 	lt := newLineTracker(h.Config().L1I.LineBytes)
 	return funcWarm{h: h, u: u, cache: s.Cache, bp: s.BPred, label: s.Label(),
-		lineMask: lt.lineMask, lines: lt}
+		lines: lt, pool: newCapturePool(s.Cache, s.BPred, lt.lineMask, nil)}
 }
 
 func (f *funcWarm) apply(d *trace.DynInst) {
@@ -368,39 +375,234 @@ func tail(seen *uint64, threshold uint64, ds []trace.DynInst) []trace.DynInst {
 	return nil
 }
 
-// funcWarmCapture is the functional-warming family's region capture: instead
-// of mutating the shared hierarchy and predictor from a producer goroutine,
-// it logs exactly the references the method would have applied — the
-// post-threshold suffix, with instruction fetches collapsed per line by the
-// same appendSkipRecords kernel the reverse method uses — and AdoptRegion
-// replays that log against the shared state in order. One log record
-// corresponds to one functional application, so the capture's record count
-// is the region's WarmOps delta.
-type funcWarmCapture struct {
-	cache     bool
-	bp        bool
-	threshold uint64
+// regionCapture is every method's region capture: a private skip log and line
+// tracker fed by the same appendSkipRecords kernel as in-place observation,
+// which is what makes a capture's log byte-identical to direct observation by
+// construction.
+//
+// The functional-warming family logs exactly the references the method would
+// have applied — the post-threshold suffix, instruction fetches collapsed per
+// line — and AdoptRegion replays that log against the shared state in order;
+// one log record is one functional application, so the capture's record count
+// is the region's WarmOps delta. The reverse method logs the whole region
+// (threshold 0) and Seal runs the backward scans over the private log,
+// materializing the cache and predictor warm-apply plans that shrink the
+// consumer's EndSkip to O(applied) work.
+//
+// A capture is recycled whole through its method's capturePool, log and plan
+// arrays included, so a steady-state region allocates nothing. One refinement
+// keeps the reverse method's hand-off small: its plans are self-contained, so
+// a sealed capture has no further use for its log — by far its largest part —
+// and Seal detaches it for the next region to fill. A run then holds about
+// one log per producer instead of one per region in flight.
+type regionCapture struct {
+	pool      *capturePool
+	threshold uint64 // instructions of the region to pass over before logging
 	seen      uint64
 	log       trace.SkipLog
 	lines     lineTracker
 	logged    uint64
+
+	// expect is how many instructions the region is expected to log; fitted
+	// reports that log has been given the capacity for them. Fitting waits
+	// for the region's first records, so a capture that is only passed
+	// through — the reverse method's emptied one, on its way back to the free
+	// list at AdoptRegion — claims no storage.
+	expect uint64
+	fitted bool
+
+	// Reverse captures only. sealed reports that the plans stand in for the
+	// log, which Seal has detached.
+	sealed    bool
+	cachePlan core.CacheReconPlan
+	predPlan  core.PredReconPlan
 }
 
-func (c *funcWarmCapture) ObserveSkipBatch(ds []trace.DynInst) {
+func (c *regionCapture) ObserveSkipBatch(ds []trace.DynInst) {
 	if warm := tail(&c.seen, c.threshold, ds); len(warm) > 0 {
-		c.logged += appendSkipRecords(&c.log, &c.lines, c.cache, c.bp, warm)
+		if !c.fitted {
+			c.pool.fit(c)
+		}
+		c.logged += appendSkipRecords(&c.log, &c.lines, c.pool.cache, c.pool.bp, warm)
 	}
 }
 
-// Seal is a no-op: functional warming has no producer-side scan to
-// materialize — the capture's log already is the warm-apply plan.
-func (c *funcWarmCapture) Seal() {}
+// Seal moves the reverse scans producer-side: the apply/skip decisions of
+// both reconstruction passes are pure functions of the captured log (plus,
+// for the predictor, a stale GHR prefix the plan carries as fixups), so the
+// plans are exact and EndSkip only replays their mutating subset. For the
+// functional-warming family there is no scan to materialize — the log already
+// is the warm-apply plan. Either way the pool learns the region's record
+// density here, regions before the consumer sees it.
+func (c *regionCapture) Seal() {
+	p := c.pool
+	p.mu.Lock()
+	p.noteDensity(c)
+	var pl *core.CachePlanner
+	if n := len(p.planners); n > 0 {
+		pl, p.planners = p.planners[n-1], p.planners[:n-1]
+	}
+	p.mu.Unlock()
+	if p.recon == nil {
+		return
+	}
+	if p.cache {
+		if pl == nil {
+			pl = core.NewCachePlanner(p.recon.hcfg)
+		}
+		core.PlanCacheRecon(pl, c.log.Mem, p.recon.percent, &c.cachePlan)
+	}
+	if p.bp {
+		core.PlanPredRecon(p.recon.geom, c.log.Branches, p.recon.percent, &c.predPlan)
+	}
+	c.sealed = true
+	c.log.Reset()
+	p.mu.Lock()
+	if pl != nil {
+		p.planners = append(p.planners, pl)
+	}
+	if c.fitted { // a region that logged nothing has no storage to hand on
+		p.logs = append(p.logs, c.log)
+		c.log, c.fitted = trace.SkipLog{}, false
+	}
+	p.mu.Unlock()
+}
 
-// newCapture builds a capture applying everything past threshold. Only
-// immutable configuration is read, so captures may be created concurrently.
-func (f *funcWarm) newCapture(threshold uint64) *funcWarmCapture {
-	return &funcWarmCapture{cache: f.cache, bp: f.bp, threshold: threshold,
-		lines: lineTracker{lineMask: f.lineMask}}
+// reconConfig is the immutable reverse-scan configuration Seal reads on
+// producer goroutines, so planning never touches the shared machine.
+type reconConfig struct {
+	percent int
+	hcfg    mem.HierarchyConfig
+	geom    core.PredGeom
+}
+
+// capturePool is one method's free list of region captures for one run.
+// Producers draw captures concurrently while the consumer returns them, so
+// everything below mu is guarded by it; the fields above are immutable. The
+// lists never hold more than was once in flight together, which the pipeline
+// bounds (see sampling.shardWindow).
+//
+// The pool also remembers the densest region seen so far, in records per 1024
+// logged instructions, and the largest log that density has called for. An
+// empty log too small for its region's expected length is replaced, before
+// its first record, by one of the largest size so far: sizing up front copies
+// nothing, where growth during appends moves every record already logged, and
+// sizing to the run's largest region lets every recycled log converge on a
+// capacity that fits them all. A log that is replaced, rather than new, gets
+// a quarter more, so that a lone buffer — the sequential path's — does not
+// chase the run's longest region one allocation at a time. A region denser
+// than any before it still grows by append.
+type capturePool struct {
+	cache, bp bool
+	lineMask  uint64       // L1I line mask
+	recon     *reconConfig // nil for the functional-warming family
+
+	mu       sync.Mutex
+	free     []*regionCapture
+	logs     []trace.SkipLog      // emptied, detached from sealed reverse captures
+	planners []*core.CachePlanner // cache-planning scratch, one per concurrent Seal
+	memPerK  uint64
+	brPerK   uint64
+	maxMem   int
+	maxBr    int
+}
+
+// Density assumed until a region has been measured, per 1024 instructions:
+// the middle of what the workloads log (182-391 memory records, 89-255
+// branches). Too low costs the first regions an append growth, too high would
+// cost every later one memory, so the first measurement replaces it.
+const (
+	initialMemPerK = 300
+	initialBrPerK  = 150
+)
+
+func newCapturePool(cache, bp bool, lineMask uint64, recon *reconConfig) *capturePool {
+	return &capturePool{cache: cache, bp: bp, lineMask: lineMask, recon: recon}
+}
+
+// noteDensity records the density of the region c holds. Caller holds mu.
+func (p *capturePool) noteDensity(c *regionCapture) {
+	if c.seen < c.threshold+1024 {
+		return // too few logged instructions to extrapolate from
+	}
+	n := c.seen - c.threshold
+	if m := uint64(len(c.log.Mem))*1024/n + 1; p.cache && m > p.memPerK {
+		p.memPerK = m
+	}
+	if b := uint64(len(c.log.Branches))*1024/n + 1; p.bp && b > p.brPerK {
+		p.brPerK = b
+	}
+}
+
+// prepare makes c — or, with c nil, a recycled or new capture — ready for a
+// region of expectedLen instructions of which the first threshold are passed
+// over: emptied, its storage kept.
+func (p *capturePool) prepare(c *regionCapture, threshold, expectedLen uint64) *regionCapture {
+	p.mu.Lock()
+	if c != nil {
+		p.noteDensity(c)
+	} else if k := len(p.free); k > 0 {
+		c, p.free[k-1] = p.free[k-1], nil
+		p.free = p.free[:k-1]
+	}
+	p.mu.Unlock()
+	if c == nil {
+		c = &regionCapture{pool: p, lines: lineTracker{lineMask: p.lineMask}}
+	}
+	c.threshold, c.seen, c.logged, c.sealed = threshold, 0, 0, false
+	c.expect, c.fitted = expectedLen-threshold, false
+	c.lines.reset()
+	c.log.Reset()
+	return c
+}
+
+// fit gives c's empty log the capacity its region calls for, ahead of the
+// first append — the recorded density (plus an eighth) times the expected
+// length, which is where expectedLen earns its keep: a detached log if c has
+// none, and a fresh array of the largest size so far wherever what c holds is
+// too small.
+func (p *capturePool) fit(c *regionCapture) {
+	p.mu.Lock()
+	memPerK, brPerK := p.memPerK, p.brPerK
+	if memPerK == 0 && brPerK == 0 { // nothing measured yet
+		if p.cache {
+			memPerK = initialMemPerK
+		}
+		if p.bp {
+			brPerK = initialBrPerK
+		}
+	}
+	needMem, needBr := int(c.expect*memPerK/1024*9/8), int(c.expect*brPerK/1024*9/8)
+	p.maxMem, p.maxBr = max(p.maxMem, needMem), max(p.maxBr, needBr)
+	maxMem, maxBr := p.maxMem, p.maxBr
+	if k := len(p.logs); c.log.Mem == nil && c.log.Branches == nil && k > 0 {
+		c.log, p.logs[k-1] = p.logs[k-1], trace.SkipLog{}
+		p.logs = p.logs[:k-1]
+	}
+	p.mu.Unlock()
+	if have := cap(c.log.Mem); have < needMem {
+		c.log.Mem = make([]trace.MemRecord, 0, refit(have, maxMem))
+	}
+	if have := cap(c.log.Branches); have < needBr {
+		c.log.Branches = make([]trace.BranchRecord, 0, refit(have, maxBr))
+	}
+	c.fitted = true
+}
+
+// refit is the capacity that replaces a log of capacity have: the largest
+// size so far, and a quarter more unless the log is new.
+func refit(have, largest int) int {
+	if have == 0 {
+		return largest
+	}
+	return largest + largest/4
+}
+
+// put returns a dead capture to the free list.
+func (p *capturePool) put(c *regionCapture) {
+	p.mu.Lock()
+	p.free = append(p.free, c)
+	p.mu.Unlock()
 }
 
 // adoptCapture replays a captured region's warming references against the
@@ -408,8 +610,9 @@ func (f *funcWarm) newCapture(threshold uint64) *funcWarmCapture {
 // independent structures (the applyBatch argument), so the two-pass replay
 // leaves exactly the state direct per-batch observation would, and the line
 // tracker is restored to the capture's final state just as direct
-// observation would leave it.
-func (f *funcWarm) adoptCapture(c *funcWarmCapture) {
+// observation would leave it. Nothing reads the capture afterwards, so it
+// goes straight back to the free list.
+func (f *funcWarm) adoptCapture(c *regionCapture) {
 	if f.cache {
 		for i := range c.log.Mem {
 			r := &c.log.Mem[i]
@@ -427,6 +630,7 @@ func (f *funcWarm) adoptCapture(c *funcWarmCapture) {
 		}
 	}
 	f.work.WarmOps += c.logged
+	f.pool.put(c)
 }
 
 // --- SMARTS: full functional warming of the whole skip region ---
@@ -443,8 +647,10 @@ func (s *smarts) Work() Work                          { return s.work }
 
 // NewRegionCapture captures the whole region (threshold 0): SMARTS warms
 // every skipped instruction.
-func (s *smarts) NewRegionCapture(int, uint64) RegionCapture { return s.newCapture(0) }
-func (s *smarts) AdoptRegion(c RegionCapture)                { s.adoptCapture(c.(*funcWarmCapture)) }
+func (s *smarts) NewRegionCapture(_ int, expectedLen uint64) RegionCapture {
+	return s.pool.prepare(nil, 0, expectedLen)
+}
+func (s *smarts) AdoptRegion(c RegionCapture) { s.adoptCapture(c.(*regionCapture)) }
 
 // --- Fixed period: functional warming of the trailing percent only ---
 
@@ -482,13 +688,13 @@ func (f *fixedPeriod) Work() Work                 { return f.work }
 
 // NewRegionCapture derives the region's threshold exactly as BeginSkip does.
 func (f *fixedPeriod) NewRegionCapture(_ int, expectedLen uint64) RegionCapture {
-	return f.newCapture(expectedLen - expectedLen*uint64(f.percent)/100)
+	return f.pool.prepare(nil, expectedLen-expectedLen*uint64(f.percent)/100, expectedLen)
 }
 
 func (f *fixedPeriod) AdoptRegion(c RegionCapture) {
-	cc := c.(*funcWarmCapture)
-	f.adoptCapture(cc)
+	cc := c.(*regionCapture)
 	f.seen = cc.seen
+	f.adoptCapture(cc)
 }
 
 // --- Profiled-window warming (MRRL / BLRL) ---
@@ -561,216 +767,163 @@ func (w *windowed) NewRegionCapture(region int, expectedLen uint64) RegionCaptur
 	if win > expectedLen {
 		win = expectedLen
 	}
-	return w.newCapture(expectedLen - win)
+	return w.pool.prepare(nil, expectedLen-win, expectedLen)
 }
 
 func (w *windowed) AdoptRegion(c RegionCapture) {
-	cc := c.(*funcWarmCapture)
-	w.adoptCapture(cc)
+	cc := c.(*regionCapture)
 	w.seen = cc.seen
+	w.adoptCapture(cc)
 }
 
 // --- Reverse State Reconstruction ---
 
+// reverse holds the current region's skip log — and, once sealed, its plans —
+// in cur, a regionCapture like any other. In-place observation logs into it
+// through the same kernel captures use, and AdoptRegion swaps a producer's
+// capture in for it.
+//
+// cur is not dead at EndSkip: ReconPredictor reads its branch log — or, when
+// sealed, its plan's suffix and history arrays — in place, on demand,
+// throughout the hot window that follows. Its storage is reclaimed only at
+// the next BeginSkip — where the paper's method discards the previous
+// region's log anyway (§3) — which empties it for in-place reuse; AdoptRegion
+// then returns the emptied capture to the free list in exchange for the
+// adopted one. (A functional-warming capture, by contrast, is dead the moment
+// adoptCapture has replayed it.)
 type reverse struct {
 	h     *mem.Hierarchy
 	u     *bpred.Unit
 	rp    *core.ReconPredictor
 	spec  Spec
 	label string
-	// lineMask is the immutable L1I line mask; NewRegionCapture reads it
-	// from concurrent producer goroutines while AdoptRegion overwrites the
-	// mutable lines tracker, so the two must be separate fields.
-	lineMask uint64
-	// hcfg and geom are immutable geometry snapshots read by capture Seal on
-	// producer goroutines, so planning never touches the shared machine.
-	hcfg          mem.HierarchyConfig
-	geom          core.PredGeom
-	log           trace.SkipLog
-	lines         lineTracker
-	work          Work
-	lastPredStats core.PredReconStats
-
-	// Plans staged by AdoptRegion for the next EndSkip; nil when the region
-	// was observed directly (sequential path) or the capture was not sealed.
-	cachePlan *core.CacheReconPlan
-	predPlan  *core.PredReconPlan
+	// pool is the run's capture free list and the only thing NewRegionCapture
+	// reads from concurrent producer goroutines.
+	pool *capturePool
+	cur  *regionCapture
+	work Work // LoggedRecords excludes cur's, folded in at BeginSkip
 }
 
 func newReverse(h *mem.Hierarchy, u *bpred.Unit, s Spec) *reverse {
-	lt := newLineTracker(h.Config().L1I.LineBytes)
-	r := &reverse{h: h, u: u, spec: s, label: s.Label(),
-		lineMask: lt.lineMask, lines: lt, hcfg: h.Config()}
+	r := &reverse{h: h, u: u, spec: s, label: s.Label()}
+	recon := &reconConfig{percent: s.Percent, hcfg: h.Config()}
 	if s.BPred {
 		r.rp = core.NewReconPredictor(u)
 		r.rp.SetNoInference(s.NoCounterInference)
-		r.geom = core.PredGeomOf(u)
+		recon.geom = core.PredGeomOf(u)
 	}
+	r.pool = newCapturePool(s.Cache, s.BPred, newLineTracker(h.Config().L1I.LineBytes).lineMask, recon)
+	r.cur = r.pool.prepare(nil, 0, 0)
 	return r
 }
 
 func (r *reverse) Name() string { return r.label }
 
-func (r *reverse) BeginSkip(uint64) {
-	// Storage is kept only for the current region (§3): discard the previous
-	// region's log.
+func (r *reverse) BeginSkip(expectedLen uint64) {
+	// Storage is kept only for the current region (§3): the previous region's
+	// log is dead from here on, so the predictor lets go of it first.
 	r.collectPredWork()
-	r.log.Reset()
-	r.lines.reset()
-	r.cachePlan, r.predPlan = nil, nil
+	if r.rp != nil {
+		r.rp.ReleaseRegion()
+	}
+	r.work.LoggedRecords += r.cur.logged
+	r.pool.prepare(r.cur, 0, expectedLen)
 }
 
 func (r *reverse) ObserveSkip(d *trace.DynInst) {
+	c := r.cur
+	c.seen++
+	if !c.fitted {
+		r.pool.fit(c)
+	}
 	if r.spec.Cache {
-		if r.lines.crossed(d.PC) {
-			r.log.AddMem(trace.MemRecord{PC: d.PC, NextPC: d.NextPC, Addr: d.PC, IsInstr: true})
-			r.work.LoggedRecords++
+		if c.lines.crossed(d.PC) {
+			c.log.AddMem(trace.MemRecord{Addr: d.PC, IsInstr: true})
+			c.logged++
 		}
 		if d.IsMem() {
-			r.log.AddMem(trace.MemRecord{
-				PC: d.PC, NextPC: d.NextPC, Addr: d.EffAddr,
-				IsStore: d.Op.Class() == isa.ClassStore,
-			})
-			r.work.LoggedRecords++
+			c.log.AddMem(trace.MemRecord{Addr: d.EffAddr, IsStore: d.Op.Class() == isa.ClassStore})
+			c.logged++
 		}
 	}
 	if r.spec.BPred && d.IsBranch() {
-		r.log.AddBranch(branchRecordOf(d))
-		r.work.LoggedRecords++
+		c.log.AddBranch(branchRecordOf(d))
+		c.logged++
 	}
 }
 
-// appendSkipRecords is the batched logging kernel shared by the reverse
-// method and its region captures: the cache/bpred policy checks are hoisted
-// out of the loop, the line tracker runs on locals, and records append
-// straight onto the log slices (allocation-free once the region log has
-// reached steady-state capacity). It returns how many records it appended.
-// Sharing the kernel is what makes a capture's log byte-identical to direct
-// observation by construction.
+// appendSkipRecords is the batched logging kernel shared by in-place
+// observation and region captures: one sweep over the batch with the line
+// tracker on locals, records appended straight onto the log slices — which
+// the capture pool has already sized for the region, so the appends neither
+// allocate nor copy. It returns how many records it appended.
 func appendSkipRecords(log *trace.SkipLog, lines *lineTracker, cache, bp bool, ds []trace.DynInst) uint64 {
-	var logged uint64
-	if cache {
-		mask, last, have := lines.lineMask, lines.last, lines.have
-		mem := log.Mem
-		for i := range ds {
-			d := &ds[i]
+	mem, branches := log.Mem, log.Branches
+	before := len(mem) + len(branches)
+	mask, last, have := lines.lineMask, lines.last, lines.have
+	for i := range ds {
+		d := &ds[i]
+		class := d.Op.Class()
+		if cache {
 			if line := d.PC & mask; !have || line != last {
-				mem = append(mem, trace.MemRecord{PC: d.PC, NextPC: d.NextPC, Addr: d.PC, IsInstr: true})
-				logged++
+				mem = append(mem, trace.MemRecord{Addr: d.PC, IsInstr: true})
 				last, have = line, true
 			}
-			if d.Op.IsMem() {
-				mem = append(mem, trace.MemRecord{
-					PC: d.PC, NextPC: d.NextPC, Addr: d.EffAddr,
-					IsStore: d.Op.Class() == isa.ClassStore,
-				})
-				logged++
+			if class == isa.ClassLoad || class == isa.ClassStore {
+				mem = append(mem, trace.MemRecord{Addr: d.EffAddr, IsStore: class == isa.ClassStore})
 			}
 		}
-		log.Mem = mem
+		if bp && class.IsControl() {
+			branches = append(branches, trace.BranchRecord{PC: d.PC, NextPC: d.NextPC, Taken: d.Taken, Class: class})
+		}
+	}
+	log.Mem, log.Branches = mem, branches
+	if cache {
 		lines.last, lines.have = last, have
 	}
-	if bp {
-		branches := log.Branches
-		for i := range ds {
-			d := &ds[i]
-			if d.Op.IsControl() {
-				branches = append(branches, branchRecordOf(d))
-				logged++
-			}
-		}
-		log.Branches = branches
-	}
-	return logged
+	return uint64(len(mem) + len(branches) - before)
 }
 
 // ObserveSkipBatch is ObserveSkip flattened over a batch via the shared
 // logging kernel.
-func (r *reverse) ObserveSkipBatch(ds []trace.DynInst) {
-	r.work.LoggedRecords += appendSkipRecords(&r.log, &r.lines, r.spec.Cache, r.spec.BPred, ds)
-}
+func (r *reverse) ObserveSkipBatch(ds []trace.DynInst) { r.cur.ObserveSkipBatch(ds) }
 
-// reverseCapture is the reverse method's region capture: a private log and
-// line tracker fed by the same kernel as direct observation. BeginSkip
-// discards the previous region's log, so starting from an empty log and a
-// reset tracker reproduces the method's region-start state exactly. Seal
-// runs the backward scans over the private log, materializing the cache and
-// predictor warm-apply plans that shrink the consumer's EndSkip to
-// O(applied) work.
-type reverseCapture struct {
-	cache   bool
-	bp      bool
-	percent int
-	hcfg    mem.HierarchyConfig
-	geom    core.PredGeom
-	log     trace.SkipLog
-	lines   lineTracker
-	logged  uint64
-
-	cachePlan *core.CacheReconPlan
-	predPlan  *core.PredReconPlan
-}
-
-func (c *reverseCapture) ObserveSkipBatch(ds []trace.DynInst) {
-	c.logged += appendSkipRecords(&c.log, &c.lines, c.cache, c.bp, ds)
-}
-
-// Seal moves the reverse scans producer-side: the apply/skip decisions of
-// both reconstruction passes are pure functions of the captured log (plus,
-// for the predictor, a stale GHR prefix the plan carries as fixups), so the
-// plans are exact and EndSkip only replays their mutating subset.
-func (c *reverseCapture) Seal() {
-	if c.cache {
-		c.cachePlan = core.PlanCacheRecon(c.hcfg, c.log.Mem, c.percent)
-	}
-	if c.bp {
-		c.predPlan = core.PlanPredRecon(c.geom, c.log.Branches, c.percent)
-	}
-}
-
-// NewRegionCapture returns a capture for one skip region. Only immutable
-// configuration is read, so captures may be created concurrently.
-func (r *reverse) NewRegionCapture(int, uint64) RegionCapture {
-	return &reverseCapture{cache: r.spec.Cache, bp: r.spec.BPred,
-		percent: r.spec.Percent, hcfg: r.hcfg, geom: r.geom,
-		lines: lineTracker{lineMask: r.lineMask}}
+// NewRegionCapture returns a capture for one skip region: an empty log and a
+// reset line tracker, which is the method's own region-start state. Only the
+// goroutine-safe pool is touched, so captures may be created concurrently.
+func (r *reverse) NewRegionCapture(_ int, expectedLen uint64) RegionCapture {
+	return r.pool.prepare(nil, 0, expectedLen)
 }
 
 // AdoptRegion installs a captured region log — and, when the capture was
 // sealed, its materialized plans — as if the method had observed the region
-// itself. The caller has already run BeginSkip for the region (which folded
-// predictor work and discarded the previous log), so adopting replaces the
-// empty log wholesale.
+// itself. The caller has already run BeginSkip for the region, which folded
+// predictor work and emptied cur, so the emptied capture goes back to the
+// free list and the adopted one takes its place.
 func (r *reverse) AdoptRegion(c RegionCapture) {
-	cc := c.(*reverseCapture)
-	r.log = cc.log
-	r.lines = cc.lines
-	r.work.LoggedRecords += cc.logged
-	r.cachePlan = cc.cachePlan
-	r.predPlan = cc.predPlan
+	r.pool.put(r.cur)
+	r.cur = c.(*regionCapture)
 }
 
 func (r *reverse) EndSkip() {
+	c := r.cur
 	if r.spec.Cache {
 		var st core.CacheReconStats
-		if r.cachePlan != nil {
-			st = core.ApplyCacheRecon(r.h, r.cachePlan)
-			r.cachePlan = nil
+		if c.sealed {
+			st = core.ApplyCacheRecon(r.h, &c.cachePlan)
 		} else {
-			st = core.ReconstructCaches(r.h, r.log.Mem, r.spec.Percent)
+			st = core.ReconstructCaches(r.h, c.log.Mem, r.spec.Percent)
 		}
 		r.work.ReconScanned += st.ScannedRefs
 		r.work.ReconApplied += st.Applied
 	}
 	if r.spec.BPred {
-		if r.predPlan != nil {
-			r.rp.BeginRegionPlan(r.predPlan)
-			r.predPlan = nil
+		if c.sealed {
+			r.rp.BeginRegionPlan(&c.predPlan)
 		} else {
-			r.rp.BeginRegion(r.log.Branches, r.spec.Percent)
+			r.rp.BeginRegion(c.log.Branches, r.spec.Percent)
 		}
 		st := r.rp.Stats()
-		r.lastPredStats = st
 		r.work.ReconApplied += st.BTBInstalled + st.RASInstalled
 	}
 }
@@ -795,6 +948,7 @@ func (r *reverse) Predictor() bpred.Predictor {
 
 func (r *reverse) Work() Work {
 	w := r.work
+	w.LoggedRecords += r.cur.logged
 	if r.rp != nil {
 		st := r.rp.Stats()
 		w.ReconScanned += st.ScannedRecords

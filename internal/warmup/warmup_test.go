@@ -197,7 +197,7 @@ func TestReverseLogDiscardedBetweenRegions(t *testing.T) {
 	m.ObserveSkip(memInst(0x400000, 0x1000, false))
 	m.EndSkip()
 	m.BeginSkip(1)
-	if m.log.Len() != 0 {
+	if m.cur.log.Len() != 0 {
 		t.Fatal("log must be discarded at the next skip region")
 	}
 }
