@@ -16,23 +16,23 @@
 #                    diffed byte-for-byte against the sequential pipeline
 #   make regimen-smoke  sampling-strategy check: `-regimen stratified-uniform`
 #                    diffed byte-for-byte against the legacy run path, then
-#                    every registered strategy run end to end
+#                    every registered strategy run end to end at -shards 1
+#                    and 2 and the two outputs diffed
 #   make recovery-smoke  crash-recovery check: SIGKILL the coordinator
 #                    mid-sweep, restart it on the same journal, diff the
 #                    sweep against a single-node run
 #   make bench-smoke the frozen benchmark (bench/, BENCHMARK.json) still builds
 #                    and its sharded == sequential gate holds
-#   make bench       machine-readable benchmark snapshot (BENCH_$(LABEL).json)
 #   make bench-sweep sequential-vs-parallel sweep benchmark at small scale
 #   make all         everything above
 #
-# Compare two snapshots with:
-#   go run ./cmd/rsrbench -label after -compare BENCH_baseline.json
+# The benchmark itself is `bash bench/run.sh --workload W` (one workload) or
+# `go run ./bench` (all four); `go run ./bench -agree A.json B.json` compares
+# two result sets. See bench/README.md.
 
 GO ?= go
-LABEL ?= dev
 
-.PHONY: all build test verify chaos obs-smoke cluster-smoke trace-smoke shard-smoke recovery-smoke regimen-smoke bench-smoke bench bench-sweep
+.PHONY: all build test verify chaos obs-smoke cluster-smoke trace-smoke shard-smoke recovery-smoke regimen-smoke bench-smoke bench-sweep
 
 all: build test verify chaos obs-smoke cluster-smoke trace-smoke shard-smoke recovery-smoke regimen-smoke bench-smoke
 
@@ -56,12 +56,14 @@ test: build
 # The second test line is ROADMAP's "green means green" gate: the engine's
 # ticket/stats ordering and the pipeline's buffer recycling (a capture or
 # product reused while something still reads it) are schedule-dependent, so
-# one clean pass proves little; twenty under the race detector do.
+# one clean pass proves little; twenty under the race detector do. One pass
+# over the sampling package takes about a minute and a half under -race on a
+# two-core host, so the soak sets its own timeout above go test's ten minutes.
 verify:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/obs/... ./internal/engine/... ./internal/sampling/... \
 		./internal/regimen/... ./internal/cluster/... ./internal/cas/... ./cmd/rsrd/...
-	$(GO) test -race -count=20 ./internal/engine ./internal/warmup ./internal/sampling
+	$(GO) test -race -count=20 -timeout 60m ./internal/engine ./internal/warmup ./internal/sampling
 
 # chaos drives the deterministic fault injector through the engine's real
 # cache and run paths under the race detector: injected disk errors, torn
@@ -112,7 +114,8 @@ shard-smoke:
 # regimen-smoke proves the sampling-strategy seam end to end with the real
 # CLI: `-regimen stratified-uniform` must be byte-identical to the legacy
 # run path (only the wall-clock `time` line is filtered), and every strategy
-# listed by `rsr regimens` must complete a run under the race detector.
+# listed by `rsr regimens` must complete a run under the race detector at
+# `-shards 1` and `-shards 2` with identical output.
 regimen-smoke:
 	./scripts/regimen-smoke.sh
 
@@ -122,9 +125,6 @@ regimen-smoke:
 # before the pipeline's paired parent/change runs. The numbers are ignored.
 bench-smoke:
 	bash bench/run.sh --workload skip-heavy-sharded --seed 1 --seconds 3 --trace 1
-
-bench:
-	$(GO) run ./cmd/rsrbench -label $(LABEL)
 
 bench-sweep:
 	$(GO) test -run '^$$' -bench BenchmarkTable2SweepParallelism -benchtime 1x .

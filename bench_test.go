@@ -22,9 +22,20 @@ import (
 	"rsr/internal/workload"
 )
 
-// reconstruct runs one reverse cache-reconstruction pass.
-func reconstruct(h *mem.Hierarchy, log []trace.MemRecord, percent int) core.CacheReconStats {
-	return core.ReconstructCaches(h, log, percent)
+// reconstructor runs reverse cache-reconstruction passes the way the reverse
+// method does: plan from the log with reused scratch, then apply the plan.
+type reconstructor struct {
+	planner *core.CachePlanner
+	plan    core.CacheReconPlan
+}
+
+func newReconstructor(h *mem.Hierarchy) *reconstructor {
+	return &reconstructor{planner: core.NewCachePlanner(h.Config())}
+}
+
+func (r *reconstructor) reconstruct(h *mem.Hierarchy, log []trace.MemRecord, percent int) core.CacheReconStats {
+	core.PlanCacheRecon(r.planner, log, percent, &r.plan)
+	return core.ApplyCacheRecon(h, &r.plan)
 }
 
 // benchCfg returns a reduced-scale experiment configuration: small enough to
@@ -208,15 +219,16 @@ func BenchmarkReverseCacheReconstruction(b *testing.B) {
 	}
 	b.Run("reverse20", func(b *testing.B) {
 		h := mem.NewHierarchy(mem.DefaultHierarchyConfig())
+		r := newReconstructor(h)
 		for i := 0; i < b.N; i++ {
-			// ReconstructCaches itself takes the newest 20%.
-			_ = reconstruct(h, log, 20)
+			_ = r.reconstruct(h, log, 20) // the pass itself takes the newest 20%
 		}
 	})
 	b.Run("reverse100", func(b *testing.B) {
 		h := mem.NewHierarchy(mem.DefaultHierarchyConfig())
+		r := newReconstructor(h)
 		for i := 0; i < b.N; i++ {
-			_ = reconstruct(h, log, 100)
+			_ = r.reconstruct(h, log, 100)
 		}
 	})
 	b.Run("functionalFull", func(b *testing.B) {

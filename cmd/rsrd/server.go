@@ -258,8 +258,8 @@ func (s *server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	// after the submitting connection goes away. The request's correlation
 	// ID rides along so the job's engine events carry the same X-Request-ID
 	// the client saw.
-	ctx := engine.WithRequestID(context.Background(), cluster.RequestIDFrom(r.Context()))
-	ctx = engine.WithSweep(ctx, cluster.SweepIDFrom(r.Context()))
+	ctx := engine.WithRequestID(context.Background(), engine.RequestIDFrom(r.Context()))
+	ctx = engine.WithSweep(ctx, engine.SweepFrom(r.Context()))
 	tk, err := s.eng.Submit(ctx, job)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)

@@ -121,7 +121,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad job body: %v", err)
 		return
 	}
-	id, err := s.co.SubmitTraced(job, RequestIDFrom(r.Context()), SweepIDFrom(r.Context()))
+	id, err := s.co.SubmitTraced(job, engine.RequestIDFrom(r.Context()), engine.SweepFrom(r.Context()))
 	switch {
 	case errors.Is(err, ErrBusy), errors.Is(err, ErrClosed):
 		w.Header().Set("Retry-After", "1")
@@ -154,7 +154,7 @@ func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad sweep body: %v", err)
 		return
 	}
-	st, err := s.co.SubmitSweepTraced(req.Jobs, RequestIDFrom(r.Context()), SweepIDFrom(r.Context()))
+	st, err := s.co.SubmitSweepTraced(req.Jobs, engine.RequestIDFrom(r.Context()), engine.SweepFrom(r.Context()))
 	switch {
 	case errors.Is(err, ErrBusy), errors.Is(err, ErrClosed):
 		// Partial acceptance: the client retries the whole sweep; accepted

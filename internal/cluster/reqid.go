@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
@@ -9,6 +8,8 @@ import (
 	"net/http"
 	"sync/atomic"
 	"time"
+
+	"rsr/internal/engine"
 )
 
 // RequestIDs issues process-unique request IDs: a random boot prefix plus a
@@ -33,27 +34,6 @@ func NewRequestIDs() *RequestIDs {
 // Next returns a fresh ID.
 func (r *RequestIDs) Next() string {
 	return fmt.Sprintf("%s-%06d", r.boot, r.n.Add(1))
-}
-
-// reqIDKey carries the request's correlation ID through its context.
-type reqIDKey struct{}
-
-// RequestIDFrom returns the request-scoped correlation ID stashed by
-// WithRequestLog, or "" outside a wrapped handler.
-func RequestIDFrom(ctx context.Context) string {
-	id, _ := ctx.Value(reqIDKey{}).(string)
-	return id
-}
-
-// sweepIDKey carries the distributed sweep ID through a request's context.
-type sweepIDKey struct{}
-
-// SweepIDFrom returns the sweep ID carried by the request's X-Sweep-ID
-// header (stashed by WithRequestLog), or "" when the request is not part of
-// a distributed sweep.
-func SweepIDFrom(ctx context.Context) string {
-	id, _ := ctx.Value(sweepIDKey{}).(string)
-	return id
 }
 
 // statusWriter captures the response status for the request log. It forwards
@@ -83,12 +63,13 @@ func (sw *statusWriter) Flush() {
 
 // WithRequestLog wraps next so every request gets an ID (a client-supplied
 // X-Request-ID is honoured, otherwise one is issued), the ID is echoed on the
-// response and stashed in the request context (RequestIDFrom), and exactly
-// one structured line is logged on completion. The stashed ID is what lets
-// handlers propagate the caller's correlation ID across node hops — into
-// engine submissions on a worker, or onto coordinator work items. A sweep ID
-// arriving as X-Sweep-ID rides along the same way (SweepIDFrom) and appears
-// in the log line when present.
+// response and stashed in the request context with engine.WithRequestID, and
+// exactly one structured line is logged on completion. The stashed ID is what
+// lets handlers propagate the caller's correlation ID across node hops — into
+// engine submissions on a worker (which read the same context keys), or onto
+// coordinator work items (engine.RequestIDFrom). A sweep ID arriving as
+// X-Sweep-ID rides along the same way (engine.WithSweep / engine.SweepFrom)
+// and appears in the log line when present.
 func WithRequestLog(log *slog.Logger, ids *RequestIDs, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get("X-Request-ID")
@@ -96,12 +77,8 @@ func WithRequestLog(log *slog.Logger, ids *RequestIDs, next http.Handler) http.H
 			id = ids.Next()
 		}
 		w.Header().Set("X-Request-ID", id)
-		ctx := context.WithValue(r.Context(), reqIDKey{}, id)
 		sweep := r.Header.Get("X-Sweep-ID")
-		if sweep != "" {
-			ctx = context.WithValue(ctx, sweepIDKey{}, sweep)
-		}
-		r = r.WithContext(ctx)
+		r = r.WithContext(engine.WithSweep(engine.WithRequestID(r.Context(), id), sweep))
 		sw := &statusWriter{ResponseWriter: w}
 		begin := time.Now()
 		next.ServeHTTP(sw, r)

@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"rsr/internal/engine"
 )
 
 func TestWithRequestLogEchoAndContext(t *testing.T) {
@@ -15,8 +17,8 @@ func TestWithRequestLogEchoAndContext(t *testing.T) {
 
 	var gotReq, gotSweep string
 	h := WithRequestLog(log, NewRequestIDs(), http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		gotReq = RequestIDFrom(r.Context())
-		gotSweep = SweepIDFrom(r.Context())
+		gotReq = engine.RequestIDFrom(r.Context())
+		gotSweep = engine.SweepFrom(r.Context())
 		w.WriteHeader(http.StatusTeapot)
 	}))
 
@@ -33,7 +35,7 @@ func TestWithRequestLogEchoAndContext(t *testing.T) {
 		t.Errorf("RequestIDFrom = %q, want client-id-1", gotReq)
 	}
 	if gotSweep != "sweep-42" {
-		t.Errorf("SweepIDFrom = %q, want sweep-42", gotSweep)
+		t.Errorf("SweepFrom = %q, want sweep-42", gotSweep)
 	}
 
 	line := buf.String()
@@ -51,10 +53,10 @@ func TestWithRequestLogMintsIDAndOmitsSweep(t *testing.T) {
 	var buf bytes.Buffer
 	log := slog.New(slog.NewTextHandler(&buf, nil))
 	h := WithRequestLog(log, NewRequestIDs(), http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if RequestIDFrom(r.Context()) == "" {
+		if engine.RequestIDFrom(r.Context()) == "" {
 			t.Error("no request ID minted")
 		}
-		if SweepIDFrom(r.Context()) != "" {
+		if engine.SweepFrom(r.Context()) != "" {
 			t.Error("sweep ID appeared from nowhere")
 		}
 	}))

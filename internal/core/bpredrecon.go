@@ -18,25 +18,22 @@ type PredReconStats struct {
 }
 
 // ReconPredictor wraps a bpred.Unit with §3.2 on-demand reverse
-// reconstruction. After a skip region, call BeginRegion with the region's
-// branch log; during the next cluster the timing model probes Predict as
-// usual, and the first probe of a not-yet-reconstructed entry consumes the
-// reverse log until that entry is resolved — reconstructing every other
-// entry it passes, so the log is scanned at most once per region.
+// reconstruction. After a skip region, call BeginRegionPlan with the plan
+// PlanPredRecon made of the region's branch log; during the next cluster the
+// timing model probes Predict as usual, and the first probe of a
+// not-yet-reconstructed entry consumes the reverse log until that entry is
+// resolved — reconstructing every other entry it passes, so the log is
+// scanned at most once per region.
 type ReconPredictor struct {
 	unit *bpred.Unit
 
-	// log and ghrAt alias their caller's storage — after BeginRegion the
-	// region's branch log, after BeginRegionPlan the plan's suffix and history
-	// arrays — until the next BeginRegion, BeginRegionPlan or ReleaseRegion:
-	// on-demand scanning reads them throughout the hot window, so that storage
-	// must not be reused before then.
+	// log and ghrAt alias the plan's suffix and history arrays until the next
+	// BeginRegionPlan or ReleaseRegion: on-demand scanning reads them
+	// throughout the hot window, so that storage must not be reused before
+	// then.
 	log   []trace.BranchRecord // selected suffix, oldest first
 	ghrAt []uint64             // GHR before each suffix record (conditionals)
 	pos   int                  // next reverse index to scan; -1 when exhausted
-
-	ghrBuf   []uint64 // BeginRegion's own ghrAt storage, kept across regions
-	rasFills []uint64 // BeginRegion's RAS scratch
 
 	dirMap   []StateMap
 	dirDone  []bool
@@ -98,59 +95,6 @@ func (p *ReconPredictor) ReleaseRegion() {
 	p.finished = true
 }
 
-// BeginRegion installs the skip-region branch log and performs the eager
-// steps of §3.2: the global history register is rebuilt from the last n
-// outcomes of the region, the RAS is rebuilt by the reverse push/pop counter
-// algorithm, and per-entry possible-state tracking is reset. percent selects
-// how much of the newest part of the log the on-demand scan may consume.
-func (p *ReconPredictor) BeginRegion(fullLog []trace.BranchRecord, percent int) {
-	if percent < 0 {
-		percent = 0
-	}
-	if percent > 100 {
-		percent = 100
-	}
-	n := len(fullLog)
-	start := n - n*percent/100
-	p.log = fullLog[start:]
-	p.pos = len(p.log) - 1
-	p.finished = len(p.log) == 0
-
-	p.resetEntries()
-	p.stats = PredReconStats{LoggedBranches: uint64(n)}
-
-	// Forward pass over the full log: compute the GHR before every suffix
-	// conditional (their table indices depend on it) and the region-final
-	// GHR. Only conditional branches shift history, matching Unit.Update.
-	if cap(p.ghrBuf) < len(p.log) {
-		p.ghrBuf = make([]uint64, len(p.log))
-	}
-	p.ghrAt = p.ghrBuf[:len(p.log)]
-	ghr := p.unit.Dir.GHR() // stale = value at region start
-	mask := uint64(1)<<uint(p.unit.Dir.HistoryBits()) - 1
-	for i := 0; i < n; i++ {
-		r := &fullLog[i]
-		if r.Class != isa.ClassBranch {
-			if i >= start {
-				p.ghrAt[i-start] = 0
-			}
-			continue
-		}
-		if i >= start {
-			p.ghrAt[i-start] = ghr
-		}
-		ghr = (ghr << 1) & mask
-		if r.Taken {
-			ghr |= 1
-		}
-	}
-	p.unit.Dir.SetGHR(ghr)
-
-	// RAS: the reverse counter algorithm over the suffix.
-	p.rasFills = planRASFills(p.log, p.unit.RAS.Depth(), p.rasFills[:0])
-	p.installRAS(p.rasFills)
-}
-
 // planRASFills appends to fills the RAS contents (youngest first) the reverse
 // counter algorithm reconstructs from the suffix: scanning newest-to-oldest,
 // a pop increments the counter; a push with counter zero lands at the end
@@ -208,9 +152,13 @@ type GHRFixup struct {
 	Shift uint // conditional branches seen before that record (< HistoryBits)
 }
 
-// PredReconPlan is the shard-side product of BeginRegion's eager steps. All
-// of them are pure functions of the region log except for the one stale
-// input: the GHR value left in the shared predictor at region start. The GHR
+// PredReconPlan is the product of §3.2's eager steps over a region's branch
+// log: the global history register is rebuilt from the outcomes of the
+// region, and the RAS by the reverse push/pop counter algorithm over the
+// percent-selected newest part of the log, which is also what the on-demand
+// scan may consume. All of it is a pure function of the log except for the
+// one stale input: the GHR value left in the shared predictor at region
+// start, so the plan can be made on a shard. The GHR
 // after k conditional shifts from stale value g is ((g<<k) | pure_k) & mask,
 // where pure_k is the same iteration started from zero — masking commutes
 // with the shift-and-or recurrence — so the planner records the pure values
@@ -232,17 +180,15 @@ type PredReconPlan struct {
 	RASFills []uint64 // reconstructed RAS contents, youngest first
 }
 
-// PlanPredRecon runs BeginRegion's forward pass and RAS reconstruction over
-// the log without a predictor, materializing the plan into plan, which keeps
-// no reference to the log. Safe for producer goroutines: it reads only the
-// log and the geometry snapshot.
+// PlanPredRecon runs the forward pass over the full log — the GHR before
+// every suffix conditional (their table indices depend on it) and the
+// region-final GHR; only conditional branches shift history, matching
+// Unit.Update — and the RAS reconstruction over the suffix, without a
+// predictor, materializing the plan into plan, which keeps no reference to
+// the log. Safe for producer goroutines: it reads only the log and the
+// geometry snapshot.
 func PlanPredRecon(geom PredGeom, fullLog []trace.BranchRecord, percent int, plan *PredReconPlan) {
-	if percent < 0 {
-		percent = 0
-	}
-	if percent > 100 {
-		percent = 100
-	}
+	percent = min(max(percent, 0), 100)
 	n := len(fullLog)
 	start := n - n*percent/100
 	ghrAt := plan.GHRAt
@@ -259,7 +205,7 @@ func PlanPredRecon(geom PredGeom, fullLog []trace.BranchRecord, percent int, pla
 		r := &fullLog[i]
 		if r.Class != isa.ClassBranch {
 			if i >= start {
-				ghrAt[i-start] = 0 // matching BeginRegion
+				ghrAt[i-start] = 0 // never read: only conditionals index by history
 			}
 			continue
 		}
@@ -275,23 +221,19 @@ func PlanPredRecon(geom PredGeom, fullLog []trace.BranchRecord, percent int, pla
 		}
 		conds++
 	}
-	shift := conds
-	if shift > geom.HistoryBits {
-		shift = geom.HistoryBits
-	}
 	*plan = PredReconPlan{
 		Logged: uint64(n), Suffix: append(plan.Suffix[:0], fullLog[start:]...),
-		GHRAt: ghrAt, Fixups: fixups, FinalGHR: ghr, FinalShift: uint(shift),
+		GHRAt: ghrAt, Fixups: fixups, FinalGHR: ghr, FinalShift: uint(min(conds, geom.HistoryBits)),
 		RASFills: planRASFills(fullLog[start:], geom.RASDepth, plan.RASFills[:0]),
 	}
 }
 
-// BeginRegionPlan is BeginRegion with the eager work already materialized by
-// a shard-side PlanPredRecon over the same log and geometry: it patches the
-// stale GHR prefix into the planned histories, installs the final GHR and
-// reconstructed RAS, and resets the per-entry tracking. The predictor is
-// left in exactly the state BeginRegion would produce, reading plan.Suffix
-// and plan.GHRAt in place until the region is released.
+// BeginRegionPlan starts a region's reconstruction from the plan
+// PlanPredRecon made of its log under this predictor's geometry: it patches
+// the stale GHR prefix into the planned histories, installs the final GHR and
+// reconstructed RAS, and resets the per-entry possible-state tracking. The
+// predictor then reads plan.Suffix and plan.GHRAt in place until the region
+// is released.
 func (p *ReconPredictor) BeginRegionPlan(plan *PredReconPlan) {
 	stale := p.unit.Dir.GHR()
 	mask := uint64(1)<<uint(p.unit.Dir.HistoryBits()) - 1

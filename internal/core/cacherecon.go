@@ -17,44 +17,6 @@ type CacheReconStats struct {
 	Applied uint64
 }
 
-// ReconstructCaches performs the §3.1 reverse pass: the newest `percent` of
-// the logged memory references are scanned newest-to-oldest and offered to
-// the L1 of their stream and to the L2 (the paper applies reconstruction
-// updates to both levels directly). Reconstructed bits are cleared first;
-// the caches' stale contents from the previous cluster remain as the
-// below-reconstructed LRU tail.
-func ReconstructCaches(h *mem.Hierarchy, log []trace.MemRecord, percent int) CacheReconStats {
-	if percent < 0 {
-		percent = 0
-	}
-	if percent > 100 {
-		percent = 100
-	}
-	h.L1I.BeginReconstruction()
-	h.L1D.BeginReconstruction()
-	h.L2.BeginReconstruction()
-
-	n := len(log)
-	start := n - n*percent/100
-	st := CacheReconStats{LoggedRefs: uint64(n), ScannedRefs: uint64(n - start)}
-	for i := n - 1; i >= start; i-- {
-		r := &log[i]
-		if r.IsInstr {
-			if h.L1I.ReconstructRef(r.Addr, false) {
-				st.Applied++
-			}
-		} else {
-			if h.L1D.ReconstructRef(r.Addr, r.IsStore) {
-				st.Applied++
-			}
-		}
-		if h.L2.ReconstructRef(r.Addr, !r.IsInstr && r.IsStore) {
-			st.Applied++
-		}
-	}
-	return st
-}
-
 // CacheReconRef is one plan entry: a logged reference that will mutate cache
 // state, with per-level flags saying which caches it must be offered to.
 type CacheReconRef struct {
@@ -65,13 +27,15 @@ type CacheReconRef struct {
 	L2      bool
 }
 
-// CacheReconPlan is the shard-side product of the §3.1 reverse pass: exactly
-// the scanned references that mutate state, in scan (newest-to-oldest) order,
-// each flagged with the cache levels it applies to. Applying the plan to the
-// shared hierarchy reproduces ReconstructCaches byte for byte while the
-// consumer touches only O(applied) ≤ O(total cache ways) references instead
-// of rescanning the whole log. PlanCacheRecon overwrites a plan in place and
-// keeps its Refs storage, so a recycled plan is rebuilt without allocating.
+// CacheReconPlan is the product of the §3.1 reverse pass: the newest
+// `percent` of the logged memory references are scanned newest-to-oldest,
+// and the plan keeps exactly those that mutate state, in scan order, each
+// flagged with the cache levels it applies to — the L1 of its stream and the
+// L2 (the paper applies reconstruction updates to both levels directly).
+// The scan reads only the log, so it can run on a shard; applying the plan
+// to the shared hierarchy then touches O(applied) ≤ O(total cache ways)
+// references. PlanCacheRecon overwrites a plan in place and keeps its Refs
+// storage, so a recycled plan is rebuilt without allocating.
 type CacheReconPlan struct {
 	Refs        []CacheReconRef
 	LoggedRefs  uint64
@@ -104,9 +68,9 @@ type plannerSet struct {
 	used  int32
 }
 
-// cachePlanner replays one cache's ReconstructRef decision procedure against
-// log-derived state only. The decision never reads the cache's stale
-// contents: a reference applies exactly when its set still has stale ways
+// cachePlanner decides, from log-derived state only, which references
+// mem.Cache.ReconstructRef would apply. The decision never reads the cache's
+// stale contents: a reference applies exactly when its set still has stale ways
 // left AND its block has not already been applied this pass — "present and
 // reconstructed" in the real cache implies an earlier applied reference to
 // the same block, and both the present-stale and absent cases mutate state
@@ -171,18 +135,13 @@ func NewCachePlanner(cfg mem.HierarchyConfig) *CachePlanner {
 	return &CachePlanner{l1i: newCachePlanner(cfg.L1I), l1d: newCachePlanner(cfg.L1D), l2: newCachePlanner(cfg.L2)}
 }
 
-// PlanCacheRecon runs the reverse pass of ReconstructCaches over the log
-// without a hierarchy, materializing the warm-apply plan into plan. It is
-// safe to call from producer goroutines: it reads only the log and touches
-// only pl and plan, and with a reused planner and plan it does not allocate
-// once plan.Refs has reached the pass's size.
+// PlanCacheRecon runs the reverse pass over the log without a hierarchy,
+// materializing the warm-apply plan into plan. It is safe to call from
+// producer goroutines: it reads only the log and touches only pl and plan,
+// and with a reused planner and plan it does not allocate once plan.Refs has
+// reached the pass's size.
 func PlanCacheRecon(pl *CachePlanner, log []trace.MemRecord, percent int, plan *CacheReconPlan) {
-	if percent < 0 {
-		percent = 0
-	}
-	if percent > 100 {
-		percent = 100
-	}
+	percent = min(max(percent, 0), 100)
 	pl.l1i.begin()
 	pl.l1d.begin()
 	pl.l2.begin()
@@ -210,10 +169,13 @@ func PlanCacheRecon(pl *CachePlanner, log []trace.MemRecord, percent int, plan *
 }
 
 // ApplyCacheRecon applies a materialized plan to the shared hierarchy: the
-// consumer-side half of the split reverse pass. The ReconstructRef calls it
-// makes are exactly the subset of ReconstructCaches' calls that mutate state,
-// in the same order, so the resulting cache contents, event counters, and
-// returned stats are byte-identical to the direct pass.
+// consumer-side half of the reverse pass. Reconstructed bits are cleared
+// first; the caches' stale contents from the previous cluster remain as the
+// below-reconstructed LRU tail. The ReconstructRef calls it makes are exactly
+// the mutating subset of what offering every scanned reference to the caches
+// would make, in the same order, so cache contents, event counters, and the
+// returned stats match that direct scan byte for byte
+// (TestPlanCacheReconMatchesDirect).
 func ApplyCacheRecon(h *mem.Hierarchy, plan *CacheReconPlan) CacheReconStats {
 	h.L1I.BeginReconstruction()
 	h.L1D.BeginReconstruction()

@@ -61,7 +61,7 @@ func TestPlanCacheReconMatchesDirect(t *testing.T) {
 
 		// The planner and the plan are reused across percentages, as a shard
 		// reuses them across regions: no state may leak between passes.
-		want := ReconstructCaches(direct, log, percent)
+		want := reconstructCachesDirect(direct, log, percent)
 		PlanCacheRecon(planner, log, percent, &plan)
 		got := ApplyCacheRecon(planned, &plan)
 
@@ -99,7 +99,8 @@ func trainStale(rng *rand.Rand, u *bpred.Unit) {
 
 // TestBeginRegionPlanMatchesDirect pins the predictor half of the split:
 // installing a shard-built plan must leave the ReconPredictor — eager state
-// and the lazily scanned remainder — exactly where BeginRegion leaves it.
+// and the lazily scanned remainder — exactly where the direct pass over the
+// raw log leaves it.
 func TestBeginRegionPlanMatchesDirect(t *testing.T) {
 	var plan PredReconPlan // reused across trials, as a shard reuses it across regions
 	for _, percent := range []int{20, 100} {
@@ -112,7 +113,7 @@ func TestBeginRegionPlanMatchesDirect(t *testing.T) {
 			trainStale(rand.New(rand.NewSource(42)), direct.Unit())
 			trainStale(rand.New(rand.NewSource(42)), planned.Unit())
 
-			direct.BeginRegion(log, percent)
+			direct.beginRegionDirect(log, percent)
 			geom := PredGeomOf(planned.Unit())
 			PlanPredRecon(geom, log, percent, &plan)
 			planned.BeginRegionPlan(&plan)

@@ -61,8 +61,8 @@ type Job struct {
 	MaxAttempts int `json:"MaxAttempts,omitempty"`
 	// Shards runs a sampled job through the parallel cluster pipeline with
 	// this many shard goroutines (0 or 1 = sequential). The sharded run is
-	// byte-identical to the sequential one (sampling.RunSampledParallel),
-	// so like Timeout it is scheduling policy, not identity: jobs differing
+	// byte-identical to the sequential one (sampling.Options.Shards), so
+	// like Timeout it is scheduling policy, not identity: jobs differing
 	// only in Shards share one cache entry.
 	Shards int `json:"Shards,omitempty"`
 }

@@ -4,7 +4,10 @@ import (
 	"math"
 	"testing"
 
+	"rsr/internal/regimen"
+	"rsr/internal/sampling"
 	"rsr/internal/warmup"
+	"rsr/internal/workload"
 )
 
 // Golden regression values: the stack is fully deterministic, so these
@@ -55,6 +58,60 @@ func TestGoldenRegression(t *testing.T) {
 			c.Work.ReconScanned != g.scanned || c.Work.ReconApplied != g.applied {
 			t.Errorf("%s/%s: work signature drifted: %+v, golden {%d %d %d %d}",
 				g.workload, c.Method, c.Work, g.warmOps, g.logged, g.scanned, g.applied)
+		}
+	}
+}
+
+// Golden values for the strategies whose measurement passes run through the
+// shared region walker rather than by delegation: twolf at scale 0.05 with
+// R$BP (20%). Captured at the commit before the walker replaced
+// regimen.measureRegions, so the refactor is pinned by values, not only by
+// determinism.
+var strategyGolden = []struct {
+	strategy  string
+	estimate  float64
+	funcInstr uint64
+	hotInstr  uint64
+	work      warmup.Work
+}{
+	{"ranked-set", 0.9552101940, 991611, 100000, warmup.Work{LoggedRecords: 432350, ReconScanned: 86425, ReconApplied: 36215}},
+	{"repeated-subsampling", 1.0448993240, 993088, 100000, warmup.Work{LoggedRecords: 433362, ReconScanned: 86420, ReconApplied: 36956}},
+	{"two-phase-stratified", 1.0535287764, 1838000, 100000, warmup.Work{LoggedRecords: 842948, ReconScanned: 168353, ReconApplied: 51944}},
+}
+
+func TestStrategyGoldenRegression(t *testing.T) {
+	w, err := workload.ByName("twolf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Scale = 0.05
+	p := regimen.Params{
+		Program: w.Build(),
+		Machine: sampling.DefaultMachine(),
+		Regimen: RegimenFor("twolf"),
+		Total:   cfg.Total(),
+		Seed:    cfg.Seed,
+		Warmup:  strategyWarmup(),
+	}
+	for _, g := range strategyGolden {
+		s, err := regimen.ByName(g.strategy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := s.Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(out.Estimate.IPC-g.estimate) > 1e-9 {
+			t.Errorf("%s: estimate drifted: %.10f, golden %.10f", g.strategy, out.Estimate.IPC, g.estimate)
+		}
+		if out.FuncInstructions != g.funcInstr || out.HotInstructions != g.hotInstr {
+			t.Errorf("%s: instruction counts drifted: func %d hot %d, golden %d %d",
+				g.strategy, out.FuncInstructions, out.HotInstructions, g.funcInstr, g.hotInstr)
+		}
+		if out.Work != g.work {
+			t.Errorf("%s: work signature drifted: %+v, golden %+v", g.strategy, out.Work, g.work)
 		}
 	}
 }

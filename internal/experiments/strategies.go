@@ -67,6 +67,7 @@ func (l *Lab) StrategyHeadToHead() ([]StrategyCell, error) {
 			Total:   l.cfg.Total(),
 			Seed:    l.cfg.Seed,
 			Warmup:  strategyWarmup(),
+			Shards:  l.cfg.Shards,
 		}
 		for _, s := range regimen.All() {
 			out, err := s.Run(p)
@@ -106,12 +107,12 @@ func ciRel(e regimen.Estimate) float64 {
 
 // StrategyAverage is the per-strategy mean over workloads.
 type StrategyAverage struct {
-	Strategy        string
-	MeanRelErr      float64
-	MeanCIRel       float64
-	ConfidentShare  float64
-	MeanTime        time.Duration
-	MeanHotInstr    float64
+	Strategy         string
+	MeanRelErr       float64
+	MeanCIRel        float64
+	ConfidentShare   float64
+	MeanTime         time.Duration
+	MeanHotInstr     float64
 	MeanProfileInstr float64
 }
 

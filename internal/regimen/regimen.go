@@ -7,9 +7,9 @@
 // Five strategies are registered:
 //
 //   - stratified-uniform: the paper's design — stratified-uniform placement,
-//     mean-cluster-CPI estimator. It delegates to sampling.RunSampledOpts, so
-//     its results are byte-identical to the pre-strategy code path (pinned by
-//     TestStratifiedUniformByteIdentical).
+//     mean-cluster-CPI estimator. Same placement, same region walker as
+//     sampling.RunSampledOpts, so its results are byte-identical to that path
+//     (pinned by TestStratifiedUniformByteIdentical).
 //   - simpoint: the SimPoint baseline — BBV profiling, k-means selection,
 //     weighted-IPC estimate. Delegates to simpoint.Estimate (byte-identity
 //     pinned by TestSimPointByteIdentical).
@@ -61,9 +61,8 @@ type Params struct {
 	// closed; strategies poll it at batch granularity like the sampling
 	// package does.
 	Cancel <-chan struct{}
-	// Shards forwards intra-run cluster parallelism to strategies that
-	// execute through the sampling pipeline (currently stratified-uniform;
-	// the others run their measurement passes sequentially).
+	// Shards forwards intra-run cluster parallelism to the region walker
+	// every strategy's measurement passes run through (sampling.Options.Shards).
 	Shards int
 	// Instr, when non-nil, records per-strategy selection and allocation
 	// metrics. Nil disables recording; results are identical either way.
@@ -210,23 +209,11 @@ func ByName(name string) (Strategy, error) {
 	return nil, fmt.Errorf("regimen: unknown strategy %q (have %v)", name, Names())
 }
 
-// ValidateRegions checks a plan's execution-order invariants: regions are
-// sorted by start, non-overlapping, positively sized, and end within total.
+// ValidateRegions checks a plan's execution-order invariants with the
+// walker's own validator: regions are sorted by start, non-overlapping,
+// positively sized, and end within total.
 func ValidateRegions(regions []Region, total uint64) error {
-	var pos uint64
-	for i, r := range regions {
-		if r.Size == 0 {
-			return fmt.Errorf("regimen: region %d has zero size", i)
-		}
-		if r.Start < pos {
-			return fmt.Errorf("regimen: region %d starts at %d, overlapping the previous region ending at %d", i, r.Start, pos)
-		}
-		if r.Start+r.Size > total {
-			return fmt.Errorf("regimen: region %d [%d,%d) runs past the workload length %d", i, r.Start, r.Start+r.Size, total)
-		}
-		pos = r.Start + r.Size
-	}
-	return nil
+	return sampling.ValidateRegions(walkerRegions(regions), total)
 }
 
 // sortRegions orders regions by start (stable, so equal starts keep their

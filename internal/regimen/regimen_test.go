@@ -182,6 +182,29 @@ func TestAllSelectionsAreValidPlans(t *testing.T) {
 	}
 }
 
+// TestStrategiesShardedIdentical pins that every strategy's measurement
+// passes go through the one region walker: Params.Shards changes how regions
+// are fed to it, never what comes out.
+func TestStrategiesShardedIdentical(t *testing.T) {
+	for _, s := range All() {
+		p := testParams(t, "twolf")
+		p.Warmup.Percent = 20
+		seq, err := s.Run(p)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name(), err)
+		}
+		p.Shards = 2
+		par, err := s.Run(p)
+		if err != nil {
+			t.Fatalf("%s shards=2: %v", s.Name(), err)
+		}
+		if !reflect.DeepEqual(seq.Estimate, par.Estimate) || !reflect.DeepEqual(seq.Regions, par.Regions) ||
+			seq.Work != par.Work || seq.FuncInstructions != par.FuncInstructions || seq.HotInstructions != par.HotInstructions {
+			t.Errorf("%s: Shards=2 outcome differs from Shards=0:\n%+v\n%+v", s.Name(), seq, par)
+		}
+	}
+}
+
 func TestRunCanceled(t *testing.T) {
 	done := make(chan struct{})
 	close(done)

@@ -1,142 +1,37 @@
 package regimen
 
 import (
-	"fmt"
-
-	"rsr/internal/bpred"
-	"rsr/internal/funcsim"
-	"rsr/internal/mem"
-	"rsr/internal/ooo"
 	"rsr/internal/sampling"
 	"rsr/internal/stats"
-	"rsr/internal/trace"
-	"rsr/internal/warmup"
 )
 
-// passResult is one measurement pass over the program: a detailed result per
-// region plus the pass's cost accounting.
-type passResult struct {
-	Results          []ooo.Result
-	Work             warmup.Work
-	FuncInstructions uint64
-	HotInstructions  uint64
-}
-
-// regionStream feeds the timing model from the functional simulator in
-// batches, polling cancellation once per batch — the regimen-side twin of
-// sampling's stream type (same batch size, same clamping), so measurement
-// passes interleave functional and detailed execution exactly like the
-// sampling pipeline does.
-type regionStream struct {
-	fs     *funcsim.Sim
-	buf    []trace.DynInst
-	cancel <-chan struct{}
-	err    error
-}
-
-func canceled(ch <-chan struct{}) bool {
-	if ch == nil {
-		return false
-	}
-	select {
-	case <-ch:
-		return true
-	default:
-		return false
-	}
-}
-
-func (st *regionStream) Fill(max uint64) []trace.DynInst {
-	if st.err != nil {
-		return nil
-	}
-	if canceled(st.cancel) {
-		st.err = sampling.ErrCanceled
-		return nil
-	}
-	b := st.buf
-	if max < uint64(len(b)) {
-		b = b[:max]
-	}
-	n, err := st.fs.RunBatch(b)
-	if err != nil {
-		st.err = err
-	}
-	return b[:n]
-}
-
-// measureRegions executes one pass: cold functional simulation between
-// regions (observed by the warm-up method, mirroring sampling.runSampled's
-// batching), detailed simulation of each region. Regions must satisfy
-// ValidateRegions.
-func measureRegions(p Params, regions []Region) (*passResult, error) {
-	if err := ValidateRegions(regions, p.Total); err != nil {
+// measureRegions executes one measurement pass — the shared region walker
+// over the plan's regions under the configured warm-up method — so every
+// strategy's pass honours Params.Shards and Params.Cancel exactly as the
+// stratified-uniform design does. Regions must satisfy ValidateRegions.
+func measureRegions(p Params, regions []Region) (*sampling.RunResult, error) {
+	wr := walkerRegions(regions)
+	if err := sampling.ValidateRegions(wr, p.Total); err != nil {
 		return nil, err
 	}
-	hier := mem.NewHierarchy(p.Machine.Hier)
-	unit := bpred.NewUnit(p.Machine.Pred)
-	method := p.Warmup.New(hier, unit)
-	sim := ooo.New(p.Machine.CPU, hier, method.Predictor())
-	fs := funcsim.New(p.Program)
+	return sampling.RunRegions(p.Program, p.Machine, wr, p.Warmup.New,
+		sampling.Options{Cancel: p.Cancel, Shards: p.Shards})
+}
 
-	out := &passResult{Results: make([]ooo.Result, 0, len(regions))}
-	buf := make([]trace.DynInst, funcsim.BatchSize)
-	st := &regionStream{fs: fs, buf: buf, cancel: p.Cancel}
-	observe := method.ObserveSkipBatch
-	var pos uint64
-	for _, reg := range regions {
-		if canceled(p.Cancel) {
-			return nil, sampling.ErrCanceled
-		}
-		cold := reg.Start - pos
-
-		method.BeginSkip(cold)
-		var ran uint64
-		for ran < cold {
-			b := buf
-			if rem := cold - ran; rem < uint64(len(b)) {
-				b = b[:rem]
-			}
-			k, err := fs.RunBatch(b)
-			if err != nil {
-				return nil, fmt.Errorf("regimen: cold phase: %w", err)
-			}
-			if k > 0 {
-				observe(b[:k])
-			}
-			ran += uint64(k)
-			if k < len(b) {
-				break // halted
-			}
-			if canceled(p.Cancel) {
-				return nil, sampling.ErrCanceled
-			}
-		}
-		if ran != cold {
-			return nil, fmt.Errorf("regimen: workload halted after %d skipped instructions", ran)
-		}
-		out.FuncInstructions += ran
-		method.EndSkip()
-		pos += ran
-
-		r := sim.SimulateSource(reg.Size, st)
-		if st.err != nil {
-			return nil, fmt.Errorf("regimen: hot phase: %w", st.err)
-		}
-		out.FuncInstructions += r.Instructions
-		out.HotInstructions += r.Instructions
-		out.Results = append(out.Results, r)
-		pos += r.Instructions
+// walkerRegions strips a plan's regions to what the walker executes.
+func walkerRegions(regions []Region) []sampling.Region {
+	out := make([]sampling.Region, len(regions))
+	for i, r := range regions {
+		out[i] = sampling.Region{Start: r.Start, Size: r.Size}
 	}
-	out.Work = method.Work()
-	return out, nil
+	return out
 }
 
 // measured zips a pass's results back onto their regions.
-func measured(regions []Region, pr *passResult) []Measured {
-	out := make([]Measured, len(pr.Results))
-	for i := range pr.Results {
-		out[i] = Measured{Region: regions[i], Result: pr.Results[i]}
+func measured(regions []Region, pr *sampling.RunResult) []Measured {
+	out := make([]Measured, len(pr.Clusters))
+	for i, c := range pr.Clusters {
+		out[i] = Measured{Region: regions[i], Result: c.Result}
 	}
 	return out
 }

@@ -9,11 +9,11 @@ import (
 
 // StratifiedUniform is the paper's design re-expressed through the strategy
 // seam: stratified-uniform cluster placement, the configured warm-up method
-// between clusters, and the mean-cluster-CPI estimator with its CI95. Run
-// delegates to sampling.RunSampledOpts, so every result — cluster positions,
-// per-cluster cycle counts, work counters — is byte-identical to the
-// pre-strategy code path (and the parallel shard pipeline stays available
-// through Params.Shards).
+// between clusters, and the mean-cluster-CPI estimator with its CI95. Select
+// places clusters with sampling.Positions and Run measures them with the same
+// region walker sampling.RunSampledOpts uses, so every result — cluster
+// positions, per-cluster cycle counts, work counters — is byte-identical to
+// that path (TestStratifiedUniformByteIdentical).
 type StratifiedUniform struct{}
 
 // Name implements Strategy.
@@ -38,28 +38,25 @@ func (StratifiedUniform) Select(p Params) (*Plan, error) {
 	return &Plan{Regions: regions, Candidates: len(regions), Strata: len(regions)}, nil
 }
 
-// Run implements Strategy by delegating to the sampling pipeline.
+// Run implements Strategy.
 func (s StratifiedUniform) Run(p Params) (*Outcome, error) {
 	plan, err := s.Select(p)
 	if err != nil {
 		return nil, err
 	}
-	res, err := sampling.RunSampledOpts(p.Program, p.Machine, p.Regimen, p.Total, p.Seed, p.Warmup,
-		sampling.Options{Cancel: p.Cancel, Shards: p.Shards})
+	res, err := measureRegions(p, plan.Regions)
 	if err != nil {
 		return nil, err
 	}
 	out := &Outcome{
 		Strategy:         s.Name(),
 		Estimate:         Estimate{IPC: res.IPCEstimate(), CI: res.CI(), Space: "CPI"},
+		Regions:          measured(plan.Regions, res),
 		Plan:             *plan,
 		Elapsed:          res.Elapsed,
 		Work:             res.Work,
 		FuncInstructions: res.FuncInstructions,
 		HotInstructions:  res.HotInstructions,
-	}
-	for i, c := range res.Clusters {
-		out.Regions = append(out.Regions, Measured{Region: plan.Regions[i], Result: c.Result})
 	}
 	p.Instr.record(out)
 	return out, nil

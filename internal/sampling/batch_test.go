@@ -1,7 +1,6 @@
 package sampling
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -42,58 +41,6 @@ func syntheticWorkload() *prog.Program {
 	b.Addi(11, 11, 1)
 	b.Ret(31)
 	return b.MustBuild()
-}
-
-// runSampledScalar is the pre-batching controller, kept as executable
-// reference semantics: per-instruction observation through ObserveSkip and a
-// per-instruction pull closure into the timing model. The batched RunSampled
-// must produce identical results (modulo wall-clock).
-func runSampledScalar(p *prog.Program, m MachineConfig, reg Regimen, total uint64, seed int64, spec warmup.Spec) (*RunResult, error) {
-	starts, err := Positions(total, reg, seed)
-	if err != nil {
-		return nil, err
-	}
-	hier := mem.NewHierarchy(m.Hier)
-	unit := bpred.NewUnit(m.Pred)
-	method := spec.New(hier, unit)
-	sim := ooo.New(m.CPU, hier, method.Predictor())
-	fs := funcsim.New(p)
-
-	res := &RunResult{Method: method.Name()}
-	var pos uint64
-	for _, start := range starts {
-		skip := start - pos
-		method.BeginSkip(skip)
-		ran, err := fs.Run(skip, method.ObserveSkip)
-		if err != nil {
-			return nil, err
-		}
-		if ran != skip {
-			return nil, fmt.Errorf("workload halted after %d skipped instructions", ran)
-		}
-		method.EndSkip()
-		res.FuncInstructions += ran
-		pos += ran
-
-		var pullErr error
-		r := sim.Simulate(reg.ClusterSize, func() (trace.DynInst, bool) {
-			d, err := fs.Step()
-			if err != nil {
-				pullErr = err
-				return trace.DynInst{}, false
-			}
-			return d, true
-		})
-		if pullErr != nil {
-			return nil, pullErr
-		}
-		res.FuncInstructions += r.Instructions
-		res.HotInstructions += r.Instructions
-		res.Clusters = append(res.Clusters, ClusterStat{Start: start, Result: r})
-		pos += r.Instructions
-	}
-	res.Work = method.Work()
-	return res, nil
 }
 
 // TestRunSampledMatchesScalarReference is the controller-level equivalence

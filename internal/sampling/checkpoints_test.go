@@ -66,7 +66,7 @@ func TestCheckpointStoreByteIdentical(t *testing.T) {
 		opts := Options{Shards: 4, Checkpoints: store, CheckpointKey: "ckpt-" + name}
 
 		// First run captures and persists the chain.
-		first, err := RunSampledParallel(p, DefaultMachine(), reg, total, 2007, spec, opts)
+		first, err := RunSampledOpts(p, DefaultMachine(), reg, total, 2007, spec, opts)
 		if err != nil {
 			t.Fatalf("%s first: %v", name, err)
 		}
@@ -75,7 +75,7 @@ func TestCheckpointStoreByteIdentical(t *testing.T) {
 		}
 
 		// Second run must hit the store, skip its pre-pass, and still match.
-		second, err := RunSampledParallel(p, DefaultMachine(), reg, total, 2007, spec, opts)
+		second, err := RunSampledOpts(p, DefaultMachine(), reg, total, 2007, spec, opts)
 		if err != nil {
 			t.Fatalf("%s second: %v", name, err)
 		}
@@ -116,7 +116,7 @@ func TestCheckpointStoreShardMismatchIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunSampledParallel(p, DefaultMachine(), reg, total, 2007, spec,
+	par, err := RunSampledOpts(p, DefaultMachine(), reg, total, 2007, spec,
 		Options{Shards: 4, Checkpoints: store, CheckpointKey: "k"})
 	if err != nil {
 		t.Fatal(err)

@@ -2,29 +2,27 @@
 // state is reconstructible from region-local logs makes the expensive parts
 // of a sampled run — cold functional execution, skip-log capture, and the
 // reverse scan that plans reconstruction — independent per cluster.
-// runParallel fans those parts out over shard goroutines seeded from
+// The sharded feed fans those parts out over shard goroutines seeded from
 // architectural checkpoints; each producer also seals its capture, running
 // the backward scan over its private log and materializing a warm-apply
 // plan. Only what genuinely touches shared microarchitectural state —
 // applying the plan and detailed simulation — runs on the single consumer,
-// in strict cluster order, with an ordered prefetcher keeping the next
-// region staged so the consumer's only idle time is true starvation (and is
-// measured as such). Results are byte-identical to the sequential path by
-// construction; see DESIGN.md "Parallel cluster simulation" for the full
-// determinism argument and for why the consumer's remaining work cannot
-// overlap itself.
+// the region walker (RunRegions), in strict cluster order, with an ordered
+// prefetcher keeping the next region staged so the walker's only idle time
+// is true starvation (and is measured as such). Results are byte-identical
+// to the sequential feed by construction; see DESIGN.md "Parallel cluster
+// simulation" for the determinism argument and for why the consumer's
+// remaining work cannot overlap itself.
 
 package sampling
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
-	"rsr/internal/bpred"
 	"rsr/internal/funcsim"
-	"rsr/internal/mem"
 	"rsr/internal/obs"
-	"rsr/internal/ooo"
 	"rsr/internal/prog"
 	"rsr/internal/trace"
 	"rsr/internal/warmup"
@@ -33,14 +31,7 @@ import (
 // shardCount clamps the requested shard count to the cluster count: a shard
 // with no regions would idle, and one cluster cannot split.
 func shardCount(requested, clusters int) int {
-	s := requested
-	if s > clusters {
-		s = clusters
-	}
-	if s < 1 {
-		s = 1
-	}
-	return s
+	return max(1, min(requested, clusters))
 }
 
 // shardWindow bounds how many produced-but-unconsumed regions each shard
@@ -98,34 +89,28 @@ func (p *regionProduct) failed() bool { return p.err != nil || p.recErr != nil }
 // would have hit it.
 type replaySource struct {
 	records []trace.DynInst
-	next    int
+	pos     int
 	final   error // surfaced at exhaustion (nil for halt / end of stream)
-	err     error
+	failure error
 	opts    *Options
 }
 
 func (rp *replaySource) Fill(max uint64) []trace.DynInst {
-	if rp.err != nil {
+	if rp.failure != nil {
 		return nil
 	}
 	if rp.opts.canceled() {
-		rp.err = ErrCanceled
+		rp.failure = ErrCanceled
 		return nil
 	}
-	rem := len(rp.records) - rp.next
+	rem := len(rp.records) - rp.pos
 	if rem == 0 {
-		rp.err = rp.final
+		rp.failure = rp.final
 		return nil
 	}
-	n := rem
-	if max < uint64(n) {
-		n = int(max)
-	}
-	if n > funcsim.BatchSize {
-		n = funcsim.BatchSize
-	}
-	b := rp.records[rp.next : rp.next+n]
-	rp.next += n
+	n := int(min(uint64(rem), max, funcsim.BatchSize))
+	b := rp.records[rp.pos : rp.pos+n]
+	rp.pos += n
 	return b
 }
 
@@ -152,9 +137,20 @@ func (s *shardTrace) span(name string, t0 time.Time, args ...obs.SpanArg) {
 	s.tr.Record(name, s.cat, s.tid, t0, time.Since(t0), args...)
 }
 
-// runParallel executes the sharded sampled run. starts are the cluster
-// positions; method is the run's warm-up method. Region capture is part of
-// the Method contract, so any method shards.
+// shardFeed is the walker's sharded feed: the consumer end of the pipeline
+// newShardFeed starts. Closing done winds every pipeline goroutine down.
+type shardFeed struct {
+	replaySource
+	ro    *runObs
+	done  chan struct{}
+	ready chan *regionProduct // the prefetcher's output, in cluster order
+	free  chan *regionProduct // products handed back for reuse
+	prod  *regionProduct      // the current region's
+}
+
+// newShardFeed starts the pipeline over regions and returns its consumer
+// end. method is the run's warm-up method; region capture is part of the
+// Method contract, so any method shards.
 //
 // Pipeline shape: one pre-pass goroutine runs pure functional simulation
 // ahead of everything, capturing an architectural checkpoint (registers +
@@ -166,16 +162,11 @@ func (s *shardTrace) span(name string, t0 time.Time, args ...obs.SpanArg) {
 // sealing (the shard-side reverse scan that turns the capture's log into a
 // warm-apply plan), then materialization of the detailed-warm-up + hot
 // record stream. A prefetcher merges the shard outputs into cluster order
-// one region ahead of the consumer, and the consumer (this goroutine)
-// adopts each capture into the shared method, applies its plan, and replays
-// the materialized records through the shared timing model.
-func runParallel(p *prog.Program, reg Regimen, starts []uint64, hier *mem.Hierarchy, unit *bpred.Unit, method warmup.Method, sim *ooo.Sim, shards int, opts Options) (*RunResult, error) {
-	res := &RunResult{Method: method.Name(), Clusters: make([]ClusterStat, 0, len(starts))}
-	ro := newRunObs(opts.Instr, opts.Tracer, method.Name(), method.Name())
-	ro.setParallel()
-	begin := time.Now()
-
-	firstOf := func(s int) int { return s * len(starts) / shards }
+// one region ahead of the walker, which adopts each capture into the shared
+// method, applies its plan, and replays the materialized records through
+// the shared timing model.
+func newShardFeed(p *prog.Program, regions []Region, method warmup.Method, shards int, opts *Options, ro *runObs) *shardFeed {
+	firstOf := func(s int) int { return s * len(regions) / shards }
 
 	// Planned absolute position at each shard's first region: the position
 	// the sequential run reaches there absent a halt. A halt earlier in the
@@ -183,11 +174,11 @@ func runParallel(p *prog.Program, reg Regimen, starts []uint64, hier *mem.Hierar
 	// also exactly where the sequential run's position would be stuck.
 	seedPos := make([]uint64, shards)
 	for s := 1; s < shards; s++ {
-		seedPos[s] = starts[firstOf(s)-1] + reg.ClusterSize
+		prev := regions[firstOf(s)-1]
+		seedPos[s] = prev.Start + prev.Size
 	}
 
 	done := make(chan struct{})
-	defer close(done)
 	stopped := func() bool {
 		if opts.canceled() {
 			return true
@@ -246,10 +237,7 @@ func runParallel(p *prog.Program, reg Regimen, starts []uint64, hier *mem.Hierar
 		chain := make([]*funcsim.Delta, 0, shards)
 		for s := 0; s < shards; s++ {
 			for fs.Seq() < seedPos[s] && !fs.Halted() {
-				n := seedPos[s] - fs.Seq()
-				if n > prepassChunk {
-					n = prepassChunk
-				}
+				n := min(seedPos[s]-fs.Seq(), prepassChunk)
 				ran, err := fs.Skip(n)
 				// A fault or halt parks the pre-pass here; the shard that
 				// owns the faulting region reproduces the failure itself,
@@ -314,7 +302,7 @@ func runParallel(p *prog.Program, reg Regimen, starts []uint64, hier *mem.Hierar
 				default:
 					prod = new(regionProduct)
 				}
-				if !produceRegion(prod, fs, buf, i, starts[i], reg.ClusterSize, opts.DetailedWarmup, method, stopped) {
+				if !produceRegion(prod, fs, buf, i, regions[i], opts.DetailedWarmup, method, stopped) {
 					return // canceled
 				}
 				str.span(PhaseColdSkip, time.Now().Add(-prod.coldDur-prod.sealDur),
@@ -371,80 +359,58 @@ func runParallel(p *prog.Program, reg Regimen, starts []uint64, hier *mem.Hierar
 		}
 	}()
 
-	// Consumer: all shared-state mutation, in strict cluster order. This
-	// loop is the sequential loop of runSampled with the cold work replaced
-	// by adoption of the shard's capture (and its sealed plan) and the
-	// functional stream replaced by replay of the shard's materialized
-	// records. The receive from the prefetcher is the only place the
-	// consumer can idle, so its blocking time is the pipeline's measured
-	// starvation.
-	rp := &replaySource{opts: &opts}
-	for ci := 0; ci < len(starts); ci++ {
-		if opts.canceled() {
-			return nil, ErrCanceled
-		}
-		tw := ro.begin()
-		var prod *regionProduct
-		var ok bool
-		select {
-		case prod, ok = <-ready:
-		case <-opts.Cancel: // nil channel blocks; products always arrive
-			return nil, ErrCanceled
-		}
-		if !ok {
-			// The prefetcher closed without a product for this region: a
-			// producer stopped on a failure that earlier regions absorbed
-			// cleanly, or cancellation raced the receive.
-			if opts.canceled() {
-				return nil, ErrCanceled
-			}
-			return nil, fmt.Errorf("sampling: shard pipeline ended before cluster %d", ci)
-		}
-		ro.waitDone(tw, ci)
+	return &shardFeed{replaySource: replaySource{opts: opts}, ro: ro, done: done, ready: ready, free: free}
+}
 
-		method.BeginSkip(prod.cold)
-		if prod.err != nil {
-			return nil, prod.err
-		}
-		ta := ro.begin()
-		method.AdoptRegion(prod.capture)
-		res.FuncInstructions += prod.coldRan
-		ro.coldAdopted(prod.coldDur, prod.sealDur, ta, prod.coldRan, method.Work())
-
-		t0 := ro.begin()
-		method.EndSkip()
-		ro.reconDone(t0, ci, method.Work())
-
-		rp.records, rp.next, rp.final = prod.records, 0, prod.recErr
-		if prod.dw > 0 {
-			t0 = ro.begin()
-			w := sim.SimulateSource(prod.dw, rp)
-			if rp.err != nil {
-				return nil, fmt.Errorf("sampling: detailed warm-up: %w", rp.err)
-			}
-			res.FuncInstructions += w.Instructions
-			ro.warmDone(t0, ci, w.Instructions)
-		}
-
-		t0 = ro.begin()
-		r := sim.SimulateSource(reg.ClusterSize, rp)
-		if rp.err != nil {
-			return nil, fmt.Errorf("sampling: hot phase: %w", rp.err)
-		}
-		res.FuncInstructions += r.Instructions
-		res.HotInstructions += r.Instructions
-		res.Clusters = append(res.Clusters, ClusterStat{Start: starts[ci], Result: r})
-		ro.hotDone(t0, ci, r.Instructions, method.Work())
-		rp.records = nil
-		select {
-		case free <- prod:
-		default: // cannot happen while inFlight holds; dropping is harmless
-		}
+// next receives region ci's product from the prefetcher. The receive is the
+// only place the walker can idle, so its blocking time is the pipeline's
+// measured starvation.
+func (f *shardFeed) next(ci int, _ Region) (cold, dw uint64, err error) {
+	tw := f.ro.begin()
+	var ok bool
+	select {
+	case f.prod, ok = <-f.ready:
+	case <-f.opts.Cancel: // nil channel blocks; products always arrive
+		return 0, 0, ErrCanceled
 	}
-	res.Elapsed = time.Since(begin)
-	res.Work = method.Work()
-	ro.runDone("sampled", hier, unit)
-	return res, nil
+	if !ok {
+		// The prefetcher closed without a product for this region: a
+		// producer stopped on a failure that earlier regions absorbed
+		// cleanly, or cancellation raced the receive.
+		if f.opts.canceled() {
+			return 0, 0, ErrCanceled
+		}
+		return 0, 0, fmt.Errorf("sampling: shard pipeline ended before cluster %d", ci)
+	}
+	f.ro.waitDone(tw, ci)
+	return f.prod.cold, f.prod.dw, nil
+}
+
+// ingest adopts the shard's capture — and its sealed plan — in place of the
+// cold work, and points the source at the shard's materialized records.
+func (f *shardFeed) ingest(_ int, method warmup.Method, _ uint64) (uint64, error) {
+	prod := f.prod
+	if prod.err != nil {
+		return 0, prod.err
+	}
+	ta := f.ro.begin()
+	method.AdoptRegion(prod.capture)
+	f.ro.coldAdopted(prod.coldDur, prod.sealDur, ta, prod.coldRan, method.Work())
+	f.records, f.pos, f.final = prod.records, 0, prod.recErr
+	return prod.coldRan, nil
+}
+
+func (f *shardFeed) err() error { return f.failure }
+
+// release recycles the product: the timing model holds no reference to a
+// source's records after SimulateSource returns.
+func (f *shardFeed) release() {
+	f.records = nil
+	select {
+	case f.free <- f.prod:
+	default: // cannot happen while inFlight holds; dropping is harmless
+	}
+	f.prod = nil
 }
 
 // produceRegion runs one region's shard-side work on a private functional
@@ -453,47 +419,23 @@ func runParallel(p *prog.Program, reg Regimen, starts []uint64, hier *mem.Hierar
 // capture (running the reverse scan and planning reconstruction on this
 // shard, off the consumer's critical path), then materialize the committed
 // records of the detailed-warm-up and hot phases straight into prod's slab.
-// It mirrors the sequential controller's cold loop exactly — including its
-// failure modes — and reports false only when canceled. In steady state —
-// captures and products coming back from the consumer — it allocates nothing.
-func produceRegion(prod *regionProduct, fs *funcsim.Sim, buf []trace.DynInst, region int, start, clusterSize, detailedWarmup uint64, method warmup.Method, stopped func() bool) bool {
-	pos := fs.Seq()
-	skip := start - pos
-	dw := detailedWarmup
-	if dw > skip {
-		dw = skip
-	}
-	cold := skip - dw
+// The cold loop is the in-place feed's (coldSkip), failure modes included; a
+// failure travels in prod, and only cancellation reports false. In steady
+// state — captures and products coming back from the consumer — it allocates
+// nothing.
+func produceRegion(prod *regionProduct, fs *funcsim.Sim, buf []trace.DynInst, region int, reg Region, detailedWarmup uint64, method warmup.Method, stopped func() bool) bool {
+	cold, dw := splitSkip(fs.Seq(), reg.Start, detailedWarmup)
 
 	*prod = regionProduct{cold: cold, dw: dw, records: prod.records[:0]}
 	capture := method.NewRegionCapture(region, cold)
 	t0 := time.Now()
-	var ran uint64
-	for ran < cold {
-		b := buf
-		if rem := cold - ran; rem < uint64(len(b)) {
-			b = b[:rem]
-		}
-		k, err := fs.RunBatch(b)
-		if err != nil {
-			prod.coldRan, prod.coldDur = ran, time.Since(t0)
-			prod.err = fmt.Errorf("sampling: cold phase: %w", err)
-			return true
-		}
-		if k > 0 {
-			capture.ObserveSkipBatch(b[:k])
-		}
-		ran += uint64(k)
-		if k < len(b) {
-			break // halted
-		}
-		if stopped() {
-			return false
-		}
-	}
+	ran, err := coldSkip(fs, buf, cold, capture, stopped)
 	prod.coldRan, prod.coldDur = ran, time.Since(t0)
-	if ran != cold {
-		prod.err = fmt.Errorf("sampling: workload halted after %d skipped instructions", ran)
+	if errors.Is(err, ErrCanceled) {
+		return false
+	}
+	if err != nil {
+		prod.err = err
 		return true
 	}
 	prod.capture = capture
@@ -506,17 +448,14 @@ func produceRegion(prod *regionProduct, fs *funcsim.Sim, buf []trace.DynInst, re
 	// replaying this slice is equivalent to live functional feeding. On a
 	// fault the records committed before it are kept, exactly as the live
 	// stream would have delivered them.
-	need := int(dw + clusterSize)
+	need := int(dw + reg.Size)
 	if cap(prod.records) < need {
 		prod.records = make([]trace.DynInst, need)
 	}
 	records := prod.records[:need]
 	n := 0
 	for n < need {
-		b := records[n:]
-		if len(b) > funcsim.BatchSize {
-			b = b[:funcsim.BatchSize] // the cold loop's cancellation cadence
-		}
+		b := records[n:min(n+funcsim.BatchSize, need)] // the cold loop's cancellation cadence
 		k, err := fs.RunBatch(b)
 		n += k
 		if err != nil {

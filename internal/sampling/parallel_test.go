@@ -27,7 +27,7 @@ func normalize(r *RunResult) *RunResult {
 }
 
 // TestParallelByteIdenticalToSequential is the tentpole contract: for every
-// method in the paper's matrix and every shard count, RunSampledParallel
+// method in the paper's matrix and every shard count, a sharded run
 // must produce results deeply equal to the sequential path — cluster stats,
 // work counters, and instruction accounting alike. Region capture is part of
 // the Method contract, so there is no fallback left to hide behind: the
@@ -51,7 +51,7 @@ func TestParallelByteIdenticalToSequential(t *testing.T) {
 					t.Fatalf("seq dw=%d: %v", dw, err)
 				}
 				for _, shards := range []int{1, 2, 4, 7} {
-					par, err := RunSampledParallel(p, DefaultMachine(), reg, total, 2007, spec,
+					par, err := RunSampledOpts(p, DefaultMachine(), reg, total, 2007, spec,
 						Options{DetailedWarmup: dw, Shards: shards})
 					if err != nil {
 						t.Fatalf("dw=%d shards=%d: %v", dw, shards, err)
@@ -90,7 +90,7 @@ func TestParallelAllWorkloadsIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s seq: %v", name, label, err)
 			}
-			par, err := RunSampledParallel(p, DefaultMachine(), reg, total, 1, spec, Options{Shards: 4})
+			par, err := RunSampledOpts(p, DefaultMachine(), reg, total, 1, spec, Options{Shards: 4})
 			if err != nil {
 				t.Fatalf("%s/%s parallel: %v", name, label, err)
 			}
@@ -329,7 +329,7 @@ func TestParallelFaultIdentical(t *testing.T) {
 				t.Fatalf("%s target=%d: partial state escaped a faulted sequential run", label, target)
 			}
 			for _, shards := range []int{2, 4} {
-				parRes, parErr := RunSampledParallel(fp, DefaultMachine(), reg, total, 2007, spec,
+				parRes, parErr := RunSampledOpts(fp, DefaultMachine(), reg, total, 2007, spec,
 					Options{Shards: shards})
 				if parErr == nil {
 					t.Fatalf("%s target=%d shards=%d: parallel run did not fault", label, target, shards)
@@ -357,7 +357,7 @@ func TestParallelCancelPreClosed(t *testing.T) {
 	}
 	spec, _ := warmup.SpecByLabel("R$BP (20%)")
 	reg := Regimen{ClusterSize: 2000, NumClusters: 10}
-	res, err := RunSampledParallel(w.Build(), DefaultMachine(), reg, 400_000, 2007, spec,
+	res, err := RunSampledOpts(w.Build(), DefaultMachine(), reg, 400_000, 2007, spec,
 		Options{Shards: 4, Cancel: closedChan()})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
@@ -386,7 +386,7 @@ func TestParallelCancelMidRun(t *testing.T) {
 			time.Sleep(2 * time.Millisecond)
 			close(cancel)
 		}()
-		res, err := RunSampledParallel(p, DefaultMachine(), reg, 2_000_000, 2007, spec,
+		res, err := RunSampledOpts(p, DefaultMachine(), reg, 2_000_000, 2007, spec,
 			Options{Shards: 4, Cancel: cancel})
 		if !errors.Is(err, ErrCanceled) {
 			t.Fatalf("%s: err = %v, want ErrCanceled", label, err)

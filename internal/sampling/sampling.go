@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"time"
 
 	"rsr/internal/bpred"
@@ -45,10 +44,11 @@ func (r Regimen) Validate(total uint64) error {
 	if r.ClusterSize == 0 || r.NumClusters <= 0 {
 		return errors.New("sampling: cluster size and count must be positive")
 	}
-	// NumClusters*ClusterSize <= total implies floor(total/NumClusters) >=
-	// ClusterSize, so every stratum fits its cluster: no separate stratum
-	// check is needed (TestRegimenValidateBoundaries pins the boundaries).
-	if uint64(r.NumClusters)*r.ClusterSize > total {
+	// ClusterSize <= floor(total/NumClusters) is NumClusters*ClusterSize <=
+	// total without the product, which a hostile ClusterSize would wrap. It
+	// also says every stratum fits its cluster, so no separate stratum check
+	// is needed (TestRegimenValidateBoundaries pins the boundaries).
+	if r.ClusterSize > total/uint64(r.NumClusters) {
 		return fmt.Errorf("sampling: %d clusters of %d exceed workload length %d",
 			r.NumClusters, r.ClusterSize, total)
 	}
@@ -165,9 +165,7 @@ func (r *RunResult) ConfidenceContains(trueIPC float64) bool {
 // same cluster positions (and therefore the same sampling bias) for every
 // method, as the paper's methodology requires.
 func RunSampled(p *prog.Program, m MachineConfig, reg Regimen, total uint64, seed int64, spec warmup.Spec) (*RunResult, error) {
-	return RunSampledMethod(p, m, reg, total, seed, func(h *mem.Hierarchy, u *bpred.Unit) warmup.Method {
-		return spec.New(h, u)
-	})
+	return RunSampledMethod(p, m, reg, total, seed, spec.New)
 }
 
 // ErrCanceled is returned when a run is stopped through Options.Cancel
@@ -188,16 +186,15 @@ type Options struct {
 	// additionally at cluster boundaries), so results of uncanceled runs are
 	// unaffected.
 	Cancel <-chan struct{}
-	// Shards, when > 1, runs the sampled simulation through the parallel
-	// cluster pipeline (RunSampledParallel): cold functional execution,
-	// skip observation into private region captures, and producer-side
-	// reconstruction planning fan out over shard goroutines seeded from
-	// architectural checkpoints, while shared microarchitectural state
-	// advances sequentially in cluster order, so results stay byte-identical
-	// to the sequential run. Every warm-up method shards — functional
-	// warming captures its would-be applications and replays them at
-	// adoption. 0 or 1 selects the sequential path. Shards is an execution
-	// policy, not part of a run's identity.
+	// Shards, when > 1, feeds the region walker from the parallel cluster
+	// pipeline: cold functional execution, skip observation into private
+	// region captures, and reconstruction planning fan out over shard
+	// goroutines seeded from architectural checkpoints, while shared
+	// microarchitectural state advances in cluster order on the walker, so
+	// results stay byte-identical to the sequential run. Every warm-up method
+	// shards — functional warming captures its would-be applications and
+	// replays them at adoption. 0 or 1 selects in-place observation. Shards
+	// is an execution policy, not part of a run's identity.
 	Shards int
 	// Checkpoints, when non-nil alongside a non-empty CheckpointKey, lets
 	// the parallel pipeline load its pre-pass checkpoint chain from a
@@ -234,26 +231,7 @@ func (o Options) canceled() bool {
 
 // RunSampledOpts is RunSampled with controller options.
 func RunSampledOpts(p *prog.Program, m MachineConfig, reg Regimen, total uint64, seed int64, spec warmup.Spec, opts Options) (*RunResult, error) {
-	return runSampled(p, m, reg, total, seed, func(h *mem.Hierarchy, u *bpred.Unit) warmup.Method {
-		return spec.New(h, u)
-	}, opts)
-}
-
-// RunSampledParallel is RunSampledOpts with intra-run cluster parallelism:
-// opts.Shards goroutines (defaulting to GOMAXPROCS when unset) divide the
-// clusters into contiguous shards, a fast functional pre-pass seeds each
-// shard with an architectural checkpoint (registers plus dirty-page deltas)
-// at its boundary, and the shards execute their cold phases, capture their
-// skip observations, and materialize reconstruction plans concurrently
-// while shared microarchitectural state — caches, predictor — advances
-// strictly in cluster order. The result is byte-identical to the sequential
-// run for every warm-up method (see DESIGN.md "Parallel cluster simulation"
-// for the determinism argument).
-func RunSampledParallel(p *prog.Program, m MachineConfig, reg Regimen, total uint64, seed int64, spec warmup.Spec, opts Options) (*RunResult, error) {
-	if opts.Shards == 0 {
-		opts.Shards = runtime.GOMAXPROCS(0)
-	}
-	return RunSampledOpts(p, m, reg, total, seed, spec, opts)
+	return runSampled(p, m, reg, total, seed, spec.New, opts)
 }
 
 // RunSampledMethod is RunSampled for warm-up methods that need more context
@@ -264,136 +242,16 @@ func RunSampledMethod(p *prog.Program, m MachineConfig, reg Regimen, total uint6
 	return runSampled(p, m, reg, total, seed, mk, Options{})
 }
 
-// stream feeds the timing model from the functional simulator in batches
-// (funcsim.BatchSize records per Fill), polling cancellation once per batch.
-// It implements ooo.Source; Fill is clamped by the caller's remaining budget
-// so the functional simulator never executes past a region boundary.
-type stream struct {
-	fs   *funcsim.Sim
-	buf  []trace.DynInst
-	opts *Options
-	err  error
-}
-
-func (st *stream) Fill(max uint64) []trace.DynInst {
-	if st.err != nil {
-		return nil
-	}
-	if st.opts.canceled() {
-		st.err = ErrCanceled
-		return nil
-	}
-	b := st.buf
-	if max < uint64(len(b)) {
-		b = b[:max]
-	}
-	n, err := st.fs.RunBatch(b)
-	if err != nil {
-		st.err = err
-	}
-	return b[:n]
-}
-
 func runSampled(p *prog.Program, m MachineConfig, reg Regimen, total uint64, seed int64, mk func(*mem.Hierarchy, *bpred.Unit) warmup.Method, opts Options) (*RunResult, error) {
 	starts, err := Positions(total, reg, seed)
 	if err != nil {
 		return nil, err
 	}
-	hier := mem.NewHierarchy(m.Hier)
-	unit := bpred.NewUnit(m.Pred)
-	method := mk(hier, unit)
-	sim := ooo.New(m.CPU, hier, method.Predictor())
-
-	if shards := shardCount(opts.Shards, len(starts)); shards > 1 {
-		// Every method supports region captures (part of the Method
-		// contract), so a sharded request never falls back to the
-		// sequential path.
-		return runParallel(p, reg, starts, hier, unit, method, sim, shards, opts)
+	regions := make([]Region, len(starts))
+	for i, start := range starts {
+		regions[i] = Region{Start: start, Size: reg.ClusterSize}
 	}
-
-	fs := funcsim.New(p)
-
-	res := &RunResult{Method: method.Name(), Clusters: make([]ClusterStat, 0, len(starts))}
-	ro := newRunObs(opts.Instr, opts.Tracer, method.Name(), method.Name())
-	begin := time.Now()
-	buf := make([]trace.DynInst, funcsim.BatchSize)
-	st := &stream{fs: fs, buf: buf, opts: &opts}
-	observe := method.ObserveSkipBatch
-	var pos uint64
-	for ci, start := range starts {
-		if opts.canceled() {
-			return nil, ErrCanceled
-		}
-		skip := start - pos
-		dw := opts.DetailedWarmup
-		if dw > skip {
-			dw = skip
-		}
-		cold := skip - dw
-
-		// Cold phase: batch-execute the skip region, handing each batch to
-		// the warm-up method and polling cancellation between batches.
-		t0 := ro.begin()
-		method.BeginSkip(cold)
-		var ran uint64
-		for ran < cold {
-			b := buf
-			if rem := cold - ran; rem < uint64(len(b)) {
-				b = b[:rem]
-			}
-			k, err := fs.RunBatch(b)
-			if err != nil {
-				return nil, fmt.Errorf("sampling: cold phase: %w", err)
-			}
-			if k > 0 {
-				observe(b[:k])
-			}
-			ran += uint64(k)
-			if k < len(b) {
-				break // halted
-			}
-			if opts.canceled() {
-				return nil, ErrCanceled
-			}
-		}
-		if ran != cold {
-			return nil, fmt.Errorf("sampling: workload halted after %d skipped instructions", ran)
-		}
-		res.FuncInstructions += ran
-		ro.coldDone(t0, ci, ran, method.Work())
-
-		t0 = ro.begin()
-		method.EndSkip()
-		ro.reconDone(t0, ci, method.Work())
-		pos += ran
-
-		if dw > 0 {
-			// Unmeasured detailed warm-up immediately before the cluster.
-			t0 = ro.begin()
-			w := sim.SimulateSource(dw, st)
-			if st.err != nil {
-				return nil, fmt.Errorf("sampling: detailed warm-up: %w", st.err)
-			}
-			res.FuncInstructions += w.Instructions
-			pos += w.Instructions
-			ro.warmDone(t0, ci, w.Instructions)
-		}
-
-		t0 = ro.begin()
-		r := sim.SimulateSource(reg.ClusterSize, st)
-		if st.err != nil {
-			return nil, fmt.Errorf("sampling: hot phase: %w", st.err)
-		}
-		res.FuncInstructions += r.Instructions
-		res.HotInstructions += r.Instructions
-		res.Clusters = append(res.Clusters, ClusterStat{Start: start, Result: r})
-		pos += r.Instructions
-		ro.hotDone(t0, ci, r.Instructions, method.Work())
-	}
-	res.Elapsed = time.Since(begin)
-	res.Work = method.Work()
-	ro.runDone("sampled", hier, unit)
-	return res, nil
+	return RunRegions(p, m, regions, mk, opts)
 }
 
 // FullResult is a complete detailed simulation — the paper's "true IPC"
@@ -421,8 +279,8 @@ func RunFullOpts(p *prog.Program, m MachineConfig, total uint64, opts Options) (
 	st := &stream{fs: fs, buf: make([]trace.DynInst, funcsim.BatchSize), opts: &opts}
 	t0 := ro.begin()
 	r := sim.SimulateSource(total, st)
-	if st.err != nil {
-		return FullResult{}, fmt.Errorf("sampling: full run: %w", st.err)
+	if st.failure != nil {
+		return FullResult{}, fmt.Errorf("sampling: full run: %w", st.failure)
 	}
 	ro.fullDone(t0, r.Instructions)
 	ro.runDone("full", hier, unit)

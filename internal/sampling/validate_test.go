@@ -1,6 +1,13 @@
 package sampling
 
-import "testing"
+import (
+	"strings"
+	"testing"
+
+	"rsr/internal/bpred"
+	"rsr/internal/mem"
+	"rsr/internal/warmup"
+)
 
 // TestRegimenValidateBoundaries pins Validate's accept/reject boundary: the
 // single NumClusters*ClusterSize <= total check subsumes the per-stratum
@@ -22,6 +29,7 @@ func TestRegimenValidateBoundaries(t *testing.T) {
 		{"single cluster too big", Regimen{ClusterSize: 1001, NumClusters: 1}, 1000, false},
 		{"uneven strata still fit", Regimen{ClusterSize: 3, NumClusters: 3}, 10, true},
 		{"generous slack", Regimen{ClusterSize: 2000, NumClusters: 50}, 20_000_000, true},
+		{"product wraps uint64", Regimen{ClusterSize: 1 << 63, NumClusters: 2}, 1_000_000, false},
 	}
 	for _, c := range cases {
 		err := c.r.Validate(c.total)
@@ -30,6 +38,94 @@ func TestRegimenValidateBoundaries(t *testing.T) {
 		}
 		if !c.ok && err == nil {
 			t.Errorf("%s: Validate(%d) accepted, want reject", c.name, c.total)
+		}
+	}
+}
+
+// TestPositionsRejectsOverflowingRegimen is the regression for the wrapped
+// product: Validate used to accept it and Positions then panicked in
+// rand.Int63n on the negative slack.
+func TestPositionsRejectsOverflowingRegimen(t *testing.T) {
+	if _, err := Positions(1_000_000, Regimen{ClusterSize: 1 << 63, NumClusters: 2}, 1); err == nil {
+		t.Fatal("Positions accepted a regimen whose clusters exceed the workload")
+	}
+}
+
+func TestValidateRegions(t *testing.T) {
+	ok := []Region{{Start: 0, Size: 10}, {Start: 10, Size: 10}, {Start: 90, Size: 10}}
+	if err := ValidateRegions(ok, 100); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name    string
+		regions []Region
+		total   uint64
+		want    string
+	}{
+		{"overlap", []Region{{Start: 0, Size: 20}, {Start: 10, Size: 10}}, 100, "overlapping"},
+		{"unsorted", []Region{{Start: 50, Size: 10}, {Start: 0, Size: 10}}, 100, "behind the simulated position"},
+		{"zero-size", []Region{{Start: 0, Size: 0}}, 100, "zero size"},
+		{"past-end", []Region{{Start: 95, Size: 10}}, 100, "past the workload"},
+		{"starts past end", []Region{{Start: 101, Size: 1}}, 100, "past the workload"},
+		{"end wraps uint64", []Region{{Start: 50, Size: ^uint64(0) - 10}}, 100, "past the workload"},
+	}
+	for _, tc := range cases {
+		err := ValidateRegions(tc.regions, tc.total)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestRunRegionsRejectsBadRegions: the walker validates its own input, so an
+// out-of-order or wrapping list errors instead of wrapping the skip distance.
+func TestRunRegionsRejectsBadRegions(t *testing.T) {
+	p := syntheticWorkload()
+	for name, regions := range map[string][]Region{
+		"out of order": {{Start: 5000, Size: 100}, {Start: 1000, Size: 100}},
+		"end wraps":    {{Start: 1000, Size: ^uint64(0)}},
+	} {
+		if res, err := RunRegions(p, DefaultMachine(), regions, warmup.Spec{}.New, Options{}); err == nil || res != nil {
+			t.Errorf("%s: RunRegions = %v, %v; want an error and no result", name, res, err)
+		}
+	}
+}
+
+// sizedMethod records what the walker announced as the longest cold phase and
+// the longest one it then began, plus whether any came before the announcement.
+type sizedMethod struct {
+	warmup.Method
+	announced, longest uint64
+	calls              int
+	early              bool
+}
+
+func (s *sizedMethod) SizeRegions(longest uint64) { s.announced, s.calls = longest, s.calls+1 }
+
+func (s *sizedMethod) BeginSkip(expectedLen uint64) {
+	s.early = s.early || s.calls == 0
+	s.longest = max(s.longest, expectedLen)
+	s.Method.BeginSkip(expectedLen)
+}
+
+// TestRunRegionsAnnouncesLongest: a warmup.RegionSizer hears the longest cold
+// phase once, before the first region, and it is the longest the run then
+// presents — through either feed, detailed warm-up subtracted.
+func TestRunRegionsAnnouncesLongest(t *testing.T) {
+	p := syntheticWorkload()
+	regions := []Region{{Start: 3000, Size: 500}, {Start: 12_000, Size: 500}, {Start: 14_000, Size: 500}, {Start: 20_000, Size: 500}}
+	for _, opts := range []Options{{}, {DetailedWarmup: 700}, {Shards: 2}, {Shards: 2, DetailedWarmup: 700}} {
+		var sm *sizedMethod
+		mk := func(h *mem.Hierarchy, u *bpred.Unit) warmup.Method {
+			sm = &sizedMethod{Method: warmup.Spec{Kind: warmup.KindReverse, Percent: 20, Cache: true, BPred: true}.New(h, u)}
+			return sm
+		}
+		if _, err := RunRegions(p, DefaultMachine(), regions, mk, opts); err != nil {
+			t.Fatal(err)
+		}
+		want := 8500 - opts.DetailedWarmup
+		if sm.calls != 1 || sm.early || sm.announced != want || sm.longest != want {
+			t.Errorf("%+v: announced %d in %d calls (a region first: %v), longest begun %d; want %d once, first", opts, sm.announced, sm.calls, sm.early, sm.longest, want)
 		}
 	}
 }

@@ -1,0 +1,268 @@
+package sampling
+
+import (
+	"fmt"
+	"math"
+	"time"
+
+	"rsr/internal/bpred"
+	"rsr/internal/funcsim"
+	"rsr/internal/mem"
+	"rsr/internal/ooo"
+	"rsr/internal/prog"
+	"rsr/internal/trace"
+	"rsr/internal/warmup"
+)
+
+// Region is one stretch of the dynamic instruction stream to simulate in
+// detail: Size instructions from index Start.
+type Region struct {
+	Start, Size uint64
+}
+
+// ValidateRegions checks what the walker needs of a region list — regions
+// are non-empty, sorted by start and non-overlapping — and that the last
+// one ends within total. The comparisons subtract rather than add, so a
+// region whose end would wrap uint64 is rejected like any other that runs
+// past the workload.
+func ValidateRegions(regions []Region, total uint64) error {
+	var pos uint64
+	for i, r := range regions {
+		if r.Size == 0 {
+			return fmt.Errorf("sampling: region %d has zero size", i)
+		}
+		if r.Start < pos {
+			return fmt.Errorf("sampling: region %d starts at %d, behind the simulated position %d (overlapping or out-of-order regions)", i, r.Start, pos)
+		}
+		if r.Start > total || r.Size > total-r.Start {
+			return fmt.Errorf("sampling: region %d (%d instructions from %d) runs past the workload length %d", i, r.Size, r.Start, total)
+		}
+		pos = r.Start + r.Size
+	}
+	return nil
+}
+
+// feed is how a region's instructions reach the walker. The sequential feed
+// executes them on the run's one functional simulator and lets the method
+// observe the cold phase in place; the sharded feed receives each region
+// from the pipeline, its cold phase already observed into a RegionCapture
+// and its detailed phases materialized, and has the method adopt it. As an
+// ooo.Source a feed delivers the current region's detailed-warm-up and hot
+// instructions, never running past the region's end.
+type feed interface {
+	ooo.Source
+	// next makes region ci current and returns the lengths of its cold phase
+	// and detailed warm-up, which depend on where the previous region ended.
+	next(ci int, r Region) (cold, dw uint64, err error)
+	// ingest gives method the cold phase's observations, between the walker's
+	// BeginSkip and EndSkip, and returns how many instructions were skipped.
+	ingest(ci int, method warmup.Method, cold uint64) (ran uint64, err error)
+	// err is the failure that ended the source's stream early, if any.
+	err() error
+	// release ends the current region: nothing of it is read afterwards.
+	release()
+}
+
+// RunRegions is the sampled-simulation loop of the paper's Figure 1, and the
+// only one: for each region in order, skip to it functionally while the
+// warm-up method observes, let the method repair microarchitectural state,
+// optionally warm in detail, then measure the region in the timing model.
+// Every sampled run — stratified clusters, a strategy's measurement pass,
+// SimPoint's intervals — is a region list handed to this walker, so
+// Options.Shards, Cancel, DetailedWarmup and the instruments mean the same
+// thing for all of them. mk builds the warm-up method over the run's fresh
+// hierarchy and predictor. The walker checks the region list itself, all but
+// its fit in the workload, whose length it is not told: a workload that ends
+// before the last region does is an error when the run gets there.
+func RunRegions(p *prog.Program, m MachineConfig, regions []Region, mk func(*mem.Hierarchy, *bpred.Unit) warmup.Method, opts Options) (*RunResult, error) {
+	if err := ValidateRegions(regions, math.MaxUint64); err != nil {
+		return nil, err
+	}
+	hier := mem.NewHierarchy(m.Hier)
+	unit := bpred.NewUnit(m.Pred)
+	method := mk(hier, unit)
+	sim := ooo.New(m.CPU, hier, method.Predictor())
+	// A method that buffers a region hears the longest cold phase before the
+	// first one, and before the sharded feed's producers draw captures.
+	if rs, ok := method.(warmup.RegionSizer); ok {
+		var pos, longest uint64
+		for _, reg := range regions {
+			cold, _ := splitSkip(pos, reg.Start, opts.DetailedWarmup)
+			longest, pos = max(longest, cold), reg.Start+reg.Size
+		}
+		rs.SizeRegions(longest)
+	}
+
+	res := &RunResult{Method: method.Name(), Clusters: make([]ClusterStat, 0, len(regions))}
+	ro := newRunObs(opts.Instr, opts.Tracer, method.Name(), method.Name())
+	begin := time.Now()
+
+	// Every method supports region captures (part of the Method contract), so
+	// a sharded request never falls back to in-place observation.
+	var f feed
+	if shards := shardCount(opts.Shards, len(regions)); shards > 1 {
+		ro.setParallel()
+		sf := newShardFeed(p, regions, method, shards, &opts, ro)
+		defer close(sf.done)
+		f = sf
+	} else {
+		f = newSeqFeed(p, &opts, ro)
+	}
+
+	for ci, reg := range regions {
+		if opts.canceled() {
+			return nil, ErrCanceled
+		}
+		cold, dw, err := f.next(ci, reg)
+		if err != nil {
+			return nil, err
+		}
+		method.BeginSkip(cold)
+		ran, err := f.ingest(ci, method, cold)
+		if err != nil {
+			return nil, err
+		}
+		res.FuncInstructions += ran
+
+		t0 := ro.begin()
+		method.EndSkip()
+		ro.reconDone(t0, ci, method.Work())
+
+		if dw > 0 {
+			// Unmeasured detailed warm-up immediately before the region.
+			t0 = ro.begin()
+			w := sim.SimulateSource(dw, f)
+			if err := f.err(); err != nil {
+				return nil, fmt.Errorf("sampling: detailed warm-up: %w", err)
+			}
+			res.FuncInstructions += w.Instructions
+			ro.warmDone(t0, ci, w.Instructions)
+		}
+
+		t0 = ro.begin()
+		r := sim.SimulateSource(reg.Size, f)
+		if err := f.err(); err != nil {
+			return nil, fmt.Errorf("sampling: hot phase: %w", err)
+		}
+		res.FuncInstructions += r.Instructions
+		res.HotInstructions += r.Instructions
+		res.Clusters = append(res.Clusters, ClusterStat{Start: reg.Start, Result: r})
+		ro.hotDone(t0, ci, r.Instructions, method.Work())
+		f.release()
+	}
+	res.Elapsed = time.Since(begin)
+	res.Work = method.Work()
+	ro.runDone("sampled", hier, unit)
+	return res, nil
+}
+
+// splitSkip divides the skip from pos to a region's start into the cold
+// phase and the detailed warm-up that ends it.
+func splitSkip(pos, start, detailedWarmup uint64) (cold, dw uint64) {
+	skip := start - pos
+	dw = min(detailedWarmup, skip)
+	return skip - dw, dw
+}
+
+// skipObserver is what a cold phase is observed by: the warm-up method in
+// place, or a region capture on a shard.
+type skipObserver interface {
+	ObserveSkipBatch(ds []trace.DynInst)
+}
+
+// coldSkip executes n instructions on fs in batches, handing each batch to
+// obs and polling stopped between batches: the cold phase of a region,
+// wherever it runs. It returns how far it got; a fault, a workload that
+// halts short of n, and a stop (ErrCanceled) are errors.
+func coldSkip(fs *funcsim.Sim, buf []trace.DynInst, n uint64, obs skipObserver, stopped func() bool) (uint64, error) {
+	var ran uint64
+	for ran < n {
+		b := buf
+		if rem := n - ran; rem < uint64(len(b)) {
+			b = b[:rem]
+		}
+		k, err := fs.RunBatch(b)
+		if err != nil {
+			return ran, fmt.Errorf("sampling: cold phase: %w", err)
+		}
+		if k > 0 {
+			obs.ObserveSkipBatch(b[:k])
+		}
+		ran += uint64(k)
+		if k < len(b) {
+			break // halted
+		}
+		if stopped() {
+			return ran, ErrCanceled
+		}
+	}
+	if ran != n {
+		return ran, fmt.Errorf("sampling: workload halted after %d skipped instructions", ran)
+	}
+	return ran, nil
+}
+
+// stream feeds the timing model from a live functional simulator in batches
+// (funcsim.BatchSize records per Fill), polling cancellation once per batch.
+// Fill is clamped by the caller's remaining budget, so the simulator never
+// executes past a region boundary and its Seq is the run's position.
+type stream struct {
+	fs      *funcsim.Sim
+	buf     []trace.DynInst
+	opts    *Options
+	failure error
+}
+
+func (st *stream) Fill(max uint64) []trace.DynInst {
+	if st.failure != nil {
+		return nil
+	}
+	if st.opts.canceled() {
+		st.failure = ErrCanceled
+		return nil
+	}
+	b := st.buf
+	if max < uint64(len(b)) {
+		b = b[:max]
+	}
+	n, err := st.fs.RunBatch(b)
+	if err != nil {
+		st.failure = err
+	}
+	return b[:n]
+}
+
+// seqFeed is the in-place feed: one functional simulator executes the whole
+// run, and the method observes each cold phase as it happens.
+type seqFeed struct {
+	stream
+	ro      *runObs
+	stopped func() bool
+	t0      time.Time // start of the current region's cold phase
+}
+
+func newSeqFeed(p *prog.Program, opts *Options, ro *runObs) *seqFeed {
+	return &seqFeed{
+		stream:  stream{fs: funcsim.New(p), buf: make([]trace.DynInst, funcsim.BatchSize), opts: opts},
+		ro:      ro,
+		stopped: opts.canceled,
+	}
+}
+
+func (f *seqFeed) next(_ int, r Region) (cold, dw uint64, err error) {
+	f.t0 = f.ro.begin()
+	cold, dw = splitSkip(f.fs.Seq(), r.Start, f.opts.DetailedWarmup)
+	return cold, dw, nil
+}
+
+func (f *seqFeed) ingest(ci int, method warmup.Method, cold uint64) (uint64, error) {
+	ran, err := coldSkip(f.fs, f.buf, cold, method, f.stopped)
+	if err != nil {
+		return ran, err
+	}
+	f.ro.coldDone(f.t0, ci, ran, method.Work())
+	return ran, nil
+}
+
+func (f *seqFeed) err() error { return f.failure }
+func (f *seqFeed) release()   {}

@@ -5,13 +5,8 @@ import (
 	"math"
 	"time"
 
-	"rsr/internal/bpred"
-	"rsr/internal/funcsim"
-	"rsr/internal/mem"
-	"rsr/internal/ooo"
 	"rsr/internal/prog"
 	"rsr/internal/sampling"
-	"rsr/internal/trace"
 	"rsr/internal/warmup"
 )
 
@@ -67,61 +62,37 @@ func Estimate(p *prog.Program, m sampling.MachineConfig, total uint64, cfg Confi
 }
 
 // SimulatePoints fast-forwards between the given simulation points and
-// simulates each one cycle-accurately, returning the weighted IPC estimate.
+// simulates each one cycle-accurately — the shared region walker over one
+// IntervalSize region per point — returning the weighted IPC estimate.
 // Points must be sorted ascending by interval index and distinct — an
 // interval whose start lies before the simulator's position (overlapping or
 // out-of-order points) is rejected with an error rather than wrapping the
 // uint64 skip distance into a multi-exabyte fast-forward.
 func SimulatePoints(p *prog.Program, m sampling.MachineConfig, cfg Config, points []Point) (*Result, error) {
-	res := &Result{Points: points}
 	if len(points) == 0 {
 		return nil, fmt.Errorf("simpoint: no simulation points selected")
 	}
+	regions := make([]sampling.Region, len(points))
+	for i, pt := range points {
+		regions[i] = sampling.Region{Start: uint64(pt.IntervalIndex) * cfg.IntervalSize, Size: cfg.IntervalSize}
+	}
+	run, err := sampling.RunRegions(p, m, regions, cfg.Warmup.New, sampling.Options{})
+	if err != nil {
+		return nil, fmt.Errorf("simpoint: %w", err)
+	}
 
-	hier := mem.NewHierarchy(m.Hier)
-	unit := bpred.NewUnit(m.Pred)
-	method := cfg.Warmup.New(hier, unit)
-	sim := ooo.New(m.CPU, hier, method.Predictor())
-	fs := funcsim.New(p)
-
-	simStart := time.Now()
-	buf := make([]trace.DynInst, funcsim.BatchSize)
-	st := funcsim.NewStream(fs, buf)
-	var pos uint64
 	var weighted, wsum float64
-	for _, pt := range points {
-		start := uint64(pt.IntervalIndex) * cfg.IntervalSize
-		if start < pos {
-			return nil, fmt.Errorf("simpoint: point at interval %d starts at %d, behind the simulated position %d (points must be sorted and non-overlapping)",
-				pt.IntervalIndex, start, pos)
-		}
-		skip := start - pos
-		method.BeginSkip(skip)
-		ran, err := fs.RunBatches(skip, buf, method.ObserveSkipBatch)
-		if err != nil {
-			return nil, fmt.Errorf("simpoint: fast-forward: %w", err)
-		}
-		if ran != skip {
-			return nil, fmt.Errorf("simpoint: workload halted while fast-forwarding")
-		}
-		method.EndSkip()
-
-		r := sim.SimulateSource(cfg.IntervalSize, st)
-		if err := st.Err(); err != nil {
-			return nil, fmt.Errorf("simpoint: hot interval: %w", err)
-		}
-		res.HotInstructions += r.Instructions
+	for i, c := range run.Clusters {
 		// A hot interval that retires nothing (the workload halted at its
 		// start) carries no IPC information: folding its weight in would
 		// drag the weighted mean toward zero, and a NaN ratio would poison
 		// it outright. Drop the point from the estimate instead.
-		if ipc := r.IPC(); r.Instructions > 0 && !math.IsNaN(ipc) {
-			weighted += pt.Weight * ipc
-			wsum += pt.Weight
+		if ipc := c.Result.IPC(); c.Result.Instructions > 0 && !math.IsNaN(ipc) {
+			weighted += points[i].Weight * ipc
+			wsum += points[i].Weight
 		}
-		pos = start + r.Instructions
 	}
-	res.SimElapsed = time.Since(simStart)
+	res := &Result{Points: points, SimElapsed: run.Elapsed, HotInstructions: run.HotInstructions}
 	if wsum > 0 {
 		res.IPC = weighted / wsum
 	}

@@ -56,25 +56,27 @@ func genRecords(t testing.TB, n int) []trace.DynInst {
 	return buf
 }
 
-// feedScalar drives m with one region through the per-record path.
-func feedScalar(m Method, ds []trace.DynInst) {
+// observeScalarRegion begins a region on m and shows it ds through the
+// per-instruction oracle, stopping short of EndSkip.
+func observeScalarRegion(m Method, ds []trace.DynInst) {
 	m.BeginSkip(uint64(len(ds)))
 	for i := range ds {
-		m.ObserveSkip(&ds[i])
+		observeScalar(m, &ds[i])
 	}
-	m.EndSkip()
 }
 
-// feedBatched drives m with one region split into chunk-sized batches.
-func feedBatched(m Method, ds []trace.DynInst, chunk int) {
+// observeBatchedRegion begins a region on m and shows it ds split into
+// chunk-sized batches, stopping short of EndSkip.
+func observeBatchedRegion(m Method, ds []trace.DynInst, chunk int) {
 	m.BeginSkip(uint64(len(ds)))
 	for o := 0; o < len(ds); o += chunk {
-		e := o + chunk
-		if e > len(ds) {
-			e = len(ds)
-		}
-		m.ObserveSkipBatch(ds[o:e])
+		m.ObserveSkipBatch(ds[o:min(o+chunk, len(ds))])
 	}
+}
+
+// feedBatched drives m through one whole region in chunk-sized batches.
+func feedBatched(m Method, ds []trace.DynInst, chunk int) {
+	observeBatchedRegion(m, ds, chunk)
 	m.EndSkip()
 }
 
@@ -94,7 +96,9 @@ func compareMethods(t *testing.T, ms, mb Method, hsState, hbState, usState, ubSt
 
 // TestBatchScalarEquivalence pins the Method interface contract: for every
 // spec in the paper's matrix and any batch split, ObserveSkipBatch must leave
-// exactly the state that per-record ObserveSkip calls would.
+// exactly the state — and, for the reverse method, the skip log, compared
+// before EndSkip plans from it and lets it go — that the per-instruction
+// oracle does.
 func TestBatchScalarEquivalence(t *testing.T) {
 	recs := genRecords(t, 24_000)
 	half := len(recs) / 2
@@ -110,8 +114,16 @@ func TestBatchScalarEquivalence(t *testing.T) {
 				hb, ub := testEnv()
 				mb := spec.New(hb, ub)
 				for _, reg := range regions {
-					feedScalar(ms, reg)
-					feedBatched(mb, reg, chunk)
+					observeScalarRegion(ms, reg)
+					observeBatchedRegion(mb, reg, chunk)
+					if spec.Kind == KindReverse {
+						ls, lb := ms.(*reverse).cur.log, mb.(*reverse).cur.log
+						if ls.Len() == 0 || !reflect.DeepEqual(ls, lb) {
+							t.Fatalf("chunk %d: skip logs diverged", chunk)
+						}
+					}
+					ms.EndSkip()
+					mb.EndSkip()
 				}
 				// Reverse predictor reconstruction is on-demand: probe both
 				// sides identically so lazily repaired state materializes.
@@ -125,12 +137,6 @@ func TestBatchScalarEquivalence(t *testing.T) {
 					}
 				}
 				compareMethods(t, ms, mb, hs.State(), hb.State(), us.State(), ub.State())
-				if spec.Kind == KindReverse {
-					ls, lb := ms.(*reverse).cur.log, mb.(*reverse).cur.log
-					if !reflect.DeepEqual(ls, lb) {
-						t.Fatalf("chunk %d: skip logs diverged", chunk)
-					}
-				}
 			}
 		})
 	}
@@ -148,26 +154,11 @@ func TestWindowedBatchScalarEquivalence(t *testing.T) {
 		hb, ub := testEnv()
 		mb := NewWindowed("MRRL (90%)", hb, ub, windows)
 		for _, reg := range regions {
-			feedScalar(ms, reg)
+			observeScalarRegion(ms, reg)
+			ms.EndSkip()
 			feedBatched(mb, reg, chunk)
 		}
 		compareMethods(t, ms, mb, hs.State(), hb.State(), us.State(), ub.State())
-	}
-}
-
-// TestObserveSkipScalarAdapter pins the shared adapter: it must visit every
-// record in order.
-func TestObserveSkipScalarAdapter(t *testing.T) {
-	recs := genRecords(t, 100)
-	var seen []uint64
-	ObserveSkipScalar(recs, func(d *trace.DynInst) { seen = append(seen, d.Seq) })
-	if len(seen) != len(recs) {
-		t.Fatalf("visited %d records, want %d", len(seen), len(recs))
-	}
-	for i, s := range seen {
-		if s != recs[i].Seq {
-			t.Fatalf("record %d visited out of order", i)
-		}
 	}
 }
 
@@ -256,7 +247,7 @@ func TestReserveFromExpectedLen(t *testing.T) {
 		for o := 1000; o < n; o += 1000 {
 			m.ObserveSkipBatch(recs[o : o+1000])
 		}
-		m.EndSkip()
+		// Read the log before EndSkip: sealing detaches it from the capture.
 		if cap(log.Mem) != memCap || cap(log.Branches) != brCap {
 			t.Fatalf("region of %d: log grew while filling (%d->%d mem, %d->%d branch records)",
 				n, memCap, cap(log.Mem), brCap, cap(log.Branches))
@@ -264,6 +255,48 @@ func TestReserveFromExpectedLen(t *testing.T) {
 		if memCap > 2*len(log.Mem) || brCap > 2*len(log.Branches) {
 			t.Fatalf("region of %d: reserved %d/%d for %d/%d records", n, memCap, brCap, len(log.Mem), len(log.Branches))
 		}
+		m.EndSkip()
+	}
+}
+
+// TestSizeRegionsOrderFree pins what RegionSizer buys: told the longest
+// region first, the method reserves the same log storage whatever order the
+// region lengths come in; left to learn them, it replaces the log as longer
+// regions arrive, so the ascending order costs more than the descending one.
+// Both orders open with the same short region, which is where the method
+// measures the stream's record density.
+func TestSizeRegionsOrderFree(t *testing.T) {
+	recs := genRecords(t, 16_000)
+	reserved := func(announce bool, lens []int) (records int) {
+		h, u := testEnv()
+		m := Spec{Kind: KindReverse, Percent: 100, Cache: true, BPred: true}.New(h, u)
+		if announce {
+			m.(RegionSizer).SizeRegions(16_000)
+		}
+		lastCap := 0
+		note := func() { // a capacity not seen before is a new array
+			if c := cap(m.(*reverse).cur.log.Mem); c != lastCap {
+				records, lastCap = records+c, c
+			}
+		}
+		for _, n := range lens {
+			m.BeginSkip(uint64(n))
+			m.ObserveSkipBatch(recs[:1000]) // the log is fitted as its first records arrive
+			note()
+			for o := 1000; o < n; o += 1000 {
+				m.ObserveSkipBatch(recs[o : o+1000])
+			}
+			note() // before EndSkip: sealing detaches the log from the capture
+			m.EndSkip()
+		}
+		return records
+	}
+	up, down := []int{2000, 4000, 8000, 16_000}, []int{2000, 16_000, 8000, 4000}
+	if a, d := reserved(true, up), reserved(true, down); a != d {
+		t.Fatalf("announced: %d records reserved ascending, %d descending", a, d)
+	}
+	if a, d := reserved(false, up), reserved(false, down); a <= d {
+		t.Fatalf("unannounced: %d records reserved ascending, %d descending: the order no longer matters, so RegionSizer has nothing left to do", a, d)
 	}
 }
 
@@ -294,12 +327,12 @@ func probePCs(ds []trace.DynInst, max int) (pcs []uint64, classes []isa.Class) {
 // sealed and adopted region by region leave exactly the state — hierarchy,
 // predictor, work counters, and every hot-window probe — that observing the
 // regions in place does. Seal is optional by contract; the unsealed arm keeps
-// the consumer-side scan fallback in AdoptRegion/EndSkip covered.
+// consumer-side sealing of an adopted capture in EndSkip covered.
 //
 // With runAhead, the captures of the two following regions are fed and sealed
 // before a region's hot-window probes run, as a producer running ahead of the
 // consumer does. That is the aliasing regression: ReconPredictor still reads
-// the adopted capture's branch log during those probes, so the arm fails if
+// the adopted capture's plan during those probes, so the arm fails if
 // any capture is recycled before the method's next BeginSkip.
 func TestCaptureMatchesDirectObservation(t *testing.T) {
 	recs := genRecords(t, 30_000)
@@ -367,7 +400,7 @@ func TestCaptureMatchesDirectObservation(t *testing.T) {
 // TestMemRecordRoundTrip is the record-format property: every (address,
 // instruction/data, load/store) combination over random full-width 64-bit
 // addresses survives the 16-byte record bit for bit, and the batched kernel
-// logs exactly what the scalar ObserveSkip reference logs.
+// logs exactly what the per-instruction oracle logs.
 func TestMemRecordRoundTrip(t *testing.T) {
 	if size := unsafe.Sizeof(trace.MemRecord{}); size > 16 {
 		t.Fatalf("MemRecord is %d bytes, want at most 16", size)
@@ -406,10 +439,10 @@ func TestMemRecordRoundTrip(t *testing.T) {
 	scalar := spec.New(h, u).(*reverse)
 	scalar.BeginSkip(uint64(len(ds)))
 	for i := range ds {
-		scalar.ObserveSkip(&ds[i])
+		scalar.logScalar(&ds[i])
 	}
 	if !reflect.DeepEqual(scalar.cur.log.Mem, want) {
-		t.Fatal("scalar ObserveSkip did not log the references as given")
+		t.Fatal("the scalar oracle did not log the references as given")
 	}
 	batched := spec.New(h, u).(*reverse)
 	for _, chunk := range []int{1, 7, 1024} {
@@ -418,7 +451,7 @@ func TestMemRecordRoundTrip(t *testing.T) {
 			batched.ObserveSkipBatch(ds[o:min(o+chunk, len(ds))])
 		}
 		if !reflect.DeepEqual(batched.cur.log.Mem, want) {
-			t.Fatalf("chunk %d: appendSkipRecords diverged from scalar ObserveSkip", chunk)
+			t.Fatalf("chunk %d: appendSkipRecords diverged from the scalar oracle", chunk)
 		}
 		if batched.Work().LoggedRecords-scalar.Work().LoggedRecords != 0 && chunk == 1 {
 			t.Fatalf("logged %d records, scalar %d", batched.Work().LoggedRecords, scalar.Work().LoggedRecords)

@@ -18,24 +18,23 @@ import (
 	"rsr/internal/trace"
 )
 
-// Method is one warm-up policy attached to a sampled run. The controller
-// calls BeginSkip when a skip region starts, ObserveSkipBatch for every
-// batch of skipped dynamic instructions (ObserveSkip is the scalar
-// equivalent, kept for per-instruction callers and as the reference
-// semantics), and EndSkip immediately before the next cluster; the timing
-// model then probes Predictor() during hot execution.
+// Method is one warm-up policy attached to a sampled run. The region walker
+// (sampling.RunRegions) calls BeginSkip when a skip region starts,
+// ObserveSkipBatch for every batch of skipped dynamic instructions, and
+// EndSkip immediately before the next cluster; the timing model then probes
+// Predictor() during hot execution.
 //
-// ObserveSkipBatch(ds) must leave the method in exactly the state that
-// calling ObserveSkip for each record of ds in order would; implementations
-// here specialize the batch path (policy checks hoisted out of the loop,
-// line tracking and log appends flattened) and TestBatchScalarEquivalence
-// pins the contract. ObserveSkipScalar adapts implementations that only
-// have a scalar observer.
+// ObserveSkipBatch is the only way a method sees instructions. How a region
+// is split into batches must not matter: any split leaves the method in the
+// state that observing the region one instruction at a time would, which
+// TestBatchScalarEquivalence pins against a per-instruction oracle kept in
+// the tests. Implementations here hoist policy checks out of the loop and
+// flatten line tracking and log appends.
 //
 // Every method also supports region captures (NewRegionCapture/AdoptRegion),
-// the contract the parallel cluster pipeline builds on: a region's skip
+// the contract the walker's sharded feed builds on: a region's skip
 // observation runs on a producer goroutine against a private capture, and
-// the consumer adopts captures in strict cluster order. Methods that log
+// the walker adopts captures in strict cluster order. Methods that log
 // (reverse) capture the log directly; methods that functionally warm shared
 // state (SMARTS, fixed-period, windowed) capture the would-be warming
 // references and AdoptRegion replays them in order, so no method ever falls
@@ -49,7 +48,6 @@ import (
 type Method interface {
 	Name() string
 	BeginSkip(expectedLen uint64)
-	ObserveSkip(d *trace.DynInst)
 	ObserveSkipBatch(ds []trace.DynInst)
 	EndSkip()
 	Predictor() bpred.Predictor
@@ -60,20 +58,12 @@ type Method interface {
 	// may read only immutable method configuration; the returned capture is
 	// confined to one goroutine until it is handed to AdoptRegion.
 	NewRegionCapture(region int, expectedLen uint64) RegionCapture
-	// AdoptRegion installs a fed-and-sealed capture as if the method had
-	// observed the region's stream itself. It must be called between
-	// BeginSkip and EndSkip in place of the method's own ObserveSkip calls
-	// for that region, and leaves the method in exactly the state direct
-	// observation would.
+	// AdoptRegion installs a fed capture, sealed or not, as if the method
+	// had observed the region's stream itself. It must be called between
+	// BeginSkip and EndSkip in place of the method's own ObserveSkipBatch
+	// calls for that region, and leaves the method in exactly the state
+	// direct observation would.
 	AdoptRegion(c RegionCapture)
-}
-
-// ObserveSkipScalar feeds each record of ds to observe in order: the shared
-// adapter that turns a per-instruction observer into a batch one.
-func ObserveSkipScalar(ds []trace.DynInst, observe func(*trace.DynInst)) {
-	for i := range ds {
-		observe(&ds[i])
-	}
 }
 
 // RegionCapture accumulates one skip region's observation product away from
@@ -86,12 +76,23 @@ func ObserveSkipScalar(ds []trace.DynInst, observe func(*trace.DynInst)) {
 // goroutine: work that is a pure function of the captured stream — for the
 // reverse method, the backward scan that materializes the cache and
 // predictor warm-apply plans — runs here, off the consumer's critical path.
-// Seal is optional (an unsealed capture makes AdoptRegion's consumer do that
-// work itself, byte-identically) and must be called at most once, after the
-// final ObserveSkipBatch.
+// Seal is optional (the method seals an unsealed capture itself at EndSkip,
+// byte-identically) and must be called at most once, after the final
+// ObserveSkipBatch.
 type RegionCapture interface {
 	ObserveSkipBatch(ds []trace.DynInst)
 	Seal()
+}
+
+// RegionSizer is implemented by a method that holds a whole skip region's
+// observations at once (the reverse method's log). A run that knows its
+// regions calls SizeRegions once, before the first BeginSkip or
+// NewRegionCapture, with the longest cold phase it will present, and buffers
+// are sized for that one from the start. Unannounced, a buffer is replaced
+// whenever a longer region arrives, and what a run allocates depends on the
+// order of its region lengths — 3x between cluster placements of one regimen.
+type RegionSizer interface {
+	SizeRegions(longest uint64)
 }
 
 // Work counts warm-up effort in state operations, the deterministic analogue
@@ -186,7 +187,7 @@ func structSuffix(cache, bp bool) string {
 func (s Spec) New(h *mem.Hierarchy, u *bpred.Unit) Method {
 	switch s.Kind {
 	case KindFixed:
-		return &fixedPeriod{funcWarm: newFuncWarm(h, u, s), percent: s.Percent}
+		return &fixedPeriod{tailWarm: tailWarm{funcWarm: newFuncWarm(h, u, s)}, percent: s.Percent}
 	case KindSMARTS:
 		return &smarts{funcWarm: newFuncWarm(h, u, s)}
 	case KindReverse:
@@ -242,16 +243,6 @@ func newLineTracker(lineBytes int) lineTracker {
 	return lineTracker{lineMask: ^uint64(lineBytes - 1)}
 }
 
-// crossed reports whether pc enters a new cache line.
-func (t *lineTracker) crossed(pc uint64) bool {
-	line := pc & t.lineMask
-	if t.have && line == t.last {
-		return false
-	}
-	t.last, t.have = line, true
-	return true
-}
-
 func (t *lineTracker) reset() { t.have = false }
 
 // branchRecordOf converts a committed control transfer to its log record.
@@ -265,7 +256,6 @@ type none struct{ u *bpred.Unit }
 
 func (n *none) Name() string                     { return "None" }
 func (n *none) BeginSkip(uint64)                 {}
-func (n *none) ObserveSkip(*trace.DynInst)       {}
 func (n *none) ObserveSkipBatch([]trace.DynInst) {}
 func (n *none) EndSkip()                         {}
 func (n *none) Predictor() bpred.Predictor       { return n.u }
@@ -281,7 +271,7 @@ func (noneCapture) Seal()                            {}
 func (n *none) NewRegionCapture(int, uint64) RegionCapture { return noneCapture{} }
 func (n *none) AdoptRegion(RegionCapture)                  {}
 
-// --- shared functional-warming machinery (SMARTS and fixed-period) ---
+// --- shared functional-warming machinery (SMARTS, fixed-period, windowed) ---
 
 type funcWarm struct {
 	h     *mem.Hierarchy
@@ -298,36 +288,26 @@ type funcWarm struct {
 }
 
 // newFuncWarm builds the shared functional-warming state with the line
-// tracker initialized up front (as newReverse does), keeping the
-// per-instruction apply path free of construction checks.
+// tracker initialized up front (as newReverse does).
 func newFuncWarm(h *mem.Hierarchy, u *bpred.Unit, s Spec) funcWarm {
 	lt := newLineTracker(h.Config().L1I.LineBytes)
 	return funcWarm{h: h, u: u, cache: s.Cache, bp: s.BPred, label: s.Label(),
 		lines: lt, pool: newCapturePool(s.Cache, s.BPred, lt.lineMask, nil)}
 }
 
-func (f *funcWarm) apply(d *trace.DynInst) {
-	if f.cache {
-		if f.lines.crossed(d.PC) {
-			f.h.WarmInst(d.PC)
-			f.work.WarmOps++
-		}
-		if d.IsMem() {
-			f.h.WarmData(d.EffAddr, d.Op.Class() == isa.ClassStore)
-			f.work.WarmOps++
-		}
-	}
-	if f.bp && d.IsBranch() {
-		f.u.Update(branchRecordOf(d))
-		f.work.WarmOps++
-	}
-}
+// The functional-warming family warms as it observes, so EndSkip has nothing
+// left to do and the timing model probes the unit itself.
+func (f *funcWarm) Name() string               { return f.label }
+func (f *funcWarm) EndSkip()                   {}
+func (f *funcWarm) Predictor() bpred.Predictor { return f.u }
+func (f *funcWarm) Work() Work                 { return f.work }
 
-// applyBatch is apply flattened over a batch: the cache/bpred policy checks
-// are hoisted out of the loop and the line tracker runs on locals, written
-// back once per batch. Cache and predictor state are independent structures,
-// so splitting the per-record interleaving into two passes leaves identical
-// final state and work counts.
+// applyBatch functionally warms with a batch: every instruction-fetch line
+// crossing and memory access goes to the hierarchy, every control transfer
+// to the predictor, one WarmOp each. The cache/bpred policy checks are
+// hoisted out of the loop and the line tracker runs on locals, written back
+// once per batch. Cache and predictor state are independent structures, so
+// two passes leave the state and work counts a per-record interleaving would.
 func (f *funcWarm) applyBatch(ds []trace.DynInst) {
 	if f.cache {
 		mask, last, have := f.lines.lineMask, f.lines.last, f.lines.have
@@ -484,14 +464,14 @@ type reconConfig struct {
 //
 // The pool also remembers the densest region seen so far, in records per 1024
 // logged instructions, and the largest log that density has called for. An
-// empty log too small for its region's expected length is replaced, before
-// its first record, by one of the largest size so far: sizing up front copies
-// nothing, where growth during appends moves every record already logged, and
-// sizing to the run's largest region lets every recycled log converge on a
-// capacity that fits them all. A log that is replaced, rather than new, gets
-// a quarter more, so that a lone buffer — the sequential path's — does not
-// chase the run's longest region one allocation at a time. A region denser
-// than any before it still grows by append.
+// empty log too small for its region — for the run's longest, once the run has
+// announced it (RegionSizer) — is replaced, before its first record, by one a
+// quarter above the largest size so far: sizing up front copies nothing, where
+// growth during appends moves every record already logged; the largest size
+// lets every recycled log converge on a capacity that fits all regions; and the
+// quarter keeps a creeping density, or a run of ever longer regions, from
+// replacing a log one allocation at a time. A region denser than any before it
+// grows by append.
 type capturePool struct {
 	cache, bp bool
 	lineMask  uint64       // L1I line mask
@@ -501,6 +481,7 @@ type capturePool struct {
 	free     []*regionCapture
 	logs     []trace.SkipLog      // emptied, detached from sealed reverse captures
 	planners []*core.CachePlanner // cache-planning scratch, one per concurrent Seal
+	longest  uint64               // the run's longest region once announced, else 0
 	memPerK  uint64
 	brPerK   uint64
 	maxMem   int
@@ -556,11 +537,10 @@ func (p *capturePool) prepare(c *regionCapture, threshold, expectedLen uint64) *
 	return c
 }
 
-// fit gives c's empty log the capacity its region calls for, ahead of the
-// first append — the recorded density (plus an eighth) times the expected
-// length, which is where expectedLen earns its keep: a detached log if c has
-// none, and a fresh array of the largest size so far wherever what c holds is
-// too small.
+// fit gives c's empty log, ahead of the first append, the capacity its region
+// (the run's longest, once announced) calls for at the recorded density plus
+// an eighth: a detached log if c has none, and a fresh array wherever what c
+// holds is too small.
 func (p *capturePool) fit(c *regionCapture) {
 	p.mu.Lock()
 	memPerK, brPerK := p.memPerK, p.brPerK
@@ -572,7 +552,8 @@ func (p *capturePool) fit(c *regionCapture) {
 			brPerK = initialBrPerK
 		}
 	}
-	needMem, needBr := int(c.expect*memPerK/1024*9/8), int(c.expect*brPerK/1024*9/8)
+	expect := max(c.expect, p.longest)
+	needMem, needBr := int(expect*memPerK/1024*9/8), int(expect*brPerK/1024*9/8)
 	p.maxMem, p.maxBr = max(p.maxMem, needMem), max(p.maxBr, needBr)
 	maxMem, maxBr := p.maxMem, p.maxBr
 	if k := len(p.logs); c.log.Mem == nil && c.log.Branches == nil && k > 0 {
@@ -580,22 +561,13 @@ func (p *capturePool) fit(c *regionCapture) {
 		p.logs = p.logs[:k-1]
 	}
 	p.mu.Unlock()
-	if have := cap(c.log.Mem); have < needMem {
-		c.log.Mem = make([]trace.MemRecord, 0, refit(have, maxMem))
+	if cap(c.log.Mem) < needMem {
+		c.log.Mem = make([]trace.MemRecord, 0, maxMem+maxMem/4)
 	}
-	if have := cap(c.log.Branches); have < needBr {
-		c.log.Branches = make([]trace.BranchRecord, 0, refit(have, maxBr))
+	if cap(c.log.Branches) < needBr {
+		c.log.Branches = make([]trace.BranchRecord, 0, maxBr+maxBr/4)
 	}
 	c.fitted = true
-}
-
-// refit is the capacity that replaces a log of capacity have: the largest
-// size so far, and a quarter more unless the log is new.
-func refit(have, largest int) int {
-	if have == 0 {
-		return largest
-	}
-	return largest + largest/4
 }
 
 // put returns a dead capture to the free list.
@@ -637,13 +609,8 @@ func (f *funcWarm) adoptCapture(c *regionCapture) {
 
 type smarts struct{ funcWarm }
 
-func (s *smarts) Name() string                        { return s.label }
 func (s *smarts) BeginSkip(uint64)                    { s.lines.reset() }
-func (s *smarts) ObserveSkip(d *trace.DynInst)        { s.apply(d) }
 func (s *smarts) ObserveSkipBatch(ds []trace.DynInst) { s.applyBatch(ds) }
-func (s *smarts) EndSkip()                            {}
-func (s *smarts) Predictor() bpred.Predictor          { return s.u }
-func (s *smarts) Work() Work                          { return s.work }
 
 // NewRegionCapture captures the whole region (threshold 0): SMARTS warms
 // every skipped instruction.
@@ -652,52 +619,49 @@ func (s *smarts) NewRegionCapture(_ int, expectedLen uint64) RegionCapture {
 }
 func (s *smarts) AdoptRegion(c RegionCapture) { s.adoptCapture(c.(*regionCapture)) }
 
-// --- Fixed period: functional warming of the trailing percent only ---
+// --- Tail warming: functional warming of the end of each region only ---
 
-type fixedPeriod struct {
+// tailWarm warms with what a region holds past threshold, which the method
+// embedding it sets per region.
+type tailWarm struct {
 	funcWarm
-	percent   int
 	seen      uint64
 	threshold uint64
 }
 
-func (f *fixedPeriod) Name() string { return f.label }
-
-func (f *fixedPeriod) BeginSkip(expectedLen uint64) {
-	f.lines.reset()
-	f.seen = 0
-	f.threshold = expectedLen - expectedLen*uint64(f.percent)/100
+func (t *tailWarm) begin(threshold uint64) {
+	t.lines.reset()
+	t.seen, t.threshold = 0, threshold
 }
 
-func (f *fixedPeriod) ObserveSkip(d *trace.DynInst) {
-	f.seen++
-	if f.seen > f.threshold {
-		f.apply(d)
+func (t *tailWarm) ObserveSkipBatch(ds []trace.DynInst) {
+	if warm := tail(&t.seen, t.threshold, ds); len(warm) > 0 {
+		t.applyBatch(warm)
 	}
 }
 
-func (f *fixedPeriod) ObserveSkipBatch(ds []trace.DynInst) {
-	if warm := tail(&f.seen, f.threshold, ds); len(warm) > 0 {
-		f.applyBatch(warm)
-	}
-}
-
-func (f *fixedPeriod) EndSkip()                   {}
-func (f *fixedPeriod) Predictor() bpred.Predictor { return f.u }
-func (f *fixedPeriod) Work() Work                 { return f.work }
-
-// NewRegionCapture derives the region's threshold exactly as BeginSkip does.
-func (f *fixedPeriod) NewRegionCapture(_ int, expectedLen uint64) RegionCapture {
-	return f.pool.prepare(nil, expectedLen-expectedLen*uint64(f.percent)/100, expectedLen)
-}
-
-func (f *fixedPeriod) AdoptRegion(c RegionCapture) {
+func (t *tailWarm) AdoptRegion(c RegionCapture) {
 	cc := c.(*regionCapture)
-	f.seen = cc.seen
-	f.adoptCapture(cc)
+	t.seen = cc.seen
+	t.adoptCapture(cc)
 }
 
-// --- Profiled-window warming (MRRL / BLRL) ---
+// fixedPeriod warms the trailing percent of every region.
+type fixedPeriod struct {
+	tailWarm
+	percent int
+}
+
+// thresholdFor is how much of a region passes before warming starts.
+func (f *fixedPeriod) thresholdFor(expectedLen uint64) uint64 {
+	return expectedLen - expectedLen*uint64(f.percent)/100
+}
+
+func (f *fixedPeriod) BeginSkip(expectedLen uint64) { f.begin(f.thresholdFor(expectedLen)) }
+
+func (f *fixedPeriod) NewRegionCapture(_ int, expectedLen uint64) RegionCapture {
+	return f.pool.prepare(nil, f.thresholdFor(expectedLen), expectedLen)
+}
 
 // windowed functionally warms the trailing window of each skip region, with
 // per-region window lengths computed by a reuse-latency profiling pass (the
@@ -706,11 +670,9 @@ func (f *fixedPeriod) AdoptRegion(c RegionCapture) {
 // percentile of reuse latencies for that specific cluster / pre-cluster
 // pair. The windows pin the cluster locations they were profiled with.
 type windowed struct {
-	funcWarm
-	windows   []uint64
-	region    int
-	seen      uint64
-	threshold uint64
+	tailWarm
+	windows []uint64
+	region  int
 }
 
 // NewWindowed builds an MRRL/BLRL-style method over precomputed per-region
@@ -718,62 +680,30 @@ type windowed struct {
 func NewWindowed(label string, h *mem.Hierarchy, u *bpred.Unit, windows []uint64) Method {
 	fw := newFuncWarm(h, u, Spec{Cache: true, BPred: true})
 	fw.label = label
-	return &windowed{funcWarm: fw, windows: windows}
+	return &windowed{tailWarm: tailWarm{funcWarm: fw}, windows: windows}
 }
 
-func (w *windowed) Name() string { return w.label }
+// thresholdFor is how much of the region passes before its profiled window
+// opens: nothing warms past the end of the window list, and a window longer
+// than the region warms all of it.
+func (w *windowed) thresholdFor(region int, expectedLen uint64) uint64 {
+	if region >= len(w.windows) {
+		return expectedLen
+	}
+	return expectedLen - min(w.windows[region], expectedLen)
+}
 
 func (w *windowed) BeginSkip(expectedLen uint64) {
-	w.lines.reset()
-	w.seen = 0
-	win := uint64(0)
-	if w.region < len(w.windows) {
-		win = w.windows[w.region]
-	}
+	w.begin(w.thresholdFor(w.region, expectedLen))
 	w.region++
-	if win > expectedLen {
-		win = expectedLen
-	}
-	w.threshold = expectedLen - win
 }
 
-func (w *windowed) ObserveSkip(d *trace.DynInst) {
-	w.seen++
-	if w.seen > w.threshold {
-		w.apply(d)
-	}
-}
-
-func (w *windowed) ObserveSkipBatch(ds []trace.DynInst) {
-	if warm := tail(&w.seen, w.threshold, ds); len(warm) > 0 {
-		w.applyBatch(warm)
-	}
-}
-
-func (w *windowed) EndSkip()                   {}
-func (w *windowed) Predictor() bpred.Predictor { return w.u }
-func (w *windowed) Work() Work                 { return w.work }
-
-// NewRegionCapture selects the profiled window for the explicit region index
-// (producers run regions out of order, so the method's own region cursor —
-// advanced by the consumer's BeginSkip — cannot be used) and clamps it
-// exactly as BeginSkip does. The windows slice is immutable after
-// construction, so concurrent reads are safe.
+// NewRegionCapture selects the profiled window for the explicit region index:
+// producers run regions out of order, so the method's own region cursor —
+// advanced by the consumer's BeginSkip — cannot be used. The windows slice is
+// immutable after construction, so concurrent reads are safe.
 func (w *windowed) NewRegionCapture(region int, expectedLen uint64) RegionCapture {
-	win := uint64(0)
-	if region < len(w.windows) {
-		win = w.windows[region]
-	}
-	if win > expectedLen {
-		win = expectedLen
-	}
-	return w.pool.prepare(nil, expectedLen-win, expectedLen)
-}
-
-func (w *windowed) AdoptRegion(c RegionCapture) {
-	cc := c.(*regionCapture)
-	w.seen = cc.seen
-	w.adoptCapture(cc)
+	return w.pool.prepare(nil, w.thresholdFor(region, expectedLen), expectedLen)
 }
 
 // --- Reverse State Reconstruction ---
@@ -783,14 +713,13 @@ func (w *windowed) AdoptRegion(c RegionCapture) {
 // through the same kernel captures use, and AdoptRegion swaps a producer's
 // capture in for it.
 //
-// cur is not dead at EndSkip: ReconPredictor reads its branch log — or, when
-// sealed, its plan's suffix and history arrays — in place, on demand,
-// throughout the hot window that follows. Its storage is reclaimed only at
-// the next BeginSkip — where the paper's method discards the previous
-// region's log anyway (§3) — which empties it for in-place reuse; AdoptRegion
-// then returns the emptied capture to the free list in exchange for the
-// adopted one. (A functional-warming capture, by contrast, is dead the moment
-// adoptCapture has replayed it.)
+// cur is not dead at EndSkip: ReconPredictor reads its plan's suffix and
+// history arrays in place, on demand, throughout the hot window that follows.
+// Its storage is reclaimed only at the next BeginSkip — where the paper's
+// method discards the previous region's log anyway (§3) — which empties it
+// for in-place reuse; AdoptRegion then returns the emptied capture to the
+// free list in exchange for the adopted one. (A functional-warming capture,
+// by contrast, is dead the moment adoptCapture has replayed it.)
 type reverse struct {
 	h     *mem.Hierarchy
 	u     *bpred.Unit
@@ -819,6 +748,9 @@ func newReverse(h *mem.Hierarchy, u *bpred.Unit, s Spec) *reverse {
 
 func (r *reverse) Name() string { return r.label }
 
+// SizeRegions implements RegionSizer: logs are sized for the longest region.
+func (r *reverse) SizeRegions(longest uint64) { r.pool.longest = longest }
+
 func (r *reverse) BeginSkip(expectedLen uint64) {
 	// Storage is kept only for the current region (§3): the previous region's
 	// log is dead from here on, so the predictor lets go of it first.
@@ -828,28 +760,6 @@ func (r *reverse) BeginSkip(expectedLen uint64) {
 	}
 	r.work.LoggedRecords += r.cur.logged
 	r.pool.prepare(r.cur, 0, expectedLen)
-}
-
-func (r *reverse) ObserveSkip(d *trace.DynInst) {
-	c := r.cur
-	c.seen++
-	if !c.fitted {
-		r.pool.fit(c)
-	}
-	if r.spec.Cache {
-		if c.lines.crossed(d.PC) {
-			c.log.AddMem(trace.MemRecord{Addr: d.PC, IsInstr: true})
-			c.logged++
-		}
-		if d.IsMem() {
-			c.log.AddMem(trace.MemRecord{Addr: d.EffAddr, IsStore: d.Op.Class() == isa.ClassStore})
-			c.logged++
-		}
-	}
-	if r.spec.BPred && d.IsBranch() {
-		c.log.AddBranch(branchRecordOf(d))
-		c.logged++
-	}
 }
 
 // appendSkipRecords is the batched logging kernel shared by in-place
@@ -884,8 +794,7 @@ func appendSkipRecords(log *trace.SkipLog, lines *lineTracker, cache, bp bool, d
 	return uint64(len(mem) + len(branches) - before)
 }
 
-// ObserveSkipBatch is ObserveSkip flattened over a batch via the shared
-// logging kernel.
+// ObserveSkipBatch logs into the method's own capture.
 func (r *reverse) ObserveSkipBatch(ds []trace.DynInst) { r.cur.ObserveSkipBatch(ds) }
 
 // NewRegionCapture returns a capture for one skip region: an empty log and a
@@ -895,8 +804,8 @@ func (r *reverse) NewRegionCapture(_ int, expectedLen uint64) RegionCapture {
 	return r.pool.prepare(nil, 0, expectedLen)
 }
 
-// AdoptRegion installs a captured region log — and, when the capture was
-// sealed, its materialized plans — as if the method had observed the region
+// AdoptRegion installs a captured region — its plans when the capture was
+// sealed, its log when not — as if the method had observed the region
 // itself. The caller has already run BeginSkip for the region, which folded
 // predictor work and emptied cur, so the emptied capture goes back to the
 // free list and the adopted one takes its place.
@@ -905,24 +814,21 @@ func (r *reverse) AdoptRegion(c RegionCapture) {
 	r.cur = c.(*regionCapture)
 }
 
+// EndSkip is the reverse pass. A capture the producer did not seal — the
+// in-place one always — is sealed here, so there is one reconstruction path:
+// plan from the log, apply the plan.
 func (r *reverse) EndSkip() {
 	c := r.cur
+	if !c.sealed {
+		c.Seal()
+	}
 	if r.spec.Cache {
-		var st core.CacheReconStats
-		if c.sealed {
-			st = core.ApplyCacheRecon(r.h, &c.cachePlan)
-		} else {
-			st = core.ReconstructCaches(r.h, c.log.Mem, r.spec.Percent)
-		}
+		st := core.ApplyCacheRecon(r.h, &c.cachePlan)
 		r.work.ReconScanned += st.ScannedRefs
 		r.work.ReconApplied += st.Applied
 	}
 	if r.spec.BPred {
-		if c.sealed {
-			r.rp.BeginRegionPlan(&c.predPlan)
-		} else {
-			r.rp.BeginRegion(c.log.Branches, r.spec.Percent)
-		}
+		r.rp.BeginRegionPlan(&c.predPlan)
 		st := r.rp.Stats()
 		r.work.ReconApplied += st.BTBInstalled + st.RASInstalled
 	}

@@ -74,8 +74,8 @@ func TestNoneIsInert(t *testing.T) {
 	h, u := testEnv()
 	m := Spec{Kind: KindNone}.New(h, u)
 	m.BeginSkip(10)
-	m.ObserveSkip(memInst(0x400000, 0x1000, false))
-	m.ObserveSkip(branchInst(0x400004, true))
+	observe1(m, memInst(0x400000, 0x1000, false))
+	observe1(m, branchInst(0x400004, true))
 	m.EndSkip()
 	if h.TotalUpdates() != 0 || u.Updates() != 0 {
 		t.Fatal("None must not touch any state")
@@ -92,8 +92,8 @@ func TestSMARTSWarmsSelectedStructures(t *testing.T) {
 	h, u := testEnv()
 	m := Spec{Kind: KindSMARTS, Cache: true}.New(h, u)
 	m.BeginSkip(2)
-	m.ObserveSkip(memInst(0x400000, 0x1000, false))
-	m.ObserveSkip(branchInst(0x400004, true))
+	observe1(m, memInst(0x400000, 0x1000, false))
+	observe1(m, branchInst(0x400004, true))
 	m.EndSkip()
 	if h.TotalUpdates() == 0 {
 		t.Fatal("S$ must warm caches")
@@ -105,8 +105,8 @@ func TestSMARTSWarmsSelectedStructures(t *testing.T) {
 	h2, u2 := testEnv()
 	m2 := Spec{Kind: KindSMARTS, BPred: true}.New(h2, u2)
 	m2.BeginSkip(2)
-	m2.ObserveSkip(memInst(0x400000, 0x1000, false))
-	m2.ObserveSkip(branchInst(0x400004, true))
+	observe1(m2, memInst(0x400000, 0x1000, false))
+	observe1(m2, branchInst(0x400004, true))
 	m2.EndSkip()
 	if h2.TotalUpdates() != 0 {
 		t.Fatal("SBP must not warm caches")
@@ -123,7 +123,7 @@ func TestSMARTSCollapsesFetchesPerLine(t *testing.T) {
 	// 16 sequential instructions within one 64-byte line: one I-warm, and
 	// crossing into the next line adds one more.
 	for pc := uint64(0x400000); pc < 0x400000+17*4; pc += 4 {
-		m.ObserveSkip(&trace.DynInst{PC: pc, NextPC: pc + 4, Op: isa.OpAdd})
+		observe1(m, &trace.DynInst{PC: pc, NextPC: pc + 4, Op: isa.OpAdd})
 	}
 	if got := m.Work().WarmOps; got != 2 {
 		t.Fatalf("warm ops = %d, want 2 (one per line)", got)
@@ -137,7 +137,7 @@ func TestFixedPeriodWarmsOnlyTail(t *testing.T) {
 	const n = 1000
 	m.BeginSkip(n)
 	for i := 0; i < n; i++ {
-		m.ObserveSkip(branchInst(0x400000+uint64(i%8)*4, i%2 == 0))
+		observe1(m, branchInst(0x400000+uint64(i%8)*4, i%2 == 0))
 	}
 	m.EndSkip()
 	// Exactly the last 20% of branches are applied.
@@ -150,9 +150,9 @@ func TestReverseCacheOnlyLogsAndReconstructs(t *testing.T) {
 	h, u := testEnv()
 	m := Spec{Kind: KindReverse, Percent: 100, Cache: true}.New(h, u)
 	m.BeginSkip(3)
-	m.ObserveSkip(memInst(0x400000, 0x1000, false))
-	m.ObserveSkip(memInst(0x400004, 0x2000, true))
-	m.ObserveSkip(branchInst(0x400008, true))
+	observe1(m, memInst(0x400000, 0x1000, false))
+	observe1(m, memInst(0x400004, 0x2000, true))
+	observe1(m, branchInst(0x400008, true))
 	if h.TotalUpdates() != 0 {
 		t.Fatal("reverse must not touch caches during logging")
 	}
@@ -180,8 +180,8 @@ func TestReverseBPredExposesWrappedPredictor(t *testing.T) {
 		t.Fatal("RBP must expose the reconstruction wrapper")
 	}
 	m.BeginSkip(2)
-	m.ObserveSkip(branchInst(0x400000, true))
-	m.ObserveSkip(branchInst(0x400040, false))
+	observe1(m, branchInst(0x400000, true))
+	observe1(m, branchInst(0x400040, false))
 	m.EndSkip()
 	// Probing must work and reconstruct on demand without panicking.
 	m.Predictor().Predict(0x400000, isa.ClassBranch)
@@ -194,7 +194,7 @@ func TestReverseLogDiscardedBetweenRegions(t *testing.T) {
 	h, u := testEnv()
 	m := Spec{Kind: KindReverse, Percent: 100, Cache: true}.New(h, u).(*reverse)
 	m.BeginSkip(1)
-	m.ObserveSkip(memInst(0x400000, 0x1000, false))
+	observe1(m, memInst(0x400000, 0x1000, false))
 	m.EndSkip()
 	m.BeginSkip(1)
 	if m.cur.log.Len() != 0 {
@@ -214,7 +214,7 @@ func TestWindowedMethod(t *testing.T) {
 	// Region 0: 10 instructions, warm the last 3 branches only.
 	m.BeginSkip(10)
 	for i := 0; i < 10; i++ {
-		m.ObserveSkip(branchInst(0x400000+uint64(i%4)*4, true))
+		observe1(m, branchInst(0x400000+uint64(i%4)*4, true))
 	}
 	m.EndSkip()
 	// 3 branch updates + 1 instruction-line warm (cache+bpred method).
@@ -225,7 +225,7 @@ func TestWindowedMethod(t *testing.T) {
 	// Region 1: zero window -> nothing warmed.
 	m.BeginSkip(10)
 	for i := 0; i < 10; i++ {
-		m.ObserveSkip(branchInst(0x400000, true))
+		observe1(m, branchInst(0x400000, true))
 	}
 	m.EndSkip()
 	if got := m.Work().WarmOps; got != 4 {
@@ -235,7 +235,7 @@ func TestWindowedMethod(t *testing.T) {
 	// Region 2: window larger than the region -> the whole region warms.
 	m.BeginSkip(5)
 	for i := 0; i < 5; i++ {
-		m.ObserveSkip(branchInst(0x400000, true))
+		observe1(m, branchInst(0x400000, true))
 	}
 	m.EndSkip()
 	if got := m.Work().WarmOps; got != 4+6 {
@@ -245,7 +245,7 @@ func TestWindowedMethod(t *testing.T) {
 	// Beyond the window list: no warming.
 	m.BeginSkip(5)
 	for i := 0; i < 5; i++ {
-		m.ObserveSkip(branchInst(0x400000, true))
+		observe1(m, branchInst(0x400000, true))
 	}
 	m.EndSkip()
 	if got := m.Work().WarmOps; got != 10 {
@@ -300,7 +300,7 @@ func TestFuncWarmTrackerInitializedEagerly(t *testing.T) {
 		m := spec.New(h, u)
 		m.BeginSkip(1)
 		d := trace.DynInst{PC: 0x1000, NextPC: 0x1004}
-		m.ObserveSkip(&d)
+		observe1(m, &d)
 		if w := m.Work(); w.WarmOps != 1 {
 			t.Errorf("%s: first instruction warm ops = %d, want 1 line fetch", spec.Label(), w.WarmOps)
 		}

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Sampling-regimen smoke test, run by `make regimen-smoke` and CI.
 #
-# Builds a race-enabled rsr and proves two things end to end with the real
+# Builds a race-enabled rsr and proves three things end to end with the real
 # CLI:
 #
 #   1. Byte-identity: `rsr -regimen stratified-uniform run` re-expresses the
@@ -12,6 +12,10 @@
 #
 #   2. Every registered strategy runs end to end: each name printed by
 #      `rsr regimens` must complete a run and report a sane estimate line.
+#
+#   3. Every strategy honours -shards: all measurement passes go through the
+#      one region walker, so a run at `-shards 2` must print exactly what the
+#      same run prints at `-shards 1`, minus the `time` line.
 #
 # All flags are global and precede the subcommand (a flag after `run` is a
 # positional argument and silently ignored) — same convention as the other
@@ -35,7 +39,7 @@ if ! diff -u "$WORKDIR/legacy.txt" "$WORKDIR/seam.txt"; then
     exit 1
 fi
 
-# --- 2. Every registered strategy completes a run. -------------------------
+# --- 2 + 3. Every registered strategy completes a run, sharded or not. ------
 NAMES="$($RSR regimens | awk 'NR > 1 { print $1 }')"
 if [ "$(printf '%s\n' "$NAMES" | wc -l)" -lt 5 ]; then
     echo "regimen-smoke: expected at least 5 registered strategies, got:" >&2
@@ -43,12 +47,17 @@ if [ "$(printf '%s\n' "$NAMES" | wc -l)" -lt 5 ]; then
     exit 1
 fi
 for NAME in $NAMES; do
-    $RSR -regimen "$NAME" run >"$WORKDIR/$NAME.txt"
+    $RSR -shards 1 -regimen "$NAME" run | grep -v '^time' >"$WORKDIR/$NAME.txt"
     if ! grep -q '^estimate' "$WORKDIR/$NAME.txt"; then
         echo "regimen-smoke: strategy $NAME produced no estimate:" >&2
         cat "$WORKDIR/$NAME.txt" >&2
         exit 1
     fi
+    $RSR -shards 2 -regimen "$NAME" run | grep -v '^time' >"$WORKDIR/$NAME.s2.txt"
+    if ! diff -u "$WORKDIR/$NAME.txt" "$WORKDIR/$NAME.s2.txt"; then
+        echo "regimen-smoke: strategy $NAME at -shards 2 diverged from -shards 1" >&2
+        exit 1
+    fi
 done
 
-echo "regimen-smoke: ok (legacy path byte-identical through the seam; $(printf '%s\n' "$NAMES" | wc -l | tr -d ' ') strategies ran end to end)"
+echo "regimen-smoke: ok (legacy path byte-identical through the seam; $(printf '%s\n' "$NAMES" | wc -l | tr -d ' ') strategies ran end to end, each identical at -shards 1 and 2)"
