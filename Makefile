@@ -22,7 +22,8 @@
 #                    mid-sweep, restart it on the same journal, diff the
 #                    sweep against a single-node run
 #   make bench-smoke the frozen benchmark (bench/, BENCHMARK.json) still builds
-#                    and its sharded == sequential gate holds
+#                    and its gates hold: sharded == sequential, and the sweep's
+#                    engine result == direct run, re-sweep == cold result
 #   make bench-sweep sequential-vs-parallel sweep benchmark at small scale
 #   make all         everything above
 #
@@ -67,7 +68,8 @@ verify:
 
 # chaos drives the deterministic fault injector through the engine's real
 # cache and run paths under the race detector: injected disk errors, torn
-# writes, latency, and worker panics must leave results byte-identical to a
+# writes (landed by the cas store's own writer, caught by its verified read),
+# latency, and worker panics must leave results byte-identical to a
 # fault-free run, and a draining daemon must finish in-flight jobs.
 chaos:
 	$(GO) test -race ./internal/fault/...
@@ -122,9 +124,13 @@ regimen-smoke:
 # bench-smoke runs the frozen benchmark's sharded workload for three seconds,
 # traced: a change under internal/ that breaks bench/'s compile or its
 # correctness gate (sharded == sequential, replay == RunSampled) fails here,
-# before the pipeline's paired parent/change runs. The numbers are ignored.
+# before the pipeline's paired parent/change runs. The sweep workload follows
+# for an engine or cas change: its own gates are engine result == direct run,
+# re-sweep (disk cache only) == cold result, and no failed job. The numbers
+# are ignored.
 bench-smoke:
 	bash bench/run.sh --workload skip-heavy-sharded --seed 1 --seconds 3 --trace 1
+	bash bench/run.sh --workload sweep --seed 1 --seconds 3
 
 bench-sweep:
 	$(GO) test -run '^$$' -bench BenchmarkTable2SweepParallelism -benchtime 1x .

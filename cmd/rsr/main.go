@@ -40,7 +40,9 @@
 //	-parallel n    engine worker-pool size (0 = GOMAXPROCS; 1 for clean per-run wall times)
 //	-shards n      cluster-pipeline shards inside each sampled run
 //	               (default GOMAXPROCS; 1 = sequential; byte-identical either way)
-//	-cachedir s    content-addressed result cache directory (persists runs across invocations)
+//	-cachedir s    content-addressed result cache directory (persists runs
+//	               across invocations; an internal/cas store: blobs/, index/,
+//	               quarantine/ — caches of the older <hash>.json layout are ignored)
 //	-retries n     extra execution attempts for transiently failed jobs (worker panics)
 //	-stats         print engine scheduler/cache statistics to stderr when done
 //	-workload s    workload for `run`
@@ -103,7 +105,6 @@ func main() {
 	seed := flag.Int64("seed", 2007, "cluster placement seed")
 	workloadsFlag := flag.String("workloads", "", "comma-separated workload subset")
 	parallel := flag.Int("parallel", 0, "engine worker-pool size (0 = GOMAXPROCS; use 1 for clean per-run wall times)")
-	par := flag.Int("par", 0, "deprecated alias for -parallel")
 	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "cluster-pipeline shards per sampled run (1 = sequential; results byte-identical at any count)")
 	cacheDir := flag.String("cachedir", "", "content-addressed result cache directory (empty = memory-only)")
 	retries := flag.Int("retries", 0, "extra execution attempts for transiently failed jobs (worker panics)")
@@ -195,9 +196,6 @@ func main() {
 	cfg.Scale = *scale
 	cfg.Seed = *seed
 	cfg.Parallelism = *parallel
-	if cfg.Parallelism == 0 {
-		cfg.Parallelism = *par
-	}
 	cfg.CacheDir = *cacheDir
 	cfg.Retries = *retries
 	cfg.Shards = *shards

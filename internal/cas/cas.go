@@ -2,18 +2,18 @@
 // sweep fabric: finished results and pre-pass checkpoint chains travel
 // between nodes as blobs keyed by the hex SHA-256 of their bytes.
 //
-// Content addressing makes every blob self-verifying, the same discipline
-// as the engine's result-cache envelopes: a reader recomputes the sum and
-// refuses bytes that do not hash to their key. Corrupt or torn entries are
-// detected positively, quarantined under <dir>/quarantine (never served,
-// never silently deleted), and the caller falls back to recomputing or
-// refetching from a healthy peer. Because blobs are pure functions of their
-// key, writes race benignly: every writer writes the same bytes.
+// Content addressing makes every blob self-verifying: a reader recomputes
+// the sum and refuses bytes that do not hash to their key. Corrupt or torn
+// entries are detected positively, quarantined under <dir>/quarantine (never
+// served, never silently deleted), and the caller falls back to recomputing
+// or refetching from a healthy peer. Because blobs are pure functions of
+// their key, writes race benignly: every writer writes the same bytes.
 //
 // Alongside the blob space the store keeps a small name index mapping
-// semantic keys (e.g. a checkpoint chain's identity hash) to blob sums.
-// Index entries are only ever written for deterministic artifacts, so a
-// lost or re-linked entry costs a recompute, never correctness.
+// semantic keys (a checkpoint chain's identity hash, an engine job hash) to
+// blob sums. Index entries are only ever written for deterministic
+// artifacts, so a lost or re-linked entry costs a recompute, never
+// correctness. The engine's on-disk result cache is one of these stores.
 package cas
 
 import (
@@ -26,15 +26,19 @@ import (
 	"regexp"
 	"sync"
 	"sync/atomic"
+	"time"
+
+	"rsr/internal/fault"
 )
 
 // ErrNotFound reports a blob or index key that is not in the store.
 var ErrNotFound = errors.New("cas: not found")
 
-// ErrCorrupt reports a blob whose bytes did not hash to its key. The entry
-// has been quarantined; callers should refetch from another source or
-// recompute.
-var ErrCorrupt = errors.New("cas: corrupt blob")
+// ErrCorrupt reports a disk entry that could not be trusted: a blob whose
+// bytes did not hash to its key, a malformed index entry, or something
+// unreadable squatting on an entry's path. The entry has been quarantined;
+// callers should refetch from another source or recompute.
+var ErrCorrupt = errors.New("cas: corrupt entry")
 
 // Sum returns the store key for a blob: hex SHA-256 of its bytes.
 func Sum(b []byte) string {
@@ -47,28 +51,29 @@ var sumRE = regexp.MustCompile(`^[0-9a-f]{64}$`)
 // ValidSum reports whether s is a well-formed blob key.
 func ValidSum(s string) bool { return sumRE.MatchString(s) }
 
-// Stats is a point-in-time snapshot of a store's counters.
+// Stats is a point-in-time snapshot of a store's counters: Corrupt counts
+// disk entries (blobs and index entries) that failed verification,
+// Quarantined those of them moved aside.
 type Stats struct {
-	// Blobs is the number of distinct blobs resident in memory (disk-only
-	// entries not yet read are not counted).
-	Blobs int64
-	// Hits and Misses count Get outcomes; Corrupt counts blobs that failed
-	// verification (each one also quarantined when a directory is
-	// configured); Puts counts stored blobs (deduplicated writes included).
-	Hits, Misses, Corrupt, Puts int64
+	Corrupt, Quarantined int64
 }
 
 // Store holds blobs in memory and, when a directory is configured, on
 // disk. All methods are safe for concurrent use. The zero value is not
 // usable; call NewStore.
 type Store struct {
+	// Fault, nil in production, is consulted before every disk write
+	// (fault.CacheWrite), keyed by the blob sum or the index key. Set it
+	// before the store is shared.
+	Fault fault.Injector
+
 	dir string // "" = memory only
 
 	mu    sync.Mutex
-	mem   map[string][]byte // blob sum -> bytes
+	mem   map[string][]byte // blob sum -> bytes; with a dir, only blobs whose disk copy is good
 	index map[string]string // semantic key -> blob sum
 
-	hits, misses, corrupt, puts atomic.Int64
+	corrupt, quarantined atomic.Int64
 }
 
 // NewStore returns a store rooted at dir ("" = memory only). The directory
@@ -88,24 +93,27 @@ func (s *Store) indexPath(key string) string {
 	return filepath.Join(s.dir, "index", Sum([]byte(key)))
 }
 
-// Put stores b and returns its sum. Storing bytes that are already present
-// is a cheap no-op (content addressing makes the write idempotent).
+// Put stores b and returns its sum. Storing bytes that are already resident
+// is a cheap no-op (content addressing makes the write idempotent); a blob
+// becomes resident only once its disk copy has landed, so a Put after a
+// failed write tries the disk again.
 func (s *Store) Put(b []byte) (string, error) {
 	sum := Sum(b)
-	cp := append([]byte(nil), b...)
 	s.mu.Lock()
 	_, had := s.mem[sum]
-	if !had {
-		s.mem[sum] = cp
-	}
 	s.mu.Unlock()
-	s.puts.Add(1)
-	if s.dir == "" || had {
+	if had {
 		return sum, nil
 	}
-	if err := s.writeFile(s.blobPath(sum), cp); err != nil {
-		return sum, fmt.Errorf("cas: put %s: %w", short(sum), err)
+	cp := append([]byte(nil), b...)
+	if s.dir != "" {
+		if err := s.writeFile(s.blobPath(sum), sum, cp); err != nil {
+			return sum, fmt.Errorf("cas: put %.12s: %w", sum, err)
+		}
 	}
+	s.mu.Lock()
+	s.mem[sum] = cp
+	s.mu.Unlock()
 	return sum, nil
 }
 
@@ -118,29 +126,25 @@ func (s *Store) Get(sum string) ([]byte, error) {
 	b, ok := s.mem[sum]
 	s.mu.Unlock()
 	if ok {
-		s.hits.Add(1)
 		return b, nil
 	}
 	if s.dir == "" {
-		s.misses.Add(1)
 		return nil, ErrNotFound
 	}
 	b, err := os.ReadFile(s.blobPath(sum))
-	if err != nil {
-		s.misses.Add(1)
+	if os.IsNotExist(err) {
 		return nil, ErrNotFound
 	}
-	if Sum(b) != sum {
-		// Positively bad bytes: move the evidence aside so the next Put
-		// starts clean, and never serve them.
-		s.corrupt.Add(1)
-		s.quarantine(sum)
-		return nil, fmt.Errorf("%w: %s", ErrCorrupt, short(sum))
+	if err != nil || Sum(b) != sum {
+		// Positively bad bytes, or something unreadable squatting on the
+		// path: move the evidence aside so the next Put starts clean, and
+		// never serve it.
+		s.quarantine(s.blobPath(sum))
+		return nil, fmt.Errorf("%w: blob %.12s", ErrCorrupt, sum)
 	}
 	s.mu.Lock()
 	s.mem[sum] = b
 	s.mu.Unlock()
-	s.hits.Add(1)
 	return b, nil
 }
 
@@ -169,15 +173,16 @@ func (s *Store) Link(key, sum string) error {
 	if s.dir == "" {
 		return nil
 	}
-	if err := s.writeFile(s.indexPath(key), []byte(sum)); err != nil {
+	if err := s.writeFile(s.indexPath(key), key, []byte(sum)); err != nil {
 		return fmt.Errorf("cas: link %q: %w", key, err)
 	}
 	return nil
 }
 
 // Resolve returns the blob sum bound to key, or ErrNotFound. A malformed
-// index entry (truncated, scribbled) is treated as absent: the index is a
-// cache of recomputable bindings, not a source of truth.
+// index entry (truncated, scribbled) is quarantined and reported as
+// ErrCorrupt; the index is a cache of recomputable bindings, not a source
+// of truth, so the caller recomputes and relinks.
 func (s *Store) Resolve(key string) (string, error) {
 	s.mu.Lock()
 	sum, ok := s.index[key]
@@ -189,8 +194,12 @@ func (s *Store) Resolve(key string) (string, error) {
 		return "", ErrNotFound
 	}
 	b, err := os.ReadFile(s.indexPath(key))
-	if err != nil || !ValidSum(string(b)) {
+	if os.IsNotExist(err) {
 		return "", ErrNotFound
+	}
+	if err != nil || !ValidSum(string(b)) {
+		s.quarantine(s.indexPath(key))
+		return "", fmt.Errorf("%w: index entry of %q", ErrCorrupt, key)
 	}
 	sum = string(b)
 	s.mu.Lock()
@@ -211,38 +220,44 @@ func (s *Store) Evict(sum string) {
 
 // Stats returns the store's counters.
 func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	blobs := int64(len(s.mem))
-	s.mu.Unlock()
-	return Stats{
-		Blobs:   blobs,
-		Hits:    s.hits.Load(),
-		Misses:  s.misses.Load(),
-		Corrupt: s.corrupt.Load(),
-		Puts:    s.puts.Load(),
-	}
+	return Stats{Corrupt: s.corrupt.Load(), Quarantined: s.quarantined.Load()}
 }
 
-// quarantine moves a corrupt blob into <dir>/quarantine, uniquified if a
-// previous corpse is already there (same discipline as the engine cache).
-func (s *Store) quarantine(sum string) {
+// quarantine counts the entry at path (a blob, an index entry, or whatever
+// squats there) as corrupt and moves it into <dir>/quarantine, uniquified if
+// a previous corpse is already there, so the path is free for the rewrite.
+func (s *Store) quarantine(path string) {
+	s.corrupt.Add(1)
 	qdir := filepath.Join(s.dir, "quarantine")
 	if err := os.MkdirAll(qdir, 0o755); err != nil {
 		return
 	}
-	dst := filepath.Join(qdir, sum)
+	dst := filepath.Join(qdir, filepath.Base(path))
 	for i := 1; ; i++ {
 		if _, err := os.Lstat(dst); os.IsNotExist(err) {
 			break
 		}
-		dst = filepath.Join(qdir, fmt.Sprintf("%s.%d", sum, i))
+		dst = filepath.Join(qdir, fmt.Sprintf("%s.%d", filepath.Base(path), i))
 	}
-	_ = os.Rename(s.blobPath(sum), dst)
+	if os.Rename(path, dst) == nil {
+		s.quarantined.Add(1)
+	}
 }
 
-// writeFile writes atomically: temp file + fsync + rename, so a reader
-// never observes a torn entry from a real crash.
-func (s *Store) writeFile(path string, b []byte) error {
+// writeFile writes one disk entry atomically. An injected torn write lands
+// a prefix of the entry at its final path, as a crash mid-write that still
+// became visible would, to prove the read side catches it.
+func (s *Store) writeFile(path, key string, b []byte) error {
+	if d := fault.Check(s.Fault, fault.CacheWrite, key); d != nil {
+		switch d.Kind {
+		case fault.KindError:
+			return d.Err
+		case fault.KindTorn:
+			b = b[:len(b)/2]
+		case fault.KindLatency:
+			time.Sleep(d.Latency)
+		}
+	}
 	return WriteFileAtomic(path, b)
 }
 
@@ -275,12 +290,4 @@ func WriteFileAtomic(path string, b []byte) error {
 		return err
 	}
 	return os.Rename(tmp.Name(), path)
-}
-
-// short abbreviates a sum for error messages.
-func short(sum string) string {
-	if len(sum) > 12 {
-		return sum[:12]
-	}
-	return sum
 }

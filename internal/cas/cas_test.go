@@ -3,6 +3,7 @@ package cas
 import (
 	"bytes"
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -183,5 +184,115 @@ func TestQuarantineLayout(t *testing.T) {
 	}
 	if got, err := s2.Get(sum); err != nil || !bytes.Equal(got, blob) {
 		t.Fatalf("Get after rewrite = %q, %v", got, err)
+	}
+}
+
+// TestPutRetriesAfterFailedWrite pins that a failed disk write is not
+// remembered as a success: once the directory is usable the same Put lands,
+// and a fresh store reads the blob back.
+func TestPutRetriesAfterFailedWrite(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "cas")
+	// A regular file where the store's directory should be: nothing under it
+	// can be created.
+	if err := os.WriteFile(dir, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := NewStore(dir)
+	blob := []byte("written on the second try")
+	if _, err := s.Put(blob); err == nil {
+		t.Fatal("Put into an unwritable directory succeeded")
+	}
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	sum, err := s.Put(blob)
+	if err != nil {
+		t.Fatalf("Put after the directory was fixed: %v", err)
+	}
+	if got, err := NewStore(dir).Get(sum); err != nil || !bytes.Equal(got, blob) {
+		t.Fatalf("fresh store Get = %q, %v: the retry never reached the disk", got, err)
+	}
+}
+
+// TestQuarantineRepairsEntryPaths covers what can sit on an entry's path
+// besides good bytes — a directory squatting on a blob or an index entry, a
+// scribbled or truncated index entry — each is reported as ErrCorrupt once,
+// moved to quarantine, and repaired by the rewrite.
+func TestQuarantineRepairsEntryPaths(t *testing.T) {
+	blob := []byte("bytes worth keeping")
+	sum := Sum(blob)
+	squat := func(t *testing.T, path string) {
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Mkdir(path, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scribble := func(b []byte) func(*testing.T, string) {
+		return func(t *testing.T, path string) {
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name, space string
+		damage      func(t *testing.T, path string)
+	}{
+		{"blobSquatter", "blobs", squat},
+		{"indexSquatter", "index", squat},
+		{"indexScribbled", "index", scribble([]byte("not a sum"))},
+		{"indexTruncated", "index", scribble([]byte(sum[:32]))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := NewStore(dir)
+			if _, err := s.Put(blob); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Link("k", sum); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, "blobs", sum)
+			if tc.space == "index" {
+				path = filepath.Join(dir, "index", Sum([]byte("k")))
+			}
+			tc.damage(t, path)
+
+			s = NewStore(dir) // drop the memory copies, like a restart
+			_, err := s.Resolve("k")
+			if err == nil {
+				_, err = s.Get(sum)
+			}
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("read of damaged entry err = %v, want ErrCorrupt", err)
+			}
+			if st := s.Stats(); st.Corrupt != 1 || st.Quarantined != 1 {
+				t.Fatalf("stats = %+v, want one corrupt entry, quarantined", st)
+			}
+			if _, err := os.Lstat(filepath.Join(dir, "quarantine", filepath.Base(path))); err != nil {
+				t.Fatalf("evidence not in quarantine: %v", err)
+			}
+			if _, err := os.Lstat(path); !os.IsNotExist(err) {
+				t.Fatalf("damaged entry still on its path: %v", err)
+			}
+
+			// The rewrite lands on the freed path and a restart reads it.
+			if _, err := s.Put(blob); err != nil {
+				t.Fatalf("rewrite blob: %v", err)
+			}
+			if err := s.Link("k", sum); err != nil {
+				t.Fatalf("relink: %v", err)
+			}
+			s = NewStore(dir)
+			if r, err := s.Resolve("k"); err != nil || r != sum {
+				t.Fatalf("Resolve after repair = %s, %v", r, err)
+			}
+			if got, err := s.Get(sum); err != nil || !bytes.Equal(got, blob) {
+				t.Fatalf("Get after repair = %q, %v", got, err)
+			}
+		})
 	}
 }

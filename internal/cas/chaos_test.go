@@ -3,10 +3,13 @@ package cas
 import (
 	"bytes"
 	"context"
+	"errors"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"rsr/internal/fault"
 )
 
 // TestChaosCorruptBlobRefetchedFromHealthyPeer is the CAS half of the
@@ -63,5 +66,53 @@ func TestChaosCorruptBlobRefetchedFromHealthyPeer(t *testing.T) {
 	back, err := sick.Get(sum)
 	if err != nil || !bytes.Equal(back, blob) {
 		t.Fatalf("Get after repair = %q, %v", back, err)
+	}
+}
+
+// TestChaosInjectedTornWriteQuarantined drives the store's one injection
+// seam: a torn write of a blob, then of an index entry, each reaches its
+// final path as a prefix, is caught on the next read (content address, sum
+// syntax), quarantined, and repaired by writing again.
+func TestChaosInjectedTornWriteQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	blob := []byte("a result some job took a while to compute")
+	plan := fault.New(1,
+		fault.Rule{Point: fault.CacheWrite, Kind: fault.KindTorn, Prob: 1, Count: 2},
+		fault.Rule{Point: fault.CacheWrite, Kind: fault.KindError, Prob: 1, Count: 1})
+	s := NewStore(dir)
+	s.Fault = plan
+	sum, err := s.Put(blob)
+	if err != nil {
+		t.Fatalf("torn Put reported %v: a torn write is silent", err)
+	}
+	if err := s.Link("job", sum); err != nil {
+		t.Fatalf("torn Link reported %v", err)
+	}
+	if _, err := s.Put([]byte("other bytes")); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("Put under an injected write error = %v, want the injected error", err)
+	}
+
+	s = NewStore(dir) // restart: only the disk speaks
+	if _, err := s.Resolve("job"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Resolve of torn index entry err = %v, want ErrCorrupt", err)
+	}
+	if _, err := s.Get(sum); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Get of torn blob err = %v, want ErrCorrupt", err)
+	}
+	if st := s.Stats(); st.Quarantined != 2 {
+		t.Fatalf("stats = %+v, want both torn entries quarantined", st)
+	}
+	if _, err := s.Put(blob); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Link("job", sum); err != nil {
+		t.Fatal(err)
+	}
+	s = NewStore(dir)
+	if r, err := s.Resolve("job"); err != nil || r != sum {
+		t.Fatalf("Resolve after repair = %s, %v", r, err)
+	}
+	if got, err := s.Get(sum); err != nil || !bytes.Equal(got, blob) {
+		t.Fatalf("Get after repair = %q, %v", got, err)
 	}
 }

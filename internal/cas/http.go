@@ -152,74 +152,66 @@ func NewClient(hc *http.Client, bases ...string) *Client {
 	return &Client{bases: trimmed, hc: hc}
 }
 
+// do sends one request and returns the response status with at most limit
+// bytes of its body.
+func (c *Client) do(ctx context.Context, method, url string, body io.Reader, limit int64) (int, []byte, error) {
+	req, err := http.NewRequestWithContext(ctx, method, url, body)
+	if err != nil {
+		return 0, nil, err
+	}
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(io.LimitReader(resp.Body, limit))
+	return resp.StatusCode, b, err
+}
+
 // Fetch returns the verified blob for sum, trying each base in order.
 func (c *Client) Fetch(ctx context.Context, sum string) ([]byte, error) {
 	var lastErr error = ErrNotFound
 	for _, base := range c.bases {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/blobs/"+sum, nil)
-		if err != nil {
-			return nil, err
-		}
-		resp, err := c.hc.Do(req)
-		if err != nil {
+		code, b, err := c.do(ctx, http.MethodGet, base+"/blobs/"+sum, nil, maxBlobBytes+1)
+		switch {
+		case err != nil:
 			lastErr = err
-			continue
+		case code != http.StatusOK:
+			lastErr = fmt.Errorf("cas: fetch %.12s from %s: status %d", sum, base, code)
+		case Sum(b) != sum:
+			lastErr = fmt.Errorf("%w: %.12s from %s", ErrCorrupt, sum, base)
+		default:
+			return b, nil
 		}
-		b, err := io.ReadAll(io.LimitReader(resp.Body, maxBlobBytes+1))
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			lastErr = fmt.Errorf("cas: fetch %s from %s: status %d", short(sum), base, resp.StatusCode)
-			continue
-		}
-		if Sum(b) != sum {
-			lastErr = fmt.Errorf("%w: %s from %s", ErrCorrupt, short(sum), base)
-			continue
-		}
-		return b, nil
 	}
 	return nil, lastErr
 }
 
+// put sends body to path at the primary base, which must answer 201.
+func (c *Client) put(ctx context.Context, path string, body io.Reader) error {
+	if len(c.bases) == 0 {
+		return fmt.Errorf("cas: client has no bases")
+	}
+	code, _, err := c.do(ctx, http.MethodPut, c.bases[0]+path, body, 1<<10)
+	if err == nil && code != http.StatusCreated {
+		err = fmt.Errorf("status %d", code)
+	}
+	return err
+}
+
 // Put stores b at the primary base and returns its sum.
 func (c *Client) Put(ctx context.Context, b []byte) (string, error) {
-	if len(c.bases) == 0 {
-		return "", fmt.Errorf("cas: client has no bases")
-	}
 	sum := Sum(b)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, c.bases[0]+"/blobs/"+sum, bytes.NewReader(b))
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return "", err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		return "", fmt.Errorf("cas: put %s: status %d", short(sum), resp.StatusCode)
+	if err := c.put(ctx, "/blobs/"+sum, bytes.NewReader(b)); err != nil {
+		return "", fmt.Errorf("cas: put %.12s: %w", sum, err)
 	}
 	return sum, nil
 }
 
 // Link binds key to sum at the primary base.
 func (c *Client) Link(ctx context.Context, key, sum string) error {
-	if len(c.bases) == 0 {
-		return fmt.Errorf("cas: client has no bases")
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut,
-		c.bases[0]+"/index/"+key, strings.NewReader(sum))
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		return fmt.Errorf("cas: link %q: status %d", key, resp.StatusCode)
+	if err := c.put(ctx, "/index/"+key, strings.NewReader(sum)); err != nil {
+		return fmt.Errorf("cas: link %q: %w", key, err)
 	}
 	return nil
 }
@@ -228,18 +220,12 @@ func (c *Client) Link(ctx context.Context, key, sum string) error {
 func (c *Client) FetchKey(ctx context.Context, key string) ([]byte, error) {
 	var lastErr error = ErrNotFound
 	for _, base := range c.bases {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/index/"+key, nil)
-		if err != nil {
-			return nil, err
-		}
-		resp, err := c.hc.Do(req)
+		code, b, err := c.do(ctx, http.MethodGet, base+"/index/"+key, nil, 256)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		b, err := io.ReadAll(io.LimitReader(resp.Body, 256))
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK || !ValidSum(string(b)) {
+		if code != http.StatusOK || !ValidSum(string(b)) {
 			lastErr = ErrNotFound
 			continue
 		}

@@ -1,61 +1,38 @@
 package engine
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
+	"rsr/internal/cas"
 	"rsr/internal/fault"
 )
 
-// cache is the two-level content-addressed result store: a map keyed by job
-// hash in front of an optional JSON-file-per-result directory. Disk
-// problems (unreadable directory, corrupt, torn, or truncated files) never
-// fail a lookup — they count as misses and the result is recomputed. Bad
-// bytes are detected positively (every entry embeds the SHA-256 of its
-// payload) and quarantined under <dir>/quarantine rather than merely
-// skipped, so the rewrite starts clean and the evidence survives for
-// inspection.
+// cache is the two-level result store: a map of decoded results keyed by job
+// hash in front of an optional cas.Store on Options.CacheDir. On disk a
+// result is a JSON blob and its job hash an index key linked to that blob, so
+// verification on every read, quarantine of bad bytes and atomic writes are
+// the store's (see internal/cas). Disk problems never fail a lookup — they
+// count as misses and the result is recomputed, relinking the entry.
 type cache struct {
-	dir string // "" = memory only
-	inj fault.Injector
+	store *cas.Store
+	disk  bool // false = memory only: the store is never consulted
 
 	mu  sync.Mutex
 	mem map[string]*Result
 
-	// diskErrs counts disk reads/writes that failed (corruption, I/O);
-	// quarantined counts corrupt entries moved aside.
-	diskErrs    atomic.Int64
-	quarantined atomic.Int64
+	// diskErrs counts disk reads/writes that failed (corruption, I/O).
+	diskErrs atomic.Int64
 }
 
 func newCache(dir string, inj fault.Injector) *cache {
-	return &cache{dir: dir, inj: inj, mem: make(map[string]*Result)}
+	c := &cache{store: cas.NewStore(dir), disk: dir != "", mem: make(map[string]*Result)}
+	c.store.Fault = inj
+	return c
 }
-
-// path returns the on-disk location of a job's result file.
-func (c *cache) path(hash string) string {
-	return filepath.Join(c.dir, hash+".json")
-}
-
-// entry is the self-verifying on-disk envelope: the result JSON plus the
-// hex SHA-256 of exactly those bytes. Torn writes and bit rot fail the
-// checksum instead of depending on JSON decode errors to notice.
-type entry struct {
-	Format int             `json:"format"`
-	Sum    string          `json:"sha256"`
-	Result json.RawMessage `json:"result"`
-}
-
-// entryFormat versions the envelope; files in an older layout are treated
-// as corrupt (quarantined and recomputed), never misread.
-const entryFormat = 2
 
 // get looks a result up by job hash, memory first, then disk. Disk hits are
 // promoted into memory. The second return distinguishes memory (Hot) from
@@ -67,160 +44,70 @@ func (c *cache) get(hash string) (*Result, hitClass) {
 	if ok {
 		return r, hitHot
 	}
-	if c.dir == "" {
+	if !c.disk {
 		return nil, hitMiss
 	}
-	if d := fault.Check(c.inj, fault.CacheRead, hash); d != nil && d.Kind == fault.KindError {
-		c.diskErrs.Add(1)
-		return nil, hitMiss
-	}
-	b, err := os.ReadFile(c.path(hash))
+	r, err := c.load(hash)
 	if err != nil {
-		if !os.IsNotExist(err) {
-			// Something unreadable squats on the entry path (wrong type,
-			// permissions): move it aside so the rewrite can repair.
+		if !errors.Is(err, cas.ErrNotFound) {
 			c.diskErrs.Add(1)
-			c.quarantine(hash)
 		}
-		return nil, hitMiss
-	}
-	res, ok := decodeEntry(b, hash)
-	if !ok {
-		// Positively bad bytes: quarantine the file so the recompute's
-		// rewrite starts clean, then fall back to recompute.
-		c.diskErrs.Add(1)
-		c.quarantine(hash)
 		return nil, hitMiss
 	}
 	c.mu.Lock()
-	c.mem[hash] = res
+	c.mem[hash] = r
 	c.mu.Unlock()
-	return res, hitDisk
+	return r, hitDisk
 }
 
-// decodeEntry verifies and unwraps one on-disk envelope.
-func decodeEntry(b []byte, hash string) (*Result, bool) {
-	var e entry
-	if err := json.Unmarshal(b, &e); err != nil || e.Format != entryFormat {
-		return nil, false
+// load reads a job's result through the store: index entry, verified blob,
+// decode. The store's memory copy of the blob is evicted at once — the
+// decoded result in c.mem is the only one kept.
+func (c *cache) load(hash string) (*Result, error) {
+	if d := fault.Check(c.store.Fault, fault.CacheRead, hash); d != nil && d.Kind == fault.KindError {
+		return nil, d.Err // the bytes may be fine: no quarantine
 	}
-	sum := sha256.Sum256(e.Result)
-	if hex.EncodeToString(sum[:]) != e.Sum {
-		return nil, false
+	sum, err := c.store.Resolve(hash)
+	if err != nil {
+		return nil, err
 	}
-	var res Result
-	if err := json.Unmarshal(e.Result, &res); err != nil || !res.valid(hash) {
-		return nil, false
+	b, err := c.store.Get(sum)
+	if err != nil {
+		return nil, err
 	}
-	return &res, true
-}
-
-// quarantine moves a corrupt entry (file or squatting directory) into
-// <dir>/quarantine, uniquified if a previous corpse is already there.
-func (c *cache) quarantine(hash string) {
-	qdir := filepath.Join(c.dir, "quarantine")
-	if err := os.MkdirAll(qdir, 0o755); err != nil {
-		c.diskErrs.Add(1)
-		return
+	c.store.Evict(sum)
+	var r Result
+	if err := json.Unmarshal(b, &r); err != nil {
+		return nil, err
 	}
-	dst := filepath.Join(qdir, hash+".json")
-	for i := 1; ; i++ {
-		if _, err := os.Lstat(dst); os.IsNotExist(err) {
-			break
-		}
-		dst = filepath.Join(qdir, fmt.Sprintf("%s.json.%d", hash, i))
+	if !r.valid(hash) {
+		// A verified blob, but not this job's result (a stale or foreign
+		// link): the recompute relinks the entry.
+		return nil, fmt.Errorf("engine: cache entry %s links a blob of job %q", hash, r.JobHash)
 	}
-	if err := os.Rename(c.path(hash), dst); err != nil {
-		c.diskErrs.Add(1)
-		return
-	}
-	c.quarantined.Add(1)
-}
-
-// valid rejects decoded results that cannot belong to the hash (garbage
-// that happens to parse as JSON).
-func (r *Result) valid(hash string) bool {
-	if r.JobHash != hash {
-		return false
-	}
-	switch r.Kind {
-	case JobSampled:
-		return r.Sampled != nil
-	case JobFull:
-		return r.Full != nil
-	}
-	return false
+	return &r, nil
 }
 
 // put stores a result in memory and, when a directory is configured, on
-// disk. The write is atomic (temp file + fsync + rename) so readers never
-// observe a torn entry from a real crash; injected torn writes bypass the
-// temp-file discipline on purpose to prove the read-side checksum catches
-// them.
+// disk: the blob first, then the index entry that makes it reachable.
 func (c *cache) put(hash string, r *Result) {
 	c.mu.Lock()
 	c.mem[hash] = r
 	c.mu.Unlock()
-	if c.dir == "" {
+	if !c.disk {
 		return
 	}
-	if err := c.writeFile(hash, r); err != nil {
+	b, err := json.Marshal(r)
+	if err == nil {
+		var sum string
+		if sum, err = c.store.Put(b); err == nil {
+			err = c.store.Link(hash, sum)
+		}
+		c.store.Evict(sum)
+	}
+	if err != nil {
 		c.diskErrs.Add(1)
 	}
-}
-
-func (c *cache) writeFile(hash string, r *Result) error {
-	torn := false
-	if d := fault.Check(c.inj, fault.CacheWrite, hash); d != nil {
-		switch d.Kind {
-		case fault.KindError:
-			return d.Err
-		case fault.KindTorn:
-			torn = true
-		case fault.KindLatency:
-			time.Sleep(d.Latency)
-		}
-	}
-	if err := os.MkdirAll(c.dir, 0o755); err != nil {
-		return err
-	}
-	payload, err := json.Marshal(r)
-	if err != nil {
-		return err
-	}
-	sum := sha256.Sum256(payload)
-	b, err := json.Marshal(entry{Format: entryFormat, Sum: hex.EncodeToString(sum[:]), Result: payload})
-	if err != nil {
-		return err
-	}
-	if torn {
-		// Simulate a crash mid-write that still became visible: a prefix of
-		// the entry lands at the final path. The checksum makes the next
-		// read quarantine it instead of trusting it.
-		b = b[:len(b)/2]
-	}
-	tmp, err := os.CreateTemp(c.dir, hash+".tmp*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("engine: cache write: %w", err)
-	}
-	// fsync before rename: the entry must be durable before it becomes
-	// visible under its final name, or a crash could leave a valid-looking
-	// path with unflushed bytes.
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("engine: cache sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), c.path(hash))
 }
 
 // hitClass classifies a cache lookup for the stats counters.

@@ -6,48 +6,92 @@ import (
 	"path/filepath"
 	"testing"
 
+	"rsr/internal/cas"
 	"rsr/internal/fault"
 	"rsr/internal/warmup"
 )
 
+// entryPaths locates a cached job's two files under the store layout: the
+// index entry <dir>/index/<sha256(job hash)> and the blob it names,
+// <dir>/blobs/<sha256(bytes)>.
+func entryPaths(t *testing.T, dir string, j Job) (index, blob string) {
+	t.Helper()
+	index = filepath.Join(dir, "index", cas.Sum([]byte(j.Hash())))
+	sum, err := os.ReadFile(index)
+	if err != nil {
+		t.Fatalf("index entry missing after run: %v", err)
+	}
+	blob = filepath.Join(dir, "blobs", string(sum))
+	if _, err := os.Stat(blob); err != nil {
+		t.Fatalf("blob missing after run: %v", err)
+	}
+	return index, blob
+}
+
+func writeFile(t *testing.T, path string, b []byte) {
+	t.Helper()
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// squat replaces the file at path with a directory.
+func squat(t *testing.T, path string) {
+	t.Helper()
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCacheCorruptionFallsBackToRecompute covers the failure modes of the
-// on-disk store: garbage bytes, valid JSON for the wrong job, a truncated
-// file, and a directory squatting on the file name. All must read as misses
-// and the job must recompute (and, where possible, repair the entry).
+// on-disk store, on the blob and on the index entry that names it: garbage
+// bytes, a truncated file, a directory squatting on the file name, and an
+// index entry linking another job's (perfectly valid) blob. All must read as
+// counted misses and the job must recompute and repair the entry; everything
+// but the wrong-job link — which has no bad bytes — must leave its evidence
+// in quarantine.
 func TestCacheCorruptionFallsBackToRecompute(t *testing.T) {
 	j := sampledJob("twolf", warmup.Spec{Kind: warmup.KindNone})
+	other := sampledJob("parser", warmup.Spec{Kind: warmup.KindNone})
 
 	corruptions := []struct {
-		name    string
-		corrupt func(t *testing.T, path string)
+		name      string
+		unscathed bool // no bad bytes: nothing to quarantine
+		corrupt   func(t *testing.T, dir, index, blob string)
 	}{
-		{"garbage", func(t *testing.T, path string) {
-			if err := os.WriteFile(path, []byte("!!not json!!"), 0o644); err != nil {
-				t.Fatal(err)
-			}
+		{"garbage", false, func(t *testing.T, _, _, blob string) {
+			writeFile(t, blob, []byte("!!not json!!"))
 		}},
-		{"wrongJob", func(t *testing.T, path string) {
-			if err := os.WriteFile(path, []byte(`{"JobHash":"0000","Kind":"sampled"}`), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"truncated", func(t *testing.T, path string) {
-			b, err := os.ReadFile(path)
+		{"truncated", false, func(t *testing.T, _, _, blob string) {
+			b, err := os.ReadFile(blob)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(path, b[:len(b)/2], 0o644); err != nil {
-				t.Fatal(err)
-			}
+			writeFile(t, blob, b[:len(b)/2])
 		}},
-		{"directory", func(t *testing.T, path string) {
-			if err := os.Remove(path); err != nil {
+		{"directory", false, func(t *testing.T, _, _, blob string) { squat(t, blob) }},
+		{"wrongJob", true, func(t *testing.T, dir, index, _ string) {
+			otherIndex, _ := entryPaths(t, dir, other)
+			sum, err := os.ReadFile(otherIndex)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.Mkdir(path, 0o755); err != nil {
-				t.Fatal(err)
-			}
+			writeFile(t, index, sum)
 		}},
+		{"indexScribbled", false, func(t *testing.T, _, index, _ string) {
+			writeFile(t, index, []byte("!!not a sum!!"))
+		}},
+		{"indexTruncated", false, func(t *testing.T, _, index, _ string) {
+			sum, err := os.ReadFile(index)
+			if err != nil {
+				t.Fatal(err)
+			}
+			writeFile(t, index, sum[:len(sum)/2])
+		}},
+		{"indexDirectory", false, func(t *testing.T, _, index, _ string) { squat(t, index) }},
 	}
 
 	for _, tc := range corruptions {
@@ -59,13 +103,13 @@ func TestCacheCorruptionFallsBackToRecompute(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if _, err := e1.Run(context.Background(), other); err != nil {
+				t.Fatal(err)
+			}
 			e1.Close()
 
-			path := filepath.Join(dir, j.Hash()+".json")
-			if _, err := os.Stat(path); err != nil {
-				t.Fatalf("cache file missing after run: %v", err)
-			}
-			tc.corrupt(t, path)
+			index, blob := entryPaths(t, dir, j)
+			tc.corrupt(t, dir, index, blob)
 
 			e2 := New(Options{Workers: 1, CacheDir: dir})
 			defer e2.Close()
@@ -83,29 +127,108 @@ func TestCacheCorruptionFallsBackToRecompute(t *testing.T) {
 			if s.DiskErrors == 0 {
 				t.Errorf("corruption not counted in DiskErrors: %+v", s)
 			}
-			if s.Quarantined == 0 {
-				t.Errorf("corrupt entry was not quarantined: %+v", s)
+			// The bad bytes survive for inspection ...
+			ents, _ := os.ReadDir(filepath.Join(dir, "quarantine"))
+			if tc.unscathed {
+				if s.Quarantined != 0 || len(ents) != 0 {
+					t.Errorf("valid blob of another job was quarantined: %+v, %d files", s, len(ents))
+				}
+			} else if s.Quarantined != 1 || len(ents) != 1 {
+				t.Errorf("corrupt entry was not quarantined: %+v, %d files", s, len(ents))
 			}
-			// The bad bytes survive for inspection and the rewrite repaired
-			// the live entry: a third engine gets a verified disk hit.
-			if ents, err := os.ReadDir(filepath.Join(dir, "quarantine")); err != nil || len(ents) == 0 {
-				t.Errorf("quarantine dir missing or empty (err=%v)", err)
-			}
+			// ... and the rewrite repaired the live entry: a third engine
+			// gets a verified disk hit.
 			e3 := New(Options{Workers: 1, CacheDir: dir})
 			defer e3.Close()
 			if _, err := e3.Run(context.Background(), j); err != nil {
 				t.Fatal(err)
 			}
-			if s := e3.Stats(); s.DiskHits != 1 {
+			if s := e3.Stats(); s.DiskHits != 1 || s.DiskErrors != 0 {
 				t.Errorf("rewrite did not repair the entry: %+v", s)
 			}
 		})
 	}
 }
 
-// TestCacheTornWriteQuarantined injects a torn write (a prefix of the entry
-// reaching its final path) and checks the read side detects it via the
-// embedded checksum, quarantines the corpse, and recomputes identically.
+// TestCacheIgnoresLegacyEntries pins the format bump: a <hash>.json file of
+// the pre-store layout is neither read (a plain miss, no disk error) nor
+// touched.
+func TestCacheIgnoresLegacyEntries(t *testing.T) {
+	dir := t.TempDir()
+	j := sampledJob("twolf", warmup.Spec{Kind: warmup.KindNone})
+	legacy := filepath.Join(dir, j.Hash()+".json")
+	content := []byte(`{"format":2,"sha256":"00","result":{}}`)
+	writeFile(t, legacy, content)
+
+	e := New(Options{Workers: 1, CacheDir: dir})
+	if _, err := e.Run(context.Background(), j); err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+	if s := e.Stats(); s.CacheMisses != 1 || s.DiskErrors != 0 || s.Quarantined != 0 {
+		t.Errorf("stats = %+v, want a clean miss", s)
+	}
+	if got, err := os.ReadFile(legacy); err != nil || string(got) != string(content) {
+		t.Errorf("legacy entry touched: %q, %v", got, err)
+	}
+}
+
+// TestCacheHoldsOneCopy pins what the engine keeps of a disk-backed result:
+// the decoded value in its own map and nothing else. The store's memory copy
+// of the blob is gone after the put and after the disk hit (with the file
+// moved away the store cannot produce it), and a hot hit is a map lookup —
+// no decode, no allocation.
+func TestCacheHoldsOneCopy(t *testing.T) {
+	dir := t.TempDir()
+	j := sampledJob("twolf", warmup.Spec{Kind: warmup.KindNone})
+	resident := func(e *Engine, blob string) bool {
+		t.Helper()
+		aside := blob + ".aside"
+		if err := os.Rename(blob, aside); err != nil {
+			t.Fatal(err)
+		}
+		_, err := e.cache.store.Get(filepath.Base(blob))
+		if err := os.Rename(aside, blob); err != nil {
+			t.Fatal(err)
+		}
+		return err == nil
+	}
+
+	e1 := New(Options{Workers: 1, CacheDir: dir})
+	defer e1.Close()
+	if _, err := e1.Run(context.Background(), j); err != nil {
+		t.Fatal(err)
+	}
+	_, blob := entryPaths(t, dir, j)
+	if resident(e1, blob) {
+		t.Error("store still holds the blob after the put")
+	}
+
+	e2 := New(Options{Workers: 1, CacheDir: dir})
+	defer e2.Close()
+	if _, err := e2.Run(context.Background(), j); err != nil {
+		t.Fatal(err)
+	}
+	if s := e2.Stats(); s.DiskHits != 1 {
+		t.Fatalf("stats = %+v, want a disk hit", s)
+	}
+	if resident(e2, blob) {
+		t.Error("store still holds the blob after the disk hit")
+	}
+	hash := j.Hash()
+	if n := testing.AllocsPerRun(100, func() {
+		if _, class := e2.cache.get(hash); class != hitHot {
+			t.Fatal("promoted result is not a hot hit")
+		}
+	}); n != 0 {
+		t.Errorf("hot hit allocates %v times, want 0", n)
+	}
+}
+
+// TestCacheTornWriteQuarantined injects a torn write (a prefix of the blob
+// reaching its final path, through the store's own writer) and checks the
+// read side detects it against the content address, quarantines the corpse,
+// and recomputes identically.
 func TestCacheTornWriteQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	j := sampledJob("twolf", warmup.Spec{Kind: warmup.KindNone})
@@ -133,6 +256,9 @@ func TestCacheTornWriteQuarantined(t *testing.T) {
 	s := e2.Stats()
 	if s.CacheHits != 0 || s.Done != 1 || s.Quarantined != 1 || s.DiskErrors == 0 {
 		t.Errorf("stats = %+v, want miss + recompute + one quarantined entry", s)
+	}
+	if ents, _ := os.ReadDir(filepath.Join(dir, "quarantine")); len(ents) != 1 {
+		t.Errorf("quarantine holds %d files, want the torn blob", len(ents))
 	}
 }
 

@@ -158,7 +158,7 @@ func (e *Engine) Workers() int { return e.opts.Workers }
 
 // Stats returns a snapshot of the progress counters.
 func (e *Engine) Stats() Stats {
-	return e.stats.snapshot(e.cache.diskErrs.Load(), e.cache.quarantined.Load(), e.bcast.droppedCount())
+	return e.stats.snapshot(e.cache.diskErrs.Load(), e.cache.store.Stats().Quarantined, e.bcast.droppedCount())
 }
 
 // Subscribe returns a stream of progress events and a cancel function.

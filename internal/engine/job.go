@@ -16,13 +16,12 @@
 package engine
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
 
+	"rsr/internal/cas"
 	"rsr/internal/sampling"
 	"rsr/internal/warmup"
 	"rsr/internal/workload"
@@ -101,8 +100,7 @@ func (j Job) Hash() string {
 		// Identity fields are plain data; Marshal cannot fail on them.
 		panic(fmt.Sprintf("engine: job hash: %v", err))
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	return cas.Sum(b)
 }
 
 // checkpointIdentity is the canonical hashed form of a sampled job's
@@ -137,8 +135,7 @@ func (j Job) CheckpointKey() string {
 	if err != nil {
 		panic(fmt.Sprintf("engine: checkpoint key: %v", err))
 	}
-	sum := sha256.Sum256(b)
-	return "ckpt-" + hex.EncodeToString(sum[:])
+	return "ckpt-" + cas.Sum(b)
 }
 
 // ShardSlots reports how many shard goroutines an execution of this job

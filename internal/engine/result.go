@@ -36,3 +36,18 @@ func (r *Result) IPC() float64 {
 	}
 	return 0
 }
+
+// valid rejects decoded results that cannot belong to the hash (garbage
+// that happens to parse as JSON).
+func (r *Result) valid(hash string) bool {
+	if r.JobHash != hash {
+		return false
+	}
+	switch r.Kind {
+	case JobSampled:
+		return r.Sampled != nil
+	case JobFull:
+		return r.Full != nil
+	}
+	return false
+}

@@ -171,7 +171,7 @@ func (l *Lab) Figure9() (*Figure9Result, error) {
 				MaxPoints:    points,
 				Seed:         l.cfg.Seed,
 				Warmup:       c.warm,
-			})
+			}, nil)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: simpoint %s/%s: %w", name, c.label, err)
 			}

@@ -27,9 +27,12 @@ type Point string
 
 // Instrumented sites.
 const (
-	// CacheRead is the engine's on-disk result lookup.
+	// CacheRead is the engine's on-disk result lookup; the decision key is
+	// the job hash.
 	CacheRead Point = "cache.read"
-	// CacheWrite is the engine's on-disk result write.
+	// CacheWrite is a disk write of the store behind that cache
+	// (cas.Store.Fault): the decision key is the blob sum or the index key
+	// (for the engine, the job hash).
 	CacheWrite Point = "cache.write"
 	// JobRun is a worker executing a simulation job.
 	JobRun Point = "job.run"

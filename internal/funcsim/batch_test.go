@@ -153,7 +153,7 @@ func TestRunBatchesMatchesRun(t *testing.T) {
 		sb := New(p)
 		buf := make([]trace.DynInst, 64)
 		var got []trace.DynInst
-		ranB, errB := sb.RunBatches(n, buf, func(ds []trace.DynInst) { got = append(got, ds...) })
+		ranB, errB := sb.RunBatches(n, buf, func(ds []trace.DynInst) { got = append(got, ds...) }, nil)
 		if errB != nil {
 			t.Fatal(errB)
 		}
@@ -334,11 +334,11 @@ func TestRunBatchesZeroAllocs(t *testing.T) {
 	buf := make([]trace.DynInst, BatchSize)
 	var seen uint64
 	observe := func(ds []trace.DynInst) { seen += uint64(len(ds)) }
-	if _, err := s.RunBatches(4*BatchSize, buf, observe); err != nil {
+	if _, err := s.RunBatches(4*BatchSize, buf, observe, nil); err != nil {
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(20, func() {
-		if _, err := s.RunBatches(2*BatchSize, buf, observe); err != nil {
+		if _, err := s.RunBatches(2*BatchSize, buf, observe, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

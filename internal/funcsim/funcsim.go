@@ -456,9 +456,10 @@ func (s *Sim) RunBatch(buf []trace.DynInst) (int, error) {
 
 // RunBatches executes up to n instructions through RunBatch, invoking observe
 // (when non-nil) once per filled batch, and reports how many instructions
-// actually executed (fewer only when the program halts). The batch slice
-// passed to observe aliases buf and is only valid until the next batch.
-func (s *Sim) RunBatches(n uint64, buf []trace.DynInst, observe func([]trace.DynInst)) (uint64, error) {
+// actually executed: fewer only when the program halts, or when stop (polled
+// after every batch when non-nil) reports true. The batch slice passed to
+// observe aliases buf and is only valid until the next batch.
+func (s *Sim) RunBatches(n uint64, buf []trace.DynInst, observe func([]trace.DynInst), stop func() bool) (uint64, error) {
 	var done uint64
 	for done < n {
 		b := buf
@@ -473,8 +474,8 @@ func (s *Sim) RunBatches(n uint64, buf []trace.DynInst, observe func([]trace.Dyn
 		if observe != nil && k > 0 {
 			observe(b[:k])
 		}
-		if k < len(b) {
-			return done, nil // halted
+		if k < len(b) || stop != nil && stop() {
+			return done, nil // halted or stopped
 		}
 	}
 	return done, nil
@@ -487,5 +488,5 @@ func (s *Sim) Skip(n uint64) (uint64, error) {
 	if s.batch == nil {
 		s.batch = make([]trace.DynInst, BatchSize)
 	}
-	return s.RunBatches(n, s.batch, nil)
+	return s.RunBatches(n, s.batch, nil, nil)
 }

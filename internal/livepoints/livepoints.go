@@ -78,7 +78,7 @@ func Capture(p *prog.Program, m sampling.MachineConfig, reg sampling.Regimen, to
 	for _, start := range starts {
 		skip := start - pos
 		warm.BeginSkip(skip)
-		ran, err := fs.RunBatches(skip, buf, observe)
+		ran, err := fs.RunBatches(skip, buf, observe, nil)
 		if err != nil {
 			return nil, fmt.Errorf("livepoints: capture skip: %w", err)
 		}
@@ -97,7 +97,7 @@ func Capture(p *prog.Program, m sampling.MachineConfig, reg sampling.Regimen, to
 		// Execute the cluster functionally with warming so subsequent
 		// points see post-cluster state, as a real sampled run would.
 		warm.BeginSkip(reg.ClusterSize)
-		ran, err = fs.RunBatches(reg.ClusterSize, buf, observe)
+		ran, err = fs.RunBatches(reg.ClusterSize, buf, observe, nil)
 		if err != nil {
 			return nil, fmt.Errorf("livepoints: capture cluster: %w", err)
 		}

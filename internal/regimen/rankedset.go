@@ -122,27 +122,33 @@ func (s RankedSet) score(p Params, starts []uint64) ([]uint64, uint64, error) {
 	size := p.Regimen.ClusterSize
 	next := 0 // first candidate whose window has not ended
 	fs := funcsim.New(p.Program)
-	ran, err := fs.Run(p.Total, func(d *trace.DynInst) {
-		if !d.IsMem() {
-			return
+	buf := make([]trace.DynInst, funcsim.BatchSize)
+	ran, err := fs.RunBatches(p.Total, buf, func(ds []trace.DynInst) {
+		for i := range ds {
+			d := &ds[i]
+			if !d.IsMem() {
+				continue
+			}
+			line := d.EffAddr >> sketchLineShift
+			set := line % sketchLines
+			if tags[set] == line {
+				continue
+			}
+			tags[set] = line
+			for next < len(starts) && d.Seq >= starts[next]+size {
+				next++
+			}
+			if next < len(starts) && d.Seq >= starts[next] {
+				scores[next]++
+			}
 		}
-		line := d.EffAddr >> sketchLineShift
-		set := line % sketchLines
-		if tags[set] == line {
-			return
-		}
-		tags[set] = line
-		for next < len(starts) && d.Seq >= starts[next]+size {
-			next++
-		}
-		if next < len(starts) && d.Seq >= starts[next] {
-			scores[next]++
-		}
-	})
-	if err != nil {
+	}, p.canceled)
+	switch {
+	case err != nil:
 		return nil, ran, fmt.Errorf("regimen: ranked-set scoring pass: %w", err)
-	}
-	if ran != p.Total {
+	case p.canceled():
+		return nil, ran, sampling.ErrCanceled
+	case ran != p.Total:
 		return nil, ran, fmt.Errorf("regimen: workload halted after %d instructions during scoring", ran)
 	}
 	return scores, ran, nil

@@ -69,6 +69,17 @@ type Params struct {
 	Instr *Instruments
 }
 
+// canceled reports whether Cancel has been closed: the stop poll of the
+// functional profiling passes.
+func (p Params) canceled() bool {
+	select {
+	case <-p.Cancel:
+		return true
+	default:
+		return false
+	}
+}
+
 // Region is one detailed-simulation region a strategy selected.
 type Region struct {
 	// Start is the dynamic instruction index where detailed simulation

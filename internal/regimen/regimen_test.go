@@ -74,7 +74,7 @@ func TestSimPointByteIdentical(t *testing.T) {
 		MaxPoints:    p.Regimen.NumClusters,
 		Seed:         p.Seed,
 		Warmup:       p.Warmup,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,18 +205,30 @@ func TestStrategiesShardedIdentical(t *testing.T) {
 	}
 }
 
+// TestRunCanceled closes Cancel before Run: every strategy must return
+// ErrCanceled, and the ones that open with a functional profiling pass over
+// the whole run (BBV or sketch-cache scoring) must stop that pass at its
+// first batch rather than finish it and notice at the first region.
 func TestRunCanceled(t *testing.T) {
 	done := make(chan struct{})
 	close(done)
+	profiles := map[string]bool{"simpoint": true, "two-phase-stratified": true, "ranked-set": true}
 	for _, s := range All() {
-		if s.Name() == "simpoint" {
-			continue // the baseline delegates to simpoint.Estimate, which predates cancellation
-		}
 		p := testParams(t, "twolf")
 		p.Cancel = done
 		if _, err := s.Run(p); !errors.Is(err, sampling.ErrCanceled) {
-			t.Fatalf("%s: err = %v, want ErrCanceled", s.Name(), err)
+			t.Errorf("%s: err = %v, want ErrCanceled", s.Name(), err)
 		}
+		if !profiles[s.Name()] {
+			continue
+		}
+		if _, err := s.Select(p); !errors.Is(err, sampling.ErrCanceled) {
+			t.Errorf("%s: Select err = %v, want ErrCanceled out of the profiling pass", s.Name(), err)
+		}
+		delete(profiles, s.Name())
+	}
+	if len(profiles) != 0 {
+		t.Errorf("profiling strategies not registered: %v", profiles)
 	}
 }
 

@@ -94,7 +94,7 @@ func (SimPoint) config(p Params) simpoint.Config {
 // intervals as regions weighted by cluster population.
 func (s SimPoint) Select(p Params) (*Plan, error) {
 	cfg := s.config(p)
-	intervals, covered, err := simpoint.Profile(p.Program, p.Total, cfg.IntervalSize)
+	intervals, covered, err := simpoint.Profile(p.Program, p.Total, cfg.IntervalSize, p.canceled)
 	if err != nil {
 		return nil, err
 	}
@@ -120,7 +120,7 @@ func (s SimPoint) Select(p Params) (*Plan, error) {
 // Run implements Strategy by delegating to the SimPoint baseline.
 func (s SimPoint) Run(p Params) (*Outcome, error) {
 	begin := time.Now()
-	res, err := simpoint.Estimate(p.Program, p.Machine, p.Total, s.config(p))
+	res, err := simpoint.Estimate(p.Program, p.Machine, p.Total, s.config(p), p.canceled)
 	if err != nil {
 		return nil, err
 	}

@@ -60,7 +60,7 @@ type stratification struct {
 }
 
 func (s TwoPhaseStratified) stratify(p Params) (*stratification, error) {
-	intervals, covered, err := simpoint.Profile(p.Program, p.Total, p.Regimen.ClusterSize)
+	intervals, covered, err := simpoint.Profile(p.Program, p.Total, p.Regimen.ClusterSize, p.canceled)
 	if err != nil {
 		return nil, err
 	}

@@ -305,7 +305,7 @@ func TestDisabledObservabilityZeroAllocs(t *testing.T) {
 	run := func() {
 		t0 := ro.begin()
 		method.BeginSkip(skip)
-		n, rerr := fs.RunBatches(skip, buf, observe)
+		n, rerr := fs.RunBatches(skip, buf, observe, nil)
 		if rerr != nil {
 			t.Fatal(rerr)
 		}

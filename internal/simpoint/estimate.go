@@ -44,10 +44,10 @@ type Result struct {
 }
 
 // Estimate profiles p, picks simulation points, and simulates them to
-// produce a weighted IPC estimate.
-func Estimate(p *prog.Program, m sampling.MachineConfig, total uint64, cfg Config) (*Result, error) {
+// produce a weighted IPC estimate. stop is Profile's: nil never stops.
+func Estimate(p *prog.Program, m sampling.MachineConfig, total uint64, cfg Config, stop func() bool) (*Result, error) {
 	profileStart := time.Now()
-	intervals, covered, err := Profile(p, total, cfg.IntervalSize)
+	intervals, covered, err := Profile(p, total, cfg.IntervalSize, stop)
 	if err != nil {
 		return nil, err
 	}

@@ -16,6 +16,7 @@ import (
 
 	"rsr/internal/funcsim"
 	"rsr/internal/prog"
+	"rsr/internal/sampling"
 	"rsr/internal/trace"
 )
 
@@ -37,11 +38,15 @@ type Interval struct {
 // the instructions actually profiled, n*intervalSize for the n returned
 // intervals — so estimators can account for the dropped tail instead of
 // silently assuming the profile spans `total`.
-func Profile(p *prog.Program, total, intervalSize uint64) ([]Interval, uint64, error) {
+//
+// stop, when non-nil, is polled after every instruction batch; once it
+// reports true the pass ends with sampling.ErrCanceled.
+func Profile(p *prog.Program, total, intervalSize uint64, stop func() bool) ([]Interval, uint64, error) {
 	if intervalSize == 0 || total < intervalSize {
 		return nil, 0, errors.New("simpoint: interval size must be positive and at most the total length")
 	}
 	fs := funcsim.New(p)
+	buf := make([]trace.DynInst, funcsim.BatchSize)
 	n := int(total / intervalSize)
 	intervals := make([]Interval, 0, n)
 	counts := make(map[uint64]uint64)
@@ -58,17 +63,21 @@ func Profile(p *prog.Program, total, intervalSize uint64) ([]Interval, uint64, e
 	}
 
 	for i := 0; i < n; i++ {
-		ran, err := fs.Run(intervalSize, func(d *trace.DynInst) {
-			counts[leader]++
-			if d.IsBranch() {
-				leader = d.NextPC
+		ran, err := fs.RunBatches(intervalSize, buf, func(ds []trace.DynInst) {
+			for k := range ds {
+				counts[leader]++
+				if ds[k].IsBranch() {
+					leader = ds[k].NextPC
+				}
 			}
-			covered++
-		})
-		if err != nil {
+			covered += uint64(len(ds))
+		}, stop)
+		switch {
+		case err != nil:
 			return nil, covered, fmt.Errorf("simpoint: profiling: %w", err)
-		}
-		if ran != intervalSize {
+		case stop != nil && stop():
+			return nil, covered, sampling.ErrCanceled
+		case ran != intervalSize:
 			return nil, covered, fmt.Errorf("simpoint: workload halted during profiling interval %d", i)
 		}
 		flush()

@@ -14,7 +14,7 @@ import (
 
 func TestProfileBasics(t *testing.T) {
 	w, _ := workload.ByName("parser")
-	ivs, covered, err := Profile(w.Build(), 100_000, 10_000)
+	ivs, covered, err := Profile(w.Build(), 100_000, 10_000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,21 +43,21 @@ func TestProfileBasics(t *testing.T) {
 
 func TestProfileValidation(t *testing.T) {
 	w, _ := workload.ByName("parser")
-	if _, _, err := Profile(w.Build(), 1000, 0); err == nil {
+	if _, _, err := Profile(w.Build(), 1000, 0, nil); err == nil {
 		t.Fatal("zero interval must error")
 	}
-	if _, _, err := Profile(w.Build(), 100, 1000); err == nil {
+	if _, _, err := Profile(w.Build(), 100, 1000, nil); err == nil {
 		t.Fatal("interval larger than total must error")
 	}
 }
 
 func TestProfileDeterministic(t *testing.T) {
 	w, _ := workload.ByName("twolf")
-	a, _, err := Profile(w.Build(), 50_000, 5_000)
+	a, _, err := Profile(w.Build(), 50_000, 5_000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, _ := Profile(w.Build(), 50_000, 5_000)
+	b, _, _ := Profile(w.Build(), 50_000, 5_000, nil)
 	for i := range a {
 		if len(a[i].Vector) != len(b[i].Vector) {
 			t.Fatal("profiles differ")
@@ -121,7 +121,7 @@ func TestPickClampsK(t *testing.T) {
 
 func TestPickSortedAndDeterministic(t *testing.T) {
 	w, _ := workload.ByName("gcc")
-	ivs, _, err := Profile(w.Build(), 200_000, 10_000)
+	ivs, _, err := Profile(w.Build(), 200_000, 10_000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestEstimateReasonable(t *testing.T) {
 	res, err := Estimate(w.Build(), m, total, Config{
 		IntervalSize: 10_000, MaxPoints: 10, Seed: 3,
 		Warmup: warmup.Spec{Kind: warmup.KindSMARTS, Cache: true, BPred: true},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,14 +180,14 @@ func TestEstimateWarmupVariantsDiffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Estimate(w.Build(), m, total, Config{IntervalSize: 3_000, MaxPoints: 10, Seed: 3})
+	plain, err := Estimate(w.Build(), m, total, Config{IntervalSize: 3_000, MaxPoints: 10, Seed: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	warmed, err := Estimate(w.Build(), m, total, Config{
 		IntervalSize: 3_000, MaxPoints: 10, Seed: 3,
 		Warmup: warmup.Spec{Kind: warmup.KindSMARTS, Cache: true, BPred: true},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestProfileDropsTrailingPartialInterval(t *testing.T) {
 	// 25K instructions at 10K granularity: two whole intervals profile, the
 	// trailing 5K are never executed, and the covered count says so.
 	w, _ := workload.ByName("parser")
-	ivs, covered, err := Profile(w.Build(), 25_000, 10_000)
+	ivs, covered, err := Profile(w.Build(), 25_000, 10_000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestSimulatePointsZeroRetirementSafe(t *testing.T) {
 
 func TestClustersMatchesPick(t *testing.T) {
 	w, _ := workload.ByName("gcc")
-	ivs, _, err := Profile(w.Build(), 200_000, 10_000)
+	ivs, _, err := Profile(w.Build(), 200_000, 10_000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -147,7 +147,7 @@ type SimPointResult = simpoint.Result
 // RunSimPoint profiles p's basic-block vectors, clusters them, and simulates
 // the chosen simulation points to produce a weighted IPC estimate.
 func RunSimPoint(p *Program, m Machine, total uint64, cfg SimPointConfig) (*SimPointResult, error) {
-	return simpoint.Estimate(p, m, total, cfg)
+	return simpoint.Estimate(p, m, total, cfg, nil)
 }
 
 // CoreConfig is the out-of-order core's machine parameters (widths, window
