@@ -2,7 +2,8 @@
 #
 #   make build       compile everything
 #   make test        tier-1 gate: go build ./... && go test ./...
-#   make verify      vet + race-test the concurrent code paths, then soak the
+#   make verify      vet + race-test the concurrent code paths, fuzz the
+#                    batched interpreter against Step for 20 s, then soak the
 #                    engine and the sharded pipeline under -race -count=20
 #   make chaos       race-enabled fault-injection suite (chaos + drain tests)
 #   make obs-smoke   end-to-end observability check: rsrd /metrics scrape +
@@ -24,6 +25,9 @@
 #   make bench-smoke the frozen benchmark (bench/, BENCHMARK.json) still builds
 #                    and its gates hold: sharded == sequential, and the sweep's
 #                    engine result == direct run, re-sweep == cold result
+#   make stall-check the two innermost loops compile without host stalls:
+#                    objdump of funcsim.RunBatch (no record built on the stack)
+#                    and of ooo's per-cycle loops (no divide, no Duff copy)
 #   make bench-sweep sequential-vs-parallel sweep benchmark at small scale
 #   make all         everything above
 #
@@ -33,9 +37,9 @@
 
 GO ?= go
 
-.PHONY: all build test verify chaos obs-smoke cluster-smoke trace-smoke shard-smoke recovery-smoke regimen-smoke bench-smoke bench-sweep
+.PHONY: all build test verify chaos obs-smoke cluster-smoke trace-smoke shard-smoke recovery-smoke regimen-smoke bench-smoke stall-check bench-sweep
 
-all: build test verify chaos obs-smoke cluster-smoke trace-smoke shard-smoke recovery-smoke regimen-smoke bench-smoke
+all: build test verify chaos obs-smoke cluster-smoke trace-smoke shard-smoke recovery-smoke regimen-smoke bench-smoke stall-check
 
 build:
 	$(GO) build ./...
@@ -57,13 +61,17 @@ test: build
 # The second test line is ROADMAP's "green means green" gate: the engine's
 # ticket/stats ordering and the pipeline's buffer recycling (a capture or
 # product reused while something still reads it) are schedule-dependent, so
-# one clean pass proves little; twenty under the race detector do. One pass
-# over the sampling package takes about a minute and a half under -race on a
-# two-core host, so the soak sets its own timeout above go test's ten minutes.
+# one clean pass proves little; twenty under the race detector do. Re-timed
+# after PR 17 on the two-core host: one -race pass over the sampling package is
+# 87-92 s, and the soak line takes 31.5 minutes of wall clock (sampling 1746 s,
+# engine 191 s, warmup 143 s, the three packages overlapping), so it sets its
+# own timeout above go test's ten minutes. The fuzz line before it compares
+# RunBatch with Step on generated programs for 20 s.
 verify:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/obs/... ./internal/engine/... ./internal/sampling/... \
 		./internal/regimen/... ./internal/cluster/... ./internal/cas/... ./cmd/rsrd/...
+	$(GO) test -run '^$$' -fuzz FuzzRunBatchMatchesStep -fuzztime 20s ./internal/funcsim
 	$(GO) test -race -count=20 -timeout 60m ./internal/engine ./internal/warmup ./internal/sampling
 
 # chaos drives the deterministic fault injector through the engine's real
@@ -131,6 +139,14 @@ regimen-smoke:
 bench-smoke:
 	bash bench/run.sh --workload skip-heavy-sharded --seed 1 --seconds 3 --trace 1
 	bash bench/run.sh --workload sweep --seed 1 --seconds 3
+
+# stall-check reads the compiled code of the two innermost loops, because the
+# regressions it guards against change no result and so fail no test: a record
+# built in a stack temporary in funcsim.RunBatch (a failed store-to-load
+# forward per simulated instruction, 2x on cold stepping), and a hardware
+# divide or a whole-entry copy in ooo's per-cycle loops.
+stall-check:
+	./scripts/stall-check.sh
 
 bench-sweep:
 	$(GO) test -run '^$$' -bench BenchmarkTable2SweepParallelism -benchtime 1x .

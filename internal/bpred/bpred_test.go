@@ -196,6 +196,55 @@ func TestRASFillBottom(t *testing.T) {
 	}
 }
 
+// TestRASMatchesSliceModel drives the circular stack and an obviously-right
+// slice (youngest first, oldest dropped on overflow) through the same random
+// operations, at depths that are and are not powers of two: the slot
+// arithmetic wraps by compare-and-add and must land where a modulus would.
+func TestRASMatchesSliceModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, depth := range []int{1, 2, 3, 5, 8, 13} {
+		r := NewRAS(RASConfig{Depth: depth})
+		var model []uint64
+		for step := 0; step < 5000; step++ {
+			addr := rng.Uint64()
+			switch rng.Intn(4) {
+			case 0, 1:
+				r.Push(addr)
+				model = append([]uint64{addr}, model...)
+				if len(model) > depth {
+					model = model[:depth]
+				}
+			case 2:
+				got, ok := r.Pop()
+				if ok != (len(model) > 0) || ok && got != model[0] {
+					t.Fatalf("depth %d step %d: pop = %#x, %v; model %#x", depth, step, got, ok, model)
+				}
+				if ok {
+					model = model[1:]
+				}
+			case 3:
+				if ok := r.FillBottom(addr); ok != (len(model) < depth) {
+					t.Fatalf("depth %d step %d: fill = %v with %d live", depth, step, ok, len(model))
+				} else if ok {
+					model = append(model, addr)
+				}
+			}
+			got := r.Contents()
+			if len(got) != len(model) || r.Size() != len(model) {
+				t.Fatalf("depth %d step %d: contents %#x, model %#x", depth, step, got, model)
+			}
+			for i := range model {
+				if got[i] != model[i] {
+					t.Fatalf("depth %d step %d: contents %#x, model %#x", depth, step, got, model)
+				}
+			}
+			if top, ok := r.Peek(); ok != (len(model) > 0) || ok && top != model[0] {
+				t.Fatalf("depth %d step %d: peek = %#x, %v", depth, step, top, ok)
+			}
+		}
+	}
+}
+
 func TestUnitConditionalFlow(t *testing.T) {
 	u := NewUnit(Config{
 		Gshare: GshareConfig{Entries: 1024, HistoryBits: 8},

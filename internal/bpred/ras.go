@@ -33,11 +33,23 @@ func (r *RAS) Depth() int { return len(r.slots) }
 // Size reports the live entry count.
 func (r *RAS) Size() int { return r.size }
 
+// below returns the slot index k entries under the next push slot, for k in
+// [0, Depth]: one compare and add where `% len(r.slots)` is a hardware divide.
+func (r *RAS) below(k int) int {
+	i := r.top - k
+	if i < 0 {
+		i += len(r.slots)
+	}
+	return i
+}
+
 // Push records a return address.
 func (r *RAS) Push(addr uint64) {
 	r.slots[r.top] = addr
 	r.valid[r.top] = true
-	r.top = (r.top + 1) % len(r.slots)
+	if r.top++; r.top == len(r.slots) {
+		r.top = 0
+	}
 	if r.size < len(r.slots) {
 		r.size++
 	}
@@ -49,7 +61,7 @@ func (r *RAS) Pop() (uint64, bool) {
 	if r.size == 0 {
 		return 0, false
 	}
-	r.top = (r.top - 1 + len(r.slots)) % len(r.slots)
+	r.top = r.below(1)
 	addr := r.slots[r.top]
 	r.valid[r.top] = false
 	r.size--
@@ -62,8 +74,7 @@ func (r *RAS) Peek() (uint64, bool) {
 	if r.size == 0 {
 		return 0, false
 	}
-	i := (r.top - 1 + len(r.slots)) % len(r.slots)
-	return r.slots[i], true
+	return r.slots[r.below(1)], true
 }
 
 // FillBottom installs addr below every live entry: the reverse-reconstruction
@@ -73,7 +84,7 @@ func (r *RAS) FillBottom(addr uint64) bool {
 	if r.size >= len(r.slots) {
 		return false
 	}
-	bottom := (r.top - r.size - 1 + 2*len(r.slots)) % len(r.slots)
+	bottom := r.below(r.size + 1)
 	r.slots[bottom] = addr
 	r.valid[bottom] = true
 	r.size++
@@ -95,8 +106,7 @@ func (r *RAS) Clear() {
 func (r *RAS) Contents() []uint64 {
 	out := make([]uint64, 0, r.size)
 	for k := 1; k <= r.size; k++ {
-		i := (r.top - k + 2*len(r.slots)) % len(r.slots)
-		out = append(out, r.slots[i])
+		out = append(out, r.slots[r.below(k)])
 	}
 	return out
 }

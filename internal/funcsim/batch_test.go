@@ -1,6 +1,8 @@
 package funcsim
 
 import (
+	"math"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -97,43 +99,72 @@ func collectScalar(t *testing.T, p *prog.Program) ([]trace.DynInst, *Sim) {
 	return recs, s
 }
 
+// poison overwrites every field of every record with all-ones garbage. It
+// walks trace.DynInst by reflection so that a field added later is poisoned
+// too, and TestRunBatchMatchesStep fails until RunBatch stores it.
+func poison(t *testing.T, buf []trace.DynInst) {
+	t.Helper()
+	for i := range buf {
+		v := reflect.ValueOf(&buf[i]).Elem()
+		for f := 0; f < v.NumField(); f++ {
+			switch fv := v.Field(f); fv.Kind() {
+			case reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+				fv.SetUint(math.MaxUint64 >> (64 - fv.Type().Bits()))
+			case reflect.Bool:
+				fv.SetBool(true)
+			default:
+				t.Fatalf("trace.DynInst.%s has kind %s: teach poison to fill it", v.Type().Field(f).Name, fv.Kind())
+			}
+		}
+	}
+}
+
 // TestRunBatchMatchesStep is the batch/scalar equivalence property: for every
 // buffer size, RunBatch must produce the identical record sequence, halt at
-// the same point, and leave identical architectural state as Step.
+// the same point, and leave identical architectural state as Step. RunBatch
+// stores each field into the caller's slot without zeroing it first, so the
+// second pass hands it buffers full of garbage before every call: a field
+// without a store — EffAddr on a non-memory instruction, Taken on a
+// non-branch — would keep the garbage and differ from Step's zero.
 func TestRunBatchMatchesStep(t *testing.T) {
 	p := allOpcodeProgram()
 	want, ws := collectScalar(t, p)
-	for _, size := range []int{1, 2, 3, 7, 64, 1000, 1024, 4096} {
-		s := New(p)
-		buf := make([]trace.DynInst, size)
-		var got []trace.DynInst
-		for {
-			n, err := s.RunBatch(buf)
-			if err != nil {
-				t.Fatalf("size %d: %v", size, err)
+	for _, poisoned := range []bool{false, true} {
+		for _, size := range []int{1, 2, 3, 7, 64, 1000, 1024, 4096} {
+			s := New(p)
+			buf := make([]trace.DynInst, size)
+			var got []trace.DynInst
+			for {
+				if poisoned {
+					poison(t, buf)
+				}
+				n, err := s.RunBatch(buf)
+				if err != nil {
+					t.Fatalf("size %d: %v", size, err)
+				}
+				if n == 0 {
+					break
+				}
+				got = append(got, buf[:n]...)
 			}
-			if n == 0 {
-				break
+			if len(got) != len(want) {
+				t.Fatalf("size %d: %d records, want %d", size, len(got), len(want))
 			}
-			got = append(got, buf[:n]...)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("size %d: %d records, want %d", size, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("size %d: record %d differs:\nbatch:  %+v\nscalar: %+v", size, i, got[i], want[i])
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("size %d poisoned %v: record %d differs:\nbatch:  %+v\nscalar: %+v", size, poisoned, i, got[i], want[i])
+				}
 			}
-		}
-		if !s.Halted() {
-			t.Fatalf("size %d: not halted", size)
-		}
-		if s.PC() != ws.PC() || s.Seq() != ws.Seq() {
-			t.Fatalf("size %d: pc/seq = %#x/%d, want %#x/%d", size, s.PC(), s.Seq(), ws.PC(), ws.Seq())
-		}
-		for r := 0; r < isa.NumRegs; r++ {
-			if s.Reg(uint8(r)) != ws.Reg(uint8(r)) {
-				t.Fatalf("size %d: r%d = %#x, want %#x", size, r, s.Reg(uint8(r)), ws.Reg(uint8(r)))
+			if !s.Halted() {
+				t.Fatalf("size %d: not halted", size)
+			}
+			if s.PC() != ws.PC() || s.Seq() != ws.Seq() {
+				t.Fatalf("size %d: pc/seq = %#x/%d, want %#x/%d", size, s.PC(), s.Seq(), ws.PC(), ws.Seq())
+			}
+			for r := 0; r < isa.NumRegs; r++ {
+				if s.Reg(uint8(r)) != ws.Reg(uint8(r)) {
+					t.Fatalf("size %d: r%d = %#x, want %#x", size, r, s.Reg(uint8(r)), ws.Reg(uint8(r)))
+				}
 			}
 		}
 	}

@@ -325,11 +325,15 @@ func (s *Sim) RunBatch(buf []trace.DynInst) (int, error) {
 			return n, fmt.Errorf("funcsim: pc %#x escaped code segment", pc)
 		}
 		in := &code[idx]
+		// Every field is stored straight into the record's slot: a composite
+		// literal here is built on the stack with byte stores and then copied
+		// out with 16-byte loads, a failed store-to-load forward per
+		// instruction. Nothing zeroes the slot first, so each field of
+		// trace.DynInst needs its store (NextPC's is after the switch).
 		d := &buf[n]
-		*d = trace.DynInst{
-			Seq: seq, PC: pc,
-			Op: in.Op, Rd: in.Rd, Rs1: in.Rs1, Rs2: in.Rs2,
-		}
+		d.Seq, d.PC = seq, pc
+		d.Op, d.Rd, d.Rs1, d.Rs2 = in.Op, in.Rd, in.Rs1, in.Rs2
+		d.EffAddr, d.Taken = 0, false
 		next := pc + isa.InstBytes
 		rs1 := regs[in.Rs1]
 		rs2 := regs[in.Rs2]

@@ -1,0 +1,157 @@
+package funcsim
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"rsr/internal/isa"
+	"rsr/internal/prog"
+	"rsr/internal/trace"
+)
+
+const (
+	fuzzMaxInsts = 256  // static instructions decoded from one input
+	fuzzMaxSteps = 4096 // dynamic instructions executed: inputs may loop forever
+)
+
+// fuzzProgram decodes bytes into a bounded program, four bytes per
+// instruction: opcode selector, rd, rs1 and one argument byte that serves as
+// rs2, immediate or target. Every opcode is reachable, and one selector past
+// the last is an undefined opcode. Direct branch, jump and call targets are
+// clamped to instructions of the program. Indirect ones are not: r1 starts at
+// the data segment, whose word i holds — by the top bits of instruction i's rd
+// byte — the PC of an instruction, a misaligned PC, or the argument byte
+// shifted to somewhere below, inside or past the code, so a load followed by
+// jr/ret either lands on an instruction or escapes. A halt follows the
+// decoded instructions.
+func fuzzProgram(data []byte) *prog.Program {
+	n := len(data) / 4
+	if n > fuzzMaxInsts {
+		n = fuzzMaxInsts
+	}
+	label := func(i int) string { return fmt.Sprintf("L%d", i) }
+	b := prog.NewBuilder("fuzz")
+	b.Li(1, int64(prog.DataBase))
+	for i := 0; i < n; i++ {
+		sel, rdByte, rs1Byte, arg := data[4*i], data[4*i+1], data[4*i+2], data[4*i+3]
+		op := isa.Op(int(sel) % (isa.NumOps + 1))
+		rd, rs1, rs2 := rdByte%isa.NumRegs, rs1Byte%isa.NumRegs, arg%isa.NumRegs
+		target := int(arg) % (n + 1) // n is the trailing halt
+		b.Label(label(i))
+		switch {
+		case op.IsConditional():
+			b.Branch(op, rs1, rs2, label(target))
+		case op == isa.OpJmp:
+			b.Jmp(label(target))
+		case op == isa.OpCall:
+			b.Call(rd, label(target))
+		default:
+			b.Emit(isa.Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2, Imm: int64(int8(arg)) * 8})
+		}
+		word := prog.DataBase + 8*uint64(i)
+		switch rdByte >> 6 {
+		case 0, 1:
+			b.WordLabel(word, label(target))
+		case 2:
+			b.Word(word, prog.PCOf(target)+1)
+		default:
+			b.Word(word, uint64(arg)<<(rdByte&31))
+		}
+	}
+	b.Label(label(n))
+	b.Halt()
+	return b.MustBuild()
+}
+
+// outcome is everything a functional run leaves behind.
+type outcome struct {
+	Recs   []trace.DynInst
+	Regs   [isa.NumRegs]uint64
+	Seq    uint64
+	PC     uint64
+	Halted bool
+	Pages  []PageData
+	Err    string
+}
+
+func outcomeOf(s *Sim, recs []trace.DynInst, err error) outcome {
+	d := s.CaptureDelta()
+	o := outcome{Recs: recs, Regs: d.Regs, Seq: d.Seq, PC: d.PC, Halted: d.Halted, Pages: d.Pages}
+	if err != nil {
+		o.Err = err.Error()
+	}
+	return o
+}
+
+// stepOutcome is the oracle: Step, one instruction at a time, until halt,
+// fault or fuzzMaxSteps.
+func stepOutcome(p *prog.Program) outcome {
+	s := New(p)
+	var recs []trace.DynInst
+	for len(recs) < fuzzMaxSteps && !s.Halted() {
+		d, err := s.Step()
+		if err != nil {
+			return outcomeOf(s, recs, err)
+		}
+		recs = append(recs, d)
+	}
+	return outcomeOf(s, recs, nil)
+}
+
+// batchOutcome runs the same instructions through RunBatch with a buffer of
+// the given size, clipped on the last call so exactly fuzzMaxSteps execute.
+func batchOutcome(p *prog.Program, size int) outcome {
+	s := New(p)
+	buf := make([]trace.DynInst, size)
+	var recs []trace.DynInst
+	for len(recs) < fuzzMaxSteps {
+		b := buf
+		if rem := fuzzMaxSteps - len(recs); rem < len(b) {
+			b = b[:rem]
+		}
+		n, err := s.RunBatch(b)
+		recs = append(recs, b[:n]...)
+		if err != nil {
+			return outcomeOf(s, recs, err)
+		}
+		if n < len(b) {
+			break // halted
+		}
+	}
+	return outcomeOf(s, recs, nil)
+}
+
+// FuzzRunBatchMatchesStep is ROADMAP's "one slow oracle, fuzzed": on any
+// program the decoder can produce — looping, halting early, running off the
+// code through an indirect jump, hitting an undefined opcode — the batched
+// interpreter must leave exactly what Step leaves: every record, the
+// registers, Seq, PC, Halted, the dirty pages and the error text.
+func FuzzRunBatchMatchesStep(f *testing.F) {
+	allOps := make([]byte, 0, 4*(isa.NumOps+1))
+	for op := 0; op <= isa.NumOps; op++ {
+		allOps = append(allOps, byte(op), byte(2+op), byte(1+op/2), byte(3*op))
+	}
+	f.Add(allOps)
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := fuzzProgram(data)
+		want := stepOutcome(p)
+		for _, size := range []int{1, 7, 1024} {
+			got := batchOutcome(p, size)
+			if reflect.DeepEqual(got, want) {
+				continue
+			}
+			for i := 0; i < len(got.Recs) && i < len(want.Recs); i++ {
+				if got.Recs[i] != want.Recs[i] {
+					t.Fatalf("size %d: record %d differs:\nbatch: %+v\nstep:  %+v", size, i, got.Recs[i], want.Recs[i])
+				}
+			}
+			t.Fatalf("size %d: batch and step diverge: %d/%d records, %d/%d dirty pages (equal: %v), regs equal: %v\n"+
+				"batch: seq %d pc %#x halted %v err %q\nstep:  seq %d pc %#x halted %v err %q",
+				size, len(got.Recs), len(want.Recs), len(got.Pages), len(want.Pages),
+				reflect.DeepEqual(got.Pages, want.Pages), got.Regs == want.Regs,
+				got.Seq, got.PC, got.Halted, got.Err, want.Seq, want.PC, want.Halted, want.Err)
+		}
+	})
+}

@@ -31,8 +31,12 @@ type BusStats struct {
 }
 
 // NewBus builds a bus; cpuGHz is the processor clock the returned completion
-// times are expressed in.
+// times are expressed in. It panics on a non-positive width, which Transfer
+// could not count beats against.
 func NewBus(cfg BusConfig, cpuGHz float64) *Bus {
+	if cfg.WidthBytes <= 0 {
+		panic("mem: " + cfg.Name + ": bus width must be positive")
+	}
 	per := uint64(cpuGHz / cfg.ClockGHz)
 	if per == 0 {
 		per = 1
@@ -43,9 +47,12 @@ func NewBus(cfg BusConfig, cpuGHz float64) *Bus {
 // Transfer moves `bytes` over the bus starting no earlier than `now`,
 // returning the CPU cycle at which the transfer completes.
 func (b *Bus) Transfer(now uint64, bytes int) uint64 {
-	beats := uint64((bytes + b.cfg.WidthBytes - 1) / b.cfg.WidthBytes)
-	if beats == 0 {
-		beats = 1
+	// ceil(bytes/width), at least one, counted by subtraction: a transfer is
+	// a request word or one cache line, a few bus widths at most, and the
+	// width is a run-time value, so dividing costs a hardware divide each.
+	beats := uint64(1)
+	for rem := bytes - b.cfg.WidthBytes; rem > 0; rem -= b.cfg.WidthBytes {
+		beats++
 	}
 	start := now
 	if !b.cfg.NoContention && b.busyUntil > start {

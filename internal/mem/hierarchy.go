@@ -110,14 +110,14 @@ func (h *Hierarchy) prefetch(c *Cache, addr, now uint64) {
 	if !h.cfg.NextLinePrefetch {
 		return
 	}
-	next := (addr | uint64(c.Config().LineBytes-1)) + 1
+	next := (addr | uint64(c.cfg.LineBytes-1)) + 1
 	if c.Probe(next) {
 		return
 	}
 	c.Access(next, false)
 	t := h.L1Bus.Transfer(now, 8)
 	t = h.accessL2(t, next, false)
-	h.L1Bus.Transfer(t, c.Config().LineBytes)
+	h.L1Bus.Transfer(t, c.cfg.LineBytes)
 }
 
 // AccessStore performs a timed data store beginning at cycle now. The store

@@ -39,6 +39,33 @@ func TestBusZeroByteTransfer(t *testing.T) {
 	}
 }
 
+// TestBusBeatsRoundUp pins Transfer's beat count, which it reaches by
+// subtraction, to the rounding-up division it stands for, on widths that are
+// and are not powers of two.
+func TestBusBeatsRoundUp(t *testing.T) {
+	for _, width := range []int{1, 3, 16, 24, 32} {
+		for bytes := 0; bytes <= 200; bytes++ {
+			b := NewBus(BusConfig{Name: "t", WidthBytes: width, ClockGHz: 1}, 2)
+			want := uint64((bytes + width - 1) / width)
+			if want == 0 {
+				want = 1
+			}
+			if done := b.Transfer(0, bytes); done != 2*want {
+				t.Fatalf("width %d: %d bytes done at %d, want %d beats of 2 cycles", width, bytes, done, want)
+			}
+		}
+	}
+}
+
+func TestBusPanicsOnZeroWidth(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a bus that cannot move a byte must be refused at construction")
+		}
+	}()
+	NewBus(BusConfig{Name: "t", ClockGHz: 1}, 2)
+}
+
 func TestDefaultHierarchyConfigMatchesPaper(t *testing.T) {
 	cfg := DefaultHierarchyConfig()
 	if cfg.L1I.SizeBytes != 64<<10 || cfg.L1I.Assoc != 4 || cfg.L1I.LineBytes != 64 || cfg.L1I.Policy != WTNA {

@@ -1,6 +1,8 @@
 package ooo
 
 import (
+	"math/bits"
+
 	"rsr/internal/bpred"
 	"rsr/internal/isa"
 	"rsr/internal/mem"
@@ -26,6 +28,10 @@ func (r Result) IPC() float64 {
 	return float64(r.Instructions) / float64(r.Cycles)
 }
 
+// entry is one in-flight instruction. A fetch-queue slot carries only what
+// fetch knows (d, class, fetchReady, mispred); dispatch stores every other
+// field when it moves the instruction into its ROB slot. Slots are recycled
+// and never zeroed, so a field read in a ring needs a store on that path.
 type entry struct {
 	d          trace.DynInst
 	class      isa.Class
@@ -49,6 +55,10 @@ type Sim struct {
 	cfg  Config
 	hier *mem.Hierarchy
 	pred bpred.Predictor
+	// Fetch-path constants of the hierarchy, read once at New: Config()
+	// returns the whole HierarchyConfig by value.
+	lineShift uint   // log2 of the L1I line size
+	l1Hit     uint64 // L1 hit latency in cycles
 
 	cycle uint64
 
@@ -120,14 +130,17 @@ func (f *funcSource) Fill(max uint64) []trace.DynInst {
 
 // New builds a timing model over the given memory hierarchy and predictor.
 func New(cfg Config, hier *mem.Hierarchy, pred bpred.Predictor) *Sim {
+	hc := hier.Config()
 	return &Sim{
-		cfg:      cfg,
-		hier:     hier,
-		pred:     pred,
-		rob:      make([]entry, cfg.ROBSize),
-		iq:       make([]int, 0, cfg.IQSize),
-		fq:       make([]entry, cfg.FetchQueueSize),
-		resolves: make([]uint64, cfg.ROBSize+cfg.FetchQueueSize),
+		cfg:       cfg,
+		hier:      hier,
+		pred:      pred,
+		lineShift: uint(bits.TrailingZeros(uint(hc.L1I.LineBytes))),
+		l1Hit:     hc.L1HitCycles,
+		rob:       make([]entry, cfg.ROBSize),
+		iq:        make([]int, 0, cfg.IQSize),
+		fq:        make([]entry, cfg.FetchQueueSize),
+		resolves:  make([]uint64, cfg.ROBSize+cfg.FetchQueueSize),
 	}
 }
 
@@ -169,6 +182,17 @@ func (s *Sim) SimulateSource(n uint64, src Source) Result {
 	return s.res
 }
 
+// wrap folds a ring position in [0, 2n) back into [0, n). Every ring here
+// (ROB, fetch queue, resolve ring) advances by less than its length at a
+// time, so a compare and a subtract replace the hardware divide that
+// `% len(ring)` costs on sizes the compiler cannot see.
+func wrap(i, n int) int {
+	if i >= n {
+		i -= n
+	}
+	return i
+}
+
 func (s *Sim) reset() {
 	s.cycle = 0
 	s.hier.Drain() // region time restarts; prior in-flight traffic is gone
@@ -194,7 +218,7 @@ func (s *Sim) reset() {
 func (s *Sim) fetch(budget uint64, streamDone *bool) uint64 {
 	// Release checkpoints for branches that have resolved by now.
 	for s.resCount > 0 && s.resolves[s.resHead] <= s.cycle {
-		s.resHead = (s.resHead + 1) % len(s.resolves)
+		s.resHead = wrap(s.resHead+1, len(s.resolves))
 		s.resCount--
 		s.unresolved--
 	}
@@ -219,18 +243,20 @@ func (s *Sim) fetch(budget uint64, streamDone *bool) uint64 {
 				break
 			}
 		}
-		d := s.cur[s.curIdx]
+		d := &s.cur[s.curIdx]
 		s.curIdx++
-		e := entry{d: d, class: d.Op.Class(), fetchReady: s.cycle}
+		// The entry is built in its fetch-queue slot, which is claimed (by
+		// fqCount++) only once it is complete.
+		e := &s.fq[wrap(s.fqHead+s.fqCount, len(s.fq))]
+		e.d, e.class, e.fetchReady, e.mispred = *d, d.Op.Class(), s.cycle, false
 
 		// Instruction cache: access once per line crossed.
-		lineSz := uint64(s.hier.Config().L1I.LineBytes)
-		line := d.PC / lineSz
+		line := d.PC >> s.lineShift
 		if !s.haveFetchLine || line != s.lastFetchLine {
 			done := s.hier.AccessInst(s.cycle, d.PC)
 			s.lastFetchLine = line
 			s.haveFetchLine = true
-			if done > s.cycle+s.hier.Config().L1HitCycles {
+			if done > s.cycle+s.l1Hit {
 				// Miss: this instruction arrives late; fetch stalls.
 				e.fetchReady = done
 				s.fetchResumeAt = done
@@ -254,7 +280,7 @@ func (s *Sim) fetch(budget uint64, streamDone *bool) uint64 {
 			}
 		}
 
-		s.fqPush(e)
+		s.fqCount++
 		fetched++
 		if e.mispred {
 			break // fetch cannot proceed past an unresolved mispredict
@@ -272,11 +298,6 @@ func (s *Sim) fetch(budget uint64, streamDone *bool) uint64 {
 	return fetched
 }
 
-func (s *Sim) fqPush(e entry) {
-	s.fq[(s.fqHead+s.fqCount)%len(s.fq)] = e
-	s.fqCount++
-}
-
 // dispatch moves decoded instructions into the ROB/IQ/LSQ in order.
 func (s *Sim) dispatch() {
 	for n := 0; n < s.cfg.DispatchWidth && s.fqCount > 0; n++ {
@@ -292,27 +313,28 @@ func (s *Sim) dispatch() {
 			break
 		}
 
-		ent := *e
-		ent.dep1 = s.depFor(ent.d.Rs1)
-		ent.dep2 = s.depFor(ent.d.Rs2)
-		if writesRd(ent.class) && ent.d.Rd != isa.ZeroReg {
-			s.lastWriter[ent.d.Rd] = ent.d.Seq + 1
+		if s.count == 0 {
+			s.headSeq = e.d.Seq
+			s.head = 0
 		}
-		ent.inLSQ = isMem
+		// The one copy of the instruction, field by field into its ROB slot
+		// (a whole-struct assignment of the 104-byte entry is a duffcopy).
+		pos := wrap(s.head+s.count, len(s.rob))
+		ent := &s.rob[pos]
+		ent.d, ent.class, ent.mispred = e.d, e.class, e.mispred
+		ent.dep1, ent.dep2 = s.depFor(e.d.Rs1), s.depFor(e.d.Rs2)
+		ent.doneCycle, ent.waitStore = 0, 0
+		ent.issued, ent.done, ent.inLSQ = false, false, isMem
+		if writesRd(e.class) && e.d.Rd != isa.ZeroReg {
+			s.lastWriter[e.d.Rd] = e.d.Seq + 1
+		}
 		if isMem {
 			s.lsqCount++
 		}
-
-		if s.count == 0 {
-			s.headSeq = ent.d.Seq
-			s.head = 0
-		}
-		pos := (s.head + s.count) % len(s.rob)
-		s.rob[pos] = ent
 		s.count++
 		s.iq = append(s.iq, pos)
 
-		s.fqHead = (s.fqHead + 1) % len(s.fq)
+		s.fqHead = wrap(s.fqHead+1, len(s.fq))
 		s.fqCount--
 	}
 }
@@ -339,7 +361,7 @@ func (s *Sim) ready(dep uint64) bool {
 	if off >= uint64(s.count) {
 		return false // producer not dispatched yet
 	}
-	p := &s.rob[(s.head+int(off))%len(s.rob)]
+	p := &s.rob[wrap(s.head+int(off), len(s.rob))]
 	return p.done && p.doneCycle <= s.cycle
 }
 
@@ -395,7 +417,7 @@ func (s *Sim) issue() {
 		e.issued = true
 		e.done = true
 		if e.class.IsControl() {
-			s.resolves[(s.resHead+s.resCount)%len(s.resolves)] = e.doneCycle
+			s.resolves[wrap(s.resHead+s.resCount, len(s.resolves))] = e.doneCycle
 			s.resCount++
 			if e.mispred && s.blockedOnSeq == e.d.Seq+1 {
 				resume := e.doneCycle + s.cfg.BranchPenalty
@@ -422,7 +444,7 @@ func (s *Sim) lsqScan(e *entry) (forward bool, availCycle uint64, blocked bool) 
 	word := e.d.EffAddr &^ 7
 	off := int(e.d.Seq - s.headSeq)
 	for k := off - 1; k >= 0; k-- {
-		p := &s.rob[(s.head+k)%len(s.rob)]
+		p := &s.rob[wrap(s.head+k, len(s.rob))]
 		if p.class != isa.ClassStore {
 			continue
 		}
@@ -448,7 +470,7 @@ func (s *Sim) storeIssued(tok uint64) bool {
 	if off >= uint64(s.count) {
 		return true // defensive: not in the window anymore
 	}
-	return s.rob[(s.head+int(off))%len(s.rob)].issued
+	return s.rob[wrap(s.head+int(off), len(s.rob))].issued
 }
 
 // retire commits up to RetireWidth completed instructions in order, training
@@ -469,7 +491,7 @@ func (s *Sim) retire() {
 		}
 		s.retiredSeqPlus = e.d.Seq + 1
 		s.res.Instructions++
-		s.head = (s.head + 1) % len(s.rob)
+		s.head = wrap(s.head+1, len(s.rob))
 		s.count--
 		s.headSeq = e.d.Seq + 1
 	}
