@@ -29,6 +29,7 @@
 #                    objdump of funcsim.RunBatch (no record built on the stack)
 #                    and of ooo's per-cycle loops (no divide, no Duff copy)
 #   make bench-sweep sequential-vs-parallel sweep benchmark at small scale
+#   make loc         non-test Go lines per internal package and in total
 #   make all         everything above
 #
 # The benchmark itself is `bash bench/run.sh --workload W` (one workload) or
@@ -37,7 +38,7 @@
 
 GO ?= go
 
-.PHONY: all build test verify chaos obs-smoke cluster-smoke trace-smoke shard-smoke recovery-smoke regimen-smoke bench-smoke stall-check bench-sweep
+.PHONY: all build test verify chaos obs-smoke cluster-smoke trace-smoke shard-smoke recovery-smoke regimen-smoke bench-smoke stall-check bench-sweep loc
 
 all: build test verify chaos obs-smoke cluster-smoke trace-smoke shard-smoke recovery-smoke regimen-smoke bench-smoke stall-check
 
@@ -150,3 +151,9 @@ stall-check:
 
 bench-sweep:
 	$(GO) test -run '^$$' -bench BenchmarkTable2SweepParallelism -benchtime 1x .
+
+# loc prints the count simplicity PRs quote in CHANGES.md: non-test Go lines
+# of every internal package, then of internal and cmd together.
+loc:
+	@for d in internal/*; do printf '%-22s %6d\n' $$d $$(find $$d -name '*.go' -not -name '*_test.go' | xargs cat | wc -l); done; \
+	printf '%-22s %6d\n' 'internal cmd' $$(find internal cmd -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)

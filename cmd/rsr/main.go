@@ -26,7 +26,7 @@
 //	regimens   list the pluggable sampling strategies
 //	strategies sampling-strategy head-to-head: every registered strategy on
 //	           the lab's workloads, scored against the true IPC
-//	top        live cluster status view (requires -cluster): queue depths,
+//	top        live cluster status view (requires -cluster): queue depth,
 //	           in-flight leases, shard utilization, stragglers, journal
 //	           fsync latency, refreshed every second until interrupted
 //

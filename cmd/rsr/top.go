@@ -54,8 +54,8 @@ func renderStatus(st cluster.ClusterStatus, now time.Time) string {
 		state = "draining"
 	}
 	fmt.Fprintf(&b, "rsr top — %s — %s\n", now.Format("15:04:05"), state)
-	fmt.Fprintf(&b, "jobs: lobby %d  queued %d  running %d  done %d  failed %d  sweeps %d\n",
-		st.Lobby, st.Queued, st.Running, st.Done, st.Failed, st.Sweeps)
+	fmt.Fprintf(&b, "jobs: queued %d  running %d  done %d  failed %d  sweeps %d\n",
+		st.Queued, st.Running, st.Done, st.Failed, st.Sweeps)
 	if st.JournalFsyncs > 0 {
 		fmt.Fprintf(&b, "journal: %d fsyncs  mean %.2fms  p99 ≤ %.2fms\n",
 			st.JournalFsyncs, st.JournalFsyncMeanMS, st.JournalFsyncP99MS)
@@ -74,8 +74,8 @@ func renderStatus(st cluster.ClusterStatus, now time.Time) string {
 		}
 		return nodes[i].Node < nodes[j].Node
 	})
-	fmt.Fprintf(&b, "%-16s %5s %5s %9s %7s %9s %10s %s\n",
-		"node", "queue", "lease", "shards", "beat", "clock", "slowest", "job")
+	fmt.Fprintf(&b, "%-16s %5s %9s %7s %9s %10s %s\n",
+		"node", "lease", "shards", "beat", "clock", "slowest", "job")
 	for _, n := range nodes {
 		slowest := "-"
 		job := ""
@@ -83,8 +83,8 @@ func renderStatus(st cluster.ClusterStatus, now time.Time) string {
 			slowest = fmtMS(n.OldestLeaseAgeMS)
 			job = n.OldestLeaseJob
 		}
-		fmt.Fprintf(&b, "%-16s %5d %5d %5d/%-3d %7s %9s %10s %s\n",
-			n.Node, n.QueueDepth, n.Inflight, n.ShardsInUse, n.ShardCapacity,
+		fmt.Fprintf(&b, "%-16s %5d %5d/%-3d %7s %9s %10s %s\n",
+			n.Node, n.Inflight, n.ShardsInUse, n.ShardCapacity,
 			fmtMS(n.BeatAgeMS), fmtClock(n.ClockOffsetNS), slowest, job)
 	}
 	return b.String()

@@ -10,13 +10,13 @@ import (
 
 func TestRenderStatusSortsStragglersFirst(t *testing.T) {
 	st := cluster.ClusterStatus{
-		Lobby: 1, Queued: 4, Running: 2, Done: 10, Failed: 1, Sweeps: 1,
+		Queued: 4, Running: 2, Done: 10, Failed: 1, Sweeps: 1,
 		JournalFsyncs: 42, JournalFsyncMeanMS: 0.8, JournalFsyncP99MS: 2.5,
 		Nodes: []cluster.NodeStatus{
-			{Node: "worker-a", QueueDepth: 2, Inflight: 1, ShardsInUse: 4,
+			{Node: "worker-a", Inflight: 1, ShardsInUse: 4,
 				ShardCapacity: 8, BeatAgeMS: 120, ClockOffsetNS: 1_500_000,
 				OldestLeaseAgeMS: 900, OldestLeaseJob: "abcd1234"},
-			{Node: "worker-b", QueueDepth: 1, Inflight: 2, ShardsInUse: 8,
+			{Node: "worker-b", Inflight: 2, ShardsInUse: 8,
 				ShardCapacity: 8, BeatAgeMS: 80, ClockOffsetNS: -3_000,
 				OldestLeaseAgeMS: 4_200, OldestLeaseJob: "ef567890"},
 		},
@@ -25,7 +25,7 @@ func TestRenderStatusSortsStragglersFirst(t *testing.T) {
 
 	for _, want := range []string{
 		"accepting",
-		"lobby 1  queued 4  running 2  done 10  failed 1  sweeps 1",
+		"jobs: queued 4  running 2  done 10  failed 1  sweeps 1",
 		"journal: 42 fsyncs  mean 0.80ms  p99 ≤ 2.50ms",
 		"worker-a", "worker-b", "abcd1234", "ef567890",
 		"+1ms",  // worker-a's clock offset

@@ -12,7 +12,7 @@
 // API:
 //
 //	POST /v1/jobs            submit one engine job; 503 + Retry-After when
-//	                         every worker queue is full (backpressure)
+//	                         the queue is full (backpressure)
 //	GET  /v1/jobs/{id}       job status, and the result once finished
 //	POST /v1/sweeps          submit a batch (idempotent on retry)
 //	GET  /v1/sweeps/{id}     sweep progress
@@ -30,8 +30,8 @@
 //	                         families re-exported with a node label
 //	GET  /healthz, /readyz   liveness / readiness
 //
-// Scheduling is pull-based with bounded per-worker queues, work stealing
-// from slow nodes, hedged requests against stragglers, and heartbeat-driven
+// Scheduling is pull-based: one bounded FIFO queue that every free worker
+// slot pulls from, hedged requests against stragglers, and heartbeat-driven
 // requeue on node loss; every job is deterministic and content-addressed,
 // so a sweep's results are byte-identical to a single-node run no matter
 // how the fabric moves the work (see internal/cluster).
@@ -73,7 +73,7 @@ func main() {
 	casDir := flag.String("casdir", "", "content-addressed store directory (empty = memory-only)")
 	journalDir := flag.String("journal", "", "write-ahead journal directory; a restart replays it and resumes sweeps (empty = in-memory scheduling only)")
 	readoptWindow := flag.Duration("readopt-window", 0, "post-restart window for workers to re-attach journal-recovered leases (0 = 2x heartbeat-timeout, <0 requeues immediately)")
-	queue := flag.Int("queue", 0, "per-worker queue bound (0 = 32); full queues refuse submissions with 503")
+	queue := flag.Int("queue", 0, "queue bound per live worker (0 = 32); submissions past N x max(1, live workers) queued jobs are refused with 503")
 	hbTimeout := flag.Duration("heartbeat-timeout", 5*time.Second, "reap workers silent this long and requeue their work")
 	hedgeAfter := flag.Duration("hedge-after", 30*time.Second, "duplicate a lease running longer than this onto an idle worker (<0 disables)")
 	maxRequeues := flag.Int("max-requeues", 3, "per-item requeue budget across transient failures and node loss")

@@ -165,7 +165,7 @@ func TestChaosCoordKillMidSweepByteIdentical(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	// The whole sweep is submitted into the lobby before any worker joins, so
+	// The whole sweep is submitted before any worker joins, so
 	// the armed kill (which fires at the first completion, after workers
 	// start) always lands mid-sweep with every job already journaled.
 	cl := NewClient(ts.URL, "coord-kill-req", nil)
@@ -305,9 +305,9 @@ func TestChaosCoordKillMidSweepByteIdentical(t *testing.T) {
 }
 
 // TestFaultNodeLossRequeuesToSurvivor exercises the reaper directly, without
-// HTTP: a node that stops heartbeating loses both its lease and its queued
-// backlog; the work requeues (to the lobby while no node is live, then to
-// the next worker's queue on its first heartbeat) and completes there.
+// HTTP: a node that stops heartbeating loses its lease; the leased item
+// requeues behind the one still waiting, and the next worker pulls and
+// completes both.
 func TestFaultNodeLossRequeuesToSurvivor(t *testing.T) {
 	reg := obs.NewRegistry()
 	co := NewCoordinator(CoordinatorOptions{
@@ -319,16 +319,16 @@ func TestFaultNodeLossRequeuesToSurvivor(t *testing.T) {
 	})
 	defer co.Close()
 	beat(t, co, "a")
-	id1, err := co.Submit(unitJob(1), "")
+	id1, err := co.Submit(unitJob(1), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	id2, err := co.Submit(unitJob(2), "")
+	id2, err := co.Submit(unitJob(2), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if it := co.Pull("a"); it == nil || it.ID != id1 {
-		t.Fatalf("lease = %+v, want %s", it, short(id1))
+		t.Fatalf("lease = %+v, want %.12s", it, id1)
 	}
 	// Node a goes silent: one item leased, one still queued.
 	time.Sleep(250 * time.Millisecond)
@@ -348,18 +348,18 @@ func TestFaultNodeLossRequeuesToSurvivor(t *testing.T) {
 		}
 	}
 	if !got[id1] || !got[id2] {
-		t.Fatalf("recovered = %v, want both %s and %s", got, short(id1), short(id2))
+		t.Fatalf("recovered = %v, want both %.12s and %.12s", got, id1, id2)
 	}
 	for _, id := range []string{id1, id2} {
 		if st, ok := co.Status(id); !ok || st.Status != "done" {
-			t.Fatalf("status[%s] = %+v", short(id), st)
+			t.Fatalf("status[%.12s] = %+v", id, st)
 		}
 	}
 	if got := metricValue(reg, "rsr_cluster_nodes_lost_total"); got != 1 {
 		t.Errorf("nodes lost = %v, want 1", got)
 	}
-	// Only the leased item charges the requeue budget; the never-started
-	// queued item moves for free.
+	// Only the leased item is requeued; the never-started one never left
+	// the queue.
 	if got := metricValue(reg, "rsr_cluster_requeues_total"); got != 1 {
 		t.Errorf("requeues = %v, want 1", got)
 	}

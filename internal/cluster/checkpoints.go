@@ -53,30 +53,30 @@ func (s *casCheckpoints) LoadCheckpoints(key string) []*funcsim.Delta {
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&chain); err != nil {
 		// The blob verified against its sum, so this is a version skew or a
 		// writer bug, not corruption; recompute locally.
-		s.log.Warn("checkpoint chain undecodable, recomputing", "key", short(key), "err", err)
+		s.log.Warn("checkpoint chain undecodable, recomputing", "key", key, "err", err)
 		return nil
 	}
-	s.log.Debug("checkpoint chain fetched", "key", short(key), "shards", len(chain)+1)
+	s.log.Debug("checkpoint chain fetched", "key", key, "shards", len(chain)+1)
 	return chain
 }
 
 func (s *casCheckpoints) StoreCheckpoints(key string, chain []*funcsim.Delta) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(chain); err != nil {
-		s.log.Warn("checkpoint chain unencodable", "key", short(key), "err", err)
+		s.log.Warn("checkpoint chain unencodable", "key", key, "err", err)
 		return
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), s.timeout)
 	defer cancel()
 	sum, err := s.cl.Put(ctx, buf.Bytes())
 	if err != nil {
-		s.log.Debug("checkpoint publish failed", "key", short(key), "err", err)
+		s.log.Debug("checkpoint publish failed", "key", key, "err", err)
 		return
 	}
 	if err := s.cl.Link(ctx, key, sum); err != nil {
-		s.log.Debug("checkpoint link failed", "key", short(key), "err", err)
+		s.log.Debug("checkpoint link failed", "key", key, "err", err)
 		return
 	}
-	s.log.Debug("checkpoint chain published", "key", short(key),
-		"blob", short(sum), "bytes", buf.Len())
+	s.log.Debug("checkpoint chain published", "key", key,
+		"blob", sum, "bytes", buf.Len())
 }

@@ -160,18 +160,18 @@ func (t *RemoteTicket) Wait(ctx context.Context) (*engine.Result, error) {
 		case err != nil && code == http.StatusNotFound:
 			id, rerr := t.c.submitBody(ctx, t.body)
 			if rerr != nil {
-				return nil, fmt.Errorf("cluster: job %s lost by coordinator and resubmit failed: %w",
-					short(t.id), rerr)
+				return nil, fmt.Errorf("cluster: job %.12s lost by coordinator and resubmit failed: %w",
+					t.id, rerr)
 			}
 			if id != t.id {
-				return nil, fmt.Errorf("cluster: resubmission of job %s came back as %s",
-					short(t.id), short(id))
+				return nil, fmt.Errorf("cluster: resubmission of job %.12s came back as %.12s",
+					t.id, id)
 			}
 			fails = 0
 		case err != nil && code == 0:
 			if fails++; fails >= transientAttempts {
-				return nil, fmt.Errorf("cluster: job %s: coordinator unreachable after %d attempts: %w",
-					short(t.id), fails, err)
+				return nil, fmt.Errorf("cluster: job %.12s: coordinator unreachable after %d attempts: %w",
+					t.id, fails, err)
 			}
 		case err != nil:
 			return nil, err
@@ -180,11 +180,11 @@ func (t *RemoteTicket) Wait(ctx context.Context) (*engine.Result, error) {
 			switch st.Status {
 			case "done":
 				if st.Result == nil {
-					return nil, fmt.Errorf("cluster: job %s done without a result", short(t.id))
+					return nil, fmt.Errorf("cluster: job %.12s done without a result", t.id)
 				}
 				return st.Result, nil
 			case "failed":
-				return nil, fmt.Errorf("cluster: job %s failed: %s", short(t.id), st.Error)
+				return nil, fmt.Errorf("cluster: job %.12s failed: %s", t.id, st.Error)
 			}
 		}
 		select {
@@ -214,12 +214,12 @@ func (c *Client) status(ctx context.Context, id string) (JobStatus, int, error) 
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return JobStatus{}, resp.StatusCode, fmt.Errorf("cluster: job %s: status %d: %s",
-			short(id), resp.StatusCode, errBody(body))
+		return JobStatus{}, resp.StatusCode, fmt.Errorf("cluster: job %.12s: status %d: %s",
+			id, resp.StatusCode, errBody(body))
 	}
 	var st JobStatus
 	if err := json.Unmarshal(body, &st); err != nil {
-		return JobStatus{}, resp.StatusCode, fmt.Errorf("cluster: job %s: decode: %w", short(id), err)
+		return JobStatus{}, resp.StatusCode, fmt.Errorf("cluster: job %.12s: decode: %w", id, err)
 	}
 	return st, resp.StatusCode, nil
 }
@@ -285,24 +285,34 @@ func (c *Client) FetchSweepTrace(ctx context.Context, sweep string) ([]byte, err
 // (GET /v1/status) — the payload behind `rsr top`.
 func (c *Client) FetchStatus(ctx context.Context) (ClusterStatus, error) {
 	var st ClusterStatus
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/status", nil)
+	err := getJSON(ctx, c.hc, c.base+"/v1/status", 16<<20, &st)
+	return st, err
+}
+
+// getJSON GETs url and decodes a 200 response's JSON body, read up to limit
+// bytes, into v; any other status is an error carrying the response's
+// message.
+func getJSON(ctx context.Context, hc *http.Client, url string, limit int64, v any) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
-		return st, err
+		return err
 	}
-	c.setHeaders(req)
-	resp, err := c.hc.Do(req)
+	resp, err := hc.Do(req)
 	if err != nil {
-		return st, err
+		return err
 	}
 	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, limit))
+	if err != nil {
+		return fmt.Errorf("GET %s: %w", url, err)
+	}
 	if resp.StatusCode != http.StatusOK {
-		return st, fmt.Errorf("cluster: status: %d: %s", resp.StatusCode, errBody(body))
+		return fmt.Errorf("GET %s: status %d: %s", url, resp.StatusCode, errBody(body))
 	}
-	if err := json.Unmarshal(body, &st); err != nil {
-		return st, fmt.Errorf("cluster: status decode: %w", err)
+	if err := json.Unmarshal(body, v); err != nil {
+		return fmt.Errorf("GET %s: decode: %w", url, err)
 	}
-	return st, nil
+	return nil
 }
 
 // retryAfter parses a Retry-After header in seconds, capped.

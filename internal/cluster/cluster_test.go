@@ -115,87 +115,84 @@ func TestSchedulerBackpressure(t *testing.T) {
 	defer co.Close()
 	beat(t, co, "a")
 
-	id1, err := co.Submit(unitJob(1), "")
+	id1, err := co.Submit(unitJob(1), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := co.Submit(unitJob(2), ""); err != nil {
+	if _, err := co.Submit(unitJob(2), "", ""); err != nil {
 		t.Fatal(err)
 	}
 	// Queue full: the third submission is refused.
-	if _, err := co.Submit(unitJob(3), ""); err != ErrBusy {
+	if _, err := co.Submit(unitJob(3), "", ""); err != ErrBusy {
 		t.Fatalf("third submit: err = %v, want ErrBusy", err)
 	}
 	// Duplicates coalesce even against a full queue.
-	dup, err := co.Submit(unitJob(1), "")
+	dup, err := co.Submit(unitJob(1), "", "")
 	if err != nil || dup != id1 {
 		t.Fatalf("duplicate submit: id %s err %v, want %s <nil>", dup, err, id1)
 	}
 }
 
-func TestSchedulerLobbyHoldsWorkBeforeWorkers(t *testing.T) {
+// TestQueueHoldsWorkBeforeWorkers pins the no-workers half of the bound: with
+// nobody live the queue admits QueuePerWorker items, then refuses; the first
+// worker's pulls take them oldest first, with no heartbeat needed to move
+// anything into its reach.
+func TestQueueHoldsWorkBeforeWorkers(t *testing.T) {
 	co := NewCoordinator(CoordinatorOptions{
 		QueuePerWorker: 2, HeartbeatTimeout: time.Hour, Log: testLogger(),
 	})
 	defer co.Close()
 
-	// No workers yet: the lobby admits up to one queue's worth, then
-	// backpressure.
-	if _, err := co.Submit(unitJob(1), ""); err != nil {
-		t.Fatal(err)
-	}
-	id2, err := co.Submit(unitJob(2), "")
+	id1, err := co.Submit(unitJob(1), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := co.Submit(unitJob(3), ""); err != ErrBusy {
-		t.Fatalf("lobby overflow: err = %v, want ErrBusy", err)
+	id2, err := co.Submit(unitJob(2), "", "")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// First worker arrives; its heartbeat drains the lobby to its queue.
-	beat(t, co, "a")
-	it := co.Pull("a")
-	if it == nil {
-		t.Fatal("pull after lobby drain returned nothing")
+	if _, err := co.Submit(unitJob(3), "", ""); err != ErrBusy {
+		t.Fatalf("third submit with no workers: err = %v, want ErrBusy", err)
 	}
-	if it2 := co.Pull("a"); it2 == nil || it2.ID == it.ID {
-		t.Fatalf("second pull = %+v, want the other lobby item", it2)
-	} else if it.ID != id2 && it2.ID != id2 {
-		t.Fatal("lobby items lost in handoff")
+	for i, want := range []string{id1, id2} {
+		if it := co.Pull("a"); it == nil || it.ID != want {
+			t.Fatalf("pull %d = %+v, want %.12s (oldest first)", i, it, want)
+		}
+	}
+	if it := co.Pull("a"); it != nil {
+		t.Fatalf("pull from an empty queue = %+v, want nothing", it)
 	}
 }
 
-func TestSchedulerStealsFromLongestQueue(t *testing.T) {
-	reg := obs.NewRegistry()
+// TestIdleWorkerPullsOldestQueued pins that a late joiner is never starved:
+// work accepted while only one worker was live is not tied to that worker,
+// so a second worker's first pull gets the oldest queued item and completes
+// it.
+func TestIdleWorkerPullsOldestQueued(t *testing.T) {
 	co := NewCoordinator(CoordinatorOptions{
-		QueuePerWorker: 8, HeartbeatTimeout: time.Hour, Log: testLogger(), Metrics: reg,
+		QueuePerWorker: 8, HeartbeatTimeout: time.Hour, Log: testLogger(),
 	})
 	defer co.Close()
 	beat(t, co, "a")
 	ids := make([]string, 4)
 	for i := range ids {
-		id, err := co.Submit(unitJob(int64(i)), "")
+		id, err := co.Submit(unitJob(int64(i)), "", "")
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids[i] = id
 	}
-	// A second, idle worker steals from the back of a's queue.
 	beat(t, co, "b")
 	it := co.Pull("b")
-	if it == nil {
-		t.Fatal("idle worker did not steal")
+	if it == nil || it.ID != ids[0] {
+		t.Fatalf("late joiner pulled %+v, want the oldest queued item %.12s", it, ids[0])
 	}
-	if it.ID != ids[3] {
-		t.Errorf("stole %s, want the back of the queue %s", short(it.ID), short(ids[3]))
-	}
-	if got := metricValue(reg, "rsr_cluster_steals_total"); got != 1 {
-		t.Errorf("steals metric = %v, want 1", got)
-	}
-	// The thief completes the stolen item.
 	fakeComplete(t, co, "b", it.ID)
-	st, ok := co.Status(it.ID)
-	if !ok || st.Status != "done" || st.Result == nil {
-		t.Fatalf("stolen item status = %+v", st)
+	if st, ok := co.Status(it.ID); !ok || st.Status != "done" || st.Result == nil {
+		t.Fatalf("late joiner's item status = %+v", st)
+	}
+	if it := co.Pull("a"); it == nil || it.ID != ids[1] {
+		t.Fatalf("next pull = %+v, want %.12s", it, ids[1])
 	}
 }
 
@@ -207,7 +204,7 @@ func TestSchedulerHedgesStragglerAndDropsLateCopy(t *testing.T) {
 	})
 	defer co.Close()
 	beat(t, co, "a")
-	id, err := co.Submit(unitJob(1), "")
+	id, err := co.Submit(unitJob(1), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +216,7 @@ func TestSchedulerHedgesStragglerAndDropsLateCopy(t *testing.T) {
 	beat(t, co, "b")
 	hedge := co.Pull("b")
 	if hedge == nil || !hedge.Hedged || hedge.ID != id {
-		t.Fatalf("hedge lease = %+v, want hedged duplicate of %s", hedge, short(id))
+		t.Fatalf("hedge lease = %+v, want hedged duplicate of %.12s", hedge, id)
 	}
 	// A worker never hedges an item it already holds.
 	if again := co.Pull("b"); again != nil {
@@ -244,7 +241,7 @@ func TestSchedulerRefusesUnverifiableBlobs(t *testing.T) {
 	co := NewCoordinator(CoordinatorOptions{HeartbeatTimeout: time.Hour, Log: testLogger()})
 	defer co.Close()
 	beat(t, co, "a")
-	id, err := co.Submit(unitJob(1), "")
+	id, err := co.Submit(unitJob(1), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,21 +279,21 @@ func TestPullSkipsStaleQueueEntries(t *testing.T) {
 	})
 	defer co.Close()
 	beat(t, co, "a")
-	id1, err := co.Submit(unitJob(1), "")
+	id1, err := co.Submit(unitJob(1), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	id2, err := co.Submit(unitJob(2), "")
+	id2, err := co.Submit(unitJob(2), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Finalize the first item while its reference still sits in a's queue.
+	// Finalize the first item while its reference still sits in the queue.
 	co.mu.Lock()
 	co.finalize(co.items[id1], nil, "failed elsewhere")
 	co.mu.Unlock()
 
 	if it := co.Pull("a"); it == nil || it.ID != id2 {
-		t.Fatalf("pull = %+v, want the live item %s", it, short(id2))
+		t.Fatalf("pull = %+v, want the live item %.12s", it, id2)
 	}
 	if again := co.Pull("a"); again != nil {
 		t.Fatalf("second pull = %+v, want nothing (stale entry discarded)", again)
@@ -316,7 +313,7 @@ func TestCompleteRequiresLease(t *testing.T) {
 	})
 	defer co.Close()
 	beat(t, co, "a")
-	id, err := co.Submit(unitJob(1), "")
+	id, err := co.Submit(unitJob(1), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +338,7 @@ func TestCompleteRequiresLease(t *testing.T) {
 	}
 	// The real holder still completes it.
 	if it := co.Pull("a"); it == nil || it.ID != id {
-		t.Fatalf("lease = %+v, want %s", it, short(id))
+		t.Fatalf("lease = %+v, want %.12s", it, id)
 	}
 	fakeComplete(t, co, "a", id)
 	if st, _ := co.Status(id); st.Status != "done" {
@@ -351,7 +348,7 @@ func TestCompleteRequiresLease(t *testing.T) {
 
 // TestReapedNodeLateCompletionDoesNotClobberRequeue replays the lease-race
 // scenario end to end: a reaped-but-alive node's late success must not
-// finalize an item that was requeued onto another queue — the requeued copy
+// finalize an item that was requeued — the requeued copy
 // owns the item — and running the requeued copy to completion must neither
 // regress state nor panic on a double finalize.
 func TestReapedNodeLateCompletionDoesNotClobberRequeue(t *testing.T) {
@@ -360,20 +357,19 @@ func TestReapedNodeLateCompletionDoesNotClobberRequeue(t *testing.T) {
 	})
 	defer co.Close()
 	beat(t, co, "a")
-	id, err := co.Submit(unitJob(1), "")
+	id, err := co.Submit(unitJob(1), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if it := co.Pull("a"); it == nil || it.ID != id {
-		t.Fatalf("lease = %+v, want %s", it, short(id))
+		t.Fatalf("lease = %+v, want %.12s", it, id)
 	}
 	// a goes silent and is reaped: its lease is released and the item
-	// requeued (to the lobby — no other node is live yet).
+	// requeued.
 	co.mu.Lock()
 	co.nodes["a"].lastBeat = time.Now().Add(-2 * time.Hour)
 	co.mu.Unlock()
 	co.reap(time.Now())
-	// b joins; the requeued item lands on its queue.
 	beat(t, co, "b")
 	// a was alive all along and reports its success late: dropped.
 	blob, _ := json.Marshal(engine.Result{JobHash: id, Kind: engine.JobSampled})
@@ -386,7 +382,7 @@ func TestReapedNodeLateCompletionDoesNotClobberRequeue(t *testing.T) {
 	}
 	// b runs the requeued copy to completion; no regression, no panic.
 	if it := co.Pull("b"); it == nil || it.ID != id {
-		t.Fatalf("requeued lease = %+v, want %s", it, short(id))
+		t.Fatalf("requeued lease = %+v, want %.12s", it, id)
 	}
 	fakeComplete(t, co, "b", id)
 	if st, _ := co.Status(id); st.Status != "done" {
@@ -404,7 +400,7 @@ func TestRetentionPrunesFinishedWork(t *testing.T) {
 	})
 	defer co.Close()
 	beat(t, co, "a")
-	sw, err := co.SubmitSweep([]engine.Job{unitJob(1)}, "")
+	sw, err := co.SubmitSweep([]engine.Job{unitJob(1)}, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +413,7 @@ func TestRetentionPrunesFinishedWork(t *testing.T) {
 	blobSum := co.items[id].blobSum
 	co.mu.Unlock()
 	if blobSum == "" || !co.Store().Has(blobSum) {
-		t.Fatalf("result blob %q not resident after completion", short(blobSum))
+		t.Fatalf("result blob %.12q not resident after completion", blobSum)
 	}
 
 	// Within the window everything stays pollable.
@@ -438,9 +434,9 @@ func TestRetentionPrunesFinishedWork(t *testing.T) {
 		t.Error("result blob still resident after the retention window")
 	}
 	// Resubmission after pruning is a fresh run of the same content hash.
-	id2, err := co.Submit(unitJob(1), "")
+	id2, err := co.Submit(unitJob(1), "", "")
 	if err != nil || id2 != id {
-		t.Fatalf("resubmit after prune: id %s err %v, want %s <nil>", short(id2), err, short(id))
+		t.Fatalf("resubmit after prune: id %.12s err %v, want %.12s <nil>", id2, err, id)
 	}
 	if st, ok := co.Status(id); !ok || st.Status != "pending" {
 		t.Fatalf("resubmitted status = %+v, %v, want pending", st, ok)
@@ -571,6 +567,60 @@ func TestSubmitBackpressure503WithRetryAfter(t *testing.T) {
 	if r2.Header.Get("Retry-After") == "" {
 		t.Error("503 without Retry-After")
 	}
+
+	// A sweep refused part-way ships the status of the members it did accept:
+	// job 1 coalesces onto the queued item, job 3 hits the full queue.
+	b, _ := json.Marshal(SweepRequest{Jobs: []engine.Job{unitJob(1), unitJob(3)}})
+	r3, err := http.Post(ts.URL+"/v1/sweeps", "application/json", bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r3.Body.Close()
+	var st SweepStatus
+	if err := json.NewDecoder(r3.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if r3.StatusCode != http.StatusServiceUnavailable || r3.Header.Get("Retry-After") == "" {
+		t.Fatalf("partial sweep = %d, Retry-After %q; want 503 with Retry-After",
+			r3.StatusCode, r3.Header.Get("Retry-After"))
+	}
+	if st.Total != 1 || st.Pending != 1 || st.Total != st.Done+st.Failed+st.Pending {
+		t.Errorf("partial sweep body = %+v, want one pending member and counts that add up", st)
+	}
+}
+
+// TestHistQuantileUpperMS pins the nearest-rank quantile bound behind
+// journal_fsync_p99_ms: a lone slow sample is its own p99, and only a count
+// of 100 or more lets p99 look past the slowest one.
+func TestHistQuantileUpperMS(t *testing.T) {
+	bounds := []float64{.001, .01, .1}
+	for _, tc := range []struct {
+		name    string
+		samples []float64
+		wantMS  float64
+	}{
+		{"empty", nil, 0},
+		{"one sample in the last finite bucket", []float64{.05}, 100},
+		{"one sample in the +Inf bucket", []float64{5}, 100},
+		{"99 fast and one outlier", append(repeat(.0005, 99), .05), 1},
+		{"49 fast and one outlier", append(repeat(.0005, 49), .05), 100},
+	} {
+		h := obs.NewRegistry().Histogram("h", "test histogram", bounds)
+		for _, v := range tc.samples {
+			h.Observe(v)
+		}
+		if got := histQuantileUpperMS(h.Snapshot(), 0.99); got != tc.wantMS {
+			t.Errorf("%s: p99 bound = %v ms, want %v", tc.name, got, tc.wantMS)
+		}
+	}
+}
+
+func repeat(v float64, n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = v
+	}
+	return out
 }
 
 // --- full-fabric tests: coordinator + HTTP + real peers with real engines ---
@@ -743,9 +793,9 @@ func TestClusterSweepByteIdenticalToSingleNode(t *testing.T) {
 	// Both peers worked the sweep and the per-node families are exposed.
 	prom := promText(t, f.ts.URL)
 	for _, want := range []string{
-		`rsr_cluster_queue_depth{node="peer-a"}`,
-		`rsr_cluster_queue_depth{node="peer-b"}`,
+		"rsr_cluster_queue_depth 0",
 		`rsr_cluster_inflight{node="peer-a"}`,
+		`rsr_cluster_inflight{node="peer-b"}`,
 		"rsr_cluster_jobs_submitted_total",
 		"rsr_cluster_workers 2",
 	} {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -17,9 +18,9 @@ import (
 
 // CoordinatorOptions configures a Coordinator.
 type CoordinatorOptions struct {
-	// QueuePerWorker bounds each worker's assignment queue (and the lobby
-	// that holds work arriving before any worker has); when every queue is
-	// full, submissions are refused with ErrBusy (0 = 32).
+	// QueuePerWorker bounds the queue: a submission is refused with ErrBusy
+	// while QueuePerWorker × max(1, live workers) items are already waiting
+	// for a lease (0 = 32).
 	QueuePerWorker int
 	// HeartbeatTimeout is how long a worker may go silent before it is
 	// reaped and its work requeued (0 = 5s).
@@ -113,7 +114,6 @@ type item struct {
 type node struct {
 	name     string
 	lastBeat time.Time
-	queue    []*item         // assigned, not yet pulled
 	leases   map[string]bool // item IDs pulled and executing
 	// addr is the worker's advertised HTTP base URL (heartbeat payload),
 	// used for trace and metrics aggregation fan-out; "" when the worker
@@ -164,7 +164,7 @@ type Coordinator struct {
 	mu       sync.Mutex
 	nodes    map[string]*node
 	items    map[string]*item
-	lobby    []*item // accepted before any worker was live
+	queue    []*item // FIFO of accepted, unleased work; every free worker slot pulls its front
 	sweeps   map[string]*sweep
 	sweepSeq int
 	closed   bool
@@ -229,7 +229,7 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 
 // adoptReplay rebuilds the scheduler from journal-reconstructed state:
 // finished items are served straight from their CAS result blobs, queued
-// items land in the lobby (drained to workers as they heartbeat), and
+// items fill the queue (in ID order: the journal keeps no placement), and
 // running items enter the re-adoption window keeping their journaled
 // holders, so live workers re-attach in-flight leases instead of having
 // them reaped and redone. Runs before the reaper starts; no lock needed.
@@ -260,7 +260,7 @@ func (c *Coordinator) adoptReplay(rp *Replay) {
 				// produce (memory-only store, evicted disk, corruption):
 				// recompute — determinism makes the re-run byte-identical.
 				c.log.Warn("replayed result blob unavailable; requeued",
-					"job", short(ri.ID), "blob", short(ri.BlobSum), "err", err)
+					"job", ri.ID, "blob", ri.BlobSum, "err", err)
 				state = "blob-missing"
 			} else {
 				it.state, it.res, it.blobSum = itemDone, res, ri.BlobSum
@@ -284,7 +284,7 @@ func (c *Coordinator) adoptReplay(rp *Replay) {
 			recovering++
 		default: // queued, blob-missing
 			it.state = itemQueued
-			c.lobby = append(c.lobby, it)
+			c.queue = append(c.queue, it)
 		}
 		c.items[ri.ID] = it
 		c.obs.replayed.With(state).Inc()
@@ -343,7 +343,7 @@ func (c *Coordinator) Close() {
 	for _, it := range pending {
 		c.finalize(it, nil, ErrClosed.Error())
 	}
-	c.lobby = nil
+	c.queue = nil
 	c.mu.Unlock()
 	c.wg.Wait()
 }
@@ -397,7 +397,7 @@ func (c *Coordinator) snapshotLocked() snapshot {
 			snap.SweepTags[id] = sw.tag
 		}
 	}
-	for _, id := range c.sortedItemIDs() {
+	for _, id := range sortedKeys(c.items) {
 		it := c.items[id]
 		si := snapItem{ID: id, Job: it.job, ReqID: it.reqID, Sweep: it.sweepID, Requeues: it.requeues}
 		switch it.state {
@@ -405,10 +405,7 @@ func (c *Coordinator) snapshotLocked() snapshot {
 			si.State = "queued"
 		case itemRunning:
 			si.State = "running"
-			for h := range it.holders {
-				si.Holders = append(si.Holders, h)
-			}
-			sort.Strings(si.Holders)
+			si.Holders = sortedKeys(it.holders)
 		case itemDone:
 			si.State, si.BlobSum = "done", it.blobSum
 		case itemFailed:
@@ -417,17 +414,6 @@ func (c *Coordinator) snapshotLocked() snapshot {
 		snap.Items = append(snap.Items, si)
 	}
 	return snap
-}
-
-// sortedItemIDs returns item IDs in order, for deterministic snapshots.
-// Callers hold c.mu.
-func (c *Coordinator) sortedItemIDs() []string {
-	ids := make([]string, 0, len(c.items))
-	for id := range c.items {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // BeginDrain stops accepting new submissions; scheduled work continues so
@@ -474,17 +460,13 @@ func (c *Coordinator) Draining() bool {
 
 // Submit accepts one job, returning its content-hash ID. Duplicate
 // submissions — concurrent or after completion — coalesce onto the existing
-// item. ErrBusy signals backpressure: every live worker's queue (or, with no
-// workers yet, the lobby) is full and the client should retry after a delay.
-func (c *Coordinator) Submit(job engine.Job, reqID string) (string, error) {
-	return c.SubmitTraced(job, reqID, "")
-}
-
-// SubmitTraced is Submit with a distributed sweep tag: the tag is stored on
-// the item, handed to the leasing worker on its WorkItem (which scopes the
-// worker's engine spans), and stamped on the coordinator's own per-item
-// span. An empty sweepID is plain Submit.
-func (c *Coordinator) SubmitTraced(job engine.Job, reqID, sweepID string) (string, error) {
+// item. ErrBusy signals backpressure: the queue is at its bound (see
+// CoordinatorOptions.QueuePerWorker) and the client should retry after a
+// delay. sweepID is the distributed sweep tag ("" outside a traced sweep):
+// stored on the item, handed to the leasing worker on its WorkItem (which
+// scopes the worker's engine spans), and stamped on the coordinator's own
+// per-item span.
+func (c *Coordinator) Submit(job engine.Job, reqID, sweepID string) (string, error) {
 	if err := job.Validate(); err != nil {
 		return "", err
 	}
@@ -520,20 +502,15 @@ func (c *Coordinator) SubmitTraced(job engine.Job, reqID, sweepID string) (strin
 		submittedAt: time.Now(),
 		done:        make(chan struct{}),
 	}
-	// Decide placement before journaling, so a refused submission leaves no
-	// record; journal before mutating, so an accepted one is durable before
-	// the client's 202.
-	n := c.shortestLiveQueue(time.Now())
-	if n == nil && (c.anyLive(time.Now()) || len(c.lobby) >= c.opts.QueuePerWorker) {
+	// Refuse before journaling, so a refused submission leaves no record;
+	// journal before mutating, so an accepted one is durable before the
+	// client's 202.
+	if len(c.queue) >= c.opts.QueuePerWorker*max(1, c.liveWorkersLocked(time.Now())) {
 		c.obs.rejected.Inc()
 		return "", ErrBusy
 	}
 	c.journal.append(journalRecord{Kind: recSubmit, ID: id, Job: &job, ReqID: reqID, Sweep: sweepID})
-	if n != nil {
-		n.queue = append(n.queue, it)
-	} else {
-		c.lobby = append(c.lobby, it)
-	}
+	c.queue = append(c.queue, it)
 	c.items[id] = it
 	c.obs.submitted.Inc()
 	if sweepID != "" {
@@ -551,13 +528,7 @@ func (c *Coordinator) SubmitTraced(job engine.Job, reqID, sweepID string) (strin
 // append (the last sweep record wins at replay), so recovery reconstructs
 // the full member set. Callers hold c.mu.
 func (c *Coordinator) tagSweepLocked(tag, itemID string) {
-	var sw *sweep
-	for _, s := range c.sweeps {
-		if s.tag == tag {
-			sw = s
-			break
-		}
-	}
+	sw := c.sweepByTagLocked(tag)
 	if sw == nil {
 		c.sweepSeq++
 		sw = &sweep{id: fmt.Sprintf("sweep-%d", c.sweepSeq), tag: tag,
@@ -573,48 +544,58 @@ func (c *Coordinator) tagSweepLocked(tag, itemID string) {
 	c.journal.append(journalRecord{Kind: recSweep, ID: sw.id, JobIDs: sw.ids, Seq: c.sweepSeq, Sweep: tag})
 }
 
-// SubmitSweep accepts a batch of jobs as one sweep. On backpressure the
-// sweep is partially accepted and ErrBusy is returned alongside the sweep
-// status so far; resubmitting the same batch is idempotent (accepted members
-// coalesce), so clients simply retry the whole sweep.
-func (c *Coordinator) SubmitSweep(jobs []engine.Job, reqID string) (SweepStatus, error) {
-	return c.SubmitSweepTraced(jobs, reqID, "")
+// sweepByTagLocked finds the sweep carrying a client trace tag, or nil.
+// Callers hold c.mu.
+func (c *Coordinator) sweepByTagLocked(tag string) *sweep {
+	if tag == "" {
+		return nil
+	}
+	for _, sw := range c.sweeps {
+		if sw.tag == tag {
+			return sw
+		}
+	}
+	return nil
 }
 
-// SubmitSweepTraced is SubmitSweep with a distributed sweep tag (the
-// client's X-Sweep-ID): every member item carries the tag, and the sweep can
-// later be resolved by the tag as well as its coordinator-assigned ID when
-// fetching the merged fabric trace.
-func (c *Coordinator) SubmitSweepTraced(jobs []engine.Job, reqID, tag string) (SweepStatus, error) {
+// SubmitSweep accepts a batch of jobs as one sweep. On backpressure the
+// sweep is partially accepted and ErrBusy is returned alongside the status
+// of the members accepted so far; resubmitting the same batch is idempotent
+// (accepted members coalesce), so clients simply retry the whole sweep. tag
+// is the distributed sweep tag (the client's X-Sweep-ID, "" for none): every
+// member item carries it, and the sweep can later be resolved by the tag as
+// well as its coordinator-assigned ID when fetching the merged fabric trace.
+func (c *Coordinator) SubmitSweep(jobs []engine.Job, reqID, tag string) (SweepStatus, error) {
 	ids := make([]string, 0, len(jobs))
+	var refused error
 	for _, j := range jobs {
-		id, err := c.SubmitTraced(j, reqID, tag)
+		id, err := c.Submit(j, reqID, tag)
 		if err != nil {
-			return SweepStatus{JobIDs: ids, Total: len(ids)}, err
+			refused = err
+			break
 		}
 		ids = append(ids, id)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if refused != nil {
+		return c.sweepStatusLocked("", ids), refused
+	}
 	if c.closed {
 		return SweepStatus{}, ErrClosed
 	}
-	if tag != "" {
-		// The per-job submissions above already folded every member into the
-		// tag's sweep object (tagSweepLocked); a second object would shadow
-		// it under the same tag.
-		for _, sw := range c.sweeps {
-			if sw.tag == tag {
-				return c.sweepStatusLocked(sw), nil
-			}
-		}
+	// A tagged sweep's per-job submissions above already folded every member
+	// into the tag's sweep object (tagSweepLocked); a second object would
+	// shadow it under the same tag.
+	if sw := c.sweepByTagLocked(tag); sw != nil {
+		return c.sweepStatusLocked(sw.id, sw.ids), nil
 	}
 	c.sweepSeq++
 	sw := &sweep{id: fmt.Sprintf("sweep-%d", c.sweepSeq), ids: ids, tag: tag,
 		startedAt: time.Now(), participants: make(map[string]string)}
 	c.journal.append(journalRecord{Kind: recSweep, ID: sw.id, JobIDs: ids, Seq: c.sweepSeq, Sweep: tag})
 	c.sweeps[sw.id] = sw
-	return c.sweepStatusLocked(sw), nil
+	return c.sweepStatusLocked(sw.id, ids), nil
 }
 
 // SweepStatus reports a sweep's progress.
@@ -625,29 +606,37 @@ func (c *Coordinator) SweepStatus(id string) (SweepStatus, bool) {
 	if !ok {
 		return SweepStatus{}, false
 	}
-	return c.sweepStatusLocked(sw), true
+	return c.sweepStatusLocked(sw.id, sw.ids), true
 }
 
-func (c *Coordinator) sweepStatusLocked(sw *sweep) SweepStatus {
-	st := SweepStatus{ID: sw.id, Total: len(sw.ids), JobIDs: sw.ids}
-	for _, id := range sw.ids {
-		it := c.items[id]
-		if it == nil {
-			// Pruned after the retention window; only terminal items are
-			// pruned, so count the member finished.
-			st.Done++
-			continue
-		}
-		switch it.state {
-		case itemDone:
-			st.Done++
-		case itemFailed:
-			st.Failed++
-		default:
-			st.Pending++
-		}
+// sweepStatusLocked tallies the given members (a sweep's, or the accepted
+// part of a refused batch) into a SweepStatus. Callers hold c.mu.
+func (c *Coordinator) sweepStatusLocked(id string, ids []string) SweepStatus {
+	var t stateTally
+	for _, m := range ids {
+		t.add(c.items[m])
 	}
-	return st
+	return SweepStatus{ID: id, Total: len(ids), JobIDs: ids,
+		Done: t.done, Failed: t.failed, Pending: t.queued + t.running}
+}
+
+// stateTally counts items by lifecycle state: the one switch behind sweep
+// status, the cluster status totals and the sweep-jobs gauges.
+type stateTally struct{ queued, running, done, failed int }
+
+// add counts one item. A nil item is a member pruned after the retention
+// window; only terminal items are pruned, so it counts as done.
+func (t *stateTally) add(it *item) {
+	switch {
+	case it == nil || it.state == itemDone:
+		t.done++
+	case it.state == itemFailed:
+		t.failed++
+	case it.state == itemRunning:
+		t.running++
+	default:
+		t.queued++
+	}
 }
 
 // JobStatus is the poll-facing view of one item, shaped like rsrd's job
@@ -712,7 +701,6 @@ func (c *Coordinator) Heartbeat(hb Heartbeat) error {
 	}
 	n.clockOffsetNS, n.clockRTTNS = hb.ClockOffsetNS, hb.ClockRTTNS
 	c.readoptLocked(n, hb.Leases)
-	c.drainLobbyLocked()
 	return nil
 }
 
@@ -738,7 +726,7 @@ func (c *Coordinator) readoptLocked(n *node, leases []string) {
 		it.holders[n.name] = true
 		n.leases[id] = true
 		c.obs.readopted.Inc()
-		c.log.Info("lease re-adopted", "node", n.name, "job", short(id))
+		c.log.Info("lease re-adopted", "node", n.name, "job", id)
 	}
 }
 
@@ -789,12 +777,10 @@ func (c *Coordinator) touch(name string) *node {
 	return n
 }
 
-// Pull leases one work item to a worker: its own queue first, then the
-// lobby, then a steal from the back of the longest sibling queue, then a
-// hedged duplicate of the oldest long-running item. Queue entries are
-// references, and an item can stop being queued while one waits (finalized
-// by Close, or re-leased after racing back from a reaped node); stale
-// entries are discarded at pull time so a lease can never regress a
+// Pull leases one work item to a worker: the front of the queue, or — when
+// nothing is queued — a hedged duplicate of the oldest long-running item.
+// Queue entries are references; one whose item stopped being queued while it
+// waited (finalized) is discarded here, so a lease can never regress a
 // terminal item back to running. Returns nil when there is nothing to do.
 func (c *Coordinator) Pull(nodeName string) *WorkItem {
 	c.mu.Lock()
@@ -805,27 +791,14 @@ func (c *Coordinator) Pull(nodeName string) *WorkItem {
 	n := c.touch(nodeName)
 	now := time.Now()
 
-	var it *item
+	it := c.popQueuedLocked()
 	var hedged bool
-	if it = popQueued(&n.queue, false); it == nil {
-		it = popQueued(&c.lobby, false)
-	}
-	for it == nil {
-		victim := c.longestLiveQueue(n, now)
-		if victim == nil {
-			break
-		}
-		if it = popQueued(&victim.queue, true); it != nil {
-			c.obs.steals.With(nodeName).Inc()
-			c.log.Info("stole work", "node", nodeName, "from", victim.name, "job", short(it.id))
-		}
-	}
 	if it == nil {
 		if h := c.hedgeCandidate(nodeName, now); h != nil {
 			it, hedged = h, true
 			it.hedged = true
 			c.obs.hedges.With(nodeName).Inc()
-			c.log.Info("hedged straggler", "node", nodeName, "job", short(it.id),
+			c.log.Info("hedged straggler", "node", nodeName, "job", it.id,
 				"running_for", now.Sub(it.firstStart).Round(time.Millisecond))
 		}
 	}
@@ -842,26 +815,20 @@ func (c *Coordinator) Pull(nodeName string) *WorkItem {
 	if it.sweepID != "" {
 		// Remember which nodes ran this sweep's work (and where to reach
 		// them) for the trace aggregation fan-out.
-		for _, sw := range c.sweeps {
-			if sw.tag == it.sweepID {
-				sw.participants[nodeName] = n.addr
-			}
+		if sw := c.sweepByTagLocked(it.sweepID); sw != nil {
+			sw.participants[nodeName] = n.addr
 		}
 	}
 	return &WorkItem{ID: it.id, Job: it.job, RequestID: it.reqID, Hedged: hedged, SweepID: it.sweepID}
 }
 
-// popQueued pops entries off q — from the front, or the back for steals —
-// discarding stale references (items no longer itemQueued) until it finds
-// live work or empties the queue. Callers hold c.mu.
-func popQueued(q *[]*item, fromBack bool) *item {
-	for len(*q) > 0 {
-		var it *item
-		if fromBack {
-			it, *q = (*q)[len(*q)-1], (*q)[:len(*q)-1]
-		} else {
-			it, *q = (*q)[0], (*q)[1:]
-		}
+// popQueuedLocked pops the front of the queue, discarding stale references
+// (items no longer itemQueued) until it finds live work or empties the
+// queue. Callers hold c.mu.
+func (c *Coordinator) popQueuedLocked() *item {
+	for len(c.queue) > 0 {
+		it := c.queue[0]
+		c.queue = c.queue[1:]
 		if it.state == itemQueued {
 			return it
 		}
@@ -908,7 +875,7 @@ func (c *Coordinator) Complete(req CompleteRequest) error {
 	// recover the sweep with the completion lost in flight (the worker
 	// retries it against the restarted coordinator).
 	if d := fault.Check(c.opts.Fault, fault.CoordKill, req.ID); d != nil {
-		c.log.Warn("injected coordinator kill", "job", short(req.ID))
+		c.log.Warn("injected coordinator kill", "job", req.ID)
 		c.Crash()
 		return ErrClosed
 	}
@@ -923,8 +890,8 @@ func (c *Coordinator) Complete(req CompleteRequest) error {
 			return fmt.Errorf("%w: decode: %v", ErrBadBlob, err)
 		}
 		if res.JobHash != req.ID {
-			return fmt.Errorf("%w: blob is a result of job %s, not %s",
-				ErrBadBlob, short(res.JobHash), short(req.ID))
+			return fmt.Errorf("%w: blob is a result of job %.12s, not %.12s",
+				ErrBadBlob, res.JobHash, req.ID)
 		}
 	}
 
@@ -935,7 +902,7 @@ func (c *Coordinator) Complete(req CompleteRequest) error {
 	}
 	it, ok := c.items[req.ID]
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownJob, short(req.ID))
+		return fmt.Errorf("%w: %.12s", ErrUnknownJob, req.ID)
 	}
 	if n := c.nodes[req.Node]; n != nil {
 		delete(n.leases, req.ID)
@@ -956,7 +923,7 @@ func (c *Coordinator) Complete(req CompleteRequest) error {
 		// (determinism makes the re-execution byte-identical).
 		c.obs.staleCompletes.Inc()
 		c.log.Warn("completion from non-holder dropped", "node", req.Node,
-			"job", short(req.ID), "err", req.Error)
+			"job", req.ID, "err", req.Error)
 		return nil
 	}
 	delete(it.holders, req.Node)
@@ -968,7 +935,7 @@ func (c *Coordinator) Complete(req CompleteRequest) error {
 	if len(it.holders) > 0 {
 		// Another lease is still racing; let it decide the item.
 		c.log.Warn("lease failed, hedge still running", "node", req.Node,
-			"job", short(req.ID), "err", req.Error)
+			"job", req.ID, "err", req.Error)
 		return nil
 	}
 	if req.Transient && it.requeues < c.opts.MaxRequeues {
@@ -1045,9 +1012,9 @@ func (c *Coordinator) sweepFinishedLocked(it *item) {
 	}
 }
 
-// requeueLocked puts a running or assigned item back in line: on the
-// shortest live queue (capacity is not enforced for requeues — the work was
-// already accepted) or the lobby when no worker is live. Callers hold c.mu.
+// requeueLocked puts a running item back at the end of the queue. The
+// submission bound is not enforced for requeues: the work was already
+// accepted. Callers hold c.mu.
 func (c *Coordinator) requeueLocked(it *item, why string) {
 	c.journal.append(journalRecord{Kind: recRequeue, ID: it.id})
 	it.state = itemQueued
@@ -1055,12 +1022,8 @@ func (c *Coordinator) requeueLocked(it *item, why string) {
 	it.recovered = false
 	it.requeues++
 	c.obs.requeues.Inc()
-	c.log.Warn("requeued", "job", short(it.id), "attempt", it.requeues, "why", why)
-	if n := c.shortestLiveQueueAnyDepth(time.Now()); n != nil {
-		n.queue = append(n.queue, it)
-	} else {
-		c.lobby = append(c.lobby, it)
-	}
+	c.log.Warn("requeued", "job", it.id, "attempt", it.requeues, "why", why)
+	c.queue = append(c.queue, it)
 }
 
 // reapLoop periodically retires workers whose heartbeats stopped.
@@ -1082,35 +1045,26 @@ func (c *Coordinator) reapLoop() {
 	}
 }
 
-// reap requeues the queued and leased work of every node silent past the
-// heartbeat timeout, then removes the node. An item over its requeue budget
-// fails instead of cycling through dying nodes forever.
+// reap releases the leases of every node silent past the heartbeat timeout,
+// requeuing work no other node still holds, then removes the node. Nodes and
+// their leases are visited in sorted order: the requeue order is the order
+// the work runs in, so it must not depend on map iteration. An item over its
+// requeue budget fails instead of cycling through dying nodes forever.
 func (c *Coordinator) reap(now time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for name, n := range c.nodes {
+	for _, n := range c.sortedNodes() {
+		name := n.name
 		if now.Sub(n.lastBeat) <= c.opts.HeartbeatTimeout {
 			continue
 		}
-		c.log.Warn("worker lost", "node", name,
-			"queued", len(n.queue), "leased", len(n.leases),
+		c.log.Warn("worker lost", "node", name, "leased", len(n.leases),
 			"silent_for", now.Sub(n.lastBeat).Round(time.Millisecond))
 		c.journal.append(journalRecord{Kind: recReap, Node: name})
 		delete(c.nodes, name)
 		c.obs.nodesLost.Inc()
 		c.obs.zeroNode(name)
-		for _, it := range n.queue {
-			if it.state == itemQueued {
-				// Not counted against the requeue budget: assigned-but-never-
-				// started work lost nothing but its place in line.
-				if t := c.shortestLiveQueueAnyDepth(now); t != nil {
-					t.queue = append(t.queue, it)
-				} else {
-					c.lobby = append(c.lobby, it)
-				}
-			}
-		}
-		for id := range n.leases {
+		for _, id := range sortedKeys(n.leases) {
 			it := c.items[id]
 			if it == nil {
 				continue
@@ -1129,7 +1083,6 @@ func (c *Coordinator) reap(now time.Time) {
 	}
 	c.finishReadoptLocked(now)
 	c.pruneLocked(now)
-	c.drainLobbyLocked()
 	if c.journal != nil && c.journal.shouldCompact() {
 		if err := c.journal.compact(c.snapshotLocked()); err != nil {
 			c.log.Error("journal compaction failed", "err", err)
@@ -1187,78 +1140,8 @@ func (c *Coordinator) pruneLocked(now time.Time) {
 	}
 }
 
-// drainLobbyLocked moves lobby items onto live queues with room, dropping
-// stale entries (see Pull). Callers hold c.mu.
-func (c *Coordinator) drainLobbyLocked() {
-	now := time.Now()
-	for len(c.lobby) > 0 {
-		if c.lobby[0].state != itemQueued {
-			c.lobby = c.lobby[1:]
-			continue
-		}
-		n := c.shortestLiveQueue(now)
-		if n == nil {
-			return
-		}
-		n.queue = append(n.queue, c.lobby[0])
-		c.lobby = c.lobby[1:]
-	}
-}
-
-// shortestLiveQueue returns the live node with the shortest queue that still
-// has room, or nil. Ties break by name so placement is deterministic given
-// the same cluster view. Callers hold c.mu.
-func (c *Coordinator) shortestLiveQueue(now time.Time) *node {
-	var best *node
-	for _, n := range c.sortedNodes() {
-		if now.Sub(n.lastBeat) > c.opts.HeartbeatTimeout {
-			continue
-		}
-		if len(n.queue) >= c.opts.QueuePerWorker {
-			continue
-		}
-		if best == nil || len(n.queue) < len(best.queue) {
-			best = n
-		}
-	}
-	return best
-}
-
-// shortestLiveQueueAnyDepth is shortestLiveQueue without the capacity check,
-// for requeued work that must land somewhere. Callers hold c.mu.
-func (c *Coordinator) shortestLiveQueueAnyDepth(now time.Time) *node {
-	var best *node
-	for _, n := range c.sortedNodes() {
-		if now.Sub(n.lastBeat) > c.opts.HeartbeatTimeout {
-			continue
-		}
-		if best == nil || len(n.queue) < len(best.queue) {
-			best = n
-		}
-	}
-	return best
-}
-
-// longestLiveQueue returns the live node other than thief with the longest
-// non-empty queue — the steal victim. Callers hold c.mu.
-func (c *Coordinator) longestLiveQueue(thief *node, now time.Time) *node {
-	var best *node
-	for _, n := range c.sortedNodes() {
-		if n == thief || len(n.queue) == 0 {
-			continue
-		}
-		if now.Sub(n.lastBeat) > c.opts.HeartbeatTimeout {
-			continue
-		}
-		if best == nil || len(n.queue) > len(best.queue) {
-			best = n
-		}
-	}
-	return best
-}
-
-// sortedNodes returns the nodes in name order, making scheduling decisions
-// independent of map iteration order. Callers hold c.mu.
+// sortedNodes returns the nodes in name order, making the reaper and the
+// status view independent of map iteration order. Callers hold c.mu.
 func (c *Coordinator) sortedNodes() []*node {
 	ns := make([]*node, 0, len(c.nodes))
 	for _, n := range c.nodes {
@@ -1268,15 +1151,16 @@ func (c *Coordinator) sortedNodes() []*node {
 	return ns
 }
 
-// anyLive reports whether at least one worker is within its heartbeat
-// window. Callers hold c.mu.
-func (c *Coordinator) anyLive(now time.Time) bool {
+// liveWorkersLocked counts the workers within their heartbeat window.
+// Callers hold c.mu.
+func (c *Coordinator) liveWorkersLocked(now time.Time) int {
+	live := 0
 	for _, n := range c.nodes {
 		if now.Sub(n.lastBeat) <= c.opts.HeartbeatTimeout {
-			return true
+			live++
 		}
 	}
-	return false
+	return live
 }
 
 // Tracer returns the coordinator's span tracer (nil when untraced), for the
@@ -1292,12 +1176,7 @@ func (c *Coordinator) SweepTraceInfo(idOrTag string) (tag string, participants m
 	defer c.mu.Unlock()
 	sw := c.sweeps[idOrTag]
 	if sw == nil {
-		for _, s := range c.sweeps {
-			if s.tag != "" && s.tag == idOrTag {
-				sw = s
-				break
-			}
-		}
+		sw = c.sweepByTagLocked(idOrTag)
 	}
 	if sw == nil {
 		return "", nil, false
@@ -1343,35 +1222,23 @@ func (c *Coordinator) LiveNodes() map[string]string {
 	return out
 }
 
-// StatusSnapshot assembles the live fabric view served at GET /v1/status.
+// StatusSnapshot assembles the live fabric view served at GET /v1/status;
+// the coordinator's /metrics gauges are mirrored from the same view.
 func (c *Coordinator) StatusSnapshot() ClusterStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := time.Now()
-	st := ClusterStatus{Draining: c.draining, Sweeps: len(c.sweeps)}
-	for _, it := range c.lobby {
-		if it.state == itemQueued {
-			st.Lobby++
-		}
-	}
+	var t stateTally
 	for _, it := range c.items {
-		switch it.state {
-		case itemQueued:
-			st.Queued++
-		case itemRunning:
-			st.Running++
-		case itemDone:
-			st.Done++
-		case itemFailed:
-			st.Failed++
-		}
+		t.add(it)
 	}
+	st := ClusterStatus{Draining: c.draining, Sweeps: len(c.sweeps),
+		Queued: t.queued, Running: t.running, Done: t.done, Failed: t.failed}
 	for _, n := range c.sortedNodes() {
 		ns := NodeStatus{
 			Node:          n.name,
 			Addr:          n.addr,
 			BeatAgeMS:     now.Sub(n.lastBeat).Milliseconds(),
-			QueueDepth:    len(n.queue),
 			Inflight:      len(n.leases),
 			EngQueued:     n.engQueued,
 			EngRunning:    n.engRunning,
@@ -1386,7 +1253,7 @@ func (c *Coordinator) StatusSnapshot() ClusterStatus {
 				continue
 			}
 			if age := now.Sub(it.firstStart).Milliseconds(); age > ns.OldestLeaseAgeMS {
-				ns.OldestLeaseAgeMS, ns.OldestLeaseJob = age, short(id)
+				ns.OldestLeaseAgeMS, ns.OldestLeaseJob = age, fmt.Sprintf("%.12s", id)
 			}
 		}
 		st.Nodes = append(st.Nodes, ns)
@@ -1401,25 +1268,18 @@ func (c *Coordinator) StatusSnapshot() ClusterStatus {
 
 // histQuantileUpperMS returns an upper bound (in milliseconds) on the given
 // quantile of a seconds-histogram: the bound of the first bucket whose
-// cumulative count covers it, or the largest finite bound for the overflow
-// bucket.
+// cumulative count covers the quantile's nearest rank (the ceil(q·Count)-th
+// smallest sample, so a lone sample is its own p99), or the largest finite
+// bound for the overflow bucket.
 func histQuantileUpperMS(snap obs.HistogramSnapshot, q float64) float64 {
 	if snap.Count == 0 || len(snap.Bounds) == 0 {
 		return 0
 	}
-	target := uint64(q * float64(snap.Count))
+	target := max(1, uint64(math.Ceil(q*float64(snap.Count))))
 	for i, cum := range snap.Cumulative {
 		if cum >= target && i < len(snap.Bounds) {
 			return snap.Bounds[i] * 1e3
 		}
 	}
 	return snap.Bounds[len(snap.Bounds)-1] * 1e3
-}
-
-// short abbreviates a content hash for logs.
-func short(sum string) string {
-	if len(sum) > 12 {
-		return sum[:12]
-	}
-	return sum
 }

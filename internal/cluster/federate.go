@@ -2,8 +2,7 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/json"
-	"fmt"
+	"context"
 	"io"
 	"log/slog"
 	"net/http"
@@ -84,7 +83,10 @@ func (f *Federator) fetch() []byte {
 	byName := make(map[string]*obs.MetricSnapshot)
 	var order []string
 	for _, name := range names {
-		snaps, err := f.fetchNode(nodes[name])
+		// The fan-out is cached and shared between scrapes, so it is not tied
+		// to one request's context; the client's timeout bounds it.
+		var snaps []obs.MetricSnapshot
+		err := getJSON(context.Background(), f.hc, nodes[name]+"/v1/metricsnap", 16<<20, &snaps)
 		if err != nil {
 			f.log.Warn("metrics federation pull failed", "node", name, "err", err)
 			continue
@@ -118,23 +120,6 @@ func (f *Federator) fetch() []byte {
 		}
 	}
 	return buf.Bytes()
-}
-
-// fetchNode pulls one worker's registry snapshot.
-func (f *Federator) fetchNode(addr string) ([]obs.MetricSnapshot, error) {
-	resp, err := f.hc.Get(addr + "/v1/metricsnap")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d", resp.StatusCode)
-	}
-	var snaps []obs.MetricSnapshot
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 16<<20)).Decode(&snaps); err != nil {
-		return nil, err
-	}
-	return snaps, nil
 }
 
 // federated reports whether a family name is in the re-export allowlist.

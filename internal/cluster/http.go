@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"net/url"
@@ -121,7 +120,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad job body: %v", err)
 		return
 	}
-	id, err := s.co.SubmitTraced(job, engine.RequestIDFrom(r.Context()), engine.SweepFrom(r.Context()))
+	id, err := s.co.Submit(job, engine.RequestIDFrom(r.Context()), engine.SweepFrom(r.Context()))
 	switch {
 	case errors.Is(err, ErrBusy), errors.Is(err, ErrClosed):
 		w.Header().Set("Retry-After", "1")
@@ -154,7 +153,7 @@ func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad sweep body: %v", err)
 		return
 	}
-	st, err := s.co.SubmitSweepTraced(req.Jobs, engine.RequestIDFrom(r.Context()), engine.SweepFrom(r.Context()))
+	st, err := s.co.SubmitSweep(req.Jobs, engine.RequestIDFrom(r.Context()), engine.SweepFrom(r.Context()))
 	switch {
 	case errors.Is(err, ErrBusy), errors.Is(err, ErrClosed):
 		// Partial acceptance: the client retries the whole sweep; accepted
@@ -210,7 +209,8 @@ func (s *Server) handleSweepTrace(w http.ResponseWriter, r *http.Request, id str
 			s.log.Warn("trace pull skipped: node never advertised an address", "node", name)
 			continue
 		}
-		spans, err := s.fetchTrace(addr, tag)
+		var spans []obs.SpanDump
+		err := getJSON(r.Context(), s.hc, addr+"/v1/trace?sweep="+url.QueryEscape(tag), 64<<20, &spans)
 		if err != nil {
 			s.log.Warn("trace pull failed", "node", name, "addr", addr, "err", err)
 			continue
@@ -227,25 +227,9 @@ func (s *Server) handleSweepTrace(w http.ResponseWriter, r *http.Request, id str
 	}
 }
 
-// fetchTrace pulls one worker's sweep-filtered span dump.
-func (s *Server) fetchTrace(addr, tag string) ([]obs.SpanDump, error) {
-	resp, err := s.hc.Get(addr + "/v1/trace?sweep=" + url.QueryEscape(tag))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d", resp.StatusCode)
-	}
-	var spans []obs.SpanDump
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&spans); err != nil {
-		return nil, err
-	}
-	return spans, nil
-}
-
-// sortedKeys returns a map's keys in order, for deterministic lane layout.
-func sortedKeys(m map[string]string) []string {
+// sortedKeys returns a map's keys in order, wherever iteration order would
+// otherwise leak out: trace lane layout, snapshots, requeue order.
+func sortedKeys[V any](m map[string]V) []string {
 	ks := make([]string, 0, len(m))
 	for k := range m {
 		ks = append(ks, k)

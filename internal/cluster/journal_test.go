@@ -1,10 +1,14 @@
 package cluster
 
 import (
+	"encoding/json"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -51,7 +55,11 @@ func liveSnapshot(co *Coordinator) snapshot {
 // reap — then crash it and assert the coordinator rebuilt from the journal
 // renders exactly the same scheduler snapshot (states, holders, requeue
 // counts, error messages, sweeps) as the live one did at the moment of the
-// crash.
+// crash. Along the way the queue is checked against a reference model, a
+// slice of queued IDs: after every op the coordinator's queue holds exactly
+// the model's IDs in the model's order (nothing lost, nothing queued twice),
+// and every pull returns the model's front — FIFO, and work-conserving: a
+// pull comes back empty only when the model is.
 func TestJournalPropertyRandomOpsReplayMatchesLiveState(t *testing.T) {
 	nodes := []string{"a", "b", "c"}
 	for _, seed := range []int64{1, 7, 42, 1337} {
@@ -62,23 +70,51 @@ func TestJournalPropertyRandomOpsReplayMatchesLiveState(t *testing.T) {
 
 		type lease struct{ node, id string }
 		var leases []lease
+		var model []string // the reference queue, oldest first
+		known := map[string]bool{}
+		requeues := map[string]int{}
+		accepted := func(ids ...string) {
+			for _, id := range ids {
+				if !known[id] {
+					known[id] = true
+					model = append(model, id)
+				}
+			}
+		}
+		requeued := func(id string) { // within the default budget of 3, else failed
+			if requeues[id]++; requeues[id] <= 3 {
+				model = append(model, id)
+			}
+		}
 		nextJob := int64(0)
 		for op := 0; op < 200; op++ {
 			switch rng.Intn(10) {
 			case 0, 1: // submit one job
 				nextJob++
-				co.Submit(unitJob(nextJob), "prop")
+				if id, err := co.Submit(unitJob(nextJob), "prop", ""); err == nil {
+					accepted(id)
+				}
 			case 2: // submit a two-job sweep
-				co.SubmitSweep([]engine.Job{unitJob(nextJob + 1), unitJob(nextJob + 2)}, "prop")
+				st, _ := co.SubmitSweep([]engine.Job{unitJob(nextJob + 1), unitJob(nextJob + 2)}, "prop", "")
+				accepted(st.JobIDs...)
 				nextJob += 2
-			case 3, 4: // heartbeat a node (registers it, drains the lobby)
+			case 3, 4: // heartbeat a node (registers it)
 				beat(t, co, nodes[rng.Intn(len(nodes))])
 			case 5, 6: // pull a lease
 				n := nodes[rng.Intn(len(nodes))]
 				beat(t, co, n)
-				if it := co.Pull(n); it != nil {
-					leases = append(leases, lease{n, it.ID})
+				it := co.Pull(n)
+				if len(model) == 0 {
+					if it != nil {
+						t.Fatalf("seed %d op %d: pull from an empty queue = %+v", seed, op, it)
+					}
+					continue
 				}
+				if it == nil || it.ID != model[0] {
+					t.Fatalf("seed %d op %d: pull = %+v, want the model's front %.12s", seed, op, it, model[0])
+				}
+				model = model[1:]
+				leases = append(leases, lease{n, it.ID})
 			case 7: // complete a lease successfully
 				if len(leases) == 0 {
 					continue
@@ -94,13 +130,37 @@ func TestJournalPropertyRandomOpsReplayMatchesLiveState(t *testing.T) {
 				i := rng.Intn(len(leases))
 				l := leases[i]
 				leases = append(leases[:i], leases[i+1:]...)
+				transient := rng.Intn(2) == 0
 				if err := co.Complete(CompleteRequest{Node: l.node, ID: l.id,
-					Error: "injected", Transient: rng.Intn(2) == 0}); err != nil {
+					Error: "injected", Transient: transient}); err != nil {
 					t.Fatalf("seed %d: fail complete: %v", seed, err)
 				}
-			case 9: // reap every node: leased work requeues, queued work moves
+				if transient {
+					requeued(l.id)
+				}
+			case 9: // reap every node: leased work requeues in (node, ID) order
 				co.reap(time.Now().Add(2 * time.Hour))
+				sort.Slice(leases, func(i, j int) bool {
+					if leases[i].node != leases[j].node {
+						return leases[i].node < leases[j].node
+					}
+					return leases[i].id < leases[j].id
+				})
+				for _, l := range leases {
+					requeued(l.id)
+				}
 				leases = leases[:0]
+			}
+			co.mu.Lock()
+			var queued []string
+			for _, it := range co.queue {
+				if it.state == itemQueued {
+					queued = append(queued, it.id)
+				}
+			}
+			co.mu.Unlock()
+			if !slices.Equal(queued, model) {
+				t.Fatalf("seed %d op %d: queue = %.12s, model = %.12s", seed, op, queued, model)
 			}
 		}
 
@@ -126,7 +186,7 @@ func TestJournalCompactionRoundTrip(t *testing.T) {
 	st := cas.NewStore("")
 	co := journaledCoordinator(t, dir, st, nil)
 	beat(t, co, "a")
-	id1, err := co.Submit(unitJob(1), "")
+	id1, err := co.Submit(unitJob(1), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +210,7 @@ func TestJournalCompactionRoundTrip(t *testing.T) {
 	}
 
 	// Post-compaction records layer on top of the snapshot.
-	id2, err := co.Submit(unitJob(2), "")
+	id2, err := co.Submit(unitJob(2), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +240,7 @@ func TestJournalQuarantinesCorruptTail(t *testing.T) {
 	st := cas.NewStore("")
 	co := journaledCoordinator(t, dir, st, nil)
 	beat(t, co, "a")
-	id, err := co.Submit(unitJob(1), "")
+	id, err := co.Submit(unitJob(1), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +307,7 @@ func TestJournalReplayServesDoneFromCAS(t *testing.T) {
 	st := cas.NewStore("")
 	co := journaledCoordinator(t, dir, st, nil)
 	beat(t, co, "a")
-	id, err := co.Submit(unitJob(1), "")
+	id, err := co.Submit(unitJob(1), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +337,7 @@ func TestJournalReplayServesDoneFromCAS(t *testing.T) {
 	}
 	beat(t, re2, "b")
 	if it := re2.Pull("b"); it == nil || it.ID != id {
-		t.Fatalf("blob-missing pull = %+v, want requeued %s", it, short(id))
+		t.Fatalf("blob-missing pull = %+v, want requeued %.12s", it, id)
 	}
 }
 
@@ -291,7 +351,7 @@ func TestLeaseReadoptionAcrossRestart(t *testing.T) {
 	st := cas.NewStore("")
 	co := journaledCoordinator(t, dir, st, nil)
 	beat(t, co, "a")
-	id, err := co.Submit(unitJob(1), "")
+	id, err := co.Submit(unitJob(1), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +398,7 @@ func TestReadoptWindowExpiryRequeues(t *testing.T) {
 	st := cas.NewStore("")
 	co := journaledCoordinator(t, dir, st, nil)
 	beat(t, co, "a")
-	id, err := co.Submit(unitJob(1), "")
+	id, err := co.Submit(unitJob(1), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,10 +421,105 @@ func TestReadoptWindowExpiryRequeues(t *testing.T) {
 	// Worker a never came back; the lease requeues and a survivor runs it.
 	beat(t, re, "b")
 	if it := re.Pull("b"); it == nil || it.ID != id {
-		t.Fatalf("post-window pull = %+v, want requeued %s", it, short(id))
+		t.Fatalf("post-window pull = %+v, want requeued %.12s", it, id)
 	}
 	fakeComplete(t, re, "b", id)
 	if stj, _ := re.Status(id); stj.Status != "done" {
 		t.Fatalf("status = %s, want done", stj.Status)
+	}
+}
+
+// TestJournalReplaysParentFormatDirectory pins the on-disk format across the
+// single-queue change: a journal directory spelled out here byte for byte as
+// the per-worker-queue coordinator wrote it — snapshot.json plus one record
+// of every kind — replays into the same items, sweeps and requeue counts.
+// Queue placement was never journaled, so the replayed queue is simply the
+// queued items in ID order.
+func TestJournalReplaysParentFormatDirectory(t *testing.T) {
+	jobs := make(map[string]string) // id → job JSON
+	var ids []string
+	for seed := int64(1); seed <= 4; seed++ {
+		b, err := json.Marshal(unitJob(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[unitJob(seed).Hash()] = string(b)
+		ids = append(ids, unitJob(seed).Hash())
+	}
+	sort.Strings(ids)
+	a, b, c, d := ids[0], ids[1], ids[2], ids[3]
+
+	dir := t.TempDir()
+	write := func(name, content string) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(snapshotFile, `{
+ "sweep_seq": 1,
+ "sweeps": {"sweep-1": ["`+a+`", "`+b+`"]},
+ "sweep_tags": {"sweep-1": "tag-1"},
+ "items": [
+  {"id": "`+a+`", "job": `+jobs[a]+`, "req_id": "r1", "sweep": "tag-1", "state": "queued"},
+  {"id": "`+b+`", "job": `+jobs[b]+`, "sweep": "tag-1", "state": "running", "requeues": 1, "holders": ["w1"]}
+ ]
+}`)
+	write(journalFile, strings.Join([]string{
+		`{"kind":"submit","id":"` + c + `","job":` + jobs[c] + `,"req_id":"r2"}`,
+		`{"kind":"lease","id":"` + a + `","node":"w2"}`,
+		`{"kind":"requeue","id":"` + a + `"}`,
+		`{"kind":"reap","node":"w1"}`,
+		`{"kind":"sweep","id":"sweep-2","job_ids":["` + c + `"],"seq":2}`,
+		`{"kind":"submit","id":"` + d + `","job":` + jobs[d] + `}`,
+		`{"kind":"lease","id":"` + d + `","node":"w2"}`,
+		`{"kind":"complete","id":"` + d + `","error":"boom"}`,
+	}, "\n")+"\n")
+
+	j, err := OpenJournal(dir, testLogger())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.Replay().Records != 8 || j.Replay().Quarantined != 0 {
+		t.Fatalf("replayed %d records, quarantined %d bytes; want 8 and 0",
+			j.Replay().Records, j.Replay().Quarantined)
+	}
+	re := NewCoordinator(CoordinatorOptions{
+		HeartbeatTimeout: time.Hour, HedgeAfter: -1, RetainFor: -1,
+		ReadoptWindow: -1, Journal: j, Log: testLogger(),
+	})
+	defer re.Crash()
+
+	snap := liveSnapshot(re)
+	want := []snapItem{
+		{ID: a, ReqID: "r1", Sweep: "tag-1", State: "queued", Requeues: 1},
+		{ID: b, Sweep: "tag-1", State: "running", Requeues: 1, Holders: []string{}},
+		{ID: c, ReqID: "r2", State: "queued"},
+		{ID: d, State: "failed", Error: "boom"},
+	}
+	for i := range want {
+		want[i].Job = snap.Items[i].Job // job bodies are checked through their hashes
+		if snap.Items[i].Job.Hash() != want[i].ID {
+			t.Errorf("item %d: job hashes to %.12s, want %.12s", i, snap.Items[i].Job.Hash(), want[i].ID)
+		}
+	}
+	if !reflect.DeepEqual(snap.Items, want) {
+		t.Errorf("replayed items:\n got %+v\nwant %+v", snap.Items, want)
+	}
+	if snap.SweepSeq != 2 || !reflect.DeepEqual(snap.Sweeps,
+		map[string][]string{"sweep-1": {a, b}, "sweep-2": {c}}) ||
+		!reflect.DeepEqual(snap.SweepTags, map[string]string{"sweep-1": "tag-1"}) {
+		t.Errorf("replayed sweeps = seq %d %v tags %v", snap.SweepSeq, snap.Sweeps, snap.SweepTags)
+	}
+	// The queued items come back in ID order; the reaped holder's lease is
+	// requeued behind them once the (closed) re-adoption window is checked.
+	re.reap(time.Now())
+	for i, id := range []string{a, c, b} {
+		if it := re.Pull("w3"); it == nil || it.ID != id {
+			t.Fatalf("pull %d = %+v, want %.12s", i, it, id)
+		}
+	}
+	if st, _ := re.Status(d); st.Status != "failed" || st.Error != "boom" {
+		t.Errorf("failed item = %+v, want failed: boom", st)
 	}
 }

@@ -1,15 +1,12 @@
 package cluster
 
-import (
-	"time"
-
-	"rsr/internal/obs"
-)
+import "rsr/internal/obs"
 
 // coordObs is the coordinator's metric surface. Scheduling counters are
-// incremented at decision time; per-node gauges are mirrored from a
-// coordinator snapshot at scrape time (the RegisterCollector pattern, same
-// as the engine's), so the scheduler state stays the single source of truth.
+// incremented at decision time; gauges are mirrored at scrape time from the
+// same StatusSnapshot that /v1/status serves (the RegisterCollector pattern,
+// same as the engine's), so the scheduler state stays the single source of
+// truth.
 // With a nil registry every instrument is nil, which the obs package turns
 // into no-ops.
 type coordObs struct {
@@ -23,7 +20,6 @@ type coordObs struct {
 	nodesLost      *obs.Counter
 	readopted      *obs.Counter
 	completed      *obs.CounterVec // label: state (done|failed)
-	steals         *obs.CounterVec // label: node (the thief)
 	hedges         *obs.CounterVec // label: node (the hedger)
 	replayed       *obs.CounterVec // label: state (queued|running|done|failed|blob-missing)
 	journalRecords *obs.CounterVec // label: kind (submit|sweep|lease|complete|requeue|reap)
@@ -31,8 +27,7 @@ type coordObs struct {
 	sweepDur       *obs.Histogram
 
 	workers     *obs.Gauge
-	lobby       *obs.Gauge
-	queueDepth  *obs.GaugeVec // label: node
+	queueDepth  *obs.Gauge
 	inflight    *obs.GaugeVec // label: node
 	engQueued   *obs.GaugeVec // label: node
 	engRunning  *obs.GaugeVec // label: node
@@ -43,69 +38,16 @@ type coordObs struct {
 	sweepJobs   *obs.GaugeVec // label: state (pending|running|done|failed)
 }
 
-// nodeSnap is one worker's scrape-time view for the per-node gauges.
-type nodeSnap struct {
-	name                  string
-	queue, leases         int
-	engQueued, engRunning int64
-	shardsInUse           int64
-	shardCapacity         int
-	oldestLeaseMS         int64 // age of the node's slowest in-flight lease
-	clockOffsetNS         int64
-}
-
-// sweepJobsSnap tallies live sweeps' members by state for the sweep gauges.
-type sweepJobsSnap struct {
-	pending, running, done, failed int
-}
-
-// snapshotNodes reads the scheduler state for the metrics collector.
-func (c *Coordinator) snapshotNodes() (ns []nodeSnap, lobby int, sj sweepJobsSnap) {
+// sweepJobsTally counts live sweeps' members by state for the sweep gauges.
+func (c *Coordinator) sweepJobsTally() (t stateTally) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := time.Now()
-	for _, n := range c.sortedNodes() {
-		snap := nodeSnap{
-			name:          n.name,
-			queue:         len(n.queue),
-			leases:        len(n.leases),
-			engQueued:     n.engQueued,
-			engRunning:    n.engRunning,
-			shardsInUse:   n.shardsInUse,
-			shardCapacity: n.shardCapacity,
-			clockOffsetNS: n.clockOffsetNS,
-		}
-		for id := range n.leases {
-			it := c.items[id]
-			if it == nil || it.state != itemRunning || it.firstStart.IsZero() {
-				continue
-			}
-			if age := now.Sub(it.firstStart).Milliseconds(); age > snap.oldestLeaseMS {
-				snap.oldestLeaseMS = age
-			}
-		}
-		ns = append(ns, snap)
-	}
 	for _, sw := range c.sweeps {
 		for _, id := range sw.ids {
-			it := c.items[id]
-			if it == nil {
-				sj.done++ // pruned members are terminal by definition
-				continue
-			}
-			switch it.state {
-			case itemQueued:
-				sj.pending++
-			case itemRunning:
-				sj.running++
-			case itemDone:
-				sj.done++
-			case itemFailed:
-				sj.failed++
-			}
+			t.add(c.items[id])
 		}
 	}
-	return ns, len(c.lobby), sj
+	return t
 }
 
 func newCoordObs(reg *obs.Registry, c *Coordinator) *coordObs {
@@ -118,7 +60,7 @@ func newCoordObs(reg *obs.Registry, c *Coordinator) *coordObs {
 	o.coalesced = reg.Counter("rsr_cluster_jobs_coalesced_total",
 		"Duplicate submissions coalesced onto an existing item.")
 	o.rejected = reg.Counter("rsr_cluster_jobs_rejected_total",
-		"Submissions refused with backpressure (every queue full).")
+		"Submissions refused with backpressure (queue at its bound).")
 	o.requeues = reg.Counter("rsr_cluster_requeues_total",
 		"Items requeued after transient failures or node loss.")
 	o.lateCompletes = reg.Counter("rsr_cluster_late_completes_total",
@@ -140,16 +82,12 @@ func newCoordObs(reg *obs.Registry, c *Coordinator) *coordObs {
 	o.journalFsync = reg.Histogram("rsr_cluster_journal_fsync_seconds",
 		"Latency of one journal append (write + fsync).",
 		[]float64{.0001, .00025, .0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1})
-	o.steals = reg.CounterVec("rsr_cluster_steals_total",
-		"Work items stolen from a sibling's queue, by the stealing node.", "node")
 	o.hedges = reg.CounterVec("rsr_cluster_hedges_total",
 		"Hedged duplicate leases issued against stragglers, by the hedging node.", "node")
 	o.workers = reg.Gauge("rsr_cluster_workers",
 		"Live workers within their heartbeat window.")
-	o.lobby = reg.Gauge("rsr_cluster_lobby_depth",
-		"Accepted items waiting for a first worker.")
-	o.queueDepth = reg.GaugeVec("rsr_cluster_queue_depth",
-		"Assigned items awaiting pull, per worker.", "node")
+	o.queueDepth = reg.Gauge("rsr_cluster_queue_depth",
+		"Accepted items waiting for a lease.")
 	o.inflight = reg.GaugeVec("rsr_cluster_inflight",
 		"Leased items executing, per worker.", "node")
 	o.engQueued = reg.GaugeVec("rsr_cluster_node_engine_queued",
@@ -170,20 +108,20 @@ func newCoordObs(reg *obs.Registry, c *Coordinator) *coordObs {
 	o.sweepJobs = reg.GaugeVec("rsr_cluster_sweep_jobs",
 		"Members of live sweeps by state.", "state")
 	reg.RegisterCollector(func() {
-		ns, lobby, sj := c.snapshotNodes()
-		o.workers.Set(int64(len(ns)))
-		o.lobby.Set(int64(lobby))
-		for _, n := range ns {
-			o.queueDepth.With(n.name).Set(int64(n.queue))
-			o.inflight.With(n.name).Set(int64(n.leases))
-			o.engQueued.With(n.name).Set(n.engQueued)
-			o.engRunning.With(n.name).Set(n.engRunning)
-			o.shardsUsed.With(n.name).Set(n.shardsInUse)
-			o.shardCap.With(n.name).Set(int64(n.shardCapacity))
-			o.oldestLease.With(n.name).Set(n.oldestLeaseMS)
-			o.clockOffset.With(n.name).Set(n.clockOffsetNS)
+		st := c.StatusSnapshot()
+		o.workers.Set(int64(len(st.Nodes)))
+		o.queueDepth.Set(int64(st.Queued))
+		for _, n := range st.Nodes {
+			o.inflight.With(n.Node).Set(int64(n.Inflight))
+			o.engQueued.With(n.Node).Set(n.EngQueued)
+			o.engRunning.With(n.Node).Set(n.EngRunning)
+			o.shardsUsed.With(n.Node).Set(n.ShardsInUse)
+			o.shardCap.With(n.Node).Set(int64(n.ShardCapacity))
+			o.oldestLease.With(n.Node).Set(n.OldestLeaseAgeMS)
+			o.clockOffset.With(n.Node).Set(n.ClockOffsetNS)
 		}
-		o.sweepJobs.With("pending").Set(int64(sj.pending))
+		sj := c.sweepJobsTally()
+		o.sweepJobs.With("pending").Set(int64(sj.queued))
 		o.sweepJobs.With("running").Set(int64(sj.running))
 		o.sweepJobs.With("done").Set(int64(sj.done))
 		o.sweepJobs.With("failed").Set(int64(sj.failed))
@@ -191,11 +129,10 @@ func newCoordObs(reg *obs.Registry, c *Coordinator) *coordObs {
 	return o
 }
 
-// zeroNode clears a reaped node's gauges so stale depths do not linger on
+// zeroNode clears a reaped node's gauges so stale readings do not linger on
 // /metrics between its death and the next scrape-time snapshot (which no
 // longer includes it).
 func (o *coordObs) zeroNode(name string) {
-	o.queueDepth.With(name).Set(0)
 	o.inflight.With(name).Set(0)
 	o.engQueued.With(name).Set(0)
 	o.engRunning.With(name).Set(0)

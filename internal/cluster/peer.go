@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"os"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -213,12 +212,7 @@ func (p *Peer) inflightLeases() []string {
 	if len(p.leases) == 0 {
 		return nil
 	}
-	ids := make([]string, 0, len(p.leases))
-	for id := range p.leases {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
+	return sortedKeys(p.leases)
 }
 
 // Start performs the version handshake and launches the heartbeat and pull
@@ -471,7 +465,7 @@ func (p *Peer) pull() (*WorkItem, bool) {
 func (p *Peer) runItem(it *WorkItem) {
 	ctx := engine.WithRequestID(p.ctx, it.RequestID)
 	ctx = engine.WithSweep(ctx, it.SweepID)
-	p.log.Info("lease started", "job", short(it.ID), "label", it.Job.Label(),
+	p.log.Info("lease started", "job", it.ID, "label", it.Job.Label(),
 		"request_id", it.RequestID, "hedged", it.Hedged)
 	tk, err := p.opts.Engine.Submit(ctx, it.Job)
 	if err != nil {
@@ -495,13 +489,13 @@ func (p *Peer) runItem(it *WorkItem) {
 	}
 	sum, err := p.cas.Put(p.ctx, blob)
 	if err != nil {
-		p.log.Warn("result upload failed", "job", short(it.ID), "err", err)
+		p.log.Warn("result upload failed", "job", it.ID, "err", err)
 		p.complete(CompleteRequest{Node: p.opts.Node, ID: it.ID,
 			Error: fmt.Sprintf("upload result: %v", err), Transient: true}, nil)
 		return
 	}
 	p.complete(CompleteRequest{Node: p.opts.Node, ID: it.ID, BlobSum: sum}, blob)
-	p.log.Info("lease done", "job", short(it.ID), "blob", short(sum))
+	p.log.Info("lease done", "job", it.ID, "blob", sum)
 }
 
 // complete reports an outcome. The work is already done, so the report is
@@ -530,24 +524,24 @@ func (p *Peer) complete(req CompleteRequest, blob []byte) {
 			conflicts++
 			if conflicts > 3 {
 				p.log.Warn("completion abandoned after repeated blob refusals",
-					"job", short(req.ID))
+					"job", req.ID)
 				return
 			}
 			p.log.Warn("completion refused, blob unverified; re-uploading",
-				"job", short(req.ID))
+				"job", req.ID)
 			if sum, perr := p.cas.Put(p.ctx, blob); perr == nil {
 				req.BlobSum = sum
 			} else {
-				p.log.Warn("result re-upload failed", "job", short(req.ID), "err", perr)
+				p.log.Warn("result re-upload failed", "job", req.ID, "err", perr)
 			}
 		case err != nil || code == http.StatusServiceUnavailable:
 			if attempt == heartbeatFailThreshold {
 				p.log.Warn("completion delayed, coordinator unreachable",
-					"job", short(req.ID), "attempts", attempt)
+					"job", req.ID, "attempts", attempt)
 			}
 		default:
 			// 4xx the coordinator will never change its mind about.
-			p.log.Warn("completion rejected", "job", short(req.ID), "status", code)
+			p.log.Warn("completion rejected", "job", req.ID, "status", code)
 			return
 		}
 		select {
@@ -581,21 +575,7 @@ func (p *Peer) postJSON(path string, v any) (int, []byte, error) {
 
 // fetchVersion GETs a peer's /v1/version.
 func fetchVersion(ctx context.Context, hc *http.Client, base string) (VersionInfo, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/version", nil)
-	if err != nil {
-		return VersionInfo{}, err
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return VersionInfo{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return VersionInfo{}, fmt.Errorf("version endpoint: status %d", resp.StatusCode)
-	}
 	var v VersionInfo
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&v); err != nil {
-		return VersionInfo{}, err
-	}
-	return v, nil
+	err := getJSON(ctx, hc, base+"/v1/version", 1<<20, &v)
+	return v, err
 }

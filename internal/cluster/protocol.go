@@ -4,16 +4,15 @@
 //
 // # Scheduling model
 //
-// The coordinator keeps one bounded queue per live worker. A submission is
-// placed on the shortest queue; when every queue is full it is refused with
-// 503 + Retry-After, which is the fabric's backpressure signal (clients
-// retry, see Client.Submit). Workers pull work: their own queue first, then
-// the lobby (work that arrived before any worker did), then a steal from the
-// back of the longest sibling queue, and finally — when everything is
-// leased — a hedged duplicate of the oldest item that has been running past
-// the hedge threshold, so one straggler cannot stall a sweep's tail. Workers
-// heartbeat; a node that misses the heartbeat timeout is reaped and its
-// queued and leased work is requeued, bounded by a per-item requeue budget.
+// The coordinator keeps one FIFO queue of accepted work, and every free
+// worker slot pulls its front. A submission that finds the queue at its
+// bound (QueuePerWorker × live workers) is refused with 503 + Retry-After,
+// which is the fabric's backpressure signal (clients retry, see
+// Client.Submit). A pull that finds the queue empty gets a hedged duplicate
+// of the oldest item that has been running past the hedge threshold, so one
+// straggler cannot stall a sweep's tail. Workers heartbeat; a node that
+// misses the heartbeat timeout is reaped and its leased work is requeued,
+// bounded by a per-item requeue budget.
 //
 // Because every job is deterministic and content-addressed, all of this
 // movement is safe: duplicate executions (hedges, requeues that raced a slow
@@ -55,9 +54,9 @@ const ProtocolVersion = 2
 // ErrProtocol reports a protocol-version mismatch between peers.
 var ErrProtocol = errors.New("cluster: protocol version mismatch")
 
-// ErrBusy reports that every worker queue (or, with no workers yet, the
-// lobby) is full: the backpressure signal behind HTTP 503 + Retry-After.
-var ErrBusy = errors.New("cluster: all queues full")
+// ErrBusy reports that the queue is at its bound: the backpressure signal
+// behind HTTP 503 + Retry-After.
+var ErrBusy = errors.New("cluster: queue full")
 
 // ErrClosed is returned by coordinator methods after Close.
 var ErrClosed = errors.New("cluster: coordinator closed")
@@ -213,7 +212,6 @@ type NodeStatus struct {
 	Node          string `json:"node"`
 	Addr          string `json:"addr,omitempty"`
 	BeatAgeMS     int64  `json:"beat_age_ms"`
-	QueueDepth    int    `json:"queue_depth"`
 	Inflight      int    `json:"inflight"`
 	EngQueued     int64  `json:"eng_queued"`
 	EngRunning    int64  `json:"eng_running"`
@@ -231,7 +229,6 @@ type NodeStatus struct {
 // the whole fabric, polled by `rsr top`.
 type ClusterStatus struct {
 	Draining bool `json:"draining"`
-	Lobby    int  `json:"lobby"`
 	Queued   int  `json:"queued"`
 	Running  int  `json:"running"`
 	Done     int  `json:"done"`
@@ -240,8 +237,8 @@ type ClusterStatus struct {
 	// Journal fsync latency summary (zero when the coordinator runs without
 	// a journal): count of fsyncs, their mean, and an upper bound on the
 	// 99th percentile from the histogram's bucket layout.
-	JournalFsyncs      uint64  `json:"journal_fsyncs,omitempty"`
-	JournalFsyncMeanMS float64 `json:"journal_fsync_mean_ms,omitempty"`
-	JournalFsyncP99MS  float64 `json:"journal_fsync_p99_ms,omitempty"`
+	JournalFsyncs      uint64       `json:"journal_fsyncs,omitempty"`
+	JournalFsyncMeanMS float64      `json:"journal_fsync_mean_ms,omitempty"`
+	JournalFsyncP99MS  float64      `json:"journal_fsync_p99_ms,omitempty"`
 	Nodes              []NodeStatus `json:"nodes"`
 }

@@ -68,14 +68,13 @@ if ! diff -u "$WORKDIR/local.txt" "$WORKDIR/cluster.txt"; then
     exit 1
 fi
 
-# The scheduler's per-node observability: both workers registered, queue
-# depth and in-flight gauges exposed per node, jobs flowed through.
+# The scheduler's observability: both workers registered, the queue-depth
+# gauge and the per-node in-flight gauges exposed, jobs flowed through.
 METRICS="$WORKDIR/metrics.txt"
 curl -fsS "http://$COORD/metrics" >"$METRICS"
 for PATTERN in \
     'rsr_cluster_workers 2' \
-    'rsr_cluster_queue_depth{node="worker-a"}' \
-    'rsr_cluster_queue_depth{node="worker-b"}' \
+    'rsr_cluster_queue_depth ' \
     'rsr_cluster_inflight{node="worker-a"}' \
     'rsr_cluster_inflight{node="worker-b"}' \
     'rsr_cluster_jobs_submitted_total' \

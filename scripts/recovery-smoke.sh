@@ -13,7 +13,7 @@ set -eu
 
 WORKDIR="$(mktemp -d)"
 RSRC_PID=""
-trap 'kill "$RSRC_PID" "$RSRD_A_PID" "$RSRD_B_PID" 2>/dev/null || true; rm -rf "$WORKDIR"' EXIT
+trap 'kill "$RSRC_PID" "$RSRD_A_PID" "$RSRD_B_PID" 2>/dev/null || true; wait 2>/dev/null || true; rm -rf "$WORKDIR"' EXIT
 
 GO="${GO:-go}"
 COORD="127.0.0.1:19910"
