@@ -4,7 +4,8 @@
 #   make test        tier-1 gate: go build ./... && go test ./...
 #   make verify      vet + race-test the concurrent code paths, fuzz the
 #                    batched interpreter against Step for 20 s, then soak the
-#                    engine and the sharded pipeline under -race -count=20
+#                    engine, the warm-up methods and the sharded pipeline's
+#                    tests under -race -count=20
 #   make chaos       race-enabled fault-injection suite (chaos + drain tests)
 #   make obs-smoke   end-to-end observability check: rsrd /metrics scrape +
 #                    rsr -metrics-out/-trace-out artifacts
@@ -18,7 +19,8 @@
 #   make regimen-smoke  sampling-strategy check: `-regimen stratified-uniform`
 #                    diffed byte-for-byte against the legacy run path, then
 #                    every registered strategy run end to end at -shards 1
-#                    and 2 and the two outputs diffed
+#                    and 2, a non-zero work line required and the two
+#                    outputs diffed
 #   make recovery-smoke  crash-recovery check: SIGKILL the coordinator
 #                    mid-sweep, restart it on the same journal, diff the
 #                    sweep against a single-node run
@@ -59,21 +61,26 @@ test: build
 # the sharded pipeline and cancellation channel, so its byte-identity and
 # cancellation tests run under -race too.
 #
-# The second test line is ROADMAP's "green means green" gate: the engine's
+# The soak lines are ROADMAP's "green means green" gate: the engine's
 # ticket/stats ordering and the pipeline's buffer recycling (a capture or
 # product reused while something still reads it) are schedule-dependent, so
-# one clean pass proves little; twenty under the race detector do. Re-timed
-# after PR 17 on the two-core host: one -race pass over the sampling package is
-# 87-92 s, and the soak line takes 31.5 minutes of wall clock (sampling 1746 s,
-# engine 191 s, warmup 143 s, the three packages overlapping), so it sets its
-# own timeout above go test's ten minutes. The fuzz line before it compares
-# RunBatch with Step on generated programs for 20 s.
+# one clean pass proves little; twenty under the race detector do. In the
+# sampling package only the sharded pipeline is schedule-dependent — its tests
+# are the ones named Parallel, Shard or Capture — so only those soak; the rest
+# of the package is sequential and deterministic and gets its one -race pass
+# on the line above. That trims less than it sounds: timed on the two-core
+# host, the sharded tests are 106 s of the package's 120 s -race pass
+# (TestParallelAllWorkloadsIdentical 63 s, TestParallelByteIdenticalToSequential
+# 30 s), so twenty passes of them still take about 35 minutes and the line
+# keeps its 60-minute timeout. The fuzz line compares RunBatch with Step on
+# generated programs for 20 s.
 verify:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/obs/... ./internal/engine/... ./internal/sampling/... \
 		./internal/regimen/... ./internal/cluster/... ./internal/cas/... ./cmd/rsrd/...
 	$(GO) test -run '^$$' -fuzz FuzzRunBatchMatchesStep -fuzztime 20s ./internal/funcsim
-	$(GO) test -race -count=20 -timeout 60m ./internal/engine ./internal/warmup ./internal/sampling
+	$(GO) test -race -count=20 ./internal/engine ./internal/warmup
+	$(GO) test -race -count=20 -timeout 60m -run 'Parallel|Shard|Capture' ./internal/sampling
 
 # chaos drives the deterministic fault injector through the engine's real
 # cache and run paths under the race detector: injected disk errors, torn
@@ -126,7 +133,8 @@ shard-smoke:
 # CLI: `-regimen stratified-uniform` must be byte-identical to the legacy
 # run path (only the wall-clock `time` line is filtered), and every strategy
 # listed by `rsr regimens` must complete a run under the race detector at
-# `-shards 1` and `-shards 2` with identical output.
+# `-shards 1` and `-shards 2` with identical output and a non-zero `work` line
+# (the mark of a pass through the region walker).
 regimen-smoke:
 	./scripts/regimen-smoke.sh
 

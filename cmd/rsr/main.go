@@ -39,7 +39,9 @@
 //	-workloads s   comma-separated workload subset
 //	-parallel n    engine worker-pool size (0 = GOMAXPROCS; 1 for clean per-run wall times)
 //	-shards n      cluster-pipeline shards inside each sampled run
-//	               (default GOMAXPROCS; 1 = sequential; byte-identical either way)
+//	               (default GOMAXPROCS; 1 = sequential; byte-identical either
+//	               way); applies to every figure, fig9's SimPoint arms
+//	               included, and to `run` under any -regimen, simpoint too
 //	-cachedir s    content-addressed result cache directory (persists runs
 //	               across invocations; an internal/cas store: blobs/, index/,
 //	               quarantine/ — caches of the older <hash>.json layout are ignored)
@@ -105,7 +107,7 @@ func main() {
 	seed := flag.Int64("seed", 2007, "cluster placement seed")
 	workloadsFlag := flag.String("workloads", "", "comma-separated workload subset")
 	parallel := flag.Int("parallel", 0, "engine worker-pool size (0 = GOMAXPROCS; use 1 for clean per-run wall times)")
-	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "cluster-pipeline shards per sampled run (1 = sequential; results byte-identical at any count)")
+	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "cluster-pipeline shards per sampled run, fig9 and every -regimen included (1 = sequential; results byte-identical at any count)")
 	cacheDir := flag.String("cachedir", "", "content-addressed result cache directory (empty = memory-only)")
 	retries := flag.Int("retries", 0, "extra execution attempts for transiently failed jobs (worker panics)")
 	stats := flag.Bool("stats", false, "print engine scheduler/cache statistics to stderr when done")
@@ -554,7 +556,6 @@ func runStrategy(lab *experiments.Lab, cfg experiments.Config, wl, name string, 
 	if err != nil {
 		return err
 	}
-	shards := cfg.Shards
 	out, err := strat.Run(regimen.Params{
 		Program: w.Build(),
 		Machine: sampling.DefaultMachine(),
@@ -562,7 +563,7 @@ func runStrategy(lab *experiments.Lab, cfg experiments.Config, wl, name string, 
 		Total:   cfg.Total(),
 		Seed:    cfg.Seed,
 		Warmup:  spec,
-		Shards:  shards,
+		Shards:  cfg.Shards,
 		Instr:   regimen.NewInstruments(cfg.Metrics),
 	})
 	if err != nil {

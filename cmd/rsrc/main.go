@@ -14,8 +14,8 @@
 //	POST /v1/jobs            submit one engine job; 503 + Retry-After when
 //	                         the queue is full (backpressure)
 //	GET  /v1/jobs/{id}       job status, and the result once finished
-//	POST /v1/sweeps          submit a batch (idempotent on retry)
-//	GET  /v1/sweeps/{id}     sweep progress
+//	GET  /v1/sweeps/{id}     progress of the jobs submitted under one
+//	                         X-Sweep-ID (id = that tag, or sweep-N)
 //	GET  /v1/sweeps/{id}/trace merged fabric Chrome trace for a tagged sweep:
 //	                         every participating node's span ring, clock-
 //	                         rebased onto the coordinator's timeline, one

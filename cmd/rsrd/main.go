@@ -81,7 +81,6 @@ func main() {
 	parallel := flag.Int("parallel", 0, "engine worker-pool size (0 = GOMAXPROCS)")
 	cacheDir := flag.String("cachedir", "", "content-addressed result cache directory (empty = memory-only)")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-job execution deadline (0 = none); expiry fails the job with ErrDeadline")
-	timeoutAlias := flag.Duration("timeout", 0, "deprecated alias for -job-timeout")
 	retries := flag.Int("retries", 2, "extra execution attempts for transiently failed jobs (worker panics, injected faults)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "bound on finishing in-flight jobs after SIGTERM/SIGINT")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, or error")
@@ -92,9 +91,6 @@ func main() {
 	advertise := flag.String("advertise", "", "externally reachable base URL advertised to the coordinator for trace/metrics aggregation (default derived from -addr)")
 	traceCap := flag.Int("trace-spans", 0, "span ring capacity for /v1/trace (0 = default)")
 	flag.Parse()
-	if *jobTimeout == 0 {
-		*jobTimeout = *timeoutAlias
-	}
 
 	var level slog.Level
 	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {

@@ -65,9 +65,6 @@ func (b *BTB) Update(pc, target uint64) {
 // Entries reports the slot count.
 func (b *BTB) Entries() int { return len(b.entries) }
 
-// EntryValid reports whether slot idx holds a mapping (reconstruction).
-func (b *BTB) EntryValid(idx int) bool { return b.entries[idx].valid }
-
 // Updates reports state mutations applied.
 func (b *BTB) Updates() uint64 { return b.updates }
 

@@ -6,8 +6,6 @@
 // (counters, GHR, BTB entries, RAS slots) it needs.
 package bpred
 
-import "rsr/internal/isa"
-
 // Counter states of a 2-bit saturating counter.
 const (
 	StronglyNotTaken = 0
@@ -137,7 +135,3 @@ func (g *Gshare) Updates() uint64 { return g.updates }
 
 // ResetUpdates zeroes the work counter.
 func (g *Gshare) ResetUpdates() { g.updates = 0 }
-
-// RelevantClass reports whether instructions of class c train the direction
-// predictor (only conditional branches do).
-func RelevantClass(c isa.Class) bool { return c == isa.ClassBranch }

@@ -400,11 +400,14 @@ func TestRetentionPrunesFinishedWork(t *testing.T) {
 	})
 	defer co.Close()
 	beat(t, co, "a")
-	sw, err := co.SubmitSweep([]engine.Job{unitJob(1)}, "", "")
+	id, err := co.Submit(unitJob(1), "", "retained")
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := sw.JobIDs[0]
+	sw, ok := co.SweepStatus("retained")
+	if !ok || len(sw.JobIDs) != 1 || sw.JobIDs[0] != id {
+		t.Fatalf("sweep by tag = %+v, %v; want the one tagged job", sw, ok)
+	}
 	if it := co.Pull("a"); it == nil || it.ID != id {
 		t.Fatalf("lease = %+v", it)
 	}
@@ -566,26 +569,6 @@ func TestSubmitBackpressure503WithRetryAfter(t *testing.T) {
 	}
 	if r2.Header.Get("Retry-After") == "" {
 		t.Error("503 without Retry-After")
-	}
-
-	// A sweep refused part-way ships the status of the members it did accept:
-	// job 1 coalesces onto the queued item, job 3 hits the full queue.
-	b, _ := json.Marshal(SweepRequest{Jobs: []engine.Job{unitJob(1), unitJob(3)}})
-	r3, err := http.Post(ts.URL+"/v1/sweeps", "application/json", bytes.NewReader(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r3.Body.Close()
-	var st SweepStatus
-	if err := json.NewDecoder(r3.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if r3.StatusCode != http.StatusServiceUnavailable || r3.Header.Get("Retry-After") == "" {
-		t.Fatalf("partial sweep = %d, Retry-After %q; want 503 with Retry-After",
-			r3.StatusCode, r3.Header.Get("Retry-After"))
-	}
-	if st.Total != 1 || st.Pending != 1 || st.Total != st.Done+st.Failed+st.Pending {
-		t.Errorf("partial sweep body = %+v, want one pending member and counts that add up", st)
 	}
 }
 

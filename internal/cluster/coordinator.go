@@ -520,13 +520,13 @@ func (c *Coordinator) Submit(job engine.Job, reqID, sweepID string) (string, err
 }
 
 // tagSweepLocked folds one tagged submission into the sweep object for its
-// trace tag, creating it on first use. Jobs submitted individually under a
-// shared X-Sweep-ID thereby become one observable sweep — resolvable by tag
-// for fabric trace aggregation, measured by the sweep-duration histogram,
-// counted in the sweep-jobs gauges — exactly as if they had arrived as one
-// POST /v1/sweeps batch. Membership is re-journaled cumulatively on each
-// append (the last sweep record wins at replay), so recovery reconstructs
-// the full member set. Callers hold c.mu.
+// trace tag, creating it on first use: the only way a sweep forms. Jobs
+// submitted individually under a shared X-Sweep-ID thereby become one
+// observable sweep — resolvable by tag for status and fabric trace
+// aggregation, measured by the sweep-duration histogram, counted in the
+// sweep-jobs gauges. Membership is re-journaled cumulatively on each append
+// (the last sweep record wins at replay), so recovery reconstructs the full
+// member set. Callers hold c.mu.
 func (c *Coordinator) tagSweepLocked(tag, itemID string) {
 	sw := c.sweepByTagLocked(tag)
 	if sw == nil {
@@ -558,66 +558,30 @@ func (c *Coordinator) sweepByTagLocked(tag string) *sweep {
 	return nil
 }
 
-// SubmitSweep accepts a batch of jobs as one sweep. On backpressure the
-// sweep is partially accepted and ErrBusy is returned alongside the status
-// of the members accepted so far; resubmitting the same batch is idempotent
-// (accepted members coalesce), so clients simply retry the whole sweep. tag
-// is the distributed sweep tag (the client's X-Sweep-ID, "" for none): every
-// member item carries it, and the sweep can later be resolved by the tag as
-// well as its coordinator-assigned ID when fetching the merged fabric trace.
-func (c *Coordinator) SubmitSweep(jobs []engine.Job, reqID, tag string) (SweepStatus, error) {
-	ids := make([]string, 0, len(jobs))
-	var refused error
-	for _, j := range jobs {
-		id, err := c.Submit(j, reqID, tag)
-		if err != nil {
-			refused = err
-			break
-		}
-		ids = append(ids, id)
+// sweepLocked resolves a sweep by its coordinator-assigned ID or its client
+// trace tag — the tag is all a client has, sweeps being formed by tagged
+// submissions — or returns nil. Callers hold c.mu.
+func (c *Coordinator) sweepLocked(idOrTag string) *sweep {
+	if sw := c.sweeps[idOrTag]; sw != nil {
+		return sw
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if refused != nil {
-		return c.sweepStatusLocked("", ids), refused
-	}
-	if c.closed {
-		return SweepStatus{}, ErrClosed
-	}
-	// A tagged sweep's per-job submissions above already folded every member
-	// into the tag's sweep object (tagSweepLocked); a second object would
-	// shadow it under the same tag.
-	if sw := c.sweepByTagLocked(tag); sw != nil {
-		return c.sweepStatusLocked(sw.id, sw.ids), nil
-	}
-	c.sweepSeq++
-	sw := &sweep{id: fmt.Sprintf("sweep-%d", c.sweepSeq), ids: ids, tag: tag,
-		startedAt: time.Now(), participants: make(map[string]string)}
-	c.journal.append(journalRecord{Kind: recSweep, ID: sw.id, JobIDs: ids, Seq: c.sweepSeq, Sweep: tag})
-	c.sweeps[sw.id] = sw
-	return c.sweepStatusLocked(sw.id, ids), nil
+	return c.sweepByTagLocked(idOrTag)
 }
 
-// SweepStatus reports a sweep's progress.
-func (c *Coordinator) SweepStatus(id string) (SweepStatus, bool) {
+// SweepStatus reports the progress of a sweep, named by ID or tag.
+func (c *Coordinator) SweepStatus(idOrTag string) (SweepStatus, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sw, ok := c.sweeps[id]
-	if !ok {
+	sw := c.sweepLocked(idOrTag)
+	if sw == nil {
 		return SweepStatus{}, false
 	}
-	return c.sweepStatusLocked(sw.id, sw.ids), true
-}
-
-// sweepStatusLocked tallies the given members (a sweep's, or the accepted
-// part of a refused batch) into a SweepStatus. Callers hold c.mu.
-func (c *Coordinator) sweepStatusLocked(id string, ids []string) SweepStatus {
 	var t stateTally
-	for _, m := range ids {
+	for _, m := range sw.ids {
 		t.add(c.items[m])
 	}
-	return SweepStatus{ID: id, Total: len(ids), JobIDs: ids,
-		Done: t.done, Failed: t.failed, Pending: t.queued + t.running}
+	return SweepStatus{ID: sw.id, Total: len(sw.ids), JobIDs: sw.ids,
+		Done: t.done, Failed: t.failed, Pending: t.queued + t.running}, true
 }
 
 // stateTally counts items by lifecycle state: the one switch behind sweep
@@ -1174,10 +1138,7 @@ func (c *Coordinator) Tracer() *obs.Tracer { return c.tr }
 func (c *Coordinator) SweepTraceInfo(idOrTag string) (tag string, participants map[string]string, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sw := c.sweeps[idOrTag]
-	if sw == nil {
-		sw = c.sweepByTagLocked(idOrTag)
-	}
+	sw := c.sweepLocked(idOrTag)
 	if sw == nil {
 		return "", nil, false
 	}

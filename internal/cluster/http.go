@@ -21,8 +21,9 @@ import (
 //	POST /v1/jobs            submit one engine.Job; 202 {"id": hash},
 //	                         503 + Retry-After on backpressure
 //	GET  /v1/jobs/{id}       job status, and the result once finished
-//	POST /v1/sweeps          submit a batch; idempotent on retry
-//	GET  /v1/sweeps/{id}     sweep progress
+//	GET  /v1/sweeps/{id}     progress of the sweep formed by the jobs
+//	                         submitted under one X-Sweep-ID (id = that tag,
+//	                         or the coordinator's sweep-N)
 //	POST /v1/peers/heartbeat worker liveness + engine depth (409 on skew);
 //	                         replies 200 + HeartbeatReply with the
 //	                         coordinator clock for offset estimation
@@ -63,7 +64,6 @@ func (s *Server) Routes() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/jobs", s.handleJobs)
 	mux.HandleFunc("/v1/jobs/", s.handleJob)
-	mux.HandleFunc("/v1/sweeps", s.handleSweeps)
 	mux.HandleFunc("/v1/sweeps/", s.handleSweep)
 	mux.HandleFunc("/v1/peers/heartbeat", s.handleHeartbeat)
 	mux.HandleFunc("/v1/peers/pull", s.handlePull)
@@ -141,31 +141,6 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, st)
-}
-
-func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	var req SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad sweep body: %v", err)
-		return
-	}
-	st, err := s.co.SubmitSweep(req.Jobs, engine.RequestIDFrom(r.Context()), engine.SweepFrom(r.Context()))
-	switch {
-	case errors.Is(err, ErrBusy), errors.Is(err, ErrClosed):
-		// Partial acceptance: the client retries the whole sweep; accepted
-		// members coalesce, so retry converges.
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, st)
-		return
-	case err != nil:
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, st)
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -13,7 +14,6 @@ import (
 	"time"
 
 	"rsr/internal/cas"
-	"rsr/internal/engine"
 	"rsr/internal/obs"
 )
 
@@ -94,10 +94,14 @@ func TestJournalPropertyRandomOpsReplayMatchesLiveState(t *testing.T) {
 				if id, err := co.Submit(unitJob(nextJob), "prop", ""); err == nil {
 					accepted(id)
 				}
-			case 2: // submit a two-job sweep
-				st, _ := co.SubmitSweep([]engine.Job{unitJob(nextJob + 1), unitJob(nextJob + 2)}, "prop", "")
-				accepted(st.JobIDs...)
-				nextJob += 2
+			case 2: // submit a two-job sweep: per job, under one tag
+				tag := fmt.Sprintf("tag-%d", nextJob)
+				for i := 0; i < 2; i++ {
+					nextJob++
+					if id, err := co.Submit(unitJob(nextJob), "prop", tag); err == nil {
+						accepted(id)
+					}
+				}
 			case 3, 4: // heartbeat a node (registers it)
 				beat(t, co, nodes[rng.Intn(len(nodes))])
 			case 5, 6: // pull a lease
@@ -434,7 +438,8 @@ func TestReadoptWindowExpiryRequeues(t *testing.T) {
 // the per-worker-queue coordinator wrote it — snapshot.json plus one record
 // of every kind — replays into the same items, sweeps and requeue counts.
 // Queue placement was never journaled, so the replayed queue is simply the
-// queued items in ID order.
+// queued items in ID order. The record format also outlives the batch
+// submission path: its untagged sweep records still replay.
 func TestJournalReplaysParentFormatDirectory(t *testing.T) {
 	jobs := make(map[string]string) // id → job JSON
 	var ids []string
@@ -521,5 +526,17 @@ func TestJournalReplaysParentFormatDirectory(t *testing.T) {
 	}
 	if st, _ := re.Status(d); st.Status != "failed" || st.Error != "boom" {
 		t.Errorf("failed item = %+v, want failed: boom", st)
+	}
+	// sweep-2 is a record only the deleted POST /v1/sweeps batch path wrote: a
+	// sweep with no tag. It still replays into a pollable sweep, and the
+	// sequence it advanced is where tagged submissions carry on.
+	if st, ok := re.SweepStatus("sweep-2"); !ok || !reflect.DeepEqual(st.JobIDs, []string{c}) || st.Pending != 1 {
+		t.Errorf("untagged batch sweep after replay = %+v, %v; want one pending member %.12s", st, ok, c)
+	}
+	if _, err := re.Submit(unitJob(5), "", "tag-3"); err != nil {
+		t.Fatal(err)
+	}
+	if st, ok := re.SweepStatus("tag-3"); !ok || st.ID != "sweep-3" {
+		t.Errorf("first sweep formed after replay = %+v, %v; want sweep-3", st, ok)
 	}
 }

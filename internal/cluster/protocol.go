@@ -187,13 +187,6 @@ type CompleteRequest struct {
 	Transient bool   `json:"transient,omitempty"`
 }
 
-// SweepRequest submits a batch of jobs as one named sweep. Resubmitting a
-// sweep is idempotent: jobs are content-addressed, so already-accepted
-// members coalesce.
-type SweepRequest struct {
-	Jobs []engine.Job `json:"jobs"`
-}
-
 // SweepStatus summarizes a sweep's progress.
 type SweepStatus struct {
 	ID      string   `json:"id"`

@@ -112,7 +112,3 @@ func ExtendMap(m StateMap, taken bool) StateMap {
 
 // Resolve returns the a-priori inference for m.
 func Resolve(m StateMap) Resolution { return resolveTable[m] }
-
-// Resolved reports whether m pins the counter exactly (no further history
-// can help).
-func Resolved(m StateMap) bool { return resolveTable[m].Exact }

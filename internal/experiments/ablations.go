@@ -44,6 +44,10 @@ func (l *Lab) AblationReuse(percentile float64) ([]AblationCell, error) {
 		if err != nil {
 			return nil, err
 		}
+		regions := make([]sampling.Region, len(starts))
+		for i, start := range starts {
+			regions[i] = sampling.Region{Start: start, Size: reg.ClusterSize}
+		}
 
 		for _, kind := range []reuse.Kind{reuse.MRRL, reuse.BLRL} {
 			pstart := time.Now()
@@ -53,10 +57,15 @@ func (l *Lab) AblationReuse(percentile float64) ([]AblationCell, error) {
 			}
 			pElapsed := time.Since(pstart)
 			label := fmt.Sprintf("%s (%.0f%%)", kind, percentile)
-			res, err := sampling.RunSampledMethod(w.Build(), l.machine, reg, l.cfg.Total(), l.cfg.Seed,
+			// The windowed methods need the profile, which no warmup.Spec
+			// carries, so these arms hand the walker a method factory
+			// themselves — with the lab's execution policy, like every
+			// engine-run arm.
+			res, err := sampling.RunRegions(w.Build(), l.machine, regions,
 				func(h *mem.Hierarchy, u *bpred.Unit) warmup.Method {
 					return warmup.NewWindowed(label, h, u, win.PerRegion)
-				})
+				},
+				sampling.Options{Shards: l.cfg.Shards, Instr: sampling.NewInstruments(l.cfg.Metrics), Tracer: l.cfg.Tracer})
 			if err != nil {
 				return nil, err
 			}

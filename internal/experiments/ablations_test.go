@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"rsr/internal/obs"
 	"rsr/internal/warmup"
 )
 
@@ -45,6 +46,43 @@ func TestAblationReuse(t *testing.T) {
 	out := RenderAblationReuse(cells)
 	if !strings.Contains(out, "MRRL") || !strings.Contains(out, "profile") {
 		t.Error("render incomplete")
+	}
+}
+
+// TestAblationReuseHonoursExecutionPolicy: the MRRL/BLRL arms build their
+// method outside any warmup.Spec, so they reach the walker on their own call —
+// which must carry the lab's shard count and instruments like every
+// engine-run arm. Sharding changes nothing but the clock; the registry hears
+// about the windowed methods' warming.
+func TestAblationReuseHonoursExecutionPolicy(t *testing.T) {
+	seq, err := smallLab("twolf").AblationReuse(90)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := smallLab("twolf").Config()
+	cfg.Shards = 2
+	cfg.Metrics = obs.NewRegistry()
+	par, err := NewLab(cfg).AblationReuse(90)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range seq {
+		a, b := seq[i].Cell, par[i].Cell
+		a.Elapsed, b.Elapsed = 0, 0
+		if a != b {
+			t.Errorf("%s: Shards=2 cell differs from sequential:\n%+v\n%+v", a.Method, a, b)
+		}
+	}
+	methods := map[string]bool{}
+	for _, m := range cfg.Metrics.Snapshot() {
+		if m.Name == "rsr_warmup_warm_ops_total" {
+			for _, s := range m.Series {
+				methods[s.Labels["method"]] = s.Value > 0
+			}
+		}
+	}
+	if !methods["MRRL (90%)"] || !methods["BLRL (90%)"] {
+		t.Errorf("windowed arms recorded no warm ops: %v", methods)
 	}
 }
 

@@ -4,8 +4,9 @@ import (
 	"fmt"
 	"time"
 
+	"rsr/internal/regimen"
 	"rsr/internal/sampling"
-	"rsr/internal/simpoint"
+	"rsr/internal/stats"
 	"rsr/internal/warmup"
 	"rsr/internal/workload"
 )
@@ -166,24 +167,29 @@ func (l *Lab) Figure9() (*Figure9Result, error) {
 			return nil, err
 		}
 		for _, c := range configs {
-			est, err := simpoint.Estimate(w.Build(), sampling.DefaultMachine(), l.cfg.Total(), simpoint.Config{
-				IntervalSize: c.interval,
-				MaxPoints:    points,
-				Seed:         l.cfg.Seed,
-				Warmup:       c.warm,
-			}, nil)
+			out, selection, err := regimen.SimPoint{}.RunTimed(regimen.Params{
+				Program: w.Build(),
+				Machine: sampling.DefaultMachine(),
+				Regimen: sampling.Regimen{ClusterSize: c.interval, NumClusters: points},
+				Total:   l.cfg.Total(),
+				Seed:    l.cfg.Seed,
+				Warmup:  c.warm,
+				Shards:  l.cfg.Shards,
+				Instr:   regimen.NewInstruments(l.cfg.Metrics),
+			})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: simpoint %s/%s: %w", name, c.label, err)
 			}
 			res.Rows = append(res.Rows, SimPointRow{
-				Config:     c.label,
-				Workload:   name,
-				TrueIPC:    trueIPC,
-				Estimate:   est.IPC,
-				RelErr:     relErr(est.IPC, trueIPC),
-				SimElapsed: est.SimElapsed,
-				HotInsts:   est.HotInstructions,
-				Points:     len(est.Points),
+				Config:   c.label,
+				Workload: name,
+				TrueIPC:  trueIPC,
+				Estimate: out.Estimate.IPC,
+				RelErr:   stats.RelErr(out.Estimate.IPC, trueIPC),
+				// The offline profile is not simulation time, as in the paper.
+				SimElapsed: out.Elapsed - selection,
+				HotInsts:   out.HotInstructions,
+				Points:     len(out.Regions),
 			})
 		}
 		cell, err := l.Run(name, warmup.Spec{Kind: warmup.KindReverse, Percent: 20, Cache: true, BPred: true})
@@ -193,17 +199,6 @@ func (l *Lab) Figure9() (*Figure9Result, error) {
 		res.Reference = append(res.Reference, cell)
 	}
 	return &res, nil
-}
-
-func relErr(est, truth float64) float64 {
-	if truth == 0 {
-		return 0
-	}
-	d := est - truth
-	if d < 0 {
-		d = -d
-	}
-	return d / truth
 }
 
 // SweepPoint is one (percent, method-family) measurement of the warm-up

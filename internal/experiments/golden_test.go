@@ -115,3 +115,47 @@ func TestStrategyGoldenRegression(t *testing.T) {
 		}
 	}
 }
+
+// Figure 9's deterministic columns on twolf and parser at scale 0.05,
+// captured at the commit before SimPoint's private estimate path
+// (simpoint.Estimate) was deleted and the figure moved onto the strategy
+// seam. The 10M rows ask for 30 points of Total/20 and get 19 or 20.
+var figure9Golden = []struct {
+	config, workload string
+	estimate         float64
+	hot              uint64
+	points           int
+}{
+	{"50K", "twolf", 0.9102785996, 75000, 30},
+	{"50K-SMARTS", "twolf", 1.0648476085, 75000, 30},
+	{"10M", "twolf", 1.0947874375, 950000, 19},
+	{"10M-SMARTS", "twolf", 1.0942918237, 950000, 19},
+	{"50K", "parser", 0.6995798970, 75000, 30},
+	{"50K-SMARTS", "parser", 0.7209928440, 75000, 30},
+	{"10M", "parser", 0.7106614019, 1000000, 20},
+	{"10M-SMARTS", "parser", 0.7106614019, 1000000, 20},
+}
+
+func TestFigure9GoldenRegression(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		cfg := DefaultConfig()
+		cfg.Scale = 0.05
+		cfg.Workloads = []string{"twolf", "parser"}
+		cfg.Shards = shards
+		r, err := NewLab(cfg).Figure9()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Rows) != len(figure9Golden) {
+			t.Fatalf("shards=%d: %d rows, golden %d", shards, len(r.Rows), len(figure9Golden))
+		}
+		for i, g := range figure9Golden {
+			row := r.Rows[i]
+			if row.Config != g.config || row.Workload != g.workload ||
+				math.Abs(row.Estimate-g.estimate) > 1e-9 || row.HotInsts != g.hot || row.Points != g.points {
+				t.Errorf("shards=%d row %d drifted: {%q, %q, %.10f, %d, %d}, golden %+v",
+					shards, i, row.Config, row.Workload, row.Estimate, row.HotInsts, row.Points, g)
+			}
+		}
+	}
+}

@@ -60,7 +60,7 @@ type tracerState struct {
 // traffic.
 type Tracer struct {
 	epoch time.Time
-	now   func() time.Time // test seam; time.Now by default
+	now   func() time.Time // the clock the tests' Begin/End spans read; time.Now by default
 	sweep string           // stamped on every span this view records
 
 	state *tracerState
@@ -81,7 +81,7 @@ func NewTracer(capacity int) *Tracer {
 }
 
 // Scoped returns a view of the same tracer that stamps sweep onto every span
-// it records (Begin/End and Record alike). Views share the ring, the track-ID
+// it records. Views share the ring, the track-ID
 // counter, and the epoch, so scoped spans interleave naturally with unscoped
 // ones. A nil tracer scopes to nil; an empty sweep returns the receiver.
 func (t *Tracer) Scoped(sweep string) *Tracer {
@@ -109,49 +109,6 @@ func (t *Tracer) NextTID() int64 {
 		return 0
 	}
 	return t.state.nextTID.Add(1)
-}
-
-// Span is an in-progress phase measurement returned by Begin. It is a value
-// type: copying is cheap and no allocation occurs on the begin/end path.
-type Span struct {
-	t     *Tracer
-	name  string
-	cat   string
-	tid   int64
-	start time.Duration
-	args  [maxSpanArgs]SpanArg
-	nargs int
-}
-
-// Begin starts a span named name in category cat on track tid. End records
-// it; an unfinished span is simply never recorded.
-func (t *Tracer) Begin(name, cat string, tid int64) Span {
-	if t == nil {
-		return Span{}
-	}
-	return Span{t: t, name: name, cat: cat, tid: tid, start: t.now().Sub(t.epoch)}
-}
-
-// Arg annotates the span with an integer value (shown in the trace viewer's
-// detail pane). At most four args are kept; extras are dropped.
-func (s Span) Arg(key string, val int64) Span {
-	if s.t == nil || s.nargs >= maxSpanArgs {
-		return s
-	}
-	s.args[s.nargs] = SpanArg{Key: key, Val: val}
-	s.nargs++
-	return s
-}
-
-// End completes the span and commits it to the ring buffer.
-func (s Span) End() {
-	t := s.t
-	if t == nil {
-		return
-	}
-	end := t.now().Sub(t.epoch)
-	t.commit(spanRecord{name: s.name, cat: s.cat, sweep: t.sweep, tid: s.tid,
-		start: s.start, dur: end - s.start, args: s.args, nargs: s.nargs})
 }
 
 // Record commits an already-measured span: start is the wall-clock phase

@@ -3,17 +3,67 @@ package obs
 import (
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
 
+// Span is an in-progress phase measurement returned by Begin: how the tests
+// time a span on the tracer's own clock (production callers time phases
+// themselves and call Record). It is a value type: copying is cheap and no
+// allocation occurs on the begin/end path.
+type Span struct {
+	t     *Tracer
+	name  string
+	cat   string
+	tid   int64
+	start time.Duration
+	args  [maxSpanArgs]SpanArg
+	nargs int
+}
+
+// Begin starts a span named name in category cat on track tid. End records
+// it; an unfinished span is simply never recorded.
+func (t *Tracer) Begin(name, cat string, tid int64) Span {
+	if t == nil {
+		return Span{}
+	}
+	return Span{t: t, name: name, cat: cat, tid: tid, start: t.now().Sub(t.epoch)}
+}
+
+// Arg annotates the span with an integer value (shown in the trace viewer's
+// detail pane). At most four args are kept; extras are dropped.
+func (s Span) Arg(key string, val int64) Span {
+	if s.t == nil || s.nargs >= maxSpanArgs {
+		return s
+	}
+	s.args[s.nargs] = SpanArg{Key: key, Val: val}
+	s.nargs++
+	return s
+}
+
+// End completes the span and commits it to the ring buffer.
+func (s Span) End() {
+	t := s.t
+	if t == nil {
+		return
+	}
+	end := t.now().Sub(t.epoch)
+	t.commit(spanRecord{name: s.name, cat: s.cat, sweep: t.sweep, tid: s.tid,
+		start: s.start, dur: end - s.start, args: s.args, nargs: s.nargs})
+}
+
 // fakeClock makes span timing deterministic: every call advances by step.
+// The race test reads it from several goroutines.
 type fakeClock struct {
+	mu   sync.Mutex
 	t    time.Time
 	step time.Duration
 }
 
 func (c *fakeClock) now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.t = c.t.Add(c.step)
 	return c.t
 }

@@ -109,25 +109,6 @@ type Source interface {
 	Fill(max uint64) []trace.DynInst
 }
 
-// funcSource adapts a per-instruction pull closure to Source, preserving the
-// legacy Simulate contract: exactly one pull per instruction, in fetch order.
-type funcSource struct {
-	next func() (trace.DynInst, bool)
-	buf  [1]trace.DynInst
-}
-
-func (f *funcSource) Fill(max uint64) []trace.DynInst {
-	if max == 0 {
-		return nil
-	}
-	d, ok := f.next()
-	if !ok {
-		return nil
-	}
-	f.buf[0] = d
-	return f.buf[:1]
-}
-
 // New builds a timing model over the given memory hierarchy and predictor.
 func New(cfg Config, hier *mem.Hierarchy, pred bpred.Predictor) *Sim {
 	hc := hier.Config()
@@ -142,15 +123,6 @@ func New(cfg Config, hier *mem.Hierarchy, pred bpred.Predictor) *Sim {
 		fq:        make([]entry, cfg.FetchQueueSize),
 		resolves:  make([]uint64, cfg.ROBSize+cfg.FetchQueueSize),
 	}
-}
-
-// Simulate retires up to n instructions pulled from next and returns the
-// region's timing. next returns false when the stream ends early. It wraps
-// SimulateSource with a one-record source so per-instruction pull semantics
-// (and results) are preserved exactly; batch-capable callers should use
-// SimulateSource directly.
-func (s *Sim) Simulate(n uint64, next func() (trace.DynInst, bool)) Result {
-	return s.SimulateSource(n, &funcSource{next: next})
 }
 
 // SimulateSource retires up to n instructions fed from src and returns the

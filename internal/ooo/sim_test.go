@@ -10,6 +10,33 @@ import (
 	"rsr/internal/trace"
 )
 
+// funcSource adapts a per-instruction pull closure to Source, so the tests
+// can feed the model exactly one pull per instruction, in fetch order.
+type funcSource struct {
+	next func() (trace.DynInst, bool)
+	buf  [1]trace.DynInst
+}
+
+func (f *funcSource) Fill(max uint64) []trace.DynInst {
+	if max == 0 {
+		return nil
+	}
+	d, ok := f.next()
+	if !ok {
+		return nil
+	}
+	f.buf[0] = d
+	return f.buf[:1]
+}
+
+// Simulate retires up to n instructions pulled from next and returns the
+// region's timing. next returns false when the stream ends early. It wraps
+// SimulateSource with a one-record source: the tests' feed, one instruction
+// per Fill, the slowest split a Source may make.
+func (s *Sim) Simulate(n uint64, next func() (trace.DynInst, bool)) Result {
+	return s.SimulateSource(n, &funcSource{next: next})
+}
+
 // streamOf returns a pull function over the given instructions.
 func streamOf(insts []trace.DynInst) func() (trace.DynInst, bool) {
 	i := 0

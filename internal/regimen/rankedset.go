@@ -3,11 +3,9 @@ package regimen
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"rsr/internal/funcsim"
 	"rsr/internal/sampling"
-	"rsr/internal/stats"
 	"rsr/internal/trace"
 )
 
@@ -100,7 +98,6 @@ func (s RankedSet) Select(p Params) (*Plan, error) {
 			Draw:    -1,
 		})
 	}
-	sortRegions(regions)
 	return &Plan{
 		Regions:             regions,
 		Candidates:          len(starts),
@@ -155,27 +152,4 @@ func (s RankedSet) score(p Params, starts []uint64) ([]uint64, uint64, error) {
 }
 
 // Run implements Strategy.
-func (s RankedSet) Run(p Params) (*Outcome, error) {
-	begin := time.Now()
-	plan, err := s.Select(p)
-	if err != nil {
-		return nil, err
-	}
-	pr, err := measureRegions(p, plan.Regions)
-	if err != nil {
-		return nil, err
-	}
-	ms := measured(plan.Regions, pr)
-	out := &Outcome{
-		Strategy:         s.Name(),
-		Estimate:         ipcFromCPI(stats.CI95(cpisOf(ms))),
-		Regions:          ms,
-		Plan:             *plan,
-		Elapsed:          time.Since(begin),
-		Work:             pr.Work,
-		FuncInstructions: pr.FuncInstructions,
-		HotInstructions:  pr.HotInstructions,
-	}
-	p.Instr.record(out)
-	return out, nil
-}
+func (s RankedSet) Run(p Params) (*Outcome, error) { return begin(s, p).single(meanCPI) }

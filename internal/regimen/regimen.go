@@ -10,9 +10,9 @@
 //     mean-cluster-CPI estimator. Same placement, same region walker as
 //     sampling.RunSampledOpts, so its results are byte-identical to that path
 //     (pinned by TestStratifiedUniformByteIdentical).
-//   - simpoint: the SimPoint baseline — BBV profiling, k-means selection,
-//     weighted-IPC estimate. Delegates to simpoint.Estimate (byte-identity
-//     pinned by TestSimPointByteIdentical).
+//   - simpoint: the SimPoint baseline — BBV profiling and k-means selection
+//     (package simpoint), weighted-IPC estimate. Numbers pinned against the
+//     deleted standalone estimate path by TestSimPointByteIdentical.
 //   - ranked-set: ranked-set sampling (arXiv 2603.22598). A cheap functional
 //     pass scores m*n candidate regions with a sketch-cache miss count; each
 //     consecutive group of m candidates contributes the member holding a
@@ -29,6 +29,14 @@
 //     budget is allocated by Neyman allocation (n_h ∝ W_h·S_h) before the
 //     stratified estimator combines both phases.
 //
+// A strategy is a plan plus an estimator. Select makes the plan; Run hands it
+// to the package's one runner (runner.go), which measures the planned regions
+// with the shared region walker, applies the strategy's estimator — a pure
+// function of the measurements (estimators.go) — and assembles and records
+// the Outcome. Params.Shards and Params.Cancel therefore mean the same thing
+// for all five, and every Outcome carries per-region results, work counters
+// and instruction counts.
+//
 // Every strategy is deterministic in (program, machine, regimen, total,
 // seed, warmup): like the sampling package, running one is a pure function
 // of its inputs.
@@ -36,7 +44,6 @@ package regimen
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"rsr/internal/ooo"
@@ -225,10 +232,4 @@ func ByName(name string) (Strategy, error) {
 // positively sized, and end within total.
 func ValidateRegions(regions []Region, total uint64) error {
 	return sampling.ValidateRegions(walkerRegions(regions), total)
-}
-
-// sortRegions orders regions by start (stable, so equal starts keep their
-// selection order — ValidateRegions rejects such plans anyway).
-func sortRegions(regions []Region) {
-	sort.SliceStable(regions, func(i, j int) bool { return regions[i].Start < regions[j].Start })
 }

@@ -2,13 +2,16 @@ package regimen
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"rsr/internal/obs"
+	"rsr/internal/prog"
 	"rsr/internal/sampling"
-	"rsr/internal/simpoint"
+	"rsr/internal/stats"
 	"rsr/internal/warmup"
 	"rsr/internal/workload"
 )
@@ -67,36 +70,53 @@ func TestStratifiedUniformByteIdentical(t *testing.T) {
 	}
 }
 
+// simPointGolden is what simpoint.Estimate — the standalone estimate path
+// SimPoint.Run used to delegate to — returned for testParams at the commit
+// that deleted it: the IPC bit for bit, the chosen intervals with their
+// weights, and the hot and profiled instruction counts.
+type goldenPoint struct {
+	interval int
+	weight   float64
+}
+
+var simPointGolden = []struct {
+	workload     string
+	ipcBits      uint64
+	hot, profile uint64
+	points       []goldenPoint
+}{
+	{"parser", 0x3fe5198436c778d0, 20000, 200000, []goldenPoint{
+		{1, 0.03}, {19, 0.07}, {29, 0.07}, {44, 0.13}, {56, 0.09}, {57, 0.07}, {62, 0.17}, {72, 0.13}, {92, 0.05}, {93, 0.19}}},
+	{"twolf", 0x3fe44d5b9bfdfd50, 20000, 200000, []goldenPoint{
+		{1, 0.06}, {6, 0.01}, {8, 0.18}, {11, 0.16}, {14, 0.12}, {17, 0.18}, {18, 0.1}, {33, 0.12}, {52, 0.01}, {54, 0.06}}},
+}
+
 func TestSimPointByteIdentical(t *testing.T) {
-	p := testParams(t, "parser")
-	legacy, err := simpoint.Estimate(p.Program, p.Machine, p.Total, simpoint.Config{
-		IntervalSize: p.Regimen.ClusterSize,
-		MaxPoints:    p.Regimen.NumClusters,
-		Seed:         p.Seed,
-		Warmup:       p.Warmup,
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := SimPoint{}.Run(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Estimate.IPC != legacy.IPC {
-		t.Fatalf("IPC through seam = %v, legacy = %v", out.Estimate.IPC, legacy.IPC)
-	}
-	if out.HotInstructions != legacy.HotInstructions {
-		t.Fatalf("hot instructions %d vs %d", out.HotInstructions, legacy.HotInstructions)
-	}
-	if out.Plan.ProfileInstructions != legacy.ProfileInstructions {
-		t.Fatalf("profile instructions %d vs %d", out.Plan.ProfileInstructions, legacy.ProfileInstructions)
-	}
-	if len(out.Regions) != len(legacy.Points) {
-		t.Fatalf("regions = %d, points = %d", len(out.Regions), len(legacy.Points))
-	}
-	for i, pt := range legacy.Points {
-		if out.Regions[i].Region.Weight != pt.Weight {
-			t.Fatalf("point %d weight %v vs %v", i, out.Regions[i].Region.Weight, pt.Weight)
+	for _, g := range simPointGolden {
+		p := testParams(t, g.workload)
+		out, err := SimPoint{}.Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := math.Float64bits(out.Estimate.IPC); got != g.ipcBits {
+			t.Errorf("%s: IPC = %v (%#x), golden %v", g.workload, out.Estimate.IPC, got, math.Float64frombits(g.ipcBits))
+		}
+		if out.HotInstructions != g.hot || out.Plan.ProfileInstructions != g.profile {
+			t.Errorf("%s: hot/profile instructions %d/%d, golden %d/%d",
+				g.workload, out.HotInstructions, out.Plan.ProfileInstructions, g.hot, g.profile)
+		}
+		if len(out.Regions) != len(g.points) {
+			t.Fatalf("%s: regions = %d, golden points = %d", g.workload, len(out.Regions), len(g.points))
+		}
+		for i, pt := range g.points {
+			r := out.Regions[i].Region
+			if r.Start != uint64(pt.interval)*p.Regimen.ClusterSize || r.Weight != pt.weight {
+				t.Errorf("%s: point %d = start %d weight %v, golden interval %d weight %v",
+					g.workload, i, r.Start, r.Weight, pt.interval, pt.weight)
+			}
+			if out.Regions[i].Result.Instructions == 0 {
+				t.Errorf("%s: point %d carries no measurement", g.workload, i)
+			}
 		}
 	}
 }
@@ -202,6 +222,12 @@ func TestStrategiesShardedIdentical(t *testing.T) {
 			seq.Work != par.Work || seq.FuncInstructions != par.FuncInstructions || seq.HotInstructions != par.HotInstructions {
 			t.Errorf("%s: Shards=2 outcome differs from Shards=0:\n%+v\n%+v", s.Name(), seq, par)
 		}
+		// The comparison above is vacuous for an outcome that reports nothing:
+		// under a warm-up method every pass skips, logs and reconstructs.
+		if seq.Work == (warmup.Work{}) || seq.FuncInstructions == 0 {
+			t.Errorf("%s: outcome reports no work (%+v) or no functional instructions (%d)",
+				s.Name(), seq.Work, seq.FuncInstructions)
+		}
 	}
 }
 
@@ -229,6 +255,88 @@ func TestRunCanceled(t *testing.T) {
 	}
 	if len(profiles) != 0 {
 		t.Errorf("profiling strategies not registered: %v", profiles)
+	}
+}
+
+// TestRunCanceledMidMeasurement closes Cancel while the measurement pass is
+// under way: the walker's polls must see the same channel the profiling
+// passes do. Nothing a run does is visible from outside before it returns, so
+// the cancel is timed — a quarter of the way from the end of selection to the
+// end of the run, both measured on uncanceled rehearsals just before. A host
+// that slows down in between moves the cancel toward selection, where it is
+// honoured too; only a run four times faster than its rehearsal could finish
+// first.
+func TestRunCanceledMidMeasurement(t *testing.T) {
+	for _, s := range All() {
+		p := testParams(t, "gcc")
+		// SMARTS warm-up and 40% of the run hot: measurement costs more than
+		// selection does, k-means included.
+		p.Warmup = warmup.Spec{Kind: warmup.KindSMARTS, Cache: true, BPred: true}
+		p.Total, p.Regimen = 1_000_000, sampling.Regimen{ClusterSize: 20_000, NumClusters: 20}
+		begin := time.Now()
+		if _, err := s.Select(p); err != nil {
+			t.Fatalf("%s: %v", s.Name(), err)
+		}
+		sel := time.Since(begin)
+		rehearsal, err := s.Run(p)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name(), err)
+		}
+		cancel := make(chan struct{})
+		timer := time.AfterFunc(sel+(rehearsal.Elapsed-sel)/4, func() { close(cancel) })
+		p.Cancel = cancel
+		out, err := s.Run(p)
+		timer.Stop()
+		if !errors.Is(err, sampling.ErrCanceled) {
+			t.Errorf("%s: err = %v, want ErrCanceled (rehearsal: select %v of %v)", s.Name(), err, sel, rehearsal.Elapsed)
+		}
+		if out != nil {
+			t.Errorf("%s: a canceled run returned an outcome", s.Name())
+		}
+	}
+}
+
+// TestMeasureRejectsOverlap: out-of-order regions would wrap the walker's
+// uint64 skip distance into an exabyte fast-forward; a pass must refuse them.
+func TestMeasureRejectsOverlap(t *testing.T) {
+	r := begin(SimPoint{}, testParams(t, "parser"))
+	_, err := r.measure([]Region{{Start: 20_000, Size: 10_000}, {Start: 10_000, Size: 10_000}})
+	if err == nil || !strings.Contains(err.Error(), "behind the simulated position") {
+		t.Fatalf("err = %v, want an overlap error", err)
+	}
+}
+
+// TestWeightedIPCZeroRetirementSafe: the workload halts exactly at the end
+// of interval 0, so interval 1 retires nothing. Its weight must drop out of
+// the estimate instead of dragging the weighted IPC toward zero.
+func TestWeightedIPCZeroRetirementSafe(t *testing.T) {
+	const interval = 1000
+	b := prog.NewBuilder("halting")
+	for i := 0; i < interval-1; i++ {
+		b.Nop()
+	}
+	b.Halt()
+	p := Params{Program: b.MustBuild(), Machine: sampling.DefaultMachine(), Total: 2 * interval}
+
+	estimate := func(regions ...Region) (Estimate, uint64) {
+		t.Helper()
+		r := begin(SimPoint{}, p)
+		ms, err := r.measure(regions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return weightedIPC(ms), r.hotInstr
+	}
+	only, _ := estimate(Region{Start: 0, Size: interval, Weight: 1})
+	both, hot := estimate(Region{Start: 0, Size: interval, Weight: 0.5}, Region{Start: interval, Size: interval, Weight: 0.5})
+	if only.IPC <= 0 {
+		t.Fatalf("reference IPC = %f", only.IPC)
+	}
+	if both.IPC != only.IPC {
+		t.Fatalf("zero-retirement interval poisoned the estimate: %f, want %f", both.IPC, only.IPC)
+	}
+	if hot != interval {
+		t.Fatalf("hot instructions = %d, want %d", hot, interval)
 	}
 }
 
@@ -276,7 +384,7 @@ func TestByName(t *testing.T) {
 
 func TestEstimateConfident(t *testing.T) {
 	// CPI-space interval [0.4, 0.6] covers true IPC 2.0 (CPI 0.5).
-	e := Estimate{IPC: 2, CI: statsPoint(0.5), Space: "CPI"}
+	e := Estimate{IPC: 2, CI: stats.Interval{Mean: 0.5}, Space: "CPI"}
 	e.CI.Err = 0.1
 	if !e.Confident(2.0) {
 		t.Fatal("CPI interval should cover the true IPC")
@@ -285,7 +393,7 @@ func TestEstimateConfident(t *testing.T) {
 		t.Fatal("coverage claimed outside the interval")
 	}
 	// IPC-space interval covers directly.
-	e = Estimate{IPC: 2, CI: statsPoint(2), Space: "IPC"}
+	e = Estimate{IPC: 2, CI: stats.Interval{Mean: 2}, Space: "IPC"}
 	e.CI.Err = 0.1
 	if !e.Confident(1.95) || e.Confident(3) {
 		t.Fatal("IPC-space coverage wrong")
@@ -322,7 +430,7 @@ func TestInstrumentsRecord(t *testing.T) {
 	}
 	// Nil instruments must be a no-op, not a panic.
 	var nilIn *Instruments
-	nilIn.record(&Outcome{Strategy: "x"})
+	nilIn.record(new(Outcome))
 	nilIn.allocations("x", []int{1})
 }
 

@@ -1,11 +1,6 @@
 package regimen
 
-import (
-	"time"
-
-	"rsr/internal/sampling"
-	"rsr/internal/stats"
-)
+import "rsr/internal/sampling"
 
 // rssDraws is the number of interpenetrating subsamples R. More draws give
 // the between-draw variance estimator more degrees of freedom but shrink
@@ -65,46 +60,5 @@ func (s RepeatedSubsampling) Select(p Params) (*Plan, error) {
 
 // Run implements Strategy.
 func (s RepeatedSubsampling) Run(p Params) (*Outcome, error) {
-	begin := time.Now()
-	plan, err := s.Select(p)
-	if err != nil {
-		return nil, err
-	}
-	pr, err := measureRegions(p, plan.Regions)
-	if err != nil {
-		return nil, err
-	}
-	ms := measured(plan.Regions, pr)
-
-	// Per-draw mean CPI; a draw whose every region retired nothing (possible
-	// only on truncated workloads) contributes no mean.
-	r := s.draws(p)
-	sums := make([]float64, r)
-	counts := make([]int, r)
-	for _, m := range ms {
-		if m.Result.Instructions == 0 {
-			continue
-		}
-		sums[m.Region.Draw] += m.CPI()
-		counts[m.Region.Draw]++
-	}
-	means := make([]float64, 0, r)
-	for d := 0; d < r; d++ {
-		if counts[d] > 0 {
-			means = append(means, sums[d]/float64(counts[d]))
-		}
-	}
-
-	out := &Outcome{
-		Strategy:         s.Name(),
-		Estimate:         ipcFromCPI(stats.CI95(means)),
-		Regions:          ms,
-		Plan:             *plan,
-		Elapsed:          time.Since(begin),
-		Work:             pr.Work,
-		FuncInstructions: pr.FuncInstructions,
-		HotInstructions:  pr.HotInstructions,
-	}
-	p.Instr.record(out)
-	return out, nil
+	return begin(s, p).single(func(ms []Measured) Estimate { return betweenDraws(ms, s.draws(p)) })
 }

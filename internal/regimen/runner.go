@@ -1,12 +1,105 @@
 package regimen
 
 import (
+	"fmt"
+	"time"
+
 	"rsr/internal/sampling"
-	"rsr/internal/stats"
+	"rsr/internal/warmup"
 )
 
+// run is one strategy run in progress, and the only way a strategy reaches
+// the region walker or builds an Outcome: begin starts the clock, planned
+// takes the selection, measure executes a pass over some of its regions, and
+// finish turns an estimate over the measurements into the recorded Outcome.
+// A single-pass strategy is begin(s, p).single; the adaptive one
+// (two-phase-stratified) calls measure twice and decides the second pass from
+// the first.
+type run struct {
+	s     Strategy
+	p     Params
+	begin time.Time
+	plan  Plan
+	// selectElapsed is the wall time selection took, stamped once by
+	// planned. It stays off the Outcome, whose one wall-clock field is
+	// Elapsed: the benchmark compares whole outcomes between rounds with
+	// only that field zeroed.
+	selectElapsed time.Duration
+
+	regions             []Measured
+	work                warmup.Work
+	funcInstr, hotInstr uint64
+}
+
+// begin starts a run's clock, before selection.
+func begin(s Strategy, p Params) *run {
+	return &run{s: s, p: p, begin: time.Now()}
+}
+
+// planned adopts the selection decision and stamps how long it took.
+func (r *run) planned(plan *Plan) error {
+	if len(plan.Regions) == 0 {
+		return fmt.Errorf("regimen: %s selected no regions", r.s.Name())
+	}
+	r.plan, r.selectElapsed = *plan, time.Since(r.begin)
+	return nil
+}
+
+// measure executes one measurement pass over regions and folds it into the
+// run's totals.
+func (r *run) measure(regions []Region) ([]Measured, error) {
+	pr, err := measureRegions(r.p, regions)
+	if err != nil {
+		return nil, err
+	}
+	ms := make([]Measured, len(pr.Clusters))
+	for i, c := range pr.Clusters {
+		ms[i] = Measured{Region: regions[i], Result: c.Result}
+	}
+	r.regions = append(r.regions, ms...)
+	r.work = r.work.Add(pr.Work)
+	r.funcInstr += pr.FuncInstructions
+	r.hotInstr += pr.HotInstructions
+	return ms, nil
+}
+
+// finish assembles the run's Outcome around e and records it.
+func (r *run) finish(e Estimate) *Outcome {
+	out := &Outcome{
+		Strategy:         r.s.Name(),
+		Estimate:         e,
+		Regions:          r.regions,
+		Plan:             r.plan,
+		Elapsed:          time.Since(r.begin),
+		Work:             r.work,
+		FuncInstructions: r.funcInstr,
+		HotInstructions:  r.hotInstr,
+	}
+	r.p.Instr.record(out)
+	return out
+}
+
+// single is a single-pass strategy's Run: select, measure every selected
+// region in one pass, estimate. It checks only what the walker needs of the
+// plan (ValidateRegions) and never Regimen.Validate — SimPoint may ask for
+// more points than there are intervals and simply gets fewer.
+func (r *run) single(estimate func([]Measured) Estimate) (*Outcome, error) {
+	plan, err := r.s.Select(r.p)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.planned(plan); err != nil {
+		return nil, err
+	}
+	ms, err := r.measure(plan.Regions)
+	if err != nil {
+		return nil, err
+	}
+	return r.finish(estimate(ms)), nil
+}
+
 // measureRegions executes one measurement pass — the shared region walker
-// over the plan's regions under the configured warm-up method — so every
+// over the given regions under the configured warm-up method — so every
 // strategy's pass honours Params.Shards and Params.Cancel exactly as the
 // stratified-uniform design does. Regions must satisfy ValidateRegions.
 func measureRegions(p Params, regions []Region) (*sampling.RunResult, error) {
@@ -25,39 +118,4 @@ func walkerRegions(regions []Region) []sampling.Region {
 		out[i] = sampling.Region{Start: r.Start, Size: r.Size}
 	}
 	return out
-}
-
-// measured zips a pass's results back onto their regions.
-func measured(regions []Region, pr *sampling.RunResult) []Measured {
-	out := make([]Measured, len(pr.Clusters))
-	for i, c := range pr.Clusters {
-		out[i] = Measured{Region: regions[i], Result: c.Result}
-	}
-	return out
-}
-
-// cpisOf extracts the per-region CPI sample from measurements, skipping
-// regions that retired nothing (the workload ended at their start) so a
-// truncated tail cannot poison a CPI-space estimator.
-func cpisOf(ms []Measured) []float64 {
-	out := make([]float64, 0, len(ms))
-	for _, m := range ms {
-		if m.Result.Instructions > 0 {
-			out = append(out, m.CPI())
-		}
-	}
-	return out
-}
-
-// statsPoint is a zero-width interval around a point estimate, for
-// estimators with no sampling-theory error bound.
-func statsPoint(v float64) stats.Interval { return stats.Interval{Mean: v} }
-
-// ipcFromCPI converts a CPI-space interval into the package's Estimate.
-func ipcFromCPI(ci stats.Interval) Estimate {
-	e := Estimate{CI: ci, Space: "CPI"}
-	if ci.Mean != 0 {
-		e.IPC = 1 / ci.Mean
-	}
-	return e
 }

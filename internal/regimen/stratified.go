@@ -40,33 +40,15 @@ func (StratifiedUniform) Select(p Params) (*Plan, error) {
 
 // Run implements Strategy.
 func (s StratifiedUniform) Run(p Params) (*Outcome, error) {
-	plan, err := s.Select(p)
-	if err != nil {
-		return nil, err
-	}
-	res, err := measureRegions(p, plan.Regions)
-	if err != nil {
-		return nil, err
-	}
-	out := &Outcome{
-		Strategy:         s.Name(),
-		Estimate:         Estimate{IPC: res.IPCEstimate(), CI: res.CI(), Space: "CPI"},
-		Regions:          measured(plan.Regions, res),
-		Plan:             *plan,
-		Elapsed:          res.Elapsed,
-		Work:             res.Work,
-		FuncInstructions: res.FuncInstructions,
-		HotInstructions:  res.HotInstructions,
-	}
-	p.Instr.record(out)
-	return out, nil
+	return begin(s, p).single(meanCPI)
 }
 
 // SimPoint is the SimPoint baseline through the strategy seam: BBV
-// profiling at ClusterSize granularity, k-means selection of NumClusters
-// representative intervals, weighted-IPC estimation. Run delegates to
-// simpoint.Estimate, so results are byte-identical to the standalone
-// baseline. SimPoint's estimator is a weighted point estimate with no
+// profiling at ClusterSize granularity, k-means selection of up to
+// NumClusters representative intervals, and the population-weighted IPC of
+// the chosen intervals, measured by the same region walker as every other
+// strategy — with the configured warm-up method between points, the paper's
+// "50K-SMARTS" variants. The estimator is a weighted point estimate with no
 // sampling-theory interval, so the CI is zero-width around the estimate.
 type SimPoint struct{}
 
@@ -78,32 +60,24 @@ func (SimPoint) Describe() string {
 	return "SimPoint baseline: BBV k-means phase selection, weighted-IPC estimate"
 }
 
-// config maps the shared Params onto the SimPoint baseline: intervals the
-// size of a cluster, k = the cluster budget, so the hot budget matches the
-// other strategies.
-func (SimPoint) config(p Params) simpoint.Config {
-	return simpoint.Config{
-		IntervalSize: p.Regimen.ClusterSize,
-		MaxPoints:    p.Regimen.NumClusters,
-		Seed:         p.Seed,
-		Warmup:       p.Warmup,
-	}
-}
-
 // Select implements Strategy: profile, cluster, and report the chosen
-// intervals as regions weighted by cluster population.
-func (s SimPoint) Select(p Params) (*Plan, error) {
-	cfg := s.config(p)
-	intervals, covered, err := simpoint.Profile(p.Program, p.Total, cfg.IntervalSize, p.canceled)
+// intervals as regions weighted by cluster population. Intervals are the
+// size of a cluster and k is the cluster budget, so the hot budget matches
+// the other strategies; k is clamped to the interval count, so a regimen
+// that would not fit the workload (Figure 9's 30 points of Total/20) selects
+// fewer points rather than failing.
+func (SimPoint) Select(p Params) (*Plan, error) {
+	size := p.Regimen.ClusterSize
+	intervals, covered, err := simpoint.Profile(p.Program, p.Total, size, p.canceled)
 	if err != nil {
 		return nil, err
 	}
-	points := simpoint.Pick(intervals, cfg.MaxPoints, cfg.Seed)
+	points := simpoint.Pick(intervals, p.Regimen.NumClusters, p.Seed)
 	regions := make([]Region, len(points))
 	for i, pt := range points {
 		regions[i] = Region{
-			Start:   uint64(pt.IntervalIndex) * cfg.IntervalSize,
-			Size:    cfg.IntervalSize,
+			Start:   uint64(pt.IntervalIndex) * size,
+			Size:    size,
 			Weight:  pt.Weight,
 			Stratum: i, // each k-means cluster is its own stratum
 			Draw:    -1,
@@ -117,34 +91,17 @@ func (s SimPoint) Select(p Params) (*Plan, error) {
 	}, nil
 }
 
-// Run implements Strategy by delegating to the SimPoint baseline.
+// Run implements Strategy.
 func (s SimPoint) Run(p Params) (*Outcome, error) {
-	begin := time.Now()
-	res, err := simpoint.Estimate(p.Program, p.Machine, p.Total, s.config(p), p.canceled)
-	if err != nil {
-		return nil, err
-	}
-	regions := make([]Measured, 0, len(res.Points))
-	for _, pt := range res.Points {
-		regions = append(regions, Measured{Region: Region{
-			Start:  uint64(pt.IntervalIndex) * p.Regimen.ClusterSize,
-			Size:   p.Regimen.ClusterSize,
-			Weight: pt.Weight,
-			Draw:   -1,
-		}})
-	}
-	out := &Outcome{
-		Strategy: s.Name(),
-		Estimate: Estimate{IPC: res.IPC, CI: statsPoint(res.IPC), Space: "IPC"},
-		Regions:  regions,
-		Plan: Plan{
-			Candidates:          int(res.ProfileInstructions / p.Regimen.ClusterSize),
-			Strata:              len(res.Points),
-			ProfileInstructions: res.ProfileInstructions,
-		},
-		Elapsed:         time.Since(begin),
-		HotInstructions: res.HotInstructions,
-	}
-	p.Instr.record(out)
-	return out, nil
+	out, _, err := s.RunTimed(p)
+	return out, err
+}
+
+// RunTimed is Run, also reporting how much of Outcome.Elapsed selection took
+// (BBV profiling and k-means). Figure 9 compares simulation time and, like
+// the paper, leaves SimPoint's offline profile out of it.
+func (s SimPoint) RunTimed(p Params) (out *Outcome, selection time.Duration, err error) {
+	r := begin(s, p)
+	out, err = r.single(weightedIPC)
+	return out, r.selectElapsed, err
 }

@@ -1,11 +1,11 @@
 package regimen
 
 import (
-	"time"
+	"slices"
+	"sort"
 
 	"rsr/internal/simpoint"
 	"rsr/internal/stats"
-	"rsr/internal/warmup"
 )
 
 // twoPhaseMaxStrata bounds the k-means phase count K. Each stratum needs a
@@ -53,9 +53,9 @@ func (TwoPhaseStratified) strataFor(p Params, intervals int) int {
 
 // stratification is the profiling-pass product shared by Select and Run.
 type stratification struct {
-	members [][]int   // members[h] = ascending interval indices of stratum h
-	weights []float64 // W_h = population share of stratum h
-	covered uint64    // profiled instructions
+	members    [][]int   // members[h] = ascending interval indices of stratum h
+	weights    []float64 // W_h = population share of stratum h
+	covered    uint64    // profiled instructions
 	nIntervals int
 }
 
@@ -79,16 +79,6 @@ func (s TwoPhaseStratified) stratify(p Params) (*stratification, error) {
 		st.weights[h] = float64(len(st.members[h])) / float64(len(intervals))
 	}
 	return st, nil
-}
-
-// pilotBudget splits the cluster budget: half to the pilot (rounded up so a
-// tiny budget still measures variance), the rest to the refinement phase.
-func pilotBudget(n int) int {
-	n1 := (n + 1) / 2
-	if n1 < 1 {
-		n1 = 1
-	}
-	return n1
 }
 
 // pickSpread deterministically selects n unused members of a stratum,
@@ -120,85 +110,95 @@ func pickSpread(members []int, n int, used map[int]bool) []int {
 	return out
 }
 
-// regionsOf converts chosen interval indices to execution-order regions.
-func (s TwoPhaseStratified) regionsOf(p Params, picks map[int]int) []Region {
-	regions := make([]Region, 0, len(picks))
-	for idx, h := range picks {
-		regions = append(regions, Region{
-			Start:   uint64(idx) * p.Regimen.ClusterSize,
-			Size:    p.Regimen.ClusterSize,
-			Weight:  1,
-			Stratum: h,
-			Draw:    -1,
-		})
+// place picks alloc[h] unused intervals from each stratum h, spread across
+// it, marks them used, and returns them as execution-order regions.
+func (s TwoPhaseStratified) place(p Params, st *stratification, alloc []int, used map[int]bool) []Region {
+	var regions []Region
+	for h, n := range alloc {
+		for _, idx := range pickSpread(st.members[h], n, used) {
+			regions = append(regions, Region{
+				Start:   uint64(idx) * p.Regimen.ClusterSize,
+				Size:    p.Regimen.ClusterSize,
+				Weight:  1,
+				Stratum: h,
+				Draw:    -1,
+			})
+		}
 	}
-	sortRegions(regions)
+	sort.Slice(regions, func(i, j int) bool { return regions[i].Start < regions[j].Start })
 	return regions
 }
 
-// pilotPlan allocates and places the first-phase regions.
-func (s TwoPhaseStratified) pilotPlan(p Params, st *stratification, used map[int]bool) []Region {
-	n1 := pilotBudget(p.Regimen.NumClusters)
-	alloc := stats.ProportionalAllocation(n1, st.weights)
-	picks := map[int]int{}
-	for h, n := range alloc {
-		for _, idx := range pickSpread(st.members[h], n, used) {
-			picks[idx] = h
-		}
+// pilot is the selection both Select and Run make from profiling alone: the
+// stratification and the first-phase regions, with used marking the
+// intervals those regions took.
+func (s TwoPhaseStratified) pilot(p Params) (plan *Plan, st *stratification, used map[int]bool, err error) {
+	if err := p.Regimen.Validate(p.Total); err != nil {
+		return nil, nil, nil, err
 	}
-	return s.regionsOf(p, picks)
+	st, err = s.stratify(p)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	// Half the budget goes to the pilot, rounded up so a tiny budget still
+	// measures variance, allocated in proportion to stratum weight.
+	used = map[int]bool{}
+	alloc := stats.ProportionalAllocation((p.Regimen.NumClusters+1)/2, st.weights)
+	return &Plan{
+		Regions:             s.place(p, st, alloc, used),
+		Candidates:          st.nIntervals,
+		Strata:              len(st.members),
+		ProfileInstructions: st.covered,
+	}, st, used, nil
 }
 
 // Select implements Strategy. Without pilot measurements the second phase
 // cannot be allocated yet, so the plan reports the pilot regions — the
 // commitment selection can make from profiling alone.
 func (s TwoPhaseStratified) Select(p Params) (*Plan, error) {
-	if err := p.Regimen.Validate(p.Total); err != nil {
-		return nil, err
-	}
-	st, err := s.stratify(p)
-	if err != nil {
-		return nil, err
-	}
-	regions := s.pilotPlan(p, st, map[int]bool{})
-	return &Plan{
-		Regions:             regions,
-		Candidates:          st.nIntervals,
-		Strata:              len(st.members),
-		ProfileInstructions: st.covered,
-	}, nil
+	plan, _, _, err := s.pilot(p)
+	return plan, err
 }
 
 // Run implements Strategy: profile → pilot pass → Neyman allocation →
-// refinement pass → stratified estimate.
+// refinement pass → stratified estimate. It is the one adaptive design, so
+// instead of single it drives the runner's pieces itself, measuring twice.
 func (s TwoPhaseStratified) Run(p Params) (*Outcome, error) {
-	begin := time.Now()
-	if err := p.Regimen.Validate(p.Total); err != nil {
-		return nil, err
-	}
-	st, err := s.stratify(p)
+	r := begin(s, p)
+	plan, st, used, err := s.pilot(p)
 	if err != nil {
 		return nil, err
 	}
-	k := len(st.members)
-	used := map[int]bool{}
-	pilot := s.pilotPlan(p, st, used)
-	pilotPR, err := measureRegions(p, pilot)
+	if err := r.planned(plan); err != nil {
+		return nil, err
+	}
+	pilotMS, err := r.measure(plan.Regions)
 	if err != nil {
 		return nil, err
 	}
-	pilotMS := measured(pilot, pilotPR)
 
+	alloc := s.refineAllocation(p.Regimen.NumClusters-len(plan.Regions), st, used, pilotMS)
+	if refine := s.place(p, st, alloc, used); len(refine) > 0 {
+		r.plan.Regions = slices.Concat(plan.Regions, refine)
+		if _, err := r.measure(refine); err != nil {
+			return nil, err
+		}
+	}
+
+	out := r.finish(stratifiedMean(r.regions, st.weights))
+	p.Instr.allocations(s.Name(), alloc)
+	return out, nil
+}
+
+// refineAllocation splits the n2 second-phase regions across strata by
+// Neyman allocation on the pilot's per-stratum CPI deviation.
+func (s TwoPhaseStratified) refineAllocation(n2 int, st *stratification, used map[int]bool, pilot []Measured) []int {
+	k := len(st.members)
 	// Pilot variance per stratum drives the Neyman scores W_h·S_h. Strata
 	// whose pilot saw <2 regions report zero deviation; if every score is
 	// zero (flat workload or tiny pilot) fall back to proportional
 	// allocation so the remaining budget is still spent.
-	samples := make([][]float64, k)
-	for _, m := range pilotMS {
-		if m.Result.Instructions > 0 {
-			samples[m.Region.Stratum] = append(samples[m.Region.Stratum], m.CPI())
-		}
-	}
+	samples := strataCPIs(pilot, k)
 	scores := make([]float64, k)
 	var total float64
 	for h := range scores {
@@ -209,31 +209,24 @@ func (s TwoPhaseStratified) Run(p Params) (*Outcome, error) {
 		copy(scores, st.weights)
 	}
 
-	n2 := p.Regimen.NumClusters - len(pilot)
 	alloc := stats.ProportionalAllocation(n2, scores)
 	// Clamp each stratum to its unused intervals; redistribute the slack to
 	// the highest-scoring strata that still have room.
 	avail := make([]int, k)
-	for h := range avail {
-		avail[h] = len(st.members[h])
-	}
+	assigned := 0
 	for h := range alloc {
-		usedIn := 0
+		avail[h] = len(st.members[h])
 		for _, idx := range st.members[h] {
 			if used[idx] {
-				usedIn++
+				avail[h]--
 			}
 		}
-		avail[h] = len(st.members[h]) - usedIn
 		if alloc[h] > avail[h] {
 			alloc[h] = avail[h]
 		}
+		assigned += alloc[h]
 	}
-	assigned := 0
-	for _, n := range alloc {
-		assigned += n
-	}
-	for slack := n2 - assigned; slack > 0; {
+	for slack := n2 - assigned; slack > 0; slack-- {
 		best := -1
 		for h := range alloc {
 			if alloc[h] < avail[h] && (best < 0 || scores[h] > scores[best]) {
@@ -244,66 +237,6 @@ func (s TwoPhaseStratified) Run(p Params) (*Outcome, error) {
 			break // every stratum exhausted; the leftover budget is dropped
 		}
 		alloc[best]++
-		slack--
 	}
-
-	picks := map[int]int{}
-	for h, n := range alloc {
-		for _, idx := range pickSpread(st.members[h], n, used) {
-			picks[idx] = h
-		}
-	}
-	refine := s.regionsOf(p, picks)
-	var refineMS []Measured
-	work := pilotPR.Work
-	funcInstr, hotInstr := pilotPR.FuncInstructions, pilotPR.HotInstructions
-	if len(refine) > 0 {
-		refinePR, err := measureRegions(p, refine)
-		if err != nil {
-			return nil, err
-		}
-		refineMS = measured(refine, refinePR)
-		work = addWork(work, refinePR.Work)
-		funcInstr += refinePR.FuncInstructions
-		hotInstr += refinePR.HotInstructions
-	}
-
-	for _, m := range refineMS {
-		if m.Result.Instructions > 0 {
-			samples[m.Region.Stratum] = append(samples[m.Region.Stratum], m.CPI())
-		}
-	}
-	strata := make([]stats.Stratum, k)
-	for h := range strata {
-		strata[h] = stats.Stratum{Weight: st.weights[h], Samples: samples[h]}
-	}
-
-	out := &Outcome{
-		Strategy: s.Name(),
-		Estimate: ipcFromCPI(stats.StratifiedMean(strata)),
-		Regions:  append(pilotMS, refineMS...),
-		Plan: Plan{
-			Regions:             append(append([]Region(nil), pilot...), refine...),
-			Candidates:          st.nIntervals,
-			Strata:              k,
-			ProfileInstructions: st.covered,
-		},
-		Elapsed:          time.Since(begin),
-		Work:             work,
-		FuncInstructions: funcInstr,
-		HotInstructions:  hotInstr,
-	}
-	p.Instr.record(out)
-	p.Instr.allocations(s.Name(), alloc)
-	return out, nil
-}
-
-// addWork sums two warm-up work tallies (one per measurement pass).
-func addWork(a, b warmup.Work) warmup.Work {
-	return warmup.Work{
-		WarmOps:       a.WarmOps + b.WarmOps,
-		LoggedRecords: a.LoggedRecords + b.LoggedRecords,
-		ReconScanned:  a.ReconScanned + b.ReconScanned,
-		ReconApplied:  a.ReconApplied + b.ReconApplied,
-	}
+	return alloc
 }

@@ -10,7 +10,6 @@ import (
 	"rsr/internal/mem"
 	"rsr/internal/ooo"
 	"rsr/internal/prog"
-	"rsr/internal/trace"
 	"rsr/internal/warmup"
 )
 
@@ -81,17 +80,10 @@ func TestRunFullMatchesScalarReference(t *testing.T) {
 	unit := bpred.NewUnit(m.Pred)
 	sim := ooo.New(m.CPU, hier, unit)
 	fs := funcsim.New(p)
-	var pullErr error
-	want := sim.Simulate(total, func() (trace.DynInst, bool) {
-		d, err := fs.Step()
-		if err != nil {
-			pullErr = err
-			return trace.DynInst{}, false
-		}
-		return d, true
-	})
-	if pullErr != nil {
-		t.Fatal(pullErr)
+	src := &stepSource{fs: fs}
+	want := sim.SimulateSource(total, src)
+	if src.err != nil {
+		t.Fatal(src.err)
 	}
 
 	got, err := RunFull(p, m, total)

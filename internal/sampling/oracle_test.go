@@ -100,7 +100,7 @@ func (w *scalarWarm) observe(d *trace.DynInst) {
 		if line := d.PC & w.lineMask; !w.haveLine || line != w.lastLine {
 			w.lastLine, w.haveLine = line, true
 			if reverse {
-				w.log.AddMem(trace.MemRecord{Addr: d.PC, IsInstr: true})
+				w.log.Mem = append(w.log.Mem, trace.MemRecord{Addr: d.PC, IsInstr: true})
 				w.work.LoggedRecords++
 			} else {
 				w.h.WarmInst(d.PC)
@@ -110,7 +110,7 @@ func (w *scalarWarm) observe(d *trace.DynInst) {
 		if d.IsMem() {
 			store := d.Op.Class() == isa.ClassStore
 			if reverse {
-				w.log.AddMem(trace.MemRecord{Addr: d.EffAddr, IsStore: store})
+				w.log.Mem = append(w.log.Mem, trace.MemRecord{Addr: d.EffAddr, IsStore: store})
 				w.work.LoggedRecords++
 			} else {
 				w.h.WarmData(d.EffAddr, store)
@@ -121,7 +121,7 @@ func (w *scalarWarm) observe(d *trace.DynInst) {
 	if w.spec.BPred && d.IsBranch() {
 		r := trace.BranchRecord{PC: d.PC, NextPC: d.NextPC, Taken: d.Taken, Class: d.Op.Class()}
 		if reverse {
-			w.log.AddBranch(r)
+			w.log.Branches = append(w.log.Branches, r)
 			w.work.LoggedRecords++
 		} else {
 			w.u.Update(r)
@@ -178,17 +178,10 @@ func runSampledScalar(p *prog.Program, m MachineConfig, reg Regimen, total uint6
 		res.FuncInstructions += ran
 		pos += ran
 
-		var pullErr error
-		r := sim.Simulate(reg.ClusterSize, func() (trace.DynInst, bool) {
-			d, err := fs.Step()
-			if err != nil {
-				pullErr = err
-				return trace.DynInst{}, false
-			}
-			return d, true
-		})
-		if pullErr != nil {
-			return nil, pullErr
+		src := &stepSource{fs: fs}
+		r := sim.SimulateSource(reg.ClusterSize, src)
+		if src.err != nil {
+			return nil, src.err
 		}
 		res.FuncInstructions += r.Instructions
 		res.HotInstructions += r.Instructions
@@ -197,4 +190,23 @@ func runSampledScalar(p *prog.Program, m MachineConfig, reg Regimen, total uint6
 	}
 	res.Work = warm.totalWork()
 	return res, nil
+}
+
+// stepSource feeds the timing model one fs.Step per Fill: the scalar
+// reference's feed, the slowest split an ooo.Source may make.
+type stepSource struct {
+	fs  *funcsim.Sim
+	buf [1]trace.DynInst
+	err error
+}
+
+func (s *stepSource) Fill(max uint64) []trace.DynInst {
+	if max == 0 || s.err != nil {
+		return nil
+	}
+	s.buf[0], s.err = s.fs.Step()
+	if s.err != nil {
+		return nil
+	}
+	return s.buf[:1]
 }

@@ -1,9 +1,42 @@
 package sampling
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
+
+// CheckPlacement verifies the invariants every placement of cluster starts
+// under a regimen must satisfy: one start per stratum in stratum order
+// (which implies sorted and non-overlapping — consecutive starts are at
+// least ClusterSize apart because each cluster fits inside its own stratum),
+// and every cluster ends within the workload. Positions guarantees these by
+// construction; this is the oracle the placement tests hold it to.
+func CheckPlacement(starts []uint64, total uint64, r Regimen) error {
+	if err := r.Validate(total); err != nil {
+		return err
+	}
+	if len(starts) != r.NumClusters {
+		return fmt.Errorf("sampling: %d starts for %d clusters", len(starts), r.NumClusters)
+	}
+	stratum := total / uint64(r.NumClusters)
+	for i, s := range starts {
+		lo := uint64(i) * stratum
+		if s < lo || s > lo+stratum-r.ClusterSize {
+			return fmt.Errorf("sampling: start %d at %d outside its stratum [%d,%d]",
+				i, s, lo, lo+stratum-r.ClusterSize)
+		}
+		if s+r.ClusterSize > total {
+			return fmt.Errorf("sampling: cluster %d ends at %d, past the workload length %d",
+				i, s+r.ClusterSize, total)
+		}
+		if i > 0 && s < starts[i-1]+r.ClusterSize {
+			return fmt.Errorf("sampling: cluster %d at %d overlaps cluster %d at %d",
+				i, s, i-1, starts[i-1])
+		}
+	}
+	return nil
+}
 
 func TestPositionsInvariants(t *testing.T) {
 	cases := []struct {

@@ -6,7 +6,7 @@
 //
 // # Concurrency contract
 //
-// RunSampled, RunSampledOpts, RunSampledMethod, and RunFull build a fresh
+// RunSampled, RunSampledOpts, RunRegions, and RunFull build a fresh
 // Hierarchy, predictor Unit, timing model, and functional simulator for
 // every call and share no mutable state between calls; the input Program is
 // read-only. Any number of runs may therefore execute concurrently (the
@@ -165,7 +165,7 @@ func (r *RunResult) ConfidenceContains(trueIPC float64) bool {
 // same cluster positions (and therefore the same sampling bias) for every
 // method, as the paper's methodology requires.
 func RunSampled(p *prog.Program, m MachineConfig, reg Regimen, total uint64, seed int64, spec warmup.Spec) (*RunResult, error) {
-	return RunSampledMethod(p, m, reg, total, seed, spec.New)
+	return runSampled(p, m, reg, total, seed, spec.New, Options{})
 }
 
 // ErrCanceled is returned when a run is stopped through Options.Cancel
@@ -234,14 +234,10 @@ func RunSampledOpts(p *prog.Program, m MachineConfig, reg Regimen, total uint64,
 	return runSampled(p, m, reg, total, seed, spec.New, opts)
 }
 
-// RunSampledMethod is RunSampled for warm-up methods that need more context
-// than a Spec carries (for example the profiling-based MRRL/BLRL methods,
-// whose per-region warm windows are computed ahead of time). The factory
-// receives the run's hierarchy and predictor.
-func RunSampledMethod(p *prog.Program, m MachineConfig, reg Regimen, total uint64, seed int64, mk func(*mem.Hierarchy, *bpred.Unit) warmup.Method) (*RunResult, error) {
-	return runSampled(p, m, reg, total, seed, mk, Options{})
-}
-
+// runSampled hands the regimen's stratified-uniform placement to the region
+// walker. A caller whose warm-up method needs more context than a Spec
+// carries (the profiling-based MRRL/BLRL windows) does the same with its own
+// factory: Positions, then RunRegions.
 func runSampled(p *prog.Program, m MachineConfig, reg Regimen, total uint64, seed int64, mk func(*mem.Hierarchy, *bpred.Unit) warmup.Method, opts Options) (*RunResult, error) {
 	starts, err := Positions(total, reg, seed)
 	if err != nil {

@@ -1,10 +1,10 @@
-// Package simpoint implements the SimPoint baseline the paper compares
-// against (§5, Figure 9): basic-block-vector profiling at a configurable
-// interval size, k-means clustering of the vectors, selection of one
-// representative simulation point per cluster with a weight proportional to
-// cluster population, and a weighted-IPC estimate obtained by simulating only
-// the chosen intervals — optionally with SMARTS-style functional warm-up
-// while fast-forwarding between points.
+// Package simpoint implements the selection half of the SimPoint baseline
+// the paper compares against (§5, Figure 9): basic-block-vector profiling at
+// a configurable interval size, k-means clustering of the vectors, and the
+// choice of one representative simulation point per cluster with a weight
+// proportional to cluster population. Simulating the chosen intervals and
+// weighting their IPCs is the regimen package's SimPoint strategy, which runs
+// them through the same region walker as every other sampling strategy.
 package simpoint
 
 import (

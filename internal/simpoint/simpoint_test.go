@@ -2,13 +2,8 @@ package simpoint
 
 import (
 	"math"
-	"strings"
 	"testing"
 
-	"rsr/internal/prog"
-	"rsr/internal/sampling"
-	"rsr/internal/stats"
-	"rsr/internal/warmup"
 	"rsr/internal/workload"
 )
 
@@ -140,66 +135,6 @@ func TestPickSortedAndDeterministic(t *testing.T) {
 	}
 }
 
-func TestEstimateReasonable(t *testing.T) {
-	w, _ := workload.ByName("twolf")
-	m := sampling.DefaultMachine()
-	total := uint64(400_000)
-	full, err := sampling.RunFull(w.Build(), m, total)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Estimate(w.Build(), m, total, Config{
-		IntervalSize: 10_000, MaxPoints: 10, Seed: 3,
-		Warmup: warmup.Spec{Kind: warmup.KindSMARTS, Cache: true, BPred: true},
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.IPC <= 0 || res.IPC > 4 {
-		t.Fatalf("IPC = %f", res.IPC)
-	}
-	re := stats.RelErr(res.IPC, full.Result.IPC())
-	t.Logf("simpoint IPC %.4f vs true %.4f (RE %.2f%%), %d points",
-		res.IPC, full.Result.IPC(), 100*re, len(res.Points))
-	if re > 0.5 {
-		t.Fatalf("relative error %.2f implausibly large", re)
-	}
-	if res.HotInstructions == 0 || res.HotInstructions > total {
-		t.Fatalf("hot instructions = %d", res.HotInstructions)
-	}
-}
-
-func TestEstimateWarmupVariantsDiffer(t *testing.T) {
-	// Plain SimPoint and SimPoint+SMARTS must both run; with small
-	// intervals the warmed variant should not be less accurate by a wide
-	// margin (the paper's Figure 9 story at 50K).
-	w, _ := workload.ByName("twolf")
-	m := sampling.DefaultMachine()
-	total := uint64(300_000)
-	full, err := sampling.RunFull(w.Build(), m, total)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := Estimate(w.Build(), m, total, Config{IntervalSize: 3_000, MaxPoints: 10, Seed: 3}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmed, err := Estimate(w.Build(), m, total, Config{
-		IntervalSize: 3_000, MaxPoints: 10, Seed: 3,
-		Warmup: warmup.Spec{Kind: warmup.KindSMARTS, Cache: true, BPred: true},
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	truth := full.Result.IPC()
-	rePlain := stats.RelErr(plain.IPC, truth)
-	reWarm := stats.RelErr(warmed.IPC, truth)
-	t.Logf("plain RE %.3f, warmed RE %.3f", rePlain, reWarm)
-	if reWarm > rePlain+0.05 {
-		t.Fatalf("warm-up made small-interval SimPoint much worse: %.3f vs %.3f", reWarm, rePlain)
-	}
-}
-
 func TestProfileDropsTrailingPartialInterval(t *testing.T) {
 	// 25K instructions at 10K granularity: two whole intervals profile, the
 	// trailing 5K are never executed, and the covered count says so.
@@ -213,60 +148,6 @@ func TestProfileDropsTrailingPartialInterval(t *testing.T) {
 	}
 	if covered != 20_000 {
 		t.Fatalf("covered = %d, want 20000 (trailing partial interval dropped)", covered)
-	}
-}
-
-func TestSimulatePointsRejectsOverlap(t *testing.T) {
-	// Out-of-order points would make skip := start - pos wrap around a
-	// uint64 and fast-forward for exabytes; they must error instead.
-	w, _ := workload.ByName("parser")
-	_, err := SimulatePoints(w.Build(), sampling.DefaultMachine(), Config{IntervalSize: 10_000},
-		[]Point{{IntervalIndex: 2, Weight: 0.5}, {IntervalIndex: 1, Weight: 0.5}})
-	if err == nil {
-		t.Fatal("overlapping points must error")
-	}
-	if !strings.Contains(err.Error(), "behind the simulated position") {
-		t.Fatalf("unhelpful overlap error: %v", err)
-	}
-}
-
-// haltingProgram executes exactly n dynamic instructions (the last a halt).
-func haltingProgram(n int) *prog.Program {
-	b := prog.NewBuilder("halting")
-	for i := 0; i < n-1; i++ {
-		b.Nop()
-	}
-	b.Halt()
-	return b.MustBuild()
-}
-
-func TestSimulatePointsZeroRetirementSafe(t *testing.T) {
-	// The workload halts exactly at the end of interval 0, so interval 1
-	// retires nothing. Its weight must drop out of the estimate instead of
-	// dragging the weighted IPC toward zero.
-	const interval = 1000
-	p := haltingProgram(interval)
-	m := sampling.DefaultMachine()
-	cfg := Config{IntervalSize: interval}
-
-	only, err := SimulatePoints(haltingProgram(interval), m, cfg,
-		[]Point{{IntervalIndex: 0, Weight: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	both, err := SimulatePoints(p, m, cfg,
-		[]Point{{IntervalIndex: 0, Weight: 0.5}, {IntervalIndex: 1, Weight: 0.5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if only.IPC <= 0 {
-		t.Fatalf("reference IPC = %f", only.IPC)
-	}
-	if both.IPC != only.IPC {
-		t.Fatalf("zero-retirement interval poisoned the estimate: %f, want %f", both.IPC, only.IPC)
-	}
-	if both.HotInstructions != interval {
-		t.Fatalf("hot instructions = %d, want %d", both.HotInstructions, interval)
 	}
 }
 

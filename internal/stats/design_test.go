@@ -6,6 +6,49 @@ import (
 	"testing"
 )
 
+// Sampling-design helpers in the SMARTS tradition: given a pilot sample's
+// variability, size the cluster count needed to hit a target confidence
+// half-width. The paper stresses that "care must be taken to select an
+// appropriate sampling regimen"; these functions make the selection
+// procedural, and TestDesignDeliversCoverage holds CI95 to the design they
+// produce. No command sizes a regimen with them yet, so they live with that
+// test.
+
+// CoefficientOfVariation returns StdDev/Mean (0 for degenerate samples).
+func CoefficientOfVariation(xs []float64) float64 {
+	m := Mean(xs)
+	if m == 0 {
+		return 0
+	}
+	return StdDev(xs) / m
+}
+
+// RequiredClusters returns the number of equal-size clusters needed so that
+// the z-quantile confidence half-width is at most relErr of the mean, given
+// the pilot coefficient of variation: n >= (z*cv/relErr)^2.
+func RequiredClusters(cv, relErr, z float64) int {
+	if relErr <= 0 || cv <= 0 || z <= 0 {
+		return 1
+	}
+	n := math.Ceil((z * cv / relErr) * (z * cv / relErr))
+	if n < 1 {
+		return 1
+	}
+	return int(n)
+}
+
+// Required95 is RequiredClusters at the 95% confidence level.
+func Required95(cv, relErr float64) int { return RequiredClusters(cv, relErr, Z95) }
+
+// AchievableRelErr returns the confidence half-width (relative to the mean)
+// a design with n clusters achieves for a given pilot cv.
+func AchievableRelErr(cv float64, n int, z float64) float64 {
+	if n <= 0 {
+		return math.Inf(1)
+	}
+	return z * cv / math.Sqrt(float64(n))
+}
+
 func TestCoefficientOfVariation(t *testing.T) {
 	if CoefficientOfVariation([]float64{5, 5, 5}) != 0 {
 		t.Error("constant sample cv should be 0")

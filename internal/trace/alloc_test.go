@@ -11,8 +11,8 @@ func TestSkipLogAppendZeroAllocsSteadyState(t *testing.T) {
 	fill := func() {
 		l.Reset()
 		for i := 0; i < n; i++ {
-			l.AddMem(MemRecord{Addr: uint64(i)})
-			l.AddBranch(BranchRecord{PC: uint64(i)})
+			l.Mem = append(l.Mem, MemRecord{Addr: uint64(i)})
+			l.Branches = append(l.Branches, BranchRecord{PC: uint64(i)})
 		}
 	}
 	fill()

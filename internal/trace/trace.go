@@ -73,11 +73,5 @@ func (l *SkipLog) Reset() {
 	l.Branches = l.Branches[:0]
 }
 
-// AddMem appends a memory (or fetch) record.
-func (l *SkipLog) AddMem(r MemRecord) { l.Mem = append(l.Mem, r) }
-
-// AddBranch appends a branch record.
-func (l *SkipLog) AddBranch(r BranchRecord) { l.Branches = append(l.Branches, r) }
-
 // Len reports total records held.
 func (l *SkipLog) Len() int { return len(l.Mem) + len(l.Branches) }

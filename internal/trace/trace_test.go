@@ -39,8 +39,8 @@ func TestBranchRecordKinds(t *testing.T) {
 func TestSkipLogResetRetainsCapacity(t *testing.T) {
 	var l SkipLog
 	for i := 0; i < 100; i++ {
-		l.AddMem(MemRecord{Addr: uint64(i)})
-		l.AddBranch(BranchRecord{PC: uint64(i)})
+		l.Mem = append(l.Mem, MemRecord{Addr: uint64(i)})
+		l.Branches = append(l.Branches, BranchRecord{PC: uint64(i)})
 	}
 	if l.Len() != 200 {
 		t.Fatalf("len = %d", l.Len())

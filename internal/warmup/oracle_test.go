@@ -73,16 +73,16 @@ func (r *reverse) logScalar(d *trace.DynInst) {
 	}
 	if r.spec.Cache {
 		if c.lines.crossed(d.PC) {
-			c.log.AddMem(trace.MemRecord{Addr: d.PC, IsInstr: true})
+			c.log.Mem = append(c.log.Mem, trace.MemRecord{Addr: d.PC, IsInstr: true})
 			c.logged++
 		}
 		if d.IsMem() {
-			c.log.AddMem(trace.MemRecord{Addr: d.EffAddr, IsStore: d.Op.Class() == isa.ClassStore})
+			c.log.Mem = append(c.log.Mem, trace.MemRecord{Addr: d.EffAddr, IsStore: d.Op.Class() == isa.ClassStore})
 			c.logged++
 		}
 	}
 	if r.spec.BPred && d.IsBranch() {
-		c.log.AddBranch(branchRecordOf(d))
+		c.log.Branches = append(c.log.Branches, branchRecordOf(d))
 		c.logged++
 	}
 }

@@ -110,6 +110,17 @@ type Work struct {
 	ReconApplied uint64
 }
 
+// Add returns the sum of two tallies: a strategy's measurement passes each
+// run a fresh method, and the run reports their total.
+func (w Work) Add(o Work) Work {
+	return Work{
+		WarmOps:       w.WarmOps + o.WarmOps,
+		LoggedRecords: w.LoggedRecords + o.LoggedRecords,
+		ReconScanned:  w.ReconScanned + o.ReconScanned,
+		ReconApplied:  w.ReconApplied + o.ReconApplied,
+	}
+}
+
 // Sub returns the work performed since prev. Method.Work is cumulative and
 // cheap to read, so snapshotting it at phase boundaries and subtracting
 // yields per-cluster deltas — how the sampling controller attributes logged

@@ -39,11 +39,14 @@
 package rsr
 
 import (
+	"time"
+
 	"rsr/internal/engine"
 	"rsr/internal/experiments"
 	"rsr/internal/livepoints"
 	"rsr/internal/ooo"
 	"rsr/internal/prog"
+	"rsr/internal/regimen"
 	"rsr/internal/sampling"
 	"rsr/internal/simpoint"
 	"rsr/internal/warmup"
@@ -136,18 +139,69 @@ func RunFull(p *Program, m Machine, total uint64) (FullResult, error) {
 	return sampling.RunFull(p, m, total)
 }
 
-// SimPointConfig parameterizes the SimPoint baseline: interval size, point
-// count (the paper uses 30), k-means seed, and an optional warm-up method
-// applied while fast-forwarding between simulation points.
-type SimPointConfig = simpoint.Config
+// SimPointConfig parameterizes the SimPoint baseline.
+type SimPointConfig struct {
+	// IntervalSize is the profiling/simulation granularity in instructions
+	// (the paper evaluates 50K and 10M; scale to the workload length).
+	IntervalSize uint64
+	// MaxPoints is the cluster count k (the paper uses 30).
+	MaxPoints int
+	// Seed drives k-means initialization.
+	Seed int64
+	// Warmup optionally applies a warm-up method while fast-forwarding
+	// between simulation points (the paper's "50K-SMARTS" variants). Leave
+	// zero-valued for plain SimPoint.
+	Warmup WarmupSpec
+}
 
 // SimPointResult is a SimPoint IPC estimate with its cost breakdown.
-type SimPointResult = simpoint.Result
+type SimPointResult struct {
+	IPC float64
+	// Points are the chosen simulation points: each one's interval index and
+	// the fraction of profiled intervals its cluster covers.
+	Points []simpoint.Point
+	// ProfileElapsed is the offline selection cost, BBV profiling and
+	// k-means (not counted as simulation time, matching the paper's
+	// comparison).
+	ProfileElapsed time.Duration
+	// ProfileInstructions is the instruction count the BBV profile covers:
+	// the trailing partial interval is dropped, so this may be less than the
+	// requested total.
+	ProfileInstructions uint64
+	// SimElapsed is the simulation cost: fast-forward plus hot intervals.
+	SimElapsed time.Duration
+	// HotInstructions is the number of cycle-accurately simulated
+	// instructions.
+	HotInstructions uint64
+}
 
 // RunSimPoint profiles p's basic-block vectors, clusters them, and simulates
-// the chosen simulation points to produce a weighted IPC estimate.
+// the chosen simulation points to produce a weighted IPC estimate: the
+// "simpoint" sampling strategy with intervals as its regions.
 func RunSimPoint(p *Program, m Machine, total uint64, cfg SimPointConfig) (*SimPointResult, error) {
-	return simpoint.Estimate(p, m, total, cfg, nil)
+	out, selection, err := regimen.SimPoint{}.RunTimed(regimen.Params{
+		Program: p,
+		Machine: m,
+		Regimen: Regimen{ClusterSize: cfg.IntervalSize, NumClusters: cfg.MaxPoints},
+		Total:   total,
+		Seed:    cfg.Seed,
+		Warmup:  cfg.Warmup,
+	})
+	if err != nil {
+		return nil, err
+	}
+	res := &SimPointResult{
+		IPC:                 out.Estimate.IPC,
+		Points:              make([]simpoint.Point, len(out.Regions)),
+		ProfileElapsed:      selection,
+		ProfileInstructions: out.Plan.ProfileInstructions,
+		SimElapsed:          out.Elapsed - selection,
+		HotInstructions:     out.HotInstructions,
+	}
+	for i, r := range out.Regions {
+		res.Points[i] = simpoint.Point{IntervalIndex: int(r.Region.Start / cfg.IntervalSize), Weight: r.Region.Weight}
+	}
+	return res, nil
 }
 
 // CoreConfig is the out-of-order core's machine parameters (widths, window

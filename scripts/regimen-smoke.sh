@@ -11,7 +11,9 @@
 #      confidence, work counters — is deterministic, so `diff` is the oracle.
 #
 #   2. Every registered strategy runs end to end: each name printed by
-#      `rsr regimens` must complete a run and report a sane estimate line.
+#      `rsr regimens` must complete a run and report a sane estimate line
+#      and a non-zero `work` line — simpoint included, which reported none
+#      while it estimated on a path of its own.
 #
 #   3. Every strategy honours -shards: all measurement passes go through the
 #      one region walker, so a run at `-shards 2` must print exactly what the
@@ -50,6 +52,15 @@ for NAME in $NAMES; do
     $RSR -shards 1 -regimen "$NAME" run | grep -v '^time' >"$WORKDIR/$NAME.txt"
     if ! grep -q '^estimate' "$WORKDIR/$NAME.txt"; then
         echo "regimen-smoke: strategy $NAME produced no estimate:" >&2
+        cat "$WORKDIR/$NAME.txt" >&2
+        exit 1
+    fi
+    # The default method is R$BP (20%), so a pass through the region walker
+    # logs and reconstructs: an all-zero work line means the strategy's
+    # outcome did not come from it (as SimPoint's did not, while it kept a
+    # private estimate path).
+    if ! grep '^work' "$WORKDIR/$NAME.txt" | grep -q '[1-9]'; then
+        echo "regimen-smoke: strategy $NAME reported no warm-up work:" >&2
         cat "$WORKDIR/$NAME.txt" >&2
         exit 1
     fi
