@@ -2,10 +2,10 @@
 #
 #   make build       compile everything
 #   make test        tier-1 gate: go build ./... && go test ./...
-#   make verify      vet + race-test the concurrent code paths, fuzz the
-#                    batched interpreter against Step for 20 s, then soak the
-#                    engine, the warm-up methods and the sharded pipeline's
-#                    tests under -race -count=20
+#   make verify      gofmt + vet + race-test the concurrent code paths, fuzz
+#                    the batched interpreter against Step for 20 s, then soak
+#                    the engine, the warm-up methods and the sharded
+#                    pipeline's tests under -race -count=20
 #   make chaos       race-enabled fault-injection suite (chaos + drain tests)
 #   make obs-smoke   end-to-end observability check: rsrd /metrics scrape +
 #                    rsr -metrics-out/-trace-out artifacts
@@ -32,6 +32,8 @@
 #                    and of ooo's per-cycle loops (no divide, no Duff copy)
 #   make bench-sweep sequential-vs-parallel sweep benchmark at small scale
 #   make loc         non-test Go lines per internal package and in total
+#   make results     regenerate the committed full-scale outputs
+#                    (results_*.txt, rsr-report.html); about 7 minutes
 #   make all         everything above
 #
 # The benchmark itself is `bash bench/run.sh --workload W` (one workload) or
@@ -40,7 +42,7 @@
 
 GO ?= go
 
-.PHONY: all build test verify chaos obs-smoke cluster-smoke trace-smoke shard-smoke recovery-smoke regimen-smoke bench-smoke stall-check bench-sweep loc
+.PHONY: all build test verify chaos obs-smoke cluster-smoke trace-smoke shard-smoke recovery-smoke regimen-smoke bench-smoke stall-check bench-sweep loc results
 
 all: build test verify chaos obs-smoke cluster-smoke trace-smoke shard-smoke recovery-smoke regimen-smoke bench-smoke stall-check
 
@@ -75,6 +77,7 @@ test: build
 # keeps its 60-minute timeout. The fuzz line compares RunBatch with Step on
 # generated programs for 20 s.
 verify:
+	@test -z "$$(gofmt -l .)" || { echo "gofmt -l:"; gofmt -l .; exit 1; }
 	$(GO) vet ./...
 	$(GO) test -race ./internal/obs/... ./internal/engine/... ./internal/sampling/... \
 		./internal/regimen/... ./internal/cluster/... ./internal/cas/... ./cmd/rsrd/...
@@ -123,7 +126,7 @@ recovery-smoke: build
 	./scripts/recovery-smoke.sh
 
 # shard-smoke proves the sharded cluster pipeline end to end with the real
-# CLI: the full warm-up sweep (every method, funcWarm included) run under
+# CLI: the full warm-up sweep (every method, forward and reverse) run under
 # the race detector at several shard counts must be byte-identical to the
 # sequential pipeline. scripts/shard-smoke.sh diffs the sweep tables.
 shard-smoke:
@@ -165,3 +168,15 @@ bench-sweep:
 loc:
 	@for d in internal/*; do printf '%-22s %6d\n' $$d $$(find $$d -name '*.go' -not -name '*_test.go' | xargs cat | wc -l); done; \
 	printf '%-22s %6d\n' 'internal cmd' $$(find internal cmd -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)
+
+# results regenerates the four committed outputs EXPERIMENTS.md quotes, at the
+# reference configuration (scale 1.0, seed 2007). Every column but the
+# wall-clock ones is deterministic, so after a change that claims byte
+# identity `git diff` of these files may show time columns only. Figure 7 is
+# also run alone at -parallel 1 -shards 1: per-run times no other job or shard
+# goroutine competed with, which is what its cost ordering is read from.
+results:
+	$(GO) run ./cmd/rsr all > results_reference.txt
+	$(GO) run ./cmd/rsr -parallel 1 -shards 1 fig7 > results_fig7_sequential.txt
+	$(GO) run ./cmd/rsr strategies > results_strategies.txt
+	$(GO) run ./cmd/rsr -out rsr-report.html report

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -340,6 +341,31 @@ func TestSubmitValidates(t *testing.T) {
 		if _, err := e.Submit(context.Background(), j); err == nil {
 			t.Errorf("job %+v: expected validation error", j)
 		}
+	}
+}
+
+// TestSubmitRefusesOutOfRangeWarmup closes the hole Job.Validate had: it never
+// looked at Warmup, so an FP (150%) job ran, warmed nothing, and was cached and
+// served under its hash as if the spec meant something. The error names the
+// field, since a raw JSON job reaches Submit through rsrc and rsrd.
+func TestSubmitRefusesOutOfRangeWarmup(t *testing.T) {
+	e := New(Options{Workers: 1})
+	defer e.Close()
+	for _, c := range []struct {
+		spec warmup.Spec
+		want string
+	}{
+		{warmup.Spec{Kind: warmup.KindFixed, Percent: 150, Cache: true, BPred: true}, "Percent"},
+		{warmup.Spec{Kind: warmup.KindReverse, Percent: -1, Cache: true, BPred: true}, "Percent"},
+		{warmup.Spec{Kind: warmup.Kind(7), Cache: true}, "Kind"},
+	} {
+		_, err := e.Submit(context.Background(), sampledJob("twolf", c.spec))
+		if err == nil || !strings.Contains(err.Error(), "Warmup") || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Submit(%+v) = %v, want a refusal naming Warmup and %s", c.spec, err, c.want)
+		}
+	}
+	if st := e.Stats(); st.CacheMisses+st.CacheHits+st.Coalesced != 0 {
+		t.Errorf("a refused job reached the cache or the queue: %+v", st)
 	}
 }
 

@@ -171,6 +171,9 @@ func (j Job) Validate() error {
 		if err := j.Regimen.Validate(j.Total); err != nil {
 			return err
 		}
+		if err := j.Warmup.Validate(); err != nil {
+			return fmt.Errorf("engine: job Warmup: %w", err)
+		}
 	}
 	return nil
 }

@@ -159,22 +159,13 @@ func (l *Lab) AblationBusContention() ([]BusAblationRow, error) {
 	uncontended := l.machine
 	uncontended.Hier.L1Bus.NoContention = true
 	uncontended.Hier.MemBus.NoContention = true
-
+	ipcs, err := l.trueIPCPairs(uncontended)
+	if err != nil {
+		return nil, err
+	}
 	var rows []BusAblationRow
-	for _, name := range l.cfg.workloadNames() {
-		full, err := l.Full(name)
-		if err != nil {
-			return nil, err
-		}
-		w, err := workload.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		free, err := sampling.RunFull(w.Build(), uncontended, l.cfg.Total())
-		if err != nil {
-			return nil, err
-		}
-		a, b := full.Result.IPC(), free.Result.IPC()
+	for i, name := range l.cfg.workloadNames() {
+		a, b := ipcs[i][0], ipcs[i][1]
 		rows = append(rows, BusAblationRow{
 			Workload:       name,
 			IPCContended:   a,
@@ -199,21 +190,13 @@ type PrefetchAblationRow struct {
 func (l *Lab) AblationPrefetch() ([]PrefetchAblationRow, error) {
 	pf := l.machine
 	pf.Hier.NextLinePrefetch = true
+	ipcs, err := l.trueIPCPairs(pf)
+	if err != nil {
+		return nil, err
+	}
 	var rows []PrefetchAblationRow
-	for _, name := range l.cfg.workloadNames() {
-		full, err := l.Full(name)
-		if err != nil {
-			return nil, err
-		}
-		w, err := workload.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		on, err := sampling.RunFull(w.Build(), pf, l.cfg.Total())
-		if err != nil {
-			return nil, err
-		}
-		a, b := full.Result.IPC(), on.Result.IPC()
+	for i, name := range l.cfg.workloadNames() {
+		a, b := ipcs[i][0], ipcs[i][1]
 		rows = append(rows, PrefetchAblationRow{
 			Workload:    name,
 			IPCBaseline: a,

@@ -204,15 +204,6 @@ func (l *Lab) Engine() *engine.Engine { return l.eng }
 // client). A Lab remains usable without ever being closed.
 func (l *Lab) Close() { l.run.Close() }
 
-// runJob submits one job and waits for its result.
-func (l *Lab) runJob(ctx context.Context, job engine.Job) (*engine.Result, error) {
-	w, err := l.run.Submit(ctx, job)
-	if err != nil {
-		return nil, err
-	}
-	return w.Wait(ctx)
-}
-
 // fullJob is the engine job computing a workload's true-IPC baseline.
 func (l *Lab) fullJob(name string) engine.Job {
 	return engine.Job{Kind: engine.JobFull, Workload: name, Machine: l.machine, Total: l.cfg.Total()}
@@ -235,11 +226,11 @@ func (l *Lab) sampledJob(name string, spec warmup.Spec) engine.Job {
 // Full returns (computing and caching on first use) the full detailed
 // simulation of a workload: the true IPC baseline.
 func (l *Lab) Full(name string) (sampling.FullResult, error) {
-	res, err := l.runJob(context.Background(), l.fullJob(name))
+	res, err := l.runAll([]engine.Job{l.fullJob(name)})
 	if err != nil {
-		return sampling.FullResult{}, fmt.Errorf("experiments: true IPC of %s: %w", name, err)
+		return sampling.FullResult{}, err
 	}
-	return *res.Full, nil
+	return *res[0].Full, nil
 }
 
 // Cell is one (workload, warm-up method) measurement.
@@ -259,62 +250,83 @@ type Cell struct {
 
 // Run executes one sampled simulation and scores it against the true IPC.
 func (l *Lab) Run(name string, spec warmup.Spec) (Cell, error) {
-	full, err := l.Full(name)
+	res, err := l.runAll([]engine.Job{l.fullJob(name), l.sampledJob(name, spec)})
 	if err != nil {
 		return Cell{}, err
 	}
-	res, err := l.runJob(context.Background(), l.sampledJob(name, spec))
-	if err != nil {
-		return Cell{}, fmt.Errorf("experiments: %s/%s: %w", name, spec.Label(), err)
+	return cellOf(name, res[0].Full.Result.IPC(), res[1].Sampled), nil
+}
+
+// runAll submits every job up front and returns the results in submission
+// order, so what is assembled from them is identical to a sequential run at
+// any worker count.
+func (l *Lab) runAll(jobs []engine.Job) ([]*engine.Result, error) {
+	ctx := context.Background()
+	tickets := make([]Waiter, len(jobs))
+	for i, job := range jobs {
+		t, err := l.run.Submit(ctx, job)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s: %w", job.Label(), err)
+		}
+		tickets[i] = t
 	}
-	return cellOf(name, full.Result.IPC(), res.Sampled), nil
+	results := make([]*engine.Result, len(jobs))
+	for i, t := range tickets {
+		res, err := t.Wait(ctx)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s: %w", jobs[i].Label(), err)
+		}
+		results[i] = res
+	}
+	return results, nil
 }
 
 // Matrix runs every (workload, spec) pair through the engine and returns
-// the cells ordered workload-major, spec-minor. Every job is submitted up
-// front and results are reassembled in submission order, so the output is
-// identical to a sequential run at any worker count.
+// the cells ordered workload-major, spec-minor. The true-IPC baselines go
+// first: they are the longest jobs.
 func (l *Lab) Matrix(specs []warmup.Spec) ([]Cell, error) {
-	ctx := context.Background()
 	names := l.cfg.workloadNames()
-
-	fulls := make([]Waiter, len(names))
-	for i, name := range names {
-		t, err := l.run.Submit(ctx, l.fullJob(name))
-		if err != nil {
-			return nil, fmt.Errorf("experiments: true IPC of %s: %w", name, err)
-		}
-		fulls[i] = t
+	jobs := make([]engine.Job, 0, len(names)*(1+len(specs)))
+	for _, name := range names {
+		jobs = append(jobs, l.fullJob(name))
 	}
-	tickets := make([]Waiter, 0, len(names)*len(specs))
 	for _, name := range names {
 		for _, spec := range specs {
-			t, err := l.run.Submit(ctx, l.sampledJob(name, spec))
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %s/%s: %w", name, spec.Label(), err)
-			}
-			tickets = append(tickets, t)
+			jobs = append(jobs, l.sampledJob(name, spec))
 		}
 	}
-
-	trueIPC := make(map[string]float64, len(names))
-	for i, name := range names {
-		res, err := fulls[i].Wait(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: true IPC of %s: %w", name, err)
-		}
-		trueIPC[name] = res.Full.Result.IPC()
+	results, err := l.runAll(jobs)
+	if err != nil {
+		return nil, err
 	}
-	cells := make([]Cell, len(tickets))
-	for i, t := range tickets {
-		name, spec := names[i/len(specs)], specs[i%len(specs)]
-		res, err := t.Wait(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s/%s: %w", name, spec.Label(), err)
-		}
-		cells[i] = cellOf(name, trueIPC[name], res.Sampled)
+	cells := make([]Cell, len(names)*len(specs))
+	for i := range cells {
+		w := i / len(specs)
+		cells[i] = cellOf(names[w], results[w].Full.Result.IPC(), results[len(names)+i].Sampled)
 	}
 	return cells, nil
+}
+
+// trueIPCPairs returns every workload's true IPC on the lab's machine and on
+// variant, as jobs like any other: the lab's parallelism, cache directory and
+// cluster apply, and the baseline half is the job every figure shares.
+func (l *Lab) trueIPCPairs(variant sampling.MachineConfig) ([][2]float64, error) {
+	names := l.cfg.workloadNames()
+	jobs := make([]engine.Job, 0, 2*len(names))
+	for _, name := range names {
+		alt := l.fullJob(name)
+		alt.Machine = variant
+		jobs = append(jobs, l.fullJob(name), alt)
+	}
+	results, err := l.runAll(jobs)
+	if err != nil {
+		return nil, err
+	}
+	pairs := make([][2]float64, len(names))
+	for i := range pairs {
+		pairs[i] = [2]float64{results[2*i].Full.Result.IPC(), results[2*i+1].Full.Result.IPC()}
+	}
+	return pairs, nil
 }
 
 // AverageByMethod reduces cells to per-method means of relative error and

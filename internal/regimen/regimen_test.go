@@ -306,6 +306,19 @@ func TestMeasureRejectsOverlap(t *testing.T) {
 	}
 }
 
+// TestRunRefusesOutOfRangeWarmup: Params.Warmup comes from the caller, and an
+// FP (150%) spec used to run as None while R$BP (150%) ran as 100%. Every
+// strategy's Run refuses it, naming the field.
+func TestRunRefusesOutOfRangeWarmup(t *testing.T) {
+	p := testParams(t, "parser")
+	p.Warmup = warmup.Spec{Kind: warmup.KindFixed, Percent: 150, Cache: true, BPred: true}
+	for _, s := range All() {
+		if out, err := s.Run(p); err == nil || out != nil || !strings.Contains(err.Error(), "Percent") {
+			t.Errorf("%s: Run = %v, %v; want a refusal naming Percent", s.Name(), out, err)
+		}
+	}
+}
+
 // TestWeightedIPCZeroRetirementSafe: the workload halts exactly at the end
 // of interval 0, so interval 1 retires nothing. Its weight must drop out of
 // the estimate instead of dragging the weighted IPC toward zero.

@@ -142,8 +142,8 @@ type runObs struct {
 	// Parallel-pipeline accounting. parallel is set once by runParallel via
 	// setParallel; the sequential path leaves it false so the stage counters
 	// stay absent (not zero) when no parallel run ever happened.
-	parallel bool
-	waitDur  *obs.Histogram
+	parallel                                          bool
+	waitDur                                           *obs.Histogram
 	pipeColdP, pipeSeal, pipeWait, pipeAdopt, pipeSim *obs.Counter
 
 	prevWork warmup.Work

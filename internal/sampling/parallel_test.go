@@ -132,6 +132,36 @@ func TestParallelWindowedIdentical(t *testing.T) {
 	}
 }
 
+// TestWindowEndsIdentical runs the two ends of the forward method's axis
+// through the whole controller: S$BP is FP at 100% and None is FP at 0%, in
+// every cluster statistic and work counter, in place and through the sharded
+// feed's capture → adopt path at Shards 2 and 3. Only the name differs.
+func TestWindowEndsIdentical(t *testing.T) {
+	w, err := workload.ByName("twolf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := w.Build()
+	reg := Regimen{ClusterSize: 2000, NumClusters: 10}
+	for _, pair := range [][2]warmup.Spec{
+		{{Kind: warmup.KindSMARTS, Cache: true, BPred: true}, {Kind: warmup.KindFixed, Percent: 100, Cache: true, BPred: true}},
+		{{Kind: warmup.KindNone}, {Kind: warmup.KindFixed, Percent: 0, Cache: true, BPred: true}},
+	} {
+		for _, shards := range []int{0, 2, 3} {
+			var res [2]*RunResult
+			for i, spec := range pair {
+				if res[i], err = RunSampledOpts(p, DefaultMachine(), reg, 400_000, 2007, spec, Options{Shards: shards}); err != nil {
+					t.Fatalf("%s shards=%d: %v", spec.Label(), shards, err)
+				}
+				normalize(res[i]).Method = ""
+			}
+			if !reflect.DeepEqual(res[0], res[1]) {
+				t.Errorf("shards=%d: %s differs from %s", shards, pair[0].Label(), pair[1].Label())
+			}
+		}
+	}
+}
+
 // unsealedMethod wraps a method so that its captures' Seal does nothing: the
 // RegionCapture contract makes Seal optional, and an unsealed capture leaves
 // the reverse scans to the consumer's EndSkip.

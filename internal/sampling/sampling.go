@@ -165,7 +165,7 @@ func (r *RunResult) ConfidenceContains(trueIPC float64) bool {
 // same cluster positions (and therefore the same sampling bias) for every
 // method, as the paper's methodology requires.
 func RunSampled(p *prog.Program, m MachineConfig, reg Regimen, total uint64, seed int64, spec warmup.Spec) (*RunResult, error) {
-	return runSampled(p, m, reg, total, seed, spec.New, Options{})
+	return RunSampledOpts(p, m, reg, total, seed, spec, Options{})
 }
 
 // ErrCanceled is returned when a run is stopped through Options.Cancel
@@ -229,8 +229,12 @@ func (o Options) canceled() bool {
 	}
 }
 
-// RunSampledOpts is RunSampled with controller options.
+// RunSampledOpts is RunSampled with controller options. The spec is the
+// caller's, so it is checked here: out of range, Percent would wrap or clamp.
 func RunSampledOpts(p *prog.Program, m MachineConfig, reg Regimen, total uint64, seed int64, spec warmup.Spec, opts Options) (*RunResult, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, fmt.Errorf("sampling: %w", err)
+	}
 	return runSampled(p, m, reg, total, seed, spec.New, opts)
 }
 

@@ -91,6 +91,28 @@ func TestRunRegionsRejectsBadRegions(t *testing.T) {
 	}
 }
 
+// TestRunSampledRefusesOutOfRangeWarmup: the spec is the caller's (rsr.RunSampled
+// passes it straight through), and out of range it used to mean two things —
+// FP (150%) warmed nothing, R$BP (150%) everything. Both entry points refuse it.
+func TestRunSampledRefusesOutOfRangeWarmup(t *testing.T) {
+	p, reg := syntheticWorkload(), Regimen{ClusterSize: 500, NumClusters: 4}
+	for _, c := range []struct {
+		spec warmup.Spec
+		want string
+	}{
+		{warmup.Spec{Kind: warmup.KindFixed, Percent: 150, Cache: true, BPred: true}, "Percent"},
+		{warmup.Spec{Kind: warmup.KindReverse, Percent: -1, Cache: true}, "Percent"},
+		{warmup.Spec{Kind: warmup.Kind(7)}, "Kind"},
+	} {
+		if res, err := RunSampled(p, DefaultMachine(), reg, 40_000, 1, c.spec); err == nil || res != nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("RunSampled(%+v) = %v, %v; want a refusal naming %s", c.spec, res, err, c.want)
+		}
+		if res, err := RunSampledOpts(p, DefaultMachine(), reg, 40_000, 1, c.spec, Options{Shards: 2}); err == nil || res != nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("RunSampledOpts(%+v) = %v, %v; want a refusal naming %s", c.spec, res, err, c.want)
+		}
+	}
+}
+
 // sizedMethod records what the walker announced as the longest cold phase and
 // the longest one it then began, plus whether any came before the announcement.
 type sizedMethod struct {

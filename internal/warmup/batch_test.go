@@ -9,6 +9,7 @@ import (
 	"rsr/internal/bpred"
 	"rsr/internal/funcsim"
 	"rsr/internal/isa"
+	"rsr/internal/mem"
 	"rsr/internal/prog"
 	"rsr/internal/trace"
 )
@@ -456,5 +457,69 @@ func TestMemRecordRoundTrip(t *testing.T) {
 		if batched.Work().LoggedRecords-scalar.Work().LoggedRecords != 0 && chunk == 1 {
 			t.Fatalf("logged %d records, scalar %d", batched.Work().LoggedRecords, scalar.Work().LoggedRecords)
 		}
+	}
+}
+
+// sameAsWindow asserts that spec leaves exactly what an FP method of the given
+// percentage does — hierarchy fingerprints and state, predictor state, Work —
+// observing regions in place, and through capture → seal → adopt with one
+// (a two-shard pipeline's run-ahead) and two (three shards') further captures
+// already fed while a region is adopted.
+func sameAsWindow(t *testing.T, spec Spec, percent int) {
+	t.Helper()
+	recs := genRecords(t, 30_000)
+	var regions [][]trace.DynInst
+	for o := 0; o < len(recs); o += 6000 {
+		regions = append(regions, recs[o:o+6000])
+	}
+	fp := Spec{Kind: KindFixed, Percent: percent, Cache: true, BPred: true}
+	drive := func(s Spec, ahead int) (st machineState, prints [3]uint64) {
+		h, u := testEnv()
+		m := s.New(h, u)
+		if _, ok := m.(*forward); !ok {
+			t.Fatalf("%s builds a %T", s.Label(), m)
+		}
+		var ready []RegionCapture
+		for i, reg := range regions {
+			if ahead == 0 {
+				feedBatched(m, reg, funcsim.BatchSize)
+				continue
+			}
+			for next := i + len(ready); next < len(regions) && len(ready) <= ahead; next++ {
+				ready = append(ready, feedCapture(m, next, regions[next], true))
+			}
+			m.BeginSkip(uint64(len(reg)))
+			m.AdoptRegion(ready[0])
+			ready = ready[1:]
+			m.EndSkip()
+		}
+		st.work, st.hier, st.pred = m.Work(), h.State(), u.State()
+		return st, [3]uint64{mem.Fingerprint(h.L1I), mem.Fingerprint(h.L1D), mem.Fingerprint(h.L2)}
+	}
+	for _, ahead := range []int{0, 1, 2} {
+		got, gotPrints := drive(spec, ahead)
+		want, wantPrints := drive(fp, ahead)
+		if gotPrints != wantPrints || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s with %d captures ahead: state differs from %s", spec.Label(), ahead, fp.Label())
+		}
+		if inPlace, _ := drive(spec, 0); !reflect.DeepEqual(got, inPlace) {
+			t.Errorf("%s with %d captures ahead: state differs from in-place observation", spec.Label(), ahead)
+		}
+	}
+}
+
+// TestSMARTSIsFullWindow and TestNoneIsEmptyWindow pin the two ends of the
+// forward method's one axis: SMARTS is fixed-period warming at 100%, None at 0%.
+func TestSMARTSIsFullWindow(t *testing.T) {
+	sameAsWindow(t, Spec{Kind: KindSMARTS, Cache: true, BPred: true}, 100)
+}
+
+func TestNoneIsEmptyWindow(t *testing.T) {
+	sameAsWindow(t, Spec{Kind: KindNone}, 0)
+	h, u := testEnv()
+	m := Spec{Kind: KindFixed, Percent: 0, Cache: true, BPred: true}.New(h, u)
+	feedBatched(m, genRecords(t, 5000), funcsim.BatchSize)
+	if h.TotalUpdates() != 0 || u.Updates() != 0 || m.Work() != (Work{}) {
+		t.Fatal("an empty window touched state")
 	}
 }

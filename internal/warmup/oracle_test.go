@@ -16,17 +16,9 @@ import (
 // observeScalar shows m one skipped instruction.
 func observeScalar(m Method, d *trace.DynInst) {
 	switch m := m.(type) {
-	case *none:
-	case *smarts:
-		m.applyScalar(d)
-	case *fixedPeriod:
-		m.seen++
-		if m.seen > m.threshold {
-			m.applyScalar(d)
-		}
-	case *windowed:
-		m.seen++
-		if m.seen > m.threshold {
+	case *forward:
+		m.cur.seen++
+		if m.cur.seen > m.cur.threshold {
 			m.applyScalar(d)
 		}
 	case *reverse:
@@ -47,9 +39,9 @@ func (t *lineTracker) crossed(pc uint64) bool {
 }
 
 // applyScalar functionally warms with one instruction.
-func (f *funcWarm) applyScalar(d *trace.DynInst) {
-	if f.cache {
-		if f.lines.crossed(d.PC) {
+func (f *forward) applyScalar(d *trace.DynInst) {
+	if f.pool.cache {
+		if f.cur.lines.crossed(d.PC) {
 			f.h.WarmInst(d.PC)
 			f.work.WarmOps++
 		}
@@ -58,7 +50,7 @@ func (f *funcWarm) applyScalar(d *trace.DynInst) {
 			f.work.WarmOps++
 		}
 	}
-	if f.bp && d.IsBranch() {
+	if f.pool.bp && d.IsBranch() {
 		f.u.Update(branchRecordOf(d))
 		f.work.WarmOps++
 	}

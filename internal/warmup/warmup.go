@@ -1,10 +1,11 @@
-// Package warmup implements the paper's warm-up policies (Table 2): no
-// warm-up, fixed-period functional warming, SMARTS full-functional warming
-// (cache-only, predictor-only, or both), and Reverse State Reconstruction
-// (cache-only, predictor-only, or both, at a warm-up percentage). Every
-// method plugs into the sampling controller through the Method interface and
-// reports the work it performed, the machine-independent cost metric used by
-// the experiment harness.
+// Package warmup implements the paper's warm-up policies (Table 2): a grid of
+// direction by window, with one type per direction. forward applies each skip
+// region's trailing window to the caches and predictor as it is observed: 0%
+// of the region is None, p% fixed-period warming (FP), 100% SMARTS (S$, SBP,
+// S$BP), a profiled length per region MRRL/BLRL (§2, NewWindowed). reverse
+// logs the region and scans the newest p% of the log backwards at its end (R$,
+// RBP, R$BP): Reverse State Reconstruction. Both report the work they do, the
+// machine-independent cost metric used by the experiment harness.
 package warmup
 
 import (
@@ -18,27 +19,33 @@ import (
 	"rsr/internal/trace"
 )
 
-// Method is one warm-up policy attached to a sampled run. The region walker
-// (sampling.RunRegions) calls BeginSkip when a skip region starts,
-// ObserveSkipBatch for every batch of skipped dynamic instructions, and
-// EndSkip immediately before the next cluster; the timing model then probes
-// Predictor() during hot execution.
+// Method is one warm-up policy attached to a sampled run; forward and reverse
+// are its two implementations. The region walker (sampling.RunRegions) calls
+// BeginSkip when a skip region starts, ObserveSkipBatch for every batch of
+// skipped dynamic instructions, and EndSkip immediately before the next
+// cluster; the timing model then probes Predictor() during hot execution.
 //
 // ObserveSkipBatch is the only way a method sees instructions. How a region
 // is split into batches must not matter: any split leaves the method in the
 // state that observing the region one instruction at a time would, which
 // TestBatchScalarEquivalence pins against a per-instruction oracle kept in
-// the tests. Implementations here hoist policy checks out of the loop and
-// flatten line tracking and log appends.
+// the tests.
 //
 // Every method also supports region captures (NewRegionCapture/AdoptRegion),
 // the contract the walker's sharded feed builds on: a region's skip
 // observation runs on a producer goroutine against a private capture, and
-// the walker adopts captures in strict cluster order. Methods that log
-// (reverse) capture the log directly; methods that functionally warm shared
-// state (SMARTS, fixed-period, windowed) capture the would-be warming
-// references and AdoptRegion replays them in order, so no method ever falls
-// back to sequential execution under sharding.
+// the walker adopts captures in strict cluster order. A capture logs what its
+// method's window lets through — all of the region for reverse — and
+// AdoptRegion replays the log in order (forward) or keeps it, or the plans
+// Seal made of it, for EndSkip (reverse), so no method falls back to
+// sequential execution under sharding.
+//
+// forward therefore has two ingestion kernels: in place it applies a batch
+// straight to the machine, captured it logs and replays. Observing in place
+// through a capture too would leave one, and was measured (docs/runs/PR-25.md):
+// est_s.smarts / est_s.none on skip-heavy went from 1.51-1.54 to 1.60-1.64,
+// slowing the baseline every speedup is quoted against. Shards picks the
+// kernel, not an option, and the benchmark has a workload on each side.
 //
 // Captures are recycled: a method keeps a free list for the run, and
 // NewRegionCapture draws from it. AdoptRegion hands the capture back to the
@@ -194,18 +201,38 @@ func structSuffix(cache, bp bool) string {
 	return ""
 }
 
-// New instantiates the method over the run's shared hierarchy and predictor.
-func (s Spec) New(h *mem.Hierarchy, u *bpred.Unit) Method {
+// Validate rejects a spec no method can honour: an unknown Kind, or a Percent
+// outside 0..100 on a kind that reads it. Call it wherever a Spec arrives
+// from outside the program; New trusts its receiver.
+func (s Spec) Validate() error {
 	switch s.Kind {
-	case KindFixed:
-		return &fixedPeriod{tailWarm: tailWarm{funcWarm: newFuncWarm(h, u, s)}, percent: s.Percent}
-	case KindSMARTS:
-		return &smarts{funcWarm: newFuncWarm(h, u, s)}
+	case KindNone, KindSMARTS:
+		return nil
+	case KindFixed, KindReverse:
+		if s.Percent < 0 || s.Percent > 100 {
+			return fmt.Errorf("warmup: %s: Percent %d outside 0..100", s.Label(), s.Percent)
+		}
+		return nil
+	}
+	return fmt.Errorf("warmup: unknown Kind %d", s.Kind)
+}
+
+// New instantiates the method over the run's shared hierarchy and predictor.
+// The forward kinds differ only in their window: None's is 0% of the region,
+// FP's Percent, SMARTS's 100.
+func (s Spec) New(h *mem.Hierarchy, u *bpred.Unit) Method {
+	var percent uint64
+	switch s.Kind {
 	case KindReverse:
 		return newReverse(h, u, s)
-	default:
-		return &none{u: u}
+	case KindFixed:
+		percent = uint64(s.Percent)
+	case KindSMARTS:
+		percent = 100
 	}
+	return newForward(h, u, s.Cache, s.BPred, s.Label(), func(_ int, expectedLen uint64) uint64 {
+		return expectedLen * percent / 100
+	})
 }
 
 // Matrix returns the paper's Table 2 experiment matrix in reporting order.
@@ -250,10 +277,6 @@ type lineTracker struct {
 	have     bool
 }
 
-func newLineTracker(lineBytes int) lineTracker {
-	return lineTracker{lineMask: ^uint64(lineBytes - 1)}
-}
-
 func (t *lineTracker) reset() { t.have = false }
 
 // branchRecordOf converts a committed control transfer to its log record.
@@ -261,121 +284,19 @@ func branchRecordOf(d *trace.DynInst) trace.BranchRecord {
 	return trace.BranchRecord{PC: d.PC, NextPC: d.NextPC, Taken: d.Taken, Class: d.Op.Class()}
 }
 
-// --- None ---
-
-type none struct{ u *bpred.Unit }
-
-func (n *none) Name() string                     { return "None" }
-func (n *none) BeginSkip(uint64)                 {}
-func (n *none) ObserveSkipBatch([]trace.DynInst) {}
-func (n *none) EndSkip()                         {}
-func (n *none) Predictor() bpred.Predictor       { return n.u }
-func (n *none) Work() Work                       { return Work{} }
-
-// noneCapture is the trivial region capture: None observes nothing, so the
-// capture is stateless and a single value serves every region.
-type noneCapture struct{}
-
-func (noneCapture) ObserveSkipBatch([]trace.DynInst) {}
-func (noneCapture) Seal()                            {}
-
-func (n *none) NewRegionCapture(int, uint64) RegionCapture { return noneCapture{} }
-func (n *none) AdoptRegion(RegionCapture)                  {}
-
-// --- shared functional-warming machinery (SMARTS, fixed-period, windowed) ---
-
-type funcWarm struct {
-	h     *mem.Hierarchy
-	u     *bpred.Unit
-	cache bool
-	bp    bool
-	label string
-	lines lineTracker
-	work  Work
-	// pool is the run's capture free list. NewRegionCapture reads only it
-	// from concurrent producer goroutines — never the mutable lines tracker,
-	// which advances on the consumer.
-	pool *capturePool
-}
-
-// newFuncWarm builds the shared functional-warming state with the line
-// tracker initialized up front (as newReverse does).
-func newFuncWarm(h *mem.Hierarchy, u *bpred.Unit, s Spec) funcWarm {
-	lt := newLineTracker(h.Config().L1I.LineBytes)
-	return funcWarm{h: h, u: u, cache: s.Cache, bp: s.BPred, label: s.Label(),
-		lines: lt, pool: newCapturePool(s.Cache, s.BPred, lt.lineMask, nil)}
-}
-
-// The functional-warming family warms as it observes, so EndSkip has nothing
-// left to do and the timing model probes the unit itself.
-func (f *funcWarm) Name() string               { return f.label }
-func (f *funcWarm) EndSkip()                   {}
-func (f *funcWarm) Predictor() bpred.Predictor { return f.u }
-func (f *funcWarm) Work() Work                 { return f.work }
-
-// applyBatch functionally warms with a batch: every instruction-fetch line
-// crossing and memory access goes to the hierarchy, every control transfer
-// to the predictor, one WarmOp each. The cache/bpred policy checks are
-// hoisted out of the loop and the line tracker runs on locals, written back
-// once per batch. Cache and predictor state are independent structures, so
-// two passes leave the state and work counts a per-record interleaving would.
-func (f *funcWarm) applyBatch(ds []trace.DynInst) {
-	if f.cache {
-		mask, last, have := f.lines.lineMask, f.lines.last, f.lines.have
-		var ops uint64
-		for i := range ds {
-			d := &ds[i]
-			if line := d.PC & mask; !have || line != last {
-				f.h.WarmInst(d.PC)
-				ops++
-				last, have = line, true
-			}
-			if d.Op.IsMem() {
-				f.h.WarmData(d.EffAddr, d.Op.Class() == isa.ClassStore)
-				ops++
-			}
-		}
-		f.lines.last, f.lines.have = last, have
-		f.work.WarmOps += ops
-	}
-	if f.bp {
-		var ops uint64
-		for i := range ds {
-			d := &ds[i]
-			if d.Op.IsControl() {
-				f.u.Update(branchRecordOf(d))
-				ops++
-			}
-		}
-		f.work.WarmOps += ops
-	}
-}
-
-// tail returns the suffix of ds past the warming threshold, advancing *seen:
-// the shared batch form of the "apply once seen exceeds threshold" rule of
-// the fixed-period and profiled-window methods.
-func tail(seen *uint64, threshold uint64, ds []trace.DynInst) []trace.DynInst {
-	s := *seen
-	*seen = s + uint64(len(ds))
-	if s >= threshold {
-		return ds
-	}
-	if skip := threshold - s; skip < uint64(len(ds)) {
-		return ds[skip:]
-	}
-	return nil
-}
-
-// regionCapture is every method's region capture: a private skip log and line
-// tracker fed by the same appendSkipRecords kernel as in-place observation,
-// which is what makes a capture's log byte-identical to direct observation by
-// construction.
+// regionCapture is one skip region as a method holds it — each method's
+// current region (cur) and every capture NewRegionCapture hands out: the
+// window's threshold, how much of the region has gone by, the line tracker
+// and, where the region is logged, a private skip log. appendSkipRecords is
+// the only kernel that fills one, which is what makes a capture's log
+// byte-identical to in-place logging by construction.
 //
-// The functional-warming family logs exactly the references the method would
-// have applied — the post-threshold suffix, instruction fetches collapsed per
-// line — and AdoptRegion replays that log against the shared state in order;
-// one log record is one functional application, so the capture's record count
-// is the region's WarmOps delta. The reverse method logs the whole region
+// A forward capture logs exactly the references the method would have applied
+// — the window's, instruction fetches collapsed per line — and AdoptRegion
+// replays that log against the shared state in order; one log record is one
+// functional application, so the capture's record count is the region's
+// WarmOps delta. (forward's own cur logs nothing: in place the window goes
+// straight to the machine.) The reverse method logs the whole region
 // (threshold 0) and Seal runs the backward scans over the private log,
 // materializing the cache and predictor warm-apply plans that shrink the
 // consumer's EndSkip to O(applied) work.
@@ -388,7 +309,7 @@ func tail(seen *uint64, threshold uint64, ds []trace.DynInst) []trace.DynInst {
 // one log per producer instead of one per region in flight.
 type regionCapture struct {
 	pool      *capturePool
-	threshold uint64 // instructions of the region to pass over before logging
+	threshold uint64 // instructions of the region that pass before its window opens
 	seen      uint64
 	log       trace.SkipLog
 	lines     lineTracker
@@ -409,8 +330,20 @@ type regionCapture struct {
 	predPlan  core.PredReconPlan
 }
 
+// tail returns the part of ds inside the region's window — past threshold —
+// and counts all of ds as seen: the batch form of "apply once seen exceeds
+// threshold".
+func (c *regionCapture) tail(ds []trace.DynInst) []trace.DynInst {
+	s := c.seen
+	c.seen = s + uint64(len(ds))
+	if s >= c.threshold {
+		return ds
+	}
+	return ds[min(c.threshold-s, uint64(len(ds))):]
+}
+
 func (c *regionCapture) ObserveSkipBatch(ds []trace.DynInst) {
-	if warm := tail(&c.seen, c.threshold, ds); len(warm) > 0 {
+	if warm := c.tail(ds); len(warm) > 0 {
 		if !c.fitted {
 			c.pool.fit(c)
 		}
@@ -421,10 +354,10 @@ func (c *regionCapture) ObserveSkipBatch(ds []trace.DynInst) {
 // Seal moves the reverse scans producer-side: the apply/skip decisions of
 // both reconstruction passes are pure functions of the captured log (plus,
 // for the predictor, a stale GHR prefix the plan carries as fixups), so the
-// plans are exact and EndSkip only replays their mutating subset. For the
-// functional-warming family there is no scan to materialize — the log already
-// is the warm-apply plan. Either way the pool learns the region's record
-// density here, regions before the consumer sees it.
+// plans are exact and EndSkip only replays their mutating subset. A forward
+// capture has no scan to materialize — the log already is the warm-apply
+// plan. Either way the pool learns the region's record density here, regions
+// before the consumer sees it.
 func (c *regionCapture) Seal() {
 	p := c.pool
 	p.mu.Lock()
@@ -486,7 +419,7 @@ type reconConfig struct {
 type capturePool struct {
 	cache, bp bool
 	lineMask  uint64       // L1I line mask
-	recon     *reconConfig // nil for the functional-warming family
+	recon     *reconConfig // nil for the forward method
 
 	mu       sync.Mutex
 	free     []*regionCapture
@@ -508,8 +441,8 @@ const (
 	initialBrPerK  = 150
 )
 
-func newCapturePool(cache, bp bool, lineMask uint64, recon *reconConfig) *capturePool {
-	return &capturePool{cache: cache, bp: bp, lineMask: lineMask, recon: recon}
+func newCapturePool(cache, bp bool, h *mem.Hierarchy, recon *reconConfig) *capturePool {
+	return &capturePool{cache: cache, bp: bp, lineMask: ^uint64(h.Config().L1I.LineBytes - 1), recon: recon}
 }
 
 // noteDensity records the density of the region c holds. Caller holds mu.
@@ -588,15 +521,121 @@ func (p *capturePool) put(c *regionCapture) {
 	p.mu.Unlock()
 }
 
-// adoptCapture replays a captured region's warming references against the
-// shared machine in captured order. Cache and predictor state are
-// independent structures (the applyBatch argument), so the two-pass replay
-// leaves exactly the state direct per-batch observation would, and the line
-// tracker is restored to the capture's final state just as direct
-// observation would leave it. Nothing reads the capture afterwards, so it
-// goes straight back to the free list.
-func (f *funcWarm) adoptCapture(c *regionCapture) {
-	if f.cache {
+// --- Forward: apply each region's trailing window as it is observed ---
+
+// forward is Table 2's left half and §2's profiled-window methods in one
+// type: window is its only policy. Like reverse it holds the current region in
+// cur, of which it uses the threshold, the count seen and the line tracker.
+type forward struct {
+	h     *mem.Hierarchy
+	u     *bpred.Unit
+	label string
+	// window is how many trailing instructions of a region are applied; more
+	// than expectedLen means all of it. It and pool, the run's capture free
+	// list, are all NewRegionCapture reads from concurrent producer
+	// goroutines, and window reads nothing mutable.
+	window func(region int, expectedLen uint64) uint64
+	pool   *capturePool
+	region int // the region BeginSkip opens next
+	cur    *regionCapture
+	work   Work
+}
+
+func newForward(h *mem.Hierarchy, u *bpred.Unit, cache, bp bool, label string, window func(int, uint64) uint64) *forward {
+	pool := newCapturePool(cache, bp, h, nil)
+	return &forward{h: h, u: u, label: label, window: window, pool: pool, cur: pool.prepare(nil, 0, 0)}
+}
+
+// NewWindowed builds an MRRL/BLRL-style method (§2) over per-region warm
+// windows, in instructions before each cluster: whatever a reuse-latency
+// profiling pass says covers the chosen percentile for that cluster /
+// pre-cluster pair, and nothing past the end of the list. The windows pin the
+// cluster locations they were profiled with.
+func NewWindowed(label string, h *mem.Hierarchy, u *bpred.Unit, windows []uint64) Method {
+	return newForward(h, u, true, true, label, func(region int, _ uint64) uint64 {
+		if region >= len(windows) {
+			return 0
+		}
+		return windows[region]
+	})
+}
+
+// The forward method warms as it observes, so EndSkip has nothing left to do
+// and the timing model probes the unit itself.
+func (f *forward) Name() string               { return f.label }
+func (f *forward) EndSkip()                   {}
+func (f *forward) Predictor() bpred.Predictor { return f.u }
+func (f *forward) Work() Work                 { return f.work }
+
+// thresholdFor is how much of the region passes before its window opens.
+func (f *forward) thresholdFor(region int, expectedLen uint64) uint64 {
+	return expectedLen - min(f.window(region, expectedLen), expectedLen)
+}
+
+func (f *forward) BeginSkip(expectedLen uint64) {
+	c := f.cur
+	c.threshold, c.seen = f.thresholdFor(f.region, expectedLen), 0
+	c.lines.reset()
+	f.region++
+}
+
+// ObserveSkipBatch is the in-place kernel: every instruction-fetch line
+// crossing and memory access in the window goes to the hierarchy, every
+// control transfer to the predictor, one WarmOp each. The policy checks are
+// hoisted out of the loops and the line tracker runs on locals. Cache and
+// predictor state are independent structures, so two passes leave the state
+// and work counts a per-record interleaving would.
+func (f *forward) ObserveSkipBatch(ds []trace.DynInst) {
+	ds = f.cur.tail(ds)
+	if len(ds) == 0 {
+		return
+	}
+	if f.pool.cache {
+		lines := &f.cur.lines
+		mask, last, have := lines.lineMask, lines.last, lines.have
+		var ops uint64
+		for i := range ds {
+			d := &ds[i]
+			if line := d.PC & mask; !have || line != last {
+				f.h.WarmInst(d.PC)
+				ops++
+				last, have = line, true
+			}
+			if d.Op.IsMem() {
+				f.h.WarmData(d.EffAddr, d.Op.Class() == isa.ClassStore)
+				ops++
+			}
+		}
+		lines.last, lines.have = last, have
+		f.work.WarmOps += ops
+	}
+	if f.pool.bp {
+		var ops uint64
+		for i := range ds {
+			d := &ds[i]
+			if d.Op.IsControl() {
+				f.u.Update(branchRecordOf(d))
+				ops++
+			}
+		}
+		f.work.WarmOps += ops
+	}
+}
+
+// NewRegionCapture takes the window of the explicit region index: producers
+// run regions out of order, so the method's own cursor — advanced by the
+// consumer's BeginSkip — cannot be used.
+func (f *forward) NewRegionCapture(region int, expectedLen uint64) RegionCapture {
+	return f.pool.prepare(nil, f.thresholdFor(region, expectedLen), expectedLen)
+}
+
+// AdoptRegion is the capture kernel's second half: it replays the captured
+// window against the shared machine in captured order — two passes, as above —
+// and leaves cur where observing the region in place would have. Nothing
+// reads the capture afterwards, so it goes straight back to the free list.
+func (f *forward) AdoptRegion(rc RegionCapture) {
+	c := rc.(*regionCapture)
+	if f.pool.cache {
 		for i := range c.log.Mem {
 			r := &c.log.Mem[i]
 			if r.IsInstr {
@@ -605,116 +644,15 @@ func (f *funcWarm) adoptCapture(c *regionCapture) {
 				f.h.WarmData(r.Addr, r.IsStore)
 			}
 		}
-		f.lines.last, f.lines.have = c.lines.last, c.lines.have
 	}
-	if f.bp {
+	if f.pool.bp {
 		for i := range c.log.Branches {
 			f.u.Update(c.log.Branches[i])
 		}
 	}
+	f.cur.seen, f.cur.lines = c.seen, c.lines
 	f.work.WarmOps += c.logged
 	f.pool.put(c)
-}
-
-// --- SMARTS: full functional warming of the whole skip region ---
-
-type smarts struct{ funcWarm }
-
-func (s *smarts) BeginSkip(uint64)                    { s.lines.reset() }
-func (s *smarts) ObserveSkipBatch(ds []trace.DynInst) { s.applyBatch(ds) }
-
-// NewRegionCapture captures the whole region (threshold 0): SMARTS warms
-// every skipped instruction.
-func (s *smarts) NewRegionCapture(_ int, expectedLen uint64) RegionCapture {
-	return s.pool.prepare(nil, 0, expectedLen)
-}
-func (s *smarts) AdoptRegion(c RegionCapture) { s.adoptCapture(c.(*regionCapture)) }
-
-// --- Tail warming: functional warming of the end of each region only ---
-
-// tailWarm warms with what a region holds past threshold, which the method
-// embedding it sets per region.
-type tailWarm struct {
-	funcWarm
-	seen      uint64
-	threshold uint64
-}
-
-func (t *tailWarm) begin(threshold uint64) {
-	t.lines.reset()
-	t.seen, t.threshold = 0, threshold
-}
-
-func (t *tailWarm) ObserveSkipBatch(ds []trace.DynInst) {
-	if warm := tail(&t.seen, t.threshold, ds); len(warm) > 0 {
-		t.applyBatch(warm)
-	}
-}
-
-func (t *tailWarm) AdoptRegion(c RegionCapture) {
-	cc := c.(*regionCapture)
-	t.seen = cc.seen
-	t.adoptCapture(cc)
-}
-
-// fixedPeriod warms the trailing percent of every region.
-type fixedPeriod struct {
-	tailWarm
-	percent int
-}
-
-// thresholdFor is how much of a region passes before warming starts.
-func (f *fixedPeriod) thresholdFor(expectedLen uint64) uint64 {
-	return expectedLen - expectedLen*uint64(f.percent)/100
-}
-
-func (f *fixedPeriod) BeginSkip(expectedLen uint64) { f.begin(f.thresholdFor(expectedLen)) }
-
-func (f *fixedPeriod) NewRegionCapture(_ int, expectedLen uint64) RegionCapture {
-	return f.pool.prepare(nil, f.thresholdFor(expectedLen), expectedLen)
-}
-
-// windowed functionally warms the trailing window of each skip region, with
-// per-region window lengths computed by a reuse-latency profiling pass (the
-// MRRL and BLRL methods of §2). Unlike fixed-period warming the window is
-// not a fixed percentage: it is whatever the profile says covers the chosen
-// percentile of reuse latencies for that specific cluster / pre-cluster
-// pair. The windows pin the cluster locations they were profiled with.
-type windowed struct {
-	tailWarm
-	windows []uint64
-	region  int
-}
-
-// NewWindowed builds an MRRL/BLRL-style method over precomputed per-region
-// warm windows (in instructions before each cluster).
-func NewWindowed(label string, h *mem.Hierarchy, u *bpred.Unit, windows []uint64) Method {
-	fw := newFuncWarm(h, u, Spec{Cache: true, BPred: true})
-	fw.label = label
-	return &windowed{tailWarm: tailWarm{funcWarm: fw}, windows: windows}
-}
-
-// thresholdFor is how much of the region passes before its profiled window
-// opens: nothing warms past the end of the window list, and a window longer
-// than the region warms all of it.
-func (w *windowed) thresholdFor(region int, expectedLen uint64) uint64 {
-	if region >= len(w.windows) {
-		return expectedLen
-	}
-	return expectedLen - min(w.windows[region], expectedLen)
-}
-
-func (w *windowed) BeginSkip(expectedLen uint64) {
-	w.begin(w.thresholdFor(w.region, expectedLen))
-	w.region++
-}
-
-// NewRegionCapture selects the profiled window for the explicit region index:
-// producers run regions out of order, so the method's own region cursor —
-// advanced by the consumer's BeginSkip — cannot be used. The windows slice is
-// immutable after construction, so concurrent reads are safe.
-func (w *windowed) NewRegionCapture(region int, expectedLen uint64) RegionCapture {
-	return w.pool.prepare(nil, w.thresholdFor(region, expectedLen), expectedLen)
 }
 
 // --- Reverse State Reconstruction ---
@@ -729,8 +667,7 @@ func (w *windowed) NewRegionCapture(region int, expectedLen uint64) RegionCaptur
 // Its storage is reclaimed only at the next BeginSkip — where the paper's
 // method discards the previous region's log anyway (§3) — which empties it
 // for in-place reuse; AdoptRegion then returns the emptied capture to the
-// free list in exchange for the adopted one. (A functional-warming capture,
-// by contrast, is dead the moment adoptCapture has replayed it.)
+// free list in exchange for the adopted one.
 type reverse struct {
 	h     *mem.Hierarchy
 	u     *bpred.Unit
@@ -752,7 +689,7 @@ func newReverse(h *mem.Hierarchy, u *bpred.Unit, s Spec) *reverse {
 		r.rp.SetNoInference(s.NoCounterInference)
 		recon.geom = core.PredGeomOf(u)
 	}
-	r.pool = newCapturePool(s.Cache, s.BPred, newLineTracker(h.Config().L1I.LineBytes).lineMask, recon)
+	r.pool = newCapturePool(s.Cache, s.BPred, h, recon)
 	r.cur = r.pool.prepare(nil, 0, 0)
 	return r
 }
@@ -765,7 +702,7 @@ func (r *reverse) SizeRegions(longest uint64) { r.pool.longest = longest }
 func (r *reverse) BeginSkip(expectedLen uint64) {
 	// Storage is kept only for the current region (§3): the previous region's
 	// log is dead from here on, so the predictor lets go of it first.
-	r.collectPredWork()
+	r.addPredWork(&r.work)
 	if r.rp != nil {
 		r.rp.ReleaseRegion()
 	}
@@ -845,15 +782,15 @@ func (r *reverse) EndSkip() {
 	}
 }
 
-// collectPredWork folds the on-demand scanning performed during the previous
-// cluster into the cumulative work counters.
-func (r *reverse) collectPredWork() {
+// addPredWork adds to w the on-demand scanning performed since EndSkip, which
+// BeginSkip folds into the cumulative counters.
+func (r *reverse) addPredWork(w *Work) {
 	if r.rp == nil {
 		return
 	}
 	st := r.rp.Stats()
-	r.work.ReconScanned += st.ScannedRecords
-	r.work.ReconApplied += st.CountersExact + st.CountersInferred
+	w.ReconScanned += st.ScannedRecords
+	w.ReconApplied += st.CountersExact + st.CountersInferred
 }
 
 func (r *reverse) Predictor() bpred.Predictor {
@@ -866,10 +803,6 @@ func (r *reverse) Predictor() bpred.Predictor {
 func (r *reverse) Work() Work {
 	w := r.work
 	w.LoggedRecords += r.cur.logged
-	if r.rp != nil {
-		st := r.rp.Stats()
-		w.ReconScanned += st.ScannedRecords
-		w.ReconApplied += st.CountersExact + st.CountersInferred
-	}
+	r.addPredWork(&w)
 	return w
 }

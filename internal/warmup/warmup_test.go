@@ -1,6 +1,7 @@
 package warmup
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -304,5 +305,84 @@ func TestFuncWarmTrackerInitializedEagerly(t *testing.T) {
 		if w := m.Work(); w.WarmOps != 1 {
 			t.Errorf("%s: first instruction warm ops = %d, want 1 line fetch", spec.Label(), w.WarmOps)
 		}
+	}
+}
+
+// TestTable2IsTwoTypes pins the package's shape: every method is a direction
+// and a window, so every Matrix spec and NewWindowed build one of two types,
+// with the window the label states — None 0%, FP and R$/R$BP their
+// percentage, the S family and RBP 100%.
+func TestTable2IsTwoTypes(t *testing.T) {
+	const n = 1000
+	for _, s := range Matrix() {
+		label, want := s.Label(), 100
+		if label == "None" {
+			want = 0
+		} else if i := strings.Index(label, "("); i >= 0 {
+			if _, err := fmt.Sscanf(label[i:], "(%d%%)", &want); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+		}
+		h, u := testEnv()
+		switch m := s.New(h, u).(type) {
+		case *forward:
+			if got := m.window(0, n); s.Kind == KindReverse || got != uint64(want)*n/100 {
+				t.Errorf("%s: forward with a window of %d in %d", label, got, n)
+			}
+		case *reverse:
+			if got := m.pool.recon.percent; s.Kind != KindReverse || got != want {
+				t.Errorf("%s: reverse scanning %d%%", label, got)
+			}
+		default:
+			t.Errorf("%s builds a %T", label, m)
+		}
+	}
+	h, u := testEnv()
+	m, ok := NewWindowed("MRRL (90%)", h, u, []uint64{3, 5000}).(*forward)
+	if !ok {
+		t.Fatal("NewWindowed does not build a forward method")
+	}
+	for region, want := range []uint64{n - 3, 0, n} { // partial, oversize, past the list
+		if got := m.thresholdFor(region, n); got != want {
+			t.Errorf("profiled region %d: threshold %d, want %d", region, got, want)
+		}
+	}
+}
+
+// TestSpecValidate pins the one meaning of an out-of-range percentage: it is
+// refused, on the kinds that read it, with an error naming the field.
+func TestSpecValidate(t *testing.T) {
+	for _, s := range Matrix() {
+		if err := s.Validate(); err != nil {
+			t.Errorf("%s: %v", s.Label(), err)
+		}
+	}
+	cases := []struct {
+		spec Spec
+		want string // "" accepts
+	}{
+		{Spec{Kind: KindFixed, Percent: 0}, ""},
+		{Spec{Kind: KindFixed, Percent: 100}, ""},
+		{Spec{Kind: KindReverse, BPred: true}, ""},
+		{Spec{Kind: KindNone, Percent: 150}, ""}, // None and SMARTS never read Percent
+		{Spec{Kind: KindSMARTS, Percent: -1}, ""},
+		{Spec{Kind: KindFixed, Percent: 150, Cache: true}, "Percent"},
+		{Spec{Kind: KindFixed, Percent: -1, Cache: true}, "Percent"},
+		{Spec{Kind: KindReverse, Percent: 101, Cache: true}, "Percent"},
+		{Spec{Kind: KindReverse, Percent: -20, BPred: true}, "Percent"},
+		{Spec{Kind: Kind(9), Cache: true}, "Kind"},
+	}
+	for _, c := range cases {
+		err := c.spec.Validate()
+		if (c.want == "") != (err == nil) || (err != nil && !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("Validate(%+v) = %v, want an error naming %q", c.spec, err, c.want)
+		}
+	}
+	// The backstop behind Validate: an oversize window is the whole region,
+	// not a threshold wrapped past its end (which warmed nothing).
+	h, u := testEnv()
+	m := Spec{Kind: KindFixed, Percent: 150, Cache: true}.New(h, u).(*forward)
+	if got := m.thresholdFor(0, 1000); got != 0 {
+		t.Errorf("Percent 150: threshold %d, want the whole region", got)
 	}
 }

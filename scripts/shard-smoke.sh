@@ -2,7 +2,7 @@
 # Sharded-pipeline smoke test, run by `make shard-smoke` and CI.
 #
 # Builds a race-enabled rsr and runs the full warm-up sweep — every method
-# in warmup.Matrix(), funcWarm and reverse alike — once through the
+# in warmup.Matrix(), forward and reverse alike — once through the
 # sequential pipeline and once per shard count through the sharded cluster
 # pipeline, failing unless the outputs are byte-identical. The sweep table
 # has no wall-clock columns, so `diff` is the whole oracle. -parallel 1
