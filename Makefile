@@ -3,7 +3,8 @@
 #   make build       compile everything
 #   make test        tier-1 gate: go build ./... && go test ./...
 #   make verify      gofmt + vet + race-test the concurrent code paths, fuzz
-#                    the batched interpreter against Step for 20 s, then soak
+#                    the batched interpreter against Step and the reverse
+#                    method's window against its oracle for 20 s each, then soak
 #                    the engine, the warm-up methods and the sharded
 #                    pipeline's tests under -race -count=20
 #   make chaos       race-enabled fault-injection suite (chaos + drain tests)
@@ -74,14 +75,17 @@ test: build
 # host, the sharded tests are 106 s of the package's 120 s -race pass
 # (TestParallelAllWorkloadsIdentical 63 s, TestParallelByteIdenticalToSequential
 # 30 s), so twenty passes of them still take about 35 minutes and the line
-# keeps its 60-minute timeout. The fuzz line compares RunBatch with Step on
-# generated programs for 20 s.
+# keeps its 60-minute timeout. The fuzz lines compare RunBatch with Step on
+# generated programs, and the reverse method on both ingestion paths with its
+# per-instruction oracle on generated region lengths, percentages and batch
+# splits, for 20 s each.
 verify:
 	@test -z "$$(gofmt -l .)" || { echo "gofmt -l:"; gofmt -l .; exit 1; }
 	$(GO) vet ./...
 	$(GO) test -race ./internal/obs/... ./internal/engine/... ./internal/sampling/... \
 		./internal/regimen/... ./internal/cluster/... ./internal/cas/... ./cmd/rsrd/...
 	$(GO) test -run '^$$' -fuzz FuzzRunBatchMatchesStep -fuzztime 20s ./internal/funcsim
+	$(GO) test -run '^$$' -fuzz FuzzReverseWindowMatchesOracle -fuzztime 20s ./internal/warmup
 	$(GO) test -race -count=20 ./internal/engine ./internal/warmup
 	$(GO) test -race -count=20 -timeout 60m -run 'Parallel|Shard|Capture' ./internal/sampling
 
@@ -144,12 +148,16 @@ regimen-smoke:
 # bench-smoke runs the frozen benchmark's sharded workload for three seconds,
 # traced: a change under internal/ that breaks bench/'s compile or its
 # correctness gate (sharded == sequential, replay == RunSampled) fails here,
-# before the pipeline's paired parent/change runs. The sweep workload follows
-# for an engine or cas change: its own gates are engine result == direct run,
-# re-sweep (disk cache only) == cold result, and no failed job. The numbers
-# are ignored.
+# before the pipeline's paired parent/change runs. That workload's reference is
+# the sharded RunSampled; skip-heavy follows, traced as well (the replay gate is
+# part of the traced run only), so that the in-place replay is also held to the
+# in-place RunSampled, where reverse logs into its own capture and seals it at
+# EndSkip. The sweep workload is there for an engine or cas change:
+# its own gates are engine result == direct run, re-sweep (disk cache only) ==
+# cold result, and no failed job. The numbers are ignored.
 bench-smoke:
 	bash bench/run.sh --workload skip-heavy-sharded --seed 1 --seconds 3 --trace 1
+	bash bench/run.sh --workload skip-heavy --seed 1 --seconds 3 --trace 1
 	bash bench/run.sh --workload sweep --seed 1 --seconds 3
 
 # stall-check reads the compiled code of the two innermost loops, because the

@@ -27,12 +27,12 @@ type PredReconStats struct {
 type ReconPredictor struct {
 	unit *bpred.Unit
 
-	// log and ghrAt alias the plan's suffix and history arrays until the next
+	// log and ghrAt alias the plan's log and history arrays until the next
 	// BeginRegionPlan or ReleaseRegion: on-demand scanning reads them
 	// throughout the hot window, so that storage must not be reused before
 	// then.
-	log   []trace.BranchRecord // selected suffix, oldest first
-	ghrAt []uint64             // GHR before each suffix record (conditionals)
+	log   []trace.BranchRecord // the region's logged window, oldest first
+	ghrAt []uint64             // GHR before each log record (conditionals)
 	pos   int                  // next reverse index to scan; -1 when exhausted
 
 	dirMap   []StateMap
@@ -96,7 +96,7 @@ func (p *ReconPredictor) ReleaseRegion() {
 }
 
 // planRASFills appends to fills the RAS contents (youngest first) the reverse
-// counter algorithm reconstructs from the suffix: scanning newest-to-oldest,
+// counter algorithm reconstructs from the log: scanning newest-to-oldest,
 // a pop increments the counter; a push with counter zero lands at the end
 // (bottom) of the stack; otherwise a push cancels a pop. Reconstruction stops
 // when the stack is full. A pure function of the log, safe to run shard-side.
@@ -148,72 +148,67 @@ func PredGeomOf(u *bpred.Unit) PredGeom {
 // GHRFixup patches one ghrAt entry for the stale history prefix (see
 // PredReconPlan).
 type GHRFixup struct {
-	Index int  // suffix index whose pre-record GHR needs the stale prefix
+	Index int  // log index whose pre-record GHR needs the stale prefix
 	Shift uint // conditional branches seen before that record (< HistoryBits)
 }
 
 // PredReconPlan is the product of §3.2's eager steps over a region's branch
-// log: the global history register is rebuilt from the outcomes of the
-// region, and the RAS by the reverse push/pop counter algorithm over the
-// percent-selected newest part of the log, which is also what the on-demand
-// scan may consume. All of it is a pure function of the log except for the
-// one stale input: the GHR value left in the shared predictor at region
-// start, so the plan can be made on a shard. The GHR
-// after k conditional shifts from stale value g is ((g<<k) | pure_k) & mask,
+// log — the window of the region its method chose to keep: the global history
+// register is rebuilt from the logged outcomes, the RAS by the reverse push/pop
+// counter algorithm, and the log itself is what the on-demand scan may consume.
+// All of it is a pure function of the log except for the one stale input: the
+// GHR value left in the shared predictor when the log begins, so the plan can
+// be made on a shard. The GHR after k conditional shifts from stale value g is
+// ((g<<k) | pure_k) & mask,
 // where pure_k is the same iteration started from zero — masking commutes
 // with the shift-and-or recurrence — so the planner records the pure values
 // plus the (at most HistoryBits) fixups whose stale contribution has not yet
 // shifted out, and the consumer ORs the real stale prefix in at adopt time.
-// The plan is self-contained: it carries its own copy of the log's selected
-// suffix, so the log itself is dead once the plan exists. PlanPredRecon
-// overwrites a plan in place and keeps its array storage, so a recycled plan
-// is rebuilt without allocating.
+// For a log that opens part-way through a region the stale value stands in
+// for the outcomes between the previous cluster and the window, on those
+// same first HistoryBits conditionals and nowhere else.
+// The plan is self-contained: it carries its own copy of the log, so the log
+// itself is dead once the plan exists. PlanPredRecon overwrites a plan in place
+// and keeps its array storage, so a recycled plan is rebuilt without allocating.
 type PredReconPlan struct {
-	Logged uint64               // full region log length
-	Suffix []trace.BranchRecord // percent-selected suffix, oldest first
+	Logged uint64               // log length
+	Suffix []trace.BranchRecord // the plan's copy of the log, oldest first
 
 	GHRAt      []uint64 // pre-record GHRs computed with stale prefix = 0
 	Fixups     []GHRFixup
-	FinalGHR   uint64 // region-final GHR with stale prefix = 0
+	FinalGHR   uint64 // log-final GHR with stale prefix = 0
 	FinalShift uint   // min(total conditionals, HistoryBits)
 
 	RASFills []uint64 // reconstructed RAS contents, youngest first
 }
 
-// PlanPredRecon runs the forward pass over the full log — the GHR before
-// every suffix conditional (their table indices depend on it) and the
-// region-final GHR; only conditional branches shift history, matching
-// Unit.Update — and the RAS reconstruction over the suffix, without a
-// predictor, materializing the plan into plan, which keeps no reference to
-// the log. Safe for producer goroutines: it reads only the log and the
-// geometry snapshot.
-func PlanPredRecon(geom PredGeom, fullLog []trace.BranchRecord, percent int, plan *PredReconPlan) {
-	percent = min(max(percent, 0), 100)
-	n := len(fullLog)
-	start := n - n*percent/100
+// PlanPredRecon runs the forward pass over log — the GHR before every
+// conditional (their table indices depend on it) and the final GHR; only
+// conditional branches shift history, matching Unit.Update — and the RAS
+// reconstruction, without a predictor, materializing the plan into plan,
+// which keeps no reference to the log. Safe for producer goroutines: it reads
+// only the log and the geometry snapshot.
+func PlanPredRecon(geom PredGeom, log []trace.BranchRecord, plan *PredReconPlan) {
+	n := len(log)
 	ghrAt := plan.GHRAt
-	if cap(ghrAt) < n-start {
-		ghrAt = make([]uint64, n-start)
+	if cap(ghrAt) < n {
+		ghrAt = make([]uint64, n)
 	}
-	ghrAt = ghrAt[:n-start]
+	ghrAt = ghrAt[:n]
 	fixups := plan.Fixups[:0]
 
 	mask := uint64(1)<<uint(geom.HistoryBits) - 1
 	ghr := uint64(0) // pure evolution: stale prefix contributes via fixups
 	conds := 0
-	for i := 0; i < n; i++ {
-		r := &fullLog[i]
+	for i := range log {
+		r := &log[i]
 		if r.Class != isa.ClassBranch {
-			if i >= start {
-				ghrAt[i-start] = 0 // never read: only conditionals index by history
-			}
+			ghrAt[i] = 0 // never read: only conditionals index by history
 			continue
 		}
-		if i >= start {
-			ghrAt[i-start] = ghr
-			if conds < geom.HistoryBits {
-				fixups = append(fixups, GHRFixup{Index: i - start, Shift: uint(conds)})
-			}
+		ghrAt[i] = ghr
+		if conds < geom.HistoryBits {
+			fixups = append(fixups, GHRFixup{Index: i, Shift: uint(conds)})
 		}
 		ghr = (ghr << 1) & mask
 		if r.Taken {
@@ -222,9 +217,9 @@ func PlanPredRecon(geom PredGeom, fullLog []trace.BranchRecord, percent int, pla
 		conds++
 	}
 	*plan = PredReconPlan{
-		Logged: uint64(n), Suffix: append(plan.Suffix[:0], fullLog[start:]...),
+		Logged: uint64(n), Suffix: append(plan.Suffix[:0], log...),
 		GHRAt: ghrAt, Fixups: fixups, FinalGHR: ghr, FinalShift: uint(min(conds, geom.HistoryBits)),
-		RASFills: planRASFills(fullLog[start:], geom.RASDepth, plan.RASFills[:0]),
+		RASFills: planRASFills(log, geom.RASDepth, plan.RASFills[:0]),
 	}
 }
 

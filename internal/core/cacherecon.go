@@ -7,9 +7,10 @@ import (
 
 // CacheReconStats summarizes one reverse cache-reconstruction pass.
 type CacheReconStats struct {
-	// LoggedRefs is the number of memory records in the full skip-region log.
+	// LoggedRefs is the number of memory records in the skip-region log.
 	LoggedRefs uint64
-	// ScannedRefs is how many records the chosen percentage covered.
+	// ScannedRefs is how many of them the pass read: all, the log being the
+	// window the region's method chose to keep.
 	ScannedRefs uint64
 	// Applied counts state-mutating reconstruction operations across the
 	// three caches; the remainder of the scanned references were isolated as
@@ -27,11 +28,12 @@ type CacheReconRef struct {
 	L2      bool
 }
 
-// CacheReconPlan is the product of the §3.1 reverse pass: the newest
-// `percent` of the logged memory references are scanned newest-to-oldest,
-// and the plan keeps exactly those that mutate state, in scan order, each
-// flagged with the cache levels it applies to — the L1 of its stream and the
-// L2 (the paper applies reconstruction updates to both levels directly).
+// CacheReconPlan is the product of the §3.1 reverse pass: the logged memory
+// references — the region's window, cut at log time — are scanned
+// newest-to-oldest, and the plan keeps exactly those that mutate state, in
+// scan order, each flagged with the cache levels it applies to — the L1 of its
+// stream and the L2 (the paper applies reconstruction updates to both levels
+// directly).
 // The scan reads only the log, so it can run on a shard; applying the plan
 // to the shared hierarchy then touches O(applied) ≤ O(total cache ways)
 // references. PlanCacheRecon overwrites a plan in place and keeps its Refs
@@ -124,10 +126,13 @@ func (p *cachePlanner) offer(addr uint64) bool {
 }
 
 // CachePlanner is PlanCacheRecon's reusable scratch: one decision replayer
-// per cache of the hierarchy. It is not safe for concurrent use; each
-// planning goroutine holds its own.
+// per cache of the hierarchy, and the array a pass collects its plan in — how
+// long a plan is is known only at the end, so a plan's own Refs gets one copy
+// of the right size instead of the several append would grow through. It is
+// not safe for concurrent use; each planning goroutine holds its own.
 type CachePlanner struct {
 	l1i, l1d, l2 cachePlanner
+	refs         []CacheReconRef
 }
 
 // NewCachePlanner builds planning scratch for hierarchies of geometry cfg.
@@ -135,21 +140,18 @@ func NewCachePlanner(cfg mem.HierarchyConfig) *CachePlanner {
 	return &CachePlanner{l1i: newCachePlanner(cfg.L1I), l1d: newCachePlanner(cfg.L1D), l2: newCachePlanner(cfg.L2)}
 }
 
-// PlanCacheRecon runs the reverse pass over the log without a hierarchy,
+// PlanCacheRecon runs the reverse pass over all of log without a hierarchy,
 // materializing the warm-apply plan into plan. It is safe to call from
 // producer goroutines: it reads only the log and touches only pl and plan,
 // and with a reused planner and plan it does not allocate once plan.Refs has
 // reached the pass's size.
-func PlanCacheRecon(pl *CachePlanner, log []trace.MemRecord, percent int, plan *CacheReconPlan) {
-	percent = min(max(percent, 0), 100)
+func PlanCacheRecon(pl *CachePlanner, log []trace.MemRecord, plan *CacheReconPlan) {
 	pl.l1i.begin()
 	pl.l1d.begin()
 	pl.l2.begin()
 
-	n := len(log)
-	start := n - n*percent/100
-	refs := plan.Refs[:0]
-	for i := n - 1; i >= start; i-- {
+	refs := pl.refs[:0]
+	for i := len(log) - 1; i >= 0; i-- {
 		r := &log[i]
 		var applyL1 bool
 		if r.IsInstr {
@@ -165,7 +167,8 @@ func PlanCacheRecon(pl *CachePlanner, log []trace.MemRecord, percent int, plan *
 			})
 		}
 	}
-	*plan = CacheReconPlan{Refs: refs, LoggedRefs: uint64(n), ScannedRefs: uint64(n - start)}
+	pl.refs = refs
+	*plan = CacheReconPlan{Refs: append(plan.Refs[:0], refs...), LoggedRefs: uint64(len(log)), ScannedRefs: uint64(len(log))}
 }
 
 // ApplyCacheRecon applies a materialized plan to the shared hierarchy: the

@@ -12,18 +12,21 @@ import (
 // path is compared against (TestPlanCacheReconMatchesDirect,
 // TestBeginRegionPlanMatchesDirect).
 
-// reconstructCachesDirect offers the newest percent of the logged references,
-// newest to oldest, to the L1 of their stream and to the L2.
-func reconstructCachesDirect(h *mem.Hierarchy, log []trace.MemRecord, percent int) CacheReconStats {
-	percent = min(max(percent, 0), 100)
+// newest returns the newest percent of a log: the window a warm-up method
+// would have cut at log time, for tests that start from a whole region.
+func newest[T any](log []T, percent int) []T {
+	return log[len(log)-len(log)*percent/100:]
+}
+
+// reconstructCachesDirect offers the logged references, newest to oldest, to
+// the L1 of their stream and to the L2.
+func reconstructCachesDirect(h *mem.Hierarchy, log []trace.MemRecord) CacheReconStats {
 	h.L1I.BeginReconstruction()
 	h.L1D.BeginReconstruction()
 	h.L2.BeginReconstruction()
 
-	n := len(log)
-	start := n - n*percent/100
-	st := CacheReconStats{LoggedRefs: uint64(n), ScannedRefs: uint64(n - start)}
-	for i := n - 1; i >= start; i-- {
+	st := CacheReconStats{LoggedRefs: uint64(len(log)), ScannedRefs: uint64(len(log))}
+	for i := len(log) - 1; i >= 0; i-- {
 		r := &log[i]
 		if r.IsInstr {
 			if h.L1I.ReconstructRef(r.Addr, false) {
@@ -43,29 +46,24 @@ func reconstructCachesDirect(h *mem.Hierarchy, log []trace.MemRecord, percent in
 
 // beginRegionDirect installs the raw branch log: the forward pass runs from
 // the predictor's own stale GHR rather than from zero with fixups, and the
-// on-demand scan reads the log's suffix in place.
-func (p *ReconPredictor) beginRegionDirect(fullLog []trace.BranchRecord, percent int) {
-	percent = min(max(percent, 0), 100)
-	n := len(fullLog)
-	start := n - n*percent/100
-	p.log = fullLog[start:]
+// on-demand scan reads the log in place.
+func (p *ReconPredictor) beginRegionDirect(log []trace.BranchRecord) {
+	p.log = log
 	p.pos = len(p.log) - 1
 	p.finished = len(p.log) == 0
 
 	p.resetEntries()
-	p.stats = PredReconStats{LoggedBranches: uint64(n)}
+	p.stats = PredReconStats{LoggedBranches: uint64(len(log))}
 
 	p.ghrAt = make([]uint64, len(p.log))
-	ghr := p.unit.Dir.GHR() // stale = value at region start
+	ghr := p.unit.Dir.GHR() // stale = value when the log begins
 	mask := uint64(1)<<uint(p.unit.Dir.HistoryBits()) - 1
-	for i := 0; i < n; i++ {
-		r := &fullLog[i]
+	for i := range log {
+		r := &log[i]
 		if r.Class != isa.ClassBranch {
 			continue
 		}
-		if i >= start {
-			p.ghrAt[i-start] = ghr
-		}
+		p.ghrAt[i] = ghr
 		ghr = (ghr << 1) & mask
 		if r.Taken {
 			ghr |= 1
@@ -76,15 +74,15 @@ func (p *ReconPredictor) beginRegionDirect(fullLog []trace.BranchRecord, percent
 }
 
 // reconstructCaches is the production path in one call: plan, then apply.
-func reconstructCaches(h *mem.Hierarchy, log []trace.MemRecord, percent int) CacheReconStats {
+func reconstructCaches(h *mem.Hierarchy, log []trace.MemRecord) CacheReconStats {
 	var plan CacheReconPlan
-	PlanCacheRecon(NewCachePlanner(h.Config()), log, percent, &plan)
+	PlanCacheRecon(NewCachePlanner(h.Config()), log, &plan)
 	return ApplyCacheRecon(h, &plan)
 }
 
 // beginRegion is the production path in one call: plan, then install.
-func beginRegion(p *ReconPredictor, log []trace.BranchRecord, percent int) {
+func beginRegion(p *ReconPredictor, log []trace.BranchRecord) {
 	var plan PredReconPlan
-	PlanPredRecon(PredGeomOf(p.Unit()), log, percent, &plan)
+	PlanPredRecon(PredGeomOf(p.Unit()), log, &plan)
 	p.BeginRegionPlan(&plan)
 }

@@ -50,7 +50,7 @@ func TestPlanCacheReconMatchesDirect(t *testing.T) {
 	var plan CacheReconPlan
 	for _, percent := range []int{0, 20, 55, 100, 20} {
 		rng := rand.New(rand.NewSource(int64(100 + percent)))
-		log := randomMemLog(rng, 50000)
+		log := newest(randomMemLog(rng, 50000), percent)
 
 		direct := mem.NewHierarchy(cfg)
 		planned := mem.NewHierarchy(cfg)
@@ -61,8 +61,8 @@ func TestPlanCacheReconMatchesDirect(t *testing.T) {
 
 		// The planner and the plan are reused across percentages, as a shard
 		// reuses them across regions: no state may leak between passes.
-		want := reconstructCachesDirect(direct, log, percent)
-		PlanCacheRecon(planner, log, percent, &plan)
+		want := reconstructCachesDirect(direct, log)
+		PlanCacheRecon(planner, log, &plan)
 		got := ApplyCacheRecon(planned, &plan)
 
 		if got != want {
@@ -106,16 +106,16 @@ func TestBeginRegionPlanMatchesDirect(t *testing.T) {
 	for _, percent := range []int{20, 100} {
 		for trial := 0; trial < 10; trial++ {
 			rng := rand.New(rand.NewSource(int64(1000*percent + trial)))
-			log := randomBranchLog(rng, 1500+rng.Intn(2000))
+			log := newest(randomBranchLog(rng, 1500+rng.Intn(2000)), percent)
 
 			direct := NewReconPredictor(smallUnit())
 			planned := NewReconPredictor(smallUnit())
 			trainStale(rand.New(rand.NewSource(42)), direct.Unit())
 			trainStale(rand.New(rand.NewSource(42)), planned.Unit())
 
-			direct.beginRegionDirect(log, percent)
+			direct.beginRegionDirect(log)
 			geom := PredGeomOf(planned.Unit())
-			PlanPredRecon(geom, log, percent, &plan)
+			PlanPredRecon(geom, log, &plan)
 			planned.BeginRegionPlan(&plan)
 
 			if got, want := planned.Unit().Dir.GHR(), direct.Unit().Dir.GHR(); got != want {
@@ -170,8 +170,8 @@ func TestPlanReconZeroAllocs(t *testing.T) {
 	var cachePlan CacheReconPlan
 	var predPlan PredReconPlan
 	plan := func() {
-		PlanCacheRecon(planner, memLog, 100, &cachePlan)
-		PlanPredRecon(geom, brLog, 100, &predPlan)
+		PlanCacheRecon(planner, memLog, &cachePlan)
+		PlanPredRecon(geom, brLog, &predPlan)
 	}
 	plan()
 	if avg := testing.AllocsPerRun(20, plan); avg != 0 {
@@ -187,7 +187,7 @@ func TestReleaseRegionDropsLog(t *testing.T) {
 	log := randomBranchLog(rng, 3000)
 	var plan PredReconPlan
 	p := NewReconPredictor(smallUnit())
-	PlanPredRecon(PredGeomOf(p.Unit()), log, 100, &plan)
+	PlanPredRecon(PredGeomOf(p.Unit()), log, &plan)
 	p.BeginRegionPlan(&plan)
 	p.Predict(log[len(log)-1].PC, log[len(log)-1].Class)
 	p.ReleaseRegion()

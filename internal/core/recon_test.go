@@ -65,7 +65,7 @@ func TestGHRMatchesSMARTS(t *testing.T) {
 		smarts.Update(r)
 	}
 	rsr := NewReconPredictor(smallUnit())
-	beginRegion(rsr, log, 100)
+	beginRegion(rsr, log)
 	if got, want := rsr.Unit().Dir.GHR(), smarts.Dir.GHR(); got != want {
 		t.Fatalf("reconstructed GHR %#x != SMARTS GHR %#x", got, want)
 	}
@@ -81,7 +81,7 @@ func TestExactCountersMatchSMARTS(t *testing.T) {
 			smarts.Update(r)
 		}
 		rsr := NewReconPredictor(smallUnit())
-		beginRegion(rsr, log, 100)
+		beginRegion(rsr, log)
 		forceFullScan(rsr)
 
 		st := rsr.Stats()
@@ -111,7 +111,7 @@ func TestBTBMatchesSMARTS(t *testing.T) {
 		smarts.Update(r)
 	}
 	rsr := NewReconPredictor(smallUnit())
-	beginRegion(rsr, log, 100)
+	beginRegion(rsr, log)
 	forceFullScan(rsr)
 
 	// Every taken branch PC in the log: the reconstructed BTB must predict
@@ -139,7 +139,7 @@ func TestRASMatchesSMARTSProperty(t *testing.T) {
 			smarts.Update(r)
 		}
 		rsr := NewReconPredictor(smallUnit())
-		beginRegion(rsr, log, 100)
+		beginRegion(rsr, log)
 
 		got := rsr.Unit().RAS.Contents() // youngest first
 		want := smarts.RAS.Contents()    // youngest first
@@ -164,7 +164,7 @@ func TestOnDemandScansOnlyWhatItNeeds(t *testing.T) {
 
 	// Find a conditional branch near the end whose entry resolves quickly.
 	rsr := NewReconPredictor(smallUnit())
-	beginRegion(rsr, log, 100)
+	beginRegion(rsr, log)
 	// Probe the very last conditional's PC under the live GHR.
 	var pc uint64
 	for i := len(log) - 1; i >= 0; i-- {
@@ -187,7 +187,7 @@ func TestProbeAfterExhaustionIsCheap(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	log := randomBranchLog(rng, 500)
 	rsr := NewReconPredictor(smallUnit())
-	beginRegion(rsr, log, 100)
+	beginRegion(rsr, log)
 	forceFullScan(rsr)
 	before := rsr.Stats().ScannedRecords
 	rsr.Predict(0x400100, isa.ClassBranch)
@@ -201,7 +201,7 @@ func TestLiveUpdatePinsEntry(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	log := randomBranchLog(rng, 2000)
 	rsr := NewReconPredictor(smallUnit())
-	beginRegion(rsr, log, 100)
+	beginRegion(rsr, log)
 
 	// Train one entry live (as a retiring cluster branch would) and record
 	// which index was written.
@@ -225,7 +225,7 @@ func TestPercentLimitsScanWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	log := randomBranchLog(rng, 1000)
 	rsr := NewReconPredictor(smallUnit())
-	beginRegion(rsr, log, 20)
+	beginRegion(rsr, newest(log, 20))
 	forceFullScan(rsr)
 	if got := rsr.Stats().ScannedRecords; got > 200 {
 		t.Fatalf("20%% region scanned %d of 1000 records", got)
@@ -234,7 +234,7 @@ func TestPercentLimitsScanWindow(t *testing.T) {
 
 func TestEmptyRegion(t *testing.T) {
 	rsr := NewReconPredictor(smallUnit())
-	beginRegion(rsr, nil, 100)
+	beginRegion(rsr, nil)
 	p := rsr.Predict(0x400000, isa.ClassBranch)
 	_ = p // must not panic; predictor stays stale
 	if !rsr.finished {
@@ -248,8 +248,8 @@ func TestCacheReconPercentWindow(t *testing.T) {
 	for i := range log {
 		log[i] = trace.MemRecord{Addr: uint64(i) * 64}
 	}
-	st := reconstructCaches(h, log, 20)
-	if st.LoggedRefs != 1000 || st.ScannedRefs != 200 {
+	st := reconstructCaches(h, newest(log, 20))
+	if st.LoggedRefs != 200 || st.ScannedRefs != 200 {
 		t.Fatalf("stats = %+v", st)
 	}
 	// Newest 200 distinct lines must be present in L1D; oldest must not.
@@ -287,7 +287,7 @@ func TestCacheReconMatchesWarmAt100(t *testing.T) {
 			warm.WarmData(r.Addr, false)
 		}
 	}
-	reconstructCaches(recon, log, 100)
+	reconstructCaches(recon, log)
 	if mem.Fingerprint(warm.L1I) != mem.Fingerprint(recon.L1I) {
 		t.Error("L1I reconstruction diverged from functional warming")
 	}

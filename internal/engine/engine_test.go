@@ -427,6 +427,27 @@ func TestJobHashIdentity(t *testing.T) {
 	}
 }
 
+// TestJobHashPinned holds the content address of one canonical sampled job to
+// a literal. A result cached under an address is served for as long as the
+// address stands, so a change to what a simulation computes has to change it:
+// bump hashVersion (job.go) and paste the new value here. A failure nobody
+// meant is an identity field whose encoding moved.
+func TestJobHashPinned(t *testing.T) {
+	j := Job{
+		Kind:     JobSampled,
+		Workload: "twolf",
+		Machine:  sampling.DefaultMachine(),
+		Total:    1_000_000,
+		Regimen:  sampling.Regimen{ClusterSize: 2000, NumClusters: 50},
+		Seed:     2007,
+		Warmup:   warmup.Spec{Kind: warmup.KindReverse, Percent: 20, Cache: true, BPred: true},
+	}
+	const want = "58096283732dcd036d7f52e0169da2535296ab7fa0b8d88a4aeafea7be06f48b"
+	if got := j.Hash(); got != want {
+		t.Errorf("hash of the canonical R$BP (20%%) job = %s, pinned %s (hashVersion %d)", got, want, hashVersion)
+	}
+}
+
 // TestStatsShardsInUse pins the engine's shard-slot gauge: while a sharded
 // sampled job executes, Stats.ShardsInUse reports its shard count, and the
 // gauge returns to zero once the attempt finishes. An injected latency

@@ -80,7 +80,11 @@ type jobIdentity struct {
 	Warmup      warmup.Spec
 }
 
-const hashVersion = 1
+// Version 2: a reverse spec's Percent selects the newest Percent of the
+// region's instructions, not of its log records (1 was the layout's first).
+// TestJobHashPinned holds the hash of one job to a literal, so a bump — or an
+// identity change without one — shows up there.
+const hashVersion = 2
 
 // Hash returns the job's content address: hex SHA-256 of the canonical
 // JSON encoding of its identity fields (Timeout excluded).

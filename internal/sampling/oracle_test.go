@@ -18,8 +18,10 @@ import (
 // against the public surface of mem, bpred, core and trace only: it shares
 // no observation code with package warmup, whose methods see instructions
 // only in batches. One instruction at a time it applies (None, SMARTS,
-// fixed-period) or logs (reverse) exactly what the paper's policies say, and
-// counts the work the way warmup.Work defines it.
+// fixed-period) or logs (reverse) exactly what the paper's policies say —
+// once seen exceeds the window's threshold, in either direction, and a reverse
+// scan reads all of what was logged — and counts the work the way warmup.Work
+// defines it.
 type scalarWarm struct {
 	spec warmup.Spec
 	h    *mem.Hierarchy
@@ -76,7 +78,7 @@ func (w *scalarWarm) totalWork() warmup.Work {
 
 func (w *scalarWarm) beginSkip(expectedLen uint64) {
 	w.haveLine, w.seen, w.threshold = false, 0, 0
-	if w.spec.Kind == warmup.KindFixed {
+	if w.spec.Kind == warmup.KindFixed || w.spec.Kind == warmup.KindReverse {
 		w.threshold = expectedLen - expectedLen*uint64(w.spec.Percent)/100
 	}
 	if w.spec.Kind == warmup.KindReverse {
@@ -135,13 +137,13 @@ func (w *scalarWarm) endSkip() {
 		return
 	}
 	if w.spec.Cache {
-		core.PlanCacheRecon(w.planner, w.log.Mem, w.spec.Percent, &w.cachePlan)
+		core.PlanCacheRecon(w.planner, w.log.Mem, &w.cachePlan)
 		st := core.ApplyCacheRecon(w.h, &w.cachePlan)
 		w.work.ReconScanned += st.ScannedRefs
 		w.work.ReconApplied += st.Applied
 	}
 	if w.spec.BPred {
-		core.PlanPredRecon(core.PredGeomOf(w.u), w.log.Branches, w.spec.Percent, &w.predPlan)
+		core.PlanPredRecon(core.PredGeomOf(w.u), w.log.Branches, &w.predPlan)
 		w.rp.BeginRegionPlan(&w.predPlan)
 		w.work.ReconApplied += w.rp.Stats().RASInstalled
 	}

@@ -162,6 +162,42 @@ func TestWindowEndsIdentical(t *testing.T) {
 	}
 }
 
+// TestReverseLogsForwardWindow pins "one percentage, one meaning" across the
+// two directions: R$BP (p%) logs exactly the references FP (p%) applies — the
+// same position cut-off, the same per-line collapse of instruction fetches
+// restarting at the window's first instruction — so over one run the reverse
+// method's LoggedRecords is the forward method's WarmOps, in place and through
+// the sharded feed. Logging the whole region and selecting afterwards, what
+// reverse did before, fails this at every p below 100.
+func TestReverseLogsForwardWindow(t *testing.T) {
+	w, err := workload.ByName("twolf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := w.Build()
+	reg := Regimen{ClusterSize: 2000, NumClusters: 10}
+	for _, percent := range []int{0, 20, 40, 80, 100} {
+		for _, shards := range []int{0, 2, 3} {
+			fwd, err := RunSampledOpts(p, DefaultMachine(), reg, 400_000, 2007,
+				warmup.Spec{Kind: warmup.KindFixed, Percent: percent, Cache: true, BPred: true}, Options{Shards: shards})
+			if err != nil {
+				t.Fatalf("FP (%d%%) shards=%d: %v", percent, shards, err)
+			}
+			rev, err := RunSampledOpts(p, DefaultMachine(), reg, 400_000, 2007,
+				warmup.Spec{Kind: warmup.KindReverse, Percent: percent, Cache: true, BPred: true}, Options{Shards: shards})
+			if err != nil {
+				t.Fatalf("R$BP (%d%%) shards=%d: %v", percent, shards, err)
+			}
+			if rev.Work.LoggedRecords != fwd.Work.WarmOps || (percent > 0 && fwd.Work.WarmOps == 0) {
+				t.Errorf("%d%% shards=%d: R$BP logged %d records, FP applied %d", percent, shards, rev.Work.LoggedRecords, fwd.Work.WarmOps)
+			}
+			if rev.Work.ReconScanned > rev.Work.LoggedRecords {
+				t.Errorf("%d%% shards=%d: R$BP scanned %d records of the %d it logged", percent, shards, rev.Work.ReconScanned, rev.Work.LoggedRecords)
+			}
+		}
+	}
+}
+
 // unsealedMethod wraps a method so that its captures' Seal does nothing: the
 // RegionCapture contract makes Seal optional, and an unsealed capture leaves
 // the reverse scans to the consumer's EndSkip.

@@ -127,12 +127,15 @@ func (r *RunResult) IPCs() []float64 {
 // equal-size clusters the mean CPI is the unbiased estimator of the
 // population CPI, so estimates aggregate in CPI space (as SMARTS does) and
 // convert to IPC at the end; an arithmetic mean of cluster IPCs would
-// overweight fast phases on workloads with high phase variance.
+// overweight fast phases on workloads with high phase variance. A cluster
+// that retired nothing (the workload ended at its start) carries no timing
+// information and is left out, the rule regimen's estimators follow: the
+// sample may be shorter than Clusters, and no zero CPI enters the mean.
 func (r *RunResult) CPIs() []float64 {
-	out := make([]float64, len(r.Clusters))
-	for i, c := range r.Clusters {
+	out := make([]float64, 0, len(r.Clusters))
+	for _, c := range r.Clusters {
 		if c.Result.Instructions > 0 {
-			out[i] = float64(c.Result.Cycles) / float64(c.Result.Instructions)
+			out = append(out, float64(c.Result.Cycles)/float64(c.Result.Instructions))
 		}
 	}
 	return out

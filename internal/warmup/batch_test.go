@@ -218,6 +218,37 @@ func TestReverseCaptureZeroAllocs(t *testing.T) {
 	zeroAllocCycle(t, Spec{Kind: KindReverse, Percent: 20, Cache: true, BPred: true})
 }
 
+// TestReverseEmptyWindowZeroAllocs covers a region with no window — a gap
+// between clusters too short for 20% of it to be an instruction, or empty —
+// between full ones, sealed and in place: a capture that logged nothing stays
+// empty, so the next full region draws the pooled log instead of allocating
+// beside it, and the pool's detached list does not grow.
+func TestReverseEmptyWindowZeroAllocs(t *testing.T) {
+	recs := genRecords(t, 3*funcsim.BatchSize+100)
+	for _, inPlace := range []bool{false, true} {
+		h, u := testEnv()
+		m := Spec{Kind: KindReverse, Percent: 20, Cache: true, BPred: true}.New(h, u).(*reverse)
+		cycle := func() {
+			for i, ds := range [][]trace.DynInst{recs, recs[:4], nil, recs} {
+				if inPlace {
+					feedBatched(m, ds, funcsim.BatchSize)
+				} else {
+					captureCycle(m, i, ds, true)
+				}
+			}
+		}
+		cycle()
+		cycle()
+		detached := len(m.pool.logs)
+		if avg := testing.AllocsPerRun(20, cycle); avg != 0 {
+			t.Errorf("in place %v: full, windowless, empty, full allocates %.2f times in steady state", inPlace, avg)
+		}
+		if got := len(m.pool.logs); got != detached {
+			t.Errorf("in place %v: %d detached logs, %d before the measured cycles", inPlace, got, detached)
+		}
+	}
+}
+
 // TestReverseObserveSkipBatchZeroAllocs pins the in-place path: BeginSkip
 // empties the method's own capture and sizes it for the region, so batched
 // logging and the reverse scans at EndSkip allocate nothing.
@@ -298,6 +329,72 @@ func TestSizeRegionsOrderFree(t *testing.T) {
 	}
 	if a, d := reserved(false, up), reserved(false, down); a <= d {
 		t.Fatalf("unannounced: %d records reserved ascending, %d descending: the order no longer matters, so RegionSizer has nothing left to do", a, d)
+	}
+}
+
+// TestReverseLogSizedForWindow pins that the reverse method's storage follows
+// its window, not its regions: after a run at 20% no log array a capture, a
+// plan or the pool's detached list holds has room for more than 1.5x the
+// records of the longest region's window — in place, and with two captures in
+// flight as the sharded feed keeps them at Shards 2. Logging whole regions
+// fails it five times over, and so does announcing the longest region instead
+// of its window in SizeRegions.
+func TestReverseLogSizedForWindow(t *testing.T) {
+	const percent, longest = 20, 16_000
+	recs := genRecords(t, longest)
+	// The run opens with a window long enough to measure the stream's record
+	// density from (1024 instructions): what a log sized from the assumed
+	// density grows to by append is the allocator's business, not the pool's.
+	lens := []int{8000, longest, 2000, 4000, longest, 2000}
+	spec := Spec{Kind: KindReverse, Percent: percent, Cache: true, BPred: true}
+
+	for _, inFlight := range []int{0, 2} { // 0: observed in place
+		h, u := testEnv()
+		m := spec.New(h, u).(*reverse)
+		m.SizeRegions(longest)
+		next := 0 // regions are adopted in order
+		adopt := func(c RegionCapture) {
+			m.BeginSkip(uint64(lens[next]))
+			m.AdoptRegion(c)
+			m.EndSkip()
+			next++
+		}
+		var fed []RegionCapture
+		for i, n := range lens {
+			if inFlight == 0 {
+				feedBatched(m, recs[:n], funcsim.BatchSize)
+				continue
+			}
+			fed = append(fed, feedCapture(m, i, recs[:n], true))
+			if len(fed) == inFlight {
+				adopt(fed[0])
+				fed = fed[1:]
+			}
+		}
+		for _, c := range fed {
+			adopt(c)
+		}
+
+		var window trace.SkipLog
+		lines := lineTracker{lineMask: m.pool.lineMask}
+		appendSkipRecords(&window, &lines, true, true, recs[longest-longest*percent/100:])
+		maxMem, maxBr := len(window.Mem)*3/2, len(window.Branches)*3/2
+		if m.Work().LoggedRecords == 0 || maxMem == 0 || maxBr == 0 {
+			t.Fatal("nothing was logged")
+		}
+		check := func(what string, mem []trace.MemRecord, br []trace.BranchRecord) {
+			if cap(mem) > maxMem || cap(br) > maxBr {
+				t.Errorf("%d in flight: %s holds room for %d memory and %d branch records; the longest window logs %d and %d",
+					inFlight, what, cap(mem), cap(br), len(window.Mem), len(window.Branches))
+			}
+		}
+		for _, c := range append(m.pool.free, m.cur) {
+			check("a capture's log", c.log.Mem, c.log.Branches)
+			check("a capture's predictor plan", nil, c.predPlan.Suffix)
+		}
+		for _, l := range m.pool.logs {
+			check("a detached log", l.Mem, l.Branches)
+		}
 	}
 }
 

@@ -11,7 +11,9 @@ import (
 // became the only way in: the reference semantics the batch kernels are
 // tested against (TestBatchScalarEquivalence, TestWindowedBatchScalarEquivalence,
 // TestMemRecordRoundTrip). They act on the method's own state, one
-// instruction at a time, with none of the batch path's hoisting.
+// instruction at a time, with none of the batch path's hoisting. Both
+// directions open their window the same way: once seen exceeds the threshold,
+// apply (forward) or log (reverse) — and a reverse scan reads all of the log.
 
 // observeScalar shows m one skipped instruction.
 func observeScalar(m Method, d *trace.DynInst) {
@@ -22,7 +24,10 @@ func observeScalar(m Method, d *trace.DynInst) {
 			m.applyScalar(d)
 		}
 	case *reverse:
-		m.logScalar(d)
+		m.cur.seen++
+		if m.cur.seen > m.cur.threshold {
+			m.logScalar(d)
+		}
 	default:
 		panic(fmt.Sprintf("warmup: no scalar oracle for %T", m))
 	}
@@ -59,7 +64,6 @@ func (f *forward) applyScalar(d *trace.DynInst) {
 // logScalar logs one instruction's references into the current region.
 func (r *reverse) logScalar(d *trace.DynInst) {
 	c := r.cur
-	c.seen++
 	if !c.fitted {
 		r.pool.fit(c)
 	}

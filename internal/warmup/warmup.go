@@ -3,9 +3,10 @@
 // region's trailing window to the caches and predictor as it is observed: 0%
 // of the region is None, p% fixed-period warming (FP), 100% SMARTS (S$, SBP,
 // S$BP), a profiled length per region MRRL/BLRL (§2, NewWindowed). reverse
-// logs the region and scans the newest p% of the log backwards at its end (R$,
-// RBP, R$BP): Reverse State Reconstruction. Both report the work they do, the
-// machine-independent cost metric used by the experiment harness.
+// logs the same window — the newest p% of the region's instructions — and
+// scans that log backwards at the region's end (R$, RBP, R$BP): Reverse State
+// Reconstruction. Both report the work they do, the machine-independent cost
+// metric used by the experiment harness.
 package warmup
 
 import (
@@ -35,10 +36,9 @@ import (
 // the contract the walker's sharded feed builds on: a region's skip
 // observation runs on a producer goroutine against a private capture, and
 // the walker adopts captures in strict cluster order. A capture logs what its
-// method's window lets through — all of the region for reverse — and
-// AdoptRegion replays the log in order (forward) or keeps it, or the plans
-// Seal made of it, for EndSkip (reverse), so no method falls back to
-// sequential execution under sharding.
+// method's window lets through, and AdoptRegion replays the log in order
+// (forward) or keeps it, or the plans Seal made of it, for EndSkip (reverse),
+// so no method falls back to sequential execution under sharding.
 //
 // forward therefore has two ingestion kernels: in place it applies a batch
 // straight to the machine, captured it logs and replays. Observing in place
@@ -91,13 +91,14 @@ type RegionCapture interface {
 	Seal()
 }
 
-// RegionSizer is implemented by a method that holds a whole skip region's
+// RegionSizer is implemented by a method that holds a skip region's window of
 // observations at once (the reverse method's log). A run that knows its
 // regions calls SizeRegions once, before the first BeginSkip or
 // NewRegionCapture, with the longest cold phase it will present, and buffers
-// are sized for that one from the start. Unannounced, a buffer is replaced
-// whenever a longer region arrives, and what a run allocates depends on the
-// order of its region lengths — 3x between cluster placements of one regimen.
+// are sized for that one's window from the start. Unannounced, a buffer is
+// replaced whenever a longer region arrives, and what a run allocates depends
+// on the order of its region lengths — 3x between cluster placements of one
+// regimen.
 type RegionSizer interface {
 	SizeRegions(longest uint64)
 }
@@ -156,7 +157,7 @@ const (
 // Spec names one warm-up configuration from the paper's experiment matrix.
 type Spec struct {
 	Kind    Kind
-	Percent int  // warm-up percentage for Fixed and Reverse
+	Percent int  // Fixed and Reverse: the window, the newest Percent of each region's instructions
 	Cache   bool // warm the cache hierarchy
 	BPred   bool // warm the branch predictor
 	// NoCounterInference disables the Reverse method's weak-form /
@@ -218,21 +219,36 @@ func (s Spec) Validate() error {
 }
 
 // New instantiates the method over the run's shared hierarchy and predictor.
-// The forward kinds differ only in their window: None's is 0% of the region,
-// FP's Percent, SMARTS's 100.
+// Every kind's window is a percentage of the region, and one rule places it:
+// None's is 0%, SMARTS's 100, FP's and the reverse method's Percent.
 func (s Spec) New(h *mem.Hierarchy, u *bpred.Unit) Method {
-	var percent uint64
+	percent := s.Percent
 	switch s.Kind {
 	case KindReverse:
 		return newReverse(h, u, s)
-	case KindFixed:
-		percent = uint64(s.Percent)
+	case KindNone:
+		percent = 0
 	case KindSMARTS:
 		percent = 100
 	}
 	return newForward(h, u, s.Cache, s.BPred, s.Label(), func(_ int, expectedLen uint64) uint64 {
-		return expectedLen * percent / 100
+		return percentThreshold(expectedLen, percent)
 	})
+}
+
+// percentThreshold places the window "the newest percent of the region's
+// instructions". It is the one place a percentage becomes a position, and
+// regionCapture.tail cuts every region at that position, whichever direction
+// the method works in.
+func percentThreshold(expectedLen uint64, percent int) uint64 {
+	return windowThreshold(expectedLen, expectedLen*uint64(percent)/100)
+}
+
+// windowThreshold is how many of a region's expectedLen instructions pass
+// before a window of its newest window instructions opens; a window longer
+// than the region is all of it.
+func windowThreshold(expectedLen, window uint64) uint64 {
+	return expectedLen - min(window, expectedLen)
 }
 
 // Matrix returns the paper's Table 2 experiment matrix in reporting order.
@@ -296,10 +312,10 @@ func branchRecordOf(d *trace.DynInst) trace.BranchRecord {
 // replays that log against the shared state in order; one log record is one
 // functional application, so the capture's record count is the region's
 // WarmOps delta. (forward's own cur logs nothing: in place the window goes
-// straight to the machine.) The reverse method logs the whole region
-// (threshold 0) and Seal runs the backward scans over the private log,
-// materializing the cache and predictor warm-apply plans that shrink the
-// consumer's EndSkip to O(applied) work.
+// straight to the machine.) The reverse method logs the same records — its
+// log is the window, not the region — and Seal runs the backward scans over
+// all of the private log, materializing the cache and predictor warm-apply
+// plans that shrink the consumer's EndSkip to O(applied) work.
 //
 // A capture is recycled whole through its method's capturePool, log and plan
 // arrays included, so a steady-state region allocates nothing. One refinement
@@ -374,10 +390,10 @@ func (c *regionCapture) Seal() {
 		if pl == nil {
 			pl = core.NewCachePlanner(p.recon.hcfg)
 		}
-		core.PlanCacheRecon(pl, c.log.Mem, p.recon.percent, &c.cachePlan)
+		core.PlanCacheRecon(pl, c.log.Mem, &c.cachePlan)
 	}
 	if p.bp {
-		core.PlanPredRecon(p.recon.geom, c.log.Branches, p.recon.percent, &c.predPlan)
+		core.PlanPredRecon(p.recon.geom, c.log.Branches, &c.predPlan)
 	}
 	c.sealed = true
 	c.log.Reset()
@@ -395,9 +411,8 @@ func (c *regionCapture) Seal() {
 // reconConfig is the immutable reverse-scan configuration Seal reads on
 // producer goroutines, so planning never touches the shared machine.
 type reconConfig struct {
-	percent int
-	hcfg    mem.HierarchyConfig
-	geom    core.PredGeom
+	hcfg mem.HierarchyConfig
+	geom core.PredGeom
 }
 
 // capturePool is one method's free list of region captures for one run.
@@ -425,7 +440,7 @@ type capturePool struct {
 	free     []*regionCapture
 	logs     []trace.SkipLog      // emptied, detached from sealed reverse captures
 	planners []*core.CachePlanner // cache-planning scratch, one per concurrent Seal
-	longest  uint64               // the run's longest region once announced, else 0
+	longest  uint64               // the run's longest window once announced, else 0
 	memPerK  uint64
 	brPerK   uint64
 	maxMem   int
@@ -524,26 +539,27 @@ func (p *capturePool) put(c *regionCapture) {
 // --- Forward: apply each region's trailing window as it is observed ---
 
 // forward is Table 2's left half and §2's profiled-window methods in one
-// type: window is its only policy. Like reverse it holds the current region in
-// cur, of which it uses the threshold, the count seen and the line tracker.
+// type: where the window opens is its only policy. Like reverse it holds the
+// current region in cur, of which it uses the threshold, the count seen and the
+// line tracker.
 type forward struct {
 	h     *mem.Hierarchy
 	u     *bpred.Unit
 	label string
-	// window is how many trailing instructions of a region are applied; more
-	// than expectedLen means all of it. It and pool, the run's capture free
-	// list, are all NewRegionCapture reads from concurrent producer
-	// goroutines, and window reads nothing mutable.
-	window func(region int, expectedLen uint64) uint64
-	pool   *capturePool
-	region int // the region BeginSkip opens next
-	cur    *regionCapture
-	work   Work
+	// threshold is how many of a region's instructions pass before its window
+	// opens; expectedLen or more means none of it is applied. It and pool, the
+	// run's capture free list, are all NewRegionCapture reads from concurrent
+	// producer goroutines, and threshold reads nothing mutable.
+	threshold func(region int, expectedLen uint64) uint64
+	pool      *capturePool
+	region    int // the region BeginSkip opens next
+	cur       *regionCapture
+	work      Work
 }
 
-func newForward(h *mem.Hierarchy, u *bpred.Unit, cache, bp bool, label string, window func(int, uint64) uint64) *forward {
+func newForward(h *mem.Hierarchy, u *bpred.Unit, cache, bp bool, label string, threshold func(int, uint64) uint64) *forward {
 	pool := newCapturePool(cache, bp, h, nil)
-	return &forward{h: h, u: u, label: label, window: window, pool: pool, cur: pool.prepare(nil, 0, 0)}
+	return &forward{h: h, u: u, label: label, threshold: threshold, pool: pool, cur: pool.prepare(nil, 0, 0)}
 }
 
 // NewWindowed builds an MRRL/BLRL-style method (§2) over per-region warm
@@ -552,11 +568,11 @@ func newForward(h *mem.Hierarchy, u *bpred.Unit, cache, bp bool, label string, w
 // pre-cluster pair, and nothing past the end of the list. The windows pin the
 // cluster locations they were profiled with.
 func NewWindowed(label string, h *mem.Hierarchy, u *bpred.Unit, windows []uint64) Method {
-	return newForward(h, u, true, true, label, func(region int, _ uint64) uint64 {
+	return newForward(h, u, true, true, label, func(region int, expectedLen uint64) uint64 {
 		if region >= len(windows) {
-			return 0
+			return expectedLen
 		}
-		return windows[region]
+		return windowThreshold(expectedLen, windows[region])
 	})
 }
 
@@ -567,14 +583,9 @@ func (f *forward) EndSkip()                   {}
 func (f *forward) Predictor() bpred.Predictor { return f.u }
 func (f *forward) Work() Work                 { return f.work }
 
-// thresholdFor is how much of the region passes before its window opens.
-func (f *forward) thresholdFor(region int, expectedLen uint64) uint64 {
-	return expectedLen - min(f.window(region, expectedLen), expectedLen)
-}
-
 func (f *forward) BeginSkip(expectedLen uint64) {
 	c := f.cur
-	c.threshold, c.seen = f.thresholdFor(f.region, expectedLen), 0
+	c.threshold, c.seen = f.threshold(f.region, expectedLen), 0
 	c.lines.reset()
 	f.region++
 }
@@ -626,7 +637,7 @@ func (f *forward) ObserveSkipBatch(ds []trace.DynInst) {
 // run regions out of order, so the method's own cursor — advanced by the
 // consumer's BeginSkip — cannot be used.
 func (f *forward) NewRegionCapture(region int, expectedLen uint64) RegionCapture {
-	return f.pool.prepare(nil, f.thresholdFor(region, expectedLen), expectedLen)
+	return f.pool.prepare(nil, f.threshold(region, expectedLen), expectedLen)
 }
 
 // AdoptRegion is the capture kernel's second half: it replays the captured
@@ -660,9 +671,12 @@ func (f *forward) AdoptRegion(rc RegionCapture) {
 // reverse holds the current region's skip log — and, once sealed, its plans —
 // in cur, a regionCapture like any other. In-place observation logs into it
 // through the same kernel captures use, and AdoptRegion swaps a producer's
-// capture in for it.
+// capture in for it. percentThreshold cuts the region where forward would: what passes
+// before it is never logged, so the log a region ends with is exactly what the
+// reverse scans read, and the stores, the storage and the scan's forward pass
+// for the rest of the region are not paid for.
 //
-// cur is not dead at EndSkip: ReconPredictor reads its plan's suffix and
+// cur is not dead at EndSkip: ReconPredictor reads its plan's log and
 // history arrays in place, on demand, throughout the hot window that follows.
 // Its storage is reclaimed only at the next BeginSkip — where the paper's
 // method discards the previous region's log anyway (§3) — which empties it
@@ -674,8 +688,8 @@ type reverse struct {
 	rp    *core.ReconPredictor
 	spec  Spec
 	label string
-	// pool is the run's capture free list and the only thing NewRegionCapture
-	// reads from concurrent producer goroutines.
+	// pool is the run's capture free list and, with spec, the only thing
+	// NewRegionCapture reads from concurrent producer goroutines.
 	pool *capturePool
 	cur  *regionCapture
 	work Work // LoggedRecords excludes cur's, folded in at BeginSkip
@@ -683,7 +697,7 @@ type reverse struct {
 
 func newReverse(h *mem.Hierarchy, u *bpred.Unit, s Spec) *reverse {
 	r := &reverse{h: h, u: u, spec: s, label: s.Label()}
-	recon := &reconConfig{percent: s.Percent, hcfg: h.Config()}
+	recon := &reconConfig{hcfg: h.Config()}
 	if s.BPred {
 		r.rp = core.NewReconPredictor(u)
 		r.rp.SetNoInference(s.NoCounterInference)
@@ -696,8 +710,11 @@ func newReverse(h *mem.Hierarchy, u *bpred.Unit, s Spec) *reverse {
 
 func (r *reverse) Name() string { return r.label }
 
-// SizeRegions implements RegionSizer: logs are sized for the longest region.
-func (r *reverse) SizeRegions(longest uint64) { r.pool.longest = longest }
+// SizeRegions implements RegionSizer: logs are sized for the window of the
+// longest region, which is the longest window.
+func (r *reverse) SizeRegions(longest uint64) {
+	r.pool.longest = longest - percentThreshold(longest, r.spec.Percent)
+}
 
 func (r *reverse) BeginSkip(expectedLen uint64) {
 	// Storage is kept only for the current region (§3): the previous region's
@@ -707,7 +724,7 @@ func (r *reverse) BeginSkip(expectedLen uint64) {
 		r.rp.ReleaseRegion()
 	}
 	r.work.LoggedRecords += r.cur.logged
-	r.pool.prepare(r.cur, 0, expectedLen)
+	r.pool.prepare(r.cur, percentThreshold(expectedLen, r.spec.Percent), expectedLen)
 }
 
 // appendSkipRecords is the batched logging kernel shared by in-place
@@ -749,7 +766,7 @@ func (r *reverse) ObserveSkipBatch(ds []trace.DynInst) { r.cur.ObserveSkipBatch(
 // reset line tracker, which is the method's own region-start state. Only the
 // goroutine-safe pool is touched, so captures may be created concurrently.
 func (r *reverse) NewRegionCapture(_ int, expectedLen uint64) RegionCapture {
-	return r.pool.prepare(nil, 0, expectedLen)
+	return r.pool.prepare(nil, percentThreshold(expectedLen, r.spec.Percent), expectedLen)
 }
 
 // AdoptRegion installs a captured region — its plans when the capture was

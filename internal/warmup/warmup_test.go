@@ -326,12 +326,13 @@ func TestTable2IsTwoTypes(t *testing.T) {
 		h, u := testEnv()
 		switch m := s.New(h, u).(type) {
 		case *forward:
-			if got := m.window(0, n); s.Kind == KindReverse || got != uint64(want)*n/100 {
-				t.Errorf("%s: forward with a window of %d in %d", label, got, n)
+			if got := m.threshold(0, n); s.Kind == KindReverse || got != n-uint64(want)*n/100 {
+				t.Errorf("%s: forward with a threshold of %d in %d", label, got, n)
 			}
 		case *reverse:
-			if got := m.pool.recon.percent; s.Kind != KindReverse || got != want {
-				t.Errorf("%s: reverse scanning %d%%", label, got)
+			m.BeginSkip(n)
+			if got := m.cur.threshold; s.Kind != KindReverse || got != n-uint64(want)*n/100 {
+				t.Errorf("%s: reverse with a threshold of %d in %d", label, got, n)
 			}
 		default:
 			t.Errorf("%s builds a %T", label, m)
@@ -343,7 +344,7 @@ func TestTable2IsTwoTypes(t *testing.T) {
 		t.Fatal("NewWindowed does not build a forward method")
 	}
 	for region, want := range []uint64{n - 3, 0, n} { // partial, oversize, past the list
-		if got := m.thresholdFor(region, n); got != want {
+		if got := m.threshold(region, n); got != want {
 			t.Errorf("profiled region %d: threshold %d, want %d", region, got, want)
 		}
 	}
@@ -382,7 +383,7 @@ func TestSpecValidate(t *testing.T) {
 	// not a threshold wrapped past its end (which warmed nothing).
 	h, u := testEnv()
 	m := Spec{Kind: KindFixed, Percent: 150, Cache: true}.New(h, u).(*forward)
-	if got := m.thresholdFor(0, 1000); got != 0 {
+	if got := m.threshold(0, 1000); got != 0 {
 		t.Errorf("Percent 150: threshold %d, want the whole region", got)
 	}
 }
