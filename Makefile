@@ -18,10 +18,11 @@
 #   make shard-smoke sharded-pipeline check: race-enabled full-method sweep
 #                    diffed byte-for-byte against the sequential pipeline
 #   make regimen-smoke  sampling-strategy check: `-regimen stratified-uniform`
-#                    diffed byte-for-byte against the legacy run path, then
+#                    diffed byte-for-byte against the unnamed run, then
 #                    every registered strategy run end to end at -shards 1
 #                    and 2, a non-zero work line required and the two
-#                    outputs diffed
+#                    outputs diffed, then `strategies` twice on one
+#                    -cachedir, the second run all cache hits
 #   make recovery-smoke  crash-recovery check: SIGKILL the coordinator
 #                    mid-sweep, restart it on the same journal, diff the
 #                    sweep against a single-node run
@@ -61,8 +62,8 @@ test: build
 # cancellation tests run under -race here). The cluster and cas packages
 # carry the distributed scheduler and the shared content-addressed store,
 # both all-mutex-and-goroutine code. The regimen package's strategies drive
-# the sharded pipeline and cancellation channel, so its byte-identity and
-# cancellation tests run under -race too.
+# the sharded pipeline and cancellation channel — as engine jobs, from its
+# workers — so its byte-identity and cancellation tests run under -race too.
 #
 # The soak lines are ROADMAP's "green means green" gate: the engine's
 # ticket/stats ordering and the pipeline's buffer recycling (a capture or
@@ -137,11 +138,12 @@ shard-smoke:
 	./scripts/shard-smoke.sh
 
 # regimen-smoke proves the sampling-strategy seam end to end with the real
-# CLI: `-regimen stratified-uniform` must be byte-identical to the legacy
-# run path (only the wall-clock `time` line is filtered), and every strategy
-# listed by `rsr regimens` must complete a run under the race detector at
-# `-shards 1` and `-shards 2` with identical output and a non-zero `work` line
-# (the mark of a pass through the region walker).
+# CLI: `-regimen stratified-uniform` must be byte-identical to the unnamed
+# run (only the wall-clock `time` line is filtered), every strategy listed by
+# `rsr regimens` must complete a run under the race detector at `-shards 1`
+# and `-shards 2` with identical output and a non-zero `work` line (the mark
+# of a pass through the region walker), and `strategies` re-run on the same
+# -cachedir must be served from it (`-stats`: misses=0).
 regimen-smoke:
 	./scripts/regimen-smoke.sh
 

@@ -49,10 +49,10 @@
 //	-stats         print engine scheduler/cache statistics to stderr when done
 //	-workload s    workload for `run`
 //	-method s      method label for `run` (e.g. "R$BP (20%)", "S$BP", "None")
-//	-regimen s     sampling strategy for `run` (see `rsr regimens`); empty
-//	               runs the legacy engine path, which is byte-identical to
-//	               "stratified-uniform". Like every flag, it must precede
-//	               the command: `rsr -regimen ranked-set run`
+//	-regimen s     sampling strategy for `run` (see `rsr regimens`), an
+//	               engine job like any other; empty is the paper's design,
+//	               the same numbers as "stratified-uniform". Like every flag,
+//	               it must precede the command: `rsr -regimen ranked-set run`
 //	-cpuprofile f  write a CPU profile to f
 //	-memprofile f  write an allocation profile to f on exit
 //	-metrics-out f write a JSON metrics snapshot to f on exit
@@ -82,8 +82,6 @@ import (
 	"rsr/internal/obs"
 	"rsr/internal/regimen"
 	"rsr/internal/report"
-	"rsr/internal/sampling"
-	"rsr/internal/stats"
 	"rsr/internal/warmup"
 	"rsr/internal/workload"
 )
@@ -115,7 +113,7 @@ func main() {
 	out := flag.String("out", "rsr-report.html", "output path for `report`")
 	workloadFlag := flag.String("workload", "twolf", "workload for `run`")
 	methodFlag := flag.String("method", "R$BP (20%)", "warm-up method label for `run`")
-	regimenFlag := flag.String("regimen", "", "sampling strategy for `run` (empty = legacy engine path, identical to stratified-uniform; see `rsr regimens`)")
+	regimenFlag := flag.String("regimen", "", "sampling strategy for `run` (empty = the paper's design, same numbers as stratified-uniform; see `rsr regimens`)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to `file`")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to `file` on exit")
 	metricsOut := flag.String("metrics-out", "", "write a JSON metrics snapshot (engine, phase, warm-up families) to `file` on exit")
@@ -516,67 +514,25 @@ func dispatch(cmd string, cfg experiments.Config, wl, method, regimenName, forma
 			return fmt.Errorf("%w (see `rsr list`)", err)
 		}
 		// The workload name is user input: fail on a typo instead of
-		// silently running the default regimen.
-		reg, err := experiments.RegimenForStrict(wl)
-		if err != nil {
+		// silently running the default regimen. (A mistyped -regimen is
+		// refused by the engine, which lists the registered names.)
+		if _, err := experiments.RegimenForStrict(wl); err != nil {
 			return err
 		}
-		if regimenName != "" {
-			return runStrategy(lab, cfg, wl, regimenName, reg, spec)
-		}
-		cell, err := lab.Run(wl, spec)
+		cell, err := lab.RunStrategy(wl, regimenName, spec)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("workload   %s\nmethod     %s\ntrue IPC   %.4f\nestimate   %.4f\nrel error  %.4f\nconfident  %v\ntime       %v\nwork       %+v\n",
 			cell.Workload, cell.Method, cell.TrueIPC, cell.Estimate, cell.RelErr,
 			cell.Confident, cell.Elapsed, cell.Work)
+		if cell.ProfileInstructions > 0 {
+			fmt.Printf("profile    %d instructions\n", cell.ProfileInstructions)
+		}
 		return nil
 	default:
 		return fmt.Errorf("unknown command %q (try: list, table1, table2, fig5..fig9, appendix, all, regimens, strategies, run)", cmd)
 	}
-}
-
-// runStrategy executes one run through a named sampling strategy, scored
-// against the engine-cached true IPC. The output fields match the legacy
-// `run` path exactly (only wall-clock `time` differs run to run), so
-// `-regimen stratified-uniform` diffs clean against the pre-strategy path —
-// the regimen-smoke CI target relies on this.
-func runStrategy(lab *experiments.Lab, cfg experiments.Config, wl, name string, reg sampling.Regimen, spec warmup.Spec) error {
-	strat, err := regimen.ByName(name)
-	if err != nil {
-		return fmt.Errorf("%w (see `rsr regimens`)", err)
-	}
-	full, err := lab.Full(wl)
-	if err != nil {
-		return err
-	}
-	trueIPC := full.Result.IPC()
-	w, err := workload.ByName(wl)
-	if err != nil {
-		return err
-	}
-	out, err := strat.Run(regimen.Params{
-		Program: w.Build(),
-		Machine: sampling.DefaultMachine(),
-		Regimen: reg,
-		Total:   cfg.Total(),
-		Seed:    cfg.Seed,
-		Warmup:  spec,
-		Shards:  cfg.Shards,
-		Instr:   regimen.NewInstruments(cfg.Metrics),
-	})
-	if err != nil {
-		return err
-	}
-	rel := stats.RelErr(out.Estimate.IPC, trueIPC)
-	fmt.Printf("workload   %s\nmethod     %s\ntrue IPC   %.4f\nestimate   %.4f\nrel error  %.4f\nconfident  %v\ntime       %v\nwork       %+v\n",
-		wl, spec.Label(), trueIPC, out.Estimate.IPC, rel,
-		out.Estimate.Confident(trueIPC), out.Elapsed, out.Work)
-	if out.Plan.ProfileInstructions > 0 {
-		fmt.Printf("profile    %d instructions\n", out.Plan.ProfileInstructions)
-	}
-	return nil
 }
 
 // writeReport renders the full HTML report (Table 1, Figures 5-9).

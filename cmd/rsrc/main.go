@@ -15,7 +15,7 @@
 //	                         the queue is full (backpressure)
 //	GET  /v1/jobs/{id}       job status, and the result once finished
 //	GET  /v1/sweeps/{id}     progress of the jobs submitted under one
-//	                         X-Sweep-ID (id = that tag, or sweep-N)
+//	                         X-Sweep-ID (id = that tag)
 //	GET  /v1/sweeps/{id}/trace merged fabric Chrome trace for a tagged sweep:
 //	                         every participating node's span ring, clock-
 //	                         rebased onto the coordinator's timeline, one

@@ -34,9 +34,12 @@
 //
 //	{"workload": "twolf", "method": "R$BP (20%)", "total": 2000000, "seed": 1}
 //	{"workload": "gcc", "kind": "full", "total": 2000000}
+//	{"workload": "mcf", "strategy": "two-phase-stratified", "total": 2000000}
 //
 // Machine and regimen default to the paper's machine and the workload's
-// Table-1 regimen; total defaults to the reference 20M instructions.
+// Table-1 regimen; total defaults to the reference 20M instructions;
+// "strategy" names the sampling strategy that spends the regimen (`rsr
+// regimens` lists them; default the paper's design).
 //
 // On SIGTERM/SIGINT the daemon drains gracefully: readiness flips, new
 // submissions get 503 + Retry-After, in-flight jobs run to completion

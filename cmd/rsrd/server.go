@@ -163,6 +163,9 @@ type jobRequest struct {
 	Total    uint64            `json:"total,omitempty"`
 	Seed     *int64            `json:"seed,omitempty"`
 	Regimen  *sampling.Regimen `json:"regimen,omitempty"`
+	// Strategy names the sampling strategy that spends the regimen (what
+	// `rsr -regimen` names; see `rsr regimens`). Empty = the paper's design.
+	Strategy string `json:"strategy,omitempty"`
 	// TimeoutMS bounds the job's execution in milliseconds (0 = engine default).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// Shards runs a sampled job through the parallel cluster pipeline with
@@ -182,6 +185,7 @@ func (r jobRequest) toJob() (engine.Job, error) {
 		Seed:     def.Seed,
 		Timeout:  time.Duration(r.TimeoutMS) * time.Millisecond,
 		Shards:   r.Shards,
+		Strategy: r.Strategy,
 	}
 	if r.Kind != "" {
 		j.Kind = engine.JobKind(r.Kind)

@@ -86,6 +86,24 @@ func TestDaemonJobLifecycle(t *testing.T) {
 		t.Fatalf("content address changed: %s vs %s", id2, id)
 	}
 
+	// The same submission under a named strategy is another job, whose
+	// result is the strategy's outcome.
+	id3 := postJob(t, ts, `{"workload": "twolf", "method": "None", "strategy": "ranked-set",
+		"total": 400000, "seed": 1,
+		"regimen": {"ClusterSize": 2000, "NumClusters": 10}}`)
+	if id3 == id {
+		t.Fatal("a strategy job shares the unnamed job's content address")
+	}
+	for st = getStatus(t, ts, id3); st.Status == "pending"; st = getStatus(t, ts, id3) {
+		if time.Now().After(deadline) {
+			t.Fatal("strategy job never finished")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if st.Status != "done" || st.Result.Outcome == nil || st.Result.Outcome.Strategy != "ranked-set" || st.Result.IPC() <= 0 {
+		t.Fatalf("strategy job: status %s (error %q), result %+v", st.Status, st.Error, st.Result)
+	}
+
 	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -95,8 +113,8 @@ func TestDaemonJobLifecycle(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Done != 1 {
-		t.Fatalf("stats.Done = %d, want 1", stats.Done)
+	if stats.Done != 2 {
+		t.Fatalf("stats.Done = %d, want 2", stats.Done)
 	}
 }
 
@@ -232,6 +250,7 @@ func TestDaemonRejectsBadJobs(t *testing.T) {
 	for _, body := range []string{
 		`{"workload": "nope"}`,
 		`{"workload": "twolf", "method": "bogus label"}`,
+		`{"workload": "twolf", "strategy": "bogus-strategy"}`,
 		`not json`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))

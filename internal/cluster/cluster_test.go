@@ -672,8 +672,9 @@ func (f *fabric) close() {
 }
 
 // sweepJobs is a small mixed sweep: sampled runs across workloads and
-// methods (sharded, so checkpoint chains flow through the CAS) plus one
-// full baseline.
+// methods (sharded, so checkpoint chains flow through the CAS), one full
+// baseline, and one strategy job — the adaptive two-pass design, whose
+// Outcome must cross the wire and the CAS like any other result.
 func sweepJobs(t *testing.T) []engine.Job {
 	t.Helper()
 	reg := sampling.Regimen{ClusterSize: 2000, NumClusters: 10}
@@ -700,7 +701,9 @@ func sweepJobs(t *testing.T) []engine.Job {
 		Kind: engine.JobFull, Workload: "twolf",
 		Machine: sampling.DefaultMachine(), Total: 400_000,
 	})
-	return jobs
+	strategy := jobs[1] // twolf under R$BP (20%)
+	strategy.Strategy = "two-phase-stratified"
+	return append(jobs, strategy)
 }
 
 // canon renders a result in canonical JSON with the legitimately
@@ -721,6 +724,11 @@ func canon(t *testing.T, res *engine.Result) string {
 		cp := *r.Full
 		cp.Elapsed = 0
 		r.Full = &cp
+	}
+	if r.Outcome != nil {
+		cp := *r.Outcome
+		cp.Elapsed, r.Selection = 0, 0
+		r.Outcome = &cp
 	}
 	b, err := json.Marshal(r)
 	if err != nil {

@@ -134,14 +134,13 @@ type node struct {
 	clockOffsetNS, clockRTTNS int64
 }
 
-// sweep tracks a named batch of job IDs.
+// sweep tracks the jobs submitted under one client tag (X-Sweep-ID): its key
+// in Coordinator.sweeps, the id it reports and the distributed trace ID its
+// spans are scoped to. (A replayed parent-format sweep the deleted batch
+// endpoint formed has no tag and is keyed by its old sweep-N id.)
 type sweep struct {
-	id  string
-	ids []string
-	// tag is the distributed trace ID the submitting client stamped on the
-	// sweep (X-Sweep-ID), "" for untraced sweeps. The trace endpoint
-	// resolves a sweep by id or tag.
-	tag       string
+	ids       []string        // members, in the order they joined
+	has       map[string]bool // the same, for the membership test
 	startedAt time.Time
 	// participants maps node name → advertised addr for every node that
 	// leased one of the sweep's items; the trace aggregation fan-out target
@@ -166,7 +165,6 @@ type Coordinator struct {
 	items    map[string]*item
 	queue    []*item // FIFO of accepted, unleased work; every free worker slot pulls its front
 	sweeps   map[string]*sweep
-	sweepSeq int
 	closed   bool
 	draining bool
 	// journal is the write-ahead log (nil = memory-only coordinator);
@@ -289,10 +287,10 @@ func (c *Coordinator) adoptReplay(rp *Replay) {
 		c.items[ri.ID] = it
 		c.obs.replayed.With(state).Inc()
 	}
-	c.sweepSeq = rp.SweepSeq
-	for id, ids := range rp.Sweeps {
-		c.sweeps[id] = &sweep{id: id, ids: ids, tag: rp.SweepTags[id],
-			startedAt: now, participants: make(map[string]string)}
+	for key, ids := range rp.Sweeps {
+		for _, id := range ids {
+			c.joinSweepLocked(key, id)
+		}
 	}
 	if recovering > 0 {
 		window := c.opts.ReadoptWindow
@@ -387,15 +385,9 @@ func (c *Coordinator) CompactJournal() error {
 // registrations are deliberately absent: workers re-register through
 // heartbeats within one timeout of a restart. Callers hold c.mu.
 func (c *Coordinator) snapshotLocked() snapshot {
-	snap := snapshot{SweepSeq: c.sweepSeq, Sweeps: make(map[string][]string)}
+	snap := snapshot{Sweeps: make(map[string][]string)}
 	for id, sw := range c.sweeps {
 		snap.Sweeps[id] = sw.ids
-		if sw.tag != "" {
-			if snap.SweepTags == nil {
-				snap.SweepTags = make(map[string]string)
-			}
-			snap.SweepTags[id] = sw.tag
-		}
 	}
 	for _, id := range sortedKeys(c.items) {
 		it := c.items[id]
@@ -486,8 +478,9 @@ func (c *Coordinator) Submit(job engine.Job, reqID, sweepID string) (string, err
 			// lacked (e.g. a retry after the sweep header was added).
 			it.sweepID = sweepID
 		}
-		if sweepID != "" {
-			c.tagSweepLocked(sweepID, id)
+		if sweepID != "" && c.joinSweepLocked(sweepID, id) {
+			// The existing item has no submit record under this tag.
+			c.journal.append(journalRecord{Kind: recTag, ID: id, Sweep: sweepID})
 		}
 		c.obs.coalesced.Inc()
 		return id, nil
@@ -514,65 +507,38 @@ func (c *Coordinator) Submit(job engine.Job, reqID, sweepID string) (string, err
 	c.items[id] = it
 	c.obs.submitted.Inc()
 	if sweepID != "" {
-		c.tagSweepLocked(sweepID, id)
+		c.joinSweepLocked(sweepID, id) // journaled by the submit record
 	}
 	return id, nil
 }
 
-// tagSweepLocked folds one tagged submission into the sweep object for its
-// trace tag, creating it on first use: the only way a sweep forms. Jobs
+// joinSweepLocked makes an item a member of the sweep its submission's tag
+// names, creating the sweep on first use: the only way a sweep forms. Jobs
 // submitted individually under a shared X-Sweep-ID thereby become one
 // observable sweep — resolvable by tag for status and fabric trace
 // aggregation, measured by the sweep-duration histogram, counted in the
-// sweep-jobs gauges. Membership is re-journaled cumulatively on each append
-// (the last sweep record wins at replay), so recovery reconstructs the full
-// member set. Callers hold c.mu.
-func (c *Coordinator) tagSweepLocked(tag, itemID string) {
-	sw := c.sweepByTagLocked(tag)
-	if sw == nil {
-		c.sweepSeq++
-		sw = &sweep{id: fmt.Sprintf("sweep-%d", c.sweepSeq), tag: tag,
-			startedAt: time.Now(), participants: make(map[string]string)}
-		c.sweeps[sw.id] = sw
-	}
-	for _, id := range sw.ids {
-		if id == itemID {
-			return
-		}
-	}
-	sw.ids = append(sw.ids, itemID)
-	c.journal.append(journalRecord{Kind: recSweep, ID: sw.id, JobIDs: sw.ids, Seq: c.sweepSeq, Sweep: tag})
-}
-
-// sweepByTagLocked finds the sweep carrying a client trace tag, or nil.
+// sweep-jobs gauges. It reports whether the item was not a member before.
 // Callers hold c.mu.
-func (c *Coordinator) sweepByTagLocked(tag string) *sweep {
-	if tag == "" {
-		return nil
+func (c *Coordinator) joinSweepLocked(tag, itemID string) bool {
+	sw := c.sweeps[tag]
+	if sw == nil {
+		sw = &sweep{has: make(map[string]bool),
+			startedAt: time.Now(), participants: make(map[string]string)}
+		c.sweeps[tag] = sw
 	}
-	for _, sw := range c.sweeps {
-		if sw.tag == tag {
-			return sw
-		}
+	if sw.has[itemID] {
+		return false
 	}
-	return nil
+	sw.has[itemID] = true
+	sw.ids = append(sw.ids, itemID)
+	return true
 }
 
-// sweepLocked resolves a sweep by its coordinator-assigned ID or its client
-// trace tag — the tag is all a client has, sweeps being formed by tagged
-// submissions — or returns nil. Callers hold c.mu.
-func (c *Coordinator) sweepLocked(idOrTag string) *sweep {
-	if sw := c.sweeps[idOrTag]; sw != nil {
-		return sw
-	}
-	return c.sweepByTagLocked(idOrTag)
-}
-
-// SweepStatus reports the progress of a sweep, named by ID or tag.
-func (c *Coordinator) SweepStatus(idOrTag string) (SweepStatus, bool) {
+// SweepStatus reports the progress of the sweep submitted under a tag.
+func (c *Coordinator) SweepStatus(tag string) (SweepStatus, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sw := c.sweepLocked(idOrTag)
+	sw := c.sweeps[tag]
 	if sw == nil {
 		return SweepStatus{}, false
 	}
@@ -580,7 +546,7 @@ func (c *Coordinator) SweepStatus(idOrTag string) (SweepStatus, bool) {
 	for _, m := range sw.ids {
 		t.add(c.items[m])
 	}
-	return SweepStatus{ID: sw.id, Total: len(sw.ids), JobIDs: sw.ids,
+	return SweepStatus{ID: tag, Total: len(sw.ids), JobIDs: sw.ids,
 		Done: t.done, Failed: t.failed, Pending: t.queued + t.running}, true
 }
 
@@ -779,7 +745,7 @@ func (c *Coordinator) Pull(nodeName string) *WorkItem {
 	if it.sweepID != "" {
 		// Remember which nodes ran this sweep's work (and where to reach
 		// them) for the trace aggregation fan-out.
-		if sw := c.sweepByTagLocked(it.sweepID); sw != nil {
+		if sw := c.sweeps[it.sweepID]; sw != nil {
 			sw.participants[nodeName] = n.addr
 		}
 	}
@@ -947,31 +913,26 @@ func (c *Coordinator) finalize(it *item, res *engine.Result, errMsg string) {
 // Callers hold c.mu.
 func (c *Coordinator) sweepFinishedLocked(it *item) {
 	now := it.finishedAt
-	for _, sw := range c.sweeps {
-		if sw.durationObserved || sw.startedAt.IsZero() {
+	for tag, sw := range c.sweeps {
+		if sw.durationObserved || !sw.has[it.id] {
 			continue
 		}
-		member := false
 		finished := true
 		for _, id := range sw.ids {
-			m := c.items[id]
-			if m == it {
-				member = true
-			}
-			if m != nil && m.state != itemDone && m.state != itemFailed {
+			if m := c.items[id]; m != nil && m.state != itemDone && m.state != itemFailed {
 				finished = false
 				break
 			}
 		}
-		if !member || !finished {
+		if !finished {
 			continue
 		}
 		sw.durationObserved = true
 		dur := now.Sub(sw.startedAt)
 		c.obs.sweepDur.Observe(dur.Seconds())
-		c.tr.Scoped(sw.tag).Record("sweep", "coord", 0, sw.startedAt, dur,
+		c.tr.Scoped(tag).Record("sweep", "coord", 0, sw.startedAt, dur,
 			obs.SpanArg{Key: "jobs", Val: int64(len(sw.ids))})
-		c.log.Info("sweep finished", "sweep", sw.id, "jobs", len(sw.ids),
+		c.log.Info("sweep finished", "sweep", tag, "jobs", len(sw.ids),
 			"duration", dur.Round(time.Millisecond))
 	}
 }
@@ -1080,20 +1041,19 @@ func (c *Coordinator) pruneLocked(now time.Time) {
 			delete(c.sweeps, id)
 		}
 	}
-	var referenced map[string]bool
-	for _, sw := range c.sweeps {
-		for _, id := range sw.ids {
-			if referenced == nil {
-				referenced = make(map[string]bool)
+	referenced := func(id string) bool {
+		for _, sw := range c.sweeps {
+			if sw.has[id] {
+				return true
 			}
-			referenced[id] = true
 		}
+		return false
 	}
 	for id, it := range c.items {
 		if it.state != itemDone && it.state != itemFailed {
 			continue
 		}
-		if referenced[id] || now.Sub(it.finishedAt) <= c.opts.RetainFor {
+		if now.Sub(it.finishedAt) <= c.opts.RetainFor || referenced(id) {
 			continue
 		}
 		delete(c.items, id)
@@ -1131,16 +1091,15 @@ func (c *Coordinator) liveWorkersLocked(now time.Time) int {
 // HTTP layer to include the coordinator's own lane in merged fabric traces.
 func (c *Coordinator) Tracer() *obs.Tracer { return c.tr }
 
-// SweepTraceInfo resolves a sweep by its coordinator-assigned ID or its
-// client trace tag, returning the tag that scoped its spans and the
-// participating nodes (name → advertised addr; "" when the node never
-// advertised one). The HTTP layer fans trace pulls out to the participants.
-func (c *Coordinator) SweepTraceInfo(idOrTag string) (tag string, participants map[string]string, ok bool) {
+// SweepTraceInfo resolves a sweep by its tag, returning the participating
+// nodes (name → advertised addr; "" when the node never advertised one). The
+// HTTP layer fans trace pulls out to the participants.
+func (c *Coordinator) SweepTraceInfo(tag string) (participants map[string]string, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sw := c.sweepLocked(idOrTag)
+	sw := c.sweeps[tag]
 	if sw == nil {
-		return "", nil, false
+		return nil, false
 	}
 	participants = make(map[string]string, len(sw.participants))
 	for name, addr := range sw.participants {
@@ -1152,7 +1111,7 @@ func (c *Coordinator) SweepTraceInfo(idOrTag string) (tag string, participants m
 		}
 		participants[name] = addr
 	}
-	return sw.tag, participants, true
+	return participants, true
 }
 
 // NodeClockOffset reports a live node's current clock-offset estimate

@@ -22,8 +22,7 @@ import (
 //	                         503 + Retry-After on backpressure
 //	GET  /v1/jobs/{id}       job status, and the result once finished
 //	GET  /v1/sweeps/{id}     progress of the sweep formed by the jobs
-//	                         submitted under one X-Sweep-ID (id = that tag,
-//	                         or the coordinator's sweep-N)
+//	                         submitted under one X-Sweep-ID (id = that tag)
 //	POST /v1/peers/heartbeat worker liveness + engine depth (409 on skew);
 //	                         replies 200 + HeartbeatReply with the
 //	                         coordinator clock for offset estimation
@@ -163,15 +162,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // clock with that node's heartbeat-estimated offset, rendered as one Chrome
 // trace with a process lane per node. A worker that cannot be reached is
 // skipped with a warning — a partial fabric trace beats none.
-func (s *Server) handleSweepTrace(w http.ResponseWriter, r *http.Request, id string) {
-	tag, participants, ok := s.co.SweepTraceInfo(id)
+func (s *Server) handleSweepTrace(w http.ResponseWriter, r *http.Request, tag string) {
+	participants, ok := s.co.SweepTraceInfo(tag)
 	if !ok {
-		httpError(w, http.StatusNotFound, "unknown sweep %q", id)
-		return
-	}
-	if tag == "" {
-		httpError(w, http.StatusNotFound,
-			"sweep %q was submitted without an X-Sweep-ID trace tag", id)
+		httpError(w, http.StatusNotFound, "unknown sweep %q", tag)
 		return
 	}
 	dumps := []obs.TraceDump{{
@@ -198,7 +192,7 @@ func (s *Server) handleSweepTrace(w http.ResponseWriter, r *http.Request, id str
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := obs.WriteMergedChromeTrace(w, dumps); err != nil {
-		s.log.Error("merged trace write failed", "sweep", id, "err", err)
+		s.log.Error("merged trace write failed", "sweep", tag, "err", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -17,7 +18,7 @@ import (
 )
 
 // The journal is the coordinator's write-ahead log: every scheduling
-// mutation — submit, sweep, lease, complete, requeue, reap — is appended as
+// mutation — submit, tag, lease, complete, requeue, reap — is appended as
 // one JSONL record and fsync'd before the coordinator acts on it, so a
 // coordinator that dies (kill -9 included) can replay the file and resume
 // the sweep instead of losing it. The paper's move — reconstruct expensive
@@ -55,7 +56,12 @@ const compactEvery = 4096
 // Record kinds. Kept to the scheduling verbs: node liveness is not
 // journaled (workers re-register through heartbeats within one timeout).
 const (
-	recSubmit   = "submit"
+	recSubmit = "submit"
+	// recTag is what a coalesced resubmission under a tag leaves; a fresh
+	// one's membership rides on its submit record. recSweep is read, never
+	// written: the parent format re-journaled a sweep's cumulative membership
+	// under a sweep-N id on every submission.
+	recTag      = "tag"
 	recSweep    = "sweep"
 	recLease    = "lease"
 	recComplete = "complete"
@@ -67,8 +73,8 @@ const (
 // zero fields of a kind are omitted.
 type journalRecord struct {
 	Kind string `json:"kind"`
-	// ID is the item's content hash (submit/lease/complete/requeue), or the
-	// sweep ID (sweep).
+	// ID is the item's content hash (submit/tag/lease/complete/requeue), or
+	// a parent-format sweep's sweep-N id (sweep).
 	ID string `json:"id,omitempty"`
 	// Job and ReqID ride on submit records.
 	Job   *engine.Job `json:"job,omitempty"`
@@ -76,15 +82,14 @@ type journalRecord struct {
 	// Node names the leasing node (lease), the reporting node (complete), or
 	// the reaped node (reap).
 	Node string `json:"node,omitempty"`
-	// JobIDs and Seq ride on sweep records.
+	// JobIDs rides on parent-format sweep records.
 	JobIDs []string `json:"job_ids,omitempty"`
-	Seq    int      `json:"seq,omitempty"`
 	// BlobSum (success) or Error (failure) rides on complete records.
 	BlobSum string `json:"blob_sum,omitempty"`
 	Error   string `json:"error,omitempty"`
-	// Sweep is the distributed trace tag: the item's tag on submit records,
-	// the sweep's client tag on sweep records. Additive — older journals
-	// simply replay untagged.
+	// Sweep is the client's sweep tag (X-Sweep-ID) and so the sweep's key:
+	// the sweep a submit or tag record makes the item a member of, and the tag
+	// of a parent-format sweep record ("" = keyed by its sweep-N id).
 	Sweep string `json:"sweep,omitempty"`
 }
 
@@ -101,12 +106,10 @@ type snapItem struct {
 	Error    string     `json:"error,omitempty"`
 }
 
-// snapshot is the compacted scheduler state.
+// snapshot is the compacted scheduler state; Sweeps maps tag to members.
 type snapshot struct {
-	SweepSeq  int                 `json:"sweep_seq"`
-	Sweeps    map[string][]string `json:"sweeps,omitempty"`
-	SweepTags map[string]string   `json:"sweep_tags,omitempty"`
-	Items     []snapItem          `json:"items,omitempty"`
+	Sweeps map[string][]string `json:"sweeps,omitempty"`
+	Items  []snapItem          `json:"items,omitempty"`
 }
 
 // ReplayItem is one item's state as reconstructed from the journal, handed
@@ -125,10 +128,11 @@ type ReplayItem struct {
 
 // Replay is the scheduler state reconstructed by OpenJournal.
 type Replay struct {
-	SweepSeq  int
-	Sweeps    map[string][]string
-	SweepTags map[string]string
-	Items     []ReplayItem
+	// Sweeps maps a sweep's key — its tag, or the sweep-N id of an untagged
+	// parent-format sweep — to its members in the order they joined.
+	Sweeps map[string][]string
+	member map[[2]string]bool // (key, item) pairs already in Sweeps
+	Items  []ReplayItem
 	// Quarantined is the number of tail bytes cut off and preserved because
 	// they did not parse (a torn final write, or corruption).
 	Quarantined int
@@ -272,22 +276,24 @@ func (j *Journal) close() {
 // an unparseable tail.
 func (j *Journal) load() error {
 	items := make(map[string]*ReplayItem)
-	rp := &Replay{Sweeps: make(map[string][]string), SweepTags: make(map[string]string)}
+	rp := &Replay{Sweeps: make(map[string][]string), member: make(map[[2]string]bool)}
 
 	if b, err := os.ReadFile(filepath.Join(j.dir, snapshotFile)); err == nil {
-		var snap snapshot
+		var snap struct {
+			snapshot
+			// Parent format: Sweeps keyed sweep-N, each one's tag (if any) here.
+			Tags map[string]string `json:"sweep_tags"`
+		}
 		if err := json.Unmarshal(b, &snap); err != nil {
 			// A torn snapshot cannot happen from a crash (atomic rename);
 			// scribbled bytes are a disk problem worth failing loudly on.
 			return fmt.Errorf("cluster: corrupt snapshot %s: %w",
 				filepath.Join(j.dir, snapshotFile), err)
 		}
-		rp.SweepSeq = snap.SweepSeq
-		for id, ids := range snap.Sweeps {
-			rp.Sweeps[id] = ids
-		}
-		for id, tag := range snap.SweepTags {
-			rp.SweepTags[id] = tag
+		for key, ids := range snap.Sweeps {
+			for _, id := range ids {
+				rp.join(cmp.Or(snap.Tags[key], key), id)
+			}
 		}
 		for _, si := range snap.Items {
 			it := &ReplayItem{
@@ -335,6 +341,7 @@ func (j *Journal) load() error {
 		rp.Items = append(rp.Items, *it)
 	}
 	sort.Slice(rp.Items, func(a, b int) bool { return rp.Items[a].ID < rp.Items[b].ID })
+	rp.member = nil // only the fold needed it
 	j.replay = rp
 	return nil
 }
@@ -355,15 +362,15 @@ func (j *Journal) fold(items map[string]*ReplayItem, rp *Replay, rec journalReco
 				State: "queued",
 			}
 		}
-	case recSweep:
-		if rec.ID != "" {
-			rp.Sweeps[rec.ID] = rec.JobIDs
-			if rec.Sweep != "" {
-				rp.SweepTags[rec.ID] = rec.Sweep
-			}
+		rp.join(rec.Sweep, rec.ID)
+	case recTag:
+		if it := items[rec.ID]; it != nil && it.Sweep == "" {
+			it.Sweep = rec.Sweep // the untagged original adopts the tag, as it did live
 		}
-		if rec.Seq > rp.SweepSeq {
-			rp.SweepSeq = rec.Seq
+		rp.join(rec.Sweep, rec.ID)
+	case recSweep:
+		for _, id := range rec.JobIDs {
+			rp.join(cmp.Or(rec.Sweep, rec.ID), id)
 		}
 	case recLease:
 		it := items[rec.ID]
@@ -410,6 +417,16 @@ func (j *Journal) fold(items map[string]*ReplayItem, rp *Replay, rec journalReco
 			it.Holders = keep
 		}
 	}
+}
+
+// join makes item id a member of the sweep under key, once: a snapshot and
+// the records after it may both say so.
+func (rp *Replay) join(key, id string) {
+	if key == "" || id == "" || rp.member[[2]string{key, id}] {
+		return
+	}
+	rp.member[[2]string{key, id}] = true
+	rp.Sweeps[key] = append(rp.Sweeps[key], id)
 }
 
 // quarantinePath picks an unused tail-quarantine file name.

@@ -511,10 +511,9 @@ func TestJournalReplaysParentFormatDirectory(t *testing.T) {
 	if !reflect.DeepEqual(snap.Items, want) {
 		t.Errorf("replayed items:\n got %+v\nwant %+v", snap.Items, want)
 	}
-	if snap.SweepSeq != 2 || !reflect.DeepEqual(snap.Sweeps,
-		map[string][]string{"sweep-1": {a, b}, "sweep-2": {c}}) ||
-		!reflect.DeepEqual(snap.SweepTags, map[string]string{"sweep-1": "tag-1"}) {
-		t.Errorf("replayed sweeps = seq %d %v tags %v", snap.SweepSeq, snap.Sweeps, snap.SweepTags)
+	// A sweep is keyed by its tag now; the untagged one keeps its old id.
+	if !reflect.DeepEqual(snap.Sweeps, map[string][]string{"tag-1": {a, b}, "sweep-2": {c}}) {
+		t.Errorf("replayed sweeps = %v", snap.Sweeps)
 	}
 	// The queued items come back in ID order; the reaped holder's lease is
 	// requeued behind them once the (closed) re-adoption window is checked.
@@ -528,15 +527,90 @@ func TestJournalReplaysParentFormatDirectory(t *testing.T) {
 		t.Errorf("failed item = %+v, want failed: boom", st)
 	}
 	// sweep-2 is a record only the deleted POST /v1/sweeps batch path wrote: a
-	// sweep with no tag. It still replays into a pollable sweep, and the
-	// sequence it advanced is where tagged submissions carry on.
+	// sweep with no tag. It still replays into a pollable sweep, and a sweep
+	// formed after the replay is keyed, like every new one, by its tag.
 	if st, ok := re.SweepStatus("sweep-2"); !ok || !reflect.DeepEqual(st.JobIDs, []string{c}) || st.Pending != 1 {
 		t.Errorf("untagged batch sweep after replay = %+v, %v; want one pending member %.12s", st, ok, c)
 	}
 	if _, err := re.Submit(unitJob(5), "", "tag-3"); err != nil {
 		t.Fatal(err)
 	}
-	if st, ok := re.SweepStatus("tag-3"); !ok || st.ID != "sweep-3" {
-		t.Errorf("first sweep formed after replay = %+v, %v; want sweep-3", st, ok)
+	if st, ok := re.SweepStatus("tag-3"); !ok || st.ID != "tag-3" {
+		t.Errorf("first sweep formed after replay = %+v, %v; want id tag-3", st, ok)
+	}
+}
+
+// TestSweepJournalLinear pins what a tagged submission costs the journal: one
+// record, its submit record, whose size does not depend on how many jobs the
+// sweep already holds. (Re-journaling the sweep's cumulative membership on
+// every submission, as the parent format did, wrote 5.3 KB per job at 126
+// submissions and 66.6 KB at 2,000.) A coalesced resubmission writes nothing
+// under the tag the item already has and one tag record under a new one, and
+// the sweeps replay as they stood.
+func TestSweepJournalLinear(t *testing.T) {
+	type written struct {
+		bytes   int64
+		records int
+	}
+	dir := t.TempDir()
+	var co *Coordinator
+	open := func(dir string) {
+		j, err := OpenJournal(dir, testLogger())
+		if err != nil {
+			t.Fatal(err)
+		}
+		co = NewCoordinator(CoordinatorOptions{QueuePerWorker: 4096, HeartbeatTimeout: time.Hour,
+			HedgeAfter: -1, RetainFor: -1, Journal: j, Log: testLogger()})
+	}
+	journal := func(dir string) written {
+		b, err := os.ReadFile(filepath.Join(dir, journalFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return written{int64(len(b)), strings.Count(string(b), "\n")}
+	}
+	sweepOf := func(dir string, n int) written {
+		open(dir)
+		for seed := int64(1); seed <= int64(n); seed++ {
+			if _, err := co.Submit(unitJob(seed), "req", "sweep-tag"); err != nil {
+				t.Fatalf("submit %d of %d: %v", seed, n, err)
+			}
+		}
+		return journal(dir)
+	}
+
+	small := sweepOf(t.TempDir(), 126)
+	co.Crash()
+	large := sweepOf(dir, 2000)
+	if small.records != 126 || large.records != 2000 {
+		t.Errorf("journal holds %d and %d records for 126 and 2,000 fresh tagged submissions; want one each",
+			small.records, large.records)
+	}
+	perSmall, perLarge := float64(small.bytes)/126, float64(large.bytes)/2000
+	t.Logf("journal bytes per tagged job: %.0f at 126 submissions, %.0f at 2,000", perSmall, perLarge)
+	if perLarge > 1.2*perSmall {
+		t.Errorf("%.0f journal bytes per job at 2,000 submissions against %.0f at 126: a submission's cost grows with its sweep", perLarge, perSmall)
+	}
+
+	// Resubmissions coalesce: silent under the item's own tag, one tag record
+	// under another.
+	for _, tag := range []string{"sweep-tag", "second-tag", "second-tag"} {
+		if _, err := co.Submit(unitJob(7), "req", tag); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := journal(dir).records; got != 2001 {
+		t.Errorf("three coalesced resubmissions, one under a new tag, left %d records; want 2001", got)
+	}
+	want := liveSnapshot(co)
+	co.Crash()
+	open(dir)
+	defer co.Crash()
+	if got := liveSnapshot(co); !reflect.DeepEqual(got.Sweeps, want.Sweeps) {
+		t.Errorf("replayed sweeps differ from the live ones: %d and %d members, want %d and %d",
+			len(got.Sweeps["sweep-tag"]), len(got.Sweeps["second-tag"]), len(want.Sweeps["sweep-tag"]), len(want.Sweeps["second-tag"]))
+	}
+	if st, ok := co.SweepStatus("second-tag"); !ok || st.Total != 1 || st.JobIDs[0] != unitJob(7).Hash() {
+		t.Errorf("sweep formed by a coalesced resubmission after replay = %+v, %v", st, ok)
 	}
 }

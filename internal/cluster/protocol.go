@@ -49,7 +49,11 @@ import (
 // Version 2: the heartbeat response changed from 204 No Content to
 // 200 + HeartbeatReply carrying the coordinator's clock, which version-1
 // workers would misread as a failed beat.
-const ProtocolVersion = 2
+//
+// Version 3: engine.Job gained Strategy, an identity field. A version-2
+// worker would decode a strategy job without it, run the unnamed design and
+// report a result under a hash the coordinator never issued.
+const ProtocolVersion = 3
 
 // ErrProtocol reports a protocol-version mismatch between peers.
 var ErrProtocol = errors.New("cluster: protocol version mismatch")

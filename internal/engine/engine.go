@@ -372,7 +372,7 @@ func (e *Engine) attempt(t *task, attempt int, tid int64) (*Result, time.Duratio
 	}
 
 	begin := time.Now()
-	res, err := safeRun(t.job, e.opts.Fault, ctx.Done(), e.obs.samplingInstr(), e.obs.tracer(t.sweep), e.opts.Checkpoints)
+	res, err := safeRun(t.job, e.opts.Fault, ctx.Done(), e.obs, t.sweep, e.opts.Checkpoints)
 	wall := time.Since(begin)
 	e.obs.span(t.sweep, "job-run", tid, begin, obs.SpanArg{Key: "attempt", Val: int64(attempt)},
 		obs.SpanArg{Key: "ok", Val: boolArg(err == nil)})

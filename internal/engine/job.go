@@ -2,12 +2,12 @@
 // worker pool with a content-addressed result cache.
 //
 // A Job names one deterministic simulation — a workload, machine, sampling
-// regimen, total length, seed, and warm-up spec — and hashes to a canonical
-// content address. Submitting a job returns a Ticket; identical jobs
-// submitted concurrently are single-flighted (the second submitter waits
-// for the first result), and finished results are cached in memory and,
-// when a cache directory is configured, on disk as JSON, so repeated
-// sweeps skip already-computed runs. The engine exposes a polling Stats
+// regimen (and, optionally, the named strategy that spends it), total length,
+// seed, and warm-up spec — and hashes to a canonical content address.
+// Submitting a job returns a Ticket; identical jobs submitted concurrently
+// are single-flighted (the second submitter waits for the first result), and
+// finished results are cached in memory and, when a cache directory is
+// configured, on disk as JSON, so repeated sweeps skip already-computed runs. The engine exposes a polling Stats
 // snapshot and a streaming Event subscription for progress reporting.
 //
 // Because every job is deterministic in its inputs (see the concurrency
@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"rsr/internal/cas"
+	"rsr/internal/regimen"
 	"rsr/internal/sampling"
 	"rsr/internal/warmup"
 	"rsr/internal/workload"
@@ -32,7 +33,8 @@ type JobKind string
 
 // Job kinds.
 const (
-	// JobSampled is a cluster-sampled run (sampling.RunSampled).
+	// JobSampled is a cluster-sampled run: sampling.RunSampled, or the
+	// sampling strategy Job.Strategy names.
 	JobSampled JobKind = "sampled"
 	// JobFull is a complete detailed simulation (sampling.RunFull).
 	JobFull JobKind = "full"
@@ -50,6 +52,12 @@ type Job struct {
 	Regimen sampling.Regimen
 	Seed    int64
 	Warmup  warmup.Spec
+	// Strategy names the registered sampling strategy (regimen.ByName) that
+	// spends the Regimen's budget; the result is then a regimen.Outcome. Empty
+	// is the paper's design run by sampling.RunSampledOpts — the numbers of
+	// "stratified-uniform", but another job: an empty name is absent from the
+	// hash, so a job that predates the field keeps its content address.
+	Strategy string `json:"Strategy,omitempty"`
 	// Timeout bounds this job's execution (0 = the engine default). It is
 	// scheduling policy, not identity: it does not enter the hash. A job
 	// that runs past its deadline fails with ErrDeadline.
@@ -78,6 +86,7 @@ type jobIdentity struct {
 	Regimen     sampling.Regimen
 	Seed        int64
 	Warmup      warmup.Spec
+	Strategy    string `json:",omitempty"`
 }
 
 // Version 2: a reverse spec's Percent selects the newest Percent of the
@@ -98,6 +107,7 @@ func (j Job) Hash() string {
 		Regimen:     j.Regimen,
 		Seed:        j.Seed,
 		Warmup:      j.Warmup,
+		Strategy:    j.Strategy,
 	}
 	b, err := json.Marshal(id)
 	if err != nil {
@@ -157,6 +167,9 @@ func (j Job) Label() string {
 	if j.Kind == JobFull {
 		return fmt.Sprintf("full/%s", j.Workload)
 	}
+	if j.Strategy != "" {
+		return fmt.Sprintf("%s/%s/%s", j.Workload, j.Strategy, j.Warmup.Label())
+	}
 	return fmt.Sprintf("%s/%s", j.Workload, j.Warmup.Label())
 }
 
@@ -172,8 +185,14 @@ func (j Job) Validate() error {
 		return fmt.Errorf("engine: %w", err)
 	}
 	if j.Kind == JobSampled {
-		if err := j.Regimen.Validate(j.Total); err != nil {
-			return err
+		// Whether a named strategy's budget fits the workload is the strategy's
+		// to say: SimPoint short of intervals selects fewer (Figure 9's 10M).
+		if j.Strategy == "" {
+			if err := j.Regimen.Validate(j.Total); err != nil {
+				return err
+			}
+		} else if _, err := regimen.ByName(j.Strategy); err != nil {
+			return fmt.Errorf("engine: %w", err)
 		}
 		if err := j.Warmup.Validate(); err != nil {
 			return fmt.Errorf("engine: job Warmup: %w", err)

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"rsr/internal/obs"
+	"rsr/internal/regimen"
 	"rsr/internal/sampling"
 )
 
@@ -21,6 +22,8 @@ type engineObs struct {
 	// instr is handed to every job's sampling.Options so per-cluster phase
 	// metrics and spans flow from inside the runs.
 	instr *sampling.Instruments
+	// strat records how a strategy job selected and allocated its budget.
+	strat *regimen.Instruments
 
 	jobDur *obs.HistogramVec // observed in complete(), by terminal state
 }
@@ -31,7 +34,7 @@ func newEngineObs(r *obs.Registry, tr *obs.Tracer, stats func() Stats) *engineOb
 	if r == nil && tr == nil {
 		return nil
 	}
-	eo := &engineObs{tr: tr, instr: sampling.NewInstruments(r)}
+	eo := &engineObs{tr: tr, instr: sampling.NewInstruments(r), strat: regimen.NewInstruments(r)}
 	if r == nil {
 		return eo
 	}
@@ -102,20 +105,11 @@ func (eo *engineObs) observeJob(state string, wall time.Duration) {
 	eo.jobDur.With(state).Observe(wall.Seconds())
 }
 
-// samplingInstr returns the instrument bundle jobs should record into (nil
-// when metrics are off).
-func (eo *engineObs) samplingInstr() *sampling.Instruments {
+// sinks returns what a job records into (nil when off): per-cluster phase
+// and strategy-selection instruments, and the span sink scoped to its sweep.
+func (eo *engineObs) sinks(sweep string) (*sampling.Instruments, *regimen.Instruments, *obs.Tracer) {
 	if eo == nil {
-		return nil
+		return nil, nil, nil
 	}
-	return eo.instr
-}
-
-// tracer returns the span sink jobs should record into (nil when tracing is
-// off), scoped to the task's sweep tag so in-run sampling spans inherit it.
-func (eo *engineObs) tracer(sweep string) *obs.Tracer {
-	if eo == nil {
-		return nil
-	}
-	return eo.tr.Scoped(sweep)
+	return eo.instr, eo.strat, eo.tr.Scoped(sweep)
 }

@@ -3,20 +3,26 @@ package engine
 import (
 	"time"
 
+	"rsr/internal/regimen"
 	"rsr/internal/sampling"
 )
 
-// Result is the outcome of one job: exactly one of Sampled or Full is set,
-// matching the job's kind. Results are immutable once published — callers
-// (and cache readers) must not mutate them, since single-flighted and
-// cached submissions share the same value.
+// Result is the outcome of one job: exactly one of Sampled, Outcome or Full
+// is set, matching the job's kind and whether it names a strategy. Results
+// are immutable once published — callers (and cache readers) must not mutate
+// them, since single-flighted and cached submissions share the same value.
 type Result struct {
 	// JobHash is the content address of the job that produced this result.
 	JobHash string
 	// Kind echoes the job kind.
 	Kind JobKind
-	// Sampled holds the cluster-sampled measurement for JobSampled.
+	// Sampled holds the measurement of a JobSampled that names no strategy.
 	Sampled *sampling.RunResult `json:",omitempty"`
+	// Outcome holds the strategy run of a JobSampled that names one, and
+	// Selection how much of Outcome.Elapsed its selection pass took (SimPoint's
+	// offline profile, which Figure 9 leaves out of simulation time).
+	Outcome   *regimen.Outcome `json:",omitempty"`
+	Selection time.Duration    `json:",omitempty"`
 	// Full holds the detailed simulation for JobFull.
 	Full *sampling.FullResult `json:",omitempty"`
 	// Wall is the engine-measured execution wall-clock of the run that
@@ -31,6 +37,8 @@ func (r *Result) IPC() float64 {
 	switch {
 	case r.Sampled != nil:
 		return r.Sampled.IPCEstimate()
+	case r.Outcome != nil:
+		return r.Outcome.Estimate.IPC
 	case r.Full != nil:
 		return r.Full.Result.IPC()
 	}
@@ -45,7 +53,7 @@ func (r *Result) valid(hash string) bool {
 	}
 	switch r.Kind {
 	case JobSampled:
-		return r.Sampled != nil
+		return r.Sampled != nil || r.Outcome != nil
 	case JobFull:
 		return r.Full != nil
 	}

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"rsr/internal/fault"
-	"rsr/internal/obs"
+	"rsr/internal/regimen"
 	"rsr/internal/sampling"
 	"rsr/internal/workload"
 )
@@ -14,9 +14,9 @@ import (
 // safeRun executes runJob with worker-panic isolation and fault injection.
 // A panic — from the simulation itself or injected by a chaos plan — is
 // converted to a typed *PanicError carrying the recovery-time stack, so one
-// bad job can never take down the process or its sibling workers. instr and
-// tr (both usually nil) stream the run's per-phase metrics and spans.
-func safeRun(j Job, inj fault.Injector, cancel <-chan struct{}, instr *sampling.Instruments, tr *obs.Tracer, ckpt sampling.CheckpointStore) (res *Result, err error) {
+// bad job can never take down the process or its sibling workers. eo (usually
+// nil) streams the run's metrics and, scoped to sweep, its spans.
+func safeRun(j Job, inj fault.Injector, cancel <-chan struct{}, eo *engineObs, sweep string, ckpt sampling.CheckpointStore) (res *Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = &PanicError{Value: v, Stack: string(debug.Stack())}
@@ -38,20 +38,35 @@ func safeRun(j Job, inj fault.Injector, cancel <-chan struct{}, instr *sampling.
 			return nil, fmt.Errorf("engine: %s: %w", j.Label(), d.Err)
 		}
 	}
-	return runJob(j, cancel, instr, tr, ckpt)
+	return runJob(j, cancel, eo, sweep, ckpt)
 }
 
 // runJob executes one validated job. cancel aborts the simulation
 // cooperatively (polled at cluster boundaries for sampled runs, every 64Ki
 // instructions for full runs); an uncanceled run is bit-identical to the
 // direct sampling-package call — observability happens at phase boundaries
-// only, so attaching instr/tr cannot perturb results.
-func runJob(j Job, cancel <-chan struct{}, instr *sampling.Instruments, tr *obs.Tracer, ckpt sampling.CheckpointStore) (*Result, error) {
+// only, so attaching eo cannot perturb results. A job that names a strategy
+// runs it through the regimen runner, same cancel channel and shard count.
+func runJob(j Job, cancel <-chan struct{}, eo *engineObs, sweep string, ckpt sampling.CheckpointStore) (*Result, error) {
 	w, err := workload.ByName(j.Workload)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
 	p := w.Build()
+	instr, strat, tr := eo.sinks(sweep)
+	if j.Kind == JobSampled && j.Strategy != "" {
+		s, err := regimen.ByName(j.Strategy)
+		if err != nil {
+			return nil, fmt.Errorf("engine: %w", err)
+		}
+		out, selection, err := regimen.RunTimed(s, regimen.Params{Program: p, Machine: j.Machine,
+			Regimen: j.Regimen, Total: j.Total, Seed: j.Seed, Warmup: j.Warmup,
+			Cancel: cancel, Shards: j.Shards, Instr: strat})
+		if err != nil {
+			return nil, fmt.Errorf("engine: %s: %w", j.Label(), err)
+		}
+		return &Result{Kind: JobSampled, Outcome: out, Selection: selection}, nil
+	}
 	opts := sampling.Options{Cancel: cancel, Instr: instr, Tracer: tr, Shards: j.Shards}
 	if ckpt != nil && j.Kind == JobSampled && j.Shards > 1 {
 		opts.Checkpoints = ckpt

@@ -44,9 +44,9 @@ func (l *Lab) AblationReuse(percentile float64) ([]AblationCell, error) {
 		if err != nil {
 			return nil, err
 		}
-		regions := make([]sampling.Region, len(starts))
-		for i, start := range starts {
-			regions[i] = sampling.Region{Start: start, Size: reg.ClusterSize}
+		regions, err := reg.Regions(l.cfg.Total(), l.cfg.Seed)
+		if err != nil {
+			return nil, err
 		}
 
 		for _, kind := range []reuse.Kind{reuse.MRRL, reuse.BLRL} {
@@ -58,9 +58,9 @@ func (l *Lab) AblationReuse(percentile float64) ([]AblationCell, error) {
 			pElapsed := time.Since(pstart)
 			label := fmt.Sprintf("%s (%.0f%%)", kind, percentile)
 			// The windowed methods need the profile, which no warmup.Spec
-			// carries, so these arms hand the walker a method factory
-			// themselves — with the lab's execution policy, like every
-			// engine-run arm.
+			// — and so no engine.Job — carries: these arms hand the walker a
+			// method factory themselves, with the lab's shard count but
+			// outside its engine (no -parallel, -cachedir or -cluster).
 			res, err := sampling.RunRegions(w.Build(), l.machine, regions,
 				func(h *mem.Hierarchy, u *bpred.Unit) warmup.Method {
 					return warmup.NewWindowed(label, h, u, win.PerRegion)
@@ -125,6 +125,8 @@ func (l *Lab) AblationDetailedWarm(dw uint64) ([]Cell, error) {
 		}
 		out = append(out, none)
 
+		// DetailedWarmup is an option of the walker no engine.Job names, so
+		// this arm runs outside the lab's engine too.
 		res, err := sampling.RunSampledOpts(w.Build(), l.machine, reg, l.cfg.Total(), l.cfg.Seed,
 			warmup.Spec{Kind: warmup.KindNone}, sampling.Options{DetailedWarmup: dw})
 		if err != nil {

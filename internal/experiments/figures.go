@@ -1,14 +1,13 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
+	"rsr/internal/engine"
 	"rsr/internal/regimen"
 	"rsr/internal/sampling"
 	"rsr/internal/stats"
 	"rsr/internal/warmup"
-	"rsr/internal/workload"
 )
 
 // Table1Row is one row of Table 1: the true IPC and the sampling regimen of
@@ -155,31 +154,32 @@ func (l *Lab) Figure9() (*Figure9Result, error) {
 		{"10M-SMARTS", large, smarts},
 	}
 
-	var res Figure9Result
-	for _, name := range l.cfg.workloadNames() {
-		full, err := l.Full(name)
-		if err != nil {
-			return nil, err
-		}
-		trueIPC := full.Result.IPC()
-		w, err := workload.ByName(name)
-		if err != nil {
-			return nil, err
-		}
+	// Every job of the figure up front: the true IPCs, then per workload the
+	// four SimPoint arms and the R$BP (20%) reference.
+	names := l.cfg.workloadNames()
+	stride := len(configs) + 1
+	jobs := make([]engine.Job, 0, len(names)*(1+stride))
+	for _, name := range names {
+		jobs = append(jobs, l.fullJob(name))
+	}
+	for _, name := range names {
 		for _, c := range configs {
-			out, selection, err := regimen.SimPoint{}.RunTimed(regimen.Params{
-				Program: w.Build(),
-				Machine: sampling.DefaultMachine(),
-				Regimen: sampling.Regimen{ClusterSize: c.interval, NumClusters: points},
-				Total:   l.cfg.Total(),
-				Seed:    l.cfg.Seed,
-				Warmup:  c.warm,
-				Shards:  l.cfg.Shards,
-				Instr:   regimen.NewInstruments(l.cfg.Metrics),
-			})
-			if err != nil {
-				return nil, fmt.Errorf("experiments: simpoint %s/%s: %w", name, c.label, err)
-			}
+			jobs = append(jobs, l.strategyJob(name, regimen.SimPoint{}.Name(),
+				sampling.Regimen{ClusterSize: c.interval, NumClusters: points}, c.warm))
+		}
+		jobs = append(jobs, l.sampledJob(name, warmup.Spec{Kind: warmup.KindReverse, Percent: 20, Cache: true, BPred: true}))
+	}
+	results, err := l.runAll(jobs)
+	if err != nil {
+		return nil, err
+	}
+
+	var res Figure9Result
+	for w, name := range names {
+		trueIPC := results[w].Full.Result.IPC()
+		arms := results[len(names)+w*stride:][:stride]
+		for i, c := range configs {
+			out := arms[i].Outcome
 			res.Rows = append(res.Rows, SimPointRow{
 				Config:   c.label,
 				Workload: name,
@@ -187,16 +187,12 @@ func (l *Lab) Figure9() (*Figure9Result, error) {
 				Estimate: out.Estimate.IPC,
 				RelErr:   stats.RelErr(out.Estimate.IPC, trueIPC),
 				// The offline profile is not simulation time, as in the paper.
-				SimElapsed: out.Elapsed - selection,
+				SimElapsed: out.Elapsed - arms[i].Selection,
 				HotInsts:   out.HotInstructions,
 				Points:     len(out.Regions),
 			})
 		}
-		cell, err := l.Run(name, warmup.Spec{Kind: warmup.KindReverse, Percent: 20, Cache: true, BPred: true})
-		if err != nil {
-			return nil, err
-		}
-		res.Reference = append(res.Reference, cell)
+		res.Reference = append(res.Reference, cellOf(name, trueIPC, arms[len(configs)].Sampled))
 	}
 	return &res, nil
 }
@@ -216,17 +212,20 @@ func (l *Lab) Sweep(name string, percents []int) (reverse, fixed []SweepPoint, e
 	if len(percents) == 0 {
 		percents = []int{5, 10, 20, 30, 40, 60, 80, 100}
 	}
+	jobs := []engine.Job{l.fullJob(name)}
 	for _, p := range percents {
-		rc, err := l.Run(name, warmup.Spec{Kind: warmup.KindReverse, Percent: p, Cache: true, BPred: true})
-		if err != nil {
-			return nil, nil, err
-		}
-		reverse = append(reverse, SweepPoint{Percent: p, Cell: rc})
-		fc, err := l.Run(name, warmup.Spec{Kind: warmup.KindFixed, Percent: p, Cache: true, BPred: true})
-		if err != nil {
-			return nil, nil, err
-		}
-		fixed = append(fixed, SweepPoint{Percent: p, Cell: fc})
+		jobs = append(jobs,
+			l.sampledJob(name, warmup.Spec{Kind: warmup.KindReverse, Percent: p, Cache: true, BPred: true}),
+			l.sampledJob(name, warmup.Spec{Kind: warmup.KindFixed, Percent: p, Cache: true, BPred: true}))
+	}
+	results, err := l.runAll(jobs)
+	if err != nil {
+		return nil, nil, err
+	}
+	trueIPC := results[0].Full.Result.IPC()
+	for i, p := range percents {
+		reverse = append(reverse, SweepPoint{Percent: p, Cell: cellOf(name, trueIPC, results[1+2*i].Sampled)})
+		fixed = append(fixed, SweepPoint{Percent: p, Cell: cellOf(name, trueIPC, results[2+2*i].Sampled)})
 	}
 	return reverse, fixed, nil
 }

@@ -16,6 +16,7 @@ import (
 	"rsr/internal/engine"
 	"rsr/internal/obs"
 	"rsr/internal/sampling"
+	"rsr/internal/stats"
 	"rsr/internal/warmup"
 	"rsr/internal/workload"
 )
@@ -223,6 +224,14 @@ func (l *Lab) sampledJob(name string, spec warmup.Spec) engine.Job {
 	}
 }
 
+// strategyJob is the engine job for one (workload, sampling strategy) run:
+// the named strategy spending reg's budget, spec warming between its regions.
+func (l *Lab) strategyJob(name, strategy string, reg sampling.Regimen, spec warmup.Spec) engine.Job {
+	job := l.sampledJob(name, spec)
+	job.Strategy, job.Regimen = strategy, reg
+	return job
+}
+
 // Full returns (computing and caching on first use) the full detailed
 // simulation of a workload: the true IPC baseline.
 func (l *Lab) Full(name string) (sampling.FullResult, error) {
@@ -243,18 +252,42 @@ type Cell struct {
 	Confident bool
 	Elapsed   time.Duration
 	Work      warmup.Work
-	// HotInstructions and FuncInstructions describe the run composition.
-	HotInstructions  uint64
-	FuncInstructions uint64
+	// HotInstructions and FuncInstructions describe the run composition;
+	// ProfileInstructions is what a strategy's selection pass ran on top.
+	HotInstructions     uint64
+	FuncInstructions    uint64
+	ProfileInstructions uint64 `json:",omitempty"`
 }
 
 // Run executes one sampled simulation and scores it against the true IPC.
 func (l *Lab) Run(name string, spec warmup.Spec) (Cell, error) {
-	res, err := l.runAll([]engine.Job{l.fullJob(name), l.sampledJob(name, spec)})
+	return l.RunStrategy(name, "", spec)
+}
+
+// RunStrategy is Run under a named sampling strategy spending the workload's
+// regimen ("" = the paper's design, as the engine runs it unnamed).
+func (l *Lab) RunStrategy(name, strategy string, spec warmup.Spec) (Cell, error) {
+	res, err := l.runAll([]engine.Job{l.fullJob(name), l.strategyJob(name, strategy, RegimenFor(name), spec)})
 	if err != nil {
 		return Cell{}, err
 	}
-	return cellOf(name, res[0].Full.Result.IPC(), res[1].Sampled), nil
+	trueIPC := res[0].Full.Result.IPC()
+	if out := res[1].Outcome; out != nil {
+		return Cell{
+			Workload:            name,
+			Method:              spec.Label(),
+			TrueIPC:             trueIPC,
+			Estimate:            out.Estimate.IPC,
+			RelErr:              stats.RelErr(out.Estimate.IPC, trueIPC),
+			Confident:           out.Estimate.Confident(trueIPC),
+			Elapsed:             out.Elapsed,
+			Work:                out.Work,
+			HotInstructions:     out.HotInstructions,
+			FuncInstructions:    out.FuncInstructions,
+			ProfileInstructions: out.Plan.ProfileInstructions,
+		}, nil
+	}
+	return cellOf(name, trueIPC, res[1].Sampled), nil
 }
 
 // runAll submits every job up front and returns the results in submission

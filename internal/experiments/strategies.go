@@ -7,10 +7,10 @@ import (
 	"strings"
 	"time"
 
+	"rsr/internal/engine"
 	"rsr/internal/regimen"
 	"rsr/internal/stats"
 	"rsr/internal/warmup"
-	"rsr/internal/workload"
 )
 
 // StrategyCell is one (workload, sampling strategy) measurement of the
@@ -44,49 +44,39 @@ func strategyWarmup() warmup.Spec {
 }
 
 // StrategyHeadToHead runs every registered sampling strategy on the lab's
-// workloads and scores it against the true IPC. Strategies execute directly
-// (not through the engine) because their passes are already deterministic
-// and the lab's engine cache carries only the Full baselines they are scored
-// against — the same shape Figure9 uses for the SimPoint baseline.
+// workloads and scores it against the true IPC: one engine job per (workload,
+// strategy), all submitted up front like Matrix's, true-IPC baselines first.
 func (l *Lab) StrategyHeadToHead() ([]StrategyCell, error) {
-	var cells []StrategyCell
-	for _, name := range l.cfg.workloadNames() {
-		full, err := l.Full(name)
-		if err != nil {
-			return nil, err
+	names, strategies := l.cfg.workloadNames(), regimen.Names()
+	jobs := make([]engine.Job, 0, len(names)*(1+len(strategies)))
+	for _, name := range names {
+		jobs = append(jobs, l.fullJob(name))
+	}
+	for _, name := range names {
+		for _, s := range strategies {
+			jobs = append(jobs, l.strategyJob(name, s, RegimenFor(name), strategyWarmup()))
 		}
-		trueIPC := full.Result.IPC()
-		w, err := workload.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		p := regimen.Params{
-			Program: w.Build(),
-			Machine: l.machine,
-			Regimen: RegimenFor(name),
-			Total:   l.cfg.Total(),
-			Seed:    l.cfg.Seed,
-			Warmup:  strategyWarmup(),
-			Shards:  l.cfg.Shards,
-		}
-		for _, s := range regimen.All() {
-			out, err := s.Run(p)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: strategy %s/%s: %w", name, s.Name(), err)
-			}
-			cells = append(cells, StrategyCell{
-				Workload:            name,
-				Strategy:            s.Name(),
-				TrueIPC:             trueIPC,
-				Estimate:            out.Estimate.IPC,
-				RelErr:              stats.RelErr(out.Estimate.IPC, trueIPC),
-				CIRel:               ciRel(out.Estimate),
-				Confident:           out.Estimate.Confident(trueIPC),
-				Elapsed:             out.Elapsed,
-				Regions:             len(out.Regions),
-				HotInstructions:     out.HotInstructions,
-				ProfileInstructions: out.Plan.ProfileInstructions,
-			})
+	}
+	results, err := l.runAll(jobs)
+	if err != nil {
+		return nil, err
+	}
+	cells := make([]StrategyCell, len(names)*len(strategies))
+	for i := range cells {
+		w := i / len(strategies)
+		trueIPC, out := results[w].Full.Result.IPC(), results[len(names)+i].Outcome
+		cells[i] = StrategyCell{
+			Workload:            names[w],
+			Strategy:            out.Strategy,
+			TrueIPC:             trueIPC,
+			Estimate:            out.Estimate.IPC,
+			RelErr:              stats.RelErr(out.Estimate.IPC, trueIPC),
+			CIRel:               ciRel(out.Estimate),
+			Confident:           out.Estimate.Confident(trueIPC),
+			Elapsed:             out.Elapsed,
+			Regions:             len(out.Regions),
+			HotInstructions:     out.HotInstructions,
+			ProfileInstructions: out.Plan.ProfileInstructions,
 		}
 	}
 	return cells, nil

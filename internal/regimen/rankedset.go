@@ -152,4 +152,6 @@ func (s RankedSet) score(p Params, starts []uint64) ([]uint64, uint64, error) {
 }
 
 // Run implements Strategy.
-func (s RankedSet) Run(p Params) (*Outcome, error) { return begin(s, p).single(meanCPI) }
+func (s RankedSet) Run(p Params) (*Outcome, error) { return runOutcome(s, p) }
+
+func (RankedSet) drive(r *run) (*Outcome, error) { return r.single(meanCPI) }

@@ -179,6 +179,9 @@ type Strategy interface {
 	// Run executes the full strategy: selection, measurement with warm-up,
 	// and estimation.
 	Run(p Params) (*Outcome, error)
+	// drive is the strategy's own sequence of runner steps on a run RunTimed
+	// has started; Run is RunTimed without the time.
+	drive(r *run) (*Outcome, error)
 }
 
 // Measured pairs a region with its detailed-simulation result.

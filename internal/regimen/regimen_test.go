@@ -368,7 +368,7 @@ func TestRunCanceledMidMeasurement(t *testing.T) {
 // TestMeasureRejectsOverlap: out-of-order regions would wrap the walker's
 // uint64 skip distance into an exabyte fast-forward; a pass must refuse them.
 func TestMeasureRejectsOverlap(t *testing.T) {
-	r := begin(SimPoint{}, testParams(t, "parser"))
+	r := &run{p: testParams(t, "parser")}
 	_, err := r.measure([]Region{{Start: 20_000, Size: 10_000}, {Start: 10_000, Size: 10_000}})
 	if err == nil || !strings.Contains(err.Error(), "behind the simulated position") {
 		t.Fatalf("err = %v, want an overlap error", err)
@@ -402,7 +402,7 @@ func TestWeightedIPCZeroRetirementSafe(t *testing.T) {
 
 	estimate := func(regions ...Region) (Estimate, uint64) {
 		t.Helper()
-		r := begin(SimPoint{}, p)
+		r := &run{p: p}
 		ms, err := r.measure(regions)
 		if err != nil {
 			t.Fatal(err)

@@ -1,7 +1,5 @@
 package regimen
 
-import "rsr/internal/sampling"
-
 // rssDraws is the number of interpenetrating subsamples R. More draws give
 // the between-draw variance estimator more degrees of freedom but shrink
 // each draw; 5 keeps ≥ 6 clusters per draw under the default 30–50-cluster
@@ -40,25 +38,13 @@ func (RepeatedSubsampling) draws(p Params) int {
 // Select implements Strategy: stratified-uniform placement (byte-identical
 // positions to the baseline design for the same seed), draw = index mod R.
 func (s RepeatedSubsampling) Select(p Params) (*Plan, error) {
-	starts, err := sampling.Positions(p.Total, p.Regimen, p.Seed)
-	if err != nil {
-		return nil, err
-	}
 	r := s.draws(p)
-	regions := make([]Region, len(starts))
-	for i, start := range starts {
-		regions[i] = Region{
-			Start:   start,
-			Size:    p.Regimen.ClusterSize,
-			Weight:  1,
-			Stratum: i,
-			Draw:    i % r,
-		}
-	}
-	return &Plan{Regions: regions, Candidates: len(regions), Strata: len(regions)}, nil
+	return placed(p, func(i int) int { return i % r })
 }
 
 // Run implements Strategy.
-func (s RepeatedSubsampling) Run(p Params) (*Outcome, error) {
-	return begin(s, p).single(func(ms []Measured) Estimate { return betweenDraws(ms, s.draws(p)) })
+func (s RepeatedSubsampling) Run(p Params) (*Outcome, error) { return runOutcome(s, p) }
+
+func (s RepeatedSubsampling) drive(r *run) (*Outcome, error) {
+	return r.single(func(ms []Measured) Estimate { return betweenDraws(ms, s.draws(r.p)) })
 }

@@ -9,12 +9,12 @@ import (
 )
 
 // run is one strategy run in progress, and the only way a strategy reaches
-// the region walker or builds an Outcome: begin starts the clock, planned
-// takes the selection, measure executes a pass over some of its regions, and
-// finish turns an estimate over the measurements into the recorded Outcome.
-// A single-pass strategy is begin(s, p).single; the adaptive one
-// (two-phase-stratified) calls measure twice and decides the second pass from
-// the first.
+// the region walker or builds an Outcome: RunTimed starts the clock and hands
+// the run to the strategy's drive, planned takes the selection, measure
+// executes a pass over some of its regions, and finish turns an estimate over
+// the measurements into the recorded Outcome. A single-pass strategy's drive
+// is r.single; the adaptive one (two-phase-stratified) calls measure twice
+// and decides the second pass from the first.
 type run struct {
 	s     Strategy
 	p     Params
@@ -31,9 +31,20 @@ type run struct {
 	funcInstr, hotInstr uint64
 }
 
-// begin starts a run's clock, before selection.
-func begin(s Strategy, p Params) *run {
-	return &run{s: s, p: p, begin: time.Now()}
+// RunTimed is s.Run(p), also reporting how much of Outcome.Elapsed selection
+// took (placement, or BBV profiling and k-means), which Figure 9, like the
+// paper, leaves out of SimPoint's simulation time. Every run's clock starts
+// here, before selection.
+func RunTimed(s Strategy, p Params) (out *Outcome, selection time.Duration, err error) {
+	r := &run{s: s, p: p, begin: time.Now()}
+	out, err = s.drive(r)
+	return out, r.selectElapsed, err
+}
+
+// runOutcome is the body of every Strategy.Run.
+func runOutcome(s Strategy, p Params) (*Outcome, error) {
+	out, _, err := RunTimed(s, p)
+	return out, err
 }
 
 // planned adopts the selection decision and stamps how long it took.
@@ -79,7 +90,7 @@ func (r *run) finish(e Estimate) *Outcome {
 	return out
 }
 
-// single is a single-pass strategy's Run: select, measure every selected
+// single is a single-pass strategy's drive: select, measure every selected
 // region in one pass, estimate. It checks only what the walker needs of the
 // plan (ValidateRegions) and never Regimen.Validate — SimPoint may ask for
 // more points than there are intervals and simply gets fewer.

@@ -1,11 +1,6 @@
 package regimen
 
-import (
-	"time"
-
-	"rsr/internal/sampling"
-	"rsr/internal/simpoint"
-)
+import "rsr/internal/simpoint"
 
 // StratifiedUniform is the paper's design re-expressed through the strategy
 // seam: stratified-uniform cluster placement, the configured warm-up method
@@ -27,21 +22,27 @@ func (StratifiedUniform) Describe() string {
 // Select implements Strategy: one region per stratum, uniformly placed
 // within it — exactly sampling.Positions.
 func (StratifiedUniform) Select(p Params) (*Plan, error) {
-	starts, err := sampling.Positions(p.Total, p.Regimen, p.Seed)
+	return placed(p, func(int) int { return -1 })
+}
+
+// placed is the regimen's stratified-uniform placement (Regimen.Regions) as a
+// plan: one equally weighted region per stratum, region i in draw(i).
+func placed(p Params, draw func(i int) int) (*Plan, error) {
+	clusters, err := p.Regimen.Regions(p.Total, p.Seed)
 	if err != nil {
 		return nil, err
 	}
-	regions := make([]Region, len(starts))
-	for i, s := range starts {
-		regions[i] = Region{Start: s, Size: p.Regimen.ClusterSize, Weight: 1, Stratum: i, Draw: -1}
+	regions := make([]Region, len(clusters))
+	for i, c := range clusters {
+		regions[i] = Region{Start: c.Start, Size: c.Size, Weight: 1, Stratum: i, Draw: draw(i)}
 	}
 	return &Plan{Regions: regions, Candidates: len(regions), Strata: len(regions)}, nil
 }
 
 // Run implements Strategy.
-func (s StratifiedUniform) Run(p Params) (*Outcome, error) {
-	return begin(s, p).single(meanCPI)
-}
+func (s StratifiedUniform) Run(p Params) (*Outcome, error) { return runOutcome(s, p) }
+
+func (StratifiedUniform) drive(r *run) (*Outcome, error) { return r.single(meanCPI) }
 
 // SimPoint is the SimPoint baseline through the strategy seam: BBV
 // profiling at ClusterSize granularity, k-means selection of up to
@@ -92,16 +93,6 @@ func (SimPoint) Select(p Params) (*Plan, error) {
 }
 
 // Run implements Strategy.
-func (s SimPoint) Run(p Params) (*Outcome, error) {
-	out, _, err := s.RunTimed(p)
-	return out, err
-}
+func (s SimPoint) Run(p Params) (*Outcome, error) { return runOutcome(s, p) }
 
-// RunTimed is Run, also reporting how much of Outcome.Elapsed selection took
-// (BBV profiling and k-means). Figure 9 compares simulation time and, like
-// the paper, leaves SimPoint's offline profile out of it.
-func (s SimPoint) RunTimed(p Params) (out *Outcome, selection time.Duration, err error) {
-	r := begin(s, p)
-	out, err = r.single(weightedIPC)
-	return out, r.selectElapsed, err
-}
+func (SimPoint) drive(r *run) (*Outcome, error) { return r.single(weightedIPC) }

@@ -160,11 +160,14 @@ func (s TwoPhaseStratified) Select(p Params) (*Plan, error) {
 	return plan, err
 }
 
-// Run implements Strategy: profile → pilot pass → Neyman allocation →
-// refinement pass → stratified estimate. It is the one adaptive design, so
-// instead of single it drives the runner's pieces itself, measuring twice.
-func (s TwoPhaseStratified) Run(p Params) (*Outcome, error) {
-	r := begin(s, p)
+// Run implements Strategy.
+func (s TwoPhaseStratified) Run(p Params) (*Outcome, error) { return runOutcome(s, p) }
+
+// drive is profile → pilot pass → Neyman allocation → refinement pass →
+// stratified estimate. It is the one adaptive design, so instead of single it
+// takes the runner's steps itself, measuring twice.
+func (s TwoPhaseStratified) drive(r *run) (*Outcome, error) {
+	p := r.p
 	plan, st, used, err := s.pilot(p)
 	if err != nil {
 		return nil, err

@@ -139,8 +139,8 @@ type runObs struct {
 	coldDur, reconDur, warmDur, hotDur *obs.Histogram
 	logged, scanned, applied, warmOps  *obs.Counter
 
-	// Parallel-pipeline accounting. parallel is set once by runParallel via
-	// setParallel; the sequential path leaves it false so the stage counters
+	// Parallel-pipeline accounting. parallel is set once by RunRegions, when
+	// it picks the sharded feed, via setParallel; the sequential path leaves it false so the stage counters
 	// stay absent (not zero) when no parallel run ever happened.
 	parallel                                          bool
 	waitDur                                           *obs.Histogram

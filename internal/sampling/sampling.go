@@ -78,6 +78,20 @@ func Positions(total uint64, r Regimen, seed int64) ([]uint64, error) {
 	return starts, nil
 }
 
+// Regions returns the regimen's clusters as the walker's regions: one of
+// ClusterSize instructions at every start Positions draws.
+func (r Regimen) Regions(total uint64, seed int64) ([]Region, error) {
+	starts, err := Positions(total, r, seed)
+	if err != nil {
+		return nil, err
+	}
+	regions := make([]Region, len(starts))
+	for i, start := range starts {
+		regions[i] = Region{Start: start, Size: r.ClusterSize}
+	}
+	return regions, nil
+}
+
 // MachineConfig bundles the simulated machine.
 type MachineConfig struct {
 	CPU  ooo.Config
@@ -232,29 +246,20 @@ func (o Options) canceled() bool {
 	}
 }
 
-// RunSampledOpts is RunSampled with controller options. The spec is the
-// caller's, so it is checked here: out of range, Percent would wrap or clamp.
+// RunSampledOpts is RunSampled with controller options: the regimen's
+// placement handed to the region walker. The spec is the caller's, so it is
+// checked here: out of range, Percent would wrap or clamp. A caller whose
+// method needs more context than a Spec carries (the profiled MRRL/BLRL
+// windows) does the same with its own factory: Regions, then RunRegions.
 func RunSampledOpts(p *prog.Program, m MachineConfig, reg Regimen, total uint64, seed int64, spec warmup.Spec, opts Options) (*RunResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, fmt.Errorf("sampling: %w", err)
 	}
-	return runSampled(p, m, reg, total, seed, spec.New, opts)
-}
-
-// runSampled hands the regimen's stratified-uniform placement to the region
-// walker. A caller whose warm-up method needs more context than a Spec
-// carries (the profiling-based MRRL/BLRL windows) does the same with its own
-// factory: Positions, then RunRegions.
-func runSampled(p *prog.Program, m MachineConfig, reg Regimen, total uint64, seed int64, mk func(*mem.Hierarchy, *bpred.Unit) warmup.Method, opts Options) (*RunResult, error) {
-	starts, err := Positions(total, reg, seed)
+	regions, err := reg.Regions(total, seed)
 	if err != nil {
 		return nil, err
 	}
-	regions := make([]Region, len(starts))
-	for i, start := range starts {
-		regions[i] = Region{Start: start, Size: reg.ClusterSize}
-	}
-	return RunRegions(p, m, regions, mk, opts)
+	return RunRegions(p, m, regions, spec.New, opts)
 }
 
 // FullResult is a complete detailed simulation — the paper's "true IPC"

@@ -179,7 +179,7 @@ type SimPointResult struct {
 // the chosen simulation points to produce a weighted IPC estimate: the
 // "simpoint" sampling strategy with intervals as its regions.
 func RunSimPoint(p *Program, m Machine, total uint64, cfg SimPointConfig) (*SimPointResult, error) {
-	out, selection, err := regimen.SimPoint{}.RunTimed(regimen.Params{
+	out, selection, err := regimen.RunTimed(regimen.SimPoint{}, regimen.Params{
 		Program: p,
 		Machine: m,
 		Regimen: Regimen{ClusterSize: cfg.IntervalSize, NumClusters: cfg.MaxPoints},

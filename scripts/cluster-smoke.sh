@@ -4,8 +4,9 @@
 # Launches one rsrc coordinator and two peer-mode rsrd workers, runs a small
 # warm-up sweep through the cluster with `rsr -cluster`, and fails unless
 # the output is byte-identical to the same sweep run on a single local
-# engine. Also checks the coordinator's /v1/version handshake and that
-# /metrics exposes the per-node scheduler families.
+# engine and both workers' engines executed part of it. Also checks the
+# coordinator's /v1/version handshake and that /metrics exposes the per-node
+# scheduler families.
 set -eu
 
 WORKDIR="$(mktemp -d)"
@@ -68,6 +69,17 @@ if ! diff -u "$WORKDIR/local.txt" "$WORKDIR/cluster.txt"; then
     exit 1
 fi
 
+# The sweep submits all of its jobs before waiting on any, so the fabric has
+# work for both workers at once: each one's engine must have executed some.
+for W in "$WORKER_A" "$WORKER_B"; do
+    DONE="$(curl -fsS "http://$W/v1/stats" | sed -n 's/.*"Done": *\([0-9][0-9]*\).*/\1/p' | head -n 1)"
+    if [ "${DONE:-0}" -lt 1 ]; then
+        echo "cluster-smoke: the engine of worker $W executed no job (Done=${DONE:-absent})" >&2
+        cat "$WORKDIR/rsrc.log" >&2
+        exit 1
+    fi
+done
+
 # The scheduler's observability: both workers registered, the queue-depth
 # gauge and the per-node in-flight gauges exposed, jobs flowed through.
 METRICS="$WORKDIR/metrics.txt"
@@ -87,4 +99,4 @@ do
     fi
 done
 
-echo "cluster-smoke: ok (2-worker sweep byte-identical to single node)"
+echo "cluster-smoke: ok (2-worker sweep byte-identical to single node, both workers executed jobs)"

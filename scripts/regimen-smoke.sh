@@ -1,14 +1,15 @@
 #!/usr/bin/env sh
 # Sampling-regimen smoke test, run by `make regimen-smoke` and CI.
 #
-# Builds a race-enabled rsr and proves three things end to end with the real
+# Builds a race-enabled rsr and proves four things end to end with the real
 # CLI:
 #
-#   1. Byte-identity: `rsr -regimen stratified-uniform run` re-expresses the
-#      legacy engine path through the Strategy seam, so its output must be
-#      byte-for-byte identical to plain `rsr run` once the wall-clock `time`
-#      line is filtered out. Every other line — estimate, rel error,
-#      confidence, work counters — is deterministic, so `diff` is the oracle.
+#   1. Byte-identity: `rsr -regimen stratified-uniform run` is the paper's
+#      design as a named strategy job, so its output must be byte-for-byte
+#      identical to plain `rsr run` (the same design as the engine's unnamed
+#      job) once the wall-clock `time` line is filtered out. Every other line
+#      — estimate, rel error, confidence, work counters — is deterministic,
+#      so `diff` is the oracle.
 #
 #   2. Every registered strategy runs end to end: each name printed by
 #      `rsr regimens` must complete a run and report a sane estimate line
@@ -18,6 +19,10 @@
 #   3. Every strategy honours -shards: all measurement passes go through the
 #      one region walker, so a run at `-shards 2` must print exactly what the
 #      same run prints at `-shards 1`, minus the `time` line.
+#
+#   4. A strategy run is an engine job: `rsr -cachedir D -stats strategies`
+#      run twice prints the same table (minus the time column) and the second
+#      run's engine reports misses=0 — every strategy result came off disk.
 #
 # All flags are global and precede the subcommand (a flag after `run` is a
 # positional argument and silently ignored) — same convention as the other
@@ -33,11 +38,11 @@ GO="${GO:-go}"
 
 RSR="$WORKDIR/rsr -scale 0.05 -workloads twolf -workload twolf -parallel 1"
 
-# --- 1. Legacy path vs the strategy seam, byte for byte. -------------------
-$RSR run | grep -v '^time' >"$WORKDIR/legacy.txt"
-$RSR -regimen stratified-uniform run | grep -v '^time' >"$WORKDIR/seam.txt"
-if ! diff -u "$WORKDIR/legacy.txt" "$WORKDIR/seam.txt"; then
-    echo "regimen-smoke: stratified-uniform diverged from the legacy run path" >&2
+# --- 1. The unnamed job vs the named strategy, byte for byte. ---------------
+$RSR run | grep -v '^time' >"$WORKDIR/unnamed.txt"
+$RSR -regimen stratified-uniform run | grep -v '^time' >"$WORKDIR/named.txt"
+if ! diff -u "$WORKDIR/unnamed.txt" "$WORKDIR/named.txt"; then
+    echo "regimen-smoke: stratified-uniform diverged from the unnamed run" >&2
     exit 1
 fi
 
@@ -71,4 +76,19 @@ for NAME in $NAMES; do
     fi
 done
 
-echo "regimen-smoke: ok (legacy path byte-identical through the seam; $(printf '%s\n' "$NAMES" | wc -l | tr -d ' ') strategies ran end to end, each identical at -shards 1 and 2)"
+# --- 4. The head-to-head twice on one cache directory. ----------------------
+# The table's last column is wall time, which a cached result carries over
+# from the run that computed it: the two tables are equal byte for byte.
+$RSR -cachedir "$WORKDIR/cache" -stats strategies >"$WORKDIR/cold.txt" 2>"$WORKDIR/cold.err"
+$RSR -cachedir "$WORKDIR/cache" -stats strategies >"$WORKDIR/warm.txt" 2>"$WORKDIR/warm.err"
+if ! diff -u "$WORKDIR/cold.txt" "$WORKDIR/warm.txt"; then
+    echo "regimen-smoke: strategies re-run on the same -cachedir printed a different table" >&2
+    exit 1
+fi
+if ! grep -q ' misses=0 ' "$WORKDIR/warm.err" || grep -q ' misses=0 ' "$WORKDIR/cold.err"; then
+    echo "regimen-smoke: want a cold run with misses and a cached re-run with misses=0, got:" >&2
+    cat "$WORKDIR/cold.err" "$WORKDIR/warm.err" >&2
+    exit 1
+fi
+
+echo "regimen-smoke: ok (stratified-uniform byte-identical to the unnamed run; $(printf '%s\n' "$NAMES" | wc -l | tr -d ' ') strategies ran end to end, each identical at -shards 1 and 2; strategies re-run served from the cache)"
