@@ -5,9 +5,8 @@
 //
 // Usage:
 //
-//	rsrc [-addr :9900] [-casdir DIR] [-journal DIR] [-readopt-window D]
-//	     [-queue N] [-heartbeat-timeout D] [-hedge-after D] [-max-requeues N]
-//	     [-retain D] [-drain-timeout D]
+//	rsrc [-addr :9900] [-casdir DIR] [-journal DIR] [-queue N]
+//	     [-heartbeat-timeout D] [-max-requeues N] [-retain D] [-drain-timeout D]
 //
 // API:
 //
@@ -31,17 +30,20 @@
 //	GET  /healthz, /readyz   liveness / readiness
 //
 // Scheduling is pull-based: one bounded FIFO queue that every free worker
-// slot pulls from, hedged requests against stragglers, and heartbeat-driven
-// requeue on node loss; every job is deterministic and content-addressed,
-// so a sweep's results are byte-identical to a single-node run no matter
-// how the fabric moves the work (see internal/cluster).
+// slot pulls from, one holder per running job, and heartbeat-driven requeue
+// on node loss; every job is deterministic and content-addressed, so a
+// sweep's results are byte-identical to a single-node run no matter how the
+// fabric moves the work (see internal/cluster).
 //
 // With -journal, every scheduling decision is fsync'd to an append-only
 // write-ahead log before it takes effect, and a restarted coordinator
 // replays the log to resume its sweeps: finished jobs are served from their
 // CAS result blobs (pair -journal with -casdir, or replayed results are
-// recomputed), and live workers re-attach in-flight leases during the
-// -readopt-window, so a crash or redeploy neither loses nor re-runs work.
+// recomputed). Each journaled lease stays with its holder: the holder's
+// first heartbeat to the restarted coordinator lists what it still runs,
+// and the rest is requeued; a holder silent past -heartbeat-timeout plus
+// the workers' 5s reconnect-probe cap is reaped. A crash or redeploy
+// neither loses nor re-runs work.
 //
 // Start workers with:
 //
@@ -72,10 +74,8 @@ func main() {
 	addr := flag.String("addr", ":9900", "listen address")
 	casDir := flag.String("casdir", "", "content-addressed store directory (empty = memory-only)")
 	journalDir := flag.String("journal", "", "write-ahead journal directory; a restart replays it and resumes sweeps (empty = in-memory scheduling only)")
-	readoptWindow := flag.Duration("readopt-window", 0, "post-restart window for workers to re-attach journal-recovered leases (0 = 2x heartbeat-timeout, <0 requeues immediately)")
 	queue := flag.Int("queue", 0, "queue bound per live worker (0 = 32); submissions past N x max(1, live workers) queued jobs are refused with 503")
 	hbTimeout := flag.Duration("heartbeat-timeout", 5*time.Second, "reap workers silent this long and requeue their work")
-	hedgeAfter := flag.Duration("hedge-after", 30*time.Second, "duplicate a lease running longer than this onto an idle worker (<0 disables)")
 	maxRequeues := flag.Int("max-requeues", 3, "per-item requeue budget across transient failures and node loss")
 	retain := flag.Duration("retain", time.Hour, "prune finished jobs, sweeps, and their result blobs this long after completion (<0 retains forever)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "bound on finishing scheduled work after SIGTERM/SIGINT")
@@ -104,11 +104,9 @@ func main() {
 		Tracer:           obs.NewTracer(0),
 		QueuePerWorker:   *queue,
 		HeartbeatTimeout: *hbTimeout,
-		HedgeAfter:       *hedgeAfter,
 		MaxRequeues:      *maxRequeues,
 		RetainFor:        *retain,
 		Journal:          journal,
-		ReadoptWindow:    *readoptWindow,
 		Store:            cas.NewStore(*casDir),
 		Metrics:          reg,
 		Log:              log,
@@ -124,7 +122,7 @@ func main() {
 	go func() { serveErr <- hs.ListenAndServe() }()
 	log.Info("coordinating", "addr", *addr, "cas", *casDir, "journal", *journalDir,
 		"queue_per_worker", *queue, "heartbeat_timeout", *hbTimeout,
-		"hedge_after", *hedgeAfter, "protocol", cluster.ProtocolVersion)
+		"protocol", cluster.ProtocolVersion)
 
 	select {
 	case err := <-serveErr:

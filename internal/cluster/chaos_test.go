@@ -24,7 +24,6 @@ func TestChaosNodeKillMidSweepByteIdentical(t *testing.T) {
 	co := NewCoordinator(CoordinatorOptions{
 		QueuePerWorker:   16,
 		HeartbeatTimeout: 300 * time.Millisecond,
-		HedgeAfter:       -1, // isolate the requeue path from hedging
 		Metrics:          reg,
 		Log:              testLogger(),
 	})
@@ -109,17 +108,7 @@ func TestChaosNodeKillMidSweepByteIdentical(t *testing.T) {
 	}
 
 	// Recovery must not change a single byte of the results.
-	local := engine.New(engine.Options{Workers: 4})
-	defer local.Close()
-	for i, j := range jobs {
-		res, err := local.Run(ctx, j)
-		if err != nil {
-			t.Fatalf("local %s: %v", j.Label(), err)
-		}
-		if got := canon(t, res); got != remote[i] {
-			t.Errorf("%s: post-recovery result differs from single-node", j.Label())
-		}
-	}
+	assertSingleNode(t, ctx, jobs, remote)
 }
 
 // TestChaosCoordKillMidSweepByteIdentical proves the tentpole recovery
@@ -129,8 +118,9 @@ func TestChaosNodeKillMidSweepByteIdentical(t *testing.T) {
 // workers hold leases. A replacement coordinator opened on the same journal
 // and store replays the sweep, the workers ride out the outage (heartbeat
 // failures flip them to the reconnect machine; completion reports retry
-// until the restarted coordinator accepts them; advertised leases are
-// re-adopted), and the sweep finishes byte-identical to a single-node run —
+// until the restarted coordinator accepts them; each worker's first heartbeat
+// to it keeps the journaled leases it still runs), and the sweep finishes
+// byte-identical to a single-node run —
 // with every job executed exactly once across the fabric: nothing whose
 // result reached the CAS is re-run.
 func TestChaosCoordKillMidSweepByteIdentical(t *testing.T) {
@@ -144,7 +134,6 @@ func TestChaosCoordKillMidSweepByteIdentical(t *testing.T) {
 	co1 := NewCoordinator(CoordinatorOptions{
 		QueuePerWorker:   16,
 		HeartbeatTimeout: 300 * time.Millisecond,
-		HedgeAfter:       -1, // a hedge is a legitimate duplicate run; exclude it
 		Journal:          j1,
 		Store:            st,
 		Fault:            fault.New(11, fault.Rule{Point: fault.CoordKill, Kind: fault.KindError, Prob: 1, Count: 1}),
@@ -238,8 +227,6 @@ func TestChaosCoordKillMidSweepByteIdentical(t *testing.T) {
 	co2 := NewCoordinator(CoordinatorOptions{
 		QueuePerWorker:   16,
 		HeartbeatTimeout: 300 * time.Millisecond,
-		HedgeAfter:       -1,
-		ReadoptWindow:    5 * time.Second,
 		Journal:          j2,
 		Store:            st,
 		Metrics:          reg2,
@@ -249,7 +236,7 @@ func TestChaosCoordKillMidSweepByteIdentical(t *testing.T) {
 	h2 := NewServer(co2, reg2, testLogger()).Routes()
 	handler.Store(&h2)
 
-	// Both workers find the replacement and re-advertise their leases.
+	// Both workers find the replacement and list their leases to it.
 	deadline = time.Now().Add(10 * time.Second)
 	for !peers[0].Connected() || !peers[1].Connected() {
 		if time.Now().After(deadline) {
@@ -269,7 +256,7 @@ func TestChaosCoordKillMidSweepByteIdentical(t *testing.T) {
 
 	// Exactly one execution per job across the whole fabric: the completion
 	// that was in flight at the crash was retried and accepted, not redone,
-	// and re-adopted leases kept running instead of being requeued.
+	// and journaled leases kept running instead of being requeued.
 	var executed int64
 	for _, e := range engines {
 		executed += e.Stats().Done
@@ -291,29 +278,19 @@ func TestChaosCoordKillMidSweepByteIdentical(t *testing.T) {
 	}
 
 	// The restart must not change a single byte of the results.
-	local := engine.New(engine.Options{Workers: 4})
-	defer local.Close()
-	for i, j := range jobs {
-		res, err := local.Run(ctx, j)
-		if err != nil {
-			t.Fatalf("local %s: %v", j.Label(), err)
-		}
-		if got := canon(t, res); got != remote[i] {
-			t.Errorf("%s: post-restart result differs from single-node", j.Label())
-		}
-	}
+	assertSingleNode(t, ctx, jobs, remote)
 }
 
 // TestFaultNodeLossRequeuesToSurvivor exercises the reaper directly, without
 // HTTP: a node that stops heartbeating loses its lease; the leased item
 // requeues behind the one still waiting, and the next worker pulls and
-// completes both.
+// completes both. The reaper runs at an explicit instant past the timeout,
+// so nothing waits on the clock.
 func TestFaultNodeLossRequeuesToSurvivor(t *testing.T) {
 	reg := obs.NewRegistry()
 	co := NewCoordinator(CoordinatorOptions{
 		QueuePerWorker:   8,
-		HeartbeatTimeout: 100 * time.Millisecond,
-		HedgeAfter:       -1,
+		HeartbeatTimeout: time.Hour,
 		Metrics:          reg,
 		Log:              testLogger(),
 	})
@@ -331,24 +308,15 @@ func TestFaultNodeLossRequeuesToSurvivor(t *testing.T) {
 		t.Fatalf("lease = %+v, want %.12s", it, id1)
 	}
 	// Node a goes silent: one item leased, one still queued.
-	time.Sleep(250 * time.Millisecond)
+	co.reap(time.Now().Add(2 * time.Hour))
 
 	beat(t, co, "b")
-	got := map[string]bool{}
-	deadline := time.Now().Add(2 * time.Second)
-	for len(got) < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("survivor recovered %d/2 items", len(got))
+	for i, want := range []string{id2, id1} {
+		it := co.Pull("b")
+		if it == nil || it.ID != want {
+			t.Fatalf("survivor pull %d = %+v, want %.12s", i, it, want)
 		}
-		if it := co.Pull("b"); it != nil {
-			got[it.ID] = true
-			fakeComplete(t, co, "b", it.ID)
-		} else {
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
-	if !got[id1] || !got[id2] {
-		t.Fatalf("recovered = %v, want both %.12s and %.12s", got, id1, id2)
+		fakeComplete(t, co, "b", it.ID)
 	}
 	for _, id := range []string{id1, id2} {
 		if st, ok := co.Status(id); !ok || st.Status != "done" {
@@ -363,4 +331,34 @@ func TestFaultNodeLossRequeuesToSurvivor(t *testing.T) {
 	if got := metricValue(reg, "rsr_cluster_requeues_total"); got != 1 {
 		t.Errorf("requeues = %v, want 1", got)
 	}
+}
+
+// TestChaosStragglerRunsEachJobOnce is the straggler arm: one of two workers
+// stalls every job it runs (fault latency at the engine's job-run point)
+// under the shipped CoordinatorOptions. The stalled worker keeps
+// heartbeating, so its leases stay its own — nothing is requeued or run a
+// second time — and the sweep is byte-identical to a single-node run.
+func TestChaosStragglerRunsEachJobOnce(t *testing.T) {
+	f := newFabric(t, CoordinatorOptions{}, 1)
+	f.addPeer(t, PeerOptions{Node: "peer-slow"}, fault.New(3, fault.Rule{
+		Point: fault.JobRun, Kind: fault.KindLatency, Prob: 1, Latency: 300 * time.Millisecond}))
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+
+	jobs := sweepJobs(t)
+	start := time.Now()
+	remote := sweepThrough(t, ctx, f.ts.URL, jobs)
+	t.Logf("sweep of %d jobs took %v", len(jobs), time.Since(start).Round(time.Millisecond))
+
+	var executed int64
+	for _, e := range f.engines {
+		executed += e.Stats().Done
+	}
+	if executed != int64(len(jobs)) {
+		t.Errorf("fabric executed %d jobs, want exactly %d", executed, len(jobs))
+	}
+	if f.engines[1].Stats().Done == 0 {
+		t.Error("the stalled worker ran no job: the arm exercised no straggler")
+	}
+	assertSingleNode(t, ctx, jobs, remote)
 }

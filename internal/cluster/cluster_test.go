@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"rsr/internal/engine"
+	"rsr/internal/fault"
 	"rsr/internal/obs"
 	"rsr/internal/sampling"
 	"rsr/internal/warmup"
@@ -196,47 +197,6 @@ func TestIdleWorkerPullsOldestQueued(t *testing.T) {
 	}
 }
 
-func TestSchedulerHedgesStragglerAndDropsLateCopy(t *testing.T) {
-	reg := obs.NewRegistry()
-	co := NewCoordinator(CoordinatorOptions{
-		QueuePerWorker: 8, HeartbeatTimeout: time.Hour,
-		HedgeAfter: 30 * time.Millisecond, Log: testLogger(), Metrics: reg,
-	})
-	defer co.Close()
-	beat(t, co, "a")
-	id, err := co.Submit(unitJob(1), "", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if it := co.Pull("a"); it == nil || it.Hedged {
-		t.Fatalf("first lease = %+v", it)
-	}
-	time.Sleep(60 * time.Millisecond)
-
-	beat(t, co, "b")
-	hedge := co.Pull("b")
-	if hedge == nil || !hedge.Hedged || hedge.ID != id {
-		t.Fatalf("hedge lease = %+v, want hedged duplicate of %.12s", hedge, id)
-	}
-	// A worker never hedges an item it already holds.
-	if again := co.Pull("b"); again != nil {
-		t.Fatalf("second pull from b = %+v, want nothing", again)
-	}
-	fakeComplete(t, co, "b", id)
-	// The straggler's late completion is dropped, not an error.
-	blob, _ := json.Marshal(engine.Result{JobHash: id, Kind: engine.JobSampled})
-	sum, _ := co.Store().Put(blob)
-	if err := co.Complete(CompleteRequest{Node: "a", ID: id, BlobSum: sum}); err != nil {
-		t.Fatalf("late complete: %v", err)
-	}
-	if got := metricValue(reg, "rsr_cluster_hedges_total"); got != 1 {
-		t.Errorf("hedges metric = %v, want 1", got)
-	}
-	if got := metricValue(reg, "rsr_cluster_late_completes_total"); got != 1 {
-		t.Errorf("late completes metric = %v, want 1", got)
-	}
-}
-
 func TestSchedulerRefusesUnverifiableBlobs(t *testing.T) {
 	co := NewCoordinator(CoordinatorOptions{HeartbeatTimeout: time.Hour, Log: testLogger()})
 	defer co.Close()
@@ -350,10 +310,12 @@ func TestCompleteRequiresLease(t *testing.T) {
 // scenario end to end: a reaped-but-alive node's late success must not
 // finalize an item that was requeued — the requeued copy
 // owns the item — and running the requeued copy to completion must neither
-// regress state nor panic on a double finalize.
+// regress state nor panic on a double finalize. A report from the reaped
+// node after the item finished is a late copy: counted and dropped.
 func TestReapedNodeLateCompletionDoesNotClobberRequeue(t *testing.T) {
+	reg := obs.NewRegistry()
 	co := NewCoordinator(CoordinatorOptions{
-		QueuePerWorker: 8, HeartbeatTimeout: time.Hour, Log: testLogger(),
+		QueuePerWorker: 8, HeartbeatTimeout: time.Hour, Log: testLogger(), Metrics: reg,
 	})
 	defer co.Close()
 	beat(t, co, "a")
@@ -388,15 +350,25 @@ func TestReapedNodeLateCompletionDoesNotClobberRequeue(t *testing.T) {
 	if st, _ := co.Status(id); st.Status != "done" {
 		t.Fatalf("final status = %s, want done", st.Status)
 	}
+	if err := co.Complete(CompleteRequest{Node: "a", ID: id, BlobSum: sum}); err != nil {
+		t.Fatalf("late copy after b finished: %v", err)
+	}
+	if got := metricValue(reg, "rsr_cluster_late_completes_total"); got != 1 {
+		t.Errorf("late completes metric = %v, want 1", got)
+	}
+	if got := metricValue(reg, "rsr_cluster_stale_completes_total"); got != 1 {
+		t.Errorf("stale completes metric = %v, want 1 (the report while requeued)", got)
+	}
 }
 
 // TestRetentionPrunesFinishedWork pins the coordinator's memory bound:
 // finished items, their sweeps, and their result blobs are pruned after the
-// retention window, and a pruned job resubmitted later simply re-runs.
+// retention window, and a pruned job resubmitted later simply re-runs. The
+// reaper runs at explicit instants on either side of the window.
 func TestRetentionPrunesFinishedWork(t *testing.T) {
 	co := NewCoordinator(CoordinatorOptions{
 		QueuePerWorker: 8, HeartbeatTimeout: time.Hour,
-		RetainFor: 10 * time.Millisecond, Log: testLogger(),
+		RetainFor: time.Minute, Log: testLogger(),
 	})
 	defer co.Close()
 	beat(t, co, "a")
@@ -425,8 +397,7 @@ func TestRetentionPrunesFinishedWork(t *testing.T) {
 		t.Fatalf("status inside retention window = %+v, %v", st, ok)
 	}
 
-	time.Sleep(20 * time.Millisecond)
-	co.reap(time.Now())
+	co.reap(time.Now().Add(2 * time.Minute))
 	if _, ok := co.Status(id); ok {
 		t.Error("finished item still pollable after the retention window")
 	}
@@ -451,24 +422,60 @@ func TestRetentionPrunesFinishedWork(t *testing.T) {
 // cannot verify the result blob (409), the peer re-uploads the bytes it kept
 // in scope and retries — re-sending the identical doomed report would strand
 // the job forever on a single-worker cluster (the node keeps heartbeating,
-// so the lease is never reaped, and holders are excluded from hedging).
+// so the lease is never reaped).
 func TestPeerReuploadsBlobOnUnverifiedCompletion(t *testing.T) {
+	co := NewCoordinator(CoordinatorOptions{HeartbeatTimeout: 2 * time.Second, Log: testLogger()})
+	defer co.Close()
+	_, evicted, err := runEvictingOneWorker(t, co, 1)
+	if err != nil {
+		t.Fatalf("wait after 409 re-upload: %v", err)
+	}
+	if evicted != 1 {
+		t.Fatalf("intercepted %d successful completions, want 1", evicted)
+	}
+}
+
+// TestPeerRefusedCompletionFailsItem pins what happens when the blob path is
+// broken for good: every completion's result blob is evicted before the
+// coordinator reads it. The peer gives up after repeated refusals by
+// reporting a transient failure, so the item is requeued within its budget
+// and then fails with the refusal — it does not stay pending on a
+// one-worker fabric whose only node keeps heartbeating.
+func TestPeerRefusedCompletionFailsItem(t *testing.T) {
 	reg := obs.NewRegistry()
 	co := NewCoordinator(CoordinatorOptions{
-		HeartbeatTimeout: 2 * time.Second, Log: testLogger(), Metrics: reg,
+		HeartbeatTimeout: 2 * time.Second, MaxRequeues: 1, Log: testLogger(), Metrics: reg,
 	})
 	defer co.Close()
-	inner := NewServer(co, reg, testLogger()).Routes()
-	var sabotaged atomic.Bool
+	id, _, err := runEvictingOneWorker(t, co, -1)
+	if err == nil || !strings.Contains(err.Error(), "result blob refused") {
+		t.Fatalf("wait = %v, want the job failed with the blob refusal", err)
+	}
+	if st, _ := co.Status(id); st.Status != "failed" {
+		t.Fatalf("status = %s, want failed", st.Status)
+	}
+	if got := metricValue(reg, "rsr_cluster_requeues_total"); got != 1 {
+		t.Errorf("requeues = %v, want 1 (the budget)", got)
+	}
+}
+
+// runEvictingOneWorker runs one small job on a one-worker fabric whose
+// coordinator is reached through a proxy that evicts the result blob a
+// successful completion report names before passing the report on: the
+// first limit such reports, or every one when limit < 0. It returns the
+// job's ID, how many reports had their blob evicted, and the outcome of
+// waiting for the job.
+func runEvictingOneWorker(t *testing.T, co *Coordinator, limit int64) (string, int64, error) {
+	t.Helper()
+	inner := NewServer(co, nil, testLogger()).Routes()
+	var n atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// Evict the result blob under the first successful completion
-		// report, so the coordinator cannot verify it and answers 409.
-		if r.URL.Path == "/v1/peers/complete" && !sabotaged.Load() {
+		if r.URL.Path == "/v1/peers/complete" && (limit < 0 || n.Load() < limit) {
 			body, _ := io.ReadAll(r.Body)
 			r.Body = io.NopCloser(bytes.NewReader(body))
 			var req CompleteRequest
 			if json.Unmarshal(body, &req) == nil && req.BlobSum != "" {
-				sabotaged.Store(true)
+				n.Add(1)
 				co.Store().Evict(req.BlobSum)
 			}
 		}
@@ -491,24 +498,53 @@ func TestPeerReuploadsBlobOnUnverifiedCompletion(t *testing.T) {
 	}
 	defer p.Close()
 
-	cl := NewClient(ts.URL, "reupload-req", nil)
+	cl := NewClient(ts.URL, "evict-req", nil)
 	cl.pollEvery = 10 * time.Millisecond
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	tk, err := cl.Submit(ctx, engine.Job{
-		Kind: engine.JobSampled, Workload: "twolf",
-		Machine: sampling.DefaultMachine(), Total: 400_000,
-		Regimen: sampling.Regimen{ClusterSize: 2000, NumClusters: 10},
-		Seed:    2007,
-	})
+	tk, err := cl.Submit(ctx, sweepJobs(t)[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tk.Wait(ctx); err != nil {
-		t.Fatalf("wait after 409 re-upload: %v", err)
+	_, err = tk.Wait(ctx)
+	return tk.Hash(), n.Load(), err
+}
+
+// TestPeerRestartUnderSameNameReleasesLease pins the Hello half of the lease
+// rule: a worker that dies holding a lease and comes back as a new process
+// under the same node name, well inside the heartbeat timeout, has the old
+// process's lease requeued by its first heartbeat, and the one-worker fabric
+// finishes the job. Without it the new process would keep the dead one's
+// lease alive with every heartbeat.
+func TestPeerRestartUnderSameNameReleasesLease(t *testing.T) {
+	f := newFabric(t, CoordinatorOptions{HeartbeatTimeout: time.Hour}, 0)
+	dead := f.addPeer(t, PeerOptions{Node: "w",
+		Fault: fault.New(1, fault.Rule{Point: fault.NodeKill, Kind: fault.KindError, Prob: 1})}, nil)
+	cl := NewClient(f.ts.URL, "restart-req", nil)
+	cl.pollEvery = 10 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	tk, err := cl.Submit(ctx, sweepJobs(t)[0])
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !sabotaged.Load() {
-		t.Fatal("test never intercepted a successful completion")
+	for !dead.Killed() { // dies right after leasing the job
+		select {
+		case <-ctx.Done():
+			t.Fatal("the first process never leased the job")
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+
+	f.addPeer(t, PeerOptions{Node: "w"}, nil)
+	if _, err := tk.Wait(ctx); err != nil {
+		t.Fatalf("job after a same-name restart: %v", err)
+	}
+	if got := metricValue(f.reg, "rsr_cluster_requeues_total"); got != 1 {
+		t.Errorf("requeues = %v, want 1 (the dead process's lease)", got)
+	}
+	if got := f.engines[1].Stats().Done; got != 1 {
+		t.Errorf("the new process executed %d jobs, want 1", got)
 	}
 }
 
@@ -614,6 +650,7 @@ type fabric struct {
 	co      *Coordinator
 	ts      *httptest.Server
 	reg     *obs.Registry
+	log     *slog.Logger
 	peers   []*Peer
 	engines []*engine.Engine
 
@@ -630,32 +667,36 @@ func newFabric(t *testing.T, copts CoordinatorOptions, npeers int) *fabric {
 	}
 	co := NewCoordinator(copts)
 	ts := httptest.NewServer(NewServer(co, copts.Metrics, copts.Log).Routes())
-	f := &fabric{co: co, ts: ts, reg: copts.Metrics}
-	for i := 0; i < npeers; i++ {
-		eng := engine.New(engine.Options{
-			Workers:     2,
-			Checkpoints: NewCASCheckpoints(ts.URL, nil, copts.Log),
-		})
-		p, err := NewPeer(PeerOptions{
-			Node:           fmt.Sprintf("peer-%c", 'a'+i),
-			Coordinator:    ts.URL,
-			Engine:         eng,
-			Pulls:          2,
-			HeartbeatEvery: 50 * time.Millisecond,
-			PollEvery:      10 * time.Millisecond,
-			Log:            copts.Log,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Start(); err != nil {
-			t.Fatal(err)
-		}
-		f.peers = append(f.peers, p)
-		f.engines = append(f.engines, eng)
-	}
+	f := &fabric{co: co, ts: ts, reg: copts.Metrics, log: copts.Log}
 	t.Cleanup(f.close)
+	for i := 0; i < npeers; i++ {
+		f.addPeer(t, PeerOptions{Node: fmt.Sprintf("peer-%c", 'a'+i)}, nil)
+	}
 	return f
+}
+
+// addPeer starts one more worker on the fabric: po names it (and may arm
+// its own faults); its engine, sharing checkpoints through the coordinator
+// CAS, injects engFault (nil = none).
+func (f *fabric) addPeer(t *testing.T, po PeerOptions, engFault fault.Injector) *Peer {
+	t.Helper()
+	eng := engine.New(engine.Options{
+		Workers:     2,
+		Checkpoints: NewCASCheckpoints(f.ts.URL, nil, f.log),
+		Fault:       engFault,
+	})
+	f.engines = append(f.engines, eng)
+	po.Coordinator, po.Engine, po.Pulls, po.Log = f.ts.URL, eng, 2, f.log
+	po.HeartbeatEvery, po.PollEvery = 50*time.Millisecond, 10*time.Millisecond
+	p, err := NewPeer(po)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Start(); err != nil {
+		t.Fatal(err)
+	}
+	f.peers = append(f.peers, p)
+	return p
 }
 
 func (f *fabric) close() {
@@ -745,12 +786,32 @@ func TestClusterSweepByteIdenticalToSingleNode(t *testing.T) {
 	f := newFabric(t, CoordinatorOptions{
 		QueuePerWorker: 16, HeartbeatTimeout: 2 * time.Second,
 	}, 2)
-	cl := NewClient(f.ts.URL, "sweep-req-1", nil)
-	cl.pollEvery = 10 * time.Millisecond
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-
 	jobs := sweepJobs(t)
+	assertSingleNode(t, ctx, jobs, sweepThrough(t, ctx, f.ts.URL, jobs))
+
+	// Both peers worked the sweep and the per-node families are exposed.
+	prom := promText(t, f.ts.URL)
+	for _, want := range []string{
+		"rsr_cluster_queue_depth 0",
+		`rsr_cluster_inflight{node="peer-a"}`,
+		`rsr_cluster_inflight{node="peer-b"}`,
+		"rsr_cluster_jobs_submitted_total",
+		"rsr_cluster_workers 2",
+	} {
+		if !strings.Contains(prom, want) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+}
+
+// sweepThrough submits every job to the coordinator at url before waiting
+// on any, then returns their results in canonical form.
+func sweepThrough(t *testing.T, ctx context.Context, url string, jobs []engine.Job) []string {
+	t.Helper()
+	cl := NewClient(url, "sweep-req", nil)
+	cl.pollEvery = 10 * time.Millisecond
 	tickets := make([]*RemoteTicket, len(jobs))
 	for i, j := range jobs {
 		tk, err := cl.Submit(ctx, j)
@@ -767,7 +828,13 @@ func TestClusterSweepByteIdenticalToSingleNode(t *testing.T) {
 		}
 		remote[i] = canon(t, res)
 	}
+	return remote
+}
 
+// assertSingleNode runs the jobs on one local engine and requires each
+// result to be byte-identical to the fabric's canonical result.
+func assertSingleNode(t *testing.T, ctx context.Context, jobs []engine.Job, remote []string) {
+	t.Helper()
 	local := engine.New(engine.Options{Workers: 4})
 	defer local.Close()
 	for i, j := range jobs {
@@ -776,22 +843,8 @@ func TestClusterSweepByteIdenticalToSingleNode(t *testing.T) {
 			t.Fatalf("local %s: %v", j.Label(), err)
 		}
 		if got := canon(t, res); got != remote[i] {
-			t.Errorf("%s: cluster result differs from single-node\ncluster: %s\nlocal:   %s",
+			t.Errorf("%s: fabric result differs from single-node\nfabric: %s\nlocal:  %s",
 				j.Label(), remote[i], got)
-		}
-	}
-
-	// Both peers worked the sweep and the per-node families are exposed.
-	prom := promText(t, f.ts.URL)
-	for _, want := range []string{
-		"rsr_cluster_queue_depth 0",
-		`rsr_cluster_inflight{node="peer-a"}`,
-		`rsr_cluster_inflight{node="peer-b"}`,
-		"rsr_cluster_jobs_submitted_total",
-		"rsr_cluster_workers 2",
-	} {
-		if !strings.Contains(prom, want) {
-			t.Errorf("/metrics missing %q", want)
 		}
 	}
 }

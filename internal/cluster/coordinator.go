@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -23,11 +24,9 @@ type CoordinatorOptions struct {
 	// for a lease (0 = 32).
 	QueuePerWorker int
 	// HeartbeatTimeout is how long a worker may go silent before it is
-	// reaped and its work requeued (0 = 5s).
+	// reaped and its work requeued (0 = 5s). A holder replayed from the
+	// journal gets reconnectCap more for its first heartbeat.
 	HeartbeatTimeout time.Duration
-	// HedgeAfter is how long an item may run before an idle worker is given
-	// a duplicate lease racing the straggler (0 = 30s, negative disables).
-	HedgeAfter time.Duration
 	// MaxRequeues bounds how many times one item may be requeued — after
 	// transient failures or node loss — before it fails for good (0 = 3).
 	MaxRequeues int
@@ -43,12 +42,6 @@ type CoordinatorOptions struct {
 	// effect, and the replay it carries is adopted at construction, so a
 	// restarted coordinator resumes its sweeps instead of losing them.
 	Journal *Journal
-	// ReadoptWindow is how long after a journal-recovered start workers may
-	// re-attach the leases they were already running — heartbeats carry each
-	// peer's in-flight lease IDs — before unclaimed recovered leases are
-	// requeued (0 = 2× HeartbeatTimeout, negative = requeue immediately).
-	// Without recovered running items the window never opens.
-	ReadoptWindow time.Duration
 	// Fault optionally injects chaos at the coordinator's instrumented
 	// site: a fault.CoordKill firing makes the coordinator crash abruptly
 	// (see Crash) — the journal's moment of truth.
@@ -92,16 +85,10 @@ type item struct {
 	tid     int64 // coordinator trace lane for this item's span
 
 	state       itemState
-	holders     map[string]bool // nodes currently leasing this item
+	holder      string // the one node leasing a running item
 	submittedAt time.Time
-	firstStart  time.Time // zero until first leased; reset on requeue
+	firstStart  time.Time // set when leased; reset on requeue
 	requeues    int
-	hedged      bool
-	// recovered marks a running item replayed from the journal whose lease
-	// has not yet been confirmed by a live worker: during the re-adoption
-	// window a heartbeat advertising the lease re-attaches it; at window end
-	// unconfirmed recovered items are requeued.
-	recovered bool
 
 	res        *engine.Result
 	blobSum    string // the accepted result blob, for eviction at prune time
@@ -115,6 +102,10 @@ type node struct {
 	name     string
 	lastBeat time.Time
 	leases   map[string]bool // item IDs pulled and executing
+	// replayed marks a holder registered from the journal that has not yet
+	// sent a heartbeat: its first one settles which of its leases it still
+	// runs, so until then it is given no new work.
+	replayed bool
 	// addr is the worker's advertised HTTP base URL (heartbeat payload),
 	// used for trace and metrics aggregation fan-out; "" when the worker
 	// advertises nothing.
@@ -167,11 +158,7 @@ type Coordinator struct {
 	sweeps   map[string]*sweep
 	closed   bool
 	draining bool
-	// journal is the write-ahead log (nil = memory-only coordinator);
-	// readoptUntil bounds the post-recovery lease re-adoption window (zero =
-	// no window open).
-	journal      *Journal
-	readoptUntil time.Time
+	journal  *Journal // the write-ahead log (nil = memory-only coordinator)
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -185,17 +172,11 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 	if opts.HeartbeatTimeout <= 0 {
 		opts.HeartbeatTimeout = 5 * time.Second
 	}
-	if opts.HedgeAfter == 0 {
-		opts.HedgeAfter = 30 * time.Second
-	}
 	if opts.MaxRequeues <= 0 {
 		opts.MaxRequeues = 3
 	}
 	if opts.RetainFor == 0 {
 		opts.RetainFor = time.Hour
-	}
-	if opts.ReadoptWindow == 0 {
-		opts.ReadoptWindow = 2 * opts.HeartbeatTimeout
 	}
 	if opts.Log == nil {
 		opts.Log = slog.Default()
@@ -228,12 +209,14 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 // adoptReplay rebuilds the scheduler from journal-reconstructed state:
 // finished items are served straight from their CAS result blobs, queued
 // items fill the queue (in ID order: the journal keeps no placement), and
-// running items enter the re-adoption window keeping their journaled
-// holders, so live workers re-attach in-flight leases instead of having
-// them reaped and redone. Runs before the reaper starts; no lock needed.
+// running items keep their journaled holder, registered as a node that has
+// not yet sent a heartbeat — its first one says which of those leases it
+// still runs (see Heartbeat), and the reaper retires it if it never comes
+// back. A running item with no holder left is requeued behind the queued
+// ones. Runs before the reaper starts; no lock needed.
 func (c *Coordinator) adoptReplay(rp *Replay) {
 	now := time.Now()
-	recovering := 0
+	var orphans []*item
 	for _, ri := range rp.Items {
 		it := &item{
 			id:          ri.ID,
@@ -241,7 +224,6 @@ func (c *Coordinator) adoptReplay(rp *Replay) {
 			reqID:       ri.ReqID,
 			sweepID:     ri.Sweep,
 			tid:         c.tr.NextTID(),
-			holders:     make(map[string]bool),
 			submittedAt: now,
 			done:        make(chan struct{}),
 		}
@@ -273,13 +255,21 @@ func (c *Coordinator) adoptReplay(rp *Replay) {
 			it.finishedAt = now
 			close(it.done)
 		case "running":
-			it.state = itemRunning
-			it.recovered = true
-			it.firstStart = now
-			for _, h := range ri.Holders {
-				it.holders[h] = true
+			it.state, it.firstStart = itemRunning, now
+			if len(ri.Holders) == 0 {
+				orphans = append(orphans, it)
+				break
 			}
-			recovering++
+			// A parent-format journal may name a second holder, a duplicate
+			// lease raced against a slow one: the first keeps the lease, the
+			// other's report is a non-holder's.
+			it.holder = ri.Holders[0]
+			n := c.nodes[it.holder]
+			if n == nil {
+				n = &node{name: it.holder, lastBeat: now, leases: make(map[string]bool), replayed: true}
+				c.nodes[n.name] = n
+			}
+			n.leases[it.id] = true
 		default: // queued, blob-missing
 			it.state = itemQueued
 			c.queue = append(c.queue, it)
@@ -292,17 +282,11 @@ func (c *Coordinator) adoptReplay(rp *Replay) {
 			c.joinSweepLocked(key, id)
 		}
 	}
-	if recovering > 0 {
-		window := c.opts.ReadoptWindow
-		if window < 0 {
-			window = 0
-		}
-		c.readoptUntil = now.Add(window)
-		c.log.Info("re-adoption window open",
-			"recovered_leases", recovering, "window", window)
+	for _, it := range orphans {
+		c.loseLeaseLocked(it, "no holder journaled")
 	}
 	c.log.Info("journal replayed",
-		"items", len(rp.Items), "sweeps", len(rp.Sweeps),
+		"items", len(rp.Items), "sweeps", len(rp.Sweeps), "holders", len(c.nodes),
 		"records", rp.Records, "quarantined_tail_bytes", rp.Quarantined)
 }
 
@@ -397,7 +381,7 @@ func (c *Coordinator) snapshotLocked() snapshot {
 			si.State = "queued"
 		case itemRunning:
 			si.State = "running"
-			si.Holders = sortedKeys(it.holders)
+			si.Holders = []string{it.holder}
 		case itemDone:
 			si.State, si.BlobSum = "done", it.blobSum
 		case itemFailed:
@@ -491,7 +475,6 @@ func (c *Coordinator) Submit(job engine.Job, reqID, sweepID string) (string, err
 		reqID:       reqID,
 		sweepID:     sweepID,
 		tid:         c.tr.NextTID(),
-		holders:     make(map[string]bool),
 		submittedAt: time.Now(),
 		done:        make(chan struct{}),
 	}
@@ -610,6 +593,13 @@ func (c *Coordinator) Done(id string) (<-chan struct{}, bool) {
 
 // Heartbeat registers or refreshes a worker. A version-skewed worker is
 // refused with ErrProtocol so mixed fleets fail fast.
+//
+// Two heartbeats are authoritative for their node's leases: a replayed
+// holder's first one, and a worker process's first (Hello). Any lease the
+// coordinator records for the node that such a heartbeat does not list is
+// requeued — the worker is not running it, because it finished before the
+// coordinator restarted or it belonged to an earlier process under the same
+// name. Every other heartbeat leaves the lease table as it is.
 func (c *Coordinator) Heartbeat(hb Heartbeat) error {
 	if hb.Protocol != ProtocolVersion {
 		return fmt.Errorf("%w: coordinator %d, worker %q %d",
@@ -630,68 +620,35 @@ func (c *Coordinator) Heartbeat(hb Heartbeat) error {
 		n.addr = hb.Addr
 	}
 	n.clockOffsetNS, n.clockRTTNS = hb.ClockOffsetNS, hb.ClockRTTNS
-	c.readoptLocked(n, hb.Leases)
+	if hb.Hello || n.replayed {
+		n.replayed = false
+		for _, id := range sortedKeys(n.leases) {
+			if !slices.Contains(hb.Leases, id) {
+				c.releaseLocked(n, id, fmt.Sprintf("lease not held by %s", n.name))
+			}
+		}
+	}
 	return nil
 }
 
-// readoptLocked re-attaches journal-recovered leases a worker advertises in
-// its heartbeat: the worker kept running the job across the coordinator's
-// restart, so instead of reaping and redoing the work the lease is restored
-// under the node, which then completes (or fails) it exactly as if nothing
-// happened. Only items in the recovered state accept advertisements — during
-// normal operation the lease table is authoritative and a claim for an item
-// the coordinator did not record is just noise. Callers hold c.mu.
-func (c *Coordinator) readoptLocked(n *node, leases []string) {
-	if len(leases) == 0 {
-		return
-	}
-	for _, id := range leases {
-		it := c.items[id]
-		if it == nil || it.state != itemRunning || !it.recovered {
-			continue
-		}
-		if n.leases[id] {
-			continue
-		}
-		it.holders[n.name] = true
-		n.leases[id] = true
-		c.obs.readopted.Inc()
-		c.log.Info("lease re-adopted", "node", n.name, "job", id)
+// releaseLocked takes a lease away from a node that no longer runs it and
+// requeues the item, or fails it once its requeue budget is spent. Callers
+// hold c.mu.
+func (c *Coordinator) releaseLocked(n *node, id, why string) {
+	delete(n.leases, id)
+	if it := c.items[id]; it != nil && it.state == itemRunning && it.holder == n.name {
+		c.loseLeaseLocked(it, why)
 	}
 }
 
-// finishReadoptLocked closes the re-adoption window once it expires:
-// recovered running items keep only holders confirmed by a live worker's
-// advertisement; items nobody re-claimed are requeued (the worker died with
-// the old coordinator, or finished and gave up reporting). Callers hold
-// c.mu.
-func (c *Coordinator) finishReadoptLocked(now time.Time) {
-	if c.readoptUntil.IsZero() || now.Before(c.readoptUntil) {
+// loseLeaseLocked requeues a running item whose holder is gone, within its
+// requeue budget; past it the item fails. Callers hold c.mu.
+func (c *Coordinator) loseLeaseLocked(it *item, why string) {
+	if it.requeues < c.opts.MaxRequeues {
+		c.requeueLocked(it, why)
 		return
 	}
-	c.readoptUntil = time.Time{}
-	for _, it := range c.items {
-		if it.state != itemRunning || !it.recovered {
-			continue
-		}
-		it.recovered = false
-		// Journaled holders that never re-registered are ghosts: drop them
-		// so a later failure report cannot be outvoted by a dead node.
-		for h := range it.holders {
-			n := c.nodes[h]
-			if n == nil || !n.leases[it.id] {
-				delete(it.holders, h)
-			}
-		}
-		if len(it.holders) == 0 {
-			if it.requeues < c.opts.MaxRequeues {
-				c.requeueLocked(it, "lease not re-adopted after restart")
-			} else {
-				c.finalize(it, nil, fmt.Sprintf(
-					"cluster: lease lost across coordinator restart after %d requeues", it.requeues))
-			}
-		}
-	}
+	c.finalize(it, nil, fmt.Sprintf("cluster: %s after %d requeues", why, it.requeues))
 }
 
 // touch returns the named node, creating it on first contact, and refreshes
@@ -707,11 +664,13 @@ func (c *Coordinator) touch(name string) *node {
 	return n
 }
 
-// Pull leases one work item to a worker: the front of the queue, or — when
-// nothing is queued — a hedged duplicate of the oldest long-running item.
-// Queue entries are references; one whose item stopped being queued while it
-// waited (finalized) is discarded here, so a lease can never regress a
-// terminal item back to running. Returns nil when there is nothing to do.
+// Pull leases the front of the queue to a worker, which becomes the item's
+// one holder. Queue entries are references; one whose item stopped being
+// queued while it waited (finalized) is discarded here, so a lease can never
+// regress a terminal item back to running. A replayed holder gets nothing
+// until its first heartbeat has settled its journaled leases: that heartbeat
+// would requeue a lease granted before it. Returns nil when there is nothing
+// to do.
 func (c *Coordinator) Pull(nodeName string) *WorkItem {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -719,28 +678,15 @@ func (c *Coordinator) Pull(nodeName string) *WorkItem {
 		return nil
 	}
 	n := c.touch(nodeName)
-	now := time.Now()
-
-	it := c.popQueuedLocked()
-	var hedged bool
-	if it == nil {
-		if h := c.hedgeCandidate(nodeName, now); h != nil {
-			it, hedged = h, true
-			it.hedged = true
-			c.obs.hedges.With(nodeName).Inc()
-			c.log.Info("hedged straggler", "node", nodeName, "job", it.id,
-				"running_for", now.Sub(it.firstStart).Round(time.Millisecond))
-		}
+	if n.replayed {
+		return nil
 	}
+	it := c.popQueuedLocked()
 	if it == nil {
 		return nil
 	}
 	c.journal.append(journalRecord{Kind: recLease, ID: it.id, Node: nodeName})
-	it.state = itemRunning
-	it.holders[nodeName] = true
-	if it.firstStart.IsZero() {
-		it.firstStart = now
-	}
+	it.state, it.holder, it.firstStart = itemRunning, nodeName, time.Now()
 	n.leases[it.id] = true
 	if it.sweepID != "" {
 		// Remember which nodes ran this sweep's work (and where to reach
@@ -749,7 +695,7 @@ func (c *Coordinator) Pull(nodeName string) *WorkItem {
 			sw.participants[nodeName] = n.addr
 		}
 	}
-	return &WorkItem{ID: it.id, Job: it.job, RequestID: it.reqID, Hedged: hedged, SweepID: it.sweepID}
+	return &WorkItem{ID: it.id, Job: it.job, RequestID: it.reqID, SweepID: it.sweepID}
 }
 
 // popQueuedLocked pops the front of the queue, discarding stale references
@@ -766,38 +712,15 @@ func (c *Coordinator) popQueuedLocked() *item {
 	return nil
 }
 
-// hedgeCandidate picks the oldest running item this node does not already
-// hold that has been running past HedgeAfter. Callers hold c.mu.
-func (c *Coordinator) hedgeCandidate(nodeName string, now time.Time) *item {
-	if c.opts.HedgeAfter < 0 {
-		return nil
-	}
-	var best *item
-	for _, it := range c.items {
-		if it.state != itemRunning || it.holders[nodeName] || len(it.holders) == 0 {
-			continue
-		}
-		if now.Sub(it.firstStart) < c.opts.HedgeAfter {
-			continue
-		}
-		if best == nil || it.firstStart.Before(best.firstStart) {
-			best = it
-		}
-	}
-	return best
-}
-
 // Complete records one execution's outcome. Success must name a result blob
 // already in the store; a blob that is missing, corrupt, or decodes to a
 // different job's result is refused with ErrBadBlob (the worker re-uploads
-// and retries). Only a node that still holds a lease on the item may decide
-// it: a report that raced the reaper — the node was presumed dead, its lease
-// released and the item requeued — is dropped, so a late failure cannot kill
-// work that is queued to run elsewhere, and a stray report (the API is
-// unauthenticated) cannot decide a job it never leased. Failures release the
-// node's lease: if another node still holds a hedged lease the item keeps
-// running, otherwise a transient failure is requeued within the item's
-// budget and anything else fails the item.
+// and retries). Only the item's holder may decide it: a report that raced
+// the reaper — the node was presumed dead, its lease released and the item
+// requeued — is dropped, so a late failure cannot kill work that is queued
+// to run elsewhere, and a stray report (the API is unauthenticated) cannot
+// decide a job it never leased. A transient failure is requeued within the
+// item's budget; anything else fails the item.
 func (c *Coordinator) Complete(req CompleteRequest) error {
 	// The chaos point: a firing CoordKill rule crashes the coordinator as a
 	// completion arrives — after real work has finished, before the outcome
@@ -839,13 +762,12 @@ func (c *Coordinator) Complete(req CompleteRequest) error {
 		n.lastBeat = time.Now()
 	}
 	if it.state == itemDone || it.state == itemFailed {
-		// A hedge or requeue raced a slow completion; results are
-		// deterministic so the late copy is identical and simply dropped.
-		delete(it.holders, req.Node)
+		// A requeue raced a slow completion; results are deterministic so
+		// the late copy is identical and simply dropped.
 		c.obs.lateCompletes.Inc()
 		return nil
 	}
-	if !it.holders[req.Node] {
+	if it.state != itemRunning || it.holder != req.Node {
 		// The node does not hold a lease on this item: its lease was reaped
 		// and the item requeued, or the report is a stray POST. The live
 		// copy owns the item now — a late failure must not fail work that
@@ -856,16 +778,9 @@ func (c *Coordinator) Complete(req CompleteRequest) error {
 			"job", req.ID, "err", req.Error)
 		return nil
 	}
-	delete(it.holders, req.Node)
 	if res != nil {
 		it.blobSum = req.BlobSum
 		c.finalize(it, res, "")
-		return nil
-	}
-	if len(it.holders) > 0 {
-		// Another lease is still racing; let it decide the item.
-		c.log.Warn("lease failed, hedge still running", "node", req.Node,
-			"job", req.ID, "err", req.Error)
 		return nil
 	}
 	if req.Transient && it.requeues < c.opts.MaxRequeues {
@@ -890,7 +805,6 @@ func (c *Coordinator) finalize(it *item, res *engine.Result, errMsg string) {
 		it.state, it.errMsg = itemFailed, errMsg
 		c.obs.completed.With("failed").Inc()
 	}
-	it.recovered = false
 	it.finishedAt = time.Now()
 	// One coordinator span per item, covering its whole scheduled life
 	// (submission to terminal state), on the item's own lane.
@@ -942,9 +856,7 @@ func (c *Coordinator) sweepFinishedLocked(it *item) {
 // accepted. Callers hold c.mu.
 func (c *Coordinator) requeueLocked(it *item, why string) {
 	c.journal.append(journalRecord{Kind: recRequeue, ID: it.id})
-	it.state = itemQueued
-	it.firstStart = time.Time{}
-	it.recovered = false
+	it.state, it.holder, it.firstStart = itemQueued, "", time.Time{}
 	it.requeues++
 	c.obs.requeues.Inc()
 	c.log.Warn("requeued", "job", it.id, "attempt", it.requeues, "why", why)
@@ -970,17 +882,22 @@ func (c *Coordinator) reapLoop() {
 	}
 }
 
-// reap releases the leases of every node silent past the heartbeat timeout,
-// requeuing work no other node still holds, then removes the node. Nodes and
-// their leases are visited in sorted order: the requeue order is the order
-// the work runs in, so it must not depend on map iteration. An item over its
-// requeue budget fails instead of cycling through dying nodes forever.
+// reap releases the leases of every node silent past the heartbeat timeout
+// — plus reconnectCap for a replayed holder, the longest a live worker waits
+// between reconnect probes — then removes the node. Nodes and their leases
+// are visited in sorted order: the requeue order is the order the work runs
+// in, so it must not depend on map iteration. An item over its requeue
+// budget fails instead of cycling through dying nodes forever.
 func (c *Coordinator) reap(now time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, n := range c.sortedNodes() {
 		name := n.name
-		if now.Sub(n.lastBeat) <= c.opts.HeartbeatTimeout {
+		timeout := c.opts.HeartbeatTimeout
+		if n.replayed {
+			timeout += reconnectCap
+		}
+		if now.Sub(n.lastBeat) <= timeout {
 			continue
 		}
 		c.log.Warn("worker lost", "node", name, "leased", len(n.leases),
@@ -990,23 +907,9 @@ func (c *Coordinator) reap(now time.Time) {
 		c.obs.nodesLost.Inc()
 		c.obs.zeroNode(name)
 		for _, id := range sortedKeys(n.leases) {
-			it := c.items[id]
-			if it == nil {
-				continue
-			}
-			delete(it.holders, name)
-			if it.state != itemRunning || len(it.holders) > 0 {
-				continue
-			}
-			if it.requeues < c.opts.MaxRequeues {
-				c.requeueLocked(it, fmt.Sprintf("node %s lost", name))
-			} else {
-				c.finalize(it, nil, fmt.Sprintf(
-					"cluster: job lost with node %s after %d requeues", name, it.requeues))
-			}
+			c.releaseLocked(n, id, fmt.Sprintf("job lost with node %s", name))
 		}
 	}
-	c.finishReadoptLocked(now)
 	c.pruneLocked(now)
 	if c.journal != nil && c.journal.shouldCompact() {
 		if err := c.journal.compact(c.snapshotLocked()); err != nil {

@@ -39,7 +39,7 @@ import (
 // bytes — ends the replay at the last valid record: the tail is moved to a
 // quarantine file and the journal truncated, so the next append continues
 // from a clean prefix. Everything the tail could have carried is recovered
-// by weaker means (an unjournaled lease is re-adopted or requeued; an
+// by weaker means (an unjournaled lease is re-run; an
 // unjournaled completion is re-reported by the worker or recomputed), so
 // quarantining costs duplicate work at most, never correctness.
 
@@ -201,7 +201,7 @@ func (j *Journal) instrument(fsyncSec *obs.Histogram, records *obs.CounterVec) {
 // append durably logs one record: marshal, write, fsync, then return. An
 // I/O failure is logged and swallowed — the coordinator prefers staying
 // available with a shorter journal over refusing all work; the un-journaled
-// mutation is recovered after a crash by re-adoption, re-report, or
+// mutation is recovered after a crash by requeue, re-report, or
 // recompute, exactly like a quarantined tail.
 func (j *Journal) append(rec journalRecord) {
 	if j == nil || j.f == nil {

@@ -30,9 +30,7 @@ func journaledCoordinator(t *testing.T, dir string, st *cas.Store, reg *obs.Regi
 	return NewCoordinator(CoordinatorOptions{
 		QueuePerWorker:   8,
 		HeartbeatTimeout: time.Hour,
-		HedgeAfter:       -1,
 		RetainFor:        -1,
-		ReadoptWindow:    time.Hour,
 		Journal:          j,
 		Store:            st,
 		Metrics:          reg,
@@ -278,7 +276,7 @@ func TestJournalQuarantinesCorruptTail(t *testing.T) {
 		t.Errorf("quarantine file = %q, %v; want the cut tail", q, err)
 	}
 	re := NewCoordinator(CoordinatorOptions{
-		HeartbeatTimeout: time.Hour, HedgeAfter: -1, RetainFor: -1,
+		HeartbeatTimeout: time.Hour, RetainFor: -1,
 		Journal: j, Store: st, Log: testLogger(),
 	})
 	got := liveSnapshot(re)
@@ -345,11 +343,12 @@ func TestJournalReplayServesDoneFromCAS(t *testing.T) {
 	}
 }
 
-// TestLeaseReadoptionAcrossRestart pins the re-adoption handshake: a lease
-// running through a coordinator crash is replayed as recovered, a heartbeat
-// advertising the lease ID re-attaches it to the live worker, and that
-// worker's completion is accepted exactly as if the restart never happened.
-// A heartbeat advertising IDs the journal never leased is ignored.
+// TestLeaseReadoptionAcrossRestart pins the replayed half of the lease
+// rule: a lease running through a coordinator crash stays with its journaled
+// holder, which is given no new work until its first heartbeat; that
+// heartbeat lists the lease, so it stays, and the holder's completion is
+// accepted exactly as if the restart never happened. A heartbeat from a node
+// the journal never named leaves the lease table alone, whatever it lists.
 func TestLeaseReadoptionAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	st := cas.NewStore("")
@@ -362,42 +361,85 @@ func TestLeaseReadoptionAcrossRestart(t *testing.T) {
 	if it := co.Pull("a"); it == nil || it.ID != id {
 		t.Fatalf("lease = %+v", it)
 	}
-	co.Crash()
-
-	reg := obs.NewRegistry()
-	re := journaledCoordinator(t, dir, st, reg)
-	defer re.Close()
-	if stj, _ := re.Status(id); stj.Status != "pending" {
-		t.Fatalf("recovered lease status = %s, want pending", stj.Status)
-	}
-	// A rogue advertisement for an ID the journal never leased is noise.
-	if err := re.Heartbeat(Heartbeat{Node: "b", Protocol: ProtocolVersion,
-		Leases: []string{"feedface"}}); err != nil {
+	queued, err := co.Submit(unitJob(2), "", "")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := metricValue(reg, "rsr_cluster_leases_readopted_total"); got != 0 {
-		t.Fatalf("rogue advertisement re-adopted %v leases", got)
+	co.Crash()
+
+	re := journaledCoordinator(t, dir, st, nil)
+	defer re.Close()
+	if stj, _ := re.Status(id); stj.Status != "pending" {
+		t.Fatalf("journaled lease status = %s, want pending", stj.Status)
 	}
-	// The real worker's heartbeat re-attaches its lease.
+	if it := re.Pull("a"); it != nil {
+		t.Fatalf("replayed holder leased %+v before its first heartbeat", it)
+	}
+	if err := re.Heartbeat(Heartbeat{Node: "b", Protocol: ProtocolVersion,
+		Leases: []string{"feedface", id}}); err != nil {
+		t.Fatal(err)
+	}
 	if err := re.Heartbeat(Heartbeat{Node: "a", Protocol: ProtocolVersion,
 		Leases: []string{id}}); err != nil {
 		t.Fatal(err)
 	}
-	if got := metricValue(reg, "rsr_cluster_leases_readopted_total"); got != 1 {
-		t.Fatalf("readopted metric = %v, want 1", got)
+	// The lease stayed with a: b finds only the item that was queued.
+	if it := re.Pull("b"); it == nil || it.ID != queued {
+		t.Fatalf("pull = %+v, want the queued %.12s", it, queued)
 	}
-	// The re-adopted holder completes the item; no re-run, no stale drop.
+	if it := re.Pull("b"); it != nil {
+		t.Fatalf("pull = %+v, want nothing: the journaled lease was kept", it)
+	}
+	// The holder completes the item; no re-run, no stale drop.
 	fakeComplete(t, re, "a", id)
 	if stj, _ := re.Status(id); stj.Status != "done" {
-		t.Fatalf("status after re-adopted completion = %s, want done", stj.Status)
+		t.Fatalf("status after the holder's completion = %s, want done", stj.Status)
 	}
 }
 
-// TestReadoptWindowExpiryRequeues pins the other half of re-adoption: a
-// recovered lease nobody re-claims — its worker died with the old
-// coordinator — is requeued when the window closes, so the work still
-// finishes, just on a different node.
-func TestReadoptWindowExpiryRequeues(t *testing.T) {
+// TestReplayedHolderRequeuesOmittedLease pins the requeue the replayed
+// holder's first heartbeat makes: a journaled lease it does not list — it
+// finished or lost the job while the coordinator was down — is requeued at
+// once, and a later heartbeat that omits a lease changes nothing.
+func TestReplayedHolderRequeuesOmittedLease(t *testing.T) {
+	dir := t.TempDir()
+	st := cas.NewStore("")
+	co := journaledCoordinator(t, dir, st, nil)
+	beat(t, co, "a")
+	var ids []string
+	for seed := int64(1); seed <= 2; seed++ {
+		id, err := co.Submit(unitJob(seed), "", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if it := co.Pull("a"); it == nil || it.ID != id {
+			t.Fatalf("lease = %+v, want %.12s", it, id)
+		}
+		ids = append(ids, id)
+	}
+	co.Crash()
+
+	re := journaledCoordinator(t, dir, st, nil)
+	defer re.Close()
+	if err := re.Heartbeat(Heartbeat{Node: "a", Protocol: ProtocolVersion,
+		Leases: ids[1:]}); err != nil {
+		t.Fatal(err)
+	}
+	if it := re.Pull("b"); it == nil || it.ID != ids[0] {
+		t.Fatalf("pull = %+v, want the omitted lease %.12s requeued", it, ids[0])
+	}
+	beat(t, re, "a") // lists nothing, and is not authoritative
+	if it := re.Pull("b"); it != nil {
+		t.Fatalf("pull = %+v, want nothing: only the first heartbeat settles leases", it)
+	}
+}
+
+// TestReplayedHolderReapedAfterReconnectCap pins the other way a journaled
+// lease leaves its holder: a holder that never heartbeats the restarted
+// coordinator is reaped once it has been silent for the heartbeat timeout
+// plus reconnectCap, the longest a live worker waits between reconnect
+// probes — and not before — and its lease requeues to a survivor.
+func TestReplayedHolderReapedAfterReconnectCap(t *testing.T) {
 	dir := t.TempDir()
 	st := cas.NewStore("")
 	co := journaledCoordinator(t, dir, st, nil)
@@ -411,21 +453,20 @@ func TestReadoptWindowExpiryRequeues(t *testing.T) {
 	}
 	co.Crash()
 
-	j, err := OpenJournal(dir, testLogger())
-	if err != nil {
-		t.Fatal(err)
-	}
-	re := NewCoordinator(CoordinatorOptions{
-		HeartbeatTimeout: time.Hour, HedgeAfter: -1, RetainFor: -1,
-		ReadoptWindow: -1, // close the window at the first reap tick
-		Journal:       j, Store: st, Log: testLogger(),
-	})
+	before := time.Now()
+	re := journaledCoordinator(t, dir, st, nil)
 	defer re.Close()
-	re.reap(time.Now())
-	// Worker a never came back; the lease requeues and a survivor runs it.
+	restart := time.Now()
+	silence := time.Hour + reconnectCap // journaledCoordinator's timeout
+
+	re.reap(before.Add(silence))
+	if snap := liveSnapshot(re); snap.Items[0].State != "running" {
+		t.Fatalf("item %+v, want still running with a inside its grace", snap.Items[0])
+	}
+	re.reap(restart.Add(silence + time.Millisecond))
 	beat(t, re, "b")
 	if it := re.Pull("b"); it == nil || it.ID != id {
-		t.Fatalf("post-window pull = %+v, want requeued %.12s", it, id)
+		t.Fatalf("pull = %+v, want the silent holder's lease %.12s requeued", it, id)
 	}
 	fakeComplete(t, re, "b", id)
 	if stj, _ := re.Status(id); stj.Status != "done" {
@@ -439,11 +480,13 @@ func TestReadoptWindowExpiryRequeues(t *testing.T) {
 // of every kind — replays into the same items, sweeps and requeue counts.
 // Queue placement was never journaled, so the replayed queue is simply the
 // queued items in ID order. The record format also outlives the batch
-// submission path: its untagged sweep records still replay.
+// submission path: its untagged sweep records still replay. And it outlives
+// hedging: an item leased twice — the straggler and its hedge — replays with
+// the first holder alone.
 func TestJournalReplaysParentFormatDirectory(t *testing.T) {
 	jobs := make(map[string]string) // id → job JSON
 	var ids []string
-	for seed := int64(1); seed <= 4; seed++ {
+	for seed := int64(1); seed <= 5; seed++ {
 		b, err := json.Marshal(unitJob(seed))
 		if err != nil {
 			t.Fatal(err)
@@ -452,7 +495,7 @@ func TestJournalReplaysParentFormatDirectory(t *testing.T) {
 		ids = append(ids, unitJob(seed).Hash())
 	}
 	sort.Strings(ids)
-	a, b, c, d := ids[0], ids[1], ids[2], ids[3]
+	a, b, c, d, e := ids[0], ids[1], ids[2], ids[3], ids[4]
 
 	dir := t.TempDir()
 	write := func(name, content string) {
@@ -479,28 +522,33 @@ func TestJournalReplaysParentFormatDirectory(t *testing.T) {
 		`{"kind":"submit","id":"` + d + `","job":` + jobs[d] + `}`,
 		`{"kind":"lease","id":"` + d + `","node":"w2"}`,
 		`{"kind":"complete","id":"` + d + `","error":"boom"}`,
+		`{"kind":"submit","id":"` + e + `","job":` + jobs[e] + `}`,
+		`{"kind":"lease","id":"` + e + `","node":"w4"}`,
+		`{"kind":"lease","id":"` + e + `","node":"w5"}`,
 	}, "\n")+"\n")
 
 	j, err := OpenJournal(dir, testLogger())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Replay().Records != 8 || j.Replay().Quarantined != 0 {
-		t.Fatalf("replayed %d records, quarantined %d bytes; want 8 and 0",
+	if j.Replay().Records != 11 || j.Replay().Quarantined != 0 {
+		t.Fatalf("replayed %d records, quarantined %d bytes; want 11 and 0",
 			j.Replay().Records, j.Replay().Quarantined)
 	}
 	re := NewCoordinator(CoordinatorOptions{
-		HeartbeatTimeout: time.Hour, HedgeAfter: -1, RetainFor: -1,
-		ReadoptWindow: -1, Journal: j, Log: testLogger(),
+		HeartbeatTimeout: time.Hour, RetainFor: -1, Journal: j, Log: testLogger(),
 	})
 	defer re.Crash()
 
+	// b's only holder was reaped before the crash: nobody holds it, so the
+	// replay requeues it (its second requeue) behind the queued items.
 	snap := liveSnapshot(re)
 	want := []snapItem{
 		{ID: a, ReqID: "r1", Sweep: "tag-1", State: "queued", Requeues: 1},
-		{ID: b, Sweep: "tag-1", State: "running", Requeues: 1, Holders: []string{}},
+		{ID: b, Sweep: "tag-1", State: "queued", Requeues: 2},
 		{ID: c, ReqID: "r2", State: "queued"},
 		{ID: d, State: "failed", Error: "boom"},
+		{ID: e, State: "running", Holders: []string{"w4"}},
 	}
 	for i := range want {
 		want[i].Job = snap.Items[i].Job // job bodies are checked through their hashes
@@ -515,13 +563,21 @@ func TestJournalReplaysParentFormatDirectory(t *testing.T) {
 	if !reflect.DeepEqual(snap.Sweeps, map[string][]string{"tag-1": {a, b}, "sweep-2": {c}}) {
 		t.Errorf("replayed sweeps = %v", snap.Sweeps)
 	}
-	// The queued items come back in ID order; the reaped holder's lease is
-	// requeued behind them once the (closed) re-adoption window is checked.
-	re.reap(time.Now())
+	// The queued items come back in ID order, the orphaned b behind them;
+	// e stays with w4, and the hedge's report is a non-holder's.
 	for i, id := range []string{a, c, b} {
 		if it := re.Pull("w3"); it == nil || it.ID != id {
 			t.Fatalf("pull %d = %+v, want %.12s", i, it, id)
 		}
+	}
+	if it := re.Pull("w3"); it != nil {
+		t.Fatalf("pull = %+v, want nothing: e is held", it)
+	}
+	if err := re.Complete(CompleteRequest{Node: "w5", ID: e, Error: "hedge lost"}); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := re.Status(e); st.Status != "pending" {
+		t.Errorf("e after its hedge's report = %+v, want pending with w4", st)
 	}
 	if st, _ := re.Status(d); st.Status != "failed" || st.Error != "boom" {
 		t.Errorf("failed item = %+v, want failed: boom", st)
@@ -532,7 +588,7 @@ func TestJournalReplaysParentFormatDirectory(t *testing.T) {
 	if st, ok := re.SweepStatus("sweep-2"); !ok || !reflect.DeepEqual(st.JobIDs, []string{c}) || st.Pending != 1 {
 		t.Errorf("untagged batch sweep after replay = %+v, %v; want one pending member %.12s", st, ok, c)
 	}
-	if _, err := re.Submit(unitJob(5), "", "tag-3"); err != nil {
+	if _, err := re.Submit(unitJob(6), "", "tag-3"); err != nil {
 		t.Fatal(err)
 	}
 	if st, ok := re.SweepStatus("tag-3"); !ok || st.ID != "tag-3" {
@@ -560,7 +616,7 @@ func TestSweepJournalLinear(t *testing.T) {
 			t.Fatal(err)
 		}
 		co = NewCoordinator(CoordinatorOptions{QueuePerWorker: 4096, HeartbeatTimeout: time.Hour,
-			HedgeAfter: -1, RetainFor: -1, Journal: j, Log: testLogger()})
+			RetainFor: -1, Journal: j, Log: testLogger()})
 	}
 	journal := func(dir string) written {
 		b, err := os.ReadFile(filepath.Join(dir, journalFile))

@@ -18,9 +18,7 @@ type coordObs struct {
 	staleCompletes *obs.Counter
 	pruned         *obs.Counter
 	nodesLost      *obs.Counter
-	readopted      *obs.Counter
 	completed      *obs.CounterVec // label: state (done|failed)
-	hedges         *obs.CounterVec // label: node (the hedger)
 	replayed       *obs.CounterVec // label: state (queued|running|done|failed|blob-missing)
 	journalRecords *obs.CounterVec // label: kind (submit|sweep|lease|complete|requeue|reap)
 	journalFsync   *obs.Histogram
@@ -64,15 +62,13 @@ func newCoordObs(reg *obs.Registry, c *Coordinator) *coordObs {
 	o.requeues = reg.Counter("rsr_cluster_requeues_total",
 		"Items requeued after transient failures or node loss.")
 	o.lateCompletes = reg.Counter("rsr_cluster_late_completes_total",
-		"Completions that arrived after the item was already terminal (hedge or requeue races; byte-identical results, dropped).")
+		"Completions that arrived after the item was already terminal (a requeue raced a slow completion; byte-identical results, dropped).")
 	o.staleCompletes = reg.Counter("rsr_cluster_stale_completes_total",
 		"Completion reports dropped because the node no longer held a lease on the item (reaped and requeued, or a stray report).")
 	o.pruned = reg.Counter("rsr_cluster_items_pruned_total",
 		"Finished items retired after the retention window.")
 	o.nodesLost = reg.Counter("rsr_cluster_nodes_lost_total",
 		"Workers reaped after missing the heartbeat timeout.")
-	o.readopted = reg.Counter("rsr_cluster_leases_readopted_total",
-		"Journal-recovered leases re-attached by a live worker's heartbeat advertisement after a coordinator restart.")
 	o.completed = reg.CounterVec("rsr_cluster_items_total",
 		"Items finished, by terminal state.", "state")
 	o.replayed = reg.CounterVec("rsr_cluster_replay_items_total",
@@ -82,8 +78,6 @@ func newCoordObs(reg *obs.Registry, c *Coordinator) *coordObs {
 	o.journalFsync = reg.Histogram("rsr_cluster_journal_fsync_seconds",
 		"Latency of one journal append (write + fsync).",
 		[]float64{.0001, .00025, .0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1})
-	o.hedges = reg.CounterVec("rsr_cluster_hedges_total",
-		"Hedged duplicate leases issued against stragglers, by the hedging node.", "node")
 	o.workers = reg.Gauge("rsr_cluster_workers",
 		"Live workers within their heartbeat window.")
 	o.queueDepth = reg.Gauge("rsr_cluster_queue_depth",

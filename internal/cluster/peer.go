@@ -118,11 +118,16 @@ type Peer struct {
 	// until it is restored.
 	connected atomic.Bool
 
-	// mu guards leases: the job IDs this peer is executing right now,
-	// advertised in every heartbeat so a journal-recovered coordinator can
-	// re-adopt them instead of requeuing the work.
+	// mu guards leases: the job IDs this peer is executing or still
+	// reporting, listed in every heartbeat so a journal-recovered
+	// coordinator keeps exactly those of its journaled leases.
 	mu     sync.Mutex
 	leases map[string]bool
+
+	// hello stays true until a heartbeat lands: the first one tells the
+	// coordinator that leases it records under this node name belong to an
+	// earlier process. Touched only by beat's callers, like offsets.
+	hello bool
 
 	// offsets accumulates NTP-style clock samples from heartbeat round-trips.
 	// Touched only by the heartbeat goroutine (beat is also called from Start
@@ -175,6 +180,7 @@ func NewPeer(opts PeerOptions) (*Peer, error) {
 		log:    opts.Log.With("node", opts.Node),
 		obs:    newPeerObs(opts.Metrics),
 		leases: make(map[string]bool),
+		hello:  true,
 		ctx:    ctx,
 		cancel: cancel,
 	}, nil
@@ -189,9 +195,8 @@ func (p *Peer) Node() string { return p.opts.Node }
 // the fleet's health rollup should say so.
 func (p *Peer) Connected() bool { return p.connected.Load() }
 
-// trackLease records a leased job as executing; untrackLease removes it when
-// the completion report has landed (or been abandoned). Between the two,
-// heartbeats advertise the lease.
+// trackLease records a leased job as executing; untrackLease removes it once
+// its outcome has been reported. Between the two, heartbeats list the lease.
 func (p *Peer) trackLease(id string) {
 	p.mu.Lock()
 	p.leases[id] = true
@@ -227,10 +232,10 @@ func (p *Peer) Start() error {
 		return fmt.Errorf("%w: coordinator %d, this worker %d",
 			ErrProtocol, v.Protocol, ProtocolVersion)
 	}
-	// A first heartbeat before any pull loop runs, so the coordinator can
-	// queue work at this node immediately.
-	p.connected.Store(true)
-	p.beat()
+	// The Hello heartbeat lands before any pull: pull loops idle until a
+	// heartbeat has, so the coordinator never leases work to this process
+	// that the Hello would then take back as an earlier process's.
+	p.connected.Store(p.beat())
 	p.wg.Add(1 + p.opts.Pulls)
 	go p.heartbeatLoop()
 	for i := 0; i < p.opts.Pulls; i++ {
@@ -287,6 +292,7 @@ func (p *Peer) heartbeatLoop() {
 		}
 		if p.beat() {
 			fails = 0
+			p.connected.Store(true)
 			continue
 		}
 		fails++
@@ -308,9 +314,9 @@ func (p *Peer) heartbeatLoop() {
 // connected state. The re-handshake matters: the coordinator that comes back
 // may be an upgraded binary, and a protocol mismatch must kill this worker
 // exactly as the initial Start would have. The heartbeat that completes the
-// reconnect re-advertises every in-flight lease, so a journal-recovered
-// coordinator re-adopts this node's running work inside its re-adoption
-// window. Returns false when the peer died (ctx canceled or protocol skew).
+// reconnect lists every in-flight lease, so a journal-recovered coordinator
+// keeps this node's running work and requeues only what it no longer runs.
+// Returns false when the peer died (ctx canceled or protocol skew).
 func (p *Peer) reconnect() bool {
 	for attempt := 1; ; attempt++ {
 		select {
@@ -341,8 +347,9 @@ func (p *Peer) reconnect() bool {
 // beat sends one heartbeat carrying the local engine's queue depth, in-flight
 // count, shard utilization, and the IDs of every lease this peer is
 // executing — the coordinator's per-node backpressure signal and, after a
-// coordinator restart, the evidence it needs to re-adopt running leases. A
-// 409 means protocol skew (a coordinator upgraded under us): fail fast.
+// coordinator restart or in this process's Hello, the list of leases it
+// keeps. A 409 means protocol skew (a coordinator upgraded under us): fail
+// fast.
 // The round-trip doubles as an NTP-style clock sample: the coordinator's
 // reply carries its clock, and the worker's send/receive stamps bracket it;
 // the resulting best offset estimate rides in the *next* heartbeat so the
@@ -359,6 +366,7 @@ func (p *Peer) beat() bool {
 		ShardsInUse:   st.ShardsInUse,
 		ShardCapacity: runtime.GOMAXPROCS(0),
 		Leases:        p.inflightLeases(),
+		Hello:         p.hello,
 	}
 	if off, rtt, ok := p.offsets.Best(); ok {
 		hb.ClockOffsetNS, hb.ClockRTTNS = off, rtt
@@ -377,6 +385,7 @@ func (p *Peer) beat() bool {
 	if code != http.StatusOK {
 		return false
 	}
+	p.hello = false
 	var reply HeartbeatReply
 	if json.Unmarshal(body, &reply) == nil && reply.CoordTimeNS != 0 {
 		p.offsets.Add(EstimateOffset(t0, t1, reply.CoordTimeNS))
@@ -466,7 +475,7 @@ func (p *Peer) runItem(it *WorkItem) {
 	ctx := engine.WithRequestID(p.ctx, it.RequestID)
 	ctx = engine.WithSweep(ctx, it.SweepID)
 	p.log.Info("lease started", "job", it.ID, "label", it.Job.Label(),
-		"request_id", it.RequestID, "hedged", it.Hedged)
+		"request_id", it.RequestID)
 	tk, err := p.opts.Engine.Submit(ctx, it.Job)
 	if err != nil {
 		p.complete(CompleteRequest{Node: p.opts.Node, ID: it.ID, Error: err.Error()}, nil)
@@ -487,57 +496,58 @@ func (p *Peer) runItem(it *WorkItem) {
 			Error: fmt.Sprintf("encode result: %v", err)}, nil)
 		return
 	}
-	sum, err := p.cas.Put(p.ctx, blob)
-	if err != nil {
-		p.log.Warn("result upload failed", "job", it.ID, "err", err)
-		p.complete(CompleteRequest{Node: p.opts.Node, ID: it.ID,
-			Error: fmt.Sprintf("upload result: %v", err), Transient: true}, nil)
-		return
-	}
-	p.complete(CompleteRequest{Node: p.opts.Node, ID: it.ID, BlobSum: sum}, blob)
-	p.log.Info("lease done", "job", it.ID, "blob", sum)
+	p.complete(CompleteRequest{Node: p.opts.Node, ID: it.ID}, blob)
 }
 
-// complete reports an outcome. The work is already done, so the report is
-// worth waiting out a coordinator outage for: transport errors and 503s
-// (a restarting or draining coordinator) are retried for as long as the peer
-// lives, with the same capped FNV-jittered backoff as reconnect probes —
-// the lease stays advertised in heartbeats the whole time, so a
-// journal-recovered coordinator re-adopts it and then accepts this very
-// report. A 409 means the coordinator could not verify the result blob
-// (evicted, corrupt on its disk, torn in transit): the blob bytes kept in
-// scope are re-uploaded before the retry; repeated 409s mean something is
-// systematically wrong with the blob path and the report is abandoned — the
-// coordinator hedges or requeues the lease, and determinism makes the
-// duplicate execution byte-identical.
+// complete reports an outcome; a success carries the result bytes, which
+// are uploaded into the coordinator's CAS before the report that names them.
+// The work is already done, so the report is worth waiting out a coordinator
+// outage for: failed uploads, transport errors and 503s (a restarting or
+// draining coordinator) are retried for as long as the peer lives, with the
+// same capped FNV-jittered backoff as reconnect probes — the lease stays
+// listed in heartbeats the whole time, so a journal-recovered coordinator
+// keeps it and then accepts this very report. A 409 means the coordinator
+// could not verify the result blob (evicted, corrupt on its disk, torn in
+// transit): the bytes are uploaded again before the retry. After repeated
+// 409s something is systematically wrong with the blob path, and the report
+// becomes a transient failure carrying the refusal: the coordinator requeues
+// the item, or fails it once its requeue budget is spent. Giving up silently
+// would strand the lease, since this node keeps heartbeating.
 func (p *Peer) complete(req CompleteRequest, blob []byte) {
-	conflicts := 0
+	refusals := 0
 	for attempt := 1; ; attempt++ {
-		code, _, err := p.postJSON("/v1/peers/complete", req)
+		var code int
+		var body []byte
+		var err error
+		if blob != nil && req.BlobSum == "" {
+			req.BlobSum, err = p.cas.Put(p.ctx, blob)
+		}
+		if err == nil {
+			code, body, err = p.postJSON("/v1/peers/complete", req)
+		}
 		switch {
 		case err == nil && (code == http.StatusNoContent || code == http.StatusNotFound):
 			// Landed — or the coordinator no longer knows the job (restarted
 			// without this journal, or the item was pruned); either way there
 			// is nothing left to report.
+			p.log.Info("lease reported", "job", req.ID, "blob", req.BlobSum, "err", req.Error)
 			return
-		case err == nil && code == http.StatusConflict && len(blob) > 0:
-			conflicts++
-			if conflicts > 3 {
-				p.log.Warn("completion abandoned after repeated blob refusals",
-					"job", req.ID)
-				return
+		case err == nil && code == http.StatusConflict && blob != nil:
+			refusals++
+			req.BlobSum = ""
+			if refusals <= 3 {
+				p.log.Warn("completion refused, blob unverified; re-uploading", "job", req.ID)
+				break
 			}
-			p.log.Warn("completion refused, blob unverified; re-uploading",
-				"job", req.ID)
-			if sum, perr := p.cas.Put(p.ctx, blob); perr == nil {
-				req.BlobSum = sum
-			} else {
-				p.log.Warn("result re-upload failed", "job", req.ID, "err", perr)
-			}
+			var refusal struct{ Error string }
+			_ = json.Unmarshal(body, &refusal) // a body that is not the JSON error leaves the reason empty
+			p.log.Warn("completion refused repeatedly; reporting a transient failure", "job", req.ID)
+			req.Error = fmt.Sprintf("cluster: result blob refused %d times: %s", refusals, refusal.Error)
+			req.Transient, blob = true, nil
 		case err != nil || code == http.StatusServiceUnavailable:
 			if attempt == heartbeatFailThreshold {
 				p.log.Warn("completion delayed, coordinator unreachable",
-					"job", req.ID, "attempts", attempt)
+					"job", req.ID, "attempts", attempt, "err", err)
 			}
 		default:
 			// 4xx the coordinator will never change its mind about.

@@ -8,16 +8,18 @@
 // worker slot pulls its front. A submission that finds the queue at its
 // bound (QueuePerWorker × live workers) is refused with 503 + Retry-After,
 // which is the fabric's backpressure signal (clients retry, see
-// Client.Submit). A pull that finds the queue empty gets a hedged duplicate
-// of the oldest item that has been running past the hedge threshold, so one
-// straggler cannot stall a sweep's tail. Workers heartbeat; a node that
-// misses the heartbeat timeout is reaped and its leased work is requeued,
-// bounded by a per-item requeue budget.
+// Client.Submit). A running item has exactly one holder, the worker that
+// pulled it. Workers heartbeat; a node that misses the heartbeat timeout is
+// reaped and its leased work is requeued, bounded by a per-item requeue
+// budget. Heartbeats also list the worker's in-flight leases, and two of
+// them are authoritative (see Coordinator.Heartbeat): a worker process's
+// first, and a journal-replayed holder's first to a restarted coordinator.
+// A lease such a heartbeat omits is requeued at once, so neither a worker
+// restarted under the same name nor a coordinator restart strands work.
 //
-// Because every job is deterministic and content-addressed, all of this
-// movement is safe: duplicate executions (hedges, requeues that raced a slow
-// completion) produce byte-identical results, and the first verified
-// completion wins.
+// Because every job is deterministic and content-addressed, the one
+// duplicate execution this allows — a requeue racing a slow completion —
+// produces byte-identical results, and the first verified completion wins.
 //
 // # Results and checkpoints
 //
@@ -126,12 +128,18 @@ type Heartbeat struct {
 	// GOMAXPROCS. InUse/Capacity is the node's shard utilization.
 	ShardsInUse   int64 `json:"shards_in_use,omitempty"`
 	ShardCapacity int   `json:"shard_capacity,omitempty"`
-	// Leases lists the job IDs this worker is executing right now. A
-	// journal-recovered coordinator uses them during its re-adoption window to
-	// re-attach in-flight leases instead of reaping and redoing the work; a
-	// coordinator with no recovered state ignores them. Additive, like the
-	// shard fields, so no ProtocolVersion bump.
+	// Leases lists the job IDs this worker is executing right now, results
+	// not yet reported included. The coordinator reads it only from an
+	// authoritative heartbeat (Hello, or a replayed holder's first), where a
+	// lease it records for the node and the list omits is requeued.
+	// Additive, like the shard fields, so no ProtocolVersion bump.
 	Leases []string `json:"leases,omitempty"`
+	// Hello marks a worker process's heartbeats until one has landed: any
+	// lease the coordinator still records under this node name belongs to
+	// an earlier process and is requeued. Additive; an older worker omits
+	// it, and a lease its earlier process held is then released only when
+	// the node falls silent past the heartbeat timeout.
+	Hello bool `json:"hello,omitempty"`
 	// Addr is the worker's advertised HTTP base URL (e.g. http://host:8745),
 	// the address the coordinator uses to pull the node's span ring and
 	// metrics snapshot for fabric-wide aggregation. Empty when the worker has
@@ -167,10 +175,6 @@ type WorkItem struct {
 	ID        string     `json:"id"` // the job's content hash
 	Job       engine.Job `json:"job"`
 	RequestID string     `json:"request_id,omitempty"`
-	// Hedged marks a duplicate lease raced against a straggler. It is
-	// informational (workers run hedged items identically); the coordinator
-	// counts it.
-	Hedged bool `json:"hedged,omitempty"`
 	// SweepID tags the item with the distributed sweep that submitted it, so
 	// every span the worker records while executing it carries the sweep and
 	// the coordinator can later pull one sweep's spans out of every node's

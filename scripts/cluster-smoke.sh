@@ -4,7 +4,8 @@
 # Launches one rsrc coordinator and two peer-mode rsrd workers, runs a small
 # warm-up sweep through the cluster with `rsr -cluster`, and fails unless
 # the output is byte-identical to the same sweep run on a single local
-# engine and both workers' engines executed part of it. Also checks the
+# engine, both workers' engines executed part of it, and together they ran
+# each of the sweep's distinct jobs exactly once. Also checks the
 # coordinator's /v1/version handshake and that /metrics exposes the per-node
 # scheduler families.
 set -eu
@@ -62,7 +63,9 @@ curl -fsS "http://$COORD/v1/version" | grep -q '"protocol"' ||
     { echo "cluster-smoke: cluster sweep failed" >&2
       cat "$WORKDIR/rsrc.log" "$WORKDIR/worker-a.log" "$WORKDIR/worker-b.log" >&2
       exit 1; }
-"$WORKDIR/rsr" -scale 0.02 -workload twolf sweep >"$WORKDIR/local.txt"
+"$WORKDIR/rsr" -stats -scale 0.02 -workload twolf sweep \
+    >"$WORKDIR/local.txt" 2>"$WORKDIR/local.stats"
+JOBS="$(sed -n 's/.* done=\([0-9][0-9]*\) .*/\1/p' "$WORKDIR/local.stats")"
 
 if ! diff -u "$WORKDIR/local.txt" "$WORKDIR/cluster.txt"; then
     echo "cluster-smoke: cluster sweep differs from single-node run" >&2
@@ -70,7 +73,10 @@ if ! diff -u "$WORKDIR/local.txt" "$WORKDIR/cluster.txt"; then
 fi
 
 # The sweep submits all of its jobs before waiting on any, so the fabric has
-# work for both workers at once: each one's engine must have executed some.
+# work for both workers at once: each one's engine must have executed some,
+# and between them every distinct job the coordinator accepted exactly once —
+# as many as the local engine executed.
+EXECUTED=0
 for W in "$WORKER_A" "$WORKER_B"; do
     DONE="$(curl -fsS "http://$W/v1/stats" | sed -n 's/.*"Done": *\([0-9][0-9]*\).*/\1/p' | head -n 1)"
     if [ "${DONE:-0}" -lt 1 ]; then
@@ -78,7 +84,15 @@ for W in "$WORKER_A" "$WORKER_B"; do
         cat "$WORKDIR/rsrc.log" >&2
         exit 1
     fi
+    EXECUTED=$((EXECUTED + DONE))
 done
+SUBMITTED="$(curl -fsS "http://$COORD/metrics" |
+    awk '$1 == "rsr_cluster_jobs_submitted_total" {print $2}')"
+if [ "${JOBS:-0}" -lt 1 ] || [ "$EXECUTED" -ne "$JOBS" ] || [ "${SUBMITTED:-0}" -ne "$JOBS" ]; then
+    echo "cluster-smoke: workers executed $EXECUTED jobs for ${SUBMITTED:-?} accepted; want each of the sweep's ${JOBS:-?} jobs exactly once" >&2
+    cat "$WORKDIR/rsrc.log" >&2
+    exit 1
+fi
 
 # The scheduler's observability: both workers registered, the queue-depth
 # gauge and the per-node in-flight gauges exposed, jobs flowed through.
@@ -99,4 +113,4 @@ do
     fi
 done
 
-echo "cluster-smoke: ok (2-worker sweep byte-identical to single node, both workers executed jobs)"
+echo "cluster-smoke: ok (2-worker sweep byte-identical to single node, both workers executed jobs, $JOBS jobs run once each)"

@@ -6,7 +6,8 @@
 # write-ahead journal records a lease (work is in flight), leaves the fabric
 # headless long enough for both workers to cross their heartbeat-failure
 # threshold, restarts the coordinator on the same journal and CAS directory,
-# and fails unless the sweep output is byte-identical to a single-node run.
+# and fails unless the sweep output is byte-identical to a single-node run and
+# the two workers together executed each of the sweep's jobs exactly once.
 # Also checks that the restarted coordinator's /metrics shows journal replay
 # and that both workers reconnected rather than rejoining fresh.
 set -eu
@@ -96,9 +97,25 @@ if ! wait "$RSR_PID"; then
 fi
 
 # Crash recovery must not change a single byte of the results.
-"$WORKDIR/rsr" -scale 0.02 -workload twolf sweep >"$WORKDIR/local.txt"
+"$WORKDIR/rsr" -stats -scale 0.02 -workload twolf sweep \
+    >"$WORKDIR/local.txt" 2>"$WORKDIR/local.stats"
 if ! diff -u "$WORKDIR/local.txt" "$WORKDIR/cluster.txt"; then
     echo "recovery-smoke: post-restart sweep differs from single-node run" >&2
+    exit 1
+fi
+
+# Nor run anything twice: the leases in flight at the kill stayed with their
+# workers, so between them the workers executed each of the sweep's distinct
+# jobs — as many as the local engine executed — exactly once.
+JOBS="$(sed -n 's/.* done=\([0-9][0-9]*\) .*/\1/p' "$WORKDIR/local.stats")"
+EXECUTED=0
+for W in "$WORKER_A" "$WORKER_B"; do
+    DONE="$(curl -fsS "http://$W/v1/stats" | sed -n 's/.*"Done": *\([0-9][0-9]*\).*/\1/p' | head -n 1)"
+    EXECUTED=$((EXECUTED + ${DONE:-0}))
+done
+if [ "${JOBS:-0}" -lt 1 ] || [ "$EXECUTED" -ne "$JOBS" ]; then
+    echo "recovery-smoke: workers executed $EXECUTED jobs; want each of the sweep's ${JOBS:-?} jobs exactly once" >&2
+    cat "$WORKDIR/rsrc.log" "$WORKDIR/worker-a.log" "$WORKDIR/worker-b.log" >&2
     exit 1
 fi
 
@@ -117,14 +134,22 @@ do
     fi
 done
 
-# Both workers rode out the outage through the reconnect machine.
+# Both workers rode out the outage through the reconnect machine. A worker's
+# completion reports retry on their own clock, so the sweep can finish while
+# its heartbeat still waits out a reconnect backoff (at most 5s a probe):
+# give each worker that long and a probe more.
 for W in "$WORKER_A" "$WORKER_B"; do
-    RECONNECTS=$(curl -fsS "http://$W/metrics" |
-        awk '$1 == "rsr_peer_reconnects_total" {print $2}')
-    if [ "${RECONNECTS:-0}" -lt 1 ]; then
-        echo "recovery-smoke: worker $W never reconnected (rsr_peer_reconnects_total=${RECONNECTS:-absent})" >&2
-        exit 1
-    fi
+    i=0
+    until RECONNECTS=$(curl -fsS "http://$W/metrics" |
+        awk '$1 == "rsr_peer_reconnects_total" {print $2}') &&
+        [ "${RECONNECTS:-0}" -ge 1 ]; do
+        i=$((i + 1))
+        if [ "$i" -gt 60 ]; then
+            echo "recovery-smoke: worker $W never reconnected (rsr_peer_reconnects_total=${RECONNECTS:-absent})" >&2
+            exit 1
+        fi
+        sleep 0.2
+    done
 done
 
-echo "recovery-smoke: ok (sweep survived SIGKILL + journal replay, byte-identical to single node)"
+echo "recovery-smoke: ok (sweep survived SIGKILL + journal replay, byte-identical to single node, $JOBS jobs run once each)"
