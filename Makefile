@@ -14,7 +14,8 @@
 #                    workers, sweep output diffed against a single-node run
 #   make trace-smoke fabric observability check: merged Chrome trace of a
 #                    3-process sweep (coordinator + both worker lanes, sweep
-#                    tags, clock rebase), federated /metrics, /v1/status
+#                    tags, worker spans inside the sweep span), federated
+#                    /metrics, /v1/status
 #   make shard-smoke sharded-pipeline check: race-enabled full-method sweep
 #                    diffed byte-for-byte against the sequential pipeline
 #   make regimen-smoke  sampling-strategy check: `-regimen stratified-uniform`
@@ -117,7 +118,8 @@ cluster-smoke: build
 # trace-smoke proves fabric-wide observability end to end with real
 # processes: a sweep through 1 coordinator + 2 workers captured with
 # `rsr -cluster -trace-out` must yield one merged Chrome trace with a
-# process lane per node, every span sweep-tagged and clock-rebased, and the
+# process lane per node, every span sweep-tagged, every worker span inside
+# the coordinator lane's sweep span (the lanes share one clock), and the
 # coordinator's /metrics must federate worker families under a node label.
 trace-smoke: build
 	./scripts/trace-smoke.sh

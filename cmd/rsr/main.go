@@ -59,7 +59,7 @@
 //	-trace-out f   write a Chrome trace (chrome://tracing, ui.perfetto.dev)
 //	               of every run's per-cluster phases to f on exit; with
 //	               -cluster, the coordinator's merged fabric trace — one
-//	               process lane per node, clock-rebased — is fetched instead
+//	               process lane per node — is fetched instead
 package main
 
 import (
@@ -242,9 +242,9 @@ func main() {
 
 	// In cluster mode the spans live on the fabric, not in this process:
 	// -trace-out captures the coordinator's merged fabric trace (coordinator
-	// lane plus one lane per worker, clock-rebased) for this invocation's
-	// sweep tag. A fetch failure falls back to the (likely empty) local ring
-	// so the flag still produces a parseable file.
+	// lane plus one lane per worker) for this invocation's sweep tag. A fetch
+	// failure falls back to the (likely empty) local ring so the flag still
+	// produces a parseable file.
 	if clusterClient != nil && tracer != nil && err == nil {
 		if terr := writeFabricTrace(clusterClient, *traceOut); terr != nil {
 			fmt.Fprintln(os.Stderr, "rsr: -trace-out: fabric trace:", terr)

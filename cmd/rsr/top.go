@@ -74,8 +74,8 @@ func renderStatus(st cluster.ClusterStatus, now time.Time) string {
 		}
 		return nodes[i].Node < nodes[j].Node
 	})
-	fmt.Fprintf(&b, "%-16s %5s %9s %7s %9s %10s %s\n",
-		"node", "lease", "shards", "beat", "clock", "slowest", "job")
+	fmt.Fprintf(&b, "%-16s %5s %9s %7s %10s %s\n",
+		"node", "lease", "shards", "beat", "slowest", "job")
 	for _, n := range nodes {
 		slowest := "-"
 		job := ""
@@ -83,9 +83,9 @@ func renderStatus(st cluster.ClusterStatus, now time.Time) string {
 			slowest = fmtMS(n.OldestLeaseAgeMS)
 			job = n.OldestLeaseJob
 		}
-		fmt.Fprintf(&b, "%-16s %5d %5d/%-3d %7s %9s %10s %s\n",
+		fmt.Fprintf(&b, "%-16s %5d %5d/%-3d %7s %10s %s\n",
 			n.Node, n.Inflight, n.ShardsInUse, n.ShardCapacity,
-			fmtMS(n.BeatAgeMS), fmtClock(n.ClockOffsetNS), slowest, job)
+			fmtMS(n.BeatAgeMS), slowest, job)
 	}
 	return b.String()
 }
@@ -100,26 +100,4 @@ func fmtMS(ms int64) string {
 	default:
 		return fmt.Sprintf("%dm%02ds", ms/60_000, (ms%60_000)/1000)
 	}
-}
-
-// fmtClock renders a worker's clock offset relative to the coordinator:
-// signed, in the most readable unit.
-func fmtClock(ns int64) string {
-	switch abs := max64(ns, -ns); {
-	case ns == 0:
-		return "0"
-	case abs < 1_000_000:
-		return fmt.Sprintf("%+dµs", ns/1_000)
-	case abs < 1_000_000_000:
-		return fmt.Sprintf("%+dms", ns/1_000_000)
-	default:
-		return fmt.Sprintf("%+.1fs", float64(ns)/1e9)
-	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

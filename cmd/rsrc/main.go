@@ -6,7 +6,7 @@
 // Usage:
 //
 //	rsrc [-addr :9900] [-casdir DIR] [-journal DIR] [-queue N]
-//	     [-heartbeat-timeout D] [-max-requeues N] [-retain D] [-drain-timeout D]
+//	     [-heartbeat-timeout D] [-max-requeues N] [-drain-timeout D]
 //
 // API:
 //
@@ -16,11 +16,10 @@
 //	GET  /v1/sweeps/{id}     progress of the jobs submitted under one
 //	                         X-Sweep-ID (id = that tag)
 //	GET  /v1/sweeps/{id}/trace merged fabric Chrome trace for a tagged sweep:
-//	                         every participating node's span ring, clock-
-//	                         rebased onto the coordinator's timeline, one
-//	                         process lane per node
+//	                         every participating node's span ring on its
+//	                         own wall clock, one process lane per node
 //	GET  /v1/status          live cluster status snapshot (feeds `rsr top`)
-//	POST /v1/peers/heartbeat worker liveness + engine depth (409 on skew)
+//	POST /v1/peers/heartbeat worker liveness + engine depth (200; 409 on skew)
 //	POST /v1/peers/pull      lease one work item (204 when idle)
 //	POST /v1/peers/complete  report an execution outcome
 //	/v1/cas/...              the shared content-addressed store
@@ -33,7 +32,8 @@
 // slot pulls from, one holder per running job, and heartbeat-driven requeue
 // on node loss; every job is deterministic and content-addressed, so a
 // sweep's results are byte-identical to a single-node run no matter how the
-// fabric moves the work (see internal/cluster).
+// fabric moves the work (see internal/cluster). Every accepted job stays
+// pollable for the coordinator's lifetime.
 //
 // With -journal, every scheduling decision is fsync'd to an append-only
 // write-ahead log before it takes effect, and a restarted coordinator
@@ -77,7 +77,6 @@ func main() {
 	queue := flag.Int("queue", 0, "queue bound per live worker (0 = 32); submissions past N x max(1, live workers) queued jobs are refused with 503")
 	hbTimeout := flag.Duration("heartbeat-timeout", 5*time.Second, "reap workers silent this long and requeue their work")
 	maxRequeues := flag.Int("max-requeues", 3, "per-item requeue budget across transient failures and node loss")
-	retain := flag.Duration("retain", time.Hour, "prune finished jobs, sweeps, and their result blobs this long after completion (<0 retains forever)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "bound on finishing scheduled work after SIGTERM/SIGINT")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, or error")
 	flag.Parse()
@@ -105,7 +104,6 @@ func main() {
 		QueuePerWorker:   *queue,
 		HeartbeatTimeout: *hbTimeout,
 		MaxRequeues:      *maxRequeues,
-		RetainFor:        *retain,
 		Journal:          journal,
 		Store:            cas.NewStore(*casDir),
 		Metrics:          reg,

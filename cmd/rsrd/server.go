@@ -133,8 +133,8 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // handleTrace serves the node's span ring as JSON ([]obs.SpanDump), filtered
 // to one sweep tag when ?sweep= is given. Timestamps are this node's own
-// clock in unix nanoseconds; the coordinator-side aggregator rebases them
-// using the heartbeat-estimated clock offset.
+// clock in unix nanoseconds; the coordinator-side aggregator merges them as
+// they are.
 func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if s.tr == nil {
 		httpError(w, http.StatusNotFound, "tracing disabled")

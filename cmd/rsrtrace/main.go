@@ -39,7 +39,7 @@ func main() {
 	skip := flag.Float64("skip", 0, "instructions to skip before tracing")
 	n := flag.Float64("n", 30, "instructions to trace / profile")
 	outPath := flag.String("o", "", "write output to `file` instead of stdout")
-	merge := flag.Bool("merge", false, "merge the Chrome trace files given as arguments into one (distinct process lanes per file; no timestamp rebasing)")
+	merge := flag.Bool("merge", false, "merge the Chrome trace files given as arguments into one (distinct process lanes per file; timestamps copied as they are)")
 	flag.Parse()
 
 	if *outPath != "" {

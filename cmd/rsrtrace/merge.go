@@ -12,10 +12,9 @@ import (
 // Offline Chrome-trace merging: `rsrtrace -merge a.json b.json` folds several
 // trace files (rsr -trace-out output, or a node's /v1/trace rendered to a
 // Chrome trace) into one, giving each input file its own process-lane block
-// so the sources stay visually distinct in the viewer. Unlike the
-// coordinator's live fabric merge, timestamps are NOT rebased — offline the
-// clock relationship between the files is unknown, and honest raw
-// timestamps beat a fabricated alignment.
+// so the sources stay visually distinct in the viewer. Timestamps are copied
+// as they are: like the coordinator's live fabric merge, it never shifts one
+// source against another.
 
 // namedTrace is one parsed input file.
 type namedTrace struct {

@@ -66,7 +66,7 @@ func TestMergeTracesDistinctLanes(t *testing.T) {
 			spans++
 			pids[pid] = true
 			if ev["ts"] != 100.0 && ev["ts"] != 90.0 {
-				t.Errorf("timestamp rebased in offline merge: %v", ev["ts"])
+				t.Errorf("timestamp altered in offline merge: %v", ev["ts"])
 			}
 		case "M":
 			args := ev["args"].(map[string]any)

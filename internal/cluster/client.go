@@ -20,7 +20,7 @@ import (
 // callers that submit a whole sweep up front just work. A coordinator
 // restart is absorbed the same way: transient connection errors are retried
 // with a capped growing delay, and a poll that comes back 404 — the
-// coordinator came back without this job (no journal, or pruned) —
+// coordinator came back without this job (it ran without a journal) —
 // resubmits the kept job body idempotently; content hashing plus CAS dedup
 // make the resubmit free.
 type Client struct {
@@ -260,7 +260,7 @@ func (c *Client) Sweep() string { return c.sweep }
 
 // FetchSweepTrace downloads the coordinator's merged fabric trace for the
 // given sweep tag — one Chrome trace with a process lane per participating
-// node, span timestamps rebased onto the coordinator's clock.
+// node, each span on its node's wall clock.
 func (c *Client) FetchSweepTrace(ctx context.Context, sweep string) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		c.base+"/v1/sweeps/"+sweep+"/trace", nil)

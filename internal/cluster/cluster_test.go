@@ -361,24 +361,19 @@ func TestReapedNodeLateCompletionDoesNotClobberRequeue(t *testing.T) {
 	}
 }
 
-// TestRetentionPrunesFinishedWork pins the coordinator's memory bound:
-// finished items, their sweeps, and their result blobs are pruned after the
-// retention window, and a pruned job resubmitted later simply re-runs. The
-// reaper runs at explicit instants on either side of the window.
-func TestRetentionPrunesFinishedWork(t *testing.T) {
+// TestFinishedWorkStaysPollable pins what the coordinator keeps: a finished
+// item, its sweep and its result blob stay for the coordinator's lifetime,
+// however long the reaper has run since, and a resubmission of the job
+// coalesces onto the finished item instead of running it again.
+func TestFinishedWorkStaysPollable(t *testing.T) {
 	co := NewCoordinator(CoordinatorOptions{
-		QueuePerWorker: 8, HeartbeatTimeout: time.Hour,
-		RetainFor: time.Minute, Log: testLogger(),
+		QueuePerWorker: 8, HeartbeatTimeout: time.Hour, Log: testLogger(),
 	})
 	defer co.Close()
 	beat(t, co, "a")
-	id, err := co.Submit(unitJob(1), "", "retained")
+	id, err := co.Submit(unitJob(1), "", "kept")
 	if err != nil {
 		t.Fatal(err)
-	}
-	sw, ok := co.SweepStatus("retained")
-	if !ok || len(sw.JobIDs) != 1 || sw.JobIDs[0] != id {
-		t.Fatalf("sweep by tag = %+v, %v; want the one tagged job", sw, ok)
 	}
 	if it := co.Pull("a"); it == nil || it.ID != id {
 		t.Fatalf("lease = %+v", it)
@@ -387,33 +382,23 @@ func TestRetentionPrunesFinishedWork(t *testing.T) {
 	co.mu.Lock()
 	blobSum := co.items[id].blobSum
 	co.mu.Unlock()
+
+	co.reap(time.Now().Add(24 * time.Hour))
+	if st, ok := co.Status(id); !ok || st.Status != "done" || st.Result == nil {
+		t.Fatalf("status a day later = %+v, %v; want done with its result", st, ok)
+	}
+	if sw, ok := co.SweepStatus("kept"); !ok || sw.Total != 1 || sw.Done != 1 {
+		t.Errorf("sweep a day later = %+v, %v; want its one member done", sw, ok)
+	}
 	if blobSum == "" || !co.Store().Has(blobSum) {
-		t.Fatalf("result blob %.12q not resident after completion", blobSum)
+		t.Errorf("result blob %.12q not resident a day later", blobSum)
 	}
-
-	// Within the window everything stays pollable.
-	co.reap(time.Now())
-	if st, ok := co.Status(id); !ok || st.Status != "done" {
-		t.Fatalf("status inside retention window = %+v, %v", st, ok)
+	beat(t, co, "b")
+	if id2, err := co.Submit(unitJob(1), "", ""); err != nil || id2 != id {
+		t.Fatalf("resubmit: id %.12s err %v, want %.12s <nil>", id2, err, id)
 	}
-
-	co.reap(time.Now().Add(2 * time.Minute))
-	if _, ok := co.Status(id); ok {
-		t.Error("finished item still pollable after the retention window")
-	}
-	if _, ok := co.SweepStatus(sw.ID); ok {
-		t.Error("finished sweep still pollable after the retention window")
-	}
-	if co.Store().Has(blobSum) {
-		t.Error("result blob still resident after the retention window")
-	}
-	// Resubmission after pruning is a fresh run of the same content hash.
-	id2, err := co.Submit(unitJob(1), "", "")
-	if err != nil || id2 != id {
-		t.Fatalf("resubmit after prune: id %.12s err %v, want %.12s <nil>", id2, err, id)
-	}
-	if st, ok := co.Status(id); !ok || st.Status != "pending" {
-		t.Fatalf("resubmitted status = %+v, %v, want pending", st, ok)
+	if it := co.Pull("b"); it != nil {
+		t.Fatalf("resubmitted finished job leased again: %+v", it)
 	}
 }
 

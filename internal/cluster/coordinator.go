@@ -30,13 +30,6 @@ type CoordinatorOptions struct {
 	// MaxRequeues bounds how many times one item may be requeued — after
 	// transient failures or node loss — before it fails for good (0 = 3).
 	MaxRequeues int
-	// RetainFor bounds how long a finished item — and its result blob in
-	// the CAS memory layer — stays pollable after completion before being
-	// pruned, so a long-running coordinator serving many sweeps does not
-	// grow without bound (0 = 1h, negative retains forever). A sweep is
-	// pruned once every member has been finished for the window; items
-	// outlive the window while a live sweep still references them.
-	RetainFor time.Duration
 	// Journal, when non-nil, is the coordinator's write-ahead log (see
 	// OpenJournal): every scheduling mutation is fsync'd to it before taking
 	// effect, and the replay it carries is adopted at construction, so a
@@ -90,11 +83,10 @@ type item struct {
 	firstStart  time.Time // set when leased; reset on requeue
 	requeues    int
 
-	res        *engine.Result
-	blobSum    string // the accepted result blob, for eviction at prune time
-	errMsg     string
-	finishedAt time.Time     // set by finalize; drives retention pruning
-	done       chan struct{} // closed on done/failed
+	res     *engine.Result
+	blobSum string // the accepted result blob, named in snapshots
+	errMsg  string
+	done    chan struct{} // closed on done/failed
 }
 
 // node is one live worker.
@@ -118,11 +110,6 @@ type node struct {
 	// jobs vs the node's GOMAXPROCS. Older workers omit them (zero).
 	shardsInUse   int64
 	shardCapacity int
-	// clockOffsetNS/clockRTTNS are the worker's self-estimated clock offset
-	// relative to this coordinator and the RTT bounding it (heartbeat
-	// payload; see EstimateOffset). Used to rebase the node's span
-	// timestamps in merged fabric traces.
-	clockOffsetNS, clockRTTNS int64
 }
 
 // sweep tracks the jobs submitted under one client tag (X-Sweep-ID): its key
@@ -174,9 +161,6 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 	}
 	if opts.MaxRequeues <= 0 {
 		opts.MaxRequeues = 3
-	}
-	if opts.RetainFor == 0 {
-		opts.RetainFor = time.Hour
 	}
 	if opts.Log == nil {
 		opts.Log = slog.Default()
@@ -244,7 +228,6 @@ func (c *Coordinator) adoptReplay(rp *Replay) {
 				state = "blob-missing"
 			} else {
 				it.state, it.res, it.blobSum = itemDone, res, ri.BlobSum
-				it.finishedAt = now
 				close(it.done)
 			}
 		}
@@ -252,7 +235,6 @@ func (c *Coordinator) adoptReplay(rp *Replay) {
 		case "done": // adopted above
 		case "failed":
 			it.state, it.errMsg = itemFailed, ri.ErrMsg
-			it.finishedAt = now
 			close(it.done)
 		case "running":
 			it.state, it.firstStart = itemRunning, now
@@ -537,15 +519,13 @@ func (c *Coordinator) SweepStatus(tag string) (SweepStatus, bool) {
 // status, the cluster status totals and the sweep-jobs gauges.
 type stateTally struct{ queued, running, done, failed int }
 
-// add counts one item. A nil item is a member pruned after the retention
-// window; only terminal items are pruned, so it counts as done.
 func (t *stateTally) add(it *item) {
-	switch {
-	case it == nil || it.state == itemDone:
+	switch it.state {
+	case itemDone:
 		t.done++
-	case it.state == itemFailed:
+	case itemFailed:
 		t.failed++
-	case it.state == itemRunning:
+	case itemRunning:
 		t.running++
 	default:
 		t.queued++
@@ -619,7 +599,6 @@ func (c *Coordinator) Heartbeat(hb Heartbeat) error {
 	if hb.Addr != "" {
 		n.addr = hb.Addr
 	}
-	n.clockOffsetNS, n.clockRTTNS = hb.ClockOffsetNS, hb.ClockRTTNS
 	if hb.Hello || n.replayed {
 		n.replayed = false
 		for _, id := range sortedKeys(n.leases) {
@@ -636,7 +615,7 @@ func (c *Coordinator) Heartbeat(hb Heartbeat) error {
 // hold c.mu.
 func (c *Coordinator) releaseLocked(n *node, id, why string) {
 	delete(n.leases, id)
-	if it := c.items[id]; it != nil && it.state == itemRunning && it.holder == n.name {
+	if it := c.items[id]; it.state == itemRunning && it.holder == n.name {
 		c.loseLeaseLocked(it, why)
 	}
 }
@@ -805,7 +784,7 @@ func (c *Coordinator) finalize(it *item, res *engine.Result, errMsg string) {
 		it.state, it.errMsg = itemFailed, errMsg
 		c.obs.completed.With("failed").Inc()
 	}
-	it.finishedAt = time.Now()
+	now := time.Now()
 	// One coordinator span per item, covering its whole scheduled life
 	// (submission to terminal state), on the item's own lane.
 	start := it.firstStart
@@ -814,26 +793,25 @@ func (c *Coordinator) finalize(it *item, res *engine.Result, errMsg string) {
 	}
 	if !start.IsZero() {
 		c.tr.Scoped(it.sweepID).Record("job", "coord", it.tid,
-			start, it.finishedAt.Sub(start),
+			start, now.Sub(start),
 			obs.SpanArg{Key: "requeues", Val: int64(it.requeues)})
 	}
-	c.sweepFinishedLocked(it)
+	c.sweepFinishedLocked(it, now)
 	close(it.done)
 }
 
 // sweepFinishedLocked observes sweep-level completion after an item turned
-// terminal: any sweep whose members are now all done/failed gets its
+// terminal at now: any sweep whose members are now all done/failed gets its
 // duration histogram observation and (when traced) a sweep-wide span, once.
 // Callers hold c.mu.
-func (c *Coordinator) sweepFinishedLocked(it *item) {
-	now := it.finishedAt
+func (c *Coordinator) sweepFinishedLocked(it *item, now time.Time) {
 	for tag, sw := range c.sweeps {
 		if sw.durationObserved || !sw.has[it.id] {
 			continue
 		}
 		finished := true
 		for _, id := range sw.ids {
-			if m := c.items[id]; m != nil && m.state != itemDone && m.state != itemFailed {
+			if m := c.items[id]; m.state != itemDone && m.state != itemFailed {
 				finished = false
 				break
 			}
@@ -910,60 +888,10 @@ func (c *Coordinator) reap(now time.Time) {
 			c.releaseLocked(n, id, fmt.Sprintf("job lost with node %s", name))
 		}
 	}
-	c.pruneLocked(now)
 	if c.journal != nil && c.journal.shouldCompact() {
 		if err := c.journal.compact(c.snapshotLocked()); err != nil {
 			c.log.Error("journal compaction failed", "err", err)
 		}
-	}
-}
-
-// pruneLocked retires work finished longer than RetainFor ago: expired
-// sweeps first, then terminal items no live sweep references, evicting each
-// pruned item's result blob from the CAS memory layer. This bounds a
-// long-running coordinator's memory; a pruned job resubmitted later simply
-// re-executes (deterministically, to the same bytes). Callers hold c.mu.
-func (c *Coordinator) pruneLocked(now time.Time) {
-	if c.opts.RetainFor < 0 {
-		return
-	}
-	for id, sw := range c.sweeps {
-		expired := true
-		for _, itID := range sw.ids {
-			it := c.items[itID]
-			if it == nil {
-				continue
-			}
-			if (it.state != itemDone && it.state != itemFailed) ||
-				now.Sub(it.finishedAt) <= c.opts.RetainFor {
-				expired = false
-				break
-			}
-		}
-		if expired {
-			delete(c.sweeps, id)
-		}
-	}
-	referenced := func(id string) bool {
-		for _, sw := range c.sweeps {
-			if sw.has[id] {
-				return true
-			}
-		}
-		return false
-	}
-	for id, it := range c.items {
-		if it.state != itemDone && it.state != itemFailed {
-			continue
-		}
-		if now.Sub(it.finishedAt) <= c.opts.RetainFor || referenced(id) {
-			continue
-		}
-		delete(c.items, id)
-		if it.blobSum != "" {
-			c.store.Evict(it.blobSum)
-		}
-		c.obs.pruned.Inc()
 	}
 }
 
@@ -1017,18 +945,6 @@ func (c *Coordinator) SweepTraceInfo(tag string) (participants map[string]string
 	return participants, true
 }
 
-// NodeClockOffset reports a live node's current clock-offset estimate
-// (worker_clock = coord_clock + offset) for trace rebasing; zero for
-// unknown nodes.
-func (c *Coordinator) NodeClockOffset(name string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n := c.nodes[name]; n != nil {
-		return n.clockOffsetNS
-	}
-	return 0
-}
-
 // LiveNodes returns the advertised addresses of every worker inside its
 // heartbeat window (name → addr, addr-less nodes included with "") — the
 // metrics-federation fan-out set.
@@ -1067,12 +983,10 @@ func (c *Coordinator) StatusSnapshot() ClusterStatus {
 			EngRunning:    n.engRunning,
 			ShardsInUse:   n.shardsInUse,
 			ShardCapacity: n.shardCapacity,
-			ClockOffsetNS: n.clockOffsetNS,
-			ClockRTTNS:    n.clockRTTNS,
 		}
 		for id := range n.leases {
 			it := c.items[id]
-			if it == nil || it.state != itemRunning || it.firstStart.IsZero() {
+			if it.state != itemRunning || it.firstStart.IsZero() {
 				continue
 			}
 			if age := now.Sub(it.firstStart).Milliseconds(); age > ns.OldestLeaseAgeMS {

@@ -23,15 +23,13 @@ import (
 //	GET  /v1/jobs/{id}       job status, and the result once finished
 //	GET  /v1/sweeps/{id}     progress of the sweep formed by the jobs
 //	                         submitted under one X-Sweep-ID (id = that tag)
-//	POST /v1/peers/heartbeat worker liveness + engine depth (409 on skew);
-//	                         replies 200 + HeartbeatReply with the
-//	                         coordinator clock for offset estimation
+//	POST /v1/peers/heartbeat worker liveness + engine depth (200; 409 on skew)
 //	POST /v1/peers/pull      lease one work item (204 when idle)
 //	POST /v1/peers/complete  report an execution outcome
 //	/v1/cas/...              the shared content-addressed store
 //	GET  /v1/sweeps/{id}/trace  merged fabric trace for one sweep (Chrome
-//	                         trace JSON; one process lane per node,
-//	                         clock-rebased)
+//	                         trace JSON; one process lane per node, each
+//	                         node's own wall-clock timestamps)
 //	GET  /v1/status          live fabric snapshot (ClusterStatus), for rsr top
 //	GET  /v1/version         build info + protocol version
 //	GET  /metrics            Prometheus text exposition, coordinator families
@@ -158,10 +156,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 // handleSweepTrace assembles the merged fabric trace for one sweep: the
 // coordinator's own scheduling spans plus every participating worker's span
-// ring (GET addr/v1/trace?sweep=tag), each rebased onto the coordinator
-// clock with that node's heartbeat-estimated offset, rendered as one Chrome
-// trace with a process lane per node. A worker that cannot be reached is
-// skipped with a warning — a partial fabric trace beats none.
+// ring (GET addr/v1/trace?sweep=tag), rendered as one Chrome trace with a
+// process lane per node. Timestamps are each node's own wall clock, so lanes
+// line up as far as the hosts' clocks agree (exactly, on one host). A worker
+// that cannot be reached is skipped with a warning — a partial fabric trace
+// beats none.
 func (s *Server) handleSweepTrace(w http.ResponseWriter, r *http.Request, tag string) {
 	participants, ok := s.co.SweepTraceInfo(tag)
 	if !ok {
@@ -184,11 +183,7 @@ func (s *Server) handleSweepTrace(w http.ResponseWriter, r *http.Request, tag st
 			s.log.Warn("trace pull failed", "node", name, "addr", addr, "err", err)
 			continue
 		}
-		dumps = append(dumps, obs.TraceDump{
-			Node:          name,
-			ClockOffsetNS: s.co.NodeClockOffset(name),
-			Spans:         spans,
-		})
+		dumps = append(dumps, obs.TraceDump{Node: name, Spans: spans})
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := obs.WriteMergedChromeTrace(w, dumps); err != nil {
@@ -221,9 +216,7 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		httpError(w, http.StatusBadRequest, "%v", err)
 	default:
-		// The reply carries the coordinator's clock so the worker can fold
-		// an RTT-midpoint offset sample (see EstimateOffset).
-		writeJSON(w, http.StatusOK, HeartbeatReply{CoordTimeNS: time.Now().UnixNano()})
+		w.WriteHeader(http.StatusOK)
 	}
 }
 

@@ -290,18 +290,17 @@ func (j *Journal) load() error {
 			return fmt.Errorf("cluster: corrupt snapshot %s: %w",
 				filepath.Join(j.dir, snapshotFile), err)
 		}
-		for key, ids := range snap.Sweeps {
-			for _, id := range ids {
-				rp.join(cmp.Or(snap.Tags[key], key), id)
-			}
-		}
 		for _, si := range snap.Items {
-			it := &ReplayItem{
+			items[si.ID] = &ReplayItem{
 				ID: si.ID, Job: si.Job, ReqID: si.ReqID, Sweep: si.Sweep,
 				State: si.State, Requeues: si.Requeues, Holders: si.Holders,
 				BlobSum: si.BlobSum, ErrMsg: si.Error,
 			}
-			items[si.ID] = it
+		}
+		for key, ids := range snap.Sweeps {
+			for _, id := range ids {
+				rp.join(items, cmp.Or(snap.Tags[key], key), id)
+			}
 		}
 	}
 
@@ -347,9 +346,10 @@ func (j *Journal) load() error {
 }
 
 // fold applies one record to the replay state. Unknown item references
-// (pruned before a crash, or lost to an earlier quarantined tail) are
-// skipped: the journal is a log of decisions, not an authority that can
-// conjure work without its submit record.
+// (lost to an earlier quarantined tail, or written by an older coordinator
+// that pruned finished items) are skipped, sweep memberships included: the
+// journal is a log of decisions, not an authority that can conjure work
+// without its submit record.
 func (j *Journal) fold(items map[string]*ReplayItem, rp *Replay, rec journalRecord) {
 	switch rec.Kind {
 	case recSubmit:
@@ -362,15 +362,15 @@ func (j *Journal) fold(items map[string]*ReplayItem, rp *Replay, rec journalReco
 				State: "queued",
 			}
 		}
-		rp.join(rec.Sweep, rec.ID)
+		rp.join(items, rec.Sweep, rec.ID)
 	case recTag:
 		if it := items[rec.ID]; it != nil && it.Sweep == "" {
 			it.Sweep = rec.Sweep // the untagged original adopts the tag, as it did live
 		}
-		rp.join(rec.Sweep, rec.ID)
+		rp.join(items, rec.Sweep, rec.ID)
 	case recSweep:
 		for _, id := range rec.JobIDs {
-			rp.join(cmp.Or(rec.Sweep, rec.ID), id)
+			rp.join(items, cmp.Or(rec.Sweep, rec.ID), id)
 		}
 	case recLease:
 		it := items[rec.ID]
@@ -420,9 +420,9 @@ func (j *Journal) fold(items map[string]*ReplayItem, rp *Replay, rec journalReco
 }
 
 // join makes item id a member of the sweep under key, once: a snapshot and
-// the records after it may both say so.
-func (rp *Replay) join(key, id string) {
-	if key == "" || id == "" || rp.member[[2]string{key, id}] {
+// the records after it may both say so. An id with no item joins nothing.
+func (rp *Replay) join(items map[string]*ReplayItem, key, id string) {
+	if key == "" || items[id] == nil || rp.member[[2]string{key, id}] {
 		return
 	}
 	rp.member[[2]string{key, id}] = true

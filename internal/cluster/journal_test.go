@@ -18,9 +18,8 @@ import (
 )
 
 // journaledCoordinator builds a coordinator whose scheduling survives Crash:
-// a journal in dir, a caller-shared store so replayed result blobs resolve,
-// retention disabled so pruning (which is deliberately not journaled) cannot
-// desynchronize live state from replayed state mid-test.
+// a journal in dir, and a caller-shared store so replayed result blobs
+// resolve.
 func journaledCoordinator(t *testing.T, dir string, st *cas.Store, reg *obs.Registry) *Coordinator {
 	t.Helper()
 	j, err := OpenJournal(dir, testLogger())
@@ -30,7 +29,6 @@ func journaledCoordinator(t *testing.T, dir string, st *cas.Store, reg *obs.Regi
 	return NewCoordinator(CoordinatorOptions{
 		QueuePerWorker:   8,
 		HeartbeatTimeout: time.Hour,
-		RetainFor:        -1,
 		Journal:          j,
 		Store:            st,
 		Metrics:          reg,
@@ -276,8 +274,7 @@ func TestJournalQuarantinesCorruptTail(t *testing.T) {
 		t.Errorf("quarantine file = %q, %v; want the cut tail", q, err)
 	}
 	re := NewCoordinator(CoordinatorOptions{
-		HeartbeatTimeout: time.Hour, RetainFor: -1,
-		Journal: j, Store: st, Log: testLogger(),
+		HeartbeatTimeout: time.Hour, Journal: j, Store: st, Log: testLogger(),
 	})
 	got := liveSnapshot(re)
 	re.Crash()
@@ -536,7 +533,7 @@ func TestJournalReplaysParentFormatDirectory(t *testing.T) {
 			j.Replay().Records, j.Replay().Quarantined)
 	}
 	re := NewCoordinator(CoordinatorOptions{
-		HeartbeatTimeout: time.Hour, RetainFor: -1, Journal: j, Log: testLogger(),
+		HeartbeatTimeout: time.Hour, Journal: j, Log: testLogger(),
 	})
 	defer re.Crash()
 
@@ -596,6 +593,43 @@ func TestJournalReplaysParentFormatDirectory(t *testing.T) {
 	}
 }
 
+// TestReplayedTagWithoutSubmitJoinsNothing pins that a journal record cannot
+// conjure a sweep member: a tag record for an ID no submit record or snapshot
+// item names joins no sweep, so it neither forms a sweep nor counts in one,
+// while a tag record for a known item still joins.
+func TestReplayedTagWithoutSubmitJoinsNothing(t *testing.T) {
+	known, phantom := unitJob(1), unitJob(2).Hash()
+	body, err := json.Marshal(known)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, journalFile), []byte(strings.Join([]string{
+		`{"kind":"submit","id":"` + known.Hash() + `","job":` + string(body) + `,"sweep":"first"}`,
+		`{"kind":"tag","id":"` + known.Hash() + `","sweep":"second"}`,
+		`{"kind":"tag","id":"` + phantom + `","sweep":"second"}`,
+		`{"kind":"tag","id":"` + phantom + `","sweep":"ghost"}`,
+	}, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(dir, testLogger())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]string{"first": {known.Hash()}, "second": {known.Hash()}}
+	if got := j.Replay().Sweeps; !reflect.DeepEqual(got, want) {
+		t.Errorf("replayed sweeps = %v, want %v", got, want)
+	}
+	co := NewCoordinator(CoordinatorOptions{HeartbeatTimeout: time.Hour, Journal: j, Log: testLogger()})
+	defer co.Crash()
+	if st, ok := co.SweepStatus("ghost"); ok {
+		t.Errorf("a sweep formed from a tag record alone: %+v", st)
+	}
+	if st, ok := co.SweepStatus("second"); !ok || st.Total != 1 || st.Done != 0 || st.Pending != 1 {
+		t.Errorf("sweep second = %+v, %v; want its one known member pending", st, ok)
+	}
+}
+
 // TestSweepJournalLinear pins what a tagged submission costs the journal: one
 // record, its submit record, whose size does not depend on how many jobs the
 // sweep already holds. (Re-journaling the sweep's cumulative membership on
@@ -616,7 +650,7 @@ func TestSweepJournalLinear(t *testing.T) {
 			t.Fatal(err)
 		}
 		co = NewCoordinator(CoordinatorOptions{QueuePerWorker: 4096, HeartbeatTimeout: time.Hour,
-			RetainFor: -1, Journal: j, Log: testLogger()})
+			Journal: j, Log: testLogger()})
 	}
 	journal := func(dir string) written {
 		b, err := os.ReadFile(filepath.Join(dir, journalFile))

@@ -16,11 +16,10 @@ type coordObs struct {
 	requeues       *obs.Counter
 	lateCompletes  *obs.Counter
 	staleCompletes *obs.Counter
-	pruned         *obs.Counter
 	nodesLost      *obs.Counter
 	completed      *obs.CounterVec // label: state (done|failed)
 	replayed       *obs.CounterVec // label: state (queued|running|done|failed|blob-missing)
-	journalRecords *obs.CounterVec // label: kind (submit|sweep|lease|complete|requeue|reap)
+	journalRecords *obs.CounterVec // label: kind (submit|tag|lease|complete|requeue|reap)
 	journalFsync   *obs.Histogram
 	sweepDur       *obs.Histogram
 
@@ -32,7 +31,6 @@ type coordObs struct {
 	shardsUsed  *obs.GaugeVec // label: node
 	shardCap    *obs.GaugeVec // label: node
 	oldestLease *obs.GaugeVec // label: node
-	clockOffset *obs.GaugeVec // label: node
 	sweepJobs   *obs.GaugeVec // label: state (pending|running|done|failed)
 }
 
@@ -65,8 +63,6 @@ func newCoordObs(reg *obs.Registry, c *Coordinator) *coordObs {
 		"Completions that arrived after the item was already terminal (a requeue raced a slow completion; byte-identical results, dropped).")
 	o.staleCompletes = reg.Counter("rsr_cluster_stale_completes_total",
 		"Completion reports dropped because the node no longer held a lease on the item (reaped and requeued, or a stray report).")
-	o.pruned = reg.Counter("rsr_cluster_items_pruned_total",
-		"Finished items retired after the retention window.")
 	o.nodesLost = reg.Counter("rsr_cluster_nodes_lost_total",
 		"Workers reaped after missing the heartbeat timeout.")
 	o.completed = reg.CounterVec("rsr_cluster_items_total",
@@ -94,8 +90,6 @@ func newCoordObs(reg *obs.Registry, c *Coordinator) *coordObs {
 		"Worker-reported shard capacity, its GOMAXPROCS (heartbeat payload).", "node")
 	o.oldestLease = reg.GaugeVec("rsr_cluster_node_oldest_lease_age_ms",
 		"Age in milliseconds of the node's slowest in-flight lease — the straggler signal.", "node")
-	o.clockOffset = reg.GaugeVec("rsr_cluster_node_clock_offset_ns",
-		"Worker-estimated clock offset relative to the coordinator in nanoseconds (heartbeat payload; worker_clock = coord_clock + offset).", "node")
 	o.sweepDur = reg.Histogram("rsr_cluster_sweep_duration_seconds",
 		"Wall-clock duration of a sweep, submission to last member terminal.",
 		[]float64{.1, .25, .5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500})
@@ -112,7 +106,6 @@ func newCoordObs(reg *obs.Registry, c *Coordinator) *coordObs {
 			o.shardsUsed.With(n.Node).Set(n.ShardsInUse)
 			o.shardCap.With(n.Node).Set(int64(n.ShardCapacity))
 			o.oldestLease.With(n.Node).Set(n.OldestLeaseAgeMS)
-			o.clockOffset.With(n.Node).Set(n.ClockOffsetNS)
 		}
 		sj := c.sweepJobsTally()
 		o.sweepJobs.With("pending").Set(int64(sj.queued))
@@ -133,5 +126,4 @@ func (o *coordObs) zeroNode(name string) {
 	o.shardsUsed.With(name).Set(0)
 	o.shardCap.With(name).Set(0)
 	o.oldestLease.With(name).Set(0)
-	o.clockOffset.With(name).Set(0)
 }

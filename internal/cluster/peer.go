@@ -126,14 +126,9 @@ type Peer struct {
 
 	// hello stays true until a heartbeat lands: the first one tells the
 	// coordinator that leases it records under this node name belong to an
-	// earlier process. Touched only by beat's callers, like offsets.
+	// earlier process. Touched only by beat, which Start, the heartbeat loop
+	// and reconnect call one at a time.
 	hello bool
-
-	// offsets accumulates NTP-style clock samples from heartbeat round-trips.
-	// Touched only by the heartbeat goroutine (beat is also called from Start
-	// and reconnect, but never concurrently), matching OffsetTracker's
-	// single-caller contract.
-	offsets OffsetTracker
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -349,12 +344,8 @@ func (p *Peer) reconnect() bool {
 // executing — the coordinator's per-node backpressure signal and, after a
 // coordinator restart or in this process's Hello, the list of leases it
 // keeps. A 409 means protocol skew (a coordinator upgraded under us): fail
-// fast.
-// The round-trip doubles as an NTP-style clock sample: the coordinator's
-// reply carries its clock, and the worker's send/receive stamps bracket it;
-// the resulting best offset estimate rides in the *next* heartbeat so the
-// coordinator can rebase this worker's span timestamps when merging traces.
-// Reports whether the heartbeat landed.
+// fast. The reply's body, if any, is ignored. Reports whether the heartbeat
+// landed.
 func (p *Peer) beat() bool {
 	st := p.opts.Engine.Stats()
 	hb := Heartbeat{
@@ -368,12 +359,7 @@ func (p *Peer) beat() bool {
 		Leases:        p.inflightLeases(),
 		Hello:         p.hello,
 	}
-	if off, rtt, ok := p.offsets.Best(); ok {
-		hb.ClockOffsetNS, hb.ClockRTTNS = off, rtt
-	}
-	t0 := time.Now().UnixNano()
-	code, body, err := p.postJSON("/v1/peers/heartbeat", hb)
-	t1 := time.Now().UnixNano()
+	code, _, err := p.postJSON("/v1/peers/heartbeat", hb)
 	if err != nil {
 		p.log.Debug("heartbeat failed", "err", err)
 		return false
@@ -386,10 +372,6 @@ func (p *Peer) beat() bool {
 		return false
 	}
 	p.hello = false
-	var reply HeartbeatReply
-	if json.Unmarshal(body, &reply) == nil && reply.CoordTimeNS != 0 {
-		p.offsets.Add(EstimateOffset(t0, t1, reply.CoordTimeNS))
-	}
 	return true
 }
 
@@ -528,8 +510,8 @@ func (p *Peer) complete(req CompleteRequest, blob []byte) {
 		switch {
 		case err == nil && (code == http.StatusNoContent || code == http.StatusNotFound):
 			// Landed — or the coordinator no longer knows the job (restarted
-			// without this journal, or the item was pruned); either way there
-			// is nothing left to report.
+			// without this journal); either way there is nothing left to
+			// report.
 			p.log.Info("lease reported", "job", req.ID, "blob", req.BlobSum, "err", req.Error)
 			return
 		case err == nil && code == http.StatusConflict && blob != nil:

@@ -48,9 +48,8 @@ import (
 // corrupting a sweep. Bump on any incompatible change to the wire types
 // below or to job identity semantics.
 //
-// Version 2: the heartbeat response changed from 204 No Content to
-// 200 + HeartbeatReply carrying the coordinator's clock, which version-1
-// workers would misread as a failed beat.
+// Version 2: the heartbeat response changed from 204 No Content to 200,
+// which version-1 workers would misread as a failed beat.
 //
 // Version 3: engine.Job gained Strategy, an identity field. A version-2
 // worker would decode a strategy job without it, run the unnamed design and
@@ -145,22 +144,6 @@ type Heartbeat struct {
 	// metrics snapshot for fabric-wide aggregation. Empty when the worker has
 	// nothing to advertise; aggregation then simply skips the node.
 	Addr string `json:"addr,omitempty"`
-	// ClockOffsetNS and ClockRTTNS are the worker's current estimate of its
-	// clock relative to the coordinator (worker_clock = coord_clock + offset),
-	// derived from heartbeat send/receive timestamps by the RTT-midpoint
-	// method (see EstimateOffset). The coordinator records them per node and
-	// uses the offset to rebase that node's span timestamps when merging a
-	// fabric trace. RTT bounds the estimate's error.
-	ClockOffsetNS int64 `json:"clock_offset_ns,omitempty"`
-	ClockRTTNS    int64 `json:"clock_rtt_ns,omitempty"`
-}
-
-// HeartbeatReply is the coordinator's response to a heartbeat: its own
-// clock reading taken while handling the request. The worker combines it
-// with its local send/receive timestamps to estimate the clock offset it
-// reports on the next beat.
-type HeartbeatReply struct {
-	CoordTimeNS int64 `json:"coord_time_ns"`
 }
 
 // PullRequest asks the coordinator for one work item.
@@ -218,8 +201,6 @@ type NodeStatus struct {
 	EngRunning    int64  `json:"eng_running"`
 	ShardsInUse   int64  `json:"shards_in_use"`
 	ShardCapacity int    `json:"shard_capacity"`
-	ClockOffsetNS int64  `json:"clock_offset_ns,omitempty"`
-	ClockRTTNS    int64  `json:"clock_rtt_ns,omitempty"`
 	// OldestLeaseAgeMS / OldestLeaseJob identify the node's slowest
 	// in-flight job — the straggler signal `rsr top` sorts by.
 	OldestLeaseAgeMS int64  `json:"oldest_lease_age_ms,omitempty"`

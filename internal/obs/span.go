@@ -173,7 +173,7 @@ func (t *Tracer) snapshotRing() []spanRecord {
 
 // SpanDump is one completed span in wire form: absolute unix-nano timestamps
 // instead of epoch-relative offsets, so rings from different processes can be
-// merged (after clock rebase) into one trace. Serialized by a worker's
+// merged into one trace on their shared wall clock. Serialized by a worker's
 // GET /v1/trace and consumed by the coordinator's sweep-trace aggregation.
 type SpanDump struct {
 	Name  string    `json:"name"`

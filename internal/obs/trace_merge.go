@@ -8,41 +8,33 @@ import (
 )
 
 // TraceDump is one node's contribution to a fabric-wide trace: the spans it
-// recorded for a sweep (absolute unix-nano timestamps from Tracer.Dump) plus
-// the coordinator's estimate of that node's clock offset. Offset follows the
-// NTP convention used by cluster.EstimateOffset: remote_clock = coord_clock
-// + offset, so rebasing a remote timestamp onto the coordinator clock is
-// ts - offset.
+// recorded for a sweep, with absolute unix-nano timestamps from Tracer.Dump.
 type TraceDump struct {
-	Node          string     `json:"node"`
-	ClockOffsetNS int64      `json:"clock_offset_ns"`
-	Spans         []SpanDump `json:"spans"`
+	Node  string     `json:"node"`
+	Spans []SpanDump `json:"spans"`
 }
 
 // WriteMergedChromeTrace renders dumps from several nodes as one Chrome
 // trace: each node gets its own process lane (pid), named via process_name
-// metadata, and every span's timestamp is rebased onto the coordinator
-// clock using the node's offset. The time origin is the earliest rebased
-// span start, so ts values stay small enough for trace viewers.
+// metadata, and every span keeps the timestamp its node's clock gave it.
+// The time origin is the earliest span start, so ts values stay small
+// enough for trace viewers.
 func WriteMergedChromeTrace(w io.Writer, dumps []TraceDump) error {
 	type ev struct {
 		d   *SpanDump
 		pid int
-		ts  int64 // rebased, unix ns on the coordinator clock
 	}
 	var evs []ev
 	for i := range dumps {
-		pid := i + 1
 		for j := range dumps[i].Spans {
-			s := &dumps[i].Spans[j]
-			evs = append(evs, ev{d: s, pid: pid, ts: s.Start - dumps[i].ClockOffsetNS})
+			evs = append(evs, ev{d: &dumps[i].Spans[j], pid: i + 1})
 		}
 	}
-	sort.Slice(evs, func(i, j int) bool { return evs[i].ts < evs[j].ts })
+	sort.SliceStable(evs, func(i, j int) bool { return evs[i].d.Start < evs[j].d.Start })
 
 	var origin int64
 	if len(evs) > 0 {
-		origin = evs[0].ts
+		origin = evs[0].d.Start
 	}
 
 	bw := bufio.NewWriter(w)
@@ -60,7 +52,7 @@ func WriteMergedChromeTrace(w io.Writer, dumps []TraceDump) error {
 			bw.WriteByte(',')
 		}
 		first = false
-		writeDumpEvent(bw, evs[i].d, evs[i].pid, evs[i].ts-origin)
+		writeDumpEvent(bw, evs[i].d, evs[i].pid, evs[i].d.Start-origin)
 	}
 	bw.WriteString("]}\n")
 	return bw.Flush()
@@ -76,7 +68,7 @@ func writeProcessName(bw *bufio.Writer, pid int, name string) {
 }
 
 // writeDumpEvent emits one complete event from a SpanDump with the given
-// rebased nanosecond timestamp (relative to the merged-trace origin).
+// nanosecond timestamp (relative to the merged-trace origin).
 func writeDumpEvent(bw *bufio.Writer, d *SpanDump, pid int, tsNS int64) {
 	bw.WriteString(`{"name":`)
 	writeJSONString(bw, d.Name)

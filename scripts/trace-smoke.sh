@@ -5,10 +5,12 @@
 # sweep through the cluster with `rsr -cluster ... -trace-out`, and asserts
 # the captured artifact is a single merged Chrome trace of the whole fabric:
 # it parses, has distinct process lanes for the coordinator and both
-# workers, every span is tagged with the invocation's sweep ID, and all
-# rebased timestamps are non-negative. Also asserts the coordinator's
-# /metrics federates worker families under a node label and exposes the
-# coordinator's sweep metrics.
+# workers, every span is tagged with the invocation's sweep ID, and the lanes
+# share one clock: every worker span lies inside the coordinator lane's
+# `sweep` span, which on one host holds by causality (a worker runs a job
+# after its submission and reports it before the sweep's last member
+# finishes). Also asserts the coordinator's /metrics federates worker
+# families under a node label and exposes the coordinator's sweep metrics.
 set -eu
 
 WORKDIR="$(mktemp -d)"
@@ -81,6 +83,7 @@ func main() {
 			Ph   string         `json:"ph"`
 			Pid  int            `json:"pid"`
 			Ts   float64        `json:"ts"`
+			Dur  float64        `json:"dur"`
 			Args map[string]any `json:"args"`
 		} `json:"traceEvents"`
 	}
@@ -99,9 +102,6 @@ func main() {
 			}
 		case "X":
 			spans[ev.Pid]++
-			if ev.Ts < 0 {
-				fail("span %q has negative rebased ts %v", ev.Name, ev.Ts)
-			}
 			sweep, _ := ev.Args["sweep"].(string)
 			if sweep == "" {
 				fail("span %q lacks a sweep tag", ev.Name)
@@ -121,7 +121,31 @@ func main() {
 	if len(sweeps) != 1 {
 		fail("expected exactly one sweep tag across all spans, got %v", sweeps)
 	}
-	fmt.Printf("trace-smoke: %d lanes, %d+%d+%d spans, sweep tag ok\n",
+	// One clock: the coordinator's sweep span (first submission to last
+	// member finished) contains every worker span. Timestamps are printed to
+	// the nanosecond, so the bound allows only float rounding.
+	var from, to float64
+	found := 0
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "X" && ev.Pid == lanes["coordinator"] && ev.Name == "sweep" {
+			from, to = ev.Ts, ev.Ts+ev.Dur
+			found++
+		}
+	}
+	if found != 1 {
+		fail("coordinator lane has %d sweep spans, want 1", found)
+	}
+	const slack = 0.0005 // µs
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph != "X" || ev.Pid == lanes["coordinator"] {
+			continue
+		}
+		if ev.Ts < from-slack || ev.Ts+ev.Dur > to+slack {
+			fail("worker span %q (pid %d) [%.3f, %.3f] µs lies outside the coordinator's sweep span [%.3f, %.3f]",
+				ev.Name, ev.Pid, ev.Ts, ev.Ts+ev.Dur, from, to)
+		}
+	}
+	fmt.Printf("trace-smoke: %d lanes, %d+%d+%d spans, sweep tag ok, worker spans inside the sweep span\n",
 		len(lanes), spans[lanes["coordinator"]], spans[lanes["worker-a"]], spans[lanes["worker-b"]])
 }
 
@@ -136,8 +160,8 @@ EOF
       exit 1; }
 
 # Metrics federation: one scrape of the coordinator must show worker engine
-# families under a node label, the coordinator's sweep metrics, and the
-# clock-offset gauges that back the trace rebase.
+# families under a node label, the coordinator's sweep metrics, and its
+# per-node straggler gauge.
 METRICS="$WORKDIR/metrics.txt"
 curl -fsS "http://$COORD/metrics" >"$METRICS"
 for PATTERN in \
@@ -145,7 +169,6 @@ for PATTERN in \
     'rsr_engine_jobs_total{node="worker-b"' \
     'rsr_cluster_sweep_duration_seconds_count' \
     'rsr_cluster_sweep_jobs{state="done"}' \
-    'rsr_cluster_node_clock_offset_ns{node="worker-a"}' \
     'rsr_cluster_node_oldest_lease_age_ms{node="worker-b"}'
 do
     if ! grep -Fq "$PATTERN" "$METRICS"; then
