@@ -14,8 +14,8 @@
 #                    workers, sweep output diffed against a single-node run
 #   make trace-smoke fabric observability check: merged Chrome trace of a
 #                    3-process sweep (coordinator + both worker lanes, sweep
-#                    tags, worker spans inside the sweep span), federated
-#                    /metrics, /v1/status
+#                    tags, worker spans inside the sweep span), each
+#                    process's /metrics reporting that process, /v1/status
 #   make shard-smoke sharded-pipeline check: race-enabled full-method sweep
 #                    diffed byte-for-byte against the sequential pipeline
 #   make regimen-smoke  sampling-strategy check: `-regimen stratified-uniform`
@@ -119,8 +119,9 @@ cluster-smoke: build
 # processes: a sweep through 1 coordinator + 2 workers captured with
 # `rsr -cluster -trace-out` must yield one merged Chrome trace with a
 # process lane per node, every span sweep-tagged, every worker span inside
-# the coordinator lane's sweep span (the lanes share one clock), and the
-# coordinator's /metrics must federate worker families under a node label.
+# the coordinator lane's sweep span (the lanes share one clock); each worker's
+# /metrics must carry its engine families, and the coordinator's must carry
+# the workers' heartbeat-borne engine depth and no rsr_engine_ family.
 trace-smoke: build
 	./scripts/trace-smoke.sh
 

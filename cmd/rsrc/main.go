@@ -24,9 +24,13 @@
 //	POST /v1/peers/complete  report an execution outcome
 //	/v1/cas/...              the shared content-addressed store
 //	GET  /v1/version         build info + cluster protocol version
-//	GET  /metrics            coordinator gauges plus federated worker
-//	                         families re-exported with a node label
+//	GET  /metrics            this coordinator's families; a worker's engine
+//	                         depth arrives by heartbeat, its own families
+//	                         stay on its own /metrics
 //	GET  /healthz, /readyz   liveness / readiness
+//
+// The one request that dials a worker is the sweep trace: a worker's
+// heartbeat carries its advertised address for that pull only.
 //
 // Scheduling is pull-based: one bounded FIFO queue that every free worker
 // slot pulls from, one holder per running job, and heartbeat-driven requeue

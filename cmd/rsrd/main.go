@@ -5,7 +5,7 @@
 //
 //	rsrd [-addr :8745] [-parallel N] [-cachedir DIR] [-job-timeout D]
 //	     [-retries N] [-drain-timeout D]
-//	     [-peer -coordinator URL [-node NAME] [-pulls N]]
+//	     [-peer -coordinator URL [-node NAME] [-pulls N] [-advertise URL]]
 //
 // API:
 //
@@ -13,17 +13,19 @@
 //	GET  /v1/jobs/{id} job status, and the result once finished
 //	GET  /v1/stats     engine scheduler/cache counters
 //	GET  /v1/events    progress event stream (ndjson, until disconnect)
+//	GET  /v1/trace     this node's span ring as JSON (?sweep= filters by tag)
 //	GET  /v1/version   build info + cluster protocol version
-//	GET  /metrics      Prometheus text exposition of the metric registry
+//	GET  /metrics      Prometheus text exposition of this process's registry
 //	GET  /healthz      liveness (200 while the process runs)
 //	GET  /readyz       readiness (503 once draining)
 //
 // With -peer, the daemon additionally joins the sweep fabric of the rsrc
-// coordinator at -coordinator: it heartbeats, pulls work, runs it on the
-// local engine, uploads results to the coordinator's content-addressed
-// store, and shares pre-pass checkpoint chains through the same store so
-// sibling nodes skip redundant functional warm-up. The local HTTP API stays
-// fully usable in peer mode.
+// coordinator at -coordinator: it heartbeats its engine depth, pulls work,
+// runs it on the local engine, uploads results to the coordinator's
+// content-addressed store, and shares pre-pass checkpoint chains through the
+// same store so sibling nodes skip redundant functional warm-up. The local
+// HTTP API stays fully usable in peer mode. The -advertise address is used
+// for the sweep trace only: the coordinator dials it to pull /v1/trace.
 //
 // Every request is logged as one structured log/slog line (method, path,
 // status, duration, request ID); the ID is echoed as X-Request-ID, and a
@@ -65,7 +67,7 @@ import (
 )
 
 // advertiseURL resolves the base URL this worker advertises to the
-// coordinator for trace/metrics pulls: the -advertise flag verbatim when
+// coordinator for sweep-trace pulls: the -advertise flag verbatim when
 // set, otherwise derived from -addr (a bare ":port" becomes loopback, which
 // is right for the single-host topologies of tests and smoke scripts;
 // multi-host fleets should set -advertise explicitly).
@@ -91,8 +93,7 @@ func main() {
 	coordinator := flag.String("coordinator", "", "coordinator base URL for -peer, e.g. http://host:9900")
 	nodeName := flag.String("node", "", "cluster-unique worker name for -peer (default hostname-pid)")
 	pulls := flag.Int("pulls", 0, "concurrent work-pull loops in -peer mode (0 = 2)")
-	advertise := flag.String("advertise", "", "externally reachable base URL advertised to the coordinator for trace/metrics aggregation (default derived from -addr)")
-	traceCap := flag.Int("trace-spans", 0, "span ring capacity for /v1/trace (0 = default)")
+	advertise := flag.String("advertise", "", "externally reachable base URL advertised to the coordinator, used only to pull this node's sweep-trace spans (default derived from -addr)")
 	flag.Parse()
 
 	var level slog.Level
@@ -112,7 +113,7 @@ func main() {
 	// The span ring is always on: it is a fixed-size in-memory buffer whose
 	// recording cost is only paid per span, and serving it at /v1/trace is
 	// what lets a coordinator assemble fabric-wide sweep traces on demand.
-	tracer := obs.NewTracer(*traceCap)
+	tracer := obs.NewTracer(0)
 	engOpts := engine.Options{
 		Workers:        *parallel,
 		CacheDir:       *cacheDir,

@@ -97,11 +97,9 @@ func (s *server) routes() http.Handler {
 	mux.HandleFunc("/readyz", s.handleReadyz)
 	// Prometheus text exposition of the engine's metric registry.
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	// Fabric observability pulls: the coordinator fetches this node's span
-	// ring when aggregating a sweep trace, and its registry snapshot when
-	// federating worker metrics onto the coordinator's /metrics.
+	// The coordinator fetches this node's span ring when aggregating a sweep
+	// trace: the one artifact joined across nodes.
 	mux.HandleFunc("/v1/trace", s.handleTrace)
-	mux.HandleFunc("/v1/metricsnap", s.handleMetricSnap)
 	// Live profiling of a running daemon (the default-mux registration in
 	// net/http/pprof does not apply to a private mux, so mount explicitly).
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -141,16 +139,6 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, s.tr.Dump(r.URL.Query().Get("sweep")))
-}
-
-// handleMetricSnap serves the registry's snapshot as JSON
-// ([]obs.MetricSnapshot) for the coordinator's metrics federation.
-func (s *server) handleMetricSnap(w http.ResponseWriter, r *http.Request) {
-	if s.reg == nil {
-		httpError(w, http.StatusNotFound, "metrics disabled")
-		return
-	}
-	writeJSON(w, http.StatusOK, s.reg.Snapshot())
 }
 
 // jobRequest is the POST /v1/jobs body. Unset fields take the reproduction

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -76,35 +77,78 @@ func beat(t *testing.T, co *Coordinator, node string) {
 	}
 }
 
-// TestHeartbeatShardUtilization pins the shard-telemetry path: a worker's
-// self-reported shard usage and capacity land in the coordinator's node
-// state and are exported per node on /metrics, and a later heartbeat that
-// omits the additive fields (an older worker) zeroes them rather than
-// leaving a stale reading.
-func TestHeartbeatShardUtilization(t *testing.T) {
+// TestHeartbeatWorkerTelemetry pins the one path by which a worker's engine
+// state reaches the coordinator: the engine depth, shard usage and capacity a
+// heartbeat reports land in the node state and are exported per node on
+// /metrics, and a later heartbeat that omits the fields (an older worker, or
+// an idle one) zeroes them rather than leaving a stale reading.
+func TestHeartbeatWorkerTelemetry(t *testing.T) {
 	reg := obs.NewRegistry()
 	co := NewCoordinator(CoordinatorOptions{
 		QueuePerWorker: 2, HeartbeatTimeout: time.Hour, Log: testLogger(), Metrics: reg,
 	})
 	defer co.Close()
 
+	families := []string{"rsr_cluster_node_engine_queued", "rsr_cluster_node_engine_running",
+		"rsr_cluster_node_shards_inuse", "rsr_cluster_node_shard_capacity"}
 	if err := co.Heartbeat(Heartbeat{Node: "a", Protocol: ProtocolVersion,
-		ShardsInUse: 6, ShardCapacity: 8}); err != nil {
+		QueueDepth: 3, Inflight: 2, ShardsInUse: 6, ShardCapacity: 8}); err != nil {
 		t.Fatal(err)
 	}
-	if got := metricValue(reg, "rsr_cluster_node_shards_inuse"); got != 6 {
-		t.Fatalf("rsr_cluster_node_shards_inuse = %v, want 6", got)
-	}
-	if got := metricValue(reg, "rsr_cluster_node_shard_capacity"); got != 8 {
-		t.Fatalf("rsr_cluster_node_shard_capacity = %v, want 8", got)
+	for i, want := range []float64{3, 2, 6, 8} {
+		if got := metricValue(reg, families[i]); got != want {
+			t.Errorf("%s = %v, want %v", families[i], got, want)
+		}
 	}
 
-	beat(t, co, "a") // no shard fields: an older worker's heartbeat
-	if got := metricValue(reg, "rsr_cluster_node_shards_inuse"); got != 0 {
-		t.Fatalf("shards_inuse after field-less heartbeat = %v, want 0", got)
+	beat(t, co, "a") // no telemetry fields
+	for _, fam := range families {
+		if got := metricValue(reg, fam); got != 0 {
+			t.Errorf("%s after field-less heartbeat = %v, want 0", fam, got)
+		}
 	}
-	if got := metricValue(reg, "rsr_cluster_node_shard_capacity"); got != 0 {
-		t.Fatalf("shard_capacity after field-less heartbeat = %v, want 0", got)
+}
+
+// TestCoordinatorMetricsDoNotDialWorkers pins that a scrape of the
+// coordinator reports only what it holds: a live worker whose advertised
+// address accepts connections and never answers costs the scrape nothing, and
+// its engine depth is still there, from its heartbeat.
+func TestCoordinatorMetricsDoNotDialWorkers(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Never Accept'ed: the kernel completes a dialer's handshake from the
+	// backlog, and no byte ever comes back.
+	defer ln.Close()
+
+	reg := obs.NewRegistry()
+	co := NewCoordinator(CoordinatorOptions{
+		QueuePerWorker: 2, HeartbeatTimeout: time.Hour, Log: testLogger(), Metrics: reg,
+	})
+	defer co.Close()
+	ts := httptest.NewServer(NewServer(co, reg, testLogger()).Routes())
+	defer ts.Close()
+	if err := co.Heartbeat(Heartbeat{Node: "w1", Protocol: ProtocolVersion,
+		Addr: "http://" + ln.Addr().String(), QueueDepth: 4}); err != nil {
+		t.Fatal(err)
+	}
+
+	begin := time.Now()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if took := time.Since(begin); took >= 250*time.Millisecond {
+		t.Errorf("GET /metrics took %v with one silent worker, want < 250ms", took)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `rsr_cluster_node_engine_queued{node="w1"} 4`; !strings.Contains(string(body), want) {
+		t.Errorf("/metrics lacks %q:\n%s", want, body)
 	}
 }
 

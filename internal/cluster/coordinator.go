@@ -945,22 +945,6 @@ func (c *Coordinator) SweepTraceInfo(tag string) (participants map[string]string
 	return participants, true
 }
 
-// LiveNodes returns the advertised addresses of every worker inside its
-// heartbeat window (name → addr, addr-less nodes included with "") — the
-// metrics-federation fan-out set.
-func (c *Coordinator) LiveNodes() map[string]string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := time.Now()
-	out := make(map[string]string)
-	for name, n := range c.nodes {
-		if now.Sub(n.lastBeat) <= c.opts.HeartbeatTimeout {
-			out[name] = n.addr
-		}
-	}
-	return out
-}
-
 // StatusSnapshot assembles the live fabric view served at GET /v1/status;
 // the coordinator's /metrics gauges are mirrored from the same view.
 func (c *Coordinator) StatusSnapshot() ClusterStatus {

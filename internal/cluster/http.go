@@ -32,8 +32,9 @@ import (
 //	                         node's own wall-clock timestamps)
 //	GET  /v1/status          live fabric snapshot (ClusterStatus), for rsr top
 //	GET  /v1/version         build info + protocol version
-//	GET  /metrics            Prometheus text exposition, coordinator families
-//	                         plus federated per-node worker families
+//	GET  /metrics            Prometheus text exposition of the coordinator's
+//	                         own families; workers report engine depth by
+//	                         heartbeat, and no scrape dials a worker
 //	GET  /healthz, /readyz   liveness / readiness (503 while draining)
 type Server struct {
 	co  *Coordinator
@@ -41,7 +42,6 @@ type Server struct {
 	log *slog.Logger
 	ids *RequestIDs
 	cas *cas.Server
-	fed *Federator
 	hc  *http.Client // trace-aggregation fan-out
 }
 
@@ -52,7 +52,6 @@ func NewServer(co *Coordinator, reg *obs.Registry, log *slog.Logger) *Server {
 	}
 	return &Server{co: co, reg: reg, log: log, ids: NewRequestIDs(),
 		cas: cas.NewServer(co.Store(), "/v1/cas"),
-		fed: NewFederator(co, log),
 		hc:  &http.Client{Timeout: 5 * time.Second}}
 }
 
@@ -94,12 +93,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := s.reg.WritePrometheus(w); err != nil {
 		s.log.Error("metrics write failed", "err", err)
-		return
-	}
-	// Federated section: each live worker's key families under a `node`
-	// label, refreshed at most every federateMaxAge.
-	if err := s.fed.Write(w); err != nil {
-		s.log.Error("federated metrics write failed", "err", err)
 	}
 }
 

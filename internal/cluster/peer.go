@@ -28,11 +28,9 @@ type PeerOptions struct {
 	// Coordinator is the coordinator's base URL, e.g. "http://host:9000".
 	Coordinator string
 	// Advertise is this worker's externally reachable base URL, e.g.
-	// "http://host:9800". It rides in every heartbeat so the coordinator can
-	// pull the worker's span ring (/v1/trace) and metric snapshot
-	// (/v1/metricsnap) when aggregating a fabric-wide trace or federating
-	// /metrics. Empty means the worker is not aggregatable and is simply
-	// skipped by both.
+	// "http://host:9800". It rides in every heartbeat and is used for the
+	// sweep trace only: the coordinator pulls the worker's span ring
+	// (/v1/trace) from it. Empty means the trace skips this worker.
 	Advertise string
 	// Engine executes leased jobs locally.
 	Engine *engine.Engine

@@ -111,8 +111,9 @@ func Version() VersionInfo {
 }
 
 // Heartbeat is a worker's periodic liveness report. QueueDepth, Inflight,
-// and the shard fields are the worker's local engine counters — the
-// coordinator exposes them per-node on /metrics, giving operators the
+// and the shard fields are the worker's local engine counters, and the only
+// path by which they reach the coordinator, which exposes them per node on
+// /metrics (rsr_cluster_node_*), giving operators the
 // backpressure picture end to end: coordinator queue depth on one side,
 // engine queue depth and shard utilization on the other. The shard fields
 // are additive (older workers simply omit them), so they do not bump
@@ -140,9 +141,9 @@ type Heartbeat struct {
 	// the node falls silent past the heartbeat timeout.
 	Hello bool `json:"hello,omitempty"`
 	// Addr is the worker's advertised HTTP base URL (e.g. http://host:8745),
-	// the address the coordinator uses to pull the node's span ring and
-	// metrics snapshot for fabric-wide aggregation. Empty when the worker has
-	// nothing to advertise; aggregation then simply skips the node.
+	// used for the sweep trace only: the coordinator pulls the node's span
+	// ring from it. Empty when the worker has nothing to advertise; the trace
+	// then skips the node.
 	Addr string `json:"addr,omitempty"`
 }
 
@@ -207,8 +208,9 @@ type NodeStatus struct {
 	OldestLeaseJob   string `json:"oldest_lease_job,omitempty"`
 }
 
-// ClusterStatus is the GET /v1/status payload: one federated snapshot of
-// the whole fabric, polled by `rsr top`.
+// ClusterStatus is the GET /v1/status payload: the coordinator's snapshot of
+// the whole fabric, built from its own state and workers' heartbeats, polled
+// by `rsr top`.
 type ClusterStatus struct {
 	Draining bool `json:"draining"`
 	Queued   int  `json:"queued"`

@@ -61,27 +61,50 @@ func (sw *statusWriter) Flush() {
 	}
 }
 
-// WithRequestLog wraps next so every request gets an ID (a client-supplied
-// X-Request-ID is honoured, otherwise one is issued), the ID is echoed on the
-// response and stashed in the request context with engine.WithRequestID, and
-// exactly one structured line is logged on completion. The stashed ID is what
-// lets handlers propagate the caller's correlation ID across node hops — into
-// engine submissions on a worker (which read the same context keys), or onto
-// coordinator work items (engine.RequestIDFrom). A sweep ID arriving as
-// X-Sweep-ID rides along the same way (engine.WithSweep / engine.SweepFrom)
-// and appears in the log line when present.
+// validTag reports whether s may serve as a request or sweep ID: 1-128 bytes
+// of [A-Za-z0-9._:-]. Such an ID needs no escaping in a URL path or query, and
+// its size is bounded in the journal, the snapshot and every span it tags.
+func validTag(s string) bool {
+	if len(s) == 0 || len(s) > 128 {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' ||
+			c == '.' || c == '_' || c == ':' || c == '-') {
+			return false
+		}
+	}
+	return true
+}
+
+// WithRequestLog wraps next so every request gets an ID (a valid
+// client-supplied X-Request-ID is honoured, otherwise one is issued), the ID
+// is echoed on the response and stashed in the request context with
+// engine.WithRequestID, and exactly one structured line is logged on
+// completion. The stashed ID is what lets handlers propagate the caller's
+// correlation ID across node hops — into engine submissions on a worker
+// (which read the same context keys), or onto coordinator work items
+// (engine.RequestIDFrom). A sweep ID arriving as X-Sweep-ID rides along the
+// same way (engine.WithSweep / engine.SweepFrom) and appears in the log line
+// when present; one that fails validTag is refused with 400.
 func WithRequestLog(log *slog.Logger, ids *RequestIDs, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get("X-Request-ID")
-		if id == "" {
+		if !validTag(id) {
 			id = ids.Next()
 		}
 		w.Header().Set("X-Request-ID", id)
 		sweep := r.Header.Get("X-Sweep-ID")
-		r = r.WithContext(engine.WithSweep(engine.WithRequestID(r.Context(), id), sweep))
 		sw := &statusWriter{ResponseWriter: w}
 		begin := time.Now()
-		next.ServeHTTP(sw, r)
+		if sweep == "" || validTag(sweep) {
+			r = r.WithContext(engine.WithSweep(engine.WithRequestID(r.Context(), id), sweep))
+			next.ServeHTTP(sw, r)
+		} else {
+			httpError(sw, http.StatusBadRequest, "bad X-Sweep-ID: want 1-128 bytes of [A-Za-z0-9._:-]")
+			sweep = ""
+		}
 		if sw.status == 0 {
 			sw.status = http.StatusOK
 		}

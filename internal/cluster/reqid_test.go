@@ -49,6 +49,59 @@ func TestWithRequestLogEchoAndContext(t *testing.T) {
 	}
 }
 
+// TestWithRequestLogValidatesIDs pins the ID rule (1-128 bytes of
+// [A-Za-z0-9._:-]): an invalid X-Sweep-ID is refused with 400 before any
+// handler sees it, and an invalid X-Request-ID is replaced by a minted one.
+func TestWithRequestLogValidatesIDs(t *testing.T) {
+	long := strings.Repeat("a", 128)
+	cases := []struct {
+		name, reqID, sweep string
+		wantStatus         int
+		wantReqID          bool // the client's X-Request-ID is kept
+	}{
+		{"rsr minted tag", "", "rsr-" + NewRequestIDs().Next(), http.StatusOK, false},
+		{"128-byte tag", long, long, http.StatusOK, true},
+		{"over-long tag", "r1", long + "a", http.StatusBadRequest, true},
+		{"trace suffix", "r1", "a/trace", http.StatusBadRequest, true},
+		{"query char", "r1", "a?b", http.StatusBadRequest, true},
+		{"escape char", "r1", "a%2F", http.StatusBadRequest, true},
+		{"over-long request ID", long + "a", "s1", http.StatusOK, false},
+		{"request ID with space", "a b", "s1", http.StatusOK, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var reached bool
+			var gotReq, gotSweep string
+			h := WithRequestLog(testLogger(), NewRequestIDs(), http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				reached = true
+				gotReq, gotSweep = engine.RequestIDFrom(r.Context()), engine.SweepFrom(r.Context())
+			}))
+			r := httptest.NewRequest("POST", "/v1/jobs", nil)
+			r.Header.Set("X-Request-ID", tc.reqID)
+			r.Header.Set("X-Sweep-ID", tc.sweep)
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, r)
+
+			if w.Code != tc.wantStatus {
+				t.Fatalf("status = %d, want %d", w.Code, tc.wantStatus)
+			}
+			echo := w.Header().Get("X-Request-ID")
+			if (echo == tc.reqID) != tc.wantReqID || echo == "" {
+				t.Errorf("X-Request-ID echo = %q for client %q, keep = %v", echo, tc.reqID, tc.wantReqID)
+			}
+			if tc.wantStatus != http.StatusOK {
+				if reached {
+					t.Error("handler reached despite an invalid X-Sweep-ID")
+				}
+				return
+			}
+			if gotSweep != tc.sweep || gotReq != echo {
+				t.Errorf("context sweep %q request %q, want %q %q", gotSweep, gotReq, tc.sweep, echo)
+			}
+		})
+	}
+}
+
 func TestWithRequestLogMintsIDAndOmitsSweep(t *testing.T) {
 	var buf bytes.Buffer
 	log := slog.New(slog.NewTextHandler(&buf, nil))

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -94,64 +93,6 @@ func formatFloat(v float64) string {
 		return strconv.FormatInt(int64(v), 10)
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// WriteSnapshotPrometheus re-renders an already-captured registry snapshot
-// (e.g. pulled from a remote node's /v1/metricsnap) in Prometheus text
-// format, stamping every series with one extra label — how the coordinator
-// federates worker families onto its own /metrics under a `node` label.
-// HELP lines are omitted: the authoritative help text lives on the node's
-// own endpoint, and federated families can repeat across nodes.
-func WriteSnapshotPrometheus(w io.Writer, snaps []MetricSnapshot, extraLabel, extraVal string) error {
-	bw := bufio.NewWriter(w)
-	for _, m := range snaps {
-		bw.WriteString("# TYPE ")
-		bw.WriteString(m.Name)
-		bw.WriteByte(' ')
-		bw.WriteString(m.Type)
-		bw.WriteByte('\n')
-		for _, s := range m.Series {
-			names, vals := flattenLabels(s.Labels, extraLabel, extraVal)
-			switch m.Type {
-			case kindCounter, kindGauge:
-				writeSample(bw, m.Name, "", names, vals, "", s.Value)
-			case kindHistogram:
-				if s.Histogram == nil {
-					continue
-				}
-				h := s.Histogram
-				for i, bound := range h.Bounds {
-					writeSample(bw, m.Name, "_bucket", names, vals,
-						formatFloat(bound), float64(h.Cumulative[i]))
-				}
-				var inf uint64
-				if len(h.Cumulative) > 0 {
-					inf = h.Cumulative[len(h.Cumulative)-1]
-				}
-				writeSample(bw, m.Name, "_bucket", names, vals, "+Inf", float64(inf))
-				writeSample(bw, m.Name, "_sum", names, vals, "", h.Sum)
-				writeSample(bw, m.Name, "_count", names, vals, "", float64(h.Count))
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// flattenLabels renders a snapshot's label map as sorted parallel slices,
-// prepending the extra (federation) label.
-func flattenLabels(labels map[string]string, extraLabel, extraVal string) (names, vals []string) {
-	if extraLabel != "" {
-		names, vals = append(names, extraLabel), append(vals, extraVal)
-	}
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		names, vals = append(names, k), append(vals, labels[k])
-	}
-	return names, vals
 }
 
 func escapeLabel(s string) string {

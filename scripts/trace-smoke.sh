@@ -9,8 +9,10 @@
 # share one clock: every worker span lies inside the coordinator lane's
 # `sweep` span, which on one host holds by causality (a worker runs a job
 # after its submission and reports it before the sweep's last member
-# finishes). Also asserts the coordinator's /metrics federates worker
-# families under a node label and exposes the coordinator's sweep metrics.
+# finishes). Also asserts that each process's /metrics reports that process:
+# each worker's carries its engine families, and the coordinator's carries its
+# sweep metrics and the workers' heartbeat-borne engine depth, but no
+# rsr_engine_ family.
 set -eu
 
 WORKDIR="$(mktemp -d)"
@@ -159,14 +161,21 @@ EOF
       head -c 4000 "$TRACE" >&2; echo >&2
       exit 1; }
 
-# Metrics federation: one scrape of the coordinator must show worker engine
-# families under a node label, the coordinator's sweep metrics, and its
-# per-node straggler gauge.
+# Each worker's own /metrics carries its engine families.
+for W in "$WORKER_A" "$WORKER_B"; do
+    if ! curl -fsS "http://$W/metrics" | grep -Fq 'rsr_engine_jobs_total'; then
+        echo "trace-smoke: worker $W /metrics is missing rsr_engine_jobs_total" >&2
+        exit 1
+    fi
+done
+
+# The coordinator's /metrics reports the coordinator: its sweep metrics, its
+# per-node straggler gauge and the engine depth workers heartbeat, and no
+# worker's rsr_engine_ family.
 METRICS="$WORKDIR/metrics.txt"
 curl -fsS "http://$COORD/metrics" >"$METRICS"
 for PATTERN in \
-    'rsr_engine_jobs_total{node="worker-a"' \
-    'rsr_engine_jobs_total{node="worker-b"' \
+    'rsr_cluster_node_engine_queued{node="worker-a"}' \
     'rsr_cluster_sweep_duration_seconds_count' \
     'rsr_cluster_sweep_jobs{state="done"}' \
     'rsr_cluster_node_oldest_lease_age_ms{node="worker-b"}'
@@ -177,6 +186,11 @@ do
         exit 1
     fi
 done
+if grep -q 'rsr_engine_' "$METRICS"; then
+    echo "trace-smoke: coordinator /metrics carries a worker's rsr_engine_ family" >&2
+    grep 'rsr_engine_' "$METRICS" >&2
+    exit 1
+fi
 
 # The live status view behind `rsr top` must see both workers.
 curl -fsS "http://$COORD/v1/status" >"$WORKDIR/status.json"
@@ -188,4 +202,4 @@ for PATTERN in '"worker-a"' '"worker-b"' '"done"'; do
     fi
 done
 
-echo "trace-smoke: ok (merged fabric trace + federated metrics + status)"
+echo "trace-smoke: ok (merged fabric trace + per-process metrics + status)"
