@@ -36,7 +36,7 @@
 #   make bench-sweep sequential-vs-parallel sweep benchmark at small scale
 #   make loc         non-test Go lines per internal package and in total
 #   make results     regenerate the committed full-scale outputs
-#                    (results_*.txt, rsr-report.html); about 7 minutes
+#                    (results_*.txt); about 7 minutes
 #   make all         everything above
 #
 # The benchmark itself is `bash bench/run.sh --workload W` (one workload) or
@@ -74,9 +74,9 @@ test: build
 # are the ones named Parallel, Shard or Capture — so only those soak; the rest
 # of the package is sequential and deterministic and gets its one -race pass
 # on the line above. That trims less than it sounds: timed on the two-core
-# host, the sharded tests are 106 s of the package's 120 s -race pass
-# (TestParallelAllWorkloadsIdentical 63 s, TestParallelByteIdenticalToSequential
-# 30 s), so twenty passes of them still take about 35 minutes and the line
+# host, the sharded tests are 67 s of the package's 79 s -race pass
+# (TestParallelAllWorkloadsIdentical 45 s, TestParallelByteIdenticalToSequential
+# 10 s), so twenty passes of them still take about 22 minutes and the line
 # keeps its 60-minute timeout. The fuzz lines compare RunBatch with Step on
 # generated programs, and the reverse method on both ingestion paths with its
 # per-instruction oracle on generated region lengths, percentages and batch
@@ -182,7 +182,7 @@ loc:
 	@for d in internal/*; do printf '%-22s %6d\n' $$d $$(find $$d -name '*.go' -not -name '*_test.go' | xargs cat | wc -l); done; \
 	printf '%-22s %6d\n' 'internal cmd' $$(find internal cmd -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)
 
-# results regenerates the four committed outputs EXPERIMENTS.md quotes, at the
+# results regenerates the three committed outputs EXPERIMENTS.md quotes, at the
 # reference configuration (scale 1.0, seed 2007). Every column but the
 # wall-clock ones is deterministic, so after a change that claims byte
 # identity `git diff` of these files may show time columns only. Figure 7 is
@@ -192,4 +192,3 @@ results:
 	$(GO) run ./cmd/rsr all > results_reference.txt
 	$(GO) run ./cmd/rsr -parallel 1 -shards 1 fig7 > results_fig7_sequential.txt
 	$(GO) run ./cmd/rsr strategies > results_strategies.txt
-	$(GO) run ./cmd/rsr -out rsr-report.html report

@@ -321,17 +321,6 @@ func BenchmarkAblationInference(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDetailedWarm measures hot-start detailed warming against
-// functional warming.
-func BenchmarkAblationDetailedWarm(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		lab := experiments.NewLab(benchCfg("twolf"))
-		if _, err := lab.AblationDetailedWarm(8000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAblationBusContention measures the bus arbitration model's
 // contribution to timing.
 func BenchmarkAblationBusContention(b *testing.B) {

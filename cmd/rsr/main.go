@@ -16,10 +16,9 @@
 //	fig8       per-benchmark Reverse vs SMARTS
 //	fig9       SimPoint comparison
 //	appendix   confidence tests, relative error, and time for all methods
-//	ablate     extensions: MRRL/BLRL, inference on/off, detailed warming,
-//	           bus contention, prefetcher
+//	ablate     extensions: MRRL/BLRL, inference on/off, bus contention,
+//	           prefetcher
 //	sweep      warm-up percentage sweep on one workload (use -workload)
-//	report     self-contained HTML report with charts (use -out)
 //	all        every table and figure, in order
 //	run        one sampled run (use -workload, -method, and optionally
 //	           -regimen to pick the sampling strategy)
@@ -81,7 +80,6 @@ import (
 	"rsr/internal/experiments"
 	"rsr/internal/obs"
 	"rsr/internal/regimen"
-	"rsr/internal/report"
 	"rsr/internal/warmup"
 	"rsr/internal/workload"
 )
@@ -110,7 +108,6 @@ func main() {
 	retries := flag.Int("retries", 0, "extra execution attempts for transiently failed jobs (worker panics)")
 	stats := flag.Bool("stats", false, "print engine scheduler/cache statistics to stderr when done")
 	format := flag.String("format", "text", "output format: text, csv, or json")
-	out := flag.String("out", "rsr-report.html", "output path for `report`")
 	workloadFlag := flag.String("workload", "twolf", "workload for `run`")
 	methodFlag := flag.String("method", "R$BP (20%)", "warm-up method label for `run`")
 	regimenFlag := flag.String("regimen", "", "sampling strategy for `run` (empty = the paper's design, same numbers as stratified-uniform; see `rsr regimens`)")
@@ -238,7 +235,7 @@ func main() {
 		}
 		return
 	}
-	err := dispatch(cmd, cfg, *workloadFlag, *methodFlag, *regimenFlag, *format, *out, *stats)
+	err := dispatch(cmd, cfg, *workloadFlag, *methodFlag, *regimenFlag, *format, *stats)
 
 	// In cluster mode the spans live on the fabric, not in this process:
 	// -trace-out captures the coordinator's merged fabric trace (coordinator
@@ -319,7 +316,7 @@ func writeTrace(tr *obs.Tracer, path string) error {
 	return err
 }
 
-func dispatch(cmd string, cfg experiments.Config, wl, method, regimenName, format, out string, stats bool) error {
+func dispatch(cmd string, cfg experiments.Config, wl, method, regimenName, format string, stats bool) error {
 	lab := experiments.NewLab(cfg)
 	defer lab.Close()
 	if stats && lab.Engine() != nil {
@@ -332,8 +329,6 @@ func dispatch(cmd string, cfg experiments.Config, wl, method, regimenName, forma
 		}()
 	}
 	switch cmd {
-	case "report":
-		return writeReport(lab, cfg, out)
 	case "list":
 		fmt.Println("workloads:")
 		for _, w := range workload.All() {
@@ -447,12 +442,6 @@ func dispatch(cmd string, cfg experiments.Config, wl, method, regimenName, forma
 		}
 		fmt.Print(experiments.RenderCells("Ablation: counter inference (Figure 3 rule) on/off", inf))
 		fmt.Println()
-		dw, err := lab.AblationDetailedWarm(8000)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderCells("Ablation: detailed (hot-start) warming vs functional warming", dw))
-		fmt.Println()
 		bus, err := lab.AblationBusContention()
 		if err != nil {
 			return err
@@ -531,47 +520,8 @@ func dispatch(cmd string, cfg experiments.Config, wl, method, regimenName, forma
 		}
 		return nil
 	default:
-		return fmt.Errorf("unknown command %q (try: list, table1, table2, fig5..fig9, appendix, all, regimens, strategies, run)", cmd)
+		return fmt.Errorf("unknown command %q (try: list, table1, table2, fig5, fig6, fig7, fig8, fig9, appendix, ablate, sweep, all, run, regimens, strategies, top)", cmd)
 	}
-}
-
-// writeReport renders the full HTML report (Table 1, Figures 5-9).
-func writeReport(lab *experiments.Lab, cfg experiments.Config, path string) error {
-	rows, err := lab.Table1()
-	if err != nil {
-		return err
-	}
-	var figs []*experiments.FigureResult
-	for _, id := range []string{"fig5", "fig6", "fig7", "fig8"} {
-		f, err := figure(lab, id)
-		if err != nil {
-			return err
-		}
-		figs = append(figs, f)
-	}
-	f9, err := lab.Figure9()
-	if err != nil {
-		return err
-	}
-	file, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer file.Close()
-	err = report.Write(file, &report.Data{
-		Title: "Reverse State Reconstruction — reproduction report",
-		Subtitle: fmt.Sprintf("scale %.2f (%d instructions per workload), seed %d",
-			cfg.Scale, cfg.Total(), cfg.Seed),
-		Generated: time.Now(),
-		Table1:    rows,
-		Figures:   figs,
-		SimPoint:  f9,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
 }
 
 func figure(lab *experiments.Lab, id string) (*experiments.FigureResult, error) {

@@ -1,0 +1,26 @@
+package main
+
+import (
+	"strings"
+	"testing"
+
+	"rsr/internal/experiments"
+)
+
+// TestUnknownCommandNamesEveryCommand: the hint an unknown command gets lists
+// every command rsr runs, top included, and none it no longer has.
+func TestUnknownCommandNamesEveryCommand(t *testing.T) {
+	err := dispatch("nope", experiments.DefaultConfig(), "twolf", "R$BP (20%)", "", "text", false)
+	if err == nil {
+		t.Fatal("an unknown command was accepted")
+	}
+	msg := err.Error()
+	for _, cmd := range strings.Fields("list table1 table2 fig5 fig6 fig7 fig8 fig9 appendix ablate sweep all run regimens strategies top") {
+		if !strings.Contains(msg, " "+cmd+",") && !strings.Contains(msg, " "+cmd+")") {
+			t.Errorf("hint does not name %q: %s", cmd, msg)
+		}
+	}
+	if strings.Contains(msg, "report") {
+		t.Errorf("hint names the deleted report command: %s", msg)
+	}
+}

@@ -9,9 +9,6 @@
 //	rsrtrace -workload mcf -n 2e6 stats      # stream statistics
 //	rsrtrace -file prog.s -n 100 trace       # assemble and trace a .s file
 //	rsrtrace -workload mcf -o mcf.txt disasm # write to a file instead of stdout
-//	rsrtrace -merge a.json b.json -o all.json  # merge Chrome traces, one
-//	                                         process-lane block per input
-//	                                         file, timestamps untouched
 package main
 
 import (
@@ -39,7 +36,6 @@ func main() {
 	skip := flag.Float64("skip", 0, "instructions to skip before tracing")
 	n := flag.Float64("n", 30, "instructions to trace / profile")
 	outPath := flag.String("o", "", "write output to `file` instead of stdout")
-	merge := flag.Bool("merge", false, "merge the Chrome trace files given as arguments into one (distinct process lanes per file; timestamps copied as they are)")
 	flag.Parse()
 
 	if *outPath != "" {
@@ -65,14 +61,6 @@ func main() {
 				os.Exit(1)
 			}
 		}()
-	}
-
-	if *merge {
-		if err := runMerge(flag.Args()); err != nil {
-			fmt.Fprintln(os.Stderr, "rsrtrace: -merge:", err)
-			os.Exit(1)
-		}
-		return // the -o defer above flushes
 	}
 
 	var p *prog.Program

@@ -8,7 +8,6 @@ import (
 
 // PredReconStats summarizes branch-predictor reconstruction for one region.
 type PredReconStats struct {
-	LoggedBranches   uint64
 	ScannedRecords   uint64 // log records consumed by on-demand scanning
 	CountersExact    uint64 // entries pinned uniquely by their history
 	CountersInferred uint64 // entries set by the bias/middle-state rule
@@ -171,7 +170,6 @@ type GHRFixup struct {
 // itself is dead once the plan exists. PlanPredRecon overwrites a plan in place
 // and keeps its array storage, so a recycled plan is rebuilt without allocating.
 type PredReconPlan struct {
-	Logged uint64               // log length
 	Suffix []trace.BranchRecord // the plan's copy of the log, oldest first
 
 	GHRAt      []uint64 // pre-record GHRs computed with stale prefix = 0
@@ -217,8 +215,9 @@ func PlanPredRecon(geom PredGeom, log []trace.BranchRecord, plan *PredReconPlan)
 		conds++
 	}
 	*plan = PredReconPlan{
-		Logged: uint64(n), Suffix: append(plan.Suffix[:0], log...),
-		GHRAt: ghrAt, Fixups: fixups, FinalGHR: ghr, FinalShift: uint(min(conds, geom.HistoryBits)),
+		Suffix: append(plan.Suffix[:0], log...),
+		GHRAt:  ghrAt, Fixups: fixups,
+		FinalGHR: ghr, FinalShift: uint(min(conds, geom.HistoryBits)),
 		RASFills: planRASFills(log, geom.RASDepth, plan.RASFills[:0]),
 	}
 }
@@ -241,7 +240,7 @@ func (p *ReconPredictor) BeginRegionPlan(plan *PredReconPlan) {
 	p.finished = len(p.log) == 0
 
 	p.resetEntries()
-	p.stats = PredReconStats{LoggedBranches: plan.Logged}
+	p.stats = PredReconStats{}
 
 	p.unit.Dir.SetGHR((plan.FinalGHR | stale<<plan.FinalShift) & mask)
 	p.installRAS(plan.RASFills)

@@ -7,10 +7,9 @@ import (
 
 // CacheReconStats summarizes one reverse cache-reconstruction pass.
 type CacheReconStats struct {
-	// LoggedRefs is the number of memory records in the skip-region log.
-	LoggedRefs uint64
-	// ScannedRefs is how many of them the pass read: all, the log being the
-	// window the region's method chose to keep.
+	// ScannedRefs is how many memory records the pass read: all of the
+	// skip-region log, the log being the window the region's method chose to
+	// keep.
 	ScannedRefs uint64
 	// Applied counts state-mutating reconstruction operations across the
 	// three caches; the remainder of the scanned references were isolated as
@@ -40,7 +39,6 @@ type CacheReconRef struct {
 // storage, so a recycled plan is rebuilt without allocating.
 type CacheReconPlan struct {
 	Refs        []CacheReconRef
-	LoggedRefs  uint64
 	ScannedRefs uint64
 }
 
@@ -168,7 +166,7 @@ func PlanCacheRecon(pl *CachePlanner, log []trace.MemRecord, plan *CacheReconPla
 		}
 	}
 	pl.refs = refs
-	*plan = CacheReconPlan{Refs: append(plan.Refs[:0], refs...), LoggedRefs: uint64(len(log)), ScannedRefs: uint64(len(log))}
+	*plan = CacheReconPlan{Refs: append(plan.Refs[:0], refs...), ScannedRefs: uint64(len(log))}
 }
 
 // ApplyCacheRecon applies a materialized plan to the shared hierarchy: the
@@ -184,7 +182,7 @@ func ApplyCacheRecon(h *mem.Hierarchy, plan *CacheReconPlan) CacheReconStats {
 	h.L1D.BeginReconstruction()
 	h.L2.BeginReconstruction()
 
-	st := CacheReconStats{LoggedRefs: plan.LoggedRefs, ScannedRefs: plan.ScannedRefs}
+	st := CacheReconStats{ScannedRefs: plan.ScannedRefs}
 	for i := range plan.Refs {
 		r := &plan.Refs[i]
 		if r.L1 {

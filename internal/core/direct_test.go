@@ -25,7 +25,7 @@ func reconstructCachesDirect(h *mem.Hierarchy, log []trace.MemRecord) CacheRecon
 	h.L1D.BeginReconstruction()
 	h.L2.BeginReconstruction()
 
-	st := CacheReconStats{LoggedRefs: uint64(len(log)), ScannedRefs: uint64(len(log))}
+	st := CacheReconStats{ScannedRefs: uint64(len(log))}
 	for i := len(log) - 1; i >= 0; i-- {
 		r := &log[i]
 		if r.IsInstr {
@@ -53,7 +53,7 @@ func (p *ReconPredictor) beginRegionDirect(log []trace.BranchRecord) {
 	p.finished = len(p.log) == 0
 
 	p.resetEntries()
-	p.stats = PredReconStats{LoggedBranches: uint64(len(log))}
+	p.stats = PredReconStats{}
 
 	p.ghrAt = make([]uint64, len(p.log))
 	ghr := p.unit.Dir.GHR() // stale = value when the log begins

@@ -100,51 +100,6 @@ func (l *Lab) AblationInference() ([]Cell, error) {
 	})
 }
 
-// AblationDetailedWarm compares no-warm-up sampling against "hot-start"
-// detailed warming (running the last dw skipped instructions through the
-// timing model unmeasured) and against functional SMARTS warming — the
-// accuracy-per-cost spectrum between cluster enlargement and warm-up
-// methods.
-func (l *Lab) AblationDetailedWarm(dw uint64) ([]Cell, error) {
-	var out []Cell
-	for _, name := range l.cfg.workloadNames() {
-		full, err := l.Full(name)
-		if err != nil {
-			return nil, err
-		}
-		trueIPC := full.Result.IPC()
-		w, err := workload.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		reg := RegimenFor(name)
-
-		none, err := l.Run(name, warmup.Spec{Kind: warmup.KindNone})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, none)
-
-		// DetailedWarmup is an option of the walker no engine.Job names, so
-		// this arm runs outside the lab's engine too.
-		res, err := sampling.RunSampledOpts(w.Build(), l.machine, reg, l.cfg.Total(), l.cfg.Seed,
-			warmup.Spec{Kind: warmup.KindNone}, sampling.Options{DetailedWarmup: dw})
-		if err != nil {
-			return nil, err
-		}
-		cell := cellOf(name, trueIPC, res)
-		cell.Method = fmt.Sprintf("DW (%d)", dw)
-		out = append(out, cell)
-
-		smarts, err := l.Run(name, warmup.Spec{Kind: warmup.KindSMARTS, Cache: true, BPred: true})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, smarts)
-	}
-	return out, nil
-}
-
 // AblationBusContention measures how much of the timing model's behaviour
 // comes from bus arbitration: true IPC with and without bus queueing.
 type BusAblationRow struct {

@@ -125,29 +125,6 @@ func TestAblationInference(t *testing.T) {
 	}
 }
 
-func TestAblationDetailedWarm(t *testing.T) {
-	lab := smallLab("twolf")
-	cells, err := lab.AblationDetailedWarm(4000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cells) != 3 {
-		t.Fatalf("cells = %d", len(cells))
-	}
-	byMethod := map[string]Cell{}
-	for _, c := range cells {
-		byMethod[c.Method] = c
-	}
-	dw, ok := byMethod["DW (4000)"]
-	if !ok {
-		t.Fatalf("missing DW cell: %v", byMethod)
-	}
-	none := byMethod["None"]
-	if dw.RelErr >= none.RelErr {
-		t.Errorf("detailed warming RE %.4f not better than none %.4f", dw.RelErr, none.RelErr)
-	}
-}
-
 func TestAblationBusContention(t *testing.T) {
 	lab := smallLab("ammp")
 	rows, err := lab.AblationBusContention()

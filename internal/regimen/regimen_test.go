@@ -1,9 +1,11 @@
 package regimen
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -329,35 +331,35 @@ func TestRunCanceled(t *testing.T) {
 
 // TestRunCanceledMidMeasurement closes Cancel while the measurement pass is
 // under way: the walker's polls must see the same channel the profiling
-// passes do. Nothing a run does is visible from outside before it returns, so
-// the cancel is timed — a quarter of the way from the end of selection to the
-// end of the run, both measured on uncanceled rehearsals just before. A host
-// that slows down in between moves the cancel toward selection, where it is
-// honoured too; only a run four times faster than its rehearsal could finish
-// first.
+// passes do. The cancel follows the run, not a clock: a watcher closes it as
+// soon as some goroutine is inside the timing model, which in a strategy run
+// only a measurement pass enters, at its first hot window. From there the
+// pass has 40% of the run hot ahead of it, polling the channel once per batch.
 func TestRunCanceledMidMeasurement(t *testing.T) {
 	for _, s := range All() {
 		p := testParams(t, "gcc")
-		// SMARTS warm-up and 40% of the run hot: measurement costs more than
-		// selection does, k-means included.
-		p.Warmup = warmup.Spec{Kind: warmup.KindSMARTS, Cache: true, BPred: true}
 		p.Total, p.Regimen = 1_000_000, sampling.Regimen{ClusterSize: 20_000, NumClusters: 20}
-		begin := time.Now()
-		if _, err := s.Select(p); err != nil {
-			t.Fatalf("%s: %v", s.Name(), err)
-		}
-		sel := time.Since(begin)
-		rehearsal, err := s.Run(p)
-		if err != nil {
-			t.Fatalf("%s: %v", s.Name(), err)
-		}
-		cancel := make(chan struct{})
-		timer := time.AfterFunc(sel+(rehearsal.Elapsed-sel)/4, func() { close(cancel) })
+		cancel, stop, watched := make(chan struct{}), make(chan struct{}), make(chan struct{})
 		p.Cancel = cancel
+		go func() {
+			defer close(watched)
+			tick := time.NewTicker(100 * time.Microsecond)
+			defer tick.Stop()
+			stacks := make([]byte, 1<<20)
+			for !bytes.Contains(stacks[:runtime.Stack(stacks, true)], []byte("rsr/internal/ooo.(*Sim).SimulateSource(")) {
+				select {
+				case <-stop:
+					return
+				case <-tick.C:
+				}
+			}
+			close(cancel)
+		}()
 		out, err := s.Run(p)
-		timer.Stop()
+		close(stop)
+		<-watched
 		if !errors.Is(err, sampling.ErrCanceled) {
-			t.Errorf("%s: err = %v, want ErrCanceled (rehearsal: select %v of %v)", s.Name(), err, sel, rehearsal.Elapsed)
+			t.Errorf("%s: err = %v, want ErrCanceled", s.Name(), err)
 		}
 		if out != nil {
 			t.Errorf("%s: a canceled run returned an outcome", s.Name())

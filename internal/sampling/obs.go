@@ -11,12 +11,11 @@ import (
 
 // Phase span names recorded per cluster (and the engine-facing categories
 // under which rsrd/rsr expose them). They mirror the paper's time budget:
-// cold functional skipping, the reverse scan over the skip log, unmeasured
-// detailed warming, and the measured hot cluster.
+// cold functional skipping, the reverse scan over the skip log (applying its
+// plan included), and the measured hot cluster.
 const (
 	PhaseColdSkip    = "cold-skip"
 	PhaseReverseScan = "reverse-scan"
-	PhaseWarmApply   = "warm-apply"
 	PhaseHotSim      = "hot-sim"
 	PhaseFullSim     = "full-sim"
 	// PhaseCheckpoint is the parallel pre-pass capturing an architectural
@@ -74,7 +73,7 @@ func NewInstruments(r *obs.Registry) *Instruments {
 	}
 	return &Instruments{
 		phaseInstr: r.CounterVec("rsr_sampling_phase_instructions_total",
-			"Instructions executed per sampling phase (cold = functionally skipped, warm = unmeasured detailed warm-up, hot = measured cluster).",
+			"Instructions executed per sampling phase (cold = functionally skipped, hot = measured cluster).",
 			"phase"),
 		phaseDur: r.HistogramVec("rsr_sampling_phase_seconds",
 			"Per-cluster phase latency by span name.",
@@ -135,9 +134,9 @@ type runObs struct {
 	tid int64
 	cat string // trace category: the method label
 
-	coldInstr, warmInstr, hotInstr     *obs.Counter
-	coldDur, reconDur, warmDur, hotDur *obs.Histogram
-	logged, scanned, applied, warmOps  *obs.Counter
+	coldInstr, hotInstr               *obs.Counter
+	coldDur, reconDur, hotDur         *obs.Histogram
+	logged, scanned, applied, warmOps *obs.Counter
 
 	// Parallel-pipeline accounting. parallel is set once by RunRegions, when
 	// it picks the sharded feed, via setParallel; the sequential path leaves it false so the stage counters
@@ -162,11 +161,9 @@ func newRunObs(in *Instruments, tr *obs.Tracer, cat, method string) *runObs {
 	}
 	if in != nil {
 		ro.coldInstr = in.phaseInstr.With("cold")
-		ro.warmInstr = in.phaseInstr.With("warm")
 		ro.hotInstr = in.phaseInstr.With("hot")
 		ro.coldDur = in.phaseDur.With(PhaseColdSkip)
 		ro.reconDur = in.phaseDur.With(PhaseReverseScan)
-		ro.warmDur = in.phaseDur.With(PhaseWarmApply)
 		ro.hotDur = in.phaseDur.With(PhaseHotSim)
 		if method != "" {
 			ro.logged = in.logged.With(method)
@@ -279,22 +276,6 @@ func (ro *runObs) reconDone(t0 time.Time, cluster int, w warmup.Work) {
 		obs.SpanArg{Key: "cluster", Val: int64(cluster)},
 		obs.SpanArg{Key: "scanned", Val: int64(d.ReconScanned)},
 		obs.SpanArg{Key: "applied", Val: int64(d.ReconApplied)})
-}
-
-// warmDone records the unmeasured detailed warm-up phase of one cluster.
-func (ro *runObs) warmDone(t0 time.Time, cluster int, instrs uint64) {
-	if ro == nil {
-		return
-	}
-	dur := time.Since(t0)
-	ro.warmDur.Observe(dur.Seconds())
-	if ro.parallel {
-		ro.pipeSim.Add(uint64(dur.Nanoseconds()))
-	}
-	ro.warmInstr.Add(instrs)
-	ro.span(PhaseWarmApply, t0, dur,
-		obs.SpanArg{Key: "cluster", Val: int64(cluster)},
-		obs.SpanArg{Key: "instructions", Val: int64(instrs)})
 }
 
 // hotDone records the measured hot cluster, folding in any warm-up work

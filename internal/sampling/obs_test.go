@@ -235,8 +235,8 @@ func TestConcurrentInstrumentedRuns(t *testing.T) {
 	if n := seriesValue(t, snaps, "rsr_sampling_clusters_total", nil); int(n) != runs*4 {
 		t.Fatalf("clusters counter = %v, want %d", n, runs*4)
 	}
-	// Without DetailedWarmup each cluster records three phase spans
-	// (cold-skip, reverse-scan, hot-sim) on the run's own track.
+	// Each cluster records three phase spans (cold-skip, reverse-scan,
+	// hot-sim) on the run's own track.
 	if got := tr.Len(); got != runs*4*3 {
 		t.Fatalf("tracer holds %d spans, want %d", got, runs*4*3)
 	}

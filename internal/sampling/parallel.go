@@ -36,9 +36,8 @@ func shardCount(requested, clusters int) int {
 
 // shardWindow bounds how many produced-but-unconsumed regions each shard
 // may hold. A region product carries the region's skip log and the
-// materialized detailed-warm-up + hot instruction records, so the window is
-// what keeps peak memory at O(shards × window × region product) instead of
-// O(clusters).
+// materialized hot instruction records, so the window is what keeps peak
+// memory at O(shards × window × region product) instead of O(clusters).
 const shardWindow = 8
 
 // inFlight bounds how many region products, and how many of the method's
@@ -58,7 +57,7 @@ const prepassChunk = 1 << 16
 // regionProduct is everything a shard precomputes for one cluster region:
 // the cold-phase observation capture, the region's actual geometry, and the
 // materialized instruction records the consumer replays through the timing
-// model for the detailed-warm-up and hot phases.
+// model for the hot phase.
 //
 // Products are recycled through a per-run free list with their records slab.
 // The consumer returns one once the region's hot phase has retired — the
@@ -67,14 +66,13 @@ const prepassChunk = 1 << 16
 // to the method, which knows when its log is dead.
 type regionProduct struct {
 	cold    uint64 // cold-phase length from the region's actual geometry
-	dw      uint64 // detailed-warm-up length (min(opts.DetailedWarmup, skip))
 	coldRan uint64 // instructions actually cold-skipped
 	coldDur time.Duration
 	sealDur time.Duration // shard-side reverse-scan planning time (0 if unsealed)
 	err     error         // cold-phase failure (fault or premature halt)
 
 	capture warmup.RegionCapture
-	records []trace.DynInst // committed dw+hot stream, in order
+	records []trace.DynInst // committed hot stream, in order
 	recErr  error           // execution fault hit while materializing records
 }
 
@@ -160,11 +158,10 @@ type shardFeed struct {
 // seeds a private functional simulator from its chain and walks its
 // contiguous region range: cold-skip with observation into a RegionCapture,
 // sealing (the shard-side reverse scan that turns the capture's log into a
-// warm-apply plan), then materialization of the detailed-warm-up + hot
-// record stream. A prefetcher merges the shard outputs into cluster order
-// one region ahead of the walker, which adopts each capture into the shared
-// method, applies its plan, and replays the materialized records through
-// the shared timing model.
+// warm-apply plan), then materialization of the hot record stream. A
+// prefetcher merges the shard outputs into cluster order one region ahead of
+// the walker, which adopts each capture into the shared method, applies its
+// plan, and replays the materialized records through the shared timing model.
 func newShardFeed(p *prog.Program, regions []Region, method warmup.Method, shards int, opts *Options, ro *runObs) *shardFeed {
 	firstOf := func(s int) int { return s * len(regions) / shards }
 
@@ -302,7 +299,7 @@ func newShardFeed(p *prog.Program, regions []Region, method warmup.Method, shard
 				default:
 					prod = new(regionProduct)
 				}
-				if !produceRegion(prod, fs, buf, i, regions[i], opts.DetailedWarmup, method, stopped) {
+				if !produceRegion(prod, fs, buf, i, regions[i], method, stopped) {
 					return // canceled
 				}
 				str.span(PhaseColdSkip, time.Now().Add(-prod.coldDur-prod.sealDur),
@@ -365,25 +362,25 @@ func newShardFeed(p *prog.Program, regions []Region, method warmup.Method, shard
 // next receives region ci's product from the prefetcher. The receive is the
 // only place the walker can idle, so its blocking time is the pipeline's
 // measured starvation.
-func (f *shardFeed) next(ci int, _ Region) (cold, dw uint64, err error) {
+func (f *shardFeed) next(ci int, _ Region) (uint64, error) {
 	tw := f.ro.begin()
 	var ok bool
 	select {
 	case f.prod, ok = <-f.ready:
 	case <-f.opts.Cancel: // nil channel blocks; products always arrive
-		return 0, 0, ErrCanceled
+		return 0, ErrCanceled
 	}
 	if !ok {
 		// The prefetcher closed without a product for this region: a
 		// producer stopped on a failure that earlier regions absorbed
 		// cleanly, or cancellation raced the receive.
 		if f.opts.canceled() {
-			return 0, 0, ErrCanceled
+			return 0, ErrCanceled
 		}
-		return 0, 0, fmt.Errorf("sampling: shard pipeline ended before cluster %d", ci)
+		return 0, fmt.Errorf("sampling: shard pipeline ended before cluster %d", ci)
 	}
 	f.ro.waitDone(tw, ci)
-	return f.prod.cold, f.prod.dw, nil
+	return f.prod.cold, nil
 }
 
 // ingest adopts the shard's capture — and its sealed plan — in place of the
@@ -418,15 +415,14 @@ func (f *shardFeed) release() {
 // observation into a capture drawn from the method's free list, seal the
 // capture (running the reverse scan and planning reconstruction on this
 // shard, off the consumer's critical path), then materialize the committed
-// records of the detailed-warm-up and hot phases straight into prod's slab.
-// The cold loop is the in-place feed's (coldSkip), failure modes included; a
-// failure travels in prod, and only cancellation reports false. In steady
-// state — captures and products coming back from the consumer — it allocates
-// nothing.
-func produceRegion(prod *regionProduct, fs *funcsim.Sim, buf []trace.DynInst, region int, reg Region, detailedWarmup uint64, method warmup.Method, stopped func() bool) bool {
-	cold, dw := splitSkip(fs.Seq(), reg.Start, detailedWarmup)
+// records of the hot phase straight into prod's slab. The cold loop is the
+// in-place feed's (coldSkip), failure modes included; a failure travels in
+// prod, and only cancellation reports false. In steady state — captures and
+// products coming back from the consumer — it allocates nothing.
+func produceRegion(prod *regionProduct, fs *funcsim.Sim, buf []trace.DynInst, region int, reg Region, method warmup.Method, stopped func() bool) bool {
+	cold := reg.Start - fs.Seq()
 
-	*prod = regionProduct{cold: cold, dw: dw, records: prod.records[:0]}
+	*prod = regionProduct{cold: cold, records: prod.records[:0]}
 	capture := method.NewRegionCapture(region, cold)
 	t0 := time.Now()
 	ran, err := coldSkip(fs, buf, cold, capture, stopped)
@@ -443,12 +439,12 @@ func produceRegion(prod *regionProduct, fs *funcsim.Sim, buf []trace.DynInst, re
 	capture.Seal()
 	prod.sealDur = time.Since(t0)
 
-	// Materialize the committed dw+hot stream. The timing model's result
+	// Materialize the committed hot stream. The timing model's result
 	// depends only on the record sequence, never on Fill chunk sizes, so
 	// replaying this slice is equivalent to live functional feeding. On a
 	// fault the records committed before it are kept, exactly as the live
 	// stream would have delivered them.
-	need := int(dw + reg.Size)
+	need := int(reg.Size)
 	if cap(prod.records) < need {
 		prod.records = make([]trace.DynInst, need)
 	}

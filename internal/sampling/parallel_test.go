@@ -54,21 +54,17 @@ func TestParallelByteIdenticalToSequential(t *testing.T) {
 	for _, spec := range warmup.Matrix() {
 		spec := spec
 		t.Run(spec.Label(), func(t *testing.T) {
-			for _, dw := range []uint64{0, 500} {
-				seq, err := RunSampledOpts(p, DefaultMachine(), reg, total, 2007, spec,
-					Options{DetailedWarmup: dw})
+			seq, err := RunSampledOpts(p, DefaultMachine(), reg, total, 2007, spec, Options{})
+			if err != nil {
+				t.Fatalf("seq: %v", err)
+			}
+			for _, shards := range []int{1, 2, 4, 7} {
+				par, err := RunSampledOpts(p, DefaultMachine(), reg, total, 2007, spec, Options{Shards: shards})
 				if err != nil {
-					t.Fatalf("seq dw=%d: %v", dw, err)
+					t.Fatalf("shards=%d: %v", shards, err)
 				}
-				for _, shards := range []int{1, 2, 4, 7} {
-					par, err := RunSampledOpts(p, DefaultMachine(), reg, total, 2007, spec,
-						Options{DetailedWarmup: dw, Shards: shards})
-					if err != nil {
-						t.Fatalf("dw=%d shards=%d: %v", dw, shards, err)
-					}
-					if !reflect.DeepEqual(normalize(seq), normalize(par)) {
-						t.Errorf("dw=%d shards=%d: parallel result differs from sequential", dw, shards)
-					}
+				if !reflect.DeepEqual(normalize(seq), normalize(par)) {
+					t.Errorf("shards=%d: parallel result differs from sequential", shards)
 				}
 			}
 		})

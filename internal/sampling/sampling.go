@@ -191,13 +191,6 @@ var ErrCanceled = errors.New("sampling: run canceled")
 
 // Options tunes the sampled-run controller beyond the warm-up method.
 type Options struct {
-	// DetailedWarmup runs this many skip-region instructions through the
-	// timing model immediately before each cluster without measuring them:
-	// "hot-start" warming that repairs pipeline-adjacent state (and caches /
-	// predictor, at detailed fidelity) at full detailed cost. It is an
-	// ablation point between functional warming and simply enlarging
-	// clusters.
-	DetailedWarmup uint64
 	// Cancel, when non-nil, aborts the run with ErrCanceled once the channel
 	// is closed. Runs poll it once per instruction batch (and sampled runs
 	// additionally at cluster boundaries), so results of uncanceled runs are
@@ -225,10 +218,12 @@ type Options struct {
 	// Instr, when non-nil, streams per-phase instruction counts, durations,
 	// warm-up work deltas, and machine event counters into its registry.
 	// Tracer, when non-nil, records one span per cluster phase (cold-skip,
-	// reverse-scan, warm-apply, hot-sim) on a track of its own. Both default
-	// off; recording happens at phase boundaries — never per instruction —
-	// so enabling them does not perturb results (TestInstrumentedRunIdentical
-	// pins this) and the simulation hot loops stay allocation-free.
+	// reverse-scan — plan apply included — and hot-sim) on a track of its
+	// own, plus checkpoint-capture spans from a sharded run's pre-pass. Both
+	// default off; recording happens at phase boundaries — never per
+	// instruction — so enabling them does not perturb results
+	// (TestInstrumentedRunIdentical pins this) and the simulation hot loops
+	// stay allocation-free.
 	Instr  *Instruments
 	Tracer *obs.Tracer
 }

@@ -185,60 +185,23 @@ func TestRunFull(t *testing.T) {
 	}
 }
 
-func TestRunSampledOptsDetailedWarmup(t *testing.T) {
-	w, err := workload.ByName("twolf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := uint64(500_000)
-	reg := Regimen{ClusterSize: 1000, NumClusters: 20}
-
-	plain, err := RunSampledOpts(w.Build(), DefaultMachine(), reg, total, 42,
-		warmup.Spec{Kind: warmup.KindNone}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dw, err := RunSampledOpts(w.Build(), DefaultMachine(), reg, total, 42,
-		warmup.Spec{Kind: warmup.KindNone}, Options{DetailedWarmup: 5000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same measured cluster count and positions.
-	if len(dw.Clusters) != len(plain.Clusters) {
-		t.Fatal("cluster counts differ")
-	}
-	for i := range dw.Clusters {
-		if dw.Clusters[i].Start != plain.Clusters[i].Start {
-			t.Fatal("cluster starts moved")
-		}
-	}
-	if dw.HotInstructions != plain.HotInstructions {
-		t.Fatal("measured hot instruction counts must match")
-	}
-	// Detailed warming must reduce error against the truth.
-	full, err := RunFull(w.Build(), DefaultMachine(), total)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trueIPC := full.Result.IPC()
-	ePlain := stats.RelErr(plain.IPCEstimate(), trueIPC)
-	eDW := stats.RelErr(dw.IPCEstimate(), trueIPC)
-	if eDW >= ePlain {
-		t.Fatalf("detailed warmup RE %.4f not better than none %.4f", eDW, ePlain)
-	}
-}
-
 func TestRunSampledOptsWarmupCappedBySkip(t *testing.T) {
-	// DetailedWarmup longer than the skip region must not break anything.
+	// A warm-up window is capped by the skip it covers. Clusters that fill
+	// their strata leave no skip at all, so every window is empty: the run
+	// must still measure every cluster, through either feed, and execute
+	// nothing cold.
 	w, _ := workload.ByName("parser")
-	reg := Regimen{ClusterSize: 1000, NumClusters: 5}
-	res, err := RunSampledOpts(w.Build(), DefaultMachine(), reg, 100_000, 1,
-		warmup.Spec{Kind: warmup.KindNone}, Options{DetailedWarmup: 1 << 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Clusters) != 5 {
-		t.Fatalf("clusters = %d", len(res.Clusters))
+	reg := Regimen{ClusterSize: 20_000, NumClusters: 5}
+	for _, shards := range []int{0, 2} {
+		res, err := RunSampledOpts(w.Build(), DefaultMachine(), reg, 100_000, 1,
+			warmup.Spec{Kind: warmup.KindReverse, Percent: 100, Cache: true, BPred: true}, Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Clusters) != 5 || res.HotInstructions != 100_000 || res.FuncInstructions != res.HotInstructions {
+			t.Fatalf("shards=%d: %d clusters, %d hot and %d functional instructions; want 5, 100000 and no cold ones",
+				shards, len(res.Clusters), res.HotInstructions, res.FuncInstructions)
+		}
 	}
 }
 

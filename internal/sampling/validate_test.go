@@ -132,11 +132,11 @@ func (s *sizedMethod) BeginSkip(expectedLen uint64) {
 
 // TestRunRegionsAnnouncesLongest: a warmup.RegionSizer hears the longest cold
 // phase once, before the first region, and it is the longest the run then
-// presents — through either feed, detailed warm-up subtracted.
+// presents — through either feed.
 func TestRunRegionsAnnouncesLongest(t *testing.T) {
 	p := syntheticWorkload()
 	regions := []Region{{Start: 3000, Size: 500}, {Start: 12_000, Size: 500}, {Start: 14_000, Size: 500}, {Start: 20_000, Size: 500}}
-	for _, opts := range []Options{{}, {DetailedWarmup: 700}, {Shards: 2}, {Shards: 2, DetailedWarmup: 700}} {
+	for _, opts := range []Options{{}, {Shards: 2}} {
 		var sm *sizedMethod
 		mk := func(h *mem.Hierarchy, u *bpred.Unit) warmup.Method {
 			sm = &sizedMethod{Method: warmup.Spec{Kind: warmup.KindReverse, Percent: 20, Cache: true, BPred: true}.New(h, u)}
@@ -145,7 +145,7 @@ func TestRunRegionsAnnouncesLongest(t *testing.T) {
 		if _, err := RunRegions(p, DefaultMachine(), regions, mk, opts); err != nil {
 			t.Fatal(err)
 		}
-		want := 8500 - opts.DetailedWarmup
+		const want = 8500
 		if sm.calls != 1 || sm.early || sm.announced != want || sm.longest != want {
 			t.Errorf("%+v: announced %d in %d calls (a region first: %v), longest begun %d; want %d once, first", opts, sm.announced, sm.calls, sm.early, sm.longest, want)
 		}

@@ -46,14 +46,14 @@ func ValidateRegions(regions []Region, total uint64) error {
 // executes them on the run's one functional simulator and lets the method
 // observe the cold phase in place; the sharded feed receives each region
 // from the pipeline, its cold phase already observed into a RegionCapture
-// and its detailed phases materialized, and has the method adopt it. As an
-// ooo.Source a feed delivers the current region's detailed-warm-up and hot
-// instructions, never running past the region's end.
+// and its hot phase materialized, and has the method adopt it. As an
+// ooo.Source a feed delivers the current region's hot instructions, never
+// running past the region's end.
 type feed interface {
 	ooo.Source
-	// next makes region ci current and returns the lengths of its cold phase
-	// and detailed warm-up, which depend on where the previous region ended.
-	next(ci int, r Region) (cold, dw uint64, err error)
+	// next makes region ci current and returns the length of its cold phase,
+	// which depends on where the previous region ended.
+	next(ci int, r Region) (cold uint64, err error)
 	// ingest gives method the cold phase's observations, between the walker's
 	// BeginSkip and EndSkip, and returns how many instructions were skipped.
 	ingest(ci int, method warmup.Method, cold uint64) (ran uint64, err error)
@@ -66,14 +66,14 @@ type feed interface {
 // RunRegions is the sampled-simulation loop of the paper's Figure 1, and the
 // only one: for each region in order, skip to it functionally while the
 // warm-up method observes, let the method repair microarchitectural state,
-// optionally warm in detail, then measure the region in the timing model.
-// Every sampled run — stratified clusters, a strategy's measurement pass,
-// SimPoint's intervals — is a region list handed to this walker, so
-// Options.Shards, Cancel, DetailedWarmup and the instruments mean the same
-// thing for all of them. mk builds the warm-up method over the run's fresh
-// hierarchy and predictor. The walker checks the region list itself, all but
-// its fit in the workload, whose length it is not told: a workload that ends
-// before the last region does is an error when the run gets there.
+// then measure the region in the timing model. Every sampled run — stratified
+// clusters, a strategy's measurement pass, SimPoint's intervals — is a region
+// list handed to this walker, so Options.Shards, Cancel and the instruments
+// mean the same thing for all of them. mk builds the warm-up method over the
+// run's fresh hierarchy and predictor. The walker checks the region list
+// itself, all but its fit in the workload, whose length it is not told: a
+// workload that ends before the last region does is an error when the run
+// gets there.
 func RunRegions(p *prog.Program, m MachineConfig, regions []Region, mk func(*mem.Hierarchy, *bpred.Unit) warmup.Method, opts Options) (*RunResult, error) {
 	if err := ValidateRegions(regions, math.MaxUint64); err != nil {
 		return nil, err
@@ -87,8 +87,7 @@ func RunRegions(p *prog.Program, m MachineConfig, regions []Region, mk func(*mem
 	if rs, ok := method.(warmup.RegionSizer); ok {
 		var pos, longest uint64
 		for _, reg := range regions {
-			cold, _ := splitSkip(pos, reg.Start, opts.DetailedWarmup)
-			longest, pos = max(longest, cold), reg.Start+reg.Size
+			longest, pos = max(longest, reg.Start-pos), reg.Start+reg.Size
 		}
 		rs.SizeRegions(longest)
 	}
@@ -113,7 +112,7 @@ func RunRegions(p *prog.Program, m MachineConfig, regions []Region, mk func(*mem
 		if opts.canceled() {
 			return nil, ErrCanceled
 		}
-		cold, dw, err := f.next(ci, reg)
+		cold, err := f.next(ci, reg)
 		if err != nil {
 			return nil, err
 		}
@@ -127,17 +126,6 @@ func RunRegions(p *prog.Program, m MachineConfig, regions []Region, mk func(*mem
 		t0 := ro.begin()
 		method.EndSkip()
 		ro.reconDone(t0, ci, method.Work())
-
-		if dw > 0 {
-			// Unmeasured detailed warm-up immediately before the region.
-			t0 = ro.begin()
-			w := sim.SimulateSource(dw, f)
-			if err := f.err(); err != nil {
-				return nil, fmt.Errorf("sampling: detailed warm-up: %w", err)
-			}
-			res.FuncInstructions += w.Instructions
-			ro.warmDone(t0, ci, w.Instructions)
-		}
 
 		t0 = ro.begin()
 		r := sim.SimulateSource(reg.Size, f)
@@ -154,14 +142,6 @@ func RunRegions(p *prog.Program, m MachineConfig, regions []Region, mk func(*mem
 	res.Work = method.Work()
 	ro.runDone("sampled", hier, unit)
 	return res, nil
-}
-
-// splitSkip divides the skip from pos to a region's start into the cold
-// phase and the detailed warm-up that ends it.
-func splitSkip(pos, start, detailedWarmup uint64) (cold, dw uint64) {
-	skip := start - pos
-	dw = min(detailedWarmup, skip)
-	return skip - dw, dw
 }
 
 // skipObserver is what a cold phase is observed by: the warm-up method in
@@ -249,10 +229,9 @@ func newSeqFeed(p *prog.Program, opts *Options, ro *runObs) *seqFeed {
 	}
 }
 
-func (f *seqFeed) next(_ int, r Region) (cold, dw uint64, err error) {
+func (f *seqFeed) next(_ int, r Region) (uint64, error) {
 	f.t0 = f.ro.begin()
-	cold, dw = splitSkip(f.fs.Seq(), r.Start, f.opts.DetailedWarmup)
-	return cold, dw, nil
+	return r.Start - f.fs.Seq(), nil
 }
 
 func (f *seqFeed) ingest(ci int, method warmup.Method, cold uint64) (uint64, error) {
