@@ -295,21 +295,6 @@ func BenchmarkWarmupMethodsEndToEnd(b *testing.B) {
 
 // --- Ablation benchmarks for the design choices DESIGN.md calls out ---
 
-// BenchmarkAblationReuse compares the profiling-based MRRL/BLRL methods
-// against RSR and SMARTS (cost includes their profiling pass).
-func BenchmarkAblationReuse(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		lab := experiments.NewLab(benchCfg("twolf"))
-		cells, err := lab.AblationReuse(90)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(cells) != 4 {
-			b.Fatal("unexpected cell count")
-		}
-	}
-}
-
 // BenchmarkAblationInference measures the Figure 3 counter-inference rule
 // on/off.
 func BenchmarkAblationInference(b *testing.B) {

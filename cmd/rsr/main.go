@@ -16,8 +16,7 @@
 //	fig8       per-benchmark Reverse vs SMARTS
 //	fig9       SimPoint comparison
 //	appendix   confidence tests, relative error, and time for all methods
-//	ablate     extensions: MRRL/BLRL, inference on/off, bus contention,
-//	           prefetcher
+//	ablate     extensions: inference on/off, bus contention, prefetcher
 //	sweep      warm-up percentage sweep on one workload (use -workload)
 //	all        every table and figure, in order
 //	run        one sampled run (use -workload, -method, and optionally
@@ -430,12 +429,6 @@ func dispatch(cmd string, cfg experiments.Config, wl, method, regimenName, forma
 		fmt.Print(experiments.RenderAppendix(cells))
 		return nil
 	case "ablate":
-		cells, err := lab.AblationReuse(90)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderAblationReuse(cells))
-		fmt.Println()
 		inf, err := lab.AblationInference()
 		if err != nil {
 			return err

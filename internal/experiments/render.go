@@ -149,23 +149,6 @@ func RenderAppendix(cells []Cell) string {
 	return b.String()
 }
 
-// RenderAblationReuse formats the MRRL/BLRL comparison.
-func RenderAblationReuse(cells []AblationCell) string {
-	var b strings.Builder
-	b.WriteString("Ablation: profiling-based warm-up (MRRL/BLRL) vs RSR vs SMARTS\n")
-	fmt.Fprintf(&b, "%-10s %-14s %9s %8s %12s %12s\n",
-		"workload", "method", "estimate", "RE", "run time", "profile")
-	for _, c := range cells {
-		prof := "-"
-		if c.ProfileElapsed > 0 {
-			prof = roundDur(c.ProfileElapsed)
-		}
-		fmt.Fprintf(&b, "%-10s %-14s %9.4f %7.2f%% %12s %12s\n",
-			c.Workload, c.Method, c.Estimate, 100*c.RelErr, roundDur(c.Elapsed), prof)
-	}
-	return b.String()
-}
-
 // RenderCells formats a flat cell list (used by the remaining ablations).
 func RenderCells(title string, cells []Cell) string {
 	var b strings.Builder

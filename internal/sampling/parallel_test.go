@@ -107,37 +107,6 @@ func TestParallelAllWorkloadsIdentical(t *testing.T) {
 	}
 }
 
-// TestParallelWindowedIdentical covers the profiled-window (MRRL/BLRL)
-// family, which is built through NewWindowed rather than a Spec: producers
-// request captures by explicit region index, so the out-of-order shard walk
-// must still pick each region's own warm window.
-func TestParallelWindowedIdentical(t *testing.T) {
-	w, err := workload.ByName("twolf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := w.Build()
-	reg := Regimen{ClusterSize: 2000, NumClusters: 10}
-	// Mixed per-region windows: none, partial, odd, oversize.
-	windows := []uint64{0, 500, 12_345, 1 << 20, 3000, 0, 7, 40_000, 2_000, 999}
-	mk := func(h *mem.Hierarchy, u *bpred.Unit) warmup.Method {
-		return warmup.NewWindowed("MRRL (90%)", h, u, windows)
-	}
-	seq, err := runSampled(p, DefaultMachine(), reg, 400_000, 2007, mk, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{2, 4, 7} {
-		par, err := runSampled(p, DefaultMachine(), reg, 400_000, 2007, mk, Options{Shards: shards})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if !reflect.DeepEqual(normalize(seq), normalize(par)) {
-			t.Errorf("shards=%d: windowed parallel result differs from sequential", shards)
-		}
-	}
-}
-
 // TestWindowEndsIdentical runs the two ends of the forward method's axis
 // through the whole controller: S$BP is FP at 100% and None is FP at 0%, in
 // every cluster statistic and work counter, in place and through the sharded

@@ -243,9 +243,7 @@ func (o Options) canceled() bool {
 
 // RunSampledOpts is RunSampled with controller options: the regimen's
 // placement handed to the region walker. The spec is the caller's, so it is
-// checked here: out of range, Percent would wrap or clamp. A caller whose
-// method needs more context than a Spec carries (the profiled MRRL/BLRL
-// windows) does the same with its own factory: Regions, then RunRegions.
+// checked here: out of range, Percent would wrap or clamp.
 func RunSampledOpts(p *prog.Program, m MachineConfig, reg Regimen, total uint64, seed int64, spec warmup.Spec, opts Options) (*RunResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, fmt.Errorf("sampling: %w", err)

@@ -70,7 +70,9 @@ type feed interface {
 // clusters, a strategy's measurement pass, SimPoint's intervals — is a region
 // list handed to this walker, so Options.Shards, Cancel and the instruments
 // mean the same thing for all of them. mk builds the warm-up method over the
-// run's fresh hierarchy and predictor. The walker checks the region list
+// run's fresh hierarchy and predictor: every production caller passes a
+// warmup.Spec's New, and mk stays a factory only so tests can wrap a method
+// (unsealedMethod, heldMethod) in a fake. The walker checks the region list
 // itself, all but its fit in the workload, whose length it is not told: a
 // workload that ends before the last region does is an error when the run
 // gets there.

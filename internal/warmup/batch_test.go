@@ -143,26 +143,6 @@ func TestBatchScalarEquivalence(t *testing.T) {
 	}
 }
 
-// TestWindowedBatchScalarEquivalence covers the profiled-window (MRRL/BLRL)
-// method, which is not part of Matrix but shares the tail-batching helper.
-func TestWindowedBatchScalarEquivalence(t *testing.T) {
-	recs := genRecords(t, 12_000)
-	windows := []uint64{3000, 0, 123, 1 << 20} // mixed: partial, none, odd, oversize
-	regions := [][]trace.DynInst{recs[:4000], recs[4000:6000], recs[6000:9000], recs[9000:]}
-	for _, chunk := range []int{1, 7, 256, 1024} {
-		hs, us := testEnv()
-		ms := NewWindowed("MRRL (90%)", hs, us, windows)
-		hb, ub := testEnv()
-		mb := NewWindowed("MRRL (90%)", hb, ub, windows)
-		for _, reg := range regions {
-			observeScalarRegion(ms, reg)
-			ms.EndSkip()
-			feedBatched(mb, reg, chunk)
-		}
-		compareMethods(t, ms, mb, hs.State(), hb.State(), us.State(), ub.State())
-	}
-}
-
 // feedCapture is the producer's half of a region: a capture drawn from m,
 // fed ds in controller-sized batches and optionally sealed.
 func feedCapture(m Method, region int, ds []trace.DynInst, seal bool) RegionCapture {

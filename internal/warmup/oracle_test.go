@@ -9,8 +9,7 @@ import (
 
 // The per-instruction observers every method had before ObserveSkipBatch
 // became the only way in: the reference semantics the batch kernels are
-// tested against (TestBatchScalarEquivalence, TestWindowedBatchScalarEquivalence,
-// TestMemRecordRoundTrip). They act on the method's own state, one
+// tested against (TestBatchScalarEquivalence, TestMemRecordRoundTrip). They act on the method's own state, one
 // instruction at a time, with none of the batch path's hoisting. Both
 // directions open their window the same way: once seen exceeds the threshold,
 // apply (forward) or log (reverse) — and a reverse scan reads all of the log.

@@ -2,11 +2,10 @@
 // direction by window, with one type per direction. forward applies each skip
 // region's trailing window to the caches and predictor as it is observed: 0%
 // of the region is None, p% fixed-period warming (FP), 100% SMARTS (S$, SBP,
-// S$BP), a profiled length per region MRRL/BLRL (§2, NewWindowed). reverse
-// logs the same window — the newest p% of the region's instructions — and
-// scans that log backwards at the region's end (R$, RBP, R$BP): Reverse State
-// Reconstruction. Both report the work they do, the machine-independent cost
-// metric used by the experiment harness.
+// S$BP). reverse logs the same window — the newest p% of the region's
+// instructions — and scans that log backwards at the region's end (R$, RBP,
+// R$BP): Reverse State Reconstruction. Both report the work they do, the
+// machine-independent cost metric used by the experiment harness.
 package warmup
 
 import (
@@ -60,10 +59,11 @@ type Method interface {
 	Predictor() bpred.Predictor
 	Work() Work
 
-	// NewRegionCapture returns a capture for the region-indexed skip phase
-	// with the given expected length. It must be safe for concurrent use and
-	// may read only immutable method configuration; the returned capture is
-	// confined to one goroutine until it is handed to AdoptRegion.
+	// NewRegionCapture returns a capture for a skip phase with the given
+	// expected length; region, the phase's index, is read by no method. It
+	// must be safe for concurrent use and may read only immutable method
+	// configuration; the returned capture is confined to one goroutine until
+	// it is handed to AdoptRegion.
 	NewRegionCapture(region int, expectedLen uint64) RegionCapture
 	// AdoptRegion installs a fed capture, sealed or not, as if the method
 	// had observed the region's stream itself. It must be called between
@@ -162,24 +162,29 @@ type Spec struct {
 	BPred   bool // warm the branch predictor
 	// NoCounterInference disables the Reverse method's weak-form /
 	// middle-state counter inference, leaving unresolved entries stale
-	// (ablation of §3.2's Figure 3 rule). Only meaningful for KindReverse
-	// with BPred.
+	// (ablation of §3.2's Figure 3 rule). Valid only on KindReverse with
+	// BPred.
 	NoCounterInference bool
 }
 
-// Label renders the paper's abbreviations: None, FP (p%), S$, SBP, S$BP,
-// R$ (p%), RBP, R$BP (p%).
+// Label renders the paper's abbreviations — None, FP (p%), S$, SBP, S$BP,
+// R$ (p%), RBP, R$BP (p%) — and every other field Validate accepts, so no two
+// valid specs share a label: FP names its structures unless it warms both
+// (FP$ (p%), FPBP (p%)), RBP its percentage unless it is 100.
 func (s Spec) Label() string {
 	switch s.Kind {
 	case KindNone:
 		return "None"
 	case KindFixed:
-		return fmt.Sprintf("FP (%d%%)", s.Percent)
+		if s.Cache && s.BPred {
+			return fmt.Sprintf("FP (%d%%)", s.Percent)
+		}
+		return fmt.Sprintf("FP%s (%d%%)", structSuffix(s.Cache, s.BPred), s.Percent)
 	case KindSMARTS:
 		return "S" + structSuffix(s.Cache, s.BPred)
 	case KindReverse:
 		base := "R" + structSuffix(s.Cache, s.BPred)
-		if s.Cache {
+		if s.Cache || s.Percent != 100 {
 			base = fmt.Sprintf("%s (%d%%)", base, s.Percent)
 		}
 		if s.NoCounterInference {
@@ -202,20 +207,28 @@ func structSuffix(cache, bp bool) string {
 	return ""
 }
 
-// Validate rejects a spec no method can honour: an unknown Kind, or a Percent
-// outside 0..100 on a kind that reads it. Call it wherever a Spec arrives
-// from outside the program; New trusts its receiver.
+// Validate rejects a spec no method can honour, and one that sets a field its
+// kind does not read, which would run another spec's simulation under a new
+// label and job hash: an unknown Kind; a Percent outside 0..100, or any on None
+// or SMARTS; a structure on None, or none on the other kinds; and
+// NoCounterInference anywhere but the reverse method's predictor. Call it
+// wherever a Spec arrives from outside the program; New trusts its receiver.
 func (s Spec) Validate() error {
-	switch s.Kind {
-	case KindNone, KindSMARTS:
-		return nil
-	case KindFixed, KindReverse:
-		if s.Percent < 0 || s.Percent > 100 {
-			return fmt.Errorf("warmup: %s: Percent %d outside 0..100", s.Label(), s.Percent)
-		}
-		return nil
+	switch {
+	case s.Kind > KindReverse:
+		return fmt.Errorf("warmup: unknown Kind %d", s.Kind)
+	case s.Percent < 0 || s.Percent > 100:
+		return fmt.Errorf("warmup: %s: Percent %d outside 0..100", s.Label(), s.Percent)
+	case s.Percent != 0 && (s.Kind == KindNone || s.Kind == KindSMARTS):
+		return fmt.Errorf("warmup: %s: Percent %d on a kind that does not read it", s.Label(), s.Percent)
+	case s.Kind == KindNone && (s.Cache || s.BPred):
+		return fmt.Errorf("warmup: None: Cache or BPred set on the method that warms nothing")
+	case s.Kind != KindNone && !s.Cache && !s.BPred:
+		return fmt.Errorf("warmup: %s: warms neither Cache nor BPred", s.Label())
+	case s.NoCounterInference && (s.Kind != KindReverse || !s.BPred):
+		return fmt.Errorf("warmup: %s: NoCounterInference without reverse predictor reconstruction", s.Label())
 	}
-	return fmt.Errorf("warmup: unknown Kind %d", s.Kind)
+	return nil
 }
 
 // New instantiates the method over the run's shared hierarchy and predictor.
@@ -231,24 +244,16 @@ func (s Spec) New(h *mem.Hierarchy, u *bpred.Unit) Method {
 	case KindSMARTS:
 		percent = 100
 	}
-	return newForward(h, u, s.Cache, s.BPred, s.Label(), func(_ int, expectedLen uint64) uint64 {
-		return percentThreshold(expectedLen, percent)
-	})
+	pool := newCapturePool(s.Cache, s.BPred, h, nil)
+	return &forward{h: h, u: u, label: s.Label(), percent: percent, pool: pool, cur: pool.prepare(nil, 0, 0)}
 }
 
 // percentThreshold places the window "the newest percent of the region's
 // instructions". It is the one place a percentage becomes a position, and
 // regionCapture.tail cuts every region at that position, whichever direction
-// the method works in.
+// the method works in. A window over 100% is the whole region.
 func percentThreshold(expectedLen uint64, percent int) uint64 {
-	return windowThreshold(expectedLen, expectedLen*uint64(percent)/100)
-}
-
-// windowThreshold is how many of a region's expectedLen instructions pass
-// before a window of its newest window instructions opens; a window longer
-// than the region is all of it.
-func windowThreshold(expectedLen, window uint64) uint64 {
-	return expectedLen - min(window, expectedLen)
+	return expectedLen - min(expectedLen*uint64(percent)/100, expectedLen)
 }
 
 // Matrix returns the paper's Table 2 experiment matrix in reporting order.
@@ -538,42 +543,20 @@ func (p *capturePool) put(c *regionCapture) {
 
 // --- Forward: apply each region's trailing window as it is observed ---
 
-// forward is Table 2's left half and §2's profiled-window methods in one
-// type: where the window opens is its only policy. Like reverse it holds the
-// current region in cur, of which it uses the threshold, the count seen and the
-// line tracker.
+// forward is Table 2's left half: None, FP and SMARTS differ only in the
+// window, the newest percent of each region, which percentThreshold places as
+// it does for reverse. Like reverse it holds the current region in cur, of
+// which it uses the threshold, the count seen and the line tracker. percent and
+// pool, the run's capture free list, are all NewRegionCapture reads from
+// concurrent producer goroutines.
 type forward struct {
-	h     *mem.Hierarchy
-	u     *bpred.Unit
-	label string
-	// threshold is how many of a region's instructions pass before its window
-	// opens; expectedLen or more means none of it is applied. It and pool, the
-	// run's capture free list, are all NewRegionCapture reads from concurrent
-	// producer goroutines, and threshold reads nothing mutable.
-	threshold func(region int, expectedLen uint64) uint64
-	pool      *capturePool
-	region    int // the region BeginSkip opens next
-	cur       *regionCapture
-	work      Work
-}
-
-func newForward(h *mem.Hierarchy, u *bpred.Unit, cache, bp bool, label string, threshold func(int, uint64) uint64) *forward {
-	pool := newCapturePool(cache, bp, h, nil)
-	return &forward{h: h, u: u, label: label, threshold: threshold, pool: pool, cur: pool.prepare(nil, 0, 0)}
-}
-
-// NewWindowed builds an MRRL/BLRL-style method (§2) over per-region warm
-// windows, in instructions before each cluster: whatever a reuse-latency
-// profiling pass says covers the chosen percentile for that cluster /
-// pre-cluster pair, and nothing past the end of the list. The windows pin the
-// cluster locations they were profiled with.
-func NewWindowed(label string, h *mem.Hierarchy, u *bpred.Unit, windows []uint64) Method {
-	return newForward(h, u, true, true, label, func(region int, expectedLen uint64) uint64 {
-		if region >= len(windows) {
-			return expectedLen
-		}
-		return windowThreshold(expectedLen, windows[region])
-	})
+	h       *mem.Hierarchy
+	u       *bpred.Unit
+	label   string
+	percent int
+	pool    *capturePool
+	cur     *regionCapture
+	work    Work
 }
 
 // The forward method warms as it observes, so EndSkip has nothing left to do
@@ -585,9 +568,8 @@ func (f *forward) Work() Work                 { return f.work }
 
 func (f *forward) BeginSkip(expectedLen uint64) {
 	c := f.cur
-	c.threshold, c.seen = f.threshold(f.region, expectedLen), 0
+	c.threshold, c.seen = percentThreshold(expectedLen, f.percent), 0
 	c.lines.reset()
-	f.region++
 }
 
 // ObserveSkipBatch is the in-place kernel: every instruction-fetch line
@@ -633,11 +615,10 @@ func (f *forward) ObserveSkipBatch(ds []trace.DynInst) {
 	}
 }
 
-// NewRegionCapture takes the window of the explicit region index: producers
-// run regions out of order, so the method's own cursor — advanced by the
-// consumer's BeginSkip — cannot be used.
-func (f *forward) NewRegionCapture(region int, expectedLen uint64) RegionCapture {
-	return f.pool.prepare(nil, f.threshold(region, expectedLen), expectedLen)
+// NewRegionCapture places the window as BeginSkip does; only the goroutine-safe
+// pool is touched, so captures may be created concurrently.
+func (f *forward) NewRegionCapture(_ int, expectedLen uint64) RegionCapture {
+	return f.pool.prepare(nil, percentThreshold(expectedLen, f.percent), expectedLen)
 }
 
 // AdoptRegion is the capture kernel's second half: it replays the captured

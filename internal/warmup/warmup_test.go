@@ -22,11 +22,14 @@ func TestLabels(t *testing.T) {
 	}{
 		{Spec{Kind: KindNone}, "None"},
 		{Spec{Kind: KindFixed, Percent: 20, Cache: true, BPred: true}, "FP (20%)"},
+		{Spec{Kind: KindFixed, Percent: 20, Cache: true}, "FP$ (20%)"},
+		{Spec{Kind: KindFixed, Percent: 20, BPred: true}, "FPBP (20%)"},
 		{Spec{Kind: KindSMARTS, Cache: true}, "S$"},
 		{Spec{Kind: KindSMARTS, BPred: true}, "SBP"},
 		{Spec{Kind: KindSMARTS, Cache: true, BPred: true}, "S$BP"},
 		{Spec{Kind: KindReverse, Percent: 40, Cache: true}, "R$ (40%)"},
 		{Spec{Kind: KindReverse, Percent: 100, BPred: true}, "RBP"},
+		{Spec{Kind: KindReverse, Percent: 20, BPred: true}, "RBP (20%)"},
 		{Spec{Kind: KindReverse, Percent: 80, Cache: true, BPred: true}, "R$BP (80%)"},
 	}
 	for _, c := range cases {
@@ -203,57 +206,6 @@ func TestReverseLogDiscardedBetweenRegions(t *testing.T) {
 	}
 }
 
-func TestWindowedMethod(t *testing.T) {
-	h, u := testEnv()
-	// Per-region windows: 3 instructions for region 0, none for region 1,
-	// oversize for region 2 (capped at the region length).
-	m := NewWindowed("MRRL (90%)", h, u, []uint64{3, 0, 100})
-	if m.Name() != "MRRL (90%)" {
-		t.Fatalf("name = %q", m.Name())
-	}
-
-	// Region 0: 10 instructions, warm the last 3 branches only.
-	m.BeginSkip(10)
-	for i := 0; i < 10; i++ {
-		observe1(m, branchInst(0x400000+uint64(i%4)*4, true))
-	}
-	m.EndSkip()
-	// 3 branch updates + 1 instruction-line warm (cache+bpred method).
-	if got := m.Work().WarmOps; got != 4 {
-		t.Fatalf("region 0 warm ops = %d, want 4", got)
-	}
-
-	// Region 1: zero window -> nothing warmed.
-	m.BeginSkip(10)
-	for i := 0; i < 10; i++ {
-		observe1(m, branchInst(0x400000, true))
-	}
-	m.EndSkip()
-	if got := m.Work().WarmOps; got != 4 {
-		t.Fatalf("region 1 warm ops = %d, want still 4", got)
-	}
-
-	// Region 2: window larger than the region -> the whole region warms.
-	m.BeginSkip(5)
-	for i := 0; i < 5; i++ {
-		observe1(m, branchInst(0x400000, true))
-	}
-	m.EndSkip()
-	if got := m.Work().WarmOps; got != 4+6 {
-		t.Fatalf("region 2 warm ops = %d, want 10", got)
-	}
-
-	// Beyond the window list: no warming.
-	m.BeginSkip(5)
-	for i := 0; i < 5; i++ {
-		observe1(m, branchInst(0x400000, true))
-	}
-	m.EndSkip()
-	if got := m.Work().WarmOps; got != 10 {
-		t.Fatalf("region 3 warm ops = %d, want 10", got)
-	}
-}
-
 func TestReverseNoInferLabel(t *testing.T) {
 	s := Spec{Kind: KindReverse, Percent: 100, BPred: true, NoCounterInference: true}
 	if s.Label() != "RBP no-infer" {
@@ -309,9 +261,9 @@ func TestFuncWarmTrackerInitializedEagerly(t *testing.T) {
 }
 
 // TestTable2IsTwoTypes pins the package's shape: every method is a direction
-// and a window, so every Matrix spec and NewWindowed build one of two types,
-// with the window the label states — None 0%, FP and R$/R$BP their
-// percentage, the S family and RBP 100%.
+// and a window, so every Matrix spec builds one of two types, with the window
+// the label states — None 0%, FP and R$/R$BP their percentage, the S family
+// and RBP 100%.
 func TestTable2IsTwoTypes(t *testing.T) {
 	const n = 1000
 	for _, s := range Matrix() {
@@ -324,34 +276,30 @@ func TestTable2IsTwoTypes(t *testing.T) {
 			}
 		}
 		h, u := testEnv()
-		switch m := s.New(h, u).(type) {
+		m := s.New(h, u)
+		m.BeginSkip(n)
+		var cur *regionCapture
+		switch m := m.(type) {
 		case *forward:
-			if got := m.threshold(0, n); s.Kind == KindReverse || got != n-uint64(want)*n/100 {
-				t.Errorf("%s: forward with a threshold of %d in %d", label, got, n)
+			if s.Kind != KindReverse {
+				cur = m.cur
 			}
 		case *reverse:
-			m.BeginSkip(n)
-			if got := m.cur.threshold; s.Kind != KindReverse || got != n-uint64(want)*n/100 {
-				t.Errorf("%s: reverse with a threshold of %d in %d", label, got, n)
+			if s.Kind == KindReverse {
+				cur = m.cur
 			}
-		default:
-			t.Errorf("%s builds a %T", label, m)
 		}
-	}
-	h, u := testEnv()
-	m, ok := NewWindowed("MRRL (90%)", h, u, []uint64{3, 5000}).(*forward)
-	if !ok {
-		t.Fatal("NewWindowed does not build a forward method")
-	}
-	for region, want := range []uint64{n - 3, 0, n} { // partial, oversize, past the list
-		if got := m.threshold(region, n); got != want {
-			t.Errorf("profiled region %d: threshold %d, want %d", region, got, want)
+		if cur == nil {
+			t.Errorf("%s builds a %T", label, m)
+		} else if got := cur.threshold; got != n-uint64(want)*n/100 {
+			t.Errorf("%s: a threshold of %d in %d", label, got, n)
 		}
 	}
 }
 
-// TestSpecValidate pins the one meaning of an out-of-range percentage: it is
-// refused, on the kinds that read it, with an error naming the field.
+// TestSpecValidate pins the one meaning of an out-of-range percentage — it is
+// refused, with an error naming the field — and the refusal of every field a
+// kind does not read.
 func TestSpecValidate(t *testing.T) {
 	for _, s := range Matrix() {
 		if err := s.Validate(); err != nil {
@@ -362,11 +310,17 @@ func TestSpecValidate(t *testing.T) {
 		spec Spec
 		want string // "" accepts
 	}{
-		{Spec{Kind: KindFixed, Percent: 0}, ""},
-		{Spec{Kind: KindFixed, Percent: 100}, ""},
+		{Spec{Kind: KindFixed, Percent: 0, Cache: true}, ""},
+		{Spec{Kind: KindFixed, Percent: 100, BPred: true}, ""},
 		{Spec{Kind: KindReverse, BPred: true}, ""},
-		{Spec{Kind: KindNone, Percent: 150}, ""}, // None and SMARTS never read Percent
-		{Spec{Kind: KindSMARTS, Percent: -1}, ""},
+		{Spec{Kind: KindNone, Percent: 150}, "Percent"}, // None and SMARTS never read Percent
+		{Spec{Kind: KindSMARTS, Percent: 37, Cache: true, BPred: true}, "Percent"},
+		{Spec{Kind: KindNone, Cache: true}, "Cache"},
+		{Spec{Kind: KindFixed, Percent: 20}, "neither"},
+		{Spec{Kind: KindSMARTS}, "neither"},
+		{Spec{Kind: KindReverse, Percent: 20}, "neither"},
+		{Spec{Kind: KindReverse, Percent: 20, Cache: true, NoCounterInference: true}, "NoCounterInference"},
+		{Spec{Kind: KindSMARTS, BPred: true, NoCounterInference: true}, "NoCounterInference"},
 		{Spec{Kind: KindFixed, Percent: 150, Cache: true}, "Percent"},
 		{Spec{Kind: KindFixed, Percent: -1, Cache: true}, "Percent"},
 		{Spec{Kind: KindReverse, Percent: 101, Cache: true}, "Percent"},
@@ -383,7 +337,29 @@ func TestSpecValidate(t *testing.T) {
 	// not a threshold wrapped past its end (which warmed nothing).
 	h, u := testEnv()
 	m := Spec{Kind: KindFixed, Percent: 150, Cache: true}.New(h, u).(*forward)
-	if got := m.threshold(0, 1000); got != 0 {
+	m.BeginSkip(1000)
+	if got := m.cur.threshold; got != 0 {
 		t.Errorf("Percent 150: threshold %d, want the whole region", got)
+	}
+}
+
+// TestValidLabelsUnique enumerates every combination of Spec's fields and holds
+// Label to naming each valid spec once: two simulations never print the same
+// label, and a label never stands for two job hashes.
+func TestValidLabelsUnique(t *testing.T) {
+	seen := map[string]Spec{}
+	for k := KindNone; k <= KindReverse; k++ {
+		for _, p := range []int{0, 20, 37, 100} {
+			for i := 0; i < 8; i++ {
+				s := Spec{Kind: k, Percent: p, Cache: i&1 != 0, BPred: i&2 != 0, NoCounterInference: i&4 != 0}
+				if s.Validate() != nil {
+					continue
+				}
+				if prev, ok := seen[s.Label()]; ok {
+					t.Errorf("%+v and %+v share the label %q", prev, s, s.Label())
+				}
+				seen[s.Label()] = s
+			}
+		}
 	}
 }
