@@ -33,6 +33,7 @@
 #   make stall-check the two innermost loops compile without host stalls:
 #                    objdump of funcsim.RunBatch (no record built on the stack)
 #                    and of ooo's per-cycle loops (no divide, no Duff copy)
+#   make examples    every program under examples/ runs to a zero exit
 #   make bench-sweep sequential-vs-parallel sweep benchmark at small scale
 #   make loc         non-test Go lines per internal package and in total
 #   make results     regenerate the committed full-scale outputs
@@ -45,9 +46,9 @@
 
 GO ?= go
 
-.PHONY: all build test verify chaos obs-smoke cluster-smoke trace-smoke shard-smoke recovery-smoke regimen-smoke bench-smoke stall-check bench-sweep loc results
+.PHONY: all build test verify chaos obs-smoke cluster-smoke trace-smoke shard-smoke recovery-smoke regimen-smoke bench-smoke stall-check examples bench-sweep loc results
 
-all: build test verify chaos obs-smoke cluster-smoke trace-smoke shard-smoke recovery-smoke regimen-smoke bench-smoke stall-check
+all: build test verify chaos obs-smoke cluster-smoke trace-smoke shard-smoke recovery-smoke regimen-smoke bench-smoke stall-check examples
 
 build:
 	$(GO) build ./...
@@ -172,6 +173,11 @@ bench-smoke:
 # divide or a whole-entry copy in ooo's per-cycle loops.
 stall-check:
 	./scripts/stall-check.sh
+
+# examples proves the facade's worked examples still run, not just compile
+# (`go build ./...` only compiles them): each one, default flags, exit 0.
+examples:
+	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d || exit 1; done
 
 bench-sweep:
 	$(GO) test -run '^$$' -bench BenchmarkTable2SweepParallelism -benchtime 1x .

@@ -14,7 +14,6 @@ import (
 	"rsr/internal/core"
 	"rsr/internal/experiments"
 	"rsr/internal/funcsim"
-	"rsr/internal/livepoints"
 	"rsr/internal/mem"
 	"rsr/internal/sampling"
 	"rsr/internal/trace"
@@ -236,34 +235,6 @@ func BenchmarkReverseCacheReconstruction(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for j := range log {
 				h.WarmData(log[j].Addr, log[j].IsStore)
-			}
-		}
-	})
-}
-
-// BenchmarkLivePointsReplay compares re-measuring all clusters from captured
-// live-points against a fresh sampled run — the speedup of reference [18].
-func BenchmarkLivePointsReplay(b *testing.B) {
-	w, _ := workload.ByName("gcc")
-	p := w.Build()
-	m := sampling.DefaultMachine()
-	reg := sampling.Regimen{ClusterSize: 2000, NumClusters: 20}
-	set, err := livepoints.Capture(p, m, reg, 2_000_000, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("replay", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := set.Replay(m.CPU); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("freshSampledRun", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			spec := warmup.Spec{Kind: warmup.KindSMARTS, Cache: true, BPred: true}
-			if _, err := sampling.RunSampled(p, m, reg, 2_000_000, 1, spec); err != nil {
-				b.Fatal(err)
 			}
 		}
 	})

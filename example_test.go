@@ -74,26 +74,3 @@ func ExampleWarmupMatrix() {
 	// FP (80%)
 	// None
 }
-
-// Capture live-points once, replay clusters under a different core.
-func ExampleCaptureLivePoints() {
-	w, err := rsr.WorkloadByName("gcc")
-	if err != nil {
-		log.Fatal(err)
-	}
-	m := rsr.DefaultMachine()
-	points, err := rsr.CaptureLivePoints(w.Build(), m,
-		rsr.Regimen{ClusterSize: 1000, NumClusters: 5}, 200_000, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	narrow := m.CPU
-	narrow.IssueWidth = 1
-	r, err := points.Replay(narrow)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("replayed %d clusters, single-issue IPC ≤ 1: %v\n",
-		len(r.Clusters), r.IPCEstimate() <= 1.0)
-	// Output: replayed 5 clusters, single-issue IPC ≤ 1: true
-}

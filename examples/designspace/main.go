@@ -1,9 +1,9 @@
-// Designspace explores out-of-order core configurations with live-points
-// (the paper's reference [18]): one capture pass stores warmed architectural
-// and microarchitectural state at every cluster start; each candidate core
-// then replays only the clusters, skipping every skip region. Replaying a
-// configuration costs a fraction of a fresh sampled run — the more
-// configurations, the bigger the win.
+// Designspace explores out-of-order core configurations with sampled
+// simulation. Warm-up touches only the caches and the predictor, so the core
+// can vary freely under one warm-up method; each candidate is measured under
+// the paper's Reverse State Reconstruction, R$BP (20%), and under SMARTS
+// full-functional warming, S$BP, and the sweep's total time is reported per
+// method.
 package main
 
 import (
@@ -19,16 +19,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	p := w.Build()
 	machine := rsr.DefaultMachine()
 	const total = 5_000_000
 	reg := rsr.Regimen{ClusterSize: 2000, NumClusters: 40}
-
-	points, err := rsr.CaptureLivePoints(w.Build(), machine, reg, total, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("captured %d live-points in %v\n\n", len(points.Points),
-		points.CaptureElapsed.Round(time.Millisecond))
+	methods := []rsr.WarmupSpec{rsr.ReverseWarmup(20), rsr.SMARTSWarmup()}
 
 	configs := []struct {
 		label string
@@ -43,28 +38,29 @@ func main() {
 		{"2 checkpoints", func(c *rsr.CoreConfig) { c.MaxBranches = 2 }},
 	}
 
-	fmt.Printf("%-28s %8s %12s\n", "configuration", "IPC", "replay time")
-	var replayTotal time.Duration
+	fmt.Printf("%-28s", "configuration")
+	for _, spec := range methods {
+		fmt.Printf(" %12s", spec.Label())
+	}
+	fmt.Println()
+	elapsed := make([]time.Duration, len(methods))
 	for _, cfg := range configs {
-		cpu := machine.CPU
-		cfg.mod(&cpu)
-		r, err := points.Replay(cpu)
-		if err != nil {
-			log.Fatal(err)
+		m := machine
+		cfg.mod(&m.CPU)
+		fmt.Printf("%-28s", cfg.label)
+		for i, spec := range methods {
+			res, err := rsr.RunSampled(p, m, reg, total, 1, spec)
+			if err != nil {
+				log.Fatal(err)
+			}
+			elapsed[i] += res.Elapsed
+			fmt.Printf(" %12.4f", res.IPCEstimate())
 		}
-		replayTotal += r.Elapsed
-		fmt.Printf("%-28s %8.4f %12s\n", cfg.label, r.IPCEstimate(), r.Elapsed.Round(time.Millisecond))
+		fmt.Println()
 	}
 
-	// Cost comparison: the same sweep with fresh sampled runs re-executes
-	// the whole workload functionally once per configuration.
-	start := time.Now()
-	if _, err := rsr.RunSampled(w.Build(), machine, reg, total, 1, rsr.SMARTSWarmup()); err != nil {
-		log.Fatal(err)
+	fmt.Println()
+	for i, spec := range methods {
+		fmt.Printf("%-12s %d configurations in %v\n", spec.Label(), len(configs), elapsed[i].Round(time.Millisecond))
 	}
-	oneSampled := time.Since(start)
-	fmt.Printf("\ncapture (%v) + %d replays (%v)  vs  %d fresh sampled runs (≈%v)\n",
-		points.CaptureElapsed.Round(time.Millisecond), len(configs),
-		replayTotal.Round(time.Millisecond), len(configs),
-		(oneSampled * time.Duration(len(configs))).Round(time.Millisecond))
 }

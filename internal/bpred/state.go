@@ -1,11 +1,8 @@
 package bpred
 
-import (
-	"encoding/binary"
-	"errors"
-)
-
-// Checkpointable predictor state, used by internal/livepoints.
+// Predictor snapshots. Nothing restores one: they exist so tests can compare
+// the state two ingestion paths left behind (internal/warmup's batch and fuzz
+// equivalence tests compare units through them).
 
 // GshareState is an opaque copy of the direction predictor.
 type GshareState struct {
@@ -20,40 +17,6 @@ func (g *Gshare) State() GshareState {
 	return s
 }
 
-// SetState restores captured state; sizes must match.
-func (g *Gshare) SetState(s GshareState) {
-	if len(s.counters) != len(g.counters) {
-		panic("bpred: gshare SetState size mismatch")
-	}
-	copy(g.counters, s.counters)
-	g.ghr = s.ghr
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler (for persistence via
-// encoding/gob).
-func (s GshareState) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 16+len(s.counters))
-	binary.LittleEndian.PutUint64(out, s.ghr)
-	binary.LittleEndian.PutUint64(out[8:], uint64(len(s.counters)))
-	copy(out[16:], s.counters)
-	return out, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (s *GshareState) UnmarshalBinary(data []byte) error {
-	if len(data) < 16 {
-		return errors.New("bpred: gshare state truncated")
-	}
-	s.ghr = binary.LittleEndian.Uint64(data)
-	n := binary.LittleEndian.Uint64(data[8:])
-	if uint64(len(data)) != 16+n {
-		return errors.New("bpred: gshare state length mismatch")
-	}
-	s.counters = make([]uint8, n)
-	copy(s.counters, data[16:])
-	return nil
-}
-
 // BTBState is an opaque copy of the target buffer.
 type BTBState struct {
 	entries []btbEntry
@@ -64,50 +27,6 @@ func (b *BTB) State() BTBState {
 	s := BTBState{entries: make([]btbEntry, len(b.entries))}
 	copy(s.entries, b.entries)
 	return s
-}
-
-// SetState restores captured state; sizes must match.
-func (b *BTB) SetState(s BTBState) {
-	if len(s.entries) != len(b.entries) {
-		panic("bpred: BTB SetState size mismatch")
-	}
-	copy(b.entries, s.entries)
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (s BTBState) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 8+len(s.entries)*17)
-	binary.LittleEndian.PutUint64(out, uint64(len(s.entries)))
-	off := 8
-	for _, e := range s.entries {
-		binary.LittleEndian.PutUint64(out[off:], e.tag)
-		binary.LittleEndian.PutUint64(out[off+8:], e.target)
-		if e.valid {
-			out[off+16] = 1
-		}
-		off += 17
-	}
-	return out, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (s *BTBState) UnmarshalBinary(data []byte) error {
-	if len(data) < 8 {
-		return errors.New("bpred: BTB state truncated")
-	}
-	n := binary.LittleEndian.Uint64(data)
-	data = data[8:]
-	if uint64(len(data)) != n*17 {
-		return errors.New("bpred: BTB state length mismatch")
-	}
-	s.entries = make([]btbEntry, n)
-	for i := range s.entries {
-		s.entries[i].tag = binary.LittleEndian.Uint64(data)
-		s.entries[i].target = binary.LittleEndian.Uint64(data[8:])
-		s.entries[i].valid = data[16] == 1
-		data = data[17:]
-	}
-	return nil
 }
 
 // RASState is an opaque copy of the return address stack.
@@ -126,57 +45,7 @@ func (r *RAS) State() RASState {
 	return s
 }
 
-// SetState restores captured state; depths must match.
-func (r *RAS) SetState(s RASState) {
-	if len(s.slots) != len(r.slots) {
-		panic("bpred: RAS SetState depth mismatch")
-	}
-	copy(r.slots, s.slots)
-	copy(r.valid, s.valid)
-	r.top = s.top
-	r.size = s.size
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (s RASState) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 24+len(s.slots)*9)
-	binary.LittleEndian.PutUint64(out, uint64(len(s.slots)))
-	binary.LittleEndian.PutUint64(out[8:], uint64(s.top))
-	binary.LittleEndian.PutUint64(out[16:], uint64(s.size))
-	off := 24
-	for i := range s.slots {
-		binary.LittleEndian.PutUint64(out[off:], s.slots[i])
-		if s.valid[i] {
-			out[off+8] = 1
-		}
-		off += 9
-	}
-	return out, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (s *RASState) UnmarshalBinary(data []byte) error {
-	if len(data) < 24 {
-		return errors.New("bpred: RAS state truncated")
-	}
-	n := binary.LittleEndian.Uint64(data)
-	s.top = int(binary.LittleEndian.Uint64(data[8:]))
-	s.size = int(binary.LittleEndian.Uint64(data[16:]))
-	data = data[24:]
-	if uint64(len(data)) != n*9 {
-		return errors.New("bpred: RAS state length mismatch")
-	}
-	s.slots = make([]uint64, n)
-	s.valid = make([]bool, n)
-	for i := range s.slots {
-		s.slots[i] = binary.LittleEndian.Uint64(data)
-		s.valid[i] = data[8] == 1
-		data = data[9:]
-	}
-	return nil
-}
-
-// UnitState checkpoints the full prediction unit.
+// UnitState is a snapshot of the full prediction unit.
 type UnitState struct {
 	Dir GshareState
 	BTB BTBState
@@ -186,11 +55,4 @@ type UnitState struct {
 // State copies the unit.
 func (u *Unit) State() UnitState {
 	return UnitState{Dir: u.Dir.State(), BTB: u.BTB.State(), RAS: u.RAS.State()}
-}
-
-// SetState restores the unit.
-func (u *Unit) SetState(s UnitState) {
-	u.Dir.SetState(s.Dir)
-	u.BTB.SetState(s.BTB)
-	u.RAS.SetState(s.RAS)
 }

@@ -2,6 +2,7 @@ package bpred
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"rsr/internal/isa"
@@ -31,119 +32,29 @@ func trainedUnit(seed int64) *Unit {
 	return u
 }
 
-// sameBehaviour probes both units over a PC sweep and reports equality.
-func sameBehaviour(a, b *Unit) bool {
-	for pc := uint64(0x400000); pc < 0x400000+500*4; pc += 4 {
-		for _, cl := range []isa.Class{isa.ClassBranch, isa.ClassJump, isa.ClassReturn} {
-			if a.Predict(pc, cl) != b.Predict(pc, cl) {
-				return false
-			}
-		}
-	}
-	if a.Dir.GHR() != b.Dir.GHR() {
-		return false
-	}
-	ac, bc := a.RAS.Contents(), b.RAS.Contents()
-	if len(ac) != len(bc) {
-		return false
-	}
-	for i := range ac {
-		if ac[i] != bc[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func TestUnitStateRoundTrip(t *testing.T) {
-	u := trainedUnit(1)
-	st := u.State()
-	// Mutate.
-	for i := 0; i < 500; i++ {
-		u.Update(trace.BranchRecord{PC: uint64(0x500000 + i*4), NextPC: 0x500000, Taken: true, Class: isa.ClassCall})
-	}
-	fresh := trainedUnit(1)
-	if sameBehaviour(u, fresh) {
-		t.Fatal("mutation did not change behaviour")
-	}
-	u.SetState(st)
-	if !sameBehaviour(u, fresh) {
-		t.Fatal("SetState did not restore behaviour")
-	}
-}
-
+// TestUnitStateIsACopy holds every part of a snapshot — direction counters
+// and history, BTB, RAS — apart from the live unit's storage.
 func TestUnitStateIsACopy(t *testing.T) {
 	u := trainedUnit(2)
-	st := u.State()
+	st, want := u.State(), trainedUnit(2).State()
 	for i := 0; i < 500; i++ {
 		u.Update(trace.BranchRecord{PC: uint64(0x600000 + i*4), NextPC: 0x600000, Taken: true, Class: isa.ClassBranch})
+		u.Update(trace.BranchRecord{PC: uint64(0x700000 + i*4), NextPC: 0x700000, Taken: true, Class: isa.ClassCall})
 	}
-	u.SetState(st)
-	if !sameBehaviour(u, trainedUnit(2)) {
-		t.Fatal("captured state aliased live storage")
-	}
-}
-
-func TestStateMarshalRoundTrips(t *testing.T) {
-	u := trainedUnit(3)
-	st := u.State()
-
-	gd, err := st.Dir.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var g2 GshareState
-	if err := g2.UnmarshalBinary(gd); err != nil {
-		t.Fatal(err)
-	}
-
-	bd, err := st.BTB.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b2 BTBState
-	if err := b2.UnmarshalBinary(bd); err != nil {
-		t.Fatal(err)
-	}
-
-	rd, err := st.RAS.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var r2 RASState
-	if err := r2.UnmarshalBinary(rd); err != nil {
-		t.Fatal(err)
-	}
-
-	u2 := trainedUnit(999) // different content, same geometry
-	u2.SetState(UnitState{Dir: g2, BTB: b2, RAS: r2})
-	if !sameBehaviour(u, u2) {
-		t.Fatal("marshal round trip lost predictor state")
-	}
-}
-
-func TestStateUnmarshalErrors(t *testing.T) {
-	var g GshareState
-	if err := g.UnmarshalBinary([]byte{1}); err == nil {
-		t.Error("truncated gshare must fail")
-	}
-	var b BTBState
-	if err := b.UnmarshalBinary([]byte{1, 2}); err == nil {
-		t.Error("truncated BTB must fail")
-	}
-	var r RASState
-	if err := r.UnmarshalBinary([]byte{0}); err == nil {
-		t.Error("truncated RAS must fail")
-	}
-}
-
-func TestSetStatePanicsOnSizeMismatch(t *testing.T) {
-	small := NewGshare(GshareConfig{Entries: 16, HistoryBits: 4})
-	big := NewGshare(GshareConfig{Entries: 64, HistoryBits: 4})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+	now := u.State()
+	for _, part := range []struct {
+		name           string
+		now, got, want any
+	}{
+		{"gshare", now.Dir, st.Dir, want.Dir},
+		{"BTB", now.BTB, st.BTB, want.BTB},
+		{"RAS", now.RAS, st.RAS, want.RAS},
+	} {
+		if reflect.DeepEqual(part.now, part.want) {
+			t.Fatalf("%s: mutation did not change state", part.name)
 		}
-	}()
-	big.SetState(small.State())
+		if !reflect.DeepEqual(part.got, part.want) {
+			t.Fatalf("%s: captured state aliased live storage", part.name)
+		}
+	}
 }

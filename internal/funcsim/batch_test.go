@@ -242,54 +242,6 @@ func TestRunBatchPCEscape(t *testing.T) {
 	}
 }
 
-// TestStreamFill pins the Source contract the timing model relies on: Fill
-// never exceeds max or the buffer, batches continue the sequence exactly, and
-// an empty batch with nil Err means a clean halt.
-func TestStreamFill(t *testing.T) {
-	p := allOpcodeProgram()
-	want, _ := collectScalar(t, p)
-	st := NewStream(New(p), make([]trace.DynInst, 16))
-	var got []trace.DynInst
-	for i := 0; ; i++ {
-		max := uint64(1 + i%7)
-		ds := st.Fill(max)
-		if uint64(len(ds)) > max || len(ds) > 16 {
-			t.Fatalf("Fill(%d) returned %d records", max, len(ds))
-		}
-		if len(ds) == 0 {
-			break
-		}
-		got = append(got, ds...)
-	}
-	if st.Err() != nil {
-		t.Fatal(st.Err())
-	}
-	if len(got) != len(want) {
-		t.Fatalf("stream produced %d records, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("record %d differs", i)
-		}
-	}
-}
-
-func TestStreamFillReportsFault(t *testing.T) {
-	b := prog.NewBuilder("t")
-	b.Li(1, 0x10)
-	b.Jr(1)
-	st := NewStream(New(b.MustBuild()), nil)
-	if ds := st.Fill(100); len(ds) != 2 {
-		t.Fatalf("Fill = %d records, want 2", len(ds))
-	}
-	if st.Err() == nil {
-		t.Fatal("stream must surface the execution fault")
-	}
-	if ds := st.Fill(100); len(ds) != 0 {
-		t.Fatal("a faulted stream must stay empty")
-	}
-}
-
 // TestDirtyPagesSortedDeterministic pins the checkpoint-determinism fix:
 // DirtyPages must return pages in page-key order regardless of map iteration
 // order, because delta captures are content-hashed by the engine.

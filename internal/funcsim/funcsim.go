@@ -192,50 +192,10 @@ func (s *Sim) Step() (trace.DynInst, error) {
 	return d, nil
 }
 
-// Stream adapts a Sim to batch consumers such as the timing model: each Fill
-// call executes up to max instructions (bounded by the buffer) and returns
-// the freshly committed records. It satisfies ooo.Source structurally without
-// this package importing the timing model.
-type Stream struct {
-	sim *Sim
-	buf []trace.DynInst
-	err error
-}
-
-// NewStream returns a Stream over sim filling buf (BatchSize records when buf
-// is nil).
-func NewStream(sim *Sim, buf []trace.DynInst) *Stream {
-	if buf == nil {
-		buf = make([]trace.DynInst, BatchSize)
-	}
-	return &Stream{sim: sim, buf: buf}
-}
-
-// Fill executes and returns the next batch, at most max instructions. An
-// empty batch ends the stream (halt or fault); Err distinguishes the two.
-// The returned slice is only valid until the next Fill.
-func (st *Stream) Fill(max uint64) []trace.DynInst {
-	if st.err != nil {
-		return nil
-	}
-	b := st.buf
-	if max < uint64(len(b)) {
-		b = b[:max]
-	}
-	n, err := st.sim.RunBatch(b)
-	if err != nil {
-		st.err = err
-	}
-	return b[:n]
-}
-
-// Err reports the execution fault that ended the stream, if any.
-func (st *Stream) Err() error { return st.err }
-
 // Delta is an architectural checkpoint: full register state plus every
 // memory page written since the previous CaptureDelta. Applying a sequence
 // of deltas in capture order reconstructs the architectural state at each
-// capture point (the live-points technique of Wenisch et al.).
+// capture point; the sharded pre-pass starts each shard from one.
 type Delta struct {
 	Regs   [isa.NumRegs]uint64
 	PC     uint64

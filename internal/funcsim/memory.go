@@ -7,9 +7,9 @@ import "sort"
 // their resident set backed by host memory. Accesses are aligned down to an
 // 8-byte boundary; the simulated ISA has no sub-word loads/stores.
 //
-// Pages carry a dirty flag so checkpointing (internal/livepoints) can capture
-// deltas: DirtyPages copies and clears every page written since the previous
-// call.
+// Pages carry a dirty flag so CaptureDelta (the sharded pre-pass's
+// checkpoints) can capture deltas: DirtyPages copies and clears every page
+// written since the previous call.
 type Memory struct {
 	pages map[uint64]*memPage
 	// last-page cache: workloads have strong spatial locality, so one entry

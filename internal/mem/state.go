@@ -1,13 +1,8 @@
 package mem
 
-import (
-	"encoding/binary"
-	"errors"
-)
-
-// Checkpointable cache state, used by internal/livepoints to store warmed
-// microarchitectural state at cluster boundaries and replay clusters without
-// re-executing the skip regions.
+// Cache snapshots. Nothing restores one: they exist so tests can compare the
+// state two ingestion paths left behind (internal/warmup's batch and fuzz
+// equivalence tests compare hierarchies through them).
 
 // CacheState is an opaque copy of a cache's tags, LRU order, and dirty bits.
 type CacheState struct {
@@ -17,8 +12,8 @@ type CacheState struct {
 
 // State copies the cache's content. Reconstructed marks are normalized to an
 // epoch-independent form (reconAt 1 = marked in the most recent pass, 0 =
-// stale), so a snapshot means the same thing whatever pass number the source
-// or destination cache has reached.
+// stale), so two snapshots compare equal whatever pass number each cache has
+// reached.
 func (c *Cache) State() CacheState {
 	s := CacheState{lines: make([]line, len(c.lines)), counter: c.counter}
 	copy(s.lines, c.lines)
@@ -32,83 +27,7 @@ func (c *Cache) State() CacheState {
 	return s
 }
 
-// SetState restores previously captured content. The state must come from a
-// cache with the same geometry.
-func (c *Cache) SetState(s CacheState) {
-	if len(s.lines) != len(c.lines) {
-		panic("mem: SetState geometry mismatch")
-	}
-	copy(c.lines, s.lines)
-	c.counter = s.counter
-	// Map the snapshot's normalized marks into this cache's current epoch
-	// (see State). Epoch 0 is reserved for "no pass yet", so restoring marked
-	// lines forces the cache onto a live epoch first.
-	if c.reconEpoch == 0 {
-		c.reconEpoch = 1
-	}
-	for i := range c.lines {
-		if c.lines[i].reconAt != 0 {
-			c.lines[i].reconAt = c.reconEpoch
-		}
-	}
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler so checkpoints can be
-// persisted (encoding/gob picks this up automatically).
-func (s CacheState) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 0, 16+len(s.lines)*17)
-	var b8 [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(b8[:], v)
-		out = append(out, b8[:]...)
-	}
-	put(s.counter)
-	put(uint64(len(s.lines)))
-	for _, l := range s.lines {
-		put(l.tag)
-		put(l.stamp)
-		var flags byte
-		if l.valid {
-			flags |= 1
-		}
-		if l.dirty {
-			flags |= 2
-		}
-		if l.reconAt != 0 {
-			flags |= 4
-		}
-		out = append(out, flags)
-	}
-	return out, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (s *CacheState) UnmarshalBinary(data []byte) error {
-	if len(data) < 16 {
-		return errors.New("mem: cache state truncated")
-	}
-	s.counter = binary.LittleEndian.Uint64(data)
-	n := binary.LittleEndian.Uint64(data[8:])
-	data = data[16:]
-	if uint64(len(data)) != n*17 {
-		return errors.New("mem: cache state length mismatch")
-	}
-	s.lines = make([]line, n)
-	for i := range s.lines {
-		s.lines[i].tag = binary.LittleEndian.Uint64(data)
-		s.lines[i].stamp = binary.LittleEndian.Uint64(data[8:])
-		flags := data[16]
-		s.lines[i].valid = flags&1 != 0
-		s.lines[i].dirty = flags&2 != 0
-		if flags&4 != 0 {
-			s.lines[i].reconAt = 1
-		}
-		data = data[17:]
-	}
-	return nil
-}
-
-// HierarchyState is a checkpoint of all three caches. Bus occupancy is not
+// HierarchyState is a snapshot of all three caches. Bus occupancy is not
 // part of the state: regions start with drained buses.
 type HierarchyState struct {
 	L1I, L1D, L2 CacheState
@@ -117,12 +36,4 @@ type HierarchyState struct {
 // State copies the hierarchy's cache contents.
 func (h *Hierarchy) State() HierarchyState {
 	return HierarchyState{L1I: h.L1I.State(), L1D: h.L1D.State(), L2: h.L2.State()}
-}
-
-// SetState restores hierarchy cache contents.
-func (h *Hierarchy) SetState(s HierarchyState) {
-	h.L1I.SetState(s.L1I)
-	h.L1D.SetState(s.L1D)
-	h.L2.SetState(s.L2)
-	h.Drain()
 }

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -14,99 +15,52 @@ func populatedCache(seed int64) *Cache {
 	return c
 }
 
-func TestCacheStateRoundTrip(t *testing.T) {
-	c := populatedCache(1)
-	st := c.State()
-
-	// Mutate, then restore: fingerprint must return to the captured state.
-	before := Fingerprint(c)
-	for i := 0; i < 100; i++ {
-		c.Access(uint64(i)*64, true)
-	}
-	if Fingerprint(c) == before {
-		t.Fatal("mutation did not change state")
-	}
-	c.SetState(st)
-	if Fingerprint(c) != before {
-		t.Fatal("SetState did not restore the captured state")
-	}
-}
-
 func TestCacheStateIsACopy(t *testing.T) {
 	c := populatedCache(2)
-	st := c.State()
-	before := Fingerprint(c)
-	// Mutating the cache must not corrupt the captured state.
+	st, want := c.State(), populatedCache(2).State()
+	// Mutating the cache must not reach into a snapshot already taken.
 	for i := 0; i < 100; i++ {
 		c.Access(uint64(1000+i)*64, false)
 	}
-	c.SetState(st)
-	if Fingerprint(c) != before {
+	if reflect.DeepEqual(c.State(), want) {
+		t.Fatal("mutation did not change state")
+	}
+	if !reflect.DeepEqual(st, want) {
 		t.Fatal("captured state aliased live storage")
 	}
 }
 
-func TestCacheStateMarshalRoundTrip(t *testing.T) {
+// TestCacheStateNormalisesReconEpochs pins State's epoch-independent form: a
+// line marked in the cache's current reconstruction pass reads 1, a line
+// marked in an earlier pass reads 0, whatever pass numbers the cache has
+// reached.
+func TestCacheStateNormalisesReconEpochs(t *testing.T) {
 	c := populatedCache(3)
+	const older, newer = 0x40, 0x80 // distinct sets
+	c.BeginReconstruction()
+	c.ReconstructRef(older, false)
+	c.BeginReconstruction()
+	c.ReconstructRef(newer, false)
+
+	mark := func(st CacheState, addr uint64) uint64 {
+		set := c.SetOf(addr) * c.assoc
+		for _, l := range st.lines[set : set+c.assoc] {
+			if l.valid && l.tag == c.tagOf(addr) {
+				return l.reconAt
+			}
+		}
+		t.Fatalf("%#x not resident", addr)
+		return 0
+	}
 	st := c.State()
-	data, err := st.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
+	if got := mark(st, newer); got != 1 {
+		t.Errorf("line marked in the current pass reads %d, want 1", got)
 	}
-	var back CacheState
-	if err := back.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
+	if got := mark(st, older); got != 0 {
+		t.Errorf("line marked in an earlier pass reads %d, want 0", got)
 	}
-	c2 := NewCache(c.Config())
-	c2.SetState(back)
-	if Fingerprint(c) != Fingerprint(c2) {
-		t.Fatal("marshal round trip lost state")
-	}
-}
-
-func TestCacheStateUnmarshalErrors(t *testing.T) {
-	var s CacheState
-	if err := s.UnmarshalBinary([]byte{1, 2, 3}); err == nil {
-		t.Error("truncated data must fail")
-	}
-	good, _ := populatedCache(4).State().MarshalBinary()
-	if err := s.UnmarshalBinary(good[:len(good)-5]); err == nil {
-		t.Error("length mismatch must fail")
-	}
-}
-
-func TestSetStatePanicsOnGeometryMismatch(t *testing.T) {
-	small := NewCache(CacheConfig{Name: "a", SizeBytes: 4 * 64, Assoc: 1, LineBytes: 64})
-	big := NewCache(CacheConfig{Name: "b", SizeBytes: 8 * 64, Assoc: 1, LineBytes: 64})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	big.SetState(small.State())
-}
-
-func TestHierarchyStateRoundTrip(t *testing.T) {
-	h := NewHierarchy(DefaultHierarchyConfig())
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 2000; i++ {
-		switch rng.Intn(3) {
-		case 0:
-			h.WarmInst(uint64(rng.Intn(4096)) * 64)
-		case 1:
-			h.WarmData(uint64(rng.Intn(4096))*64, false)
-		default:
-			h.WarmData(uint64(rng.Intn(4096))*64, true)
-		}
-	}
-	st := h.State()
-	f1i, f1d, f2 := Fingerprint(h.L1I), Fingerprint(h.L1D), Fingerprint(h.L2)
-	for i := 0; i < 500; i++ {
-		h.WarmData(uint64(9000+i)*64, true)
-		h.WarmInst(uint64(9000+i) * 64)
-	}
-	h.SetState(st)
-	if Fingerprint(h.L1I) != f1i || Fingerprint(h.L1D) != f1d || Fingerprint(h.L2) != f2 {
-		t.Fatal("hierarchy SetState did not restore all levels")
+	c.BeginReconstruction()
+	if got := mark(c.State(), newer); got != 0 {
+		t.Errorf("after a new pass the last pass's mark reads %d, want 0", got)
 	}
 }

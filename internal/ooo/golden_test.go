@@ -7,6 +7,7 @@ import (
 	"rsr/internal/bpred"
 	"rsr/internal/funcsim"
 	"rsr/internal/mem"
+	"rsr/internal/trace"
 	"rsr/internal/workload"
 )
 
@@ -36,15 +37,33 @@ func goldenRegions(t *testing.T, name string, cfg Config) [3]Result {
 		t.Fatalf("%s: skipped %d, %v", name, n, err)
 	}
 	sim := New(cfg, mem.NewHierarchy(mem.DefaultHierarchyConfig()), bpred.NewUnit(bpred.DefaultConfig()))
-	src := funcsim.NewStream(fs, nil)
+	src := &batchSource{fs: fs, buf: make([]trace.DynInst, funcsim.BatchSize)}
 	var out [3]Result
 	for i := range out {
 		out[i] = sim.SimulateSource(20_000, src)
 	}
-	if err := src.Err(); err != nil {
-		t.Fatalf("%s: %v", name, err)
+	if src.err != nil {
+		t.Fatalf("%s: %v", name, src.err)
 	}
 	return out
+}
+
+// batchSource feeds the timing model from a live functional simulator, one
+// RunBatch per Fill clamped to max, so a region never runs past its end.
+type batchSource struct {
+	fs  *funcsim.Sim
+	buf []trace.DynInst
+	err error
+}
+
+func (s *batchSource) Fill(max uint64) []trace.DynInst {
+	if s.err != nil {
+		return nil
+	}
+	b := s.buf[:min(max, uint64(len(s.buf)))]
+	n, err := s.fs.RunBatch(b)
+	s.err = err
+	return b[:n]
 }
 
 // ooo.Result{Instructions, Cycles, Branches, Mispredicts, Forwards} per region.

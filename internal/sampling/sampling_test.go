@@ -6,7 +6,10 @@ import (
 	"sync"
 	"testing"
 
+	"rsr/internal/funcsim"
+	"rsr/internal/prog"
 	"rsr/internal/stats"
+	"rsr/internal/trace"
 	"rsr/internal/warmup"
 	"rsr/internal/workload"
 )
@@ -182,6 +185,28 @@ func TestRunFull(t *testing.T) {
 	}
 	if ipc := res.Result.IPC(); ipc <= 0 || ipc > 4 {
 		t.Fatalf("IPC = %f", ipc)
+	}
+}
+
+// TestRunFullReportsFault holds the hot-phase source to its fault contract: a
+// program that jumps out of its code segment ends the run with an error
+// wrapping the functional simulator's fault, and no partial result.
+func TestRunFullReportsFault(t *testing.T) {
+	b := prog.NewBuilder("t")
+	b.Li(1, 0x10)
+	b.Jr(1)
+	p := b.MustBuild()
+	_, fault := funcsim.New(p).RunBatch(make([]trace.DynInst, 8))
+	if fault == nil {
+		t.Fatal("the program must fault")
+	}
+
+	res, err := RunFull(p, DefaultMachine(), 100)
+	if inner := errors.Unwrap(err); inner == nil || inner.Error() != fault.Error() {
+		t.Fatalf("RunFull error = %v, want one wrapping %q", err, fault)
+	}
+	if res != (FullResult{}) {
+		t.Fatalf("a faulted run returned %+v, want the zero FullResult", res)
 	}
 }
 

@@ -43,7 +43,6 @@ import (
 
 	"rsr/internal/engine"
 	"rsr/internal/experiments"
-	"rsr/internal/livepoints"
 	"rsr/internal/ooo"
 	"rsr/internal/prog"
 	"rsr/internal/regimen"
@@ -205,23 +204,10 @@ func RunSimPoint(p *Program, m Machine, total uint64, cfg SimPointConfig) (*SimP
 }
 
 // CoreConfig is the out-of-order core's machine parameters (widths, window
-// sizes, branch penalty); it is the part of the Machine that live-point
-// replays may vary.
+// sizes, branch penalty): Machine.CPU. Warm-up methods touch only the caches
+// and predictor, so a core design sweep varies it under a fixed warm-up (see
+// examples/designspace).
 type CoreConfig = ooo.Config
-
-// LivePoints is a captured set of per-cluster checkpoints (architectural
-// delta + warmed cache/predictor state) enabling cluster replay without
-// re-executing skip regions — the live-points technique of the paper's
-// reference [18].
-type LivePoints = livepoints.Set
-
-// CaptureLivePoints runs one SMARTS-warmed functional pass, checkpointing at
-// every cluster start. Replays under the capture machine reproduce a
-// SMARTS-warmed sampled run exactly; the core configuration may vary
-// between replays (see examples/designspace).
-func CaptureLivePoints(p *Program, m Machine, reg Regimen, total uint64, seed int64) (*LivePoints, error) {
-	return livepoints.Capture(p, m, reg, total, seed)
-}
 
 // Lab runs the paper's experiments (Table 1, Figures 5-9, the appendix)
 // with a shared cache of true-IPC baselines.
