@@ -94,9 +94,11 @@ verify:
 
 # chaos drives the deterministic fault injector through the engine's real
 # cache and run paths under the race detector: injected disk errors, torn
-# writes (landed by the cas store's own writer, caught by its verified read),
-# latency, and worker panics must leave results byte-identical to a
-# fault-free run, and a draining daemon must finish in-flight jobs.
+# writes (landed by the cas store's own writer, caught by its verified read)
+# and latency must leave results byte-identical to a fault-free run; injected
+# worker panics and run errors are isolated, not retried — exactly the jobs
+# they hit fail, once, and every other result is unchanged; and a draining
+# daemon must finish in-flight jobs.
 chaos:
 	$(GO) test -race ./internal/fault/...
 	$(GO) test -race -run 'Chaos|Fault|Drain|Cancel|Quarantin' \

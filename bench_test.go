@@ -263,56 +263,3 @@ func BenchmarkWarmupMethodsEndToEnd(b *testing.B) {
 		})
 	}
 }
-
-// --- Ablation benchmarks for the design choices DESIGN.md calls out ---
-
-// BenchmarkAblationInference measures the Figure 3 counter-inference rule
-// on/off.
-func BenchmarkAblationInference(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		lab := experiments.NewLab(benchCfg("parser"))
-		if _, err := lab.AblationInference(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationBusContention measures the bus arbitration model's
-// contribution to timing.
-func BenchmarkAblationBusContention(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		lab := experiments.NewLab(benchCfg("ammp"))
-		rows, err := lab.AblationBusContention()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*rows[0].Inflation, "inflation%")
-	}
-}
-
-// BenchmarkAblationLSQForwarding measures the LSQ model's net effect: the
-// default model pays conservative memory disambiguation (loads wait behind
-// unresolved store addresses) and earns store-to-load forwarding; the
-// ablated model does neither. On stack-heavy code the disambiguation cost
-// can outweigh the forwarding win — which is the point of measuring it.
-func BenchmarkAblationLSQForwarding(b *testing.B) {
-	w, _ := workload.ByName("perl") // heavy stack save/restore traffic
-	p := w.Build()
-	for _, ablate := range []bool{false, true} {
-		name := "forwarding"
-		if ablate {
-			name = "ablated"
-		}
-		b.Run(name, func(b *testing.B) {
-			m := sampling.DefaultMachine()
-			m.CPU.NoLSQForwarding = ablate
-			for i := 0; i < b.N; i++ {
-				r, err := sampling.RunFull(p, m, 1_000_000)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(r.Result.IPC(), "IPC")
-			}
-		})
-	}
-}

@@ -16,7 +16,6 @@
 //	fig8       per-benchmark Reverse vs SMARTS
 //	fig9       SimPoint comparison
 //	appendix   confidence tests, relative error, and time for all methods
-//	ablate     extensions: inference on/off, bus contention, prefetcher
 //	sweep      warm-up percentage sweep on one workload (use -workload)
 //	all        every table and figure, in order
 //	run        one sampled run (use -workload, -method, and optionally
@@ -43,7 +42,6 @@
 //	-cachedir s    content-addressed result cache directory (persists runs
 //	               across invocations; an internal/cas store: blobs/, index/,
 //	               quarantine/ — caches of the older <hash>.json layout are ignored)
-//	-retries n     extra execution attempts for transiently failed jobs (worker panics)
 //	-stats         print engine scheduler/cache statistics to stderr when done
 //	-workload s    workload for `run`
 //	-method s      method label for `run` (e.g. "R$BP (20%)", "S$BP", "None")
@@ -104,7 +102,6 @@ func main() {
 	parallel := flag.Int("parallel", 0, "engine worker-pool size (0 = GOMAXPROCS; use 1 for clean per-run wall times)")
 	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "cluster-pipeline shards per sampled run, fig9 and every -regimen included (1 = sequential; results byte-identical at any count)")
 	cacheDir := flag.String("cachedir", "", "content-addressed result cache directory (empty = memory-only)")
-	retries := flag.Int("retries", 0, "extra execution attempts for transiently failed jobs (worker panics)")
 	stats := flag.Bool("stats", false, "print engine scheduler/cache statistics to stderr when done")
 	format := flag.String("format", "text", "output format: text, csv, or json")
 	workloadFlag := flag.String("workload", "twolf", "workload for `run`")
@@ -193,7 +190,6 @@ func main() {
 	cfg.Seed = *seed
 	cfg.Parallelism = *parallel
 	cfg.CacheDir = *cacheDir
-	cfg.Retries = *retries
 	cfg.Shards = *shards
 	cfg.Metrics = reg
 	cfg.Tracer = tracer
@@ -322,9 +318,9 @@ func dispatch(cmd string, cfg experiments.Config, wl, method, regimenName, forma
 		defer func() {
 			s := lab.Engine().Stats()
 			fmt.Fprintf(os.Stderr,
-				"engine: workers=%d done=%d failed=%d cache hits=%d (disk %d) misses=%d coalesced=%d retries=%d panics=%d quarantined=%d wall=%v\n",
+				"engine: workers=%d done=%d failed=%d cache hits=%d (disk %d) misses=%d coalesced=%d panics=%d quarantined=%d wall=%v\n",
 				lab.Engine().Workers(), s.Done, s.Failed, s.CacheHits, s.DiskHits, s.CacheMisses,
-				s.Coalesced, s.Retries, s.Panics, s.Quarantined, s.Wall)
+				s.Coalesced, s.Panics, s.Quarantined, s.Wall)
 		}()
 	}
 	switch cmd {
@@ -428,29 +424,6 @@ func dispatch(cmd string, cfg experiments.Config, wl, method, regimenName, forma
 		}
 		fmt.Print(experiments.RenderAppendix(cells))
 		return nil
-	case "ablate":
-		inf, err := lab.AblationInference()
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderCells("Ablation: counter inference (Figure 3 rule) on/off", inf))
-		fmt.Println()
-		bus, err := lab.AblationBusContention()
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderBusAblation(bus))
-		fmt.Println()
-		pf, err := lab.AblationPrefetch()
-		if err != nil {
-			return err
-		}
-		fmt.Println("Ablation: next-line prefetcher (extension; off in the paper's machine)")
-		fmt.Printf("%-10s %12s %12s %9s\n", "workload", "baseline", "prefetch", "speedup")
-		for _, r := range pf {
-			fmt.Printf("%-10s %12.4f %12.4f %8.2fx\n", r.Workload, r.IPCBaseline, r.IPCPrefetch, r.Speedup)
-		}
-		return nil
 	case "regimens":
 		fmt.Println("sampling strategies (rsr -regimen <name> run; flags precede the command):")
 		for _, s := range regimen.All() {
@@ -513,7 +486,7 @@ func dispatch(cmd string, cfg experiments.Config, wl, method, regimenName, forma
 		}
 		return nil
 	default:
-		return fmt.Errorf("unknown command %q (try: list, table1, table2, fig5, fig6, fig7, fig8, fig9, appendix, ablate, sweep, all, run, regimens, strategies, top)", cmd)
+		return fmt.Errorf("unknown command %q (try: list, table1, table2, fig5, fig6, fig7, fig8, fig9, appendix, sweep, all, run, regimens, strategies, top)", cmd)
 	}
 }
 

@@ -15,7 +15,7 @@ func TestUnknownCommandNamesEveryCommand(t *testing.T) {
 		t.Fatal("an unknown command was accepted")
 	}
 	msg := err.Error()
-	for _, cmd := range strings.Fields("list table1 table2 fig5 fig6 fig7 fig8 fig9 appendix ablate sweep all run regimens strategies top") {
+	for _, cmd := range strings.Fields("list table1 table2 fig5 fig6 fig7 fig8 fig9 appendix sweep all run regimens strategies top") {
 		if !strings.Contains(msg, " "+cmd+",") && !strings.Contains(msg, " "+cmd+")") {
 			t.Errorf("hint does not name %q: %s", cmd, msg)
 		}

@@ -80,7 +80,7 @@ func main() {
 	journalDir := flag.String("journal", "", "write-ahead journal directory; a restart replays it and resumes sweeps (empty = in-memory scheduling only)")
 	queue := flag.Int("queue", 0, "queue bound per live worker (0 = 32); submissions past N x max(1, live workers) queued jobs are refused with 503")
 	hbTimeout := flag.Duration("heartbeat-timeout", 5*time.Second, "reap workers silent this long and requeue their work")
-	maxRequeues := flag.Int("max-requeues", 3, "per-item requeue budget across transient failures and node loss")
+	maxRequeues := flag.Int("max-requeues", 3, "per-item requeue budget across node loss and repeatedly refused result uploads")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "bound on finishing scheduled work after SIGTERM/SIGINT")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, or error")
 	flag.Parse()

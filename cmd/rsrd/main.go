@@ -4,7 +4,7 @@
 // Usage:
 //
 //	rsrd [-addr :8745] [-parallel N] [-cachedir DIR] [-job-timeout D]
-//	     [-retries N] [-drain-timeout D]
+//	     [-drain-timeout D]
 //	     [-peer -coordinator URL [-node NAME] [-pulls N] [-advertise URL]]
 //
 // API:
@@ -86,7 +86,6 @@ func main() {
 	parallel := flag.Int("parallel", 0, "engine worker-pool size (0 = GOMAXPROCS)")
 	cacheDir := flag.String("cachedir", "", "content-addressed result cache directory (empty = memory-only)")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-job execution deadline (0 = none); expiry fails the job with ErrDeadline")
-	retries := flag.Int("retries", 2, "extra execution attempts for transiently failed jobs (worker panics, injected faults)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "bound on finishing in-flight jobs after SIGTERM/SIGINT")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, or error")
 	peerMode := flag.Bool("peer", false, "join a sweep-fabric coordinator as a worker (requires -coordinator)")
@@ -118,7 +117,6 @@ func main() {
 		Workers:        *parallel,
 		CacheDir:       *cacheDir,
 		DefaultTimeout: *jobTimeout,
-		MaxAttempts:    *retries + 1,
 		Metrics:        reg,
 		Tracer:         tracer,
 	}
@@ -142,7 +140,7 @@ func main() {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.ListenAndServe() }()
 	log.Info("listening", "addr", *addr, "workers", eng.Workers(),
-		"cache", *cacheDir, "retries", *retries, "drain", *drainTimeout)
+		"cache", *cacheDir, "drain", *drainTimeout)
 
 	var peer *cluster.Peer
 	if *peerMode {

@@ -488,6 +488,31 @@ func TestPeerRefusedCompletionFailsItem(t *testing.T) {
 	}
 }
 
+// TestFailedJobRunsOnce pins that an engine failure is final on the fabric: a
+// job whose every run panics runs once, under the coordinator's default
+// requeue budget, and fails with the panic's message. A deterministic job
+// that failed once would fail on any node, so requeueing it only repeats it.
+func TestFailedJobRunsOnce(t *testing.T) {
+	f := newFabric(t, CoordinatorOptions{}, 0)
+	plan := fault.New(1, fault.Rule{Point: fault.JobRun, Kind: fault.KindPanic, Prob: 1})
+	f.addPeer(t, PeerOptions{Node: "w"}, plan)
+
+	cl := NewClient(f.ts.URL, "fail-once", nil)
+	cl.pollEvery = 10 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	tk, err := cl.Submit(ctx, sweepJobs(t)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tk.Wait(ctx); err == nil || !strings.Contains(err.Error(), "injected panic") {
+		t.Fatalf("wait = %v, want the job failed with the injected panic", err)
+	}
+	if n := plan.FiredAt(fault.JobRun); n != 1 {
+		t.Errorf("the job ran %d times, want 1", n)
+	}
+}
+
 // runEvictingOneWorker runs one small job on a one-worker fabric whose
 // coordinator is reached through a proxy that evicts the result blob a
 // successful completion report names before passing the report on: the

@@ -28,7 +28,8 @@ type CoordinatorOptions struct {
 	// journal gets reconnectCap more for its first heartbeat.
 	HeartbeatTimeout time.Duration
 	// MaxRequeues bounds how many times one item may be requeued — after
-	// transient failures or node loss — before it fails for good (0 = 3).
+	// node loss or a repeatedly refused result upload — before it fails for
+	// good (0 = 3).
 	MaxRequeues int
 	// Journal, when non-nil, is the coordinator's write-ahead log (see
 	// OpenJournal): every scheduling mutation is fsync'd to it before taking
@@ -698,8 +699,9 @@ func (c *Coordinator) popQueuedLocked() *item {
 // the reaper — the node was presumed dead, its lease released and the item
 // requeued — is dropped, so a late failure cannot kill work that is queued
 // to run elsewhere, and a stray report (the API is unauthenticated) cannot
-// decide a job it never leased. A transient failure is requeued within the
-// item's budget; anything else fails the item.
+// decide a job it never leased. A transient report (a result blob refused
+// repeatedly, see CompleteRequest) is requeued within the item's budget; any
+// other failure fails the item.
 func (c *Coordinator) Complete(req CompleteRequest) error {
 	// The chaos point: a firing CoordKill rule crashes the coordinator as a
 	// completion arrives — after real work has finished, before the outcome

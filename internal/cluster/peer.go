@@ -68,8 +68,7 @@ const reconnectCap = 5 * time.Second
 
 // reconnectDelay maps (node, attempt) to the attempt's backoff before the
 // next reconnect probe: uniform over [0, HeartbeatEvery*2^(attempt-1)] capped
-// at reconnectCap, drawn by FNV-1a in the style of the engine's retry jitter —
-// allocation-free, deterministic, and independent of the global math/rand
+// at reconnectCap, drawn by FNV-1a — allocation-free, deterministic, and independent of the global math/rand
 // stream, so a fleet of workers orphaned by one coordinator restart spreads
 // its probes instead of stampeding in lockstep.
 func reconnectDelay(node string, attempt int, base time.Duration) time.Duration {
@@ -466,8 +465,9 @@ func (p *Peer) runItem(it *WorkItem) {
 		if p.ctx.Err() != nil {
 			return // dying; the coordinator reaps the lease
 		}
-		p.complete(CompleteRequest{Node: p.opts.Node, ID: it.ID,
-			Error: err.Error(), Transient: engine.Transient(err)}, nil)
+		// An engine failure is final: the job is deterministic, so another
+		// run — here or on another node — would fail the same way.
+		p.complete(CompleteRequest{Node: p.opts.Node, ID: it.ID, Error: err.Error()}, nil)
 		return
 	}
 	blob, err := json.Marshal(res)

@@ -54,7 +54,13 @@ import (
 // Version 3: engine.Job gained Strategy, an identity field. A version-2
 // worker would decode a strategy job without it, run the unnamed design and
 // report a result under a hash the coordinator never issued.
-const ProtocolVersion = 3
+//
+// Version 4: engine.Job lost its attempt budget, the machine its bus,
+// prefetch and LSQ switches and the warm-up spec its counter-inference switch,
+// so job hashes moved to hashVersion 3. A version-3 peer would hash the same
+// job another way, and the coordinator would refuse its result as another
+// job's.
+const ProtocolVersion = 4
 
 // ErrProtocol reports a protocol-version mismatch between peers.
 var ErrProtocol = errors.New("cluster: protocol version mismatch")
@@ -168,9 +174,10 @@ type WorkItem struct {
 
 // CompleteRequest reports one finished execution. On success BlobSum names
 // the result blob already PUT into the coordinator's CAS; on failure Error
-// carries the message and Transient whether the engine classified the
-// failure as retryable (the coordinator requeues transient failures within
-// the item's requeue budget).
+// carries the message. Transient is set only by a worker whose result blob
+// the coordinator refused repeatedly (Peer.complete): the job ran, so the
+// coordinator requeues it within the item's requeue budget. A failure the
+// engine reported is never transient.
 type CompleteRequest struct {
 	Node      string `json:"node"`
 	ID        string `json:"id"`

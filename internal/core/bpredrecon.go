@@ -40,17 +40,8 @@ type ReconPredictor struct {
 	btbDone  []bool
 	finished bool
 
-	// noInference, when set, leaves unresolved entries stale instead of
-	// applying the bias/middle-state rule — an ablation of the paper's
-	// Figure 3 inference.
-	noInference bool
-
 	stats PredReconStats
 }
-
-// SetNoInference disables the weak-form/middle-state inference for entries
-// whose history does not pin the counter exactly (ablation support).
-func (p *ReconPredictor) SetNoInference(v bool) { p.noInference = v }
 
 // NewReconPredictor wraps unit.
 func NewReconPredictor(unit *bpred.Unit) *ReconPredictor {
@@ -292,7 +283,7 @@ func (p *ReconPredictor) finalize() {
 		if p.dirDone[idx] {
 			continue
 		}
-		if res := Resolve(p.dirMap[idx]); res.Known && !p.noInference {
+		if res := Resolve(p.dirMap[idx]); res.Known {
 			p.unit.Dir.SetCounter(idx, res.Value)
 			p.stats.CountersInferred++
 		}

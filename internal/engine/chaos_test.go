@@ -1,11 +1,12 @@
 package engine
 
 // The chaos suite (`make chaos`) runs sampled experiments under seeded,
-// deterministic injected faults — disk read errors, torn cache writes,
-// worker panics, artificial latency — and asserts that every survivable
-// fault schedule leaves the results byte-identical to a fault-free run and
-// the process alive. The injection points live in the real cache and run
-// paths (internal/fault wired through Options.Fault), not in mocks.
+// deterministic injected faults — disk read and write errors, torn cache
+// writes, artificial latency, worker panics and run errors — and asserts that
+// every survivable fault schedule leaves the results byte-identical to a
+// fault-free run, that an injected job failure fails that job alone, and that
+// the process stays alive. The injection points live in the real cache and
+// run paths (internal/fault wired through Options.Fault), not in mocks.
 
 import (
 	"context"
@@ -52,26 +53,21 @@ func chaosRun(t *testing.T, e *Engine, jobs []Job) []sampling.RunResult {
 }
 
 // TestChaosFaultScheduleByteIdentical is the headline chaos experiment: a
-// sweep under panics, injected run errors, latency, torn cache writes, and
-// cache write errors must produce byte-identical results to the fault-free
-// baseline — the paper's numbers must survive any survivable schedule.
+// sweep under latency, torn cache writes and cache write errors, a restart
+// over that cache, and a pass over the repaired cache under cache read errors
+// must each produce results byte-identical to the fault-free baseline with no
+// job failed — the paper's numbers must survive any survivable schedule.
 func TestChaosFaultScheduleByteIdentical(t *testing.T) {
 	jobs := sweepJobs()
 	want := chaosBaseline(t, jobs)
 
 	dir := t.TempDir()
 	plan := fault.New(2007,
-		fault.Rule{Point: fault.JobRun, Kind: fault.KindPanic, Prob: 1, Count: 2},
-		fault.Rule{Point: fault.JobRun, Kind: fault.KindError, Prob: 0.5, Count: 3},
 		fault.Rule{Point: fault.JobRun, Kind: fault.KindLatency, Prob: 0.5, Latency: 2 * time.Millisecond},
 		fault.Rule{Point: fault.CacheWrite, Kind: fault.KindTorn, Prob: 0.5},
 		fault.Rule{Point: fault.CacheWrite, Kind: fault.KindError, Prob: 0.3},
 	)
-	// The fault budget at JobRun is 2 panics + 3 errors = 5 firings; with
-	// every one of them landing on a single job in the worst case, 8
-	// attempts guarantee the schedule is survivable.
-	e := New(Options{Workers: 4, CacheDir: dir, MaxAttempts: 8,
-		RetryBackoff: time.Millisecond, Fault: plan})
+	e := New(Options{Workers: 4, CacheDir: dir, Fault: plan})
 	got := chaosRun(t, e, jobs)
 	stats := e.Stats()
 	e.Close()
@@ -81,11 +77,8 @@ func TestChaosFaultScheduleByteIdentical(t *testing.T) {
 			t.Errorf("job %s: result diverged under injected faults", jobs[i].Label())
 		}
 	}
-	if stats.Panics < 2 {
-		t.Errorf("panics = %d, want >= 2 (the panic rule must have fired)", stats.Panics)
-	}
-	if stats.Retries < stats.Panics {
-		t.Errorf("retries = %d < panics = %d: panics were not retried", stats.Retries, stats.Panics)
+	if plan.FiredAt(fault.JobRun) == 0 || plan.FiredAt(fault.CacheWrite) == 0 {
+		t.Errorf("the plan fired %v: want latency and cache-write faults", plan.Log())
 	}
 	if stats.Failed != 0 {
 		t.Errorf("failed = %d, want 0 under a survivable schedule", stats.Failed)
@@ -111,12 +104,103 @@ func TestChaosFaultScheduleByteIdentical(t *testing.T) {
 	if torn > 0 && stats2.Quarantined == 0 {
 		t.Errorf("%d torn writes injected but restart quarantined nothing: %+v", torn, stats2)
 	}
+
+	// Once more over the repaired cache, now failing some disk reads: an
+	// entry that cannot be read is a miss, recomputed identically, not a
+	// failed job.
+	reads := fault.New(2008, fault.Rule{Point: fault.CacheRead, Kind: fault.KindError, Prob: 0.5})
+	e3 := New(Options{Workers: 4, CacheDir: dir, Fault: reads})
+	got3 := chaosRun(t, e3, jobs)
+	stats3 := e3.Stats()
+	e3.Close()
+	for i := range want {
+		if !reflect.DeepEqual(got3[i], want[i]) {
+			t.Errorf("job %s: result diverged under cache read errors", jobs[i].Label())
+		}
+	}
+	if n := reads.FiredAt(fault.CacheRead); n == 0 || stats3.CacheMisses != int64(n) || stats3.Failed != 0 {
+		t.Errorf("%d read errors injected: stats %+v, want one miss each and no failure", n, stats3)
+	}
 }
 
-// TestChaosPanicIsolatedAndTyped pins panic isolation: with no retry
-// budget, a panicking worker fails its own job with a typed *PanicError
-// carrying a stack trace, and the process (and engine) survive to run the
-// next job.
+// TestChaosInjectedFailuresIsolated runs the same sweep under injected worker
+// panics and run errors. A job runs once per submission, so exactly the jobs
+// the plan fired on fail — a panic as a *PanicError, an error as the injected
+// one — and every other result equals the baseline. A failure is never
+// cached: each failed job, resubmitted once the plan's budget is spent, runs
+// afresh and returns its baseline result.
+func TestChaosInjectedFailuresIsolated(t *testing.T) {
+	jobs := sweepJobs()
+	want := chaosBaseline(t, jobs)
+
+	plan := fault.New(2007,
+		fault.Rule{Point: fault.JobRun, Kind: fault.KindPanic, Prob: 1, Count: 2},
+		fault.Rule{Point: fault.JobRun, Kind: fault.KindError, Prob: 1, Count: 2},
+	)
+	e := New(Options{Workers: 4, CacheDir: t.TempDir(), Fault: plan})
+	defer e.Close()
+	tickets := make([]*Ticket, len(jobs))
+	for i, j := range jobs {
+		tk, err := e.Submit(context.Background(), j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tickets[i] = tk
+	}
+	results := make([]*Result, len(jobs))
+	errs := make([]error, len(jobs))
+	for i, tk := range tickets {
+		results[i], errs[i] = tk.Wait(context.Background())
+	}
+	fired := map[string]fault.Kind{}
+	for _, f := range plan.Log() {
+		fired[f.Key] = f.Kind
+	}
+	var failed []int
+	for i, res := range results {
+		err := errs[i]
+		kind, hit := fired[jobs[i].Hash()]
+		var pe *PanicError
+		switch {
+		case !hit && err != nil:
+			t.Errorf("job %s failed, but the plan did not fire on it: %v", jobs[i].Label(), err)
+		case !hit:
+			if got := stripWall(res); !reflect.DeepEqual(got, want[i]) {
+				t.Errorf("job %s: result diverged beside injected failures", jobs[i].Label())
+			}
+		case kind == fault.KindPanic && !errors.As(err, &pe):
+			t.Errorf("job %s: err = %v, want *PanicError", jobs[i].Label(), err)
+		case kind == fault.KindError && !errors.Is(err, fault.ErrInjected):
+			t.Errorf("job %s: err = %v, want the injected error", jobs[i].Label(), err)
+		default:
+			failed = append(failed, i)
+		}
+	}
+	if len(fired) != 4 || len(failed) != 4 {
+		t.Fatalf("the plan fired on %d jobs and %d failed as injected, want 4 and 4", len(fired), len(failed))
+	}
+	s := e.Stats()
+	if s.Panics != 2 || s.Failed != 4 || s.Done != 2 {
+		t.Errorf("stats = %+v, want 2 panics, 4 failures, 2 done", s)
+	}
+
+	for _, i := range failed {
+		res, err := e.Run(context.Background(), jobs[i])
+		if err != nil {
+			t.Fatalf("resubmit %s after failure: %v", jobs[i].Label(), err)
+		}
+		if got := stripWall(res); !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("resubmit %s: result differs from the baseline", jobs[i].Label())
+		}
+	}
+	if s := e.Stats(); s.Done != 6 || s.CacheHits != 0 {
+		t.Errorf("resubmit stats = %+v, want four fresh executions, no negative hit", s)
+	}
+}
+
+// TestChaosPanicIsolatedAndTyped pins panic isolation: a panicking worker
+// fails its own job with a typed *PanicError carrying a stack trace, and the
+// process (and engine) survive to run the next job.
 func TestChaosPanicIsolatedAndTyped(t *testing.T) {
 	plan := fault.New(1, fault.Rule{Point: fault.JobRun, Kind: fault.KindPanic, Prob: 1, Count: 1})
 	e := New(Options{Workers: 2, Fault: plan})
@@ -131,9 +215,6 @@ func TestChaosPanicIsolatedAndTyped(t *testing.T) {
 	if !strings.Contains(pe.Stack, "safeRun") {
 		t.Errorf("captured stack does not show the recovery site:\n%s", pe.Stack)
 	}
-	if !Transient(err) {
-		t.Error("a panic must classify as transient")
-	}
 	s := e.Stats()
 	if s.Panics != 1 || s.Failed != 1 {
 		t.Errorf("stats = %+v, want one panic, one failure", s)
@@ -146,88 +227,12 @@ func TestChaosPanicIsolatedAndTyped(t *testing.T) {
 	}
 }
 
-// TestChaosRetryBackoffRecovers checks the retry ladder end to end: two
-// injected transient failures, then success, with the attempts visible on
-// the event stream.
-func TestChaosRetryBackoffRecovers(t *testing.T) {
-	plan := fault.New(3, fault.Rule{Point: fault.JobRun, Kind: fault.KindError, Prob: 1, Count: 2})
-	e := New(Options{Workers: 1, MaxAttempts: 3, RetryBackoff: time.Millisecond, Fault: plan})
-	defer e.Close()
-	events, cancel := e.Subscribe(128)
-	defer cancel()
-
-	j := sampledJob("twolf", warmup.Spec{Kind: warmup.KindNone})
-	res, err := e.Run(context.Background(), j)
-	if err != nil {
-		t.Fatalf("job did not recover within its attempt budget: %v", err)
-	}
-	if res.IPC() <= 0 {
-		t.Fatal("recovered job has no result")
-	}
-	s := e.Stats()
-	if s.Retries != 2 || s.Done != 1 || s.Failed != 0 || s.Panics != 0 {
-		t.Errorf("stats = %+v, want 2 retries and a clean finish", s)
-	}
-
-	attempts := map[int]bool{}
-	deadline := time.After(5 * time.Second)
-	for done := false; !done; {
-		select {
-		case ev := <-events:
-			if ev.State == StateRetrying {
-				attempts[ev.Attempt] = true
-				if ev.Err == "" {
-					t.Error("retry event lost its error")
-				}
-			}
-			if ev.State == StateDone {
-				done = true
-			}
-		case <-deadline:
-			t.Fatal("terminal event never arrived")
-		}
-	}
-	if !attempts[1] || !attempts[2] {
-		t.Errorf("retry attempts on the event stream = %v, want 1 and 2", attempts)
-	}
-}
-
-// TestChaosAttemptBudgetExhausted checks the other side: when transient
-// failures outlast the budget, the job fails with the classified error and
-// nothing poisons the cache for a later resubmission.
-func TestChaosAttemptBudgetExhausted(t *testing.T) {
-	plan := fault.New(5, fault.Rule{Point: fault.JobRun, Kind: fault.KindError, Prob: 1, Count: 2})
-	dir := t.TempDir()
-	e := New(Options{Workers: 1, CacheDir: dir, MaxAttempts: 2, RetryBackoff: time.Millisecond, Fault: plan})
-	defer e.Close()
-
-	j := sampledJob("twolf", warmup.Spec{Kind: warmup.KindNone})
-	_, err := e.Run(context.Background(), j)
-	if !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("err = %v, want the injected error after budget exhaustion", err)
-	}
-	s := e.Stats()
-	if s.Retries != 1 || s.Failed != 1 {
-		t.Errorf("stats = %+v, want 1 retry then failure", s)
-	}
-
-	// The failure must not be negatively cached: resubmitting (fault budget
-	// spent) recomputes and succeeds, both in memory and on disk.
-	res, err := e.Run(context.Background(), j)
-	if err != nil || res.IPC() <= 0 {
-		t.Fatalf("resubmit after failure: res=%v err=%v", res, err)
-	}
-	if s := e.Stats(); s.Done != 1 || s.CacheHits != 0 {
-		t.Errorf("resubmit stats = %+v, want a fresh execution, no negative hit", s)
-	}
-}
-
 // TestChaosLatencyDeadline uses injected latency to trip the per-job
 // deadline deterministically: the job must fail with ErrDeadline (distinct
-// from cancellation) and not be retried.
+// from cancellation).
 func TestChaosLatencyDeadline(t *testing.T) {
 	plan := fault.New(9, fault.Rule{Point: fault.JobRun, Kind: fault.KindLatency, Prob: 1, Latency: time.Minute})
-	e := New(Options{Workers: 1, MaxAttempts: 3, RetryBackoff: time.Millisecond, Fault: plan})
+	e := New(Options{Workers: 1, Fault: plan})
 	defer e.Close()
 
 	j := sampledJob("twolf", warmup.Spec{Kind: warmup.KindNone})
@@ -240,13 +245,10 @@ func TestChaosLatencyDeadline(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("deadline error must still match context.DeadlineExceeded for compatibility")
 	}
-	if Transient(err) {
-		t.Error("deadline failures must not classify as transient")
-	}
 	if took := time.Since(begin); took > 10*time.Second {
 		t.Errorf("deadline took %v to fire", took)
 	}
-	if s := e.Stats(); s.Retries != 0 || s.Failed != 1 {
-		t.Errorf("stats = %+v, want no retries and one failure", s)
+	if s := e.Stats(); s.Failed != 1 {
+		t.Errorf("stats = %+v, want one failure", s)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"sync"
 	"time"
@@ -36,14 +35,6 @@ type Options struct {
 	// own Timeout (0 = no limit). A job that runs past its deadline fails
 	// with ErrDeadline.
 	DefaultTimeout time.Duration
-	// MaxAttempts bounds execution attempts per job, counting the first
-	// (<= 1 = no retry). Only transient failures are retried (see
-	// Transient); a job can lower its own budget with Job.MaxAttempts.
-	MaxAttempts int
-	// RetryBackoff is the base delay of the exponential-backoff-with-full-
-	// jitter schedule between attempts (0 = 50ms). The wait aborts early
-	// when the submitter's context is canceled or the engine closes.
-	RetryBackoff time.Duration
 	// Fault optionally injects deterministic faults at the engine's
 	// instrumented sites — cache reads/writes and job runs — for chaos
 	// testing (nil = no injection).
@@ -58,9 +49,9 @@ type Options struct {
 	// Stats counters re-expressed as metric families (mirrored at scrape
 	// time, so Stats stays the source of truth), a job latency histogram,
 	// and per-phase sampling metrics from inside every run.
-	// Tracer, when non-nil, records engine spans (job-run, cache-load,
-	// retry-wait) plus the per-cluster phase spans of every job, each job on
-	// its own trace track. Both default off and add one branch when off.
+	// Tracer, when non-nil, records engine spans (job-run, cache-load) plus
+	// the per-cluster phase spans of every job, each job on its own trace
+	// track. Both default off and add one branch when off.
 	Metrics *obs.Registry
 	Tracer  *obs.Tracer
 }
@@ -80,7 +71,6 @@ type Engine struct {
 	queue    []*task // FIFO of tasks awaiting a worker
 	inflight map[string]*task
 	closed   bool
-	closedCh chan struct{} // closed by Close; aborts retry backoffs
 
 	wg sync.WaitGroup
 }
@@ -142,7 +132,6 @@ func New(opts Options) *Engine {
 		opts:     opts,
 		cache:    newCache(opts.CacheDir, opts.Fault),
 		inflight: make(map[string]*task),
-		closedCh: make(chan struct{}),
 	}
 	e.cond = sync.NewCond(&e.mu)
 	e.obs = newEngineObs(opts.Metrics, opts.Tracer, e.Stats)
@@ -208,8 +197,7 @@ func (e *Engine) Run(ctx context.Context, job Job) (*Result, error) {
 
 // Close stops accepting jobs, fails everything still queued with ErrClosed,
 // and waits for running jobs to finish. Jobs already executing run to
-// completion (or their timeout); a job waiting out a retry backoff aborts
-// with ErrClosed instead of attempting again.
+// completion (or their timeout).
 func (e *Engine) Close() {
 	e.mu.Lock()
 	if e.closed {
@@ -218,7 +206,6 @@ func (e *Engine) Close() {
 		return
 	}
 	e.closed = true
-	close(e.closedCh)
 	pending := e.queue
 	e.queue = nil
 	for _, t := range pending {
@@ -283,9 +270,9 @@ func (e *Engine) worker() {
 }
 
 // execute runs one task: cache lookup, then the simulation under the
-// submitter's context and the job deadline, retrying transient failures
-// (panics, injected faults) with exponential backoff and full jitter up to
-// the job's attempt budget.
+// submitter's context and the job deadline. A job runs at most once per
+// submission: it is deterministic, so whatever made it fail would again, and
+// a failure is never cached, so a caller may resubmit.
 func (e *Engine) execute(t *task) {
 	e.stats.queued.Add(-1)
 	tid := e.obs.jobTID()
@@ -307,39 +294,7 @@ func (e *Engine) execute(t *task) {
 	}
 	e.stats.cacheMiss.Add(1)
 
-	budget := t.job.MaxAttempts
-	if budget <= 0 {
-		budget = e.opts.MaxAttempts
-	}
-	if budget <= 0 {
-		budget = 1
-	}
-
-	var (
-		res  *Result
-		err  error
-		wall time.Duration
-	)
-	for attempt := 1; ; attempt++ {
-		res, wall, err = e.attempt(t, attempt, tid)
-		if err == nil || attempt >= budget || !Transient(err) {
-			break
-		}
-		e.stats.retries.Add(1)
-		e.bcast.emit(Event{JobHash: t.hash, Label: t.job.Label(), State: StateRetrying,
-			Err: err.Error(), Wall: wall, Attempt: attempt, RequestID: t.reqID})
-		b0 := time.Now()
-		ok := e.backoff(t.ctx, t.hash, attempt)
-		e.obs.span(t.sweep, "retry-wait", tid, b0, obs.SpanArg{Key: "attempt", Val: int64(attempt)})
-		if !ok {
-			if ctxErr := t.ctx.Err(); ctxErr != nil {
-				err = fmt.Errorf("engine: %s: %w", t.job.Label(), ctxErr)
-			} else {
-				err = ErrClosed
-			}
-			break
-		}
-	}
+	res, wall, err := e.run(t, tid)
 	if err != nil {
 		e.finish(t, nil, err, wall, false)
 		return
@@ -350,15 +305,15 @@ func (e *Engine) execute(t *task) {
 	e.finish(t, res, nil, wall, false)
 }
 
-// attempt runs one execution attempt under the job deadline, with worker
-// panics isolated to typed errors.
-func (e *Engine) attempt(t *task, attempt int, tid int64) (*Result, time.Duration, error) {
+// run executes the job under its deadline, with worker panics isolated to
+// typed errors.
+func (e *Engine) run(t *task, tid int64) (*Result, time.Duration, error) {
 	e.stats.running.Add(1)
 	defer e.stats.running.Add(-1)
 	slots := t.job.ShardSlots()
 	e.stats.shardsInUse.Add(slots)
 	defer e.stats.shardsInUse.Add(-slots)
-	e.bcast.emit(Event{JobHash: t.hash, Label: t.job.Label(), State: StateRunning, Attempt: attempt, RequestID: t.reqID})
+	e.bcast.emit(Event{JobHash: t.hash, Label: t.job.Label(), State: StateRunning, RequestID: t.reqID})
 
 	ctx := t.ctx
 	timeout := t.job.Timeout
@@ -374,8 +329,7 @@ func (e *Engine) attempt(t *task, attempt int, tid int64) (*Result, time.Duratio
 	begin := time.Now()
 	res, err := safeRun(t.job, e.opts.Fault, ctx.Done(), e.obs, t.sweep, e.opts.Checkpoints)
 	wall := time.Since(begin)
-	e.obs.span(t.sweep, "job-run", tid, begin, obs.SpanArg{Key: "attempt", Val: int64(attempt)},
-		obs.SpanArg{Key: "ok", Val: boolArg(err == nil)})
+	e.obs.span(t.sweep, "job-run", tid, begin, obs.SpanArg{Key: "ok", Val: boolArg(err == nil)})
 	if err != nil {
 		var pe *PanicError
 		if errors.As(err, &pe) {
@@ -394,44 +348,6 @@ func (e *Engine) attempt(t *task, attempt int, tid int64) (*Result, time.Duratio
 		return nil, wall, err
 	}
 	return res, wall, nil
-}
-
-// backoff sleeps before the next attempt — full jitter over an
-// exponentially growing window (AWS-style: delay = U(0, base*2^(attempt-1)),
-// capped) — and reports false when the submitter's context or engine
-// shutdown interrupts the wait. The jitter is a pure function of the job
-// hash and the attempt number (never the global math/rand source), so the
-// retry schedule of a seeded chaos run is reproducible and identical across
-// worker interleavings, matching the fault injector's determinism contract.
-func (e *Engine) backoff(ctx context.Context, hash string, attempt int) bool {
-	base := e.opts.RetryBackoff
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	timer := time.NewTimer(retryJitter(hash, attempt, base))
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return true
-	case <-ctx.Done():
-		return false
-	case <-e.closedCh:
-		return false
-	}
-}
-
-// retryJitter maps (job hash, attempt) to the attempt's backoff delay:
-// uniform over [0, base*2^(attempt-1)] capped at 5s, drawn by FNV-1a in the
-// style of internal/fault's decision draws — allocation-free, dependency-
-// free, and deterministic.
-func retryJitter(hash string, attempt int, base time.Duration) time.Duration {
-	window := base << uint(attempt-1)
-	if cap := 5 * time.Second; window > cap || window <= 0 {
-		window = cap
-	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "backoff|%s|%d", hash, attempt)
-	return time.Duration(h.Sum64() % uint64(window+1))
 }
 
 // finish publishes a task's outcome, retires it from the in-flight table,

@@ -185,7 +185,7 @@ func TestCancellationMidSweep(t *testing.T) {
 // woken by a ticket's Done channel must read Stats that already count the
 // job. Closing the ticket first let the waiter race the counter bump — the
 // TestCancellationMidSweep flake. Every job here fails at once (an injected
-// error, no retry budget) and succeeds-or-fails is checked the instant its
+// error, run once) and succeeds-or-fails is checked the instant its
 // ticket wakes, so the window is probed a few hundred times per run.
 func TestStatsPublishedBeforeDone(t *testing.T) {
 	plan := fault.New(3, fault.Rule{Point: fault.JobRun, Kind: fault.KindError, Prob: 1})
@@ -237,8 +237,8 @@ func TestJobTimeout(t *testing.T) {
 // of a coalesced group fails, every follower must observe that error, and a
 // later resubmission must recompute — failures are never negatively cached.
 func TestSingleFlightLeaderFailure(t *testing.T) {
-	// One injected failure scoped to the leader's job, no retry budget: its
-	// first execution fails terminally and the fault is spent.
+	// One injected failure scoped to the leader's job: its one execution
+	// fails and the fault is spent.
 	j := sampledJob("twolf", warmup.Spec{Kind: warmup.KindNone})
 	plan := fault.New(11, fault.Rule{Point: fault.JobRun, Kind: fault.KindError, Prob: 1, Count: 1, Match: j.Hash()})
 	e := New(Options{Workers: 1, CacheDir: t.TempDir(), Fault: plan})
@@ -406,9 +406,8 @@ func TestJobHashIdentity(t *testing.T) {
 	base := sampledJob("twolf", warmup.Spec{Kind: warmup.KindReverse, Percent: 20, Cache: true, BPred: true})
 	same := base
 	same.Timeout = time.Minute // scheduling policy, not identity
-	same.MaxAttempts = 5
 	if base.Hash() != same.Hash() {
-		t.Error("timeout/attempt budget changed the hash")
+		t.Error("timeout changed the hash")
 	}
 	for name, mutate := range map[string]func(*Job){
 		"workload": func(j *Job) { j.Workload = "gcc" },
@@ -442,7 +441,7 @@ func TestJobHashPinned(t *testing.T) {
 		Seed:     2007,
 		Warmup:   warmup.Spec{Kind: warmup.KindReverse, Percent: 20, Cache: true, BPred: true},
 	}
-	const want = "58096283732dcd036d7f52e0169da2535296ab7fa0b8d88a4aeafea7be06f48b"
+	const want = "983950009709d9f622aba93afed629d6c6911896094c11726ae27425595a9be7"
 	if got := j.Hash(); got != want {
 		t.Errorf("hash of the canonical R$BP (20%%) job = %s, pinned %s (hashVersion %d)", got, want, hashVersion)
 	}

@@ -3,13 +3,10 @@ package engine
 import (
 	"errors"
 	"fmt"
-
-	"rsr/internal/fault"
 )
 
 // ErrDeadline marks a job that exceeded its per-job execution deadline
-// (Job.Timeout or Options.DefaultTimeout). Deadline failures are final, not
-// transient: a deterministic job that ran out of time once will again.
+// (Job.Timeout or Options.DefaultTimeout).
 var ErrDeadline = errors.New("engine: job deadline exceeded")
 
 // PanicError is a worker panic converted to a typed job error: the panic
@@ -22,23 +19,4 @@ type PanicError struct {
 
 func (e *PanicError) Error() string {
 	return fmt.Sprintf("engine: worker panic: %v", e.Value)
-}
-
-// Transient reports whether a job failure is worth retrying: worker panics,
-// injected faults (fault.ErrInjected), and errors that declare themselves
-// via a `Transient() bool` method. Cancellation, deadlines, and validation
-// failures are final.
-func Transient(err error) bool {
-	var pe *PanicError
-	if errors.As(err, &pe) {
-		return true
-	}
-	if errors.Is(err, fault.ErrInjected) {
-		return true
-	}
-	var tr interface{ Transient() bool }
-	if errors.As(err, &tr) {
-		return tr.Transient()
-	}
-	return false
 }

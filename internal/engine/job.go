@@ -62,10 +62,6 @@ type Job struct {
 	// scheduling policy, not identity: it does not enter the hash. A job
 	// that runs past its deadline fails with ErrDeadline.
 	Timeout time.Duration `json:"Timeout,omitempty"`
-	// MaxAttempts bounds execution attempts for this job, counting the
-	// first (0 = the engine default). Like Timeout it is scheduling policy,
-	// not identity.
-	MaxAttempts int `json:"MaxAttempts,omitempty"`
 	// Shards runs a sampled job through the parallel cluster pipeline with
 	// this many shard goroutines (0 or 1 = sequential). The sharded run is
 	// byte-identical to the sequential one (sampling.Options.Shards), so
@@ -89,11 +85,13 @@ type jobIdentity struct {
 	Strategy    string `json:",omitempty"`
 }
 
-// Version 2: a reverse spec's Percent selects the newest Percent of the
-// region's instructions, not of its log records (1 was the layout's first).
-// TestJobHashPinned holds the hash of one job to a literal, so a bump — or an
-// identity change without one — shows up there.
-const hashVersion = 2
+// Version 3: the machine's bus, prefetch and LSQ switches and the warm-up
+// spec's counter-inference switch left the identity. Version 2: a reverse
+// spec's Percent selects the newest Percent of the region's instructions, not
+// of its log records (1 was the layout's first). TestJobHashPinned holds the
+// hash of one job to a literal, so a bump — or an identity change without
+// one — shows up there.
+const hashVersion = 3
 
 // Hash returns the job's content address: hex SHA-256 of the canonical
 // JSON encoding of its identity fields (Timeout excluded).

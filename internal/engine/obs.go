@@ -50,8 +50,6 @@ func newEngineObs(r *obs.Registry, tr *obs.Tracer, stats func() Stats) *engineOb
 		"Cache consultations by result.", "result")
 	coalesced := r.Counter("rsr_engine_coalesced_total",
 		"Submissions single-flighted onto an identical in-flight job.")
-	retries := r.Counter("rsr_engine_retries_total",
-		"Execution attempts re-run after a transient failure.")
 	panics := r.Counter("rsr_engine_panics_total",
 		"Worker panics recovered into typed job errors.")
 	diskErrs := r.Counter("rsr_engine_disk_errors_total",
@@ -70,7 +68,6 @@ func newEngineObs(r *obs.Registry, tr *obs.Tracer, stats func() Stats) *engineOb
 		cacheRes.With("hit_disk").Set(uint64(s.DiskHits))
 		cacheRes.With("miss").Set(uint64(s.CacheMisses))
 		coalesced.Set(uint64(s.Coalesced))
-		retries.Set(uint64(s.Retries))
 		panics.Set(uint64(s.Panics))
 		diskErrs.Set(uint64(s.DiskErrors))
 		quarantined.Set(uint64(s.Quarantined))
@@ -79,8 +76,8 @@ func newEngineObs(r *obs.Registry, tr *obs.Tracer, stats func() Stats) *engineOb
 	return eo
 }
 
-// jobTID assigns a trace track to one task so its cache probe, attempts, and
-// retry waits line up on a single row of the trace viewer.
+// jobTID assigns a trace track to one task so its cache probe and run line
+// up on a single row of the trace viewer.
 func (eo *engineObs) jobTID() int64 {
 	if eo == nil {
 		return 0

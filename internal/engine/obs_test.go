@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"testing"
-	"time"
 
 	"rsr/internal/fault"
 	"rsr/internal/obs"
@@ -65,7 +65,6 @@ func TestEngineMetrics(t *testing.T) {
 		{"rsr_engine_cache_total", map[string]string{"result": "hit_disk"}, 0},
 		{"rsr_engine_jobs_queued", nil, 0},
 		{"rsr_engine_jobs_running", nil, 0},
-		{"rsr_engine_retries_total", nil, 0},
 		{"rsr_engine_panics_total", nil, 0},
 		{"rsr_engine_events_dropped_total", nil, 0},
 	} {
@@ -134,23 +133,23 @@ func TestEngineSpans(t *testing.T) {
 	}
 }
 
-// TestEngineRetrySpansAndMetrics drives a transient fault through an
-// instrumented engine and checks the retry counters and retry-wait spans.
-func TestEngineRetrySpansAndMetrics(t *testing.T) {
+// TestEngineFailureSpansAndMetrics drives an injected run error through an
+// instrumented engine: the job fails after one run, counted as one failed job
+// with one job-run span.
+func TestEngineFailureSpansAndMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(0)
 	job := sampledJob("twolf", warmup.Spec{Kind: warmup.KindNone})
-	inj := fault.New(3, fault.Rule{Point: fault.JobRun, Kind: fault.KindError, Prob: 1, Count: 2})
-	e := New(Options{Workers: 1, MaxAttempts: 3, RetryBackoff: time.Millisecond,
-		Fault: inj, Metrics: reg, Tracer: tr})
+	inj := fault.New(3, fault.Rule{Point: fault.JobRun, Kind: fault.KindError, Prob: 1})
+	e := New(Options{Workers: 1, Fault: inj, Metrics: reg, Tracer: tr})
 	defer e.Close()
 
-	if _, err := e.Run(context.Background(), job); err != nil {
-		t.Fatal(err)
+	if _, err := e.Run(context.Background(), job); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("err = %v, want the injected error", err)
 	}
 	snaps := reg.Snapshot()
-	if n := snapValue(t, snaps, "rsr_engine_retries_total", nil); n != 2 {
-		t.Fatalf("retries counter = %v, want 2", n)
+	if n := snapValue(t, snaps, "rsr_engine_jobs_total", map[string]string{"state": "failed"}); n != 1 {
+		t.Fatalf("failed jobs counter = %v, want 1", n)
 	}
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
@@ -164,17 +163,14 @@ func TestEngineRetrySpansAndMetrics(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatal(err)
 	}
-	waits, runs := 0, 0
+	runs := 0
 	for _, ev := range doc.TraceEvents {
-		switch ev.Name {
-		case "retry-wait":
-			waits++
-		case "job-run":
+		if ev.Name == "job-run" {
 			runs++
 		}
 	}
-	if waits != 2 || runs != 3 {
-		t.Fatalf("retry-wait spans = %d (want 2), job-run spans = %d (want 3)", waits, runs)
+	if runs != 1 {
+		t.Fatalf("job-run spans = %d, want 1", runs)
 	}
 }
 

@@ -35,8 +35,8 @@ type Stats struct {
 	// directory (a subset of the DiskErrors story: detected, preserved,
 	// recomputed).
 	Quarantined int64
-	// Retries counts execution attempts re-run after a transient failure;
-	// Panics counts worker panics recovered into typed job errors.
+	// Retries is always 0: a failed job is never re-run. Panics counts
+	// worker panics recovered into typed job errors.
 	Retries int64
 	Panics  int64
 	// EventsDropped counts progress events discarded because a subscriber's
@@ -53,7 +53,7 @@ type counters struct {
 	shardsInUse                    atomic.Int64
 	cacheHits, diskHits, cacheMiss atomic.Int64
 	coalesced                      atomic.Int64
-	retries, panics                atomic.Int64
+	panics                         atomic.Int64
 	wallNanos                      atomic.Int64
 }
 
@@ -70,7 +70,6 @@ func (c *counters) snapshot(diskErrs, quarantined, eventsDropped int64) Stats {
 		Coalesced:     c.coalesced.Load(),
 		DiskErrors:    diskErrs,
 		Quarantined:   quarantined,
-		Retries:       c.retries.Load(),
 		Panics:        c.panics.Load(),
 		EventsDropped: eventsDropped,
 		Wall:          time.Duration(c.wallNanos.Load()),
@@ -81,15 +80,13 @@ func (c *counters) snapshot(diskErrs, quarantined, eventsDropped int64) Stats {
 type JobState string
 
 // Job lifecycle states, in order of occurrence. A job reaches exactly one
-// of StateCached, StateDone, or StateFailed; StateRetrying and a further
-// StateRunning may repeat in between when transient failures are retried.
+// of StateCached, StateDone, or StateFailed.
 const (
-	StateQueued   JobState = "queued"
-	StateRunning  JobState = "running"
-	StateRetrying JobState = "retrying"
-	StateCached   JobState = "cached"
-	StateDone     JobState = "done"
-	StateFailed   JobState = "failed"
+	StateQueued  JobState = "queued"
+	StateRunning JobState = "running"
+	StateCached  JobState = "cached"
+	StateDone    JobState = "done"
+	StateFailed  JobState = "failed"
 )
 
 // Event is one progress notification on a subscription stream.
@@ -97,13 +94,10 @@ type Event struct {
 	JobHash string
 	Label   string
 	State   JobState
-	// Err is the failure message for StateFailed and StateRetrying.
+	// Err is the failure message for StateFailed.
 	Err string `json:",omitempty"`
 	// Wall is the execution wall-clock, set on StateDone/StateFailed.
 	Wall time.Duration `json:",omitempty"`
-	// Attempt is the 1-based execution attempt, set on StateRunning and
-	// StateRetrying (0 on states where it is meaningless).
-	Attempt int `json:",omitempty"`
 	// RequestID is the correlation ID of the submission that started the
 	// job (engine.WithRequestID), empty when the submitter supplied none.
 	// Coalesced duplicates share the first submitter's ID.

@@ -37,9 +37,6 @@ type Config struct {
 	// CacheDir enables the engine's on-disk result cache, letting repeated
 	// sweeps skip already-computed runs ("" = memory-only caching).
 	CacheDir string
-	// Retries adds execution attempts for transiently failed jobs (worker
-	// panics, injected faults): a job runs at most 1+Retries times.
-	Retries int
 	// Shards splits each sampled run's cluster pipeline across this many
 	// goroutines (0 or 1 = sequential). Results are byte-identical at any
 	// shard count, so Shards is execution policy, not part of job identity.
@@ -53,7 +50,7 @@ type Config struct {
 	// Runner, when non-nil, executes the lab's jobs somewhere other than a
 	// local engine — e.g. a cluster coordinator (rsr's -cluster). Every job
 	// is deterministic and content-addressed, so where it runs cannot change
-	// the results; Parallelism, CacheDir, Retries, Metrics, and Tracer apply
+	// the results; Parallelism, CacheDir, Metrics, and Tracer apply
 	// to the local engine only and are ignored when a Runner is supplied.
 	Runner Runner
 }
@@ -184,11 +181,10 @@ func NewLab(cfg Config) *Lab {
 		return l
 	}
 	l.eng = engine.New(engine.Options{
-		Workers:     cfg.parallelism(),
-		CacheDir:    cfg.CacheDir,
-		MaxAttempts: cfg.Retries + 1,
-		Metrics:     cfg.Metrics,
-		Tracer:      cfg.Tracer,
+		Workers:  cfg.parallelism(),
+		CacheDir: cfg.CacheDir,
+		Metrics:  cfg.Metrics,
+		Tracer:   cfg.Tracer,
 	})
 	l.run = localRunner{l.eng}
 	return l
@@ -257,6 +253,23 @@ type Cell struct {
 	HotInstructions     uint64
 	FuncInstructions    uint64
 	ProfileInstructions uint64 `json:",omitempty"`
+}
+
+// cellOf scores a finished run against a known true IPC.
+func cellOf(name string, trueIPC float64, res *sampling.RunResult) Cell {
+	est := res.IPCEstimate()
+	return Cell{
+		Workload:         name,
+		Method:           res.Method,
+		TrueIPC:          trueIPC,
+		Estimate:         est,
+		RelErr:           stats.RelErr(est, trueIPC),
+		Confident:        res.ConfidenceContains(trueIPC),
+		Elapsed:          res.Elapsed,
+		Work:             res.Work,
+		HotInstructions:  res.HotInstructions,
+		FuncInstructions: res.FuncInstructions,
+	}
 }
 
 // Run executes one sampled simulation and scores it against the true IPC.
@@ -338,28 +351,6 @@ func (l *Lab) Matrix(specs []warmup.Spec) ([]Cell, error) {
 		cells[i] = cellOf(names[w], results[w].Full.Result.IPC(), results[len(names)+i].Sampled)
 	}
 	return cells, nil
-}
-
-// trueIPCPairs returns every workload's true IPC on the lab's machine and on
-// variant, as jobs like any other: the lab's parallelism, cache directory and
-// cluster apply, and the baseline half is the job every figure shares.
-func (l *Lab) trueIPCPairs(variant sampling.MachineConfig) ([][2]float64, error) {
-	names := l.cfg.workloadNames()
-	jobs := make([]engine.Job, 0, 2*len(names))
-	for _, name := range names {
-		alt := l.fullJob(name)
-		alt.Machine = variant
-		jobs = append(jobs, l.fullJob(name), alt)
-	}
-	results, err := l.runAll(jobs)
-	if err != nil {
-		return nil, err
-	}
-	pairs := make([][2]float64, len(names))
-	for i := range pairs {
-		pairs[i] = [2]float64{results[2*i].Full.Result.IPC(), results[2*i+1].Full.Result.IPC()}
-	}
-	return pairs, nil
 }
 
 // AverageByMethod reduces cells to per-method means of relative error and

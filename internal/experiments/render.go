@@ -149,31 +149,6 @@ func RenderAppendix(cells []Cell) string {
 	return b.String()
 }
 
-// RenderCells formats a flat cell list (used by the remaining ablations).
-func RenderCells(title string, cells []Cell) string {
-	var b strings.Builder
-	b.WriteString(title + "\n")
-	fmt.Fprintf(&b, "%-10s %-22s %9s %8s %6s %12s\n",
-		"workload", "method", "estimate", "RE", "conf", "time")
-	for _, c := range cells {
-		fmt.Fprintf(&b, "%-10s %-22s %9.4f %7.2f%% %6v %12s\n",
-			c.Workload, c.Method, c.Estimate, 100*c.RelErr, c.Confident, roundDur(c.Elapsed))
-	}
-	return b.String()
-}
-
-// RenderBusAblation formats the bus-contention ablation.
-func RenderBusAblation(rows []BusAblationRow) string {
-	var b strings.Builder
-	b.WriteString("Ablation: bus arbitration and contention\n")
-	fmt.Fprintf(&b, "%-10s %12s %14s %10s\n", "workload", "contended", "uncontended", "inflation")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-10s %12.4f %14.4f %+9.1f%%\n",
-			r.Workload, r.IPCContended, r.IPCUncontended, 100*r.Inflation)
-	}
-	return b.String()
-}
-
 func roundDur(d time.Duration) string {
 	switch {
 	case d >= time.Second:

@@ -55,7 +55,7 @@ type Kind string
 // Fault kinds.
 const (
 	// KindError makes the site fail with an injected error (wrapping
-	// ErrInjected, so callers can classify it as transient).
+	// ErrInjected, so callers can tell it from a real failure).
 	KindError Kind = "error"
 	// KindTorn truncates a write partway through: the bytes that reach disk
 	// are a prefix of the entry, as after a crash mid-write.
@@ -68,7 +68,8 @@ const (
 )
 
 // ErrInjected is the base of every injected error; errors.Is(err,
-// fault.ErrInjected) identifies a failure as injected (and transient).
+// fault.ErrInjected) identifies a failure as injected. The engine treats it
+// like any other job failure: final for that submission, never cached.
 var ErrInjected = errors.New("fault: injected")
 
 // Decision tells an instrumented site what to do instead of proceeding
@@ -113,7 +114,7 @@ type Rule struct {
 	// Latency is the stall for KindLatency.
 	Latency time.Duration
 	// Err overrides the injected error for KindError (it should wrap
-	// ErrInjected if retry classification is wanted).
+	// ErrInjected so callers can still tell it was injected).
 	Err error
 }
 

@@ -6,10 +6,6 @@ type BusConfig struct {
 	Name       string
 	WidthBytes int
 	ClockGHz   float64
-	// NoContention disables arbitration queueing: every transfer starts
-	// immediately (transfer delay still applies). Ablation knob for
-	// measuring how much of the model's timing comes from bus conflicts.
-	NoContention bool
 }
 
 // Bus models arbitration, contention, and transfer delay on a shared bus.
@@ -55,7 +51,7 @@ func (b *Bus) Transfer(now uint64, bytes int) uint64 {
 		beats++
 	}
 	start := now
-	if !b.cfg.NoContention && b.busyUntil > start {
+	if b.busyUntil > start {
 		b.stats.WaitCycles += b.busyUntil - start
 		start = b.busyUntil
 	}

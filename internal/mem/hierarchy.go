@@ -16,11 +16,6 @@ type HierarchyConfig struct {
 	L1HitCycles uint64
 	L2HitCycles uint64
 	MemCycles   uint64
-	// NextLinePrefetch enables a simple sequential prefetcher: every L1
-	// miss also fetches the following line into the same cache (off by
-	// default; the paper's machine has none — extension/ablation knob).
-	// Prefetch fills consume bus bandwidth but are off the critical path.
-	NextLinePrefetch bool
 }
 
 // DefaultHierarchyConfig returns the paper's memory system.
@@ -100,24 +95,7 @@ func (h *Hierarchy) AccessLoad(now uint64, addr uint64) uint64 {
 	}
 	t := h.L1Bus.Transfer(now+h.cfg.L1HitCycles, 8) // miss request
 	t = h.accessL2(t, addr, false)
-	t = h.L1Bus.Transfer(t, h.cfg.L1D.LineBytes) // line fill
-	h.prefetch(h.L1D, addr, t)
-	return t
-}
-
-// prefetch optionally pulls the next line into c off the critical path.
-func (h *Hierarchy) prefetch(c *Cache, addr, now uint64) {
-	if !h.cfg.NextLinePrefetch {
-		return
-	}
-	next := (addr | uint64(c.cfg.LineBytes-1)) + 1
-	if c.Probe(next) {
-		return
-	}
-	c.Access(next, false)
-	t := h.L1Bus.Transfer(now, 8)
-	t = h.accessL2(t, next, false)
-	h.L1Bus.Transfer(t, c.cfg.LineBytes)
+	return h.L1Bus.Transfer(t, h.cfg.L1D.LineBytes) // line fill
 }
 
 // AccessStore performs a timed data store beginning at cycle now. The store
@@ -140,9 +118,7 @@ func (h *Hierarchy) AccessInst(now uint64, addr uint64) uint64 {
 	}
 	t := h.L1Bus.Transfer(now+h.cfg.L1HitCycles, 8)
 	t = h.accessL2(t, addr, false)
-	t = h.L1Bus.Transfer(t, h.cfg.L1I.LineBytes)
-	h.prefetch(h.L1I, addr, t)
-	return t
+	return h.L1Bus.Transfer(t, h.cfg.L1I.LineBytes)
 }
 
 // WarmData applies one data reference functionally (no timing): exactly the

@@ -212,56 +212,3 @@ func TestTotalUpdatesAccumulates(t *testing.T) {
 		t.Fatal("reset did not clear stats")
 	}
 }
-
-func TestNextLinePrefetchInstallsFollowingLine(t *testing.T) {
-	cfg := DefaultHierarchyConfig()
-	cfg.NextLinePrefetch = true
-	h := NewHierarchy(cfg)
-	h.AccessLoad(0, 0x10000)
-	if !h.L1D.Probe(0x10040) {
-		t.Fatal("next line not prefetched into L1D")
-	}
-	hI := NewHierarchy(cfg)
-	hI.AccessInst(0, 0x400000)
-	if !hI.L1I.Probe(0x400040) {
-		t.Fatal("next line not prefetched into L1I")
-	}
-	// Default config must not prefetch.
-	hOff := NewHierarchy(DefaultHierarchyConfig())
-	hOff.AccessLoad(0, 0x10000)
-	if hOff.L1D.Probe(0x10040) {
-		t.Fatal("prefetch must be off by default")
-	}
-}
-
-func TestPrefetchOffCriticalPath(t *testing.T) {
-	on := DefaultHierarchyConfig()
-	on.NextLinePrefetch = true
-	hOn := NewHierarchy(on)
-	hOff := NewHierarchy(DefaultHierarchyConfig())
-	dOn := hOn.AccessLoad(0, 0x20000)
-	dOff := hOff.AccessLoad(0, 0x20000)
-	if dOn != dOff {
-		t.Fatalf("prefetch changed the demand miss latency: %d vs %d", dOn, dOff)
-	}
-	// But it does consume bus bandwidth.
-	if hOn.L1Bus.Stats().Transfers <= hOff.L1Bus.Stats().Transfers {
-		t.Fatal("prefetch should add bus traffic")
-	}
-}
-
-func TestPrefetchHelpsStreaming(t *testing.T) {
-	on := DefaultHierarchyConfig()
-	on.NextLinePrefetch = true
-	run := func(cfg HierarchyConfig) uint64 {
-		h := NewHierarchy(cfg)
-		now := uint64(0)
-		for i := 0; i < 512; i++ {
-			now = h.AccessLoad(now, 0x100000+uint64(i)*64)
-		}
-		return now
-	}
-	if run(on) >= run(DefaultHierarchyConfig()) {
-		t.Fatal("sequential streaming should be faster with next-line prefetch")
-	}
-}

@@ -38,10 +38,6 @@ type Config struct {
 	MaxBranches int
 	// FetchQueueSize bounds instructions fetched but not yet dispatched.
 	FetchQueueSize int
-	// NoLSQForwarding disables memory disambiguation and store-to-load
-	// forwarding in the load/store queue: loads always access the cache and
-	// never wait on older stores (ablation knob; the default model forwards).
-	NoLSQForwarding bool
 }
 
 // DefaultConfig returns the paper's core.

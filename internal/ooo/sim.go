@@ -361,24 +361,22 @@ func (s *Sim) issue() {
 		}
 		switch e.class {
 		case isa.ClassLoad:
-			if !s.cfg.NoLSQForwarding {
-				e.waitStore = 0
-				forward, avail, blocked := s.lsqScan(e)
-				if blocked {
-					// Conservative memory disambiguation: an older store's
-					// address is still unknown.
-					i++
-					continue
+			e.waitStore = 0
+			forward, avail, blocked := s.lsqScan(e)
+			if blocked {
+				// Conservative memory disambiguation: an older store's
+				// address is still unknown.
+				i++
+				continue
+			}
+			if forward {
+				done := s.cycle + 1
+				if avail > done {
+					done = avail
 				}
-				if forward {
-					done := s.cycle + 1
-					if avail > done {
-						done = avail
-					}
-					e.doneCycle = done
-					s.res.Forwards++
-					break
-				}
+				e.doneCycle = done
+				s.res.Forwards++
+				break
 			}
 			e.doneCycle = s.hier.AccessLoad(s.cycle+1, e.d.EffAddr)
 		case isa.ClassStore:

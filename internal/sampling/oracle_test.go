@@ -45,7 +45,6 @@ func newScalarWarm(spec warmup.Spec, h *mem.Hierarchy, u *bpred.Unit) *scalarWar
 		w.planner = core.NewCachePlanner(h.Config())
 		if spec.BPred {
 			w.rp = core.NewReconPredictor(u)
-			w.rp.SetNoInference(spec.NoCounterInference)
 		}
 	}
 	return w

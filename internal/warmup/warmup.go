@@ -160,11 +160,6 @@ type Spec struct {
 	Percent int  // Fixed and Reverse: the window, the newest Percent of each region's instructions
 	Cache   bool // warm the cache hierarchy
 	BPred   bool // warm the branch predictor
-	// NoCounterInference disables the Reverse method's weak-form /
-	// middle-state counter inference, leaving unresolved entries stale
-	// (ablation of §3.2's Figure 3 rule). Valid only on KindReverse with
-	// BPred.
-	NoCounterInference bool
 }
 
 // Label renders the paper's abbreviations — None, FP (p%), S$, SBP, S$BP,
@@ -185,10 +180,7 @@ func (s Spec) Label() string {
 	case KindReverse:
 		base := "R" + structSuffix(s.Cache, s.BPred)
 		if s.Cache || s.Percent != 100 {
-			base = fmt.Sprintf("%s (%d%%)", base, s.Percent)
-		}
-		if s.NoCounterInference {
-			base += " no-infer"
+			return fmt.Sprintf("%s (%d%%)", base, s.Percent)
 		}
 		return base
 	}
@@ -210,8 +202,7 @@ func structSuffix(cache, bp bool) string {
 // Validate rejects a spec no method can honour, and one that sets a field its
 // kind does not read, which would run another spec's simulation under a new
 // label and job hash: an unknown Kind; a Percent outside 0..100, or any on None
-// or SMARTS; a structure on None, or none on the other kinds; and
-// NoCounterInference anywhere but the reverse method's predictor. Call it
+// or SMARTS; and a structure on None, or none on the other kinds. Call it
 // wherever a Spec arrives from outside the program; New trusts its receiver.
 func (s Spec) Validate() error {
 	switch {
@@ -225,8 +216,6 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("warmup: None: Cache or BPred set on the method that warms nothing")
 	case s.Kind != KindNone && !s.Cache && !s.BPred:
 		return fmt.Errorf("warmup: %s: warms neither Cache nor BPred", s.Label())
-	case s.NoCounterInference && (s.Kind != KindReverse || !s.BPred):
-		return fmt.Errorf("warmup: %s: NoCounterInference without reverse predictor reconstruction", s.Label())
 	}
 	return nil
 }
@@ -681,7 +670,6 @@ func newReverse(h *mem.Hierarchy, u *bpred.Unit, s Spec) *reverse {
 	recon := &reconConfig{hcfg: h.Config()}
 	if s.BPred {
 		r.rp = core.NewReconPredictor(u)
-		r.rp.SetNoInference(s.NoCounterInference)
 		recon.geom = core.PredGeomOf(u)
 	}
 	r.pool = newCapturePool(s.Cache, s.BPred, h, recon)

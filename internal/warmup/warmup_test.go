@@ -206,17 +206,6 @@ func TestReverseLogDiscardedBetweenRegions(t *testing.T) {
 	}
 }
 
-func TestReverseNoInferLabel(t *testing.T) {
-	s := Spec{Kind: KindReverse, Percent: 100, BPred: true, NoCounterInference: true}
-	if s.Label() != "RBP no-infer" {
-		t.Fatalf("label = %q", s.Label())
-	}
-	s.Cache = true
-	if s.Label() != "R$BP (100%) no-infer" {
-		t.Fatalf("label = %q", s.Label())
-	}
-}
-
 func TestSpecByLabel(t *testing.T) {
 	seen := map[string]bool{}
 	for _, s := range Matrix() {
@@ -319,8 +308,6 @@ func TestSpecValidate(t *testing.T) {
 		{Spec{Kind: KindFixed, Percent: 20}, "neither"},
 		{Spec{Kind: KindSMARTS}, "neither"},
 		{Spec{Kind: KindReverse, Percent: 20}, "neither"},
-		{Spec{Kind: KindReverse, Percent: 20, Cache: true, NoCounterInference: true}, "NoCounterInference"},
-		{Spec{Kind: KindSMARTS, BPred: true, NoCounterInference: true}, "NoCounterInference"},
 		{Spec{Kind: KindFixed, Percent: 150, Cache: true}, "Percent"},
 		{Spec{Kind: KindFixed, Percent: -1, Cache: true}, "Percent"},
 		{Spec{Kind: KindReverse, Percent: 101, Cache: true}, "Percent"},
@@ -350,8 +337,8 @@ func TestValidLabelsUnique(t *testing.T) {
 	seen := map[string]Spec{}
 	for k := KindNone; k <= KindReverse; k++ {
 		for _, p := range []int{0, 20, 37, 100} {
-			for i := 0; i < 8; i++ {
-				s := Spec{Kind: k, Percent: p, Cache: i&1 != 0, BPred: i&2 != 0, NoCounterInference: i&4 != 0}
+			for i := 0; i < 4; i++ {
+				s := Spec{Kind: k, Percent: p, Cache: i&1 != 0, BPred: i&2 != 0}
 				if s.Validate() != nil {
 					continue
 				}
