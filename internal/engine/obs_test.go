@@ -107,6 +107,42 @@ func TestEngineSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	count := spanCounts(t, tr)
+	if count["cache-load"] != 1 || count["job-run"] != 1 {
+		t.Fatalf("engine spans = %v, want one cache-load and one job-run", count)
+	}
+	if count["hot-sim"] != testRegimen.NumClusters {
+		t.Fatalf("hot-sim spans = %d, want %d", count["hot-sim"], testRegimen.NumClusters)
+	}
+}
+
+// TestStrategyJobSpans: a strategy job records the walker's per-cluster spans
+// and phase metrics as an unnamed job does — one hot-sim span and one counted
+// cluster per measured region, across both of two-phase-stratified's passes.
+func TestStrategyJobSpans(t *testing.T) {
+	reg := obs.NewRegistry()
+	tr := obs.NewTracer(0)
+	e := New(Options{Workers: 1, Metrics: reg, Tracer: tr})
+	defer e.Close()
+
+	job := sampledJob("twolf", warmup.Spec{Kind: warmup.KindReverse, Percent: 20, Cache: true, BPred: true})
+	job.Strategy = "two-phase-stratified"
+	res, err := e.Run(context.Background(), job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regions := len(res.Outcome.Regions)
+	if got := spanCounts(t, tr)["hot-sim"]; got != regions || regions == 0 {
+		t.Errorf("hot-sim spans = %d, want one per measured region (%d)", got, regions)
+	}
+	if n := snapValue(t, reg.Snapshot(), "rsr_sampling_clusters_total", nil); int(n) != regions {
+		t.Errorf("clusters counter = %v, want %d", n, regions)
+	}
+}
+
+// spanCounts parses tr's Chrome trace and counts its spans by name.
+func spanCounts(t *testing.T, tr *obs.Tracer) map[string]int {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
@@ -114,8 +150,6 @@ func TestEngineSpans(t *testing.T) {
 	var doc struct {
 		TraceEvents []struct {
 			Name string `json:"name"`
-			Cat  string `json:"cat"`
-			TID  int64  `json:"tid"`
 		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
@@ -125,12 +159,7 @@ func TestEngineSpans(t *testing.T) {
 	for _, ev := range doc.TraceEvents {
 		count[ev.Name]++
 	}
-	if count["cache-load"] != 1 || count["job-run"] != 1 {
-		t.Fatalf("engine spans = %v, want one cache-load and one job-run", count)
-	}
-	if count["hot-sim"] != testRegimen.NumClusters {
-		t.Fatalf("hot-sim spans = %d, want %d", count["hot-sim"], testRegimen.NumClusters)
-	}
+	return count
 }
 
 // TestEngineFailureSpansAndMetrics drives an injected run error through an
@@ -151,25 +180,7 @@ func TestEngineFailureSpansAndMetrics(t *testing.T) {
 	if n := snapValue(t, snaps, "rsr_engine_jobs_total", map[string]string{"state": "failed"}); n != 1 {
 		t.Fatalf("failed jobs counter = %v, want 1", n)
 	}
-	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string `json:"name"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	runs := 0
-	for _, ev := range doc.TraceEvents {
-		if ev.Name == "job-run" {
-			runs++
-		}
-	}
-	if runs != 1 {
+	if runs := spanCounts(t, tr)["job-run"]; runs != 1 {
 		t.Fatalf("job-run spans = %d, want 1", runs)
 	}
 }

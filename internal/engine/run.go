@@ -46,7 +46,8 @@ func safeRun(j Job, inj fault.Injector, cancel <-chan struct{}, eo *engineObs, s
 // instructions for full runs); an uncanceled run is bit-identical to the
 // direct sampling-package call — observability happens at phase boundaries
 // only, so attaching eo cannot perturb results. A job that names a strategy
-// runs it through the regimen runner, same cancel channel and shard count.
+// runs it through the regimen runner with the same walker options, less the
+// checkpoint store: a chain is keyed by the unnamed job's placement.
 func runJob(j Job, cancel <-chan struct{}, eo *engineObs, sweep string, ckpt sampling.CheckpointStore) (*Result, error) {
 	w, err := workload.ByName(j.Workload)
 	if err != nil {
@@ -54,6 +55,7 @@ func runJob(j Job, cancel <-chan struct{}, eo *engineObs, sweep string, ckpt sam
 	}
 	p := w.Build()
 	instr, strat, tr := eo.sinks(sweep)
+	opts := sampling.Options{Cancel: cancel, Instr: instr, Tracer: tr, Shards: j.Shards}
 	if j.Kind == JobSampled && j.Strategy != "" {
 		s, err := regimen.ByName(j.Strategy)
 		if err != nil {
@@ -61,13 +63,12 @@ func runJob(j Job, cancel <-chan struct{}, eo *engineObs, sweep string, ckpt sam
 		}
 		out, selection, err := regimen.RunTimed(s, regimen.Params{Program: p, Machine: j.Machine,
 			Regimen: j.Regimen, Total: j.Total, Seed: j.Seed, Warmup: j.Warmup,
-			Cancel: cancel, Shards: j.Shards, Instr: strat})
+			Options: opts, Instr: strat})
 		if err != nil {
 			return nil, fmt.Errorf("engine: %s: %w", j.Label(), err)
 		}
 		return &Result{Kind: JobSampled, Outcome: out, Selection: selection}, nil
 	}
-	opts := sampling.Options{Cancel: cancel, Instr: instr, Tracer: tr, Shards: j.Shards}
 	if ckpt != nil && j.Kind == JobSampled && j.Shards > 1 {
 		opts.Checkpoints = ckpt
 		opts.CheckpointKey = j.CheckpointKey()

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"rsr/internal/obs"
 	"rsr/internal/regimen"
 	"rsr/internal/warmup"
 	"rsr/internal/workload"
@@ -15,8 +16,10 @@ import (
 // TestStrategyJobMatchesDirectRun is the strategy arm's contract: for every
 // registered strategy, the Outcome an engine job returns is the one
 // Strategy.Run returns for the same inputs (Elapsed aside), sequentially and
-// at two shards, and it survives the disk cache — a fresh engine on the same
-// directory serves every job from it, equal again after the JSON round trip.
+// at two shards — the latter on an engine whose registry and tracer record
+// every pass, which must not perturb it — and it survives the disk cache: a
+// fresh engine on the same directory serves every job from it, equal again
+// after the JSON round trip.
 func TestStrategyJobMatchesDirectRun(t *testing.T) {
 	w, err := workload.ByName("twolf")
 	if err != nil {
@@ -60,14 +63,14 @@ func TestStrategyJobMatchesDirectRun(t *testing.T) {
 	}
 
 	cold := New(Options{Workers: 2, CacheDir: dir})
-	sharded := New(Options{Workers: 1})
+	sharded := New(Options{Workers: 1, Metrics: obs.NewRegistry(), Tracer: obs.NewTracer(0)})
 	for i, j := range jobs {
 		if got := outcome(cold, j); !reflect.DeepEqual(got, want[i]) {
 			t.Errorf("%s: engine outcome differs from Strategy.Run\n got %+v\nwant %+v", j.Label(), got, want[i])
 		}
 		j.Shards = 2
 		if got := outcome(sharded, j); !reflect.DeepEqual(got, want[i]) {
-			t.Errorf("%s at two shards: engine outcome differs from Strategy.Run", j.Label())
+			t.Errorf("%s at two shards, metrics and spans on: engine outcome differs from Strategy.Run", j.Label())
 		}
 	}
 	cold.Close()
@@ -113,10 +116,15 @@ func TestStrategyIsIdentity(t *testing.T) {
 		}
 	}
 
-	bogus := unnamed
-	bogus.Strategy = "no-such-strategy"
-	if err := bogus.Validate(); err == nil || !strings.Contains(err.Error(), "unknown strategy") {
-		t.Errorf("unregistered strategy: Validate = %v, want an unknown-strategy error", err)
+	// A deleted strategy's name is refused like any other unknown name, with
+	// the names that are registered.
+	for _, name := range []string{"no-such-strategy", "repeated-subsampling"} {
+		bogus := unnamed
+		bogus.Strategy = name
+		if err := bogus.Validate(); err == nil || !strings.Contains(err.Error(), "unknown strategy") ||
+			!strings.Contains(err.Error(), strings.Join(regimen.Names(), " ")) {
+			t.Errorf("strategy %q: Validate = %v, want an unknown-strategy error listing %v", name, err, regimen.Names())
+		}
 	}
 	oversized := unnamed
 	oversized.Regimen.NumClusters = 1000 // 1000 x 2000 > 400k

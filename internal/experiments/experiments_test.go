@@ -217,7 +217,7 @@ func TestStrategyHeadToHead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cells) != 5 {
+	if len(cells) != 4 {
 		t.Fatalf("cells = %d, want one per registered strategy", len(cells))
 	}
 	seen := map[string]bool{}
@@ -237,7 +237,7 @@ func TestStrategyHeadToHead(t *testing.T) {
 		}
 	}
 	avgs := AverageByStrategy(cells)
-	if len(avgs) != 5 {
+	if len(avgs) != 4 {
 		t.Fatalf("averages = %d", len(avgs))
 	}
 	text := RenderStrategies(cells)

@@ -118,7 +118,6 @@ var strategyGolden = []struct {
 	work      warmup.Work
 }{
 	{"ranked-set", 0.9885427891, 991611, 100000, warmup.Work{LoggedRecords: 86794, ReconScanned: 86794, ReconApplied: 36363}},
-	{"repeated-subsampling", 1.0454673762, 993088, 100000, warmup.Work{LoggedRecords: 86874, ReconScanned: 86660, ReconApplied: 37016}},
 	{"two-phase-stratified", 1.0561086259, 1838000, 100000, warmup.Work{LoggedRecords: 169049, ReconScanned: 168852, ReconApplied: 52067}},
 }
 

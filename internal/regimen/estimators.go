@@ -17,19 +17,6 @@ func meanCPI(ms []Measured) Estimate {
 	return ipcFromCPI(stats.CI95(cpisOf(ms)))
 }
 
-// betweenDraws is the mean of per-draw mean CPIs with the interval computed
-// from the spread between draws (Region.Draw in [0, draws)); a draw whose
-// every region retired nothing contributes no mean.
-func betweenDraws(ms []Measured, draws int) Estimate {
-	means := make([]float64, 0, draws)
-	for _, cpis := range groupCPIs(ms, draws, func(r Region) int { return r.Draw }) {
-		if len(cpis) > 0 {
-			means = append(means, stats.Mean(cpis))
-		}
-	}
-	return ipcFromCPI(stats.CI95(means))
-}
-
 // weightedIPC is SimPoint's estimate: region IPCs weighted by Region.Weight,
 // renormalized over the regions that retired something. It has no
 // sampling-theory error bound, so the interval is zero-width.
@@ -59,18 +46,13 @@ func stratifiedMean(ms []Measured, weights []float64) Estimate {
 	return ipcFromCPI(stats.StratifiedMean(strata))
 }
 
-// strataCPIs groups the measured CPIs by Region.Stratum.
-func strataCPIs(ms []Measured, k int) [][]float64 {
-	return groupCPIs(ms, k, func(r Region) int { return r.Stratum })
-}
-
-// groupCPIs sorts the measured CPIs into k groups by key, each in
+// strataCPIs sorts the measured CPIs into k groups by Region.Stratum, each in
 // measurement order.
-func groupCPIs(ms []Measured, k int, key func(Region) int) [][]float64 {
+func strataCPIs(ms []Measured, k int) [][]float64 {
 	groups := make([][]float64, k)
 	for _, m := range ms {
 		if m.Result.Instructions > 0 {
-			groups[key(m.Region)] = append(groups[key(m.Region)], m.CPI())
+			groups[m.Region.Stratum] = append(groups[m.Region.Stratum], m.CPI())
 		}
 	}
 	return groups

@@ -95,7 +95,6 @@ func (s RankedSet) Select(p Params) (*Plan, error) {
 			Size:    p.Regimen.ClusterSize,
 			Weight:  1,
 			Stratum: g,
-			Draw:    -1,
 		})
 	}
 	return &Plan{
@@ -139,11 +138,11 @@ func (s RankedSet) score(p Params, starts []uint64) ([]uint64, uint64, error) {
 				scores[next]++
 			}
 		}
-	}, p.canceled)
+	}, p.Options.Canceled)
 	switch {
 	case err != nil:
 		return nil, ran, fmt.Errorf("regimen: ranked-set scoring pass: %w", err)
-	case p.canceled():
+	case p.Options.Canceled():
 		return nil, ran, sampling.ErrCanceled
 	case ran != p.Total:
 		return nil, ran, fmt.Errorf("regimen: workload halted after %d instructions during scoring", ran)

@@ -4,7 +4,7 @@
 // between them, and the IPC estimator that turns the measurements into a
 // point estimate with a confidence interval.
 //
-// Five strategies are registered:
+// Four strategies are registered:
 //
 //   - stratified-uniform: the paper's design — stratified-uniform placement,
 //     mean-cluster-CPI estimator. Same placement, same region walker as
@@ -18,11 +18,6 @@
 //     consecutive group of m candidates contributes the member holding a
 //     rotating order statistic, spreading the n detailed regions across the
 //     statistic's distribution.
-//   - repeated-subsampling: interpenetrating subsamples (arXiv 2603.22598).
-//     The n clusters are placed exactly like stratified-uniform but split
-//     round-robin into R interleaved draws; the estimate is the mean of draw
-//     means and the confidence interval comes from the spread *between*
-//     draws, which stays honest when within-draw samples correlate.
 //   - two-phase-stratified: two-phase stratified sampling (arXiv
 //     2603.22605). BBV profiling + k-means stratify the workload by phase; a
 //     proportional pilot measures per-stratum variance, and the second-phase
@@ -33,9 +28,9 @@
 // to the package's one runner (runner.go), which measures the planned regions
 // with the shared region walker, applies the strategy's estimator — a pure
 // function of the measurements (estimators.go) — and assembles and records
-// the Outcome. Params.Shards and Params.Cancel therefore mean the same thing
-// for all five, and every Outcome carries per-region results, work counters
-// and instruction counts.
+// the Outcome. Params.Options therefore means the same thing for all four —
+// shards, cancellation, phase metrics and spans — and every Outcome carries
+// per-region results, work counters and instruction counts.
 //
 // Every strategy is deterministic in (program, machine, regimen, total,
 // seed, warmup): like the sampling package, running one is a pure function
@@ -64,27 +59,15 @@ type Params struct {
 	Total   uint64
 	Seed    int64
 	Warmup  warmup.Spec
-	// Cancel, when non-nil, aborts the run with sampling.ErrCanceled once
-	// closed; strategies poll it at batch granularity like the sampling
-	// package does.
-	Cancel <-chan struct{}
-	// Shards forwards intra-run cluster parallelism to the region walker
-	// every strategy's measurement passes run through (sampling.Options.Shards).
-	Shards int
+	// Options is handed to the region walker on every measurement pass:
+	// Shards, Cancel (also polled by the functional profiling passes), and the
+	// per-cluster phase Instr and Tracer. Leave Checkpoints and CheckpointKey
+	// unset: a checkpoint chain is keyed by the regimen's own placement, and a
+	// strategy's passes place their regions elsewhere.
+	Options sampling.Options
 	// Instr, when non-nil, records per-strategy selection and allocation
 	// metrics. Nil disables recording; results are identical either way.
 	Instr *Instruments
-}
-
-// canceled reports whether Cancel has been closed: the stop poll of the
-// functional profiling passes.
-func (p Params) canceled() bool {
-	select {
-	case <-p.Cancel:
-		return true
-	default:
-		return false
-	}
 }
 
 // Region is one detailed-simulation region a strategy selected.
@@ -98,9 +81,6 @@ type Region struct {
 	// Stratum is the phase/stratum id the region was drawn from, or -1 when
 	// the strategy does not stratify.
 	Stratum int
-	// Draw is the subsample the region belongs to, or -1 when the strategy
-	// does not subsample.
-	Draw int
 }
 
 // Plan is a strategy's selection decision: the regions to simulate in
@@ -204,7 +184,6 @@ var registry = []Strategy{
 	StratifiedUniform{},
 	SimPoint{},
 	RankedSet{},
-	RepeatedSubsampling{},
 	TwoPhaseStratified{},
 }
 

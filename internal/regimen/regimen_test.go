@@ -192,31 +192,6 @@ func TestEmptyRetireClusterOneRule(t *testing.T) {
 	}
 }
 
-func TestRepeatedSubsamplingPlacementMatchesBaseline(t *testing.T) {
-	// Same seed → the exact baseline positions: the strategy changes only
-	// the estimator, not the detailed work.
-	p := testParams(t, "twolf")
-	plan, err := RepeatedSubsampling{}.Select(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	starts, err := sampling.Positions(p.Total, p.Regimen, p.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan.Regions) != len(starts) {
-		t.Fatalf("regions = %d, positions = %d", len(plan.Regions), len(starts))
-	}
-	for i := range starts {
-		if plan.Regions[i].Start != starts[i] {
-			t.Fatalf("region %d at %d, baseline position %d", i, plan.Regions[i].Start, starts[i])
-		}
-		if plan.Regions[i].Draw != i%5 {
-			t.Fatalf("region %d draw = %d", i, plan.Regions[i].Draw)
-		}
-	}
-}
-
 func TestAllStrategiesRunAndAreDeterministic(t *testing.T) {
 	for _, s := range All() {
 		s := s
@@ -274,7 +249,7 @@ func TestAllSelectionsAreValidPlans(t *testing.T) {
 }
 
 // TestStrategiesShardedIdentical pins that every strategy's measurement
-// passes go through the one region walker: Params.Shards changes how regions
+// passes go through the one region walker: Options.Shards changes how regions
 // are fed to it, never what comes out.
 func TestStrategiesShardedIdentical(t *testing.T) {
 	for _, s := range All() {
@@ -284,7 +259,7 @@ func TestStrategiesShardedIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
-		p.Shards = 2
+		p.Options.Shards = 2
 		par, err := s.Run(p)
 		if err != nil {
 			t.Fatalf("%s shards=2: %v", s.Name(), err)
@@ -302,7 +277,7 @@ func TestStrategiesShardedIdentical(t *testing.T) {
 	}
 }
 
-// TestRunCanceled closes Cancel before Run: every strategy must return
+// TestRunCanceled closes Options.Cancel before Run: every strategy must return
 // ErrCanceled, and the ones that open with a functional profiling pass over
 // the whole run (BBV or sketch-cache scoring) must stop that pass at its
 // first batch rather than finish it and notice at the first region.
@@ -312,7 +287,7 @@ func TestRunCanceled(t *testing.T) {
 	profiles := map[string]bool{"simpoint": true, "two-phase-stratified": true, "ranked-set": true}
 	for _, s := range All() {
 		p := testParams(t, "twolf")
-		p.Cancel = done
+		p.Options.Cancel = done
 		if _, err := s.Run(p); !errors.Is(err, sampling.ErrCanceled) {
 			t.Errorf("%s: err = %v, want ErrCanceled", s.Name(), err)
 		}
@@ -340,7 +315,7 @@ func TestRunCanceledMidMeasurement(t *testing.T) {
 		p := testParams(t, "gcc")
 		p.Total, p.Regimen = 1_000_000, sampling.Regimen{ClusterSize: 20_000, NumClusters: 20}
 		cancel, stop, watched := make(chan struct{}), make(chan struct{}), make(chan struct{})
-		p.Cancel = cancel
+		p.Options.Cancel = cancel
 		go func() {
 			defer close(watched)
 			tick := time.NewTicker(100 * time.Microsecond)

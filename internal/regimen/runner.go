@@ -111,9 +111,9 @@ func (r *run) single(estimate func([]Measured) Estimate) (*Outcome, error) {
 
 // measureRegions executes one measurement pass — the shared region walker
 // over the given regions under the configured warm-up method — so every
-// strategy's pass honours Params.Shards and Params.Cancel exactly as the
-// stratified-uniform design does. Regions must satisfy ValidateRegions, and
-// Params.Warmup its own Validate: this is where the spec becomes a method.
+// strategy's pass honours Params.Options exactly as the stratified-uniform
+// design does. Regions must satisfy ValidateRegions, and Params.Warmup its own
+// Validate: this is where the spec becomes a method.
 func measureRegions(p Params, regions []Region) (*sampling.RunResult, error) {
 	wr := walkerRegions(regions)
 	if err := sampling.ValidateRegions(wr, p.Total); err != nil {
@@ -122,8 +122,7 @@ func measureRegions(p Params, regions []Region) (*sampling.RunResult, error) {
 	if err := p.Warmup.Validate(); err != nil {
 		return nil, fmt.Errorf("regimen: Params.Warmup: %w", err)
 	}
-	return sampling.RunRegions(p.Program, p.Machine, wr, p.Warmup.New,
-		sampling.Options{Cancel: p.Cancel, Shards: p.Shards})
+	return sampling.RunRegions(p.Program, p.Machine, wr, p.Warmup.New, p.Options)
 }
 
 // walkerRegions strips a plan's regions to what the walker executes.

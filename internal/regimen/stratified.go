@@ -19,22 +19,17 @@ func (StratifiedUniform) Describe() string {
 	return "paper baseline: stratified-uniform placement, mean-cluster-CPI estimator"
 }
 
-// Select implements Strategy: one region per stratum, uniformly placed
-// within it — exactly sampling.Positions.
+// Select implements Strategy: the regimen's stratified-uniform placement
+// (Regimen.Regions, exactly sampling.Positions) as a plan — one equally
+// weighted region per stratum, uniformly placed within it.
 func (StratifiedUniform) Select(p Params) (*Plan, error) {
-	return placed(p, func(int) int { return -1 })
-}
-
-// placed is the regimen's stratified-uniform placement (Regimen.Regions) as a
-// plan: one equally weighted region per stratum, region i in draw(i).
-func placed(p Params, draw func(i int) int) (*Plan, error) {
 	clusters, err := p.Regimen.Regions(p.Total, p.Seed)
 	if err != nil {
 		return nil, err
 	}
 	regions := make([]Region, len(clusters))
 	for i, c := range clusters {
-		regions[i] = Region{Start: c.Start, Size: c.Size, Weight: 1, Stratum: i, Draw: draw(i)}
+		regions[i] = Region{Start: c.Start, Size: c.Size, Weight: 1, Stratum: i}
 	}
 	return &Plan{Regions: regions, Candidates: len(regions), Strata: len(regions)}, nil
 }
@@ -69,7 +64,7 @@ func (SimPoint) Describe() string {
 // fewer points rather than failing.
 func (SimPoint) Select(p Params) (*Plan, error) {
 	size := p.Regimen.ClusterSize
-	intervals, covered, err := simpoint.Profile(p.Program, p.Total, size, p.canceled)
+	intervals, covered, err := simpoint.Profile(p.Program, p.Total, size, p.Options.Canceled)
 	if err != nil {
 		return nil, err
 	}
@@ -81,7 +76,6 @@ func (SimPoint) Select(p Params) (*Plan, error) {
 			Size:    size,
 			Weight:  pt.Weight,
 			Stratum: i, // each k-means cluster is its own stratum
-			Draw:    -1,
 		}
 	}
 	return &Plan{

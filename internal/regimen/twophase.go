@@ -60,7 +60,7 @@ type stratification struct {
 }
 
 func (s TwoPhaseStratified) stratify(p Params) (*stratification, error) {
-	intervals, covered, err := simpoint.Profile(p.Program, p.Total, p.Regimen.ClusterSize, p.canceled)
+	intervals, covered, err := simpoint.Profile(p.Program, p.Total, p.Regimen.ClusterSize, p.Options.Canceled)
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +121,6 @@ func (s TwoPhaseStratified) place(p Params, st *stratification, alloc []int, use
 				Size:    p.Regimen.ClusterSize,
 				Weight:  1,
 				Stratum: h,
-				Draw:    -1,
 			})
 		}
 	}

@@ -97,7 +97,7 @@ func (rp *replaySource) Fill(max uint64) []trace.DynInst {
 	if rp.failure != nil {
 		return nil
 	}
-	if rp.opts.canceled() {
+	if rp.opts.Canceled() {
 		rp.failure = ErrCanceled
 		return nil
 	}
@@ -177,7 +177,7 @@ func newShardFeed(p *prog.Program, regions []Region, method warmup.Method, shard
 
 	done := make(chan struct{})
 	stopped := func() bool {
-		if opts.canceled() {
+		if opts.Canceled() {
 			return true
 		}
 		select {
@@ -374,7 +374,7 @@ func (f *shardFeed) next(ci int, _ Region) (uint64, error) {
 		// The prefetcher closed without a product for this region: a
 		// producer stopped on a failure that earlier regions absorbed
 		// cleanly, or cancellation raced the receive.
-		if f.opts.canceled() {
+		if f.opts.Canceled() {
 			return 0, ErrCanceled
 		}
 		return 0, fmt.Errorf("sampling: shard pipeline ended before cluster %d", ci)

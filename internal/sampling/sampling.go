@@ -228,8 +228,8 @@ type Options struct {
 	Tracer *obs.Tracer
 }
 
-// canceled reports whether the cancel channel (if any) has been closed.
-func (o Options) canceled() bool {
+// Canceled reports whether the cancel channel (if any) has been closed.
+func (o Options) Canceled() bool {
 	if o.Cancel == nil {
 		return false
 	}

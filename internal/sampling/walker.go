@@ -111,7 +111,7 @@ func RunRegions(p *prog.Program, m MachineConfig, regions []Region, mk func(*mem
 	}
 
 	for ci, reg := range regions {
-		if opts.canceled() {
+		if opts.Canceled() {
 			return nil, ErrCanceled
 		}
 		cold, err := f.next(ci, reg)
@@ -199,7 +199,7 @@ func (st *stream) Fill(max uint64) []trace.DynInst {
 	if st.failure != nil {
 		return nil
 	}
-	if st.opts.canceled() {
+	if st.opts.Canceled() {
 		st.failure = ErrCanceled
 		return nil
 	}
@@ -227,7 +227,7 @@ func newSeqFeed(p *prog.Program, opts *Options, ro *runObs) *seqFeed {
 	return &seqFeed{
 		stream:  stream{fs: funcsim.New(p), buf: make([]trace.DynInst, funcsim.BatchSize), opts: opts},
 		ro:      ro,
-		stopped: opts.canceled,
+		stopped: opts.Canceled,
 	}
 }
 

@@ -48,8 +48,8 @@ fi
 
 # --- 2 + 3. Every registered strategy completes a run, sharded or not. ------
 NAMES="$($RSR regimens | awk 'NR > 1 { print $1 }')"
-if [ "$(printf '%s\n' "$NAMES" | wc -l)" -lt 5 ]; then
-    echo "regimen-smoke: expected at least 5 registered strategies, got:" >&2
+if [ "$(printf '%s\n' "$NAMES" | wc -l)" -lt 4 ]; then
+    echo "regimen-smoke: expected at least 4 registered strategies, got:" >&2
     printf '%s\n' "$NAMES" >&2
     exit 1
 fi
