@@ -3,8 +3,9 @@
 #   make build       compile everything
 #   make test        tier-1 gate: go build ./... && go test ./...
 #   make verify      gofmt + vet + race-test the concurrent code paths, fuzz
-#                    the batched interpreter against Step and the reverse
-#                    method's window against its oracle for 20 s each, then soak
+#                    the batched interpreter against Step, the reverse
+#                    method's window against its oracle and the timing
+#                    model against its one-cycle loop for 20 s each, then soak
 #                    the engine, the warm-up methods and the sharded
 #                    pipeline's tests under -race -count=20
 #   make chaos       race-enabled fault-injection suite (chaos + drain tests)
@@ -32,7 +33,8 @@
 #                    engine result == direct run, re-sweep == cold result
 #   make stall-check the two innermost loops compile without host stalls:
 #                    objdump of funcsim.RunBatch (no record built on the stack)
-#                    and of ooo's per-cycle loops (no divide, no Duff copy)
+#                    and of ooo's per-cycle loops and idle-cycle skip (no
+#                    divide, no Duff copy)
 #   make examples    every program under examples/ runs to a zero exit
 #   make bench-sweep sequential-vs-parallel sweep benchmark at small scale
 #   make loc         non-test Go lines per internal package and in total
@@ -79,9 +81,10 @@ test: build
 # (TestParallelAllWorkloadsIdentical 45 s, TestParallelByteIdenticalToSequential
 # 10 s), so twenty passes of them still take about 22 minutes and the line
 # keeps its 60-minute timeout. The fuzz lines compare RunBatch with Step on
-# generated programs, and the reverse method on both ingestion paths with its
+# generated programs, the reverse method on both ingestion paths with its
 # per-instruction oracle on generated region lengths, percentages and batch
-# splits, for 20 s each.
+# splits, and the timing model's event-skipping loop with its one-cycle loop
+# on generated machines and streams, for 20 s each.
 verify:
 	@test -z "$$(gofmt -l .)" || { echo "gofmt -l:"; gofmt -l .; exit 1; }
 	$(GO) vet ./...
@@ -89,6 +92,7 @@ verify:
 		./internal/regimen/... ./internal/cluster/... ./internal/cas/... ./cmd/rsrd/...
 	$(GO) test -run '^$$' -fuzz FuzzRunBatchMatchesStep -fuzztime 20s ./internal/funcsim
 	$(GO) test -run '^$$' -fuzz FuzzReverseWindowMatchesOracle -fuzztime 20s ./internal/warmup
+	$(GO) test -run '^$$' -fuzz FuzzSimulateMatchesEveryCycle -fuzztime 20s ./internal/ooo
 	$(GO) test -race -count=20 ./internal/engine ./internal/warmup
 	$(GO) test -race -count=20 -timeout 60m -run 'Parallel|Shard|Capture' ./internal/sampling
 
@@ -172,7 +176,7 @@ bench-smoke:
 # regressions it guards against change no result and so fail no test: a record
 # built in a stack temporary in funcsim.RunBatch (a failed store-to-load
 # forward per simulated instruction, 2x on cold stepping), and a hardware
-# divide or a whole-entry copy in ooo's per-cycle loops.
+# divide or a whole-entry copy in ooo's per-cycle loops and idle-cycle skip.
 stall-check:
 	./scripts/stall-check.sh
 

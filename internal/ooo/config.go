@@ -12,6 +12,13 @@
 // wrong-path work as fetch bubbles (resolution + penalty). That is the
 // standard sampled-simulation approximation; warm-up methods only interact
 // with cache and predictor state, which behaves identically.
+//
+// The model is cycle-accurate, but it does not step through idle cycles:
+// machine state changes with time alone only at four kinds of event (an
+// issued instruction completes, the fetch-queue head clears the front end, a
+// branch resolves, a fetch stall ends), so a cycle in which no stage moves
+// jumps to the next of them. Anyone adding a time-dependent condition to a
+// stage must add its event to nextEvent.
 package ooo
 
 import "rsr/internal/isa"

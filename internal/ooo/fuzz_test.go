@@ -63,25 +63,30 @@ func randomStream(rng *rand.Rand, n int) []trace.DynInst {
 	return out
 }
 
+// randomCase draws a shrunk configuration — structures small enough to
+// provoke every stall, BranchPenalty and FrontEndDelay down to 0 — and a
+// random stream of 200 to 3,199 instructions for it.
+func randomCase(rng *rand.Rand) (Config, []trace.DynInst) {
+	cfg := DefaultConfig()
+	cfg.ROBSize = 2 + rng.Intn(63)
+	cfg.IQSize = 1 + rng.Intn(cfg.ROBSize)
+	cfg.LSQSize = 1 + rng.Intn(cfg.ROBSize)
+	cfg.FetchWidth = 1 + rng.Intn(8)
+	cfg.DispatchWidth = 1 + rng.Intn(8)
+	cfg.IssueWidth = 1 + rng.Intn(4)
+	cfg.RetireWidth = 1 + rng.Intn(4)
+	cfg.MaxBranches = 1 + rng.Intn(8)
+	cfg.FetchQueueSize = 1 + rng.Intn(16)
+	cfg.BranchPenalty = uint64(rng.Intn(20))
+	cfg.FrontEndDelay = uint64(rng.Intn(6))
+	return cfg, randomStream(rng, 200+rng.Intn(3000))
+}
+
 func TestFuzzRandomStreamsAlwaysRetire(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 40; trial++ {
-		cfg := DefaultConfig()
-		// Shrink structures aggressively to provoke stalls.
-		cfg.ROBSize = 2 + rng.Intn(63)
-		cfg.IQSize = 1 + rng.Intn(cfg.ROBSize)
-		cfg.LSQSize = 1 + rng.Intn(cfg.ROBSize)
-		cfg.FetchWidth = 1 + rng.Intn(8)
-		cfg.DispatchWidth = 1 + rng.Intn(8)
-		cfg.IssueWidth = 1 + rng.Intn(4)
-		cfg.RetireWidth = 1 + rng.Intn(4)
-		cfg.MaxBranches = 1 + rng.Intn(8)
-		cfg.FetchQueueSize = 1 + rng.Intn(16)
-		cfg.BranchPenalty = uint64(rng.Intn(20))
-		cfg.FrontEndDelay = uint64(rng.Intn(6))
-
-		n := 200 + rng.Intn(3000)
-		stream := randomStream(rng, n)
+		cfg, stream := randomCase(rng)
+		n := len(stream)
 		h := mem.NewHierarchy(mem.DefaultHierarchyConfig())
 		u := bpred.NewUnit(bpred.DefaultConfig())
 		sim := New(cfg, h, u)

@@ -128,7 +128,9 @@ func New(cfg Config, hier *mem.Hierarchy, pred bpred.Predictor) *Sim {
 // SimulateSource retires up to n instructions fed from src and returns the
 // region's timing. The stream ends early when src returns an empty batch.
 // The pipeline starts and ends empty; cycle counting spans first fetch to
-// last retire.
+// last retire. A cycle in which no stage moves is followed by the next event
+// (nextEvent) rather than the next cycle; the skipped cycles could have moved
+// nothing either, so every result is the one stepping each cycle would give.
 func (s *Sim) SimulateSource(n uint64, src Source) Result {
 	s.reset()
 	s.src = src
@@ -136,22 +138,60 @@ func (s *Sim) SimulateSource(n uint64, src Source) Result {
 	streamDone := false
 
 	for {
-		s.retire()
-		s.issue()
-		s.dispatch()
+		moved := s.retire() + s.issue() + s.dispatch()
 		if !streamDone && pulled < n {
-			pulled += s.fetch(n-pulled, &streamDone)
+			f := s.fetch(n-pulled, &streamDone)
+			pulled += f
+			moved += int(f)
 		}
 		if s.count == 0 && s.fqCount == 0 && (streamDone || pulled >= n) {
 			break
 		}
-		s.cycle++
+		if moved == 0 {
+			s.cycle = s.nextEvent()
+		} else {
+			s.cycle++
+		}
 	}
 	s.res.Cycles = s.cycle
 	s.src = nil
 	s.cur = nil
 	s.curIdx = 0
 	return s.res
+}
+
+// nextEvent returns the first cycle after the current one at which a stage
+// can move, for a cycle in which none did. Time alone changes what the stages
+// read at four kinds of event: an issued instruction completes (retire reads
+// the head's doneCycle, ready its producers'), the fetch-queue head clears the
+// front end (dispatch), a branch resolves and frees its checkpoint, and a
+// fetch stall ends (fetch). Everything else changes only when a stage moves.
+// A branch resolves at its own doneCycle and cannot retire before it, so the
+// ROB scan covers the third kind; a time-dependent condition added to a stage
+// must add its event here.
+func (s *Sim) nextEvent() uint64 {
+	now := s.cycle
+	next := sooner(^uint64(0), now, s.fetchResumeAt)
+	if s.fqCount > 0 {
+		next = sooner(next, now, s.fq[s.fqHead].fetchReady+s.cfg.FrontEndDelay)
+	}
+	// Dispatch stores doneCycle 0, so only issued entries are candidates.
+	for k, pos := 0, s.head; k < s.count && next > now+1; k++ {
+		next = sooner(next, now, s.rob[pos].doneCycle)
+		pos = wrap(pos+1, len(s.rob))
+	}
+	if next == ^uint64(0) {
+		return now + 1 // nothing pending: step, as a stalled machine would
+	}
+	return next
+}
+
+// sooner returns t if it lies after now and before next, else next.
+func sooner(next, now, t uint64) uint64 {
+	if t > now && t < next {
+		return t
+	}
+	return next
 }
 
 // wrap folds a ring position in [0, 2n) back into [0, n). Every ring here
@@ -270,9 +310,11 @@ func (s *Sim) fetch(budget uint64, streamDone *bool) uint64 {
 	return fetched
 }
 
-// dispatch moves decoded instructions into the ROB/IQ/LSQ in order.
-func (s *Sim) dispatch() {
-	for n := 0; n < s.cfg.DispatchWidth && s.fqCount > 0; n++ {
+// dispatch moves decoded instructions into the ROB/IQ/LSQ in order and
+// returns how many it moved.
+func (s *Sim) dispatch() int {
+	n := 0
+	for ; n < s.cfg.DispatchWidth && s.fqCount > 0; n++ {
 		e := &s.fq[s.fqHead]
 		if e.fetchReady+s.cfg.FrontEndDelay > s.cycle {
 			break
@@ -309,6 +351,7 @@ func (s *Sim) dispatch() {
 		s.fqHead = wrap(s.fqHead+1, len(s.fq))
 		s.fqCount--
 	}
+	return n
 }
 
 // depFor returns the dependence token (seq+1) for a source register.
@@ -337,10 +380,10 @@ func (s *Sim) ready(dep uint64) bool {
 	return p.done && p.doneCycle <= s.cycle
 }
 
-// issue selects up to IssueWidth ready instructions and computes their
-// completion times. The eight universal FUs are fully pipelined, so the
-// issue width is the binding constraint.
-func (s *Sim) issue() {
+// issue selects up to IssueWidth ready instructions, computes their
+// completion times and returns how many it issued. The eight universal FUs
+// are fully pipelined, so the issue width is the binding constraint.
+func (s *Sim) issue() int {
 	issued := 0
 	limit := s.cfg.IssueWidth
 	if s.cfg.NumFUs < limit {
@@ -403,6 +446,7 @@ func (s *Sim) issue() {
 		s.iq = s.iq[:len(s.iq)-1]
 		issued++
 	}
+	return issued
 }
 
 // lsqScan walks the load's older in-window entries youngest-first,
@@ -444,9 +488,11 @@ func (s *Sim) storeIssued(tok uint64) bool {
 }
 
 // retire commits up to RetireWidth completed instructions in order, training
-// the branch predictor at retirement as the paper specifies.
-func (s *Sim) retire() {
-	for n := 0; n < s.cfg.RetireWidth && s.count > 0; n++ {
+// the branch predictor at retirement as the paper specifies, and returns how
+// many it committed.
+func (s *Sim) retire() int {
+	n := 0
+	for ; n < s.cfg.RetireWidth && s.count > 0; n++ {
 		e := &s.rob[s.head]
 		if !e.issued || !e.done || e.doneCycle > s.cycle {
 			break
@@ -465,4 +511,5 @@ func (s *Sim) retire() {
 		s.count--
 		s.headSeq = e.d.Seq + 1
 	}
+	return n
 }

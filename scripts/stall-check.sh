@@ -11,10 +11,11 @@
 #     copied into the batch buffer: every such load waits for the stores to
 #     drain (a failed store-to-load forward), ~6 ns per simulated instruction.
 #     Records are stored field by field through `d := &buf[n]`.
-#   - ooo.(*Sim).{fetch,dispatch,issue,retire,lsqScan} — the per-cycle loops;
-#     ready, storeIssued and wrap are inlined into them — must contain no
-#     hardware divide (`% len(ring)` on a size the compiler cannot see; ring
-#     positions wrap by compare-and-subtract) and no call into Duff's device
+#   - ooo.(*Sim).{fetch,dispatch,issue,retire,lsqScan,nextEvent} — the
+#     per-cycle loops and the idle-cycle skip; ready, storeIssued, wrap and
+#     sooner are inlined into them — must contain no hardware divide
+#     (`% len(ring)` on a size the compiler cannot see; ring positions wrap
+#     by compare-and-subtract) and no call into Duff's device
 #     (runtime.duffcopy: a whole-struct copy of the 104-byte entry; entries
 #     are built in place and copied once, field by field). Such a call enters
 #     the routine part-way, so objdump prints it as a bare `CALL 0x...` and
@@ -53,7 +54,7 @@ check() {
 
 check 'funcsim\.\(\*Sim\)\.RunBatch$' 'MOVUPS[[:space:]]+[0-9a-fx]*\(SP\), X[0-9]+' \
     'a 16-byte load from the stack frame: the record is being built in a temporary and copied'
-for FN in fetch dispatch issue retire lsqScan; do
+for FN in fetch dispatch issue retire lsqScan nextEvent; do
     check "ooo\.\(\*Sim\)\.$FN\$" 'DIVQ|CALL 0x[0-9a-f]+' \
         'a hardware divide or a Duff copy in a per-cycle loop'
 done
