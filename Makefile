@@ -40,6 +40,9 @@
 #   make loc         non-test Go lines per internal package and in total
 #   make results     regenerate the committed full-scale outputs
 #                    (results_*.txt); about 7 minutes
+#   make results-check  regenerate them into a temp dir and diff against the
+#                    committed ones with every duration token masked; exits
+#                    non-zero on any other difference; about 7 minutes
 #   make all         everything above
 #
 # The benchmark itself is `bash bench/run.sh --workload W` (one workload) or
@@ -48,7 +51,7 @@
 
 GO ?= go
 
-.PHONY: all build test verify chaos obs-smoke cluster-smoke trace-smoke shard-smoke recovery-smoke regimen-smoke bench-smoke stall-check examples bench-sweep loc results
+.PHONY: all build test verify chaos obs-smoke cluster-smoke trace-smoke shard-smoke recovery-smoke regimen-smoke bench-smoke stall-check examples bench-sweep loc results results-check
 
 all: build test verify chaos obs-smoke cluster-smoke trace-smoke shard-smoke recovery-smoke regimen-smoke bench-smoke stall-check examples
 
@@ -204,3 +207,10 @@ results:
 	$(GO) run ./cmd/rsr all > results_reference.txt
 	$(GO) run ./cmd/rsr -parallel 1 -shards 1 fig7 > results_fig7_sequential.txt
 	$(GO) run ./cmd/rsr strategies > results_strategies.txt
+
+# results-check is the byte-identity check for a change that claims the same
+# results: it regenerates the three files above into a temporary directory and
+# diffs them against the committed ones with every Go duration token (812µs,
+# 224.5ms, 1.23s, 1m2.5s) and its padding masked. Any other difference fails.
+results-check:
+	./scripts/results-check.sh

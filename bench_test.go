@@ -130,8 +130,8 @@ func BenchmarkFigure9SimPoint(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(f.Rows) == 0 {
-			b.Fatal("no rows")
+		if len(f.Cells) == 0 {
+			b.Fatal("no cells")
 		}
 	}
 }

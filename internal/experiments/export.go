@@ -19,13 +19,15 @@ func WriteJSON(w io.Writer, v any) error {
 	return enc.Encode(v)
 }
 
-// WriteCellsCSV flattens cells to CSV.
+// WriteCellsCSV flattens cells to CSV: every cell table — the figures, the
+// appendix, Figure 9 and the strategy head-to-head — shares one header.
 func WriteCellsCSV(w io.Writer, cells []Cell) error {
 	cw := csv.NewWriter(w)
 	header := []string{
 		"workload", "method", "true_ipc", "estimate", "rel_err", "confident",
 		"elapsed_ns", "warm_ops", "logged_records", "recon_scanned", "recon_applied",
 		"hot_instructions", "func_instructions",
+		"strategy", "ci_rel", "regions", "profile_instructions", "selection_ns",
 	}
 	if err := cw.Write(header); err != nil {
 		return err
@@ -42,6 +44,10 @@ func WriteCellsCSV(w io.Writer, cells []Cell) error {
 			strconv.FormatUint(c.Work.ReconApplied, 10),
 			strconv.FormatUint(c.HotInstructions, 10),
 			strconv.FormatUint(c.FuncInstructions, 10),
+			c.Strategy, fmtF(c.CIRel),
+			strconv.Itoa(c.Regions),
+			strconv.FormatUint(c.ProfileInstructions, 10),
+			strconv.FormatInt(c.Selection.Nanoseconds(), 10),
 		}
 		if err := cw.Write(rec); err != nil {
 			return err
@@ -64,40 +70,6 @@ func WriteTable1CSV(w io.Writer, rows []Table1Row) error {
 			strconv.Itoa(r.NumClusters),
 			strconv.FormatUint(r.ClusterSize, 10),
 			strconv.FormatInt(r.FullElapsed.Nanoseconds(), 10),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteFigure9CSV flattens the SimPoint comparison to CSV.
-func WriteFigure9CSV(w io.Writer, r *Figure9Result) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"config", "workload", "true_ipc", "estimate", "rel_err", "sim_elapsed_ns", "hot_instructions", "points"}); err != nil {
-		return err
-	}
-	for _, row := range r.Rows {
-		rec := []string{
-			row.Config, row.Workload,
-			fmtF(row.TrueIPC), fmtF(row.Estimate), fmtF(row.RelErr),
-			strconv.FormatInt(row.SimElapsed.Nanoseconds(), 10),
-			strconv.FormatUint(row.HotInsts, 10),
-			strconv.Itoa(row.Points),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	for _, c := range r.Reference {
-		rec := []string{
-			"R$BP (20%)", c.Workload,
-			fmtF(c.TrueIPC), fmtF(c.Estimate), fmtF(c.RelErr),
-			strconv.FormatInt(c.Elapsed.Nanoseconds(), 10),
-			strconv.FormatUint(c.HotInstructions, 10),
-			"",
 		}
 		if err := cw.Write(rec); err != nil {
 			return err

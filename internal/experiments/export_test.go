@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"rsr/internal/warmup"
 )
 
 func sampleCells() []Cell {
@@ -18,23 +21,99 @@ func sampleCells() []Cell {
 	}
 }
 
-func TestWriteCellsCSV(t *testing.T) {
+const cellsCSVHeader = "workload,method,true_ipc,estimate,rel_err,confident,elapsed_ns,warm_ops,logged_records," +
+	"recon_scanned,recon_applied,hot_instructions,func_instructions," +
+	"strategy,ci_rel,regions,profile_instructions,selection_ns"
+
+// checkCellsCSV writes cells with WriteCellsCSV and checks the shared header,
+// one record per cell, and the {column, value} pairs want holds for each row.
+func checkCellsCSV(t *testing.T, name string, cells []Cell, want [][]string) {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteCellsCSV(&buf, sampleCells()); err != nil {
+	if err := WriteCellsCSV(&buf, cells); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := csv.NewReader(&buf).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 3 {
-		t.Fatalf("records = %d", len(recs))
+	if got := strings.Join(recs[0], ","); got != cellsCSVHeader {
+		t.Fatalf("%s: header\n%s\nwant\n%s", name, got, cellsCSVHeader)
 	}
-	if recs[0][0] != "workload" || recs[1][1] != "None" || recs[2][1] != "S$BP" {
-		t.Fatalf("csv content wrong: %v", recs)
+	if len(recs) != len(cells)+1 {
+		t.Fatalf("%s: records = %d", name, len(recs))
 	}
-	if recs[1][5] != "false" || recs[2][5] != "true" {
-		t.Fatal("confident column wrong")
+	col := map[string]int{}
+	for i, h := range recs[0] {
+		col[h] = i
+	}
+	for r, pairs := range want {
+		for k := 0; k < len(pairs); k += 2 {
+			if got := recs[r+1][col[pairs[k]]]; got != pairs[k+1] {
+				t.Errorf("%s row %d: %s = %q, want %q", name, r, pairs[k], got, pairs[k+1])
+			}
+		}
+	}
+}
+
+// TestWriteCellsCSV: the figures' and the head-to-head's cells flatten under
+// one header, with the interval width on every row and the strategy columns
+// blank or zero where a cell has none.
+func TestWriteCellsCSV(t *testing.T) {
+	strategies := []Cell{
+		{Workload: "twolf", Method: "R$BP (20%)", Strategy: "ranked-set", TrueIPC: 1.1, Estimate: 1.0,
+			RelErr: 0.09, CIRel: 0.031, Confident: true, Regions: 50, ProfileInstructions: 991611},
+	}
+	checkCellsCSV(t, "figure", sampleCells(), [][]string{
+		{"method", "None", "confident", "false", "strategy", "", "ci_rel", "0.000000"},
+		{"method", "S$BP", "confident", "true", "elapsed_ns", "4000000000"},
+	})
+	checkCellsCSV(t, "strategies", strategies, [][]string{
+		{"strategy", "ranked-set", "ci_rel", "0.031000", "confident", "true", "regions", "50",
+			"profile_instructions", "991611"},
+	})
+}
+
+// TestWriteFigure9CSV: Figure 9's SimPoint cells and its R$BP reference cell
+// go out under the same header as every other figure, the SimPoint row with
+// its selection time and point count, the reference row after it.
+func TestWriteFigure9CSV(t *testing.T) {
+	figure9 := []Cell{
+		{Workload: "gcc", Method: "50K", Strategy: "simpoint", TrueIPC: 0.67, Estimate: 0.64, RelErr: 0.04,
+			Elapsed: 3 * time.Second, Selection: 2 * time.Second, HotInstructions: 1500000, Regions: 30},
+		{Workload: "gcc", Method: "R$BP (20%)", TrueIPC: 0.67, Estimate: 0.66, RelErr: 0.015, CIRel: 0.02, Regions: 50},
+	}
+	checkCellsCSV(t, "figure9", figure9, [][]string{
+		{"method", "50K", "strategy", "simpoint", "elapsed_ns", "3000000000", "selection_ns", "2000000000",
+			"hot_instructions", "1500000", "regions", "30"},
+		{"method", "R$BP (20%)", "strategy", "", "ci_rel", "0.020000", "regions", "50", "selection_ns", "0"},
+	})
+}
+
+// TestAverageBy: groups keep first-appearance order and every mean is over
+// its own group's cells.
+func TestAverageBy(t *testing.T) {
+	cells := []Cell{
+		{Method: "R$BP (20%)", Strategy: "two-phase-stratified", RelErr: 0.01, CIRel: 0.02, Confident: true,
+			Elapsed: 3 * time.Second, Selection: time.Second, HotInstructions: 100, ProfileInstructions: 1000,
+			Work: warmup.Work{ReconScanned: 10, ReconApplied: 4}},
+		{Method: "R$BP (20%)", Strategy: "ranked-set", RelErr: 0.05, Elapsed: time.Second},
+		{Method: "R$BP (20%)", Strategy: "two-phase-stratified", RelErr: 0.03, CIRel: 0.04,
+			Elapsed: 5 * time.Second, Selection: 3 * time.Second, HotInstructions: 300, ProfileInstructions: 3000,
+			Work: warmup.Work{WarmOps: 8, ReconScanned: 2}},
+	}
+	got := averageBy(cells, byStrategy)
+	want := []MethodAverage{
+		{Method: "two-phase-stratified", MeanRelErr: (0.01 + 0.03) / 2, MeanCIRel: (0.02 + 0.04) / 2, ConfidentShare: 0.5,
+			MeanTime: 4 * time.Second, MeanSelection: 2 * time.Second, MeanWarmOps: 4, MeanReconOps: 8,
+			MeanHotInstr: 200, MeanProfileInstr: 2000},
+		{Method: "ranked-set", MeanRelErr: 0.05, MeanTime: time.Second},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("averageBy(byStrategy) =\n%+v\nwant\n%+v", got, want)
+	}
+	if got := averageBy(cells, byMethod); len(got) != 1 || got[0].MeanTime != 3*time.Second {
+		t.Fatalf("averageBy(byMethod) = %+v", got)
 	}
 }
 
@@ -61,29 +140,5 @@ func TestWriteTable1CSV(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "mcf") || !strings.Contains(out, "8000") {
 		t.Fatalf("csv = %q", out)
-	}
-}
-
-func TestWriteFigure9CSV(t *testing.T) {
-	f := &Figure9Result{
-		Rows: []SimPointRow{
-			{Config: "50K", Workload: "gcc", TrueIPC: 0.67, Estimate: 0.64, RelErr: 0.04,
-				SimElapsed: time.Second, HotInsts: 1500000, Points: 30},
-		},
-		Reference: []Cell{{Workload: "gcc", TrueIPC: 0.67, Estimate: 0.66, RelErr: 0.015}},
-	}
-	var buf bytes.Buffer
-	if err := WriteFigure9CSV(&buf, f); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 3 { // header + row + reference
-		t.Fatalf("records = %d", len(recs))
-	}
-	if recs[2][0] != "R$BP (20%)" {
-		t.Fatalf("reference row = %v", recs[2])
 	}
 }

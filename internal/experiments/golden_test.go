@@ -188,15 +188,21 @@ func TestFigure9GoldenRegression(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(r.Rows) != len(figure9Golden) {
-			t.Fatalf("shards=%d: %d rows, golden %d", shards, len(r.Rows), len(figure9Golden))
+		var rows []Cell // the SimPoint cells, without the R$BP (20%) reference
+		for _, c := range r.Cells {
+			if c.Strategy != "" {
+				rows = append(rows, c)
+			}
+		}
+		if len(rows) != len(figure9Golden) {
+			t.Fatalf("shards=%d: %d rows, golden %d", shards, len(rows), len(figure9Golden))
 		}
 		for i, g := range figure9Golden {
-			row := r.Rows[i]
-			if row.Config != g.config || row.Workload != g.workload ||
-				math.Abs(row.Estimate-g.estimate) > 1e-9 || row.HotInsts != g.hot || row.Points != g.points {
+			row := rows[i]
+			if row.Method != g.config || row.Workload != g.workload ||
+				math.Abs(row.Estimate-g.estimate) > 1e-9 || row.HotInstructions != g.hot || row.Regions != g.points {
 				t.Errorf("shards=%d row %d drifted: {%q, %q, %.10f, %d, %d}, golden %+v",
-					shards, i, row.Config, row.Workload, row.Estimate, row.HotInsts, row.Points, g)
+					shards, i, row.Method, row.Workload, row.Estimate, row.HotInstructions, row.Regions, g)
 			}
 		}
 	}

@@ -79,51 +79,49 @@ func renderCellGrid(cells []Cell, val func(Cell) string) string {
 	return b.String()
 }
 
-// RenderFigure9 formats the SimPoint comparison.
-func RenderFigure9(r *Figure9Result) string {
+// RenderFigure9 formats the SimPoint comparison: one row per SimPoint cell,
+// then the per-configuration averages and the sampled reference's. Sim time
+// leaves out SimPoint's offline profile, as in the paper.
+func RenderFigure9(f *FigureResult) string {
 	var b strings.Builder
-	b.WriteString("Figure 9: SimPoint comparison\n")
+	b.WriteString(f.Title + "\n")
 	fmt.Fprintf(&b, "%-12s %-10s %10s %10s %9s %12s %8s\n",
 		"config", "workload", "true IPC", "estimate", "RE", "sim time", "points")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-12s %-10s %10.4f %10.4f %8.2f%% %12s %8d\n",
-			row.Config, row.Workload, row.TrueIPC, row.Estimate, 100*row.RelErr,
-			roundDur(row.SimElapsed), row.Points)
-	}
-	// Config averages plus the sampled reference.
-	b.WriteString("\naverages:\n")
-	type agg struct {
-		re   float64
-		time time.Duration
-		n    int
-	}
-	order := []string{}
-	accs := map[string]*agg{}
-	for _, row := range r.Rows {
-		a, ok := accs[row.Config]
-		if !ok {
-			a = &agg{}
-			accs[row.Config] = a
-			order = append(order, row.Config)
+	for _, c := range f.Cells {
+		if c.Strategy == "" {
+			continue // the R$BP (20%) reference is reported in the averages only
 		}
-		a.re += row.RelErr
-		a.time += row.SimElapsed
-		a.n++
+		fmt.Fprintf(&b, "%-12s %-10s %10.4f %10.4f %8.2f%% %12s %8d\n",
+			c.Method, c.Workload, c.TrueIPC, c.Estimate, 100*c.RelErr,
+			roundDur(c.Elapsed-c.Selection), c.Regions)
 	}
-	for _, cfg := range order {
-		a := accs[cfg]
+	b.WriteString("\naverages:\n")
+	for _, a := range f.Averages {
 		fmt.Fprintf(&b, "%-12s avg RE %6.2f%%  avg sim time %s\n",
-			cfg, 100*a.re/float64(a.n), roundDur(time.Duration(int(a.time)/a.n)))
+			a.Method, 100*a.MeanRelErr, roundDur(a.MeanTime-a.MeanSelection))
 	}
-	var re float64
-	var tm time.Duration
-	for _, c := range r.Reference {
-		re += c.RelErr
-		tm += c.Elapsed
+	return b.String()
+}
+
+// RenderStrategies formats the head-to-head as a per-workload grid plus the
+// per-strategy averages.
+func RenderStrategies(cells []Cell) string {
+	var b strings.Builder
+	b.WriteString("Sampling-strategy head-to-head (same hot budget per workload; reverse 20% warm-up)\n")
+	fmt.Fprintf(&b, "%-10s %-22s %9s %9s %8s %7s %5s %12s %12s %10s\n",
+		"workload", "strategy", "true", "estimate", "relerr", "ci±", "conf", "hot instr", "prof instr", "time")
+	for _, c := range cells {
+		fmt.Fprintf(&b, "%-10s %-22s %9.4f %9.4f %7.2f%% %6.2f%% %5v %12d %12d %10s\n",
+			c.Workload, c.Strategy, c.TrueIPC, c.Estimate, 100*c.RelErr, 100*c.CIRel,
+			c.Confident, c.HotInstructions, c.ProfileInstructions, roundDur(c.Elapsed))
 	}
-	if n := len(r.Reference); n > 0 {
-		fmt.Fprintf(&b, "%-12s avg RE %6.2f%%  avg sim time %s\n",
-			"R$BP (20%)", 100*re/float64(n), roundDur(time.Duration(int(tm)/n)))
+	b.WriteString("\nPer-strategy averages\n")
+	fmt.Fprintf(&b, "%-22s %9s %8s %10s %14s %14s %10s\n",
+		"strategy", "relerr", "ci±", "confident", "hot instr", "prof instr", "time")
+	for _, a := range averageBy(cells, byStrategy) {
+		fmt.Fprintf(&b, "%-22s %8.2f%% %7.2f%% %9.0f%% %14.0f %14.0f %10s\n",
+			a.Method, 100*a.MeanRelErr, 100*a.MeanCIRel, 100*a.ConfidentShare,
+			a.MeanHotInstr, a.MeanProfileInstr, roundDur(a.MeanTime))
 	}
 	return b.String()
 }

@@ -224,56 +224,57 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		if i > 0 {
 			bw.WriteByte(',')
 		}
-		writeTraceEvent(bw, &spans[i], 1)
+		r := &spans[i]
+		writeTraceEvent(bw, SpanDump{Name: r.name, Cat: r.cat, Sweep: r.sweep, TID: r.tid,
+			Start: r.start.Nanoseconds(), Dur: r.dur.Nanoseconds(), Args: r.args[:r.nargs]}, 1)
 	}
 	bw.WriteString("]}\n")
 	return bw.Flush()
 }
 
-// writeTraceEvent emits one complete-event JSON object. Span names and
+// writeTraceEvent emits one complete ("ph":"X") event: d.Start is its
+// timestamp in nanoseconds from the trace's origin. Span names and
 // categories are identifier-like in this codebase, but method labels (e.g.
 // `R$BP (20%)`) flow into cat, so strings are escaped.
-func writeTraceEvent(bw *bufio.Writer, r *spanRecord, pid int) {
+func writeTraceEvent(bw *bufio.Writer, d SpanDump, pid int) {
 	bw.WriteString(`{"name":`)
-	writeJSONString(bw, r.name)
+	writeJSONString(bw, d.Name)
 	bw.WriteString(`,"cat":`)
-	writeJSONString(bw, r.cat)
+	writeJSONString(bw, d.Cat)
 	bw.WriteString(`,"ph":"X","pid":`)
 	bw.WriteString(strconv.Itoa(pid))
 	bw.WriteString(`,"tid":`)
-	bw.WriteString(strconv.FormatInt(r.tid, 10))
+	bw.WriteString(strconv.FormatInt(d.TID, 10))
 	bw.WriteString(`,"ts":`)
-	writeMicros(bw, r.start)
+	writeMicros(bw, d.Start)
 	bw.WriteString(`,"dur":`)
-	writeMicros(bw, r.dur)
-	if r.nargs > 0 || r.sweep != "" {
+	writeMicros(bw, d.Dur)
+	if len(d.Args) > 0 || d.Sweep != "" {
 		bw.WriteString(`,"args":{`)
-		first := true
-		for i := 0; i < r.nargs; i++ {
-			if !first {
+		for i, a := range d.Args {
+			if i > 0 {
 				bw.WriteByte(',')
 			}
-			first = false
-			writeJSONString(bw, r.args[i].Key)
+			writeJSONString(bw, a.Key)
 			bw.WriteByte(':')
-			bw.WriteString(strconv.FormatInt(r.args[i].Val, 10))
+			bw.WriteString(strconv.FormatInt(a.Val, 10))
 		}
-		if r.sweep != "" {
-			if !first {
+		if d.Sweep != "" {
+			if len(d.Args) > 0 {
 				bw.WriteByte(',')
 			}
 			bw.WriteString(`"sweep":`)
-			writeJSONString(bw, r.sweep)
+			writeJSONString(bw, d.Sweep)
 		}
 		bw.WriteByte('}')
 	}
 	bw.WriteByte('}')
 }
 
-// writeMicros renders a duration as fractional microseconds (Chrome's trace
-// unit), keeping sub-microsecond spans visible.
-func writeMicros(bw *bufio.Writer, d time.Duration) {
-	bw.WriteString(strconv.FormatFloat(float64(d.Nanoseconds())/1e3, 'f', 3, 64))
+// writeMicros renders a nanosecond count as fractional microseconds
+// (Chrome's trace unit), keeping sub-microsecond spans visible.
+func writeMicros(bw *bufio.Writer, ns int64) {
+	bw.WriteString(strconv.FormatFloat(float64(ns)/1e3, 'f', 3, 64))
 }
 
 // writeJSONString emits a JSON string literal with minimal escaping.

@@ -177,3 +177,27 @@ func TestSpanEscaping(t *testing.T) {
 		t.Fatalf("escaping broke JSON: %v\n%s", err, sb.String())
 	}
 }
+
+// TestWriteChromeTraceBytesPinned holds WriteChromeTrace's output for a fixed
+// ring to the bytes it wrote before its event writer was shared with
+// WriteMergedChromeTrace: the spans are recorded out of start order, one is
+// sweep-tagged, one carries the maximum four args, one a name that needs
+// escaping, and one lasts less than a microsecond.
+func TestWriteChromeTraceBytesPinned(t *testing.T) {
+	tr := NewTracer(8)
+	at := func(d time.Duration) time.Time { return tr.epoch.Add(d) }
+	tr.Record("cold-skip", "R$BP (20%)", 1, at(1500*time.Microsecond), 2*time.Millisecond,
+		SpanArg{Key: "instr", Val: 40000}, SpanArg{Key: "cluster", Val: 3})
+	tr.Record("hot-sim", "S$BP", 2, at(250*time.Nanosecond), 999*time.Nanosecond)
+	tr.Scoped("sweep-7").Record("job", "engine", 3, at(42*time.Microsecond+7*time.Nanosecond), time.Second,
+		SpanArg{Key: "a", Val: -1}, SpanArg{Key: "b", Val: 2}, SpanArg{Key: "c", Val: 3}, SpanArg{Key: "d", Val: 4})
+	tr.Record(`say "hi"\`, "warm\nup", 4, at(0), 0)
+	var sb strings.Builder
+	if err := tr.WriteChromeTrace(&sb); err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"traceEvents":[{"name":"say \"hi\"\\","cat":"warm\u000aup","ph":"X","pid":1,"tid":4,"ts":0.000,"dur":0.000},{"name":"hot-sim","cat":"S$BP","ph":"X","pid":1,"tid":2,"ts":0.250,"dur":0.999},{"name":"job","cat":"engine","ph":"X","pid":1,"tid":3,"ts":42.007,"dur":1000000.000,"args":{"a":-1,"b":2,"c":3,"d":4,"sweep":"sweep-7"}},{"name":"cold-skip","cat":"R$BP (20%)","ph":"X","pid":1,"tid":1,"ts":1500.000,"dur":2000.000,"args":{"instr":40000,"cluster":3}}]}` + "\n"
+	if got := sb.String(); got != want {
+		t.Fatalf("WriteChromeTrace wrote\n%q\nwant\n%q", got, want)
+	}
+}

@@ -52,7 +52,9 @@ func WriteMergedChromeTrace(w io.Writer, dumps []TraceDump) error {
 			bw.WriteByte(',')
 		}
 		first = false
-		writeDumpEvent(bw, evs[i].d, evs[i].pid, evs[i].d.Start-origin)
+		d := *evs[i].d
+		d.Start -= origin
+		writeTraceEvent(bw, d, evs[i].pid)
 	}
 	bw.WriteString("]}\n")
 	return bw.Flush()
@@ -65,48 +67,4 @@ func writeProcessName(bw *bufio.Writer, pid int, name string) {
 	bw.WriteString(`,"args":{"name":`)
 	writeJSONString(bw, name)
 	bw.WriteString(`}}`)
-}
-
-// writeDumpEvent emits one complete event from a SpanDump with the given
-// nanosecond timestamp (relative to the merged-trace origin).
-func writeDumpEvent(bw *bufio.Writer, d *SpanDump, pid int, tsNS int64) {
-	bw.WriteString(`{"name":`)
-	writeJSONString(bw, d.Name)
-	bw.WriteString(`,"cat":`)
-	writeJSONString(bw, d.Cat)
-	bw.WriteString(`,"ph":"X","pid":`)
-	bw.WriteString(strconv.Itoa(pid))
-	bw.WriteString(`,"tid":`)
-	bw.WriteString(strconv.FormatInt(d.TID, 10))
-	bw.WriteString(`,"ts":`)
-	writeNanosAsMicros(bw, tsNS)
-	bw.WriteString(`,"dur":`)
-	writeNanosAsMicros(bw, d.Dur)
-	if len(d.Args) > 0 || d.Sweep != "" {
-		bw.WriteString(`,"args":{`)
-		first := true
-		for _, a := range d.Args {
-			if !first {
-				bw.WriteByte(',')
-			}
-			first = false
-			writeJSONString(bw, a.Key)
-			bw.WriteByte(':')
-			bw.WriteString(strconv.FormatInt(a.Val, 10))
-		}
-		if d.Sweep != "" {
-			if !first {
-				bw.WriteByte(',')
-			}
-			bw.WriteString(`"sweep":`)
-			writeJSONString(bw, d.Sweep)
-		}
-		bw.WriteByte('}')
-	}
-	bw.WriteByte('}')
-}
-
-// writeNanosAsMicros renders a nanosecond count as fractional microseconds.
-func writeNanosAsMicros(bw *bufio.Writer, ns int64) {
-	bw.WriteString(strconv.FormatFloat(float64(ns)/1e3, 'f', 3, 64))
 }
