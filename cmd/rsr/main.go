@@ -46,9 +46,10 @@
 //	-workload s    workload for `run`
 //	-method s      method label for `run` (e.g. "R$BP (20%)", "S$BP", "None")
 //	-regimen s     sampling strategy for `run` (see `rsr regimens`), an
-//	               engine job like any other; empty is the paper's design,
-//	               the same numbers as "stratified-uniform". Like every flag,
-//	               it must precede the command: `rsr -regimen ranked-set run`
+//	               engine job like any other; empty, or "stratified-uniform",
+//	               is the paper's design, one job under either name. Like
+//	               every flag, it must precede the command:
+//	               `rsr -regimen ranked-set run`
 //	-cpuprofile f  write a CPU profile to f
 //	-memprofile f  write an allocation profile to f on exit
 //	-metrics-out f write a JSON metrics snapshot to f on exit
@@ -107,7 +108,7 @@ func main() {
 	format := flag.String("format", "text", "output format: text, csv, or json")
 	workloadFlag := flag.String("workload", "twolf", "workload for `run`")
 	methodFlag := flag.String("method", "R$BP (20%)", "warm-up method label for `run`")
-	regimenFlag := flag.String("regimen", "", "sampling strategy for `run` (empty = the paper's design, same numbers as stratified-uniform; see `rsr regimens`)")
+	regimenFlag := flag.String("regimen", "", "sampling strategy for `run` (empty or stratified-uniform = the paper's design; see `rsr regimens`)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to `file`")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to `file` on exit")
 	metricsOut := flag.String("metrics-out", "", "write a JSON metrics snapshot (engine, phase, warm-up families) to `file` on exit")
@@ -362,6 +363,8 @@ func dispatch(cmd string, cfg experiments.Config, wl, method, regimenName, forma
 		return nil
 	case "regimens":
 		fmt.Println("sampling strategies (rsr -regimen <name> run; flags precede the command):")
+		fmt.Printf("  %-22s %s\n", regimen.PaperDesign,
+			"the paper's design: stratified-uniform placement, mean-cluster-CPI estimator (also the default)")
 		for _, s := range regimen.All() {
 			fmt.Printf("  %-22s %s\n", s.Name(), s.Describe())
 		}

@@ -41,7 +41,7 @@
 // Machine and regimen default to the paper's machine and the workload's
 // Table-1 regimen; total defaults to the reference 20M instructions;
 // "strategy" names the sampling strategy that spends the regimen (`rsr
-// regimens` lists them; default the paper's design).
+// regimens` lists them; empty or "stratified-uniform" is the paper's design).
 //
 // On SIGTERM/SIGINT the daemon drains gracefully: readiness flips, new
 // submissions get 503 + Retry-After, in-flight jobs run to completion

@@ -152,7 +152,8 @@ type jobRequest struct {
 	Seed     *int64            `json:"seed,omitempty"`
 	Regimen  *sampling.Regimen `json:"regimen,omitempty"`
 	// Strategy names the sampling strategy that spends the regimen (what
-	// `rsr -regimen` names; see `rsr regimens`). Empty = the paper's design.
+	// `rsr -regimen` names; see `rsr regimens`). Empty or "stratified-uniform"
+	// is the paper's design.
 	Strategy string `json:"strategy,omitempty"`
 	// TimeoutMS bounds the job's execution in milliseconds (0 = engine default).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`

@@ -115,8 +115,7 @@ type node struct {
 
 // sweep tracks the jobs submitted under one client tag (X-Sweep-ID): its key
 // in Coordinator.sweeps, the id it reports and the distributed trace ID its
-// spans are scoped to. (A replayed parent-format sweep the deleted batch
-// endpoint formed has no tag and is keyed by its old sweep-N id.)
+// spans are scoped to.
 type sweep struct {
 	ids       []string        // members, in the order they joined
 	has       map[string]bool // the same, for the membership test
@@ -239,14 +238,11 @@ func (c *Coordinator) adoptReplay(rp *Replay) {
 			close(it.done)
 		case "running":
 			it.state, it.firstStart = itemRunning, now
-			if len(ri.Holders) == 0 {
+			if ri.Holder == "" {
 				orphans = append(orphans, it)
 				break
 			}
-			// A parent-format journal may name a second holder, a duplicate
-			// lease raced against a slow one: the first keeps the lease, the
-			// other's report is a non-holder's.
-			it.holder = ri.Holders[0]
+			it.holder = ri.Holder
 			n := c.nodes[it.holder]
 			if n == nil {
 				n = &node{name: it.holder, lastBeat: now, leases: make(map[string]bool), replayed: true}
@@ -364,7 +360,7 @@ func (c *Coordinator) snapshotLocked() snapshot {
 			si.State = "queued"
 		case itemRunning:
 			si.State = "running"
-			si.Holders = []string{it.holder}
+			si.Holder = it.holder
 		case itemDone:
 			si.State, si.BlobSum = "done", it.blobSum
 		case itemFailed:

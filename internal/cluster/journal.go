@@ -3,7 +3,6 @@ package cluster
 import (
 	"bufio"
 	"bytes"
-	"cmp"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -58,11 +57,8 @@ const compactEvery = 4096
 const (
 	recSubmit = "submit"
 	// recTag is what a coalesced resubmission under a tag leaves; a fresh
-	// one's membership rides on its submit record. recSweep is read, never
-	// written: the parent format re-journaled a sweep's cumulative membership
-	// under a sweep-N id on every submission.
+	// one's membership rides on its submit record.
 	recTag      = "tag"
-	recSweep    = "sweep"
 	recLease    = "lease"
 	recComplete = "complete"
 	recRequeue  = "requeue"
@@ -73,8 +69,7 @@ const (
 // zero fields of a kind are omitted.
 type journalRecord struct {
 	Kind string `json:"kind"`
-	// ID is the item's content hash (submit/tag/lease/complete/requeue), or
-	// a parent-format sweep's sweep-N id (sweep).
+	// ID is the item's content hash (submit/tag/lease/complete/requeue).
 	ID string `json:"id,omitempty"`
 	// Job and ReqID ride on submit records.
 	Job   *engine.Job `json:"job,omitempty"`
@@ -82,14 +77,11 @@ type journalRecord struct {
 	// Node names the leasing node (lease), the reporting node (complete), or
 	// the reaped node (reap).
 	Node string `json:"node,omitempty"`
-	// JobIDs rides on parent-format sweep records.
-	JobIDs []string `json:"job_ids,omitempty"`
 	// BlobSum (success) or Error (failure) rides on complete records.
 	BlobSum string `json:"blob_sum,omitempty"`
 	Error   string `json:"error,omitempty"`
 	// Sweep is the client's sweep tag (X-Sweep-ID) and so the sweep's key:
-	// the sweep a submit or tag record makes the item a member of, and the tag
-	// of a parent-format sweep record ("" = keyed by its sweep-N id).
+	// the sweep a submit or tag record makes the item a member of.
 	Sweep string `json:"sweep,omitempty"`
 }
 
@@ -101,7 +93,7 @@ type snapItem struct {
 	Sweep    string     `json:"sweep,omitempty"`
 	State    string     `json:"state"` // queued, running, done, failed
 	Requeues int        `json:"requeues,omitempty"`
-	Holders  []string   `json:"holders,omitempty"` // running only
+	Holder   string     `json:"holder,omitempty"` // running only
 	BlobSum  string     `json:"blob_sum,omitempty"`
 	Error    string     `json:"error,omitempty"`
 }
@@ -121,15 +113,14 @@ type ReplayItem struct {
 	Sweep    string // distributed trace tag, "" when untraced
 	State    string // queued, running, done, failed
 	Requeues int
-	Holders  []string // nodes that held a lease at crash time (running only)
-	BlobSum  string   // done: the accepted result blob
-	ErrMsg   string   // failed: the terminal error
+	Holder   string // the node that held its lease at crash time (running only)
+	BlobSum  string // done: the accepted result blob
+	ErrMsg   string // failed: the terminal error
 }
 
 // Replay is the scheduler state reconstructed by OpenJournal.
 type Replay struct {
-	// Sweeps maps a sweep's key — its tag, or the sweep-N id of an untagged
-	// parent-format sweep — to its members in the order they joined.
+	// Sweeps maps a sweep's tag to its members in the order they joined.
 	Sweeps map[string][]string
 	member map[[2]string]bool // (key, item) pairs already in Sweeps
 	Items  []ReplayItem
@@ -279,11 +270,7 @@ func (j *Journal) load() error {
 	rp := &Replay{Sweeps: make(map[string][]string), member: make(map[[2]string]bool)}
 
 	if b, err := os.ReadFile(filepath.Join(j.dir, snapshotFile)); err == nil {
-		var snap struct {
-			snapshot
-			// Parent format: Sweeps keyed sweep-N, each one's tag (if any) here.
-			Tags map[string]string `json:"sweep_tags"`
-		}
+		var snap snapshot
 		if err := json.Unmarshal(b, &snap); err != nil {
 			// A torn snapshot cannot happen from a crash (atomic rename);
 			// scribbled bytes are a disk problem worth failing loudly on.
@@ -293,13 +280,13 @@ func (j *Journal) load() error {
 		for _, si := range snap.Items {
 			items[si.ID] = &ReplayItem{
 				ID: si.ID, Job: si.Job, ReqID: si.ReqID, Sweep: si.Sweep,
-				State: si.State, Requeues: si.Requeues, Holders: si.Holders,
+				State: si.State, Requeues: si.Requeues, Holder: si.Holder,
 				BlobSum: si.BlobSum, ErrMsg: si.Error,
 			}
 		}
 		for key, ids := range snap.Sweeps {
 			for _, id := range ids {
-				rp.join(items, cmp.Or(snap.Tags[key], key), id)
+				rp.join(items, key, id)
 			}
 		}
 	}
@@ -368,28 +355,18 @@ func (j *Journal) fold(items map[string]*ReplayItem, rp *Replay, rec journalReco
 			it.Sweep = rec.Sweep // the untagged original adopts the tag, as it did live
 		}
 		rp.join(items, rec.Sweep, rec.ID)
-	case recSweep:
-		for _, id := range rec.JobIDs {
-			rp.join(items, cmp.Or(rec.Sweep, rec.ID), id)
-		}
 	case recLease:
 		it := items[rec.ID]
 		if it == nil || it.State == "done" || it.State == "failed" {
 			return
 		}
-		it.State = "running"
-		for _, h := range it.Holders {
-			if h == rec.Node {
-				return
-			}
-		}
-		it.Holders = append(it.Holders, rec.Node)
+		it.State, it.Holder = "running", rec.Node
 	case recComplete:
 		it := items[rec.ID]
 		if it == nil {
 			return
 		}
-		it.Holders = nil
+		it.Holder = ""
 		if rec.BlobSum != "" {
 			it.State, it.BlobSum = "done", rec.BlobSum
 		} else {
@@ -400,21 +377,13 @@ func (j *Journal) fold(items map[string]*ReplayItem, rp *Replay, rec journalReco
 		if it == nil || it.State == "done" || it.State == "failed" {
 			return
 		}
-		it.State = "queued"
-		it.Holders = nil
+		it.State, it.Holder = "queued", ""
 		it.Requeues++
 	case recReap:
 		for _, it := range items {
-			if it.State != "running" {
-				continue
+			if it.State == "running" && it.Holder == rec.Node {
+				it.Holder = ""
 			}
-			keep := it.Holders[:0]
-			for _, h := range it.Holders {
-				if h != rec.Node {
-					keep = append(keep, h)
-				}
-			}
-			it.Holders = keep
 		}
 	}
 }

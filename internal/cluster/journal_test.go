@@ -471,128 +471,6 @@ func TestReplayedHolderReapedAfterReconnectCap(t *testing.T) {
 	}
 }
 
-// TestJournalReplaysParentFormatDirectory pins the on-disk format across the
-// single-queue change: a journal directory spelled out here byte for byte as
-// the per-worker-queue coordinator wrote it — snapshot.json plus one record
-// of every kind — replays into the same items, sweeps and requeue counts.
-// Queue placement was never journaled, so the replayed queue is simply the
-// queued items in ID order. The record format also outlives the batch
-// submission path: its untagged sweep records still replay. And it outlives
-// hedging: an item leased twice — the straggler and its hedge — replays with
-// the first holder alone.
-func TestJournalReplaysParentFormatDirectory(t *testing.T) {
-	jobs := make(map[string]string) // id → job JSON
-	var ids []string
-	for seed := int64(1); seed <= 5; seed++ {
-		b, err := json.Marshal(unitJob(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs[unitJob(seed).Hash()] = string(b)
-		ids = append(ids, unitJob(seed).Hash())
-	}
-	sort.Strings(ids)
-	a, b, c, d, e := ids[0], ids[1], ids[2], ids[3], ids[4]
-
-	dir := t.TempDir()
-	write := func(name, content string) {
-		t.Helper()
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write(snapshotFile, `{
- "sweep_seq": 1,
- "sweeps": {"sweep-1": ["`+a+`", "`+b+`"]},
- "sweep_tags": {"sweep-1": "tag-1"},
- "items": [
-  {"id": "`+a+`", "job": `+jobs[a]+`, "req_id": "r1", "sweep": "tag-1", "state": "queued"},
-  {"id": "`+b+`", "job": `+jobs[b]+`, "sweep": "tag-1", "state": "running", "requeues": 1, "holders": ["w1"]}
- ]
-}`)
-	write(journalFile, strings.Join([]string{
-		`{"kind":"submit","id":"` + c + `","job":` + jobs[c] + `,"req_id":"r2"}`,
-		`{"kind":"lease","id":"` + a + `","node":"w2"}`,
-		`{"kind":"requeue","id":"` + a + `"}`,
-		`{"kind":"reap","node":"w1"}`,
-		`{"kind":"sweep","id":"sweep-2","job_ids":["` + c + `"],"seq":2}`,
-		`{"kind":"submit","id":"` + d + `","job":` + jobs[d] + `}`,
-		`{"kind":"lease","id":"` + d + `","node":"w2"}`,
-		`{"kind":"complete","id":"` + d + `","error":"boom"}`,
-		`{"kind":"submit","id":"` + e + `","job":` + jobs[e] + `}`,
-		`{"kind":"lease","id":"` + e + `","node":"w4"}`,
-		`{"kind":"lease","id":"` + e + `","node":"w5"}`,
-	}, "\n")+"\n")
-
-	j, err := OpenJournal(dir, testLogger())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.Replay().Records != 11 || j.Replay().Quarantined != 0 {
-		t.Fatalf("replayed %d records, quarantined %d bytes; want 11 and 0",
-			j.Replay().Records, j.Replay().Quarantined)
-	}
-	re := NewCoordinator(CoordinatorOptions{
-		HeartbeatTimeout: time.Hour, Journal: j, Log: testLogger(),
-	})
-	defer re.Crash()
-
-	// b's only holder was reaped before the crash: nobody holds it, so the
-	// replay requeues it (its second requeue) behind the queued items.
-	snap := liveSnapshot(re)
-	want := []snapItem{
-		{ID: a, ReqID: "r1", Sweep: "tag-1", State: "queued", Requeues: 1},
-		{ID: b, Sweep: "tag-1", State: "queued", Requeues: 2},
-		{ID: c, ReqID: "r2", State: "queued"},
-		{ID: d, State: "failed", Error: "boom"},
-		{ID: e, State: "running", Holders: []string{"w4"}},
-	}
-	for i := range want {
-		want[i].Job = snap.Items[i].Job // job bodies are checked through their hashes
-		if snap.Items[i].Job.Hash() != want[i].ID {
-			t.Errorf("item %d: job hashes to %.12s, want %.12s", i, snap.Items[i].Job.Hash(), want[i].ID)
-		}
-	}
-	if !reflect.DeepEqual(snap.Items, want) {
-		t.Errorf("replayed items:\n got %+v\nwant %+v", snap.Items, want)
-	}
-	// A sweep is keyed by its tag now; the untagged one keeps its old id.
-	if !reflect.DeepEqual(snap.Sweeps, map[string][]string{"tag-1": {a, b}, "sweep-2": {c}}) {
-		t.Errorf("replayed sweeps = %v", snap.Sweeps)
-	}
-	// The queued items come back in ID order, the orphaned b behind them;
-	// e stays with w4, and the hedge's report is a non-holder's.
-	for i, id := range []string{a, c, b} {
-		if it := re.Pull("w3"); it == nil || it.ID != id {
-			t.Fatalf("pull %d = %+v, want %.12s", i, it, id)
-		}
-	}
-	if it := re.Pull("w3"); it != nil {
-		t.Fatalf("pull = %+v, want nothing: e is held", it)
-	}
-	if err := re.Complete(CompleteRequest{Node: "w5", ID: e, Error: "hedge lost"}); err != nil {
-		t.Fatal(err)
-	}
-	if st, _ := re.Status(e); st.Status != "pending" {
-		t.Errorf("e after its hedge's report = %+v, want pending with w4", st)
-	}
-	if st, _ := re.Status(d); st.Status != "failed" || st.Error != "boom" {
-		t.Errorf("failed item = %+v, want failed: boom", st)
-	}
-	// sweep-2 is a record only the deleted POST /v1/sweeps batch path wrote: a
-	// sweep with no tag. It still replays into a pollable sweep, and a sweep
-	// formed after the replay is keyed, like every new one, by its tag.
-	if st, ok := re.SweepStatus("sweep-2"); !ok || !reflect.DeepEqual(st.JobIDs, []string{c}) || st.Pending != 1 {
-		t.Errorf("untagged batch sweep after replay = %+v, %v; want one pending member %.12s", st, ok, c)
-	}
-	if _, err := re.Submit(unitJob(6), "", "tag-3"); err != nil {
-		t.Fatal(err)
-	}
-	if st, ok := re.SweepStatus("tag-3"); !ok || st.ID != "tag-3" {
-		t.Errorf("first sweep formed after replay = %+v, %v; want id tag-3", st, ok)
-	}
-}
-
 // TestReplayedTagWithoutSubmitJoinsNothing pins that a journal record cannot
 // conjure a sweep member: a tag record for an ID no submit record or snapshot
 // item names joins no sweep, so it neither forms a sweep nor counts in one,

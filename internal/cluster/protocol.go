@@ -60,7 +60,12 @@ import (
 // so job hashes moved to hashVersion 3. A version-3 peer would hash the same
 // job another way, and the coordinator would refuse its result as another
 // job's.
-const ProtocolVersion = 4
+//
+// Version 5: hashVersion 4 — a strategy Outcome's JSON carries Clusters, and
+// a stratified-uniform job hashes as the unnamed one. The journal lost its
+// parent-format readers (cumulative sweep records, sweep_tags, a second
+// holder), so drain a journaled fabric before the upgrade.
+const ProtocolVersion = 5
 
 // ErrProtocol reports a protocol-version mismatch between peers.
 var ErrProtocol = errors.New("cluster: protocol version mismatch")

@@ -441,7 +441,7 @@ func TestJobHashPinned(t *testing.T) {
 		Seed:     2007,
 		Warmup:   warmup.Spec{Kind: warmup.KindReverse, Percent: 20, Cache: true, BPred: true},
 	}
-	const want = "983950009709d9f622aba93afed629d6c6911896094c11726ae27425595a9be7"
+	const want = "a44f479c4b7d3165221b2886d8d8dfea1d30ea6a1799dca1f95d6f72e15ad451"
 	if got := j.Hash(); got != want {
 		t.Errorf("hash of the canonical R$BP (20%%) job = %s, pinned %s (hashVersion %d)", got, want, hashVersion)
 	}

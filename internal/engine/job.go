@@ -53,10 +53,10 @@ type Job struct {
 	Seed    int64
 	Warmup  warmup.Spec
 	// Strategy names the registered sampling strategy (regimen.ByName) that
-	// spends the Regimen's budget; the result is then a regimen.Outcome. Empty
-	// is the paper's design run by sampling.RunSampledOpts — the numbers of
-	// "stratified-uniform", but another job: an empty name is absent from the
-	// hash, so a job that predates the field keeps its content address.
+	// spends the Regimen's budget; the result is then a regimen.Outcome. Empty,
+	// or regimen.PaperDesign, is the paper's design run by
+	// sampling.RunSampledOpts: both spellings are one job (Job.strategy), and
+	// an empty name is absent from the hash.
 	Strategy string `json:"Strategy,omitempty"`
 	// Timeout bounds this job's execution (0 = the engine default). It is
 	// scheduling policy, not identity: it does not enter the hash. A job
@@ -85,13 +85,15 @@ type jobIdentity struct {
 	Strategy    string `json:",omitempty"`
 }
 
+// Version 4: a strategy Outcome keeps the walker's per-cluster records
+// (Clusters), and a job naming regimen.PaperDesign hashes as the unnamed one.
 // Version 3: the machine's bus, prefetch and LSQ switches and the warm-up
 // spec's counter-inference switch left the identity. Version 2: a reverse
 // spec's Percent selects the newest Percent of the region's instructions, not
 // of its log records (1 was the layout's first). TestJobHashPinned holds the
 // hash of one job to a literal, so a bump — or an identity change without
 // one — shows up there.
-const hashVersion = 3
+const hashVersion = 4
 
 // Hash returns the job's content address: hex SHA-256 of the canonical
 // JSON encoding of its identity fields (Timeout excluded).
@@ -105,7 +107,7 @@ func (j Job) Hash() string {
 		Regimen:     j.Regimen,
 		Seed:        j.Seed,
 		Warmup:      j.Warmup,
-		Strategy:    j.Strategy,
+		Strategy:    j.strategy(),
 	}
 	b, err := json.Marshal(id)
 	if err != nil {
@@ -113,6 +115,16 @@ func (j Job) Hash() string {
 		panic(fmt.Sprintf("engine: job hash: %v", err))
 	}
 	return cas.Sum(b)
+}
+
+// strategy is the registered strategy the job runs: "" for the paper's
+// design under either of its spellings. Hash, Label, Validate and runJob read
+// the field through it alone.
+func (j Job) strategy() string {
+	if j.Strategy == regimen.PaperDesign {
+		return ""
+	}
+	return j.Strategy
 }
 
 // checkpointIdentity is the canonical hashed form of a sampled job's
@@ -165,8 +177,8 @@ func (j Job) Label() string {
 	if j.Kind == JobFull {
 		return fmt.Sprintf("full/%s", j.Workload)
 	}
-	if j.Strategy != "" {
-		return fmt.Sprintf("%s/%s/%s", j.Workload, j.Strategy, j.Warmup.Label())
+	if s := j.strategy(); s != "" {
+		return fmt.Sprintf("%s/%s/%s", j.Workload, s, j.Warmup.Label())
 	}
 	return fmt.Sprintf("%s/%s", j.Workload, j.Warmup.Label())
 }
@@ -185,11 +197,11 @@ func (j Job) Validate() error {
 	if j.Kind == JobSampled {
 		// Whether a named strategy's budget fits the workload is the strategy's
 		// to say: SimPoint short of intervals selects fewer (Figure 9's 10M).
-		if j.Strategy == "" {
+		if s := j.strategy(); s == "" {
 			if err := j.Regimen.Validate(j.Total); err != nil {
 				return err
 			}
-		} else if _, err := regimen.ByName(j.Strategy); err != nil {
+		} else if _, err := regimen.ByName(s); err != nil {
 			return fmt.Errorf("engine: %w", err)
 		}
 		if err := j.Warmup.Validate(); err != nil {

@@ -131,7 +131,7 @@ func TestStrategyJobSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	regions := len(res.Outcome.Regions)
+	regions := len(res.Outcome.Clusters)
 	if got := spanCounts(t, tr)["hot-sim"]; got != regions || regions == 0 {
 		t.Errorf("hot-sim spans = %d, want one per measured region (%d)", got, regions)
 	}

@@ -56,8 +56,8 @@ func runJob(j Job, cancel <-chan struct{}, eo *engineObs, sweep string, ckpt sam
 	p := w.Build()
 	instr, strat, tr := eo.sinks(sweep)
 	opts := sampling.Options{Cancel: cancel, Instr: instr, Tracer: tr, Shards: j.Shards}
-	if j.Kind == JobSampled && j.Strategy != "" {
-		s, err := regimen.ByName(j.Strategy)
+	if j.Kind == JobSampled && j.strategy() != "" {
+		s, err := regimen.ByName(j.strategy())
 		if err != nil {
 			return nil, fmt.Errorf("engine: %w", err)
 		}

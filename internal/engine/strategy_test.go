@@ -89,9 +89,10 @@ func TestStrategyJobMatchesDirectRun(t *testing.T) {
 }
 
 // TestStrategyIsIdentity pins what the Strategy field does to a job's
-// address: named, it separates the job from the unnamed one and from every
-// other strategy's; empty, it is absent from the job's JSON and so from its
-// hash (TestJobHashPinned holds that hash to its pre-Strategy literal). An
+// address: a registered name separates the job from the unnamed one and from
+// every other strategy's; empty, it is absent from the job's JSON and so from
+// its hash (TestJobHashPinned holds that hash to a literal), and
+// regimen.PaperDesign is the unnamed job (TestPaperDesignIsOneJob). An
 // unregistered name is refused at Submit, and a named job is not held to
 // Regimen.Validate — SimPoint takes a budget larger than the workload.
 func TestStrategyIsIdentity(t *testing.T) {
@@ -104,15 +105,15 @@ func TestStrategyIsIdentity(t *testing.T) {
 		t.Errorf("unnamed job marshals a Strategy key: %s", b)
 	}
 	seen := map[string]string{unnamed.Hash(): "(unnamed)"}
-	for _, name := range regimen.Names() {
+	for _, s := range regimen.All() {
 		j := unnamed
-		j.Strategy = name
+		j.Strategy = s.Name()
 		if other, dup := seen[j.Hash()]; dup {
-			t.Errorf("strategy %s shares its hash with %s", name, other)
+			t.Errorf("strategy %s shares its hash with %s", s.Name(), other)
 		}
-		seen[j.Hash()] = name
+		seen[j.Hash()] = s.Name()
 		if err := j.Validate(); err != nil {
-			t.Errorf("strategy %s: %v", name, err)
+			t.Errorf("strategy %s: %v", s.Name(), err)
 		}
 	}
 
@@ -134,5 +135,38 @@ func TestStrategyIsIdentity(t *testing.T) {
 	oversized.Strategy = "simpoint"
 	if err := oversized.Validate(); err != nil {
 		t.Errorf("simpoint job with a budget past the workload: %v", err)
+	}
+}
+
+// TestPaperDesignIsOneJob: regimen.PaperDesign and the empty name are two
+// spellings of one job — one content address, one label, one execution — and
+// the result is the unnamed job's RunResult, not an Outcome.
+func TestPaperDesignIsOneJob(t *testing.T) {
+	unnamed := sampledJob("twolf", warmup.Spec{Kind: warmup.KindReverse, Percent: 20, Cache: true, BPred: true})
+	named := unnamed
+	named.Strategy = regimen.PaperDesign
+	if named.Hash() != unnamed.Hash() || named.Label() != unnamed.Label() {
+		t.Fatalf("%s: hash %.12s label %q; unnamed: hash %.12s label %q",
+			regimen.PaperDesign, named.Hash(), named.Label(), unnamed.Hash(), unnamed.Label())
+	}
+	if err := named.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	e := New(Options{Workers: 2})
+	defer e.Close()
+	ctx := context.Background()
+	var results []*Result
+	for _, j := range []Job{unnamed, named} {
+		res, err := e.Run(ctx, j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, res)
+	}
+	if results[0] != results[1] || results[1].Sampled == nil || results[1].Outcome != nil {
+		t.Errorf("results %+v and %+v: want one shared RunResult", results[0], results[1])
+	}
+	if s := e.Stats(); s.Done != 1 || s.CacheMisses != 1 {
+		t.Errorf("stats %+v: want the job run once", s)
 	}
 }

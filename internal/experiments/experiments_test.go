@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"rsr/internal/regimen"
 	"rsr/internal/warmup"
 )
 
@@ -248,35 +249,40 @@ func TestStrategyHeadToHead(t *testing.T) {
 	}
 }
 
-// TestScoreAgreesAcrossDoors: the paper's design run unnamed (RunResult.CI)
-// and as the stratified-uniform strategy (regimen.Estimate) are the same
-// measurement, so their cells must agree in everything but wall clock and the
-// strategy's name — interval width and coverage included.
-func TestScoreAgreesAcrossDoors(t *testing.T) {
+// TestPaperDesignIsOneJob: the head-to-head's stratified-uniform arm is the
+// job Figure 7's R$BP (20%) arm already ran, so on one Lab it comes from the
+// cache — the head-to-head misses only on the three registered strategies —
+// and its cell is Figure 7's, labelled by the arm's strategy name.
+func TestPaperDesignIsOneJob(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Scale = 0.05
 	cfg.Workloads = []string{"twolf"}
 	lab := NewLab(cfg)
 	defer lab.Close()
-	spec := warmup.Spec{Kind: warmup.KindReverse, Percent: 20, Cache: true, BPred: true}
-	unnamed, err := lab.RunStrategy("twolf", "", spec)
+	fig, err := lab.Figure7()
 	if err != nil {
 		t.Fatal(err)
 	}
-	named, err := lab.RunStrategy("twolf", "stratified-uniform", spec)
+	before := lab.Engine().Stats().CacheMisses
+	cells, err := lab.StrategyHeadToHead()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if unnamed.Strategy != "" || named.Strategy != "stratified-uniform" {
-		t.Fatalf("strategies = %q and %q", unnamed.Strategy, named.Strategy)
+	if misses := lab.Engine().Stats().CacheMisses - before; misses != 3 {
+		t.Errorf("head-to-head after Figure 7: %d cache misses, want 3", misses)
 	}
-	if unnamed.CIRel <= 0 || unnamed.Regions == 0 {
-		t.Fatalf("degenerate cell %+v", unnamed)
+	var ref Cell
+	for _, c := range fig.Cells {
+		if c.Method == strategyWarmup().Label() {
+			ref = c
+		}
 	}
-	for _, c := range []*Cell{&unnamed, &named} {
-		c.Elapsed, c.Selection, c.Strategy = 0, 0, ""
+	named := cells[0]
+	if named.Strategy != regimen.PaperDesign || ref.CIRel <= 0 || ref.Regions == 0 {
+		t.Fatalf("head-to-head's first cell %+v, Figure 7's reference %+v", named, ref)
 	}
-	if unnamed != named {
-		t.Fatalf("doors disagree:\nunnamed %+v\nnamed   %+v", unnamed, named)
+	named.Strategy = ""
+	if named != ref {
+		t.Fatalf("one job, two cells:\nhead-to-head %+v\nFigure 7     %+v", named, ref)
 	}
 }

@@ -240,13 +240,12 @@ func (l *Lab) Full(name string) (sampling.FullResult, error) {
 }
 
 // Cell is one scored measurement of the evaluation: a (workload, label) run
-// of a figure, the appendix, the strategy head-to-head or Figure 9, whichever
-// engine door its job took.
+// of a figure, the appendix, the strategy head-to-head or Figure 9.
 type Cell struct {
 	Workload string
 	// Method labels the run: its warm-up spec, or Figure 9's SimPoint
-	// configuration. Strategy names the sampling strategy that ran it (""
-	// for the paper's design, run unnamed).
+	// configuration. Strategy is the strategy name the run's job carries
+	// ("" when it names none).
 	Method   string
 	Strategy string `json:",omitempty"`
 	TrueIPC  float64
@@ -270,11 +269,12 @@ type Cell struct {
 	ProfileInstructions uint64 `json:",omitempty"`
 }
 
-// score is the one reader of a sampled job's result: it scores either door —
-// a run of the paper's design (Sampled) or a named strategy's (Outcome) —
-// against a known true IPC.
-func score(workload, label string, trueIPC float64, res *engine.Result) Cell {
-	c := Cell{Workload: workload, Method: label, TrueIPC: trueIPC, Selection: res.Selection}
+// score is the one reader of a sampled job's result: it scores the arm's run
+// — of the paper's design (Sampled) or of a registered strategy (Outcome) —
+// against a known true IPC. The cell's Strategy is the name the arm's job
+// carries, so the paper's design is "stratified-uniform" where an arm names it.
+func score(a arm, trueIPC float64, res *engine.Result) Cell {
+	c := Cell{Workload: a.job.Workload, Method: a.label, Strategy: a.job.Strategy, TrueIPC: trueIPC, Selection: res.Selection}
 	var ci stats.Interval
 	if s := res.Sampled; s != nil {
 		ci = s.CI()
@@ -284,9 +284,8 @@ func score(workload, label string, trueIPC float64, res *engine.Result) Cell {
 	} else {
 		out := res.Outcome
 		ci = out.Estimate.CI
-		c.Strategy = out.Strategy
 		c.Estimate, c.Confident = out.Estimate.IPC, out.Estimate.Confident(trueIPC)
-		c.Elapsed, c.Work, c.Regions = out.Elapsed, out.Work, len(out.Regions)
+		c.Elapsed, c.Work, c.Regions = out.Elapsed, out.Work, len(out.Clusters)
 		c.HotInstructions, c.FuncInstructions = out.HotInstructions, out.FuncInstructions
 		c.ProfileInstructions = out.Plan.ProfileInstructions
 	}
@@ -325,8 +324,7 @@ func (l *Lab) runArms(arms []arm) ([]Cell, error) {
 	}
 	cells := make([]Cell, len(arms))
 	for i, a := range arms {
-		w := a.job.Workload
-		cells[i] = score(w, a.label, results[full[w]].Full.Result.IPC(), results[first+i])
+		cells[i] = score(a, results[full[a.job.Workload]].Full.Result.IPC(), results[first+i])
 	}
 	return cells, nil
 }
@@ -337,7 +335,7 @@ func (l *Lab) Run(name string, spec warmup.Spec) (Cell, error) {
 }
 
 // RunStrategy is Run under a named sampling strategy spending the workload's
-// regimen ("" = the paper's design, as the engine runs it unnamed).
+// regimen ("" or regimen.PaperDesign = the paper's design).
 func (l *Lab) RunStrategy(name, strategy string, spec warmup.Spec) (Cell, error) {
 	cells, err := l.runArms([]arm{{spec.Label(), l.strategyJob(name, strategy, RegimenFor(name), spec)}})
 	if err != nil {

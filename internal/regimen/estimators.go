@@ -1,31 +1,32 @@
 package regimen
 
 import (
-	"math"
-
+	"rsr/internal/sampling"
 	"rsr/internal/stats"
 )
 
-// The estimators: pure functions from measurements to an Estimate. A region
-// that retired nothing (the workload ended at its start) carries no timing
-// information, so every estimator leaves it out rather than let a zero CPI or
-// a NaN IPC into the aggregate.
+// The estimators: pure functions from a pass's regions and their
+// index-aligned measurements to an Estimate. Every one takes its sample
+// through sampling.ClusterStat.CPI, so a region that retired nothing (the
+// workload ended at its start) is left out of every estimate, as the unnamed
+// run leaves it out of its own.
 
 // meanCPI is the mean region CPI with its SRS 95% interval: the paper's
-// estimator for equal-size, equally weighted regions.
-func meanCPI(ms []Measured) Estimate {
-	return ipcFromCPI(stats.CI95(cpisOf(ms)))
+// estimator for equal-size, equally weighted regions, computed by the unnamed
+// run's own RunResult.CI.
+func meanCPI(_ []Region, cs []sampling.ClusterStat) Estimate {
+	return ipcFromCPI((&sampling.RunResult{Clusters: cs}).CI())
 }
 
-// weightedIPC is SimPoint's estimate: region IPCs weighted by Region.Weight,
+// weightedIPC is SimPoint's estimate: per-region IPC weighted by Region.Weight,
 // renormalized over the regions that retired something. It has no
 // sampling-theory error bound, so the interval is zero-width.
-func weightedIPC(ms []Measured) Estimate {
+func weightedIPC(regions []Region, cs []sampling.ClusterStat) Estimate {
 	var weighted, wsum float64
-	for _, m := range ms {
-		if ipc := m.Result.IPC(); m.Result.Instructions > 0 && !math.IsNaN(ipc) {
-			weighted += m.Region.Weight * ipc
-			wsum += m.Region.Weight
+	for i, c := range cs {
+		if _, ok := c.CPI(); ok {
+			weighted += regions[i].Weight * c.Result.IPC()
+			wsum += regions[i].Weight
 		}
 	}
 	e := Estimate{Space: "IPC"}
@@ -38,9 +39,9 @@ func weightedIPC(ms []Measured) Estimate {
 
 // stratifiedMean is Σ W_h·mean_h over the strata (Region.Stratum indexes
 // weights) with variance Σ W_h²·S_h²/n_h.
-func stratifiedMean(ms []Measured, weights []float64) Estimate {
+func stratifiedMean(regions []Region, cs []sampling.ClusterStat, weights []float64) Estimate {
 	strata := make([]stats.Stratum, len(weights))
-	for h, cpis := range strataCPIs(ms, len(weights)) {
+	for h, cpis := range strataCPIs(regions, cs, len(weights)) {
 		strata[h] = stats.Stratum{Weight: weights[h], Samples: cpis}
 	}
 	return ipcFromCPI(stats.StratifiedMean(strata))
@@ -48,25 +49,15 @@ func stratifiedMean(ms []Measured, weights []float64) Estimate {
 
 // strataCPIs sorts the measured CPIs into k groups by Region.Stratum, each in
 // measurement order.
-func strataCPIs(ms []Measured, k int) [][]float64 {
+func strataCPIs(regions []Region, cs []sampling.ClusterStat, k int) [][]float64 {
 	groups := make([][]float64, k)
-	for _, m := range ms {
-		if m.Result.Instructions > 0 {
-			groups[m.Region.Stratum] = append(groups[m.Region.Stratum], m.CPI())
+	for i, c := range cs {
+		if cpi, ok := c.CPI(); ok {
+			h := regions[i].Stratum
+			groups[h] = append(groups[h], cpi)
 		}
 	}
 	return groups
-}
-
-// cpisOf extracts the per-region CPI sample.
-func cpisOf(ms []Measured) []float64 {
-	out := make([]float64, 0, len(ms))
-	for _, m := range ms {
-		if m.Result.Instructions > 0 {
-			out = append(out, m.CPI())
-		}
-	}
-	return out
 }
 
 // ipcFromCPI converts a CPI-space interval into the package's Estimate.

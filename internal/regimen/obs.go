@@ -52,7 +52,7 @@ func (in *Instruments) record(o *Outcome) {
 	}
 	in.runs.With(o.Strategy).Inc()
 	in.candidates.With(o.Strategy).Add(uint64(o.Plan.Candidates))
-	in.selected.With(o.Strategy).Add(uint64(len(o.Regions)))
+	in.selected.With(o.Strategy).Add(uint64(len(o.Clusters)))
 	in.profile.With(o.Strategy).Add(o.Plan.ProfileInstructions)
 	in.hot.With(o.Strategy).Add(o.HotInstructions)
 }

@@ -4,12 +4,12 @@
 // between them, and the IPC estimator that turns the measurements into a
 // point estimate with a confidence interval.
 //
-// Four strategies are registered:
+// Three strategies are registered, and a fourth name is accepted:
 //
-//   - stratified-uniform: the paper's design — stratified-uniform placement,
-//     mean-cluster-CPI estimator. Same placement, same region walker as
-//     sampling.RunSampledOpts, so its results are byte-identical to that path
-//     (pinned by TestStratifiedUniformByteIdentical).
+//   - stratified-uniform (PaperDesign): the paper's design — stratified-uniform
+//     placement, mean-cluster-CPI estimator. It is not a Strategy: the
+//     sampling package runs it (sampling.RunSampledOpts), and an engine job
+//     that names it is the unnamed job, one cache entry under either spelling.
 //   - simpoint: the SimPoint baseline — BBV profiling and k-means selection
 //     (package simpoint), weighted-IPC estimate. Numbers pinned against the
 //     deleted standalone estimate path by TestSimPointByteIdentical.
@@ -28,9 +28,9 @@
 // to the package's one runner (runner.go), which measures the planned regions
 // with the shared region walker, applies the strategy's estimator — a pure
 // function of the measurements (estimators.go) — and assembles and records
-// the Outcome. Params.Options therefore means the same thing for all four —
-// shards, cancellation, phase metrics and spans — and every Outcome carries
-// per-region results, work counters and instruction counts.
+// the Outcome. Params.Options therefore means the same thing for all of them
+// — shards, cancellation, phase metrics and spans — and every Outcome carries
+// the walker's per-cluster measurements, work counters and instruction counts.
 //
 // Every strategy is deterministic in (program, machine, regimen, total,
 // seed, warmup): like the sampling package, running one is a pure function
@@ -41,7 +41,6 @@ import (
 	"fmt"
 	"time"
 
-	"rsr/internal/ooo"
 	"rsr/internal/prog"
 	"rsr/internal/sampling"
 	"rsr/internal/stats"
@@ -128,10 +127,11 @@ func (e Estimate) Confident(trueIPC float64) bool {
 type Outcome struct {
 	Strategy string
 	Estimate Estimate
-	// Regions are the simulated regions with their measurements, in
-	// execution order across all passes.
-	Regions []Measured
-	// Plan echoes the selection decision (candidates, strata, profile cost).
+	// Clusters are the walker's measurements of the simulated regions,
+	// index-aligned with Plan.Regions: in measurement order, pass by pass.
+	Clusters []sampling.ClusterStat
+	// Plan echoes the selection decision: every region measured, with its
+	// size, weight and stratum, and the candidates, strata and profile cost.
 	Plan Plan
 	// Elapsed is the wall-clock duration of the whole run, selection pass
 	// included.
@@ -164,24 +164,8 @@ type Strategy interface {
 	drive(r *run) (*Outcome, error)
 }
 
-// Measured pairs a region with its detailed-simulation result.
-type Measured struct {
-	Region Region
-	Result ooo.Result
-}
-
-// CPI returns the region's measured cycles-per-instruction (0 when the
-// region retired nothing).
-func (m Measured) CPI() float64 {
-	if m.Result.Instructions == 0 {
-		return 0
-	}
-	return float64(m.Result.Cycles) / float64(m.Result.Instructions)
-}
-
 // registry holds the built-in strategies in presentation order.
 var registry = []Strategy{
-	StratifiedUniform{},
 	SimPoint{},
 	RankedSet{},
 	TwoPhaseStratified{},
@@ -190,16 +174,21 @@ var registry = []Strategy{
 // All returns the registered strategies in presentation order.
 func All() []Strategy { return append([]Strategy(nil), registry...) }
 
-// Names returns the registered strategy names in presentation order.
+// PaperDesign names the paper's own design, which a job may name like a
+// strategy but which no Strategy runs: see the package comment.
+const PaperDesign = "stratified-uniform"
+
+// Names returns every name a job's strategy may carry, in presentation
+// order: PaperDesign, then the registered strategies.
 func Names() []string {
-	out := make([]string, len(registry))
-	for i, s := range registry {
-		out[i] = s.Name()
+	out := []string{PaperDesign}
+	for _, s := range registry {
+		out = append(out, s.Name())
 	}
 	return out
 }
 
-// ByName resolves a strategy by its registry name.
+// ByName resolves a registered strategy by name; PaperDesign is not one.
 func ByName(name string) (Strategy, error) {
 	for _, s := range registry {
 		if s.Name() == name {

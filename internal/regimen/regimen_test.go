@@ -37,38 +37,16 @@ func testParams(t *testing.T, name string) Params {
 	}
 }
 
-func TestStratifiedUniformByteIdentical(t *testing.T) {
-	p := testParams(t, "twolf")
-	legacy, err := sampling.RunSampledOpts(p.Program, p.Machine, p.Regimen, p.Total, p.Seed, p.Warmup, sampling.Options{})
-	if err != nil {
-		t.Fatal(err)
+// checkClusters pins the Outcome's one per-cluster record: one walker
+// measurement per planned region, index-aligned with Plan.Regions.
+func checkClusters(t *testing.T, name string, out *Outcome) {
+	t.Helper()
+	if len(out.Clusters) != len(out.Plan.Regions) {
+		t.Fatalf("%s: %d clusters for %d planned regions", name, len(out.Clusters), len(out.Plan.Regions))
 	}
-	out, err := StratifiedUniform{}.Run(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := out.Estimate.IPC, legacy.IPCEstimate(); got != want {
-		t.Fatalf("IPC through seam = %v, legacy = %v", got, want)
-	}
-	if got, want := out.Estimate.CI, legacy.CI(); got != want {
-		t.Fatalf("CI through seam = %+v, legacy = %+v", got, want)
-	}
-	if out.Work != legacy.Work {
-		t.Fatalf("work through seam = %+v, legacy = %+v", out.Work, legacy.Work)
-	}
-	if out.FuncInstructions != legacy.FuncInstructions || out.HotInstructions != legacy.HotInstructions {
-		t.Fatalf("instruction accounting diverged: %d/%d vs %d/%d",
-			out.FuncInstructions, out.HotInstructions, legacy.FuncInstructions, legacy.HotInstructions)
-	}
-	if len(out.Regions) != len(legacy.Clusters) {
-		t.Fatalf("regions = %d, clusters = %d", len(out.Regions), len(legacy.Clusters))
-	}
-	for i := range out.Regions {
-		if out.Regions[i].Region.Start != legacy.Clusters[i].Start {
-			t.Fatalf("region %d start %d, cluster start %d", i, out.Regions[i].Region.Start, legacy.Clusters[i].Start)
-		}
-		if !reflect.DeepEqual(out.Regions[i].Result, legacy.Clusters[i].Result) {
-			t.Fatalf("region %d result diverged:\n%+v\n%+v", i, out.Regions[i].Result, legacy.Clusters[i].Result)
+	for i, c := range out.Clusters {
+		if c.Start != out.Plan.Regions[i].Start {
+			t.Fatalf("%s: cluster %d starts at %d, its region at %d", name, i, c.Start, out.Plan.Regions[i].Start)
 		}
 	}
 }
@@ -111,16 +89,17 @@ func TestSimPointByteIdentical(t *testing.T) {
 			t.Errorf("%s: hot/profile instructions %d/%d, golden %d/%d",
 				g.workload, out.HotInstructions, out.Plan.ProfileInstructions, g.hot, g.profile)
 		}
-		if len(out.Regions) != len(g.points) {
-			t.Fatalf("%s: regions = %d, golden points = %d", g.workload, len(out.Regions), len(g.points))
+		checkClusters(t, g.workload, out)
+		if len(out.Clusters) != len(g.points) {
+			t.Fatalf("%s: regions = %d, golden points = %d", g.workload, len(out.Clusters), len(g.points))
 		}
 		for i, pt := range g.points {
-			r := out.Regions[i].Region
+			r := out.Plan.Regions[i]
 			if r.Start != uint64(pt.interval)*p.Regimen.ClusterSize || r.Weight != pt.weight {
 				t.Errorf("%s: point %d = start %d weight %v, golden interval %d weight %v",
 					g.workload, i, r.Start, r.Weight, pt.interval, pt.weight)
 			}
-			if out.Regions[i].Result.Instructions == 0 {
+			if out.Clusters[i].Result.Instructions == 0 {
 				t.Errorf("%s: point %d carries no measurement", g.workload, i)
 			}
 		}
@@ -149,10 +128,13 @@ func haltingAt(n uint64) *prog.Program {
 }
 
 // TestEmptyRetireClusterOneRule pins the one rule for a cluster that retired
-// nothing: it is left out of the estimate, by RunResult.IPCEstimate as by the
-// strategies' estimators. The workload ends exactly where the last cluster
-// starts, so both paths measure the same nine clusters and an empty tenth; a
-// zero CPI averaged in would read a tenth too fast.
+// nothing (ClusterStat.CPI): it is left out of the estimate, by
+// RunResult.IPCEstimate as by every registered strategy's estimator. The
+// workload ends exactly where the last cluster starts, so RunSampledOpts
+// measures nine clusters and an empty tenth; every row must estimate from the
+// nine what it estimates from the ten, and neither may be 0 or NaN. The
+// strategies select by profiling the whole run, which a halting workload
+// refuses, so their rows apply each one's estimator to these clusters.
 func TestEmptyRetireClusterOneRule(t *testing.T) {
 	p := testParams(t, "twolf")
 	p.Warmup = warmup.Spec{Kind: warmup.KindSMARTS, Cache: true, BPred: true}
@@ -160,35 +142,49 @@ func TestEmptyRetireClusterOneRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Program = haltingAt(starts[len(starts)-1])
-
-	legacy, err := sampling.RunSampledOpts(p.Program, p.Machine, p.Regimen, p.Total, p.Seed, p.Warmup, sampling.Options{})
+	res, err := sampling.RunSampledOpts(haltingAt(starts[len(starts)-1]), p.Machine, p.Regimen, p.Total, p.Seed, p.Warmup, sampling.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	last := legacy.Clusters[len(legacy.Clusters)-1].Result
-	if last.Instructions != 0 || len(legacy.CPIs()) != len(starts)-1 {
+	all := res.Clusters
+	if last := all[len(all)-1].Result; last.Instructions != 0 || len(res.CPIs()) != len(starts)-1 {
 		t.Fatalf("last cluster retired %d instructions, %d CPIs of %d clusters: the workload should end at its start",
-			last.Instructions, len(legacy.CPIs()), len(starts))
+			last.Instructions, len(res.CPIs()), len(starts))
 	}
-	out, err := StratifiedUniform{}.Run(p)
-	if err != nil {
-		t.Fatal(err)
+	regions := make([]Region, len(all))
+	for i, c := range all {
+		regions[i] = Region{Start: c.Start, Size: p.Regimen.ClusterSize, Weight: 1, Stratum: i % 2}
 	}
-	if got, want := out.Estimate.IPC, legacy.IPCEstimate(); got != want || want == 0 {
-		t.Errorf("stratified-uniform estimates %v, RunSampledOpts %v", got, want)
+	rows := map[string]func([]Region, []sampling.ClusterStat) Estimate{
+		"RunSampledOpts": func(_ []Region, cs []sampling.ClusterStat) Estimate {
+			r := &sampling.RunResult{Clusters: cs}
+			return Estimate{IPC: r.IPCEstimate(), CI: r.CI(), Space: "CPI"}
+		},
+		"simpoint":   weightedIPC,
+		"ranked-set": meanCPI,
+		"two-phase-stratified": func(rs []Region, cs []sampling.ClusterStat) Estimate {
+			return stratifiedMean(rs, cs, []float64{0.5, 0.5})
+		},
 	}
-	if got, want := out.Estimate.CI, legacy.CI(); got != want {
-		t.Errorf("stratified-uniform interval %+v, RunSampledOpts %+v", got, want)
+	for _, s := range All() {
+		if rows[s.Name()] == nil {
+			t.Errorf("strategy %s has no row", s.Name())
+		}
 	}
-	var cycles, instrs uint64
-	for _, c := range legacy.Clusters {
-		cycles, instrs = cycles+c.Result.Cycles, instrs+c.Result.Instructions
+	for name, estimate := range rows {
+		got, want := estimate(regions, all), estimate(regions[:len(all)-1], all[:len(all)-1])
+		if got != want || got.IPC == 0 || math.IsNaN(got.IPC) {
+			t.Errorf("%s: estimate %+v with the empty cluster, %+v without it", name, got, want)
+		}
 	}
 	// Equal-size clusters: the mean of the nine CPIs is total cycles over
 	// total instructions, to rounding.
-	if want := float64(instrs) / float64(cycles); math.Abs(legacy.IPCEstimate()-want) > 1e-9*want {
-		t.Errorf("IPCEstimate %v, the nine measured clusters' %v", legacy.IPCEstimate(), want)
+	var cycles, instrs uint64
+	for _, c := range all {
+		cycles, instrs = cycles+c.Result.Cycles, instrs+c.Result.Instructions
+	}
+	if want := float64(instrs) / float64(cycles); math.Abs(res.IPCEstimate()-want) > 1e-9*want {
+		t.Errorf("IPCEstimate %v, the nine measured clusters' %v", res.IPCEstimate(), want)
 	}
 }
 
@@ -208,9 +204,10 @@ func TestAllStrategiesRunAndAreDeterministic(t *testing.T) {
 			if a.Estimate != b.Estimate {
 				t.Fatalf("estimate not deterministic: %+v vs %+v", a.Estimate, b.Estimate)
 			}
-			if !reflect.DeepEqual(a.Regions, b.Regions) {
-				t.Fatalf("regions not deterministic")
+			if !reflect.DeepEqual(a.Clusters, b.Clusters) || !reflect.DeepEqual(a.Plan, b.Plan) {
+				t.Fatalf("clusters not deterministic")
 			}
+			checkClusters(t, s.Name(), a)
 			if a.Estimate.IPC <= 0 || a.Estimate.IPC > 4 {
 				t.Fatalf("implausible IPC %v", a.Estimate.IPC)
 			}
@@ -264,7 +261,10 @@ func TestStrategiesShardedIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s shards=2: %v", s.Name(), err)
 		}
-		if !reflect.DeepEqual(seq.Estimate, par.Estimate) || !reflect.DeepEqual(seq.Regions, par.Regions) ||
+		checkClusters(t, s.Name(), seq)
+		checkClusters(t, s.Name()+" shards=2", par)
+		if !reflect.DeepEqual(seq.Estimate, par.Estimate) || !reflect.DeepEqual(seq.Clusters, par.Clusters) ||
+			!reflect.DeepEqual(seq.Plan, par.Plan) ||
 			seq.Work != par.Work || seq.FuncInstructions != par.FuncInstructions || seq.HotInstructions != par.HotInstructions {
 			t.Errorf("%s: Shards=2 outcome differs from Shards=0:\n%+v\n%+v", s.Name(), seq, par)
 		}
@@ -380,11 +380,11 @@ func TestWeightedIPCZeroRetirementSafe(t *testing.T) {
 	estimate := func(regions ...Region) (Estimate, uint64) {
 		t.Helper()
 		r := &run{p: p}
-		ms, err := r.measure(regions)
+		cs, err := r.measure(regions)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return weightedIPC(ms), r.hotInstr
+		return weightedIPC(regions, cs), r.hotInstr
 	}
 	only, _ := estimate(Region{Start: 0, Size: interval, Weight: 1})
 	both, hot := estimate(Region{Start: 0, Size: interval, Weight: 0.5}, Region{Start: interval, Size: interval, Weight: 0.5})
@@ -424,7 +424,10 @@ func TestValidateRegions(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range Names() {
+	if names := Names(); names[0] != PaperDesign || len(names) != len(All())+1 {
+		t.Fatalf("Names() = %v, want %s and the registered strategies", names, PaperDesign)
+	}
+	for _, name := range Names()[1:] {
 		s, err := ByName(name)
 		if err != nil {
 			t.Fatal(err)

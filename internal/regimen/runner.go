@@ -26,7 +26,7 @@ type run struct {
 	// only that field zeroed.
 	selectElapsed time.Duration
 
-	regions             []Measured
+	clusters            []sampling.ClusterStat
 	work                warmup.Work
 	funcInstr, hotInstr uint64
 }
@@ -57,21 +57,18 @@ func (r *run) planned(plan *Plan) error {
 }
 
 // measure executes one measurement pass over regions and folds it into the
-// run's totals.
-func (r *run) measure(regions []Region) ([]Measured, error) {
+// run's totals: its clusters, index-aligned with regions, follow the earlier
+// passes' as regions follow theirs in the plan.
+func (r *run) measure(regions []Region) ([]sampling.ClusterStat, error) {
 	pr, err := measureRegions(r.p, regions)
 	if err != nil {
 		return nil, err
 	}
-	ms := make([]Measured, len(pr.Clusters))
-	for i, c := range pr.Clusters {
-		ms[i] = Measured{Region: regions[i], Result: c.Result}
-	}
-	r.regions = append(r.regions, ms...)
+	r.clusters = append(r.clusters, pr.Clusters...)
 	r.work = r.work.Add(pr.Work)
 	r.funcInstr += pr.FuncInstructions
 	r.hotInstr += pr.HotInstructions
-	return ms, nil
+	return pr.Clusters, nil
 }
 
 // finish assembles the run's Outcome around e and records it.
@@ -79,7 +76,7 @@ func (r *run) finish(e Estimate) *Outcome {
 	out := &Outcome{
 		Strategy:         r.s.Name(),
 		Estimate:         e,
-		Regions:          r.regions,
+		Clusters:         r.clusters,
 		Plan:             r.plan,
 		Elapsed:          time.Since(r.begin),
 		Work:             r.work,
@@ -94,7 +91,7 @@ func (r *run) finish(e Estimate) *Outcome {
 // region in one pass, estimate. It checks only what the walker needs of the
 // plan (ValidateRegions) and never Regimen.Validate — SimPoint may ask for
 // more points than there are intervals and simply gets fewer.
-func (r *run) single(estimate func([]Measured) Estimate) (*Outcome, error) {
+func (r *run) single(estimate func([]Region, []sampling.ClusterStat) Estimate) (*Outcome, error) {
 	plan, err := r.s.Select(r.p)
 	if err != nil {
 		return nil, err
@@ -102,18 +99,18 @@ func (r *run) single(estimate func([]Measured) Estimate) (*Outcome, error) {
 	if err := r.planned(plan); err != nil {
 		return nil, err
 	}
-	ms, err := r.measure(plan.Regions)
+	cs, err := r.measure(plan.Regions)
 	if err != nil {
 		return nil, err
 	}
-	return r.finish(estimate(ms)), nil
+	return r.finish(estimate(plan.Regions, cs)), nil
 }
 
 // measureRegions executes one measurement pass — the shared region walker
 // over the given regions under the configured warm-up method — so every
-// strategy's pass honours Params.Options exactly as the stratified-uniform
-// design does. Regions must satisfy ValidateRegions, and Params.Warmup its own
-// Validate: this is where the spec becomes a method.
+// strategy's pass honours Params.Options exactly as the paper's design does.
+// Regions must satisfy ValidateRegions, and Params.Warmup its own Validate:
+// this is where the spec becomes a method.
 func measureRegions(p Params, regions []Region) (*sampling.RunResult, error) {
 	wr := walkerRegions(regions)
 	if err := sampling.ValidateRegions(wr, p.Total); err != nil {

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sort"
 
+	"rsr/internal/sampling"
 	"rsr/internal/simpoint"
 	"rsr/internal/stats"
 )
@@ -174,12 +175,12 @@ func (s TwoPhaseStratified) drive(r *run) (*Outcome, error) {
 	if err := r.planned(plan); err != nil {
 		return nil, err
 	}
-	pilotMS, err := r.measure(plan.Regions)
+	pilot, err := r.measure(plan.Regions)
 	if err != nil {
 		return nil, err
 	}
 
-	alloc := s.refineAllocation(p.Regimen.NumClusters-len(plan.Regions), st, used, pilotMS)
+	alloc := s.refineAllocation(p.Regimen.NumClusters-len(plan.Regions), st, used, plan.Regions, pilot)
 	if refine := s.place(p, st, alloc, used); len(refine) > 0 {
 		r.plan.Regions = slices.Concat(plan.Regions, refine)
 		if _, err := r.measure(refine); err != nil {
@@ -187,20 +188,20 @@ func (s TwoPhaseStratified) drive(r *run) (*Outcome, error) {
 		}
 	}
 
-	out := r.finish(stratifiedMean(r.regions, st.weights))
+	out := r.finish(stratifiedMean(r.plan.Regions, r.clusters, st.weights))
 	p.Instr.allocations(s.Name(), alloc)
 	return out, nil
 }
 
 // refineAllocation splits the n2 second-phase regions across strata by
 // Neyman allocation on the pilot's per-stratum CPI deviation.
-func (s TwoPhaseStratified) refineAllocation(n2 int, st *stratification, used map[int]bool, pilot []Measured) []int {
+func (s TwoPhaseStratified) refineAllocation(n2 int, st *stratification, used map[int]bool, regions []Region, pilot []sampling.ClusterStat) []int {
 	k := len(st.members)
 	// Pilot variance per stratum drives the Neyman scores W_h·S_h. Strata
 	// whose pilot saw <2 regions report zero deviation; if every score is
 	// zero (flat workload or tiny pilot) fall back to proportional
 	// allocation so the remaining budget is still spent.
-	samples := strataCPIs(pilot, k)
+	samples := strataCPIs(regions, pilot, k)
 	scores := make([]float64, k)
 	var total float64
 	for h := range scores {

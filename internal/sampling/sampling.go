@@ -114,6 +114,18 @@ type ClusterStat struct {
 	Result ooo.Result
 }
 
+// CPI returns the cluster's cycles per instruction, the sample every
+// estimator aggregates, and false for a cluster that retired nothing (the
+// workload ended at its start): it carries no timing information, so every
+// estimator leaves it out rather than let a zero CPI or a NaN IPC into the
+// aggregate.
+func (c ClusterStat) CPI() (float64, bool) {
+	if c.Result.Instructions == 0 {
+		return 0, false
+	}
+	return float64(c.Result.Cycles) / float64(c.Result.Instructions), true
+}
+
 // RunResult summarizes one sampled simulation.
 type RunResult struct {
 	Method   string
@@ -128,28 +140,17 @@ type RunResult struct {
 	HotInstructions uint64
 }
 
-// IPCs returns the per-cluster IPC sample.
-func (r *RunResult) IPCs() []float64 {
-	out := make([]float64, len(r.Clusters))
-	for i, c := range r.Clusters {
-		out[i] = c.Result.IPC()
-	}
-	return out
-}
-
-// CPIs returns the per-cluster cycles-per-instruction sample. With
-// equal-size clusters the mean CPI is the unbiased estimator of the
-// population CPI, so estimates aggregate in CPI space (as SMARTS does) and
-// convert to IPC at the end; an arithmetic mean of cluster IPCs would
-// overweight fast phases on workloads with high phase variance. A cluster
-// that retired nothing (the workload ended at its start) carries no timing
-// information and is left out, the rule regimen's estimators follow: the
-// sample may be shorter than Clusters, and no zero CPI enters the mean.
+// CPIs returns the per-cluster cycles-per-instruction sample, without the
+// clusters that retired nothing (ClusterStat.CPI), so it may be shorter than
+// Clusters. With equal-size clusters the mean CPI is the unbiased estimator
+// of the population CPI, so estimates aggregate in CPI space (as SMARTS does)
+// and convert to IPC at the end; an arithmetic mean of per-cluster IPC would
+// overweight fast phases on workloads with high phase variance.
 func (r *RunResult) CPIs() []float64 {
 	out := make([]float64, 0, len(r.Clusters))
 	for _, c := range r.Clusters {
-		if c.Result.Instructions > 0 {
-			out = append(out, float64(c.Result.Cycles)/float64(c.Result.Instructions))
+		if cpi, ok := c.CPI(); ok {
+			out = append(out, cpi)
 		}
 	}
 	return out

@@ -95,8 +95,8 @@ func TestRunSampledBasics(t *testing.T) {
 	if res.HotInstructions != 10*1000 {
 		t.Fatalf("hot instructions = %d", res.HotInstructions)
 	}
-	for i, ipc := range res.IPCs() {
-		if ipc <= 0 || ipc > 4 {
+	for i, c := range res.Clusters {
+		if ipc := c.Result.IPC(); ipc <= 0 || ipc > 4 {
 			t.Fatalf("cluster %d IPC = %f out of range", i, ipc)
 		}
 	}
@@ -136,7 +136,7 @@ func TestWarmupReducesError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return stats.Mean(res.IPCs())
+		return res.IPCEstimate()
 	}
 	noneIPC := run(warmup.Spec{Kind: warmup.KindNone})
 	smartsIPC := run(warmup.Spec{Kind: warmup.KindSMARTS, Cache: true, BPred: true})

@@ -52,7 +52,7 @@ func TestEstimateReasonable(t *testing.T) {
 		t.Fatalf("IPC = %f", ipc)
 	}
 	re := stats.RelErr(ipc, truth)
-	t.Logf("simpoint IPC %.4f vs true %.4f (RE %.2f%%), %d points", ipc, truth, 100*re, len(out.Regions))
+	t.Logf("simpoint IPC %.4f vs true %.4f (RE %.2f%%), %d points", ipc, truth, 100*re, len(out.Clusters))
 	if re > 0.5 {
 		t.Fatalf("relative error %.2f implausibly large", re)
 	}

@@ -3,7 +3,7 @@
 // a configurable interval size, k-means clustering of the vectors, and the
 // choice of one representative simulation point per cluster with a weight
 // proportional to cluster population. Simulating the chosen intervals and
-// weighting their IPCs is the regimen package's SimPoint strategy, which runs
+// weighting their IPC is the regimen package's SimPoint strategy, which runs
 // them through the same region walker as every other sampling strategy.
 package simpoint
 

@@ -191,14 +191,14 @@ func RunSimPoint(p *Program, m Machine, total uint64, cfg SimPointConfig) (*SimP
 	}
 	res := &SimPointResult{
 		IPC:                 out.Estimate.IPC,
-		Points:              make([]simpoint.Point, len(out.Regions)),
+		Points:              make([]simpoint.Point, len(out.Plan.Regions)),
 		ProfileElapsed:      selection,
 		ProfileInstructions: out.Plan.ProfileInstructions,
 		SimElapsed:          out.Elapsed - selection,
 		HotInstructions:     out.HotInstructions,
 	}
-	for i, r := range out.Regions {
-		res.Points[i] = simpoint.Point{IntervalIndex: int(r.Region.Start / cfg.IntervalSize), Weight: r.Region.Weight}
+	for i, r := range out.Plan.Regions {
+		res.Points[i] = simpoint.Point{IntervalIndex: int(r.Start / cfg.IntervalSize), Weight: r.Weight}
 	}
 	return res, nil
 }

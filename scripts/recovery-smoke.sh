@@ -12,53 +12,13 @@
 # and that both workers reconnected rather than rejoining fresh.
 set -eu
 
-WORKDIR="$(mktemp -d)"
-RSRC_PID=""
-trap 'kill "$RSRC_PID" "$RSRD_A_PID" "$RSRD_B_PID" 2>/dev/null || true; wait 2>/dev/null || true; rm -rf "$WORKDIR"' EXIT
-
-GO="${GO:-go}"
-COORD="127.0.0.1:19910"
-WORKER_A="127.0.0.1:18756"
-WORKER_B="127.0.0.1:18757"
+SMOKE=recovery-smoke
+COORD="127.0.0.1:19920"
+WORKER_A="127.0.0.1:18766"
+WORKER_B="127.0.0.1:18767"
+. "$(dirname "$0")/fabric.sh"
 JOURNAL="$WORKDIR/journal"
-CAS="$WORKDIR/cas"
-
-"$GO" build -o "$WORKDIR/rsrc" ./cmd/rsrc
-"$GO" build -o "$WORKDIR/rsrd" ./cmd/rsrd
-"$GO" build -o "$WORKDIR/rsr" ./cmd/rsr
-
-start_rsrc() {
-    "$WORKDIR/rsrc" -addr "$COORD" -casdir "$CAS" -journal "$JOURNAL" \
-        >>"$WORKDIR/rsrc.log" 2>&1 &
-    RSRC_PID=$!
-}
-
-wait_ready() {
-    i=0
-    until curl -fsS "http://$1/readyz" >/dev/null 2>&1; do
-        i=$((i + 1))
-        if [ "$i" -gt 50 ]; then
-            echo "recovery-smoke: $2 did not become ready" >&2
-            cat "$WORKDIR/$2.log" >&2
-            exit 1
-        fi
-        sleep 0.2
-    done
-}
-
-start_rsrc
-wait_ready "$COORD" rsrc
-
-"$WORKDIR/rsrd" -addr "$WORKER_A" -parallel 2 -peer \
-    -coordinator "http://$COORD" -node worker-a \
-    >"$WORKDIR/worker-a.log" 2>&1 &
-RSRD_A_PID=$!
-"$WORKDIR/rsrd" -addr "$WORKER_B" -parallel 2 -peer \
-    -coordinator "http://$COORD" -node worker-b \
-    >"$WORKDIR/worker-b.log" 2>&1 &
-RSRD_B_PID=$!
-wait_ready "$WORKER_A" worker-a
-wait_ready "$WORKER_B" worker-b
+fabric_up -journal "$JOURNAL"
 
 # The sweep runs in the background; the client absorbs the restart (transient
 # retries + idempotent resubmission), so it must finish on its own.
@@ -85,7 +45,7 @@ echo "recovery-smoke: coordinator SIGKILLed mid-sweep"
 # both must flip to their reconnect machine, not ride out a blip.
 sleep 4
 
-start_rsrc
+start_rsrc -journal "$JOURNAL"
 wait_ready "$COORD" rsrc
 echo "recovery-smoke: coordinator restarted on the same journal"
 

@@ -4,14 +4,14 @@
 # Builds a race-enabled rsr and proves four things end to end with the real
 # CLI:
 #
-#   1. Byte-identity: `rsr -regimen stratified-uniform run` is the paper's
-#      design as a named strategy job, so its output must be byte-for-byte
-#      identical to plain `rsr run` (the same design as the engine's unnamed
-#      job) once the wall-clock `time` line is filtered out. Every other line
-#      — estimate, rel error, confidence, work counters — is deterministic,
-#      so `diff` is the oracle.
+#   1. Byte-identity: stratified-uniform is the paper's design, so
+#      `rsr -regimen stratified-uniform run` is the engine's unnamed job under
+#      its other name, and its output must be byte-for-byte identical to plain
+#      `rsr run` once the wall-clock `time` line is filtered out. Every other
+#      line — estimate, rel error, confidence, work counters — is
+#      deterministic, so `diff` is the oracle.
 #
-#   2. Every registered strategy runs end to end: each name printed by
+#   2. Every strategy runs end to end: each name printed by
 #      `rsr regimens` must complete a run and report a sane estimate line
 #      and a non-zero `work` line — simpoint included, which reported none
 #      while it estimated on a path of its own.
@@ -46,10 +46,10 @@ if ! diff -u "$WORKDIR/unnamed.txt" "$WORKDIR/named.txt"; then
     exit 1
 fi
 
-# --- 2 + 3. Every registered strategy completes a run, sharded or not. ------
+# --- 2 + 3. Every strategy completes a run, sharded or not. ---------------
 NAMES="$($RSR regimens | awk 'NR > 1 { print $1 }')"
 if [ "$(printf '%s\n' "$NAMES" | wc -l)" -lt 4 ]; then
-    echo "regimen-smoke: expected at least 4 registered strategies, got:" >&2
+    echo "regimen-smoke: expected at least 4 strategy names, got:" >&2
     printf '%s\n' "$NAMES" >&2
     exit 1
 fi

@@ -15,46 +15,12 @@
 # rsr_engine_ family.
 set -eu
 
-WORKDIR="$(mktemp -d)"
-trap 'kill "$RSRC_PID" "$RSRD_A_PID" "$RSRD_B_PID" 2>/dev/null || true; rm -rf "$WORKDIR"' EXIT
-
-GO="${GO:-go}"
+SMOKE=trace-smoke
 COORD="127.0.0.1:19910"
 WORKER_A="127.0.0.1:18756"
 WORKER_B="127.0.0.1:18757"
-
-"$GO" build -o "$WORKDIR/rsrc" ./cmd/rsrc
-"$GO" build -o "$WORKDIR/rsrd" ./cmd/rsrd
-"$GO" build -o "$WORKDIR/rsr" ./cmd/rsr
-
-"$WORKDIR/rsrc" -addr "$COORD" -casdir "$WORKDIR/cas" \
-    >"$WORKDIR/rsrc.log" 2>&1 &
-RSRC_PID=$!
-
-wait_ready() {
-    i=0
-    until curl -fsS "http://$1/readyz" >/dev/null 2>&1; do
-        i=$((i + 1))
-        if [ "$i" -gt 50 ]; then
-            echo "trace-smoke: $2 did not become ready" >&2
-            cat "$WORKDIR/$2.log" >&2
-            exit 1
-        fi
-        sleep 0.2
-    done
-}
-wait_ready "$COORD" rsrc
-
-"$WORKDIR/rsrd" -addr "$WORKER_A" -parallel 2 -peer \
-    -coordinator "http://$COORD" -node worker-a \
-    >"$WORKDIR/worker-a.log" 2>&1 &
-RSRD_A_PID=$!
-"$WORKDIR/rsrd" -addr "$WORKER_B" -parallel 2 -peer \
-    -coordinator "http://$COORD" -node worker-b \
-    >"$WORKDIR/worker-b.log" 2>&1 &
-RSRD_B_PID=$!
-wait_ready "$WORKER_A" worker-a
-wait_ready "$WORKER_B" worker-b
+. "$(dirname "$0")/fabric.sh"
+fabric_up
 
 TRACE="$WORKDIR/fabric-trace.json"
 "$WORKDIR/rsr" -cluster "http://$COORD" -scale 0.02 -workload twolf \
