@@ -200,15 +200,12 @@ func main() {
 	}
 	var clusterClient *cluster.Client
 	if *clusterAddr != "" {
-		// One request ID for the whole invocation: the coordinator and every
-		// worker tag their logs and engine events with it, so a sweep is
-		// traceable end to end from this process's submissions. The sweep tag
-		// rides the same way (X-Sweep-ID): the coordinator groups every job
-		// of this invocation into one traceable sweep, and -trace-out below
-		// fetches its merged fabric trace.
-		reqID := cluster.NewRequestIDs().Next()
-		cl := cluster.NewClient(*clusterAddr, reqID, nil)
-		cl.SetSweep("rsr-" + reqID)
+		// One sweep tag for the whole invocation (X-Sweep-ID): the coordinator
+		// groups every job of this invocation into one traceable sweep, every
+		// worker stamps the tag on the job's spans and its lease log line, and
+		// -trace-out below fetches the sweep's merged fabric trace.
+		cl := cluster.NewClient(*clusterAddr, nil)
+		cl.SetSweep("rsr-" + cluster.NewRequestIDs().Next())
 		if _, err := cl.Handshake(context.Background()); err != nil {
 			fmt.Fprintln(os.Stderr, "rsr: -cluster:", err)
 			os.Exit(1)

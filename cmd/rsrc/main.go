@@ -13,9 +13,8 @@
 //	POST /v1/jobs            submit one engine job; 503 + Retry-After when
 //	                         the queue is full (backpressure)
 //	GET  /v1/jobs/{id}       job status, and the result once finished
-//	GET  /v1/sweeps/{id}     progress of the jobs submitted under one
-//	                         X-Sweep-ID (id = that tag)
-//	GET  /v1/sweeps/{id}/trace merged fabric Chrome trace for a tagged sweep:
+//	GET  /v1/sweeps/{id}/trace merged fabric Chrome trace for the jobs
+//	                         submitted under one X-Sweep-ID (id = that tag):
 //	                         every participating node's span ring on its
 //	                         own wall clock, one process lane per node
 //	GET  /v1/status          live cluster status snapshot (feeds `rsr top`)
@@ -49,6 +48,10 @@
 // the workers' 5s reconnect-probe cap is reaped. A crash or redeploy
 // neither loses nor re-runs work.
 //
+// Workers heartbeat every second, and a worker whose pull loops are all busy
+// refreshes its liveness only by heartbeat, so rsrc refuses (exit 2) a
+// -heartbeat-timeout under three beats: it would reap live workers mid-job.
+//
 // Start workers with:
 //
 //	rsrd -addr :8746 -peer -coordinator http://host:9900
@@ -62,6 +65,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"os"
@@ -73,6 +77,16 @@ import (
 	"rsr/internal/cluster"
 	"rsr/internal/obs"
 )
+
+// checkHeartbeatTimeout refuses a heartbeat timeout that workers beating at
+// the default period cannot meet.
+func checkHeartbeatTimeout(d time.Duration) error {
+	if d < cluster.MinHeartbeatTimeout {
+		return fmt.Errorf("-heartbeat-timeout %v is under the floor of %v (three of the workers' %v heartbeats): busy workers would be reaped mid-job",
+			d, cluster.MinHeartbeatTimeout, cluster.DefaultHeartbeatEvery)
+	}
+	return nil
+}
 
 func main() {
 	addr := flag.String("addr", ":9900", "listen address")
@@ -92,6 +106,10 @@ func main() {
 	}
 	log := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 	slog.SetDefault(log)
+	if err := checkHeartbeatTimeout(*hbTimeout); err != nil {
+		log.Error("bad -heartbeat-timeout", "err", err)
+		os.Exit(2)
+	}
 
 	reg := obs.NewRegistry()
 	var journal *cluster.Journal

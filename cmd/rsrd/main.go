@@ -5,14 +5,13 @@
 //
 //	rsrd [-addr :8745] [-parallel N] [-cachedir DIR] [-job-timeout D]
 //	     [-drain-timeout D]
-//	     [-peer -coordinator URL [-node NAME] [-pulls N] [-advertise URL]]
+//	     [-peer -coordinator URL [-node NAME] [-advertise URL]]
 //
 // API:
 //
 //	POST /v1/jobs      submit a job; returns {"id": <job hash>, ...}
 //	GET  /v1/jobs/{id} job status, and the result once finished
 //	GET  /v1/stats     engine scheduler/cache counters
-//	GET  /v1/events    progress event stream (ndjson, until disconnect)
 //	GET  /v1/trace     this node's span ring as JSON (?sweep= filters by tag)
 //	GET  /v1/version   build info + cluster protocol version
 //	GET  /metrics      Prometheus text exposition of this process's registry
@@ -20,16 +19,18 @@
 //	GET  /readyz       readiness (503 once draining)
 //
 // With -peer, the daemon additionally joins the sweep fabric of the rsrc
-// coordinator at -coordinator: it heartbeats its engine depth, pulls work,
-// runs it on the local engine, uploads results to the coordinator's
-// content-addressed store, and shares pre-pass checkpoint chains through the
-// same store so sibling nodes skip redundant functional warm-up. The local
+// coordinator at -coordinator: it heartbeats its engine depth every second,
+// pulls work with one loop per engine worker (-parallel), runs it on the
+// local engine, uploads results to the coordinator's content-addressed
+// store, and shares pre-pass checkpoint chains through the same store so
+// sibling nodes skip redundant functional warm-up. The local
 // HTTP API stays fully usable in peer mode. The -advertise address is used
 // for the sweep trace only: the coordinator dials it to pull /v1/trace.
 //
 // Every request is logged as one structured log/slog line (method, path,
 // status, duration, request ID); the ID is echoed as X-Request-ID, and a
-// client-supplied X-Request-ID is honoured for cross-service correlation.
+// client-supplied X-Request-ID is honoured. A job's X-Sweep-ID is stamped on
+// its spans.
 //
 // A submission names a workload and either a warm-up method label from the
 // paper's matrix or kind "full" for a true-IPC baseline:
@@ -91,7 +92,6 @@ func main() {
 	peerMode := flag.Bool("peer", false, "join a sweep-fabric coordinator as a worker (requires -coordinator)")
 	coordinator := flag.String("coordinator", "", "coordinator base URL for -peer, e.g. http://host:9900")
 	nodeName := flag.String("node", "", "cluster-unique worker name for -peer (default hostname-pid)")
-	pulls := flag.Int("pulls", 0, "concurrent work-pull loops in -peer mode (0 = 2)")
 	advertise := flag.String("advertise", "", "externally reachable base URL advertised to the coordinator, used only to pull this node's sweep-trace spans (default derived from -addr)")
 	flag.Parse()
 
@@ -149,7 +149,6 @@ func main() {
 			Coordinator: *coordinator,
 			Advertise:   advertiseURL(*advertise, *addr),
 			Engine:      eng,
-			Pulls:       *pulls,
 			Metrics:     reg,
 			Log:         log,
 		})

@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -37,8 +36,8 @@ type server struct {
 	retryAfter string
 
 	// draining flips when shutdown begins: readiness goes 503, submissions
-	// are refused with 503 + Retry-After, but status polls and the event
-	// stream keep working so clients can collect in-flight results.
+	// are refused with 503 + Retry-After, but status polls keep working so
+	// clients can collect in-flight results.
 	draining atomic.Bool
 
 	// peer, set in peer mode, folds the fabric relationship into readiness:
@@ -87,7 +86,6 @@ func (s *server) routes() http.Handler {
 	mux.HandleFunc("/v1/jobs", s.handleJobs)
 	mux.HandleFunc("/v1/jobs/", s.handleJob)
 	mux.HandleFunc("/v1/stats", s.handleStats)
-	mux.HandleFunc("/v1/events", s.handleEvents)
 	// Build info + protocol version, so operators and peers can spot
 	// mixed-version fleets before they corrupt a sweep.
 	mux.HandleFunc("/v1/version", s.handleVersion)
@@ -96,7 +94,7 @@ func (s *server) routes() http.Handler {
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
 	// Prometheus text exposition of the engine's metric registry.
-	mux.HandleFunc("/metrics", s.handleMetrics)
+	mux.HandleFunc("/metrics", cluster.MetricsHandler(s.reg, s.log))
 	// The coordinator fetches this node's span ring when aggregating a sweep
 	// trace: the one artifact joined across nodes.
 	mux.HandleFunc("/v1/trace", s.handleTrace)
@@ -114,19 +112,7 @@ func (s *server) routes() http.Handler {
 
 // handleVersion serves build info and the cluster protocol version.
 func (s *server) handleVersion(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, cluster.Version())
-}
-
-// handleMetrics serves the registry in Prometheus text exposition format.
-func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if s.reg == nil {
-		httpError(w, http.StatusNotFound, "metrics disabled")
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := s.reg.WritePrometheus(w); err != nil {
-		s.log.Error("metrics write failed", "err", err)
-	}
+	cluster.WriteJSON(w, http.StatusOK, cluster.Version())
 }
 
 // handleTrace serves the node's span ring as JSON ([]obs.SpanDump), filtered
@@ -135,10 +121,10 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // they are.
 func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if s.tr == nil {
-		httpError(w, http.StatusNotFound, "tracing disabled")
+		cluster.HTTPError(w, http.StatusNotFound, "tracing disabled")
 		return
 	}
-	writeJSON(w, http.StatusOK, s.tr.Dump(r.URL.Query().Get("sweep")))
+	cluster.WriteJSON(w, http.StatusOK, s.tr.Dump(r.URL.Query().Get("sweep")))
 }
 
 // jobRequest is the POST /v1/jobs body. Unset fields take the reproduction
@@ -211,68 +197,57 @@ func (r jobRequest) toJob() (engine.Job, error) {
 }
 
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	cluster.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		cluster.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
 	if p := s.peer.Load(); p != nil && !p.Connected() {
-		writeJSON(w, http.StatusServiceUnavailable,
+		cluster.WriteJSON(w, http.StatusServiceUnavailable,
 			map[string]string{"status": "coordinator unreachable"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	cluster.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
 func (s *server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
+		cluster.HTTPError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	if s.draining.Load() {
 		w.Header().Set("Retry-After", s.retryAfter)
-		httpError(w, http.StatusServiceUnavailable, "draining: not accepting new jobs")
+		cluster.HTTPError(w, http.StatusServiceUnavailable, "draining: not accepting new jobs")
 		return
 	}
 	var req jobRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad job body: %v", err)
+		cluster.HTTPError(w, http.StatusBadRequest, "bad job body: %v", err)
 		return
 	}
 	job, err := req.toJob()
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		cluster.HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// The daemon owns the run lifetime, not the request: jobs keep running
-	// after the submitting connection goes away. The request's correlation
-	// ID rides along so the job's engine events carry the same X-Request-ID
-	// the client saw.
-	ctx := engine.WithRequestID(context.Background(), engine.RequestIDFrom(r.Context()))
-	ctx = engine.WithSweep(ctx, engine.SweepFrom(r.Context()))
-	tk, err := s.eng.Submit(ctx, job)
+	// after the submitting connection goes away. The request's sweep tag
+	// rides along so the job's spans carry it.
+	tk, err := s.eng.Submit(engine.WithSweep(context.Background(), engine.SweepFrom(r.Context())), job)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		cluster.HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.mu.Lock()
 	s.tickets[tk.Hash()] = tk
 	s.mu.Unlock()
-	writeJSON(w, http.StatusAccepted, map[string]any{
+	cluster.WriteJSON(w, http.StatusAccepted, map[string]any{
 		"id":    tk.Hash(),
 		"label": job.Label(),
 	})
-}
-
-// jobStatus is the GET /v1/jobs/{id} response.
-type jobStatus struct {
-	ID     string         `json:"id"`
-	Status string         `json:"status"` // pending, done, or failed
-	Error  string         `json:"error,omitempty"`
-	Result *engine.Result `json:"result,omitempty"`
 }
 
 func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -281,10 +256,10 @@ func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
 	tk, ok := s.tickets[id]
 	s.mu.Unlock()
 	if !ok {
-		httpError(w, http.StatusNotFound, "unknown job %q", id)
+		cluster.HTTPError(w, http.StatusNotFound, "unknown job %q", id)
 		return
 	}
-	st := jobStatus{ID: id, Status: "pending"}
+	st := cluster.JobStatus{ID: id, Status: "pending"}
 	if res, err, done := tk.Result(); done {
 		if err != nil {
 			st.Status, st.Error = "failed", err.Error()
@@ -292,47 +267,9 @@ func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
 			st.Status, st.Result = "done", res
 		}
 	}
-	writeJSON(w, http.StatusOK, st)
+	cluster.WriteJSON(w, http.StatusOK, st)
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.eng.Stats())
-}
-
-// handleEvents streams engine progress events as newline-delimited JSON
-// until the client disconnects.
-func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	fl, _ := w.(http.Flusher)
-	events, cancel := s.eng.Subscribe(256)
-	defer cancel()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	for {
-		select {
-		case ev, ok := <-events:
-			if !ok {
-				return
-			}
-			if err := enc.Encode(ev); err != nil {
-				return
-			}
-			if fl != nil {
-				fl.Flush()
-			}
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
+	cluster.WriteJSON(w, http.StatusOK, s.eng.Stats())
 }

@@ -35,14 +35,14 @@ func postJob(t *testing.T, ts *httptest.Server, body string) string {
 	return out.ID
 }
 
-func getStatus(t *testing.T, ts *httptest.Server, id string) jobStatus {
+func getStatus(t *testing.T, ts *httptest.Server, id string) cluster.JobStatus {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st jobStatus
+	var st cluster.JobStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestDaemonJobLifecycle(t *testing.T) {
 		"regimen": {"ClusterSize": 2000, "NumClusters": 10}}`)
 
 	deadline := time.Now().Add(2 * time.Minute)
-	var st jobStatus
+	var st cluster.JobStatus
 	for {
 		st = getStatus(t, ts, id)
 		if st.Status != "pending" {

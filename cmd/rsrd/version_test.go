@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -38,48 +37,5 @@ func TestVersionEndpoint(t *testing.T) {
 	}
 	if v.GoVersion == "" || v.Module == "" {
 		t.Fatalf("missing build info: %+v", v)
-	}
-}
-
-// TestRequestIDReachesJobEvents pins correlation through the daemon: the
-// X-Request-ID a client supplies with a submission is echoed back and
-// stamped on the job's engine events.
-func TestRequestIDReachesJobEvents(t *testing.T) {
-	eng := engine.New(engine.Options{Workers: 2})
-	defer eng.Close()
-	ts := httptest.NewServer(newServer(eng, nil, nil, testLogger(), time.Second).routes())
-	defer ts.Close()
-
-	events, cancel := eng.Subscribe(256)
-	defer cancel()
-
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs", strings.NewReader(
-		`{"workload": "twolf", "method": "None", "total": 400000, "seed": 1,
-		  "regimen": {"ClusterSize": 2000, "NumClusters": 10}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("X-Request-ID", "corr-rsrd-7")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit status = %d", resp.StatusCode)
-	}
-	if got := resp.Header.Get("X-Request-ID"); got != "corr-rsrd-7" {
-		t.Fatalf("echoed request ID = %q", got)
-	}
-	deadline := time.After(time.Minute)
-	for {
-		select {
-		case ev := <-events:
-			if ev.RequestID == "corr-rsrd-7" {
-				return
-			}
-		case <-deadline:
-			t.Fatal("no engine event carried the request ID")
-		}
 	}
 }

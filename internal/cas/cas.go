@@ -5,8 +5,8 @@
 // Content addressing makes every blob self-verifying: a reader recomputes
 // the sum and refuses bytes that do not hash to their key. Corrupt or torn
 // entries are detected positively, quarantined under <dir>/quarantine (never
-// served, never silently deleted), and the caller falls back to recomputing
-// or refetching from a healthy peer. Because blobs are pure functions of
+// served, never silently deleted), and the caller falls back to recomputing,
+// whose write repairs the entry. Because blobs are pure functions of
 // their key, writes race benignly: every writer writes the same bytes.
 //
 // Alongside the blob space the store keeps a small name index mapping
@@ -119,8 +119,8 @@ func (s *Store) Put(b []byte) (string, error) {
 
 // Get returns the blob stored under sum. Disk reads are verified against
 // the key before being served or promoted to memory; a mismatch
-// quarantines the file and returns ErrCorrupt so the caller can refetch
-// from a healthy peer.
+// quarantines the file and returns ErrCorrupt so the caller can recompute
+// and re-put the bytes.
 func (s *Store) Get(sum string) ([]byte, error) {
 	s.mu.Lock()
 	b, ok := s.mem[sum]

@@ -12,60 +12,49 @@ import (
 	"rsr/internal/fault"
 )
 
-// TestChaosCorruptBlobRefetchedFromHealthyPeer is the CAS half of the
-// fabric's failure story: a torn/corrupt blob on one node is quarantined —
-// never served — and a multi-source client transparently refetches the
-// same content from a healthy peer.
-func TestChaosCorruptBlobRefetchedFromHealthyPeer(t *testing.T) {
+// TestChaosCorruptBlobQuarantinedAndRepaired is the CAS half of the fabric's
+// failure story: a torn blob on a node's disk is quarantined on read and never
+// served — a client fetch fails instead of returning the bad bytes — and
+// re-putting the verified bytes repairs the store, which then serves them.
+func TestChaosCorruptBlobQuarantinedAndRepaired(t *testing.T) {
 	blob := []byte("checkpoint chain bytes: pure function of (workload, boundaries)")
 	sum := Sum(blob)
 
-	// Two peers hold the blob; one's copy is torn on disk (a crash
-	// mid-write that became visible).
-	sickDir := t.TempDir()
-	sick := NewStore(sickDir)
+	// The node's copy is torn on disk (a crash mid-write that became
+	// visible).
+	dir := t.TempDir()
+	sick := NewStore(dir)
 	if _, err := sick.Put(blob); err != nil {
-		t.Fatalf("sick Put: %v", err)
+		t.Fatalf("Put: %v", err)
 	}
-	if err := os.WriteFile(filepath.Join(sickDir, "blobs", sum), blob[:len(blob)/2], 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "blobs", sum), blob[:len(blob)/2], 0o644); err != nil {
 		t.Fatalf("tear: %v", err)
 	}
-	sick = NewStore(sickDir) // drop the memory copy, like a restart
+	sick = NewStore(dir) // drop the memory copy, like a restart
 
-	healthy := NewStore(t.TempDir())
-	if _, err := healthy.Put(blob); err != nil {
-		t.Fatalf("healthy Put: %v", err)
-	}
+	srv := httptest.NewServer(NewServer(sick, "/v1/cas"))
+	defer srv.Close()
+	c := NewClient(nil, srv.URL+"/v1/cas")
+	ctx := context.Background()
 
-	sickSrv := httptest.NewServer(NewServer(sick, "/v1/cas"))
-	defer sickSrv.Close()
-	healthySrv := httptest.NewServer(NewServer(healthy, "/v1/cas"))
-	defer healthySrv.Close()
-
-	// The sick peer is first in line: its torn copy must 404 (quarantined,
-	// not served), and the client must land on the healthy peer's bytes.
-	c := NewClient(nil, sickSrv.URL+"/v1/cas", healthySrv.URL+"/v1/cas")
-	got, err := c.Fetch(context.Background(), sum)
-	if err != nil {
-		t.Fatalf("Fetch across peers: %v", err)
-	}
-	if !bytes.Equal(got, blob) {
-		t.Fatalf("Fetch returned wrong bytes: %q", got)
+	// The torn copy must 404 (quarantined, not served).
+	if got, err := c.Fetch(ctx, sum); err == nil {
+		t.Fatalf("Fetch served a torn blob: %q", got)
 	}
 	if sick.Stats().Corrupt != 1 {
-		t.Fatalf("sick peer Corrupt = %d, want 1", sick.Stats().Corrupt)
+		t.Fatalf("Corrupt = %d, want 1", sick.Stats().Corrupt)
 	}
-	if _, err := os.Stat(filepath.Join(sickDir, "quarantine", sum)); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, "quarantine", sum)); err != nil {
 		t.Fatalf("torn blob not quarantined: %v", err)
 	}
 
-	// The sick peer can repair itself by re-putting the verified bytes.
-	if _, err := sick.Put(got); err != nil {
+	// The node repairs itself by re-putting the verified bytes.
+	if _, err := sick.Put(blob); err != nil {
 		t.Fatalf("repair Put: %v", err)
 	}
-	back, err := sick.Get(sum)
-	if err != nil || !bytes.Equal(back, blob) {
-		t.Fatalf("Get after repair = %q, %v", back, err)
+	got, err := c.Fetch(ctx, sum)
+	if err != nil || !bytes.Equal(got, blob) {
+		t.Fatalf("Fetch after repair = %q, %v", got, err)
 	}
 }
 

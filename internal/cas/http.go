@@ -63,7 +63,7 @@ func (s *Server) serveBlob(w http.ResponseWriter, r *http.Request, sum string) {
 		if err != nil {
 			// ErrCorrupt deliberately maps to 404: the quarantined bytes
 			// must never leave the store, so to a client the entry simply
-			// does not exist here and a healthy peer is the next stop.
+			// does not exist until it is re-put.
 			http.NotFound(w, r)
 			return
 		}
@@ -129,33 +129,28 @@ func (s *Server) serveIndex(w http.ResponseWriter, r *http.Request, key string) 
 	}
 }
 
-// Client fetches and stores blobs against one or more CAS bases (each a
-// URL like "http://host:port/v1/cas"). Fetches verify the bytes against
-// the requested sum — the wire is never trusted — and fall through to the
-// next base on any miss or mismatch, so one corrupt peer degrades to a
-// refetch, not a wrong answer. Writes go to the primary (first) base.
+// Client fetches and stores blobs against one CAS base, a URL like
+// "http://host:port/v1/cas". Fetches verify the bytes against the requested
+// sum: the wire is never trusted, so a corrupt copy is an error, never a
+// wrong answer.
 type Client struct {
-	bases []string
-	hc    *http.Client
+	base string
+	hc   *http.Client
 }
 
-// NewClient returns a client over the given bases. hc may be nil for a
-// default client with a 30s timeout.
-func NewClient(hc *http.Client, bases ...string) *Client {
+// NewClient returns a client over base. hc may be nil for a default client
+// with a 30s timeout.
+func NewClient(hc *http.Client, base string) *Client {
 	if hc == nil {
 		hc = &http.Client{Timeout: 30 * time.Second}
 	}
-	trimmed := make([]string, len(bases))
-	for i, b := range bases {
-		trimmed[i] = strings.TrimSuffix(b, "/")
-	}
-	return &Client{bases: trimmed, hc: hc}
+	return &Client{base: strings.TrimSuffix(base, "/"), hc: hc}
 }
 
-// do sends one request and returns the response status with at most limit
-// bytes of its body.
-func (c *Client) do(ctx context.Context, method, url string, body io.Reader, limit int64) (int, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, method, url, body)
+// do sends one request to path under the base and returns the response
+// status with at most limit bytes of its body.
+func (c *Client) do(ctx context.Context, method, path string, body io.Reader, limit int64) (int, []byte, error) {
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -168,38 +163,30 @@ func (c *Client) do(ctx context.Context, method, url string, body io.Reader, lim
 	return resp.StatusCode, b, err
 }
 
-// Fetch returns the verified blob for sum, trying each base in order.
+// Fetch returns the verified blob for sum.
 func (c *Client) Fetch(ctx context.Context, sum string) ([]byte, error) {
-	var lastErr error = ErrNotFound
-	for _, base := range c.bases {
-		code, b, err := c.do(ctx, http.MethodGet, base+"/blobs/"+sum, nil, maxBlobBytes+1)
-		switch {
-		case err != nil:
-			lastErr = err
-		case code != http.StatusOK:
-			lastErr = fmt.Errorf("cas: fetch %.12s from %s: status %d", sum, base, code)
-		case Sum(b) != sum:
-			lastErr = fmt.Errorf("%w: %.12s from %s", ErrCorrupt, sum, base)
-		default:
-			return b, nil
-		}
+	code, b, err := c.do(ctx, http.MethodGet, "/blobs/"+sum, nil, maxBlobBytes+1)
+	switch {
+	case err != nil:
+		return nil, err
+	case code != http.StatusOK:
+		return nil, fmt.Errorf("cas: fetch %.12s from %s: status %d", sum, c.base, code)
+	case Sum(b) != sum:
+		return nil, fmt.Errorf("%w: %.12s from %s", ErrCorrupt, sum, c.base)
 	}
-	return nil, lastErr
+	return b, nil
 }
 
-// put sends body to path at the primary base, which must answer 201.
+// put sends body to path, which must answer 201.
 func (c *Client) put(ctx context.Context, path string, body io.Reader) error {
-	if len(c.bases) == 0 {
-		return fmt.Errorf("cas: client has no bases")
-	}
-	code, _, err := c.do(ctx, http.MethodPut, c.bases[0]+path, body, 1<<10)
+	code, _, err := c.do(ctx, http.MethodPut, path, body, 1<<10)
 	if err == nil && code != http.StatusCreated {
 		err = fmt.Errorf("status %d", code)
 	}
 	return err
 }
 
-// Put stores b at the primary base and returns its sum.
+// Put stores b and returns its sum.
 func (c *Client) Put(ctx context.Context, b []byte) (string, error) {
 	sum := Sum(b)
 	if err := c.put(ctx, "/blobs/"+sum, bytes.NewReader(b)); err != nil {
@@ -208,7 +195,7 @@ func (c *Client) Put(ctx context.Context, b []byte) (string, error) {
 	return sum, nil
 }
 
-// Link binds key to sum at the primary base.
+// Link binds key to sum.
 func (c *Client) Link(ctx context.Context, key, sum string) error {
 	if err := c.put(ctx, "/index/"+key, strings.NewReader(sum)); err != nil {
 		return fmt.Errorf("cas: link %q: %w", key, err)
@@ -216,25 +203,14 @@ func (c *Client) Link(ctx context.Context, key, sum string) error {
 	return nil
 }
 
-// FetchKey resolves key at each base in turn and fetches the bound blob.
+// FetchKey resolves key and fetches the bound blob.
 func (c *Client) FetchKey(ctx context.Context, key string) ([]byte, error) {
-	var lastErr error = ErrNotFound
-	for _, base := range c.bases {
-		code, b, err := c.do(ctx, http.MethodGet, base+"/index/"+key, nil, 256)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if code != http.StatusOK || !ValidSum(string(b)) {
-			lastErr = ErrNotFound
-			continue
-		}
-		blob, err := c.Fetch(ctx, string(b))
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		return blob, nil
+	code, b, err := c.do(ctx, http.MethodGet, "/index/"+key, nil, 256)
+	if err != nil {
+		return nil, err
 	}
-	return nil, lastErr
+	if code != http.StatusOK || !ValidSum(string(b)) {
+		return nil, ErrNotFound
+	}
+	return c.Fetch(ctx, string(b))
 }

@@ -34,11 +34,11 @@ func TestChaosNodeKillMidSweepByteIdentical(t *testing.T) {
 	// The victim joins first and alone, so the whole sweep lands on its
 	// queue; the armed node-kill point fires on its first lease, before the
 	// job reaches the engine.
-	engA := engine.New(engine.Options{Workers: 2})
+	engA := engine.New(engine.Options{Workers: 1})
 	defer engA.Close()
 	victim, err := NewPeer(PeerOptions{
 		Node: "peer-a", Coordinator: ts.URL, Engine: engA,
-		Pulls: 1, HeartbeatEvery: 50 * time.Millisecond, PollEvery: 10 * time.Millisecond,
+		HeartbeatEvery: 50 * time.Millisecond, PollEvery: 10 * time.Millisecond,
 		Fault: fault.New(7, fault.Rule{Point: fault.NodeKill, Kind: fault.KindError, Prob: 1}),
 		Log:   testLogger(),
 	})
@@ -50,7 +50,7 @@ func TestChaosNodeKillMidSweepByteIdentical(t *testing.T) {
 	}
 	defer victim.Close()
 
-	cl := NewClient(ts.URL, "chaos-req", nil)
+	cl := NewClient(ts.URL, nil)
 	cl.pollEvery = 20 * time.Millisecond
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -79,7 +79,7 @@ func TestChaosNodeKillMidSweepByteIdentical(t *testing.T) {
 	defer engB.Close()
 	survivor, err := NewPeer(PeerOptions{
 		Node: "peer-b", Coordinator: ts.URL, Engine: engB,
-		Pulls: 2, HeartbeatEvery: 50 * time.Millisecond, PollEvery: 10 * time.Millisecond,
+		HeartbeatEvery: 50 * time.Millisecond, PollEvery: 10 * time.Millisecond,
 		Log: testLogger(),
 	})
 	if err != nil {
@@ -157,7 +157,7 @@ func TestChaosCoordKillMidSweepByteIdentical(t *testing.T) {
 	// The whole sweep is submitted before any worker joins, so
 	// the armed kill (which fires at the first completion, after workers
 	// start) always lands mid-sweep with every job already journaled.
-	cl := NewClient(ts.URL, "coord-kill-req", nil)
+	cl := NewClient(ts.URL, nil)
 	cl.pollEvery = 20 * time.Millisecond
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -180,7 +180,7 @@ func TestChaosCoordKillMidSweepByteIdentical(t *testing.T) {
 		peerRegs[i] = obs.NewRegistry()
 		p, err := NewPeer(PeerOptions{
 			Node: name, Coordinator: ts.URL, Engine: engines[i],
-			Pulls: 2, HeartbeatEvery: 50 * time.Millisecond, PollEvery: 10 * time.Millisecond,
+			HeartbeatEvery: 50 * time.Millisecond, PollEvery: 10 * time.Millisecond,
 			Metrics: peerRegs[i], Log: testLogger(),
 		})
 		if err != nil {
@@ -296,11 +296,11 @@ func TestFaultNodeLossRequeuesToSurvivor(t *testing.T) {
 	})
 	defer co.Close()
 	beat(t, co, "a")
-	id1, err := co.Submit(unitJob(1), "", "")
+	id1, err := co.Submit(unitJob(1), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	id2, err := co.Submit(unitJob(2), "", "")
+	id2, err := co.Submit(unitJob(2), "")
 	if err != nil {
 		t.Fatal(err)
 	}

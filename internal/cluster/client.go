@@ -24,9 +24,8 @@ import (
 // resubmits the kept job body idempotently; content hashing plus CAS dedup
 // make the resubmit free.
 type Client struct {
-	base  string
-	hc    *http.Client
-	reqID string
+	base string
+	hc   *http.Client
 	// sweep, when non-empty, is sent as X-Sweep-ID on every call so the
 	// coordinator tags the whole submission as one traceable sweep.
 	sweep string
@@ -36,14 +35,12 @@ type Client struct {
 }
 
 // NewClient returns a client for the coordinator at base (e.g.
-// "http://host:9000"). reqID, when non-empty, is sent as X-Request-ID on
-// every call so the whole sweep correlates end to end; hc may be nil for a
-// default 30s-timeout client.
-func NewClient(base string, reqID string, hc *http.Client) *Client {
+// "http://host:9000"); hc may be nil for a default 30s-timeout client.
+func NewClient(base string, hc *http.Client) *Client {
 	if hc == nil {
 		hc = &http.Client{Timeout: 30 * time.Second}
 	}
-	return &Client{base: base, hc: hc, reqID: reqID, pollEvery: 50 * time.Millisecond}
+	return &Client{base: base, hc: hc, pollEvery: 50 * time.Millisecond}
 }
 
 // Handshake fetches the coordinator's version and fails fast on protocol
@@ -206,7 +203,7 @@ func (c *Client) status(ctx context.Context, id string) (JobStatus, int, error) 
 	if err != nil {
 		return JobStatus{}, 0, err
 	}
-	c.setHeaders(req)
+	c.setSweep(req)
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return JobStatus{}, 0, err
@@ -231,7 +228,7 @@ func (c *Client) post(ctx context.Context, path string, body []byte) (int, []byt
 		return 0, nil, nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	c.setHeaders(req)
+	c.setSweep(req)
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return 0, nil, nil, err
@@ -241,10 +238,7 @@ func (c *Client) post(ctx context.Context, path string, body []byte) (int, []byt
 	return resp.StatusCode, b, resp.Header, nil
 }
 
-func (c *Client) setHeaders(req *http.Request) {
-	if c.reqID != "" {
-		req.Header.Set("X-Request-ID", c.reqID)
-	}
+func (c *Client) setSweep(req *http.Request) {
 	if c.sweep != "" {
 		req.Header.Set("X-Sweep-ID", c.sweep)
 	}
@@ -267,7 +261,7 @@ func (c *Client) FetchSweepTrace(ctx context.Context, sweep string) ([]byte, err
 	if err != nil {
 		return nil, err
 	}
-	c.setHeaders(req)
+	c.setSweep(req)
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return nil, err

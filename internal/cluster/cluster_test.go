@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -75,6 +76,18 @@ func beat(t *testing.T, co *Coordinator, node string) {
 	if err := co.Heartbeat(Heartbeat{Node: node, Protocol: ProtocolVersion}); err != nil {
 		t.Fatalf("heartbeat %s: %v", node, err)
 	}
+}
+
+// sweepMembers reads the coordinator's sweep table: the IDs of the items that
+// joined the sweep under tag, in joining order, and whether that sweep exists.
+func sweepMembers(co *Coordinator, tag string) ([]string, bool) {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	sw := co.sweeps[tag]
+	if sw == nil {
+		return nil, false
+	}
+	return slices.Clone(sw.ids), true
 }
 
 // TestHeartbeatWorkerTelemetry pins the one path by which a worker's engine
@@ -160,19 +173,19 @@ func TestSchedulerBackpressure(t *testing.T) {
 	defer co.Close()
 	beat(t, co, "a")
 
-	id1, err := co.Submit(unitJob(1), "", "")
+	id1, err := co.Submit(unitJob(1), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := co.Submit(unitJob(2), "", ""); err != nil {
+	if _, err := co.Submit(unitJob(2), ""); err != nil {
 		t.Fatal(err)
 	}
 	// Queue full: the third submission is refused.
-	if _, err := co.Submit(unitJob(3), "", ""); err != ErrBusy {
+	if _, err := co.Submit(unitJob(3), ""); err != ErrBusy {
 		t.Fatalf("third submit: err = %v, want ErrBusy", err)
 	}
 	// Duplicates coalesce even against a full queue.
-	dup, err := co.Submit(unitJob(1), "", "")
+	dup, err := co.Submit(unitJob(1), "")
 	if err != nil || dup != id1 {
 		t.Fatalf("duplicate submit: id %s err %v, want %s <nil>", dup, err, id1)
 	}
@@ -188,15 +201,15 @@ func TestQueueHoldsWorkBeforeWorkers(t *testing.T) {
 	})
 	defer co.Close()
 
-	id1, err := co.Submit(unitJob(1), "", "")
+	id1, err := co.Submit(unitJob(1), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	id2, err := co.Submit(unitJob(2), "", "")
+	id2, err := co.Submit(unitJob(2), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := co.Submit(unitJob(3), "", ""); err != ErrBusy {
+	if _, err := co.Submit(unitJob(3), ""); err != ErrBusy {
 		t.Fatalf("third submit with no workers: err = %v, want ErrBusy", err)
 	}
 	for i, want := range []string{id1, id2} {
@@ -221,7 +234,7 @@ func TestIdleWorkerPullsOldestQueued(t *testing.T) {
 	beat(t, co, "a")
 	ids := make([]string, 4)
 	for i := range ids {
-		id, err := co.Submit(unitJob(int64(i)), "", "")
+		id, err := co.Submit(unitJob(int64(i)), "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +258,7 @@ func TestSchedulerRefusesUnverifiableBlobs(t *testing.T) {
 	co := NewCoordinator(CoordinatorOptions{HeartbeatTimeout: time.Hour, Log: testLogger()})
 	defer co.Close()
 	beat(t, co, "a")
-	id, err := co.Submit(unitJob(1), "", "")
+	id, err := co.Submit(unitJob(1), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,11 +296,11 @@ func TestPullSkipsStaleQueueEntries(t *testing.T) {
 	})
 	defer co.Close()
 	beat(t, co, "a")
-	id1, err := co.Submit(unitJob(1), "", "")
+	id1, err := co.Submit(unitJob(1), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	id2, err := co.Submit(unitJob(2), "", "")
+	id2, err := co.Submit(unitJob(2), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +330,7 @@ func TestCompleteRequiresLease(t *testing.T) {
 	})
 	defer co.Close()
 	beat(t, co, "a")
-	id, err := co.Submit(unitJob(1), "", "")
+	id, err := co.Submit(unitJob(1), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +376,7 @@ func TestReapedNodeLateCompletionDoesNotClobberRequeue(t *testing.T) {
 	})
 	defer co.Close()
 	beat(t, co, "a")
-	id, err := co.Submit(unitJob(1), "", "")
+	id, err := co.Submit(unitJob(1), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +428,7 @@ func TestFinishedWorkStaysPollable(t *testing.T) {
 	})
 	defer co.Close()
 	beat(t, co, "a")
-	id, err := co.Submit(unitJob(1), "", "kept")
+	id, err := co.Submit(unitJob(1), "kept")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,14 +444,14 @@ func TestFinishedWorkStaysPollable(t *testing.T) {
 	if st, ok := co.Status(id); !ok || st.Status != "done" || st.Result == nil {
 		t.Fatalf("status a day later = %+v, %v; want done with its result", st, ok)
 	}
-	if sw, ok := co.SweepStatus("kept"); !ok || sw.Total != 1 || sw.Done != 1 {
-		t.Errorf("sweep a day later = %+v, %v; want its one member done", sw, ok)
+	if ids, ok := sweepMembers(co, "kept"); !ok || !slices.Equal(ids, []string{id}) {
+		t.Errorf("sweep a day later = %v, %v; want its one member", ids, ok)
 	}
 	if blobSum == "" || !co.Store().Has(blobSum) {
 		t.Errorf("result blob %.12q not resident a day later", blobSum)
 	}
 	beat(t, co, "b")
-	if id2, err := co.Submit(unitJob(1), "", ""); err != nil || id2 != id {
+	if id2, err := co.Submit(unitJob(1), ""); err != nil || id2 != id {
 		t.Fatalf("resubmit: id %.12s err %v, want %.12s <nil>", id2, err, id)
 	}
 	if it := co.Pull("b"); it != nil {
@@ -497,7 +510,7 @@ func TestFailedJobRunsOnce(t *testing.T) {
 	plan := fault.New(1, fault.Rule{Point: fault.JobRun, Kind: fault.KindPanic, Prob: 1})
 	f.addPeer(t, PeerOptions{Node: "w"}, plan)
 
-	cl := NewClient(f.ts.URL, "fail-once", nil)
+	cl := NewClient(f.ts.URL, nil)
 	cl.pollEvery = 10 * time.Millisecond
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -537,10 +550,10 @@ func runEvictingOneWorker(t *testing.T, co *Coordinator, limit int64) (string, i
 	}))
 	defer ts.Close()
 
-	eng := engine.New(engine.Options{Workers: 2})
+	eng := engine.New(engine.Options{Workers: 1})
 	defer eng.Close()
 	p, err := NewPeer(PeerOptions{
-		Node: "w", Coordinator: ts.URL, Engine: eng, Pulls: 1,
+		Node: "w", Coordinator: ts.URL, Engine: eng,
 		HeartbeatEvery: 50 * time.Millisecond, PollEvery: 10 * time.Millisecond,
 		Log: testLogger(),
 	})
@@ -552,7 +565,7 @@ func runEvictingOneWorker(t *testing.T, co *Coordinator, limit int64) (string, i
 	}
 	defer p.Close()
 
-	cl := NewClient(ts.URL, "evict-req", nil)
+	cl := NewClient(ts.URL, nil)
 	cl.pollEvery = 10 * time.Millisecond
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -574,7 +587,7 @@ func TestPeerRestartUnderSameNameReleasesLease(t *testing.T) {
 	f := newFabric(t, CoordinatorOptions{HeartbeatTimeout: time.Hour}, 0)
 	dead := f.addPeer(t, PeerOptions{Node: "w",
 		Fault: fault.New(1, fault.Rule{Point: fault.NodeKill, Kind: fault.KindError, Prob: 1})}, nil)
-	cl := NewClient(f.ts.URL, "restart-req", nil)
+	cl := NewClient(f.ts.URL, nil)
 	cl.pollEvery = 10 * time.Millisecond
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -608,7 +621,7 @@ func TestVersionHandshakeAndProtocolSkew(t *testing.T) {
 	ts := httptest.NewServer(NewServer(co, nil, testLogger()).Routes())
 	defer ts.Close()
 
-	v, err := NewClient(ts.URL, "", nil).Handshake(context.Background())
+	v, err := NewClient(ts.URL, nil).Handshake(context.Background())
 	if err != nil {
 		t.Fatalf("handshake: %v", err)
 	}
@@ -730,17 +743,22 @@ func newFabric(t *testing.T, copts CoordinatorOptions, npeers int) *fabric {
 }
 
 // addPeer starts one more worker on the fabric: po names it (and may arm
-// its own faults); its engine, sharing checkpoints through the coordinator
-// CAS, injects engFault (nil = none).
+// its own faults); its two-worker engine, sharing checkpoints through the
+// coordinator CAS, injects engFault (nil = none).
 func (f *fabric) addPeer(t *testing.T, po PeerOptions, engFault fault.Injector) *Peer {
 	t.Helper()
-	eng := engine.New(engine.Options{
+	return f.join(t, po, engine.New(engine.Options{
 		Workers:     2,
 		Checkpoints: NewCASCheckpoints(f.ts.URL, nil, f.log),
 		Fault:       engFault,
-	})
+	}))
+}
+
+// join starts a worker named by po over eng; the fabric closes both.
+func (f *fabric) join(t *testing.T, po PeerOptions, eng *engine.Engine) *Peer {
+	t.Helper()
 	f.engines = append(f.engines, eng)
-	po.Coordinator, po.Engine, po.Pulls, po.Log = f.ts.URL, eng, 2, f.log
+	po.Coordinator, po.Engine, po.Log = f.ts.URL, eng, f.log
 	po.HeartbeatEvery, po.PollEvery = 50*time.Millisecond, 10*time.Millisecond
 	p, err := NewPeer(po)
 	if err != nil {
@@ -864,7 +882,7 @@ func TestClusterSweepByteIdenticalToSingleNode(t *testing.T) {
 // on any, then returns their results in canonical form.
 func sweepThrough(t *testing.T, ctx context.Context, url string, jobs []engine.Job) []string {
 	t.Helper()
-	cl := NewClient(url, "sweep-req", nil)
+	cl := NewClient(url, nil)
 	cl.pollEvery = 10 * time.Millisecond
 	tickets := make([]*RemoteTicket, len(jobs))
 	for i, j := range jobs {
@@ -918,18 +936,19 @@ func promText(t *testing.T, base string) string {
 	return string(b)
 }
 
-// TestRequestIDPropagatesAcrossNodeHops pins the correlation contract: the
-// X-Request-ID a client sends with a submission reappears in the engine
-// events of the worker that executed the job, two hops away.
-func TestRequestIDPropagatesAcrossNodeHops(t *testing.T) {
-	f := newFabric(t, CoordinatorOptions{HeartbeatTimeout: 2 * time.Second}, 1)
-	events, cancel := f.engines[0].Subscribe(256)
-	defer cancel()
+// TestSweepTagReachesWorkerSpans pins the one correlation tag: the sweep tag
+// a client sets rides its submission, the coordinator's item and the lease
+// into the executing worker's engine, whose spans for the job all carry it.
+func TestSweepTagReachesWorkerSpans(t *testing.T) {
+	f := newFabric(t, CoordinatorOptions{HeartbeatTimeout: 2 * time.Second}, 0)
+	tr := obs.NewTracer(0)
+	f.join(t, PeerOptions{Node: "w"}, engine.New(engine.Options{Workers: 1, Tracer: tr}))
 
-	cl := NewClient(f.ts.URL, "corr-42", nil)
+	cl := NewClient(f.ts.URL, nil)
+	cl.SetSweep("sweep-42")
 	cl.pollEvery = 10 * time.Millisecond
-	ctx, cancelCtx := context.WithTimeout(context.Background(), time.Minute)
-	defer cancelCtx()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
 	tk, err := cl.Submit(ctx, sweepJobs(t)[0])
 	if err != nil {
 		t.Fatal(err)
@@ -937,15 +956,44 @@ func TestRequestIDPropagatesAcrossNodeHops(t *testing.T) {
 	if _, err := tk.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.After(5 * time.Second)
-	for {
-		select {
-		case ev := <-events:
-			if ev.RequestID == "corr-42" {
-				return
-			}
-		case <-deadline:
-			t.Fatal("no worker engine event carried the client's request ID")
+	all, tagged := tr.Dump(""), tr.Dump("sweep-42")
+	names := map[string]int{}
+	for _, sp := range tagged {
+		names[sp.Name]++
+	}
+	if names["cache-load"] != 1 || names["job-run"] != 1 {
+		t.Errorf("worker engine spans under the sweep tag: %v; want one cache-load and one job-run", names)
+	}
+	if len(all) != len(tagged) {
+		t.Errorf("%d of the worker's %d spans lack the sweep tag", len(all)-len(tagged), len(all))
+	}
+}
+
+// TestPeerPullsPerEngineWorker pins a worker's appetite: a peer runs one pull
+// loop per engine worker, so over a 3-worker engine it holds 3 leases at
+// once while a fourth job waits in the coordinator's queue.
+func TestPeerPullsPerEngineWorker(t *testing.T) {
+	f := newFabric(t, CoordinatorOptions{HeartbeatTimeout: time.Hour}, 0)
+	stall := fault.New(1, fault.Rule{Point: fault.JobRun, Kind: fault.KindLatency, Prob: 1, Latency: time.Hour})
+	f.join(t, PeerOptions{Node: "w"}, engine.New(engine.Options{Workers: 3, Fault: stall}))
+	for seed := int64(1); seed <= 4; seed++ {
+		if _, err := f.co.Submit(unitJob(seed), ""); err != nil {
+			t.Fatal(err)
 		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st := f.co.StatusSnapshot()
+		if len(st.Nodes) == 1 && st.Nodes[0].Inflight == 3 && st.Queued == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("status = %+v; want the worker holding 3 leases and 1 job queued", st)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	time.Sleep(100 * time.Millisecond) // idle pull loops would have leased the fourth by now
+	if st := f.co.StatusSnapshot(); st.Nodes[0].Inflight != 3 || st.Queued != 1 {
+		t.Fatalf("status = %+v; want 3 leases held and 1 job queued", st)
 	}
 }

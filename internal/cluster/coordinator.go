@@ -68,9 +68,8 @@ const (
 
 // item is one accepted job and its scheduling state.
 type item struct {
-	id    string
-	job   engine.Job
-	reqID string
+	id  string
+	job engine.Job
 	// sweepID is the distributed trace tag of the sweep that submitted the
 	// item ("" outside a traced sweep): propagated to workers on WorkItem so
 	// their engine spans carry it, and stamped on the coordinator's own
@@ -114,8 +113,7 @@ type node struct {
 }
 
 // sweep tracks the jobs submitted under one client tag (X-Sweep-ID): its key
-// in Coordinator.sweeps, the id it reports and the distributed trace ID its
-// spans are scoped to.
+// in Coordinator.sweeps and the distributed trace ID its spans are scoped to.
 type sweep struct {
 	ids       []string        // members, in the order they joined
 	has       map[string]bool // the same, for the membership test
@@ -205,7 +203,6 @@ func (c *Coordinator) adoptReplay(rp *Replay) {
 		it := &item{
 			id:          ri.ID,
 			job:         ri.Job,
-			reqID:       ri.ReqID,
 			sweepID:     ri.Sweep,
 			tid:         c.tr.NextTID(),
 			submittedAt: now,
@@ -354,7 +351,7 @@ func (c *Coordinator) snapshotLocked() snapshot {
 	}
 	for _, id := range sortedKeys(c.items) {
 		it := c.items[id]
-		si := snapItem{ID: id, Job: it.job, ReqID: it.reqID, Sweep: it.sweepID, Requeues: it.requeues}
+		si := snapItem{ID: id, Job: it.job, Sweep: it.sweepID, Requeues: it.requeues}
 		switch it.state {
 		case itemQueued:
 			si.State = "queued"
@@ -421,7 +418,7 @@ func (c *Coordinator) Draining() bool {
 // stored on the item, handed to the leasing worker on its WorkItem (which
 // scopes the worker's engine spans), and stamped on the coordinator's own
 // per-item span.
-func (c *Coordinator) Submit(job engine.Job, reqID, sweepID string) (string, error) {
+func (c *Coordinator) Submit(job engine.Job, sweepID string) (string, error) {
 	if err := job.Validate(); err != nil {
 		return "", err
 	}
@@ -451,7 +448,6 @@ func (c *Coordinator) Submit(job engine.Job, reqID, sweepID string) (string, err
 	it := &item{
 		id:          id,
 		job:         job,
-		reqID:       reqID,
 		sweepID:     sweepID,
 		tid:         c.tr.NextTID(),
 		submittedAt: time.Now(),
@@ -464,7 +460,7 @@ func (c *Coordinator) Submit(job engine.Job, reqID, sweepID string) (string, err
 		c.obs.rejected.Inc()
 		return "", ErrBusy
 	}
-	c.journal.append(journalRecord{Kind: recSubmit, ID: id, Job: &job, ReqID: reqID, Sweep: sweepID})
+	c.journal.append(journalRecord{Kind: recSubmit, ID: id, Job: &job, Sweep: sweepID})
 	c.queue = append(c.queue, it)
 	c.items[id] = it
 	c.obs.submitted.Inc()
@@ -477,10 +473,9 @@ func (c *Coordinator) Submit(job engine.Job, reqID, sweepID string) (string, err
 // joinSweepLocked makes an item a member of the sweep its submission's tag
 // names, creating the sweep on first use: the only way a sweep forms. Jobs
 // submitted individually under a shared X-Sweep-ID thereby become one
-// observable sweep — resolvable by tag for status and fabric trace
-// aggregation, measured by the sweep-duration histogram, counted in the
-// sweep-jobs gauges. It reports whether the item was not a member before.
-// Callers hold c.mu.
+// observable sweep — resolvable by tag for fabric trace aggregation,
+// measured by the sweep-duration histogram, counted in the sweep-jobs gauges.
+// It reports whether the item was not a member before. Callers hold c.mu.
 func (c *Coordinator) joinSweepLocked(tag, itemID string) bool {
 	sw := c.sweeps[tag]
 	if sw == nil {
@@ -496,24 +491,8 @@ func (c *Coordinator) joinSweepLocked(tag, itemID string) bool {
 	return true
 }
 
-// SweepStatus reports the progress of the sweep submitted under a tag.
-func (c *Coordinator) SweepStatus(tag string) (SweepStatus, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	sw := c.sweeps[tag]
-	if sw == nil {
-		return SweepStatus{}, false
-	}
-	var t stateTally
-	for _, m := range sw.ids {
-		t.add(c.items[m])
-	}
-	return SweepStatus{ID: tag, Total: len(sw.ids), JobIDs: sw.ids,
-		Done: t.done, Failed: t.failed, Pending: t.queued + t.running}, true
-}
-
-// stateTally counts items by lifecycle state: the one switch behind sweep
-// status, the cluster status totals and the sweep-jobs gauges.
+// stateTally counts items by lifecycle state: the one switch behind the
+// cluster status totals and the sweep-jobs gauges.
 type stateTally struct{ queued, running, done, failed int }
 
 func (t *stateTally) add(it *item) {
@@ -529,8 +508,8 @@ func (t *stateTally) add(it *item) {
 	}
 }
 
-// JobStatus is the poll-facing view of one item, shaped like rsrd's job
-// status so clients can share decoding.
+// JobStatus is the GET /v1/jobs/{id} payload of both rsrc and rsrd: one job's
+// state and, once finished, its result.
 type JobStatus struct {
 	ID     string         `json:"id"`
 	Status string         `json:"status"` // pending, done, or failed
@@ -671,7 +650,7 @@ func (c *Coordinator) Pull(nodeName string) *WorkItem {
 			sw.participants[nodeName] = n.addr
 		}
 	}
-	return &WorkItem{ID: it.id, Job: it.job, RequestID: it.reqID, SweepID: it.sweepID}
+	return &WorkItem{ID: it.id, Job: it.job, SweepID: it.sweepID}
 }
 
 // popQueuedLocked pops the front of the queue, discarding stale references

@@ -71,9 +71,8 @@ type journalRecord struct {
 	Kind string `json:"kind"`
 	// ID is the item's content hash (submit/tag/lease/complete/requeue).
 	ID string `json:"id,omitempty"`
-	// Job and ReqID ride on submit records.
-	Job   *engine.Job `json:"job,omitempty"`
-	ReqID string      `json:"req_id,omitempty"`
+	// Job rides on submit records.
+	Job *engine.Job `json:"job,omitempty"`
 	// Node names the leasing node (lease), the reporting node (complete), or
 	// the reaped node (reap).
 	Node string `json:"node,omitempty"`
@@ -89,7 +88,6 @@ type journalRecord struct {
 type snapItem struct {
 	ID       string     `json:"id"`
 	Job      engine.Job `json:"job"`
-	ReqID    string     `json:"req_id,omitempty"`
 	Sweep    string     `json:"sweep,omitempty"`
 	State    string     `json:"state"` // queued, running, done, failed
 	Requeues int        `json:"requeues,omitempty"`
@@ -109,7 +107,6 @@ type snapshot struct {
 type ReplayItem struct {
 	ID       string
 	Job      engine.Job
-	ReqID    string
 	Sweep    string // distributed trace tag, "" when untraced
 	State    string // queued, running, done, failed
 	Requeues int
@@ -279,7 +276,7 @@ func (j *Journal) load() error {
 		}
 		for _, si := range snap.Items {
 			items[si.ID] = &ReplayItem{
-				ID: si.ID, Job: si.Job, ReqID: si.ReqID, Sweep: si.Sweep,
+				ID: si.ID, Job: si.Job, Sweep: si.Sweep,
 				State: si.State, Requeues: si.Requeues, Holder: si.Holder,
 				BlobSum: si.BlobSum, ErrMsg: si.Error,
 			}
@@ -345,7 +342,7 @@ func (j *Journal) fold(items map[string]*ReplayItem, rp *Replay, rec journalReco
 		}
 		if _, ok := items[rec.ID]; !ok {
 			items[rec.ID] = &ReplayItem{
-				ID: rec.ID, Job: *rec.Job, ReqID: rec.ReqID, Sweep: rec.Sweep,
+				ID: rec.ID, Job: *rec.Job, Sweep: rec.Sweep,
 				State: "queued",
 			}
 		}

@@ -87,14 +87,14 @@ func TestJournalPropertyRandomOpsReplayMatchesLiveState(t *testing.T) {
 			switch rng.Intn(10) {
 			case 0, 1: // submit one job
 				nextJob++
-				if id, err := co.Submit(unitJob(nextJob), "prop", ""); err == nil {
+				if id, err := co.Submit(unitJob(nextJob), ""); err == nil {
 					accepted(id)
 				}
 			case 2: // submit a two-job sweep: per job, under one tag
 				tag := fmt.Sprintf("tag-%d", nextJob)
 				for i := 0; i < 2; i++ {
 					nextJob++
-					if id, err := co.Submit(unitJob(nextJob), "prop", tag); err == nil {
+					if id, err := co.Submit(unitJob(nextJob), tag); err == nil {
 						accepted(id)
 					}
 				}
@@ -186,7 +186,7 @@ func TestJournalCompactionRoundTrip(t *testing.T) {
 	st := cas.NewStore("")
 	co := journaledCoordinator(t, dir, st, nil)
 	beat(t, co, "a")
-	id1, err := co.Submit(unitJob(1), "", "")
+	id1, err := co.Submit(unitJob(1), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestJournalCompactionRoundTrip(t *testing.T) {
 	}
 
 	// Post-compaction records layer on top of the snapshot.
-	id2, err := co.Submit(unitJob(2), "", "")
+	id2, err := co.Submit(unitJob(2), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestJournalQuarantinesCorruptTail(t *testing.T) {
 	st := cas.NewStore("")
 	co := journaledCoordinator(t, dir, st, nil)
 	beat(t, co, "a")
-	id, err := co.Submit(unitJob(1), "", "")
+	id, err := co.Submit(unitJob(1), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestJournalReplayServesDoneFromCAS(t *testing.T) {
 	st := cas.NewStore("")
 	co := journaledCoordinator(t, dir, st, nil)
 	beat(t, co, "a")
-	id, err := co.Submit(unitJob(1), "", "")
+	id, err := co.Submit(unitJob(1), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,14 +351,14 @@ func TestLeaseReadoptionAcrossRestart(t *testing.T) {
 	st := cas.NewStore("")
 	co := journaledCoordinator(t, dir, st, nil)
 	beat(t, co, "a")
-	id, err := co.Submit(unitJob(1), "", "")
+	id, err := co.Submit(unitJob(1), "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if it := co.Pull("a"); it == nil || it.ID != id {
 		t.Fatalf("lease = %+v", it)
 	}
-	queued, err := co.Submit(unitJob(2), "", "")
+	queued, err := co.Submit(unitJob(2), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +405,7 @@ func TestReplayedHolderRequeuesOmittedLease(t *testing.T) {
 	beat(t, co, "a")
 	var ids []string
 	for seed := int64(1); seed <= 2; seed++ {
-		id, err := co.Submit(unitJob(seed), "", "")
+		id, err := co.Submit(unitJob(seed), "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -441,7 +441,7 @@ func TestReplayedHolderReapedAfterReconnectCap(t *testing.T) {
 	st := cas.NewStore("")
 	co := journaledCoordinator(t, dir, st, nil)
 	beat(t, co, "a")
-	id, err := co.Submit(unitJob(1), "", "")
+	id, err := co.Submit(unitJob(1), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,6 +468,63 @@ func TestReplayedHolderReapedAfterReconnectCap(t *testing.T) {
 	fakeComplete(t, re, "b", id)
 	if stj, _ := re.Status(id); stj.Status != "done" {
 		t.Fatalf("status = %s, want done", stj.Status)
+	}
+}
+
+// TestJournalReplaysParentFormat pins that dropping the request ID left the
+// journal format compatible: a directory whose snapshot item and submit
+// record still carry the parent format's req_id replays to the same items,
+// holders and sweep membership, the unknown key ignored.
+func TestJournalReplaysParentFormat(t *testing.T) {
+	snapJob, subJob := unitJob(1), unitJob(2)
+	sb, err := json.Marshal(snapJob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jb, err := json.Marshal(subJob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	snap := `{"sweeps":{"rsr-a":["` + snapJob.Hash() + `"]},"items":[{"id":"` + snapJob.Hash() +
+		`","job":` + string(sb) + `,"req_id":"r1","sweep":"rsr-a","state":"running","holder":"w1"}]}`
+	if err := os.WriteFile(filepath.Join(dir, snapshotFile), []byte(snap), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, journalFile), []byte(strings.Join([]string{
+		`{"kind":"submit","id":"` + subJob.Hash() + `","job":` + string(jb) + `,"req_id":"r2","sweep":"rsr-a"}`,
+		`{"kind":"lease","id":"` + subJob.Hash() + `","node":"w2"}`,
+	}, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(dir, testLogger())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp := j.Replay()
+	want := []ReplayItem{
+		{ID: snapJob.Hash(), Job: snapJob, Sweep: "rsr-a", State: "running", Holder: "w1"},
+		{ID: subJob.Hash(), Job: subJob, Sweep: "rsr-a", State: "running", Holder: "w2"},
+	}
+	sort.Slice(want, func(a, b int) bool { return want[a].ID < want[b].ID })
+	if !reflect.DeepEqual(rp.Items, want) {
+		t.Errorf("replayed items = %+v, want %+v", rp.Items, want)
+	}
+	if rp.Quarantined != 0 || rp.Records != 2 {
+		t.Errorf("replay quarantined %d bytes and read %d records, want 0 and 2", rp.Quarantined, rp.Records)
+	}
+
+	co := NewCoordinator(CoordinatorOptions{HeartbeatTimeout: time.Hour, Journal: j, Log: testLogger()})
+	defer co.Crash()
+	if ids, ok := sweepMembers(co, "rsr-a"); !ok || !slices.Equal(ids, []string{snapJob.Hash(), subJob.Hash()}) {
+		t.Errorf("sweep rsr-a = %v, %v; want the snapshot item then the submitted one", ids, ok)
+	}
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	for id, holder := range map[string]string{snapJob.Hash(): "w1", subJob.Hash(): "w2"} {
+		if it := co.items[id]; it.state != itemRunning || it.holder != holder || !co.nodes[holder].leases[id] {
+			t.Errorf("item %.12s: state %v holder %q, want running under %s", id, it.state, it.holder, holder)
+		}
 	}
 }
 
@@ -500,11 +557,14 @@ func TestReplayedTagWithoutSubmitJoinsNothing(t *testing.T) {
 	}
 	co := NewCoordinator(CoordinatorOptions{HeartbeatTimeout: time.Hour, Journal: j, Log: testLogger()})
 	defer co.Crash()
-	if st, ok := co.SweepStatus("ghost"); ok {
-		t.Errorf("a sweep formed from a tag record alone: %+v", st)
+	if _, ok := co.SweepTraceInfo("ghost"); ok {
+		t.Error("a sweep formed from a tag record alone")
 	}
-	if st, ok := co.SweepStatus("second"); !ok || st.Total != 1 || st.Done != 0 || st.Pending != 1 {
-		t.Errorf("sweep second = %+v, %v; want its one known member pending", st, ok)
+	if ids, ok := sweepMembers(co, "second"); !ok || !slices.Equal(ids, []string{known.Hash()}) {
+		t.Errorf("sweep second = %v, %v; want its one known member", ids, ok)
+	}
+	if st, _ := co.Status(known.Hash()); st.Status != "pending" {
+		t.Errorf("known member is %s, want pending", st.Status)
 	}
 }
 
@@ -540,7 +600,7 @@ func TestSweepJournalLinear(t *testing.T) {
 	sweepOf := func(dir string, n int) written {
 		open(dir)
 		for seed := int64(1); seed <= int64(n); seed++ {
-			if _, err := co.Submit(unitJob(seed), "req", "sweep-tag"); err != nil {
+			if _, err := co.Submit(unitJob(seed), "sweep-tag"); err != nil {
 				t.Fatalf("submit %d of %d: %v", seed, n, err)
 			}
 		}
@@ -563,7 +623,7 @@ func TestSweepJournalLinear(t *testing.T) {
 	// Resubmissions coalesce: silent under the item's own tag, one tag record
 	// under another.
 	for _, tag := range []string{"sweep-tag", "second-tag", "second-tag"} {
-		if _, err := co.Submit(unitJob(7), "req", tag); err != nil {
+		if _, err := co.Submit(unitJob(7), tag); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -578,7 +638,7 @@ func TestSweepJournalLinear(t *testing.T) {
 		t.Errorf("replayed sweeps differ from the live ones: %d and %d members, want %d and %d",
 			len(got.Sweeps["sweep-tag"]), len(got.Sweeps["second-tag"]), len(want.Sweeps["sweep-tag"]), len(want.Sweeps["second-tag"]))
 	}
-	if st, ok := co.SweepStatus("second-tag"); !ok || st.Total != 1 || st.JobIDs[0] != unitJob(7).Hash() {
-		t.Errorf("sweep formed by a coalesced resubmission after replay = %+v, %v", st, ok)
+	if ids, ok := sweepMembers(co, "second-tag"); !ok || !slices.Equal(ids, []string{unitJob(7).Hash()}) {
+		t.Errorf("sweep formed by a coalesced resubmission after replay = %v, %v", ids, ok)
 	}
 }

@@ -32,14 +32,13 @@ type PeerOptions struct {
 	// sweep trace only: the coordinator pulls the worker's span ring
 	// (/v1/trace) from it. Empty means the trace skips this worker.
 	Advertise string
-	// Engine executes leased jobs locally.
+	// Engine executes leased jobs locally. The peer runs one pull loop per
+	// engine worker, each leasing and running one item at a time, so the
+	// engine's pool size bounds this node's in-flight leases.
 	Engine *engine.Engine
-	// Pulls is the number of concurrent pull loops — the worker's appetite
-	// (0 = 2). Each loop leases and runs one item at a time, so Pulls bounds
-	// this node's in-flight leases.
-	Pulls int
-	// HeartbeatEvery is the liveness reporting period (0 = 1s). It must be
-	// comfortably under the coordinator's heartbeat timeout.
+	// HeartbeatEvery is the liveness reporting period (0 =
+	// DefaultHeartbeatEvery). It must be comfortably under the coordinator's
+	// heartbeat timeout.
 	HeartbeatEvery time.Duration
 	// PollEvery is the idle backoff between empty pulls (0 = 250ms).
 	PollEvery time.Duration
@@ -62,6 +61,16 @@ type PeerOptions struct {
 // the failure is escalated to Warn, the peer reports itself not ready, and
 // the reconnect state machine takes over.
 const heartbeatFailThreshold = 3
+
+// DefaultHeartbeatEvery is a worker's heartbeat period unless
+// PeerOptions.HeartbeatEvery sets another; rsrd has no flag for it.
+const DefaultHeartbeatEvery = time.Second
+
+// MinHeartbeatTimeout is the shortest coordinator heartbeat timeout a worker
+// beating every DefaultHeartbeatEvery can meet: heartbeatFailThreshold beats.
+// A worker whose pull loops are all busy refreshes its liveness only by
+// heartbeat, so a shorter timeout reaps live workers mid-job.
+const MinHeartbeatTimeout = heartbeatFailThreshold * DefaultHeartbeatEvery
 
 // reconnectCap bounds the reconnect backoff window.
 const reconnectCap = 5 * time.Second
@@ -148,11 +157,8 @@ func NewPeer(opts PeerOptions) (*Peer, error) {
 		}
 		opts.Node = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
-	if opts.Pulls <= 0 {
-		opts.Pulls = 2
-	}
 	if opts.HeartbeatEvery <= 0 {
-		opts.HeartbeatEvery = time.Second
+		opts.HeartbeatEvery = DefaultHeartbeatEvery
 	}
 	if opts.PollEvery <= 0 {
 		opts.PollEvery = 250 * time.Millisecond
@@ -228,12 +234,13 @@ func (p *Peer) Start() error {
 	// heartbeat has, so the coordinator never leases work to this process
 	// that the Hello would then take back as an earlier process's.
 	p.connected.Store(p.beat())
-	p.wg.Add(1 + p.opts.Pulls)
+	pulls := p.opts.Engine.Workers()
+	p.wg.Add(1 + pulls)
 	go p.heartbeatLoop()
-	for i := 0; i < p.opts.Pulls; i++ {
+	for i := 0; i < pulls; i++ {
 		go p.pullLoop()
 	}
-	p.log.Info("joined cluster", "coordinator", p.opts.Coordinator, "pulls", p.opts.Pulls)
+	p.log.Info("joined cluster", "coordinator", p.opts.Coordinator, "pulls", pulls)
 	return nil
 }
 
@@ -448,14 +455,11 @@ func (p *Peer) pull() (*WorkItem, bool) {
 }
 
 // runItem executes one lease on the local engine and reports the outcome.
-// The submitting client's request ID rides along into the engine, so the
-// worker's job events and logs correlate with the coordinator-side request.
+// The item's sweep tag rides along into the engine, so the worker's spans
+// and its lease log line name the sweep the client submitted under.
 func (p *Peer) runItem(it *WorkItem) {
-	ctx := engine.WithRequestID(p.ctx, it.RequestID)
-	ctx = engine.WithSweep(ctx, it.SweepID)
-	p.log.Info("lease started", "job", it.ID, "label", it.Job.Label(),
-		"request_id", it.RequestID)
-	tk, err := p.opts.Engine.Submit(ctx, it.Job)
+	p.log.Info("lease started", "job", it.ID, "label", it.Job.Label(), "sweep", it.SweepID)
+	tk, err := p.opts.Engine.Submit(engine.WithSweep(p.ctx, it.SweepID), it.Job)
 	if err != nil {
 		p.complete(CompleteRequest{Node: p.opts.Node, ID: it.ID, Error: err.Error()}, nil)
 		return

@@ -163,13 +163,10 @@ type PullRequest struct {
 	Node string `json:"node"`
 }
 
-// WorkItem is one leased job. RequestID is the submitting client's
-// correlation ID, propagated so the worker's engine events and logs carry
-// the same ID the client saw on its submission.
+// WorkItem is one leased job.
 type WorkItem struct {
-	ID        string     `json:"id"` // the job's content hash
-	Job       engine.Job `json:"job"`
-	RequestID string     `json:"request_id,omitempty"`
+	ID  string     `json:"id"` // the job's content hash
+	Job engine.Job `json:"job"`
 	// SweepID tags the item with the distributed sweep that submitted it, so
 	// every span the worker records while executing it carries the sweep and
 	// the coordinator can later pull one sweep's spans out of every node's
@@ -189,16 +186,6 @@ type CompleteRequest struct {
 	BlobSum   string `json:"blob_sum,omitempty"`
 	Error     string `json:"error,omitempty"`
 	Transient bool   `json:"transient,omitempty"`
-}
-
-// SweepStatus summarizes a sweep's progress.
-type SweepStatus struct {
-	ID      string   `json:"id"`
-	Total   int      `json:"total"`
-	Done    int      `json:"done"`
-	Failed  int      `json:"failed"`
-	Pending int      `json:"pending"`
-	JobIDs  []string `json:"job_ids"`
 }
 
 // NodeStatus is one worker's row in ClusterStatus: the coordinator's

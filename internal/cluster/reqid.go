@@ -14,8 +14,7 @@ import (
 
 // RequestIDs issues process-unique request IDs: a random boot prefix plus a
 // counter, so IDs stay grep-able across log shipping without coordination.
-// Shared by rsrd and rsrc so every hop in a distributed sweep mints IDs from
-// the same scheme.
+// Shared by rsrd and rsrc, and by rsr, which names its sweep tag rsr-<id>.
 type RequestIDs struct {
 	boot string
 	n    atomic.Uint64
@@ -36,8 +35,7 @@ func (r *RequestIDs) Next() string {
 	return fmt.Sprintf("%s-%06d", r.boot, r.n.Add(1))
 }
 
-// statusWriter captures the response status for the request log. It forwards
-// Flush so ndjson event streams keep flushing through the wrapper.
+// statusWriter captures the response status for the request log.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
@@ -55,15 +53,10 @@ func (sw *statusWriter) Write(b []byte) (int, error) {
 	return sw.ResponseWriter.Write(b)
 }
 
-func (sw *statusWriter) Flush() {
-	if f, ok := sw.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// validTag reports whether s may serve as a request or sweep ID: 1-128 bytes
-// of [A-Za-z0-9._:-]. Such an ID needs no escaping in a URL path or query, and
-// its size is bounded in the journal, the snapshot and every span it tags.
+// validTag reports whether s may serve as a request ID or sweep tag: 1-128
+// bytes of [A-Za-z0-9._:-]. Such an ID needs no escaping in a URL path or
+// query, and its size is bounded in the journal, the snapshot and every span
+// it tags.
 func validTag(s string) bool {
 	if len(s) == 0 || len(s) > 128 {
 		return false
@@ -80,14 +73,10 @@ func validTag(s string) bool {
 
 // WithRequestLog wraps next so every request gets an ID (a valid
 // client-supplied X-Request-ID is honoured, otherwise one is issued), the ID
-// is echoed on the response and stashed in the request context with
-// engine.WithRequestID, and exactly one structured line is logged on
-// completion. The stashed ID is what lets handlers propagate the caller's
-// correlation ID across node hops — into engine submissions on a worker
-// (which read the same context keys), or onto coordinator work items
-// (engine.RequestIDFrom). A sweep ID arriving as X-Sweep-ID rides along the
-// same way (engine.WithSweep / engine.SweepFrom) and appears in the log line
-// when present; one that fails validTag is refused with 400.
+// is echoed on the response, and exactly one structured line is logged on
+// completion. A sweep tag arriving as X-Sweep-ID is stashed in the request
+// context (engine.WithSweep), where handlers read it to tag submissions, and
+// appears in the log line; one that fails validTag is refused with 400.
 func WithRequestLog(log *slog.Logger, ids *RequestIDs, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get("X-Request-ID")
@@ -99,10 +88,10 @@ func WithRequestLog(log *slog.Logger, ids *RequestIDs, next http.Handler) http.H
 		sw := &statusWriter{ResponseWriter: w}
 		begin := time.Now()
 		if sweep == "" || validTag(sweep) {
-			r = r.WithContext(engine.WithSweep(engine.WithRequestID(r.Context(), id), sweep))
+			r = r.WithContext(engine.WithSweep(r.Context(), sweep))
 			next.ServeHTTP(sw, r)
 		} else {
-			httpError(sw, http.StatusBadRequest, "bad X-Sweep-ID: want 1-128 bytes of [A-Za-z0-9._:-]")
+			HTTPError(sw, http.StatusBadRequest, "bad X-Sweep-ID: want 1-128 bytes of [A-Za-z0-9._:-]")
 			sweep = ""
 		}
 		if sw.status == 0 {

@@ -15,9 +15,8 @@ func TestWithRequestLogEchoAndContext(t *testing.T) {
 	var buf bytes.Buffer
 	log := slog.New(slog.NewTextHandler(&buf, nil))
 
-	var gotReq, gotSweep string
+	var gotSweep string
 	h := WithRequestLog(log, NewRequestIDs(), http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		gotReq = engine.RequestIDFrom(r.Context())
 		gotSweep = engine.SweepFrom(r.Context())
 		w.WriteHeader(http.StatusTeapot)
 	}))
@@ -30,9 +29,6 @@ func TestWithRequestLogEchoAndContext(t *testing.T) {
 
 	if got := w.Header().Get("X-Request-ID"); got != "client-id-1" {
 		t.Errorf("X-Request-ID echo = %q, want client-id-1", got)
-	}
-	if gotReq != "client-id-1" {
-		t.Errorf("RequestIDFrom = %q, want client-id-1", gotReq)
 	}
 	if gotSweep != "sweep-42" {
 		t.Errorf("SweepFrom = %q, want sweep-42", gotSweep)
@@ -71,10 +67,10 @@ func TestWithRequestLogValidatesIDs(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var reached bool
-			var gotReq, gotSweep string
+			var gotSweep string
 			h := WithRequestLog(testLogger(), NewRequestIDs(), http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				reached = true
-				gotReq, gotSweep = engine.RequestIDFrom(r.Context()), engine.SweepFrom(r.Context())
+				gotSweep = engine.SweepFrom(r.Context())
 			}))
 			r := httptest.NewRequest("POST", "/v1/jobs", nil)
 			r.Header.Set("X-Request-ID", tc.reqID)
@@ -95,8 +91,8 @@ func TestWithRequestLogValidatesIDs(t *testing.T) {
 				}
 				return
 			}
-			if gotSweep != tc.sweep || gotReq != echo {
-				t.Errorf("context sweep %q request %q, want %q %q", gotSweep, gotReq, tc.sweep, echo)
+			if gotSweep != tc.sweep {
+				t.Errorf("context sweep %q, want %q", gotSweep, tc.sweep)
 			}
 		})
 	}
@@ -106,9 +102,6 @@ func TestWithRequestLogMintsIDAndOmitsSweep(t *testing.T) {
 	var buf bytes.Buffer
 	log := slog.New(slog.NewTextHandler(&buf, nil))
 	h := WithRequestLog(log, NewRequestIDs(), http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if engine.RequestIDFrom(r.Context()) == "" {
-			t.Error("no request ID minted")
-		}
 		if engine.SweepFrom(r.Context()) != "" {
 			t.Error("sweep ID appeared from nowhere")
 		}

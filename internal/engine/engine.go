@@ -63,7 +63,6 @@ type Engine struct {
 	opts  Options
 	cache *cache
 	stats counters
-	bcast broadcaster
 	obs   *engineObs // nil unless Options enables metrics or tracing
 
 	mu       sync.Mutex
@@ -79,7 +78,6 @@ type Engine struct {
 type task struct {
 	job   Job
 	hash  string
-	reqID string          // first submitter's correlation ID, echoed on events
 	sweep string          // first submitter's sweep trace tag, stamped on spans
 	ctx   context.Context // the first submitter's context governs the run
 
@@ -147,13 +145,8 @@ func (e *Engine) Workers() int { return e.opts.Workers }
 
 // Stats returns a snapshot of the progress counters.
 func (e *Engine) Stats() Stats {
-	return e.stats.snapshot(e.cache.diskErrs.Load(), e.cache.store.Stats().Quarantined, e.bcast.droppedCount())
+	return e.stats.snapshot(e.cache.diskErrs.Load(), e.cache.store.Stats().Quarantined)
 }
-
-// Subscribe returns a stream of progress events and a cancel function.
-// Delivery is best-effort: events are dropped when the subscriber's buffer
-// (buf, default 64) is full, so slow consumers never stall workers.
-func (e *Engine) Subscribe(buf int) (<-chan Event, func()) { return e.bcast.subscribe(buf) }
 
 // Submit validates and enqueues a job, returning immediately. The result
 // of an identical job already in flight is shared (single-flight), and a
@@ -175,14 +168,13 @@ func (e *Engine) Submit(ctx context.Context, job Job) (*Ticket, error) {
 		e.stats.coalesced.Add(1)
 		return &Ticket{t}, nil
 	}
-	t := &task{job: job, hash: hash, reqID: RequestIDFrom(ctx), sweep: SweepFrom(ctx), ctx: ctx, done: make(chan struct{})}
+	t := &task{job: job, hash: hash, sweep: SweepFrom(ctx), ctx: ctx, done: make(chan struct{})}
 	e.inflight[hash] = t
 	e.queue = append(e.queue, t)
 	e.cond.Signal()
 	e.mu.Unlock()
 
 	e.stats.queued.Add(1)
-	e.bcast.emit(Event{JobHash: hash, Label: job.Label(), State: StateQueued, RequestID: t.reqID})
 	return &Ticket{t}, nil
 }
 
@@ -313,7 +305,6 @@ func (e *Engine) run(t *task, tid int64) (*Result, time.Duration, error) {
 	slots := t.job.ShardSlots()
 	e.stats.shardsInUse.Add(slots)
 	defer e.stats.shardsInUse.Add(-slots)
-	e.bcast.emit(Event{JobHash: t.hash, Label: t.job.Label(), State: StateRunning, RequestID: t.reqID})
 
 	ctx := t.ctx
 	timeout := t.job.Timeout
@@ -362,27 +353,20 @@ func (e *Engine) finish(t *task, res *Result, err error, wall time.Duration, cac
 	e.complete(t, res, err, wall, cached)
 }
 
-// complete publishes the ticket outcome and emits the terminal
-// event; the in-flight table must already be updated. Counters, the latency
-// observation and the event (whose drops Stats counts too) are all published
-// before the ticket is closed, so a caller woken by Done reads Stats that
-// already include its job.
+// complete publishes the ticket outcome; the in-flight table must already be
+// updated. Counters and the latency observation are published before the
+// ticket is closed, so a caller woken by Done reads Stats that already
+// include its job.
 func (e *Engine) complete(t *task, res *Result, err error, wall time.Duration, cached bool) {
-	ev := Event{JobHash: t.hash, Label: t.job.Label(), RequestID: t.reqID}
 	switch {
 	case err != nil:
 		e.stats.failed.Add(1)
 		e.obs.observeJob("failed", wall)
-		ev.State, ev.Err, ev.Wall = StateFailed, err.Error(), wall
-	case cached:
-		ev.State = StateCached
-	default:
+	case !cached:
 		e.stats.done.Add(1)
 		e.stats.wallNanos.Add(int64(wall))
 		e.obs.observeJob("done", wall)
-		ev.State, ev.Wall = StateDone, wall
 	}
-	e.bcast.emit(ev)
 	t.res, t.err = res, err
 	close(t.done)
 }

@@ -484,32 +484,3 @@ func TestStatsShardsInUse(t *testing.T) {
 		t.Fatalf("ShardsInUse after completion = %d, want 0", got)
 	}
 }
-
-// TestEvents checks the streaming progress surface sees a job's lifecycle.
-func TestEvents(t *testing.T) {
-	e := New(Options{Workers: 1})
-	defer e.Close()
-	events, cancel := e.Subscribe(64)
-	defer cancel()
-
-	j := sampledJob("twolf", warmup.Spec{Kind: warmup.KindNone})
-	if _, err := e.Run(context.Background(), j); err != nil {
-		t.Fatal(err)
-	}
-	seen := map[JobState]bool{}
-	deadline := time.After(10 * time.Second)
-	for !seen[StateDone] {
-		select {
-		case ev := <-events:
-			if ev.JobHash != j.Hash() {
-				t.Fatalf("event for unknown job %s", ev.JobHash)
-			}
-			seen[ev.State] = true
-		case <-deadline:
-			t.Fatal("terminal event never arrived")
-		}
-	}
-	if !seen[StateQueued] || !seen[StateRunning] {
-		t.Errorf("lifecycle incomplete: %v", seen)
-	}
-}

@@ -56,8 +56,6 @@ func newEngineObs(r *obs.Registry, tr *obs.Tracer, stats func() Stats) *engineOb
 		"Cache files that could not be read or written.")
 	quarantined := r.Counter("rsr_engine_quarantined_total",
 		"Corrupt cache entries moved to the quarantine directory.")
-	dropped := r.Counter("rsr_engine_events_dropped_total",
-		"Progress events dropped because a subscriber's buffer was full.")
 	r.RegisterCollector(func() {
 		s := stats()
 		queued.Set(s.Queued)
@@ -71,7 +69,6 @@ func newEngineObs(r *obs.Registry, tr *obs.Tracer, stats func() Stats) *engineOb
 		panics.Set(uint64(s.Panics))
 		diskErrs.Set(uint64(s.DiskErrors))
 		quarantined.Set(uint64(s.Quarantined))
-		dropped.Set(uint64(s.EventsDropped))
 	})
 	return eo
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -39,10 +38,6 @@ type Stats struct {
 	// worker panics recovered into typed job errors.
 	Retries int64
 	Panics  int64
-	// EventsDropped counts progress events discarded because a subscriber's
-	// buffer was full. Delivery is best-effort by design; a nonzero value
-	// means some consumer is falling behind, not that work was lost.
-	EventsDropped int64
 	// Wall is the cumulative execution wall-clock across finished jobs.
 	Wall time.Duration
 }
@@ -57,101 +52,20 @@ type counters struct {
 	wallNanos                      atomic.Int64
 }
 
-func (c *counters) snapshot(diskErrs, quarantined, eventsDropped int64) Stats {
+func (c *counters) snapshot(diskErrs, quarantined int64) Stats {
 	return Stats{
-		Queued:        c.queued.Load(),
-		Running:       c.running.Load(),
-		ShardsInUse:   c.shardsInUse.Load(),
-		Done:          c.done.Load(),
-		Failed:        c.failed.Load(),
-		CacheHits:     c.cacheHits.Load(),
-		DiskHits:      c.diskHits.Load(),
-		CacheMisses:   c.cacheMiss.Load(),
-		Coalesced:     c.coalesced.Load(),
-		DiskErrors:    diskErrs,
-		Quarantined:   quarantined,
-		Panics:        c.panics.Load(),
-		EventsDropped: eventsDropped,
-		Wall:          time.Duration(c.wallNanos.Load()),
+		Queued:      c.queued.Load(),
+		Running:     c.running.Load(),
+		ShardsInUse: c.shardsInUse.Load(),
+		Done:        c.done.Load(),
+		Failed:      c.failed.Load(),
+		CacheHits:   c.cacheHits.Load(),
+		DiskHits:    c.diskHits.Load(),
+		CacheMisses: c.cacheMiss.Load(),
+		Coalesced:   c.coalesced.Load(),
+		DiskErrors:  diskErrs,
+		Quarantined: quarantined,
+		Panics:      c.panics.Load(),
+		Wall:        time.Duration(c.wallNanos.Load()),
 	}
 }
-
-// JobState is the lifecycle position of a job in an Event.
-type JobState string
-
-// Job lifecycle states, in order of occurrence. A job reaches exactly one
-// of StateCached, StateDone, or StateFailed.
-const (
-	StateQueued  JobState = "queued"
-	StateRunning JobState = "running"
-	StateCached  JobState = "cached"
-	StateDone    JobState = "done"
-	StateFailed  JobState = "failed"
-)
-
-// Event is one progress notification on a subscription stream.
-type Event struct {
-	JobHash string
-	Label   string
-	State   JobState
-	// Err is the failure message for StateFailed.
-	Err string `json:",omitempty"`
-	// Wall is the execution wall-clock, set on StateDone/StateFailed.
-	Wall time.Duration `json:",omitempty"`
-	// RequestID is the correlation ID of the submission that started the
-	// job (engine.WithRequestID), empty when the submitter supplied none.
-	// Coalesced duplicates share the first submitter's ID.
-	RequestID string `json:",omitempty"`
-}
-
-// broadcaster fans events out to subscribers. Delivery is best-effort:
-// events are dropped for subscribers whose buffer is full, so a slow
-// consumer can never stall the workers. Drops are counted (surfaced as
-// Stats.EventsDropped) so silent loss is at least visible loss.
-type broadcaster struct {
-	dropped atomic.Int64
-
-	mu   sync.Mutex
-	next int
-	subs map[int]chan Event
-}
-
-func (b *broadcaster) subscribe(buf int) (<-chan Event, func()) {
-	if buf < 1 {
-		buf = 64
-	}
-	ch := make(chan Event, buf)
-	b.mu.Lock()
-	if b.subs == nil {
-		b.subs = make(map[int]chan Event)
-	}
-	id := b.next
-	b.next++
-	b.subs[id] = ch
-	b.mu.Unlock()
-	cancel := func() {
-		b.mu.Lock()
-		if _, ok := b.subs[id]; ok {
-			delete(b.subs, id)
-			close(ch)
-		}
-		b.mu.Unlock()
-	}
-	return ch, cancel
-}
-
-func (b *broadcaster) emit(ev Event) {
-	b.mu.Lock()
-	for _, ch := range b.subs {
-		select {
-		case ch <- ev:
-		default:
-			// Drop rather than block a worker, but keep count.
-			b.dropped.Add(1)
-		}
-	}
-	b.mu.Unlock()
-}
-
-// droppedCount reports how many events have been dropped so far.
-func (b *broadcaster) droppedCount() int64 { return b.dropped.Load() }

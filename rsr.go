@@ -253,8 +253,5 @@ type EngineTicket = engine.Ticket
 // EngineStats is a snapshot of scheduler and cache counters.
 type EngineStats = engine.Stats
 
-// EngineEvent is one progress notification from Engine.Subscribe.
-type EngineEvent = engine.Event
-
 // NewEngine starts an engine and its worker pool; call Close to stop it.
 func NewEngine(opts EngineOptions) *Engine { return engine.New(opts) }

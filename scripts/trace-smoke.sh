@@ -9,7 +9,9 @@
 # share one clock: every worker span lies inside the coordinator lane's
 # `sweep` span, which on one host holds by causality (a worker runs a job
 # after its submission and reports it before the sweep's last member
-# finishes). Also asserts that each process's /metrics reports that process:
+# finishes). Both workers' logs must carry a `lease started` line naming
+# that one sweep tag, the tag that follows a job across the fabric. Also
+# asserts that each process's /metrics reports that process:
 # each worker's carries its engine families, and the coordinator's carries its
 # sweep metrics and the workers' heartbeat-borne engine depth, but no
 # rsr_engine_ family.
@@ -89,6 +91,11 @@ func main() {
 	if len(sweeps) != 1 {
 		fail("expected exactly one sweep tag across all spans, got %v", sweeps)
 	}
+	for tag := range sweeps {
+		if err := os.WriteFile(os.Args[2], []byte(tag), 0o644); err != nil {
+			fail("write sweep tag: %v", err)
+		}
+	}
 	// One clock: the coordinator's sweep span (first submission to last
 	// member finished) contains every worker span. Timestamps are printed to
 	// the nanosecond, so the bound allows only float rounding.
@@ -122,10 +129,21 @@ func fail(format string, args ...any) {
 	os.Exit(1)
 }
 EOF
-"$GO" run "$WORKDIR/tracecheck.go" "$TRACE" ||
+"$GO" run "$WORKDIR/tracecheck.go" "$TRACE" "$WORKDIR/sweep-tag" ||
     { echo "trace-smoke: merged trace check failed; trace follows" >&2
       head -c 4000 "$TRACE" >&2; echo >&2
       exit 1; }
+
+# The sweep tag reached each worker with its leases: every worker ran part of
+# the sweep (its lane has spans), and its log names the tag.
+TAG="$(cat "$WORKDIR/sweep-tag")"
+for W in worker-a worker-b; do
+    if ! grep 'lease started' "$WORKDIR/$W.log" | grep -Fq "sweep=$TAG"; then
+        echo "trace-smoke: $W log has no lease started line naming sweep $TAG" >&2
+        cat "$WORKDIR/$W.log" >&2
+        exit 1
+    fi
+done
 
 # Each worker's own /metrics carries its engine families.
 for W in "$WORKER_A" "$WORKER_B"; do
@@ -168,4 +186,4 @@ for PATTERN in '"worker-a"' '"worker-b"' '"done"'; do
     fi
 done
 
-echo "trace-smoke: ok (merged fabric trace + per-process metrics + status)"
+echo "trace-smoke: ok (merged fabric trace + lease logs + per-process metrics + status)"
