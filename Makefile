@@ -3,7 +3,7 @@
 #   make build       compile everything
 #   make test        tier-1 gate: go build ./... && go test ./...
 #   make verify      gofmt + vet + race-test the concurrent code paths, fuzz
-#                    the batched interpreter against Step, the reverse
+#                    both interpreter kernels against Step, the reverse
 #                    method's window against its oracle and the timing
 #                    model against its one-cycle loop for 20 s each, then soak
 #                    the engine, the warm-up methods and the sharded
@@ -31,10 +31,11 @@
 #   make bench-smoke the frozen benchmark (bench/, BENCHMARK.json) still builds
 #                    and its gates hold: sharded == sequential, and the sweep's
 #                    engine result == direct run, re-sweep == cold result
-#   make stall-check the two innermost loops compile without host stalls:
+#   make stall-check the innermost loops compile without host stalls:
 #                    objdump of funcsim.RunBatch (no record built on the stack)
-#                    and of ooo's per-cycle loops and idle-cycle skip (no
-#                    divide, no Duff copy)
+#                    and funcsim.Skip (both: no call to a memory accessor), and
+#                    of ooo's per-cycle loops and idle-cycle skip (no divide,
+#                    no Duff copy)
 #   make examples    every program under examples/ runs to a zero exit
 #   make bench-sweep sequential-vs-parallel sweep benchmark at small scale
 #   make loc         non-test Go lines per internal package and in total
@@ -83,8 +84,8 @@ test: build
 # host, the sharded tests are 67 s of the package's 79 s -race pass
 # (TestParallelAllWorkloadsIdentical 45 s, TestParallelByteIdenticalToSequential
 # 10 s), so twenty passes of them still take about 22 minutes and the line
-# keeps its 60-minute timeout. The fuzz lines compare RunBatch with Step on
-# generated programs, the reverse method on both ingestion paths with its
+# keeps its 60-minute timeout. The fuzz lines compare RunBatch and Skip with
+# Step on generated programs, the reverse method on both ingestion paths with its
 # per-instruction oracle on generated region lengths, percentages and batch
 # splits, and the timing model's event-skipping loop with its one-cycle loop
 # on generated machines and streams, for 20 s each.
@@ -94,6 +95,7 @@ verify:
 	$(GO) test -race ./internal/obs/... ./internal/engine/... ./internal/sampling/... \
 		./internal/regimen/... ./internal/cluster/... ./internal/cas/... ./cmd/rsrd/...
 	$(GO) test -run '^$$' -fuzz FuzzRunBatchMatchesStep -fuzztime 20s ./internal/funcsim
+	$(GO) test -run '^$$' -fuzz FuzzSkipMatchesStep -fuzztime 20s ./internal/funcsim
 	$(GO) test -run '^$$' -fuzz FuzzReverseWindowMatchesOracle -fuzztime 20s ./internal/warmup
 	$(GO) test -run '^$$' -fuzz FuzzSimulateMatchesEveryCycle -fuzztime 20s ./internal/ooo
 	$(GO) test -race -count=20 ./internal/engine ./internal/warmup
@@ -175,11 +177,13 @@ bench-smoke:
 	bash bench/run.sh --workload skip-heavy --seed 1 --seconds 3 --trace 1
 	bash bench/run.sh --workload sweep --seed 1 --seconds 3
 
-# stall-check reads the compiled code of the two innermost loops, because the
+# stall-check reads the compiled code of the innermost loops, because the
 # regressions it guards against change no result and so fail no test: a record
 # built in a stack temporary in funcsim.RunBatch (a failed store-to-load
-# forward per simulated instruction, 2x on cold stepping), and a hardware
-# divide or a whole-entry copy in ooo's per-cycle loops and idle-cycle skip.
+# forward per simulated instruction, 2x on cold stepping), a call to a guest
+# memory accessor from RunBatch or Skip (the page cache no longer inlined),
+# and a hardware divide or a whole-entry copy in ooo's per-cycle loops and
+# idle-cycle skip.
 stall-check:
 	./scripts/stall-check.sh
 

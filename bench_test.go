@@ -198,18 +198,29 @@ func BenchmarkDetailedSimulation(b *testing.B) {
 	}
 }
 
-// BenchmarkFunctionalSimulation measures the architectural interpreter.
+// BenchmarkFunctionalSimulation measures the architectural interpreter's two
+// kernels over 1M instructions of twolf: skip, the record-free cold path
+// behind every instruction before a warm-up window, and runbatch, which
+// stores each instruction's record for an observer or the timing model.
 func BenchmarkFunctionalSimulation(b *testing.B) {
 	w, _ := workload.ByName("twolf")
 	p := w.Build()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fs := funcsim.New(p)
-		if _, err := fs.Skip(1_000_000); err != nil {
-			b.Fatal(err)
+	const n = 1_000_000
+	run := func(b *testing.B, exec func(fs *funcsim.Sim) (uint64, error)) {
+		for i := 0; i < b.N; i++ {
+			if ran, err := exec(funcsim.New(p)); err != nil || ran != n {
+				b.Fatalf("ran %d of %d: %v", ran, n, err)
+			}
 		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n*b.N), "ns/instr")
 	}
-	b.ReportMetric(float64(1_000_000*b.N)/b.Elapsed().Seconds(), "instr/s")
+	b.Run("skip", func(b *testing.B) {
+		run(b, func(fs *funcsim.Sim) (uint64, error) { return fs.Skip(n) })
+	})
+	b.Run("runbatch", func(b *testing.B) {
+		buf := make([]trace.DynInst, funcsim.BatchSize)
+		run(b, func(fs *funcsim.Sim) (uint64, error) { return fs.RunBatches(n, buf, nil, nil) })
+	})
 }
 
 // BenchmarkReverseCacheReconstruction measures the §3.1 reverse pass against

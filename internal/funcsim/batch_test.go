@@ -294,7 +294,8 @@ func TestRunBatchZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestSkipZeroAllocs pins Skip after its internal buffer exists.
+// TestSkipZeroAllocs pins Skip, which keeps no buffer, once the working
+// set's pages exist.
 func TestSkipZeroAllocs(t *testing.T) {
 	s := New(loopProgram())
 	if _, err := s.Skip(BatchSize); err != nil {

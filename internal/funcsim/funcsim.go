@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"rsr/internal/isa"
 	"rsr/internal/prog"
@@ -26,9 +27,6 @@ type Sim struct {
 	pc     uint64
 	seq    uint64
 	halted bool
-	// batch is the reusable record buffer backing Skip; allocated lazily so
-	// sims that only Step or RunBatch into caller-owned buffers pay nothing.
-	batch []trace.DynInst
 }
 
 // New returns a simulator positioned at the program entry with the data
@@ -231,9 +229,9 @@ func (s *Sim) ApplyDelta(d *Delta) {
 // program halts). The record passed to fn is reused between calls; observers
 // that retain it must copy it.
 //
-// Run is the scalar reference path; the batched RunBatch/RunBatches family
-// below produces the identical instruction sequence and is what the sampling
-// controller feeds from.
+// Run is the scalar reference path; the two kernels below, RunBatch (with
+// RunBatches over it) and the record-free Skip, execute the identical
+// instruction sequence and are what the sampling controller runs on.
 func (s *Sim) Run(n uint64, fn func(*trace.DynInst)) (uint64, error) {
 	// One reusable record: taking its address inside the loop would make
 	// every iteration's record escape to the heap.
@@ -255,9 +253,10 @@ func (s *Sim) Run(n uint64, fn func(*trace.DynInst)) (uint64, error) {
 	return i, nil
 }
 
-// BatchSize is the instruction-batch granularity used by Skip, RunBatches,
-// and the sampling controller: large enough to amortize per-batch dispatch,
-// small enough that a batch of records stays cache-resident.
+// BatchSize is the instruction-batch granularity of the sampling controller,
+// for RunBatch and for the Skip calls between its cancellation polls: large
+// enough to amortize per-batch dispatch, small enough that a batch of records
+// stays cache-resident.
 const BatchSize = 1024
 
 // RunBatch fills buf with the next committed dynamic instructions and
@@ -445,12 +444,130 @@ func (s *Sim) RunBatches(n uint64, buf []trace.DynInst, observe func([]trace.Dyn
 	return done, nil
 }
 
-// Skip executes n instructions discarding records; it is the fastest path for
-// pure cold simulation. It runs through the batched interpreter over an
-// internal buffer allocated on first use.
+// Skip executes up to n instructions and produces no records: the cold
+// simulation outside every warm-up window. It reports how many executed,
+// fewer than n only when the program halts (the halt is counted; later calls
+// return 0) or on an execution fault, whose error is Step's. It is RunBatch's
+// interpreter with the record stores taken out, Seq added once on the way out
+// and Step as its reference (FuzzSkipMatchesStep).
 func (s *Sim) Skip(n uint64) (uint64, error) {
-	if s.batch == nil {
-		s.batch = make([]trace.DynInst, BatchSize)
+	if s.halted {
+		return 0, nil
 	}
-	return s.RunBatches(n, s.batch, nil, nil)
+	code := s.prog.Insts
+	regs := &s.regs
+	m := s.mem
+	pc := s.pc
+	var i uint64
+	for ; i < n; i++ {
+		// The offset rotated right by two is the instruction index of an
+		// aligned code address; misaligned, its low bits land on top, and
+		// below CodeBase it has wrapped, so one unsigned compare rejects all
+		// three.
+		idx := bits.RotateLeft64(pc-prog.CodeBase, -2)
+		if idx >= uint64(len(code)) {
+			s.pc, s.seq = pc, s.seq+i
+			return i, fmt.Errorf("funcsim: pc %#x escaped code segment", pc)
+		}
+		in := &code[idx]
+		next := pc + isa.InstBytes
+		rs1 := regs[in.Rs1]
+		rs2 := regs[in.Rs2]
+
+		switch in.Op {
+		case isa.OpNop:
+		case isa.OpAdd:
+			regs[in.Rd] = rs1 + rs2
+		case isa.OpSub:
+			regs[in.Rd] = rs1 - rs2
+		case isa.OpAddi:
+			regs[in.Rd] = rs1 + uint64(in.Imm)
+		case isa.OpLui:
+			regs[in.Rd] = uint64(in.Imm)
+		case isa.OpAnd:
+			regs[in.Rd] = rs1 & rs2
+		case isa.OpOr:
+			regs[in.Rd] = rs1 | rs2
+		case isa.OpXor:
+			regs[in.Rd] = rs1 ^ rs2
+		case isa.OpShl:
+			regs[in.Rd] = rs1 << (rs2 & 63)
+		case isa.OpShr:
+			regs[in.Rd] = rs1 >> (rs2 & 63)
+		case isa.OpAndi:
+			regs[in.Rd] = rs1 & uint64(in.Imm)
+		case isa.OpShli:
+			regs[in.Rd] = rs1 << (uint64(in.Imm) & 63)
+		case isa.OpShri:
+			regs[in.Rd] = rs1 >> (uint64(in.Imm) & 63)
+		case isa.OpSlt:
+			if int64(rs1) < int64(rs2) {
+				regs[in.Rd] = 1
+			} else {
+				regs[in.Rd] = 0
+			}
+		case isa.OpMul:
+			regs[in.Rd] = rs1 * rs2
+		case isa.OpDiv:
+			if rs2 == 0 {
+				regs[in.Rd] = 0
+			} else {
+				regs[in.Rd] = uint64(int64(rs1) / int64(rs2))
+			}
+		case isa.OpRem:
+			if rs2 == 0 {
+				regs[in.Rd] = 0
+			} else {
+				regs[in.Rd] = uint64(int64(rs1) % int64(rs2))
+			}
+		case isa.OpFAdd:
+			regs[in.Rd] = math.Float64bits(math.Float64frombits(rs1) + math.Float64frombits(rs2))
+		case isa.OpFMul:
+			regs[in.Rd] = math.Float64bits(math.Float64frombits(rs1) * math.Float64frombits(rs2))
+		case isa.OpFDiv:
+			den := math.Float64frombits(rs2)
+			if den == 0 {
+				regs[in.Rd] = 0
+			} else {
+				regs[in.Rd] = math.Float64bits(math.Float64frombits(rs1) / den)
+			}
+		case isa.OpLd:
+			regs[in.Rd] = m.Read(rs1 + uint64(in.Imm))
+		case isa.OpSt:
+			m.Write(rs1+uint64(in.Imm), rs2)
+		case isa.OpBeq:
+			if rs1 == rs2 {
+				next = pc + uint64(in.Imm)
+			}
+		case isa.OpBne:
+			if rs1 != rs2 {
+				next = pc + uint64(in.Imm)
+			}
+		case isa.OpBlt:
+			if int64(rs1) < int64(rs2) {
+				next = pc + uint64(in.Imm)
+			}
+		case isa.OpBge:
+			if int64(rs1) >= int64(rs2) {
+				next = pc + uint64(in.Imm)
+			}
+		case isa.OpJmp:
+			next = pc + uint64(in.Imm)
+		case isa.OpJr, isa.OpRet:
+			next = rs1
+		case isa.OpCall:
+			regs[in.Rd] = pc + isa.InstBytes
+			next = pc + uint64(in.Imm)
+		case isa.OpHalt:
+			s.pc, s.seq, s.halted = next, s.seq+i+1, true
+			return i + 1, nil
+		default:
+			s.pc, s.seq = pc, s.seq+i
+			return i, fmt.Errorf("funcsim: unknown opcode %d at pc %#x", in.Op, pc)
+		}
+		regs[isa.ZeroReg] = 0
+		pc = next
+	}
+	s.pc, s.seq = pc, s.seq+i
+	return i, nil
 }

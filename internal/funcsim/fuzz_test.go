@@ -122,18 +122,24 @@ func batchOutcome(p *prog.Program, size int) outcome {
 	return outcomeOf(s, recs, nil)
 }
 
-// FuzzRunBatchMatchesStep is ROADMAP's "one slow oracle, fuzzed": on any
-// program the decoder can produce — looping, halting early, running off the
-// code through an indirect jump, hitting an undefined opcode — the batched
-// interpreter must leave exactly what Step leaves: every record, the
-// registers, Seq, PC, Halted, the dirty pages and the error text.
-func FuzzRunBatchMatchesStep(f *testing.F) {
+// addSeeds adds the inputs both fuzz targets start from besides their
+// testdata corpus: every opcode once, and the empty program.
+func addSeeds(f *testing.F) {
 	allOps := make([]byte, 0, 4*(isa.NumOps+1))
 	for op := 0; op <= isa.NumOps; op++ {
 		allOps = append(allOps, byte(op), byte(2+op), byte(1+op/2), byte(3*op))
 	}
 	f.Add(allOps)
 	f.Add([]byte{})
+}
+
+// FuzzRunBatchMatchesStep is ROADMAP's "one slow oracle, fuzzed": on any
+// program the decoder can produce — looping, halting early, running off the
+// code through an indirect jump, hitting an undefined opcode — the batched
+// interpreter must leave exactly what Step leaves: every record, the
+// registers, Seq, PC, Halted, the dirty pages and the error text.
+func FuzzRunBatchMatchesStep(f *testing.F) {
+	addSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := fuzzProgram(data)
 		want := stepOutcome(p)
@@ -152,6 +158,58 @@ func FuzzRunBatchMatchesStep(f *testing.F) {
 				size, len(got.Recs), len(want.Recs), len(got.Pages), len(want.Pages),
 				reflect.DeepEqual(got.Pages, want.Pages), got.Regs == want.Regs,
 				got.Seq, got.PC, got.Halted, got.Err, want.Seq, want.PC, want.Halted, want.Err)
+		}
+	})
+}
+
+// skipOutcome runs the same instructions through Skip in calls of at most
+// chunk, clipped so exactly fuzzMaxSteps execute, and checks that the counts
+// Skip reports add up to Seq. It records nothing, so its outcome has no
+// records; after a halt it calls Skip once more, which must do nothing.
+func skipOutcome(t *testing.T, p *prog.Program, chunk uint64) outcome {
+	s := New(p)
+	var ran uint64
+	for ran < fuzzMaxSteps {
+		want := min(chunk, fuzzMaxSteps-ran)
+		k, err := s.Skip(want)
+		ran += k
+		if ran != s.Seq() {
+			t.Fatalf("chunk %d: Skip reported %d instructions in all, Seq is %d", chunk, ran, s.Seq())
+		}
+		if err != nil {
+			return outcomeOf(s, nil, err)
+		}
+		if k < want {
+			if !s.Halted() {
+				t.Fatalf("chunk %d: Skip ran %d of %d without halting or failing", chunk, k, want)
+			}
+			if k, err := s.Skip(chunk); k != 0 || err != nil {
+				t.Fatalf("chunk %d: Skip after the halt ran %d, %v", chunk, k, err)
+			}
+			break
+		}
+	}
+	return outcomeOf(s, nil, nil)
+}
+
+// FuzzSkipMatchesStep holds the record-free kernel to the same oracle as
+// FuzzRunBatchMatchesStep: Skip(n), in calls of 1, 7 and 1024, must leave
+// exactly what n Steps leave — the registers, Seq, PC, Halted, the dirty
+// pages and the error text of an escaped PC or an undefined opcode.
+func FuzzSkipMatchesStep(f *testing.F) {
+	addSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := fuzzProgram(data)
+		want := stepOutcome(p)
+		want.Recs = nil
+		for _, chunk := range []uint64{1, 7, 1024} {
+			got := skipOutcome(t, p, chunk)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("chunk %d: skip and step diverge: %d/%d dirty pages (equal: %v), regs equal: %v\n"+
+					"skip: seq %d pc %#x halted %v err %q\nstep: seq %d pc %#x halted %v err %q",
+					chunk, len(got.Pages), len(want.Pages), reflect.DeepEqual(got.Pages, want.Pages), got.Regs == want.Regs,
+					got.Seq, got.PC, got.Halted, got.Err, want.Seq, want.PC, want.Halted, want.Err)
+			}
 		}
 	})
 }

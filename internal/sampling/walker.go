@@ -149,29 +149,38 @@ func RunRegions(p *prog.Program, m MachineConfig, regions []Region, mk func(*mem
 // skipObserver is what a cold phase is observed by: the warm-up method in
 // place, or a region capture on a shard.
 type skipObserver interface {
+	SkipLead() uint64
 	ObserveSkipBatch(ds []trace.DynInst)
 }
 
-// coldSkip executes n instructions on fs in batches, handing each batch to
-// obs and polling stopped between batches: the cold phase of a region,
-// wherever it runs. It returns how far it got; a fault, a workload that
-// halts short of n, and a stop (ErrCanceled) are errors.
+// coldSkip executes n instructions on fs in batches of len(buf), polling
+// stopped between batches: the cold phase of a region, wherever it runs. The
+// lead before obs's window (SkipLead) runs through funcsim.Skip, which writes
+// no records; the rest runs through RunBatch and each batch goes to obs. It
+// returns how far it got; a fault, a workload that halts short of n, and a
+// stop (ErrCanceled) are errors.
 func coldSkip(fs *funcsim.Sim, buf []trace.DynInst, n uint64, obs skipObserver, stopped func() bool) (uint64, error) {
+	lead := min(obs.SkipLead(), n)
 	var ran uint64
 	for ran < n {
-		b := buf
-		if rem := n - ran; rem < uint64(len(b)) {
-			b = b[:rem]
+		chunk := min(n-ran, uint64(len(buf)))
+		var k uint64
+		var err error
+		if ran < lead {
+			chunk = min(chunk, lead-ran)
+			k, err = fs.Skip(chunk)
+		} else {
+			var m int
+			if m, err = fs.RunBatch(buf[:chunk]); m > 0 && err == nil {
+				obs.ObserveSkipBatch(buf[:m])
+			}
+			k = uint64(m)
 		}
-		k, err := fs.RunBatch(b)
 		if err != nil {
 			return ran, fmt.Errorf("sampling: cold phase: %w", err)
 		}
-		if k > 0 {
-			obs.ObserveSkipBatch(b[:k])
-		}
-		ran += uint64(k)
-		if k < len(b) {
+		ran += k
+		if k < chunk {
 			break // halted
 		}
 		if stopped() {

@@ -29,7 +29,9 @@ import (
 // is split into batches must not matter: any split leaves the method in the
 // state that observing the region one instruction at a time would, which
 // TestBatchScalarEquivalence pins against a per-instruction oracle kept in
-// the tests.
+// the tests. SkipLead lets the walker run the instructions before the window
+// without records at all: it counts them as seen, as the batches ObserveSkipBatch
+// would have dropped, so a caller that feeds whole regions need not call it.
 //
 // Every method also supports region captures (NewRegionCapture/AdoptRegion),
 // the contract the walker's sharded feed builds on: a region's skip
@@ -54,6 +56,10 @@ import (
 type Method interface {
 	Name() string
 	BeginSkip(expectedLen uint64)
+	// SkipLead returns how many of the current region's next instructions
+	// fall before its window, and counts them as observed: the caller
+	// executes them without handing them to ObserveSkipBatch.
+	SkipLead() uint64
 	ObserveSkipBatch(ds []trace.DynInst)
 	EndSkip()
 	Predictor() bpred.Predictor
@@ -87,6 +93,7 @@ type Method interface {
 // byte-identically) and must be called at most once, after the final
 // ObserveSkipBatch.
 type RegionCapture interface {
+	SkipLead() uint64 // as Method's, for this capture's region
 	ObserveSkipBatch(ds []trace.DynInst)
 	Seal()
 }
@@ -352,6 +359,14 @@ func (c *regionCapture) tail(ds []trace.DynInst) []trace.DynInst {
 	return ds[min(c.threshold-s, uint64(len(ds))):]
 }
 
+// SkipLead counts the rest of the region before threshold as seen, all at
+// once, and returns how much that was: what tail would drop of it.
+func (c *regionCapture) SkipLead() uint64 {
+	lead := c.threshold - min(c.seen, c.threshold)
+	c.seen += lead
+	return lead
+}
+
 func (c *regionCapture) ObserveSkipBatch(ds []trace.DynInst) {
 	if warm := c.tail(ds); len(warm) > 0 {
 		if !c.fitted {
@@ -554,6 +569,7 @@ func (f *forward) Name() string               { return f.label }
 func (f *forward) EndSkip()                   {}
 func (f *forward) Predictor() bpred.Predictor { return f.u }
 func (f *forward) Work() Work                 { return f.work }
+func (f *forward) SkipLead() uint64           { return f.cur.SkipLead() }
 
 func (f *forward) BeginSkip(expectedLen uint64) {
 	c := f.cur
@@ -728,7 +744,8 @@ func appendSkipRecords(log *trace.SkipLog, lines *lineTracker, cache, bp bool, d
 	return uint64(len(mem) + len(branches) - before)
 }
 
-// ObserveSkipBatch logs into the method's own capture.
+// SkipLead and ObserveSkipBatch go to the method's own capture.
+func (r *reverse) SkipLead() uint64                    { return r.cur.SkipLead() }
 func (r *reverse) ObserveSkipBatch(ds []trace.DynInst) { r.cur.ObserveSkipBatch(ds) }
 
 // NewRegionCapture returns a capture for one skip region: an empty log and a

@@ -11,6 +11,11 @@
 #     copied into the batch buffer: every such load waits for the stores to
 #     drain (a failed store-to-load forward), ~6 ns per simulated instruction.
 #     Records are stored field by field through `d := &buf[n]`.
+#   - funcsim.(*Sim).RunBatch and funcsim.(*Sim).Skip, the record-free cold
+#     kernel, must not call (*Memory).Read, (*Memory).Write or (*Memory).page:
+#     guest memory is reached through the page cache inlined into the loop,
+#     and a call per load or store (an accessor grown past the inliner's
+#     budget) costs more than the cache saves.
 #   - ooo.(*Sim).{fetch,dispatch,issue,retire,lsqScan,nextEvent} — the
 #     per-cycle loops and the idle-cycle skip; ready, storeIssued, wrap and
 #     sooner are inlined into them — must contain no hardware divide
@@ -54,10 +59,14 @@ check() {
 
 check 'funcsim\.\(\*Sim\)\.RunBatch$' 'MOVUPS[[:space:]]+[0-9a-fx]*\(SP\), X[0-9]+' \
     'a 16-byte load from the stack frame: the record is being built in a temporary and copied'
+for FN in RunBatch Skip; do
+    check "funcsim\.\(\*Sim\)\.$FN\$" 'CALL .*funcsim\.\(\*Memory\)\.(Read|Write|page)\(SB\)' \
+        'a call to a memory accessor: it is no longer inlined into the interpreter'
+done
 for FN in fetch dispatch issue retire lsqScan nextEvent; do
     check "ooo\.\(\*Sim\)\.$FN\$" 'DIVQ|CALL 0x[0-9a-f]+' \
         'a hardware divide or a Duff copy in a per-cycle loop'
 done
 
-[ "$STATUS" -eq 0 ] && echo "stall-check: ok (RunBatch stores records in place; ooo's per-cycle loops are divide-free and copy-free)"
+[ "$STATUS" -eq 0 ] && echo "stall-check: ok (RunBatch stores records in place; RunBatch and Skip inline guest memory; ooo's per-cycle loops are divide-free and copy-free)"
 exit "$STATUS"
