@@ -3,11 +3,12 @@
 #   make build       compile everything
 #   make test        tier-1 gate: go build ./... && go test ./...
 #   make verify      gofmt + vet + race-test the concurrent code paths, fuzz
-#                    both interpreter kernels against Step, the reverse
+#                    the three interpreter kernels against Step, the reverse
 #                    method's window against its oracle and the timing
-#                    model against its one-cycle loop for 20 s each, then soak
-#                    the engine, the warm-up methods and the sharded
-#                    pipeline's tests under -race -count=20
+#                    model against its one-cycle loop for 20 s each, run the
+#                    sequential identity tests on one CPU, then soak the
+#                    engine, the warm-up methods, the sharded pipeline's and
+#                    the run-ahead feed's tests under -race -count=20
 #   make chaos       race-enabled fault-injection suite (chaos + drain tests)
 #   make obs-smoke   end-to-end observability check: rsrd /metrics scrape +
 #                    rsr -metrics-out/-trace-out artifacts
@@ -32,8 +33,9 @@
 #                    and its gates hold: sharded == sequential, and the sweep's
 #                    engine result == direct run, re-sweep == cold result
 #   make stall-check the innermost loops compile without host stalls:
-#                    objdump of funcsim.RunBatch (no record built on the stack)
-#                    and funcsim.Skip (both: no call to a memory accessor), and
+#                    objdump of funcsim.RunBatch (no record built on the stack),
+#                    funcsim.Skip and funcsim.SkipWindow (all three: no call to
+#                    a memory accessor; SkipWindow: no append), and
 #                    of ooo's per-cycle loops and idle-cycle skip (no divide,
 #                    no Duff copy)
 #   make examples    every program under examples/ runs to a zero exit
@@ -77,18 +79,21 @@ test: build
 # ticket/stats ordering and the pipeline's buffer recycling (a capture or
 # product reused while something still reads it) are schedule-dependent, so
 # one clean pass proves little; twenty under the race detector do. In the
-# sampling package only the sharded pipeline is schedule-dependent — its tests
-# are the ones named Parallel, Shard or Capture — so only those soak; the rest
-# of the package is sequential and deterministic and gets its one -race pass
-# on the line above. That trims less than it sounds: timed on the two-core
-# host, the sharded tests are 67 s of the package's 79 s -race pass
-# (TestParallelAllWorkloadsIdentical 45 s, TestParallelByteIdenticalToSequential
-# 10 s), so twenty passes of them still take about 22 minutes and the line
-# keeps its 60-minute timeout. The fuzz lines compare RunBatch and Skip with
-# Step on generated programs, the reverse method on both ingestion paths with its
-# per-instruction oracle on generated region lengths, percentages and batch
-# splits, and the timing model's event-skipping loop with its one-cycle loop
-# on generated machines and streams, for 20 s each.
+# sampling package the sharded pipeline and the run-ahead feed, which runs
+# every sequential run on two goroutines, are schedule-dependent — their tests
+# are the ones named Parallel, Shard, Capture, RunAhead, SkipLead, Cancel or
+# ZeroAllocs — so those soak; the rest of the package gets its one -race pass
+# on the line above, and the identity tests one more pass on a single CPU,
+# where the producer and the walker take turns. That trims less than it
+# sounds: timed on the two-core host, the sharded tests are 67 s of the
+# package's 79 s -race pass (TestParallelAllWorkloadsIdentical 45 s,
+# TestParallelByteIdenticalToSequential 10 s), so twenty passes of them still
+# take about 22 minutes and the line keeps its 60-minute timeout. The fuzz
+# lines compare RunBatch, Skip and SkipWindow with Step on generated programs,
+# the reverse method on both ingestion paths with its per-instruction oracle
+# on generated region lengths, percentages and batch splits, and the timing
+# model's event-skipping loop with its one-cycle loop on generated machines
+# and streams, for 20 s each.
 verify:
 	@test -z "$$(gofmt -l .)" || { echo "gofmt -l:"; gofmt -l .; exit 1; }
 	$(GO) vet ./...
@@ -96,10 +101,12 @@ verify:
 		./internal/regimen/... ./internal/cluster/... ./internal/cas/... ./cmd/rsrd/...
 	$(GO) test -run '^$$' -fuzz FuzzRunBatchMatchesStep -fuzztime 20s ./internal/funcsim
 	$(GO) test -run '^$$' -fuzz FuzzSkipMatchesStep -fuzztime 20s ./internal/funcsim
+	$(GO) test -run '^$$' -fuzz FuzzSkipWindowMatchesStep -fuzztime 20s ./internal/funcsim
 	$(GO) test -run '^$$' -fuzz FuzzReverseWindowMatchesOracle -fuzztime 20s ./internal/warmup
 	$(GO) test -run '^$$' -fuzz FuzzSimulateMatchesEveryCycle -fuzztime 20s ./internal/ooo
 	$(GO) test -race -count=20 ./internal/engine ./internal/warmup
-	$(GO) test -race -count=20 -timeout 60m -run 'Parallel|Shard|Capture' ./internal/sampling
+	$(GO) test -cpu 1 -run 'MatchesScalar|SkipLead|RunAhead|Cancel|ByteIdentical' ./internal/sampling
+	$(GO) test -race -count=20 -timeout 60m -run 'Parallel|Shard|Capture|RunAhead|SkipLead|Cancel|ZeroAllocs' ./internal/sampling
 
 # chaos drives the deterministic fault injector through the engine's real
 # cache and run paths under the race detector: injected disk errors, torn

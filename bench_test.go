@@ -198,10 +198,12 @@ func BenchmarkDetailedSimulation(b *testing.B) {
 	}
 }
 
-// BenchmarkFunctionalSimulation measures the architectural interpreter's two
+// BenchmarkFunctionalSimulation measures the architectural interpreter's three
 // kernels over 1M instructions of twolf: skip, the record-free cold path
-// behind every instruction before a warm-up window, and runbatch, which
-// stores each instruction's record for an observer or the timing model.
+// behind every instruction before a warm-up window; window, which logs a
+// warm-up window's memory and branch records (S$BP's, in 4096-record
+// stretches); and runbatch, which stores each instruction's record for the
+// timing model.
 func BenchmarkFunctionalSimulation(b *testing.B) {
 	w, _ := workload.ByName("twolf")
 	p := w.Build()
@@ -220,6 +222,23 @@ func BenchmarkFunctionalSimulation(b *testing.B) {
 	b.Run("runbatch", func(b *testing.B) {
 		buf := make([]trace.DynInst, funcsim.BatchSize)
 		run(b, func(fs *funcsim.Sim) (uint64, error) { return fs.RunBatches(n, buf, nil, nil) })
+	})
+	b.Run("window", func(b *testing.B) {
+		w := trace.Window{Cache: true, BPred: true, LineMask: ^uint64(mem.DefaultHierarchyConfig().L1I.LineBytes - 1)}
+		w.Mem, w.Branches = make([]trace.MemRecord, 0, 4096), make([]trace.BranchRecord, 0, 2048)
+		run(b, func(fs *funcsim.Sim) (uint64, error) {
+			var ran uint64
+			for ran < n && !fs.Halted() {
+				k, err := fs.SkipWindow(min(n-ran, funcsim.BatchSize), &w)
+				if ran += k; err != nil {
+					return ran, err
+				}
+				if w.Full() { // a stretch handed off: its storage comes back empty
+					w.Reset()
+				}
+			}
+			return ran, nil
+		})
 	})
 }
 

@@ -27,6 +27,17 @@ type Sim struct {
 	pc     uint64
 	seq    uint64
 	halted bool
+	wbuf   *windowBuf // SkipWindow's, made on its first call
+}
+
+// windowChunk bounds what one SkipWindow call runs, so that windowBuf holds
+// its records whatever the instruction mix: a fetch and a data reference,
+// and a control transfer, each (28 KiB).
+const windowChunk = 512
+
+type windowBuf struct {
+	mem [2 * windowChunk]trace.MemRecord
+	br  [windowChunk]trace.BranchRecord
 }
 
 // New returns a simulator positioned at the program entry with the data
@@ -570,4 +581,184 @@ func (s *Sim) Skip(n uint64) (uint64, error) {
 	}
 	s.pc, s.seq = pc, s.seq+i
 	return i, nil
+}
+
+// SkipWindow executes up to n instructions like Skip and logs them into w as
+// a warm-up window: one memory record per instruction-fetch line crossing and
+// per load or store when w.Cache is set, one branch record per control
+// transfer when w.BPred is, exactly what w.Append makes of RunBatch's records
+// for the same instructions (FuzzSkipWindowMatchesStep).
+// It runs at most windowChunk instructions, and at most as many as surely
+// fit in the capacity of w's slices — two memory records and a branch each —
+// and otherwise stops early only on a halt (counted, its fetch logged) or a
+// fault (neither). It adds what it ran to w.Seen. No trace.DynInst is built,
+// and nothing is appended: the loop stores both kinds of record by index into
+// the simulator's windowBuf, which needs neither w's bounds nor its flags
+// kept live (a version storing into w's slices spilled them and read 10–14%
+// slower than RunBatch), and the kept kinds are copied into w at the end.
+func (s *Sim) SkipWindow(n uint64, w *trace.Window) (uint64, error) {
+	if s.halted {
+		return 0, nil
+	}
+	if s.wbuf == nil {
+		s.wbuf = new(windowBuf)
+	}
+	buf := s.wbuf
+	n = min(n, windowChunk)
+	if w.Cache {
+		n = min(n, uint64(cap(w.Mem)-len(w.Mem))/2)
+	}
+	if w.BPred {
+		n = min(n, uint64(cap(w.Branches)-len(w.Branches)))
+	}
+	var nm, nb int
+	code := s.prog.Insts
+	regs := &s.regs
+	m := s.mem
+	pc, mask, last := s.pc, w.LineMask, w.Line
+	if !w.HaveLine {
+		last = 1 // no masked address: LineMask clears bit 0
+	}
+	var i uint64
+	var err error
+loop:
+	for ; i < n; i++ {
+		idx := bits.RotateLeft64(pc-prog.CodeBase, -2)
+		if idx >= uint64(len(code)) {
+			err = fmt.Errorf("funcsim: pc %#x escaped code segment", pc)
+			break
+		}
+		in := &code[idx]
+		if in.Op >= isa.Op(isa.NumOps) { // checked first, so that its fetch is not logged
+			err = fmt.Errorf("funcsim: unknown opcode %d at pc %#x", in.Op, pc)
+			break
+		}
+		if line := pc & mask; line != last {
+			r := &buf.mem[nm]
+			r.Addr, r.IsInstr, r.IsStore = pc, true, false
+			nm++
+			last = line
+		}
+		next := pc + isa.InstBytes
+		rs1 := regs[in.Rs1]
+		rs2 := regs[in.Rs2]
+		class, taken := isa.ClassNop, false
+
+		switch in.Op {
+		case isa.OpNop:
+		case isa.OpAdd:
+			regs[in.Rd] = rs1 + rs2
+		case isa.OpSub:
+			regs[in.Rd] = rs1 - rs2
+		case isa.OpAddi:
+			regs[in.Rd] = rs1 + uint64(in.Imm)
+		case isa.OpLui:
+			regs[in.Rd] = uint64(in.Imm)
+		case isa.OpAnd:
+			regs[in.Rd] = rs1 & rs2
+		case isa.OpOr:
+			regs[in.Rd] = rs1 | rs2
+		case isa.OpXor:
+			regs[in.Rd] = rs1 ^ rs2
+		case isa.OpShl:
+			regs[in.Rd] = rs1 << (rs2 & 63)
+		case isa.OpShr:
+			regs[in.Rd] = rs1 >> (rs2 & 63)
+		case isa.OpAndi:
+			regs[in.Rd] = rs1 & uint64(in.Imm)
+		case isa.OpShli:
+			regs[in.Rd] = rs1 << (uint64(in.Imm) & 63)
+		case isa.OpShri:
+			regs[in.Rd] = rs1 >> (uint64(in.Imm) & 63)
+		case isa.OpSlt:
+			if int64(rs1) < int64(rs2) {
+				regs[in.Rd] = 1
+			} else {
+				regs[in.Rd] = 0
+			}
+		case isa.OpMul:
+			regs[in.Rd] = rs1 * rs2
+		case isa.OpDiv:
+			if rs2 == 0 {
+				regs[in.Rd] = 0
+			} else {
+				regs[in.Rd] = uint64(int64(rs1) / int64(rs2))
+			}
+		case isa.OpRem:
+			if rs2 == 0 {
+				regs[in.Rd] = 0
+			} else {
+				regs[in.Rd] = uint64(int64(rs1) % int64(rs2))
+			}
+		case isa.OpFAdd:
+			regs[in.Rd] = math.Float64bits(math.Float64frombits(rs1) + math.Float64frombits(rs2))
+		case isa.OpFMul:
+			regs[in.Rd] = math.Float64bits(math.Float64frombits(rs1) * math.Float64frombits(rs2))
+		case isa.OpFDiv:
+			den := math.Float64frombits(rs2)
+			if den == 0 {
+				regs[in.Rd] = 0
+			} else {
+				regs[in.Rd] = math.Float64bits(math.Float64frombits(rs1) / den)
+			}
+		case isa.OpLd:
+			addr := rs1 + uint64(in.Imm)
+			r := &buf.mem[nm]
+			r.Addr, r.IsInstr, r.IsStore = addr, false, false
+			nm++
+			regs[in.Rd] = m.Read(addr)
+		case isa.OpSt:
+			addr := rs1 + uint64(in.Imm)
+			r := &buf.mem[nm]
+			r.Addr, r.IsInstr, r.IsStore = addr, false, true
+			nm++
+			m.Write(addr, rs2)
+		case isa.OpBeq:
+			class, taken = isa.ClassBranch, rs1 == rs2
+		case isa.OpBne:
+			class, taken = isa.ClassBranch, rs1 != rs2
+		case isa.OpBlt:
+			class, taken = isa.ClassBranch, int64(rs1) < int64(rs2)
+		case isa.OpBge:
+			class, taken = isa.ClassBranch, int64(rs1) >= int64(rs2)
+		case isa.OpJmp:
+			class, taken = isa.ClassJump, true
+		case isa.OpCall:
+			regs[in.Rd] = pc + isa.InstBytes
+			class, taken = isa.ClassCall, true
+		case isa.OpJr:
+			class, taken, next = isa.ClassJumpIndirect, true, rs1
+		case isa.OpRet:
+			class, taken, next = isa.ClassReturn, true, rs1
+		case isa.OpHalt:
+			s.halted = true
+			i++
+			pc = next
+			break loop
+		}
+		regs[isa.ZeroReg] = 0
+		if class != isa.ClassNop {
+			if taken && class <= isa.ClassCall { // a direct transfer: Branch, Jump or Call
+				next = pc + uint64(in.Imm)
+			}
+			b := &buf.br[nb]
+			b.PC, b.NextPC, b.Taken, b.Class = pc, next, taken, class
+			nb++
+		}
+		pc = next
+	}
+	if w.Cache {
+		k := len(w.Mem)
+		w.Mem = w.Mem[:k+nm]
+		copy(w.Mem[k:], buf.mem[:nm])
+		w.Line, w.HaveLine = last, last != 1
+	}
+	if w.BPred {
+		k := len(w.Branches)
+		w.Branches = w.Branches[:k+nb]
+		copy(w.Branches[k:], buf.br[:nb])
+	}
+	w.Seen += i
+	s.pc, s.seq = pc, s.seq+i
+	return i, err
 }

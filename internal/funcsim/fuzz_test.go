@@ -2,7 +2,10 @@ package funcsim
 
 import (
 	"fmt"
+	"hash/crc32"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"rsr/internal/isa"
@@ -209,6 +212,80 @@ func FuzzSkipMatchesStep(f *testing.F) {
 					"skip: seq %d pc %#x halted %v err %q\nstep: seq %d pc %#x halted %v err %q",
 					chunk, len(got.Pages), len(want.Pages), reflect.DeepEqual(got.Pages, want.Pages), got.Regs == want.Regs,
 					got.Seq, got.PC, got.Halted, got.Err, want.Seq, want.PC, want.Halted, want.Err)
+			}
+		}
+	})
+}
+
+// windowOutcome runs the same instructions through SkipWindow with w's flags,
+// in calls of sizes drawn from next, into stretches of room for at most
+// memCap memory and brCap branch records, each handed off (its records
+// moved out) once the kernel finds it full — the run-ahead feed's hand-off.
+// It returns the outcome, every record in order and the final fetch-line
+// state.
+func windowOutcome(t *testing.T, p *prog.Program, w trace.Window, memCap, brCap int, next func() uint64) (outcome, trace.SkipLog, trace.Window) {
+	s := New(p)
+	var log trace.SkipLog
+	w.Mem, w.Branches = make([]trace.MemRecord, 0, memCap), make([]trace.BranchRecord, 0, brCap)
+	handOff := func() {
+		log.Mem, log.Branches = append(log.Mem, w.Mem...), append(log.Branches, w.Branches...)
+		w.Reset()
+	}
+	var ran uint64
+	var err error
+	for ran < fuzzMaxSteps && !s.Halted() && err == nil {
+		var k uint64
+		k, err = s.SkipWindow(min(next(), fuzzMaxSteps-ran), &w)
+		ran += k
+		if ran != s.Seq() || ran != w.Seen {
+			t.Fatalf("SkipWindow reported %d instructions in all, Seq is %d, Seen %d", ran, s.Seq(), w.Seen)
+		}
+		if w.Full() {
+			handOff()
+		}
+	}
+	handOff()
+	return outcomeOf(s, nil, err), log, w
+}
+
+// FuzzSkipWindowMatchesStep holds the window kernel to Step and to
+// trace.Window.Append, the logging it replaces: on any program, for every
+// Cache/BPred combination, in calls of one instruction and of random sizes and
+// into random small stretches, SkipWindow must leave exactly what Step leaves
+// — registers, Seq, PC, Halted, dirty pages, error text — and log exactly what
+// Append logs of Step's records, fetch-line state included.
+func FuzzSkipWindowMatchesStep(f *testing.F) {
+	addSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := fuzzProgram(data)
+		want := stepOutcome(p)
+		recs := want.Recs
+		want.Recs = nil
+		rng := rand.New(rand.NewSource(int64(crc32.ChecksumIEEE(data))))
+		for _, flags := range [][2]bool{{true, true}, {true, false}, {false, true}} {
+			ref := trace.Window{Cache: flags[0], BPred: flags[1], LineMask: ^uint64(63)}
+			ref.Append(recs)
+			for _, random := range []bool{false, true} {
+				next := func() uint64 { return 1 }
+				if random {
+					next = func() uint64 { return uint64(1 + rng.Intn(1100)) }
+				}
+				w := trace.Window{Cache: flags[0], BPred: flags[1], LineMask: ^uint64(63)}
+				got, log, end := windowOutcome(t, p, w, 2+rng.Intn(64), 1+rng.Intn(32), next)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("cache %v bpred %v random %v: window and step diverge: regs equal: %v\n"+
+						"window: seq %d pc %#x halted %v err %q\nstep:   seq %d pc %#x halted %v err %q",
+						flags[0], flags[1], random, got.Regs == want.Regs,
+						got.Seq, got.PC, got.Halted, got.Err, want.Seq, want.PC, want.Halted, want.Err)
+				}
+				if !slices.Equal(log.Mem, ref.Mem) || !slices.Equal(log.Branches, ref.Branches) {
+					t.Fatalf("cache %v bpred %v random %v: the window kernel logged %d memory and %d branch records, Append %d and %d",
+						flags[0], flags[1], random, len(log.Mem), len(log.Branches), len(ref.Mem), len(ref.Branches))
+				}
+				if end.HaveLine != ref.HaveLine || end.HaveLine && end.Line != ref.Line {
+					t.Fatalf("cache %v bpred %v random %v: fetch line %#x (%v), Append's %#x (%v)",
+						flags[0], flags[1], random, end.Line, end.HaveLine, ref.Line, ref.HaveLine)
+				}
 			}
 		}
 	})

@@ -65,8 +65,8 @@ func TestRunFullOptsCancelMidRun(t *testing.T) {
 
 // TestRunSampledOptsCancelMidRun does the same for the sampled controller,
 // where the poll also runs at cluster boundaries; the result pointer must
-// be nil, not a half-filled RunResult. Both cold kernels are polled: the
-// observed batches under S$BP and None's record-free lead.
+// be nil, not a half-filled RunResult. Both cold kernels are polled: S$BP's
+// window kernel and None's record-free lead.
 func TestRunSampledOptsCancelMidRun(t *testing.T) {
 	w, err := workload.ByName("gcc")
 	if err != nil {
@@ -91,22 +91,24 @@ func TestRunSampledOptsCancelMidRun(t *testing.T) {
 		t.Errorf("cancel took %v to abort the run", took)
 	}
 
-	// None runs its whole cold phase as a lead, without records: the poll
-	// between its batches must abort a cold phase far longer than 2ms too
+	// None runs its whole cold phase as a lead, without records, and S$BP as a
+	// window, through the window kernel and hand-offs to the walker: the poll
+	// between their batches must abort a cold phase far longer than 2ms too
 	// (unpolled, this one would run for about 25 s).
-	cancelLead := make(chan struct{})
-	go func() {
-		time.Sleep(2 * time.Millisecond)
-		close(cancelLead)
-	}()
-	begin = time.Now()
-	none := warmup.Spec{Kind: warmup.KindNone}
-	res, err = RunRegions(w.Build(), DefaultMachine(), []Region{{Start: 5_000_000_000, Size: 2000}}, none.New, Options{Cancel: cancelLead})
-	if !errors.Is(err, ErrCanceled) || res != nil {
-		t.Fatalf("canceled None lead: got %v, %v; want nil, ErrCanceled", res, err)
-	}
-	if took := time.Since(begin); took > 10*time.Second {
-		t.Errorf("cancel took %v to abort a None lead", took)
+	for _, long := range []warmup.Spec{{Kind: warmup.KindNone}, spec} {
+		cancelLong := make(chan struct{})
+		go func() {
+			time.Sleep(2 * time.Millisecond)
+			close(cancelLong)
+		}()
+		begin = time.Now()
+		res, err = RunRegions(w.Build(), DefaultMachine(), []Region{{Start: 5_000_000_000, Size: 2000}}, long.New, Options{Cancel: cancelLong})
+		if !errors.Is(err, ErrCanceled) || res != nil {
+			t.Fatalf("canceled %s cold phase: got %v, %v; want nil, ErrCanceled", long.Label(), res, err)
+		}
+		if took := time.Since(begin); took > 10*time.Second {
+			t.Errorf("cancel took %v to abort a %s cold phase", took, long.Label())
+		}
 	}
 
 	// The cancel must not have perturbed later runs (fresh-state contract):

@@ -16,27 +16,35 @@ import (
 )
 
 // countingMethod counts, per region, the instructions its method observes:
-// through ObserveSkipBatch in place, through its captures' ObserveSkipBatch
-// when sharded (handed over at adoption). With leadless set it answers every
-// SkipLead with 0, so the walker hands the whole cold phase to
-// ObserveSkipBatch and the window's cut falls to the method's own tail: the
-// reference a run with a record-free lead must match.
+// from the run-ahead feed through ObserveWindow, and through its captures at
+// Shards > 1 as the window kernel's count (handed over at adoption).
+// countingSizer is the wrapper of a method that is a warmup.RegionSizer, so
+// that the walker treats the wrapped method as it would the bare one.
 type countingMethod struct {
 	warmup.Method
-	leadless bool
 	observed []uint64
+}
+
+type countingSizer struct{ *countingMethod }
+
+func (m countingSizer) SizeRegions(longest uint64) {
+	m.Method.(warmup.RegionSizer).SizeRegions(longest)
+}
+
+// counting wraps m.
+func counting(m warmup.Method) (*countingMethod, warmup.Method) {
+	cm := &countingMethod{Method: m}
+	if _, ok := m.(warmup.RegionSizer); ok {
+		return cm, countingSizer{cm}
+	}
+	return cm, cm
 }
 
 type countingCapture struct {
 	warmup.RegionCapture
-	leadless bool
+	lead     uint64
+	win      *trace.Window
 	observed uint64
-}
-
-func (m *countingMethod) SizeRegions(longest uint64) {
-	if rs, ok := m.Method.(warmup.RegionSizer); ok {
-		rs.SizeRegions(longest)
-	}
 }
 
 func (m *countingMethod) BeginSkip(expectedLen uint64) {
@@ -44,52 +52,53 @@ func (m *countingMethod) BeginSkip(expectedLen uint64) {
 	m.Method.BeginSkip(expectedLen)
 }
 
-func (m *countingMethod) SkipLead() uint64 {
-	if m.leadless {
-		return 0
-	}
-	return m.Method.SkipLead()
-}
-
-func (m *countingMethod) ObserveSkipBatch(ds []trace.DynInst) {
-	m.observed[len(m.observed)-1] += uint64(len(ds))
-	m.Method.ObserveSkipBatch(ds)
+func (m *countingMethod) ObserveWindow(w *trace.Window) {
+	m.observed[len(m.observed)-1] += w.Seen
+	m.Method.ObserveWindow(w)
 }
 
 func (m *countingMethod) NewRegionCapture(region int, expectedLen uint64) warmup.RegionCapture {
-	return &countingCapture{RegionCapture: m.Method.NewRegionCapture(region, expectedLen), leadless: m.leadless}
+	return &countingCapture{RegionCapture: m.Method.NewRegionCapture(region, expectedLen)}
 }
 
 func (m *countingMethod) AdoptRegion(c warmup.RegionCapture) {
 	cc := c.(*countingCapture)
-	m.observed[len(m.observed)-1] = cc.observed
+	m.observed[len(m.observed)-1] += cc.observed
 	m.Method.AdoptRegion(cc.RegionCapture)
 }
 
 func (c *countingCapture) SkipLead() uint64 {
-	if c.leadless {
-		return 0
-	}
-	return c.RegionCapture.SkipLead()
+	c.lead = c.RegionCapture.SkipLead()
+	return c.lead
 }
 
-func (c *countingCapture) ObserveSkipBatch(ds []trace.DynInst) {
-	c.observed += uint64(len(ds))
-	c.RegionCapture.ObserveSkipBatch(ds)
+func (c *countingCapture) Window() *trace.Window {
+	c.win = c.RegionCapture.Window()
+	return c.win
+}
+
+// Seal counts what the window kernel ran: the region's instructions past the
+// lead.
+func (c *countingCapture) Seal() {
+	if c.win != nil {
+		c.observed += c.win.Seen - c.lead
+	}
+	c.RegionCapture.Seal()
 }
 
 // TestSkipLeadWindowContract pins what the walker hands a method now that it
 // runs each cold phase's lead without records: per region, None observes no
 // instruction, S$BP all of them, and FP (p%) and R$BP (p%) exactly the
-// newest p% — in place and through captures at Shards: 2. Every result and
-// work count equals the leadless run's.
+// newest p% — from the run-ahead feed and through captures at Shards: 2.
+// Every result and work count equals the per-instruction reference's.
 func TestSkipLeadWindowContract(t *testing.T) {
 	w, err := workload.ByName("gcc")
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := w.Build()
-	// Cold phases of 0, under a batch, odd, and many batches long.
+	// Cold phases of 0, under a batch, odd, many batches and several
+	// hand-offs long.
 	regions := []Region{{Start: 0, Size: 500}, {Start: 500, Size: 700}, {Start: 1900, Size: 500}, {Start: 9_437, Size: 800}, {Start: 60_001, Size: 600}, {Start: 60_601, Size: 400}}
 	var colds []uint64
 	var pos uint64
@@ -104,30 +113,30 @@ func TestSkipLeadWindowContract(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		want, err := runRegionsScalar(p, DefaultMachine(), regions, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, shards := range []int{1, 2} {
-			run := func(leadless bool) (*RunResult, []uint64) {
-				var cm *countingMethod
-				mk := func(h *mem.Hierarchy, u *bpred.Unit) warmup.Method {
-					cm = &countingMethod{Method: spec.New(h, u), leadless: leadless}
-					return cm
-				}
-				res, err := RunRegions(p, DefaultMachine(), regions, mk, Options{Shards: shards})
-				if err != nil {
-					t.Fatalf("%s shards=%d leadless=%v: %v", c.label, shards, leadless, err)
-				}
-				return res, cm.observed
+			var cm *countingMethod
+			mk := func(h *mem.Hierarchy, u *bpred.Unit) warmup.Method {
+				var m warmup.Method
+				cm, m = counting(spec.New(h, u))
+				return m
 			}
-			got, observed := run(false)
-			want, _ := run(true)
+			got, err := RunRegions(p, DefaultMachine(), regions, mk, Options{Shards: shards})
+			if err != nil {
+				t.Fatalf("%s shards=%d: %v", c.label, shards, err)
+			}
 			name := fmt.Sprintf("%s shards=%d", c.label, shards)
 			for i, cold := range colds {
-				if wantObs := cold * c.percent / 100; observed[i] != wantObs {
-					t.Errorf("%s: region %d (cold %d) observed %d instructions, want %d", name, i, cold, observed[i], wantObs)
+				if wantObs := cold * c.percent / 100; cm.observed[i] != wantObs {
+					t.Errorf("%s: region %d (cold %d) observed %d instructions, want %d", name, i, cold, cm.observed[i], wantObs)
 				}
 			}
 			if !reflect.DeepEqual(got.Clusters, want.Clusters) || got.Work != want.Work ||
 				got.FuncInstructions != want.FuncInstructions || got.HotInstructions != want.HotInstructions {
-				t.Errorf("%s: results differ from the leadless walker's:\ngot  %+v\nwant %+v", name, got.Work, want.Work)
+				t.Errorf("%s: results differ from the per-instruction reference's:\ngot  %+v\nwant %+v", name, got.Work, want.Work)
 			}
 		}
 	}

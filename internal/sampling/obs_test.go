@@ -9,7 +9,6 @@ import (
 	"rsr/internal/funcsim"
 	"rsr/internal/mem"
 	"rsr/internal/obs"
-	"rsr/internal/trace"
 	"rsr/internal/warmup"
 	"rsr/internal/workload"
 )
@@ -278,45 +277,67 @@ func TestFullRunInstrumented(t *testing.T) {
 }
 
 // TestDisabledObservabilityZeroAllocs pins the off switch: with both sinks
-// disabled (nil Instruments and Tracer — the default Options), the
-// instrumented skip loop — funcsim.RunBatches feeding Method.ObserveSkipBatch
-// — plus every per-phase runObs hook adds zero allocations. This is the
-// contract that lets the instrumentation stay compiled into the hot paths.
+// disabled (nil Instruments and Tracer — the default Options), a cluster's
+// cold phase as the run-ahead feed passes it — the producer's coldSkip into a
+// hand-off and the walker's next and ingest — plus every per-phase runObs
+// hook adds zero allocations, for a method that applies the window's
+// stretches (S$BP) and for one that logs them (R$BP). This is the contract
+// that lets the instrumentation stay compiled into the hot paths.
+// Both ends run on the test's goroutine: one region's slots fit the ring.
 func TestDisabledObservabilityZeroAllocs(t *testing.T) {
 	w, err := workload.ByName("twolf")
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := DefaultMachine()
-	hier := mem.NewHierarchy(m.Hier)
-	unit := bpred.NewUnit(m.Pred)
-	spec := warmup.Spec{Kind: warmup.KindReverse, Percent: 100, Cache: true, BPred: true}
-	method := spec.New(hier, unit)
-	fs := funcsim.New(w.Build())
-	buf := make([]trace.DynInst, funcsim.BatchSize)
-	ro := newRunObs(nil, nil, "sampled", spec.Label()) // nil: both sinks off
-	observe := method.ObserveSkipBatch                 // bind once; a per-call method value allocates
-
-	// EndSkip (reconstruction) stays outside the measured body: it allocates
-	// once per cluster by design, with or without observability. The pin
-	// covers the cold skip loop and the phase hooks.
-	const skip = 4 * funcsim.BatchSize
-	cluster := 0
-	run := func() {
-		t0 := ro.begin()
-		method.BeginSkip(skip)
-		n, rerr := fs.RunBatches(skip, buf, observe, nil)
-		if rerr != nil {
-			t.Fatal(rerr)
+	for _, label := range []string{"S$BP", "R$BP (100%)"} {
+		spec, err := warmup.SpecByLabel(label)
+		if err != nil {
+			t.Fatal(err)
 		}
-		ro.coldDone(t0, cluster, n, method.Work())
-		ro.reconDone(ro.begin(), cluster, method.Work())
-		ro.hotDone(ro.begin(), cluster, 0, method.Work())
-		cluster++
-	}
-	run() // steady state: pages and log storage now exist
-	avg := testing.AllocsPerRun(20, run)
-	if avg != 0 {
-		t.Fatalf("disabled observability allocates %.2f per cluster; hooks must be free when off", avg)
+		method := spec.New(mem.NewHierarchy(m.Hier), bpred.NewUnit(m.Pred))
+		fs := funcsim.New(w.Build())
+		ro := newRunObs(nil, nil, "sampled", spec.Label()) // nil: both sinks off
+		f := &aheadFeed{opts: &Options{}, ro: ro, full: make(chan *aheadSlot, aheadSlots), free: make(chan *aheadSlot, aheadSlots),
+			done: make(chan struct{})}
+		for range aheadSlots {
+			f.free <- newAheadSlot()
+		}
+		var h handoff
+
+		// EndSkip (reconstruction) stays outside the measured body: it
+		// allocates once per cluster by design, with or without
+		// observability. The pin covers the cold phase and the phase hooks.
+		const skip = 3 * handoffInstrs
+		cluster := 0
+		run := func() {
+			lead, w := method.NewWindow(skip)
+			h = handoff{f: f, lead: lead, w: w}
+			if _, err := coldSkip(fs, skip, &h, f.stopped); err != nil {
+				t.Fatal(err)
+			}
+			h.flush()
+			s := f.get() // an empty hot phase closes the cold one
+			s.win.Seen, s.recs, s.last, s.err = 0, s.recs[:0], true, nil
+			f.send(s)
+
+			cold, err := f.next(cluster, Region{Start: f.pos + skip})
+			if err != nil {
+				t.Fatal(err)
+			}
+			method.BeginSkip(cold)
+			if _, err := f.ingest(cluster, method, cold); err != nil {
+				t.Fatal(err)
+			}
+			f.release()
+			ro.reconDone(ro.begin(), cluster, method.Work())
+			ro.hotDone(ro.begin(), cluster, 0, method.Work())
+			cluster++
+		}
+		run() // steady state: pages, slot storage and captures now exist
+		run()
+		if avg := testing.AllocsPerRun(20, run); avg != 0 {
+			t.Errorf("%s: disabled observability allocates %.2f per cluster; hooks must be free when off", label, avg)
+		}
 	}
 }

@@ -153,10 +153,15 @@ func (w *scalarWarm) endSkip() {
 // per-instruction pull closure into the timing model. The batched RunSampled
 // must produce identical results (modulo wall-clock).
 func runSampledScalar(p *prog.Program, m MachineConfig, reg Regimen, total uint64, seed int64, spec warmup.Spec) (*RunResult, error) {
-	starts, err := Positions(total, reg, seed)
+	regions, err := reg.Regions(total, seed)
 	if err != nil {
 		return nil, err
 	}
+	return runRegionsScalar(p, m, regions, spec)
+}
+
+// runRegionsScalar is runSampledScalar over any region list.
+func runRegionsScalar(p *prog.Program, m MachineConfig, regions []Region, spec warmup.Spec) (*RunResult, error) {
 	hier := mem.NewHierarchy(m.Hier)
 	unit := bpred.NewUnit(m.Pred)
 	warm := newScalarWarm(spec, hier, unit)
@@ -165,7 +170,8 @@ func runSampledScalar(p *prog.Program, m MachineConfig, reg Regimen, total uint6
 
 	res := &RunResult{Method: spec.Label()}
 	var pos uint64
-	for _, start := range starts {
+	for _, reg := range regions {
+		start := reg.Start
 		skip := start - pos
 		warm.beginSkip(skip)
 		ran, err := fs.Run(skip, warm.observe)
@@ -180,7 +186,7 @@ func runSampledScalar(p *prog.Program, m MachineConfig, reg Regimen, total uint6
 		pos += ran
 
 		src := &stepSource{fs: fs}
-		r := sim.SimulateSource(reg.ClusterSize, src)
+		r := sim.SimulateSource(reg.Size, src)
 		if src.err != nil {
 			return nil, src.err
 		}

@@ -291,7 +291,6 @@ func newShardFeed(p *prog.Program, regions []Region, method warmup.Method, shard
 			for _, d := range chain {
 				fs.ApplyDelta(d)
 			}
-			buf := make([]trace.DynInst, funcsim.BatchSize)
 			for i := first; i < last; i++ {
 				var prod *regionProduct
 				select {
@@ -299,7 +298,7 @@ func newShardFeed(p *prog.Program, regions []Region, method warmup.Method, shard
 				default:
 					prod = new(regionProduct)
 				}
-				if !produceRegion(prod, fs, buf, i, regions[i], method, stopped) {
+				if !produceRegion(prod, fs, i, regions[i], method, stopped) {
 					return // canceled
 				}
 				str.span(PhaseColdSkip, time.Now().Add(-prod.coldDur-prod.sealDur),
@@ -416,16 +415,16 @@ func (f *shardFeed) release() {
 // capture (running the reverse scan and planning reconstruction on this
 // shard, off the consumer's critical path), then materialize the committed
 // records of the hot phase straight into prod's slab. The cold loop is the
-// in-place feed's (coldSkip), failure modes included; a failure travels in
+// run-ahead feed's (coldSkip), failure modes included; a failure travels in
 // prod, and only cancellation reports false. In steady state — captures and
 // products coming back from the consumer — it allocates nothing.
-func produceRegion(prod *regionProduct, fs *funcsim.Sim, buf []trace.DynInst, region int, reg Region, method warmup.Method, stopped func() bool) bool {
+func produceRegion(prod *regionProduct, fs *funcsim.Sim, region int, reg Region, method warmup.Method, stopped func() bool) bool {
 	cold := reg.Start - fs.Seq()
 
 	*prod = regionProduct{cold: cold, records: prod.records[:0]}
 	capture := method.NewRegionCapture(region, cold)
 	t0 := time.Now()
-	ran, err := coldSkip(fs, buf, cold, capture, stopped)
+	ran, err := coldSkip(fs, cold, capture, stopped)
 	prod.coldRan, prod.coldDur = ran, time.Since(t0)
 	if errors.Is(err, ErrCanceled) {
 		return false

@@ -12,7 +12,9 @@
 // read-only. Any number of runs may therefore execute concurrently (the
 // engine package relies on this), and because every run is deterministic in
 // its inputs, concurrent and sequential execution produce identical results.
-// TestRunSampledFreshStatePerCall asserts this contract.
+// TestRunSampledFreshStatePerCall asserts this contract. A run's own
+// goroutines — the run-ahead producer, the sharded pipeline's — end before it
+// returns or, for the pipeline, wind down once it has.
 package sampling
 
 import (
@@ -204,8 +206,10 @@ type Options struct {
 	// microarchitectural state advances in cluster order on the walker, so
 	// results stay byte-identical to the sequential run. Every warm-up method
 	// shards — functional warming captures its would-be applications and
-	// replays them at adoption. 0 or 1 selects in-place observation. Shards
-	// is an execution policy, not part of a run's identity.
+	// replays them at adoption. 0 or 1 selects the sequential run-ahead feed:
+	// one producer goroutine executes the run functionally a region ahead of
+	// the walker, which warms and times. Shards is an execution policy, not
+	// part of a run's identity.
 	Shards int
 	// Checkpoints, when non-nil alongside a non-empty CheckpointKey, lets
 	// the parallel pipeline load its pre-pass checkpoint chain from a

@@ -42,13 +42,13 @@ func ValidateRegions(regions []Region, total uint64) error {
 	return nil
 }
 
-// feed is how a region's instructions reach the walker. The sequential feed
-// executes them on the run's one functional simulator and lets the method
-// observe the cold phase in place; the sharded feed receives each region
-// from the pipeline, its cold phase already observed into a RegionCapture
-// and its hot phase materialized, and has the method adopt it. As an
-// ooo.Source a feed delivers the current region's hot instructions, never
-// running past the region's end.
+// feed is how a region's instructions reach the walker. The run-ahead feed
+// receives each region from a producer goroutine that executes the whole run
+// on one functional simulator, as far ahead as its ring lets it; the sharded feed
+// receives each region from the pipeline, its cold phase already observed
+// into a RegionCapture and its hot phase materialized. As an ooo.Source a
+// feed delivers the current region's hot instructions, never running past the
+// region's end.
 type feed interface {
 	ooo.Source
 	// next makes region ci current and returns the length of its cold phase,
@@ -99,7 +99,7 @@ func RunRegions(p *prog.Program, m MachineConfig, regions []Region, mk func(*mem
 	begin := time.Now()
 
 	// Every method supports region captures (part of the Method contract), so
-	// a sharded request never falls back to in-place observation.
+	// a sharded request never falls back to the sequential feed.
 	var f feed
 	if shards := shardCount(opts.Shards, len(regions)); shards > 1 {
 		ro.setParallel()
@@ -107,7 +107,9 @@ func RunRegions(p *prog.Program, m MachineConfig, regions []Region, mk func(*mem
 		defer close(sf.done)
 		f = sf
 	} else {
-		f = newSeqFeed(p, &opts, ro)
+		af := newAheadFeed(p, regions, method, &opts, ro)
+		defer af.stop()
+		f = af
 	}
 
 	for ci, reg := range regions {
@@ -146,42 +148,37 @@ func RunRegions(p *prog.Program, m MachineConfig, regions []Region, mk func(*mem
 	return res, nil
 }
 
-// skipObserver is what a cold phase is observed by: the warm-up method in
-// place, or a region capture on a shard.
+// skipObserver is what a cold phase is observed by: a region capture, or the
+// run-ahead feed's hand-off of a window in stretches.
 type skipObserver interface {
 	SkipLead() uint64
-	ObserveSkipBatch(ds []trace.DynInst)
+	Window() *trace.Window
 }
 
-// coldSkip executes n instructions on fs in batches of len(buf), polling
-// stopped between batches: the cold phase of a region, wherever it runs. The
-// lead before obs's window (SkipLead) runs through funcsim.Skip, which writes
-// no records; the rest runs through RunBatch and each batch goes to obs. It
-// returns how far it got; a fault, a workload that halts short of n, and a
-// stop (ErrCanceled) are errors.
-func coldSkip(fs *funcsim.Sim, buf []trace.DynInst, n uint64, obs skipObserver, stopped func() bool) (uint64, error) {
+// coldSkip executes n instructions on fs in batches of at most
+// funcsim.BatchSize, polling stopped between batches: the cold phase of a
+// region, wherever it runs. The lead before obs's window (SkipLead) runs
+// through funcsim.Skip, which logs nothing, the rest through the window
+// kernel into obs's Window. It returns how far it got; a fault, a workload
+// that halts short of n, and a stop (ErrCanceled) are errors.
+func coldSkip(fs *funcsim.Sim, n uint64, obs skipObserver, stopped func() bool) (uint64, error) {
 	lead := min(obs.SkipLead(), n)
 	var ran uint64
 	for ran < n {
-		chunk := min(n-ran, uint64(len(buf)))
+		chunk := min(n-ran, funcsim.BatchSize)
 		var k uint64
 		var err error
 		if ran < lead {
-			chunk = min(chunk, lead-ran)
-			k, err = fs.Skip(chunk)
+			k, err = fs.Skip(min(chunk, lead-ran))
 		} else {
-			var m int
-			if m, err = fs.RunBatch(buf[:chunk]); m > 0 && err == nil {
-				obs.ObserveSkipBatch(buf[:m])
-			}
-			k = uint64(m)
+			k, err = fs.SkipWindow(chunk, obs.Window())
 		}
+		ran += k
 		if err != nil {
 			return ran, fmt.Errorf("sampling: cold phase: %w", err)
 		}
-		ran += k
-		if k < chunk {
-			break // halted
+		if fs.Halted() {
+			break
 		}
 		if stopped() {
 			return ran, ErrCanceled
@@ -194,9 +191,8 @@ func coldSkip(fs *funcsim.Sim, buf []trace.DynInst, n uint64, obs skipObserver, 
 }
 
 // stream feeds the timing model from a live functional simulator in batches
-// (funcsim.BatchSize records per Fill), polling cancellation once per batch.
-// Fill is clamped by the caller's remaining budget, so the simulator never
-// executes past a region boundary and its Seq is the run's position.
+// (funcsim.BatchSize records per Fill), polling cancellation once per batch:
+// RunFullOpts's source. Fill is clamped by the caller's remaining budget.
 type stream struct {
 	fs      *funcsim.Sim
 	buf     []trace.DynInst
@@ -222,37 +218,3 @@ func (st *stream) Fill(max uint64) []trace.DynInst {
 	}
 	return b[:n]
 }
-
-// seqFeed is the in-place feed: one functional simulator executes the whole
-// run, and the method observes each cold phase as it happens.
-type seqFeed struct {
-	stream
-	ro      *runObs
-	stopped func() bool
-	t0      time.Time // start of the current region's cold phase
-}
-
-func newSeqFeed(p *prog.Program, opts *Options, ro *runObs) *seqFeed {
-	return &seqFeed{
-		stream:  stream{fs: funcsim.New(p), buf: make([]trace.DynInst, funcsim.BatchSize), opts: opts},
-		ro:      ro,
-		stopped: opts.Canceled,
-	}
-}
-
-func (f *seqFeed) next(_ int, r Region) (uint64, error) {
-	f.t0 = f.ro.begin()
-	return r.Start - f.fs.Seq(), nil
-}
-
-func (f *seqFeed) ingest(ci int, method warmup.Method, cold uint64) (uint64, error) {
-	ran, err := coldSkip(f.fs, f.buf, cold, method, f.stopped)
-	if err != nil {
-		return ran, err
-	}
-	f.ro.coldDone(f.t0, ci, ran, method.Work())
-	return ran, nil
-}
-
-func (f *seqFeed) err() error { return f.failure }
-func (f *seqFeed) release()   {}

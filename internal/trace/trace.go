@@ -75,3 +75,55 @@ func (l *SkipLog) Reset() {
 
 // Len reports total records held.
 func (l *SkipLog) Len() int { return len(l.Mem) + len(l.Branches) }
+
+// Window is one warm-up window's log as it is written: the records, which of
+// them the window keeps, and the state logging carries from one instruction
+// to the next. funcsim's window kernel (Sim.SkipWindow) fills it within its
+// slices' capacity; Append, its reference, appends.
+type Window struct {
+	SkipLog
+	Cache    bool   // log fetches, one per line crossing, and data references
+	BPred    bool   // log control transfers
+	LineMask uint64 // instruction-fetch line mask (clears bit 0 at least)
+	Line     uint64 // line of the last fetch logged, once HaveLine
+	HaveLine bool
+	// Seen counts the instructions the window has gone through: the region's,
+	// lead included, for a warm-up method's region; a hand-off's own for a
+	// stretch of one.
+	Seen uint64
+}
+
+// Full reports whether w lacks room for one more instruction's records: a
+// fetch and a data reference, and a control transfer.
+func (w *Window) Full() bool {
+	return w.Cache && cap(w.Mem)-len(w.Mem) < 2 || w.BPred && cap(w.Branches) == len(w.Branches)
+}
+
+// Append logs the records of the committed instructions ds and counts them
+// as seen: the batch logging kernel of warm-up captures and of in-place
+// observation, and the reference the window kernel is held to. One sweep over
+// the batch with the fetch-line state on locals, records appended straight
+// onto the log slices, which a capture has already sized for its region.
+func (w *Window) Append(ds []DynInst) {
+	mem, branches := w.Mem, w.Branches
+	mask, last, have := w.LineMask, w.Line, w.HaveLine
+	for i := range ds {
+		d := &ds[i]
+		class := d.Op.Class()
+		if w.Cache {
+			if line := d.PC & mask; !have || line != last {
+				mem = append(mem, MemRecord{Addr: d.PC, IsInstr: true})
+				last, have = line, true
+			}
+			if class == isa.ClassLoad || class == isa.ClassStore {
+				mem = append(mem, MemRecord{Addr: d.EffAddr, IsStore: class == isa.ClassStore})
+			}
+		}
+		if w.BPred && class.IsControl() {
+			branches = append(branches, BranchRecord{PC: d.PC, NextPC: d.NextPC, Taken: d.Taken, Class: class})
+		}
+	}
+	w.Mem, w.Branches = mem, branches
+	w.Line, w.HaveLine = last, have
+	w.Seen += uint64(len(ds))
+}

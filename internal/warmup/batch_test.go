@@ -355,9 +355,8 @@ func TestReverseLogSizedForWindow(t *testing.T) {
 			adopt(c)
 		}
 
-		var window trace.SkipLog
-		lines := lineTracker{lineMask: m.pool.lineMask}
-		appendSkipRecords(&window, &lines, true, true, recs[longest-longest*percent/100:])
+		window := trace.Window{Cache: true, BPred: true, LineMask: m.pool.lineMask}
+		window.Append(recs[longest-longest*percent/100:])
 		maxMem, maxBr := len(window.Mem)*3/2, len(window.Branches)*3/2
 		if m.Work().LoggedRecords == 0 || maxMem == 0 || maxBr == 0 {
 			t.Fatal("nothing was logged")
@@ -529,7 +528,7 @@ func TestMemRecordRoundTrip(t *testing.T) {
 			batched.ObserveSkipBatch(ds[o:min(o+chunk, len(ds))])
 		}
 		if !reflect.DeepEqual(batched.cur.log.Mem, want) {
-			t.Fatalf("chunk %d: appendSkipRecords diverged from the scalar oracle", chunk)
+			t.Fatalf("chunk %d: the batch kernel diverged from the scalar oracle", chunk)
 		}
 		if batched.Work().LoggedRecords-scalar.Work().LoggedRecords != 0 && chunk == 1 {
 			t.Fatalf("logged %d records, scalar %d", batched.Work().LoggedRecords, scalar.Work().LoggedRecords)

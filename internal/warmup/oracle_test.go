@@ -18,13 +18,13 @@ import (
 func observeScalar(m Method, d *trace.DynInst) {
 	switch m := m.(type) {
 	case *forward:
-		m.cur.seen++
-		if m.cur.seen > m.cur.threshold {
+		m.cur.log.Seen++
+		if m.cur.log.Seen > m.cur.threshold {
 			m.applyScalar(d)
 		}
 	case *reverse:
-		m.cur.seen++
-		if m.cur.seen > m.cur.threshold {
+		m.cur.log.Seen++
+		if m.cur.log.Seen > m.cur.threshold {
 			m.logScalar(d)
 		}
 	default:
@@ -32,20 +32,25 @@ func observeScalar(m Method, d *trace.DynInst) {
 	}
 }
 
-// crossed reports whether pc enters a new cache line.
-func (t *lineTracker) crossed(pc uint64) bool {
-	line := pc & t.lineMask
-	if t.have && line == t.last {
+// branchRecordOf converts a committed control transfer to its log record.
+func branchRecordOf(d *trace.DynInst) trace.BranchRecord {
+	return trace.BranchRecord{PC: d.PC, NextPC: d.NextPC, Taken: d.Taken, Class: d.Op.Class()}
+}
+
+// crossed reports whether pc enters a new cache line of w's.
+func crossed(w *trace.Window, pc uint64) bool {
+	line := pc & w.LineMask
+	if w.HaveLine && line == w.Line {
 		return false
 	}
-	t.last, t.have = line, true
+	w.Line, w.HaveLine = line, true
 	return true
 }
 
 // applyScalar functionally warms with one instruction.
 func (f *forward) applyScalar(d *trace.DynInst) {
 	if f.pool.cache {
-		if f.cur.lines.crossed(d.PC) {
+		if crossed(&f.cur.log, d.PC) {
 			f.h.WarmInst(d.PC)
 			f.work.WarmOps++
 		}
@@ -67,18 +72,15 @@ func (r *reverse) logScalar(d *trace.DynInst) {
 		r.pool.fit(c)
 	}
 	if r.spec.Cache {
-		if c.lines.crossed(d.PC) {
+		if crossed(&c.log, d.PC) {
 			c.log.Mem = append(c.log.Mem, trace.MemRecord{Addr: d.PC, IsInstr: true})
-			c.logged++
 		}
 		if d.IsMem() {
 			c.log.Mem = append(c.log.Mem, trace.MemRecord{Addr: d.EffAddr, IsStore: d.Op.Class() == isa.ClassStore})
-			c.logged++
 		}
 	}
 	if r.spec.BPred && d.IsBranch() {
 		c.log.Branches = append(c.log.Branches, branchRecordOf(d))
-		c.logged++
 	}
 }
 

@@ -10,28 +10,30 @@ package warmup
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"rsr/internal/bpred"
 	"rsr/internal/core"
-	"rsr/internal/isa"
 	"rsr/internal/mem"
 	"rsr/internal/trace"
 )
 
 // Method is one warm-up policy attached to a sampled run; forward and reverse
-// are its two implementations. The region walker (sampling.RunRegions) calls
-// BeginSkip when a skip region starts, ObserveSkipBatch for every batch of
-// skipped dynamic instructions, and EndSkip immediately before the next
-// cluster; the timing model then probes Predictor() during hot execution.
+// are its two implementations. A region is observed between BeginSkip, when
+// its skip phase starts, and EndSkip, immediately before its cluster; the
+// timing model then probes Predictor() during hot execution.
 //
-// ObserveSkipBatch is the only way a method sees instructions. How a region
+// ObserveSkipBatch shows a method a region's instructions as records; callers
+// that feed whole regions (bench/replay.go, the oracles) use it. How a region
 // is split into batches must not matter: any split leaves the method in the
 // state that observing the region one instruction at a time would, which
 // TestBatchScalarEquivalence pins against a per-instruction oracle kept in
-// the tests. SkipLead lets the walker run the instructions before the window
-// without records at all: it counts them as seen, as the batches ObserveSkipBatch
-// would have dropped, so a caller that feeds whole regions need not call it.
+// the tests. The region walker (sampling.RunRegions) builds no records for a
+// cold phase: NewWindow tells its producer how many of a region's
+// instructions pass before the window, which it runs without any, and how to
+// log the rest, which funcsim's window kernel does into trace.Windows that
+// ObserveWindow takes in place of the batches — or into a capture.
 //
 // Every method also supports region captures (NewRegionCapture/AdoptRegion),
 // the contract the walker's sharded feed builds on: a region's skip
@@ -41,12 +43,8 @@ import (
 // (forward) or keeps it, or the plans Seal made of it, for EndSkip (reverse),
 // so no method falls back to sequential execution under sharding.
 //
-// forward therefore has two ingestion kernels: in place it applies a batch
-// straight to the machine, captured it logs and replays. Observing in place
-// through a capture too would leave one, and was measured (docs/runs/PR-25.md):
-// est_s.smarts / est_s.none on skip-heavy went from 1.51-1.54 to 1.60-1.64,
-// slowing the baseline every speedup is quoted against. Shards picks the
-// kernel, not an option, and the benchmark has a workload on each side.
+// forward has one loop that touches the machine, apply: it replays a log of
+// the window's records, whether a capture's, a hand-off's or a batch's.
 //
 // Captures are recycled: a method keeps a free list for the run, and
 // NewRegionCapture draws from it. AdoptRegion hands the capture back to the
@@ -56,11 +54,16 @@ import (
 type Method interface {
 	Name() string
 	BeginSkip(expectedLen uint64)
-	// SkipLead returns how many of the current region's next instructions
-	// fall before its window, and counts them as observed: the caller
-	// executes them without handing them to ObserveSkipBatch.
-	SkipLead() uint64
 	ObserveSkipBatch(ds []trace.DynInst)
+	// NewWindow returns how many of a region of expectedLen instructions pass
+	// before its window and an empty trace.Window set up to log the rest as
+	// this method does. Like NewRegionCapture it is safe for concurrent use.
+	NewWindow(expectedLen uint64) (lead uint64, w trace.Window)
+	// ObserveWindow observes, between BeginSkip and EndSkip, w.Seen of the
+	// current region's window instructions through the records logged of them
+	// into w, which it leaves alone. Windows of one region arrive in order, in
+	// place of ObserveSkipBatch calls; its lead is observed by no call.
+	ObserveWindow(w *trace.Window)
 	EndSkip()
 	Predictor() bpred.Predictor
 	Work() Work
@@ -92,8 +95,15 @@ type Method interface {
 // Seal is optional (the method seals an unsealed capture itself at EndSkip,
 // byte-identically) and must be called at most once, after the final
 // ObserveSkipBatch.
+//
+// SkipLead and Window are the record-free way to feed a capture: SkipLead
+// returns how many of the region's next instructions fall before its window
+// and counts them as observed, and Window returns the capture's log for
+// funcsim's window kernel to fill, with room for one more instruction's
+// records.
 type RegionCapture interface {
-	SkipLead() uint64 // as Method's, for this capture's region
+	SkipLead() uint64
+	Window() *trace.Window
 	ObserveSkipBatch(ds []trace.DynInst)
 	Seal()
 }
@@ -285,35 +295,19 @@ func SpecByLabel(label string) (Spec, error) {
 	return Spec{}, fmt.Errorf("warmup: unknown method label %q", label)
 }
 
-// lineTracker detects instruction-fetch line crossings so per-instruction
-// fetches collapse to one reference per line, identically for functional
-// warming and for logging.
-type lineTracker struct {
-	lineMask uint64
-	last     uint64
-	have     bool
-}
-
-func (t *lineTracker) reset() { t.have = false }
-
-// branchRecordOf converts a committed control transfer to its log record.
-func branchRecordOf(d *trace.DynInst) trace.BranchRecord {
-	return trace.BranchRecord{PC: d.PC, NextPC: d.NextPC, Taken: d.Taken, Class: d.Op.Class()}
-}
-
 // regionCapture is one skip region as a method holds it — each method's
 // current region (cur) and every capture NewRegionCapture hands out: the
-// window's threshold, how much of the region has gone by, the line tracker
-// and, where the region is logged, a private skip log. appendSkipRecords is
-// the only kernel that fills one, which is what makes a capture's log
-// byte-identical to in-place logging by construction.
+// window's threshold and its log, a trace.Window, which also counts how much of
+// the region has gone by and carries the fetch-line state. trace.Window.Append
+// and funcsim's window kernel, held to it, are what fill one, which is what
+// makes a capture's log byte-identical to in-place logging.
 //
 // A forward capture logs exactly the references the method would have applied
 // — the window's, instruction fetches collapsed per line — and AdoptRegion
 // replays that log against the shared state in order; one log record is one
 // functional application, so the capture's record count is the region's
-// WarmOps delta. (forward's own cur logs nothing: in place the window goes
-// straight to the machine.) The reverse method logs the same records — its
+// WarmOps delta. (forward's own cur only stages: in place the window goes
+// to the machine through a batch-sized log.) The reverse method logs the same records — its
 // log is the window, not the region — and Seal runs the backward scans over
 // all of the private log, materializing the cache and predictor warm-apply
 // plans that shrink the consumer's EndSkip to O(applied) work.
@@ -327,10 +321,8 @@ func branchRecordOf(d *trace.DynInst) trace.BranchRecord {
 type regionCapture struct {
 	pool      *capturePool
 	threshold uint64 // instructions of the region that pass before its window opens
-	seen      uint64
-	log       trace.SkipLog
-	lines     lineTracker
-	logged    uint64
+	log       trace.Window
+	logged    uint64 // the log's records, once Seal has detached it
 
 	// expect is how many instructions the region is expected to log; fitted
 	// reports that log has been given the capacity for them. Fitting waits
@@ -341,30 +333,43 @@ type regionCapture struct {
 	fitted bool
 
 	// Reverse captures only. sealed reports that the plans stand in for the
-	// log, which Seal has detached.
+	// log, which Seal has detached, and logged for its length.
 	sealed    bool
 	cachePlan core.CacheReconPlan
 	predPlan  core.PredReconPlan
 }
 
 // tail returns the part of ds inside the region's window — past threshold —
-// and counts all of ds as seen: the batch form of "apply once seen exceeds
-// threshold".
+// and counts the rest as seen (Append counts what it logs): the batch form of
+// "apply once seen exceeds threshold".
 func (c *regionCapture) tail(ds []trace.DynInst) []trace.DynInst {
-	s := c.seen
-	c.seen = s + uint64(len(ds))
-	if s >= c.threshold {
-		return ds
-	}
-	return ds[min(c.threshold-s, uint64(len(ds))):]
+	skip := min(c.threshold-min(c.log.Seen, c.threshold), uint64(len(ds)))
+	c.log.Seen += skip
+	return ds[skip:]
 }
 
 // SkipLead counts the rest of the region before threshold as seen, all at
 // once, and returns how much that was: what tail would drop of it.
 func (c *regionCapture) SkipLead() uint64 {
-	lead := c.threshold - min(c.seen, c.threshold)
-	c.seen += lead
+	lead := c.threshold - min(c.log.Seen, c.threshold)
+	c.log.Seen += lead
 	return lead
+}
+
+// Window fits the log on its first call and grows it, as an append would,
+// when the region turns out denser than fitted.
+func (c *regionCapture) Window() *trace.Window {
+	if !c.fitted {
+		c.pool.fit(c)
+	}
+	w := &c.log
+	if w.Cache && cap(w.Mem)-len(w.Mem) < 2 {
+		w.Mem = slices.Grow(w.Mem, len(w.Mem)+2)
+	}
+	if w.BPred && cap(w.Branches) == len(w.Branches) {
+		w.Branches = slices.Grow(w.Branches, len(w.Branches)+1)
+	}
+	return w
 }
 
 func (c *regionCapture) ObserveSkipBatch(ds []trace.DynInst) {
@@ -372,8 +377,16 @@ func (c *regionCapture) ObserveSkipBatch(ds []trace.DynInst) {
 		if !c.fitted {
 			c.pool.fit(c)
 		}
-		c.logged += appendSkipRecords(&c.log, &c.lines, c.pool.cache, c.pool.bp, warm)
+		c.log.Append(warm)
 	}
+}
+
+// records is how many records the region has logged.
+func (c *regionCapture) records() uint64 {
+	if c.sealed {
+		return c.logged
+	}
+	return uint64(c.log.Len())
 }
 
 // Seal moves the reverse scans producer-side: the apply/skip decisions of
@@ -385,6 +398,7 @@ func (c *regionCapture) ObserveSkipBatch(ds []trace.DynInst) {
 // before the consumer sees it.
 func (c *regionCapture) Seal() {
 	p := c.pool
+	c.logged = uint64(c.log.Len())
 	p.mu.Lock()
 	p.noteDensity(c)
 	var pl *core.CachePlanner
@@ -411,8 +425,8 @@ func (c *regionCapture) Seal() {
 		p.planners = append(p.planners, pl)
 	}
 	if c.fitted { // a region that logged nothing has no storage to hand on
-		p.logs = append(p.logs, c.log)
-		c.log, c.fitted = trace.SkipLog{}, false
+		p.logs = append(p.logs, c.log.SkipLog)
+		c.log.SkipLog, c.fitted = trace.SkipLog{}, false
 	}
 	p.mu.Unlock()
 }
@@ -471,10 +485,10 @@ func newCapturePool(cache, bp bool, h *mem.Hierarchy, recon *reconConfig) *captu
 
 // noteDensity records the density of the region c holds. Caller holds mu.
 func (p *capturePool) noteDensity(c *regionCapture) {
-	if c.seen < c.threshold+1024 {
+	if c.log.Seen < c.threshold+1024 {
 		return // too few logged instructions to extrapolate from
 	}
-	n := c.seen - c.threshold
+	n := c.log.Seen - c.threshold
 	if m := uint64(len(c.log.Mem))*1024/n + 1; p.cache && m > p.memPerK {
 		p.memPerK = m
 	}
@@ -496,13 +510,18 @@ func (p *capturePool) prepare(c *regionCapture, threshold, expectedLen uint64) *
 	}
 	p.mu.Unlock()
 	if c == nil {
-		c = &regionCapture{pool: p, lines: lineTracker{lineMask: p.lineMask}}
+		c = &regionCapture{pool: p, log: p.window()}
 	}
-	c.threshold, c.seen, c.logged, c.sealed = threshold, 0, 0, false
+	c.threshold, c.logged, c.sealed = threshold, 0, false
 	c.expect, c.fitted = expectedLen-threshold, false
-	c.lines.reset()
+	c.log.Seen, c.log.HaveLine = 0, false
 	c.log.Reset()
 	return c
+}
+
+// window returns an empty window that logs what the pool's method does.
+func (p *capturePool) window() trace.Window {
+	return trace.Window{Cache: p.cache, BPred: p.bp, LineMask: p.lineMask}
 }
 
 // fit gives c's empty log, ahead of the first append, the capacity its region
@@ -525,7 +544,7 @@ func (p *capturePool) fit(c *regionCapture) {
 	p.maxMem, p.maxBr = max(p.maxMem, needMem), max(p.maxBr, needBr)
 	maxMem, maxBr := p.maxMem, p.maxBr
 	if k := len(p.logs); c.log.Mem == nil && c.log.Branches == nil && k > 0 {
-		c.log, p.logs[k-1] = p.logs[k-1], trace.SkipLog{}
+		c.log.SkipLog, p.logs[k-1] = p.logs[k-1], trace.SkipLog{}
 		p.logs = p.logs[:k-1]
 	}
 	p.mu.Unlock()
@@ -550,9 +569,10 @@ func (p *capturePool) put(c *regionCapture) {
 // forward is Table 2's left half: None, FP and SMARTS differ only in the
 // window, the newest percent of each region, which percentThreshold places as
 // it does for reverse. Like reverse it holds the current region in cur, of
-// which it uses the threshold, the count seen and the line tracker. percent and
-// pool, the run's capture free list, are all NewRegionCapture reads from
-// concurrent producer goroutines.
+// which it uses the threshold, the count seen and the fetch-line state, and
+// whose log stages a batch observed in place. percent and pool, the run's
+// capture free list, are all NewRegionCapture reads from concurrent producer
+// goroutines.
 type forward struct {
 	h       *mem.Hierarchy
 	u       *bpred.Unit
@@ -569,55 +589,45 @@ func (f *forward) Name() string               { return f.label }
 func (f *forward) EndSkip()                   {}
 func (f *forward) Predictor() bpred.Predictor { return f.u }
 func (f *forward) Work() Work                 { return f.work }
-func (f *forward) SkipLead() uint64           { return f.cur.SkipLead() }
 
 func (f *forward) BeginSkip(expectedLen uint64) {
 	c := f.cur
-	c.threshold, c.seen = percentThreshold(expectedLen, f.percent), 0
-	c.lines.reset()
+	c.threshold, c.log.Seen, c.log.HaveLine = percentThreshold(expectedLen, f.percent), 0, false
 }
 
-// ObserveSkipBatch is the in-place kernel: every instruction-fetch line
-// crossing and memory access in the window goes to the hierarchy, every
-// control transfer to the predictor, one WarmOp each. The policy checks are
-// hoisted out of the loops and the line tracker runs on locals. Cache and
-// predictor state are independent structures, so two passes leave the state
-// and work counts a per-record interleaving would.
+// ObserveSkipBatch logs the batch's part in the window as a capture would and
+// applies that log at once.
 func (f *forward) ObserveSkipBatch(ds []trace.DynInst) {
-	ds = f.cur.tail(ds)
-	if len(ds) == 0 {
-		return
+	if ds = f.cur.tail(ds); len(ds) > 0 {
+		f.cur.log.Append(ds)
+		f.apply(&f.cur.log.SkipLog)
+		f.cur.log.Reset()
 	}
-	if f.pool.cache {
-		lines := &f.cur.lines
-		mask, last, have := lines.lineMask, lines.last, lines.have
-		var ops uint64
-		for i := range ds {
-			d := &ds[i]
-			if line := d.PC & mask; !have || line != last {
-				f.h.WarmInst(d.PC)
-				ops++
-				last, have = line, true
-			}
-			if d.Op.IsMem() {
-				f.h.WarmData(d.EffAddr, d.Op.Class() == isa.ClassStore)
-				ops++
-			}
+}
+
+func (f *forward) NewWindow(expectedLen uint64) (uint64, trace.Window) {
+	return percentThreshold(expectedLen, f.percent), f.pool.window()
+}
+
+func (f *forward) ObserveWindow(w *trace.Window) { f.apply(&w.SkipLog) }
+
+// apply replays a log of the window's records against the shared machine in
+// logged order, one WarmOp each: the method's only loop that touches the
+// machine. Cache and predictor state are independent structures, so two
+// passes leave the state a per-record interleaving would.
+func (f *forward) apply(log *trace.SkipLog) {
+	for i := range log.Mem {
+		r := &log.Mem[i]
+		if r.IsInstr {
+			f.h.WarmInst(r.Addr)
+		} else {
+			f.h.WarmData(r.Addr, r.IsStore)
 		}
-		lines.last, lines.have = last, have
-		f.work.WarmOps += ops
 	}
-	if f.pool.bp {
-		var ops uint64
-		for i := range ds {
-			d := &ds[i]
-			if d.Op.IsControl() {
-				f.u.Update(branchRecordOf(d))
-				ops++
-			}
-		}
-		f.work.WarmOps += ops
+	for i := range log.Branches {
+		f.u.Update(log.Branches[i])
 	}
+	f.work.WarmOps += uint64(log.Len())
 }
 
 // NewRegionCapture places the window as BeginSkip does; only the goroutine-safe
@@ -626,37 +636,22 @@ func (f *forward) NewRegionCapture(_ int, expectedLen uint64) RegionCapture {
 	return f.pool.prepare(nil, percentThreshold(expectedLen, f.percent), expectedLen)
 }
 
-// AdoptRegion is the capture kernel's second half: it replays the captured
-// window against the shared machine in captured order — two passes, as above —
-// and leaves cur where observing the region in place would have. Nothing
-// reads the capture afterwards, so it goes straight back to the free list.
+// AdoptRegion applies the captured window and leaves cur where observing the
+// region in place would have. Nothing reads the capture afterwards, so it goes
+// straight back to the free list.
 func (f *forward) AdoptRegion(rc RegionCapture) {
 	c := rc.(*regionCapture)
-	if f.pool.cache {
-		for i := range c.log.Mem {
-			r := &c.log.Mem[i]
-			if r.IsInstr {
-				f.h.WarmInst(r.Addr)
-			} else {
-				f.h.WarmData(r.Addr, r.IsStore)
-			}
-		}
-	}
-	if f.pool.bp {
-		for i := range c.log.Branches {
-			f.u.Update(c.log.Branches[i])
-		}
-	}
-	f.cur.seen, f.cur.lines = c.seen, c.lines
-	f.work.WarmOps += c.logged
+	f.apply(&c.log.SkipLog)
+	f.cur.log.Seen, f.cur.log.Line, f.cur.log.HaveLine = c.log.Seen, c.log.Line, c.log.HaveLine
 	f.pool.put(c)
 }
 
 // --- Reverse State Reconstruction ---
 
 // reverse holds the current region's skip log — and, once sealed, its plans —
-// in cur, a regionCapture like any other. In-place observation logs into it
-// through the same kernel captures use, and AdoptRegion swaps a producer's
+// in cur, a regionCapture like any other. Observation logs into it —
+// ObserveSkipBatch through the same kernel captures use, ObserveWindow by
+// appending the window kernel's records — and AdoptRegion swaps a producer's
 // capture in for it. percentThreshold cuts the region where forward would: what passes
 // before it is never logged, so the log a region ends with is exactly what the
 // reverse scans read, and the stores, the storage and the scan's forward pass
@@ -708,45 +703,29 @@ func (r *reverse) BeginSkip(expectedLen uint64) {
 	if r.rp != nil {
 		r.rp.ReleaseRegion()
 	}
-	r.work.LoggedRecords += r.cur.logged
+	r.work.LoggedRecords += r.cur.records()
 	r.pool.prepare(r.cur, percentThreshold(expectedLen, r.spec.Percent), expectedLen)
 }
 
-// appendSkipRecords is the batched logging kernel shared by in-place
-// observation and region captures: one sweep over the batch with the line
-// tracker on locals, records appended straight onto the log slices — which
-// the capture pool has already sized for the region, so the appends neither
-// allocate nor copy. It returns how many records it appended.
-func appendSkipRecords(log *trace.SkipLog, lines *lineTracker, cache, bp bool, ds []trace.DynInst) uint64 {
-	mem, branches := log.Mem, log.Branches
-	before := len(mem) + len(branches)
-	mask, last, have := lines.lineMask, lines.last, lines.have
-	for i := range ds {
-		d := &ds[i]
-		class := d.Op.Class()
-		if cache {
-			if line := d.PC & mask; !have || line != last {
-				mem = append(mem, trace.MemRecord{Addr: d.PC, IsInstr: true})
-				last, have = line, true
-			}
-			if class == isa.ClassLoad || class == isa.ClassStore {
-				mem = append(mem, trace.MemRecord{Addr: d.EffAddr, IsStore: class == isa.ClassStore})
-			}
-		}
-		if bp && class.IsControl() {
-			branches = append(branches, trace.BranchRecord{PC: d.PC, NextPC: d.NextPC, Taken: d.Taken, Class: class})
-		}
-	}
-	log.Mem, log.Branches = mem, branches
-	if cache {
-		lines.last, lines.have = last, have
-	}
-	return uint64(len(mem) + len(branches) - before)
+// ObserveSkipBatch goes to the method's own capture.
+func (r *reverse) ObserveSkipBatch(ds []trace.DynInst) { r.cur.ObserveSkipBatch(ds) }
+
+func (r *reverse) NewWindow(expectedLen uint64) (uint64, trace.Window) {
+	return percentThreshold(expectedLen, r.spec.Percent), r.pool.window()
 }
 
-// SkipLead and ObserveSkipBatch go to the method's own capture.
-func (r *reverse) SkipLead() uint64                    { return r.cur.SkipLead() }
-func (r *reverse) ObserveSkipBatch(ds []trace.DynInst) { r.cur.ObserveSkipBatch(ds) }
+// ObserveWindow appends w's records to the current region's log, which then
+// stands as the capture kernel would have left it.
+func (r *reverse) ObserveWindow(w *trace.Window) {
+	c := r.cur
+	if !c.fitted {
+		r.pool.fit(c)
+	}
+	c.log.Mem = append(c.log.Mem, w.Mem...)
+	c.log.Branches = append(c.log.Branches, w.Branches...)
+	c.log.Seen = max(c.log.Seen, c.threshold) + w.Seen
+	c.log.Line, c.log.HaveLine = w.Line, w.HaveLine
+}
 
 // NewRegionCapture returns a capture for one skip region: an empty log and a
 // reset line tracker, which is the method's own region-start state. Only the
@@ -805,7 +784,7 @@ func (r *reverse) Predictor() bpred.Predictor {
 
 func (r *reverse) Work() Work {
 	w := r.work
-	w.LoggedRecords += r.cur.logged
+	w.LoggedRecords += r.cur.records()
 	r.addPredWork(&w)
 	return w
 }

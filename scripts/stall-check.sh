@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# Host-stall check for the two innermost loops, run by `make stall-check` and CI.
+# Host-stall check for the innermost loops, run by `make stall-check` and CI.
 #
 # Two regressions here change no result, so no test can see them; only the
 # generated code shows them. This script builds ./cmd/rsr and reads it with
@@ -11,11 +11,15 @@
 #     copied into the batch buffer: every such load waits for the stores to
 #     drain (a failed store-to-load forward), ~6 ns per simulated instruction.
 #     Records are stored field by field through `d := &buf[n]`.
-#   - funcsim.(*Sim).RunBatch and funcsim.(*Sim).Skip, the record-free cold
-#     kernel, must not call (*Memory).Read, (*Memory).Write or (*Memory).page:
-#     guest memory is reached through the page cache inlined into the loop,
-#     and a call per load or store (an accessor grown past the inliner's
-#     budget) costs more than the cache saves.
+#   - funcsim.(*Sim).RunBatch, funcsim.(*Sim).Skip, the record-free cold
+#     kernel, and funcsim.(*Sim).SkipWindow, the warm-up window kernel, must
+#     not call (*Memory).Read, (*Memory).Write or (*Memory).page: guest memory
+#     is reached through the page cache inlined into the loop, and a call per
+#     load or store (an accessor grown past the inliner's budget) costs more
+#     than the cache saves.
+#   - funcsim.(*Sim).SkipWindow must not call runtime.growslice: it stores
+#     records by index within the capacity its caller gave it, and an append
+#     in the loop would copy the log whenever it grows.
 #   - ooo.(*Sim).{fetch,dispatch,issue,retire,lsqScan,nextEvent} — the
 #     per-cycle loops and the idle-cycle skip; ready, storeIssued, wrap and
 #     sooner are inlined into them — must contain no hardware divide
@@ -59,14 +63,16 @@ check() {
 
 check 'funcsim\.\(\*Sim\)\.RunBatch$' 'MOVUPS[[:space:]]+[0-9a-fx]*\(SP\), X[0-9]+' \
     'a 16-byte load from the stack frame: the record is being built in a temporary and copied'
-for FN in RunBatch Skip; do
+for FN in RunBatch Skip SkipWindow; do
     check "funcsim\.\(\*Sim\)\.$FN\$" 'CALL .*funcsim\.\(\*Memory\)\.(Read|Write|page)\(SB\)' \
         'a call to a memory accessor: it is no longer inlined into the interpreter'
 done
+check 'funcsim\.\(\*Sim\)\.SkipWindow$' 'CALL runtime\.growslice' \
+    'an append in the window kernel: records are stored by index'
 for FN in fetch dispatch issue retire lsqScan nextEvent; do
     check "ooo\.\(\*Sim\)\.$FN\$" 'DIVQ|CALL 0x[0-9a-f]+' \
         'a hardware divide or a Duff copy in a per-cycle loop'
 done
 
-[ "$STATUS" -eq 0 ] && echo "stall-check: ok (RunBatch stores records in place; RunBatch and Skip inline guest memory; ooo's per-cycle loops are divide-free and copy-free)"
+[ "$STATUS" -eq 0 ] && echo "stall-check: ok (RunBatch stores records in place; RunBatch, Skip and SkipWindow inline guest memory; SkipWindow never appends; ooo's per-cycle loops are divide-free and copy-free)"
 exit "$STATUS"
