@@ -4,11 +4,13 @@
 #   make test        tier-1 gate: go build ./... && go test ./...
 #   make verify      gofmt + vet + race-test the concurrent code paths, fuzz
 #                    the three interpreter kernels against Step, the reverse
-#                    method's window against its oracle and the timing
-#                    model against its one-cycle loop for 20 s each, run the
+#                    method's window against its oracle, the timing model
+#                    against its one-cycle loop and a replayed functional
+#                    trace against fresh execution for 20 s each, run the
 #                    sequential identity tests on one CPU, then soak the
-#                    engine, the warm-up methods, the sharded pipeline's and
-#                    the run-ahead feed's tests under -race -count=20
+#                    engine (its trace store included), the warm-up methods,
+#                    the sharded pipeline's and the run-ahead feed's tests
+#                    (replay included) under -race -count=20
 #   make chaos       race-enabled fault-injection suite (chaos + drain tests)
 #   make obs-smoke   end-to-end observability check: rsrd /metrics scrape +
 #                    rsr -metrics-out/-trace-out artifacts
@@ -80,9 +82,10 @@ test: build
 # product reused while something still reads it) are schedule-dependent, so
 # one clean pass proves little; twenty under the race detector do. In the
 # sampling package the sharded pipeline and the run-ahead feed, which runs
-# every sequential run on two goroutines, are schedule-dependent — their tests
-# are the ones named Parallel, Shard, Capture, RunAhead, SkipLead, Cancel or
-# ZeroAllocs — so those soak; the rest of the package gets its one -race pass
+# every sequential run on two goroutines and replays or records functional
+# traces, are schedule-dependent — their tests are the ones named Parallel,
+# Shard, Capture, RunAhead, SkipLead, Cancel, ZeroAllocs or Replay — so those
+# soak; the rest of the package gets its one -race pass
 # on the line above, and the identity tests one more pass on a single CPU,
 # where the producer and the walker take turns. That trims less than it
 # sounds: timed on the two-core host, the sharded tests are 67 s of the
@@ -93,7 +96,9 @@ test: build
 # the reverse method on both ingestion paths with its per-instruction oracle
 # on generated region lengths, percentages and batch splits, and the timing
 # model's event-skipping loop with its one-cycle loop on generated machines
-# and streams, for 20 s each.
+# and streams, and a run replaying a functional trace recorded under another
+# spec with a fresh run on generated programs and region lists, for 20 s
+# each.
 verify:
 	@test -z "$$(gofmt -l .)" || { echo "gofmt -l:"; gofmt -l .; exit 1; }
 	$(GO) vet ./...
@@ -104,9 +109,10 @@ verify:
 	$(GO) test -run '^$$' -fuzz FuzzSkipWindowMatchesStep -fuzztime 20s ./internal/funcsim
 	$(GO) test -run '^$$' -fuzz FuzzReverseWindowMatchesOracle -fuzztime 20s ./internal/warmup
 	$(GO) test -run '^$$' -fuzz FuzzSimulateMatchesEveryCycle -fuzztime 20s ./internal/ooo
+	$(GO) test -run '^$$' -fuzz FuzzReplayMatchesFresh -fuzztime 20s ./internal/sampling
 	$(GO) test -race -count=20 ./internal/engine ./internal/warmup
-	$(GO) test -cpu 1 -run 'MatchesScalar|SkipLead|RunAhead|Cancel|ByteIdentical' ./internal/sampling
-	$(GO) test -race -count=20 -timeout 60m -run 'Parallel|Shard|Capture|RunAhead|SkipLead|Cancel|ZeroAllocs' ./internal/sampling
+	$(GO) test -cpu 1 -run 'MatchesScalar|SkipLead|RunAhead|Cancel|ByteIdentical|Replay' ./internal/sampling
+	$(GO) test -race -count=20 -timeout 60m -run 'Parallel|Shard|Capture|RunAhead|SkipLead|Cancel|ZeroAllocs|Replay' ./internal/sampling
 
 # chaos drives the deterministic fault injector through the engine's real
 # cache and run paths under the race detector: injected disk errors, torn

@@ -162,6 +162,24 @@ func (j Job) CheckpointKey() string {
 	return "ckpt-" + cas.Sum(b)
 }
 
+// TraceKey returns the key of a sequential sampled job's functional trace
+// (sampling.Trace): what it is a pure function of. The warm-up spec and every
+// machine field but the L1I line size are absent, so such jobs share a trace.
+func (j Job) TraceKey() string {
+	b, err := json.Marshal(struct {
+		Version      int // bumped when a trace's contents change
+		Workload     string
+		Total        uint64
+		Regimen      sampling.Regimen
+		Seed         int64
+		L1ILineBytes int
+	}{1, j.Workload, j.Total, j.Regimen, j.Seed, j.Machine.Hier.L1I.LineBytes})
+	if err != nil {
+		panic(fmt.Sprintf("engine: trace key: %v", err))
+	}
+	return "trace-" + cas.Sum(b)
+}
+
 // ShardSlots reports how many shard goroutines an execution of this job
 // occupies: its shard count for a parallel sampled job, 1 for sequential
 // and full runs. It is the unit of the engine's ShardsInUse gauge.

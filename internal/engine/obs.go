@@ -56,6 +56,9 @@ func newEngineObs(r *obs.Registry, tr *obs.Tracer, stats func() Stats) *engineOb
 		"Cache files that could not be read or written.")
 	quarantined := r.Counter("rsr_engine_quarantined_total",
 		"Corrupt cache entries moved to the quarantine directory.")
+	traces := r.CounterVec("rsr_engine_traces_total",
+		"Functional traces replayed, recorded and evicted by the trace store.", "event")
+	traceBytes := r.Gauge("rsr_engine_trace_bytes", "Bytes of functional traces the trace store holds.")
 	r.RegisterCollector(func() {
 		s := stats()
 		queued.Set(s.Queued)
@@ -69,6 +72,10 @@ func newEngineObs(r *obs.Registry, tr *obs.Tracer, stats func() Stats) *engineOb
 		panics.Set(uint64(s.Panics))
 		diskErrs.Set(uint64(s.DiskErrors))
 		quarantined.Set(uint64(s.Quarantined))
+		traces.With("replayed").Set(uint64(s.TracesReplayed))
+		traces.With("recorded").Set(uint64(s.TracesRecorded))
+		traces.With("evicted").Set(uint64(s.TracesEvicted))
+		traceBytes.Set(s.TraceBytes)
 	})
 	return eo
 }

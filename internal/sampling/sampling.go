@@ -220,6 +220,12 @@ type Options struct {
 	// of a run's identity.
 	Checkpoints   CheckpointStore
 	CheckpointKey string
+	// Traces, when non-nil alongside a non-empty TraceKey, lets a sequential
+	// run replay its placement's functional trace instead of executing, or
+	// record it for later runs (Trace). Like Checkpoints, it is execution
+	// policy, never identity; a sharded run ignores it.
+	Traces   TraceStore
+	TraceKey string
 	// Instr, when non-nil, streams per-phase instruction counts, durations,
 	// warm-up work deltas, and machine event counters into its registry.
 	// Tracer, when non-nil, records one span per cluster phase (cold-skip,

@@ -254,11 +254,12 @@ func (s Spec) New(h *mem.Hierarchy, u *bpred.Unit) Method {
 	return &forward{h: h, u: u, label: s.Label(), percent: percent, pool: pool, cur: pool.prepare(nil, 0, 0)}
 }
 
-// percentThreshold places the window "the newest percent of the region's
+// PercentThreshold places the window "the newest percent of the region's
 // instructions". It is the one place a percentage becomes a position, and
 // regionCapture.tail cuts every region at that position, whichever direction
-// the method works in. A window over 100% is the whole region.
-func percentThreshold(expectedLen uint64, percent int) uint64 {
+// the method works in, and where sampling's functional traces mark a window's
+// start. A window over 100% is the whole region.
+func PercentThreshold(expectedLen uint64, percent int) uint64 {
 	return expectedLen - min(expectedLen*uint64(percent)/100, expectedLen)
 }
 
@@ -567,7 +568,7 @@ func (p *capturePool) put(c *regionCapture) {
 // --- Forward: apply each region's trailing window as it is observed ---
 
 // forward is Table 2's left half: None, FP and SMARTS differ only in the
-// window, the newest percent of each region, which percentThreshold places as
+// window, the newest percent of each region, which PercentThreshold places as
 // it does for reverse. Like reverse it holds the current region in cur, of
 // which it uses the threshold, the count seen and the fetch-line state, and
 // whose log stages a batch observed in place. percent and pool, the run's
@@ -592,7 +593,7 @@ func (f *forward) Work() Work                 { return f.work }
 
 func (f *forward) BeginSkip(expectedLen uint64) {
 	c := f.cur
-	c.threshold, c.log.Seen, c.log.HaveLine = percentThreshold(expectedLen, f.percent), 0, false
+	c.threshold, c.log.Seen, c.log.HaveLine = PercentThreshold(expectedLen, f.percent), 0, false
 }
 
 // ObserveSkipBatch logs the batch's part in the window as a capture would and
@@ -606,7 +607,7 @@ func (f *forward) ObserveSkipBatch(ds []trace.DynInst) {
 }
 
 func (f *forward) NewWindow(expectedLen uint64) (uint64, trace.Window) {
-	return percentThreshold(expectedLen, f.percent), f.pool.window()
+	return PercentThreshold(expectedLen, f.percent), f.pool.window()
 }
 
 func (f *forward) ObserveWindow(w *trace.Window) { f.apply(&w.SkipLog) }
@@ -633,7 +634,7 @@ func (f *forward) apply(log *trace.SkipLog) {
 // NewRegionCapture places the window as BeginSkip does; only the goroutine-safe
 // pool is touched, so captures may be created concurrently.
 func (f *forward) NewRegionCapture(_ int, expectedLen uint64) RegionCapture {
-	return f.pool.prepare(nil, percentThreshold(expectedLen, f.percent), expectedLen)
+	return f.pool.prepare(nil, PercentThreshold(expectedLen, f.percent), expectedLen)
 }
 
 // AdoptRegion applies the captured window and leaves cur where observing the
@@ -652,7 +653,7 @@ func (f *forward) AdoptRegion(rc RegionCapture) {
 // in cur, a regionCapture like any other. Observation logs into it —
 // ObserveSkipBatch through the same kernel captures use, ObserveWindow by
 // appending the window kernel's records — and AdoptRegion swaps a producer's
-// capture in for it. percentThreshold cuts the region where forward would: what passes
+// capture in for it. PercentThreshold cuts the region where forward would: what passes
 // before it is never logged, so the log a region ends with is exactly what the
 // reverse scans read, and the stores, the storage and the scan's forward pass
 // for the rest of the region are not paid for.
@@ -693,7 +694,7 @@ func (r *reverse) Name() string { return r.label }
 // SizeRegions implements RegionSizer: logs are sized for the window of the
 // longest region, which is the longest window.
 func (r *reverse) SizeRegions(longest uint64) {
-	r.pool.longest = longest - percentThreshold(longest, r.spec.Percent)
+	r.pool.longest = longest - PercentThreshold(longest, r.spec.Percent)
 }
 
 func (r *reverse) BeginSkip(expectedLen uint64) {
@@ -704,14 +705,14 @@ func (r *reverse) BeginSkip(expectedLen uint64) {
 		r.rp.ReleaseRegion()
 	}
 	r.work.LoggedRecords += r.cur.records()
-	r.pool.prepare(r.cur, percentThreshold(expectedLen, r.spec.Percent), expectedLen)
+	r.pool.prepare(r.cur, PercentThreshold(expectedLen, r.spec.Percent), expectedLen)
 }
 
 // ObserveSkipBatch goes to the method's own capture.
 func (r *reverse) ObserveSkipBatch(ds []trace.DynInst) { r.cur.ObserveSkipBatch(ds) }
 
 func (r *reverse) NewWindow(expectedLen uint64) (uint64, trace.Window) {
-	return percentThreshold(expectedLen, r.spec.Percent), r.pool.window()
+	return PercentThreshold(expectedLen, r.spec.Percent), r.pool.window()
 }
 
 // ObserveWindow appends w's records to the current region's log, which then
@@ -731,7 +732,7 @@ func (r *reverse) ObserveWindow(w *trace.Window) {
 // reset line tracker, which is the method's own region-start state. Only the
 // goroutine-safe pool is touched, so captures may be created concurrently.
 func (r *reverse) NewRegionCapture(_ int, expectedLen uint64) RegionCapture {
-	return r.pool.prepare(nil, percentThreshold(expectedLen, r.spec.Percent), expectedLen)
+	return r.pool.prepare(nil, PercentThreshold(expectedLen, r.spec.Percent), expectedLen)
 }
 
 // AdoptRegion installs a captured region — its plans when the capture was
