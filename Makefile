@@ -8,9 +8,9 @@
 #                    against its one-cycle loop and a replayed functional
 #                    trace against fresh execution for 20 s each, run the
 #                    sequential identity tests on one CPU, then soak the
-#                    engine (its trace store included), the warm-up methods,
-#                    the sharded pipeline's and the run-ahead feed's tests
-#                    (replay included) under -race -count=20
+#                    engine (its trace store included), the warm-up methods
+#                    and the run-ahead feed's tests (sharded, replaying and
+#                    recording) under -race -count=20
 #   make chaos       race-enabled fault-injection suite (chaos + drain tests)
 #   make obs-smoke   end-to-end observability check: rsrd /metrics scrape +
 #                    rsr -metrics-out/-trace-out artifacts
@@ -20,8 +20,8 @@
 #                    3-process sweep (coordinator + both worker lanes, sweep
 #                    tags, worker spans inside the sweep span), each
 #                    process's /metrics reporting that process, /v1/status
-#   make shard-smoke sharded-pipeline check: race-enabled full-method sweep
-#                    diffed byte-for-byte against the sequential pipeline
+#   make shard-smoke sharded-run check: race-enabled full-method sweep over
+#                    k run-ahead producers diffed byte-for-byte against one
 #   make regimen-smoke  sampling-strategy check: `-regimen stratified-uniform`
 #                    diffed byte-for-byte against the unnamed run, then
 #                    every registered strategy run end to end at -shards 1
@@ -70,28 +70,28 @@ test: build
 # schedules race-clean: the engine package owns the worker pool / cache /
 # single-flight machinery, and the sampling package carries both the
 # fresh-state-per-call concurrency contract the engine relies on and the
-# sharded cluster pipeline (parallel_test.go's byte-identity and
-# cancellation tests run under -race here). The cluster and cas packages
-# carry the distributed scheduler and the shared content-addressed store,
-# both all-mutex-and-goroutine code. The regimen package's strategies drive
-# the sharded pipeline and cancellation channel — as engine jobs, from its
+# run-ahead feed, whose producers execute every sampled run on goroutines of
+# their own — one, or at -shards k a checkpoint pre-pass and k (parallel_test.go's
+# byte-identity and cancellation tests run under -race here). The cluster and
+# cas packages carry the distributed scheduler and the shared content-addressed
+# store, both all-mutex-and-goroutine code. The regimen package's strategies
+# drive the same feed and cancellation channel — as engine jobs, from its
 # workers — so its byte-identity and cancellation tests run under -race too.
 #
 # The soak lines are ROADMAP's "green means green" gate: the engine's
-# ticket/stats ordering and the pipeline's buffer recycling (a capture or
-# product reused while something still reads it) are schedule-dependent, so
-# one clean pass proves little; twenty under the race detector do. In the
-# sampling package the sharded pipeline and the run-ahead feed, which runs
-# every sequential run on two goroutines and replays or records functional
-# traces, are schedule-dependent — their tests are the ones named Parallel,
-# Shard, Capture, RunAhead, SkipLead, Cancel, ZeroAllocs or Replay — so those
-# soak; the rest of the package gets its one -race pass
+# ticket/stats ordering and the feed's slot recycling (a slot reused while
+# the walker still reads it) are schedule-dependent, so one clean pass proves
+# little; twenty under the race detector do. In the sampling package the
+# run-ahead feed — one producer or k, executing or replaying a functional
+# trace, and the recording — is what is schedule-dependent; its tests are the
+# ones named Parallel, Shard, Capture, RunAhead, SkipLead, Cancel, ZeroAllocs
+# or Replay, so those soak; the rest of the package gets its one -race pass
 # on the line above, and the identity tests one more pass on a single CPU,
-# where the producer and the walker take turns. That trims less than it
-# sounds: timed on the two-core host, the sharded tests are 67 s of the
-# package's 79 s -race pass (TestParallelAllWorkloadsIdentical 45 s,
-# TestParallelByteIdenticalToSequential 10 s), so twenty passes of them still
-# take about 22 minutes and the line keeps its 60-minute timeout. The fuzz
+# where the producers and the walker take turns. That trims less than it
+# sounds: timed on the two-core host, the feed's tests are most of the
+# package's 84 s -race pass (TestParallelAllWorkloadsIdentical alone 29 s),
+# and twenty passes of them take about 23 minutes, so the line keeps its
+# 60-minute timeout. The fuzz
 # lines compare RunBatch, Skip and SkipWindow with Step on generated programs,
 # the reverse method on both ingestion paths with its per-instruction oracle
 # on generated region lengths, percentages and batch splits, and the timing
@@ -158,10 +158,11 @@ trace-smoke: build
 recovery-smoke: build
 	./scripts/recovery-smoke.sh
 
-# shard-smoke proves the sharded cluster pipeline end to end with the real
-# CLI: the full warm-up sweep (every method, forward and reverse) run under
-# the race detector at several shard counts must be byte-identical to the
-# sequential pipeline. scripts/shard-smoke.sh diffs the sweep tables.
+# shard-smoke proves sharded runs end to end with the real CLI: the full
+# warm-up sweep (every method, forward and reverse) run under the race
+# detector at several shard counts — a pre-pass and k run-ahead producers —
+# must be byte-identical to one producer. scripts/shard-smoke.sh diffs the
+# sweep tables.
 shard-smoke:
 	./scripts/shard-smoke.sh
 
@@ -178,8 +179,8 @@ regimen-smoke:
 # bench-smoke runs the frozen benchmark's sharded workload for three seconds,
 # traced: a change under internal/ that breaks bench/'s compile or its
 # correctness gate (sharded == sequential, replay == RunSampled) fails here,
-# before the pipeline's paired parent/change runs. That workload's reference is
-# the sharded RunSampled; skip-heavy follows, traced as well (the replay gate is
+# before the paired parent/change runs. That workload's reference is the
+# sharded RunSampled, two producers; skip-heavy follows, traced as well (the replay gate is
 # part of the traced run only), so that the in-place replay is also held to the
 # in-place RunSampled, where reverse logs into its own capture and seals it at
 # EndSkip. The sweep workload is there for an engine or cas change:

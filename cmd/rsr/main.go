@@ -35,10 +35,11 @@
 //	-seed n        cluster placement seed
 //	-workloads s   comma-separated workload subset
 //	-parallel n    engine worker-pool size (0 = GOMAXPROCS; 1 for clean per-run wall times)
-//	-shards n      cluster-pipeline shards inside each sampled run
-//	               (default GOMAXPROCS; 1 = sequential; byte-identical either
-//	               way); applies to every figure, fig9's SimPoint arms
-//	               included, and to `run` under any -regimen, simpoint too
+//	-shards n      run-ahead producers inside each sampled run that executes
+//	               (default GOMAXPROCS; 1 = one; a run replaying its
+//	               placement's trace uses one; byte-identical either way);
+//	               applies to every figure, fig9's SimPoint arms included,
+//	               and to `run` under any -regimen, simpoint too
 //	-cachedir s    content-addressed result cache directory (persists runs
 //	               across invocations; an internal/cas store: blobs/, index/,
 //	               quarantine/ — caches of the older <hash>.json layout are ignored)
@@ -102,7 +103,7 @@ func main() {
 	seed := flag.Int64("seed", 2007, "cluster placement seed")
 	workloadsFlag := flag.String("workloads", "", "comma-separated workload subset")
 	parallel := flag.Int("parallel", 0, "engine worker-pool size (0 = GOMAXPROCS; use 1 for clean per-run wall times)")
-	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "cluster-pipeline shards per sampled run, fig9 and every -regimen included (1 = sequential; results byte-identical at any count)")
+	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "run-ahead producers per sampled run that executes, fig9 and every -regimen included (1 = one; results byte-identical at any count)")
 	cacheDir := flag.String("cachedir", "", "content-addressed result cache directory (empty = memory-only)")
 	stats := flag.Bool("stats", false, "print engine scheduler/cache statistics to stderr when done")
 	format := flag.String("format", "text", "output format: text, csv, or json")

@@ -143,8 +143,8 @@ type jobRequest struct {
 	Strategy string `json:"strategy,omitempty"`
 	// TimeoutMS bounds the job's execution in milliseconds (0 = engine default).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Shards runs a sampled job through the parallel cluster pipeline with
-	// this many shard goroutines (0 or 1 = sequential). Results are
+	// Shards runs a sampled job's regions on this many run-ahead producers
+	// (0 or 1 = one; a job replaying a trace uses one). Results are
 	// byte-identical either way, so shards do not enter the job's identity.
 	Shards int `json:"shards,omitempty"`
 }

@@ -62,8 +62,8 @@ type Job struct {
 	// scheduling policy, not identity: it does not enter the hash. A job
 	// that runs past its deadline fails with ErrDeadline.
 	Timeout time.Duration `json:"Timeout,omitempty"`
-	// Shards runs a sampled job through the parallel cluster pipeline with
-	// this many shard goroutines (0 or 1 = sequential). The sharded run is
+	// Shards runs a sampled job's regions on this many run-ahead producers
+	// (0 or 1 = one), unless it replays a trace. The sharded run is
 	// byte-identical to the sequential one (sampling.Options.Shards), so
 	// like Timeout it is scheduling policy, not identity: jobs differing
 	// only in Shards share one cache entry.
@@ -162,9 +162,10 @@ func (j Job) CheckpointKey() string {
 	return "ckpt-" + cas.Sum(b)
 }
 
-// TraceKey returns the key of a sequential sampled job's functional trace
-// (sampling.Trace): what it is a pure function of. The warm-up spec and every
-// machine field but the L1I line size are absent, so such jobs share a trace.
+// TraceKey returns the key of a sampled job's functional trace
+// (sampling.Trace): what it is a pure function of. The warm-up spec, the
+// shard count and every machine field but the L1I line size are absent, so
+// such jobs share a trace.
 func (j Job) TraceKey() string {
 	b, err := json.Marshal(struct {
 		Version      int // bumped when a trace's contents change

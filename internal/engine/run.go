@@ -82,7 +82,7 @@ func runJob(j Job, cancel <-chan struct{}, eo *engineObs, sweep string, ckpt sam
 		opts.Checkpoints = ckpt
 		opts.CheckpointKey = j.CheckpointKey()
 	}
-	if traces != nil && j.Kind == JobSampled && j.Shards <= 1 {
+	if traces != nil && j.Kind == JobSampled {
 		opts.Traces = traces
 		opts.TraceKey = j.TraceKey()
 	}

@@ -13,9 +13,9 @@ import (
 // least recently used ones until all fit.
 const TraceBudget = 256 << 20
 
-// traceStore keeps the functional trace of each placement a sequential
-// sampled job has run (sampling.TraceStore), so that every job of it, under
-// any warm-up spec or machine with the same L1I line size, replays it. The
+// traceStore keeps the functional trace of each placement a sampled job has
+// run (sampling.TraceStore), so that every job of it, under any warm-up spec,
+// machine with the same L1I line size or shard count, replays it. The
 // first job of a placement records the trace before its own run, which then
 // replays it like the others; a job that comes while another records runs as
 // if there were no store.
@@ -43,8 +43,8 @@ func (s *traceStore) LoadTrace(key string) *sampling.Trace {
 	return t
 }
 
-// record records the trace of j's placement, before j's run, if j is a
-// sequential sampled job and the store neither holds the trace nor has another
+// record records the trace of j's placement, before j's run, if j is an
+// unnamed-strategy sampled job and the store neither holds the trace nor has another
 // job recording it: j's run then replays the trace as every later job of the
 // placement does, so a job's Result.Wall does not depend on which came first.
 // It reports whether it tried. A recording that fails, is canceled or panics
@@ -52,7 +52,7 @@ func (s *traceStore) LoadTrace(key string) *sampling.Trace {
 func (s *traceStore) record(j Job, cancel <-chan struct{}) (tried bool) {
 	key := j.TraceKey()
 	s.mu.Lock()
-	tried = j.Kind == JobSampled && j.strategy() == "" && j.Shards <= 1 && s.traces[key] == nil && !s.recording[key]
+	tried = j.Kind == JobSampled && j.strategy() == "" && s.traces[key] == nil && !s.recording[key]
 	if tried {
 		s.recording[key] = true
 	}

@@ -216,3 +216,21 @@ func TestTraceRecordedBeforeRun(t *testing.T) {
 		t.Errorf("engine spans = %v, want one trace-record and two job-runs", count)
 	}
 }
+
+// TestShardedJobsReplay: a job at two shards records its placement's trace
+// once and replays it, as a sequential job does; a job of another spec at two
+// shards replays the same trace. Both equal the direct sequential runs.
+func TestShardedJobsReplay(t *testing.T) {
+	e := New(Options{Workers: 1})
+	defer e.Close()
+	first, second := sampledJob("twolf", specRSR20), sampledJob("twolf", specSBP)
+	first.Shards, second.Shards = 2, 2
+	runAll(t, e, first)
+	if s := e.Stats(); s.TracesRecorded != 1 || s.TracesReplayed != 1 {
+		t.Fatalf("the first sharded job of a placement: %+v", s)
+	}
+	runAll(t, e, second)
+	if s := e.Stats(); s.TracesRecorded != 1 || s.TracesReplayed != 2 {
+		t.Fatalf("the second sharded job of a placement: %+v", s)
+	}
+}

@@ -38,8 +38,8 @@ type Config struct {
 	// CacheDir enables the engine's on-disk result cache, letting repeated
 	// sweeps skip already-computed runs ("" = memory-only caching).
 	CacheDir string
-	// Shards splits each sampled run's cluster pipeline across this many
-	// goroutines (0 or 1 = sequential). Results are byte-identical at any
+	// Shards splits each executing sampled run's regions across this many
+	// run-ahead producers (0 or 1 = one). Results are byte-identical at any
 	// shard count, so Shards is execution policy, not part of job identity.
 	Shards int
 	// Metrics, when non-nil, exposes the lab's engine and every run through

@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"sync"
 	"time"
@@ -12,22 +13,29 @@ import (
 	"rsr/internal/warmup"
 )
 
-// The run-ahead feed is the walker's feed for a sequential run (Shards ≤ 1).
-// Functional execution reads nothing that warm-up or timing computes, so a
-// producer goroutine owns the run's functional simulator and runs it region
-// by region ahead of the walker, which meanwhile warms and times the region
-// before. Each region crosses a ring of slots in order: its window's records
-// in stretches the window kernel logged (the lead before it runs through Skip
+// The run-ahead feed is the walker's one feed. Functional execution reads
+// nothing that warm-up or timing computes, so producer goroutines own the
+// run's functional simulators and run them region by region ahead of the
+// walker, which meanwhile warms and times the region before. Each region
+// crosses its producer's ring of slots in order: its window's records in
+// stretches the window kernel logged (the lead before it runs through Skip
 // and crosses as nothing), which the method observes as they come
 // (ObserveWindow: forward applies them, reverse logs them and scans the log
 // at EndSkip, as in place); then its hot phase's batches from RunBatch — or
 // the error that ended its cold phase. Results are byte-identical to
-// observing in place by the Method contract, and nothing selects this feed
-// but the shard count. Given a trace store that holds its placement's
-// functional trace (Trace), the producer sends the same stretches and batches
-// from the trace instead of executing.
+// observing in place by the Method contract.
+//
+// At Shards ≤ 1 one producer executes the whole run. At Shards k > 1 the
+// regions split into k contiguous ranges with a producer and a ring each: a
+// checkpoint pre-pass (prepass) runs the workload without records to the
+// start of every range after the first and seeds that range's producer with
+// the architectural state there, so the producers execute their ranges at
+// once, and the walker reads each region from its range's ring. Given a trace
+// store that holds its placement's functional trace (Trace), one producer
+// sends the same stretches and batches from the trace instead of executing,
+// whatever the shard count: a replay executes nothing to spread.
 
-// aheadSlots is the ring's size: enough batches that the producer finishes a
+// aheadSlots is a ring's size: enough batches that the producer finishes a
 // 20K-instruction hot phase early and runs the next cold phase while the
 // walker times the rest (at 8, hot-heavy's R$BP (20%) stalled on every
 // boundary). Waking a parked goroutine costs tens of microseconds on a
@@ -40,6 +48,12 @@ const (
 	handoffInstrs = 8192
 	handoffMem    = 4096
 )
+
+// shardCount clamps the requested shard count to the cluster count: a range
+// with no regions would idle, and one cluster cannot split.
+func shardCount(requested, clusters int) int {
+	return max(1, min(requested, clusters))
+}
 
 // aheadSlot is one hand-off: a stretch of a window (win.Seen > 0), a batch of
 // a hot phase (the region's last one flagged, a fault after its records in
@@ -59,7 +73,7 @@ func newAheadSlot() *aheadSlot {
 }
 
 // spareSlots keeps slots, with their storage, from one run for the next: a
-// run would otherwise allocate its ring afresh, more than many a short run
+// run would otherwise allocate its rings afresh, more than many a short run
 // allocates for everything else. It is not a sync.Pool, which drops what it
 // holds at every second collection.
 var spareSlots struct {
@@ -67,62 +81,106 @@ var spareSlots struct {
 	slots []*aheadSlot
 }
 
-// aheadFeed is the walker's end of the run-ahead feed.
-type aheadFeed struct {
-	opts    *Options
-	ro      *runObs
-	slots   []*aheadSlot    // the ring, kept in spareSlots by stop
+// ring is one producer's hand-off to the walker.
+type ring struct {
+	slots   []*aheadSlot    // kept in spareSlots by stop
 	full    chan *aheadSlot // producer → walker, in order; both sized to the
 	free    chan *aheadSlot // ring (walker → producer), so no send waits for room
 	emptied []*aheadSlot    // freed by the walker, not yet handed back
-	done    chan struct{}   // closed when the walker leaves
-	exited  chan struct{}   // closed when the producer has returned
+}
 
+// newRing fills a ring with slots, spare ones first.
+func newRing(spare *[]*aheadSlot) *ring {
+	r := &ring{full: make(chan *aheadSlot, aheadSlots), free: make(chan *aheadSlot, aheadSlots)}
+	for range aheadSlots {
+		var s *aheadSlot
+		if n := len(*spare); n > 0 {
+			s, *spare = (*spare)[n-1], (*spare)[:n-1]
+		} else {
+			s = newAheadSlot()
+		}
+		r.slots = append(r.slots, s)
+		r.free <- s
+	}
+	return r
+}
+
+// put hands an emptied slot back, half a ring at a time; handBack, all.
+func (r *ring) put(s *aheadSlot) {
+	if r.emptied = append(r.emptied, s); len(r.emptied) >= aheadSlots/2 {
+		r.handBack()
+	}
+}
+
+func (r *ring) handBack() {
+	for _, s := range r.emptied {
+		r.free <- s
+	}
+	r.emptied = r.emptied[:0]
+}
+
+// aheadFeed is the walker's end of the run-ahead feed.
+type aheadFeed struct {
+	opts   *Options
+	ro     *runObs
+	rings  []*ring
+	firsts []int          // ring s carries regions firsts[s] to firsts[s+1]
+	done   chan struct{}  // closed when the walker leaves
+	wg     sync.WaitGroup // the producers and the pre-pass
+	replay *Trace         // the trace this run replays, if any
+
+	ri      int        // the current region's ring
 	pos     uint64     // where the functional simulator stands after the region before
 	cur     *aheadSlot // the hot batch being timed
 	fresh   bool       // cur, the hot phase's first batch, is not delivered yet
 	failure error
 	t0      time.Time // start of the current region's cold phase
-
-	replay *Trace // the trace this run replays, if any
 }
 
-func newAheadFeed(p *prog.Program, m MachineConfig, regions []Region, method warmup.Method, opts *Options, ro *runObs) *aheadFeed {
-	f := &aheadFeed{
-		opts: opts, ro: ro, done: make(chan struct{}), exited: make(chan struct{}),
-		full: make(chan *aheadSlot, aheadSlots), free: make(chan *aheadSlot, aheadSlots),
+// newAheadFeed starts shards producers over regions — one, replaying it, if
+// replay is not nil.
+func newAheadFeed(p *prog.Program, regions []Region, method warmup.Method, shards int, replay *Trace, opts *Options, ro *runObs) *aheadFeed {
+	f := &aheadFeed{opts: opts, ro: ro, done: make(chan struct{}), replay: replay}
+	for s := range shards + 1 {
+		f.firsts = append(f.firsts, s*len(regions)/shards)
 	}
 	spareSlots.Lock()
-	k := max(0, len(spareSlots.slots)-aheadSlots)
-	f.slots, spareSlots.slots = append(f.slots, spareSlots.slots[k:]...), spareSlots.slots[:k]
+	k := max(0, len(spareSlots.slots)-shards*aheadSlots)
+	spare := slices.Clone(spareSlots.slots[k:])
+	spareSlots.slots = spareSlots.slots[:k]
 	spareSlots.Unlock()
-	for len(f.slots) < aheadSlots {
-		f.slots = append(f.slots, newAheadSlot())
+	for range shards {
+		f.rings = append(f.rings, newRing(&spare))
 	}
-	for _, s := range f.slots {
-		f.free <- s
-	}
-	if opts.Traces != nil && opts.TraceKey != "" && windowsAtMarks(regions, method) {
-		t := opts.Traces.LoadTrace(opts.TraceKey)
-		if t != nil && t.lineMask == ^uint64(m.Hier.L1I.LineBytes-1) && slices.Equal(t.regions, regions) {
-			f.replay = t
+	var seeds []chan []*funcsim.Delta
+	if shards > 1 {
+		for range shards {
+			seeds = append(seeds, make(chan []*funcsim.Delta, 1))
 		}
+		f.wg.Add(1)
+		go f.prepass(p, regions, seeds)
 	}
-	go f.produce(p, regions, method)
+	f.wg.Add(shards)
+	for s := range shards {
+		go f.produce(s, p, regions, method, seeds)
+	}
 	return f
 }
 
-// stop winds the producer down and, once it has returned, keeps the ring for
-// the next run: nothing reads a slot after RunRegions returns.
+// stop winds the producers and the pre-pass down and, once they have
+// returned, keeps the rings for the next run: nothing reads a slot after
+// RunRegions returns.
 func (f *aheadFeed) stop() {
 	close(f.done)
-	<-f.exited
-	for _, s := range f.slots {
-		s.err = nil
-	}
+	f.wg.Wait()
 	spareSlots.Lock()
-	spareSlots.slots = append(spareSlots.slots, f.slots...)
-	spareSlots.Unlock()
+	defer spareSlots.Unlock()
+	for _, r := range f.rings {
+		for _, s := range r.slots {
+			s.err = nil
+		}
+		spareSlots.slots = append(spareSlots.slots, r.slots...)
+	}
 }
 
 func (f *aheadFeed) stopped() bool {
@@ -134,87 +192,97 @@ func (f *aheadFeed) stopped() bool {
 	}
 }
 
-// get takes an empty slot for the producer. After the walker has left, when
-// nothing reads a slot any more, it lends any, so that the producer — which
-// holds one at a time — runs on to its next poll and returns there.
-func (f *aheadFeed) get() *aheadSlot {
+// get takes an empty slot of r for its producer. After the walker has left,
+// when nothing reads a slot any more, it lends any, so that the producer —
+// which holds one at a time — runs on to its next poll and returns there.
+func (f *aheadFeed) get(r *ring) *aheadSlot {
 	select {
-	case s := <-f.free:
+	case s := <-r.free:
 		return s
 	case <-f.done:
-		return f.slots[0]
+		return r.slots[0]
 	}
 }
 
-func (f *aheadFeed) send(s *aheadSlot) {
+func (f *aheadFeed) send(r *ring, s *aheadSlot) {
 	select {
-	case f.full <- s:
+	case r.full <- s:
 	case <-f.done:
 	}
 }
 
-// put hands an emptied slot back, half a ring at a time; handBack, all.
-func (f *aheadFeed) put(s *aheadSlot) {
-	if f.emptied = append(f.emptied, s); len(f.emptied) >= aheadSlots/2 {
-		f.handBack()
-	}
-}
-
-func (f *aheadFeed) handBack() {
-	for _, s := range f.emptied {
-		f.free <- s
-	}
-	f.emptied = f.emptied[:0]
-}
-
-// recv takes the next slot for the walker. Before it waits it hands back
-// every emptied slot, which the producer may be waiting for.
+// recv takes the current region's next slot for the walker. Before it waits
+// it hands back every emptied slot, which the producer may be waiting for.
 func (f *aheadFeed) recv() (*aheadSlot, error) {
+	r := f.rings[f.ri]
 	select {
-	case s := <-f.full:
+	case s := <-r.full:
 		return s, nil
 	default:
 	}
-	f.handBack()
+	r.handBack()
+	t0 := f.ro.begin()
 	select {
-	case s := <-f.full:
+	case s := <-r.full:
+		f.ro.blocked(t0)
 		return s, nil
 	case <-f.opts.Cancel: // nil channel blocks; the producer always sends
 		return nil, ErrCanceled
 	}
 }
 
-// produce is the producer goroutine: the whole run's functional execution,
-// or its replay. A slot is the walker's once sent, so nothing is read from it
-// afterwards.
-func (f *aheadFeed) produce(p *prog.Program, regions []Region, method warmup.Method) {
-	defer close(f.exited)
+// produce is producer s: the functional execution of its range of regions
+// from the state its seed gives, or the replay of the whole run. A slot is
+// the walker's once sent, so nothing is read from it afterwards.
+func (f *aheadFeed) produce(s int, p *prog.Program, regions []Region, method warmup.Method, seeds []chan []*funcsim.Delta) {
+	defer f.wg.Done()
+	r := f.rings[s]
 	var fs *funcsim.Sim // nil for a replay, which executes nothing
 	if f.replay == nil {
 		fs = funcsim.New(p)
 	}
-	var h handoff
-	for i, reg := range regions {
+	if s > 0 {
+		select {
+		case chain := <-seeds[s]:
+			for _, d := range chain {
+				fs.ApplyDelta(d)
+			}
+		case <-f.done:
+			return
+		}
+	}
+	var st *shardTrace // a sharded run's producer times its cold phases
+	if f.ro != nil && f.ro.parallel {
+		st = newShardTrace(f.ro.tr, "shard")
+	}
+	h := handoff{f: f, r: r}
+	for i := f.firsts[s]; i < f.firsts[s+1]; i++ {
+		reg := regions[i]
 		var part *tracePart
 		var err error
 		if f.replay != nil {
 			part = f.replay.parts[i]
 		} else {
-			lead, w := method.NewWindow(reg.Start - fs.Seq())
-			h = handoff{f: f, lead: lead, w: w}
-			_, err = coldSkip(fs, reg.Start-fs.Seq(), &h, f.stopped)
+			cold := reg.Start - fs.Seq()
+			h.lead, h.w = method.NewWindow(cold)
+			t0 := time.Now()
+			var ran uint64
+			ran, err = coldSkip(fs, cold, &h)
 			h.flush()
+			if st != nil {
+				f.ro.producerCold(st, t0, i, s, ran)
+			}
 		}
 		if errors.Is(err, ErrCanceled) {
 			return
 		}
 		if err != nil {
-			s := f.get()
-			s.win.Seen, s.recs, s.last, s.err = 0, s.recs[:0], false, err
-			f.send(s)
+			sl := f.get(r)
+			sl.win.Seen, sl.recs, sl.last, sl.err = 0, sl.recs[:0], false, err
+			f.send(r, sl)
 			return
 		}
-		if f.replay != nil && !f.sendWindow(part, method) || !f.hot(fs, reg.Size, part) {
+		if f.replay != nil && !f.sendWindow(r, part, method) || !f.hot(r, fs, reg.Size, part) {
 			return
 		}
 	}
@@ -222,9 +290,9 @@ func (f *aheadFeed) produce(p *prog.Program, regions []Region, method warmup.Met
 
 // hot sends a hot phase of size instructions in batches, executed on fs or
 // copied from a replayed part. It reports whether the run goes on.
-func (f *aheadFeed) hot(fs *funcsim.Sim, size uint64, part *tracePart) bool {
+func (f *aheadFeed) hot(r *ring, fs *funcsim.Sim, size uint64, part *tracePart) bool {
 	for n := uint64(0); n < size; {
-		s := f.get()
+		s := f.get(r)
 		b := s.recs[:cap(s.recs)][:min(size-n, funcsim.BatchSize)]
 		var k int
 		var err error
@@ -236,7 +304,7 @@ func (f *aheadFeed) hot(fs *funcsim.Sim, size uint64, part *tracePart) bool {
 		n += uint64(k)
 		last := err != nil || k < len(b) || n == size
 		s.win.Seen, s.recs, s.last, s.err = 0, b[:k], last, err
-		f.send(s)
+		f.send(r, s)
 		if err != nil || !last && f.stopped() {
 			return false
 		}
@@ -247,25 +315,25 @@ func (f *aheadFeed) hot(fs *funcsim.Sim, size uint64, part *tracePart) bool {
 	return true
 }
 
-// handoff is the producer's skipObserver for one region: the window kernel
-// logs into one slot after another, each handed to the walker once it holds
-// handoffInstrs instructions or is full, the fetch-line state carried from
-// each to the next in w.
+// handoff is what a producer observes a region's cold phase through: the
+// window kernel logs into one slot after another, each handed to the walker
+// once it holds handoffInstrs instructions or is full, the fetch-line state
+// carried from each to the next in w. lead is how many of the phase's
+// instructions pass before the window.
 type handoff struct {
 	f    *aheadFeed
+	r    *ring
 	lead uint64
 	w    trace.Window
 	s    *aheadSlot
 }
 
-func (h *handoff) SkipLead() uint64 { return h.lead }
-
-func (h *handoff) Window() *trace.Window {
+func (h *handoff) window() *trace.Window {
 	if h.s != nil && (h.s.win.Seen >= handoffInstrs || h.s.win.Full()) {
 		h.flush()
 	}
 	if h.s == nil {
-		h.s = h.f.get()
+		h.s = h.f.get(h.r)
 		log := h.s.win.SkipLog
 		log.Reset()
 		h.s.win = h.w
@@ -279,21 +347,62 @@ func (h *handoff) Window() *trace.Window {
 func (h *handoff) flush() {
 	if h.s != nil && h.s.win.Seen > 0 {
 		h.w.Line, h.w.HaveLine = h.s.win.Line, h.s.win.HaveLine
-		h.f.send(h.s)
+		h.f.send(h.r, h.s)
 	}
 	h.s = nil
 }
 
-// next returns the region's cold length: the producer runs to its start.
-func (f *aheadFeed) next(_ int, r Region) (uint64, error) {
+// coldSkip executes n instructions on fs in batches of at most
+// funcsim.BatchSize, polling for a stop between batches: the cold phase of a
+// region. The lead before h's window runs through funcsim.Skip, which logs
+// nothing, the rest through the window kernel into h's slots. It returns how
+// far it got; a fault, a workload that halts short of n, and a stop
+// (ErrCanceled) are errors.
+func coldSkip(fs *funcsim.Sim, n uint64, h *handoff) (uint64, error) {
+	lead := min(h.lead, n)
+	var ran uint64
+	for ran < n {
+		chunk := min(n-ran, funcsim.BatchSize)
+		var k uint64
+		var err error
+		if ran < lead {
+			k, err = fs.Skip(min(chunk, lead-ran))
+		} else {
+			k, err = fs.SkipWindow(chunk, h.window())
+		}
+		ran += k
+		if err != nil {
+			return ran, fmt.Errorf("sampling: cold phase: %w", err)
+		}
+		if fs.Halted() {
+			break
+		}
+		if h.f.stopped() {
+			return ran, ErrCanceled
+		}
+	}
+	if ran != n {
+		return ran, fmt.Errorf("sampling: workload halted after %d skipped instructions", ran)
+	}
+	return ran, nil
+}
+
+// next makes region ci current and returns the length of its cold phase,
+// which depends on where the region before ended: its producer runs to its
+// start.
+func (f *aheadFeed) next(ci int, r Region) uint64 {
 	f.t0 = f.ro.begin()
+	for ci >= f.firsts[f.ri+1] {
+		f.ri++
+	}
 	cold := r.Start - f.pos
 	f.pos = r.Start
-	return cold, nil
+	return cold
 }
 
 // ingest has the method observe the window's stretches as they come, up to
-// the hot phase's first batch.
+// the hot phase's first batch, between the walker's BeginSkip and EndSkip,
+// and returns how many instructions were skipped.
 func (f *aheadFeed) ingest(ci int, method warmup.Method, cold uint64) (uint64, error) {
 	for {
 		s, err := f.recv()
@@ -308,12 +417,14 @@ func (f *aheadFeed) ingest(ci int, method warmup.Method, cold uint64) (uint64, e
 			break
 		}
 		method.ObserveWindow(&s.win)
-		f.put(s)
+		f.rings[f.ri].put(s)
 	}
 	f.ro.coldDone(f.t0, ci, cold, method.Work())
 	return cold, nil
 }
 
+// Fill delivers the current region's hot batches, never running past the
+// region's end: the feed is the timing model's ooo.Source.
 func (f *aheadFeed) Fill(max uint64) []trace.DynInst {
 	if f.failure != nil || f.cur == nil || f.cur.last && !f.fresh {
 		return nil
@@ -323,7 +434,7 @@ func (f *aheadFeed) Fill(max uint64) []trace.DynInst {
 		return nil
 	}
 	if !f.fresh {
-		f.put(f.cur)
+		f.rings[f.ri].put(f.cur)
 		s, err := f.recv()
 		if f.cur, f.failure = s, err; err != nil {
 			return nil
@@ -334,12 +445,14 @@ func (f *aheadFeed) Fill(max uint64) []trace.DynInst {
 	return f.cur.recs
 }
 
+// err is the failure that ended the hot phase early, if any.
 func (f *aheadFeed) err() error { return f.failure }
 
-// release hands the region's last hot batch back.
+// release hands the region's last hot batch back: nothing of the region is
+// read afterwards.
 func (f *aheadFeed) release() {
 	if f.cur != nil {
-		f.put(f.cur)
+		f.rings[f.ri].put(f.cur)
 		f.cur = nil
 	}
 }

@@ -151,11 +151,24 @@ func recordCold(fs *funcsim.Sim, n uint64, w *trace.Window, stopped func() bool)
 	return part, nil
 }
 
-// sendWindow hands the walker method's window on a recorded part.
-func (f *aheadFeed) sendWindow(part *tracePart, method warmup.Method) bool {
+// loadTrace returns the trace opts's store holds for a run of regions under
+// method on m, if the run can replay it.
+func loadTrace(m MachineConfig, regions []Region, method warmup.Method, opts *Options) *Trace {
+	if opts.Traces == nil || opts.TraceKey == "" || !windowsAtMarks(regions, method) {
+		return nil
+	}
+	t := opts.Traces.LoadTrace(opts.TraceKey)
+	if t == nil || t.lineMask != ^uint64(m.Hier.L1I.LineBytes-1) || !slices.Equal(t.regions, regions) {
+		return nil
+	}
+	return t
+}
+
+// sendWindow hands the walker method's window on a recorded part through r.
+func (f *aheadFeed) sendWindow(r *ring, part *tracePart, method warmup.Method) bool {
 	cold := part.marks[0].at
 	lead, w := method.NewWindow(cold)
-	return lead == cold || f.sendStretches(part, part.mark(lead), &part.marks[0], w, true)
+	return lead == cold || f.sendStretches(r, part, part.mark(lead), &part.marks[0], w, true)
 }
 
 // sendStretches hands the walker, in as many stretches as the slots need,
@@ -164,7 +177,7 @@ func (f *aheadFeed) sendWindow(part *tracePart, method warmup.Method) bool {
 // whatever line came before: if the whole log did not, the first stretch
 // starts with one. Any split will do, and every stretch carries b's line state
 // (ObserveWindow reads the last one's). It reports whether the run goes on.
-func (f *aheadFeed) sendStretches(part *tracePart, a, b *windowMark, w trace.Window, open bool) bool {
+func (f *aheadFeed) sendStretches(r *ring, part *tracePart, a, b *windowMark, w trace.Window, open bool) bool {
 	var mem []trace.MemRecord
 	var br []trace.BranchRecord
 	fetch := open && w.Cache && a.haveLine && a.pc&w.LineMask == a.line
@@ -178,7 +191,7 @@ func (f *aheadFeed) sendStretches(part *tracePart, a, b *windowMark, w trace.Win
 	// A stretch counts one instruction, the last all that are left: a
 	// stretch's records are those of one instruction at least.
 	for left := b.at - a.at; left > 0; {
-		s := f.get()
+		s := f.get(r)
 		log := s.win.SkipLog
 		log.Reset()
 		if fetch {
@@ -193,7 +206,7 @@ func (f *aheadFeed) sendStretches(part *tracePart, a, b *windowMark, w trace.Win
 			s.win.Seen = left
 		}
 		left -= s.win.Seen
-		f.send(s)
+		f.send(r, s)
 		if f.stopped() {
 			return false
 		}

@@ -15,11 +15,10 @@ import (
 	"rsr/internal/workload"
 )
 
-// countingMethod counts, per region, the instructions its method observes:
-// from the run-ahead feed through ObserveWindow, and through its captures at
-// Shards > 1 as the window kernel's count (handed over at adoption).
-// countingSizer is the wrapper of a method that is a warmup.RegionSizer, so
-// that the walker treats the wrapped method as it would the bare one.
+// countingMethod counts, per region, the instructions its method observes
+// through ObserveWindow, whatever the shard count. countingSizer is the
+// wrapper of a method that is a warmup.RegionSizer, so that the walker treats
+// the wrapped method as it would the bare one.
 type countingMethod struct {
 	warmup.Method
 	observed []uint64
@@ -40,13 +39,6 @@ func counting(m warmup.Method) (*countingMethod, warmup.Method) {
 	return cm, cm
 }
 
-type countingCapture struct {
-	warmup.RegionCapture
-	lead     uint64
-	win      *trace.Window
-	observed uint64
-}
-
 func (m *countingMethod) BeginSkip(expectedLen uint64) {
 	m.observed = append(m.observed, 0)
 	m.Method.BeginSkip(expectedLen)
@@ -57,39 +49,10 @@ func (m *countingMethod) ObserveWindow(w *trace.Window) {
 	m.Method.ObserveWindow(w)
 }
 
-func (m *countingMethod) NewRegionCapture(region int, expectedLen uint64) warmup.RegionCapture {
-	return &countingCapture{RegionCapture: m.Method.NewRegionCapture(region, expectedLen)}
-}
-
-func (m *countingMethod) AdoptRegion(c warmup.RegionCapture) {
-	cc := c.(*countingCapture)
-	m.observed[len(m.observed)-1] += cc.observed
-	m.Method.AdoptRegion(cc.RegionCapture)
-}
-
-func (c *countingCapture) SkipLead() uint64 {
-	c.lead = c.RegionCapture.SkipLead()
-	return c.lead
-}
-
-func (c *countingCapture) Window() *trace.Window {
-	c.win = c.RegionCapture.Window()
-	return c.win
-}
-
-// Seal counts what the window kernel ran: the region's instructions past the
-// lead.
-func (c *countingCapture) Seal() {
-	if c.win != nil {
-		c.observed += c.win.Seen - c.lead
-	}
-	c.RegionCapture.Seal()
-}
-
 // TestSkipLeadWindowContract pins what the walker hands a method now that it
 // runs each cold phase's lead without records: per region, None observes no
 // instruction, S$BP all of them, and FP (p%) and R$BP (p%) exactly the
-// newest p% — from the run-ahead feed and through captures at Shards: 2.
+// newest p% — through ObserveWindow from one producer and from two.
 // Every result and work count equals the per-instruction reference's.
 func TestSkipLeadWindowContract(t *testing.T) {
 	w, err := workload.ByName("gcc")

@@ -18,25 +18,26 @@ const (
 	PhaseReverseScan = "reverse-scan"
 	PhaseHotSim      = "hot-sim"
 	PhaseFullSim     = "full-sim"
-	// PhaseCheckpoint is the parallel pre-pass capturing an architectural
-	// checkpoint (registers + dirty-page delta) at a shard boundary.
+	// PhaseCheckpoint is a sharded run's pre-pass capturing an architectural
+	// checkpoint (registers + dirty-page delta) at a range boundary.
 	PhaseCheckpoint = "checkpoint-capture"
-	// PhaseConsumerWait is the parallel consumer blocked on its next region
-	// product — the pipeline-starvation signal.
+	// PhaseConsumerWait is a sharded run's walker blocked on a producer's
+	// ring — the starvation signal.
 	PhaseConsumerWait = "consumer-wait"
 )
 
 // Pipeline stage labels for rsr_sampling_pipeline_nanos_total: where a
-// parallel run's wall-clock goes, split between shard-side (producer) work
-// and the strictly serial consumer. consumer-adopt + consumer-sim is the
-// Amdahl serial fraction; consumer-wait is starvation (producers too slow or
-// too few).
+// sharded run's wall-clock goes, split between the producers' work and the
+// strictly serial walker. consumer-adopt + consumer-sim is the Amdahl serial
+// fraction; consumer-wait is starvation (producers too slow or too few).
 const (
-	StageProducerCold = "producer-cold" // cold skip + capture on shards
-	StageProducerSeal = "producer-seal" // reverse-scan planning on shards
-	StageConsumerWait = "consumer-wait" // consumer blocked on the next region
-	StageConsumerWarm = "consumer-adopt"
-	StageConsumerSim  = "consumer-sim"
+	StageProducerCold = "producer-cold" // producers' cold loops, waits for a free slot included
+	// StageProducerSeal is recorded by nothing: every method seals at
+	// EndSkip, on the walker (consumer-adopt). The benchmark reads the label.
+	StageProducerSeal = "producer-seal"
+	StageConsumerWait = "consumer-wait"  // the walker blocked on a ring
+	StageConsumerWarm = "consumer-adopt" // the walker's cold phase and EndSkip, waits excluded
+	StageConsumerSim  = "consumer-sim"   // the walker's hot phase, waits excluded
 )
 
 // Instruments is the sampling layer's bundle of registry instruments.
@@ -58,8 +59,8 @@ type Instruments struct {
 	cacheEvents *obs.CounterVec // cache hierarchy event counts by level/event
 	predUpdates *obs.CounterVec // predictor state mutations by structure
 
-	// Parallel-pipeline instrumentation: per-region consumer starvation and
-	// the producer-vs-consumer wall-clock split (the measured Amdahl story).
+	// Sharded-run instrumentation: the walker's starvation and the
+	// producer-vs-walker wall-clock split (the measured Amdahl story).
 	consumerWait *obs.Histogram
 	pipeline     *obs.CounterVec
 }
@@ -95,10 +96,10 @@ func NewInstruments(r *obs.Registry) *Instruments {
 		predUpdates: r.CounterVec("rsr_bpred_updates_total",
 			"Branch predictor state mutations accumulated over finished runs.", "structure"),
 		consumerWait: r.Histogram("rsr_sampling_consumer_wait_seconds",
-			"Time the parallel consumer spent blocked waiting for a region product, per region (idle = starved by producers).",
+			"Time a sharded run's walker spent blocked on a producer, per blocking receive (idle = starved by producers).",
 			obs.DurationBuckets),
 		pipeline: r.CounterVec("rsr_sampling_pipeline_nanos_total",
-			"Parallel-run wall-clock by pipeline stage: producer-* is shard-side (overlapped) work, consumer-* is the serial fraction plus starvation.",
+			"Sharded-run wall-clock by pipeline stage: producer-* is the producers' (overlapped) work, consumer-* is the walker's serial fraction plus starvation.",
 			"stage"),
 	}
 }
@@ -138,24 +139,26 @@ type runObs struct {
 	coldDur, reconDur, hotDur         *obs.Histogram
 	logged, scanned, applied, warmOps *obs.Counter
 
-	// Parallel-pipeline accounting. parallel is set once by RunRegions, when
-	// it picks the sharded feed, via setParallel; the sequential path leaves it false so the stage counters
-	// stay absent (not zero) when no parallel run ever happened.
-	parallel                                          bool
-	waitDur                                           *obs.Histogram
-	pipeColdP, pipeSeal, pipeWait, pipeAdopt, pipeSim *obs.Counter
+	// Sharded-run accounting, only in a run with more than one producer
+	// (parallel): otherwise the stage series stay absent, not zero. waited is
+	// how long the walker has blocked in the current phase.
+	parallel                               bool
+	waitDur                                *obs.Histogram
+	pipeCold, pipeWait, pipeAdopt, pipeSim *obs.Counter
+	waited                                 time.Duration
 
 	prevWork warmup.Work
 }
 
 // newRunObs builds the observer for one run, or nil when both sinks are
 // off. cat names the run on its trace spans; method is the warm-up label
-// ("" for full runs, which perform no warm-up work).
-func newRunObs(in *Instruments, tr *obs.Tracer, cat, method string) *runObs {
+// ("" for full runs, which perform no warm-up work); parallel says the run
+// has more than one producer.
+func newRunObs(in *Instruments, tr *obs.Tracer, cat, method string, parallel bool) *runObs {
 	if in == nil && tr == nil {
 		return nil
 	}
-	ro := &runObs{tr: tr, in: in, cat: cat}
+	ro := &runObs{tr: tr, in: in, cat: cat, parallel: parallel}
 	if tr != nil {
 		ro.tid = tr.NextTID()
 	}
@@ -171,24 +174,15 @@ func newRunObs(in *Instruments, tr *obs.Tracer, cat, method string) *runObs {
 			ro.applied = in.applied.With(method)
 			ro.warmOps = in.warmOps.With(method)
 		}
-		ro.waitDur = in.consumerWait
-		ro.pipeColdP = in.pipeline.With(StageProducerCold)
-		ro.pipeSeal = in.pipeline.With(StageProducerSeal)
-		ro.pipeWait = in.pipeline.With(StageConsumerWait)
-		ro.pipeAdopt = in.pipeline.With(StageConsumerWarm)
-		ro.pipeSim = in.pipeline.With(StageConsumerSim)
+		if parallel {
+			ro.waitDur = in.consumerWait
+			ro.pipeCold = in.pipeline.With(StageProducerCold)
+			ro.pipeWait = in.pipeline.With(StageConsumerWait)
+			ro.pipeAdopt = in.pipeline.With(StageConsumerWarm)
+			ro.pipeSim = in.pipeline.With(StageConsumerSim)
+		}
 	}
 	return ro
-}
-
-// setParallel switches the observer into parallel-pipeline mode: the phase
-// hooks additionally fold their durations into the per-stage wall-clock
-// counters that expose the run's serial fraction.
-func (ro *runObs) setParallel() {
-	if ro == nil {
-		return
-	}
-	ro.parallel = true
 }
 
 // begin marks a phase start. The zero time on the disabled path is never
@@ -219,6 +213,7 @@ func (ro *runObs) coldDone(t0 time.Time, cluster int, instrs uint64, w warmup.Wo
 	}
 	dur := time.Since(t0)
 	ro.coldDur.Observe(dur.Seconds())
+	ro.stage(ro.pipeAdopt, dur)
 	ro.coldInstr.Add(instrs)
 	d := ro.workDelta(w)
 	ro.span(PhaseColdSkip, t0, dur,
@@ -228,35 +223,35 @@ func (ro *runObs) coldDone(t0 time.Time, cluster int, instrs uint64, w warmup.Wo
 		obs.SpanArg{Key: "warm_ops", Val: int64(d.WarmOps)})
 }
 
-// waitDone records one consumer blocking-wait for its next region product —
-// the pipeline's starvation signal. Called only on the parallel path.
-func (ro *runObs) waitDone(t0 time.Time, cluster int) {
-	if ro == nil {
+// blocked records a blocking receive of a sharded run's walker, from t0: the
+// phase it fell in leaves it out of its own stage.
+func (ro *runObs) blocked(t0 time.Time) {
+	if ro == nil || !ro.parallel {
 		return
 	}
 	dur := time.Since(t0)
+	ro.waited += dur
 	ro.waitDur.Observe(dur.Seconds())
 	ro.pipeWait.Add(uint64(dur.Nanoseconds()))
-	ro.span(PhaseConsumerWait, t0, dur,
-		obs.SpanArg{Key: "cluster", Val: int64(cluster)})
+	ro.span(PhaseConsumerWait, t0, dur)
 }
 
-// coldAdopted records a cold-skip phase that a shard producer already
-// performed and timed: the parallel consumer folds the producer-measured
-// durations (cold skip and plan sealing) and the adopted work into the same
-// metric families as coldDone, plus the pipeline stage split. The phase's
-// trace spans live on the producing shard's own track; adoptT0 is when the
-// consumer's AdoptRegion call started.
-func (ro *runObs) coldAdopted(coldDur, sealDur time.Duration, adoptT0 time.Time, instrs uint64, w warmup.Work) {
-	if ro == nil {
-		return
-	}
-	ro.coldDur.Observe(coldDur.Seconds())
-	ro.coldInstr.Add(instrs)
-	ro.workDelta(w)
-	ro.pipeColdP.Add(uint64(coldDur.Nanoseconds()))
-	ro.pipeSeal.Add(uint64(sealDur.Nanoseconds()))
-	ro.pipeAdopt.Add(uint64(time.Since(adoptT0).Nanoseconds()))
+// stage adds a walker phase of dur, less the time it blocked, to c.
+func (ro *runObs) stage(c *obs.Counter, dur time.Duration) {
+	c.Add(uint64((dur - ro.waited).Nanoseconds()))
+	ro.waited = 0
+}
+
+// producerCold records one region's cold phase on a sharded run's producer,
+// from t0, on the producer's track st. Producers call it concurrently; it
+// reads only what newRunObs set.
+func (ro *runObs) producerCold(st *shardTrace, t0 time.Time, cluster, shard int, instrs uint64) {
+	dur := time.Since(t0)
+	ro.pipeCold.Add(uint64(dur.Nanoseconds()))
+	st.span(PhaseColdSkip, t0, dur,
+		obs.SpanArg{Key: "cluster", Val: int64(cluster)},
+		obs.SpanArg{Key: "shard", Val: int64(shard)},
+		obs.SpanArg{Key: "instructions", Val: int64(instrs)})
 }
 
 // reconDone records the reconstruction phase (Method.EndSkip) of one
@@ -268,9 +263,7 @@ func (ro *runObs) reconDone(t0 time.Time, cluster int, w warmup.Work) {
 	}
 	dur := time.Since(t0)
 	ro.reconDur.Observe(dur.Seconds())
-	if ro.parallel {
-		ro.pipeAdopt.Add(uint64(dur.Nanoseconds()))
-	}
+	ro.stage(ro.pipeAdopt, dur)
 	d := ro.workDelta(w)
 	ro.span(PhaseReverseScan, t0, dur,
 		obs.SpanArg{Key: "cluster", Val: int64(cluster)},
@@ -287,9 +280,7 @@ func (ro *runObs) hotDone(t0 time.Time, cluster int, instrs uint64, w warmup.Wor
 	}
 	dur := time.Since(t0)
 	ro.hotDur.Observe(dur.Seconds())
-	if ro.parallel {
-		ro.pipeSim.Add(uint64(dur.Nanoseconds()))
-	}
+	ro.stage(ro.pipeSim, dur)
 	ro.hotInstr.Add(instrs)
 	if ro.in != nil {
 		ro.in.clusters.Inc()

@@ -3,6 +3,7 @@ package sampling
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 
 	"rsr/internal/bpred"
@@ -297,12 +298,10 @@ func TestDisabledObservabilityZeroAllocs(t *testing.T) {
 		}
 		method := spec.New(mem.NewHierarchy(m.Hier), bpred.NewUnit(m.Pred))
 		fs := funcsim.New(w.Build())
-		ro := newRunObs(nil, nil, "sampled", spec.Label()) // nil: both sinks off
-		f := &aheadFeed{opts: &Options{}, ro: ro, full: make(chan *aheadSlot, aheadSlots), free: make(chan *aheadSlot, aheadSlots),
-			done: make(chan struct{})}
-		for range aheadSlots {
-			f.free <- newAheadSlot()
-		}
+		ro := newRunObs(nil, nil, "sampled", spec.Label(), false) // nil: both sinks off
+		var spare []*aheadSlot
+		r := newRing(&spare)
+		f := &aheadFeed{opts: &Options{}, ro: ro, rings: []*ring{r}, firsts: []int{0, math.MaxInt}, done: make(chan struct{})}
 		var h handoff
 
 		// EndSkip (reconstruction) stays outside the measured body: it
@@ -312,19 +311,16 @@ func TestDisabledObservabilityZeroAllocs(t *testing.T) {
 		cluster := 0
 		run := func() {
 			lead, w := method.NewWindow(skip)
-			h = handoff{f: f, lead: lead, w: w}
-			if _, err := coldSkip(fs, skip, &h, f.stopped); err != nil {
+			h = handoff{f: f, r: r, lead: lead, w: w}
+			if _, err := coldSkip(fs, skip, &h); err != nil {
 				t.Fatal(err)
 			}
 			h.flush()
-			s := f.get() // an empty hot phase closes the cold one
+			s := f.get(r) // an empty hot phase closes the cold one
 			s.win.Seen, s.recs, s.last, s.err = 0, s.recs[:0], true, nil
-			f.send(s)
+			f.send(r, s)
 
-			cold, err := f.next(cluster, Region{Start: f.pos + skip})
-			if err != nil {
-				t.Fatal(err)
-			}
+			cold := f.next(cluster, Region{Start: f.pos + skip})
 			method.BeginSkip(cold)
 			if _, err := f.ingest(cluster, method, cold); err != nil {
 				t.Fatal(err)

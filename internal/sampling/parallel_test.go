@@ -39,10 +39,9 @@ func runSampled(p *prog.Program, m MachineConfig, reg Regimen, total uint64, see
 // TestParallelByteIdenticalToSequential is the tentpole contract: for every
 // method in the paper's matrix and every shard count, a sharded run
 // must produce results deeply equal to the sequential path — cluster stats,
-// work counters, and instruction accounting alike. Region capture is part of
-// the Method contract, so there is no fallback left to hide behind: the
-// functional-warming family (SMARTS, fixed-period) shards through its
-// speculative captures just like reverse.
+// work counters, and instruction accounting alike. Every method observes the
+// same stretches through ObserveWindow whichever producer logged them, so
+// there is no per-method path left to hide behind.
 func TestParallelByteIdenticalToSequential(t *testing.T) {
 	reg := Regimen{ClusterSize: 2000, NumClusters: 10}
 	const total = 400_000
@@ -109,8 +108,8 @@ func TestParallelAllWorkloadsIdentical(t *testing.T) {
 
 // TestWindowEndsIdentical runs the two ends of the forward method's axis
 // through the whole controller: S$BP is FP at 100% and None is FP at 0%, in
-// every cluster statistic and work counter, in place and through the sharded
-// feed's capture → adopt path at Shards 2 and 3. Only the name differs.
+// every cluster statistic and work counter, from one producer and from two
+// and three. Only the name differs.
 func TestWindowEndsIdentical(t *testing.T) {
 	w, err := workload.ByName("twolf")
 	if err != nil {
@@ -141,8 +140,8 @@ func TestWindowEndsIdentical(t *testing.T) {
 // two directions: R$BP (p%) logs exactly the references FP (p%) applies — the
 // same position cut-off, the same per-line collapse of instruction fetches
 // restarting at the window's first instruction — so over one run the reverse
-// method's LoggedRecords is the forward method's WarmOps, in place and through
-// the sharded feed. Logging the whole region and selecting afterwards, what
+// method's LoggedRecords is the forward method's WarmOps, from one producer
+// and from several. Logging the whole region and selecting afterwards, what
 // reverse did before, fails this at every p below 100.
 func TestReverseLogsForwardWindow(t *testing.T) {
 	w, err := workload.ByName("twolf")
@@ -173,64 +172,6 @@ func TestReverseLogsForwardWindow(t *testing.T) {
 	}
 }
 
-// unsealedMethod wraps a method so that its captures' Seal does nothing: the
-// RegionCapture contract makes Seal optional, and an unsealed capture leaves
-// the reverse scans to the consumer's EndSkip.
-type unsealedMethod struct{ warmup.Method }
-
-type unsealedCapture struct{ warmup.RegionCapture }
-
-func (unsealedCapture) Seal() {}
-
-func (m unsealedMethod) NewRegionCapture(region int, expectedLen uint64) warmup.RegionCapture {
-	return unsealedCapture{m.Method.NewRegionCapture(region, expectedLen)}
-}
-
-func (m unsealedMethod) AdoptRegion(c warmup.RegionCapture) {
-	m.Method.AdoptRegion(c.(unsealedCapture).RegionCapture)
-}
-
-// TestParallelConsumerReconIdentical pins the unsealed-capture fallback
-// through the whole pipeline: planning the reverse scans on the producers
-// (Seal, what the pipeline does) and running them on the consumer at EndSkip
-// (a capture nobody sealed) are the same computation in different places, so
-// both must match the sequential run exactly.
-func TestParallelConsumerReconIdentical(t *testing.T) {
-	w, err := workload.ByName("twolf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := w.Build()
-	reg := Regimen{ClusterSize: 2000, NumClusters: 10}
-	for _, label := range []string{"R$BP (20%)", "S$BP"} {
-		spec, err := warmup.SpecByLabel(label)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq, err := RunSampledOpts(p, DefaultMachine(), reg, 400_000, 2007, spec, Options{})
-		if err != nil {
-			t.Fatalf("%s seq: %v", label, err)
-		}
-		for _, shards := range []int{2, 4} {
-			for _, sealed := range []bool{true, false} {
-				mk := func(h *mem.Hierarchy, u *bpred.Unit) warmup.Method {
-					if sealed {
-						return spec.New(h, u)
-					}
-					return unsealedMethod{spec.New(h, u)}
-				}
-				par, err := runSampled(p, DefaultMachine(), reg, 400_000, 2007, mk, Options{Shards: shards})
-				if err != nil {
-					t.Fatalf("%s shards=%d sealed=%v: %v", label, shards, sealed, err)
-				}
-				if !reflect.DeepEqual(normalize(seq), normalize(par)) {
-					t.Errorf("%s shards=%d sealed=%v: result differs from sequential", label, shards, sealed)
-				}
-			}
-		}
-	}
-}
-
 // allocatedBy reports the bytes f allocates (TotalAlloc delta).
 func allocatedBy(f func()) uint64 {
 	var before, after runtime.MemStats
@@ -241,44 +182,17 @@ func allocatedBy(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// heldMethod delays every adoption, so the producers run as far ahead of the
-// consumer as the pipeline lets them: a run under it holds the pipeline's
-// whole standing population, inFlight(shards) products and captures, whatever
-// the scheduler does.
-type heldMethod struct{ warmup.Method }
-
-func (m heldMethod) AdoptRegion(c warmup.RegionCapture) {
-	time.Sleep(2 * time.Millisecond)
-	m.Method.AdoptRegion(c)
-}
-
-func (m heldMethod) SizeRegions(longest uint64) {
-	if rs, ok := m.Method.(warmup.RegionSizer); ok {
-		rs.SizeRegions(longest)
-	}
-}
-
-// TestParallelAllocationBudget is the timing-free guard on the pipeline's
-// hand-off cost. Skip logs, plans and record slabs are written into recycled
-// storage sized once per region, so a sharded run allocates its standing
-// population of region buffers (at most inFlight(shards) of them) plus the
-// extra functional simulators — not a fresh, regrown log per region.
-//
-// Two properties follow. A run three times as long, over regions of the same
-// length, allocates about that population and no more: the steady-state
-// producer loop allocates nothing. How much of the population a free-running
-// pipeline builds is the scheduler's choice (S$BP: 11 to 27 MB over forty
-// runs), so the population is measured with the consumer held back
-// (heldMethod), not read off a second free run's luck; the half on top is for
-// logs outgrown and refitted while the density estimate settles (150 regions
-// read 0.74 to 1.19 of the population over forty runs; a log per region would
-// read 5). And for R$BP (20%), whose sealed
-// captures hand over plans instead of logs, two shards stay within four
-// times the sequential run's bytes (22x before buffers were recycled). S$BP
-// has no such multiple to offer: its sequential run never logs and allocates
-// only the machine itself (1.1 MB), less than the pipeline's record slabs
-// alone, so its ratio (92x before, the standing population now) is logged,
-// not bounded.
+// TestParallelAllocationBudget is the timing-free guard on what a sharded
+// run allocates. Each producer hands its regions to the walker through a ring
+// of recycled slots, and every method observes the same stretches as from one
+// producer, so what a run holds at once is bounded whatever the scheduler
+// does: the rings (kept from run to run, so the first run pays for them here),
+// a functional simulator per producer and the pre-pass's, and the pre-pass's
+// checkpoint deltas. Two properties follow. A run three times as long, over
+// regions of the same length, allocates about what the shorter one does: the
+// producer loop allocates nothing per region. And two shards allocate within
+// three times the sequential run's bytes for either method (S$BP reads 2.19x,
+// R$BP (20%) 1.70x, the same in every run).
 func TestParallelAllocationBudget(t *testing.T) {
 	w, err := workload.ByName("gcc")
 	if err != nil {
@@ -291,23 +205,23 @@ func TestParallelAllocationBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		held := func(h *mem.Hierarchy, u *bpred.Unit) warmup.Method { return heldMethod{spec.New(h, u)} }
-		run := func(clusters, shards int, mk func(*mem.Hierarchy, *bpred.Unit) warmup.Method) uint64 {
+		run := func(clusters, shards int) uint64 {
 			reg := Regimen{ClusterSize: 2000, NumClusters: clusters}
 			return allocatedBy(func() {
-				if _, err := runSampled(p, DefaultMachine(), reg, uint64(clusters)*stratum, 2007, mk, Options{Shards: shards}); err != nil {
+				if _, err := RunSampledOpts(p, DefaultMachine(), reg, uint64(clusters)*stratum, 2007, spec, Options{Shards: shards}); err != nil {
 					t.Fatalf("%s clusters=%d shards=%d: %v", label, clusters, shards, err)
 				}
 			})
 		}
-		seq, par, standing, long := run(50, 1, spec.New), run(50, 2, spec.New), run(50, 2, held), run(150, 2, spec.New)
-		t.Logf("%s: sequential %.1f MB, two shards %.1f MB (%.1fx), held full %.1f MB, two shards over 3x the regions %.1f MB",
-			label, float64(seq)/1e6, float64(par)/1e6, float64(par)/float64(seq), float64(standing)/1e6, float64(long)/1e6)
-		if long > standing+standing/2 {
-			t.Errorf("%s: 150 regions allocate %d bytes against a standing population of %d: the producer loop allocates per region", label, long, standing)
+		run(50, 2) // the rings
+		seq, par, long := run(50, 1), run(50, 2), run(150, 2)
+		t.Logf("%s: sequential %.2f MB, two shards %.2f MB (%.2fx), two shards over 3x the regions %.2f MB",
+			label, float64(seq)/1e6, float64(par)/1e6, float64(par)/float64(seq), float64(long)/1e6)
+		if long > par+par/2 {
+			t.Errorf("%s: 150 regions allocate %d bytes against %d for 50: the producer loop allocates per region", label, long, par)
 		}
-		if spec.Kind == warmup.KindReverse && par > 4*seq {
-			t.Errorf("%s: two shards allocate %d bytes, over four times the sequential run's %d", label, par, seq)
+		if par > 3*seq {
+			t.Errorf("%s: two shards allocate %d bytes, over three times the sequential run's %d", label, par, seq)
 		}
 	}
 }
@@ -434,10 +348,9 @@ func TestParallelCancelPreClosed(t *testing.T) {
 }
 
 // TestParallelCancelMidRun fires cancellation while shards are mid-flight,
-// for both a reverse method and a functional-warming method (whose captures
-// the producers seal): both must return ErrCanceled with no partial result,
-// and every pipeline goroutine must exit (the race detector guards the
-// teardown).
+// for both a reverse method and a functional-warming method: both must
+// return ErrCanceled with no partial result, and every producer and the
+// pre-pass must exit (the race detector guards the teardown).
 func TestParallelCancelMidRun(t *testing.T) {
 	w, err := workload.ByName("twolf")
 	if err != nil {

@@ -13,8 +13,8 @@
 // engine package relies on this), and because every run is deterministic in
 // its inputs, concurrent and sequential execution produce identical results.
 // TestRunSampledFreshStatePerCall asserts this contract. A run's own
-// goroutines — the run-ahead producer, the sharded pipeline's — end before it
-// returns or, for the pipeline, wind down once it has.
+// goroutines — its run-ahead producers and a sharded run's pre-pass — end
+// before it returns.
 package sampling
 
 import (
@@ -199,20 +199,16 @@ type Options struct {
 	// additionally at cluster boundaries), so results of uncanceled runs are
 	// unaffected.
 	Cancel <-chan struct{}
-	// Shards, when > 1, feeds the region walker from the parallel cluster
-	// pipeline: cold functional execution, skip observation into private
-	// region captures, and reconstruction planning fan out over shard
-	// goroutines seeded from architectural checkpoints, while shared
-	// microarchitectural state advances in cluster order on the walker, so
-	// results stay byte-identical to the sequential run. Every warm-up method
-	// shards — functional warming captures its would-be applications and
-	// replays them at adoption. 0 or 1 selects the sequential run-ahead feed:
-	// one producer goroutine executes the run functionally a region ahead of
-	// the walker, which warms and times. Shards is an execution policy, not
-	// part of a run's identity.
+	// Shards, when > 1, splits the run's regions into that many contiguous
+	// ranges, each executed by a run-ahead producer of its own that a
+	// checkpoint pre-pass seeds with the architectural state at the range's
+	// start, while the walker observes, warms and times every region in
+	// order, so results stay byte-identical to the sequential run. 0 or 1 runs
+	// one producer over all regions, and so does a run that replays a trace.
+	// Shards is an execution policy, not part of a run's identity.
 	Shards int
 	// Checkpoints, when non-nil alongside a non-empty CheckpointKey, lets
-	// the parallel pipeline load its pre-pass checkpoint chain from a
+	// a sharded run load its pre-pass checkpoint chain from a
 	// shared store (skipping the pre-pass functional run) and persist a
 	// freshly captured chain for other runs — or other nodes — with the
 	// same key. Chains are pure functions of their key, so reuse preserves
@@ -220,17 +216,19 @@ type Options struct {
 	// of a run's identity.
 	Checkpoints   CheckpointStore
 	CheckpointKey string
-	// Traces, when non-nil alongside a non-empty TraceKey, lets a sequential
-	// run replay its placement's functional trace instead of executing, or
-	// record it for later runs (Trace). Like Checkpoints, it is execution
-	// policy, never identity; a sharded run ignores it.
+	// Traces, when non-nil alongside a non-empty TraceKey, lets a run replay
+	// its placement's functional trace instead of executing (Trace), with one
+	// producer whatever Shards says. Like Checkpoints, it is execution
+	// policy, never identity.
 	Traces   TraceStore
 	TraceKey string
 	// Instr, when non-nil, streams per-phase instruction counts, durations,
 	// warm-up work deltas, and machine event counters into its registry.
 	// Tracer, when non-nil, records one span per cluster phase (cold-skip,
 	// reverse-scan — plan apply included — and hot-sim) on a track of its
-	// own, plus checkpoint-capture spans from a sharded run's pre-pass. Both
+	// own; a sharded run adds checkpoint-capture spans on its pre-pass's
+	// track, each region's cold-skip on its producer's, and consumer-wait
+	// spans where the walker blocks on a producer. Both
 	// default off; recording happens at phase boundaries — never per
 	// instruction — so enabling them does not perturb results
 	// (TestInstrumentedRunIdentical pins this) and the simulation hot loops
@@ -286,7 +284,7 @@ func RunFullOpts(p *prog.Program, m MachineConfig, total uint64, opts Options) (
 	unit := bpred.NewUnit(m.Pred)
 	sim := ooo.New(m.CPU, hier, unit)
 	fs := funcsim.New(p)
-	ro := newRunObs(opts.Instr, opts.Tracer, "full", "")
+	ro := newRunObs(opts.Instr, opts.Tracer, "full", "", false)
 	begin := time.Now()
 	st := &stream{fs: fs, buf: make([]trace.DynInst, funcsim.BatchSize), opts: &opts}
 	t0 := ro.begin()

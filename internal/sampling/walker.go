@@ -42,27 +42,6 @@ func ValidateRegions(regions []Region, total uint64) error {
 	return nil
 }
 
-// feed is how a region's instructions reach the walker. The run-ahead feed
-// receives each region from a producer goroutine that executes the whole run
-// on one functional simulator, as far ahead as its ring lets it; the sharded feed
-// receives each region from the pipeline, its cold phase already observed
-// into a RegionCapture and its hot phase materialized. As an ooo.Source a
-// feed delivers the current region's hot instructions, never running past the
-// region's end.
-type feed interface {
-	ooo.Source
-	// next makes region ci current and returns the length of its cold phase,
-	// which depends on where the previous region ended.
-	next(ci int, r Region) (cold uint64, err error)
-	// ingest gives method the cold phase's observations, between the walker's
-	// BeginSkip and EndSkip, and returns how many instructions were skipped.
-	ingest(ci int, method warmup.Method, cold uint64) (ran uint64, err error)
-	// err is the failure that ended the source's stream early, if any.
-	err() error
-	// release ends the current region: nothing of it is read afterwards.
-	release()
-}
-
 // RunRegions is the sampled-simulation loop of the paper's Figure 1, and the
 // only one: for each region in order, skip to it functionally while the
 // warm-up method observes, let the method repair microarchitectural state,
@@ -72,7 +51,7 @@ type feed interface {
 // mean the same thing for all of them. mk builds the warm-up method over the
 // run's fresh hierarchy and predictor: every production caller passes a
 // warmup.Spec's New, and mk stays a factory only so tests can wrap a method
-// (unsealedMethod, heldMethod) in a fake. The walker checks the region list
+// (countingMethod, cancelingMethod) in a fake. The walker checks the region list
 // itself, all but its fit in the workload, whose length it is not told: a
 // workload that ends before the last region does is an error when the run
 // gets there.
@@ -85,7 +64,7 @@ func RunRegions(p *prog.Program, m MachineConfig, regions []Region, mk func(*mem
 	method := mk(hier, unit)
 	sim := ooo.New(m.CPU, hier, method.Predictor())
 	// A method that buffers a region hears the longest cold phase before the
-	// first one, and before the sharded feed's producers draw captures.
+	// first one.
 	if rs, ok := method.(warmup.RegionSizer); ok {
 		var pos, longest uint64
 		for _, reg := range regions {
@@ -95,31 +74,22 @@ func RunRegions(p *prog.Program, m MachineConfig, regions []Region, mk func(*mem
 	}
 
 	res := &RunResult{Method: method.Name(), Clusters: make([]ClusterStat, 0, len(regions))}
-	ro := newRunObs(opts.Instr, opts.Tracer, method.Name(), method.Name())
 	begin := time.Now()
 
-	// Every method supports region captures (part of the Method contract), so
-	// a sharded request never falls back to the sequential feed.
-	var f feed
-	if shards := shardCount(opts.Shards, len(regions)); shards > 1 {
-		ro.setParallel()
-		sf := newShardFeed(p, regions, method, shards, &opts, ro)
-		defer close(sf.done)
-		f = sf
-	} else {
-		af := newAheadFeed(p, m, regions, method, &opts, ro)
-		defer af.stop()
-		f = af
+	replay := loadTrace(m, regions, method, &opts)
+	shards := 1
+	if replay == nil {
+		shards = shardCount(opts.Shards, len(regions))
 	}
+	ro := newRunObs(opts.Instr, opts.Tracer, method.Name(), method.Name(), shards > 1)
+	f := newAheadFeed(p, regions, method, shards, replay, &opts, ro)
+	defer f.stop()
 
 	for ci, reg := range regions {
 		if opts.Canceled() {
 			return nil, ErrCanceled
 		}
-		cold, err := f.next(ci, reg)
-		if err != nil {
-			return nil, err
-		}
+		cold := f.next(ci, reg)
 		method.BeginSkip(cold)
 		ran, err := f.ingest(ci, method, cold)
 		if err != nil {
@@ -146,48 +116,6 @@ func RunRegions(p *prog.Program, m MachineConfig, regions []Region, mk func(*mem
 	res.Work = method.Work()
 	ro.runDone("sampled", hier, unit)
 	return res, nil
-}
-
-// skipObserver is what a cold phase is observed by: a region capture, or the
-// run-ahead feed's hand-off of a window in stretches.
-type skipObserver interface {
-	SkipLead() uint64
-	Window() *trace.Window
-}
-
-// coldSkip executes n instructions on fs in batches of at most
-// funcsim.BatchSize, polling stopped between batches: the cold phase of a
-// region, wherever it runs. The lead before obs's window (SkipLead) runs
-// through funcsim.Skip, which logs nothing, the rest through the window
-// kernel into obs's Window. It returns how far it got; a fault, a workload
-// that halts short of n, and a stop (ErrCanceled) are errors.
-func coldSkip(fs *funcsim.Sim, n uint64, obs skipObserver, stopped func() bool) (uint64, error) {
-	lead := min(obs.SkipLead(), n)
-	var ran uint64
-	for ran < n {
-		chunk := min(n-ran, funcsim.BatchSize)
-		var k uint64
-		var err error
-		if ran < lead {
-			k, err = fs.Skip(min(chunk, lead-ran))
-		} else {
-			k, err = fs.SkipWindow(chunk, obs.Window())
-		}
-		ran += k
-		if err != nil {
-			return ran, fmt.Errorf("sampling: cold phase: %w", err)
-		}
-		if fs.Halted() {
-			break
-		}
-		if stopped() {
-			return ran, ErrCanceled
-		}
-	}
-	if ran != n {
-		return ran, fmt.Errorf("sampling: workload halted after %d skipped instructions", ran)
-	}
-	return ran, nil
 }
 
 // stream feeds the timing model from a live functional simulator in batches

@@ -10,7 +10,6 @@ package warmup
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"rsr/internal/bpred"
@@ -30,18 +29,18 @@ import (
 // state that observing the region one instruction at a time would, which
 // TestBatchScalarEquivalence pins against a per-instruction oracle kept in
 // the tests. The region walker (sampling.RunRegions) builds no records for a
-// cold phase: NewWindow tells its producer how many of a region's
-// instructions pass before the window, which it runs without any, and how to
-// log the rest, which funcsim's window kernel does into trace.Windows that
-// ObserveWindow takes in place of the batches — or into a capture.
+// cold phase: NewWindow tells its producers how many of a region's
+// instructions pass before the window, which they run without any, and how
+// to log the rest, which funcsim's window kernel does into trace.Windows that
+// ObserveWindow takes in place of the batches, whatever the run's shard
+// count.
 //
-// Every method also supports region captures (NewRegionCapture/AdoptRegion),
-// the contract the walker's sharded feed builds on: a region's skip
-// observation runs on a producer goroutine against a private capture, and
-// the walker adopts captures in strict cluster order. A capture logs what its
+// Region captures (NewRegionCapture/AdoptRegion) observe a region away from
+// the method's shared state and install it later: a capture logs what its
 // method's window lets through, and AdoptRegion replays the log in order
-// (forward) or keeps it, or the plans Seal made of it, for EndSkip (reverse),
-// so no method falls back to sequential execution under sharding.
+// (forward) or keeps it, or the plans Seal made of it, for EndSkip
+// (reverse). The walker does not use them; they stay for bench/replay.go,
+// which times that path, and go when the benchmark does (ROADMAP 5(b)).
 //
 // forward has one loop that touches the machine, apply: it replays a log of
 // the window's records, whether a capture's, a hand-off's or a batch's.
@@ -57,7 +56,7 @@ type Method interface {
 	ObserveSkipBatch(ds []trace.DynInst)
 	// NewWindow returns how many of a region of expectedLen instructions pass
 	// before its window and an empty trace.Window set up to log the rest as
-	// this method does. Like NewRegionCapture it is safe for concurrent use.
+	// this method does. It is safe for concurrent use.
 	NewWindow(expectedLen uint64) (lead uint64, w trace.Window)
 	// ObserveWindow observes, between BeginSkip and EndSkip, w.Seen of the
 	// current region's window instructions through the records logged of them
@@ -72,13 +71,13 @@ type Method interface {
 	// expected length; region, the phase's index, is read by no method. It
 	// must be safe for concurrent use and may read only immutable method
 	// configuration; the returned capture is confined to one goroutine until
-	// it is handed to AdoptRegion.
+	// it is handed to AdoptRegion. Only bench/replay.go calls it.
 	NewRegionCapture(region int, expectedLen uint64) RegionCapture
 	// AdoptRegion installs a fed capture, sealed or not, as if the method
 	// had observed the region's stream itself. It must be called between
 	// BeginSkip and EndSkip in place of the method's own ObserveSkipBatch
 	// calls for that region, and leaves the method in exactly the state
-	// direct observation would.
+	// direct observation would. Only bench/replay.go calls it.
 	AdoptRegion(c RegionCapture)
 }
 
@@ -88,22 +87,14 @@ type Method interface {
 // the region's batches, sealing it, and adopting it is equivalent to feeding
 // the method directly between BeginSkip and EndSkip.
 //
-// Seal finalizes the capture after its last batch, still on the producer
+// Seal finalizes the capture after its last batch, still on the producing
 // goroutine: work that is a pure function of the captured stream — for the
 // reverse method, the backward scan that materializes the cache and
-// predictor warm-apply plans — runs here, off the consumer's critical path.
-// Seal is optional (the method seals an unsealed capture itself at EndSkip,
-// byte-identically) and must be called at most once, after the final
-// ObserveSkipBatch.
-//
-// SkipLead and Window are the record-free way to feed a capture: SkipLead
-// returns how many of the region's next instructions fall before its window
-// and counts them as observed, and Window returns the capture's log for
-// funcsim's window kernel to fill, with room for one more instruction's
-// records.
+// predictor warm-apply plans — runs there. Seal is optional (the method
+// seals an unsealed capture itself at EndSkip, byte-identically) and must be
+// called at most once, after the final ObserveSkipBatch. Like the methods
+// that make and adopt captures, the interface stays only for bench/replay.go.
 type RegionCapture interface {
-	SkipLead() uint64
-	Window() *trace.Window
 	ObserveSkipBatch(ds []trace.DynInst)
 	Seal()
 }
@@ -349,30 +340,6 @@ func (c *regionCapture) tail(ds []trace.DynInst) []trace.DynInst {
 	return ds[skip:]
 }
 
-// SkipLead counts the rest of the region before threshold as seen, all at
-// once, and returns how much that was: what tail would drop of it.
-func (c *regionCapture) SkipLead() uint64 {
-	lead := c.threshold - min(c.log.Seen, c.threshold)
-	c.log.Seen += lead
-	return lead
-}
-
-// Window fits the log on its first call and grows it, as an append would,
-// when the region turns out denser than fitted.
-func (c *regionCapture) Window() *trace.Window {
-	if !c.fitted {
-		c.pool.fit(c)
-	}
-	w := &c.log
-	if w.Cache && cap(w.Mem)-len(w.Mem) < 2 {
-		w.Mem = slices.Grow(w.Mem, len(w.Mem)+2)
-	}
-	if w.BPred && cap(w.Branches) == len(w.Branches) {
-		w.Branches = slices.Grow(w.Branches, len(w.Branches)+1)
-	}
-	return w
-}
-
 func (c *regionCapture) ObserveSkipBatch(ds []trace.DynInst) {
 	if warm := c.tail(ds); len(warm) > 0 {
 		if !c.fitted {
@@ -442,8 +409,7 @@ type reconConfig struct {
 // capturePool is one method's free list of region captures for one run.
 // Producers draw captures concurrently while the consumer returns them, so
 // everything below mu is guarded by it; the fields above are immutable. The
-// lists never hold more than was once in flight together, which the pipeline
-// bounds (see sampling.shardWindow).
+// lists never hold more than was once in flight together.
 //
 // The pool also remembers the densest region seen so far, in records per 1024
 // logged instructions, and the largest log that density has called for. An
