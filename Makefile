@@ -9,7 +9,7 @@
 #                    trace against fresh execution for 20 s each, run the
 #                    sequential identity tests on one CPU, then soak the
 #                    engine (its trace store included), the warm-up methods
-#                    and the run-ahead feed's tests (sharded, replaying and
+#                    and the run-ahead feed's tests (executing, replaying and
 #                    recording) under -race -count=20
 #   make chaos       race-enabled fault-injection suite (chaos + drain tests)
 #   make obs-smoke   end-to-end observability check: rsrd /metrics scrape +
@@ -20,20 +20,18 @@
 #                    3-process sweep (coordinator + both worker lanes, sweep
 #                    tags, worker spans inside the sweep span), each
 #                    process's /metrics reporting that process, /v1/status
-#   make shard-smoke sharded-run check: race-enabled full-method sweep over
-#                    k run-ahead producers diffed byte-for-byte against one
 #   make regimen-smoke  sampling-strategy check: `-regimen stratified-uniform`
 #                    diffed byte-for-byte against the unnamed run, then
-#                    every registered strategy run end to end at -shards 1
-#                    and 2, a non-zero work line required and the two
-#                    outputs diffed, then `strategies` twice on one
+#                    every registered strategy run end to end, a non-zero
+#                    work line required, then `strategies` twice on one
 #                    -cachedir, the second run all cache hits
 #   make recovery-smoke  crash-recovery check: SIGKILL the coordinator
 #                    mid-sweep, restart it on the same journal, diff the
 #                    sweep against a single-node run
 #   make bench-smoke the frozen benchmark (bench/, BENCHMARK.json) still builds
-#                    and its gates hold: sharded == sequential, and the sweep's
-#                    engine result == direct run, re-sweep == cold result
+#                    and its gates hold: Shards 2 == the zero Options, replay ==
+#                    RunSampled, and the sweep's engine result == direct run,
+#                    re-sweep == cold result
 #   make stall-check the innermost loops compile without host stalls:
 #                    objdump of funcsim.RunBatch (no record built on the stack),
 #                    funcsim.Skip and funcsim.SkipWindow (all three: no call to
@@ -56,9 +54,9 @@
 
 GO ?= go
 
-.PHONY: all build test verify chaos obs-smoke cluster-smoke trace-smoke shard-smoke recovery-smoke regimen-smoke bench-smoke stall-check examples bench-sweep loc results results-check
+.PHONY: all build test verify chaos obs-smoke cluster-smoke trace-smoke recovery-smoke regimen-smoke bench-smoke stall-check examples bench-sweep loc results results-check
 
-all: build test verify chaos obs-smoke cluster-smoke trace-smoke shard-smoke recovery-smoke regimen-smoke bench-smoke stall-check examples
+all: build test verify chaos obs-smoke cluster-smoke trace-smoke recovery-smoke regimen-smoke bench-smoke stall-check examples
 
 build:
 	$(GO) build ./...
@@ -70,9 +68,9 @@ test: build
 # schedules race-clean: the engine package owns the worker pool / cache /
 # single-flight machinery, and the sampling package carries both the
 # fresh-state-per-call concurrency contract the engine relies on and the
-# run-ahead feed, whose producers execute every sampled run on goroutines of
-# their own — one, or at -shards k a checkpoint pre-pass and k (parallel_test.go's
-# byte-identity and cancellation tests run under -race here). The cluster and
+# run-ahead feed, whose producer executes or replays every sampled run on a
+# goroutine of its own (parallel_test.go's byte-identity and cancellation
+# tests run under -race here). The cluster and
 # cas packages carry the distributed scheduler and the shared content-addressed
 # store, both all-mutex-and-goroutine code. The regimen package's strategies
 # drive the same feed and cancellation channel — as engine jobs, from its
@@ -82,16 +80,13 @@ test: build
 # ticket/stats ordering and the feed's slot recycling (a slot reused while
 # the walker still reads it) are schedule-dependent, so one clean pass proves
 # little; twenty under the race detector do. In the sampling package the
-# run-ahead feed — one producer or k, executing or replaying a functional
-# trace, and the recording — is what is schedule-dependent; its tests are the
-# ones named Parallel, Shard, Capture, RunAhead, SkipLead, Cancel, ZeroAllocs
-# or Replay, so those soak; the rest of the package gets its one -race pass
-# on the line above, and the identity tests one more pass on a single CPU,
-# where the producers and the walker take turns. That trims less than it
-# sounds: timed on the two-core host, the feed's tests are most of the
-# package's 84 s -race pass (TestParallelAllWorkloadsIdentical alone 29 s),
-# and twenty passes of them take about 23 minutes, so the line keeps its
-# 60-minute timeout. The fuzz
+# run-ahead feed — executing or replaying a functional trace, and the
+# recording — is what is schedule-dependent; its tests are the ones named
+# Parallel, RunAhead, SkipLead, Cancel, ZeroAllocs or Replay, so those soak;
+# the rest of the package gets its one -race pass on the line above, and the
+# identity tests one more pass on a single CPU, where the producer and the
+# walker take turns. The line keeps a 60-minute timeout: on a two-core host
+# the feed's tests are most of the package's -race pass. The fuzz
 # lines compare RunBatch, Skip and SkipWindow with Step on generated programs,
 # the reverse method on both ingestion paths with its per-instruction oracle
 # on generated region lengths, percentages and batch splits, and the timing
@@ -112,7 +107,7 @@ verify:
 	$(GO) test -run '^$$' -fuzz FuzzReplayMatchesFresh -fuzztime 20s ./internal/sampling
 	$(GO) test -race -count=20 ./internal/engine ./internal/warmup
 	$(GO) test -cpu 1 -run 'MatchesScalar|SkipLead|RunAhead|Cancel|ByteIdentical|Replay' ./internal/sampling
-	$(GO) test -race -count=20 -timeout 60m -run 'Parallel|Shard|Capture|RunAhead|SkipLead|Cancel|ZeroAllocs|Replay' ./internal/sampling
+	$(GO) test -race -count=20 -timeout 60m -run 'Parallel|RunAhead|SkipLead|Cancel|ZeroAllocs|Replay' ./internal/sampling
 
 # chaos drives the deterministic fault injector through the engine's real
 # cache and run paths under the race detector: injected disk errors, torn
@@ -158,34 +153,28 @@ trace-smoke: build
 recovery-smoke: build
 	./scripts/recovery-smoke.sh
 
-# shard-smoke proves sharded runs end to end with the real CLI: the full
-# warm-up sweep (every method, forward and reverse) run under the race
-# detector at several shard counts — a pre-pass and k run-ahead producers —
-# must be byte-identical to one producer. scripts/shard-smoke.sh diffs the
-# sweep tables.
-shard-smoke:
-	./scripts/shard-smoke.sh
-
 # regimen-smoke proves the sampling-strategy seam end to end with the real
 # CLI: `-regimen stratified-uniform` must be byte-identical to the unnamed
 # run (only the wall-clock `time` line is filtered), every strategy listed by
-# `rsr regimens` must complete a run under the race detector at `-shards 1`
-# and `-shards 2` with identical output and a non-zero `work` line (the mark
-# of a pass through the region walker), and `strategies` re-run on the same
-# -cachedir must be served from it (`-stats`: misses=0).
+# `rsr regimens` must complete a run under the race detector with a non-zero
+# `work` line (the mark of a pass through the region walker), and
+# `strategies` re-run on the same -cachedir must be served from it (`-stats`:
+# misses=0).
 regimen-smoke:
 	./scripts/regimen-smoke.sh
 
 # bench-smoke runs the frozen benchmark's sharded workload for three seconds,
 # traced: a change under internal/ that breaks bench/'s compile or its
-# correctness gate (sharded == sequential, replay == RunSampled) fails here,
-# before the paired parent/change runs. That workload's reference is the
-# sharded RunSampled, two producers; skip-heavy follows, traced as well (the replay gate is
-# part of the traced run only), so that the in-place replay is also held to the
-# in-place RunSampled, where reverse logs into its own capture and seals it at
-# EndSkip. The sweep workload is there for an engine or cas change:
-# its own gates are engine result == direct run, re-sweep (disk cache only) ==
-# cold result, and no failed job. The numbers are ignored.
+# correctness gate (Shards 2 == the zero Options, replay == RunSampled) fails
+# here, before the paired parent/change runs. That workload's rounds run
+# RunSampled at Shards 2, which every run ignores (one producer), against a
+# reference at the zero Options; skip-heavy follows, traced as well (the
+# replay gate is part of the traced run only), so that the in-place replay is
+# also held to the in-place RunSampled, where reverse logs into its own
+# capture and seals it at EndSkip. The sweep workload is there for an engine
+# or cas change: its own gates are engine result == direct run, re-sweep
+# (disk cache only) == cold result, and no failed job. The numbers are
+# ignored.
 bench-smoke:
 	bash bench/run.sh --workload skip-heavy-sharded --seed 1 --seconds 3 --trace 1
 	bash bench/run.sh --workload skip-heavy --seed 1 --seconds 3 --trace 1
@@ -219,11 +208,11 @@ loc:
 # reference configuration (scale 1.0, seed 2007). Every column but the
 # wall-clock ones is deterministic, so after a change that claims byte
 # identity `git diff` of these files may show time columns only. Figure 7 is
-# also run alone at -parallel 1 -shards 1: per-run times no other job or shard
-# goroutine competed with, which is what its cost ordering is read from.
+# also run alone at -parallel 1: per-run times no other job competed with,
+# which is what its cost ordering is read from.
 results:
 	$(GO) run ./cmd/rsr all > results_reference.txt
-	$(GO) run ./cmd/rsr -parallel 1 -shards 1 fig7 > results_fig7_sequential.txt
+	$(GO) run ./cmd/rsr -parallel 1 fig7 > results_fig7_sequential.txt
 	$(GO) run ./cmd/rsr strategies > results_strategies.txt
 
 # results-check is the byte-identity check for a change that claims the same

@@ -24,7 +24,7 @@
 //	strategies sampling-strategy head-to-head: every registered strategy on
 //	           the lab's workloads, scored against the true IPC
 //	top        live cluster status view (requires -cluster): queue depth,
-//	           in-flight leases, shard utilization, stragglers, journal
+//	           in-flight leases, stragglers, journal
 //	           fsync latency, refreshed every second until interrupted
 //
 // Flags:
@@ -35,15 +35,11 @@
 //	-seed n        cluster placement seed
 //	-workloads s   comma-separated workload subset
 //	-parallel n    engine worker-pool size (0 = GOMAXPROCS; 1 for clean per-run wall times)
-//	-shards n      run-ahead producers inside each sampled run that executes
-//	               (default GOMAXPROCS; 1 = one; a run replaying its
-//	               placement's trace uses one; byte-identical either way);
-//	               applies to every figure, fig9's SimPoint arms included,
-//	               and to `run` under any -regimen, simpoint too
 //	-cachedir s    content-addressed result cache directory (persists runs
 //	               across invocations; an internal/cas store: blobs/, index/,
 //	               quarantine/ — caches of the older <hash>.json layout are ignored)
-//	-stats         print engine scheduler/cache statistics to stderr when done
+//	-stats         print engine scheduler/cache and trace-store statistics to
+//	               stderr when done
 //	-workload s    workload for `run`
 //	-method s      method label for `run` (e.g. "R$BP (20%)", "S$BP", "None")
 //	-regimen s     sampling strategy for `run` (see `rsr regimens`), an
@@ -103,9 +99,8 @@ func main() {
 	seed := flag.Int64("seed", 2007, "cluster placement seed")
 	workloadsFlag := flag.String("workloads", "", "comma-separated workload subset")
 	parallel := flag.Int("parallel", 0, "engine worker-pool size (0 = GOMAXPROCS; use 1 for clean per-run wall times)")
-	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "run-ahead producers per sampled run that executes, fig9 and every -regimen included (1 = one; results byte-identical at any count)")
 	cacheDir := flag.String("cachedir", "", "content-addressed result cache directory (empty = memory-only)")
-	stats := flag.Bool("stats", false, "print engine scheduler/cache statistics to stderr when done")
+	stats := flag.Bool("stats", false, "print engine scheduler/cache and trace-store statistics to stderr when done")
 	format := flag.String("format", "text", "output format: text, csv, or json")
 	workloadFlag := flag.String("workload", "twolf", "workload for `run`")
 	methodFlag := flag.String("method", "R$BP (20%)", "warm-up method label for `run`")
@@ -193,7 +188,6 @@ func main() {
 	cfg.Seed = *seed
 	cfg.Parallelism = *parallel
 	cfg.CacheDir = *cacheDir
-	cfg.Shards = *shards
 	cfg.Metrics = reg
 	cfg.Tracer = tracer
 	if *workloadsFlag != "" {
@@ -321,6 +315,8 @@ func dispatch(cmd string, cfg experiments.Config, wl, method, regimenName, forma
 				"engine: workers=%d done=%d failed=%d cache hits=%d (disk %d) misses=%d coalesced=%d panics=%d quarantined=%d wall=%v\n",
 				lab.Engine().Workers(), s.Done, s.Failed, s.CacheHits, s.DiskHits, s.CacheMisses,
 				s.Coalesced, s.Panics, s.Quarantined, s.Wall)
+			fmt.Fprintf(os.Stderr, "traces: recorded=%d replayed=%d evicted=%d refused=%d bytes=%d\n",
+				s.TracesRecorded, s.TracesReplayed, s.TracesEvicted, s.TracesRefused, s.TraceBytes)
 		}()
 	}
 	switch cmd {

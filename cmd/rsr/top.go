@@ -74,8 +74,8 @@ func renderStatus(st cluster.ClusterStatus, now time.Time) string {
 		}
 		return nodes[i].Node < nodes[j].Node
 	})
-	fmt.Fprintf(&b, "%-16s %5s %9s %7s %10s %s\n",
-		"node", "lease", "shards", "beat", "slowest", "job")
+	fmt.Fprintf(&b, "%-16s %5s %7s %10s %s\n",
+		"node", "lease", "beat", "slowest", "job")
 	for _, n := range nodes {
 		slowest := "-"
 		job := ""
@@ -83,9 +83,8 @@ func renderStatus(st cluster.ClusterStatus, now time.Time) string {
 			slowest = fmtMS(n.OldestLeaseAgeMS)
 			job = n.OldestLeaseJob
 		}
-		fmt.Fprintf(&b, "%-16s %5d %5d/%-3d %7s %10s %s\n",
-			n.Node, n.Inflight, n.ShardsInUse, n.ShardCapacity,
-			fmtMS(n.BeatAgeMS), slowest, job)
+		fmt.Fprintf(&b, "%-16s %5d %7s %10s %s\n",
+			n.Node, n.Inflight, fmtMS(n.BeatAgeMS), slowest, job)
 	}
 	return b.String()
 }

@@ -13,11 +13,9 @@ func TestRenderStatusSortsStragglersFirst(t *testing.T) {
 		Queued: 4, Running: 2, Done: 10, Failed: 1, Sweeps: 1,
 		JournalFsyncs: 42, JournalFsyncMeanMS: 0.8, JournalFsyncP99MS: 2.5,
 		Nodes: []cluster.NodeStatus{
-			{Node: "worker-a", Inflight: 1, ShardsInUse: 4,
-				ShardCapacity: 8, BeatAgeMS: 120,
+			{Node: "worker-a", Inflight: 1, BeatAgeMS: 120,
 				OldestLeaseAgeMS: 900, OldestLeaseJob: "abcd1234"},
-			{Node: "worker-b", Inflight: 2, ShardsInUse: 8,
-				ShardCapacity: 8, BeatAgeMS: 80,
+			{Node: "worker-b", Inflight: 2, BeatAgeMS: 80,
 				OldestLeaseAgeMS: 4_200, OldestLeaseJob: "ef567890"},
 		},
 	}

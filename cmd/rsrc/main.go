@@ -1,7 +1,6 @@
 // Command rsrc is the sweep-fabric coordinator: it accepts simulation jobs,
-// splits them across peer-mode rsrd workers, and serves the shared
-// content-addressed store that carries result blobs and pre-pass checkpoint
-// chains between nodes.
+// splits them across peer-mode rsrd workers, and serves the
+// content-addressed store that carries result blobs from them.
 //
 // Usage:
 //

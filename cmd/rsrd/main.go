@@ -21,11 +21,10 @@
 // With -peer, the daemon additionally joins the sweep fabric of the rsrc
 // coordinator at -coordinator: it heartbeats its engine depth every second,
 // pulls work with one loop per engine worker (-parallel), runs it on the
-// local engine, uploads results to the coordinator's content-addressed
-// store, and shares pre-pass checkpoint chains through the same store so
-// sibling nodes skip redundant functional warm-up. The local
-// HTTP API stays fully usable in peer mode. The -advertise address is used
-// for the sweep trace only: the coordinator dials it to pull /v1/trace.
+// local engine, and uploads results to the coordinator's content-addressed
+// store. The local HTTP API stays fully usable in peer mode. The -advertise
+// address is used for the sweep trace only: the coordinator dials it to pull
+// /v1/trace.
 //
 // Every request is logged as one structured log/slog line (method, path,
 // status, duration, request ID); the ID is echoed as X-Request-ID, and a
@@ -119,13 +118,6 @@ func main() {
 		DefaultTimeout: *jobTimeout,
 		Metrics:        reg,
 		Tracer:         tracer,
-	}
-	if *peerMode {
-		// Share pre-pass checkpoint chains through the coordinator's CAS:
-		// the first node to shard a pre-pass publishes the chain, siblings
-		// skip straight to detailed simulation. Execution policy only —
-		// results stay byte-identical.
-		engOpts.Checkpoints = cluster.NewCASCheckpoints(*coordinator, nil, log)
 	}
 	eng := engine.New(engOpts)
 

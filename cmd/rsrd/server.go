@@ -143,10 +143,6 @@ type jobRequest struct {
 	Strategy string `json:"strategy,omitempty"`
 	// TimeoutMS bounds the job's execution in milliseconds (0 = engine default).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Shards runs a sampled job's regions on this many run-ahead producers
-	// (0 or 1 = one; a job replaying a trace uses one). Results are
-	// byte-identical either way, so shards do not enter the job's identity.
-	Shards int `json:"shards,omitempty"`
 }
 
 // toJob resolves the request against the reproduction defaults.
@@ -159,7 +155,6 @@ func (r jobRequest) toJob() (engine.Job, error) {
 		Total:    def.Total(),
 		Seed:     def.Seed,
 		Timeout:  time.Duration(r.TimeoutMS) * time.Millisecond,
-		Shards:   r.Shards,
 		Strategy: r.Strategy,
 	}
 	if r.Kind != "" {

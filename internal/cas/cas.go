@@ -1,6 +1,6 @@
 // Package cas is a content-addressed blob store shared by the distributed
-// sweep fabric: finished results and pre-pass checkpoint chains travel
-// between nodes as blobs keyed by the hex SHA-256 of their bytes.
+// sweep fabric: finished results travel between nodes as blobs keyed by the
+// hex SHA-256 of their bytes.
 //
 // Content addressing makes every blob self-verifying: a reader recomputes
 // the sum and refuses bytes that do not hash to their key. Corrupt or torn
@@ -10,7 +10,7 @@
 // their key, writes race benignly: every writer writes the same bytes.
 //
 // Alongside the blob space the store keeps a small name index mapping
-// semantic keys (a checkpoint chain's identity hash, an engine job hash) to
+// semantic keys (an engine job hash) to
 // blob sums. Index entries are only ever written for deterministic
 // artifacts, so a lost or re-linked entry costs a recompute, never
 // correctness. The engine's on-disk result cache is one of these stores.

@@ -11,8 +11,7 @@ import (
 )
 
 // maxBlobBytes bounds a single blob accepted over HTTP. Results are a few
-// KB; checkpoint chains carry dirty-page images and can reach tens of MB on
-// long runs, so the ceiling is generous without being unbounded.
+// KB, so the ceiling is generous without being unbounded.
 const maxBlobBytes = 1 << 30
 
 // Server exposes a Store over HTTP under a mount prefix:

@@ -91,8 +91,7 @@ func sweepMembers(co *Coordinator, tag string) ([]string, bool) {
 }
 
 // TestHeartbeatWorkerTelemetry pins the one path by which a worker's engine
-// state reaches the coordinator: the engine depth, shard usage and capacity a
-// heartbeat reports land in the node state and are exported per node on
+// state reaches the coordinator: the engine depth a heartbeat reports land in the node state and are exported per node on
 // /metrics, and a later heartbeat that omits the fields (an older worker, or
 // an idle one) zeroes them rather than leaving a stale reading.
 func TestHeartbeatWorkerTelemetry(t *testing.T) {
@@ -102,13 +101,12 @@ func TestHeartbeatWorkerTelemetry(t *testing.T) {
 	})
 	defer co.Close()
 
-	families := []string{"rsr_cluster_node_engine_queued", "rsr_cluster_node_engine_running",
-		"rsr_cluster_node_shards_inuse", "rsr_cluster_node_shard_capacity"}
+	families := []string{"rsr_cluster_node_engine_queued", "rsr_cluster_node_engine_running"}
 	if err := co.Heartbeat(Heartbeat{Node: "a", Protocol: ProtocolVersion,
-		QueueDepth: 3, Inflight: 2, ShardsInUse: 6, ShardCapacity: 8}); err != nil {
+		QueueDepth: 3, Inflight: 2}); err != nil {
 		t.Fatal(err)
 	}
-	for i, want := range []float64{3, 2, 6, 8} {
+	for i, want := range []float64{3, 2} {
 		if got := metricValue(reg, families[i]); got != want {
 			t.Errorf("%s = %v, want %v", families[i], got, want)
 		}
@@ -743,14 +741,12 @@ func newFabric(t *testing.T, copts CoordinatorOptions, npeers int) *fabric {
 }
 
 // addPeer starts one more worker on the fabric: po names it (and may arm
-// its own faults); its two-worker engine, sharing checkpoints through the
-// coordinator CAS, injects engFault (nil = none).
+// its own faults); its two-worker engine injects engFault (nil = none).
 func (f *fabric) addPeer(t *testing.T, po PeerOptions, engFault fault.Injector) *Peer {
 	t.Helper()
 	return f.join(t, po, engine.New(engine.Options{
-		Workers:     2,
-		Checkpoints: NewCASCheckpoints(f.ts.URL, nil, f.log),
-		Fault:       engFault,
+		Workers: 2,
+		Fault:   engFault,
 	}))
 }
 
@@ -785,9 +781,8 @@ func (f *fabric) close() {
 }
 
 // sweepJobs is a small mixed sweep: sampled runs across workloads and
-// methods (sharded, so checkpoint chains flow through the CAS), one full
-// baseline, and one strategy job — the adaptive two-pass design, whose
-// Outcome must cross the wire and the CAS like any other result.
+// methods, one full baseline, and one strategy job — the adaptive two-pass
+// design, whose Outcome must cross the wire and the CAS like any other result.
 func sweepJobs(t *testing.T) []engine.Job {
 	t.Helper()
 	reg := sampling.Regimen{ClusterSize: 2000, NumClusters: 10}
@@ -806,7 +801,6 @@ func sweepJobs(t *testing.T) []engine.Job {
 				Regimen:  reg,
 				Seed:     2007,
 				Warmup:   spec,
-				Shards:   2,
 			})
 		}
 	}
@@ -851,8 +845,7 @@ func canon(t *testing.T, res *engine.Result) string {
 }
 
 // TestClusterSweepByteIdenticalToSingleNode is the fabric's tentpole
-// contract: a sweep scheduled across two peer workers — with sharded
-// pre-pass checkpoints flowing through the shared CAS — produces results
+// contract: a sweep scheduled across two peer workers produces results
 // byte-identical to the same jobs run on one local engine.
 func TestClusterSweepByteIdenticalToSingleNode(t *testing.T) {
 	f := newFabric(t, CoordinatorOptions{

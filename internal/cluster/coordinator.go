@@ -40,8 +40,8 @@ type CoordinatorOptions struct {
 	// site: a fault.CoordKill firing makes the coordinator crash abruptly
 	// (see Crash) — the journal's moment of truth.
 	Fault fault.Injector
-	// Store is the shared content-addressed store for result blobs and
-	// checkpoint chains (nil = a private in-memory store).
+	// Store is the content-addressed store for result blobs (nil = a private
+	// in-memory store).
 	Store *cas.Store
 	// Metrics, when non-nil, exposes the fabric's per-node gauges and
 	// scheduling counters for the coordinator's /metrics.
@@ -105,11 +105,6 @@ type node struct {
 	// engQueued/engRunning are the worker's self-reported engine counters,
 	// surfaced per node on the coordinator's /metrics.
 	engQueued, engRunning int64
-	// shardsInUse/shardCapacity are the worker's self-reported shard
-	// utilization (heartbeat payload): shard goroutines occupied by executing
-	// jobs vs the node's GOMAXPROCS. Older workers omit them (zero).
-	shardsInUse   int64
-	shardCapacity int
 }
 
 // sweep tracks the jobs submitted under one client tag (X-Sweep-ID): its key
@@ -571,7 +566,6 @@ func (c *Coordinator) Heartbeat(hb Heartbeat) error {
 	}
 	n := c.touch(hb.Node)
 	n.engQueued, n.engRunning = hb.QueueDepth, hb.Inflight
-	n.shardsInUse, n.shardCapacity = hb.ShardsInUse, hb.ShardCapacity
 	if hb.Addr != "" {
 		n.addr = hb.Addr
 	}
@@ -936,14 +930,12 @@ func (c *Coordinator) StatusSnapshot() ClusterStatus {
 		Queued: t.queued, Running: t.running, Done: t.done, Failed: t.failed}
 	for _, n := range c.sortedNodes() {
 		ns := NodeStatus{
-			Node:          n.name,
-			Addr:          n.addr,
-			BeatAgeMS:     now.Sub(n.lastBeat).Milliseconds(),
-			Inflight:      len(n.leases),
-			EngQueued:     n.engQueued,
-			EngRunning:    n.engRunning,
-			ShardsInUse:   n.shardsInUse,
-			ShardCapacity: n.shardCapacity,
+			Node:       n.name,
+			Addr:       n.addr,
+			BeatAgeMS:  now.Sub(n.lastBeat).Milliseconds(),
+			Inflight:   len(n.leases),
+			EngQueued:  n.engQueued,
+			EngRunning: n.engRunning,
 		}
 		for id := range n.leases {
 			it := c.items[id]

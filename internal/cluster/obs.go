@@ -28,8 +28,6 @@ type coordObs struct {
 	inflight    *obs.GaugeVec // label: node
 	engQueued   *obs.GaugeVec // label: node
 	engRunning  *obs.GaugeVec // label: node
-	shardsUsed  *obs.GaugeVec // label: node
-	shardCap    *obs.GaugeVec // label: node
 	oldestLease *obs.GaugeVec // label: node
 	sweepJobs   *obs.GaugeVec // label: state (pending|running|done|failed)
 }
@@ -84,10 +82,6 @@ func newCoordObs(reg *obs.Registry, c *Coordinator) *coordObs {
 		"Worker-reported local engine queue depth (heartbeat payload).", "node")
 	o.engRunning = reg.GaugeVec("rsr_cluster_node_engine_running",
 		"Worker-reported local engine running jobs (heartbeat payload).", "node")
-	o.shardsUsed = reg.GaugeVec("rsr_cluster_node_shards_inuse",
-		"Worker-reported shard goroutines occupied by executing jobs (heartbeat payload).", "node")
-	o.shardCap = reg.GaugeVec("rsr_cluster_node_shard_capacity",
-		"Worker-reported shard capacity, its GOMAXPROCS (heartbeat payload).", "node")
 	o.oldestLease = reg.GaugeVec("rsr_cluster_node_oldest_lease_age_ms",
 		"Age in milliseconds of the node's slowest in-flight lease — the straggler signal.", "node")
 	o.sweepDur = reg.Histogram("rsr_cluster_sweep_duration_seconds",
@@ -103,8 +97,6 @@ func newCoordObs(reg *obs.Registry, c *Coordinator) *coordObs {
 			o.inflight.With(n.Node).Set(int64(n.Inflight))
 			o.engQueued.With(n.Node).Set(n.EngQueued)
 			o.engRunning.With(n.Node).Set(n.EngRunning)
-			o.shardsUsed.With(n.Node).Set(n.ShardsInUse)
-			o.shardCap.With(n.Node).Set(int64(n.ShardCapacity))
 			o.oldestLease.With(n.Node).Set(n.OldestLeaseAgeMS)
 		}
 		sj := c.sweepJobsTally()
@@ -123,7 +115,5 @@ func (o *coordObs) zeroNode(name string) {
 	o.inflight.With(name).Set(0)
 	o.engQueued.With(name).Set(0)
 	o.engRunning.With(name).Set(0)
-	o.shardsUsed.With(name).Set(0)
-	o.shardCap.With(name).Set(0)
 	o.oldestLease.With(name).Set(0)
 }

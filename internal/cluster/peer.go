@@ -10,7 +10,6 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -344,7 +343,7 @@ func (p *Peer) reconnect() bool {
 }
 
 // beat sends one heartbeat carrying the local engine's queue depth, in-flight
-// count, shard utilization, and the IDs of every lease this peer is
+// count, and the IDs of every lease this peer is
 // executing — the coordinator's per-node backpressure signal and, after a
 // coordinator restart or in this process's Hello, the list of leases it
 // keeps. A 409 means protocol skew (a coordinator upgraded under us): fail
@@ -353,15 +352,13 @@ func (p *Peer) reconnect() bool {
 func (p *Peer) beat() bool {
 	st := p.opts.Engine.Stats()
 	hb := Heartbeat{
-		Node:          p.opts.Node,
-		Protocol:      ProtocolVersion,
-		Addr:          p.opts.Advertise,
-		QueueDepth:    st.Queued,
-		Inflight:      st.Running,
-		ShardsInUse:   st.ShardsInUse,
-		ShardCapacity: runtime.GOMAXPROCS(0),
-		Leases:        p.inflightLeases(),
-		Hello:         p.hello,
+		Node:       p.opts.Node,
+		Protocol:   ProtocolVersion,
+		Addr:       p.opts.Advertise,
+		QueueDepth: st.Queued,
+		Inflight:   st.Running,
+		Leases:     p.inflightLeases(),
+		Hello:      p.hello,
 	}
 	code, _, err := p.postJSON("/v1/peers/heartbeat", hb)
 	if err != nil {

@@ -21,17 +21,13 @@
 // duplicate execution this allows — a requeue racing a slow completion —
 // produces byte-identical results, and the first verified completion wins.
 //
-// # Results and checkpoints
+// # Results
 //
 // Workers do not send results inline: a finished result is PUT into the
 // coordinator's content-addressed store (internal/cas) and the completion
 // report carries only the blob's SHA-256. The coordinator refuses blobs that
 // do not decode to a result of the completed job, so a corrupt or misrouted
-// upload can never complete an item. The same store shares pre-pass
-// checkpoint chains (sampling.CheckpointStore) across nodes: the first
-// worker to shard a given pre-pass publishes the chain, every later run of
-// any job sharing that chain — on any node — skips straight to detailed
-// simulation.
+// upload can never complete an item.
 package cluster
 
 import (
@@ -121,29 +117,22 @@ func Version() VersionInfo {
 	return v
 }
 
-// Heartbeat is a worker's periodic liveness report. QueueDepth, Inflight,
-// and the shard fields are the worker's local engine counters, and the only
-// path by which they reach the coordinator, which exposes them per node on
-// /metrics (rsr_cluster_node_*), giving operators the
-// backpressure picture end to end: coordinator queue depth on one side,
-// engine queue depth and shard utilization on the other. The shard fields
-// are additive (older workers simply omit them), so they do not bump
-// ProtocolVersion.
+// Heartbeat is a worker's periodic liveness report. QueueDepth and Inflight
+// are the worker's local engine counters, and the only path by which they
+// reach the coordinator, which exposes them per node on /metrics
+// (rsr_cluster_node_*), giving operators the backpressure picture end to
+// end: coordinator queue depth on one side, engine queue depth on the other.
+// An older worker's shards_in_use and shard_capacity fields are ignored.
 type Heartbeat struct {
 	Node       string `json:"node"`
 	Protocol   int    `json:"protocol"`
 	QueueDepth int64  `json:"queue_depth"`
 	Inflight   int64  `json:"inflight"`
-	// ShardsInUse sums the shard counts of the jobs executing on the node
-	// right now (engine.Stats.ShardsInUse); ShardCapacity is the node's
-	// GOMAXPROCS. InUse/Capacity is the node's shard utilization.
-	ShardsInUse   int64 `json:"shards_in_use,omitempty"`
-	ShardCapacity int   `json:"shard_capacity,omitempty"`
 	// Leases lists the job IDs this worker is executing right now, results
 	// not yet reported included. The coordinator reads it only from an
 	// authoritative heartbeat (Hello, or a replayed holder's first), where a
 	// lease it records for the node and the list omits is requeued.
-	// Additive, like the shard fields, so no ProtocolVersion bump.
+	// Additive, so no ProtocolVersion bump.
 	Leases []string `json:"leases,omitempty"`
 	// Hello marks a worker process's heartbeats until one has landed: any
 	// lease the coordinator still records under this node name belongs to
@@ -193,14 +182,12 @@ type CompleteRequest struct {
 // counters. Age fields are relative to the coordinator clock at snapshot
 // time.
 type NodeStatus struct {
-	Node          string `json:"node"`
-	Addr          string `json:"addr,omitempty"`
-	BeatAgeMS     int64  `json:"beat_age_ms"`
-	Inflight      int    `json:"inflight"`
-	EngQueued     int64  `json:"eng_queued"`
-	EngRunning    int64  `json:"eng_running"`
-	ShardsInUse   int64  `json:"shards_in_use"`
-	ShardCapacity int    `json:"shard_capacity"`
+	Node       string `json:"node"`
+	Addr       string `json:"addr,omitempty"`
+	BeatAgeMS  int64  `json:"beat_age_ms"`
+	Inflight   int    `json:"inflight"`
+	EngQueued  int64  `json:"eng_queued"`
+	EngRunning int64  `json:"eng_running"`
 	// OldestLeaseAgeMS / OldestLeaseJob identify the node's slowest
 	// in-flight job — the straggler signal `rsr top` sorts by.
 	OldestLeaseAgeMS int64  `json:"oldest_lease_age_ms,omitempty"`

@@ -89,7 +89,7 @@ func (p *ReconPredictor) ReleaseRegion() {
 // counter algorithm reconstructs from the log: scanning newest-to-oldest,
 // a pop increments the counter; a push with counter zero lands at the end
 // (bottom) of the stack; otherwise a push cancels a pop. Reconstruction stops
-// when the stack is full. A pure function of the log, safe to run shard-side.
+// when the stack is full. A pure function of the log, safe to run off the walker.
 func planRASFills(log []trace.BranchRecord, depth int, fills []uint64) []uint64 {
 	counter := 0
 	for i := len(log) - 1; i >= 0 && len(fills) < depth; i-- {
@@ -116,7 +116,7 @@ func (p *ReconPredictor) installRAS(fills []uint64) {
 	p.stats.RASInstalled = uint64(len(fills))
 }
 
-// PredGeom is the predictor geometry a shard-side planner needs: a snapshot
+// PredGeom is the predictor geometry a planner off the walker needs: a snapshot
 // of plain ints so producer goroutines never touch the shared bpred.Unit.
 type PredGeom struct {
 	HistoryBits int
@@ -148,7 +148,7 @@ type GHRFixup struct {
 // counter algorithm, and the log itself is what the on-demand scan may consume.
 // All of it is a pure function of the log except for the one stale input: the
 // GHR value left in the shared predictor when the log begins, so the plan can
-// be made on a shard. The GHR after k conditional shifts from stale value g is
+// be made off the walker. The GHR after k conditional shifts from stale value g is
 // ((g<<k) | pure_k) & mask,
 // where pure_k is the same iteration started from zero — masking commutes
 // with the shift-and-or recurrence — so the planner records the pure values

@@ -33,7 +33,7 @@ type CacheReconRef struct {
 // scan order, each flagged with the cache levels it applies to — the L1 of its
 // stream and the L2 (the paper applies reconstruction updates to both levels
 // directly).
-// The scan reads only the log, so it can run on a shard; applying the plan
+// The scan reads only the log, so it can run off the walker; applying the plan
 // to the shared hierarchy then touches O(applied) ≤ O(total cache ways)
 // references. PlanCacheRecon overwrites a plan in place and keeps its Refs
 // storage, so a recycled plan is rebuilt without allocating.

@@ -59,7 +59,7 @@ func TestPlanCacheReconMatchesDirect(t *testing.T) {
 		seed = rand.New(rand.NewSource(77))
 		staleWarm(seed, planned)
 
-		// The planner and the plan are reused across percentages, as a shard
+		// The planner and the plan are reused across percentages, as a run
 		// reuses them across regions: no state may leak between passes.
 		want := reconstructCachesDirect(direct, log)
 		PlanCacheRecon(planner, log, &plan)
@@ -98,11 +98,11 @@ func trainStale(rng *rand.Rand, u *bpred.Unit) {
 }
 
 // TestBeginRegionPlanMatchesDirect pins the predictor half of the split:
-// installing a shard-built plan must leave the ReconPredictor — eager state
+// installing a plan built off the walker must leave the ReconPredictor — eager state
 // and the lazily scanned remainder — exactly where the direct pass over the
 // raw log leaves it.
 func TestBeginRegionPlanMatchesDirect(t *testing.T) {
-	var plan PredReconPlan // reused across trials, as a shard reuses it across regions
+	var plan PredReconPlan // reused across trials, as a run reuses it across regions
 	for _, percent := range []int{20, 100} {
 		for trial := 0; trial < 10; trial++ {
 			rng := rand.New(rand.NewSource(int64(1000*percent + trial)))

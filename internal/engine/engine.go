@@ -10,7 +10,6 @@ import (
 
 	"rsr/internal/fault"
 	"rsr/internal/obs"
-	"rsr/internal/sampling"
 )
 
 // boolArg renders a boolean as a span annotation value.
@@ -39,12 +38,6 @@ type Options struct {
 	// instrumented sites — cache reads/writes and job runs — for chaos
 	// testing (nil = no injection).
 	Fault fault.Injector
-	// Checkpoints, when non-nil, shares sharded sampled runs' pre-pass
-	// checkpoint chains across jobs (and, via a cluster-backed store,
-	// across nodes): runs differing only in warm-up method reuse one
-	// chain. Execution policy only — results stay byte-identical and the
-	// store never enters job identity.
-	Checkpoints sampling.CheckpointStore
 	// Metrics, when non-nil, exposes the engine through the registry: the
 	// Stats counters re-expressed as metric families (mirrored at scrape
 	// time, so Stats stays the source of truth), a job latency histogram,
@@ -130,7 +123,7 @@ func New(opts Options) *Engine {
 	e := &Engine{
 		opts:     opts,
 		cache:    newCache(opts.CacheDir, opts.Fault),
-		traces:   &traceStore{budget: TraceBudget, traces: make(map[string]*sampling.Trace), recording: make(map[string]bool)},
+		traces:   newTraceStore(TraceBudget),
 		inflight: make(map[string]*task),
 	}
 	e.cond = sync.NewCond(&e.mu)
@@ -306,9 +299,6 @@ func (e *Engine) execute(t *task) {
 func (e *Engine) run(t *task, tid int64) (*Result, time.Duration, error) {
 	e.stats.running.Add(1)
 	defer e.stats.running.Add(-1)
-	slots := t.job.ShardSlots()
-	e.stats.shardsInUse.Add(slots)
-	defer e.stats.shardsInUse.Add(-slots)
 
 	ctx := t.ctx
 	timeout := t.job.Timeout
@@ -322,7 +312,7 @@ func (e *Engine) run(t *task, tid int64) (*Result, time.Duration, error) {
 	}
 
 	begin := time.Now()
-	res, recording, err := safeRun(t.job, e.opts.Fault, ctx.Done(), e.obs, t.sweep, tid, e.opts.Checkpoints, e.traces)
+	res, recording, err := safeRun(t.job, e.opts.Fault, ctx.Done(), e.obs, t.sweep, tid, e.traces)
 	begin = begin.Add(recording) // the job's run starts after its placement's recording
 	wall := time.Since(begin)
 	e.stats.wallNanos.Add(int64(recording))

@@ -446,41 +446,3 @@ func TestJobHashPinned(t *testing.T) {
 		t.Errorf("hash of the canonical R$BP (20%%) job = %s, pinned %s (hashVersion %d)", got, want, hashVersion)
 	}
 }
-
-// TestStatsShardsInUse pins the engine's shard-slot gauge: while a sharded
-// sampled job executes, Stats.ShardsInUse reports its shard count, and the
-// gauge returns to zero once the attempt finishes. An injected latency
-// fault at the run site holds the job open long enough to observe.
-func TestStatsShardsInUse(t *testing.T) {
-	if got := (Job{Kind: JobFull}).ShardSlots(); got != 1 {
-		t.Fatalf("full job ShardSlots = %d, want 1", got)
-	}
-	if got := (Job{Kind: JobSampled, Shards: 1}).ShardSlots(); got != 1 {
-		t.Fatalf("sequential sampled ShardSlots = %d, want 1", got)
-	}
-
-	plan := fault.New(1, fault.Rule{Point: fault.JobRun, Kind: fault.KindLatency,
-		Prob: 1, Count: 1, Latency: 300 * time.Millisecond})
-	e := New(Options{Workers: 1, Fault: plan})
-	defer e.Close()
-
-	j := sampledJob("twolf", warmup.Spec{Kind: warmup.KindSMARTS, Cache: true, BPred: true})
-	j.Shards = 4
-	tk, err := e.Submit(context.Background(), j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for e.Stats().ShardsInUse != 4 {
-		if time.Now().After(deadline) {
-			t.Fatalf("ShardsInUse never reached 4 (now %d)", e.Stats().ShardsInUse)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if _, err := tk.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.Stats().ShardsInUse; got != 0 {
-		t.Fatalf("ShardsInUse after completion = %d, want 0", got)
-	}
-}

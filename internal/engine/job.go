@@ -62,12 +62,6 @@ type Job struct {
 	// scheduling policy, not identity: it does not enter the hash. A job
 	// that runs past its deadline fails with ErrDeadline.
 	Timeout time.Duration `json:"Timeout,omitempty"`
-	// Shards runs a sampled job's regions on this many run-ahead producers
-	// (0 or 1 = one), unless it replays a trace. The sharded run is
-	// byte-identical to the sequential one (sampling.Options.Shards), so
-	// like Timeout it is scheduling policy, not identity: jobs differing
-	// only in Shards share one cache entry.
-	Shards int `json:"Shards,omitempty"`
 }
 
 // jobIdentity is the canonical hashed form of a Job. HashVersion must be
@@ -127,45 +121,10 @@ func (j Job) strategy() string {
 	return j.Strategy
 }
 
-// checkpointIdentity is the canonical hashed form of a sampled job's
-// pre-pass checkpoint chain: exactly the fields the chain is a pure
-// function of. Machine and warm-up method are deliberately absent — the
-// pre-pass is pure functional simulation, so jobs differing only in those
-// share one chain. Shards enters because deltas are captured at shard
-// boundaries.
-type checkpointIdentity struct {
-	Version  int
-	Workload string
-	Total    uint64
-	Regimen  sampling.Regimen
-	Seed     int64
-	Shards   int
-}
-
-const checkpointVersion = 1
-
-// CheckpointKey returns the identity key of the job's pre-pass checkpoint
-// chain, used to share chains across jobs and nodes through a
-// sampling.CheckpointStore. Only meaningful for sharded sampled jobs.
-func (j Job) CheckpointKey() string {
-	b, err := json.Marshal(checkpointIdentity{
-		Version:  checkpointVersion,
-		Workload: j.Workload,
-		Total:    j.Total,
-		Regimen:  j.Regimen,
-		Seed:     j.Seed,
-		Shards:   j.Shards,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("engine: checkpoint key: %v", err))
-	}
-	return "ckpt-" + cas.Sum(b)
-}
-
 // TraceKey returns the key of a sampled job's functional trace
-// (sampling.Trace): what it is a pure function of. The warm-up spec, the
-// shard count and every machine field but the L1I line size are absent, so
-// such jobs share a trace.
+// (sampling.Trace): what it is a pure function of. The warm-up spec and
+// every machine field but the L1I line size are absent, so such jobs share a
+// trace.
 func (j Job) TraceKey() string {
 	b, err := json.Marshal(struct {
 		Version      int // bumped when a trace's contents change
@@ -179,16 +138,6 @@ func (j Job) TraceKey() string {
 		panic(fmt.Sprintf("engine: trace key: %v", err))
 	}
 	return "trace-" + cas.Sum(b)
-}
-
-// ShardSlots reports how many shard goroutines an execution of this job
-// occupies: its shard count for a parallel sampled job, 1 for sequential
-// and full runs. It is the unit of the engine's ShardsInUse gauge.
-func (j Job) ShardSlots() int64 {
-	if j.Kind == JobSampled && j.Shards > 1 {
-		return int64(j.Shards)
-	}
-	return 1
 }
 
 // Label renders a short human-readable description of the job.

@@ -57,7 +57,7 @@ func newEngineObs(r *obs.Registry, tr *obs.Tracer, stats func() Stats) *engineOb
 	quarantined := r.Counter("rsr_engine_quarantined_total",
 		"Corrupt cache entries moved to the quarantine directory.")
 	traces := r.CounterVec("rsr_engine_traces_total",
-		"Functional traces replayed, recorded and evicted by the trace store.", "event")
+		"Functional traces replayed, recorded, evicted and refused (over the budget) by the trace store.", "event")
 	traceBytes := r.Gauge("rsr_engine_trace_bytes", "Bytes of functional traces the trace store holds.")
 	r.RegisterCollector(func() {
 		s := stats()
@@ -75,6 +75,7 @@ func newEngineObs(r *obs.Registry, tr *obs.Tracer, stats func() Stats) *engineOb
 		traces.With("replayed").Set(uint64(s.TracesReplayed))
 		traces.With("recorded").Set(uint64(s.TracesRecorded))
 		traces.With("evicted").Set(uint64(s.TracesEvicted))
+		traces.With("refused").Set(uint64(s.TracesRefused))
 		traceBytes.Set(s.TraceBytes)
 	})
 	return eo

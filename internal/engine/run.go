@@ -19,7 +19,7 @@ import (
 // runJob, traces records the job's placement if it is the first job of it
 // (traceStore.record); safeRun reports how long that took, which is not the
 // job's run.
-func safeRun(j Job, inj fault.Injector, cancel <-chan struct{}, eo *engineObs, sweep string, tid int64, ckpt sampling.CheckpointStore, traces *traceStore) (res *Result, recording time.Duration, err error) {
+func safeRun(j Job, inj fault.Injector, cancel <-chan struct{}, eo *engineObs, sweep string, tid int64, traces *traceStore) (res *Result, recording time.Duration, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = &PanicError{Value: v, Stack: string(debug.Stack())}
@@ -46,7 +46,7 @@ func safeRun(j Job, inj fault.Injector, cancel <-chan struct{}, eo *engineObs, s
 		recording = time.Since(r0)
 		eo.span(sweep, "trace-record", tid, r0)
 	}
-	res, err = runJob(j, cancel, eo, sweep, ckpt, traces)
+	res, err = runJob(j, cancel, eo, sweep, traces)
 	return res, recording, err
 }
 
@@ -56,15 +56,15 @@ func safeRun(j Job, inj fault.Injector, cancel <-chan struct{}, eo *engineObs, s
 // direct sampling-package call — observability happens at phase boundaries
 // only, so attaching eo cannot perturb results. A job that names a strategy
 // runs it through the regimen runner with the same walker options, less the
-// checkpoint and trace stores: both are keyed by the unnamed job's placement.
-func runJob(j Job, cancel <-chan struct{}, eo *engineObs, sweep string, ckpt sampling.CheckpointStore, traces sampling.TraceStore) (*Result, error) {
+// trace store: a trace is keyed by the unnamed job's placement.
+func runJob(j Job, cancel <-chan struct{}, eo *engineObs, sweep string, traces sampling.TraceStore) (*Result, error) {
 	w, err := workload.ByName(j.Workload)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
 	p := w.Build()
 	instr, strat, tr := eo.sinks(sweep)
-	opts := sampling.Options{Cancel: cancel, Instr: instr, Tracer: tr, Shards: j.Shards}
+	opts := sampling.Options{Cancel: cancel, Instr: instr, Tracer: tr}
 	if j.Kind == JobSampled && j.strategy() != "" {
 		s, err := regimen.ByName(j.strategy())
 		if err != nil {
@@ -77,10 +77,6 @@ func runJob(j Job, cancel <-chan struct{}, eo *engineObs, sweep string, ckpt sam
 			return nil, fmt.Errorf("engine: %s: %w", j.Label(), err)
 		}
 		return &Result{Kind: JobSampled, Outcome: out, Selection: selection}, nil
-	}
-	if ckpt != nil && j.Kind == JobSampled && j.Shards > 1 {
-		opts.Checkpoints = ckpt
-		opts.CheckpointKey = j.CheckpointKey()
 	}
 	if traces != nil && j.Kind == JobSampled {
 		opts.Traces = traces

@@ -11,10 +11,6 @@ type Stats struct {
 	// Running is the number currently executing.
 	Queued  int64
 	Running int64
-	// ShardsInUse sums Job.ShardSlots over currently executing jobs: how
-	// many shard goroutines the running work occupies. Peers report it in
-	// heartbeats so the coordinator can export per-node shard utilization.
-	ShardsInUse int64
 	// Done and Failed count finished executions (cache hits excluded).
 	Done   int64
 	Failed int64
@@ -41,17 +37,18 @@ type Stats struct {
 	// Wall is the cumulative execution wall-clock across finished jobs and
 	// the trace recordings that came before their runs.
 	Wall time.Duration
-	// The trace store: traces replayed, recorded and evicted, bytes held.
+	// The trace store: traces replayed, recorded and evicted, placements
+	// refused for a trace over the budget, and bytes held.
 	TracesReplayed int64
 	TracesRecorded int64
 	TracesEvicted  int64
+	TracesRefused  int64
 	TraceBytes     int64
 }
 
 // counters is the engine's live atomic form of Stats.
 type counters struct {
 	queued, running, done, failed  atomic.Int64
-	shardsInUse                    atomic.Int64
 	cacheHits, diskHits, cacheMiss atomic.Int64
 	coalesced                      atomic.Int64
 	panics                         atomic.Int64
@@ -62,7 +59,6 @@ func (c *counters) snapshot(diskErrs, quarantined int64) Stats {
 	return Stats{
 		Queued:      c.queued.Load(),
 		Running:     c.running.Load(),
-		ShardsInUse: c.shardsInUse.Load(),
 		Done:        c.done.Load(),
 		Failed:      c.failed.Load(),
 		CacheHits:   c.cacheHits.Load(),

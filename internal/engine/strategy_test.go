@@ -15,9 +15,9 @@ import (
 
 // TestStrategyJobMatchesDirectRun is the strategy arm's contract: for every
 // registered strategy, the Outcome an engine job returns is the one
-// Strategy.Run returns for the same inputs (Elapsed aside), sequentially and
-// at two shards — the latter on an engine whose registry and tracer record
-// every pass, which must not perturb it — and it survives the disk cache: a
+// Strategy.Run returns for the same inputs (Elapsed aside), on a plain engine
+// and on one whose registry and tracer record every pass, which must not
+// perturb it — and it survives the disk cache: a
 // fresh engine on the same directory serves every job from it, equal again
 // after the JSON round trip.
 func TestStrategyJobMatchesDirectRun(t *testing.T) {
@@ -63,18 +63,17 @@ func TestStrategyJobMatchesDirectRun(t *testing.T) {
 	}
 
 	cold := New(Options{Workers: 2, CacheDir: dir})
-	sharded := New(Options{Workers: 1, Metrics: obs.NewRegistry(), Tracer: obs.NewTracer(0)})
+	instrumented := New(Options{Workers: 1, Metrics: obs.NewRegistry(), Tracer: obs.NewTracer(0)})
 	for i, j := range jobs {
 		if got := outcome(cold, j); !reflect.DeepEqual(got, want[i]) {
 			t.Errorf("%s: engine outcome differs from Strategy.Run\n got %+v\nwant %+v", j.Label(), got, want[i])
 		}
-		j.Shards = 2
-		if got := outcome(sharded, j); !reflect.DeepEqual(got, want[i]) {
-			t.Errorf("%s at two shards, metrics and spans on: engine outcome differs from Strategy.Run", j.Label())
+		if got := outcome(instrumented, j); !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("%s with metrics and spans on: engine outcome differs from Strategy.Run", j.Label())
 		}
 	}
 	cold.Close()
-	sharded.Close()
+	instrumented.Close()
 
 	warm := New(Options{Workers: 2, CacheDir: dir})
 	defer warm.Close()

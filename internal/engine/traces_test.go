@@ -73,7 +73,7 @@ func TestTraceStoreConcurrentPlacement(t *testing.T) {
 	if s := e.Stats(); s.TracesRecorded != 0 || s.TracesReplayed != 0 {
 		t.Fatalf("with the recording held elsewhere: %+v", s)
 	}
-	e.traces.store(key, nil)
+	e.traces.store(key, nil, nil)
 
 	runAll(t, e, sampledJob("twolf", specRSR20), sampledJob("twolf", warmup.Spec{Kind: warmup.KindFixed, Percent: 40, Cache: true, BPred: true}))
 	if s := e.Stats(); s.TracesRecorded != 1 || s.TraceBytes == 0 {
@@ -161,14 +161,15 @@ func TestTraceStoreBudget(t *testing.T) {
 	}
 
 	// Over the budget: the store refuses the trace, and a recording given a
-	// smaller limit than its trace needs is given up.
-	s := &traceStore{budget: small - 1, traces: make(map[string]*sampling.Trace), recording: make(map[string]bool)}
-	s.store("k", traces[1])
+	// smaller limit than its trace needs is given up; both placements are
+	// refused.
+	s := newTraceStore(small - 1)
+	s.store("k", traces[1], nil)
 	e.traces = s
 	runAll(t, e, job(4, specNone))
 	var st Stats
 	s.stats(&st)
-	if st.TracesRecorded != 0 || st.TraceBytes != 0 || len(s.recording) != 0 {
+	if st.TracesRecorded != 0 || st.TraceBytes != 0 || st.TracesRefused != 2 || len(s.recording) != 0 {
 		t.Errorf("a store of %d bytes: %+v", s.budget, st)
 	}
 }
@@ -189,6 +190,7 @@ func TestTraceStoreMetrics(t *testing.T) {
 		{"rsr_engine_traces_total", map[string]string{"event": "recorded"}, 1},
 		{"rsr_engine_traces_total", map[string]string{"event": "replayed"}, 2},
 		{"rsr_engine_traces_total", map[string]string{"event": "evicted"}, 0},
+		{"rsr_engine_traces_total", map[string]string{"event": "refused"}, 0},
 		{"rsr_engine_trace_bytes", nil, st.TraceBytes},
 	} {
 		if got := snapValue(t, snaps, c.name, c.labels); int64(got) != c.want {
@@ -217,20 +219,30 @@ func TestTraceRecordedBeforeRun(t *testing.T) {
 	}
 }
 
-// TestShardedJobsReplay: a job at two shards records its placement's trace
-// once and replays it, as a sequential job does; a job of another spec at two
-// shards replays the same trace. Both equal the direct sequential runs.
-func TestShardedJobsReplay(t *testing.T) {
-	e := New(Options{Workers: 1})
+// TestTraceStoreRefusesOnce: a placement whose trace does not fit the budget
+// is recorded once per engine, however many of its jobs come. A canceled
+// recording is not remembered: the next job of the placement tries again.
+func TestTraceStoreRefusesOnce(t *testing.T) {
+	tr := obs.NewTracer(1 << 12)
+	e := New(Options{Workers: 1, Tracer: tr})
 	defer e.Close()
-	first, second := sampledJob("twolf", specRSR20), sampledJob("twolf", specSBP)
-	first.Shards, second.Shards = 2, 2
-	runAll(t, e, first)
-	if s := e.Stats(); s.TracesRecorded != 1 || s.TracesReplayed != 1 {
-		t.Fatalf("the first sharded job of a placement: %+v", s)
+	canceled := make(chan struct{})
+	close(canceled)
+	if !e.traces.record(sampledJob("twolf", specNone), canceled) {
+		t.Fatal("the canceled recording was not tried")
 	}
-	runAll(t, e, second)
-	if s := e.Stats(); s.TracesRecorded != 1 || s.TracesReplayed != 2 {
-		t.Fatalf("the second sharded job of a placement: %+v", s)
+	if s := e.Stats(); s.TracesRecorded != 0 || s.TracesRefused != 0 {
+		t.Fatalf("after a canceled recording: %+v", s)
+	}
+
+	e.traces.budget = 1 << 10
+	for _, spec := range []warmup.Spec{specNone, specSBP, specRSR20} {
+		runAll(t, e, sampledJob("twolf", spec))
+	}
+	if s := e.Stats(); s.TracesRefused != 1 || s.TracesRecorded != 0 || s.TracesReplayed != 0 || s.TraceBytes != 0 {
+		t.Errorf("three jobs of an oversize placement: %+v", s)
+	}
+	if count := spanCounts(t, tr); count["trace-record"] != 1 || count["job-run"] != 3 {
+		t.Errorf("engine spans = %v, want one trace-record and three job-runs", count)
 	}
 }

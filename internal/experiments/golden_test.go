@@ -85,21 +85,18 @@ var fullWindowGolden = []struct {
 }
 
 func TestReverseFullWindowUnchanged(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		cfg := DefaultConfig()
-		cfg.Scale = 0.05
-		cfg.Workloads = []string{"twolf", "parser"}
-		cfg.Shards = shards
-		lab := NewLab(cfg)
-		for _, g := range fullWindowGolden {
-			c, err := lab.Run(g.workload, g.method)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(c.Estimate-g.estimate) > 1e-9 || c.Work != g.work {
-				t.Errorf("shards %d: %s/%s: estimate %.10f work %+v, before the window cut-off %.10f %+v",
-					shards, g.workload, c.Method, c.Estimate, c.Work, g.estimate, g.work)
-			}
+	cfg := DefaultConfig()
+	cfg.Scale = 0.05
+	cfg.Workloads = []string{"twolf", "parser"}
+	lab := NewLab(cfg)
+	for _, g := range fullWindowGolden {
+		c, err := lab.Run(g.workload, g.method)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(c.Estimate-g.estimate) > 1e-9 || c.Work != g.work {
+			t.Errorf("%s/%s: estimate %.10f work %+v, before the window cut-off %.10f %+v",
+				g.workload, c.Method, c.Estimate, c.Work, g.estimate, g.work)
 		}
 	}
 }
@@ -179,31 +176,28 @@ var figure9Golden = []struct {
 }
 
 func TestFigure9GoldenRegression(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		cfg := DefaultConfig()
-		cfg.Scale = 0.05
-		cfg.Workloads = []string{"twolf", "parser"}
-		cfg.Shards = shards
-		r, err := NewLab(cfg).Figure9()
-		if err != nil {
-			t.Fatal(err)
+	cfg := DefaultConfig()
+	cfg.Scale = 0.05
+	cfg.Workloads = []string{"twolf", "parser"}
+	r, err := NewLab(cfg).Figure9()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []Cell // the SimPoint cells, without the R$BP (20%) reference
+	for _, c := range r.Cells {
+		if c.Strategy != "" {
+			rows = append(rows, c)
 		}
-		var rows []Cell // the SimPoint cells, without the R$BP (20%) reference
-		for _, c := range r.Cells {
-			if c.Strategy != "" {
-				rows = append(rows, c)
-			}
-		}
-		if len(rows) != len(figure9Golden) {
-			t.Fatalf("shards=%d: %d rows, golden %d", shards, len(rows), len(figure9Golden))
-		}
-		for i, g := range figure9Golden {
-			row := rows[i]
-			if row.Method != g.config || row.Workload != g.workload ||
-				math.Abs(row.Estimate-g.estimate) > 1e-9 || row.HotInstructions != g.hot || row.Regions != g.points {
-				t.Errorf("shards=%d row %d drifted: {%q, %q, %.10f, %d, %d}, golden %+v",
-					shards, i, row.Method, row.Workload, row.Estimate, row.HotInstructions, row.Regions, g)
-			}
+	}
+	if len(rows) != len(figure9Golden) {
+		t.Fatalf("%d rows, golden %d", len(rows), len(figure9Golden))
+	}
+	for i, g := range figure9Golden {
+		row := rows[i]
+		if row.Method != g.config || row.Workload != g.workload ||
+			math.Abs(row.Estimate-g.estimate) > 1e-9 || row.HotInstructions != g.hot || row.Regions != g.points {
+			t.Errorf("row %d drifted: {%q, %q, %.10f, %d, %d}, golden %+v",
+				i, row.Method, row.Workload, row.Estimate, row.HotInstructions, row.Regions, g)
 		}
 	}
 }

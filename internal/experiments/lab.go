@@ -38,10 +38,6 @@ type Config struct {
 	// CacheDir enables the engine's on-disk result cache, letting repeated
 	// sweeps skip already-computed runs ("" = memory-only caching).
 	CacheDir string
-	// Shards splits each executing sampled run's regions across this many
-	// run-ahead producers (0 or 1 = one). Results are byte-identical at any
-	// shard count, so Shards is execution policy, not part of job identity.
-	Shards int
 	// Metrics, when non-nil, exposes the lab's engine and every run through
 	// the registry (rsr's -metrics-out). Tracer, when non-nil, records
 	// engine and per-cluster phase spans (rsr's -trace-out). Both default
@@ -217,7 +213,6 @@ func (l *Lab) sampledJob(name string, spec warmup.Spec) engine.Job {
 		Regimen:  RegimenFor(name),
 		Seed:     l.cfg.Seed,
 		Warmup:   spec,
-		Shards:   l.cfg.Shards,
 	}
 }
 

@@ -204,7 +204,8 @@ func (s *Sim) Step() (trace.DynInst, error) {
 // Delta is an architectural checkpoint: full register state plus every
 // memory page written since the previous CaptureDelta. Applying a sequence
 // of deltas in capture order reconstructs the architectural state at each
-// capture point; the sharded pre-pass starts each shard from one.
+// capture point, which is how the fuzz targets compare two simulators'
+// states.
 type Delta struct {
 	Regs   [isa.NumRegs]uint64
 	PC     uint64

@@ -7,9 +7,8 @@ import "sort"
 // their resident set backed by host memory. Accesses are aligned down to an
 // 8-byte boundary; the simulated ISA has no sub-word loads/stores.
 //
-// Pages carry a dirty flag so CaptureDelta (the sharded pre-pass's
-// checkpoints) can capture deltas: DirtyPages copies and clears every page
-// written since the previous call.
+// Pages carry a dirty flag so CaptureDelta can capture deltas: DirtyPages
+// copies and clears every page written since the previous call.
 type Memory struct {
 	pages map[uint64]*memPage
 	// cache is a direct-mapped cache of page pointers in front of the map,
@@ -108,7 +107,7 @@ func (m *Memory) Pages() int { return len(m.pages) }
 // DirtyPages copies every page written since the previous call (or since
 // creation) and clears the dirty flags. Pages are returned sorted by page
 // key: map iteration order is randomized, and checkpoint captures must be
-// deterministic run-to-run (delta files are content-hashed by the engine).
+// deterministic run-to-run.
 func (m *Memory) DirtyPages() []PageData {
 	var out []PageData
 	for key, p := range m.pages {

@@ -29,7 +29,7 @@
 // with the shared region walker, applies the strategy's estimator — a pure
 // function of the measurements (estimators.go) — and assembles and records
 // the Outcome. Params.Options therefore means the same thing for all of them
-// — shards, cancellation, phase metrics and spans — and every Outcome carries
+// — cancellation, phase metrics and spans — and every Outcome carries
 // the walker's per-cluster measurements, work counters and instruction counts.
 //
 // Every strategy is deterministic in (program, machine, regimen, total,
@@ -59,10 +59,10 @@ type Params struct {
 	Seed    int64
 	Warmup  warmup.Spec
 	// Options is handed to the region walker on every measurement pass:
-	// Shards, Cancel (also polled by the functional profiling passes), and the
-	// per-cluster phase Instr and Tracer. Leave Checkpoints and CheckpointKey
-	// unset: a checkpoint chain is keyed by the regimen's own placement, and a
-	// strategy's passes place their regions elsewhere.
+	// Cancel (also polled by the functional profiling passes), and the
+	// per-cluster phase Instr and Tracer. Leave Traces and TraceKey unset: a
+	// trace is keyed by the regimen's own placement, and a strategy's passes
+	// place their regions elsewhere.
 	Options sampling.Options
 	// Instr, when non-nil, records per-strategy selection and allocation
 	// metrics. Nil disables recording; results are identical either way.

@@ -188,11 +188,17 @@ func TestEmptyRetireClusterOneRule(t *testing.T) {
 	}
 }
 
+// TestAllStrategiesRunAndAreDeterministic: every strategy's outcome is a pure
+// function of its inputs, spends no more than the shared budget, and reports
+// the walker's work — under a warm-up method every pass skips, logs and
+// reconstructs, so an outcome with no work or no functional instructions did
+// not go through the walker.
 func TestAllStrategiesRunAndAreDeterministic(t *testing.T) {
 	for _, s := range All() {
 		s := s
 		t.Run(s.Name(), func(t *testing.T) {
 			p := testParams(t, "gcc")
+			p.Warmup.Percent = 20
 			a, err := s.Run(p)
 			if err != nil {
 				t.Fatal(err)
@@ -213,6 +219,9 @@ func TestAllStrategiesRunAndAreDeterministic(t *testing.T) {
 			}
 			if a.HotInstructions == 0 {
 				t.Fatal("no detailed simulation happened")
+			}
+			if a.Work == (warmup.Work{}) || a.FuncInstructions == 0 {
+				t.Fatalf("outcome reports no work (%+v) or no functional instructions (%d)", a.Work, a.FuncInstructions)
 			}
 			// The detailed budget is bounded by the shared regimen.
 			budget := p.Regimen.ClusterSize * uint64(p.Regimen.NumClusters)
@@ -242,38 +251,6 @@ func TestAllSelectionsAreValidPlans(t *testing.T) {
 				t.Fatalf("candidates %d < selected %d", plan.Candidates, len(plan.Regions))
 			}
 		})
-	}
-}
-
-// TestStrategiesShardedIdentical pins that every strategy's measurement
-// passes go through the one region walker: Options.Shards changes how regions
-// are fed to it, never what comes out.
-func TestStrategiesShardedIdentical(t *testing.T) {
-	for _, s := range All() {
-		p := testParams(t, "twolf")
-		p.Warmup.Percent = 20
-		seq, err := s.Run(p)
-		if err != nil {
-			t.Fatalf("%s: %v", s.Name(), err)
-		}
-		p.Options.Shards = 2
-		par, err := s.Run(p)
-		if err != nil {
-			t.Fatalf("%s shards=2: %v", s.Name(), err)
-		}
-		checkClusters(t, s.Name(), seq)
-		checkClusters(t, s.Name()+" shards=2", par)
-		if !reflect.DeepEqual(seq.Estimate, par.Estimate) || !reflect.DeepEqual(seq.Clusters, par.Clusters) ||
-			!reflect.DeepEqual(seq.Plan, par.Plan) ||
-			seq.Work != par.Work || seq.FuncInstructions != par.FuncInstructions || seq.HotInstructions != par.HotInstructions {
-			t.Errorf("%s: Shards=2 outcome differs from Shards=0:\n%+v\n%+v", s.Name(), seq, par)
-		}
-		// The comparison above is vacuous for an outcome that reports nothing:
-		// under a warm-up method every pass skips, logs and reconstructs.
-		if seq.Work == (warmup.Work{}) || seq.FuncInstructions == 0 {
-			t.Errorf("%s: outcome reports no work (%+v) or no functional instructions (%d)",
-				s.Name(), seq.Work, seq.FuncInstructions)
-		}
 	}
 }
 

@@ -14,26 +14,18 @@ import (
 )
 
 // The run-ahead feed is the walker's one feed. Functional execution reads
-// nothing that warm-up or timing computes, so producer goroutines own the
-// run's functional simulators and run them region by region ahead of the
+// nothing that warm-up or timing computes, so a producer goroutine owns the
+// run's functional simulator and runs it region by region ahead of the
 // walker, which meanwhile warms and times the region before. Each region
-// crosses its producer's ring of slots in order: its window's records in
+// crosses the feed's ring of slots in order: its window's records in
 // stretches the window kernel logged (the lead before it runs through Skip
 // and crosses as nothing), which the method observes as they come
 // (ObserveWindow: forward applies them, reverse logs them and scans the log
 // at EndSkip, as in place); then its hot phase's batches from RunBatch — or
 // the error that ended its cold phase. Results are byte-identical to
-// observing in place by the Method contract.
-//
-// At Shards ≤ 1 one producer executes the whole run. At Shards k > 1 the
-// regions split into k contiguous ranges with a producer and a ring each: a
-// checkpoint pre-pass (prepass) runs the workload without records to the
-// start of every range after the first and seeds that range's producer with
-// the architectural state there, so the producers execute their ranges at
-// once, and the walker reads each region from its range's ring. Given a trace
-// store that holds its placement's functional trace (Trace), one producer
-// sends the same stretches and batches from the trace instead of executing,
-// whatever the shard count: a replay executes nothing to spread.
+// observing in place by the Method contract. Given a trace store that holds
+// its placement's functional trace (Trace), the producer sends the same
+// stretches and batches from the trace instead of executing.
 
 // aheadSlots is a ring's size: enough batches that the producer finishes a
 // 20K-instruction hot phase early and runs the next cold phase while the
@@ -48,12 +40,6 @@ const (
 	handoffInstrs = 8192
 	handoffMem    = 4096
 )
-
-// shardCount clamps the requested shard count to the cluster count: a range
-// with no regions would idle, and one cluster cannot split.
-func shardCount(requested, clusters int) int {
-	return max(1, min(requested, clusters))
-}
 
 // aheadSlot is one hand-off: a stretch of a window (win.Seen > 0), a batch of
 // a hot phase (the region's last one flagged, a fault after its records in
@@ -73,7 +59,7 @@ func newAheadSlot() *aheadSlot {
 }
 
 // spareSlots keeps slots, with their storage, from one run for the next: a
-// run would otherwise allocate its rings afresh, more than many a short run
+// run would otherwise allocate its ring afresh, more than many a short run
 // allocates for everything else. It is not a sync.Pool, which drops what it
 // holds at every second collection.
 var spareSlots struct {
@@ -81,55 +67,20 @@ var spareSlots struct {
 	slots []*aheadSlot
 }
 
-// ring is one producer's hand-off to the walker.
-type ring struct {
+// aheadFeed is the walker's end of the run-ahead feed: the producer's ring of
+// slots and the walker's place in the run.
+type aheadFeed struct {
+	opts   *Options
+	ro     *runObs
+	done   chan struct{}  // closed when the walker leaves
+	wg     sync.WaitGroup // the producer
+	replay *Trace         // the trace this run replays, if any
+
 	slots   []*aheadSlot    // kept in spareSlots by stop
 	full    chan *aheadSlot // producer → walker, in order; both sized to the
 	free    chan *aheadSlot // ring (walker → producer), so no send waits for room
 	emptied []*aheadSlot    // freed by the walker, not yet handed back
-}
 
-// newRing fills a ring with slots, spare ones first.
-func newRing(spare *[]*aheadSlot) *ring {
-	r := &ring{full: make(chan *aheadSlot, aheadSlots), free: make(chan *aheadSlot, aheadSlots)}
-	for range aheadSlots {
-		var s *aheadSlot
-		if n := len(*spare); n > 0 {
-			s, *spare = (*spare)[n-1], (*spare)[:n-1]
-		} else {
-			s = newAheadSlot()
-		}
-		r.slots = append(r.slots, s)
-		r.free <- s
-	}
-	return r
-}
-
-// put hands an emptied slot back, half a ring at a time; handBack, all.
-func (r *ring) put(s *aheadSlot) {
-	if r.emptied = append(r.emptied, s); len(r.emptied) >= aheadSlots/2 {
-		r.handBack()
-	}
-}
-
-func (r *ring) handBack() {
-	for _, s := range r.emptied {
-		r.free <- s
-	}
-	r.emptied = r.emptied[:0]
-}
-
-// aheadFeed is the walker's end of the run-ahead feed.
-type aheadFeed struct {
-	opts   *Options
-	ro     *runObs
-	rings  []*ring
-	firsts []int          // ring s carries regions firsts[s] to firsts[s+1]
-	done   chan struct{}  // closed when the walker leaves
-	wg     sync.WaitGroup // the producers and the pre-pass
-	replay *Trace         // the trace this run replays, if any
-
-	ri      int        // the current region's ring
 	pos     uint64     // where the functional simulator stands after the region before
 	cur     *aheadSlot // the hot batch being timed
 	fresh   bool       // cur, the hot phase's first batch, is not delivered yet
@@ -137,50 +88,38 @@ type aheadFeed struct {
 	t0      time.Time // start of the current region's cold phase
 }
 
-// newAheadFeed starts shards producers over regions — one, replaying it, if
-// replay is not nil.
-func newAheadFeed(p *prog.Program, regions []Region, method warmup.Method, shards int, replay *Trace, opts *Options, ro *runObs) *aheadFeed {
-	f := &aheadFeed{opts: opts, ro: ro, done: make(chan struct{}), replay: replay}
-	for s := range shards + 1 {
-		f.firsts = append(f.firsts, s*len(regions)/shards)
-	}
+// newAheadFeed fills the ring, spare slots first, and starts the producer
+// over regions, replaying replay if it is not nil.
+func newAheadFeed(p *prog.Program, regions []Region, method warmup.Method, replay *Trace, opts *Options, ro *runObs) *aheadFeed {
+	f := &aheadFeed{opts: opts, ro: ro, done: make(chan struct{}), replay: replay,
+		full: make(chan *aheadSlot, aheadSlots), free: make(chan *aheadSlot, aheadSlots)}
 	spareSlots.Lock()
-	k := max(0, len(spareSlots.slots)-shards*aheadSlots)
-	spare := slices.Clone(spareSlots.slots[k:])
+	k := max(0, len(spareSlots.slots)-aheadSlots)
+	f.slots = slices.Clone(spareSlots.slots[k:])
 	spareSlots.slots = spareSlots.slots[:k]
 	spareSlots.Unlock()
-	for range shards {
-		f.rings = append(f.rings, newRing(&spare))
+	for len(f.slots) < aheadSlots {
+		f.slots = append(f.slots, newAheadSlot())
 	}
-	var seeds []chan []*funcsim.Delta
-	if shards > 1 {
-		for range shards {
-			seeds = append(seeds, make(chan []*funcsim.Delta, 1))
-		}
-		f.wg.Add(1)
-		go f.prepass(p, regions, seeds)
+	for _, s := range f.slots {
+		f.free <- s
 	}
-	f.wg.Add(shards)
-	for s := range shards {
-		go f.produce(s, p, regions, method, seeds)
-	}
+	f.wg.Add(1)
+	go f.produce(p, regions, method)
 	return f
 }
 
-// stop winds the producers and the pre-pass down and, once they have
-// returned, keeps the rings for the next run: nothing reads a slot after
-// RunRegions returns.
+// stop winds the producer down and, once it has returned, keeps the ring for
+// the next run: nothing reads a slot after RunRegions returns.
 func (f *aheadFeed) stop() {
 	close(f.done)
 	f.wg.Wait()
+	for _, s := range f.slots {
+		s.err = nil
+	}
 	spareSlots.Lock()
 	defer spareSlots.Unlock()
-	for _, r := range f.rings {
-		for _, s := range r.slots {
-			s.err = nil
-		}
-		spareSlots.slots = append(spareSlots.slots, r.slots...)
-	}
+	spareSlots.slots = append(spareSlots.slots, f.slots...)
 }
 
 func (f *aheadFeed) stopped() bool {
@@ -192,21 +131,35 @@ func (f *aheadFeed) stopped() bool {
 	}
 }
 
-// get takes an empty slot of r for its producer. After the walker has left,
-// when nothing reads a slot any more, it lends any, so that the producer —
-// which holds one at a time — runs on to its next poll and returns there.
-func (f *aheadFeed) get(r *ring) *aheadSlot {
-	select {
-	case s := <-r.free:
-		return s
-	case <-f.done:
-		return r.slots[0]
+// put hands an emptied slot back, half a ring at a time; handBack, all.
+func (f *aheadFeed) put(s *aheadSlot) {
+	if f.emptied = append(f.emptied, s); len(f.emptied) >= aheadSlots/2 {
+		f.handBack()
 	}
 }
 
-func (f *aheadFeed) send(r *ring, s *aheadSlot) {
+func (f *aheadFeed) handBack() {
+	for _, s := range f.emptied {
+		f.free <- s
+	}
+	f.emptied = f.emptied[:0]
+}
+
+// get takes an empty slot for the producer. After the walker has left, when
+// nothing reads a slot any more, it lends any, so that the producer — which
+// holds one at a time — runs on to its next poll and returns there.
+func (f *aheadFeed) get() *aheadSlot {
 	select {
-	case r.full <- s:
+	case s := <-f.free:
+		return s
+	case <-f.done:
+		return f.slots[0]
+	}
+}
+
+func (f *aheadFeed) send(s *aheadSlot) {
+	select {
+	case f.full <- s:
 	case <-f.done:
 	}
 }
@@ -214,50 +167,31 @@ func (f *aheadFeed) send(r *ring, s *aheadSlot) {
 // recv takes the current region's next slot for the walker. Before it waits
 // it hands back every emptied slot, which the producer may be waiting for.
 func (f *aheadFeed) recv() (*aheadSlot, error) {
-	r := f.rings[f.ri]
 	select {
-	case s := <-r.full:
+	case s := <-f.full:
 		return s, nil
 	default:
 	}
-	r.handBack()
-	t0 := f.ro.begin()
+	f.handBack()
 	select {
-	case s := <-r.full:
-		f.ro.blocked(t0)
+	case s := <-f.full:
 		return s, nil
 	case <-f.opts.Cancel: // nil channel blocks; the producer always sends
 		return nil, ErrCanceled
 	}
 }
 
-// produce is producer s: the functional execution of its range of regions
-// from the state its seed gives, or the replay of the whole run. A slot is
-// the walker's once sent, so nothing is read from it afterwards.
-func (f *aheadFeed) produce(s int, p *prog.Program, regions []Region, method warmup.Method, seeds []chan []*funcsim.Delta) {
+// produce is the producer: the functional execution of the run's regions, or
+// their replay. A slot is the walker's once sent, so nothing is read from it
+// afterwards.
+func (f *aheadFeed) produce(p *prog.Program, regions []Region, method warmup.Method) {
 	defer f.wg.Done()
-	r := f.rings[s]
 	var fs *funcsim.Sim // nil for a replay, which executes nothing
 	if f.replay == nil {
 		fs = funcsim.New(p)
 	}
-	if s > 0 {
-		select {
-		case chain := <-seeds[s]:
-			for _, d := range chain {
-				fs.ApplyDelta(d)
-			}
-		case <-f.done:
-			return
-		}
-	}
-	var st *shardTrace // a sharded run's producer times its cold phases
-	if f.ro != nil && f.ro.parallel {
-		st = newShardTrace(f.ro.tr, "shard")
-	}
-	h := handoff{f: f, r: r}
-	for i := f.firsts[s]; i < f.firsts[s+1]; i++ {
-		reg := regions[i]
+	h := handoff{f: f}
+	for i, reg := range regions {
 		var part *tracePart
 		var err error
 		if f.replay != nil {
@@ -265,24 +199,19 @@ func (f *aheadFeed) produce(s int, p *prog.Program, regions []Region, method war
 		} else {
 			cold := reg.Start - fs.Seq()
 			h.lead, h.w = method.NewWindow(cold)
-			t0 := time.Now()
-			var ran uint64
-			ran, err = coldSkip(fs, cold, &h)
+			err = coldSkip(fs, cold, &h)
 			h.flush()
-			if st != nil {
-				f.ro.producerCold(st, t0, i, s, ran)
-			}
 		}
 		if errors.Is(err, ErrCanceled) {
 			return
 		}
 		if err != nil {
-			sl := f.get(r)
+			sl := f.get()
 			sl.win.Seen, sl.recs, sl.last, sl.err = 0, sl.recs[:0], false, err
-			f.send(r, sl)
+			f.send(sl)
 			return
 		}
-		if f.replay != nil && !f.sendWindow(r, part, method) || !f.hot(r, fs, reg.Size, part) {
+		if f.replay != nil && !f.sendWindow(part, method) || !f.hot(fs, reg.Size, part) {
 			return
 		}
 	}
@@ -290,9 +219,9 @@ func (f *aheadFeed) produce(s int, p *prog.Program, regions []Region, method war
 
 // hot sends a hot phase of size instructions in batches, executed on fs or
 // copied from a replayed part. It reports whether the run goes on.
-func (f *aheadFeed) hot(r *ring, fs *funcsim.Sim, size uint64, part *tracePart) bool {
+func (f *aheadFeed) hot(fs *funcsim.Sim, size uint64, part *tracePart) bool {
 	for n := uint64(0); n < size; {
-		s := f.get(r)
+		s := f.get()
 		b := s.recs[:cap(s.recs)][:min(size-n, funcsim.BatchSize)]
 		var k int
 		var err error
@@ -304,7 +233,7 @@ func (f *aheadFeed) hot(r *ring, fs *funcsim.Sim, size uint64, part *tracePart) 
 		n += uint64(k)
 		last := err != nil || k < len(b) || n == size
 		s.win.Seen, s.recs, s.last, s.err = 0, b[:k], last, err
-		f.send(r, s)
+		f.send(s)
 		if err != nil || !last && f.stopped() {
 			return false
 		}
@@ -315,14 +244,13 @@ func (f *aheadFeed) hot(r *ring, fs *funcsim.Sim, size uint64, part *tracePart) 
 	return true
 }
 
-// handoff is what a producer observes a region's cold phase through: the
+// handoff is what the producer observes a region's cold phase through: the
 // window kernel logs into one slot after another, each handed to the walker
 // once it holds handoffInstrs instructions or is full, the fetch-line state
 // carried from each to the next in w. lead is how many of the phase's
 // instructions pass before the window.
 type handoff struct {
 	f    *aheadFeed
-	r    *ring
 	lead uint64
 	w    trace.Window
 	s    *aheadSlot
@@ -333,7 +261,7 @@ func (h *handoff) window() *trace.Window {
 		h.flush()
 	}
 	if h.s == nil {
-		h.s = h.f.get(h.r)
+		h.s = h.f.get()
 		log := h.s.win.SkipLog
 		log.Reset()
 		h.s.win = h.w
@@ -347,7 +275,7 @@ func (h *handoff) window() *trace.Window {
 func (h *handoff) flush() {
 	if h.s != nil && h.s.win.Seen > 0 {
 		h.w.Line, h.w.HaveLine = h.s.win.Line, h.s.win.HaveLine
-		h.f.send(h.r, h.s)
+		h.f.send(h.s)
 	}
 	h.s = nil
 }
@@ -355,10 +283,9 @@ func (h *handoff) flush() {
 // coldSkip executes n instructions on fs in batches of at most
 // funcsim.BatchSize, polling for a stop between batches: the cold phase of a
 // region. The lead before h's window runs through funcsim.Skip, which logs
-// nothing, the rest through the window kernel into h's slots. It returns how
-// far it got; a fault, a workload that halts short of n, and a stop
-// (ErrCanceled) are errors.
-func coldSkip(fs *funcsim.Sim, n uint64, h *handoff) (uint64, error) {
+// nothing, the rest through the window kernel into h's slots. A fault, a
+// workload that halts short of n, and a stop (ErrCanceled) are errors.
+func coldSkip(fs *funcsim.Sim, n uint64, h *handoff) error {
 	lead := min(h.lead, n)
 	var ran uint64
 	for ran < n {
@@ -372,29 +299,26 @@ func coldSkip(fs *funcsim.Sim, n uint64, h *handoff) (uint64, error) {
 		}
 		ran += k
 		if err != nil {
-			return ran, fmt.Errorf("sampling: cold phase: %w", err)
+			return fmt.Errorf("sampling: cold phase: %w", err)
 		}
 		if fs.Halted() {
 			break
 		}
 		if h.f.stopped() {
-			return ran, ErrCanceled
+			return ErrCanceled
 		}
 	}
 	if ran != n {
-		return ran, fmt.Errorf("sampling: workload halted after %d skipped instructions", ran)
+		return fmt.Errorf("sampling: workload halted after %d skipped instructions", ran)
 	}
-	return ran, nil
+	return nil
 }
 
-// next makes region ci current and returns the length of its cold phase,
-// which depends on where the region before ended: its producer runs to its
+// next makes r the current region and returns the length of its cold phase,
+// which depends on where the region before ended: the producer runs to its
 // start.
-func (f *aheadFeed) next(ci int, r Region) uint64 {
+func (f *aheadFeed) next(r Region) uint64 {
 	f.t0 = f.ro.begin()
-	for ci >= f.firsts[f.ri+1] {
-		f.ri++
-	}
 	cold := r.Start - f.pos
 	f.pos = r.Start
 	return cold
@@ -417,7 +341,7 @@ func (f *aheadFeed) ingest(ci int, method warmup.Method, cold uint64) (uint64, e
 			break
 		}
 		method.ObserveWindow(&s.win)
-		f.rings[f.ri].put(s)
+		f.put(s)
 	}
 	f.ro.coldDone(f.t0, ci, cold, method.Work())
 	return cold, nil
@@ -434,7 +358,7 @@ func (f *aheadFeed) Fill(max uint64) []trace.DynInst {
 		return nil
 	}
 	if !f.fresh {
-		f.rings[f.ri].put(f.cur)
+		f.put(f.cur)
 		s, err := f.recv()
 		if f.cur, f.failure = s, err; err != nil {
 			return nil
@@ -452,7 +376,7 @@ func (f *aheadFeed) err() error { return f.failure }
 // read afterwards.
 func (f *aheadFeed) release() {
 	if f.cur != nil {
-		f.rings[f.ri].put(f.cur)
+		f.put(f.cur)
 		f.cur = nil
 	}
 }

@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -82,11 +83,17 @@ func windowsAtMarks(regions []Region, method warmup.Method) bool {
 	return true
 }
 
+// ErrTraceTooLarge is RecordTrace giving up on a trace that could outgrow its
+// byte limit: a placement's trace is a pure function of it, so recording it
+// again under the same limit would give up again.
+var ErrTraceTooLarge = errors.New("sampling: trace could outgrow its byte limit")
+
 // RecordTrace executes regions of p, as a run of them would, into their
 // trace for m's L1I line size. It gives up, returning nil and why, when the
-// workload halts or faults before the last region's end, when cancel closes,
-// or when the trace could outgrow limit bytes, which it checks before each
-// region against the densest the region could be.
+// workload halts or faults before the last region's end, when cancel closes
+// (ErrCanceled), or when the trace could outgrow limit bytes
+// (ErrTraceTooLarge), which it checks before each region against the densest
+// the region could be.
 func RecordTrace(p *prog.Program, m MachineConfig, regions []Region, limit int64, cancel <-chan struct{}) (*Trace, error) {
 	if err := ValidateRegions(regions, math.MaxUint64); err != nil {
 		return nil, err
@@ -101,7 +108,7 @@ func RecordTrace(p *prog.Program, m MachineConfig, regions []Region, limit int64
 		cold := reg.Start - fs.Seq()
 		worst := float64(cold)*float64(coldInstrBytes) + float64(reg.Size)*float64(hotInstrBytes) + float64(partBytes)
 		if worst > float64(limit-t.bytes) {
-			return nil, fmt.Errorf("sampling: trace could outgrow %d bytes", limit)
+			return nil, fmt.Errorf("%w (%d bytes)", ErrTraceTooLarge, limit)
 		}
 		part, err := recordCold(fs, cold, &w, stopped)
 		if err != nil {
@@ -164,11 +171,11 @@ func loadTrace(m MachineConfig, regions []Region, method warmup.Method, opts *Op
 	return t
 }
 
-// sendWindow hands the walker method's window on a recorded part through r.
-func (f *aheadFeed) sendWindow(r *ring, part *tracePart, method warmup.Method) bool {
+// sendWindow hands the walker method's window on a recorded part.
+func (f *aheadFeed) sendWindow(part *tracePart, method warmup.Method) bool {
 	cold := part.marks[0].at
 	lead, w := method.NewWindow(cold)
-	return lead == cold || f.sendStretches(r, part, part.mark(lead), &part.marks[0], w, true)
+	return lead == cold || f.sendStretches(part, part.mark(lead), &part.marks[0], w, true)
 }
 
 // sendStretches hands the walker, in as many stretches as the slots need,
@@ -177,7 +184,7 @@ func (f *aheadFeed) sendWindow(r *ring, part *tracePart, method warmup.Method) b
 // whatever line came before: if the whole log did not, the first stretch
 // starts with one. Any split will do, and every stretch carries b's line state
 // (ObserveWindow reads the last one's). It reports whether the run goes on.
-func (f *aheadFeed) sendStretches(r *ring, part *tracePart, a, b *windowMark, w trace.Window, open bool) bool {
+func (f *aheadFeed) sendStretches(part *tracePart, a, b *windowMark, w trace.Window, open bool) bool {
 	var mem []trace.MemRecord
 	var br []trace.BranchRecord
 	fetch := open && w.Cache && a.haveLine && a.pc&w.LineMask == a.line
@@ -191,7 +198,7 @@ func (f *aheadFeed) sendStretches(r *ring, part *tracePart, a, b *windowMark, w 
 	// A stretch counts one instruction, the last all that are left: a
 	// stretch's records are those of one instruction at least.
 	for left := b.at - a.at; left > 0; {
-		s := f.get(r)
+		s := f.get()
 		log := s.win.SkipLog
 		log.Reset()
 		if fetch {
@@ -206,7 +213,7 @@ func (f *aheadFeed) sendStretches(r *ring, part *tracePart, a, b *windowMark, w 
 			s.win.Seen = left
 		}
 		left -= s.win.Seen
-		f.send(r, s)
+		f.send(s)
 		if f.stopped() {
 			return false
 		}

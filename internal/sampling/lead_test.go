@@ -16,7 +16,7 @@ import (
 )
 
 // countingMethod counts, per region, the instructions its method observes
-// through ObserveWindow, whatever the shard count. countingSizer is the
+// through ObserveWindow. countingSizer is the
 // wrapper of a method that is a warmup.RegionSizer, so that the walker treats
 // the wrapped method as it would the bare one.
 type countingMethod struct {
@@ -80,27 +80,24 @@ func TestSkipLeadWindowContract(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, shards := range []int{1, 2} {
-			var cm *countingMethod
-			mk := func(h *mem.Hierarchy, u *bpred.Unit) warmup.Method {
-				var m warmup.Method
-				cm, m = counting(spec.New(h, u))
-				return m
+		var cm *countingMethod
+		mk := func(h *mem.Hierarchy, u *bpred.Unit) warmup.Method {
+			var m warmup.Method
+			cm, m = counting(spec.New(h, u))
+			return m
+		}
+		got, err := RunRegions(p, DefaultMachine(), regions, mk, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.label, err)
+		}
+		for i, cold := range colds {
+			if wantObs := cold * c.percent / 100; cm.observed[i] != wantObs {
+				t.Errorf("%s: region %d (cold %d) observed %d instructions, want %d", c.label, i, cold, cm.observed[i], wantObs)
 			}
-			got, err := RunRegions(p, DefaultMachine(), regions, mk, Options{Shards: shards})
-			if err != nil {
-				t.Fatalf("%s shards=%d: %v", c.label, shards, err)
-			}
-			name := fmt.Sprintf("%s shards=%d", c.label, shards)
-			for i, cold := range colds {
-				if wantObs := cold * c.percent / 100; cm.observed[i] != wantObs {
-					t.Errorf("%s: region %d (cold %d) observed %d instructions, want %d", name, i, cold, cm.observed[i], wantObs)
-				}
-			}
-			if !reflect.DeepEqual(got.Clusters, want.Clusters) || got.Work != want.Work ||
-				got.FuncInstructions != want.FuncInstructions || got.HotInstructions != want.HotInstructions {
-				t.Errorf("%s: results differ from the per-instruction reference's:\ngot  %+v\nwant %+v", name, got.Work, want.Work)
-			}
+		}
+		if !reflect.DeepEqual(got.Clusters, want.Clusters) || got.Work != want.Work ||
+			got.FuncInstructions != want.FuncInstructions || got.HotInstructions != want.HotInstructions {
+			t.Errorf("%s: results differ from the per-instruction reference's:\ngot  %+v\nwant %+v", c.label, got.Work, want.Work)
 		}
 	}
 }
@@ -118,7 +115,7 @@ func haltingProgram(n int64) *prog.Program {
 
 // TestSkipLeadHalt: a workload that halts inside a lead fails the run with
 // the error a halt in an observed cold phase gives, naming the instructions
-// the phase got through — whichever method, in place or sharded.
+// the phase got through — whichever method.
 func TestSkipLeadHalt(t *testing.T) {
 	p := haltingProgram(5000)
 	ran, err := funcsim.New(p).Skip(1 << 20)
@@ -134,11 +131,9 @@ func TestSkipLeadHalt(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, shards := range []int{1, 2} {
-			res, err := RunRegions(p, DefaultMachine(), regions, spec.New, Options{Shards: shards})
-			if err == nil || err.Error() != want || res != nil {
-				t.Errorf("%s shards=%d: got %v, %v; want %q", label, shards, res, err, want)
-			}
+		res, err := RunRegions(p, DefaultMachine(), regions, spec.New, Options{})
+		if err == nil || err.Error() != want || res != nil {
+			t.Errorf("%s: got %v, %v; want %q", label, res, err, want)
 		}
 	}
 }

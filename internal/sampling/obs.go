@@ -18,26 +18,20 @@ const (
 	PhaseReverseScan = "reverse-scan"
 	PhaseHotSim      = "hot-sim"
 	PhaseFullSim     = "full-sim"
-	// PhaseCheckpoint is a sharded run's pre-pass capturing an architectural
-	// checkpoint (registers + dirty-page delta) at a range boundary.
-	PhaseCheckpoint = "checkpoint-capture"
-	// PhaseConsumerWait is a sharded run's walker blocked on a producer's
-	// ring — the starvation signal.
-	PhaseConsumerWait = "consumer-wait"
 )
 
-// Pipeline stage labels for rsr_sampling_pipeline_nanos_total: where a
-// sharded run's wall-clock goes, split between the producers' work and the
-// strictly serial walker. consumer-adopt + consumer-sim is the Amdahl serial
-// fraction; consumer-wait is starvation (producers too slow or too few).
+// Span and pipeline-stage names of sharded runs, which no longer exist:
+// nothing records them.
+//
+// Deprecated: ignored; every run has one producer. Kept until ROADMAP 7(b) retires skip-heavy-sharded.
 const (
-	StageProducerCold = "producer-cold" // producers' cold loops, waits for a free slot included
-	// StageProducerSeal is recorded by nothing: every method seals at
-	// EndSkip, on the walker (consumer-adopt). The benchmark reads the label.
+	PhaseCheckpoint   = "checkpoint-capture"
+	PhaseConsumerWait = "consumer-wait"
+	StageProducerCold = "producer-cold"
 	StageProducerSeal = "producer-seal"
-	StageConsumerWait = "consumer-wait"  // the walker blocked on a ring
-	StageConsumerWarm = "consumer-adopt" // the walker's cold phase and EndSkip, waits excluded
-	StageConsumerSim  = "consumer-sim"   // the walker's hot phase, waits excluded
+	StageConsumerWait = "consumer-wait"
+	StageConsumerWarm = "consumer-adopt"
+	StageConsumerSim  = "consumer-sim"
 )
 
 // Instruments is the sampling layer's bundle of registry instruments.
@@ -58,11 +52,6 @@ type Instruments struct {
 
 	cacheEvents *obs.CounterVec // cache hierarchy event counts by level/event
 	predUpdates *obs.CounterVec // predictor state mutations by structure
-
-	// Sharded-run instrumentation: the walker's starvation and the
-	// producer-vs-walker wall-clock split (the measured Amdahl story).
-	consumerWait *obs.Histogram
-	pipeline     *obs.CounterVec
 }
 
 // NewInstruments registers (idempotently) the sampling metric families on r
@@ -95,12 +84,6 @@ func NewInstruments(r *obs.Registry) *Instruments {
 			"Cache hierarchy events accumulated over finished runs.", "level", "event"),
 		predUpdates: r.CounterVec("rsr_bpred_updates_total",
 			"Branch predictor state mutations accumulated over finished runs.", "structure"),
-		consumerWait: r.Histogram("rsr_sampling_consumer_wait_seconds",
-			"Time a sharded run's walker spent blocked on a producer, per blocking receive (idle = starved by producers).",
-			obs.DurationBuckets),
-		pipeline: r.CounterVec("rsr_sampling_pipeline_nanos_total",
-			"Sharded-run wall-clock by pipeline stage: producer-* is the producers' (overlapped) work, consumer-* is the walker's serial fraction plus starvation.",
-			"stage"),
 	}
 }
 
@@ -139,26 +122,17 @@ type runObs struct {
 	coldDur, reconDur, hotDur         *obs.Histogram
 	logged, scanned, applied, warmOps *obs.Counter
 
-	// Sharded-run accounting, only in a run with more than one producer
-	// (parallel): otherwise the stage series stay absent, not zero. waited is
-	// how long the walker has blocked in the current phase.
-	parallel                               bool
-	waitDur                                *obs.Histogram
-	pipeCold, pipeWait, pipeAdopt, pipeSim *obs.Counter
-	waited                                 time.Duration
-
 	prevWork warmup.Work
 }
 
 // newRunObs builds the observer for one run, or nil when both sinks are
 // off. cat names the run on its trace spans; method is the warm-up label
-// ("" for full runs, which perform no warm-up work); parallel says the run
-// has more than one producer.
-func newRunObs(in *Instruments, tr *obs.Tracer, cat, method string, parallel bool) *runObs {
+// ("" for full runs, which perform no warm-up work).
+func newRunObs(in *Instruments, tr *obs.Tracer, cat, method string) *runObs {
 	if in == nil && tr == nil {
 		return nil
 	}
-	ro := &runObs{tr: tr, in: in, cat: cat, parallel: parallel}
+	ro := &runObs{tr: tr, in: in, cat: cat}
 	if tr != nil {
 		ro.tid = tr.NextTID()
 	}
@@ -173,13 +147,6 @@ func newRunObs(in *Instruments, tr *obs.Tracer, cat, method string, parallel boo
 			ro.scanned = in.scanned.With(method)
 			ro.applied = in.applied.With(method)
 			ro.warmOps = in.warmOps.With(method)
-		}
-		if parallel {
-			ro.waitDur = in.consumerWait
-			ro.pipeCold = in.pipeline.With(StageProducerCold)
-			ro.pipeWait = in.pipeline.With(StageConsumerWait)
-			ro.pipeAdopt = in.pipeline.With(StageConsumerWarm)
-			ro.pipeSim = in.pipeline.With(StageConsumerSim)
 		}
 	}
 	return ro
@@ -213,7 +180,6 @@ func (ro *runObs) coldDone(t0 time.Time, cluster int, instrs uint64, w warmup.Wo
 	}
 	dur := time.Since(t0)
 	ro.coldDur.Observe(dur.Seconds())
-	ro.stage(ro.pipeAdopt, dur)
 	ro.coldInstr.Add(instrs)
 	d := ro.workDelta(w)
 	ro.span(PhaseColdSkip, t0, dur,
@@ -221,37 +187,6 @@ func (ro *runObs) coldDone(t0 time.Time, cluster int, instrs uint64, w warmup.Wo
 		obs.SpanArg{Key: "instructions", Val: int64(instrs)},
 		obs.SpanArg{Key: "logged", Val: int64(d.LoggedRecords)},
 		obs.SpanArg{Key: "warm_ops", Val: int64(d.WarmOps)})
-}
-
-// blocked records a blocking receive of a sharded run's walker, from t0: the
-// phase it fell in leaves it out of its own stage.
-func (ro *runObs) blocked(t0 time.Time) {
-	if ro == nil || !ro.parallel {
-		return
-	}
-	dur := time.Since(t0)
-	ro.waited += dur
-	ro.waitDur.Observe(dur.Seconds())
-	ro.pipeWait.Add(uint64(dur.Nanoseconds()))
-	ro.span(PhaseConsumerWait, t0, dur)
-}
-
-// stage adds a walker phase of dur, less the time it blocked, to c.
-func (ro *runObs) stage(c *obs.Counter, dur time.Duration) {
-	c.Add(uint64((dur - ro.waited).Nanoseconds()))
-	ro.waited = 0
-}
-
-// producerCold records one region's cold phase on a sharded run's producer,
-// from t0, on the producer's track st. Producers call it concurrently; it
-// reads only what newRunObs set.
-func (ro *runObs) producerCold(st *shardTrace, t0 time.Time, cluster, shard int, instrs uint64) {
-	dur := time.Since(t0)
-	ro.pipeCold.Add(uint64(dur.Nanoseconds()))
-	st.span(PhaseColdSkip, t0, dur,
-		obs.SpanArg{Key: "cluster", Val: int64(cluster)},
-		obs.SpanArg{Key: "shard", Val: int64(shard)},
-		obs.SpanArg{Key: "instructions", Val: int64(instrs)})
 }
 
 // reconDone records the reconstruction phase (Method.EndSkip) of one
@@ -263,7 +198,6 @@ func (ro *runObs) reconDone(t0 time.Time, cluster int, w warmup.Work) {
 	}
 	dur := time.Since(t0)
 	ro.reconDur.Observe(dur.Seconds())
-	ro.stage(ro.pipeAdopt, dur)
 	d := ro.workDelta(w)
 	ro.span(PhaseReverseScan, t0, dur,
 		obs.SpanArg{Key: "cluster", Val: int64(cluster)},
@@ -280,7 +214,6 @@ func (ro *runObs) hotDone(t0 time.Time, cluster int, instrs uint64, w warmup.Wor
 	}
 	dur := time.Since(t0)
 	ro.hotDur.Observe(dur.Seconds())
-	ro.stage(ro.pipeSim, dur)
 	ro.hotInstr.Add(instrs)
 	if ro.in != nil {
 		ro.in.clusters.Inc()

@@ -3,7 +3,6 @@ package sampling
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"testing"
 
 	"rsr/internal/bpred"
@@ -298,10 +297,13 @@ func TestDisabledObservabilityZeroAllocs(t *testing.T) {
 		}
 		method := spec.New(mem.NewHierarchy(m.Hier), bpred.NewUnit(m.Pred))
 		fs := funcsim.New(w.Build())
-		ro := newRunObs(nil, nil, "sampled", spec.Label(), false) // nil: both sinks off
-		var spare []*aheadSlot
-		r := newRing(&spare)
-		f := &aheadFeed{opts: &Options{}, ro: ro, rings: []*ring{r}, firsts: []int{0, math.MaxInt}, done: make(chan struct{})}
+		ro := newRunObs(nil, nil, "sampled", spec.Label()) // nil: both sinks off
+		f := &aheadFeed{opts: &Options{}, ro: ro, done: make(chan struct{}),
+			full: make(chan *aheadSlot, aheadSlots), free: make(chan *aheadSlot, aheadSlots)}
+		for range aheadSlots {
+			f.slots = append(f.slots, newAheadSlot())
+			f.free <- f.slots[len(f.slots)-1]
+		}
 		var h handoff
 
 		// EndSkip (reconstruction) stays outside the measured body: it
@@ -311,16 +313,16 @@ func TestDisabledObservabilityZeroAllocs(t *testing.T) {
 		cluster := 0
 		run := func() {
 			lead, w := method.NewWindow(skip)
-			h = handoff{f: f, r: r, lead: lead, w: w}
-			if _, err := coldSkip(fs, skip, &h); err != nil {
+			h = handoff{f: f, lead: lead, w: w}
+			if err := coldSkip(fs, skip, &h); err != nil {
 				t.Fatal(err)
 			}
 			h.flush()
-			s := f.get(r) // an empty hot phase closes the cold one
+			s := f.get() // an empty hot phase closes the cold one
 			s.win.Seen, s.recs, s.last, s.err = 0, s.recs[:0], true, nil
-			f.send(r, s)
+			f.send(s)
 
-			cold := f.next(cluster, Region{Start: f.pos + skip})
+			cold := f.next(Region{Start: f.pos + skip})
 			method.BeginSkip(cold)
 			if _, err := f.ingest(cluster, method, cold); err != nil {
 				t.Fatal(err)

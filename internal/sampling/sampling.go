@@ -13,8 +13,7 @@
 // engine package relies on this), and because every run is deterministic in
 // its inputs, concurrent and sequential execution produce identical results.
 // TestRunSampledFreshStatePerCall asserts this contract. A run's own
-// goroutines — its run-ahead producers and a sharded run's pre-pass — end
-// before it returns.
+// goroutine, its run-ahead producer, ends before it returns.
 package sampling
 
 import (
@@ -199,37 +198,21 @@ type Options struct {
 	// additionally at cluster boundaries), so results of uncanceled runs are
 	// unaffected.
 	Cancel <-chan struct{}
-	// Shards, when > 1, splits the run's regions into that many contiguous
-	// ranges, each executed by a run-ahead producer of its own that a
-	// checkpoint pre-pass seeds with the architectural state at the range's
-	// start, while the walker observes, warms and times every region in
-	// order, so results stay byte-identical to the sequential run. 0 or 1 runs
-	// one producer over all regions, and so does a run that replays a trace.
-	// Shards is an execution policy, not part of a run's identity.
+	// Shards is how many run-ahead producers a run once split its regions
+	// across.
+	//
+	// Deprecated: ignored; every run has one producer. Kept until ROADMAP 7(b) retires skip-heavy-sharded.
 	Shards int
-	// Checkpoints, when non-nil alongside a non-empty CheckpointKey, lets
-	// a sharded run load its pre-pass checkpoint chain from a
-	// shared store (skipping the pre-pass functional run) and persist a
-	// freshly captured chain for other runs — or other nodes — with the
-	// same key. Chains are pure functions of their key, so reuse preserves
-	// byte-identical results; both fields are execution policy, never part
-	// of a run's identity.
-	Checkpoints   CheckpointStore
-	CheckpointKey string
 	// Traces, when non-nil alongside a non-empty TraceKey, lets a run replay
-	// its placement's functional trace instead of executing (Trace), with one
-	// producer whatever Shards says. Like Checkpoints, it is execution
-	// policy, never identity.
+	// its placement's functional trace instead of executing (Trace). It is
+	// execution policy, never identity.
 	Traces   TraceStore
 	TraceKey string
 	// Instr, when non-nil, streams per-phase instruction counts, durations,
 	// warm-up work deltas, and machine event counters into its registry.
 	// Tracer, when non-nil, records one span per cluster phase (cold-skip,
 	// reverse-scan — plan apply included — and hot-sim) on a track of its
-	// own; a sharded run adds checkpoint-capture spans on its pre-pass's
-	// track, each region's cold-skip on its producer's, and consumer-wait
-	// spans where the walker blocks on a producer. Both
-	// default off; recording happens at phase boundaries — never per
+	// own. Both default off; recording happens at phase boundaries — never per
 	// instruction — so enabling them does not perturb results
 	// (TestInstrumentedRunIdentical pins this) and the simulation hot loops
 	// stay allocation-free.
@@ -284,7 +267,7 @@ func RunFullOpts(p *prog.Program, m MachineConfig, total uint64, opts Options) (
 	unit := bpred.NewUnit(m.Pred)
 	sim := ooo.New(m.CPU, hier, unit)
 	fs := funcsim.New(p)
-	ro := newRunObs(opts.Instr, opts.Tracer, "full", "", false)
+	ro := newRunObs(opts.Instr, opts.Tracer, "full", "")
 	begin := time.Now()
 	st := &stream{fs: fs, buf: make([]trace.DynInst, funcsim.BatchSize), opts: &opts}
 	t0 := ro.begin()

@@ -213,20 +213,17 @@ func TestRunFullReportsFault(t *testing.T) {
 func TestRunSampledOptsWarmupCappedBySkip(t *testing.T) {
 	// A warm-up window is capped by the skip it covers. Clusters that fill
 	// their strata leave no skip at all, so every window is empty: the run
-	// must still measure every cluster, through either feed, and execute
-	// nothing cold.
+	// must still measure every cluster and execute nothing cold.
 	w, _ := workload.ByName("parser")
 	reg := Regimen{ClusterSize: 20_000, NumClusters: 5}
-	for _, shards := range []int{0, 2} {
-		res, err := RunSampledOpts(w.Build(), DefaultMachine(), reg, 100_000, 1,
-			warmup.Spec{Kind: warmup.KindReverse, Percent: 100, Cache: true, BPred: true}, Options{Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Clusters) != 5 || res.HotInstructions != 100_000 || res.FuncInstructions != res.HotInstructions {
-			t.Fatalf("shards=%d: %d clusters, %d hot and %d functional instructions; want 5, 100000 and no cold ones",
-				shards, len(res.Clusters), res.HotInstructions, res.FuncInstructions)
-		}
+	res, err := RunSampled(w.Build(), DefaultMachine(), reg, 100_000, 1,
+		warmup.Spec{Kind: warmup.KindReverse, Percent: 100, Cache: true, BPred: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Clusters) != 5 || res.HotInstructions != 100_000 || res.FuncInstructions != res.HotInstructions {
+		t.Fatalf("%d clusters, %d hot and %d functional instructions; want 5, 100000 and no cold ones",
+			len(res.Clusters), res.HotInstructions, res.FuncInstructions)
 	}
 }
 

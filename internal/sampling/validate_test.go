@@ -107,7 +107,7 @@ func TestRunSampledRefusesOutOfRangeWarmup(t *testing.T) {
 		if res, err := RunSampled(p, DefaultMachine(), reg, 40_000, 1, c.spec); err == nil || res != nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("RunSampled(%+v) = %v, %v; want a refusal naming %s", c.spec, res, err, c.want)
 		}
-		if res, err := RunSampledOpts(p, DefaultMachine(), reg, 40_000, 1, c.spec, Options{Shards: 2}); err == nil || res != nil || !strings.Contains(err.Error(), c.want) {
+		if res, err := RunSampledOpts(p, DefaultMachine(), reg, 40_000, 1, c.spec, Options{}); err == nil || res != nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("RunSampledOpts(%+v) = %v, %v; want a refusal naming %s", c.spec, res, err, c.want)
 		}
 	}
@@ -132,22 +132,20 @@ func (s *sizedMethod) BeginSkip(expectedLen uint64) {
 
 // TestRunRegionsAnnouncesLongest: a warmup.RegionSizer hears the longest cold
 // phase once, before the first region, and it is the longest the run then
-// presents — through either feed.
+// presents.
 func TestRunRegionsAnnouncesLongest(t *testing.T) {
 	p := syntheticWorkload()
 	regions := []Region{{Start: 3000, Size: 500}, {Start: 12_000, Size: 500}, {Start: 14_000, Size: 500}, {Start: 20_000, Size: 500}}
-	for _, opts := range []Options{{}, {Shards: 2}} {
-		var sm *sizedMethod
-		mk := func(h *mem.Hierarchy, u *bpred.Unit) warmup.Method {
-			sm = &sizedMethod{Method: warmup.Spec{Kind: warmup.KindReverse, Percent: 20, Cache: true, BPred: true}.New(h, u)}
-			return sm
-		}
-		if _, err := RunRegions(p, DefaultMachine(), regions, mk, opts); err != nil {
-			t.Fatal(err)
-		}
-		const want = 8500
-		if sm.calls != 1 || sm.early || sm.announced != want || sm.longest != want {
-			t.Errorf("%+v: announced %d in %d calls (a region first: %v), longest begun %d; want %d once, first", opts, sm.announced, sm.calls, sm.early, sm.longest, want)
-		}
+	var sm *sizedMethod
+	mk := func(h *mem.Hierarchy, u *bpred.Unit) warmup.Method {
+		sm = &sizedMethod{Method: warmup.Spec{Kind: warmup.KindReverse, Percent: 20, Cache: true, BPred: true}.New(h, u)}
+		return sm
+	}
+	if _, err := RunRegions(p, DefaultMachine(), regions, mk, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	const want = 8500
+	if sm.calls != 1 || sm.early || sm.announced != want || sm.longest != want {
+		t.Errorf("announced %d in %d calls (a region first: %v), longest begun %d; want %d once, first", sm.announced, sm.calls, sm.early, sm.longest, want)
 	}
 }

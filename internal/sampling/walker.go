@@ -47,8 +47,8 @@ func ValidateRegions(regions []Region, total uint64) error {
 // warm-up method observes, let the method repair microarchitectural state,
 // then measure the region in the timing model. Every sampled run — stratified
 // clusters, a strategy's measurement pass, SimPoint's intervals — is a region
-// list handed to this walker, so Options.Shards, Cancel and the instruments
-// mean the same thing for all of them. mk builds the warm-up method over the
+// list handed to this walker, so Options.Cancel, the trace store and the
+// instruments mean the same thing for all of them. mk builds the warm-up method over the
 // run's fresh hierarchy and predictor: every production caller passes a
 // warmup.Spec's New, and mk stays a factory only so tests can wrap a method
 // (countingMethod, cancelingMethod) in a fake. The walker checks the region list
@@ -76,20 +76,15 @@ func RunRegions(p *prog.Program, m MachineConfig, regions []Region, mk func(*mem
 	res := &RunResult{Method: method.Name(), Clusters: make([]ClusterStat, 0, len(regions))}
 	begin := time.Now()
 
-	replay := loadTrace(m, regions, method, &opts)
-	shards := 1
-	if replay == nil {
-		shards = shardCount(opts.Shards, len(regions))
-	}
-	ro := newRunObs(opts.Instr, opts.Tracer, method.Name(), method.Name(), shards > 1)
-	f := newAheadFeed(p, regions, method, shards, replay, &opts, ro)
+	ro := newRunObs(opts.Instr, opts.Tracer, method.Name(), method.Name())
+	f := newAheadFeed(p, regions, method, loadTrace(m, regions, method, &opts), &opts, ro)
 	defer f.stop()
 
 	for ci, reg := range regions {
 		if opts.Canceled() {
 			return nil, ErrCanceled
 		}
-		cold := f.next(ci, reg)
+		cold := f.next(reg)
 		method.BeginSkip(cold)
 		ran, err := f.ingest(ci, method, cold)
 		if err != nil {

@@ -156,9 +156,9 @@ func feedCapture(m Method, region int, ds []trace.DynInst, seal bool) RegionCapt
 	return c
 }
 
-// captureCycle drives m through one region the way the sharded pipeline and
-// the benchmark's capture replay do: observe into a capture, seal it, then
-// BeginSkip, AdoptRegion, EndSkip on the method.
+// captureCycle drives m through one region the way the benchmark's capture
+// replay does: observe into a capture, seal it, then BeginSkip, AdoptRegion,
+// EndSkip on the method.
 func captureCycle(m Method, region int, ds []trace.DynInst, seal bool) {
 	c := feedCapture(m, region, ds, seal)
 	m.BeginSkip(uint64(len(ds)))
@@ -316,7 +316,7 @@ func TestSizeRegionsOrderFree(t *testing.T) {
 // its window, not its regions: after a run at 20% no log array a capture, a
 // plan or the pool's detached list holds has room for more than 1.5x the
 // records of the longest region's window — in place, and with two captures in
-// flight as the sharded feed keeps them at Shards 2. Logging whole regions
+// flight at once. Logging whole regions
 // fails it five times over, and so does announcing the longest region instead
 // of its window in SizeRegions.
 func TestReverseLogSizedForWindow(t *testing.T) {
@@ -539,8 +539,7 @@ func TestMemRecordRoundTrip(t *testing.T) {
 // sameAsWindow asserts that spec leaves exactly what an FP method of the given
 // percentage does — hierarchy fingerprints and state, predictor state, Work —
 // observing regions in place, and through capture → seal → adopt with one
-// (a two-shard pipeline's run-ahead) and two (three shards') further captures
-// already fed while a region is adopted.
+// and two further captures already fed while a region is adopted.
 func sameAsWindow(t *testing.T, spec Spec, percent int) {
 	t.Helper()
 	recs := genRecords(t, 30_000)

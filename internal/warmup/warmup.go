@@ -29,11 +29,10 @@ import (
 // state that observing the region one instruction at a time would, which
 // TestBatchScalarEquivalence pins against a per-instruction oracle kept in
 // the tests. The region walker (sampling.RunRegions) builds no records for a
-// cold phase: NewWindow tells its producers how many of a region's
-// instructions pass before the window, which they run without any, and how
+// cold phase: NewWindow tells its producer how many of a region's
+// instructions pass before the window, which it runs without any, and how
 // to log the rest, which funcsim's window kernel does into trace.Windows that
-// ObserveWindow takes in place of the batches, whatever the run's shard
-// count.
+// ObserveWindow takes in place of the batches.
 //
 // Region captures (NewRegionCapture/AdoptRegion) observe a region away from
 // the method's shared state and install it later: a capture logs what its

@@ -36,7 +36,7 @@ func TestPaperStackImportsNoFabric(t *testing.T) {
 
 // TestExperimentsRunThroughEngine keeps the experiment harness and its CLI on
 // one door: every simulation they start is an engine job, so -parallel,
-// -cachedir, -cluster and -shards apply to all of it. A call into the walker,
+// -cachedir and -cluster apply to all of it. A call into the walker,
 // a strategy runner or SimPoint from their non-test files is a simulation path
 // the engine does not see.
 func TestExperimentsRunThroughEngine(t *testing.T) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Sampling-regimen smoke test, run by `make regimen-smoke` and CI.
 #
-# Builds a race-enabled rsr and proves four things end to end with the real
+# Builds a race-enabled rsr and proves three things end to end with the real
 # CLI:
 #
 #   1. Byte-identity: stratified-uniform is the paper's design, so
@@ -16,11 +16,7 @@
 #      and a non-zero `work` line — simpoint included, which reported none
 #      while it estimated on a path of its own.
 #
-#   3. Every strategy honours -shards: all measurement passes go through the
-#      one region walker, so a run at `-shards 2` must print exactly what the
-#      same run prints at `-shards 1`, minus the `time` line.
-#
-#   4. A strategy run is an engine job: `rsr -cachedir D -stats strategies`
+#   3. A strategy run is an engine job: `rsr -cachedir D -stats strategies`
 #      run twice prints the same table (minus the time column) and the second
 #      run's engine reports misses=0 — every strategy result came off disk.
 #
@@ -46,7 +42,7 @@ if ! diff -u "$WORKDIR/unnamed.txt" "$WORKDIR/named.txt"; then
     exit 1
 fi
 
-# --- 2 + 3. Every strategy completes a run, sharded or not. ---------------
+# --- 2. Every strategy completes a run. -------------------------------------
 NAMES="$($RSR regimens | awk 'NR > 1 { print $1 }')"
 if [ "$(printf '%s\n' "$NAMES" | wc -l)" -lt 4 ]; then
     echo "regimen-smoke: expected at least 4 strategy names, got:" >&2
@@ -54,7 +50,7 @@ if [ "$(printf '%s\n' "$NAMES" | wc -l)" -lt 4 ]; then
     exit 1
 fi
 for NAME in $NAMES; do
-    $RSR -shards 1 -regimen "$NAME" run | grep -v '^time' >"$WORKDIR/$NAME.txt"
+    $RSR -regimen "$NAME" run | grep -v '^time' >"$WORKDIR/$NAME.txt"
     if ! grep -q '^estimate' "$WORKDIR/$NAME.txt"; then
         echo "regimen-smoke: strategy $NAME produced no estimate:" >&2
         cat "$WORKDIR/$NAME.txt" >&2
@@ -69,14 +65,9 @@ for NAME in $NAMES; do
         cat "$WORKDIR/$NAME.txt" >&2
         exit 1
     fi
-    $RSR -shards 2 -regimen "$NAME" run | grep -v '^time' >"$WORKDIR/$NAME.s2.txt"
-    if ! diff -u "$WORKDIR/$NAME.txt" "$WORKDIR/$NAME.s2.txt"; then
-        echo "regimen-smoke: strategy $NAME at -shards 2 diverged from -shards 1" >&2
-        exit 1
-    fi
 done
 
-# --- 4. The head-to-head twice on one cache directory. ----------------------
+# --- 3. The head-to-head twice on one cache directory. ----------------------
 # The table's last column is wall time, which a cached result carries over
 # from the run that computed it: the two tables are equal byte for byte.
 $RSR -cachedir "$WORKDIR/cache" -stats strategies >"$WORKDIR/cold.txt" 2>"$WORKDIR/cold.err"
@@ -91,4 +82,4 @@ if ! grep -q ' misses=0 ' "$WORKDIR/warm.err" || grep -q ' misses=0 ' "$WORKDIR/
     exit 1
 fi
 
-echo "regimen-smoke: ok (stratified-uniform byte-identical to the unnamed run; $(printf '%s\n' "$NAMES" | wc -l | tr -d ' ') strategies ran end to end, each identical at -shards 1 and 2; strategies re-run served from the cache)"
+echo "regimen-smoke: ok (stratified-uniform byte-identical to the unnamed run; $(printf '%s\n' "$NAMES" | wc -l | tr -d ' ') strategies ran end to end; strategies re-run served from the cache)"

@@ -20,7 +20,7 @@ trap 'rm -rf "$tmp"' EXIT
 
 go build -o "$tmp/rsr" ./cmd/rsr
 "$tmp/rsr" all >"$tmp/results_reference.txt"
-"$tmp/rsr" -parallel 1 -shards 1 fig7 >"$tmp/results_fig7_sequential.txt"
+"$tmp/rsr" -parallel 1 fig7 >"$tmp/results_fig7_sequential.txt"
 "$tmp/rsr" strategies >"$tmp/results_strategies.txt"
 
 mask() { sed -E 's/ *([0-9]+(\.[0-9]+)?(ns|µs|us|ms|s|m|h))+\b/ <dur>/g' "$1"; }
