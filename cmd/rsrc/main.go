@@ -1,6 +1,6 @@
 // Command rsrc is the sweep-fabric coordinator: it accepts simulation jobs,
-// splits them across peer-mode rsrd workers, and serves the
-// content-addressed store that carries result blobs from them.
+// splits them across peer-mode rsrd workers, and keeps the results their
+// completion reports carry in a content-addressed store (-casdir).
 //
 // Usage:
 //
@@ -19,8 +19,8 @@
 //	GET  /v1/status          live cluster status snapshot (feeds `rsr top`)
 //	POST /v1/peers/heartbeat worker liveness + engine depth (200; 409 on skew)
 //	POST /v1/peers/pull      lease one work item (204 when idle)
-//	POST /v1/peers/complete  report an execution outcome
-//	/v1/cas/...              the shared content-addressed store
+//	POST /v1/peers/complete  report an execution outcome, a success with
+//	                         its result bytes
 //	GET  /v1/version         build info + cluster protocol version
 //	GET  /metrics            this coordinator's families; a worker's engine
 //	                         depth arrives by heartbeat, its own families
@@ -93,7 +93,7 @@ func main() {
 	journalDir := flag.String("journal", "", "write-ahead journal directory; a restart replays it and resumes sweeps (empty = in-memory scheduling only)")
 	queue := flag.Int("queue", 0, "queue bound per live worker (0 = 32); submissions past N x max(1, live workers) queued jobs are refused with 503")
 	hbTimeout := flag.Duration("heartbeat-timeout", 5*time.Second, "reap workers silent this long and requeue their work")
-	maxRequeues := flag.Int("max-requeues", 3, "per-item requeue budget across node loss and repeatedly refused result uploads")
+	maxRequeues := flag.Int("max-requeues", 3, "per-item requeue budget across node loss and repeatedly refused results")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "bound on finishing scheduled work after SIGTERM/SIGINT")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, or error")
 	flag.Parse()

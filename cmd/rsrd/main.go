@@ -21,8 +21,8 @@
 // With -peer, the daemon additionally joins the sweep fabric of the rsrc
 // coordinator at -coordinator: it heartbeats its engine depth every second,
 // pulls work with one loop per engine worker (-parallel), runs it on the
-// local engine, and uploads results to the coordinator's content-addressed
-// store. The local HTTP API stays fully usable in peer mode. The -advertise
+// local engine, and sends each result to the coordinator in its completion
+// report. The local HTTP API stays fully usable in peer mode. The -advertise
 // address is used for the sweep trace only: the coordinator dials it to pull
 // /v1/trace.
 //

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -219,8 +218,7 @@ func (s *server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req jobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		cluster.HTTPError(w, http.StatusBadRequest, "bad job body: %v", err)
+	if !cluster.DecodeJSON(w, r, cluster.MaxBodyBytes, &req, "job body") {
 		return
 	}
 	job, err := req.toJob()

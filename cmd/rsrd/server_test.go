@@ -263,7 +263,22 @@ func TestDaemonRejectsBadJobs(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Get(ts.URL + "/v1/jobs/deadbeef")
+	// A body past cluster.MaxBodyBytes is refused unread, and no job starts.
+	big := `{"workload": "twolf", "method": "None", "total": 400000` +
+		strings.Repeat(" ", cluster.MaxBodyBytes) + `}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: status = %d, want 413", resp.StatusCode)
+	}
+	if st := eng.Stats(); st.CacheMisses+st.CacheHits+st.Coalesced != 0 {
+		t.Errorf("engine stats after the refused bodies = %+v, want no submission", st)
+	}
+
+	resp, err = http.Get(ts.URL + "/v1/jobs/deadbeef")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
-// Package cas is a content-addressed blob store shared by the distributed
-// sweep fabric: finished results travel between nodes as blobs keyed by the
-// hex SHA-256 of their bytes.
+// Package cas is a content-addressed blob store: blobs keyed by the hex
+// SHA-256 of their bytes. The engine's on-disk result cache is one, and so
+// is the sweep coordinator's result store, into which it writes the result
+// bytes each worker's completion report carries.
 //
 // Content addressing makes every blob self-verifying: a reader recomputes
 // the sum and refuses bytes that do not hash to their key. Corrupt or torn
@@ -13,7 +14,7 @@
 // semantic keys (an engine job hash) to
 // blob sums. Index entries are only ever written for deterministic
 // artifacts, so a lost or re-linked entry costs a recompute, never
-// correctness. The engine's on-disk result cache is one of these stores.
+// correctness.
 package cas
 
 import (
@@ -146,20 +147,6 @@ func (s *Store) Get(sum string) ([]byte, error) {
 	s.mem[sum] = b
 	s.mu.Unlock()
 	return b, nil
-}
-
-// Has reports whether the blob is available without reading it into
-// memory. A corrupt disk entry reports false (and is left for Get to
-// quarantine).
-func (s *Store) Has(sum string) bool {
-	s.mu.Lock()
-	_, ok := s.mem[sum]
-	s.mu.Unlock()
-	if ok || s.dir == "" {
-		return ok
-	}
-	fi, err := os.Stat(s.blobPath(sum))
-	return err == nil && fi.Mode().IsRegular()
 }
 
 // Link binds a semantic key to a blob sum in the name index.

@@ -2,9 +2,7 @@ package cas
 
 import (
 	"bytes"
-	"context"
 	"errors"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -12,12 +10,13 @@ import (
 	"rsr/internal/fault"
 )
 
-// TestChaosCorruptBlobQuarantinedAndRepaired is the CAS half of the fabric's
-// failure story: a torn blob on a node's disk is quarantined on read and never
-// served — a client fetch fails instead of returning the bad bytes — and
-// re-putting the verified bytes repairs the store, which then serves them.
+// TestChaosCorruptBlobQuarantinedAndRepaired is the store's half of the
+// fabric's failure story: a torn blob on a node's disk is quarantined on read
+// and never served — the read fails instead of returning the bad bytes — and
+// re-putting the verified bytes repairs the store, which then serves them,
+// also to a store reopened over the directory.
 func TestChaosCorruptBlobQuarantinedAndRepaired(t *testing.T) {
-	blob := []byte("checkpoint chain bytes: pure function of (workload, boundaries)")
+	blob := []byte("result bytes: a pure function of the job")
 	sum := Sum(blob)
 
 	// The node's copy is torn on disk (a crash mid-write that became
@@ -32,14 +31,12 @@ func TestChaosCorruptBlobQuarantinedAndRepaired(t *testing.T) {
 	}
 	sick = NewStore(dir) // drop the memory copy, like a restart
 
-	srv := httptest.NewServer(NewServer(sick, "/v1/cas"))
-	defer srv.Close()
-	c := NewClient(nil, srv.URL+"/v1/cas")
-	ctx := context.Background()
-
-	// The torn copy must 404 (quarantined, not served).
-	if got, err := c.Fetch(ctx, sum); err == nil {
-		t.Fatalf("Fetch served a torn blob: %q", got)
+	// The torn copy must fail the read (quarantined, not served).
+	if got, err := sick.Get(sum); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Get of a torn blob = %q, %v; want ErrCorrupt", got, err)
+	}
+	if got, err := sick.Get(sum); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("second Get = %q, %v; want ErrNotFound (the bytes are quarantined)", got, err)
 	}
 	if sick.Stats().Corrupt != 1 {
 		t.Fatalf("Corrupt = %d, want 1", sick.Stats().Corrupt)
@@ -52,9 +49,9 @@ func TestChaosCorruptBlobQuarantinedAndRepaired(t *testing.T) {
 	if _, err := sick.Put(blob); err != nil {
 		t.Fatalf("repair Put: %v", err)
 	}
-	got, err := c.Fetch(ctx, sum)
+	got, err := NewStore(dir).Get(sum)
 	if err != nil || !bytes.Equal(got, blob) {
-		t.Fatalf("Fetch after repair = %q, %v", got, err)
+		t.Fatalf("Get after repair = %q, %v", got, err)
 	}
 }
 

@@ -125,7 +125,7 @@ func TestChaosNodeKillMidSweepByteIdentical(t *testing.T) {
 // result reached the CAS is re-run.
 func TestChaosCoordKillMidSweepByteIdentical(t *testing.T) {
 	dir := t.TempDir()
-	st := cas.NewStore("")
+	st := cas.NewStore(t.TempDir())
 	j1, err := OpenJournal(dir, testLogger())
 	if err != nil {
 		t.Fatal(err)

@@ -21,8 +21,9 @@ import (
 // restart is absorbed the same way: transient connection errors are retried
 // with a capped growing delay, and a poll that comes back 404 — the
 // coordinator came back without this job (it ran without a journal) —
-// resubmits the kept job body idempotently; content hashing plus CAS dedup
-// make the resubmit free.
+// resubmits the kept job body. The job's content hash makes that
+// idempotent: a resubmission coalesces onto the job if the coordinator has
+// it, and otherwise the job runs again, byte-identically.
 type Client struct {
 	base string
 	hc   *http.Client

@@ -4,19 +4,23 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"rsr/internal/cas"
 	"rsr/internal/engine"
 	"rsr/internal/fault"
 	"rsr/internal/obs"
@@ -40,19 +44,21 @@ func unitJob(seed int64) engine.Job {
 	}
 }
 
-// fakeComplete stores a minimal decodable result blob for id and reports a
-// successful completion from node.
-func fakeComplete(t *testing.T, co *Coordinator, node, id string) {
+// resultReport is node's successful completion report for id, carrying a
+// minimal decodable result.
+func resultReport(t *testing.T, node, id string) CompleteRequest {
 	t.Helper()
 	blob, err := json.Marshal(engine.Result{JobHash: id, Kind: engine.JobSampled})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := co.Store().Put(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := co.Complete(CompleteRequest{Node: node, ID: id, BlobSum: sum}); err != nil {
+	return CompleteRequest{Node: node, ID: id, BlobSum: cas.Sum(blob), Result: blob}
+}
+
+// fakeComplete reports a successful completion of id from node.
+func fakeComplete(t *testing.T, co *Coordinator, node, id string) {
+	t.Helper()
+	if err := co.Complete(resultReport(t, node, id)); err != nil {
 		t.Fatalf("complete: %v", err)
 	}
 }
@@ -252,8 +258,14 @@ func TestIdleWorkerPullsOldestQueued(t *testing.T) {
 	}
 }
 
+// TestSchedulerRefusesUnverifiableBlobs pins the coordinator's half of the
+// result contract: result bytes that do not hash to the report's sum, do not
+// decode, or decode to another job's result are refused with ErrBadBlob and
+// never stored; the item stays running, and the verified bytes of a good
+// report land in the store under their sum.
 func TestSchedulerRefusesUnverifiableBlobs(t *testing.T) {
-	co := NewCoordinator(CoordinatorOptions{HeartbeatTimeout: time.Hour, Log: testLogger()})
+	st := cas.NewStore(t.TempDir())
+	co := NewCoordinator(CoordinatorOptions{HeartbeatTimeout: time.Hour, Store: st, Log: testLogger()})
 	defer co.Close()
 	beat(t, co, "a")
 	id, err := co.Submit(unitJob(1), "")
@@ -263,23 +275,38 @@ func TestSchedulerRefusesUnverifiableBlobs(t *testing.T) {
 	if it := co.Pull("a"); it == nil {
 		t.Fatal("no lease")
 	}
-	// A blob that decodes to a different job's result must be refused.
-	blob, _ := json.Marshal(engine.Result{JobHash: "deadbeef", Kind: engine.JobSampled})
-	sum, _ := co.Store().Put(blob)
-	err = co.Complete(CompleteRequest{Node: "a", ID: id, BlobSum: sum})
-	if err == nil || !strings.Contains(err.Error(), "result of job") {
-		t.Fatalf("mismatched blob: err = %v, want ErrBadBlob", err)
-	}
-	// A sum that is not in the store at all is likewise refused.
-	err = co.Complete(CompleteRequest{Node: "a", ID: id,
-		BlobSum: strings.Repeat("ab", 32)})
-	if err == nil {
-		t.Fatal("absent blob: want error")
+	other, _ := json.Marshal(engine.Result{JobHash: "deadbeef", Kind: engine.JobSampled})
+	flipped := resultReport(t, "a", id)
+	flipped.Result[len(flipped.Result)/2] ^= 1
+	for _, tc := range []struct {
+		name string
+		req  CompleteRequest
+		want string
+	}{
+		{"another job's result", CompleteRequest{Node: "a", ID: id, BlobSum: cas.Sum(other), Result: other}, "result of job"},
+		{"a flipped byte", flipped, "do not hash"},
+		{"bytes that do not decode", CompleteRequest{Node: "a", ID: id,
+			BlobSum: cas.Sum([]byte("{not json")), Result: []byte("{not json")}, "decode"},
+		{"no bytes", CompleteRequest{Node: "a", ID: id, BlobSum: strings.Repeat("ab", 32)}, "do not hash"},
+	} {
+		err := co.Complete(tc.req)
+		if !errors.Is(err, ErrBadBlob) || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err = %v, want ErrBadBlob (%s)", tc.name, err, tc.want)
+		}
+		if b, err := st.Get(cas.Sum(tc.req.Result)); err == nil {
+			t.Fatalf("%s: the refused bytes were stored: %q", tc.name, b)
+		}
 	}
 	// The item is still running and completable.
-	fakeComplete(t, co, "a", id)
-	if st, _ := co.Status(id); st.Status != "done" {
-		t.Fatalf("status = %s after good blob", st.Status)
+	good := resultReport(t, "a", id)
+	if err := co.Complete(good); err != nil {
+		t.Fatal(err)
+	}
+	if stj, _ := co.Status(id); stj.Status != "done" {
+		t.Fatalf("status = %s after good blob", stj.Status)
+	}
+	if b, err := st.Get(good.BlobSum); err != nil || !bytes.Equal(b, good.Result) {
+		t.Fatalf("stored result = %q, %v; want the report's bytes", b, err)
 	}
 }
 
@@ -339,10 +366,8 @@ func TestCompleteRequiresLease(t *testing.T) {
 	if st, _ := co.Status(id); st.Status != "pending" {
 		t.Fatalf("status after stray failure = %s, want pending", st.Status)
 	}
-	// A stray "success" naming a valid blob is likewise dropped.
-	blob, _ := json.Marshal(engine.Result{JobHash: id, Kind: engine.JobSampled})
-	sum, _ := co.Store().Put(blob)
-	if err := co.Complete(CompleteRequest{Node: "evil", ID: id, BlobSum: sum}); err != nil {
+	// A stray "success" carrying a valid result is likewise dropped.
+	if err := co.Complete(resultReport(t, "evil", id)); err != nil {
 		t.Fatalf("stray success: %v", err)
 	}
 	if st, _ := co.Status(id); st.Status != "pending" {
@@ -389,9 +414,8 @@ func TestReapedNodeLateCompletionDoesNotClobberRequeue(t *testing.T) {
 	co.reap(time.Now())
 	beat(t, co, "b")
 	// a was alive all along and reports its success late: dropped.
-	blob, _ := json.Marshal(engine.Result{JobHash: id, Kind: engine.JobSampled})
-	sum, _ := co.Store().Put(blob)
-	if err := co.Complete(CompleteRequest{Node: "a", ID: id, BlobSum: sum}); err != nil {
+	late := resultReport(t, "a", id)
+	if err := co.Complete(late); err != nil {
 		t.Fatalf("late success: %v", err)
 	}
 	if st, _ := co.Status(id); st.Status != "pending" {
@@ -405,7 +429,7 @@ func TestReapedNodeLateCompletionDoesNotClobberRequeue(t *testing.T) {
 	if st, _ := co.Status(id); st.Status != "done" {
 		t.Fatalf("final status = %s, want done", st.Status)
 	}
-	if err := co.Complete(CompleteRequest{Node: "a", ID: id, BlobSum: sum}); err != nil {
+	if err := co.Complete(late); err != nil {
 		t.Fatalf("late copy after b finished: %v", err)
 	}
 	if got := metricValue(reg, "rsr_cluster_late_completes_total"); got != 1 {
@@ -421,8 +445,10 @@ func TestReapedNodeLateCompletionDoesNotClobberRequeue(t *testing.T) {
 // however long the reaper has run since, and a resubmission of the job
 // coalesces onto the finished item instead of running it again.
 func TestFinishedWorkStaysPollable(t *testing.T) {
+	dir := t.TempDir()
+	st := cas.NewStore(dir)
 	co := NewCoordinator(CoordinatorOptions{
-		QueuePerWorker: 8, HeartbeatTimeout: time.Hour, Log: testLogger(),
+		QueuePerWorker: 8, HeartbeatTimeout: time.Hour, Store: st, Log: testLogger(),
 	})
 	defer co.Close()
 	beat(t, co, "a")
@@ -445,8 +471,20 @@ func TestFinishedWorkStaysPollable(t *testing.T) {
 	if ids, ok := sweepMembers(co, "kept"); !ok || !slices.Equal(ids, []string{id}) {
 		t.Errorf("sweep a day later = %v, %v; want its one member", ids, ok)
 	}
-	if blobSum == "" || !co.Store().Has(blobSum) {
-		t.Errorf("result blob %.12q not resident a day later", blobSum)
+	// The result blob is on disk, and only there: the decoded result on the
+	// item is the one copy the coordinator holds in memory.
+	path := filepath.Join(dir, "blobs", blobSum)
+	if err := os.Rename(path, path+".away"); blobSum == "" || err != nil {
+		t.Fatalf("result blob %.12q not on disk a day later: %v", blobSum, err)
+	}
+	if b, err := st.Get(blobSum); !errors.Is(err, cas.ErrNotFound) {
+		t.Errorf("store served %d bytes from memory with the disk copy gone: %v", len(b), err)
+	}
+	if err := os.Rename(path+".away", path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Get(blobSum); err != nil {
+		t.Errorf("result blob %.12q not in the store a day later: %v", blobSum, err)
 	}
 	beat(t, co, "b")
 	if id2, err := co.Submit(unitJob(1), ""); err != nil || id2 != id {
@@ -457,37 +495,49 @@ func TestFinishedWorkStaysPollable(t *testing.T) {
 	}
 }
 
-// TestPeerReuploadsBlobOnUnverifiedCompletion pins the worker half of the
-// ErrBadBlob contract: when the coordinator refuses a completion because it
-// cannot verify the result blob (409), the peer re-uploads the bytes it kept
-// in scope and retries — re-sending the identical doomed report would strand
-// the job forever on a single-worker cluster (the node keeps heartbeating,
-// so the lease is never reaped).
-func TestPeerReuploadsBlobOnUnverifiedCompletion(t *testing.T) {
+// TestPeerResendsResultOnUnverifiedCompletion pins the worker half of the
+// ErrBadBlob contract: when the coordinator refuses a completion because the
+// result bytes do not verify (409), the peer resends the bytes it kept in
+// scope — giving up would strand the job forever on a single-worker cluster
+// (the node keeps heartbeating, so the lease is never reaped) — and the
+// resend lands without running the job again.
+func TestPeerResendsResultOnUnverifiedCompletion(t *testing.T) {
 	co := NewCoordinator(CoordinatorOptions{HeartbeatTimeout: 2 * time.Second, Log: testLogger()})
 	defer co.Close()
-	_, evicted, err := runEvictingOneWorker(t, co, 1)
+	var flipped int
+	_, codes, executed, err := runOneWorker(t, co, func(req *CompleteRequest) {
+		if req.Result != nil && flipped < 1 {
+			flipped++
+			req.Result[len(req.Result)/2] ^= 1
+		}
+	})
 	if err != nil {
-		t.Fatalf("wait after 409 re-upload: %v", err)
+		t.Fatalf("wait after 409 resend: %v", err)
 	}
-	if evicted != 1 {
-		t.Fatalf("intercepted %d successful completions, want 1", evicted)
+	if !slices.Equal(codes, []int{http.StatusConflict, http.StatusNoContent}) {
+		t.Errorf("completion answers = %v, want a 409 then a 204", codes)
+	}
+	if executed != 1 {
+		t.Errorf("the job ran %d times, want 1", executed)
 	}
 }
 
-// TestPeerRefusedCompletionFailsItem pins what happens when the blob path is
-// broken for good: every completion's result blob is evicted before the
-// coordinator reads it. The peer gives up after repeated refusals by
-// reporting a transient failure, so the item is requeued within its budget
-// and then fails with the refusal — it does not stay pending on a
-// one-worker fabric whose only node keeps heartbeating.
+// TestPeerRefusedCompletionFailsItem pins what happens when every report is
+// corrupted on its way: each has a byte of its result flipped. The peer gives
+// up after repeated refusals by reporting a transient failure, so the item is
+// requeued within its budget and then fails with the refusal — it does not
+// stay pending on a one-worker fabric whose only node keeps heartbeating.
 func TestPeerRefusedCompletionFailsItem(t *testing.T) {
 	reg := obs.NewRegistry()
 	co := NewCoordinator(CoordinatorOptions{
 		HeartbeatTimeout: 2 * time.Second, MaxRequeues: 1, Log: testLogger(), Metrics: reg,
 	})
 	defer co.Close()
-	id, _, err := runEvictingOneWorker(t, co, -1)
+	id, codes, executed, err := runOneWorker(t, co, func(req *CompleteRequest) {
+		if req.Result != nil {
+			req.Result[len(req.Result)/2] ^= 1
+		}
+	})
 	if err == nil || !strings.Contains(err.Error(), "result blob refused") {
 		t.Fatalf("wait = %v, want the job failed with the blob refusal", err)
 	}
@@ -496,6 +546,38 @@ func TestPeerRefusedCompletionFailsItem(t *testing.T) {
 	}
 	if got := metricValue(reg, "rsr_cluster_requeues_total"); got != 1 {
 		t.Errorf("requeues = %v, want 1 (the budget)", got)
+	}
+	refused := 0
+	for _, c := range codes {
+		if c == http.StatusConflict {
+			refused++
+		}
+	}
+	// Two leases, four refusals each; the second lease is an engine cache hit.
+	if refused != 8 || executed != 1 {
+		t.Errorf("%d reports refused, %d executions; want 4 for each of 2 leases, 1 execution (answers %v)",
+			refused, executed, codes)
+	}
+}
+
+// TestPeerRetriesCompletionOnStoreWriteFailure pins the retryable half: a
+// coordinator whose store fails to write a verified result answers 503 and
+// records nothing, the holder keeps its lease and resends, and the job
+// completes with one execution.
+func TestPeerRetriesCompletionOnStoreWriteFailure(t *testing.T) {
+	st := cas.NewStore(t.TempDir())
+	st.Fault = fault.New(1, fault.Rule{Point: fault.CacheWrite, Kind: fault.KindError, Prob: 1, Count: 1})
+	co := NewCoordinator(CoordinatorOptions{HeartbeatTimeout: 2 * time.Second, Store: st, Log: testLogger()})
+	defer co.Close()
+	_, codes, executed, err := runOneWorker(t, co, nil)
+	if err != nil {
+		t.Fatalf("wait after a failed store write: %v", err)
+	}
+	if !slices.Equal(codes, []int{http.StatusServiceUnavailable, http.StatusNoContent}) {
+		t.Errorf("completion answers = %v, want a 503 then a 204", codes)
+	}
+	if executed != 1 {
+		t.Errorf("the job ran %d times, want 1", executed)
 	}
 }
 
@@ -524,27 +606,35 @@ func TestFailedJobRunsOnce(t *testing.T) {
 	}
 }
 
-// runEvictingOneWorker runs one small job on a one-worker fabric whose
-// coordinator is reached through a proxy that evicts the result blob a
-// successful completion report names before passing the report on: the
-// first limit such reports, or every one when limit < 0. It returns the
-// job's ID, how many reports had their blob evicted, and the outcome of
-// waiting for the job.
-func runEvictingOneWorker(t *testing.T, co *Coordinator, limit int64) (string, int64, error) {
+// runOneWorker runs one small job on a one-worker fabric whose coordinator
+// is reached through a proxy that hands every completion report to alter
+// (nil = none) before passing it on. It returns the job's ID, the status each
+// report was answered with, how many jobs the worker's engine executed, and
+// the outcome of waiting for the job.
+func runOneWorker(t *testing.T, co *Coordinator, alter func(*CompleteRequest)) (string, []int, int64, error) {
 	t.Helper()
 	inner := NewServer(co, nil, testLogger()).Routes()
-	var n atomic.Int64
+	var mu sync.Mutex
+	var codes []int
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/peers/complete" && (limit < 0 || n.Load() < limit) {
-			body, _ := io.ReadAll(r.Body)
-			r.Body = io.NopCloser(bytes.NewReader(body))
-			var req CompleteRequest
-			if json.Unmarshal(body, &req) == nil && req.BlobSum != "" {
-				n.Add(1)
-				co.Store().Evict(req.BlobSum)
-			}
+		if r.URL.Path != "/v1/peers/complete" {
+			inner.ServeHTTP(w, r)
+			return
 		}
-		inner.ServeHTTP(w, r)
+		var req CompleteRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			t.Errorf("proxy: %v", err)
+		}
+		if alter != nil {
+			alter(&req)
+		}
+		body, _ := json.Marshal(req)
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		sw := &statusWriter{ResponseWriter: w}
+		inner.ServeHTTP(sw, r)
+		mu.Lock()
+		codes = append(codes, sw.status)
+		mu.Unlock()
 	}))
 	defer ts.Close()
 
@@ -572,7 +662,13 @@ func runEvictingOneWorker(t *testing.T, co *Coordinator, limit int64) (string, i
 		t.Fatal(err)
 	}
 	_, err = tk.Wait(ctx)
-	return tk.Hash(), n.Load(), err
+	// The last report's answer is recorded once its handler returns, which
+	// the server's close waits for.
+	p.Close()
+	ts.Close()
+	mu.Lock()
+	defer mu.Unlock()
+	return tk.Hash(), slices.Clone(codes), eng.Stats().Done, err
 }
 
 // TestPeerRestartUnderSameNameReleasesLease pins the Hello half of the lease
@@ -673,6 +769,45 @@ func TestSubmitBackpressure503WithRetryAfter(t *testing.T) {
 	}
 }
 
+// TestOversizedBodiesRefused413 pins the bound on what the coordinator
+// decodes: a job, heartbeat or pull body past MaxBodyBytes is answered 413
+// and changes nothing — no job queued, no worker registered, no lease taken.
+func TestOversizedBodiesRefused413(t *testing.T) {
+	co := NewCoordinator(CoordinatorOptions{HeartbeatTimeout: time.Hour, Log: testLogger()})
+	defer co.Close()
+	ts := httptest.NewServer(NewServer(co, nil, testLogger()).Routes())
+	defer ts.Close()
+	queued, err := co.Submit(unitJob(1), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := co.StatusSnapshot()
+
+	pad := strings.Repeat(" ", MaxBodyBytes)
+	job, _ := json.Marshal(unitJob(2))
+	for path, body := range map[string]string{
+		"/v1/jobs":            pad + string(job),
+		"/v1/peers/heartbeat": `{"node":"big","protocol":` + fmt.Sprint(ProtocolVersion) + `,"addr":"` + pad + `"}`,
+		"/v1/peers/pull":      `{"node":"big"}` + pad + `{}`,
+	} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body = %d, want 413", path, len(body), resp.StatusCode)
+		}
+	}
+	if after := co.StatusSnapshot(); !reflect.DeepEqual(before, after) {
+		t.Errorf("status after the refused bodies = %+v, want unchanged %+v", after, before)
+	}
+	if st, _ := co.Status(queued); st.Status != "pending" {
+		t.Errorf("queued job = %s, want still pending", st.Status)
+	}
+}
+
 // TestHistQuantileUpperMS pins the nearest-rank quantile bound behind
 // journal_fsync_p99_ms: a lone slow sample is its own p99, and only a count
 // of 100 or more lets p99 look past the slowest one.
@@ -709,8 +844,8 @@ func repeat(v float64, n int) []float64 {
 
 // --- full-fabric tests: coordinator + HTTP + real peers with real engines ---
 
-// fabric is an in-process cluster: one coordinator behind httptest, n peers
-// each with its own engine sharing checkpoints through the coordinator CAS.
+// fabric is an in-process cluster: one coordinator behind httptest and n
+// peers, each with its own engine.
 type fabric struct {
 	co      *Coordinator
 	ts      *httptest.Server

@@ -28,8 +28,8 @@ type CoordinatorOptions struct {
 	// journal gets reconnectCap more for its first heartbeat.
 	HeartbeatTimeout time.Duration
 	// MaxRequeues bounds how many times one item may be requeued — after
-	// node loss or a repeatedly refused result upload — before it fails for
-	// good (0 = 3).
+	// node loss or a repeatedly refused result — before it fails for good
+	// (0 = 3).
 	MaxRequeues int
 	// Journal, when non-nil, is the coordinator's write-ahead log (see
 	// OpenJournal): every scheduling mutation is fsync'd to it before taking
@@ -40,8 +40,9 @@ type CoordinatorOptions struct {
 	// site: a fault.CoordKill firing makes the coordinator crash abruptly
 	// (see Crash) — the journal's moment of truth.
 	Fault fault.Injector
-	// Store is the content-addressed store for result blobs (nil = a private
-	// in-memory store).
+	// Store is the content-addressed store the coordinator writes result
+	// blobs into and replays finished jobs from (nil = a private in-memory
+	// store, which a restart does not keep).
 	Store *cas.Store
 	// Metrics, when non-nil, exposes the fabric's per-node gauges and
 	// scheduling counters for the coordinator's /metrics.
@@ -209,6 +210,7 @@ func (c *Coordinator) adoptReplay(rp *Replay) {
 			res := new(engine.Result)
 			b, err := c.store.Get(ri.BlobSum)
 			if err == nil {
+				c.store.Evict(ri.BlobSum) // the decoded result is the one copy held
 				err = json.Unmarshal(b, res)
 			}
 			if err != nil || res.JobHash != ri.ID {
@@ -260,10 +262,6 @@ func (c *Coordinator) adoptReplay(rp *Replay) {
 		"items", len(rp.Items), "sweeps", len(rp.Sweeps), "holders", len(c.nodes),
 		"records", rp.Records, "quarantined_tail_bytes", rp.Quarantined)
 }
-
-// Store returns the coordinator's content-addressed store (mounted under
-// /v1/cas/ by the HTTP layer; also usable in process by tests).
-func (c *Coordinator) Store() *cas.Store { return c.store }
 
 // Close stops the reaper and fails every unfinished item with ErrClosed so
 // pollers unblock. Workers discover the shutdown through failed pulls.
@@ -661,16 +659,17 @@ func (c *Coordinator) popQueuedLocked() *item {
 	return nil
 }
 
-// Complete records one execution's outcome. Success must name a result blob
-// already in the store; a blob that is missing, corrupt, or decodes to a
-// different job's result is refused with ErrBadBlob (the worker re-uploads
-// and retries). Only the item's holder may decide it: a report that raced
-// the reaper — the node was presumed dead, its lease released and the item
-// requeued — is dropped, so a late failure cannot kill work that is queued
-// to run elsewhere, and a stray report (the API is unauthenticated) cannot
-// decide a job it never leased. A transient report (a result blob refused
-// repeatedly, see CompleteRequest) is requeued within the item's budget; any
-// other failure fails the item.
+// Complete records one execution's outcome. A success carries the result
+// bytes: bytes that do not hash to BlobSum, do not decode, or decode to a
+// different job's result are refused with ErrBadBlob (the worker resends),
+// and the holder's verified bytes are written to the store before the item
+// is finalized (ErrStoreWrite if that fails). Only the item's holder may
+// decide it: a report that raced the reaper — the node was presumed dead,
+// its lease released and the item requeued — is dropped, so a late failure
+// cannot kill work that is queued to run elsewhere, and a stray report (the
+// API is unauthenticated) cannot decide a job it never leased. A transient
+// report (a result refused repeatedly, see CompleteRequest) is requeued
+// within the item's budget; any other failure fails the item.
 func (c *Coordinator) Complete(req CompleteRequest) error {
 	// The chaos point: a firing CoordKill rule crashes the coordinator as a
 	// completion arrives — after real work has finished, before the outcome
@@ -684,12 +683,11 @@ func (c *Coordinator) Complete(req CompleteRequest) error {
 	}
 	var res *engine.Result
 	if req.Error == "" {
-		b, err := c.store.Get(req.BlobSum)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrBadBlob, err)
+		if cas.Sum(req.Result) != req.BlobSum {
+			return fmt.Errorf("%w: result bytes do not hash to %.12s", ErrBadBlob, req.BlobSum)
 		}
 		res = new(engine.Result)
-		if err := json.Unmarshal(b, res); err != nil {
+		if err := json.Unmarshal(req.Result, res); err != nil {
 			return fmt.Errorf("%w: decode: %v", ErrBadBlob, err)
 		}
 		if res.JobHash != req.ID {
@@ -707,6 +705,16 @@ func (c *Coordinator) Complete(req CompleteRequest) error {
 	if !ok {
 		return fmt.Errorf("%w: %.12s", ErrUnknownJob, req.ID)
 	}
+	held := it.state == itemRunning && it.holder == req.Node
+	if held && res != nil {
+		// The blob is durable before the journal names it, and the decoded
+		// result on the item is the one copy held in memory. A failed write
+		// changes nothing: the holder keeps its lease and resends.
+		if _, err := c.store.Put(req.Result); err != nil {
+			return fmt.Errorf("%w: %v", ErrStoreWrite, err)
+		}
+		c.store.Evict(req.BlobSum)
+	}
 	if n := c.nodes[req.Node]; n != nil {
 		delete(n.leases, req.ID)
 		n.lastBeat = time.Now()
@@ -717,7 +725,7 @@ func (c *Coordinator) Complete(req CompleteRequest) error {
 		c.obs.lateCompletes.Inc()
 		return nil
 	}
-	if it.state != itemRunning || it.holder != req.Node {
+	if !held {
 		// The node does not hold a lease on this item: its lease was reaped
 		// and the item requeued, or the report is a stray POST. The live
 		// copy owns the item now — a late failure must not fail work that

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/url"
@@ -11,7 +12,6 @@ import (
 	"strings"
 	"time"
 
-	"rsr/internal/cas"
 	"rsr/internal/engine"
 	"rsr/internal/obs"
 )
@@ -23,8 +23,8 @@ import (
 //	GET  /v1/jobs/{id}       job status, and the result once finished
 //	POST /v1/peers/heartbeat worker liveness + engine depth (200; 409 on skew)
 //	POST /v1/peers/pull      lease one work item (204 when idle)
-//	POST /v1/peers/complete  report an execution outcome
-//	/v1/cas/...              the shared content-addressed store
+//	POST /v1/peers/complete  report an execution outcome, a success with
+//	                         its result bytes
 //	GET  /v1/sweeps/{id}/trace  merged fabric trace for the jobs submitted
 //	                         under one X-Sweep-ID (id = that tag): Chrome
 //	                         trace JSON, one process lane per node, each
@@ -40,7 +40,6 @@ type Server struct {
 	reg *obs.Registry
 	log *slog.Logger
 	ids *RequestIDs
-	cas *cas.Server
 	hc  *http.Client // trace-aggregation fan-out
 }
 
@@ -50,8 +49,7 @@ func NewServer(co *Coordinator, reg *obs.Registry, log *slog.Logger) *Server {
 		log = slog.Default()
 	}
 	return &Server{co: co, reg: reg, log: log, ids: NewRequestIDs(),
-		cas: cas.NewServer(co.Store(), "/v1/cas"),
-		hc:  &http.Client{Timeout: 5 * time.Second}}
+		hc: &http.Client{Timeout: 5 * time.Second}}
 }
 
 // Routes returns the wrapped handler tree.
@@ -63,7 +61,6 @@ func (s *Server) Routes() http.Handler {
 	mux.HandleFunc("/v1/peers/heartbeat", s.handleHeartbeat)
 	mux.HandleFunc("/v1/peers/pull", s.handlePull)
 	mux.HandleFunc("/v1/peers/complete", s.handleComplete)
-	mux.Handle("/v1/cas/", s.cas)
 	mux.HandleFunc("/v1/status", s.handleStatus)
 	mux.HandleFunc("/v1/version", s.handleVersion)
 	mux.HandleFunc("/metrics", MetricsHandler(s.reg, s.log))
@@ -94,8 +91,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var job engine.Job
-	if err := json.NewDecoder(r.Body).Decode(&job); err != nil {
-		HTTPError(w, http.StatusBadRequest, "bad job body: %v", err)
+	if !DecodeJSON(w, r, MaxBodyBytes, &job, "job body") {
 		return
 	}
 	id, err := s.co.Submit(job, engine.SweepFrom(r.Context()))
@@ -172,8 +168,7 @@ func sortedKeys[V any](m map[string]V) []string {
 
 func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var hb Heartbeat
-	if err := json.NewDecoder(r.Body).Decode(&hb); err != nil {
-		HTTPError(w, http.StatusBadRequest, "bad heartbeat: %v", err)
+	if !DecodeJSON(w, r, MaxBodyBytes, &hb, "heartbeat") {
 		return
 	}
 	switch err := s.co.Heartbeat(hb); {
@@ -190,8 +185,11 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handlePull(w http.ResponseWriter, r *http.Request) {
 	var req PullRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Node == "" {
-		HTTPError(w, http.StatusBadRequest, "bad pull body")
+	if !DecodeJSON(w, r, MaxBodyBytes, &req, "pull body") {
+		return
+	}
+	if req.Node == "" {
+		HTTPError(w, http.StatusBadRequest, "bad pull body: no node")
 		return
 	}
 	it := s.co.Pull(req.Node)
@@ -204,8 +202,7 @@ func (s *Server) handlePull(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req CompleteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		HTTPError(w, http.StatusBadRequest, "bad complete body: %v", err)
+	if !DecodeJSON(w, r, maxCompleteBytes, &req, "complete body") {
 		return
 	}
 	switch err := s.co.Complete(req); {
@@ -213,13 +210,43 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		HTTPError(w, http.StatusNotFound, "%v", err)
 	case errors.Is(err, ErrBadBlob):
 		HTTPError(w, http.StatusConflict, "%v", err)
-	case errors.Is(err, ErrClosed):
+	case errors.Is(err, ErrClosed), errors.Is(err, ErrStoreWrite):
 		HTTPError(w, http.StatusServiceUnavailable, "%v", err)
 	case err != nil:
 		HTTPError(w, http.StatusBadRequest, "%v", err)
 	default:
 		w.WriteHeader(http.StatusNoContent)
 	}
+}
+
+// Request body bounds: MaxBodyBytes for every body the fabric decodes but a
+// completion report (a job, a heartbeat, a pull; rsrd's job submissions
+// too), and maxCompleteBytes for a report, whose result of up to
+// maxBlobBytes is base64-encoded (4 bytes per 3).
+const (
+	MaxBodyBytes     = 1 << 20
+	maxBlobBytes     = 1 << 30
+	maxCompleteBytes = 4*((maxBlobBytes+2)/3) + MaxBodyBytes
+)
+
+// DecodeJSON decodes the request body, which must be one JSON value of at
+// most limit bytes, into v. On failure it answers 413 (the body passed
+// limit) or 400 (anything else) and reports false.
+func DecodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any, what string) bool {
+	b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err == nil {
+		err = json.Unmarshal(b, v)
+	}
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		HTTPError(w, http.StatusRequestEntityTooLarge, "%s over %d bytes", what, limit)
+	case err != nil:
+		HTTPError(w, http.StatusBadRequest, "bad %s: %v", what, err)
+	default:
+		return true
+	}
+	return false
 }
 
 // MetricsHandler serves reg in Prometheus text exposition format, or 404 when

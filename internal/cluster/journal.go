@@ -178,9 +178,6 @@ func OpenJournal(dir string, log *slog.Logger) (*Journal, error) {
 // Replay returns the state reconstructed at open time.
 func (j *Journal) Replay() *Replay { return j.replay }
 
-// Dir returns the journal directory.
-func (j *Journal) Dir() string { return j.dir }
-
 // instrument installs the coordinator's metric hooks.
 func (j *Journal) instrument(fsyncSec *obs.Histogram, records *obs.CounterVec) {
 	j.fsyncSec, j.records = fsyncSec, records

@@ -19,7 +19,8 @@ import (
 
 // journaledCoordinator builds a coordinator whose scheduling survives Crash:
 // a journal in dir, and a caller-shared store so replayed result blobs
-// resolve.
+// resolve — a disk store, as rsrc pairs -journal with -casdir, since the
+// coordinator keeps no result blob in memory.
 func journaledCoordinator(t *testing.T, dir string, st *cas.Store, reg *obs.Registry) *Coordinator {
 	t.Helper()
 	j, err := OpenJournal(dir, testLogger())
@@ -61,7 +62,7 @@ func TestJournalPropertyRandomOpsReplayMatchesLiveState(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 1337} {
 		rng := rand.New(rand.NewSource(seed))
 		dir := t.TempDir()
-		st := cas.NewStore("")
+		st := cas.NewStore(t.TempDir())
 		co := journaledCoordinator(t, dir, st, nil)
 
 		type lease struct{ node, id string }
@@ -183,7 +184,7 @@ func TestJournalPropertyRandomOpsReplayMatchesLiveState(t *testing.T) {
 // rebuilds the same state as one that replayed the full log.
 func TestJournalCompactionRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	st := cas.NewStore("")
+	st := cas.NewStore(t.TempDir())
 	co := journaledCoordinator(t, dir, st, nil)
 	beat(t, co, "a")
 	id1, err := co.Submit(unitJob(1), "")
@@ -237,7 +238,7 @@ func TestJournalCompactionRoundTrip(t *testing.T) {
 // the truncated journal reopens cleanly with the pre-corruption state.
 func TestJournalQuarantinesCorruptTail(t *testing.T) {
 	dir := t.TempDir()
-	st := cas.NewStore("")
+	st := cas.NewStore(t.TempDir())
 	co := journaledCoordinator(t, dir, st, nil)
 	beat(t, co, "a")
 	id, err := co.Submit(unitJob(1), "")
@@ -303,7 +304,7 @@ func TestJournalQuarantinesCorruptTail(t *testing.T) {
 // deterministic re-run), never to a wrong answer.
 func TestJournalReplayServesDoneFromCAS(t *testing.T) {
 	dir := t.TempDir()
-	st := cas.NewStore("")
+	st := cas.NewStore(t.TempDir())
 	co := journaledCoordinator(t, dir, st, nil)
 	beat(t, co, "a")
 	id, err := co.Submit(unitJob(1), "")
@@ -348,7 +349,7 @@ func TestJournalReplayServesDoneFromCAS(t *testing.T) {
 // the journal never named leaves the lease table alone, whatever it lists.
 func TestLeaseReadoptionAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	st := cas.NewStore("")
+	st := cas.NewStore(t.TempDir())
 	co := journaledCoordinator(t, dir, st, nil)
 	beat(t, co, "a")
 	id, err := co.Submit(unitJob(1), "")
@@ -400,7 +401,7 @@ func TestLeaseReadoptionAcrossRestart(t *testing.T) {
 // once, and a later heartbeat that omits a lease changes nothing.
 func TestReplayedHolderRequeuesOmittedLease(t *testing.T) {
 	dir := t.TempDir()
-	st := cas.NewStore("")
+	st := cas.NewStore(t.TempDir())
 	co := journaledCoordinator(t, dir, st, nil)
 	beat(t, co, "a")
 	var ids []string
@@ -438,7 +439,7 @@ func TestReplayedHolderRequeuesOmittedLease(t *testing.T) {
 // probes — and not before — and its lease requeues to a survivor.
 func TestReplayedHolderReapedAfterReconnectCap(t *testing.T) {
 	dir := t.TempDir()
-	st := cas.NewStore("")
+	st := cas.NewStore(t.TempDir())
 	co := journaledCoordinator(t, dir, st, nil)
 	beat(t, co, "a")
 	id, err := co.Submit(unitJob(1), "")

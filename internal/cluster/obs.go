@@ -56,7 +56,7 @@ func newCoordObs(reg *obs.Registry, c *Coordinator) *coordObs {
 	o.rejected = reg.Counter("rsr_cluster_jobs_rejected_total",
 		"Submissions refused with backpressure (queue at its bound).")
 	o.requeues = reg.Counter("rsr_cluster_requeues_total",
-		"Items requeued after node loss or a repeatedly refused result upload.")
+		"Items requeued after node loss or a repeatedly refused result.")
 	o.lateCompletes = reg.Counter("rsr_cluster_late_completes_total",
 		"Completions that arrived after the item was already terminal (a requeue raced a slow completion; byte-identical results, dropped).")
 	o.staleCompletes = reg.Counter("rsr_cluster_stale_completes_total",

@@ -109,12 +109,11 @@ func newPeerObs(reg *obs.Registry) *peerObs {
 }
 
 // Peer is a worker participating in a coordinator's sweep fabric: it
-// heartbeats, pulls work, runs it on the local engine, publishes results
-// into the shared content-addressed store, and reports completions.
+// heartbeats, pulls work, runs it on the local engine, and reports each
+// outcome, a result in its completion report.
 type Peer struct {
 	opts PeerOptions
 	hc   *http.Client
-	cas  *cas.Client
 	log  *slog.Logger
 	obs  *peerObs
 
@@ -173,7 +172,6 @@ func NewPeer(opts PeerOptions) (*Peer, error) {
 	return &Peer{
 		opts:   opts,
 		hc:     hc,
-		cas:    cas.NewClient(hc, opts.Coordinator+"/v1/cas"),
 		log:    opts.Log.With("node", opts.Node),
 		obs:    newPeerObs(opts.Metrics),
 		leases: make(map[string]bool),
@@ -182,9 +180,6 @@ func NewPeer(opts PeerOptions) (*Peer, error) {
 		cancel: cancel,
 	}, nil
 }
-
-// Node returns the peer's cluster name.
-func (p *Peer) Node() string { return p.opts.Node }
 
 // Connected reports whether the coordinator was reachable at the last
 // heartbeat. rsrd's peer-mode /readyz reports not-ready while this is false:
@@ -458,7 +453,7 @@ func (p *Peer) runItem(it *WorkItem) {
 	p.log.Info("lease started", "job", it.ID, "label", it.Job.Label(), "sweep", it.SweepID)
 	tk, err := p.opts.Engine.Submit(engine.WithSweep(p.ctx, it.SweepID), it.Job)
 	if err != nil {
-		p.complete(CompleteRequest{Node: p.opts.Node, ID: it.ID, Error: err.Error()}, nil)
+		p.complete(CompleteRequest{Node: p.opts.Node, ID: it.ID, Error: err.Error()})
 		return
 	}
 	res, err := tk.Wait(p.ctx)
@@ -468,44 +463,36 @@ func (p *Peer) runItem(it *WorkItem) {
 		}
 		// An engine failure is final: the job is deterministic, so another
 		// run — here or on another node — would fail the same way.
-		p.complete(CompleteRequest{Node: p.opts.Node, ID: it.ID, Error: err.Error()}, nil)
+		p.complete(CompleteRequest{Node: p.opts.Node, ID: it.ID, Error: err.Error()})
 		return
 	}
 	blob, err := json.Marshal(res)
 	if err != nil {
 		p.complete(CompleteRequest{Node: p.opts.Node, ID: it.ID,
-			Error: fmt.Sprintf("encode result: %v", err)}, nil)
+			Error: fmt.Sprintf("encode result: %v", err)})
 		return
 	}
-	p.complete(CompleteRequest{Node: p.opts.Node, ID: it.ID}, blob)
+	p.complete(CompleteRequest{Node: p.opts.Node, ID: it.ID, BlobSum: cas.Sum(blob), Result: blob})
 }
 
-// complete reports an outcome; a success carries the result bytes, which
-// are uploaded into the coordinator's CAS before the report that names them.
-// The work is already done, so the report is worth waiting out a coordinator
-// outage for: failed uploads, transport errors and 503s (a restarting or
-// draining coordinator) are retried for as long as the peer lives, with the
-// same capped FNV-jittered backoff as reconnect probes — the lease stays
-// listed in heartbeats the whole time, so a journal-recovered coordinator
-// keeps it and then accepts this very report. A 409 means the coordinator
-// could not verify the result blob (evicted, corrupt on its disk, torn in
-// transit): the bytes are uploaded again before the retry. After repeated
-// 409s something is systematically wrong with the blob path, and the report
-// becomes a transient failure carrying the refusal: the coordinator requeues
-// the item, or fails it once its requeue budget is spent. Giving up silently
-// would strand the lease, since this node keeps heartbeating.
-func (p *Peer) complete(req CompleteRequest, blob []byte) {
+// complete reports an outcome; a success carries the result bytes. The work
+// is already done, so the report is worth waiting out a coordinator outage
+// for: transport errors and 503s (a restarting or draining coordinator, or
+// one whose store write failed) are retried for as long as the peer lives,
+// with the same capped FNV-jittered backoff as reconnect probes — the lease
+// stays listed in heartbeats the whole time, so a journal-recovered
+// coordinator keeps it and then accepts this very report. A 409 means the
+// coordinator could not verify the result (the bytes did not hash to their
+// sum, did not decode, or are another job's result): the same bytes are sent
+// again. After repeated 409s something is systematically wrong with the
+// result, and the report becomes a transient failure carrying the refusal:
+// the coordinator requeues the item, or fails it once its requeue budget is
+// spent. Giving up silently would strand the lease, since this node keeps
+// heartbeating.
+func (p *Peer) complete(req CompleteRequest) {
 	refusals := 0
 	for attempt := 1; ; attempt++ {
-		var code int
-		var body []byte
-		var err error
-		if blob != nil && req.BlobSum == "" {
-			req.BlobSum, err = p.cas.Put(p.ctx, blob)
-		}
-		if err == nil {
-			code, body, err = p.postJSON("/v1/peers/complete", req)
-		}
+		code, body, err := p.postJSON("/v1/peers/complete", req)
 		switch {
 		case err == nil && (code == http.StatusNoContent || code == http.StatusNotFound):
 			// Landed — or the coordinator no longer knows the job (restarted
@@ -513,18 +500,17 @@ func (p *Peer) complete(req CompleteRequest, blob []byte) {
 			// report.
 			p.log.Info("lease reported", "job", req.ID, "blob", req.BlobSum, "err", req.Error)
 			return
-		case err == nil && code == http.StatusConflict && blob != nil:
+		case err == nil && code == http.StatusConflict && req.Result != nil:
 			refusals++
-			req.BlobSum = ""
 			if refusals <= 3 {
-				p.log.Warn("completion refused, blob unverified; re-uploading", "job", req.ID)
+				p.log.Warn("completion refused, result unverified; resending", "job", req.ID)
 				break
 			}
 			var refusal struct{ Error string }
 			_ = json.Unmarshal(body, &refusal) // a body that is not the JSON error leaves the reason empty
 			p.log.Warn("completion refused repeatedly; reporting a transient failure", "job", req.ID)
 			req.Error = fmt.Sprintf("cluster: result blob refused %d times: %s", refusals, refusal.Error)
-			req.Transient, blob = true, nil
+			req.BlobSum, req.Result, req.Transient = "", nil, true
 		case err != nil || code == http.StatusServiceUnavailable:
 			if attempt == heartbeatFailThreshold {
 				p.log.Warn("completion delayed, coordinator unreachable",

@@ -23,11 +23,12 @@
 //
 // # Results
 //
-// Workers do not send results inline: a finished result is PUT into the
-// coordinator's content-addressed store (internal/cas) and the completion
-// report carries only the blob's SHA-256. The coordinator refuses blobs that
-// do not decode to a result of the completed job, so a corrupt or misrouted
-// upload can never complete an item.
+// A finished result rides in its completion report: the result's JSON bytes
+// and their SHA-256. The coordinator refuses bytes that do not hash to the
+// sum or do not decode to a result of the completed job, so a corrupt or
+// misrouted report can never complete an item; it writes the verified bytes
+// into its content-addressed store (internal/cas) before journaling the
+// completion that names them.
 package cluster
 
 import (
@@ -61,7 +62,11 @@ import (
 // a stratified-uniform job hashes as the unnamed one. The journal lost its
 // parent-format readers (cumulative sweep records, sweep_tags, a second
 // holder), so drain a journaled fabric before the upgrade.
-const ProtocolVersion = 5
+//
+// Version 6: a completion report carries the result bytes. The coordinator
+// no longer serves the blob store a version-5 worker uploads them to before
+// reporting, so it would refuse every version-5 result.
+const ProtocolVersion = 6
 
 // ErrProtocol reports a protocol-version mismatch between peers.
 var ErrProtocol = errors.New("cluster: protocol version mismatch")
@@ -77,10 +82,14 @@ var ErrClosed = errors.New("cluster: coordinator closed")
 // coordinator has never accepted.
 var ErrUnknownJob = errors.New("cluster: unknown job")
 
-// ErrBadBlob reports a completion whose result blob is missing from the
-// store, fails verification, or does not decode to a result of the
-// completed job. The worker should re-upload and retry the completion.
+// ErrBadBlob reports a completion whose result bytes do not hash to its
+// BlobSum or do not decode to a result of the completed job (HTTP 409). The
+// worker resends the bytes it kept.
 var ErrBadBlob = errors.New("cluster: result blob invalid")
+
+// ErrStoreWrite reports a verified result the coordinator could not write
+// to its store (HTTP 503): the report is retried, the lease kept.
+var ErrStoreWrite = errors.New("cluster: result store write failed")
 
 // VersionInfo is the GET /v1/version payload of both rsrd and rsrc: enough
 // for an operator (or the smoke script) to see at a glance what is running
@@ -122,7 +131,6 @@ func Version() VersionInfo {
 // reach the coordinator, which exposes them per node on /metrics
 // (rsr_cluster_node_*), giving operators the backpressure picture end to
 // end: coordinator queue depth on one side, engine queue depth on the other.
-// An older worker's shards_in_use and shard_capacity fields are ignored.
 type Heartbeat struct {
 	Node       string `json:"node"`
 	Protocol   int    `json:"protocol"`
@@ -132,13 +140,10 @@ type Heartbeat struct {
 	// not yet reported included. The coordinator reads it only from an
 	// authoritative heartbeat (Hello, or a replayed holder's first), where a
 	// lease it records for the node and the list omits is requeued.
-	// Additive, so no ProtocolVersion bump.
 	Leases []string `json:"leases,omitempty"`
 	// Hello marks a worker process's heartbeats until one has landed: any
 	// lease the coordinator still records under this node name belongs to
-	// an earlier process and is requeued. Additive; an older worker omits
-	// it, and a lease its earlier process held is then released only when
-	// the node falls silent past the heartbeat timeout.
+	// an earlier process and is requeued.
 	Hello bool `json:"hello,omitempty"`
 	// Addr is the worker's advertised HTTP base URL (e.g. http://host:8745),
 	// used for the sweep trace only: the coordinator pulls the node's span
@@ -163,16 +168,17 @@ type WorkItem struct {
 	SweepID string `json:"sweep_id,omitempty"`
 }
 
-// CompleteRequest reports one finished execution. On success BlobSum names
-// the result blob already PUT into the coordinator's CAS; on failure Error
-// carries the message. Transient is set only by a worker whose result blob
-// the coordinator refused repeatedly (Peer.complete): the job ran, so the
-// coordinator requeues it within the item's requeue budget. A failure the
-// engine reported is never transient.
+// CompleteRequest reports one finished execution. On success Result holds
+// the result's JSON bytes and BlobSum their SHA-256, under which the
+// coordinator stores them; on failure Error carries the message. Transient
+// is set only by a worker whose result the coordinator refused repeatedly
+// (Peer.complete): the job ran, so the coordinator requeues it within the
+// item's requeue budget. A failure the engine reported is never transient.
 type CompleteRequest struct {
 	Node      string `json:"node"`
 	ID        string `json:"id"`
 	BlobSum   string `json:"blob_sum,omitempty"`
+	Result    []byte `json:"result,omitempty"`
 	Error     string `json:"error,omitempty"`
 	Transient bool   `json:"transient,omitempty"`
 }

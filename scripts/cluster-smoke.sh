@@ -4,8 +4,9 @@
 # Launches one rsrc coordinator and two peer-mode rsrd workers, runs a small
 # warm-up sweep through the cluster with `rsr -cluster`, and fails unless
 # the output is byte-identical to the same sweep run on a single local
-# engine, both workers' engines executed part of it, and together they ran
-# each of the sweep's distinct jobs exactly once. Also checks the
+# engine, both workers' engines executed part of it, together they ran
+# each of the sweep's distinct jobs exactly once, and the coordinator's
+# -casdir holds one result blob per job and no quarantine. Also checks the
 # coordinator's /v1/version handshake and that /metrics exposes the per-node
 # scheduler families.
 set -eu
@@ -60,6 +61,15 @@ if [ "${JOBS:-0}" -lt 1 ] || [ "$EXECUTED" -ne "$JOBS" ] || [ "${SUBMITTED:-0}" 
     exit 1
 fi
 
+# Every result landed in the coordinator's store through its completion
+# report: one blob per distinct job, and nothing failed verification.
+BLOBS="$(find "$WORKDIR/cas/blobs" -type f ! -name '.tmp*' 2>/dev/null | wc -l | tr -d ' ')"
+if [ "$BLOBS" -ne "$JOBS" ] || [ -e "$WORKDIR/cas/quarantine" ]; then
+    echo "cluster-smoke: coordinator -casdir holds $BLOBS result blobs, want $JOBS, and no quarantine/:" >&2
+    ls -R "$WORKDIR/cas" >&2
+    exit 1
+fi
+
 # The scheduler's observability: both workers registered, the queue-depth
 # gauge and the per-node in-flight gauges exposed, jobs flowed through.
 METRICS="$WORKDIR/metrics.txt"
@@ -79,4 +89,4 @@ do
     fi
 done
 
-echo "cluster-smoke: ok (2-worker sweep byte-identical to single node, both workers executed jobs, $JOBS jobs run once each)"
+echo "cluster-smoke: ok (2-worker sweep byte-identical to single node, both workers executed jobs, $JOBS jobs run once each, $BLOBS result blobs stored)"
