@@ -89,7 +89,7 @@ func checkHeartbeatTimeout(d time.Duration) error {
 
 func main() {
 	addr := flag.String("addr", ":9900", "listen address")
-	casDir := flag.String("casdir", "", "content-addressed store directory (empty = memory-only)")
+	casDir := flag.String("casdir", "", "content-addressed result store directory (empty = none: after a restart, finished jobs are recomputed)")
 	journalDir := flag.String("journal", "", "write-ahead journal directory; a restart replays it and resumes sweeps (empty = in-memory scheduling only)")
 	queue := flag.Int("queue", 0, "queue bound per live worker (0 = 32); submissions past N x max(1, live workers) queued jobs are refused with 503")
 	hbTimeout := flag.Duration("heartbeat-timeout", 5*time.Second, "reap workers silent this long and requeue their work")
@@ -120,13 +120,17 @@ func main() {
 		}
 		journal = j
 	}
+	var store *cas.Store
+	if *casDir != "" {
+		store = cas.NewStore(*casDir)
+	}
 	co := cluster.NewCoordinator(cluster.CoordinatorOptions{
 		Tracer:           obs.NewTracer(0),
 		QueuePerWorker:   *queue,
 		HeartbeatTimeout: *hbTimeout,
 		MaxRequeues:      *maxRequeues,
 		Journal:          journal,
-		Store:            cas.NewStore(*casDir),
+		Store:            store,
 		Metrics:          reg,
 		Log:              log,
 	})

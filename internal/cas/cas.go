@@ -1,7 +1,9 @@
-// Package cas is a content-addressed blob store: blobs keyed by the hex
-// SHA-256 of their bytes. The engine's on-disk result cache is one, and so
-// is the sweep coordinator's result store, into which it writes the result
-// bytes each worker's completion report carries.
+// Package cas is a content-addressed blob store on disk: blobs keyed by the
+// hex SHA-256 of their bytes, in a directory. The engine's on-disk result
+// cache is one, and so is the sweep coordinator's result store, into which
+// it writes the result bytes each worker's completion report carries. The
+// store keeps nothing in memory: every Get reads and verifies the file, and
+// a process with no directory has no store.
 //
 // Content addressing makes every blob self-verifying: a reader recomputes
 // the sum and refuses bytes that do not hash to their key. Corrupt or torn
@@ -11,10 +13,9 @@
 // their key, writes race benignly: every writer writes the same bytes.
 //
 // Alongside the blob space the store keeps a small name index mapping
-// semantic keys (an engine job hash) to
-// blob sums. Index entries are only ever written for deterministic
-// artifacts, so a lost or re-linked entry costs a recompute, never
-// correctness.
+// semantic keys (an engine job hash) to blob sums. Index entries are only
+// ever written for deterministic artifacts, so a lost or re-linked entry
+// costs a recompute, never correctness.
 package cas
 
 import (
@@ -25,7 +26,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -59,29 +59,24 @@ type Stats struct {
 	Corrupt, Quarantined int64
 }
 
-// Store holds blobs in memory and, when a directory is configured, on
-// disk. All methods are safe for concurrent use. The zero value is not
-// usable; call NewStore.
+// Store holds blobs and index entries in one directory. All methods are
+// safe for concurrent use. The zero value is not usable; call NewStore.
 type Store struct {
 	// Fault, nil in production, is consulted before every disk write
 	// (fault.CacheWrite), keyed by the blob sum or the index key. Set it
 	// before the store is shared.
 	Fault fault.Injector
 
-	dir string // "" = memory only
-
-	mu    sync.Mutex
-	mem   map[string][]byte // blob sum -> bytes; with a dir, only blobs whose disk copy is good
-	index map[string]string // semantic key -> blob sum
+	dir string
 
 	corrupt, quarantined atomic.Int64
 }
 
-// NewStore returns a store rooted at dir ("" = memory only). The directory
-// is created lazily on first write, so an unusable path degrades writes,
-// never construction.
+// NewStore returns a store rooted at dir, which must not be empty. The
+// directory is created lazily on first write, so an unusable path degrades
+// writes, never construction.
 func NewStore(dir string) *Store {
-	return &Store{dir: dir, mem: make(map[string][]byte), index: make(map[string]string)}
+	return &Store{dir: dir}
 }
 
 func (s *Store) blobPath(sum string) string {
@@ -94,44 +89,20 @@ func (s *Store) indexPath(key string) string {
 	return filepath.Join(s.dir, "index", Sum([]byte(key)))
 }
 
-// Put stores b and returns its sum. Storing bytes that are already resident
-// is a cheap no-op (content addressing makes the write idempotent); a blob
-// becomes resident only once its disk copy has landed, so a Put after a
-// failed write tries the disk again.
+// Put writes b and returns its sum. Content addressing makes the write
+// idempotent: every writer of a sum writes the same bytes.
 func (s *Store) Put(b []byte) (string, error) {
 	sum := Sum(b)
-	s.mu.Lock()
-	_, had := s.mem[sum]
-	s.mu.Unlock()
-	if had {
-		return sum, nil
+	if err := s.writeFile(s.blobPath(sum), sum, b); err != nil {
+		return sum, fmt.Errorf("cas: put %.12s: %w", sum, err)
 	}
-	cp := append([]byte(nil), b...)
-	if s.dir != "" {
-		if err := s.writeFile(s.blobPath(sum), sum, cp); err != nil {
-			return sum, fmt.Errorf("cas: put %.12s: %w", sum, err)
-		}
-	}
-	s.mu.Lock()
-	s.mem[sum] = cp
-	s.mu.Unlock()
 	return sum, nil
 }
 
-// Get returns the blob stored under sum. Disk reads are verified against
-// the key before being served or promoted to memory; a mismatch
-// quarantines the file and returns ErrCorrupt so the caller can recompute
-// and re-put the bytes.
+// Get returns the blob stored under sum, verified against the key before it
+// is served; a mismatch quarantines the file and returns ErrCorrupt so the
+// caller can recompute and re-put the bytes.
 func (s *Store) Get(sum string) ([]byte, error) {
-	s.mu.Lock()
-	b, ok := s.mem[sum]
-	s.mu.Unlock()
-	if ok {
-		return b, nil
-	}
-	if s.dir == "" {
-		return nil, ErrNotFound
-	}
 	b, err := os.ReadFile(s.blobPath(sum))
 	if os.IsNotExist(err) {
 		return nil, ErrNotFound
@@ -143,9 +114,6 @@ func (s *Store) Get(sum string) ([]byte, error) {
 		s.quarantine(s.blobPath(sum))
 		return nil, fmt.Errorf("%w: blob %.12s", ErrCorrupt, sum)
 	}
-	s.mu.Lock()
-	s.mem[sum] = b
-	s.mu.Unlock()
 	return b, nil
 }
 
@@ -153,12 +121,6 @@ func (s *Store) Get(sum string) ([]byte, error) {
 func (s *Store) Link(key, sum string) error {
 	if !ValidSum(sum) {
 		return fmt.Errorf("cas: link %q: malformed sum %q", key, sum)
-	}
-	s.mu.Lock()
-	s.index[key] = sum
-	s.mu.Unlock()
-	if s.dir == "" {
-		return nil
 	}
 	if err := s.writeFile(s.indexPath(key), key, []byte(sum)); err != nil {
 		return fmt.Errorf("cas: link %q: %w", key, err)
@@ -171,15 +133,6 @@ func (s *Store) Link(key, sum string) error {
 // ErrCorrupt; the index is a cache of recomputable bindings, not a source
 // of truth, so the caller recomputes and relinks.
 func (s *Store) Resolve(key string) (string, error) {
-	s.mu.Lock()
-	sum, ok := s.index[key]
-	s.mu.Unlock()
-	if ok {
-		return sum, nil
-	}
-	if s.dir == "" {
-		return "", ErrNotFound
-	}
 	b, err := os.ReadFile(s.indexPath(key))
 	if os.IsNotExist(err) {
 		return "", ErrNotFound
@@ -188,25 +141,14 @@ func (s *Store) Resolve(key string) (string, error) {
 		s.quarantine(s.indexPath(key))
 		return "", fmt.Errorf("%w: index entry of %q", ErrCorrupt, key)
 	}
-	sum = string(b)
-	s.mu.Lock()
-	s.index[key] = sum
-	s.mu.Unlock()
-	return sum, nil
+	return string(b), nil
 }
 
-// Evict drops the in-memory copy of a blob. A disk copy (when a directory
-// is configured) is untouched and re-promoted on the next Get, so eviction
-// bounds memory without deleting content; on a memory-only store the blob
-// is gone and a later reader recomputes or refetches it.
-func (s *Store) Evict(sum string) {
-	s.mu.Lock()
-	delete(s.mem, sum)
-	s.mu.Unlock()
-}
-
-// Stats returns the store's counters.
+// Stats returns the store's counters; a nil store has counted nothing.
 func (s *Store) Stats() Stats {
+	if s == nil {
+		return Stats{}
+	}
 	return Stats{Corrupt: s.corrupt.Load(), Quarantined: s.quarantined.Load()}
 }
 

@@ -10,34 +10,32 @@ import (
 )
 
 func TestStoreRoundTrip(t *testing.T) {
-	for _, dir := range []string{"", t.TempDir()} {
-		s := NewStore(dir)
-		blob := []byte("reverse state reconstruction")
-		sum, err := s.Put(blob)
-		if err != nil {
-			t.Fatalf("Put: %v", err)
-		}
-		if sum != Sum(blob) {
-			t.Fatalf("Put sum = %s, want %s", sum, Sum(blob))
-		}
-		got, err := s.Get(sum)
-		if err != nil || !bytes.Equal(got, blob) {
-			t.Fatalf("Get = %q, %v", got, err)
-		}
-		if _, err := s.Get(Sum([]byte("absent"))); err != ErrNotFound {
-			t.Fatalf("Get(absent) err = %v, want ErrNotFound", err)
-		}
+	s := NewStore(t.TempDir())
+	blob := []byte("reverse state reconstruction")
+	sum, err := s.Put(blob)
+	if err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	if sum != Sum(blob) {
+		t.Fatalf("Put sum = %s, want %s", sum, Sum(blob))
+	}
+	got, err := s.Get(sum)
+	if err != nil || !bytes.Equal(got, blob) {
+		t.Fatalf("Get = %q, %v", got, err)
+	}
+	if _, err := s.Get(Sum([]byte("absent"))); err != ErrNotFound {
+		t.Fatalf("Get(absent) err = %v, want ErrNotFound", err)
+	}
 
-		if err := s.Link("ckpt|twolf", sum); err != nil {
-			t.Fatalf("Link: %v", err)
-		}
-		r, err := s.Resolve("ckpt|twolf")
-		if err != nil || r != sum {
-			t.Fatalf("Resolve = %s, %v", r, err)
-		}
-		if _, err := s.Resolve("missing"); err != ErrNotFound {
-			t.Fatalf("Resolve(missing) err = %v, want ErrNotFound", err)
-		}
+	if err := s.Link("ckpt|twolf", sum); err != nil {
+		t.Fatalf("Link: %v", err)
+	}
+	r, err := s.Resolve("ckpt|twolf")
+	if err != nil || r != sum {
+		t.Fatalf("Resolve = %s, %v", r, err)
+	}
+	if _, err := s.Resolve("missing"); err != ErrNotFound {
+		t.Fatalf("Resolve(missing) err = %v, want ErrNotFound", err)
 	}
 }
 
@@ -63,33 +61,6 @@ func TestStoreDiskPersistence(t *testing.T) {
 	}
 }
 
-func TestEvictDropsMemoryNotDisk(t *testing.T) {
-	// On a disk-backed store eviction only trims memory: the next Get
-	// re-reads (and re-verifies) the disk copy.
-	dir := t.TempDir()
-	s := NewStore(dir)
-	blob := []byte("evictable")
-	sum, err := s.Put(blob)
-	if err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	s.Evict(sum)
-	if got, err := s.Get(sum); err != nil || !bytes.Equal(got, blob) {
-		t.Fatalf("Get after evict = %q, %v, want the disk copy", got, err)
-	}
-
-	// On a memory-only store eviction removes the blob entirely.
-	m := NewStore("")
-	sum, err = m.Put(blob)
-	if err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	m.Evict(sum)
-	if _, err := m.Get(sum); err != ErrNotFound {
-		t.Fatalf("Get after evict err = %v, want ErrNotFound", err)
-	}
-}
-
 func TestQuarantineLayout(t *testing.T) {
 	dir := t.TempDir()
 	s := NewStore(dir)
@@ -99,7 +70,7 @@ func TestQuarantineLayout(t *testing.T) {
 		t.Fatalf("Put: %v", err)
 	}
 
-	// Corrupt the on-disk entry behind a fresh store (no memory copy).
+	// Corrupt the entry behind a second store over the same directory.
 	if err := os.WriteFile(filepath.Join(dir, "blobs", sum), []byte("scribbled"), 0o644); err != nil {
 		t.Fatalf("corrupt: %v", err)
 	}
@@ -199,7 +170,7 @@ func TestQuarantineRepairsEntryPaths(t *testing.T) {
 			}
 			tc.damage(t, path)
 
-			s = NewStore(dir) // drop the memory copies, like a restart
+			s = NewStore(dir) // a restart
 			_, err := s.Resolve("k")
 			if err == nil {
 				_, err = s.Get(sum)

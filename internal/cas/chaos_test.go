@@ -29,7 +29,7 @@ func TestChaosCorruptBlobQuarantinedAndRepaired(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "blobs", sum), blob[:len(blob)/2], 0o644); err != nil {
 		t.Fatalf("tear: %v", err)
 	}
-	sick = NewStore(dir) // drop the memory copy, like a restart
+	sick = NewStore(dir) // a restart
 
 	// The torn copy must fail the read (quarantined, not served).
 	if got, err := sick.Get(sum); !errors.Is(err, ErrCorrupt) {
@@ -78,7 +78,7 @@ func TestChaosInjectedTornWriteQuarantined(t *testing.T) {
 		t.Fatalf("Put under an injected write error = %v, want the injected error", err)
 	}
 
-	s = NewStore(dir) // restart: only the disk speaks
+	s = NewStore(dir) // a restart
 	if _, err := s.Resolve("job"); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Resolve of torn index entry err = %v, want ErrCorrupt", err)
 	}

@@ -145,11 +145,20 @@ func TestChaosCoordKillMidSweepByteIdentical(t *testing.T) {
 	// The HTTP endpoint outlives the coordinator behind it, like a fixed
 	// host:port across a process restart: the handler is swapped to the
 	// replacement coordinator once it is up. In between, the crashed
-	// coordinator's 503s are the outage the workers experience.
+	// coordinator's 503s are the outage the workers experience. Completion
+	// reports wait until both workers have joined, so the kill cannot come
+	// before a worker's first heartbeat: each has a connection to lose.
 	var handler atomic.Pointer[http.Handler]
 	h1 := NewServer(co1, reg1, testLogger()).Routes()
 	handler.Store(&h1)
+	joined := make(chan struct{})
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/peers/complete" {
+			select {
+			case <-joined:
+			case <-time.After(10 * time.Second):
+			}
+		}
 		(*handler.Load()).ServeHTTP(w, r)
 	}))
 	defer ts.Close()
@@ -192,6 +201,7 @@ func TestChaosCoordKillMidSweepByteIdentical(t *testing.T) {
 		defer p.Close()
 		peers[i] = p
 	}
+	close(joined)
 
 	// The armed fault crashes the coordinator at the first completion.
 	crashed := func() bool {

@@ -148,7 +148,8 @@ func (c *Client) submitBody(ctx context.Context, body []byte) (string, error) {
 // within the same budget as Submit, and a 404 — the coordinator came back
 // without this job — resubmits the kept body and keeps polling (the job is
 // content-addressed, so the resubmission either coalesces onto replayed
-// state or re-runs to byte-identical results).
+// state or re-runs to byte-identical results). A finished job's result must
+// pass engine.Result.Verify.
 func (t *RemoteTicket) Wait(ctx context.Context) (*engine.Result, error) {
 	delay := t.c.pollEvery
 	fails := 0
@@ -177,8 +178,8 @@ func (t *RemoteTicket) Wait(ctx context.Context) (*engine.Result, error) {
 			fails = 0
 			switch st.Status {
 			case "done":
-				if st.Result == nil {
-					return nil, fmt.Errorf("cluster: job %.12s done without a result", t.id)
+				if err := st.Result.Verify(t.id); err != nil {
+					return nil, fmt.Errorf("cluster: job %.12s done: %w", t.id, err)
 				}
 				return st.Result, nil
 			case "failed":

@@ -45,10 +45,10 @@ func unitJob(seed int64) engine.Job {
 }
 
 // resultReport is node's successful completion report for id, carrying a
-// minimal decodable result.
+// minimal result that passes engine.Result.Verify.
 func resultReport(t *testing.T, node, id string) CompleteRequest {
 	t.Helper()
-	blob, err := json.Marshal(engine.Result{JobHash: id, Kind: engine.JobSampled})
+	blob, err := json.Marshal(engine.Result{JobHash: id, Kind: engine.JobSampled, Sampled: &sampling.RunResult{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,13 +260,14 @@ func TestIdleWorkerPullsOldestQueued(t *testing.T) {
 
 // TestSchedulerRefusesUnverifiableBlobs pins the coordinator's half of the
 // result contract: result bytes that do not hash to the report's sum, do not
-// decode, or decode to another job's result are refused with ErrBadBlob and
-// never stored; the item stays running, and the verified bytes of a good
-// report land in the store under their sum.
+// decode, decode to another job's result or to a result with no payload are
+// refused with ErrBadBlob (409) and never stored; the item stays running,
+// and the verified bytes of a good report land in the store under their sum.
 func TestSchedulerRefusesUnverifiableBlobs(t *testing.T) {
 	st := cas.NewStore(t.TempDir())
 	co := NewCoordinator(CoordinatorOptions{HeartbeatTimeout: time.Hour, Store: st, Log: testLogger()})
 	defer co.Close()
+	routes := NewServer(co, nil, testLogger()).Routes()
 	beat(t, co, "a")
 	id, err := co.Submit(unitJob(1), "")
 	if err != nil {
@@ -275,7 +276,8 @@ func TestSchedulerRefusesUnverifiableBlobs(t *testing.T) {
 	if it := co.Pull("a"); it == nil {
 		t.Fatal("no lease")
 	}
-	other, _ := json.Marshal(engine.Result{JobHash: "deadbeef", Kind: engine.JobSampled})
+	other, _ := json.Marshal(engine.Result{JobHash: "deadbeef", Kind: engine.JobSampled, Sampled: &sampling.RunResult{}})
+	bare, _ := json.Marshal(engine.Result{JobHash: id, Kind: engine.JobSampled})
 	flipped := resultReport(t, "a", id)
 	flipped.Result[len(flipped.Result)/2] ^= 1
 	for _, tc := range []struct {
@@ -288,10 +290,13 @@ func TestSchedulerRefusesUnverifiableBlobs(t *testing.T) {
 		{"bytes that do not decode", CompleteRequest{Node: "a", ID: id,
 			BlobSum: cas.Sum([]byte("{not json")), Result: []byte("{not json")}, "decode"},
 		{"no bytes", CompleteRequest{Node: "a", ID: id, BlobSum: strings.Repeat("ab", 32)}, "do not hash"},
+		{"a result with no payload", CompleteRequest{Node: "a", ID: id, BlobSum: cas.Sum(bare), Result: bare}, "no payload"},
 	} {
-		err := co.Complete(tc.req)
-		if !errors.Is(err, ErrBadBlob) || !strings.Contains(err.Error(), tc.want) {
-			t.Fatalf("%s: err = %v, want ErrBadBlob (%s)", tc.name, err, tc.want)
+		body, _ := json.Marshal(tc.req)
+		rec := httptest.NewRecorder()
+		routes.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/peers/complete", bytes.NewReader(body)))
+		if rec.Code != http.StatusConflict || !strings.Contains(rec.Body.String(), tc.want) {
+			t.Fatalf("%s: %d %s, want 409 (%s)", tc.name, rec.Code, rec.Body, tc.want)
 		}
 		if b, err := st.Get(cas.Sum(tc.req.Result)); err == nil {
 			t.Fatalf("%s: the refused bytes were stored: %q", tc.name, b)
@@ -1123,5 +1128,46 @@ func TestPeerPullsPerEngineWorker(t *testing.T) {
 	time.Sleep(100 * time.Millisecond) // idle pull loops would have leased the fourth by now
 	if st := f.co.StatusSnapshot(); st.Nodes[0].Inflight != 3 || st.Queued != 1 {
 		t.Fatalf("status = %+v; want 3 leases held and 1 job queued", st)
+	}
+}
+
+// TestRemoteWaitVerifiesResult: a coordinator's answer is a result from
+// outside the process, so Wait returns a "done" result only if it passes
+// engine.Result.Verify for the job it waits on.
+func TestRemoteWaitVerifiesResult(t *testing.T) {
+	job := unitJob(1)
+	id := job.Hash()
+	for _, tc := range []struct {
+		name string
+		res  engine.Result
+		want string // "" = accepted
+	}{
+		{"verified", engine.Result{JobHash: id, Kind: engine.JobSampled, Sampled: &sampling.RunResult{}}, ""},
+		{"no payload", engine.Result{JobHash: id, Kind: engine.JobSampled}, "no payload"},
+		{"another job's", engine.Result{JobHash: "deadbeef", Kind: engine.JobSampled, Sampled: &sampling.RunResult{}}, "result of job"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.Method == http.MethodPost {
+					WriteJSON(w, http.StatusAccepted, map[string]string{"id": id})
+					return
+				}
+				WriteJSON(w, http.StatusOK, JobStatus{ID: id, Status: "done", Result: &tc.res})
+			}))
+			defer ts.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			tk, err := NewClient(ts.URL, nil).Submit(ctx, job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := tk.Wait(ctx)
+			switch {
+			case tc.want == "" && (err != nil || res.JobHash != id):
+				t.Fatalf("Wait = %+v, %v; want the result", res, err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("Wait = %+v, %v; want an error (%s)", res, err, tc.want)
+			}
+		})
 	}
 }

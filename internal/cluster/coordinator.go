@@ -41,8 +41,8 @@ type CoordinatorOptions struct {
 	// (see Crash) — the journal's moment of truth.
 	Fault fault.Injector
 	// Store is the content-addressed store the coordinator writes result
-	// blobs into and replays finished jobs from (nil = a private in-memory
-	// store, which a restart does not keep).
+	// blobs into and replays finished jobs from (nil = no store: after a
+	// restart, finished jobs are recomputed).
 	Store *cas.Store
 	// Metrics, when non-nil, exposes the fabric's per-node gauges and
 	// scheduling counters for the coordinator's /metrics.
@@ -126,11 +126,10 @@ type sweep struct {
 // Coordinator schedules a sweep's jobs across peer workers. All methods are
 // safe for concurrent use.
 type Coordinator struct {
-	opts  CoordinatorOptions
-	store *cas.Store
-	log   *slog.Logger
-	obs   *coordObs
-	tr    *obs.Tracer // nil-safe; scheduling spans for the fabric trace
+	opts CoordinatorOptions
+	log  *slog.Logger
+	obs  *coordObs
+	tr   *obs.Tracer // nil-safe; scheduling spans for the fabric trace
 
 	mu       sync.Mutex
 	nodes    map[string]*node
@@ -159,13 +158,8 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 	if opts.Log == nil {
 		opts.Log = slog.Default()
 	}
-	st := opts.Store
-	if st == nil {
-		st = cas.NewStore("")
-	}
 	c := &Coordinator{
 		opts:   opts,
-		store:  st,
 		log:    opts.Log,
 		tr:     opts.Tracer,
 		nodes:  make(map[string]*node),
@@ -207,15 +201,10 @@ func (c *Coordinator) adoptReplay(rp *Replay) {
 		it.requeues = ri.Requeues
 		state := ri.State
 		if state == "done" {
-			res := new(engine.Result)
-			b, err := c.store.Get(ri.BlobSum)
-			if err == nil {
-				c.store.Evict(ri.BlobSum) // the decoded result is the one copy held
-				err = json.Unmarshal(b, res)
-			}
-			if err != nil || res.JobHash != ri.ID {
-				// The journal promised a result the store can no longer
-				// produce (memory-only store, evicted disk, corruption):
+			res, err := c.replayedResult(ri.BlobSum, ri.ID)
+			if err != nil {
+				// The journal promised a result the store cannot produce (no
+				// store, a lost or corrupt blob, bytes that do not verify):
 				// recompute — determinism makes the re-run byte-identical.
 				c.log.Warn("replayed result blob unavailable; requeued",
 					"job", ri.ID, "blob", ri.BlobSum, "err", err)
@@ -659,15 +648,42 @@ func (c *Coordinator) popQueuedLocked() *item {
 	return nil
 }
 
+// replayedResult reads and verifies the result blob sum that the journal
+// names for finished job id.
+func (c *Coordinator) replayedResult(sum, id string) (*engine.Result, error) {
+	if c.opts.Store == nil {
+		return nil, cas.ErrNotFound
+	}
+	b, err := c.opts.Store.Get(sum)
+	if err != nil {
+		return nil, err
+	}
+	return decodeResult(b, id)
+}
+
+// decodeResult decodes result bytes from outside the process and verifies
+// that they are a servable result of job id.
+func decodeResult(b []byte, id string) (*engine.Result, error) {
+	res := new(engine.Result)
+	if err := json.Unmarshal(b, res); err != nil {
+		return nil, fmt.Errorf("decode: %v", err)
+	}
+	if err := res.Verify(id); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
 // Complete records one execution's outcome. A success carries the result
-// bytes: bytes that do not hash to BlobSum, do not decode, or decode to a
-// different job's result are refused with ErrBadBlob (the worker resends),
-// and the holder's verified bytes are written to the store before the item
-// is finalized (ErrStoreWrite if that fails). Only the item's holder may
-// decide it: a report that raced the reaper — the node was presumed dead,
-// its lease released and the item requeued — is dropped, so a late failure
-// cannot kill work that is queued to run elsewhere, and a stray report (the
-// API is unauthenticated) cannot decide a job it never leased. A transient
+// bytes: bytes that do not hash to BlobSum, do not decode, or fail
+// engine.Result.Verify for the job are refused with ErrBadBlob (the worker
+// resends), and the holder's verified bytes are written to the store, if
+// there is one, before the item is finalized (ErrStoreWrite if that fails).
+// Only the item's holder may decide it: a report that raced the reaper — the
+// node was presumed dead, its lease released and the item requeued — is
+// dropped, so a late failure cannot kill work that is queued to run
+// elsewhere, and a stray report (the API is unauthenticated) cannot decide a
+// job it never leased. A transient
 // report (a result refused repeatedly, see CompleteRequest) is requeued
 // within the item's budget; any other failure fails the item.
 func (c *Coordinator) Complete(req CompleteRequest) error {
@@ -686,13 +702,9 @@ func (c *Coordinator) Complete(req CompleteRequest) error {
 		if cas.Sum(req.Result) != req.BlobSum {
 			return fmt.Errorf("%w: result bytes do not hash to %.12s", ErrBadBlob, req.BlobSum)
 		}
-		res = new(engine.Result)
-		if err := json.Unmarshal(req.Result, res); err != nil {
-			return fmt.Errorf("%w: decode: %v", ErrBadBlob, err)
-		}
-		if res.JobHash != req.ID {
-			return fmt.Errorf("%w: blob is a result of job %.12s, not %.12s",
-				ErrBadBlob, res.JobHash, req.ID)
+		var err error
+		if res, err = decodeResult(req.Result, req.ID); err != nil {
+			return fmt.Errorf("%w: %v", ErrBadBlob, err)
 		}
 	}
 
@@ -706,14 +718,13 @@ func (c *Coordinator) Complete(req CompleteRequest) error {
 		return fmt.Errorf("%w: %.12s", ErrUnknownJob, req.ID)
 	}
 	held := it.state == itemRunning && it.holder == req.Node
-	if held && res != nil {
+	if held && res != nil && c.opts.Store != nil {
 		// The blob is durable before the journal names it, and the decoded
 		// result on the item is the one copy held in memory. A failed write
 		// changes nothing: the holder keeps its lease and resends.
-		if _, err := c.store.Put(req.Result); err != nil {
+		if _, err := c.opts.Store.Put(req.Result); err != nil {
 			return fmt.Errorf("%w: %v", ErrStoreWrite, err)
 		}
-		c.store.Evict(req.BlobSum)
 	}
 	if n := c.nodes[req.Node]; n != nil {
 		delete(n.leases, req.ID)

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"rsr/internal/cas"
+	"rsr/internal/engine"
 	"rsr/internal/obs"
 )
 
@@ -300,8 +301,8 @@ func TestJournalQuarantinesCorruptTail(t *testing.T) {
 // TestJournalReplayServesDoneFromCAS pins the crash-recovery payoff: a job
 // completed before the crash is served straight from its CAS result blob —
 // pollable immediately, no worker involved — while the same journal replayed
-// against a store that lost the blob downgrades the item to queued (a
-// deterministic re-run), never to a wrong answer.
+// with no store downgrades the item to queued (a deterministic re-run), never
+// to a wrong answer.
 func TestJournalReplayServesDoneFromCAS(t *testing.T) {
 	dir := t.TempDir()
 	st := cas.NewStore(t.TempDir())
@@ -319,18 +320,19 @@ func TestJournalReplayServesDoneFromCAS(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	re := journaledCoordinator(t, dir, st, reg)
-	if stj, ok := re.Status(id); !ok || stj.Status != "done" || stj.Result == nil {
-		t.Fatalf("replayed done item = %+v, %v; want done with result", stj, ok)
+	served, ok := re.Status(id)
+	if !ok || served.Status != "done" || served.Result == nil {
+		t.Fatalf("replayed done item = %+v, %v; want done with result", served, ok)
 	}
 	if got := metricValue(reg, "rsr_cluster_replay_items_total"); got != 1 {
 		t.Errorf("replay metric = %v, want 1", got)
 	}
 	re.Crash()
 
-	// Same journal, fresh store: the promised blob is gone, so the item must
+	// Same journal, no store: the promised blob is gone, so the item must
 	// re-run rather than report a result the store cannot back.
 	reg2 := obs.NewRegistry()
-	re2 := journaledCoordinator(t, dir, cas.NewStore(""), reg2)
+	re2 := journaledCoordinator(t, dir, nil, reg2)
 	defer re2.Close()
 	if stj, ok := re2.Status(id); !ok || stj.Status != "pending" {
 		t.Fatalf("blob-missing item = %+v, %v; want pending (requeued)", stj, ok)
@@ -338,6 +340,57 @@ func TestJournalReplayServesDoneFromCAS(t *testing.T) {
 	beat(t, re2, "b")
 	if it := re2.Pull("b"); it == nil || it.ID != id {
 		t.Fatalf("blob-missing pull = %+v, want requeued %.12s", it, id)
+	}
+	fakeComplete(t, re2, "b", id)
+	if stj, _ := re2.Status(id); stj.Status != "done" || !reflect.DeepEqual(stj.Result, served.Result) {
+		t.Fatalf("recomputed item = %+v, want done with the result served before", stj)
+	}
+}
+
+// TestJournalReplayRequeuesUnverifiableBlob: a journal may name a blob that
+// is intact in the store but not a servable result — here one with no
+// payload, which a coordinator that checked only the job hash accepted. The
+// replay verifies it like a fresh report, so the item is requeued and
+// recomputed instead of served as done with nothing in it.
+func TestJournalReplayRequeuesUnverifiableBlob(t *testing.T) {
+	dir := t.TempDir()
+	st := cas.NewStore(t.TempDir())
+	co := journaledCoordinator(t, dir, st, nil)
+	beat(t, co, "a")
+	id, err := co.Submit(unitJob(1), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if it := co.Pull("a"); it == nil {
+		t.Fatal("no lease")
+	}
+	bare := engine.Result{JobHash: id, Kind: engine.JobSampled}
+	b, _ := json.Marshal(bare)
+	sum, err := st.Put(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co.mu.Lock()
+	co.items[id].blobSum = sum
+	co.finalize(co.items[id], &bare, "")
+	co.mu.Unlock()
+	co.Crash()
+
+	re := journaledCoordinator(t, dir, st, nil)
+	defer re.Close()
+	if stj, ok := re.Status(id); !ok || stj.Status != "pending" {
+		t.Fatalf("replayed item = %+v, %v; want pending (requeued)", stj, ok)
+	}
+	beat(t, re, "b")
+	if it := re.Pull("b"); it == nil || it.ID != id {
+		t.Fatalf("pull = %+v, want requeued %.12s", it, id)
+	}
+	good := resultReport(t, "b", id)
+	if err := re.Complete(good); err != nil {
+		t.Fatal(err)
+	}
+	if stj, _ := re.Status(id); stj.Status != "done" || stj.Result.Verify(id) != nil {
+		t.Fatalf("recomputed item = %+v, want done with a verified result", stj)
 	}
 }
 

@@ -25,10 +25,11 @@
 //
 // A finished result rides in its completion report: the result's JSON bytes
 // and their SHA-256. The coordinator refuses bytes that do not hash to the
-// sum or do not decode to a result of the completed job, so a corrupt or
-// misrouted report can never complete an item; it writes the verified bytes
-// into its content-addressed store (internal/cas) before journaling the
-// completion that names them.
+// sum or do not decode to a result that passes engine.Result.Verify for the
+// completed job, so a corrupt, empty or misrouted report can never complete
+// an item; it writes the verified bytes into its content-addressed store
+// (internal/cas), if it has one, before journaling the completion that names
+// them.
 package cluster
 
 import (
@@ -83,8 +84,8 @@ var ErrClosed = errors.New("cluster: coordinator closed")
 var ErrUnknownJob = errors.New("cluster: unknown job")
 
 // ErrBadBlob reports a completion whose result bytes do not hash to its
-// BlobSum or do not decode to a result of the completed job (HTTP 409). The
-// worker resends the bytes it kept.
+// BlobSum or do not decode to a result that passes engine.Result.Verify for
+// the completed job (HTTP 409). The worker resends the bytes it kept.
 var ErrBadBlob = errors.New("cluster: result blob invalid")
 
 // ErrStoreWrite reports a verified result the coordinator could not write

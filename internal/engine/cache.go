@@ -3,7 +3,6 @@ package engine
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -12,14 +11,13 @@ import (
 )
 
 // cache is the two-level result store: a map of decoded results keyed by job
-// hash in front of an optional cas.Store on Options.CacheDir. On disk a
+// hash in front of a cas.Store on Options.CacheDir, if one is set. On disk a
 // result is a JSON blob and its job hash an index key linked to that blob, so
 // verification on every read, quarantine of bad bytes and atomic writes are
 // the store's (see internal/cas). Disk problems never fail a lookup — they
 // count as misses and the result is recomputed, relinking the entry.
 type cache struct {
-	store *cas.Store
-	disk  bool // false = memory only: the store is never consulted
+	store *cas.Store // nil = memory only
 
 	mu  sync.Mutex
 	mem map[string]*Result
@@ -29,8 +27,11 @@ type cache struct {
 }
 
 func newCache(dir string, inj fault.Injector) *cache {
-	c := &cache{store: cas.NewStore(dir), disk: dir != "", mem: make(map[string]*Result)}
-	c.store.Fault = inj
+	c := &cache{mem: make(map[string]*Result)}
+	if dir != "" {
+		c.store = cas.NewStore(dir)
+		c.store.Fault = inj
+	}
 	return c
 }
 
@@ -44,7 +45,7 @@ func (c *cache) get(hash string) (*Result, hitClass) {
 	if ok {
 		return r, hitHot
 	}
-	if !c.disk {
+	if c.store == nil {
 		return nil, hitMiss
 	}
 	r, err := c.load(hash)
@@ -61,8 +62,7 @@ func (c *cache) get(hash string) (*Result, hitClass) {
 }
 
 // load reads a job's result through the store: index entry, verified blob,
-// decode. The store's memory copy of the blob is evicted at once — the
-// decoded result in c.mem is the only one kept.
+// decode, Verify.
 func (c *cache) load(hash string) (*Result, error) {
 	if d := fault.Check(c.store.Fault, fault.CacheRead, hash); d != nil && d.Kind == fault.KindError {
 		return nil, d.Err // the bytes may be fine: no quarantine
@@ -75,15 +75,14 @@ func (c *cache) load(hash string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.store.Evict(sum)
 	var r Result
 	if err := json.Unmarshal(b, &r); err != nil {
 		return nil, err
 	}
-	if !r.valid(hash) {
-		// A verified blob, but not this job's result (a stale or foreign
-		// link): the recompute relinks the entry.
-		return nil, fmt.Errorf("engine: cache entry %s links a blob of job %q", hash, r.JobHash)
+	// A verified blob may still not be this job's result (a stale or
+	// foreign link): the recompute relinks the entry.
+	if err := r.Verify(hash); err != nil {
+		return nil, err
 	}
 	return &r, nil
 }
@@ -94,7 +93,7 @@ func (c *cache) put(hash string, r *Result) {
 	c.mu.Lock()
 	c.mem[hash] = r
 	c.mu.Unlock()
-	if !c.disk {
+	if c.store == nil {
 		return
 	}
 	b, err := json.Marshal(r)
@@ -103,7 +102,6 @@ func (c *cache) put(hash string, r *Result) {
 		if sum, err = c.store.Put(b); err == nil {
 			err = c.store.Link(hash, sum)
 		}
-		c.store.Evict(sum)
 	}
 	if err != nil {
 		c.diskErrs.Add(1)

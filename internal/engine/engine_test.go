@@ -446,3 +446,27 @@ func TestJobHashPinned(t *testing.T) {
 		t.Errorf("hash of the canonical R$BP (20%%) job = %s, pinned %s (hashVersion %d)", got, want, hashVersion)
 	}
 }
+
+// TestResultVerify: a result verifies against its own job hash only, and only
+// with the payload its kind carries.
+func TestResultVerify(t *testing.T) {
+	const h = "0123abcd"
+	for _, tc := range []struct {
+		name string
+		r    *Result
+		want string // "" = verifies
+	}{
+		{"sampled", &Result{JobHash: h, Kind: JobSampled, Sampled: &sampling.RunResult{}}, ""},
+		{"full", &Result{JobHash: h, Kind: JobFull, Full: &sampling.FullResult{}}, ""},
+		{"nil", nil, "no result"},
+		{"another job's", &Result{JobHash: "ffff", Kind: JobSampled, Sampled: &sampling.RunResult{}}, "result of job"},
+		{"sampled, no payload", &Result{JobHash: h, Kind: JobSampled}, "no payload"},
+		{"full with a sampled payload", &Result{JobHash: h, Kind: JobFull, Sampled: &sampling.RunResult{}}, "no payload"},
+		{"unknown kind", &Result{JobHash: h, Kind: "warp", Full: &sampling.FullResult{}}, "unknown kind"},
+	} {
+		err := tc.r.Verify(h)
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%s: Verify = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}

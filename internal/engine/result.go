@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"time"
 
 	"rsr/internal/regimen"
@@ -45,17 +46,22 @@ func (r *Result) IPC() float64 {
 	return 0
 }
 
-// valid rejects decoded results that cannot belong to the hash (garbage
-// that happens to parse as JSON).
-func (r *Result) valid(hash string) bool {
-	if r.JobHash != hash {
-		return false
+// Verify checks that r is a result of the job whose hash is hash: its
+// JobHash, its kind, and that the payload of that kind is set. Every result
+// that arrives from outside the process — a disk cache entry, a worker's
+// completion report, a journal replay, a coordinator's answer — goes through
+// it, since bytes that decode are not yet a result that can be served.
+func (r *Result) Verify(hash string) error {
+	switch {
+	case r == nil:
+		return fmt.Errorf("engine: no result for job %.12s", hash)
+	case r.JobHash != hash:
+		return fmt.Errorf("engine: a result of job %.12s, not %.12s", r.JobHash, hash)
+	case r.Kind == JobSampled && r.Sampled == nil && r.Outcome == nil,
+		r.Kind == JobFull && r.Full == nil:
+		return fmt.Errorf("engine: %s result of job %.12s carries no payload", r.Kind, hash)
+	case r.Kind != JobSampled && r.Kind != JobFull:
+		return fmt.Errorf("engine: result of job %.12s has unknown kind %q", hash, r.Kind)
 	}
-	switch r.Kind {
-	case JobSampled:
-		return r.Sampled != nil || r.Outcome != nil
-	case JobFull:
-		return r.Full != nil
-	}
-	return false
+	return nil
 }

@@ -3,7 +3,6 @@ package funcsim
 import (
 	"math"
 	"reflect"
-	"sort"
 	"testing"
 
 	"rsr/internal/isa"
@@ -239,40 +238,6 @@ func TestRunBatchPCEscape(t *testing.T) {
 	}
 	if s.PC() != 0x10 {
 		t.Fatalf("pc = %#x, want the faulting address 0x10", s.PC())
-	}
-}
-
-// TestDirtyPagesSortedDeterministic pins the checkpoint-determinism fix:
-// DirtyPages must return pages in page-key order regardless of map iteration
-// order, because delta captures are content-hashed by the engine.
-func TestDirtyPagesSortedDeterministic(t *testing.T) {
-	m := NewMemory()
-	keys := []uint64{7, 3, 11, 1, 99, 42, 5, 0, 1000, 12}
-	for _, k := range keys {
-		m.Write(k<<pageShift, k+1)
-	}
-	pages := m.DirtyPages()
-	if len(pages) != len(keys) {
-		t.Fatalf("captured %d pages, want %d", len(pages), len(keys))
-	}
-	if !sort.SliceIsSorted(pages, func(i, j int) bool { return pages[i].Key < pages[j].Key }) {
-		t.Fatal("DirtyPages must be sorted by page key")
-	}
-	if got := m.DirtyPages(); len(got) != 0 {
-		t.Fatal("dirty flags must clear after capture")
-	}
-	// Re-dirtying in a different order yields the same sorted capture.
-	for i := len(keys) - 1; i >= 0; i-- {
-		m.Write(keys[i]<<pageShift+8, keys[i])
-	}
-	again := m.DirtyPages()
-	if len(again) != len(keys) {
-		t.Fatalf("recaptured %d pages, want %d", len(again), len(keys))
-	}
-	for i := range pages {
-		if again[i].Key != pages[i].Key {
-			t.Fatalf("page order diverged at %d: %d vs %d", i, again[i].Key, pages[i].Key)
-		}
 	}
 }
 

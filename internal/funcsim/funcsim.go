@@ -201,41 +201,6 @@ func (s *Sim) Step() (trace.DynInst, error) {
 	return d, nil
 }
 
-// Delta is an architectural checkpoint: full register state plus every
-// memory page written since the previous CaptureDelta. Applying a sequence
-// of deltas in capture order reconstructs the architectural state at each
-// capture point, which is how the fuzz targets compare two simulators'
-// states.
-type Delta struct {
-	Regs   [isa.NumRegs]uint64
-	PC     uint64
-	Seq    uint64
-	Halted bool
-	Pages  []PageData
-}
-
-// CaptureDelta snapshots registers and the pages dirtied since the last
-// capture, clearing the dirty flags.
-func (s *Sim) CaptureDelta() *Delta {
-	return &Delta{
-		Regs:   s.regs,
-		PC:     s.pc,
-		Seq:    s.seq,
-		Halted: s.halted,
-		Pages:  s.mem.DirtyPages(),
-	}
-}
-
-// ApplyDelta installs a checkpoint's registers and pages. Deltas must be
-// applied in capture order onto a simulator built from the same program.
-func (s *Sim) ApplyDelta(d *Delta) {
-	s.regs = d.Regs
-	s.pc = d.PC
-	s.seq = d.Seq
-	s.halted = d.Halted
-	s.mem.InstallPages(d.Pages)
-}
-
 // Run executes up to n instructions, invoking fn for each committed dynamic
 // instruction, and reports how many actually executed (fewer only when the
 // program halts). The record passed to fn is reused between calls; observers

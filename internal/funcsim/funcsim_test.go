@@ -304,3 +304,46 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// storeLoopProgram stores an incrementing counter to successive words of the
+// data segment, forever.
+func storeLoopProgram() *prog.Program {
+	b := prog.NewBuilder("d")
+	b.Li(1, int64(prog.DataBase))
+	b.Li(2, 0)
+	b.Label("loop")
+	b.Addi(2, 2, 1)
+	b.St(1, 2, 0)
+	b.Addi(1, 1, 8)
+	b.Jmp("loop")
+	b.Halt()
+	return b.MustBuild()
+}
+
+func TestAccessors(t *testing.T) {
+	s := New(storeLoopProgram())
+	if s.PC() != prog.CodeBase || s.Seq() != 0 {
+		t.Fatal("initial accessors wrong")
+	}
+	if s.Mem() == nil {
+		t.Fatal("Mem accessor nil")
+	}
+	d, err := s.Step()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Op != isa.OpLui || s.Seq() != 1 {
+		t.Fatal("step accounting wrong")
+	}
+}
+
+func TestSkipDiscardsRecords(t *testing.T) {
+	s := New(storeLoopProgram())
+	n, err := s.Skip(123)
+	if err != nil || n != 123 {
+		t.Fatalf("skip = %d, %v", n, err)
+	}
+	if s.Seq() != 123 {
+		t.Fatal("seq not advanced")
+	}
+}

@@ -74,13 +74,16 @@ type outcome struct {
 	Seq    uint64
 	PC     uint64
 	Halted bool
-	Pages  []PageData
+	Pages  map[uint64][pageWords]uint64 // every page written, by key
 	Err    string
 }
 
 func outcomeOf(s *Sim, recs []trace.DynInst, err error) outcome {
-	d := s.CaptureDelta()
-	o := outcome{Recs: recs, Regs: d.Regs, Seq: d.Seq, PC: d.PC, Halted: d.Halted, Pages: d.Pages}
+	o := outcome{Recs: recs, Regs: s.regs, Seq: s.seq, PC: s.pc, Halted: s.halted,
+		Pages: make(map[uint64][pageWords]uint64, len(s.mem.pages))}
+	for key, p := range s.mem.pages {
+		o.Pages[key] = p.words
+	}
 	if err != nil {
 		o.Err = err.Error()
 	}
@@ -140,7 +143,7 @@ func addSeeds(f *testing.F) {
 // program the decoder can produce — looping, halting early, running off the
 // code through an indirect jump, hitting an undefined opcode — the batched
 // interpreter must leave exactly what Step leaves: every record, the
-// registers, Seq, PC, Halted, the dirty pages and the error text.
+// registers, Seq, PC, Halted, the pages and the error text.
 func FuzzRunBatchMatchesStep(f *testing.F) {
 	addSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -156,7 +159,7 @@ func FuzzRunBatchMatchesStep(f *testing.F) {
 					t.Fatalf("size %d: record %d differs:\nbatch: %+v\nstep:  %+v", size, i, got.Recs[i], want.Recs[i])
 				}
 			}
-			t.Fatalf("size %d: batch and step diverge: %d/%d records, %d/%d dirty pages (equal: %v), regs equal: %v\n"+
+			t.Fatalf("size %d: batch and step diverge: %d/%d records, %d/%d pages (equal: %v), regs equal: %v\n"+
 				"batch: seq %d pc %#x halted %v err %q\nstep:  seq %d pc %#x halted %v err %q",
 				size, len(got.Recs), len(want.Recs), len(got.Pages), len(want.Pages),
 				reflect.DeepEqual(got.Pages, want.Pages), got.Regs == want.Regs,
@@ -197,8 +200,8 @@ func skipOutcome(t *testing.T, p *prog.Program, chunk uint64) outcome {
 
 // FuzzSkipMatchesStep holds the record-free kernel to the same oracle as
 // FuzzRunBatchMatchesStep: Skip(n), in calls of 1, 7 and 1024, must leave
-// exactly what n Steps leave — the registers, Seq, PC, Halted, the dirty
-// pages and the error text of an escaped PC or an undefined opcode.
+// exactly what n Steps leave — the registers, Seq, PC, Halted, the pages
+// and the error text of an escaped PC or an undefined opcode.
 func FuzzSkipMatchesStep(f *testing.F) {
 	addSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -208,7 +211,7 @@ func FuzzSkipMatchesStep(f *testing.F) {
 		for _, chunk := range []uint64{1, 7, 1024} {
 			got := skipOutcome(t, p, chunk)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("chunk %d: skip and step diverge: %d/%d dirty pages (equal: %v), regs equal: %v\n"+
+				t.Fatalf("chunk %d: skip and step diverge: %d/%d pages (equal: %v), regs equal: %v\n"+
 					"skip: seq %d pc %#x halted %v err %q\nstep: seq %d pc %#x halted %v err %q",
 					chunk, len(got.Pages), len(want.Pages), reflect.DeepEqual(got.Pages, want.Pages), got.Regs == want.Regs,
 					got.Seq, got.PC, got.Halted, got.Err, want.Seq, want.PC, want.Halted, want.Err)
@@ -252,7 +255,7 @@ func windowOutcome(t *testing.T, p *prog.Program, w trace.Window, memCap, brCap 
 // trace.Window.Append, the logging it replaces: on any program, for every
 // Cache/BPred combination, in calls of one instruction and of random sizes and
 // into random small stretches, SkipWindow must leave exactly what Step leaves
-// — registers, Seq, PC, Halted, dirty pages, error text — and log exactly what
+// — registers, Seq, PC, Halted, pages, error text — and log exactly what
 // Append logs of Step's records, fetch-line state included.
 func FuzzSkipWindowMatchesStep(f *testing.F) {
 	addSeeds(f)

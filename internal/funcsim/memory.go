@@ -1,14 +1,11 @@
 package funcsim
 
-import "sort"
-
 // Memory is a sparse 64-bit-word-granular memory image. Pages are allocated
 // on first touch so workloads can use gigabyte-scale address ranges with only
 // their resident set backed by host memory. Accesses are aligned down to an
-// 8-byte boundary; the simulated ISA has no sub-word loads/stores.
-//
-// Pages carry a dirty flag so CaptureDelta can capture deltas: DirtyPages
-// copies and clears every page written since the previous call.
+// 8-byte boundary; the simulated ISA has no sub-word loads/stores. A page is
+// its 4 KiB of words and nothing else, so Write is one store per guest store
+// and each page fills its allocation size class exactly.
 type Memory struct {
 	pages map[uint64]*memPage
 	// cache is a direct-mapped cache of page pointers in front of the map,
@@ -43,13 +40,6 @@ const (
 
 type memPage struct {
 	words [pageWords]uint64
-	dirty bool
-}
-
-// PageData is a copied page image used by snapshots.
-type PageData struct {
-	Key   uint64 // page index (address >> 12)
-	Words [pageWords]uint64
 }
 
 // NewMemory returns an empty memory image.
@@ -88,7 +78,6 @@ func (m *Memory) Write(addr, value uint64) {
 		*e = cachedPage{key: key, page: m.page(key)}
 	}
 	e.page.words[addr>>3%pageWords] = value
-	e.page.dirty = true
 }
 
 // page returns the page with the given key, creating it on first touch.
@@ -103,29 +92,3 @@ func (m *Memory) page(key uint64) *memPage {
 
 // Pages reports how many distinct pages have been touched by writes.
 func (m *Memory) Pages() int { return len(m.pages) }
-
-// DirtyPages copies every page written since the previous call (or since
-// creation) and clears the dirty flags. Pages are returned sorted by page
-// key: map iteration order is randomized, and checkpoint captures must be
-// deterministic run-to-run.
-func (m *Memory) DirtyPages() []PageData {
-	var out []PageData
-	for key, p := range m.pages {
-		if !p.dirty {
-			continue
-		}
-		out = append(out, PageData{Key: key, Words: p.words})
-		p.dirty = false
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
-
-// InstallPages copies page images into memory (overwriting whole pages).
-func (m *Memory) InstallPages(pages []PageData) {
-	for i := range pages {
-		p := m.page(pages[i].Key)
-		p.words = pages[i].Words
-		p.dirty = true
-	}
-}
