@@ -90,10 +90,10 @@ test: build
 # lines compare RunBatch, Skip and SkipWindow with Step on generated programs,
 # the reverse method on both ingestion paths with its per-instruction oracle
 # on generated region lengths, percentages and batch splits, and the timing
-# model's event-skipping loop with its one-cycle loop on generated machines
-# and streams, and a run replaying a functional trace recorded under another
-# spec with a fresh run on generated programs and region lists, for 20 s
-# each.
+# model's event-skipping, wake-list loop with its one-cycle polling loop on
+# generated machines and streams, and a run replaying a functional trace
+# recorded under another spec with a fresh run on generated programs and
+# region lists, for 20 s each.
 verify:
 	@test -z "$$(gofmt -l .)" || { echo "gofmt -l:"; gofmt -l .; exit 1; }
 	$(GO) vet ./...
@@ -186,7 +186,8 @@ bench-smoke:
 # forward per simulated instruction, 2x on cold stepping), a call to a guest
 # memory accessor from RunBatch or Skip (the page cache no longer inlined),
 # and a hardware divide or a whole-entry copy in ooo's per-cycle loops and
-# idle-cycle skip.
+# idle-cycle skip, or an out-of-line wake-list walk (link, wake) in dispatch
+# and issue.
 stall-check:
 	./scripts/stall-check.sh
 

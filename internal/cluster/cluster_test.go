@@ -38,6 +38,7 @@ func unitJob(seed int64) engine.Job {
 	return engine.Job{
 		Kind:     engine.JobSampled,
 		Workload: "twolf",
+		Machine:  sampling.DefaultMachine(),
 		Total:    400_000,
 		Regimen:  sampling.Regimen{ClusterSize: 2000, NumClusters: 10},
 		Seed:     seed,
@@ -738,6 +739,28 @@ func TestVersionHandshakeAndProtocolSkew(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("skewed heartbeat status = %d, want 409", resp.StatusCode)
+	}
+}
+
+// TestSubmitZeroWidthMachine400: a job whose machine can never move an
+// instruction is a bad request, not a job that wedges a worker.
+func TestSubmitZeroWidthMachine400(t *testing.T) {
+	co := NewCoordinator(CoordinatorOptions{HeartbeatTimeout: time.Hour, Log: testLogger()})
+	defer co.Close()
+	ts := httptest.NewServer(NewServer(co, nil, testLogger()).Routes())
+	defer ts.Close()
+
+	job := unitJob(1)
+	job.Machine.CPU.FetchWidth = 0
+	b, _ := json.Marshal(job)
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(string(b)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "FetchWidth") {
+		t.Errorf("zero-width job: status %d, body %q; want 400 naming FetchWidth", resp.StatusCode, body)
 	}
 }
 

@@ -326,11 +326,19 @@ func TestSingleFlight(t *testing.T) {
 	}
 }
 
-// TestSubmitValidates rejects malformed jobs before they reach the queue.
+// TestSubmitValidates rejects malformed jobs before they reach the queue,
+// among them a machine with a width or size of 0, which can never move an
+// instruction: its run held a worker for good, deaf to a cancel.
 func TestSubmitValidates(t *testing.T) {
 	e := New(Options{Workers: 1})
 	defer e.Close()
+	zeroFetch := sampledJob("twolf", warmup.Spec{})
+	zeroFetch.Machine.CPU.FetchWidth = 0
+	zeroROB := Job{Kind: JobFull, Workload: "twolf", Machine: sampling.DefaultMachine(), Total: 1000}
+	zeroROB.Machine.CPU.ROBSize = 0
 	for _, j := range []Job{
+		zeroFetch,
+		zeroROB,
 		{},
 		{Kind: JobFull, Workload: "unknown-workload", Total: 1000},
 		{Kind: "weird", Workload: "twolf", Total: 1000},

@@ -162,6 +162,9 @@ func (j Job) Validate() error {
 	if _, err := workload.ByName(j.Workload); err != nil {
 		return fmt.Errorf("engine: %w", err)
 	}
+	if err := j.Machine.CPU.Validate(); err != nil {
+		return fmt.Errorf("engine: job Machine.CPU: %w", err)
+	}
 	if j.Kind == JobSampled {
 		// Whether a named strategy's budget fits the workload is the strategy's
 		// to say: SimPoint short of intervals selects fewer (Figure 9's 10M).

@@ -19,9 +19,26 @@
 // branch resolves, a fetch stall ends), so a cycle in which no stage moves
 // jumps to the next of them. Anyone adding a time-dependent condition to a
 // stage must add its event to nextEvent.
+//
+// Nor does it poll the issue queue. One ring holds the ROB and, behind it,
+// the fetch queue: fetch builds an entry in the slot it keeps until it
+// retires, and dispatch moves the boundary. At dispatch an entry folds the
+// completion cycles of its producers that have issued into its readyAt and
+// joins the wake list of each that has not; a load blocked by an older store
+// whose address is unknown joins the store's. When an entry issues it walks
+// its list, and a consumer that waits for nothing more may issue from its
+// readyAt. Beside the issue queue, iqAt holds the cycle each entry may issue
+// from, so select reads the ROB only for an entry that can issue. Select
+// takes ready entries in issue-queue order — dispatch order, broken by the
+// swap-remove of each issued entry — and that order, which decides who wins
+// the issue width, is part of what defines every result.
 package ooo
 
-import "rsr/internal/isa"
+import (
+	"fmt"
+
+	"rsr/internal/isa"
+)
 
 // Config holds the machine parameters.
 type Config struct {
@@ -45,6 +62,32 @@ type Config struct {
 	MaxBranches int
 	// FetchQueueSize bounds instructions fetched but not yet dispatched.
 	FetchQueueSize int
+}
+
+// maxSize bounds every width and size of a Config, so that a ring position
+// (the ring holds ROBSize+FetchQueueSize entries) times two, and an issue
+// queue index, fit the wake lists' 16-bit links below noLink.
+const maxSize = 1 << 13
+
+// Validate reports a width or size outside [1, 8192]. At 0 the model can
+// never move (no fetch, dispatch, issue or retire), so a run would not end;
+// above the bound, ring positions would not fit the wake lists' links.
+func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"FetchWidth", c.FetchWidth}, {"DispatchWidth", c.DispatchWidth},
+		{"IssueWidth", c.IssueWidth}, {"RetireWidth", c.RetireWidth},
+		{"NumFUs", c.NumFUs}, {"ROBSize", c.ROBSize}, {"IQSize", c.IQSize},
+		{"LSQSize", c.LSQSize}, {"MaxBranches", c.MaxBranches},
+		{"FetchQueueSize", c.FetchQueueSize},
+	} {
+		if f.v < 1 || f.v > maxSize {
+			return fmt.Errorf("ooo: %s %d out of range [1, %d]", f.name, f.v, maxSize)
+		}
+	}
+	return nil
 }
 
 // DefaultConfig returns the paper's core.

@@ -9,24 +9,27 @@ import (
 
 	"rsr/internal/bpred"
 	"rsr/internal/funcsim"
+	"rsr/internal/isa"
 	"rsr/internal/mem"
 	"rsr/internal/trace"
 	"rsr/internal/workload"
 )
 
 // simulateEveryCycle is SimulateSource's loop advancing one cycle per
-// iteration, idle or not: the reference the event-skipping loop must match
-// on every result, statistic and trained structure.
+// iteration, idle or not, with the polling scheduler the wake lists replaced:
+// the reference the event-skipping, producer-driven loop must match on every
+// result, statistic and trained structure.
 func (s *Sim) simulateEveryCycle(n uint64, src Source) Result {
 	s.reset()
 	s.src = src
+	o := newPolling(len(s.rob))
 	var pulled uint64
 	streamDone := false
 
 	for {
 		s.retire()
-		s.issue()
-		s.dispatch()
+		s.issuePolling(o)
+		o.dispatch(s)
 		if !streamDone && pulled < n {
 			pulled += s.fetch(n-pulled, &streamDone)
 		}
@@ -40,6 +43,95 @@ func (s *Sim) simulateEveryCycle(n uint64, src Source) Result {
 	s.cur = nil
 	s.curIdx = 0
 	return s.res
+}
+
+// polling is the oracle's scheduler state: dependence tokens (producer seq +
+// 1; 0 = none) by ring position, assigned by a shadow of dispatch's register
+// map, and the token of the store a load last found blocking it.
+type polling struct {
+	lastWriter       [isa.NumRegs]uint64
+	dep1, dep2, wait []uint64
+}
+
+func newPolling(ring int) *polling {
+	return &polling{dep1: make([]uint64, ring), dep2: make([]uint64, ring), wait: make([]uint64, ring)}
+}
+
+// dispatch runs the model's dispatch and gives each entry it moved its
+// dependence tokens.
+func (o *polling) dispatch(s *Sim) {
+	before := s.count
+	s.dispatch()
+	for k := before; k < s.count; k++ {
+		pos := wrap(s.head+k, len(s.rob))
+		d := &s.rob[pos].d
+		o.dep1[pos], o.dep2[pos], o.wait[pos] = o.lastWriter[d.Rs1], o.lastWriter[d.Rs2], 0
+		if writesRd(s.rob[pos].class) && d.Rd != isa.ZeroReg {
+			o.lastWriter[d.Rd] = d.Seq + 1
+		}
+	}
+}
+
+// ready reports whether dependence token dep is satisfied at the current
+// cycle.
+func (s *Sim) ready(dep uint64) bool {
+	if dep == 0 {
+		return true
+	}
+	seq := dep - 1
+	if seq < s.headSeq {
+		return true // retired
+	}
+	off := seq - s.headSeq
+	if off >= uint64(s.count) {
+		return false // producer not dispatched yet
+	}
+	p := &s.rob[wrap(s.head+int(off), len(s.rob))]
+	return p.issued && p.doneCycle <= s.cycle
+}
+
+// storeIssued reports whether the store with dependence token tok has issued
+// (retired stores count as issued).
+func (s *Sim) storeIssued(tok uint64) bool {
+	seq := tok - 1
+	if seq < s.headSeq {
+		return true
+	}
+	off := seq - s.headSeq
+	if off >= uint64(s.count) {
+		return true // defensive: not in the window anymore
+	}
+	return s.rob[wrap(s.head+int(off), len(s.rob))].issued
+}
+
+// issuePolling is issue as it was before wake lists: every cycle it scans the
+// whole issue queue in order and re-derives each entry's readiness from its
+// producers' ROB slots.
+func (s *Sim) issuePolling(o *polling) int {
+	issued := 0
+	limit := min(s.cfg.IssueWidth, s.cfg.NumFUs)
+	for i := 0; i < len(s.iq) && issued < limit; {
+		pos := s.iq[i]
+		if o.wait[pos] != 0 && !s.storeIssued(o.wait[pos]) {
+			i++
+			continue
+		}
+		if !s.ready(o.dep1[pos]) || !s.ready(o.dep2[pos]) {
+			i++
+			continue
+		}
+		o.wait[pos] = 0
+		if st := s.execute(&s.rob[pos]); st != nil {
+			o.wait[pos] = st.d.Seq + 1
+			i++
+			continue
+		}
+		last := len(s.iq) - 1
+		s.iq[i], s.iqAt[i] = s.iq[last], s.iqAt[last]
+		s.iq, s.iqAt = s.iq[:last], s.iqAt[:last]
+		issued++
+	}
+	return issued
 }
 
 // loopOutcome is everything a run leaves behind that the two loops must
@@ -82,7 +174,7 @@ func checkLoops(t *testing.T, label string, cfg Config, regions []uint64, mkSrc 
 	if reflect.DeepEqual(got, want) {
 		return
 	}
-	t.Errorf("%s (cfg %+v): event-skipping loop differs from the every-cycle loop\n"+
+	t.Errorf("%s (cfg %+v): event-skipping, producer-driven loop differs from the every-cycle polling loop\n"+
 		" results %v\n    want %v\n caches equal %v, buses equal %v, updates equal %v, cache contents equal %v, predictor equal %v",
 		label, cfg, got.Results, want.Results, got.Caches == want.Caches, got.Buses == want.Buses,
 		got.Updates == want.Updates, reflect.DeepEqual(got.Hier, want.Hier), reflect.DeepEqual(got.Pred, want.Pred))
@@ -101,13 +193,13 @@ func (s *sliceSource) Fill(max uint64) []trace.DynInst {
 	return out
 }
 
-// TestSimulateMatchesEveryCycle holds the event-skipping loop to the
-// one-cycle reference on three kinds of input: goldenRegions' scenario on
-// every workload under both golden configurations; TestFuzzRandomStreams'
-// forty shrunk configurations, whose draws reach BranchPenalty and
-// FrontEndDelay 0 (where the next event is the very next cycle), through the
-// single-record feed; and the same streams split into two regions and fed in
-// batches.
+// TestSimulateMatchesEveryCycle holds the event-skipping loop with wake-list
+// scheduling to the one-cycle polling reference on three kinds of input:
+// goldenRegions' scenario on every workload under both golden
+// configurations; TestFuzzRandomStreams' forty shrunk configurations, whose
+// draws reach BranchPenalty and FrontEndDelay 0 (where the next event is the
+// very next cycle), through the single-record feed; and the same streams
+// split into two regions and fed in batches.
 func TestSimulateMatchesEveryCycle(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -182,8 +274,9 @@ func fuzzCase(data []byte) (Config, []trace.DynInst, []uint64, int) {
 	return cfg, stream, []uint64{split, n - split}, batch
 }
 
-// FuzzSimulateMatchesEveryCycle holds the event-skipping loop to the
-// one-cycle reference on generated machines and streams.
+// FuzzSimulateMatchesEveryCycle holds the event-skipping loop with wake-list
+// scheduling to the one-cycle polling reference on generated machines and
+// streams.
 func FuzzSimulateMatchesEveryCycle(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{62, 31, 63, 7, 7, 3, 3, 7, 7, 15, 5, 3, 0xb8, 0x0b, 128, 63, 'r', 's', 'r'})

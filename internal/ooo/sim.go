@@ -28,25 +28,37 @@ func (r Result) IPC() float64 {
 	return float64(r.Instructions) / float64(r.Cycles)
 }
 
-// entry is one in-flight instruction. A fetch-queue slot carries only what
-// fetch knows (d, class, fetchReady, mispred); dispatch stores every other
-// field when it moves the instruction into its ROB slot. Slots are recycled
-// and never zeroed, so a field read in a ring needs a store on that path.
+// entry is one in-flight instruction. Fetch builds it in place in the ring
+// slot it keeps until it retires; dispatch links it to its producers and
+// enters it in the issue queue. Slots are recycled and never zeroed, so a
+// field read in a ring needs a store on that path.
 type entry struct {
 	d          trace.DynInst
-	class      isa.Class
 	fetchReady uint64 // cycle the instruction left fetch
 	doneCycle  uint64
-	dep1, dep2 uint64 // producing seq + 1; 0 = none
-	// waitStore is the seq+1 of the un-issued older store currently blocking
-	// this load's disambiguation (0 = none); it lets blocked loads recheck
-	// in O(1) instead of rescanning the window every cycle.
-	waitStore uint64
-	issued    bool
-	done      bool
-	mispred   bool
-	inLSQ     bool
+	// readyAt is the latest doneCycle of the producers that have issued; the
+	// entry may issue from then once pending is 0.
+	readyAt uint64
+	class   isa.Class
+	// pending counts what the entry still waits for: producers in the window
+	// that have not issued, or (a load) the older store whose unknown address
+	// blocks it. Each such producer holds the entry on its wake list.
+	pending uint8
+	issued  bool
+	mispred bool
+	inLSQ   bool
+	// wakeHead is the first node of this entry's wake list, noLink if empty:
+	// the consumers it wakes when it issues. A node is a consumer's ring
+	// position times two plus which of the consumer's two links (next)
+	// continues the list. A load blocked by a store waits on the store's list
+	// through link 0, which its producers no longer use by then.
+	wakeHead uint16
+	next     [2]uint16
+	iqIdx    uint16 // the entry's index in iq while it waits there
 }
+
+// noLink ends a wake list.
+const noLink = ^uint16(0)
 
 // Sim is the timing model. It persists microarchitectural state only through
 // the hierarchy and predictor it is given; the pipeline itself is drained
@@ -62,32 +74,33 @@ type Sim struct {
 
 	cycle uint64
 
-	// Reorder buffer as a ring; rob[0]'s seq is headSeq.
+	// One ring holds the reorder buffer and, behind it, the fetch queue:
+	// count dispatched entries from head (the oldest's seq is headSeq), then
+	// fqCount fetched ones. Dispatch moves the boundary between them.
 	rob     []entry
 	head    int
 	count   int
+	fqCount int
 	headSeq uint64
 
-	// Issue queue: ring positions of dispatched, un-issued entries.
-	iq []int
-
-	// Fetch queue: fetched, not yet in ROB.
-	fq      []entry
-	fqHead  int
-	fqCount int
+	// Issue queue: ring positions of dispatched, un-issued entries, and beside
+	// each the cycle it may issue from (^0 while it waits on a producer or a
+	// store). Its order, dispatch order broken by swap-removes, decides which
+	// ready entries win the issue width, so it is part of what defines results.
+	iq   []int
+	iqAt []uint64
 
 	lastWriter [isa.NumRegs]uint64 // seq+1 of the newest producer
 	lsqCount   int
 
-	unresolved     int      // in-flight unresolved branches
-	resolves       []uint64 // ring of pending resolution cycles (nondecreasing)
-	resHead        int
-	resCount       int
-	fetchResumeAt  uint64
-	blockedOnSeq   uint64 // seq+1 of the mispredicted branch blocking fetch
-	lastFetchLine  uint64
-	haveFetchLine  bool
-	retiredSeqPlus uint64 // seq+1 of the last retired instruction
+	unresolved    int      // in-flight unresolved branches
+	resolves      []uint64 // ring of pending resolution cycles (nondecreasing)
+	resHead       int
+	resCount      int
+	fetchResumeAt uint64
+	blockedOnSeq  uint64 // seq+1 of the mispredicted branch blocking fetch
+	lastFetchLine uint64
+	haveFetchLine bool
 
 	// Batched instruction feed for the current SimulateSource call: fetch
 	// consumes cur record by record and refills it from src one batch at a
@@ -110,6 +123,7 @@ type Source interface {
 }
 
 // New builds a timing model over the given memory hierarchy and predictor.
+// cfg must pass Validate.
 func New(cfg Config, hier *mem.Hierarchy, pred bpred.Predictor) *Sim {
 	hc := hier.Config()
 	return &Sim{
@@ -118,9 +132,9 @@ func New(cfg Config, hier *mem.Hierarchy, pred bpred.Predictor) *Sim {
 		pred:      pred,
 		lineShift: uint(bits.TrailingZeros(uint(hc.L1I.LineBytes))),
 		l1Hit:     hc.L1HitCycles,
-		rob:       make([]entry, cfg.ROBSize),
+		rob:       make([]entry, cfg.ROBSize+cfg.FetchQueueSize),
 		iq:        make([]int, 0, cfg.IQSize),
-		fq:        make([]entry, cfg.FetchQueueSize),
+		iqAt:      make([]uint64, 0, cfg.IQSize),
 		resolves:  make([]uint64, cfg.ROBSize+cfg.FetchQueueSize),
 	}
 }
@@ -163,9 +177,9 @@ func (s *Sim) SimulateSource(n uint64, src Source) Result {
 // nextEvent returns the first cycle after the current one at which a stage
 // can move, for a cycle in which none did. Time alone changes what the stages
 // read at four kinds of event: an issued instruction completes (retire reads
-// the head's doneCycle, ready its producers'), the fetch-queue head clears the
-// front end (dispatch), a branch resolves and frees its checkpoint, and a
-// fetch stall ends (fetch). Everything else changes only when a stage moves.
+// the head's doneCycle, select an entry's readyAt, its producers' latest),
+// the fetch-queue head clears the front end (dispatch), a branch resolves
+// and frees its checkpoint, and a fetch stall ends (fetch). Everything else changes only when a stage moves.
 // A branch resolves at its own doneCycle and cannot retire before it, so the
 // ROB scan covers the third kind; a time-dependent condition added to a stage
 // must add its event here.
@@ -173,7 +187,7 @@ func (s *Sim) nextEvent() uint64 {
 	now := s.cycle
 	next := sooner(^uint64(0), now, s.fetchResumeAt)
 	if s.fqCount > 0 {
-		next = sooner(next, now, s.fq[s.fqHead].fetchReady+s.cfg.FrontEndDelay)
+		next = sooner(next, now, s.rob[wrap(s.head+s.count, len(s.rob))].fetchReady+s.cfg.FrontEndDelay)
 	}
 	// Dispatch stores doneCycle 0, so only issued entries are candidates.
 	for k, pos := 0, s.head; k < s.count && next > now+1; k++ {
@@ -195,7 +209,7 @@ func sooner(next, now, t uint64) uint64 {
 }
 
 // wrap folds a ring position in [0, 2n) back into [0, n). Every ring here
-// (ROB, fetch queue, resolve ring) advances by less than its length at a
+// (ROB and fetch queue, resolve ring) advances by less than its length at a
 // time, so a compare and a subtract replace the hardware divide that
 // `% len(ring)` costs on sizes the compiler cannot see.
 func wrap(i, n int) int {
@@ -209,8 +223,8 @@ func (s *Sim) reset() {
 	s.cycle = 0
 	s.hier.Drain() // region time restarts; prior in-flight traffic is gone
 	s.head, s.count, s.headSeq = 0, 0, 0
-	s.iq = s.iq[:0]
-	s.fqHead, s.fqCount = 0, 0
+	s.iq, s.iqAt = s.iq[:0], s.iqAt[:0]
+	s.fqCount = 0
 	for i := range s.lastWriter {
 		s.lastWriter[i] = 0
 	}
@@ -220,7 +234,6 @@ func (s *Sim) reset() {
 	s.fetchResumeAt = 0
 	s.blockedOnSeq = 0
 	s.haveFetchLine = false
-	s.retiredSeqPlus = 0
 	s.res = Result{}
 }
 
@@ -239,7 +252,7 @@ func (s *Sim) fetch(budget uint64, streamDone *bool) uint64 {
 	}
 	var fetched uint64
 	for int(fetched) < s.cfg.FetchWidth && fetched < budget {
-		if s.fqCount == len(s.fq) {
+		if s.fqCount == s.cfg.FetchQueueSize {
 			break // fetch queue full
 		}
 		if s.unresolved >= s.cfg.MaxBranches {
@@ -257,10 +270,13 @@ func (s *Sim) fetch(budget uint64, streamDone *bool) uint64 {
 		}
 		d := &s.cur[s.curIdx]
 		s.curIdx++
-		// The entry is built in its fetch-queue slot, which is claimed (by
+		// The entry is built in its ring slot, which is claimed (by
 		// fqCount++) only once it is complete.
-		e := &s.fq[wrap(s.fqHead+s.fqCount, len(s.fq))]
+		e := &s.rob[wrap(s.head+s.count+s.fqCount, len(s.rob))]
 		e.d, e.class, e.fetchReady, e.mispred = *d, d.Op.Class(), s.cycle, false
+		e.doneCycle, e.readyAt, e.pending, e.issued = 0, 0, 0, false
+		e.inLSQ = e.class == isa.ClassLoad || e.class == isa.ClassStore
+		e.wakeHead = noLink
 
 		// Instruction cache: access once per line crossed.
 		line := d.PC >> s.lineShift
@@ -311,150 +327,161 @@ func (s *Sim) fetch(budget uint64, streamDone *bool) uint64 {
 }
 
 // dispatch moves decoded instructions into the ROB/IQ/LSQ in order and
-// returns how many it moved.
+// returns how many it moved. An entry moves by the ring's boundary; dispatch
+// links it to the producers it waits for.
 func (s *Sim) dispatch() int {
 	n := 0
 	for ; n < s.cfg.DispatchWidth && s.fqCount > 0; n++ {
-		e := &s.fq[s.fqHead]
+		pos := wrap(s.head+s.count, len(s.rob))
+		e := &s.rob[pos]
 		if e.fetchReady+s.cfg.FrontEndDelay > s.cycle {
 			break
 		}
-		if s.count == len(s.rob) || len(s.iq) == s.cfg.IQSize {
+		if s.count == s.cfg.ROBSize || len(s.iq) == s.cfg.IQSize {
 			break
 		}
-		isMem := e.class == isa.ClassLoad || e.class == isa.ClassStore
-		if isMem && s.lsqCount == s.cfg.LSQSize {
+		if e.inLSQ && s.lsqCount == s.cfg.LSQSize {
 			break
 		}
 
 		if s.count == 0 {
 			s.headSeq = e.d.Seq
-			s.head = 0
 		}
-		// The one copy of the instruction, field by field into its ROB slot
-		// (a whole-struct assignment of the 104-byte entry is a duffcopy).
-		pos := wrap(s.head+s.count, len(s.rob))
-		ent := &s.rob[pos]
-		ent.d, ent.class, ent.mispred = e.d, e.class, e.mispred
-		ent.dep1, ent.dep2 = s.depFor(e.d.Rs1), s.depFor(e.d.Rs2)
-		ent.doneCycle, ent.waitStore = 0, 0
-		ent.issued, ent.done, ent.inLSQ = false, false, isMem
+		// lastWriter[ZeroReg] is never written: it reads as no producer.
+		s.link(e, pos, 0, s.lastWriter[e.d.Rs1])
+		s.link(e, pos, 1, s.lastWriter[e.d.Rs2])
 		if writesRd(e.class) && e.d.Rd != isa.ZeroReg {
 			s.lastWriter[e.d.Rd] = e.d.Seq + 1
 		}
-		if isMem {
+		if e.inLSQ {
 			s.lsqCount++
 		}
-		s.count++
+		e.iqIdx = uint16(len(s.iq))
 		s.iq = append(s.iq, pos)
-
-		s.fqHead = wrap(s.fqHead+1, len(s.fq))
+		at := e.readyAt
+		if e.pending > 0 {
+			at = ^uint64(0)
+		}
+		s.iqAt = append(s.iqAt, at)
+		s.count++
 		s.fqCount--
 	}
 	return n
 }
 
-// depFor returns the dependence token (seq+1) for a source register.
-func (s *Sim) depFor(r uint8) uint64 {
-	if r == isa.ZeroReg {
-		return 0
+// link makes e, at ring position pos, depend through its link k on the
+// producer with dependence token dep (seq+1; 0 = none): a producer that has
+// issued folds its doneCycle into e.readyAt, one still waiting takes e onto
+// its wake list. A retired producer holds nothing up.
+func (s *Sim) link(e *entry, pos, k int, dep uint64) {
+	if dep == 0 || dep-1 < s.headSeq {
+		return
 	}
-	return s.lastWriter[r]
+	p := &s.rob[wrap(s.head+int(dep-1-s.headSeq), len(s.rob))]
+	if p.issued {
+		e.readyAt = max(e.readyAt, p.doneCycle)
+		return
+	}
+	e.next[k], p.wakeHead = p.wakeHead, uint16(pos<<1|k)
+	e.pending++
 }
 
-// ready reports whether dependence token dep is satisfied at the current
-// cycle.
-func (s *Sim) ready(dep uint64) bool {
-	if dep == 0 || dep <= s.retiredSeqPlus {
-		return true
+// wake walks the wake list of p, which has just issued: each consumer stops
+// waiting for it and, once it waits for nothing, may issue from its readyAt.
+// A register consumer cannot use p's value before p's doneCycle; a load a
+// store blocked needs only the store's address, known now.
+func (s *Sim) wake(p *entry) {
+	at := p.doneCycle
+	if p.class == isa.ClassStore {
+		at = 0
 	}
-	seq := dep - 1
-	if seq < s.headSeq {
-		return true // retired
+	for n := p.wakeHead; n != noLink; {
+		c := &s.rob[n>>1]
+		n = c.next[n&1]
+		c.readyAt = max(c.readyAt, at)
+		if c.pending--; c.pending == 0 {
+			s.iqAt[c.iqIdx] = c.readyAt
+		}
 	}
-	off := seq - s.headSeq
-	if off >= uint64(s.count) {
-		return false // producer not dispatched yet
-	}
-	p := &s.rob[wrap(s.head+int(off), len(s.rob))]
-	return p.done && p.doneCycle <= s.cycle
+	p.wakeHead = noLink
 }
 
-// issue selects up to IssueWidth ready instructions, computes their
-// completion times and returns how many it issued. The eight universal FUs
-// are fully pipelined, so the issue width is the binding constraint.
+// issue selects up to IssueWidth ready instructions in issue-queue order,
+// computes their completion times and returns how many it issued. The eight
+// universal FUs are fully pipelined, so the issue width is the binding
+// constraint. The scan reads iqAt alone until it finds an entry that may
+// issue.
 func (s *Sim) issue() int {
 	issued := 0
-	limit := s.cfg.IssueWidth
-	if s.cfg.NumFUs < limit {
-		limit = s.cfg.NumFUs
-	}
+	limit := min(s.cfg.IssueWidth, s.cfg.NumFUs)
 	for i := 0; i < len(s.iq) && issued < limit; {
+		if s.iqAt[i] > s.cycle {
+			i++
+			continue
+		}
 		pos := s.iq[i]
 		e := &s.rob[pos]
-		// O(1) disambiguation recheck first: a load blocked on a known store
-		// skips the dependence checks entirely.
-		if e.waitStore != 0 && !s.storeIssued(e.waitStore) {
+		if st := s.execute(e); st != nil {
+			// Conservative memory disambiguation: the load waits for the
+			// older store whose address is still unknown.
+			e.next[0], st.wakeHead = st.wakeHead, uint16(pos<<1)
+			e.pending = 1
+			s.iqAt[i] = ^uint64(0)
 			i++
 			continue
 		}
-		if !s.ready(e.dep1) || !s.ready(e.dep2) {
-			i++
-			continue
-		}
-		switch e.class {
-		case isa.ClassLoad:
-			e.waitStore = 0
-			forward, avail, blocked := s.lsqScan(e)
-			if blocked {
-				// Conservative memory disambiguation: an older store's
-				// address is still unknown.
-				i++
-				continue
-			}
-			if forward {
-				done := s.cycle + 1
-				if avail > done {
-					done = avail
-				}
-				e.doneCycle = done
-				s.res.Forwards++
-				break
-			}
-			e.doneCycle = s.hier.AccessLoad(s.cycle+1, e.d.EffAddr)
-		case isa.ClassStore:
-			e.doneCycle = s.hier.AccessStore(s.cycle+1, e.d.EffAddr)
-		default:
-			e.doneCycle = s.cycle + Latency(e.class)
-		}
-		e.issued = true
-		e.done = true
-		if e.class.IsControl() {
-			s.resolves[wrap(s.resHead+s.resCount, len(s.resolves))] = e.doneCycle
-			s.resCount++
-			if e.mispred && s.blockedOnSeq == e.d.Seq+1 {
-				resume := e.doneCycle + s.cfg.BranchPenalty
-				if resume > s.fetchResumeAt {
-					s.fetchResumeAt = resume
-				}
-				s.blockedOnSeq = 0
-				s.haveFetchLine = false // redirect refetches the line
-			}
-		}
+		s.wake(e)
 		// Swap-remove from the issue queue.
-		s.iq[i] = s.iq[len(s.iq)-1]
-		s.iq = s.iq[:len(s.iq)-1]
+		last := len(s.iq) - 1
+		s.iq[i], s.iqAt[i] = s.iq[last], s.iqAt[last]
+		s.rob[s.iq[i]].iqIdx = uint16(i)
+		s.iq, s.iqAt = s.iq[:last], s.iqAt[:last]
 		issued++
 	}
 	return issued
 }
 
+// execute issues e, whose producers are all done: it computes its completion
+// cycle and, for a branch, its resolution. A load that an older store with an
+// unknown address blocks does not issue; execute returns that store.
+func (s *Sim) execute(e *entry) *entry {
+	switch e.class {
+	case isa.ClassLoad:
+		forward, avail, blocker := s.lsqScan(e)
+		if blocker != nil {
+			return blocker
+		}
+		if forward {
+			e.doneCycle = max(s.cycle+1, avail)
+			s.res.Forwards++
+		} else {
+			e.doneCycle = s.hier.AccessLoad(s.cycle+1, e.d.EffAddr)
+		}
+	case isa.ClassStore:
+		e.doneCycle = s.hier.AccessStore(s.cycle+1, e.d.EffAddr)
+	default:
+		e.doneCycle = s.cycle + Latency(e.class)
+	}
+	e.issued = true
+	if e.class.IsControl() {
+		s.resolves[wrap(s.resHead+s.resCount, len(s.resolves))] = e.doneCycle
+		s.resCount++
+		if e.mispred && s.blockedOnSeq == e.d.Seq+1 {
+			s.fetchResumeAt = max(s.fetchResumeAt, e.doneCycle+s.cfg.BranchPenalty)
+			s.blockedOnSeq = 0
+			s.haveFetchLine = false // redirect refetches the line
+		}
+	}
+	return nil
+}
+
 // lsqScan walks the load's older in-window entries youngest-first,
 // implementing conservative disambiguation and store-to-load forwarding: the
 // first older store encountered blocks the load if its address is still
-// unknown (un-issued); an issued store to the same word forwards its value;
-// older stores beyond a forwarding match are superseded by it.
-func (s *Sim) lsqScan(e *entry) (forward bool, availCycle uint64, blocked bool) {
+// unknown (un-issued; it is returned); an issued store to the same word
+// forwards its value; older stores beyond a forwarding match are superseded
+// by it.
+func (s *Sim) lsqScan(e *entry) (forward bool, availCycle uint64, blocker *entry) {
 	word := e.d.EffAddr &^ 7
 	off := int(e.d.Seq - s.headSeq)
 	for k := off - 1; k >= 0; k-- {
@@ -463,28 +490,13 @@ func (s *Sim) lsqScan(e *entry) (forward bool, availCycle uint64, blocked bool) 
 			continue
 		}
 		if !p.issued {
-			e.waitStore = p.d.Seq + 1
-			return false, 0, true
+			return false, 0, p
 		}
 		if p.d.EffAddr&^7 == word {
-			return true, p.doneCycle, false
+			return true, p.doneCycle, nil
 		}
 	}
-	return false, 0, false
-}
-
-// storeIssued reports whether the store with dependence token tok (seq+1)
-// has issued (retired stores count as issued).
-func (s *Sim) storeIssued(tok uint64) bool {
-	seq := tok - 1
-	if seq < s.headSeq {
-		return true
-	}
-	off := seq - s.headSeq
-	if off >= uint64(s.count) {
-		return true // defensive: not in the window anymore
-	}
-	return s.rob[wrap(s.head+int(off), len(s.rob))].issued
+	return false, 0, nil
 }
 
 // retire commits up to RetireWidth completed instructions in order, training
@@ -494,7 +506,7 @@ func (s *Sim) retire() int {
 	n := 0
 	for ; n < s.cfg.RetireWidth && s.count > 0; n++ {
 		e := &s.rob[s.head]
-		if !e.issued || !e.done || e.doneCycle > s.cycle {
+		if !e.issued || e.doneCycle > s.cycle {
 			break
 		}
 		if e.class.IsControl() {
@@ -505,7 +517,6 @@ func (s *Sim) retire() int {
 		if e.inLSQ {
 			s.lsqCount--
 		}
-		s.retiredSeqPlus = e.d.Seq + 1
 		s.res.Instructions++
 		s.head = wrap(s.head+1, len(s.rob))
 		s.count--

@@ -464,3 +464,31 @@ func TestBranchPenaltyScalesMispredictCost(t *testing.T) {
 		t.Fatal("a larger misprediction penalty must cost cycles")
 	}
 }
+
+// TestConfigValidate holds every width and size to [1, maxSize]: at 0 the
+// model cannot move, above maxSize a ring position overflows a wake link.
+func TestConfigValidate(t *testing.T) {
+	for _, cfg := range []Config{DefaultConfig(), oddConfig()} {
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("%+v refused: %v", cfg, err)
+		}
+	}
+	cfg := DefaultConfig()
+	for i, p := range []*int{&cfg.FetchWidth, &cfg.DispatchWidth, &cfg.IssueWidth, &cfg.RetireWidth,
+		&cfg.NumFUs, &cfg.ROBSize, &cfg.IQSize, &cfg.LSQSize, &cfg.MaxBranches, &cfg.FetchQueueSize} {
+		old := *p
+		for _, v := range []int{0, -1, maxSize + 1} {
+			if *p = v; cfg.Validate() == nil {
+				t.Errorf("field %d = %d accepted", i, v)
+			}
+		}
+		if *p = maxSize; cfg.Validate() != nil {
+			t.Errorf("field %d = maxSize refused", i)
+		}
+		*p = old
+	}
+	// The largest ring's last position, as a wake node, stays below noLink.
+	if last := 2*maxSize - 1; last<<1|1 >= int(noLink) {
+		t.Errorf("ring position %d overflows the wake links", last)
+	}
+}

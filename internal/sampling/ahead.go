@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"rsr/internal/funcsim"
 	"rsr/internal/prog"
@@ -71,7 +70,6 @@ var spareSlots struct {
 // slots and the walker's place in the run.
 type aheadFeed struct {
 	opts   *Options
-	ro     *runObs
 	done   chan struct{}  // closed when the walker leaves
 	wg     sync.WaitGroup // the producer
 	replay *Trace         // the trace this run replays, if any
@@ -85,13 +83,12 @@ type aheadFeed struct {
 	cur     *aheadSlot // the hot batch being timed
 	fresh   bool       // cur, the hot phase's first batch, is not delivered yet
 	failure error
-	t0      time.Time // start of the current region's cold phase
 }
 
 // newAheadFeed fills the ring, spare slots first, and starts the producer
 // over regions, replaying replay if it is not nil.
-func newAheadFeed(p *prog.Program, regions []Region, method warmup.Method, replay *Trace, opts *Options, ro *runObs) *aheadFeed {
-	f := &aheadFeed{opts: opts, ro: ro, done: make(chan struct{}), replay: replay,
+func newAheadFeed(p *prog.Program, regions []Region, method warmup.Method, replay *Trace, opts *Options) *aheadFeed {
+	f := &aheadFeed{opts: opts, done: make(chan struct{}), replay: replay,
 		full: make(chan *aheadSlot, aheadSlots), free: make(chan *aheadSlot, aheadSlots)}
 	spareSlots.Lock()
 	k := max(0, len(spareSlots.slots)-aheadSlots)
@@ -218,9 +215,10 @@ func (f *aheadFeed) produce(p *prog.Program, regions []Region, method warmup.Met
 }
 
 // hot sends a hot phase of size instructions in batches, executed on fs or
-// copied from a replayed part. It reports whether the run goes on.
+// copied from a replayed part; an empty phase is one empty last batch. It
+// reports whether the run goes on.
 func (f *aheadFeed) hot(fs *funcsim.Sim, size uint64, part *tracePart) bool {
-	for n := uint64(0); n < size; {
+	for n := uint64(0); ; {
 		s := f.get()
 		b := s.recs[:cap(s.recs)][:min(size-n, funcsim.BatchSize)]
 		var k int
@@ -238,10 +236,9 @@ func (f *aheadFeed) hot(fs *funcsim.Sim, size uint64, part *tracePart) bool {
 			return false
 		}
 		if last {
-			break
+			return true
 		}
 	}
-	return true
 }
 
 // handoff is what the producer observes a region's cold phase through: the
@@ -318,33 +315,29 @@ func coldSkip(fs *funcsim.Sim, n uint64, h *handoff) error {
 // which depends on where the region before ended: the producer runs to its
 // start.
 func (f *aheadFeed) next(r Region) uint64 {
-	f.t0 = f.ro.begin()
 	cold := r.Start - f.pos
 	f.pos = r.Start
 	return cold
 }
 
 // ingest has the method observe the window's stretches as they come, up to
-// the hot phase's first batch, between the walker's BeginSkip and EndSkip,
-// and returns how many instructions were skipped.
-func (f *aheadFeed) ingest(ci int, method warmup.Method, cold uint64) (uint64, error) {
+// the hot phase's first batch, between the walker's BeginSkip and EndSkip.
+func (f *aheadFeed) ingest(method warmup.Method) error {
 	for {
 		s, err := f.recv()
 		if err != nil {
-			return 0, err
+			return err
 		}
 		if s.win.Seen == 0 {
 			if s.err != nil && !s.last {
-				return 0, s.err
+				return s.err
 			}
 			f.cur, f.fresh = s, true
-			break
+			return nil
 		}
 		method.ObserveWindow(&s.win)
 		f.put(s)
 	}
-	f.ro.coldDone(f.t0, ci, cold, method.Work())
-	return cold, nil
 }
 
 // Fill delivers the current region's hot batches, never running past the

@@ -242,7 +242,9 @@ func TestConcurrentInstrumentedRuns(t *testing.T) {
 }
 
 // TestFullRunInstrumented checks the full-simulation path: one full-sim span,
-// a "full" run count, and no warm-up series for a method-less run.
+// one full-sim latency and no other phase's (the run-ahead feed's region has
+// no cold phase to record), a "full" run count, and no warm-up series for a
+// method-less run.
 func TestFullRunInstrumented(t *testing.T) {
 	w, err := workload.ByName("parser")
 	if err != nil {
@@ -274,6 +276,22 @@ func TestFullRunInstrumented(t *testing.T) {
 	if tr.Len() != 1 {
 		t.Fatalf("tracer holds %d spans, want 1 full-sim span", tr.Len())
 	}
+	var fullSim uint64
+	for _, m := range snaps {
+		if m.Name != "rsr_sampling_phase_seconds" {
+			continue
+		}
+		for _, s := range m.Series {
+			if s.Labels["phase"] == PhaseFullSim {
+				fullSim = s.Histogram.Count
+			} else if s.Histogram.Count != 0 {
+				t.Errorf("a full run observed %d %s latencies", s.Histogram.Count, s.Labels["phase"])
+			}
+		}
+	}
+	if fullSim != 1 {
+		t.Errorf("full-sim latencies observed: %d, want 1", fullSim)
+	}
 }
 
 // TestDisabledObservabilityZeroAllocs pins the off switch: with both sinks
@@ -298,7 +316,7 @@ func TestDisabledObservabilityZeroAllocs(t *testing.T) {
 		method := spec.New(mem.NewHierarchy(m.Hier), bpred.NewUnit(m.Pred))
 		fs := funcsim.New(w.Build())
 		ro := newRunObs(nil, nil, "sampled", spec.Label()) // nil: both sinks off
-		f := &aheadFeed{opts: &Options{}, ro: ro, done: make(chan struct{}),
+		f := &aheadFeed{opts: &Options{}, done: make(chan struct{}),
 			full: make(chan *aheadSlot, aheadSlots), free: make(chan *aheadSlot, aheadSlots)}
 		for range aheadSlots {
 			f.slots = append(f.slots, newAheadSlot())
@@ -322,11 +340,13 @@ func TestDisabledObservabilityZeroAllocs(t *testing.T) {
 			s.win.Seen, s.recs, s.last, s.err = 0, s.recs[:0], true, nil
 			f.send(s)
 
+			t0 := ro.begin()
 			cold := f.next(Region{Start: f.pos + skip})
 			method.BeginSkip(cold)
-			if _, err := f.ingest(cluster, method, cold); err != nil {
+			if err := f.ingest(method); err != nil {
 				t.Fatal(err)
 			}
+			ro.coldDone(t0, cluster, cold, method.Work())
 			f.release()
 			ro.reconDone(ro.begin(), cluster, method.Work())
 			ro.hotDone(ro.begin(), cluster, 0, method.Work())

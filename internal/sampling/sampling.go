@@ -23,13 +23,11 @@ import (
 	"time"
 
 	"rsr/internal/bpred"
-	"rsr/internal/funcsim"
 	"rsr/internal/mem"
 	"rsr/internal/obs"
 	"rsr/internal/ooo"
 	"rsr/internal/prog"
 	"rsr/internal/stats"
-	"rsr/internal/trace"
 	"rsr/internal/warmup"
 )
 
@@ -259,21 +257,32 @@ func RunFull(p *prog.Program, m MachineConfig, total uint64) (FullResult, error)
 	return RunFullOpts(p, m, total, Options{})
 }
 
-// RunFullOpts is RunFull with controller options (only Options.Cancel
-// applies). The cancel poll runs once per instruction batch, so an uncanceled
-// run is identical to RunFull.
+// RunFullOpts is RunFull with controller options (Options.Cancel, Instr and
+// Tracer apply). The run is one region from the start with no cold phase,
+// fed by the run-ahead feed, so functional execution runs on the producer's
+// goroutine while the timing model measures. The cancel poll runs once per
+// instruction batch, so an uncanceled run is identical to RunFull.
 func RunFullOpts(p *prog.Program, m MachineConfig, total uint64, opts Options) (FullResult, error) {
+	if err := m.CPU.Validate(); err != nil {
+		return FullResult{}, fmt.Errorf("sampling: full run: %w", err)
+	}
 	hier := mem.NewHierarchy(m.Hier)
 	unit := bpred.NewUnit(m.Pred)
 	sim := ooo.New(m.CPU, hier, unit)
-	fs := funcsim.New(p)
 	ro := newRunObs(opts.Instr, opts.Tracer, "full", "")
 	begin := time.Now()
-	st := &stream{fs: fs, buf: make([]trace.DynInst, funcsim.BatchSize), opts: &opts}
+	method := warmup.Spec{Kind: warmup.KindNone}.New(hier, unit)
+	f := newAheadFeed(p, []Region{{Size: total}}, method, nil, &opts)
+	defer f.stop()
 	t0 := ro.begin()
-	r := sim.SimulateSource(total, st)
-	if st.failure != nil {
-		return FullResult{}, fmt.Errorf("sampling: full run: %w", st.failure)
+	err := f.ingest(method) // no cold phase: it takes the first hot batch
+	var r ooo.Result
+	if err == nil {
+		r = sim.SimulateSource(total, f)
+		err = f.err()
+	}
+	if err != nil {
+		return FullResult{}, fmt.Errorf("sampling: full run: %w", err)
 	}
 	ro.fullDone(t0, r.Instructions)
 	ro.runDone("full", hier, unit)

@@ -3,11 +3,52 @@ package sampling
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"rsr/internal/bpred"
 	"rsr/internal/mem"
+	"rsr/internal/ooo"
 	"rsr/internal/warmup"
+	"rsr/internal/workload"
 )
+
+// TestZeroWidthMachineRefused: with FetchWidth or ROBSize 0 the timing model
+// never fetches or never dispatches, so it soon stops asking its source for
+// batches, where the cancel poll sits: unrefused, such a run spins for good.
+// Both entry points return an error at once instead.
+func TestZeroWidthMachineRefused(t *testing.T) {
+	w, err := workload.ByName("twolf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, zero := range map[string]func(*ooo.Config){
+		"FetchWidth": func(c *ooo.Config) { c.FetchWidth = 0 },
+		"ROBSize":    func(c *ooo.Config) { c.ROBSize = 0 },
+	} {
+		m := DefaultMachine()
+		zero(&m.CPU)
+		errs := make(chan error, 2)
+		go func() {
+			_, err := RunFullOpts(w.Build(), m, 100_000, Options{})
+			errs <- err
+		}()
+		go func() {
+			_, err := RunRegions(w.Build(), m, []Region{{Start: 1000, Size: 2000}}, warmup.Spec{}.New, Options{})
+			errs <- err
+		}()
+		deadline := time.After(10 * time.Second)
+		for range 2 {
+			select {
+			case err := <-errs:
+				if err == nil || !strings.Contains(err.Error(), name) {
+					t.Errorf("%s 0: err = %v, want a refusal naming %s", name, err, name)
+				}
+			case <-deadline:
+				t.Fatalf("%s 0: a run did not return within 10 s", name)
+			}
+		}
+	}
+}
 
 // TestRegimenValidateBoundaries pins Validate's accept/reject boundary: the
 // single NumClusters*ClusterSize <= total check subsumes the per-stratum

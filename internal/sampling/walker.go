@@ -6,11 +6,9 @@ import (
 	"time"
 
 	"rsr/internal/bpred"
-	"rsr/internal/funcsim"
 	"rsr/internal/mem"
 	"rsr/internal/ooo"
 	"rsr/internal/prog"
-	"rsr/internal/trace"
 	"rsr/internal/warmup"
 )
 
@@ -56,6 +54,9 @@ func ValidateRegions(regions []Region, total uint64) error {
 // workload that ends before the last region does is an error when the run
 // gets there.
 func RunRegions(p *prog.Program, m MachineConfig, regions []Region, mk func(*mem.Hierarchy, *bpred.Unit) warmup.Method, opts Options) (*RunResult, error) {
+	if err := m.CPU.Validate(); err != nil {
+		return nil, fmt.Errorf("sampling: %w", err)
+	}
 	if err := ValidateRegions(regions, math.MaxUint64); err != nil {
 		return nil, err
 	}
@@ -77,22 +78,23 @@ func RunRegions(p *prog.Program, m MachineConfig, regions []Region, mk func(*mem
 	begin := time.Now()
 
 	ro := newRunObs(opts.Instr, opts.Tracer, method.Name(), method.Name())
-	f := newAheadFeed(p, regions, method, loadTrace(m, regions, method, &opts), &opts, ro)
+	f := newAheadFeed(p, regions, method, loadTrace(m, regions, method, &opts), &opts)
 	defer f.stop()
 
 	for ci, reg := range regions {
 		if opts.Canceled() {
 			return nil, ErrCanceled
 		}
+		t0 := ro.begin()
 		cold := f.next(reg)
 		method.BeginSkip(cold)
-		ran, err := f.ingest(ci, method, cold)
-		if err != nil {
+		if err := f.ingest(method); err != nil {
 			return nil, err
 		}
-		res.FuncInstructions += ran
+		ro.coldDone(t0, ci, cold, method.Work())
+		res.FuncInstructions += cold
 
-		t0 := ro.begin()
+		t0 = ro.begin()
 		method.EndSkip()
 		ro.reconDone(t0, ci, method.Work())
 
@@ -111,33 +113,4 @@ func RunRegions(p *prog.Program, m MachineConfig, regions []Region, mk func(*mem
 	res.Work = method.Work()
 	ro.runDone("sampled", hier, unit)
 	return res, nil
-}
-
-// stream feeds the timing model from a live functional simulator in batches
-// (funcsim.BatchSize records per Fill), polling cancellation once per batch:
-// RunFullOpts's source. Fill is clamped by the caller's remaining budget.
-type stream struct {
-	fs      *funcsim.Sim
-	buf     []trace.DynInst
-	opts    *Options
-	failure error
-}
-
-func (st *stream) Fill(max uint64) []trace.DynInst {
-	if st.failure != nil {
-		return nil
-	}
-	if st.opts.Canceled() {
-		st.failure = ErrCanceled
-		return nil
-	}
-	b := st.buf
-	if max < uint64(len(b)) {
-		b = b[:max]
-	}
-	n, err := st.fs.RunBatch(b)
-	if err != nil {
-		st.failure = err
-	}
-	return b[:n]
 }

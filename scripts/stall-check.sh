@@ -20,15 +20,19 @@
 #   - funcsim.(*Sim).SkipWindow must not call runtime.growslice: it stores
 #     records by index within the capacity its caller gave it, and an append
 #     in the loop would copy the log whenever it grows.
-#   - ooo.(*Sim).{fetch,dispatch,issue,retire,lsqScan,nextEvent} — the
-#     per-cycle loops and the idle-cycle skip; ready, storeIssued, wrap and
-#     sooner are inlined into them — must contain no hardware divide
-#     (`% len(ring)` on a size the compiler cannot see; ring positions wrap
-#     by compare-and-subtract) and no call into Duff's device
-#     (runtime.duffcopy: a whole-struct copy of the 104-byte entry; entries
-#     are built in place and copied once, field by field). Such a call enters
-#     the routine part-way, so objdump prints it as a bare `CALL 0x...` and
-#     not by name; every ordinary call is printed with its symbol.
+#   - ooo.(*Sim).{fetch,dispatch,issue,execute,retire,lsqScan,nextEvent} —
+#     the per-cycle loops, the issue of one instruction and the idle-cycle
+#     skip; link, wake, wrap and sooner are inlined into them — must contain
+#     no hardware divide (`% len(ring)` on a size the compiler cannot see;
+#     ring positions wrap by compare-and-subtract) and no call into Duff's
+#     device (runtime.duffcopy: a whole-struct copy of the 88-byte entry;
+#     fetch builds each entry in place in the one ring slot it keeps until it
+#     retires, and no stage copies it). Such a call enters the routine
+#     part-way, so objdump prints it as a bare `CALL 0x...` and not by name;
+#     every ordinary call is printed with its symbol.
+#   - ooo.(*Sim).dispatch and issue must not call link or wake: the wake
+#     lists are walked once per dependence, and a call there (either grown
+#     past the inliner's budget) is paid at every dispatch and issue.
 #
 # The mnemonics are amd64's; on another architecture the check is skipped.
 set -eu
@@ -69,10 +73,14 @@ for FN in RunBatch Skip SkipWindow; do
 done
 check 'funcsim\.\(\*Sim\)\.SkipWindow$' 'CALL runtime\.growslice' \
     'an append in the window kernel: records are stored by index'
-for FN in fetch dispatch issue retire lsqScan nextEvent; do
+for FN in fetch dispatch issue execute retire lsqScan nextEvent; do
     check "ooo\.\(\*Sim\)\.$FN\$" 'DIVQ|CALL 0x[0-9a-f]+' \
         'a hardware divide or a Duff copy in a per-cycle loop'
 done
+for FN in dispatch issue; do
+    check "ooo\.\(\*Sim\)\.$FN\$" 'CALL .*ooo\.\(\*Sim\)\.(link|wake)\(SB\)' \
+        'a call to link or wake: the wake-list walk is no longer inlined'
+done
 
-[ "$STATUS" -eq 0 ] && echo "stall-check: ok (RunBatch stores records in place; RunBatch, Skip and SkipWindow inline guest memory; SkipWindow never appends; ooo's per-cycle loops are divide-free and copy-free)"
+[ "$STATUS" -eq 0 ] && echo "stall-check: ok (RunBatch stores records in place; RunBatch, Skip and SkipWindow inline guest memory; SkipWindow never appends; ooo's per-cycle loops are divide-free and copy-free and inline the wake lists)"
 exit "$STATUS"
