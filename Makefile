@@ -15,7 +15,8 @@
 #   make obs-smoke   end-to-end observability check: rsrd /metrics scrape +
 #                    rsr -metrics-out/-trace-out artifacts
 #   make cluster-smoke  sweep-fabric check: 1 rsrc coordinator + 2 peer rsrd
-#                    workers, sweep output diffed against a single-node run
+#                    workers, a frontier's output diffed against a single-node
+#                    run with durations masked
 #   make trace-smoke fabric observability check: merged Chrome trace of a
 #                    3-process sweep (coordinator + both worker lanes, sweep
 #                    tags, worker spans inside the sweep span), each
@@ -42,7 +43,7 @@
 #   make bench-sweep sequential-vs-parallel sweep benchmark at small scale
 #   make loc         non-test Go lines per internal package and in total
 #   make results     regenerate the committed full-scale outputs
-#                    (results_*.txt); about 7 minutes
+#                    (results_*.txt); about 8 minutes
 #   make results-check  regenerate them into a temp dir and diff against the
 #                    committed ones with every duration token masked; exits
 #                    non-zero on any other difference; about 7 minutes
@@ -130,8 +131,9 @@ obs-smoke: build
 	./scripts/obs-smoke.sh
 
 # cluster-smoke proves the sweep fabric end to end with real processes: one
-# rsrc coordinator, two peer-mode rsrd workers, and a sweep submitted with
-# `rsr -cluster` whose output must be byte-identical to a single-node run.
+# rsrc coordinator, two peer-mode rsrd workers, and a frontier submitted with
+# `rsr -cluster` whose output must be byte-identical to a single-node run but
+# for its durations (masked as results-check masks them).
 cluster-smoke: build
 	./scripts/cluster-smoke.sh
 
@@ -149,7 +151,8 @@ trace-smoke: build
 # processes: a journaled rsrc is SIGKILLed the moment a lease is journaled,
 # restarted on the same journal + CAS directories after the workers' failure
 # threshold, and the sweep must still come out byte-identical to a
-# single-node run, with replay and reconnect metrics as evidence.
+# single-node run (durations masked), with replay and reconnect metrics as
+# evidence.
 recovery-smoke: build
 	./scripts/recovery-smoke.sh
 
@@ -205,7 +208,7 @@ loc:
 	@for d in internal/*; do printf '%-22s %6d\n' $$d $$(find $$d -name '*.go' -not -name '*_test.go' | xargs cat | wc -l); done; \
 	printf '%-22s %6d\n' 'internal cmd' $$(find internal cmd -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)
 
-# results regenerates the three committed outputs EXPERIMENTS.md quotes, at the
+# results regenerates the four committed outputs EXPERIMENTS.md quotes, at the
 # reference configuration (scale 1.0, seed 2007). Every column but the
 # wall-clock ones is deterministic, so after a change that claims byte
 # identity `git diff` of these files may show time columns only. Figure 7 is
@@ -215,9 +218,10 @@ results:
 	$(GO) run ./cmd/rsr all > results_reference.txt
 	$(GO) run ./cmd/rsr -parallel 1 fig7 > results_fig7_sequential.txt
 	$(GO) run ./cmd/rsr strategies > results_strategies.txt
+	$(GO) run ./cmd/rsr frontier > results_frontier.txt
 
 # results-check is the byte-identity check for a change that claims the same
-# results: it regenerates the three files above into a temporary directory and
+# results: it regenerates the four files above into a temporary directory and
 # diffs them against the committed ones with every Go duration token (812µs,
 # 224.5ms, 1.23s, 1m2.5s) and its padding masked. Any other difference fails.
 results-check:

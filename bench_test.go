@@ -11,10 +11,12 @@ import (
 	"runtime"
 	"testing"
 
+	"rsr/internal/bpred"
 	"rsr/internal/core"
 	"rsr/internal/experiments"
 	"rsr/internal/funcsim"
 	"rsr/internal/mem"
+	"rsr/internal/ooo"
 	"rsr/internal/sampling"
 	"rsr/internal/trace"
 	"rsr/internal/warmup"
@@ -75,7 +77,7 @@ func BenchmarkTable1TrueIPC(b *testing.B) {
 func BenchmarkFigure5CacheWarmup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		lab := experiments.NewLab(benchCfg("gcc", "twolf"))
-		f, err := lab.Figure5()
+		f, err := lab.Figure("fig5")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -88,7 +90,7 @@ func BenchmarkFigure5CacheWarmup(b *testing.B) {
 func BenchmarkFigure6BpredWarmup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		lab := experiments.NewLab(benchCfg("parser", "twolf"))
-		f, err := lab.Figure6()
+		f, err := lab.Figure("fig6")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -101,7 +103,7 @@ func BenchmarkFigure6BpredWarmup(b *testing.B) {
 func BenchmarkFigure7Combined(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		lab := experiments.NewLab(benchCfg("twolf"))
-		f, err := lab.Figure7()
+		f, err := lab.Figure("fig7")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -114,7 +116,7 @@ func BenchmarkFigure7Combined(b *testing.B) {
 func BenchmarkFigure8PerBenchmark(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		lab := experiments.NewLab(benchCfg("gcc", "parser"))
-		f, err := lab.Figure8()
+		f, err := lab.Figure("fig8")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -178,22 +180,46 @@ func BenchmarkTable2SweepParallelism(b *testing.B) {
 
 // --- Microbenchmarks of the substrates ---
 
-// BenchmarkDetailedSimulation measures the cycle-level timing model in
-// nanoseconds per instruction on twolf, whose window is idle in about a fifth
-// of its cycles, and on vortex, idle in about three quarters (stalled on
-// memory): the second is where skipping idle cycles shows.
+// heldSource feeds the timing model a recorded stream in the run-ahead feed's
+// batch size.
+type heldSource struct{ insts []trace.DynInst }
+
+func (h *heldSource) Fill(max uint64) []trace.DynInst {
+	k := min(funcsim.BatchSize, max, uint64(len(h.insts)))
+	out := h.insts[:k]
+	h.insts = h.insts[k:]
+	return out
+}
+
+// BenchmarkDetailedSimulation measures the cycle-level timing model alone, in
+// nanoseconds per instruction: SimulateSource over 500k instructions recorded
+// once with RunBatches and held in memory, on a fresh hierarchy and predictor
+// per iteration (built, and the last one collected, off the clock). On twolf
+// the window is idle in about a fifth of its cycles, on vortex in about three
+// quarters (stalled on memory): the second is where skipping idle cycles shows.
 func BenchmarkDetailedSimulation(b *testing.B) {
+	const n = 500_000
+	m := sampling.DefaultMachine()
 	for _, name := range []string{"twolf", "vortex"} {
 		b.Run(name, func(b *testing.B) {
 			w, _ := workload.ByName(name)
-			p := w.Build()
+			insts := make([]trace.DynInst, 0, n)
+			buf := make([]trace.DynInst, funcsim.BatchSize)
+			keep := func(batch []trace.DynInst) { insts = append(insts, batch...) }
+			if ran, err := funcsim.New(w.Build()).RunBatches(n, buf, keep, nil); err != nil || ran != n {
+				b.Fatalf("recorded %d of %d: %v", ran, n, err)
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := sampling.RunFull(p, sampling.DefaultMachine(), 500_000); err != nil {
-					b.Fatal(err)
+				b.StopTimer()
+				sim := ooo.New(m.CPU, mem.NewHierarchy(m.Hier), bpred.NewUnit(m.Pred))
+				runtime.GC() // the last iteration's hierarchy is not this one's to collect
+				b.StartTimer()
+				if r := sim.SimulateSource(n, &heldSource{insts}); r.Instructions != n || sim.Err() != nil {
+					b.Fatalf("retired %d of %d: %v", r.Instructions, n, sim.Err())
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(500_000*b.N), "ns/instr")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n*b.N), "ns/instr")
 		})
 	}
 }

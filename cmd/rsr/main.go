@@ -16,7 +16,8 @@
 //	fig8       per-benchmark Reverse vs SMARTS
 //	fig9       SimPoint comparison
 //	appendix   confidence tests, relative error, and time for all methods
-//	sweep      warm-up percentage sweep on one workload (use -workload)
+//	frontier   R$BP and FP at 5-100% beside every Table 2 method: relative
+//	           error, paired added error over S$BP, time and warm-up work
 //	all        every table and figure, in order
 //	run        one sampled run (use -workload, -method, and optionally
 //	           -regimen to pick the sampling strategy)
@@ -58,7 +59,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -147,22 +147,28 @@ func main() {
 				pprof.StopCPUProfile()
 				cpuFile.Close()
 			}
-			if *memProfile != "" {
-				if perr := writeMemProfile(*memProfile); perr != nil {
-					fmt.Fprintln(os.Stderr, "rsr: -memprofile:", perr)
-					flushErr = perr
+			// write saves one output file; a failure is reported and kept.
+			write := func(flagName, path string, fn func(io.Writer) error) {
+				if err := writeFile(path, fn); err != nil {
+					fmt.Fprintf(os.Stderr, "rsr: %s: %v\n", flagName, err)
+					flushErr = err
 				}
+			}
+			if *memProfile != "" {
+				// After a final GC, so the heap numbers reflect live state,
+				// matching `go test -memprofile`.
+				write("-memprofile", *memProfile, func(w io.Writer) error {
+					runtime.GC()
+					return pprof.Lookup("allocs").WriteTo(w, 0)
+				})
 			}
 			if reg != nil {
-				if perr := writeMetrics(reg, *metricsOut); perr != nil {
-					fmt.Fprintln(os.Stderr, "rsr: -metrics-out:", perr)
-					flushErr = perr
-				}
+				write("-metrics-out", *metricsOut, func(w io.Writer) error { return experiments.WriteJSON(w, reg.Snapshot()) })
 			}
 			if tracer != nil {
-				if perr := writeTrace(tracer, *traceOut); perr != nil {
-					fmt.Fprintln(os.Stderr, "rsr: -trace-out:", perr)
-					flushErr = perr
+				write("-trace-out", *traceOut, tracer.WriteChromeTrace)
+				if dropped := tracer.Dropped(); dropped > 0 {
+					fmt.Fprintf(os.Stderr, "rsr: -trace-out: ring wrapped, oldest %d spans overwritten\n", dropped)
 				}
 			}
 		})
@@ -250,27 +256,13 @@ func main() {
 	}
 }
 
-// writeMemProfile records the allocation profile after a final GC so the
-// heap numbers reflect live state, matching `go test -memprofile`.
-func writeMemProfile(path string) error {
+// writeFile creates path and fills it with write, keeping the first error.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	runtime.GC()
-	return pprof.Lookup("allocs").WriteTo(f, 0)
-}
-
-// writeMetrics dumps the registry snapshot as indented JSON.
-func writeMetrics(reg *obs.Registry, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	err = enc.Encode(reg.Snapshot())
+	err = write(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -287,22 +279,6 @@ func writeFabricTrace(cl *cluster.Client, path string) error {
 		return err
 	}
 	return os.WriteFile(path, trace, 0o644)
-}
-
-// writeTrace dumps the span ring as Chrome trace-event JSON.
-func writeTrace(tr *obs.Tracer, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = tr.WriteChromeTrace(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if dropped := tr.Dropped(); dropped > 0 {
-		fmt.Fprintf(os.Stderr, "rsr: -trace-out: ring wrapped, oldest %d spans overwritten\n", dropped)
-	}
-	return err
 }
 
 func dispatch(cmd string, cfg experiments.Config, wl, method, regimenName, format string, stats bool) error {
@@ -330,7 +306,7 @@ func dispatch(cmd string, cfg experiments.Config, wl, method, regimenName, forma
 			fmt.Printf("  %s\n", s.Label())
 		}
 		return nil
-	case "table1", "fig5", "fig6", "fig7", "fig8", "fig9", "appendix", "strategies":
+	case "table1", "fig5", "fig6", "fig7", "fig8", "fig9", "appendix", "frontier", "strategies":
 		t, err := tabulate(lab, cmd)
 		if err != nil {
 			return err
@@ -363,25 +339,6 @@ func dispatch(cmd string, cfg experiments.Config, wl, method, regimenName, forma
 			fmt.Printf("  %-22s %s\n", s.Name(), s.Describe())
 		}
 		return nil
-	case "sweep":
-		// The workload name is user input: fail on a typo instead of
-		// silently sweeping under the default regimen.
-		if _, err := experiments.RegimenForStrict(wl); err != nil {
-			return err
-		}
-		rev, fp, err := lab.Sweep(wl, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("Warm-up percentage sweep on %s\n", wl)
-		fmt.Printf("%8s %12s %12s %14s %14s\n", "percent", "reverse RE", "fixed RE", "reverse work", "fixed work")
-		for i := range rev {
-			fmt.Printf("%7d%% %11.2f%% %11.2f%% %14d %14d\n",
-				rev[i].Percent, 100*rev[i].Cell.RelErr, 100*fp[i].Cell.RelErr,
-				rev[i].Cell.Work.ReconScanned+rev[i].Cell.Work.ReconApplied,
-				fp[i].Cell.Work.WarmOps)
-		}
-		return nil
 	case "run":
 		spec, err := warmup.SpecByLabel(method)
 		if err != nil {
@@ -405,7 +362,7 @@ func dispatch(cmd string, cfg experiments.Config, wl, method, regimenName, forma
 		}
 		return nil
 	default:
-		return fmt.Errorf("unknown command %q (try: list, table1, table2, fig5, fig6, fig7, fig8, fig9, appendix, sweep, all, run, regimens, strategies, top)", cmd)
+		return fmt.Errorf("unknown command %q (try: list, table1, table2, fig5, fig6, fig7, fig8, fig9, appendix, frontier, all, run, regimens, strategies, top)", cmd)
 	}
 }
 
@@ -451,24 +408,11 @@ func tabulate(lab *experiments.Lab, cmd string) (table, error) {
 		}
 		return cellTable(f, f.Cells, experiments.RenderFigure9(f)), nil
 	}
-	f, err := figure(lab, cmd)
+	f, err := lab.Figure(cmd)
 	if err != nil {
 		return table{}, err
 	}
 	return cellTable(f, f.Cells, f.Render()), nil
-}
-
-func figure(lab *experiments.Lab, id string) (*experiments.FigureResult, error) {
-	switch id {
-	case "fig5":
-		return lab.Figure5()
-	case "fig6":
-		return lab.Figure6()
-	case "fig7":
-		return lab.Figure7()
-	default:
-		return lab.Figure8()
-	}
 }
 
 // emit writes the table to stdout in format (text, csv or json).

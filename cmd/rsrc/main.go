@@ -57,7 +57,7 @@
 //
 // and point clients at the fabric with:
 //
-//	rsr -cluster http://host:9900 sweep -workload twolf
+//	rsr -cluster http://host:9900 -workloads twolf frontier
 package main
 
 import (

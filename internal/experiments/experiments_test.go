@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"rsr/internal/ooo"
 	"rsr/internal/regimen"
+	"rsr/internal/sampling"
 	"rsr/internal/warmup"
 )
 
@@ -117,7 +120,7 @@ func TestMatrixShape(t *testing.T) {
 
 func TestFigure6Shape(t *testing.T) {
 	lab := smallLab("parser")
-	f, err := lab.Figure6()
+	f, err := lab.Figure("fig6")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,29 +185,125 @@ func TestRenderAppendix(t *testing.T) {
 	}
 }
 
-func TestSweep(t *testing.T) {
+// TestFrontier: the frontier runs one arm per label — R$BP and FP at every
+// frontier percentage and the rest of the method matrix. Each family's work
+// grows with its percentage, R$BP's RE does not degrade from 20 to 100% (more
+// state can only help at this workload's scale), and every R$BP/FP cell is the
+// cell lab.Run gives its spec on a fresh lab, on every deterministic field.
+func TestFrontier(t *testing.T) {
 	lab := smallLab("twolf")
-	rev, fp, err := lab.Sweep("twolf", []int{20, 100})
+	defer lab.Close()
+	f, err := lab.Figure("frontier")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rev) != 2 || len(fp) != 2 {
-		t.Fatalf("points = %d/%d", len(rev), len(fp))
+	cell := map[string]Cell{}
+	for _, c := range f.Cells {
+		if _, dup := cell[c.Method]; dup {
+			t.Fatalf("two %s arms", c.Method)
+		}
+		cell[c.Method] = c
 	}
-	if rev[0].Percent != 20 || rev[1].Percent != 100 {
-		t.Fatal("percent order wrong")
+	for _, s := range warmup.Matrix() {
+		if _, ok := cell[s.Label()]; !ok {
+			t.Errorf("no %s arm", s.Label())
+		}
 	}
-	// Work must grow with the percentage for both families.
-	if rev[1].Cell.Work.ReconScanned <= rev[0].Cell.Work.ReconScanned {
-		t.Fatal("reverse work should grow with percentage")
+	if len(cell) != 25 { // the 16 of the matrix, R$BP at 5/10/30/60%, FP at 5/10/30/60/100%
+		t.Fatalf("%d arms, want 25", len(cell))
 	}
-	if fp[1].Cell.Work.WarmOps <= fp[0].Cell.Work.WarmOps {
-		t.Fatal("fixed-period work should grow with percentage")
+	for i, p := range frontierPercents[1:] {
+		lo := frontierPercents[i]
+		if cell[rbp(p).Label()].Work.ReconScanned <= cell[rbp(lo).Label()].Work.ReconScanned {
+			t.Errorf("reverse work should grow from %d to %d%%", lo, p)
+		}
+		if cell[fp(p).Label()].Work.WarmOps <= cell[fp(lo).Label()].Work.WarmOps {
+			t.Errorf("fixed-period work should grow from %d to %d%%", lo, p)
+		}
 	}
-	// Accuracy must not degrade from 20% to 100% (more state can only help
-	// at this workload's scale).
-	if rev[1].Cell.RelErr > rev[0].Cell.RelErr+0.01 {
-		t.Fatalf("reverse RE degraded: %v -> %v", rev[0].Cell.RelErr, rev[1].Cell.RelErr)
+	if lo, hi := cell[rbp(20).Label()].RelErr, cell[rbp(100).Label()].RelErr; hi > lo+0.01 {
+		t.Errorf("reverse RE degraded: %v -> %v", lo, hi)
+	}
+
+	fresh := smallLab("twolf")
+	defer fresh.Close()
+	for _, family := range []func(int) warmup.Spec{rbp, fp} {
+		for _, p := range frontierPercents {
+			want, err := fresh.Run("twolf", family(p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := cell[want.Method]
+			if got.AddedErrPct == nil {
+				t.Errorf("%s: unpaired beside S$BP", got.Method)
+			}
+			got.Elapsed, got.AddedErrPct, want.Elapsed = 0, nil, 0
+			if got != want {
+				t.Errorf("frontier cell differs from lab.Run:\n%+v\n%+v", got, want)
+			}
+		}
+	}
+}
+
+// TestPairedAddedErrorZeroForSBP: S$BP paired with itself adds nothing, every
+// other arm of Figure 8 is paired with it and adds something, and Figure 5,
+// which has no S$BP arm, leaves every cell and average unpaired.
+func TestPairedAddedErrorZeroForSBP(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Scale = 0.02
+	cfg.Workloads = []string{"twolf"}
+	lab := NewLab(cfg)
+	defer lab.Close()
+	f8, err := lab.Figure("fig8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range f8.Cells {
+		switch {
+		case c.AddedErrPct == nil:
+			t.Errorf("%s: unpaired beside S$BP", c.Method)
+		case c.Method == sbp.Label() && *c.AddedErrPct != 0:
+			t.Errorf("S$BP adds %v%% over itself", *c.AddedErrPct)
+		case c.Method != sbp.Label() && !(*c.AddedErrPct > 0):
+			t.Errorf("%s adds %v%% over S$BP", c.Method, *c.AddedErrPct)
+		}
+	}
+	if a := f8.Averages[len(f8.Averages)-1]; a.Method != sbp.Label() || a.MeanAddedErrPct == nil || *a.MeanAddedErrPct != 0 {
+		t.Errorf("S$BP average %+v", a)
+	}
+	f5, err := lab.Figure("fig5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range f5.Cells {
+		if c.AddedErrPct != nil {
+			t.Errorf("%s: paired with no S$BP arm: %v", c.Method, *c.AddedErrPct)
+		}
+	}
+	for _, a := range f5.Averages {
+		if a.MeanAddedErrPct != nil {
+			t.Errorf("%s: average paired with no S$BP arm", a.Method)
+		}
+	}
+}
+
+// TestAddedErrRefusesOtherPlacements: clusters pair by position only where
+// they start at the same instruction; a cluster that retired nothing in
+// either run is left out.
+func TestAddedErrRefusesOtherPlacements(t *testing.T) {
+	stat := func(start, instr, cycles uint64) sampling.ClusterStat {
+		return sampling.ClusterStat{Start: start, Result: ooo.Result{Instructions: instr, Cycles: cycles}}
+	}
+	base := []sampling.ClusterStat{stat(0, 100, 100), stat(1000, 100, 200), stat(2000, 0, 0)}
+	got, err := addedErrPct([]sampling.ClusterStat{stat(0, 100, 110), stat(1000, 100, 170), stat(2000, 100, 900)}, base)
+	if want := 100 * (0.1 + 0.3) / (1 + 2); err != nil || math.Abs(got-want) > 1e-12 {
+		t.Fatalf("added error %v, %v; want %v", got, err, want)
+	}
+	if _, err := addedErrPct([]sampling.ClusterStat{stat(0, 100, 110), stat(1500, 100, 170), stat(2000, 0, 0)}, base); err == nil {
+		t.Fatal("clusters starting at different instructions were paired")
+	}
+	if _, err := addedErrPct(base[:2], base); err == nil {
+		t.Fatal("runs of different cluster counts were paired")
 	}
 }
 
@@ -259,7 +358,7 @@ func TestPaperDesignIsOneJob(t *testing.T) {
 	cfg.Workloads = []string{"twolf"}
 	lab := NewLab(cfg)
 	defer lab.Close()
-	fig, err := lab.Figure7()
+	fig, err := lab.Figure("fig7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +380,11 @@ func TestPaperDesignIsOneJob(t *testing.T) {
 	if named.Strategy != regimen.PaperDesign || ref.CIRel <= 0 || ref.Regions == 0 {
 		t.Fatalf("head-to-head's first cell %+v, Figure 7's reference %+v", named, ref)
 	}
-	named.Strategy = ""
+	// Figure 7 pairs the run with its S$BP arm; the head-to-head has none.
+	if named.AddedErrPct != nil || ref.AddedErrPct == nil {
+		t.Fatalf("pairing: head-to-head %v, Figure 7 %v", named.AddedErrPct, ref.AddedErrPct)
+	}
+	named.Strategy, ref.AddedErrPct = "", nil
 	if named != ref {
 		t.Fatalf("one job, two cells:\nhead-to-head %+v\nFigure 7     %+v", named, ref)
 	}

@@ -19,15 +19,15 @@ func WriteJSON(w io.Writer, v any) error {
 	return enc.Encode(v)
 }
 
-// WriteCellsCSV flattens cells to CSV: every cell table — the figures, the
-// appendix, Figure 9 and the strategy head-to-head — shares one header.
+// WriteCellsCSV flattens cells to CSV: every cell table — the figures and the
+// frontier, the appendix, Figure 9 and the head-to-head — shares one header.
 func WriteCellsCSV(w io.Writer, cells []Cell) error {
 	cw := csv.NewWriter(w)
 	header := []string{
 		"workload", "method", "true_ipc", "estimate", "rel_err", "confident",
 		"elapsed_ns", "warm_ops", "logged_records", "recon_scanned", "recon_applied",
 		"hot_instructions", "func_instructions",
-		"strategy", "ci_rel", "regions", "profile_instructions", "selection_ns",
+		"strategy", "ci_rel", "regions", "profile_instructions", "selection_ns", "added_err_pct",
 	}
 	if err := cw.Write(header); err != nil {
 		return err
@@ -47,7 +47,10 @@ func WriteCellsCSV(w io.Writer, cells []Cell) error {
 			c.Strategy, fmtF(c.CIRel),
 			strconv.Itoa(c.Regions),
 			strconv.FormatUint(c.ProfileInstructions, 10),
-			strconv.FormatInt(c.Selection.Nanoseconds(), 10),
+			strconv.FormatInt(c.Selection.Nanoseconds(), 10), "",
+		}
+		if c.AddedErrPct != nil { // an unpaired cell leaves the column empty
+			rec[len(rec)-1] = fmtF(*c.AddedErrPct)
 		}
 		if err := cw.Write(rec); err != nil {
 			return err

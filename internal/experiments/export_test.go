@@ -23,7 +23,7 @@ func sampleCells() []Cell {
 
 const cellsCSVHeader = "workload,method,true_ipc,estimate,rel_err,confident,elapsed_ns,warm_ops,logged_records," +
 	"recon_scanned,recon_applied,hot_instructions,func_instructions," +
-	"strategy,ci_rel,regions,profile_instructions,selection_ns"
+	"strategy,ci_rel,regions,profile_instructions,selection_ns,added_err_pct"
 
 // checkCellsCSV writes cells with WriteCellsCSV and checks the shared header,
 // one record per cell, and the {column, value} pairs want holds for each row.
@@ -65,8 +65,15 @@ func TestWriteCellsCSV(t *testing.T) {
 			RelErr: 0.09, CIRel: 0.031, Confident: true, Regions: 50, ProfileInstructions: 991611},
 	}
 	checkCellsCSV(t, "figure", sampleCells(), [][]string{
-		{"method", "None", "confident", "false", "strategy", "", "ci_rel", "0.000000"},
+		{"method", "None", "confident", "false", "strategy", "", "ci_rel", "0.000000", "added_err_pct", ""},
 		{"method", "S$BP", "confident", "true", "elapsed_ns", "4000000000"},
+	})
+	paired := sampleCells()
+	added, zero := 24.5, 0.0
+	paired[0].AddedErrPct, paired[1].AddedErrPct = &added, &zero
+	checkCellsCSV(t, "paired", paired, [][]string{
+		{"method", "None", "added_err_pct", "24.500000"},
+		{"method", "S$BP", "added_err_pct", "0.000000"},
 	})
 	checkCellsCSV(t, "strategies", strategies, [][]string{
 		{"strategy", "ranked-set", "ci_rel", "0.031000", "confident", "true", "regions", "50",
@@ -91,12 +98,14 @@ func TestWriteFigure9CSV(t *testing.T) {
 }
 
 // TestAverageBy: groups keep first-appearance order and every mean is over
-// its own group's cells.
+// its own group's cells; the added error over its paired cells only, and
+// a group with none stays unpaired.
 func TestAverageBy(t *testing.T) {
+	added := 1.5
 	cells := []Cell{
 		{Method: "R$BP (20%)", Strategy: "two-phase-stratified", RelErr: 0.01, CIRel: 0.02, Confident: true,
 			Elapsed: 3 * time.Second, Selection: time.Second, HotInstructions: 100, ProfileInstructions: 1000,
-			Work: warmup.Work{ReconScanned: 10, ReconApplied: 4}},
+			Work: warmup.Work{ReconScanned: 10, ReconApplied: 4}, AddedErrPct: &added},
 		{Method: "R$BP (20%)", Strategy: "ranked-set", RelErr: 0.05, Elapsed: time.Second},
 		{Method: "R$BP (20%)", Strategy: "two-phase-stratified", RelErr: 0.03, CIRel: 0.04,
 			Elapsed: 5 * time.Second, Selection: 3 * time.Second, HotInstructions: 300, ProfileInstructions: 3000,
@@ -106,7 +115,7 @@ func TestAverageBy(t *testing.T) {
 	want := []MethodAverage{
 		{Method: "two-phase-stratified", MeanRelErr: (0.01 + 0.03) / 2, MeanCIRel: (0.02 + 0.04) / 2, ConfidentShare: 0.5,
 			MeanTime: 4 * time.Second, MeanSelection: 2 * time.Second, MeanWarmOps: 4, MeanReconOps: 8,
-			MeanHotInstr: 200, MeanProfileInstr: 2000},
+			MeanHotInstr: 200, MeanProfileInstr: 2000, MeanAddedErrPct: &added},
 		{Method: "ranked-set", MeanRelErr: 0.05, MeanTime: time.Second},
 	}
 	if !reflect.DeepEqual(got, want) {

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"slices"
 	"time"
 
 	"rsr/internal/regimen"
@@ -44,6 +46,7 @@ func (l *Lab) Table1() ([]Table1Row, error) {
 
 // FigureResult bundles the cells and method averages of one figure.
 type FigureResult struct {
+	ID       string // the rsr command that prints it
 	Title    string
 	Cells    []Cell
 	Averages []MethodAverage
@@ -51,61 +54,79 @@ type FigureResult struct {
 
 // figure runs a figure's arms and bundles the cells with their per-label
 // averages.
-func (l *Lab) figure(title string, arms []arm) (*FigureResult, error) {
+func (l *Lab) figure(id, title string, arms []arm) (*FigureResult, error) {
 	cells, err := l.runArms(arms)
 	if err != nil {
 		return nil, err
 	}
-	return &FigureResult{Title: title, Cells: cells, Averages: averageBy(cells, byMethod)}, nil
+	return &FigureResult{ID: id, Title: title, Cells: cells, Averages: averageBy(cells, byMethod)}, nil
 }
 
-// Figure5 compares cache-only warm-up: Reverse Trace Cache Reconstruction at
-// 20/40/80/100% against SMARTS cache warming.
-func (l *Lab) Figure5() (*FigureResult, error) {
-	return l.figure("Figure 5: cache warm-up only", l.matrix([]warmup.Spec{
+// rbp, fp and sbp are the cache-and-predictor specs of reverse
+// reconstruction, fixed-period warming and SMARTS.
+func rbp(p int) warmup.Spec {
+	return warmup.Spec{Kind: warmup.KindReverse, Percent: p, Cache: true, BPred: true}
+}
+func fp(p int) warmup.Spec {
+	return warmup.Spec{Kind: warmup.KindFixed, Percent: p, Cache: true, BPred: true}
+}
+
+var sbp = warmup.Spec{Kind: warmup.KindSMARTS, Cache: true, BPred: true}
+
+// figures is every figure that crosses the lab's workloads with a list of
+// warm-up specs: its rsr command, its title and its specs.
+var figures = []struct {
+	id, title string
+	specs     []warmup.Spec
+}{
+	{"fig5", "Figure 5: cache warm-up only", []warmup.Spec{
 		{Kind: warmup.KindReverse, Percent: 20, Cache: true},
 		{Kind: warmup.KindReverse, Percent: 40, Cache: true},
 		{Kind: warmup.KindReverse, Percent: 80, Cache: true},
 		{Kind: warmup.KindReverse, Percent: 100, Cache: true},
 		{Kind: warmup.KindSMARTS, Cache: true},
-	}))
-}
-
-// Figure6 compares branch-predictor-only warm-up: reverse reconstruction
-// against SMARTS predictor warming.
-func (l *Lab) Figure6() (*FigureResult, error) {
-	return l.figure("Figure 6: branch prediction warm-up only", l.matrix([]warmup.Spec{
+	}},
+	{"fig6", "Figure 6: branch prediction warm-up only", []warmup.Spec{
 		{Kind: warmup.KindReverse, Percent: 100, BPred: true},
 		{Kind: warmup.KindSMARTS, BPred: true},
-	}))
+	}},
+	{"fig7", "Figure 7: cache and branch prediction warm-up", []warmup.Spec{
+		rbp(20), rbp(40), rbp(80), rbp(100), fp(20), fp(40), fp(80), {Kind: warmup.KindNone}, sbp,
+	}},
+	{"fig8", "Figure 8: Reverse State Reconstruction vs SMARTS (per benchmark)", []warmup.Spec{
+		rbp(20), rbp(40), rbp(80), rbp(100), sbp,
+	}},
+	{"frontier", "Frontier: R$BP and FP at 5-100% beside every Table 2 method", frontierSpecs()},
 }
 
-// Figure7 compares combined cache+predictor warm-up: R$BP percentages,
-// fixed-period percentages, no warm-up, and SMARTS.
-func (l *Lab) Figure7() (*FigureResult, error) {
-	return l.figure("Figure 7: cache and branch prediction warm-up", l.matrix([]warmup.Spec{
-		{Kind: warmup.KindReverse, Percent: 20, Cache: true, BPred: true},
-		{Kind: warmup.KindReverse, Percent: 40, Cache: true, BPred: true},
-		{Kind: warmup.KindReverse, Percent: 80, Cache: true, BPred: true},
-		{Kind: warmup.KindReverse, Percent: 100, Cache: true, BPred: true},
-		{Kind: warmup.KindFixed, Percent: 20, Cache: true, BPred: true},
-		{Kind: warmup.KindFixed, Percent: 40, Cache: true, BPred: true},
-		{Kind: warmup.KindFixed, Percent: 80, Cache: true, BPred: true},
-		{Kind: warmup.KindNone},
-		{Kind: warmup.KindSMARTS, Cache: true, BPred: true},
-	}))
+// frontierPercents are the frontier's warm-up windows.
+var frontierPercents = []int{5, 10, 20, 30, 40, 60, 80, 100}
+
+// frontierSpecs is R$BP at every frontier percentage, then FP, then the rest
+// of the warm-up method matrix: one spec, and so one label, per arm.
+func frontierSpecs() []warmup.Spec {
+	var specs []warmup.Spec
+	for _, family := range []func(int) warmup.Spec{rbp, fp} {
+		for _, p := range frontierPercents {
+			specs = append(specs, family(p))
+		}
+	}
+	for _, s := range warmup.Matrix() {
+		if !slices.Contains(specs, s) {
+			specs = append(specs, s)
+		}
+	}
+	return specs
 }
 
-// Figure8 reports the per-benchmark detail of Reverse State Reconstruction
-// versus SMARTS (both warming cache and predictor).
-func (l *Lab) Figure8() (*FigureResult, error) {
-	return l.figure("Figure 8: Reverse State Reconstruction vs SMARTS (per benchmark)", l.matrix([]warmup.Spec{
-		{Kind: warmup.KindReverse, Percent: 20, Cache: true, BPred: true},
-		{Kind: warmup.KindReverse, Percent: 40, Cache: true, BPred: true},
-		{Kind: warmup.KindReverse, Percent: 80, Cache: true, BPred: true},
-		{Kind: warmup.KindReverse, Percent: 100, Cache: true, BPred: true},
-		{Kind: warmup.KindSMARTS, Cache: true, BPred: true},
-	}))
+// Figure runs the spec-matrix figure id: fig5, fig6, fig7, fig8 or frontier.
+func (l *Lab) Figure(id string) (*FigureResult, error) {
+	for _, f := range figures {
+		if f.id == id {
+			return l.figure(f.id, f.title, l.matrix(f.specs))
+		}
+	}
+	return nil, fmt.Errorf("experiments: no figure %q", id)
 }
 
 // Figure9 regenerates the SimPoint comparison: a small interval size (the
@@ -124,16 +145,15 @@ func (l *Lab) Figure9() (*FigureResult, error) {
 			small = 1000
 		}
 	}
-	smarts := warmup.Spec{Kind: warmup.KindSMARTS, Cache: true, BPred: true}
 	configs := []struct {
 		label    string
 		interval uint64
 		warm     warmup.Spec
 	}{
 		{"50K", small, warmup.Spec{}},
-		{"50K-SMARTS", small, smarts},
+		{"50K-SMARTS", small, sbp},
 		{"10M", large, warmup.Spec{}},
-		{"10M-SMARTS", large, smarts},
+		{"10M-SMARTS", large, sbp},
 	}
 	reference := strategyWarmup()
 	var arms []arm
@@ -144,39 +164,7 @@ func (l *Lab) Figure9() (*FigureResult, error) {
 		}
 		arms = append(arms, arm{reference.Label(), l.sampledJob(name, reference)})
 	}
-	return l.figure("Figure 9: SimPoint comparison", arms)
-}
-
-// SweepPoint is one (percent, method-family) measurement of the warm-up
-// percentage sweep.
-type SweepPoint struct {
-	Percent int
-	Cell    Cell
-}
-
-// Sweep traces the accuracy/cost curve of Reverse State Reconstruction and
-// fixed-period warming over a fine percentage grid on one workload — the
-// continuous version of the paper's 20/40/80 sampling of the curve, exposing
-// where the knee sits.
-func (l *Lab) Sweep(name string, percents []int) (reverse, fixed []SweepPoint, err error) {
-	if len(percents) == 0 {
-		percents = []int{5, 10, 20, 30, 40, 60, 80, 100}
-	}
-	var arms []arm
-	for _, p := range percents {
-		rev := warmup.Spec{Kind: warmup.KindReverse, Percent: p, Cache: true, BPred: true}
-		fp := warmup.Spec{Kind: warmup.KindFixed, Percent: p, Cache: true, BPred: true}
-		arms = append(arms, arm{rev.Label(), l.sampledJob(name, rev)}, arm{fp.Label(), l.sampledJob(name, fp)})
-	}
-	cells, err := l.runArms(arms)
-	if err != nil {
-		return nil, nil, err
-	}
-	for i, p := range percents {
-		reverse = append(reverse, SweepPoint{Percent: p, Cell: cells[2*i]})
-		fixed = append(fixed, SweepPoint{Percent: p, Cell: cells[2*i+1]})
-	}
-	return reverse, fixed, nil
+	return l.figure("fig9", "Figure 9: SimPoint comparison", arms)
 }
 
 // Appendix runs the full Table 2 method matrix and returns every cell; the

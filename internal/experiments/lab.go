@@ -1,17 +1,17 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§5): the true-IPC/regimen table, the warm-up method matrix,
 // the cache-only, predictor-only, and combined warm-up comparisons, the
-// per-benchmark Reverse-vs-SMARTS detail, the SimPoint comparison, and the
+// per-benchmark Reverse-vs-SMARTS detail, the SimPoint comparison, the
 // appendix (confidence tests, relative error, and time per workload and
-// method). Absolute wall-clock values are machine-dependent; relative
-// orderings and the deterministic work counters carry the paper's story.
+// method), and the warm-up frontier scored by paired added error. Absolute
+// wall-clock values are machine-dependent; relative orderings and the
+// deterministic work counters carry the paper's story.
 package experiments
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"rsr/internal/engine"
@@ -87,13 +87,6 @@ func (c Config) workloadNames() []string {
 		return c.Workloads
 	}
 	return workload.Names()
-}
-
-func (c Config) parallelism() int {
-	if c.Parallelism > 0 {
-		return c.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // baseTotal is the reference dynamic length per workload (the stand-in for
@@ -178,7 +171,7 @@ func NewLab(cfg Config) *Lab {
 		return l
 	}
 	l.eng = engine.New(engine.Options{
-		Workers:  cfg.parallelism(),
+		Workers:  cfg.Parallelism,
 		CacheDir: cfg.CacheDir,
 		Metrics:  cfg.Metrics,
 		Tracer:   cfg.Tracer,
@@ -186,9 +179,6 @@ func NewLab(cfg Config) *Lab {
 	l.run = localRunner{l.eng}
 	return l
 }
-
-// Config returns the lab's configuration.
-func (l *Lab) Config() Config { return l.cfg }
 
 // Engine returns the lab's local scheduler, e.g. for stats reporting or
 // event subscriptions; nil when a Config.Runner executes jobs elsewhere.
@@ -262,33 +252,38 @@ type Cell struct {
 	HotInstructions     uint64
 	FuncInstructions    uint64
 	ProfileInstructions uint64 `json:",omitempty"`
+	// AddedErrPct is the error the arm's warm-up adds over S$BP's on the same
+	// clusters (addedErrPct); nil when the figure has no S$BP arm of its job.
+	AddedErrPct *float64 `json:",omitempty"`
 }
 
 // score is the one reader of a sampled job's result: it scores the arm's run
 // — of the paper's design (Sampled) or of a registered strategy (Outcome) —
-// against a known true IPC. The cell's Strategy is the name the arm's job
-// carries, so the paper's design is "stratified-uniform" where an arm names it.
-func score(a arm, trueIPC float64, res *engine.Result) Cell {
+// against a known true IPC and returns its clusters for pairing. The cell's
+// Strategy is the name the arm's job carries, so the paper's design is
+// "stratified-uniform" where an arm names it.
+func score(a arm, trueIPC float64, res *engine.Result) (Cell, []sampling.ClusterStat) {
 	c := Cell{Workload: a.job.Workload, Method: a.label, Strategy: a.job.Strategy, TrueIPC: trueIPC, Selection: res.Selection}
 	var ci stats.Interval
+	var clusters []sampling.ClusterStat
 	if s := res.Sampled; s != nil {
 		ci = s.CI()
 		c.Estimate, c.Confident = s.IPCEstimate(), s.ConfidenceContains(trueIPC)
-		c.Elapsed, c.Work, c.Regions = s.Elapsed, s.Work, len(s.Clusters)
+		c.Elapsed, c.Work, clusters = s.Elapsed, s.Work, s.Clusters
 		c.HotInstructions, c.FuncInstructions = s.HotInstructions, s.FuncInstructions
 	} else {
 		out := res.Outcome
 		ci = out.Estimate.CI
 		c.Estimate, c.Confident = out.Estimate.IPC, out.Estimate.Confident(trueIPC)
-		c.Elapsed, c.Work, c.Regions = out.Elapsed, out.Work, len(out.Clusters)
+		c.Elapsed, c.Work, clusters = out.Elapsed, out.Work, out.Clusters
 		c.HotInstructions, c.FuncInstructions = out.HotInstructions, out.FuncInstructions
 		c.ProfileInstructions = out.Plan.ProfileInstructions
 	}
-	c.RelErr = stats.RelErr(c.Estimate, trueIPC)
+	c.RelErr, c.Regions = stats.RelErr(c.Estimate, trueIPC), len(clusters)
 	if ci.Mean != 0 {
 		c.CIRel = math.Abs(ci.Err / ci.Mean)
 	}
-	return c
+	return c, clusters
 }
 
 // arm is one sampled job of a figure and the label its cell carries.
@@ -318,10 +313,52 @@ func (l *Lab) runArms(arms []arm) ([]Cell, error) {
 		return nil, err
 	}
 	cells := make([]Cell, len(arms))
+	clusters := make([][]sampling.ClusterStat, len(arms))
+	byJob := map[engine.Job]int{}
 	for i, a := range arms {
-		cells[i] = score(a, results[full[a.job.Workload]].Full.Result.IPC(), results[first+i])
+		cells[i], clusters[i] = score(a, results[full[a.job.Workload]].Full.Result.IPC(), results[first+i])
+		byJob[a.job] = i
+	}
+	// An arm pairs with the S$BP arm of its job: equal but for the warm-up.
+	for i, a := range arms {
+		pair := a.job
+		pair.Warmup = sbp
+		if b, ok := byJob[pair]; ok {
+			pct, err := addedErrPct(clusters[i], clusters[b])
+			if err != nil {
+				return nil, fmt.Errorf("experiments: %s: %w", a.job.Label(), err)
+			}
+			cells[i].AddedErrPct = &pct
+		}
 	}
 	return cells, nil
+}
+
+// addedErrPct is the paper's measure of a warm-up method, the error it adds
+// over full warming on the same clusters (sampling error cancels in it): mean
+// |CPI(run) − CPI(base)| over the clusters that retired something in both, in
+// percent of base's mean CPI there. Clusters pair by position and must start
+// at the same instruction; other placements are refused, never guessed at.
+func addedErrPct(run, base []sampling.ClusterStat) (float64, error) {
+	if len(run) != len(base) {
+		return 0, fmt.Errorf("pairing %d clusters with %d", len(run), len(base))
+	}
+	var diff, sum float64
+	for i, c := range run {
+		if c.Start != base[i].Start {
+			return 0, fmt.Errorf("cluster %d starts at %d, its pair at %d", i, c.Start, base[i].Start)
+		}
+		a, okA := c.CPI()
+		b, okB := base[i].CPI()
+		if okA && okB {
+			diff += math.Abs(a - b)
+			sum += b
+		}
+	}
+	if sum == 0 {
+		return 0, fmt.Errorf("no cluster retired instructions in both runs")
+	}
+	return 100 * diff / sum, nil
 }
 
 // Run executes one sampled simulation and scores it against the true IPC.
@@ -391,13 +428,15 @@ type MethodAverage struct {
 	MeanReconOps     float64
 	MeanHotInstr     float64
 	MeanProfileInstr float64
+	// MeanAddedErrPct averages the group's paired cells; nil if none is.
+	MeanAddedErrPct *float64 `json:",omitempty"`
 }
 
 // averageBy groups cells by key, in first-appearance order, and averages
 // each group.
 func averageBy(cells []Cell, key func(Cell) string) []MethodAverage {
 	var out []MethodAverage
-	var n []float64 // cells per group
+	var n, np, added []float64 // per group: cells, paired cells, their added error
 	index := map[string]int{}
 	for _, c := range cells {
 		k := key(c)
@@ -406,7 +445,7 @@ func averageBy(cells []Cell, key func(Cell) string) []MethodAverage {
 			i = len(out)
 			index[k] = i
 			out = append(out, MethodAverage{Method: k})
-			n = append(n, 0)
+			n, np, added = append(n, 0), append(np, 0), append(added, 0)
 		}
 		n[i]++
 		a := &out[i]
@@ -421,6 +460,10 @@ func averageBy(cells []Cell, key func(Cell) string) []MethodAverage {
 		a.MeanReconOps += float64(c.Work.ReconScanned + c.Work.ReconApplied)
 		a.MeanHotInstr += float64(c.HotInstructions)
 		a.MeanProfileInstr += float64(c.ProfileInstructions)
+		if c.AddedErrPct != nil {
+			added[i] += *c.AddedErrPct
+			np[i]++
+		}
 	}
 	for i := range out {
 		a, k := &out[i], n[i]
@@ -433,6 +476,10 @@ func averageBy(cells []Cell, key func(Cell) string) []MethodAverage {
 		a.MeanReconOps /= k
 		a.MeanHotInstr /= k
 		a.MeanProfileInstr /= k
+		if np[i] > 0 {
+			mean := added[i] / np[i]
+			a.MeanAddedErrPct = &mean
+		}
 	}
 	return out
 }

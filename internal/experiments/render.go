@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 )
@@ -21,47 +21,52 @@ func RenderTable1(rows []Table1Row) string {
 }
 
 // Render formats a figure: the method-average summary followed by the
-// per-workload relative-error detail.
+// per-workload relative-error detail. The frontier also reports each
+// method's paired added error over S$BP.
 func (f *FigureResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", f.Title)
-	fmt.Fprintf(&b, "%-12s %12s %12s %14s %14s\n",
-		"method", "avg RE", "avg time", "warm ops", "recon ops")
-	for _, a := range f.Averages {
-		fmt.Fprintf(&b, "%-12s %11.2f%% %12s %14.0f %14.0f\n",
-			a.Method, 100*a.MeanRelErr, roundDur(a.MeanTime), a.MeanWarmOps, a.MeanReconOps)
+	if f.ID == "frontier" {
+		b.WriteString("added err: mean per-cluster |CPI - CPI(S$BP)| on the same clusters, % of S$BP's mean cluster CPI\n" +
+			"times are the engine's: replayed where the trace store holds the placement (it refuses mcf's, so mcf runs fresh)\n")
+		fmt.Fprintf(&b, "%-12s %12s %12s %12s %14s %14s\n",
+			"method", "added err", "avg RE", "avg time", "warm ops", "recon ops")
+		for _, a := range f.Averages {
+			fmt.Fprintf(&b, "%-12s %12s %11.2f%% %12s %14.0f %14.0f\n", a.Method, fmtPct(a.MeanAddedErrPct),
+				100*a.MeanRelErr, roundDur(a.MeanTime), a.MeanWarmOps, a.MeanReconOps)
+		}
+		b.WriteString("\nper-workload paired added error (%):\n")
+		b.WriteString(renderCellGrid(f.Cells, func(c Cell) string { return fmtPct(c.AddedErrPct) }))
+	} else {
+		fmt.Fprintf(&b, "%-12s %12s %12s %14s %14s\n",
+			"method", "avg RE", "avg time", "warm ops", "recon ops")
+		for _, a := range f.Averages {
+			fmt.Fprintf(&b, "%-12s %11.2f%% %12s %14.0f %14.0f\n",
+				a.Method, 100*a.MeanRelErr, roundDur(a.MeanTime), a.MeanWarmOps, a.MeanReconOps)
+		}
 	}
 	b.WriteString("\nper-workload relative error:\n")
-	b.WriteString(renderCellGrid(f.Cells, func(c Cell) string {
-		return fmt.Sprintf("%.4f", c.RelErr)
-	}))
+	b.WriteString(renderCellGrid(f.Cells, relErr))
 	b.WriteString("\nper-workload time:\n")
-	b.WriteString(renderCellGrid(f.Cells, func(c Cell) string {
-		return roundDur(c.Elapsed)
-	}))
+	b.WriteString(renderCellGrid(f.Cells, elapsed))
 	return b.String()
 }
 
-// renderCellGrid prints methods as rows and workloads as columns.
+// renderCellGrid prints methods as rows, in first-appearance order, and
+// workloads as columns, sorted.
 func renderCellGrid(cells []Cell, val func(Cell) string) string {
-	methods := []string{}
-	workloads := []string{}
-	seenM := map[string]bool{}
-	seenW := map[string]bool{}
-	grid := map[string]map[string]string{}
+	var methods, workloads []string
+	grid := map[[2]string]string{} // {method, workload} → value
 	for _, c := range cells {
-		if !seenM[c.Method] {
-			seenM[c.Method] = true
+		if !slices.Contains(methods, c.Method) {
 			methods = append(methods, c.Method)
-			grid[c.Method] = map[string]string{}
 		}
-		if !seenW[c.Workload] {
-			seenW[c.Workload] = true
+		if !slices.Contains(workloads, c.Workload) {
 			workloads = append(workloads, c.Workload)
 		}
-		grid[c.Method][c.Workload] = val(c)
+		grid[[2]string{c.Method, c.Workload}] = val(c)
 	}
-	sort.Strings(workloads)
+	slices.Sort(workloads)
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-12s", "")
@@ -72,7 +77,7 @@ func renderCellGrid(cells []Cell, val func(Cell) string) string {
 	for _, m := range methods {
 		fmt.Fprintf(&b, "%-12s", m)
 		for _, w := range workloads {
-			fmt.Fprintf(&b, " %9s", grid[m][w])
+			fmt.Fprintf(&b, " %9s", grid[[2]string{m, w}])
 		}
 		b.WriteString("\n")
 	}
@@ -137,14 +142,22 @@ func RenderAppendix(cells []Cell) string {
 		return "no"
 	}))
 	b.WriteString("\nAppendix: relative error\n")
-	b.WriteString(renderCellGrid(cells, func(c Cell) string {
-		return fmt.Sprintf("%.4f", c.RelErr)
-	}))
+	b.WriteString(renderCellGrid(cells, relErr))
 	b.WriteString("\nAppendix: time\n")
-	b.WriteString(renderCellGrid(cells, func(c Cell) string {
-		return roundDur(c.Elapsed)
-	}))
+	b.WriteString(renderCellGrid(cells, elapsed))
 	return b.String()
+}
+
+// relErr and elapsed are the grid cells of the relative-error and time grids.
+func relErr(c Cell) string  { return fmt.Sprintf("%.4f", c.RelErr) }
+func elapsed(c Cell) string { return roundDur(c.Elapsed) }
+
+// fmtPct prints a paired added error, or "-" for an unpaired one.
+func fmtPct(p *float64) string {
+	if p == nil {
+		return "-"
+	}
+	return fmt.Sprintf("%.2f%%", *p)
 }
 
 func roundDur(d time.Duration) string {

@@ -144,6 +144,7 @@ type loopOutcome struct {
 	Updates bpred.UpdateCounts
 	Hier    mem.HierarchyState
 	Pred    bpred.UnitState
+	Err     error // the Sim.Err that ended a region early, if any
 }
 
 // runLoop times the given regions back to back on one Sim over a fresh
@@ -155,6 +156,9 @@ func runLoop(cfg Config, regions []uint64, src Source, loop func(*Sim, uint64, S
 	var out loopOutcome
 	for _, n := range regions {
 		out.Results = append(out.Results, loop(sim, n, src))
+		if out.Err = sim.Err(); out.Err != nil {
+			break
+		}
 	}
 	out.Caches = [3]mem.Stats{h.L1I.Stats(), h.L1D.Stats(), h.L2.Stats()}
 	out.Buses = [2]mem.BusStats{h.L1Bus.Stats(), h.MemBus.Stats()}
@@ -170,6 +174,10 @@ func runLoop(cfg Config, regions []uint64, src Source, loop func(*Sim, uint64, S
 func checkLoops(t *testing.T, label string, cfg Config, regions []uint64, mkSrc func() Source) {
 	t.Helper()
 	got := runLoop(cfg, regions, mkSrc(), (*Sim).SimulateSource)
+	if got.Err != nil {
+		t.Errorf("%s (cfg %+v): %v", label, cfg, got.Err)
+		return
+	}
 	want := runLoop(cfg, regions, mkSrc(), (*Sim).simulateEveryCycle)
 	if reflect.DeepEqual(got, want) {
 		return

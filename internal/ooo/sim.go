@@ -1,6 +1,8 @@
 package ooo
 
 import (
+	"errors"
+	"fmt"
 	"math/bits"
 
 	"rsr/internal/bpred"
@@ -111,7 +113,13 @@ type Sim struct {
 	curIdx int
 
 	res Result
+	err error // why the last SimulateSource stopped short (ErrNoProgress)
 }
+
+// ErrNoProgress ends a region whose machine can never move again: a cycle in
+// which no stage moved and no event is pending. A valid model never reaches
+// it; a scheduler fault such as a lost wake does, and would otherwise spin.
+var ErrNoProgress = errors.New("ooo: no progress")
 
 // Source supplies committed dynamic instructions to the timing model in
 // batches. Fill returns the next batch, at most max records (the caller's
@@ -145,6 +153,7 @@ func New(cfg Config, hier *mem.Hierarchy, pred bpred.Predictor) *Sim {
 // last retire. A cycle in which no stage moves is followed by the next event
 // (nextEvent) rather than the next cycle; the skipped cycles could have moved
 // nothing either, so every result is the one stepping each cycle would give.
+// A cycle with no next event ends the region early with ErrNoProgress (Err).
 func (s *Sim) SimulateSource(n uint64, src Source) Result {
 	s.reset()
 	s.src = src
@@ -162,7 +171,12 @@ func (s *Sim) SimulateSource(n uint64, src Source) Result {
 			break
 		}
 		if moved == 0 {
-			s.cycle = s.nextEvent()
+			next := s.nextEvent()
+			if next == never {
+				s.err = s.noProgress()
+				break
+			}
+			s.cycle = next
 		} else {
 			s.cycle++
 		}
@@ -174,18 +188,33 @@ func (s *Sim) SimulateSource(n uint64, src Source) Result {
 	return s.res
 }
 
+// Err reports why the last SimulateSource ended short of its budget and its
+// stream: nil, or ErrNoProgress wrapped with the cycle, the ROB head and the
+// issue-queue depth at which the machine stopped.
+func (s *Sim) Err() error { return s.err }
+
+// noProgress builds the wedged region's error, off the per-cycle path.
+func (s *Sim) noProgress() error {
+	return fmt.Errorf("%w: cycle %d, ROB head seq %d, %d in the ROB, IQ depth %d",
+		ErrNoProgress, s.cycle, s.headSeq, s.count, len(s.iq))
+}
+
+// never is nextEvent's answer when no event is pending.
+const never = ^uint64(0)
+
 // nextEvent returns the first cycle after the current one at which a stage
-// can move, for a cycle in which none did. Time alone changes what the stages
-// read at four kinds of event: an issued instruction completes (retire reads
-// the head's doneCycle, select an entry's readyAt, its producers' latest),
-// the fetch-queue head clears the front end (dispatch), a branch resolves
-// and frees its checkpoint, and a fetch stall ends (fetch). Everything else changes only when a stage moves.
+// can move, for a cycle in which none did, or never if there is none. Time
+// alone changes what the stages read at four kinds of event: an issued
+// instruction completes (retire reads the head's doneCycle, select an entry's
+// readyAt, its producers' latest), the fetch-queue head clears the front end
+// (dispatch), a branch resolves and frees its checkpoint, and a fetch stall
+// ends (fetch). Everything else changes only when a stage moves.
 // A branch resolves at its own doneCycle and cannot retire before it, so the
 // ROB scan covers the third kind; a time-dependent condition added to a stage
 // must add its event here.
 func (s *Sim) nextEvent() uint64 {
 	now := s.cycle
-	next := sooner(^uint64(0), now, s.fetchResumeAt)
+	next := sooner(never, now, s.fetchResumeAt)
 	if s.fqCount > 0 {
 		next = sooner(next, now, s.rob[wrap(s.head+s.count, len(s.rob))].fetchReady+s.cfg.FrontEndDelay)
 	}
@@ -193,9 +222,6 @@ func (s *Sim) nextEvent() uint64 {
 	for k, pos := 0, s.head; k < s.count && next > now+1; k++ {
 		next = sooner(next, now, s.rob[pos].doneCycle)
 		pos = wrap(pos+1, len(s.rob))
-	}
-	if next == ^uint64(0) {
-		return now + 1 // nothing pending: step, as a stalled machine would
 	}
 	return next
 }
@@ -235,6 +261,7 @@ func (s *Sim) reset() {
 	s.blockedOnSeq = 0
 	s.haveFetchLine = false
 	s.res = Result{}
+	s.err = nil
 }
 
 // fetch pulls up to FetchWidth instructions this cycle, honouring the

@@ -1,7 +1,9 @@
 package ooo
 
 import (
+	"errors"
 	"testing"
+	"time"
 
 	"rsr/internal/bpred"
 	"rsr/internal/isa"
@@ -490,5 +492,51 @@ func TestConfigValidate(t *testing.T) {
 	// The largest ring's last position, as a wake node, stays below noLink.
 	if last := 2*maxSize - 1; last<<1|1 >= int(noLink) {
 		t.Errorf("ring position %d overflows the wake links", last)
+	}
+}
+
+// losingSource feeds insts in batches of four and, at the first Fill that
+// finds an entry waiting in the issue queue, loses a wake: it counts one more
+// producer against that entry, as a dropped wake-list node would, so the
+// entry can never issue.
+type losingSource struct {
+	sim   *Sim
+	insts []trace.DynInst
+	lost  bool
+}
+
+func (l *losingSource) Fill(max uint64) []trace.DynInst {
+	if s := l.sim; !l.lost && len(s.iq) > 0 {
+		s.rob[s.iq[0]].pending++
+		s.iqAt[0] = never
+		l.lost = true
+	}
+	k := min(4, max, uint64(len(l.insts)))
+	out := l.insts[:k]
+	l.insts = l.insts[k:]
+	return out
+}
+
+// TestLostWakeEndsWithErrNoProgress: a machine that can never move again ends
+// its region with ErrNoProgress within a second instead of spinning, and the
+// next region on the same Sim starts clean.
+func TestLostWakeEndsWithErrNoProgress(t *testing.T) {
+	insts := linear(5000, func(i int) trace.DynInst {
+		return trace.DynInst{Op: isa.OpAdd, Rd: uint8(1 + i%30), Rs1: uint8(1 + (i+29)%30)}
+	})
+	s := newSim()
+	done := make(chan Result, 1)
+	go func() { done <- s.SimulateSource(uint64(len(insts)), &losingSource{sim: s, insts: insts}) }()
+	var r Result
+	select {
+	case r = <-done:
+	case <-time.After(time.Second):
+		t.Fatal("a machine with a lost wake still runs after 1 s")
+	}
+	if err := s.Err(); !errors.Is(err, ErrNoProgress) || r.Instructions >= uint64(len(insts)) {
+		t.Fatalf("lost wake: err %v after %d of %d instructions", err, r.Instructions, len(insts))
+	}
+	if r := s.Simulate(uint64(len(insts)), streamOf(insts)); s.Err() != nil || r.Instructions != uint64(len(insts)) {
+		t.Fatalf("region after the wedge: %d instructions, err %v", r.Instructions, s.Err())
 	}
 }

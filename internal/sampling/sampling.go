@@ -17,6 +17,7 @@
 package sampling
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -279,7 +280,7 @@ func RunFullOpts(p *prog.Program, m MachineConfig, total uint64, opts Options) (
 	var r ooo.Result
 	if err == nil {
 		r = sim.SimulateSource(total, f)
-		err = f.err()
+		err = cmp.Or(f.err(), sim.Err())
 	}
 	if err != nil {
 		return FullResult{}, fmt.Errorf("sampling: full run: %w", err)

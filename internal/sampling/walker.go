@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"time"
@@ -100,7 +101,7 @@ func RunRegions(p *prog.Program, m MachineConfig, regions []Region, mk func(*mem
 
 		t0 = ro.begin()
 		r := sim.SimulateSource(reg.Size, f)
-		if err := f.err(); err != nil {
+		if err := cmp.Or(f.err(), sim.Err()); err != nil {
 			return nil, fmt.Errorf("sampling: hot phase: %w", err)
 		}
 		res.FuncInstructions += r.Instructions

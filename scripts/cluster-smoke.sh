@@ -2,10 +2,10 @@
 # End-to-end sweep-fabric smoke test, run by `make cluster-smoke` and CI.
 #
 # Launches one rsrc coordinator and two peer-mode rsrd workers, runs a small
-# warm-up sweep through the cluster with `rsr -cluster`, and fails unless
-# the output is byte-identical to the same sweep run on a single local
-# engine, both workers' engines executed part of it, together they ran
-# each of the sweep's distinct jobs exactly once, and the coordinator's
+# warm-up frontier through the cluster with `rsr -cluster`, and fails unless
+# the output, durations masked, is byte-identical to the same frontier run on
+# a single local engine, both workers' engines executed part of it, together
+# they ran each of the sweep's distinct jobs exactly once, and the coordinator's
 # -casdir holds one result blob per job and no quarantine. Also checks the
 # coordinator's /v1/version handshake and that /metrics exposes the per-node
 # scheduler families.
@@ -22,24 +22,25 @@ fabric_up
 curl -fsS "http://$COORD/v1/version" | grep -q '"protocol"' ||
     { echo "cluster-smoke: /v1/version lacks protocol field" >&2; exit 1; }
 
-# The same small sweep, once through the fabric and once on a local engine.
-# The sweep table has no wall-clock columns, so the outputs must be
-# byte-identical — the fabric's core contract.
-"$WORKDIR/rsr" -cluster "http://$COORD" -scale 0.02 -workload twolf sweep \
+# The same small frontier, once through the fabric and once on a local
+# engine. Its time columns differ between any two runs, so they are masked;
+# every deterministic value must be byte-identical — the fabric's core
+# contract.
+"$WORKDIR/rsr" -cluster "http://$COORD" -scale 0.02 -workloads twolf frontier \
     >"$WORKDIR/cluster.txt" ||
-    { echo "cluster-smoke: cluster sweep failed" >&2
+    { echo "cluster-smoke: cluster frontier failed" >&2
       cat "$WORKDIR/rsrc.log" "$WORKDIR/worker-a.log" "$WORKDIR/worker-b.log" >&2
       exit 1; }
-"$WORKDIR/rsr" -stats -scale 0.02 -workload twolf sweep \
+"$WORKDIR/rsr" -stats -scale 0.02 -workloads twolf frontier \
     >"$WORKDIR/local.txt" 2>"$WORKDIR/local.stats"
 JOBS="$(sed -n 's/.* done=\([0-9][0-9]*\) .*/\1/p' "$WORKDIR/local.stats")"
 
-if ! diff -u "$WORKDIR/local.txt" "$WORKDIR/cluster.txt"; then
-    echo "cluster-smoke: cluster sweep differs from single-node run" >&2
+if ! same_tables "$WORKDIR/local.txt" "$WORKDIR/cluster.txt"; then
+    echo "cluster-smoke: cluster frontier differs from single-node run beyond its durations" >&2
     exit 1
 fi
 
-# The sweep submits all of its jobs before waiting on any, so the fabric has
+# The frontier submits all of its jobs before waiting on any, so the fabric has
 # work for both workers at once: each one's engine must have executed some,
 # and between them every distinct job the coordinator accepted exactly once —
 # as many as the local engine executed.
@@ -89,4 +90,4 @@ do
     fi
 done
 
-echo "cluster-smoke: ok (2-worker sweep byte-identical to single node, both workers executed jobs, $JOBS jobs run once each, $BLOBS result blobs stored)"
+echo "cluster-smoke: ok (2-worker frontier byte-identical to single node but for durations, both workers executed jobs, $JOBS jobs run once each, $BLOBS result blobs stored)"

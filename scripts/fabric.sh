@@ -10,7 +10,8 @@
 # and builds rsrc, rsrd and rsr into it. `fabric_up [rsrc flags]` then starts
 # the coordinator on WORKDIR/cas with the extra flags, waits until it is
 # ready, starts two peer-mode rsrd workers, worker-a and worker-b, and waits
-# for both. start_rsrc restarts the coordinator alone.
+# for both. start_rsrc restarts the coordinator alone. `same_tables A B` diffs
+# two rsr outputs with their durations masked.
 
 WORKDIR="$(mktemp -d)"
 RSRC_PID=""
@@ -62,4 +63,13 @@ fabric_up() {
     RSRD_B_PID=$!
     wait_ready "$WORKER_A" worker-a
     wait_ready "$WORKER_B" worker-b
+}
+
+# same_tables A B: diff two rsr outputs with every duration token masked
+# (results-check.sh's mask): their time columns differ between any two runs,
+# and every other byte, each deterministic value, must not.
+same_tables() {
+    scripts/results-check.sh mask "$1" >"$1.masked"
+    scripts/results-check.sh mask "$2" >"$2.masked"
+    diff -u "$1.masked" "$2.masked"
 }

@@ -2,10 +2,10 @@
 # Fabric-wide observability smoke test, run by `make trace-smoke` and CI.
 #
 # Launches one rsrc coordinator and two peer-mode rsrd workers, runs a small
-# sweep through the cluster with `rsr -cluster ... -trace-out`, and asserts
-# the captured artifact is a single merged Chrome trace of the whole fabric:
-# it parses, has distinct process lanes for the coordinator and both
-# workers, every span is tagged with the invocation's sweep ID, and the lanes
+# sweep (rsr frontier) through the cluster with `rsr -cluster ... -trace-out`,
+# and asserts the captured artifact is a single merged Chrome trace of the
+# whole fabric: it parses, has distinct process lanes for the coordinator and
+# both workers, every span is tagged with the invocation's sweep ID, and the lanes
 # share one clock: every worker span lies inside the coordinator lane's
 # `sweep` span, which on one host holds by causality (a worker runs a job
 # after its submission and reports it before the sweep's last member
@@ -25,8 +25,8 @@ WORKER_B="127.0.0.1:18757"
 fabric_up
 
 TRACE="$WORKDIR/fabric-trace.json"
-"$WORKDIR/rsr" -cluster "http://$COORD" -scale 0.02 -workload twolf \
-    -trace-out "$TRACE" sweep >"$WORKDIR/sweep.txt" ||
+"$WORKDIR/rsr" -cluster "http://$COORD" -scale 0.02 -workloads twolf \
+    -trace-out "$TRACE" frontier >"$WORKDIR/sweep.txt" ||
     { echo "trace-smoke: cluster sweep failed" >&2
       cat "$WORKDIR/rsrc.log" "$WORKDIR/worker-a.log" "$WORKDIR/worker-b.log" >&2
       exit 1; }
