@@ -12,21 +12,20 @@
 #                    and the run-ahead feed's tests (executing, replaying and
 #                    recording) under -race -count=20
 #   make chaos       race-enabled fault-injection suite (chaos + drain tests)
-#   make obs-smoke   end-to-end observability check: rsrd /metrics scrape +
+#   make obs-smoke   `rsr doctor obs`: rsrd /metrics scrape +
 #                    rsr -metrics-out/-trace-out artifacts
-#   make cluster-smoke  sweep-fabric check: 1 rsrc coordinator + 2 peer rsrd
-#                    workers, a frontier's output diffed against a single-node
-#                    run with durations masked
-#   make trace-smoke fabric observability check: merged Chrome trace of a
-#                    3-process sweep (coordinator + both worker lanes, sweep
-#                    tags, worker spans inside the sweep span), each
-#                    process's /metrics reporting that process, /v1/status
-#   make regimen-smoke  sampling-strategy check: `-regimen stratified-uniform`
+#   make cluster-smoke  `rsr doctor fabric`: 1 rsrc coordinator + 2 peer rsrd
+#                    workers, one traced frontier diffed against a single-node
+#                    run with durations masked, each job run and stored once,
+#                    the merged Chrome trace (a lane per process, one sweep
+#                    tag, worker spans inside the sweep span), each process's
+#                    /metrics reporting that process, /v1/status
+#   make regimen-smoke  `rsr doctor regimen`: `-regimen stratified-uniform`
 #                    diffed byte-for-byte against the unnamed run, then
 #                    every registered strategy run end to end, a non-zero
 #                    work line required, then `strategies` twice on one
 #                    -cachedir, the second run all cache hits
-#   make recovery-smoke  crash-recovery check: SIGKILL the coordinator
+#   make recovery-smoke  `rsr doctor recovery`: SIGKILL the coordinator
 #                    mid-sweep, restart it on the same journal, diff the
 #                    sweep against a single-node run
 #   make bench-smoke the frozen benchmark (bench/, BENCHMARK.json) still builds
@@ -44,9 +43,9 @@
 #   make loc         non-test Go lines per internal package and in total
 #   make results     regenerate the committed full-scale outputs
 #                    (results_*.txt); about 8 minutes
-#   make results-check  regenerate them into a temp dir and diff against the
+#   make results-check  `rsr doctor results`: regenerate them and diff against the
 #                    committed ones with every duration token masked; exits
-#                    non-zero on any other difference; about 7 minutes
+#                    non-zero on any other difference; about 4 minutes
 #   make all         everything above
 #
 # The benchmark itself is `bash bench/run.sh --workload W` (one workload) or
@@ -55,9 +54,9 @@
 
 GO ?= go
 
-.PHONY: all build test verify chaos obs-smoke cluster-smoke trace-smoke recovery-smoke regimen-smoke bench-smoke stall-check examples bench-sweep loc results results-check
+.PHONY: all build test verify chaos obs-smoke cluster-smoke recovery-smoke regimen-smoke bench-smoke stall-check examples bench-sweep loc results results-check
 
-all: build test verify chaos obs-smoke cluster-smoke trace-smoke recovery-smoke regimen-smoke bench-smoke stall-check examples
+all: build test verify chaos obs-smoke cluster-smoke recovery-smoke regimen-smoke bench-smoke stall-check examples
 
 build:
 	$(GO) build ./...
@@ -123,29 +122,35 @@ chaos:
 		./internal/engine/... ./internal/sampling/... ./internal/cluster/... \
 		./internal/cas/... ./cmd/rsrd/...
 
+# doctor runs `rsr doctor $(1)` (cmd/rsr/doctor.go), the end-to-end checks
+# below: rsr, rsrc and rsrd are built into one temporary directory, removed
+# afterwards, since the doctor execs the rsrc and rsrd beside its own binary;
+# $(2) are extra build flags for rsr. Each check has fixed ports of its own,
+# so they run side by side under make -j.
+doctor = d="$$(mktemp -d)" && trap 'rm -rf "$$d"' EXIT && \
+	$(GO) build -o "$$d/" ./cmd/rsrc ./cmd/rsrd && \
+	$(GO) build $(2) -o "$$d/" ./cmd/rsr && \
+	"$$d/rsr" doctor $(1)
+
 # obs-smoke proves the observability layer end to end without any test
 # scaffolding: a real daemon serves /metrics after running a real job, and
-# the CLI emits a metrics snapshot plus a Chrome trace. scripts/obs-smoke.sh
-# fails if any required metric family or phase span is missing.
+# the CLI emits a metrics snapshot plus a Chrome trace. It fails if any
+# required metric sample (compared by name, labels and exact value) or phase
+# span is missing.
 obs-smoke: build
-	./scripts/obs-smoke.sh
+	$(call doctor,obs)
 
 # cluster-smoke proves the sweep fabric end to end with real processes: one
-# rsrc coordinator, two peer-mode rsrd workers, and a frontier submitted with
-# `rsr -cluster` whose output must be byte-identical to a single-node run but
-# for its durations (masked as results-check masks them).
-cluster-smoke: build
-	./scripts/cluster-smoke.sh
-
-# trace-smoke proves fabric-wide observability end to end with real
-# processes: a sweep through 1 coordinator + 2 workers captured with
-# `rsr -cluster -trace-out` must yield one merged Chrome trace with a
-# process lane per node, every span sweep-tagged, every worker span inside
-# the coordinator lane's sweep span (the lanes share one clock); each worker's
-# /metrics must carry its engine families, and the coordinator's must carry
+# rsrc coordinator, two peer-mode rsrd workers, and one frontier submitted
+# with `rsr -cluster -trace-out`. Its output must be byte-identical to a
+# single-node run but for its durations (masked as results-check masks
+# them), each job executed once and stored once; the merged Chrome trace must
+# have a process lane per node, every span sweep-tagged, every worker span
+# inside the coordinator lane's sweep span (the lanes share one clock); each
+# worker's /metrics must carry its engine families, and the coordinator's
 # the workers' heartbeat-borne engine depth and no rsr_engine_ family.
-trace-smoke: build
-	./scripts/trace-smoke.sh
+cluster-smoke: build
+	$(call doctor,fabric)
 
 # recovery-smoke proves coordinator crash recovery end to end with real
 # processes: a journaled rsrc is SIGKILLed the moment a lease is journaled,
@@ -154,7 +159,7 @@ trace-smoke: build
 # single-node run (durations masked), with replay and reconnect metrics as
 # evidence.
 recovery-smoke: build
-	./scripts/recovery-smoke.sh
+	$(call doctor,recovery)
 
 # regimen-smoke proves the sampling-strategy seam end to end with the real
 # CLI: `-regimen stratified-uniform` must be byte-identical to the unnamed
@@ -164,7 +169,7 @@ recovery-smoke: build
 # `strategies` re-run on the same -cachedir must be served from it (`-stats`:
 # misses=0).
 regimen-smoke:
-	./scripts/regimen-smoke.sh
+	$(call doctor,regimen,-race)
 
 # bench-smoke runs the frozen benchmark's sharded workload for three seconds,
 # traced: a change under internal/ that breaks bench/'s compile or its
@@ -221,8 +226,8 @@ results:
 	$(GO) run ./cmd/rsr frontier > results_frontier.txt
 
 # results-check is the byte-identity check for a change that claims the same
-# results: it regenerates the four files above into a temporary directory and
-# diffs them against the committed ones with every Go duration token (812µs,
-# 224.5ms, 1.23s, 1m2.5s) and its padding masked. Any other difference fails.
+# results: it regenerates the four files above and diffs them against the
+# committed ones with every Go duration token (812µs, 224.5ms, 1.23s, 1m2.5s)
+# and its padding masked. Any other difference fails.
 results-check:
-	./scripts/results-check.sh
+	$(call doctor,results)

@@ -27,6 +27,9 @@
 //	top        live cluster status view (requires -cluster): queue depth,
 //	           in-flight leases, stragglers, journal
 //	           fsync latency, refreshed every second until interrupted
+//	doctor c   end-to-end self-check c, run with the rsrc and rsrd built
+//	           beside this binary: results (the committed results_*.txt,
+//	           durations masked), obs, fabric, recovery or regimen
 //
 // Flags:
 //
@@ -110,6 +113,10 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write a JSON metrics snapshot (engine, phase, warm-up families) to `file` on exit")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON of every run's phases to `file` on exit (open in chrome://tracing or ui.perfetto.dev)")
 	flag.Parse()
+
+	if flag.Arg(0) == "doctor" {
+		os.Exit(runDoctor(flag.Arg(1)))
+	}
 
 	var cpuFile *os.File
 	if *cpuProfile != "" {
@@ -362,7 +369,7 @@ func dispatch(cmd string, cfg experiments.Config, wl, method, regimenName, forma
 		}
 		return nil
 	default:
-		return fmt.Errorf("unknown command %q (try: list, table1, table2, fig5, fig6, fig7, fig8, fig9, appendix, frontier, all, run, regimens, strategies, top)", cmd)
+		return fmt.Errorf("unknown command %q (try: list, table1, table2, fig5, fig6, fig7, fig8, fig9, appendix, frontier, all, run, regimens, strategies, top, doctor)", cmd)
 	}
 }
 

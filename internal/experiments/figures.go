@@ -5,6 +5,7 @@ import (
 	"slices"
 	"time"
 
+	"rsr/internal/engine"
 	"rsr/internal/regimen"
 	"rsr/internal/sampling"
 	"rsr/internal/warmup"
@@ -22,15 +23,20 @@ type Table1Row struct {
 }
 
 // Table1 regenerates Table 1 ("True IPC and sampling regimen data for each
-// workload") by running the full detailed simulations.
+// workload") by running the full detailed simulations, all submitted at once.
 func (l *Lab) Table1() ([]Table1Row, error) {
 	names := l.cfg.workloadNames()
+	jobs := make([]engine.Job, len(names))
+	for i, name := range names {
+		jobs[i] = l.fullJob(name)
+	}
+	results, err := l.runAll(jobs)
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]Table1Row, len(names))
 	for i, name := range names {
-		full, err := l.Full(name)
-		if err != nil {
-			return nil, err
-		}
+		full := results[i].Full
 		reg := RegimenFor(name)
 		rows[i] = Table1Row{
 			Workload:    name,
