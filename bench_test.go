@@ -325,3 +325,51 @@ func BenchmarkWarmupMethodsEndToEnd(b *testing.B) {
 		})
 	}
 }
+
+// heldTrace is a sampling.TraceStore holding one trace and its reverse plan.
+type heldTrace struct {
+	trace *sampling.Trace
+	plan  *sampling.TracePlan
+}
+
+func (h *heldTrace) LoadTrace(string) *sampling.Trace { return h.trace }
+
+func (h *heldTrace) LoadPlan(string, sampling.MachineConfig) *sampling.TracePlan { return h.plan }
+
+// BenchmarkReplayArms times the arms a sweep replays on one placement: twolf's
+// fig7 placement at scale 0.25 (5M instructions, 50 clusters of 2,000),
+// recorded and its reverse plan built off the clock, then replayed under None,
+// FP (20/80%) and R$BP (20/80%). R$BP's arms cut the plan; an arm's cost over
+// None is its warm-up's (EXPERIMENTS.md, "Reverse plans nest").
+func BenchmarkReplayArms(b *testing.B) {
+	w, _ := workload.ByName("twolf")
+	p, m := w.Build(), sampling.DefaultMachine()
+	regions, err := sampling.Regimen{ClusterSize: 2000, NumClusters: 50}.Regions(5_000_000, 2007)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr, err := sampling.RecordTrace(p, m, regions, 1<<40, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := sampling.PlanTrace(tr, m, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	store := &heldTrace{trace: tr, plan: plan}
+	for _, spec := range []warmup.Spec{
+		{Kind: warmup.KindNone},
+		{Kind: warmup.KindFixed, Percent: 20, Cache: true, BPred: true},
+		{Kind: warmup.KindReverse, Percent: 20, Cache: true, BPred: true},
+		{Kind: warmup.KindFixed, Percent: 80, Cache: true, BPred: true},
+		{Kind: warmup.KindReverse, Percent: 80, Cache: true, BPred: true},
+	} {
+		b.Run(spec.Label(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := sampling.RunRegions(p, m, regions, spec.New, sampling.Options{Traces: store, TraceKey: "twolf"}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -298,8 +298,8 @@ func dispatch(cmd string, cfg experiments.Config, wl, method, regimenName, forma
 				"engine: workers=%d done=%d failed=%d cache hits=%d (disk %d) misses=%d coalesced=%d panics=%d quarantined=%d wall=%v\n",
 				lab.Engine().Workers(), s.Done, s.Failed, s.CacheHits, s.DiskHits, s.CacheMisses,
 				s.Coalesced, s.Panics, s.Quarantined, s.Wall)
-			fmt.Fprintf(os.Stderr, "traces: recorded=%d replayed=%d evicted=%d refused=%d bytes=%d\n",
-				s.TracesRecorded, s.TracesReplayed, s.TracesEvicted, s.TracesRefused, s.TraceBytes)
+			fmt.Fprintf(os.Stderr, "traces: recorded=%d replayed=%d evicted=%d refused=%d bytes=%d plans built=%d cut=%d build=%v\n",
+				s.TracesRecorded, s.TracesReplayed, s.TracesEvicted, s.TracesRefused, s.TraceBytes, s.PlansBuilt, s.PlansCut, s.PlanBuild)
 		}()
 	}
 	switch cmd {

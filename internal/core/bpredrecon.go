@@ -29,9 +29,11 @@ type ReconPredictor struct {
 	// log and ghrAt alias the plan's log and history arrays until the next
 	// BeginRegionPlan or ReleaseRegion: on-demand scanning reads them
 	// throughout the hot window, so that storage must not be reused before
-	// then.
+	// then. Neither is written: head overlays the histories of the log's
+	// first HistoryBits conditionals, the ones the stale GHR reaches.
 	log   []trace.BranchRecord // the region's logged window, oldest first
 	ghrAt []uint64             // GHR before each log record (conditionals)
+	head  []uint64             // ghrAt[:len(head)] with the stale prefix patched in
 	pos   int                  // next reverse index to scan; -1 when exhausted
 
 	dirMap   []StateMap
@@ -80,7 +82,7 @@ func (p *ReconPredictor) resetEntries() {
 // that storage. Entries the scan had not reached stay stale, exactly as if
 // they were never probed; Stats keeps the region's counters.
 func (p *ReconPredictor) ReleaseRegion() {
-	p.log, p.ghrAt = nil, nil
+	p.log, p.ghrAt, p.head = nil, nil, p.head[:0]
 	p.pos = -1
 	p.finished = true
 }
@@ -89,8 +91,10 @@ func (p *ReconPredictor) ReleaseRegion() {
 // counter algorithm reconstructs from the log: scanning newest-to-oldest,
 // a pop increments the counter; a push with counter zero lands at the end
 // (bottom) of the stack; otherwise a push cancels a pop. Reconstruction stops
-// when the stack is full. A pure function of the log, safe to run off the walker.
-func planRASFills(log []trace.BranchRecord, depth int, fills []uint64) []uint64 {
+// when the stack is full. A pure function of the log, safe to run off the
+// walker. With at not nil, it also appends there the log index of each fill's
+// call.
+func planRASFills(log []trace.BranchRecord, depth int, fills []uint64, at *[]int) []uint64 {
 	counter := 0
 	for i := len(log) - 1; i >= 0 && len(fills) < depth; i-- {
 		r := &log[i]
@@ -100,12 +104,36 @@ func planRASFills(log []trace.BranchRecord, depth int, fills []uint64) []uint64 
 		case r.IsCall():
 			if counter == 0 {
 				fills = append(fills, r.PC+isa.InstBytes)
+				if at != nil {
+					*at = append(*at, i)
+				}
 			} else {
 				counter--
 			}
 		}
 	}
 	return fills
+}
+
+// planHistories stores in ghrAt, which is as long as log, the GHR before each
+// conditional of log, starting from zero, and returns the GHR after the last:
+// only conditional branches shift history, matching Unit.Update.
+func planHistories(historyBits int, log []trace.BranchRecord, ghrAt []uint64) uint64 {
+	mask := uint64(1)<<uint(historyBits) - 1
+	ghr := uint64(0)
+	for i := range log {
+		r := &log[i]
+		if r.Class != isa.ClassBranch {
+			ghrAt[i] = 0 // never read: only conditionals index by history
+			continue
+		}
+		ghrAt[i] = ghr
+		ghr = (ghr << 1) & mask
+		if r.Taken {
+			ghr |= 1
+		}
+	}
+	return ghr
 }
 
 func (p *ReconPredictor) installRAS(fills []uint64) {
@@ -135,13 +163,6 @@ func PredGeomOf(u *bpred.Unit) PredGeom {
 	}
 }
 
-// GHRFixup patches one ghrAt entry for the stale history prefix (see
-// PredReconPlan).
-type GHRFixup struct {
-	Index int  // log index whose pre-record GHR needs the stale prefix
-	Shift uint // conditional branches seen before that record (< HistoryBits)
-}
-
 // PredReconPlan is the product of §3.2's eager steps over a region's branch
 // log — the window of the region its method chose to keep: the global history
 // register is rebuilt from the logged outcomes, the RAS by the reverse push/pop
@@ -151,30 +172,30 @@ type GHRFixup struct {
 // be made off the walker. The GHR after k conditional shifts from stale value g is
 // ((g<<k) | pure_k) & mask,
 // where pure_k is the same iteration started from zero — masking commutes
-// with the shift-and-or recurrence — so the planner records the pure values
-// plus the (at most HistoryBits) fixups whose stale contribution has not yet
-// shifted out, and the consumer ORs the real stale prefix in at adopt time.
+// with the shift-and-or recurrence — and has k bits, so the plan records
+// histories whose low k bits are pure_k, and BeginRegionPlan ORs the real
+// stale prefix into the first HistoryBits conditionals' (the ones it has not
+// yet shifted out of) in an overlay of its own: nobody writes a plan once made.
 // For a log that opens part-way through a region the stale value stands in
 // for the outcomes between the previous cluster and the window, on those
 // same first HistoryBits conditionals and nowhere else.
-// The plan is self-contained: it carries its own copy of the log, so the log
-// itself is dead once the plan exists. PlanPredRecon overwrites a plan in place
-// and keeps its array storage, so a recycled plan is rebuilt without allocating.
+// PlanPredRecon's plan is self-contained: it carries its own copy of the log,
+// so the log itself is dead once the plan exists, and PlanPredRecon
+// overwrites a plan in place and keeps its array storage, so a recycled plan
+// is rebuilt without allocating. A CutPlan's cut is a view instead: its
+// arrays are slices of the cut plan, which holds the log.
 type PredReconPlan struct {
-	Suffix []trace.BranchRecord // the plan's copy of the log, oldest first
+	Suffix []trace.BranchRecord // the log, oldest first
 
-	GHRAt      []uint64 // pre-record GHRs computed with stale prefix = 0
-	Fixups     []GHRFixup
-	FinalGHR   uint64 // log-final GHR with stale prefix = 0
-	FinalShift uint   // min(total conditionals, HistoryBits)
+	GHRAt    []uint64 // pre-record GHRs; the low k bits of the k-th conditional's are pure_k
+	FinalGHR uint64   // log-final GHR, its low min(conditionals, HistoryBits) bits pure
 
 	RASFills []uint64 // reconstructed RAS contents, youngest first
 }
 
 // PlanPredRecon runs the forward pass over log — the GHR before every
-// conditional (their table indices depend on it) and the final GHR; only
-// conditional branches shift history, matching Unit.Update — and the RAS
-// reconstruction, without a predictor, materializing the plan into plan,
+// conditional (their table indices depend on it) and the final GHR — and the
+// RAS reconstruction, without a predictor, materializing the plan into plan,
 // which keeps no reference to the log. Safe for producer goroutines: it reads
 // only the log and the geometry snapshot.
 func PlanPredRecon(geom PredGeom, log []trace.BranchRecord, plan *PredReconPlan) {
@@ -184,47 +205,36 @@ func PlanPredRecon(geom PredGeom, log []trace.BranchRecord, plan *PredReconPlan)
 		ghrAt = make([]uint64, n)
 	}
 	ghrAt = ghrAt[:n]
-	fixups := plan.Fixups[:0]
-
-	mask := uint64(1)<<uint(geom.HistoryBits) - 1
-	ghr := uint64(0) // pure evolution: stale prefix contributes via fixups
-	conds := 0
-	for i := range log {
-		r := &log[i]
-		if r.Class != isa.ClassBranch {
-			ghrAt[i] = 0 // never read: only conditionals index by history
-			continue
-		}
-		ghrAt[i] = ghr
-		if conds < geom.HistoryBits {
-			fixups = append(fixups, GHRFixup{Index: i, Shift: uint(conds)})
-		}
-		ghr = (ghr << 1) & mask
-		if r.Taken {
-			ghr |= 1
-		}
-		conds++
-	}
 	*plan = PredReconPlan{
-		Suffix: append(plan.Suffix[:0], log...),
-		GHRAt:  ghrAt, Fixups: fixups,
-		FinalGHR: ghr, FinalShift: uint(min(conds, geom.HistoryBits)),
-		RASFills: planRASFills(log, geom.RASDepth, plan.RASFills[:0]),
+		Suffix:   append(plan.Suffix[:0], log...),
+		GHRAt:    ghrAt,
+		FinalGHR: planHistories(geom.HistoryBits, log, ghrAt),
+		RASFills: planRASFills(log, geom.RASDepth, plan.RASFills[:0], nil),
 	}
 }
 
-// BeginRegionPlan starts a region's reconstruction from the plan
-// PlanPredRecon made of its log under this predictor's geometry: it patches
-// the stale GHR prefix into the planned histories, installs the final GHR and
-// reconstructed RAS, and resets the per-entry possible-state tracking. The
-// predictor then reads plan.Suffix and plan.GHRAt in place until the region
-// is released.
+// BeginRegionPlan starts a region's reconstruction from a plan of its log
+// under this predictor's geometry — PlanPredRecon's, or a CutPlan's cut: it
+// patches the stale GHR prefix into an overlay of the first HistoryBits
+// conditionals' histories, installs the final GHR and reconstructed RAS, and
+// resets the per-entry possible-state tracking. The predictor then reads
+// plan.Suffix and plan.GHRAt in place until the region is released, and
+// writes neither.
 func (p *ReconPredictor) BeginRegionPlan(plan *PredReconPlan) {
 	stale := p.unit.Dir.GHR()
-	mask := uint64(1)<<uint(p.unit.Dir.HistoryBits()) - 1
-	for _, f := range plan.Fixups {
-		plan.GHRAt[f.Index] = (plan.GHRAt[f.Index] | stale<<f.Shift) & mask
+	bits := uint(p.unit.Dir.HistoryBits())
+	mask := uint64(1)<<bits - 1
+	head := p.head[:0]
+	k := uint(0) // conditionals so far, while fewer than bits
+	for i := 0; i < len(plan.Suffix) && k < bits; i++ {
+		g := plan.GHRAt[i]
+		if plan.Suffix[i].Class == isa.ClassBranch {
+			g = (g&(1<<k-1) | stale<<k) & mask
+			k++
+		}
+		head = append(head, g)
 	}
+	p.head = head
 	p.log = plan.Suffix
 	p.ghrAt = plan.GHRAt
 	p.pos = len(p.log) - 1
@@ -233,8 +243,16 @@ func (p *ReconPredictor) BeginRegionPlan(plan *PredReconPlan) {
 	p.resetEntries()
 	p.stats = PredReconStats{}
 
-	p.unit.Dir.SetGHR((plan.FinalGHR | stale<<plan.FinalShift) & mask)
+	p.unit.Dir.SetGHR((plan.FinalGHR&(1<<k-1) | stale<<k) & mask)
 	p.installRAS(plan.RASFills)
+}
+
+// history is the GHR before log record i, the stale prefix included.
+func (p *ReconPredictor) history(i int) uint64 {
+	if i < len(p.head) {
+		return p.head[i]
+	}
+	return p.ghrAt[i]
 }
 
 // scanStep consumes one log record (reverse order), applying BTB and
@@ -257,7 +275,7 @@ func (p *ReconPredictor) scanStep() {
 		}
 	}
 	if r.Class == isa.ClassBranch {
-		idx := p.unit.Dir.IndexFor(r.PC, p.ghrAt[p.pos+1])
+		idx := p.unit.Dir.IndexFor(r.PC, p.history(p.pos+1))
 		if !p.dirDone[idx] {
 			if p.dirMap[idx] == IdentityMap {
 				p.touched = append(p.touched, idx)

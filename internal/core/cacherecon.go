@@ -40,6 +40,10 @@ type CacheReconRef struct {
 type CacheReconPlan struct {
 	Refs        []CacheReconRef
 	ScannedRefs uint64
+	// Open is applied after Refs when either of its flags is set: the fetch a
+	// window cut from a longer log logs where it opens (CutPlan.Cut). A plan
+	// PlanCacheRecon makes has none.
+	Open CacheReconRef
 }
 
 // cacheGeom mirrors mem.Cache's index math so a planner can predict the
@@ -123,6 +127,26 @@ func (p *cachePlanner) offer(addr uint64) bool {
 	return true
 }
 
+// probe reports whether offering addr would mutate this cache's state,
+// without offering it.
+func (p *cachePlanner) probe(addr uint64) bool {
+	block := addr >> p.geom.lineShift
+	si := block & p.geom.setMask
+	set := &p.sets[si]
+	if set.epoch != p.epoch {
+		return true
+	}
+	if set.used == p.geom.assoc {
+		return false
+	}
+	for _, b := range p.blocks[int(si)*int(p.geom.assoc):][:set.used] {
+		if b == block {
+			return false
+		}
+	}
+	return true
+}
+
 // CachePlanner is PlanCacheRecon's reusable scratch: one decision replayer
 // per cache of the hierarchy, and the array a pass collects its plan in — how
 // long a plan is is known only at the end, so a plan's own Refs gets one copy
@@ -144,11 +168,22 @@ func NewCachePlanner(cfg mem.HierarchyConfig) *CachePlanner {
 // and with a reused planner and plan it does not allocate once plan.Refs has
 // reached the pass's size.
 func PlanCacheRecon(pl *CachePlanner, log []trace.MemRecord, plan *CacheReconPlan) {
+	pl.begin()
+	refs := pl.scan(pl.refs[:0], log)
+	pl.refs = refs
+	*plan = CacheReconPlan{Refs: append(plan.Refs[:0], refs...), ScannedRefs: uint64(len(log))}
+}
+
+// begin starts a reverse pass on every cache.
+func (pl *CachePlanner) begin() {
 	pl.l1i.begin()
 	pl.l1d.begin()
 	pl.l2.begin()
+}
 
-	refs := pl.refs[:0]
+// scan offers log's references, newest to oldest, to the L1 of their stream
+// and to the L2, and appends to refs each that mutates either.
+func (pl *CachePlanner) scan(refs []CacheReconRef, log []trace.MemRecord) []CacheReconRef {
 	for i := len(log) - 1; i >= 0; i-- {
 		r := &log[i]
 		var applyL1 bool
@@ -165,8 +200,7 @@ func PlanCacheRecon(pl *CachePlanner, log []trace.MemRecord, plan *CacheReconPla
 			})
 		}
 	}
-	pl.refs = refs
-	*plan = CacheReconPlan{Refs: append(plan.Refs[:0], refs...), ScannedRefs: uint64(len(log))}
+	return refs
 }
 
 // ApplyCacheRecon applies a materialized plan to the shared hierarchy: the
@@ -182,21 +216,27 @@ func ApplyCacheRecon(h *mem.Hierarchy, plan *CacheReconPlan) CacheReconStats {
 	h.L1D.BeginReconstruction()
 	h.L2.BeginReconstruction()
 
-	st := CacheReconStats{ScannedRefs: plan.ScannedRefs}
-	for i := range plan.Refs {
-		r := &plan.Refs[i]
+	return CacheReconStats{ScannedRefs: plan.ScannedRefs,
+		Applied: applyRefs(h, plan.Refs) + applyRefs(h, []CacheReconRef{plan.Open})}
+}
+
+// applyRefs offers each of refs to the caches its flags name and returns how
+// many mutations that made.
+func applyRefs(h *mem.Hierarchy, refs []CacheReconRef) (applied uint64) {
+	for i := range refs {
+		r := &refs[i]
 		if r.L1 {
 			if r.IsInstr {
 				if h.L1I.ReconstructRef(r.Addr, false) {
-					st.Applied++
+					applied++
 				}
 			} else if h.L1D.ReconstructRef(r.Addr, r.IsStore) {
-				st.Applied++
+				applied++
 			}
 		}
 		if r.L2 && h.L2.ReconstructRef(r.Addr, !r.IsInstr && r.IsStore) {
-			st.Applied++
+			applied++
 		}
 	}
-	return st
+	return applied
 }

@@ -70,7 +70,7 @@ func (p *ReconPredictor) beginRegionDirect(log []trace.BranchRecord) {
 		}
 	}
 	p.unit.Dir.SetGHR(ghr)
-	p.installRAS(planRASFills(p.log, p.unit.RAS.Depth(), nil))
+	p.installRAS(planRASFills(p.log, p.unit.RAS.Depth(), nil, nil))
 }
 
 // reconstructCaches is the production path in one call: plan, then apply.

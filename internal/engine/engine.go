@@ -312,10 +312,10 @@ func (e *Engine) run(t *task, tid int64) (*Result, time.Duration, error) {
 	}
 
 	begin := time.Now()
-	res, recording, err := safeRun(t.job, e.opts.Fault, ctx.Done(), e.obs, t.sweep, tid, e.traces)
-	begin = begin.Add(recording) // the job's run starts after its placement's recording
+	res, before, err := safeRun(t.job, e.opts.Fault, ctx.Done(), e.obs, t.sweep, tid, e.traces)
+	begin = begin.Add(before) // the job's run starts after its placement's recording and plan build
 	wall := time.Since(begin)
-	e.stats.wallNanos.Add(int64(recording))
+	e.stats.wallNanos.Add(int64(before))
 	e.obs.span(t.sweep, "job-run", tid, begin, obs.SpanArg{Key: "ok", Val: boolArg(err == nil)})
 	if err != nil {
 		var pe *PanicError

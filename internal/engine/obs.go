@@ -58,7 +58,9 @@ func newEngineObs(r *obs.Registry, tr *obs.Tracer, stats func() Stats) *engineOb
 		"Corrupt cache entries moved to the quarantine directory.")
 	traces := r.CounterVec("rsr_engine_traces_total",
 		"Functional traces replayed, recorded, evicted and refused (over the budget) by the trace store.", "event")
-	traceBytes := r.Gauge("rsr_engine_trace_bytes", "Bytes of functional traces the trace store holds.")
+	traceBytes := r.Gauge("rsr_engine_trace_bytes", "Bytes of functional traces and their reverse plans the trace store holds.")
+	plans := r.CounterVec("rsr_engine_plans_total",
+		"Reverse plans built beside the stored traces, and runs that cut one instead of planning their windows.", "event")
 	r.RegisterCollector(func() {
 		s := stats()
 		queued.Set(s.Queued)
@@ -77,6 +79,8 @@ func newEngineObs(r *obs.Registry, tr *obs.Tracer, stats func() Stats) *engineOb
 		traces.With("evicted").Set(uint64(s.TracesEvicted))
 		traces.With("refused").Set(uint64(s.TracesRefused))
 		traceBytes.Set(s.TraceBytes)
+		plans.With("built").Set(uint64(s.PlansBuilt))
+		plans.With("cut").Set(uint64(s.PlansCut))
 	})
 	return eo
 }

@@ -17,9 +17,10 @@ import (
 // bad job can never take down the process or its sibling workers. eo (usually
 // nil) streams the run's metrics and, scoped to sweep, its spans. Before
 // runJob, traces records the job's placement if it is the first job of it
-// (traceStore.record); safeRun reports how long that took, which is not the
-// job's run.
-func safeRun(j Job, inj fault.Injector, cancel <-chan struct{}, eo *engineObs, sweep string, tid int64, traces *traceStore) (res *Result, recording time.Duration, err error) {
+// (traceStore.record), and builds its reverse plan if it is the first reverse
+// job of the placement and geometry (traceStore.plan); safeRun reports how
+// long those took, which is not the job's run.
+func safeRun(j Job, inj fault.Injector, cancel <-chan struct{}, eo *engineObs, sweep string, tid int64, traces *traceStore) (res *Result, before time.Duration, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = &PanicError{Value: v, Stack: string(debug.Stack())}
@@ -43,16 +44,21 @@ func safeRun(j Job, inj fault.Injector, cancel <-chan struct{}, eo *engineObs, s
 	}
 	r0 := time.Now()
 	if traces.record(j, cancel) {
-		recording = time.Since(r0)
+		before = time.Since(r0)
 		eo.span(sweep, "trace-record", tid, r0)
 	}
+	p0 := time.Now()
+	if took, tried := traces.plan(j, cancel); tried {
+		before += took
+		eo.span(sweep, "plan-build", tid, p0)
+	}
 	res, err = runJob(j, cancel, eo, sweep, traces)
-	return res, recording, err
+	return res, before, err
 }
 
 // runJob executes one validated job. cancel aborts the simulation
-// cooperatively (polled at cluster boundaries for sampled runs, every 64Ki
-// instructions for full runs); an uncanceled run is bit-identical to the
+// cooperatively (polled at cluster boundaries, per instruction batch and
+// every 2^16 timing-model loop iterations); an uncanceled run is bit-identical to the
 // direct sampling-package call — observability happens at phase boundaries
 // only, so attaching eo cannot perturb results. A job that names a strategy
 // runs it through the regimen runner with the same walker options, less the

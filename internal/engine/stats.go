@@ -35,7 +35,7 @@ type Stats struct {
 	Retries int64
 	Panics  int64
 	// Wall is the cumulative execution wall-clock across finished jobs and
-	// the trace recordings that came before their runs.
+	// the trace recordings and plan builds that came before their runs.
 	Wall time.Duration
 	// The trace store: traces replayed, recorded and evicted, placements
 	// refused for a trace over the budget, and bytes held.
@@ -44,6 +44,12 @@ type Stats struct {
 	TracesEvicted  int64
 	TracesRefused  int64
 	TraceBytes     int64
+	// Reverse plans (sampling.TracePlan) built beside the stored traces, the
+	// runs that cut one instead of planning their windows, and the time the
+	// builds took, which no job's Result.Wall holds.
+	PlansBuilt int64
+	PlansCut   int64
+	PlanBuild  time.Duration
 }
 
 // counters is the engine's live atomic form of Stats.

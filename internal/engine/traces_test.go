@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"rsr/internal/obs"
 	"rsr/internal/sampling"
@@ -112,7 +113,7 @@ func TestTraceKey(t *testing.T) {
 }
 
 // TestTraceStoreBudget: a trace over the budget is not stored — a recording
-// that could outgrow it is given up — and storing one that fits evicts the
+// that outgrows it is given up — and storing one that fits evicts the
 // least recently used traces until all fit. A job whose placement's trace is
 // stored replays it and records nothing.
 func TestTraceStoreBudget(t *testing.T) {
@@ -244,5 +245,106 @@ func TestTraceStoreRefusesOnce(t *testing.T) {
 	}
 	if count := spanCounts(t, tr); count["trace-record"] != 1 || count["job-run"] != 3 {
 		t.Errorf("engine spans = %v, want one trace-record and three job-runs", count)
+	}
+}
+
+// TestTracePlanBuiltOncePerGeometry: the first reverse job of a placement and
+// geometry builds its reverse plan in a plan-build span of its own, before
+// its job-run, and every reverse job of them cuts it — the builder included
+// — while a forward job neither builds nor cuts. Another cache geometry gets
+// a plan of its own. Results equal the direct runs; the plans' bytes count
+// with the trace's, the build time is in Stats.Wall and no job's
+// Result.Wall, /metrics mirrors the counters, and evicting the trace drops
+// its plans.
+func TestTracePlanBuiltOncePerGeometry(t *testing.T) {
+	tr := obs.NewTracer(1 << 12)
+	reg := obs.NewRegistry()
+	e := New(Options{Workers: 1, Tracer: tr, Metrics: reg})
+	defer e.Close()
+	r80 := warmup.Spec{Kind: warmup.KindReverse, Percent: 80, Cache: true}
+	rbp := warmup.Spec{Kind: warmup.KindReverse, Percent: 100, BPred: true}
+	fp20 := warmup.Spec{Kind: warmup.KindFixed, Percent: 20, Cache: true, BPred: true}
+	var jobsWall time.Duration
+	for _, spec := range []warmup.Spec{specRSR20, r80, rbp, fp20} {
+		j := sampledJob("twolf", spec)
+		res, err := e.Run(context.Background(), j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := stripWall(res), directRun(t, j); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: engine result differs from the direct run", j.Label())
+		}
+		jobsWall += res.Wall
+	}
+	st := e.Stats()
+	if st.PlansBuilt != 1 || st.PlansCut != 3 || st.PlanBuild <= 0 {
+		t.Fatalf("four jobs of one placement and geometry: %+v", st)
+	}
+	if st.Wall < jobsWall+st.PlanBuild {
+		t.Errorf("Stats.Wall %v holds less than the jobs' %v and the build's %v", st.Wall, jobsWall, st.PlanBuild)
+	}
+	key := sampledJob("twolf", specNone).TraceKey()
+	var planBytes int64
+	for _, p := range e.traces.plans {
+		planBytes += p.Bytes()
+	}
+	if st.TraceBytes != e.traces.traces[key].Bytes()+planBytes || planBytes == 0 {
+		t.Errorf("the store holds %d bytes: a trace of %d and plans of %d", st.TraceBytes, e.traces.traces[key].Bytes(), planBytes)
+	}
+
+	wide := sampledJob("twolf", specRSR20)
+	wide.Machine.Hier.L2.SizeBytes *= 2
+	runAll(t, e, wide)
+	if st := e.Stats(); st.PlansBuilt != 2 || st.PlansCut != 4 || st.TracesRecorded != 1 {
+		t.Fatalf("a job of another geometry: %+v", st)
+	}
+	if count := spanCounts(t, tr); count["plan-build"] != 2 || count["trace-record"] != 1 || count["job-run"] != 5 {
+		t.Errorf("engine spans = %v, want two plan-builds, one trace-record and five job-runs", count)
+	}
+	snaps := reg.Snapshot()
+	for event, want := range map[string]float64{"built": 2, "cut": 4} {
+		if got := snapValue(t, snaps, "rsr_engine_plans_total", map[string]string{"event": event}); got != want {
+			t.Errorf("rsr_engine_plans_total{event=%q} = %v, want %v", event, got, want)
+		}
+	}
+
+	e.traces.mu.Lock()
+	e.traces.budget = 0
+	e.traces.evict()
+	plans, held := len(e.traces.plans), e.traces.held
+	e.traces.mu.Unlock()
+	if plans != 0 || held != 0 {
+		t.Errorf("after evicting the trace: %d plans, %d bytes held", plans, held)
+	}
+}
+
+// TestTracePlanConcurrentJob: a reverse job that comes while its plan is
+// being built plans its own windows and waits for nothing; a plan that does
+// not fit the budget beside its trace is refused, and built once per engine.
+func TestTracePlanConcurrentJob(t *testing.T) {
+	tr := obs.NewTracer(1 << 12)
+	e := New(Options{Workers: 1, Tracer: tr})
+	defer e.Close()
+	runAll(t, e, sampledJob("twolf", specNone)) // records the trace
+	key := planKey{sampledJob("twolf", specRSR20).TraceKey(), sampling.PlanGeomOf(sampling.DefaultMachine())}
+	e.traces.mu.Lock()
+	e.traces.planning[key] = true
+	e.traces.mu.Unlock()
+	runAll(t, e, sampledJob("twolf", specRSR20))
+	if st := e.Stats(); st.PlansBuilt != 0 || st.PlansCut != 0 || st.TracesReplayed != 2 {
+		t.Fatalf("with the build held elsewhere: %+v", st)
+	}
+	e.traces.mu.Lock()
+	delete(e.traces.planning, key)
+	e.traces.budget = e.traces.held // the trace fits, its plan beside it does not
+	e.traces.mu.Unlock()
+	for _, spec := range []warmup.Spec{specRSR20, {Kind: warmup.KindReverse, Percent: 40, Cache: true, BPred: true}} {
+		runAll(t, e, sampledJob("twolf", spec))
+	}
+	if st := e.Stats(); st.PlansBuilt != 0 || st.PlansCut != 0 || st.TracesEvicted != 0 || len(e.traces.plansRefused) != 1 {
+		t.Fatalf("a plan over the budget: %+v", st)
+	}
+	if count := spanCounts(t, tr); count["plan-build"] != 1 {
+		t.Errorf("engine spans = %v, want one plan-build", count)
 	}
 }

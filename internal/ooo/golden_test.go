@@ -119,3 +119,44 @@ func goldenRow(key string, rs [3]Result) string {
 	}
 	return s + "},"
 }
+
+// stoppingSource is a batchSource that is a Stopper: it counts the polls and
+// asks to stop from the poll numbered stopAt on (never when it is 0).
+type stoppingSource struct {
+	batchSource
+	polls, stopAt int
+}
+
+func (s *stoppingSource) Stopped() bool {
+	s.polls++
+	return s.stopAt > 0 && s.polls >= s.stopAt
+}
+
+// TestSimulateSourcePollsStopper: SimulateSource asks a Stopper source once
+// every stopPoll loop iterations whether to stop — not only when it fills, so
+// a wedged or slow hot window still hears a cancel — and a source that never
+// asks leaves the region's result as a plain source's; one that asks ends the
+// region at that poll, short of its budget.
+func TestSimulateSourcePollsStopper(t *testing.T) {
+	w, err := workload.ByName("twolf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 1_000_000
+	run := func(src Source) Result {
+		return New(DefaultConfig(), mem.NewHierarchy(mem.DefaultHierarchyConfig()), bpred.NewUnit(bpred.DefaultConfig())).SimulateSource(n, src)
+	}
+	plain := func() batchSource {
+		return batchSource{fs: funcsim.New(w.Build()), buf: make([]trace.DynInst, funcsim.BatchSize)}
+	}
+	src := plain()
+	want := run(&src)
+	never := &stoppingSource{batchSource: plain()}
+	if got := run(never); got != want || never.polls == 0 {
+		t.Fatalf("with %d polls that never stop: %+v, want %+v", never.polls, got, want)
+	}
+	stop := &stoppingSource{batchSource: plain(), stopAt: 1}
+	if got := run(stop); stop.polls != 1 || got.Instructions >= n || got.Instructions == 0 {
+		t.Fatalf("stopped at the first of %d polls: %+v", stop.polls, got)
+	}
+}

@@ -114,6 +114,12 @@ type Sim struct {
 
 	res Result
 	err error // why the last SimulateSource stopped short (ErrNoProgress)
+
+	// stopper is src if it is a Stopper; poll counts loop iterations down
+	// to its next poll. They come last so that no field the stages read
+	// moves.
+	stopper Stopper
+	poll    int
 }
 
 // ErrNoProgress ends a region whose machine can never move again: a cycle in
@@ -129,6 +135,18 @@ var ErrNoProgress = errors.New("ooo: no progress")
 type Source interface {
 	Fill(max uint64) []trace.DynInst
 }
+
+// Stopper is a Source that can end a region early. SimulateSource asks
+// Stopped once every stopPoll loop iterations, so a long hot window hears a
+// cancel even while it calls Fill rarely or never; a true answer ends the
+// region where it stands, and the source says why.
+type Stopper interface {
+	Stopped() bool
+}
+
+// stopPoll is how many SimulateSource loop iterations pass between Stopped
+// calls: at tens of nanoseconds an iteration, a poll every few milliseconds.
+const stopPoll = 1 << 16
 
 // New builds a timing model over the given memory hierarchy and predictor.
 // cfg must pass Validate.
@@ -159,8 +177,13 @@ func (s *Sim) SimulateSource(n uint64, src Source) Result {
 	s.src = src
 	var pulled uint64
 	streamDone := false
+	s.stopper, _ = src.(Stopper)
+	s.poll = stopPoll
 
 	for {
+		if s.poll--; s.poll == 0 && s.stopped() {
+			break
+		}
 		moved := s.retire() + s.issue() + s.dispatch()
 		if !streamDone && pulled < n {
 			f := s.fetch(n-pulled, &streamDone)
@@ -182,10 +205,17 @@ func (s *Sim) SimulateSource(n uint64, src Source) Result {
 		}
 	}
 	s.res.Cycles = s.cycle
-	s.src = nil
+	s.src, s.stopper = nil, nil
 	s.cur = nil
 	s.curIdx = 0
 	return s.res
+}
+
+// stopped restarts the countdown to the next poll and asks the source, if it
+// is a Stopper, whether to stop.
+func (s *Sim) stopped() bool {
+	s.poll = stopPoll
+	return s.stopper != nil && s.stopper.Stopped()
 }
 
 // Err reports why the last SimulateSource ended short of its budget and its

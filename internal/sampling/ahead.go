@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 
+	"rsr/internal/core"
 	"rsr/internal/funcsim"
 	"rsr/internal/prog"
 	"rsr/internal/trace"
@@ -40,11 +41,14 @@ const (
 	handoffMem    = 4096
 )
 
-// aheadSlot is one hand-off: a stretch of a window (win.Seen > 0), a batch of
-// a hot phase (the region's last one flagged, a fault after its records in
-// err), or, with neither, the error that ended a cold phase.
+// aheadSlot is one hand-off: a stretch of a window (win.Seen > 0), or with
+// cut set the whole window as the cut at mark of a region's reverse plan; a
+// batch of a hot phase (the region's last one flagged, a fault after its
+// records in err); or, with neither, the error that ended a cold phase.
 type aheadSlot struct {
 	win  trace.Window
+	cut  *core.CutPlan
+	mark int
 	recs []trace.DynInst
 	last bool
 	err  error
@@ -73,6 +77,7 @@ type aheadFeed struct {
 	done   chan struct{}  // closed when the walker leaves
 	wg     sync.WaitGroup // the producer
 	replay *Trace         // the trace this run replays, if any
+	plan   *TracePlan     // the replayed trace's reverse plan, if the run cuts it
 
 	slots   []*aheadSlot    // kept in spareSlots by stop
 	full    chan *aheadSlot // producer → walker, in order; both sized to the
@@ -86,9 +91,10 @@ type aheadFeed struct {
 }
 
 // newAheadFeed fills the ring, spare slots first, and starts the producer
-// over regions, replaying replay if it is not nil.
-func newAheadFeed(p *prog.Program, regions []Region, method warmup.Method, replay *Trace, opts *Options) *aheadFeed {
-	f := &aheadFeed{opts: opts, done: make(chan struct{}), replay: replay,
+// over regions, replaying replay if it is not nil and cutting plan, a plan of
+// replay, for method's windows if it is not nil.
+func newAheadFeed(p *prog.Program, regions []Region, method warmup.Method, replay *Trace, plan *TracePlan, opts *Options) *aheadFeed {
+	f := &aheadFeed{opts: opts, done: make(chan struct{}), replay: replay, plan: plan,
 		full: make(chan *aheadSlot, aheadSlots), free: make(chan *aheadSlot, aheadSlots)}
 	spareSlots.Lock()
 	k := max(0, len(spareSlots.slots)-aheadSlots)
@@ -112,7 +118,7 @@ func (f *aheadFeed) stop() {
 	close(f.done)
 	f.wg.Wait()
 	for _, s := range f.slots {
-		s.err = nil
+		s.err, s.cut = nil, nil
 	}
 	spareSlots.Lock()
 	defer spareSlots.Unlock()
@@ -208,7 +214,7 @@ func (f *aheadFeed) produce(p *prog.Program, regions []Region, method warmup.Met
 			f.send(sl)
 			return
 		}
-		if f.replay != nil && !f.sendWindow(part, method) || !f.hot(fs, reg.Size, part) {
+		if f.replay != nil && !f.sendWindow(i, method) || !f.hot(fs, reg.Size, part) {
 			return
 		}
 	}
@@ -335,7 +341,12 @@ func (f *aheadFeed) ingest(method warmup.Method) error {
 			f.cur, f.fresh = s, true
 			return nil
 		}
-		method.ObserveWindow(&s.win)
+		if s.cut != nil {
+			method.(warmup.Cutter).ObserveCut(s.cut, s.mark)
+			s.cut = nil
+		} else {
+			method.ObserveWindow(&s.win)
+		}
 		f.put(s)
 	}
 }
@@ -346,8 +357,7 @@ func (f *aheadFeed) Fill(max uint64) []trace.DynInst {
 	if f.failure != nil || f.cur == nil || f.cur.last && !f.fresh {
 		return nil
 	}
-	if f.opts.Canceled() {
-		f.failure = ErrCanceled
+	if f.Stopped() {
 		return nil
 	}
 	if !f.fresh {
@@ -360,6 +370,16 @@ func (f *aheadFeed) Fill(max uint64) []trace.DynInst {
 	f.fresh, f.failure = false, f.cur.err
 	f.pos += uint64(len(f.cur.recs))
 	return f.cur.recs
+}
+
+// Stopped implements ooo.Stopper: a canceled run ends its hot phase with
+// ErrCanceled.
+func (f *aheadFeed) Stopped() bool {
+	if f.opts.Canceled() {
+		f.failure = ErrCanceled
+		return true
+	}
+	return false
 }
 
 // err is the failure that ended the hot phase early, if any.

@@ -128,3 +128,31 @@ func TestRunSampledOptsCancelMidRun(t *testing.T) {
 		t.Error("a canceled run perturbed a later run's results")
 	}
 }
+
+// TestCancelReachesHotWindow: a cancel that comes in the middle of a hot
+// window of several seconds ends the run with ErrCanceled within a second.
+func TestCancelReachesHotWindow(t *testing.T) {
+	w, err := workload.ByName("twolf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := warmup.Spec{Kind: warmup.KindReverse, Percent: 20, Cache: true, BPred: true}
+	cancel := make(chan struct{})
+	var canceled time.Time
+	go func() {
+		time.Sleep(300 * time.Millisecond) // the 1,000-instruction cold phase is long over
+		canceled = time.Now()
+		close(cancel)
+	}()
+	// 200M instructions in the timing model take about 15 s.
+	res, err := RunRegions(w.Build(), DefaultMachine(), []Region{{Start: 1000, Size: 200_000_000}}, spec.New, Options{Cancel: cancel})
+	end := time.Now()
+	<-cancel // orders the write of canceled before the read
+	took := end.Sub(canceled)
+	if !errors.Is(err, ErrCanceled) || res != nil {
+		t.Fatalf("canceled hot window: got %v, %v; want nil, ErrCanceled", res, err)
+	}
+	if took > time.Second {
+		t.Errorf("the run ended %v after the cancel", took)
+	}
+}

@@ -7,7 +7,9 @@ import (
 	"slices"
 	"unsafe"
 
+	"rsr/internal/core"
 	"rsr/internal/funcsim"
+	"rsr/internal/mem"
 	"rsr/internal/prog"
 	"rsr/internal/trace"
 	"rsr/internal/warmup"
@@ -15,10 +17,15 @@ import (
 
 // TraceStore keeps functional traces across runs, each a pure function of its
 // key (workload, regions, L1I line size), so results are byte-identical
-// whether a run replays one or executes.
+// whether a run replays one or executes; and beside a trace, its reverse plans
+// (TracePlan), one per geometry.
 type TraceStore interface {
 	// LoadTrace returns the trace stored under key, or nil.
 	LoadTrace(key string) *Trace
+	// LoadPlan returns the reverse plan of the trace stored under key for m's
+	// geometry, or nil. A run asks for one only after LoadTrace has handed it
+	// the trace, and only for a reverse method.
+	LoadPlan(key string, m MachineConfig) *TracePlan
 }
 
 // Trace is one placement's functional trace. A placement — the regions a
@@ -55,17 +62,26 @@ type windowMark struct {
 	haveLine     bool
 }
 
-// Bounds per instruction: a cold one logs two memory records and a branch at
-// most, a hot one is one record.
+// What a trace's records cost: a cold instruction logs memory and branch
+// records, a hot one is one record.
 const (
-	coldInstrBytes = 2*unsafe.Sizeof(trace.MemRecord{}) + unsafe.Sizeof(trace.BranchRecord{})
-	hotInstrBytes  = unsafe.Sizeof(trace.DynInst{})
-	partBytes      = unsafe.Sizeof(tracePart{})
+	memRecordBytes    = unsafe.Sizeof(trace.MemRecord{})
+	branchRecordBytes = unsafe.Sizeof(trace.BranchRecord{})
+	hotInstrBytes     = unsafe.Sizeof(trace.DynInst{})
+	partBytes         = unsafe.Sizeof(tracePart{})
 )
 
-func (p *tracePart) mark(at uint64) *windowMark {
-	i := slices.IndexFunc(p.marks[:], func(m windowMark) bool { return m.at == at })
-	return &p.marks[i]
+// mark returns the index of the first mark at at.
+func (p *tracePart) mark(at uint64) int {
+	return slices.IndexFunc(p.marks[:], func(m windowMark) bool { return m.at == at })
+}
+
+// opens reports whether a window opening at mark m of a cold phase of cold
+// instructions logs a fetch there that the whole log collapsed into the line
+// before: fresh logging logs a window's first fetch whatever line came
+// before. An empty window logs nothing.
+func (m *windowMark) opens(cold, lineMask uint64) bool {
+	return m.at < cold && m.haveLine && m.pc&lineMask == m.line
 }
 
 // windowsAtMarks reports whether every window method opens on regions starts
@@ -83,17 +99,17 @@ func windowsAtMarks(regions []Region, method warmup.Method) bool {
 	return true
 }
 
-// ErrTraceTooLarge is RecordTrace giving up on a trace that could outgrow its
-// byte limit: a placement's trace is a pure function of it, so recording it
-// again under the same limit would give up again.
-var ErrTraceTooLarge = errors.New("sampling: trace could outgrow its byte limit")
+// ErrTraceTooLarge is RecordTrace giving up on a trace that outgrew its byte
+// limit: a placement's trace is a pure function of it, so recording it again
+// under the same limit would give up again.
+var ErrTraceTooLarge = errors.New("sampling: trace outgrew its byte limit")
 
 // RecordTrace executes regions of p, as a run of them would, into their
 // trace for m's L1I line size. It gives up, returning nil and why, when the
 // workload halts or faults before the last region's end, when cancel closes
-// (ErrCanceled), or when the trace could outgrow limit bytes
-// (ErrTraceTooLarge), which it checks before each region against the densest
-// the region could be.
+// (ErrCanceled), or as soon as what it holds passes limit bytes
+// (ErrTraceTooLarge), which it checks between the cold phase's batches and
+// before each hot phase, counting the records that phase will hold.
 func RecordTrace(p *prog.Program, m MachineConfig, regions []Region, limit int64, cancel <-chan struct{}) (*Trace, error) {
 	if err := ValidateRegions(regions, math.MaxUint64); err != nil {
 		return nil, err
@@ -104,16 +120,20 @@ func RecordTrace(p *prog.Program, m MachineConfig, regions []Region, limit int64
 	w := trace.Window{Cache: true, BPred: true, LineMask: lineMask}
 	buf := make([]trace.DynInst, funcsim.BatchSize)
 	stopped := Options{Cancel: cancel}.Canceled
+	tooLarge := fmt.Errorf("%w (%d bytes)", ErrTraceTooLarge, limit)
 	for _, reg := range regions {
-		cold := reg.Start - fs.Seq()
-		worst := float64(cold)*float64(coldInstrBytes) + float64(reg.Size)*float64(hotInstrBytes) + float64(partBytes)
-		if worst > float64(limit-t.bytes) {
-			return nil, fmt.Errorf("%w (%d bytes)", ErrTraceTooLarge, limit)
-		}
-		part, err := recordCold(fs, cold, &w, stopped)
+		part, err := recordCold(fs, reg.Start-fs.Seq(), &w, limit-t.bytes, stopped)
 		if err != nil {
+			if errors.Is(err, ErrTraceTooLarge) {
+				err = tooLarge
+			}
 			return nil, err
 		}
+		t.bytes += int64(uintptr(cap(part.log.Mem))*memRecordBytes + uintptr(cap(part.log.Branches))*branchRecordBytes + partBytes)
+		if float64(t.bytes)+float64(reg.Size)*float64(hotInstrBytes) > float64(limit) { // before the hot phase's array
+			return nil, tooLarge
+		}
+		t.bytes += int64(reg.Size) * int64(hotInstrBytes)
 		part.hot = make([]trace.DynInst, 0, reg.Size)
 		keep := func(b []trace.DynInst) { part.hot = append(part.hot, b...) }
 		if ran, err := fs.RunBatches(reg.Size, buf, keep, stopped); err != nil {
@@ -122,16 +142,14 @@ func RecordTrace(p *prog.Program, m MachineConfig, regions []Region, limit int64
 			return nil, fmt.Errorf("sampling: hot phase stopped after %d instructions", ran)
 		}
 		t.parts = append(t.parts, part)
-		t.bytes += int64(uintptr(cap(part.log.Mem))*unsafe.Sizeof(trace.MemRecord{}) +
-			uintptr(cap(part.log.Branches))*unsafe.Sizeof(trace.BranchRecord{}) +
-			uintptr(cap(part.hot))*hotInstrBytes + partBytes)
 	}
 	return t, nil
 }
 
 // recordCold logs a cold phase of n instructions on fs whole into a new part
-// through w, marking every window start.
-func recordCold(fs *funcsim.Sim, n uint64, w *trace.Window, stopped func() bool) (*tracePart, error) {
+// through w, marking every window start. It gives up with ErrTraceTooLarge
+// once w's records pass room bytes.
+func recordCold(fs *funcsim.Sim, n uint64, w *trace.Window, room int64, stopped func() bool) (*tracePart, error) {
 	w.Reset()
 	w.Line, w.HaveLine = 0, false
 	part := &tracePart{}
@@ -150,12 +168,66 @@ func recordCold(fs *funcsim.Sim, n uint64, w *trace.Window, stopped func() bool)
 				return nil, fmt.Errorf("sampling: workload halted after %d skipped instructions", ran)
 			case stopped():
 				return nil, ErrCanceled
+			case int64(uintptr(len(w.Mem))*memRecordBytes+uintptr(len(w.Branches))*branchRecordBytes) > room:
+				return nil, ErrTraceTooLarge
 			}
 		}
 		part.marks[p] = windowMark{at: at, pc: fs.PC(), line: w.Line, mem: len(w.Mem), br: len(w.Branches), haveLine: w.HaveLine}
 	}
 	part.log = trace.SkipLog{Mem: slices.Clone(w.Mem), Branches: slices.Clone(w.Branches)}
 	return part, nil
+}
+
+// TracePlan is a trace's reverse plan for one geometry: per region, one
+// reverse pass over the cold phase's whole log, cut at each of the region's
+// window marks (core.CutPlan). A reverse run that replays the trace applies
+// its window's cut instead of logging and planning the window itself, and
+// results stay byte-identical. A plan is never written once made.
+type TracePlan struct {
+	trace *Trace
+	geom  PlanGeom
+	parts []*core.CutPlan
+	bytes int64
+}
+
+// Bytes is the memory p holds beyond its trace.
+func (p *TracePlan) Bytes() int64 { return p.bytes }
+
+// PlanGeom is what a trace's reverse plan depends on besides the trace: each
+// cache's size, associativity and line size, and the predictor's history
+// length and RAS depth. A store keys plans by it beside the trace's key.
+type PlanGeom struct {
+	L1I, L1D, L2          [3]int
+	HistoryBits, RASDepth int
+}
+
+// PlanGeomOf returns m's plan geometry.
+func PlanGeomOf(m MachineConfig) PlanGeom {
+	c := func(c mem.CacheConfig) [3]int { return [3]int{c.SizeBytes, c.Assoc, c.LineBytes} }
+	return PlanGeom{L1I: c(m.Hier.L1I), L1D: c(m.Hier.L1D), L2: c(m.Hier.L2),
+		HistoryBits: m.Pred.Gshare.HistoryBits, RASDepth: m.Pred.RAS.Depth}
+}
+
+// PlanTrace makes t's reverse plan for m's geometry, region by region. It
+// gives up with ErrCanceled when cancel closes.
+func PlanTrace(t *Trace, m MachineConfig, cancel <-chan struct{}) (*TracePlan, error) {
+	pl := core.NewCachePlanner(m.Hier)
+	geom := core.PredGeom{HistoryBits: m.Pred.Gshare.HistoryBits, RASDepth: m.Pred.RAS.Depth}
+	p := &TracePlan{trace: t, geom: PlanGeomOf(m), parts: make([]*core.CutPlan, len(t.parts))}
+	stopped := Options{Cancel: cancel}.Canceled
+	var marks [101]core.CutMark
+	for i, part := range t.parts {
+		if stopped() {
+			return nil, ErrCanceled
+		}
+		for k := range marks {
+			a := &part.marks[k]
+			marks[k] = core.CutMark{Mem: a.mem, Br: a.br, Fetch: a.opens(part.marks[0].at, t.lineMask), FetchPC: a.pc}
+		}
+		p.parts[i] = core.PlanCuts(pl, geom, part.log.Mem, part.log.Branches, marks[:])
+		p.bytes += p.parts[i].Bytes()
+	}
+	return p, nil
 }
 
 // loadTrace returns the trace opts's store holds for a run of regions under
@@ -171,23 +243,52 @@ func loadTrace(m MachineConfig, regions []Region, method warmup.Method, opts *Op
 	return t
 }
 
-// sendWindow hands the walker method's window on a recorded part.
-func (f *aheadFeed) sendWindow(part *tracePart, method warmup.Method) bool {
+// loadPlan returns the reverse plan opts's store holds of t for m's geometry,
+// if method can take its cuts.
+func loadPlan(m MachineConfig, t *Trace, method warmup.Method, opts *Options) *TracePlan {
+	if _, ok := method.(warmup.Cutter); !ok || t == nil {
+		return nil
+	}
+	p := opts.Traces.LoadPlan(opts.TraceKey, m)
+	if p == nil || p.trace != t || p.geom != PlanGeomOf(m) {
+		return nil
+	}
+	return p
+}
+
+// sendWindow hands the walker method's window on recorded part i: a cut of
+// the run's plan if it has one, else the window's records.
+func (f *aheadFeed) sendWindow(i int, method warmup.Method) bool {
+	part := f.replay.parts[i]
 	cold := part.marks[0].at
 	lead, w := method.NewWindow(cold)
-	return lead == cold || f.sendStretches(part, part.mark(lead), &part.marks[0], w, true)
+	switch mark := part.mark(lead); {
+	case lead == cold:
+		return true
+	case f.plan != nil:
+		s := f.get()
+		log := s.win.SkipLog
+		log.Reset()
+		s.win = trace.Window{SkipLog: log, Seen: cold - lead}
+		s.cut, s.mark = f.plan.parts[i], mark
+		f.send(s)
+		return !f.stopped()
+	default:
+		return f.sendStretches(part, &part.marks[mark], w)
+	}
 }
 
 // sendStretches hands the walker, in as many stretches as the slots need,
-// what w logs of the instructions between marks a and b, cut from the whole
-// log. With open set the window opens at a, where fresh logging logs a fetch
-// whatever line came before: if the whole log did not, the first stretch
-// starts with one. Any split will do, and every stretch carries b's line state
-// (ObserveWindow reads the last one's). It reports whether the run goes on.
-func (f *aheadFeed) sendStretches(part *tracePart, a, b *windowMark, w trace.Window, open bool) bool {
+// what w logs of the window opening at mark a, cut from the whole log: if the
+// window logs a fetch where it opens that the log does not hold, the first
+// stretch starts with one. Any split will do, and every stretch carries the
+// cold phase's final line state (ObserveWindow reads the last one's). It
+// reports whether the run goes on.
+func (f *aheadFeed) sendStretches(part *tracePart, a *windowMark, w trace.Window) bool {
 	var mem []trace.MemRecord
 	var br []trace.BranchRecord
-	fetch := open && w.Cache && a.haveLine && a.pc&w.LineMask == a.line
+	b := &part.marks[0]
+	fetch := w.Cache && a.opens(b.at, w.LineMask)
 	if w.Cache {
 		mem = part.log.Mem[a.mem:b.mem]
 		w.Line, w.HaveLine = b.line, b.haveLine

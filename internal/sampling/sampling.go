@@ -193,9 +193,9 @@ var ErrCanceled = errors.New("sampling: run canceled")
 // Options tunes the sampled-run controller beyond the warm-up method.
 type Options struct {
 	// Cancel, when non-nil, aborts the run with ErrCanceled once the channel
-	// is closed. Runs poll it once per instruction batch (and sampled runs
-	// additionally at cluster boundaries), so results of uncanceled runs are
-	// unaffected.
+	// is closed. Runs poll it once per instruction batch, the timing model
+	// every 2^16 loop iterations (ooo.Stopper), and sampled runs additionally
+	// at cluster boundaries, so results of uncanceled runs are unaffected.
 	Cancel <-chan struct{}
 	// Shards is how many run-ahead producers a run once split its regions
 	// across.
@@ -203,8 +203,9 @@ type Options struct {
 	// Deprecated: ignored; every run has one producer. Kept until ROADMAP 7(b) retires skip-heavy-sharded.
 	Shards int
 	// Traces, when non-nil alongside a non-empty TraceKey, lets a run replay
-	// its placement's functional trace instead of executing (Trace). It is
-	// execution policy, never identity.
+	// its placement's functional trace instead of executing (Trace), and a
+	// reverse run cut the trace's reverse plan instead of planning its
+	// windows (TracePlan). It is execution policy, never identity.
 	Traces   TraceStore
 	TraceKey string
 	// Instr, when non-nil, streams per-phase instruction counts, durations,
@@ -273,7 +274,7 @@ func RunFullOpts(p *prog.Program, m MachineConfig, total uint64, opts Options) (
 	ro := newRunObs(opts.Instr, opts.Tracer, "full", "")
 	begin := time.Now()
 	method := warmup.Spec{Kind: warmup.KindNone}.New(hier, unit)
-	f := newAheadFeed(p, []Region{{Size: total}}, method, nil, &opts)
+	f := newAheadFeed(p, []Region{{Size: total}}, method, nil, nil, &opts)
 	defer f.stop()
 	t0 := ro.begin()
 	err := f.ingest(method) // no cold phase: it takes the first hot batch

@@ -79,7 +79,8 @@ func RunRegions(p *prog.Program, m MachineConfig, regions []Region, mk func(*mem
 	begin := time.Now()
 
 	ro := newRunObs(opts.Instr, opts.Tracer, method.Name(), method.Name())
-	f := newAheadFeed(p, regions, method, loadTrace(m, regions, method, &opts), &opts)
+	replay := loadTrace(m, regions, method, &opts)
+	f := newAheadFeed(p, regions, method, replay, loadPlan(m, replay, method, &opts), &opts)
 	defer f.stop()
 
 	for ci, reg := range regions {

@@ -32,7 +32,8 @@ import (
 // cold phase: NewWindow tells its producer how many of a region's
 // instructions pass before the window, which it runs without any, and how
 // to log the rest, which funcsim's window kernel does into trace.Windows that
-// ObserveWindow takes in place of the batches.
+// ObserveWindow takes in place of the batches; a reverse method replaying a
+// planned trace takes its window's cut instead (Cutter).
 //
 // Region captures (NewRegionCapture/AdoptRegion) observe a region away from
 // the method's shared state and install it later: a capture logs what its
@@ -96,6 +97,18 @@ type Method interface {
 type RegionCapture interface {
 	ObserveSkipBatch(ds []trace.DynInst)
 	Seal()
+}
+
+// Cutter is implemented by a method whose window a plan made once for a
+// whole cold phase can stand in for (the reverse method): a run that replays
+// a functional trace with a reverse plan for its geometry
+// (sampling.TracePlan) hands the method, between BeginSkip and EndSkip and in
+// place of the window's ObserveWindow calls, the region's core.CutPlan and
+// the index of the mark where the method's window opens, which NewWindow's
+// lead placed. The method plans nothing and copies no record of the window,
+// and is left as observing the window would have left it.
+type Cutter interface {
+	ObserveCut(plan *core.CutPlan, mark int)
 }
 
 // RegionSizer is implemented by a method that holds a skip region's window of
@@ -640,6 +653,12 @@ type reverse struct {
 	pool *capturePool
 	cur  *regionCapture
 	work Work // LoggedRecords excludes cur's, folded in at BeginSkip
+
+	// cut reports that the current region came as a cut (ObserveCut), whose
+	// plans — views of a shared core.CutPlan — stand in for cur's.
+	cut      bool
+	cutCache core.CacheReconPlan
+	cutPred  core.PredReconPlan
 }
 
 func newReverse(h *mem.Hierarchy, u *bpred.Unit, s Spec) *reverse {
@@ -671,6 +690,7 @@ func (r *reverse) BeginSkip(expectedLen uint64) {
 	}
 	r.work.LoggedRecords += r.cur.records()
 	r.pool.prepare(r.cur, PercentThreshold(expectedLen, r.spec.Percent), expectedLen)
+	r.cut, r.cutCache, r.cutPred = false, core.CacheReconPlan{}, core.PredReconPlan{}
 }
 
 // ObserveSkipBatch goes to the method's own capture.
@@ -693,6 +713,19 @@ func (r *reverse) ObserveWindow(w *trace.Window) {
 	c.log.Line, c.log.HaveLine = w.Line, w.HaveLine
 }
 
+// ObserveCut implements Cutter: the window's plans are cut from plan, and the
+// records the window would have logged are counted as logged.
+func (r *reverse) ObserveCut(plan *core.CutPlan, mark int) {
+	mem, br := plan.Cut(mark, &r.cutCache, &r.cutPred)
+	if r.spec.Cache {
+		r.work.LoggedRecords += uint64(mem)
+	}
+	if r.spec.BPred {
+		r.work.LoggedRecords += uint64(br)
+	}
+	r.cut = true
+}
+
 // NewRegionCapture returns a capture for one skip region: an empty log and a
 // reset line tracker, which is the method's own region-start state. Only the
 // goroutine-safe pool is touched, so captures may be created concurrently.
@@ -710,21 +743,25 @@ func (r *reverse) AdoptRegion(c RegionCapture) {
 	r.cur = c.(*regionCapture)
 }
 
-// EndSkip is the reverse pass. A capture the producer did not seal — the
-// in-place one always — is sealed here, so there is one reconstruction path:
-// plan from the log, apply the plan.
+// EndSkip is the reverse pass: apply the region's plans. A region that came
+// as a cut has them already; a capture the producer did not seal — the
+// in-place one always — is sealed here, so plans come from a log or a cut and
+// are applied one way.
 func (r *reverse) EndSkip() {
-	c := r.cur
-	if !c.sealed {
-		c.Seal()
+	cache, pred := &r.cutCache, &r.cutPred
+	if c := r.cur; !r.cut {
+		if !c.sealed {
+			c.Seal()
+		}
+		cache, pred = &c.cachePlan, &c.predPlan
 	}
 	if r.spec.Cache {
-		st := core.ApplyCacheRecon(r.h, &c.cachePlan)
+		st := core.ApplyCacheRecon(r.h, cache)
 		r.work.ReconScanned += st.ScannedRefs
 		r.work.ReconApplied += st.Applied
 	}
 	if r.spec.BPred {
-		r.rp.BeginRegionPlan(&c.predPlan)
+		r.rp.BeginRegionPlan(pred)
 		st := r.rp.Stats()
 		r.work.ReconApplied += st.BTBInstalled + st.RASInstalled
 	}
