@@ -68,32 +68,34 @@ test: build
 # schedules race-clean: the engine package owns the worker pool / cache /
 # single-flight machinery, and the sampling package carries both the
 # fresh-state-per-call concurrency contract the engine relies on and the
-# run-ahead feed, whose producer executes or replays every sampled run on a
-# goroutine of its own (parallel_test.go's byte-identity and cancellation
-# tests run under -race here). The cluster and
+# run-ahead feed, whose producer executes every sampled run that does not
+# replay a trace on a goroutine of its own; a replay reads the trace in place
+# on the walker's (parallel_test.go's byte-identity and cancellation tests
+# run under -race here). The cluster and
 # cas packages carry the distributed scheduler and the shared content-addressed
 # store, both all-mutex-and-goroutine code. The regimen package's strategies
 # drive the same feed and cancellation channel — as engine jobs, from its
 # workers — so its byte-identity and cancellation tests run under -race too.
 #
 # The soak lines are ROADMAP's "green means green" gate: the engine's
-# ticket/stats ordering and the feed's slot recycling (a slot reused while
-# the walker still reads it) are schedule-dependent, so one clean pass proves
+# ticket/stats ordering and the feed's slot recycling (a slot reused while the
+# walker still reads it) are schedule-dependent, so one clean pass proves
 # little; twenty under the race detector do. In the sampling package the
-# run-ahead feed — executing or replaying a functional trace, and the
-# recording — is what is schedule-dependent; its tests are the ones named
-# Parallel, RunAhead, SkipLead, Cancel, ZeroAllocs or Replay, so those soak;
-# the rest of the package gets its one -race pass on the line above, and the
-# identity tests one more pass on a single CPU, where the producer and the
-# walker take turns. The line keeps a 60-minute timeout: on a two-core host
-# the feed's tests are most of the package's -race pass. The fuzz
-# lines compare RunBatch, Skip and SkipWindow with Step on generated programs,
-# the reverse method on both ingestion paths with its per-instruction oracle
-# on generated region lengths, percentages and batch splits, and the timing
-# model's event-skipping, wake-list loop with its one-cycle polling loop on
-# generated machines and streams, and a run replaying a functional trace
-# recorded under another spec with a fresh run on generated programs and
-# region lists, for 20 s each.
+# run-ahead feed's producer is what is schedule-dependent; its tests, with the
+# replay's and the recording's, are the ones named Parallel, RunAhead,
+# SkipLead, Cancel, ZeroAllocs or Replay, so those soak; the rest of the
+# package gets its one -race pass on the line above, and the identity tests
+# one more pass on a single CPU, where the producer and the walker take turns;
+# there the cancel tests run ten times, so that a cancel that lands only on a
+# lucky schedule cannot pass. The line keeps a 60-minute timeout: on a
+# two-core host the feed's tests are most of the package's -race pass. The
+# fuzz lines compare RunBatch, Skip and SkipWindow with Step on generated
+# programs, the reverse method on both ingestion paths with its
+# per-instruction oracle on generated region lengths, percentages and batch
+# splits, and the timing model's event-skipping, wake-list loop with its
+# one-cycle polling loop on generated machines and streams, and a run
+# replaying a functional trace recorded under another spec with a fresh run on
+# generated programs and region lists, for 20 s each.
 verify:
 	@test -z "$$(gofmt -l .)" || { echo "gofmt -l:"; gofmt -l .; exit 1; }
 	$(GO) vet ./...
@@ -106,7 +108,8 @@ verify:
 	$(GO) test -run '^$$' -fuzz FuzzSimulateMatchesEveryCycle -fuzztime 20s ./internal/ooo
 	$(GO) test -run '^$$' -fuzz FuzzReplayMatchesFresh -fuzztime 20s ./internal/sampling
 	$(GO) test -race -count=20 ./internal/engine ./internal/warmup
-	$(GO) test -cpu 1 -run 'MatchesScalar|SkipLead|RunAhead|Cancel|ByteIdentical|Replay' ./internal/sampling
+	$(GO) test -cpu 1 -run 'MatchesScalar|SkipLead|RunAhead|ByteIdentical|Replay' ./internal/sampling
+	$(GO) test -cpu 1 -count 10 -run 'Cancel' ./internal/sampling
 	$(GO) test -race -count=20 -timeout 60m -run 'Parallel|RunAhead|SkipLead|Cancel|ZeroAllocs|Replay' ./internal/sampling
 
 # chaos drives the deterministic fault injector through the engine's real

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sync"
 
-	"rsr/internal/core"
 	"rsr/internal/funcsim"
 	"rsr/internal/prog"
 	"rsr/internal/trace"
@@ -23,9 +22,11 @@ import (
 // (ObserveWindow: forward applies them, reverse logs them and scans the log
 // at EndSkip, as in place); then its hot phase's batches from RunBatch — or
 // the error that ended its cold phase. Results are byte-identical to
-// observing in place by the Method contract. Given a trace store that holds
-// its placement's functional trace (Trace), the producer sends the same
-// stretches and batches from the trace instead of executing.
+// observing in place by the Method contract. A run whose trace store holds its
+// placement's functional trace (Trace) executes nothing, so its feed has no
+// producer and no ring: the walker reads each region where the trace holds
+// it, the window as views of the part's log or its plan's cut, and the hot
+// phase as views of the part's records.
 
 // aheadSlots is a ring's size: enough batches that the producer finishes a
 // 20K-instruction hot phase early and runs the next cold phase while the
@@ -41,14 +42,12 @@ const (
 	handoffMem    = 4096
 )
 
-// aheadSlot is one hand-off: a stretch of a window (win.Seen > 0), or with
-// cut set the whole window as the cut at mark of a region's reverse plan; a
-// batch of a hot phase (the region's last one flagged, a fault after its
-// records in err); or, with neither, the error that ended a cold phase.
+// aheadSlot is one hand-off of an executing run: a stretch of a window
+// (win.Seen > 0); a batch of a hot phase (the region's last one flagged, a
+// fault after its records in err); or, with neither, the error that ended a
+// cold phase.
 type aheadSlot struct {
 	win  trace.Window
-	cut  *core.CutPlan
-	mark int
 	recs []trace.DynInst
 	last bool
 	err  error
@@ -71,13 +70,17 @@ var spareSlots struct {
 }
 
 // aheadFeed is the walker's end of the run-ahead feed: the producer's ring of
-// slots and the walker's place in the run.
+// slots, or the trace the run replays, and the walker's place in the run.
 type aheadFeed struct {
 	opts   *Options
-	done   chan struct{}  // closed when the walker leaves
-	wg     sync.WaitGroup // the producer
-	replay *Trace         // the trace this run replays, if any
-	plan   *TracePlan     // the replayed trace's reverse plan, if the run cuts it
+	done   chan struct{}      // closed when the walker leaves
+	wg     sync.WaitGroup     // the producer
+	replay *Trace             // the trace this run replays, if any
+	plan   *TracePlan         // the replayed trace's reverse plan, if the run cuts it
+	part   int                // the replayed part of the next region
+	rest   []trace.DynInst    // what the replayed hot phase has not yet delivered
+	win    trace.Window       // the replayed window the method observes
+	fetch  [1]trace.MemRecord // the fetch a replayed window logs where it opens
 
 	slots   []*aheadSlot    // kept in spareSlots by stop
 	full    chan *aheadSlot // producer → walker, in order; both sized to the
@@ -90,12 +93,16 @@ type aheadFeed struct {
 	failure error
 }
 
-// newAheadFeed fills the ring, spare slots first, and starts the producer
-// over regions, replaying replay if it is not nil and cutting plan, a plan of
-// replay, for method's windows if it is not nil.
+// newAheadFeed returns the feed of a run over regions. One that replays replay,
+// cutting plan, a plan of replay, for method's windows if it is not nil, reads
+// the trace; any other fills the ring, spare slots first, and starts the
+// producer.
 func newAheadFeed(p *prog.Program, regions []Region, method warmup.Method, replay *Trace, plan *TracePlan, opts *Options) *aheadFeed {
-	f := &aheadFeed{opts: opts, done: make(chan struct{}), replay: replay, plan: plan,
-		full: make(chan *aheadSlot, aheadSlots), free: make(chan *aheadSlot, aheadSlots)}
+	f := &aheadFeed{opts: opts, done: make(chan struct{}), replay: replay, plan: plan}
+	if replay != nil {
+		return f
+	}
+	f.full, f.free = make(chan *aheadSlot, aheadSlots), make(chan *aheadSlot, aheadSlots)
 	spareSlots.Lock()
 	k := max(0, len(spareSlots.slots)-aheadSlots)
 	f.slots = slices.Clone(spareSlots.slots[k:])
@@ -118,7 +125,7 @@ func (f *aheadFeed) stop() {
 	close(f.done)
 	f.wg.Wait()
 	for _, s := range f.slots {
-		s.err, s.cut = nil, nil
+		s.err = nil
 	}
 	spareSlots.Lock()
 	defer spareSlots.Unlock()
@@ -184,27 +191,17 @@ func (f *aheadFeed) recv() (*aheadSlot, error) {
 	}
 }
 
-// produce is the producer: the functional execution of the run's regions, or
-// their replay. A slot is the walker's once sent, so nothing is read from it
-// afterwards.
+// produce is the producer: the functional execution of the run's regions. A
+// slot is the walker's once sent, so nothing is read from it afterwards.
 func (f *aheadFeed) produce(p *prog.Program, regions []Region, method warmup.Method) {
 	defer f.wg.Done()
-	var fs *funcsim.Sim // nil for a replay, which executes nothing
-	if f.replay == nil {
-		fs = funcsim.New(p)
-	}
+	fs := funcsim.New(p)
 	h := handoff{f: f}
-	for i, reg := range regions {
-		var part *tracePart
-		var err error
-		if f.replay != nil {
-			part = f.replay.parts[i]
-		} else {
-			cold := reg.Start - fs.Seq()
-			h.lead, h.w = method.NewWindow(cold)
-			err = coldSkip(fs, cold, &h)
-			h.flush()
-		}
+	for _, reg := range regions {
+		cold := reg.Start - fs.Seq()
+		h.lead, h.w = method.NewWindow(cold)
+		err := coldSkip(fs, cold, &h)
+		h.flush()
 		if errors.Is(err, ErrCanceled) {
 			return
 		}
@@ -214,26 +211,19 @@ func (f *aheadFeed) produce(p *prog.Program, regions []Region, method warmup.Met
 			f.send(sl)
 			return
 		}
-		if f.replay != nil && !f.sendWindow(i, method) || !f.hot(fs, reg.Size, part) {
+		if !f.hot(fs, reg.Size) {
 			return
 		}
 	}
 }
 
-// hot sends a hot phase of size instructions in batches, executed on fs or
-// copied from a replayed part; an empty phase is one empty last batch. It
-// reports whether the run goes on.
-func (f *aheadFeed) hot(fs *funcsim.Sim, size uint64, part *tracePart) bool {
+// hot sends a hot phase of size instructions executed on fs in batches; an
+// empty phase is one empty last batch. It reports whether the run goes on.
+func (f *aheadFeed) hot(fs *funcsim.Sim, size uint64) bool {
 	for n := uint64(0); ; {
 		s := f.get()
 		b := s.recs[:cap(s.recs)][:min(size-n, funcsim.BatchSize)]
-		var k int
-		var err error
-		if f.replay != nil {
-			k = copy(b, part.hot[n:])
-		} else {
-			k, err = fs.RunBatch(b)
-		}
+		k, err := fs.RunBatch(b)
 		n += uint64(k)
 		last := err != nil || k < len(b) || n == size
 		s.win.Seen, s.recs, s.last, s.err = 0, b[:k], last, err
@@ -326,9 +316,14 @@ func (f *aheadFeed) next(r Region) uint64 {
 	return cold
 }
 
-// ingest has the method observe the window's stretches as they come, up to
-// the hot phase's first batch, between the walker's BeginSkip and EndSkip.
+// ingest has the method observe the region's window between the walker's
+// BeginSkip and EndSkip: the stretches as they come, up to the hot phase's
+// first batch, or the window a replayed part holds (observePart).
 func (f *aheadFeed) ingest(method warmup.Method) error {
+	if f.replay != nil {
+		f.observePart(method)
+		return nil
+	}
 	for {
 		s, err := f.recv()
 		if err != nil {
@@ -341,19 +336,62 @@ func (f *aheadFeed) ingest(method warmup.Method) error {
 			f.cur, f.fresh = s, true
 			return nil
 		}
-		if s.cut != nil {
-			method.(warmup.Cutter).ObserveCut(s.cut, s.mark)
-			s.cut = nil
-		} else {
-			method.ObserveWindow(&s.win)
-		}
+		method.ObserveWindow(&s.win)
 		f.put(s)
 	}
 }
 
-// Fill delivers the current region's hot batches, never running past the
-// region's end: the feed is the timing model's ooo.Source.
+// observePart has method observe its window on the replayed trace's next part
+// where the part holds it: the cut of the run's plan if it has one, else one
+// window of views of the part's log from the window's mark, which no append
+// of the method's reaches. If the window logs a fetch where it opens that the
+// log does not hold, a window of that one record, held in the feed and
+// counting no instruction, comes first.
+func (f *aheadFeed) observePart(method warmup.Method) {
+	i := f.part
+	part := f.replay.parts[i]
+	f.part, f.rest = i+1, part.hot
+	b := &part.marks[0]
+	lead, w := method.NewWindow(b.at)
+	if lead == b.at {
+		return
+	}
+	mark := part.mark(lead)
+	if f.plan != nil {
+		method.(warmup.Cutter).ObserveCut(f.plan.parts[i], mark)
+		return
+	}
+	a := &part.marks[mark]
+	if w.Cache && a.opens(b.at, w.LineMask) {
+		f.fetch[0] = trace.MemRecord{Addr: a.pc, IsInstr: true}
+		f.win = w
+		f.win.Mem = f.fetch[:]
+		method.ObserveWindow(&f.win)
+	}
+	w.Seen = b.at - a.at
+	if w.Cache {
+		w.Mem = part.log.Mem[a.mem:b.mem:b.mem]
+		w.Line, w.HaveLine = b.line, b.haveLine
+	}
+	if w.BPred {
+		w.Branches = part.log.Branches[a.br:b.br:b.br]
+	}
+	f.win = w
+	method.ObserveWindow(&f.win)
+}
+
+// Fill delivers the current region's hot batches, or views of its replayed
+// records, never running past the region's end: the feed is the timing
+// model's ooo.Source.
 func (f *aheadFeed) Fill(max uint64) []trace.DynInst {
+	if f.replay != nil {
+		if len(f.rest) == 0 || f.Stopped() {
+			return nil
+		}
+		b := f.rest[:min(max, uint64(len(f.rest)))]
+		f.rest, f.pos = f.rest[len(b):], f.pos+uint64(len(b))
+		return b
+	}
 	if f.failure != nil || f.cur == nil || f.cur.last && !f.fresh {
 		return nil
 	}

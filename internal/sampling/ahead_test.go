@@ -83,9 +83,10 @@ func TestRunAheadProducerEnds(t *testing.T) {
 		}
 	}
 
-	// Replaying a trace, the producer ends as it does executing: after
-	// success, and after a cancel while it sends a window's stretches or a hot
-	// phase's batches (more of either than the ring holds).
+	// Replaying a trace starts no producer: none runs while the method
+	// observes a window or ends a cold phase, and the run ends as an
+	// executing one does, after success and after a cancel while the method
+	// observes a window or the timing model reads a hot phase.
 	regions := []Region{{Start: 400_000, Size: 20_000}, {Start: 800_000, Size: 20_000}}
 	store := recordTrace(t, gcc, regions)
 	for _, c := range []struct {
@@ -96,14 +97,18 @@ func TestRunAheadProducerEnds(t *testing.T) {
 		{"replay cancel in a hot phase", "R$BP (20%)", "hot"},
 	} {
 		cancel := make(chan struct{})
+		var m *cancelingMethod
 		mk := func(h *mem.Hierarchy, u *bpred.Unit) warmup.Method {
-			return &cancelingMethod{Method: spec(c.label).New(h, u), at: c.at, cancel: cancel}
+			m = &cancelingMethod{Method: spec(c.label).New(h, u), at: c.at, cancel: cancel, probe: true}
+			return m
 		}
 		before := store.replayed
 		res, err := RunRegions(gcc, DefaultMachine(), regions, mk, Options{Cancel: cancel, Traces: store, TraceKey: "k"})
 		switch {
 		case store.replayed != before+1:
 			t.Errorf("%s: the run did not replay the trace", c.name)
+		case m.probes == 0 || m.producer:
+			t.Errorf("%s: a run-ahead producer ran during the replay (%d probes)", c.name, m.probes)
 		case c.at == "" && err != nil:
 			t.Errorf("%s: %v", c.name, err)
 		case c.at != "" && (!errors.Is(err, ErrCanceled) || res != nil):
@@ -116,12 +121,17 @@ func TestRunAheadProducerEnds(t *testing.T) {
 }
 
 // cancelingMethod closes cancel when the walker first reaches at: a window's
-// first stretch, or the hot phase after the first cold phase.
+// first stretch, or the hot phase after the first cold phase. With probe set,
+// it looks for a run-ahead producer at each window and each hot phase, and
+// producer says whether it found one.
 type cancelingMethod struct {
 	warmup.Method
-	at     string
-	cancel chan struct{}
-	closed bool
+	at       string
+	cancel   chan struct{}
+	closed   bool
+	probe    bool
+	probes   int
+	producer bool
 }
 
 func (m *cancelingMethod) ObserveWindow(w *trace.Window) {
@@ -135,6 +145,10 @@ func (m *cancelingMethod) EndSkip() {
 }
 
 func (m *cancelingMethod) fire(at string) {
+	if m.probe {
+		m.probes++
+		m.producer = m.producer || producerRunning()
+	}
 	if m.at == at && !m.closed {
 		m.closed = true
 		close(m.cancel)
@@ -146,7 +160,9 @@ func (m *cancelingMethod) fire(at string) {
 // population — the machine, the functional simulator's pages, and the
 // captures and logs of the regions in flight — and a quarter on top for logs
 // and plans refitted while the density estimate settles. The ring itself is
-// kept from run to run, so once warm a run allocates none of it.
+// kept from run to run, so once warm a run allocates none of it. The last arm
+// replays its placement's trace and cuts its plan, both made off the count,
+// and reads them in place.
 func TestRunAheadAllocationBudget(t *testing.T) {
 	w, err := workload.ByName("gcc")
 	if err != nil {
@@ -154,24 +170,42 @@ func TestRunAheadAllocationBudget(t *testing.T) {
 	}
 	p := w.Build()
 	const stratum = 50_000
-	for _, label := range []string{"S$BP", "R$BP (20%)", "None"} {
-		spec, err := warmup.SpecByLabel(label)
+	for _, arm := range []struct {
+		label  string
+		replay bool
+	}{{"S$BP", false}, {"R$BP (20%)", false}, {"None", false}, {"R$BP (20%)", true}} {
+		spec, err := warmup.SpecByLabel(arm.label)
 		if err != nil {
 			t.Fatal(err)
 		}
+		name := arm.label
+		if arm.replay {
+			name += ", replayed"
+		}
 		run := func(clusters int) uint64 {
 			reg := Regimen{ClusterSize: 2000, NumClusters: clusters}
+			total := uint64(clusters) * stratum
+			var opts Options
+			if arm.replay {
+				regions, err := reg.Regions(total, 2007)
+				if err != nil {
+					t.Fatal(err)
+				}
+				store := recordTrace(t, p, regions)
+				store.LoadPlan("k", DefaultMachine())
+				opts = Options{Traces: store, TraceKey: "k"}
+			}
 			return allocatedBy(func() {
-				if _, err := runSampled(p, DefaultMachine(), reg, uint64(clusters)*stratum, 2007, spec.New, Options{}); err != nil {
-					t.Fatalf("%s clusters=%d: %v", label, clusters, err)
+				if _, err := runSampled(p, DefaultMachine(), reg, total, 2007, spec.New, opts); err != nil {
+					t.Fatalf("%s clusters=%d: %v", name, clusters, err)
 				}
 			})
 		}
 		run(50) // the ring
 		standing, long := run(50), run(150)
-		t.Logf("%s: 50 regions %.2f MB, 150 regions %.2f MB", label, float64(standing)/1e6, float64(long)/1e6)
+		t.Logf("%s: 50 regions %.2f MB, 150 regions %.2f MB", name, float64(standing)/1e6, float64(long)/1e6)
 		if long > standing+standing/4 {
-			t.Errorf("%s: 150 regions allocate %d bytes against %d for 50: the run-ahead feed allocates per region", label, long, standing)
+			t.Errorf("%s: 150 regions allocate %d bytes against %d for 50: the run-ahead feed allocates per region", name, long, standing)
 		}
 	}
 }

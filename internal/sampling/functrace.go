@@ -255,69 +255,3 @@ func loadPlan(m MachineConfig, t *Trace, method warmup.Method, opts *Options) *T
 	}
 	return p
 }
-
-// sendWindow hands the walker method's window on recorded part i: a cut of
-// the run's plan if it has one, else the window's records.
-func (f *aheadFeed) sendWindow(i int, method warmup.Method) bool {
-	part := f.replay.parts[i]
-	cold := part.marks[0].at
-	lead, w := method.NewWindow(cold)
-	switch mark := part.mark(lead); {
-	case lead == cold:
-		return true
-	case f.plan != nil:
-		s := f.get()
-		log := s.win.SkipLog
-		log.Reset()
-		s.win = trace.Window{SkipLog: log, Seen: cold - lead}
-		s.cut, s.mark = f.plan.parts[i], mark
-		f.send(s)
-		return !f.stopped()
-	default:
-		return f.sendStretches(part, &part.marks[mark], w)
-	}
-}
-
-// sendStretches hands the walker, in as many stretches as the slots need,
-// what w logs of the window opening at mark a, cut from the whole log: if the
-// window logs a fetch where it opens that the log does not hold, the first
-// stretch starts with one. Any split will do, and every stretch carries the
-// cold phase's final line state (ObserveWindow reads the last one's). It
-// reports whether the run goes on.
-func (f *aheadFeed) sendStretches(part *tracePart, a *windowMark, w trace.Window) bool {
-	var mem []trace.MemRecord
-	var br []trace.BranchRecord
-	b := &part.marks[0]
-	fetch := w.Cache && a.opens(b.at, w.LineMask)
-	if w.Cache {
-		mem = part.log.Mem[a.mem:b.mem]
-		w.Line, w.HaveLine = b.line, b.haveLine
-	}
-	if w.BPred {
-		br = part.log.Branches[a.br:b.br]
-	}
-	// A stretch counts one instruction, the last all that are left: a
-	// stretch's records are those of one instruction at least.
-	for left := b.at - a.at; left > 0; {
-		s := f.get()
-		log := s.win.SkipLog
-		log.Reset()
-		if fetch {
-			log.Mem, fetch = append(log.Mem, trace.MemRecord{Addr: a.pc, IsInstr: true}), false
-		}
-		k, j := min(len(mem), cap(log.Mem)-len(log.Mem)), min(len(br), cap(log.Branches))
-		log.Mem, mem = append(log.Mem, mem[:k]...), mem[k:]
-		log.Branches, br = append(log.Branches, br[:j]...), br[j:]
-		s.win = w
-		s.win.SkipLog, s.win.Seen = log, 1
-		if len(mem)+len(br) == 0 {
-			s.win.Seen = left
-		}
-		left -= s.win.Seen
-		f.send(s)
-		if f.stopped() {
-			return false
-		}
-	}
-	return true
-}

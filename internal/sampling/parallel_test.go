@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
-	"time"
 
 	"rsr/internal/bpred"
 	"rsr/internal/funcsim"
@@ -324,9 +323,11 @@ func TestParallelCancelPreClosed(t *testing.T) {
 }
 
 // TestParallelCancelMidRun fires cancellation while the producer runs ahead of
-// the walker, for both a reverse method and a functional-warming method: both
-// must return ErrCanceled with no partial result, and the producer must exit
-// (the race detector guards the teardown).
+// the walker, for both a reverse method and a functional-warming method: the
+// walker closes the channel itself at the first region's EndSkip, so the
+// cancel lands mid-run however the run is scheduled. Both must return
+// ErrCanceled with no partial result, and the producer must exit (the race
+// detector guards the teardown).
 func TestParallelCancelMidRun(t *testing.T) {
 	w, err := workload.ByName("twolf")
 	if err != nil {
@@ -337,12 +338,10 @@ func TestParallelCancelMidRun(t *testing.T) {
 	for _, label := range []string{"R$BP (20%)", "S$BP"} {
 		spec, _ := warmup.SpecByLabel(label)
 		cancel := make(chan struct{})
-		go func() {
-			time.Sleep(2 * time.Millisecond)
-			close(cancel)
-		}()
-		res, err := RunSampledOpts(p, DefaultMachine(), reg, 2_000_000, 2007, spec,
-			Options{Cancel: cancel})
+		mk := func(h *mem.Hierarchy, u *bpred.Unit) warmup.Method {
+			return &cancelingMethod{Method: spec.New(h, u), at: "hot", cancel: cancel}
+		}
+		res, err := runSampled(p, DefaultMachine(), reg, 2_000_000, 2007, mk, Options{Cancel: cancel})
 		if !errors.Is(err, ErrCanceled) {
 			t.Fatalf("%s: err = %v, want ErrCanceled", label, err)
 		}

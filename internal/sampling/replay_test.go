@@ -3,11 +3,13 @@ package sampling
 import (
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"reflect"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"rsr/internal/core"
 	"rsr/internal/isa"
@@ -178,6 +180,69 @@ func TestReplayMatchesFresh(t *testing.T) {
 	}
 	if store.replayed != before+2 {
 		t.Fatal("the store was not asked")
+	}
+}
+
+// traceSum hashes t's parts and plan's cuts as they lie in memory: each one's
+// own bytes — a part's marks among them — and the arrays its slices hold, a
+// part's cold log and hot phase, a cut's plans.
+func traceSum(t *Trace, plan *TracePlan, seed maphash.Seed) uint64 {
+	var h maphash.Hash
+	h.SetSeed(seed)
+	for i, part := range t.parts {
+		for _, v := range []reflect.Value{reflect.ValueOf(part), reflect.ValueOf(plan.parts[i])} {
+			h.Write(unsafe.Slice((*byte)(v.UnsafePointer()), v.Type().Elem().Size()))
+			writeArrays(&h, v.Elem())
+		}
+	}
+	return h.Sum64()
+}
+
+// writeArrays writes to h the arrays of the slices among the fields of v, a
+// struct, and of its struct fields; no element holds a pointer.
+func writeArrays(h *maphash.Hash, v reflect.Value) {
+	for i := range v.NumField() {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Slice:
+			h.Write(unsafe.Slice((*byte)(f.UnsafePointer()), uintptr(f.Len())*f.Type().Elem().Size()))
+		case reflect.Struct:
+			writeArrays(h, f)
+		}
+	}
+}
+
+// TestReplayNeverWritesTrace: a replay reads its trace and plan in place and
+// writes neither. Every spec of the paper's matrix replays one placement, a
+// reverse spec with and without the plan, and after each run the trace and
+// plan hash as they did when made.
+func TestReplayNeverWritesTrace(t *testing.T) {
+	w, err := workload.ByName("twolf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := w.Build()
+	regions, err := Regimen{ClusterSize: 2000, NumClusters: 10}.Regions(400_000, 2007)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := recordTrace(t, p, regions)
+	tr, plan := store.traces["k"], store.LoadPlan("k", DefaultMachine())
+	seed := maphash.MakeSeed()
+	want := traceSum(tr, plan, seed)
+	unplanned := &testTraces{traces: store.traces, noPlans: true}
+	for _, spec := range warmup.Matrix() {
+		for _, s := range []*testTraces{store, unplanned} {
+			before := s.replayed
+			if _, err := RunRegions(p, DefaultMachine(), regions, spec.New, Options{Traces: s, TraceKey: "k"}); err != nil {
+				t.Fatalf("%s: %v", spec.Label(), err)
+			}
+			if s.replayed != before+1 {
+				t.Fatalf("%s: the run did not replay the trace", spec.Label())
+			}
+			if traceSum(tr, plan, seed) != want {
+				t.Fatalf("%s (plans %v): the replay wrote its trace or plan", spec.Label(), !s.noPlans)
+			}
+		}
 	}
 }
 
